@@ -6,7 +6,7 @@ use spade_baselines::cluster::{ClusterConfig, PointRdd, PolygonRdd};
 use spade_bench::workloads as wl;
 use spade_core::dataset::{IndexedDataset, PreparedPolygonSet};
 use spade_core::engine::Constraint;
-use spade_core::{join, select, EngineConfig, Spade};
+use spade_core::{join, select, EngineConfig, QueryCtx, Spade};
 use spade_index::GridIndex;
 
 fn bench_point_polygon_join(c: &mut Criterion) {
@@ -111,7 +111,7 @@ fn bench_ooc_pipelining(c: &mut Criterion) {
     });
     g.bench_function("synchronous", |b| {
         b.iter(|| {
-            join::join_indexed(&synchronous, &i1, &i2)
+            join::join_indexed(&synchronous, &i1, &i2, &QueryCtx::default())
                 .expect("indexed join")
                 .result
                 .len()
@@ -121,7 +121,7 @@ fn bench_ooc_pipelining(c: &mut Criterion) {
     let pipelined = Spade::new(base.clone());
     g.bench_function("pipelined", |b| {
         b.iter(|| {
-            join::join_indexed(&pipelined, &i1, &i2)
+            join::join_indexed(&pipelined, &i1, &i2, &QueryCtx::default())
                 .expect("indexed join")
                 .result
                 .len()
@@ -138,7 +138,7 @@ fn bench_ooc_pipelining(c: &mut Criterion) {
     });
     g.bench_function("pipelined_traced", |b| {
         b.iter(|| {
-            let n = join::join_indexed(&traced, &i1, &i2)
+            let n = join::join_indexed(&traced, &i1, &i2, &QueryCtx::default())
                 .expect("indexed join")
                 .result
                 .len();

@@ -7,6 +7,7 @@ use spade_baselines::s2like::PointIndex;
 use spade_baselines::stig::Stig;
 use spade_bench::workloads as wl;
 use spade_core::select;
+use spade_core::QueryCtx;
 
 fn bench_point_selection(c: &mut Criterion) {
     let mut g = c.benchmark_group("select_points");
@@ -22,7 +23,7 @@ fn bench_point_selection(c: &mut Criterion) {
     let indexed = wl::index(&spade, &data);
     g.bench_function("spade_ooc", |b| {
         b.iter(|| {
-            select::select_indexed(&spade, &indexed, &constraint)
+            select::select_indexed(&spade, &indexed, &constraint, &QueryCtx::default())
                 .expect("indexed select")
                 .result
                 .len()

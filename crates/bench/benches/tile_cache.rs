@@ -11,7 +11,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use spade_bench::workloads as wl;
 use spade_core::dataset::IndexedDataset;
 use spade_core::query::{self, SelectQuery};
-use spade_core::{EngineConfig, Spade};
+use spade_core::{EngineConfig, QueryCtx, Spade};
 use spade_geometry::{BBox, Point};
 
 fn engine(cache: bool) -> Spade {
@@ -48,7 +48,7 @@ fn bench_tile_cache(c: &mut Criterion) {
     for (name, q) in tile_queries() {
         g.bench_function(format!("{name}/cold"), |b| {
             b.iter(|| {
-                query::run_select_indexed_cached(&cold, &cold_idx, &q)
+                query::run_select_ctx(&cold, &cold_idx, &q, &QueryCtx::cached())
                     .expect("select")
                     .result
                     .len()
@@ -56,9 +56,9 @@ fn bench_tile_cache(c: &mut Criterion) {
         });
         g.bench_function(format!("{name}/hot"), |b| {
             // Warm the entry once; every timed iteration is a HIT.
-            query::run_select_indexed_cached(&hot, &hot_idx, &q).expect("warm");
+            query::run_select_ctx(&hot, &hot_idx, &q, &QueryCtx::cached()).expect("warm");
             b.iter(|| {
-                query::run_select_indexed_cached(&hot, &hot_idx, &q)
+                query::run_select_ctx(&hot, &hot_idx, &q, &QueryCtx::cached())
                     .expect("select")
                     .result
                     .len()
@@ -74,7 +74,7 @@ fn bench_tile_cache(c: &mut Criterion) {
                     spade_geometry::Geometry::Point(Point::new(0.0, 0.0)),
                 );
                 i += 1;
-                query::run_select_indexed_cached(&hot, &hot_idx, &q)
+                query::run_select_ctx(&hot, &hot_idx, &q, &QueryCtx::cached())
                     .expect("select")
                     .result
                     .len()

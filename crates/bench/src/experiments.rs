@@ -13,7 +13,7 @@ use spade_baselines::stig::Stig;
 use spade_canvas::create::PreparedPolygon;
 use spade_core::dataset::Dataset;
 use spade_core::engine::Constraint;
-use spade_core::{select, EngineConfig, Spade};
+use spade_core::{select, EngineConfig, QueryCtx, Spade};
 use spade_geometry::{Point, Polygon};
 use std::time::Duration;
 
@@ -81,7 +81,8 @@ fn selection_figure(title: &str, data: Dataset, mut constraints: Vec<Polygon>) -
     // Order constraints by SPADE query time, as the paper plots them.
     let mut measured: Vec<(Polygon, spade_core::QueryStats)> = Vec::new();
     for c in constraints.drain(..) {
-        let out = select::select_indexed(&spade, &indexed, &c).expect("indexed select");
+        let out = select::select_indexed(&spade, &indexed, &c, &QueryCtx::default())
+            .expect("indexed select");
         measured.push((c, out.stats));
     }
     measured.sort_by_key(|a| a.1.total_time);
@@ -131,7 +132,8 @@ pub fn fig5c() -> Vec<Table> {
 
     let mut measured: Vec<(Polygon, spade_core::QueryStats)> = Vec::new();
     for c in constraints {
-        let out = select::select_indexed(&spade, &indexed, &c).expect("indexed select");
+        let out = select::select_indexed(&spade, &indexed, &c, &QueryCtx::default())
+            .expect("indexed select");
         measured.push((c, out.stats));
     }
     measured.sort_by_key(|a| a.1.total_time);
@@ -189,7 +191,8 @@ pub fn tab2() -> Vec<Table> {
     for (name, pts, polys) in cases {
         let ipts = wl::index(&spade, &pts);
         let ipolys = wl::index(&spade, &polys);
-        let out = spade_core::join::join_indexed(&spade, &ipolys, &ipts).expect("indexed join");
+        let out = spade_core::join::join_indexed(&spade, &ipolys, &ipts, &QueryCtx::default())
+            .expect("indexed join");
 
         let rdd = PointRdd::build(points_of(&pts), cluster_cfg());
         let prdd = PolygonRdd::build(polys_of(&polys), cluster_cfg());
@@ -245,7 +248,8 @@ pub fn tab3() -> Vec<Table> {
     for (name, d1, d2) in cases {
         let i1 = wl::index(&spade, &d1);
         let i2 = wl::index(&spade, &d2);
-        let out = spade_core::join::join_indexed(&spade, &i1, &i2).expect("indexed join");
+        let out = spade_core::join::join_indexed(&spade, &i1, &i2, &QueryCtx::default())
+            .expect("indexed join");
         let r1 = PolygonRdd::build(polys_of(&d1), cluster_cfg());
         let r2 = PolygonRdd::build(polys_of(&d2), cluster_cfg());
         let (r_cl, t_cl) = timed(|| r1.join(&r2));
@@ -292,7 +296,8 @@ pub fn fig6() -> Vec<Table> {
         let pts = wl::tweets(n);
         let ipts = wl::index(&spade, &pts);
         let ipolys = wl::index(&spade, &zips);
-        let out = spade_core::join::join_indexed(&spade, &ipolys, &ipts).expect("indexed join");
+        let out = spade_core::join::join_indexed(&spade, &ipolys, &ipts, &QueryCtx::default())
+            .expect("indexed join");
         let rdd = PointRdd::build(points_of(&pts), cluster_cfg());
         let prdd = PolygonRdd::build(polys_of(&zips), cluster_cfg());
         let (r_cl, t_cl) = timed(|| rdd.join_polygons(&prdd));
@@ -503,8 +508,10 @@ pub fn fig10() -> Vec<Table> {
     let igau = wl::index(&spade, &gau);
     for e in [0.1, 0.2, 0.3, 0.4, 0.5] {
         let c = wl::unit_square_constraint(e);
-        let u = select::select_indexed(&spade, &iuni, &c).expect("indexed select");
-        let g = select::select_indexed(&spade, &igau, &c).expect("indexed select");
+        let u = select::select_indexed(&spade, &iuni, &c, &QueryCtx::default())
+            .expect("indexed select");
+        let g = select::select_indexed(&spade, &igau, &c, &QueryCtx::default())
+            .expect("indexed select");
         left.row(vec![
             format!("{e:.1}"),
             fmt_dur(u.stats.total_time),
@@ -524,8 +531,10 @@ pub fn fig10() -> Vec<Table> {
         let gau = wl::spider_points(m, true, 2);
         let iuni = wl::index(&spade, &uni);
         let igau = wl::index(&spade, &gau);
-        let u = select::select_indexed(&spade, &iuni, &c).expect("indexed select");
-        let g = select::select_indexed(&spade, &igau, &c).expect("indexed select");
+        let u = select::select_indexed(&spade, &iuni, &c, &QueryCtx::default())
+            .expect("indexed select");
+        let g = select::select_indexed(&spade, &igau, &c, &QueryCtx::default())
+            .expect("indexed select");
         right.row(vec![
             uni.len().to_string(),
             fmt_dur(u.stats.total_time),
@@ -548,8 +557,10 @@ pub fn fig11() -> Vec<Table> {
     let igau = wl::index(&spade, &gau);
     for e in [0.1, 0.2, 0.3, 0.4, 0.5] {
         let c = wl::unit_square_constraint(e);
-        let u = select::select_indexed(&spade, &iuni, &c).expect("indexed select");
-        let g = select::select_indexed(&spade, &igau, &c).expect("indexed select");
+        let u = select::select_indexed(&spade, &iuni, &c, &QueryCtx::default())
+            .expect("indexed select");
+        let g = select::select_indexed(&spade, &igau, &c, &QueryCtx::default())
+            .expect("indexed select");
         left.row(vec![
             format!("{e:.1}"),
             fmt_dur(u.stats.total_time),
@@ -566,8 +577,10 @@ pub fn fig11() -> Vec<Table> {
         let gau = wl::spider_boxes(m, true, 4);
         let iuni = wl::index(&spade, &uni);
         let igau = wl::index(&spade, &gau);
-        let u = select::select_indexed(&spade, &iuni, &c).expect("indexed select");
-        let g = select::select_indexed(&spade, &igau, &c).expect("indexed select");
+        let u = select::select_indexed(&spade, &iuni, &c, &QueryCtx::default())
+            .expect("indexed select");
+        let g = select::select_indexed(&spade, &igau, &c, &QueryCtx::default())
+            .expect("indexed select");
         right.row(vec![
             uni.len().to_string(),
             fmt_dur(u.stats.total_time),
@@ -591,8 +604,10 @@ pub fn fig12() -> Vec<Table> {
         let ip = wl::index(&spade, &parcels);
         let iu = wl::index(&spade, &uni);
         let ig = wl::index(&spade, &gau);
-        let u = spade_core::join::join_indexed(&spade, &ip, &iu).expect("indexed join");
-        let g = spade_core::join::join_indexed(&spade, &ip, &ig).expect("indexed join");
+        let u = spade_core::join::join_indexed(&spade, &ip, &iu, &QueryCtx::default())
+            .expect("indexed join");
+        let g = spade_core::join::join_indexed(&spade, &ip, &ig, &QueryCtx::default())
+            .expect("indexed join");
         left.row(vec![
             n.to_string(),
             fmt_dur(u.stats.total_time),
@@ -610,8 +625,10 @@ pub fn fig12() -> Vec<Table> {
         let gau = wl::spider_points(m, true, 6);
         let iu = wl::index(&spade, &uni);
         let ig = wl::index(&spade, &gau);
-        let u = spade_core::join::join_indexed(&spade, &ip, &iu).expect("indexed join");
-        let g = spade_core::join::join_indexed(&spade, &ip, &ig).expect("indexed join");
+        let u = spade_core::join::join_indexed(&spade, &ip, &iu, &QueryCtx::default())
+            .expect("indexed join");
+        let g = spade_core::join::join_indexed(&spade, &ip, &ig, &QueryCtx::default())
+            .expect("indexed join");
         right.row(vec![
             uni.len().to_string(),
             fmt_dur(u.stats.total_time),
@@ -635,8 +652,10 @@ pub fn fig13() -> Vec<Table> {
         let ip = wl::index(&spade, &parcels);
         let iu = wl::index(&spade, &uni);
         let ig = wl::index(&spade, &gau);
-        let u = spade_core::join::join_indexed(&spade, &ip, &iu).expect("indexed join");
-        let g = spade_core::join::join_indexed(&spade, &ip, &ig).expect("indexed join");
+        let u = spade_core::join::join_indexed(&spade, &ip, &iu, &QueryCtx::default())
+            .expect("indexed join");
+        let g = spade_core::join::join_indexed(&spade, &ip, &ig, &QueryCtx::default())
+            .expect("indexed join");
         left.row(vec![
             n.to_string(),
             fmt_dur(u.stats.total_time),
@@ -654,8 +673,10 @@ pub fn fig13() -> Vec<Table> {
         let gau = wl::spider_boxes(m, true, 8);
         let iu = wl::index(&spade, &uni);
         let ig = wl::index(&spade, &gau);
-        let u = spade_core::join::join_indexed(&spade, &ip, &iu).expect("indexed join");
-        let g = spade_core::join::join_indexed(&spade, &ip, &ig).expect("indexed join");
+        let u = spade_core::join::join_indexed(&spade, &ip, &iu, &QueryCtx::default())
+            .expect("indexed join");
+        let g = spade_core::join::join_indexed(&spade, &ip, &ig, &QueryCtx::default())
+            .expect("indexed join");
         right.row(vec![
             uni.len().to_string(),
             fmt_dur(u.stats.total_time),
@@ -953,8 +974,10 @@ pub fn ablate_rtree() -> Vec<Table> {
         .iter()
         .enumerate()
     {
-        let a = select::select_indexed(&spade, &ig, c).expect("indexed select");
-        let b = select::select_indexed(&spade, &ir, c).expect("indexed select");
+        let a =
+            select::select_indexed(&spade, &ig, c, &QueryCtx::default()).expect("indexed select");
+        let b =
+            select::select_indexed(&spade, &ir, c, &QueryCtx::default()).expect("indexed select");
         assert_eq!(a.result, b.result, "strategies disagree on P{}", i + 1);
         t.row(vec![
             format!("P{}", i + 1),

@@ -8,7 +8,7 @@
 
 use spade_core::dataset::IndexedDataset;
 use spade_core::query::{self, SelectQuery};
-use spade_core::{CacheOutcome, EngineConfig, Spade};
+use spade_core::{CacheOutcome, EngineConfig, QueryCtx, Spade};
 use spade_datagen::spider;
 use spade_geometry::{BBox, Geometry, Point};
 use spade_index::GridIndex;
@@ -62,16 +62,17 @@ fn cache_hit_beats_cold_render_by_5x() {
     let q = tile();
 
     let cold = median(|| {
-        query::run_select_indexed_cached(&cold_engine, &cold_idx, &q)
+        query::run_select_ctx(&cold_engine, &cold_idx, &q, &QueryCtx::cached())
             .expect("select")
             .result
             .len()
     });
 
     // Warm once, then every run must be a HIT.
-    query::run_select_indexed_cached(&hot_engine, &hot_idx, &q).expect("warm");
+    query::run_select_ctx(&hot_engine, &hot_idx, &q, &QueryCtx::cached()).expect("warm");
     let hot = median(|| {
-        let out = query::run_select_indexed_cached(&hot_engine, &hot_idx, &q).expect("select");
+        let out =
+            query::run_select_ctx(&hot_engine, &hot_idx, &q, &QueryCtx::cached()).expect("select");
         assert_eq!(out.stats.result_cache, CacheOutcome::Hit);
         assert_eq!(out.stats.cells_loaded, 0, "HIT path must do zero cell I/O");
         out.result.len()

@@ -13,7 +13,7 @@
 
 use spade_core::dataset::{DatasetKind, IndexedDataset};
 use spade_core::optimizer::JoinStrategy;
-use spade_core::{explain, join, EngineConfig, Spade};
+use spade_core::{explain, join, EngineConfig, QueryCtx, Spade};
 use spade_datagen::spider;
 use spade_geometry::{Geometry, Polygon};
 use spade_index::GridIndex;
@@ -46,7 +46,7 @@ fn median(spade: &Spade, left: &IndexedDataset, right: &IndexedDataset) -> Durat
     let mut times: Vec<Duration> = (0..RUNS)
         .map(|_| {
             let t0 = Instant::now();
-            let out = join::join_indexed(spade, left, right).expect("join");
+            let out = join::join_indexed(spade, left, right, &QueryCtx::default()).expect("join");
             std::hint::black_box(out.result.len());
             t0.elapsed()
         })
@@ -76,7 +76,7 @@ fn gate(
 
     // The decision under test must come from warm observations.
     explain::begin();
-    join::join_indexed(spade, left, right).expect("join");
+    join::join_indexed(spade, left, right, &QueryCtx::default()).expect("join");
     let report = explain::finish();
     let j = report.join.expect("join plan reported");
     assert!(

@@ -8,7 +8,7 @@
 //! `simd-gate` job runs it.
 
 use spade_core::dataset::{Dataset, DatasetKind, IndexedDataset};
-use spade_core::{join, select, EngineConfig, Spade};
+use spade_core::{join, select, EngineConfig, QueryCtx, Spade};
 use spade_datagen::{spider, urban};
 use spade_geometry::{BBox, Geometry, Point};
 use spade_gpu::{BlendMode, DrawCall, Primitive, Viewport};
@@ -132,7 +132,7 @@ fn batched_kernels_do_not_regress_join_out_of_core() {
     let off = engine(false);
     let (pts_idx, parcels_idx, _) = datasets();
     let run = |spade: &Spade| -> u64 {
-        join::join_indexed(spade, &parcels_idx, &pts_idx)
+        join::join_indexed(spade, &parcels_idx, &pts_idx, &QueryCtx::default())
             .unwrap()
             .result
             .len() as u64

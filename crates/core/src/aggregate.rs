@@ -12,6 +12,7 @@
 //!   contribute their partials directly, and only boundary-pixel points
 //!   run exact tests.
 
+use crate::ctx::QueryCtx;
 use crate::dataset::{Dataset, PreparedPolygonSet};
 use crate::engine::{Constraint, Spade};
 use crate::stats::QueryOutput;
@@ -161,61 +162,25 @@ pub fn aggregate_via_join(spade: &Spade, polys: &Dataset, points: &Dataset) -> Q
 
 /// Out-of-core aggregation (§5.3 "Other queries are also executed using a
 /// similar strategy"): filter (polygon-cell, point-cell) pairs through the
-/// bounding-polygon join, stream each pair through the point-optimized
-/// plan, and sum the partial counts — each polygon lives in exactly one
-/// cell, so partials add without double counting.
+/// bounding-polygon join — or take the explicit pairs of
+/// [`crate::scope::Scope::Pairs`] — stream each pair through the
+/// point-optimized plan, and sum the partial counts: each polygon lives in
+/// exactly one cell, so partials add without double counting. Every
+/// polygon id is zero-initialized under any scope, so shard partials cover
+/// the full id set and a coordinator merges by summing counts per id.
+///
+/// `ctx.cancel` is polled at every cell-pair boundary (where no upload is
+/// in flight, so the device ledger is balanced when `Cancelled`
+/// propagates).
 pub fn aggregate_indexed(
     spade: &Spade,
     polys: &crate::dataset::IndexedDataset,
     points: &crate::dataset::IndexedDataset,
-) -> QueryOutput<Counts> {
-    aggregate_indexed_with(spade, polys, points, &crate::cancel::CancelToken::new())
-        .expect("aggregate")
-}
-
-/// [`aggregate_indexed`] with cooperative cancellation, polled at every
-/// cell-pair boundary (where no upload is in flight, so the device ledger
-/// is balanced when `Cancelled` propagates). Load errors surface as `Err`
-/// instead of panicking.
-pub fn aggregate_indexed_with(
-    spade: &Spade,
-    polys: &crate::dataset::IndexedDataset,
-    points: &crate::dataset::IndexedDataset,
-    cancel: &crate::cancel::CancelToken,
+    ctx: &QueryCtx,
 ) -> spade_storage::Result<QueryOutput<Counts>> {
-    aggregate_indexed_inner(spade, polys, points, cancel, None)
-}
-
-/// Out-of-core aggregation over an explicit set of `(polygon cell, point
-/// cell)` pairs — the scatter-gather entry point. Every polygon id is
-/// still zero-initialized, so shard partials cover the full id set and a
-/// coordinator merges by summing counts per id. Delta cross terms run only
-/// when `include_delta` is set (exactly one scatter request per query owns
-/// them); out-of-range pairs from a stale shard map are dropped.
-pub fn aggregate_indexed_pairs_with(
-    spade: &Spade,
-    polys: &crate::dataset::IndexedDataset,
-    points: &crate::dataset::IndexedDataset,
-    cell_pairs: Vec<(u32, u32)>,
-    include_delta: bool,
-    cancel: &crate::cancel::CancelToken,
-) -> spade_storage::Result<QueryOutput<Counts>> {
-    aggregate_indexed_inner(
-        spade,
-        polys,
-        points,
-        cancel,
-        Some((cell_pairs, include_delta)),
-    )
-}
-
-fn aggregate_indexed_inner(
-    spade: &Spade,
-    polys: &crate::dataset::IndexedDataset,
-    points: &crate::dataset::IndexedDataset,
-    cancel: &crate::cancel::CancelToken,
-    explicit: Option<(Vec<(u32, u32)>, bool)>,
-) -> spade_storage::Result<QueryOutput<Counts>> {
+    let explicit = ctx.scope.pairs()?;
+    let include_delta = ctx.scope.include_delta();
+    let cancel = &ctx.cancel;
     let mut qspan = crate::trace::span("query.aggregate.indexed");
     let measure = spade.begin();
     let pview = polys.read_view();
@@ -225,54 +190,9 @@ fn aggregate_indexed_inner(
     let mut totals: std::collections::BTreeMap<u32, u64> = std::collections::BTreeMap::new();
     let mut inner = crate::stats::QueryStats::default();
 
-    let include_delta = explicit.as_ref().is_none_or(|(_, d)| *d);
-    let filter_pairs = match explicit {
-        Some((pairs, _)) => {
-            let (n1, n2) = (pview.grid.num_cells() as u32, tview.grid.num_cells() as u32);
-            pairs
-                .into_iter()
-                .filter(|&(l, r)| l < n1 && r < n2)
-                .collect()
-        }
-        // Reuse the join driver's filter: pairs of intersecting cell hulls.
-        None => {
-            let hulls1: Vec<spade_canvas::create::PreparedPolygon> = pview
-                .grid
-                .bounding_polygons()
-                .into_iter()
-                .map(|(i, h)| spade_canvas::create::PreparedPolygon::prepare(i, &h))
-                .collect();
-            let hulls2: Vec<spade_canvas::create::PreparedPolygon> = tview
-                .grid
-                .bounding_polygons()
-                .into_iter()
-                .map(|(i, h)| spade_canvas::create::PreparedPolygon::prepare(i, &h))
-                .collect();
-            let s1 = crate::dataset::PreparedPolygonSet {
-                layers: spade_canvas::layer::build_layer_index(
-                    &spade.pipeline,
-                    &hulls1,
-                    spade.config.layer_resolution,
-                ),
-                polygons: hulls1,
-            };
-            let s2 = crate::dataset::PreparedPolygonSet {
-                layers: spade_canvas::layer::build_layer_index(
-                    &spade.pipeline,
-                    &hulls2,
-                    spade.config.layer_resolution,
-                ),
-                polygons: hulls2,
-            };
-            crate::join::join_polygon_polygon_mem_res(
-                spade,
-                &s1,
-                &s2,
-                spade.config.filter_resolution,
-            )
-        }
-    };
-    let mut ordered = filter_pairs;
+    let mut hull_time = Duration::ZERO;
+    let mut ordered =
+        crate::join::candidate_cell_pairs(spade, &pview, &tview, explicit, &mut hull_time);
     crate::optimizer::order_cell_pairs(&mut ordered);
 
     // Zero-initialize every polygon id so empty polygons report 0 —
@@ -349,7 +269,7 @@ fn aggregate_indexed_inner(
         spade,
         Duration::ZERO,
         pview.grid.bytes_read() + tview.grid.bytes_read(),
-        inner.polygon_time,
+        inner.polygon_time + hull_time,
         0,
         n,
     );
@@ -493,7 +413,7 @@ mod tests {
         let i1 =
             crate::dataset::IndexedDataset::new("n", crate::dataset::DatasetKind::Polygons, g1);
         let i2 = crate::dataset::IndexedDataset::new("p", crate::dataset::DatasetKind::Points, g2);
-        let ooc = aggregate_indexed(&s, &i1, &i2);
+        let ooc = aggregate_indexed(&s, &i1, &i2, &QueryCtx::default()).unwrap();
         assert_eq!(ooc.result, mem.result);
     }
 

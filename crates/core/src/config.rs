@@ -18,8 +18,6 @@ pub struct EngineConfig {
     /// Maximum slots of a single Map list canvas; result estimates above
     /// this force the 2-pass Map implementation (§5.4).
     pub max_map_slots: usize,
-    /// kNN: the radius shrink factor α > 1 (§5.2 step 1).
-    pub knn_alpha: f64,
     /// kNN: number of log-spaced circles `c`.
     pub knn_circles: usize,
     /// Layer-index construction resolution.
@@ -107,7 +105,6 @@ impl Default for EngineConfig {
             bandwidth: 12.0e9,
             workers: 0,
             max_map_slots: 1 << 22,
-            knn_alpha: 1.5,
             knn_circles: 64,
             layer_resolution: 512,
             filter_resolution: 256,
@@ -166,7 +163,6 @@ mod tests {
     fn defaults_are_sane() {
         let c = EngineConfig::default();
         assert!(c.resolution >= 256);
-        assert!(c.knn_alpha > 1.0);
         assert!(c.device_memory > c.max_cell_bytes);
         assert!(c.effective_workers() >= 1);
     }

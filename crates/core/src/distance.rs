@@ -13,6 +13,7 @@
 //! (§5.2): circles are greedily packed into non-overlapping layers so each
 //! layer renders into one canvas with exact per-pixel attribution.
 
+use crate::ctx::QueryCtx;
 use crate::dataset::Dataset;
 use crate::engine::{Constraint, Spade};
 use crate::join::{scan_points_for_pairs, Pairs};
@@ -107,116 +108,36 @@ pub fn distance_select(
 /// Out-of-core distance selection (§5.3's strategy applied to distance
 /// constraints): the same distance canvas first filters the grid cells —
 /// its boundary entries answer hull-triangle distance tests exactly — and
-/// the matching cells stream through the in-memory pass.
+/// the matching cells inside `ctx.scope` stream through the in-memory pass
+/// (the staged delta merges only when the scope owns it). The distance
+/// canvas is freed before a cancellation propagates, keeping the device
+/// ledger balanced.
 pub fn distance_select_indexed(
     spade: &Spade,
     data: &crate::dataset::IndexedDataset,
     constraint: &DistanceConstraint,
     r: f64,
+    ctx: &QueryCtx,
 ) -> spade_storage::Result<QueryOutput<Vec<u32>>> {
-    distance_select_indexed_with(
-        spade,
-        data,
-        constraint,
-        r,
-        &crate::cancel::CancelToken::new(),
-    )
-}
-
-/// [`distance_select_indexed`] with cooperative cancellation, polled at
-/// every cell boundary. The distance canvas is freed before a cancellation
-/// propagates, keeping the device ledger balanced.
-pub fn distance_select_indexed_with(
-    spade: &Spade,
-    data: &crate::dataset::IndexedDataset,
-    constraint: &DistanceConstraint,
-    r: f64,
-    cancel: &crate::cancel::CancelToken,
-) -> spade_storage::Result<QueryOutput<Vec<u32>>> {
-    distance_select_indexed_scoped(spade, data, constraint, r, cancel, Default::default())
-}
-
-/// [`distance_select_indexed_with`] restricted to a cell scope: only
-/// candidate cells inside the scope refine, and the staged delta merges
-/// only when the scope owns it. With the full scope this is exactly the
-/// unscoped run.
-pub fn distance_select_indexed_scoped(
-    spade: &Spade,
-    data: &crate::dataset::IndexedDataset,
-    constraint: &DistanceConstraint,
-    r: f64,
-    cancel: &crate::cancel::CancelToken,
-    scope: crate::scope::CellScope,
-) -> spade_storage::Result<QueryOutput<Vec<u32>>> {
-    let mut qspan = crate::trace::span("query.distance.indexed");
+    let qspan = crate::trace::span("query.distance.indexed");
     let measure = spade.begin();
     let _stat_scope = crate::optimizer::stats::scope(data.uid());
     let mut polygon_time = Duration::ZERO;
 
     let c = build_distance_constraint(spade, constraint, r, &mut polygon_time);
     let _ = spade.device.upload(c.byte_size());
-
-    // Index filtering: hull polygons against the distance canvas.
-    let view = data.read_view();
-    crate::explain::note_view(&view);
-    let t0 = Instant::now();
-    let hulls: Vec<PreparedPolygon> = view
-        .grid
-        .bounding_polygons()
-        .into_iter()
-        .map(|(i, h)| PreparedPolygon::prepare(i, &h))
-        .collect();
-    polygon_time += t0.elapsed();
-    let mut candidates = crate::select::select_polygons_mem(spade, &hulls, &c);
-    candidates.retain(|&i| scope.contains(i));
-
-    // Refinement, pipelined through the prefetcher + cell cache.
-    let sequence: Vec<(usize, usize)> = candidates.iter().map(|&i| (0, i as usize)).collect();
-    let mut ids = Vec::new();
-    let stream_res = crate::prefetch::stream_cells_with(
-        spade.config.prefetch_depth,
-        spade.config.cell_cache_bytes,
-        &[&view],
-        &sequence,
-        cancel,
-        |cell| {
-            let _ = spade.device.upload(cell.bytes);
-            spade.observed.observe_cell_load(data.uid(), cell.bytes);
-            ids.extend(crate::select::select_points_mem(
-                spade,
-                &cell.data.as_points(),
-                &c,
-            ));
-            spade.device.free(cell.bytes);
-            Ok(())
-        },
-    );
-    // Staged writes refine against the same distance canvas, so merged
-    // results match a cold rebuild.
-    if stream_res.is_ok() && scope.include_delta && view.has_delta() {
-        ids.extend(crate::select::select_points_mem(
-            spade,
-            &view.delta_dataset().as_points(),
-            &c,
-        ));
-    }
+    let refined =
+        crate::select::filter_and_refine(spade, data, &c, ctx, &mut polygon_time, |cell| {
+            crate::select::select_points_mem(spade, &cell.as_points(), &c)
+        });
     spade.device.free(c.byte_size());
-    let stream = stream_res?;
-    ids.sort_unstable();
-    ids.dedup();
-    let n = ids.len() as u64;
-    qspan.attr("cells", stream.cells);
-    qspan.attr("results", n);
-    let mut stats = measure.finish(
+    Ok(crate::select::finish_ids(
         spade,
-        stream.io_time,
-        stream.bytes_from_disk,
+        measure,
+        qspan,
         polygon_time,
-        stream.cells,
-        n,
-    );
-    stream.charge(&mut stats);
-    Ok(QueryOutput { result: ids, stats })
+        refined?,
+    ))
 }
 
 /// Pack disks into layers so no two disks in a layer overlap — the
@@ -490,7 +411,7 @@ mod tests {
         for r in [5.0, 15.0, 40.0] {
             let mut mem = distance_select(&s, &data, &q, r).result;
             mem.sort_unstable();
-            let ooc = distance_select_indexed(&s, &indexed, &q, r).unwrap();
+            let ooc = distance_select_indexed(&s, &indexed, &q, r, &QueryCtx::default()).unwrap();
             assert_eq!(ooc.result, mem, "r={r}");
             // Small radii must prune cells.
             if r <= 5.0 {

@@ -333,7 +333,7 @@ pub(crate) fn note_map(
 }
 
 /// Record the out-of-core join strategy decision (called by
-/// [`crate::join::join_indexed_with`]). The first decision wins; nested
+/// [`crate::join::join_indexed`]). The first decision wins; nested
 /// sub-queries do not overwrite the outer join's decision.
 pub(crate) fn note_join(decision: JoinDecision) {
     with_top(|t| {
@@ -344,7 +344,7 @@ pub(crate) fn note_join(decision: JoinDecision) {
 }
 
 /// Fill in the executed join's actuals and hindsight verdict (called by
-/// [`crate::join::join_indexed_with`] after the residency walk). Matches
+/// [`crate::join::join_indexed`] after the residency walk). Matches
 /// the first-wins discipline of [`note_join`]: only the decision that has
 /// not been analyzed yet — the one the enclosing executor just noted — is
 /// updated, so nested sub-queries cannot overwrite an outer join's

@@ -10,7 +10,8 @@
 //! estimated transfer bytes, and orders the loop to share resident cells
 //! (§5.3–5.4).
 
-use crate::dataset::{Dataset, DatasetKind, IndexedDataset, PreparedPolygonSet};
+use crate::ctx::QueryCtx;
+use crate::dataset::{Dataset, DatasetKind, IndexedDataset, PreparedPolygonSet, ReadView};
 use crate::engine::{Constraint, Spade};
 use crate::optimizer::{self, JoinStrategy};
 use crate::select::{polygon_candidates, CandidateGeom};
@@ -260,56 +261,63 @@ pub fn join(spade: &Spade, d1: &Dataset, d2: &Dataset) -> QueryOutput<Pairs> {
     }
 }
 
+/// The candidate `(left cell, right cell)` pairs of an indexed join or
+/// aggregation: the scope's explicit pairs (out-of-range ones dropped), or
+/// the filter phase — a Polygon ⋈ Polygon join over the bounding polygons
+/// of the two grid indexes at the coarse filter resolution.
+pub(crate) fn candidate_cell_pairs(
+    spade: &Spade,
+    view1: &ReadView<'_>,
+    view2: &ReadView<'_>,
+    explicit: Option<&[(u32, u32)]>,
+    polygon_time: &mut Duration,
+) -> Pairs {
+    if let Some(pairs) = explicit {
+        let (n1, n2) = (view1.grid.num_cells() as u32, view2.grid.num_cells() as u32);
+        return pairs
+            .iter()
+            .copied()
+            .filter(|&(l, r)| l < n1 && r < n2)
+            .collect();
+    }
+    let mut hull_set = |view: &ReadView<'_>| {
+        let t0 = Instant::now();
+        let polygons: Vec<PreparedPolygon> = view
+            .grid
+            .bounding_polygons()
+            .into_iter()
+            .map(|(i, h)| PreparedPolygon::prepare(i, &h))
+            .collect();
+        *polygon_time += t0.elapsed();
+        PreparedPolygonSet {
+            layers: spade_canvas::layer::build_layer_index(
+                &spade.pipeline,
+                &polygons,
+                spade.config.layer_resolution,
+            ),
+            polygons,
+        }
+    };
+    let (set1, set2) = (hull_set(view1), hull_set(view2));
+    join_polygon_polygon_mem_res(spade, &set1, &set2, spade.config.filter_resolution)
+}
+
 /// Out-of-core join between two grid-indexed data sets (§5.3). The filter
-/// phase joins the two indexes' bounding polygons; the optimizer picks the
-/// strategy and the iteration order.
+/// phase joins the two indexes' bounding polygons — or is replaced by the
+/// explicit cell pairs of [`crate::scope::Scope::Pairs`], the
+/// scatter-gather form; the optimizer picks the strategy and the iteration
+/// order. `ctx.cancel` is polled at every residency change of the
+/// refinement walk, and resident cells are freed before a cancellation
+/// propagates, keeping the device ledger balanced.
 pub fn join_indexed(
     spade: &Spade,
     d1: &IndexedDataset,
     d2: &IndexedDataset,
+    ctx: &QueryCtx,
 ) -> spade_storage::Result<QueryOutput<Pairs>> {
-    join_indexed_with(spade, d1, d2, &crate::cancel::CancelToken::new())
-}
-
-/// [`join_indexed`] with cooperative cancellation, polled at every
-/// residency change of the refinement walk. Resident cells are freed
-/// before a cancellation propagates, keeping the device ledger balanced.
-pub fn join_indexed_with(
-    spade: &Spade,
-    d1: &IndexedDataset,
-    d2: &IndexedDataset,
-    cancel: &crate::cancel::CancelToken,
-) -> spade_storage::Result<QueryOutput<Pairs>> {
-    join_indexed_inner(spade, d1, d2, cancel, None)
-}
-
-/// Out-of-core join over an explicit set of cell pairs instead of the
-/// hull-filter phase — the scatter-gather entry point. The caller (a
-/// cluster coordinator) supplies candidate `(left cell, right cell)`
-/// pairs; any pair of cells with no intersecting objects contributes
-/// nothing (refinement is exact), so a conservative superset of the
-/// hull-filter pairs is safe. Pairs referencing out-of-range cells (stale
-/// shard maps racing a compaction) are dropped. The delta cross terms run
-/// only when `include_delta` is set — exactly one scatter request per
-/// query must own them.
-pub fn join_indexed_pairs_with(
-    spade: &Spade,
-    d1: &IndexedDataset,
-    d2: &IndexedDataset,
-    cell_pairs: Vec<(u32, u32)>,
-    include_delta: bool,
-    cancel: &crate::cancel::CancelToken,
-) -> spade_storage::Result<QueryOutput<Pairs>> {
-    join_indexed_inner(spade, d1, d2, cancel, Some((cell_pairs, include_delta)))
-}
-
-fn join_indexed_inner(
-    spade: &Spade,
-    d1: &IndexedDataset,
-    d2: &IndexedDataset,
-    cancel: &crate::cancel::CancelToken,
-    explicit: Option<(Vec<(u32, u32)>, bool)>,
-) -> spade_storage::Result<QueryOutput<Pairs>> {
+    let explicit = ctx.scope.pairs()?;
+    let include_delta = ctx.scope.include_delta();
+    let cancel = &ctx.cancel;
     let mut qspan = crate::trace::span("query.join.indexed");
     let measure = spade.begin();
     let mut polygon_time = Duration::ZERO;
@@ -318,51 +326,7 @@ fn join_indexed_inner(
     crate::explain::note_view(&view1);
     crate::explain::note_view(&view2);
 
-    let include_delta = explicit.as_ref().is_none_or(|(_, d)| *d);
-    let mut cell_pairs: Vec<(u32, u32)> = match explicit {
-        Some((pairs, _)) => {
-            let (n1, n2) = (view1.grid.num_cells() as u32, view2.grid.num_cells() as u32);
-            pairs
-                .into_iter()
-                .filter(|&(l, r)| l < n1 && r < n2)
-                .collect()
-        }
-        None => {
-            // Filter phase: Polygon ⋈ Polygon join over the bounding
-            // polygons of the two grid indexes.
-            let t0 = Instant::now();
-            let hulls1: Vec<PreparedPolygon> = view1
-                .grid
-                .bounding_polygons()
-                .into_iter()
-                .map(|(i, h)| PreparedPolygon::prepare(i, &h))
-                .collect();
-            let hulls2: Vec<PreparedPolygon> = view2
-                .grid
-                .bounding_polygons()
-                .into_iter()
-                .map(|(i, h)| PreparedPolygon::prepare(i, &h))
-                .collect();
-            polygon_time += t0.elapsed();
-            let set1 = PreparedPolygonSet {
-                layers: spade_canvas::layer::build_layer_index(
-                    &spade.pipeline,
-                    &hulls1,
-                    spade.config.layer_resolution,
-                ),
-                polygons: hulls1,
-            };
-            let set2 = PreparedPolygonSet {
-                layers: spade_canvas::layer::build_layer_index(
-                    &spade.pipeline,
-                    &hulls2,
-                    spade.config.layer_resolution,
-                ),
-                polygons: hulls2,
-            };
-            join_polygon_polygon_mem_res(spade, &set1, &set2, spade.config.filter_resolution)
-        }
-    };
+    let mut cell_pairs = candidate_cell_pairs(spade, &view1, &view2, explicit, &mut polygon_time);
 
     // Identify the order of join operations first: share resident cells.
     // Ordering before estimating lets the layer estimate walk the very
@@ -464,7 +428,7 @@ fn join_indexed_inner(
     // back to the observed statistics. The frame folds into the query's
     // measure on finish — total accounting is unchanged.
     spade_gpu::record::begin();
-    let stream_res = crate::prefetch::stream_cells_with(
+    let stream_res = crate::prefetch::stream_cells(
         spade.config.prefetch_depth,
         spade.config.cell_cache_bytes,
         &[&view1, &view2],
@@ -849,7 +813,7 @@ mod tests {
         let g2 = GridIndex::build(None, &d2m.objects, 40.0).unwrap();
         let i1 = IndexedDataset::new("polys", DatasetKind::Polygons, g1);
         let i2 = IndexedDataset::new("pts", DatasetKind::Points, g2);
-        let ooc = join_indexed(&s, &i1, &i2).unwrap();
+        let ooc = join_indexed(&s, &i1, &i2, &QueryCtx::default()).unwrap();
         assert_eq!(ooc.result, mem.result);
         assert!(ooc.stats.cells_loaded > 0);
         assert!(ooc.stats.bytes_from_disk > 0);
@@ -875,7 +839,7 @@ mod tests {
         let g2 = GridIndex::build(None, &d2m.objects, 50.0).unwrap();
         let i1 = IndexedDataset::new("a", DatasetKind::Polygons, g1);
         let i2 = IndexedDataset::new("b", DatasetKind::Polygons, g2);
-        let ooc = join_indexed(&s, &i1, &i2).unwrap();
+        let ooc = join_indexed(&s, &i1, &i2, &QueryCtx::default()).unwrap();
         assert_eq!(ooc.result, mem.result);
     }
 
@@ -945,7 +909,7 @@ mod tests {
         let g2 = GridIndex::build(None, &d2.objects, 40.0).unwrap();
         let i1 = IndexedDataset::new("polys", DatasetKind::Polygons, g1);
         let i2 = IndexedDataset::new("lines", DatasetKind::Lines, g2);
-        let ooc = join_indexed(&s, &i1, &i2).unwrap();
+        let ooc = join_indexed(&s, &i1, &i2, &QueryCtx::default()).unwrap();
         assert_eq!(ooc.result, mem.result);
     }
 

@@ -7,6 +7,7 @@
 //! radius holding at least `k` points, run a distance selection with that
 //! radius, and sort the (small) candidate set by exact distance.
 
+use crate::ctx::QueryCtx;
 use crate::dataset::Dataset;
 use crate::distance::{distance_join_multi, distance_select, DistanceConstraint};
 use crate::engine::Spade;
@@ -15,6 +16,9 @@ use spade_canvas::algebra;
 use spade_geometry::Point;
 use spade_gpu::{Primitive, Viewport};
 use std::time::Duration;
+
+/// Ratio `α` between consecutive circle radii (`r_i = r_max / α^i`).
+const KNN_ALPHA: f64 = 1.5;
 
 /// kNN selection: the `k` points of `data` closest to `q`, with their
 /// distances, nearest first.
@@ -69,7 +73,6 @@ pub fn knn_select(
 /// computes the bucket histogram (the aggregation plan of §5.2 needs one
 /// pass regardless of the number of circles).
 fn knn_radius(spade: &Spade, pts: &[(u32, Point)], q: Point, r_max: f64, k: usize) -> f64 {
-    let alpha = spade.config.knn_alpha;
     let circles = spade.config.knn_circles;
     let region = spade_geometry::BBox::new(q, q).inflate(r_max);
     let vp = spade.viewport_for(&region);
@@ -80,7 +83,7 @@ fn knn_radius(spade: &Spade, pts: &[(u32, Point)], q: Point, r_max: f64, k: usiz
         .map(|(i, (_, p))| Primitive::point(*p, [1, i as u32, 0, 0]))
         .collect();
     // Each point emits the index of the smallest circle containing it.
-    let emitted = emit_buckets(spade, &prims, pts, q, r_max, alpha, circles, vp);
+    let emitted = emit_buckets(spade, &prims, pts, q, r_max, circles, vp);
 
     let mut hist = vec![0u64; circles];
     for b in emitted {
@@ -103,17 +106,15 @@ fn knn_radius(spade: &Spade, pts: &[(u32, Point)], q: Point, r_max: f64, k: usiz
         // Fewer than k points in total: take everything.
         return r_max;
     }
-    r_max / alpha.powi(best as i32)
+    r_max / KNN_ALPHA.powi(best as i32)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn emit_buckets(
     spade: &Spade,
     prims: &[Primitive],
     pts: &[(u32, Point)],
     q: Point,
     r_max: f64,
-    alpha: f64,
     circles: usize,
     vp: Viewport,
 ) -> Vec<u32> {
@@ -128,7 +129,8 @@ fn emit_buckets(
         let bucket = if d <= 0.0 {
             circles - 1
         } else {
-            (((r_max / d).ln() / alpha.ln()).floor() as i64).clamp(0, circles as i64 - 1) as usize
+            (((r_max / d).ln() / KNN_ALPHA.ln()).floor() as i64).clamp(0, circles as i64 - 1)
+                as usize
         };
         out.push([bucket as u32, 0, 0, 0]);
     });
@@ -138,45 +140,24 @@ fn emit_buckets(
 /// Out-of-core kNN selection: the circle-aggregation histogram is
 /// distributive, so it accumulates per cell (each cell loaded once), the
 /// radius falls out of the merged histogram, and the final distance
-/// selection reuses the indexed path.
+/// selection reuses the indexed path. `ctx.cancel` is polled at every cell
+/// boundary of both the histogram pass and the nested distance selection.
+///
+/// Under a cell scope the histogram, the nested selection and the delta
+/// merge all see only the scoped cells, so the output is this scope's
+/// exact local top-k by `(distance, id)`. Any member of the *global* top-k
+/// living in this scope is necessarily in the local top-k (fewer than `k`
+/// objects beat it anywhere), so concatenating per-scope results over a
+/// covering, disjoint scope set, re-sorting by `(distance, id)` and
+/// truncating to `k` reproduces the full-scope answer exactly.
 pub fn knn_select_indexed(
     spade: &Spade,
     data: &crate::dataset::IndexedDataset,
     q: Point,
     k: usize,
+    ctx: &QueryCtx,
 ) -> spade_storage::Result<QueryOutput<Vec<(u32, f64)>>> {
-    knn_select_indexed_with(spade, data, q, k, &crate::cancel::CancelToken::new())
-}
-
-/// [`knn_select_indexed`] with cooperative cancellation, polled at every
-/// cell boundary of both the histogram pass and the nested distance
-/// selection.
-pub fn knn_select_indexed_with(
-    spade: &Spade,
-    data: &crate::dataset::IndexedDataset,
-    q: Point,
-    k: usize,
-    cancel: &crate::cancel::CancelToken,
-) -> spade_storage::Result<QueryOutput<Vec<(u32, f64)>>> {
-    knn_select_indexed_scoped(spade, data, q, k, cancel, Default::default())
-}
-
-/// [`knn_select_indexed_with`] restricted to a cell scope: the circle
-/// histogram, the nested distance selection and the delta merge all see
-/// only the scoped cells, so the output is this scope's exact local top-k
-/// by `(distance, id)`. Any member of the *global* top-k living in this
-/// scope is necessarily in the local top-k (fewer than `k` objects beat it
-/// anywhere), so concatenating per-scope results over a covering, disjoint
-/// scope set, re-sorting by `(distance, id)` and truncating to `k`
-/// reproduces the full-scope answer exactly.
-pub fn knn_select_indexed_scoped(
-    spade: &Spade,
-    data: &crate::dataset::IndexedDataset,
-    q: Point,
-    k: usize,
-    cancel: &crate::cancel::CancelToken,
-    scope: crate::scope::CellScope,
-) -> spade_storage::Result<QueryOutput<Vec<(u32, f64)>>> {
+    let scope = ctx.scope.cells()?;
     let mut qspan = crate::trace::span("query.knn.indexed");
     qspan.attr("k", k as u64);
     let measure = spade.begin();
@@ -197,7 +178,6 @@ pub fn knn_select_indexed_scoped(
         extent = extent.union(&cell.bbox());
     }
     let r_max = extent.max_dist_to_point(q).max(1e-12);
-    let alpha = spade.config.knn_alpha;
     let circles = spade.config.knn_circles;
     let region = spade_geometry::BBox::new(q, q).inflate(r_max);
     let vp = spade.viewport_for(&region);
@@ -211,12 +191,12 @@ pub fn knn_select_indexed_scoped(
         .collect();
     let mut hist = vec![0u64; circles];
     let mut positions: std::collections::HashMap<u32, Point> = std::collections::HashMap::new();
-    let stream = crate::prefetch::stream_cells_with(
+    let stream = crate::prefetch::stream_cells(
         spade.config.prefetch_depth,
         spade.config.cell_cache_bytes,
         &[&view],
         &sequence,
-        cancel,
+        &ctx.cancel,
         |cell| {
             let _ = spade.device.upload(cell.bytes);
             spade.observed.observe_cell_load(data.uid(), cell.bytes);
@@ -226,7 +206,7 @@ pub fn knn_select_indexed_scoped(
                 .enumerate()
                 .map(|(j, (_, p))| Primitive::point(*p, [1, j as u32, 0, 0]))
                 .collect();
-            for b in emit_buckets(spade, &prims, &pts, q, r_max, alpha, circles, vp) {
+            for b in emit_buckets(spade, &prims, &pts, q, r_max, circles, vp) {
                 hist[b as usize] += 1;
             }
             positions.extend(pts);
@@ -242,7 +222,7 @@ pub fn knn_select_indexed_scoped(
             .enumerate()
             .map(|(j, (_, p))| Primitive::point(*p, [1, j as u32, 0, 0]))
             .collect();
-        for b in emit_buckets(spade, &prims, &pts, q, r_max, alpha, circles, vp) {
+        for b in emit_buckets(spade, &prims, &pts, q, r_max, circles, vp) {
             hist[b as usize] += 1;
         }
         positions.extend(pts);
@@ -252,20 +232,19 @@ pub fn knn_select_indexed_scoped(
     for i in (0..circles).rev() {
         cum += hist[i];
         if cum >= k as u64 {
-            radius = r_max / alpha.powi(i as i32);
+            radius = r_max / KNN_ALPHA.powi(i as i32);
             break;
         }
     }
 
     // Indexed distance selection with the chosen radius (scoped to the
     // same cells as the histogram), then exact sort.
-    let sel = crate::distance::distance_select_indexed_scoped(
+    let sel = crate::distance::distance_select_indexed(
         spade,
         data,
-        &crate::distance::DistanceConstraint::Point(q),
+        &DistanceConstraint::Point(q),
         radius,
-        cancel,
-        scope,
+        ctx,
     )?;
     // Ids without a recorded position belong to writes that landed after
     // the histogram snapshot (the nested selection reads its own view);
@@ -476,7 +455,7 @@ mod tests {
         let q = Point::new(37.0, 63.0);
         for k in [1usize, 8, 30] {
             let mem = knn_select(&s, &data, q, k);
-            let ooc = knn_select_indexed(&s, &indexed, q, k).unwrap();
+            let ooc = knn_select_indexed(&s, &indexed, q, k, &QueryCtx::default()).unwrap();
             assert_eq!(ooc.result.len(), mem.result.len(), "k={k}");
             for (a, b) in ooc.result.iter().zip(&mem.result) {
                 assert!((a.1 - b.1).abs() < 1e-9, "k={k}: {a:?} vs {b:?}");

@@ -35,6 +35,9 @@
 //!   refines on the device.
 //! * [`cancel`] — cooperative cancellation tokens and deadlines, polled at
 //!   the cell boundaries of every out-of-core loop.
+//! * [`ctx`] / [`scope`] — the [`QueryCtx`] every indexed executor and
+//!   both dispatchers of [`query`] take: cancel token, cell scope, tenant,
+//!   cache policy.
 //! * [`trace`] — engine-wide tracing spans (ring-buffer backed, zero-cost
 //!   when disabled), threaded through every query family, the prefetch
 //!   producer and each pipeline pass.
@@ -45,6 +48,7 @@
 pub mod aggregate;
 pub mod cancel;
 pub mod config;
+pub mod ctx;
 pub mod dataset;
 pub mod distance;
 pub mod engine;
@@ -62,9 +66,10 @@ pub mod trace;
 
 pub use cancel::CancelToken;
 pub use config::EngineConfig;
+pub use ctx::QueryCtx;
 pub use dataset::{Dataset, IndexedDataset};
 pub use engine::Spade;
 pub use explain::PlanReport;
 pub use result_cache::{ResultCache, ResultCacheStats};
-pub use scope::CellScope;
+pub use scope::{CellScope, Scope};
 pub use stats::{CacheOutcome, QueryStats};

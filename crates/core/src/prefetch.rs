@@ -81,32 +81,11 @@ impl StreamStats {
 /// Stream `sequence` — `(source, cell)` pairs — to `consumer`, loading
 /// through each source's cell cache, prefetching up to `depth` cells ahead
 /// on a background I/O thread. Errors from the load path or the consumer
-/// abort the stream and propagate.
-pub fn stream_cells<F>(
-    depth: usize,
-    cache_budget: u64,
-    sources: &[&ReadView<'_>],
-    sequence: &[(usize, usize)],
-    consumer: F,
-) -> spade_storage::Result<StreamStats>
-where
-    F: FnMut(FetchedCell) -> spade_storage::Result<()>,
-{
-    stream_cells_with(
-        depth,
-        cache_budget,
-        sources,
-        sequence,
-        &CancelToken::default(),
-        consumer,
-    )
-}
-
-/// [`stream_cells`] with a cancellation token, polled at every cell
+/// abort the stream and propagate. `cancel` is polled at every cell
 /// boundary: the consumer side checks before refining each cell (and
 /// propagates `Cancelled`), and the background producer checks before each
 /// load so it stops reading ahead for a dead query.
-pub fn stream_cells_with<F>(
+pub fn stream_cells<F>(
     depth: usize,
     cache_budget: u64,
     sources: &[&ReadView<'_>],
@@ -289,7 +268,7 @@ mod tests {
         let mut baseline: Option<Vec<(usize, usize, usize)>> = None;
         for depth in [0usize, 1, 4] {
             let mut seen = Vec::new();
-            let stats = stream_cells(depth, 0, &sources, &sequence, |cell| {
+            let stats = stream_cells(depth, 0, &sources, &sequence, &CancelToken::new(), |cell| {
                 seen.push((cell.source, cell.cell, cell.data.len()));
                 Ok(())
             })
@@ -313,7 +292,10 @@ mod tests {
         let view = d.read_view();
         let sources = [&view];
         let sequence: Vec<(usize, usize)> = vec![(0, 0), (0, 0), (0, 0)];
-        let stats = stream_cells(0, 1 << 20, &sources, &sequence, |_| Ok(())).unwrap();
+        let stats = stream_cells(0, 1 << 20, &sources, &sequence, &CancelToken::new(), |_| {
+            Ok(())
+        })
+        .unwrap();
         assert_eq!(stats.cache_hits, 2);
         assert_eq!(
             stats.bytes_from_disk,
@@ -331,7 +313,7 @@ mod tests {
             (0..view.grid.num_cells()).map(|c| (0usize, c)).collect();
         for depth in [0usize, 2] {
             let mut delivered = 0;
-            let err = stream_cells(depth, 0, &sources, &sequence, |_| {
+            let err = stream_cells(depth, 0, &sources, &sequence, &CancelToken::new(), |_| {
                 delivered += 1;
                 if delivered == 1 {
                     Err(spade_storage::StorageError::Io("boom".into()))
@@ -354,7 +336,7 @@ mod tests {
         for depth in [0usize, 2] {
             let cancel = crate::cancel::CancelToken::new();
             let mut delivered = 0;
-            let res = stream_cells_with(depth, 0, &sources, &sequence, &cancel, |_| {
+            let res = stream_cells(depth, 0, &sources, &sequence, &cancel, |_| {
                 delivered += 1;
                 if delivered == 1 {
                     cancel.cancel(); // cancel mid-stream, from the consumer
@@ -374,7 +356,7 @@ mod tests {
     fn empty_sequence_is_a_no_op() {
         let d = indexed(50, 17);
         let view = d.read_view();
-        let stats = stream_cells(4, 0, &[&view], &[], |_| Ok(())).unwrap();
+        let stats = stream_cells(4, 0, &[&view], &[], &CancelToken::new(), |_| Ok(())).unwrap();
         assert_eq!(stats.cells, 0);
     }
 }

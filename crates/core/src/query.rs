@@ -6,11 +6,14 @@
 //! harness) can express "the query" as data — the planner then picks the
 //! executor exactly as §5.2 describes per query class.
 
-use crate::dataset::{Dataset, IndexedDataset};
+use crate::ctx::QueryCtx;
+use crate::dataset::{Dataset, DatasetKind, IndexedDataset};
 use crate::distance::DistanceConstraint;
 use crate::engine::Spade;
+use crate::result_cache::{fingerprint_join, fingerprint_select, CacheKey, InputVersion};
 use crate::stats::QueryOutput;
 use spade_geometry::{BBox, Point, Polygon};
+use spade_storage::StorageError;
 
 /// A single-data-set spatial query.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,204 +78,268 @@ impl QueryResult {
     }
 }
 
-/// Execute a selection query against an in-memory data set.
+/// Execute a selection query against an in-memory data set: cold and
+/// infallible, which is what makes it (with [`run_join`]) the oracle the
+/// differential suites compare every other path against.
 pub fn run_select(spade: &Spade, data: &Dataset, q: &SelectQuery) -> QueryOutput<QueryResult> {
     let _stat_scope = crate::optimizer::stats::scope(data.uid());
     match q {
-        SelectQuery::Intersects(poly) => wrap_ids(crate::select::select(spade, data, poly)),
-        SelectQuery::Range(bb) => wrap_ids(crate::select::select_range(spade, data, *bb)),
+        SelectQuery::Intersects(poly) => {
+            crate::select::select(spade, data, poly).map(QueryResult::Ids)
+        }
+        SelectQuery::Range(bb) => {
+            crate::select::select_range(spade, data, *bb).map(QueryResult::Ids)
+        }
         SelectQuery::Contained(poly) => {
-            wrap_ids(crate::select::select_contained(spade, data, poly))
+            crate::select::select_contained(spade, data, poly).map(QueryResult::Ids)
         }
         SelectQuery::WithinDistance(c, r) => {
-            wrap_ids(crate::distance::distance_select(spade, data, c, *r))
+            crate::distance::distance_select(spade, data, c, *r).map(QueryResult::Ids)
         }
         SelectQuery::Knn(p, k) => {
-            let out = crate::knn::knn_select(spade, data, *p, *k);
-            QueryOutput {
-                result: QueryResult::Ranked(out.result),
-                stats: out.stats,
-            }
+            crate::knn::knn_select(spade, data, *p, *k).map(QueryResult::Ranked)
         }
     }
 }
 
-/// Execute a selection query against an out-of-core data set: every query
-/// class streams through the grid filter (§5.3). Out-of-core execution can
-/// fail on a corrupt or unreadable block, so the storage error surfaces
-/// here instead of panicking mid-query.
-pub fn run_select_indexed(
+/// Execute a join query over two in-memory data sets (cold, infallible).
+pub fn run_join(
     spade: &Spade,
-    data: &IndexedDataset,
-    q: &SelectQuery,
-) -> spade_storage::Result<QueryOutput<QueryResult>> {
-    run_select_indexed_with(spade, data, q, &crate::cancel::CancelToken::new())
-}
-
-/// [`run_select_indexed`] with cooperative cancellation: the token reaches
-/// every executor's cell-boundary polls, so a cancel or expired deadline
-/// surfaces as [`spade_storage::StorageError::Cancelled`].
-pub fn run_select_indexed_with(
-    spade: &Spade,
-    data: &IndexedDataset,
-    q: &SelectQuery,
-    cancel: &crate::cancel::CancelToken,
-) -> spade_storage::Result<QueryOutput<QueryResult>> {
-    Ok(match q {
-        SelectQuery::Intersects(poly) => wrap_ids(crate::select::select_indexed_with(
-            spade, data, poly, cancel,
-        )?),
-        SelectQuery::Range(bb) => wrap_ids(crate::select::select_indexed_with(
-            spade,
-            data,
-            &Polygon::rect(*bb),
-            cancel,
-        )?),
-        SelectQuery::WithinDistance(c, r) => wrap_ids(
-            crate::distance::distance_select_indexed_with(spade, data, c, *r, cancel)?,
-        ),
-        SelectQuery::Knn(p, k) => {
-            let out = crate::knn::knn_select_indexed_with(spade, data, *p, *k, cancel)?;
-            QueryOutput {
-                result: QueryResult::Ranked(out.result),
-                stats: out.stats,
-            }
-        }
-        SelectQuery::Contained(poly) => wrap_ids(crate::select::select_contained_indexed_with(
-            spade, data, poly, cancel,
-        )?),
-    })
-}
-
-/// [`run_select_indexed_with`] restricted to a cell scope — the
-/// scatter-gather entry point used by cluster shard executors. Results are
-/// never served from (or admitted to) the result cache: a scoped partial
-/// is not a full answer. With [`crate::scope::CellScope::full`] the output
-/// is byte-identical to the unscoped run.
-pub fn run_select_indexed_scoped(
-    spade: &Spade,
-    data: &IndexedDataset,
-    q: &SelectQuery,
-    scope: crate::scope::CellScope,
-    cancel: &crate::cancel::CancelToken,
-) -> spade_storage::Result<QueryOutput<QueryResult>> {
-    let _stat_scope = crate::optimizer::stats::scope(data.uid());
-    Ok(match q {
-        SelectQuery::Intersects(poly) => wrap_ids(crate::select::select_indexed_scoped(
-            spade, data, poly, cancel, scope,
-        )?),
-        SelectQuery::Range(bb) => wrap_ids(crate::select::select_indexed_scoped(
-            spade,
-            data,
-            &Polygon::rect(*bb),
-            cancel,
-            scope,
-        )?),
-        SelectQuery::WithinDistance(c, r) => wrap_ids(
-            crate::distance::distance_select_indexed_scoped(spade, data, c, *r, cancel, scope)?,
-        ),
-        SelectQuery::Knn(p, k) => {
-            let out = crate::knn::knn_select_indexed_scoped(spade, data, *p, *k, cancel, scope)?;
-            QueryOutput {
-                result: QueryResult::Ranked(out.result),
-                stats: out.stats,
-            }
-        }
-        SelectQuery::Contained(poly) => wrap_ids(crate::select::select_contained_indexed_scoped(
-            spade, data, poly, cancel, scope,
-        )?),
-    })
-}
-
-/// Execute a join query over an explicit set of cell pairs — the
-/// scatter-gather entry point for the two families with a cell-pair plan
-/// (`Intersects` and `CountPoints`). Distance and kNN joins have no
-/// pairwise decomposition; a coordinator routes them whole to one worker,
-/// so receiving one here falls back to the full unscoped run (correct on
-/// any single worker holding the complete dataset).
-pub fn run_join_indexed_pairs(
-    spade: &Spade,
-    d1: &IndexedDataset,
-    d2: &IndexedDataset,
+    d1: &Dataset,
+    d2: &Dataset,
     q: &JoinQuery,
-    pairs: Vec<(u32, u32)>,
-    include_delta: bool,
-    cancel: &crate::cancel::CancelToken,
-) -> spade_storage::Result<QueryOutput<QueryResult>> {
+) -> QueryOutput<QueryResult> {
     let _stat_scope =
         crate::optimizer::stats::scope(crate::optimizer::stats::join_key(d1.uid(), d2.uid()));
-    Ok(match q {
-        JoinQuery::Intersects => {
-            let out =
-                crate::join::join_indexed_pairs_with(spade, d1, d2, pairs, include_delta, cancel)?;
-            QueryOutput {
-                result: QueryResult::Pairs(out.result),
-                stats: out.stats,
-            }
+    match q {
+        JoinQuery::Intersects => crate::join::join(spade, d1, d2).map(QueryResult::Pairs),
+        JoinQuery::WithinDistance(r) => {
+            crate::distance::distance_join(spade, d1, d2, *r).map(QueryResult::Pairs)
         }
+        JoinQuery::Knn(k) => crate::knn::knn_join(spade, d1, d2, *k).map(QueryResult::RankedPairs),
+        // The optimizer always picks the point-optimized plan for point
+        // data (§5.2).
         JoinQuery::CountPoints => {
-            let out = crate::aggregate::aggregate_indexed_pairs_with(
-                spade,
-                d1,
-                d2,
-                pairs,
-                include_delta,
-                cancel,
-            )?;
-            QueryOutput {
-                result: QueryResult::Counts(out.result),
-                stats: out.stats,
+            crate::aggregate::aggregate_points(spade, d1, d2).map(QueryResult::Counts)
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Context-taking dispatch: every caller that is not the oracle
+// ---------------------------------------------------------------------------
+
+/// Where a query's data lives. Both dispatchers take `impl Into<Source>`,
+/// so call sites pass `&Dataset` or `&IndexedDataset` directly.
+#[derive(Clone, Copy)]
+pub enum Source<'a> {
+    Memory(&'a Dataset),
+    Indexed(&'a IndexedDataset),
+}
+
+impl<'a> From<&'a Dataset> for Source<'a> {
+    fn from(d: &'a Dataset) -> Self {
+        Source::Memory(d)
+    }
+}
+
+impl<'a> From<&'a IndexedDataset> for Source<'a> {
+    fn from(d: &'a IndexedDataset) -> Self {
+        Source::Indexed(d)
+    }
+}
+
+impl Source<'_> {
+    fn name(&self) -> &str {
+        match self {
+            Source::Memory(d) => &d.name,
+            Source::Indexed(d) => &d.name,
+        }
+    }
+
+    fn kind(&self) -> DatasetKind {
+        match self {
+            Source::Memory(d) => d.kind,
+            Source::Indexed(d) => d.kind,
+        }
+    }
+
+    /// This input's result-cache key component, read live: in-memory
+    /// datasets are immutable and keyed at [`spade_index::Version::MEMORY`];
+    /// an indexed one carries its `(generation, delta seq)` watermark, so
+    /// any staged write or compaction invalidates its entries for free.
+    fn input(&self) -> InputVersion {
+        match self {
+            Source::Memory(d) => InputVersion {
+                token: d.uid(),
+                version: spade_index::Version::MEMORY,
+            },
+            Source::Indexed(d) => InputVersion {
+                token: d.uid(),
+                version: d.version(),
+            },
+        }
+    }
+
+    /// The (query class × kind) check: the point-only executors reach
+    /// [`Dataset::as_points`], which panics on anything else.
+    fn require(&self, kind: DatasetKind, class: &str) -> spade_storage::Result<()> {
+        if self.kind() == kind {
+            return Ok(());
+        }
+        Err(StorageError::Unsupported(format!(
+            "{class} needs {kind:?} data, '{}' holds {:?}",
+            self.name(),
+            self.kind()
+        )))
+    }
+}
+
+/// Execute a selection query under a [`QueryCtx`] — indexed or in-memory
+/// source, cold or through the result cache, full or cell-scoped, for any
+/// tenant. Out-of-core execution can fail on a corrupt or unreadable block
+/// (or be cancelled), so errors surface here instead of panicking
+/// mid-query. With `QueryCtx::default()` the result is byte-identical to
+/// [`run_select`] over the same objects.
+pub fn run_select_ctx<'a>(
+    spade: &Spade,
+    data: impl Into<Source<'a>>,
+    q: &SelectQuery,
+    ctx: &QueryCtx,
+) -> spade_storage::Result<QueryOutput<QueryResult>> {
+    let data = data.into();
+    if matches!(q, SelectQuery::WithinDistance(..) | SelectQuery::Knn(..)) {
+        data.require(DatasetKind::Points, "a distance or kNN selection")?;
+    }
+    let fingerprint = || fingerprint_select(q);
+    serve(spade, ctx, fingerprint, data, None, || match data {
+        Source::Memory(d) => Ok(run_select(spade, d, q)),
+        // Every query class streams through the grid filter (§5.3).
+        Source::Indexed(d) => Ok(match q {
+            SelectQuery::Intersects(poly) => {
+                crate::select::select_indexed(spade, d, poly, ctx)?.map(QueryResult::Ids)
+            }
+            SelectQuery::Range(bb) => {
+                crate::select::select_indexed(spade, d, &Polygon::rect(*bb), ctx)?
+                    .map(QueryResult::Ids)
+            }
+            SelectQuery::Contained(poly) => {
+                crate::select::select_contained_indexed(spade, d, poly, ctx)?.map(QueryResult::Ids)
+            }
+            SelectQuery::WithinDistance(c, r) => {
+                crate::distance::distance_select_indexed(spade, d, c, *r, ctx)?
+                    .map(QueryResult::Ids)
+            }
+            SelectQuery::Knn(p, k) => {
+                crate::knn::knn_select_indexed(spade, d, *p, *k, ctx)?.map(QueryResult::Ranked)
+            }
+        }),
+    })
+}
+
+/// Execute a join query under a [`QueryCtx`]; both sides must live in the
+/// same kind of [`Source`]. Indexed `Intersects` runs the optimizer-driven
+/// indexed join and `CountPoints` the indexed aggregation, each over the
+/// scope's explicit cell pairs when it names some. Distance and kNN joins
+/// have no out-of-core plan and no pairwise decomposition: they are
+/// answered by materializing both sides (their cells stream through the
+/// cache) and running the in-memory executor, whatever the scope — a
+/// coordinator routes them whole to one worker.
+pub fn run_join_ctx<'a>(
+    spade: &Spade,
+    left: impl Into<Source<'a>>,
+    right: impl Into<Source<'a>>,
+    q: &JoinQuery,
+    ctx: &QueryCtx,
+) -> spade_storage::Result<QueryOutput<QueryResult>> {
+    let (left, right) = (left.into(), right.into());
+    match q {
+        JoinQuery::Intersects => {
+            if left.kind() != DatasetKind::Polygons {
+                right.require(
+                    DatasetKind::Polygons,
+                    "an intersection join without a polygon side",
+                )?;
             }
         }
         JoinQuery::WithinDistance(_) | JoinQuery::Knn(_) => {
-            run_join_indexed_with(spade, d1, d2, q, cancel)?
+            left.require(DatasetKind::Points, "a distance or kNN join")?;
+            right.require(DatasetKind::Points, "a distance or kNN join")?;
+        }
+        JoinQuery::CountPoints => {
+            left.require(DatasetKind::Polygons, "the counted side of an aggregation")?;
+            right.require(DatasetKind::Points, "the counting side of an aggregation")?;
+        }
+    }
+    let fingerprint = || fingerprint_join(q);
+    serve(spade, ctx, fingerprint, left, Some(right), || {
+        match (left, right) {
+            (Source::Memory(l), Source::Memory(r)) => Ok(run_join(spade, l, r, q)),
+            (Source::Indexed(l), Source::Indexed(r)) => Ok(match q {
+                JoinQuery::Intersects => {
+                    crate::join::join_indexed(spade, l, r, ctx)?.map(QueryResult::Pairs)
+                }
+                JoinQuery::CountPoints => {
+                    crate::aggregate::aggregate_indexed(spade, l, r, ctx)?.map(QueryResult::Counts)
+                }
+                JoinQuery::WithinDistance(_) | JoinQuery::Knn(_) => {
+                    let (l, r) = (materialize(l, &ctx.cancel)?, materialize(r, &ctx.cancel)?);
+                    ctx.cancel.check()?;
+                    run_join(spade, &l, &r, q)
+                }
+            }),
+            _ => Err(StorageError::Unsupported(
+                "a join of an indexed and an in-memory dataset".into(),
+            )),
         }
     })
 }
 
-/// Execute a join query over two out-of-core data sets. `Intersects` runs
-/// the optimizer-driven indexed join, `CountPoints` the indexed
-/// aggregation; distance and kNN joins have no out-of-core plan yet, so
-/// they are answered by materializing both sides (their cells stream
-/// through the cache) and running the in-memory executor.
-pub fn run_join_indexed(
+/// The one place a [`QueryCtx`]'s cache policy is applied. A cached,
+/// full-scope run goes through [`crate::result_cache::ResultCache::serve`]:
+/// the key combines the query fingerprint, the tenant and each input's
+/// live version, is computed before execution and validated after (so a
+/// cached entry is always byte-identical to a cold run at its snapshot),
+/// and identical concurrent misses coalesce into one render — the cancel
+/// token is polled while waiting on one. Everything else runs `cold`
+/// untouched and reports `BYPASS`: a scoped partial is not the answer to
+/// its key, and in-memory data has no cells to scope.
+fn serve(
     spade: &Spade,
-    d1: &IndexedDataset,
-    d2: &IndexedDataset,
-    q: &JoinQuery,
+    ctx: &QueryCtx,
+    fingerprint: impl FnOnce() -> u64,
+    left: Source<'_>,
+    right: Option<Source<'_>>,
+    cold: impl FnOnce() -> spade_storage::Result<QueryOutput<QueryResult>>,
 ) -> spade_storage::Result<QueryOutput<QueryResult>> {
-    run_join_indexed_with(spade, d1, d2, q, &crate::cancel::CancelToken::new())
-}
-
-/// [`run_join_indexed`] with cooperative cancellation.
-pub fn run_join_indexed_with(
-    spade: &Spade,
-    d1: &IndexedDataset,
-    d2: &IndexedDataset,
-    q: &JoinQuery,
-    cancel: &crate::cancel::CancelToken,
-) -> spade_storage::Result<QueryOutput<QueryResult>> {
-    Ok(match q {
-        JoinQuery::Intersects => {
-            let out = crate::join::join_indexed_with(spade, d1, d2, cancel)?;
-            QueryOutput {
-                result: QueryResult::Pairs(out.result),
-                stats: out.stats,
-            }
+    if !ctx.scope.is_full() {
+        if let Source::Memory(_) = left {
+            return Err(StorageError::Unsupported(
+                "a cell scope on an in-memory dataset".into(),
+            ));
         }
-        JoinQuery::CountPoints => {
-            let out = crate::aggregate::aggregate_indexed_with(spade, d1, d2, cancel)?;
-            QueryOutput {
-                result: QueryResult::Counts(out.result),
-                stats: out.stats,
-            }
-        }
-        JoinQuery::WithinDistance(_) | JoinQuery::Knn(_) => {
-            let left = materialize(d1, cancel)?;
-            let right = materialize(d2, cancel)?;
-            cancel.check()?;
-            run_join(spade, &left, &right, q)
-        }
+        return cold();
+    }
+    if !ctx.cached {
+        return cold();
+    }
+    let fingerprint = fingerprint();
+    let (result, stats) = spade.result_cache.serve(
+        || CacheKey {
+            fingerprint,
+            tenant: ctx.tenant,
+            left: left.input(),
+            right: right.map(|r| r.input()),
+        },
+        || cold().map(|out| (out.result, out.stats)),
+        || ctx.cancel.check(),
+    )?;
+    // Hits clone the payload out of the shared entry — still orders of
+    // magnitude cheaper than a render, and it keeps the public
+    // `QueryOutput` shape.
+    Ok(QueryOutput {
+        result: (*result).clone(),
+        stats,
     })
 }
 
@@ -297,280 +364,12 @@ fn materialize(
     Ok(Dataset::from_objects(d.name.clone(), d.kind, objects))
 }
 
-/// Execute a join query over two in-memory data sets.
-pub fn run_join(
-    spade: &Spade,
-    d1: &Dataset,
-    d2: &Dataset,
-    q: &JoinQuery,
-) -> QueryOutput<QueryResult> {
-    let _stat_scope =
-        crate::optimizer::stats::scope(crate::optimizer::stats::join_key(d1.uid(), d2.uid()));
-    match q {
-        JoinQuery::Intersects => {
-            let out = crate::join::join(spade, d1, d2);
-            QueryOutput {
-                result: QueryResult::Pairs(out.result),
-                stats: out.stats,
-            }
-        }
-        JoinQuery::WithinDistance(r) => {
-            let out = crate::distance::distance_join(spade, d1, d2, *r);
-            QueryOutput {
-                result: QueryResult::Pairs(out.result),
-                stats: out.stats,
-            }
-        }
-        JoinQuery::Knn(k) => {
-            let out = crate::knn::knn_join(spade, d1, d2, *k);
-            QueryOutput {
-                result: QueryResult::RankedPairs(out.result),
-                stats: out.stats,
-            }
-        }
-        JoinQuery::CountPoints => {
-            // The optimizer always picks the point-optimized plan for point
-            // data (§5.2).
-            let out = crate::aggregate::aggregate_points(spade, d1, d2);
-            QueryOutput {
-                result: QueryResult::Counts(out.result),
-                stats: out.stats,
-            }
-        }
-    }
-}
-
-fn wrap_ids(out: QueryOutput<Vec<u32>>) -> QueryOutput<QueryResult> {
-    QueryOutput {
-        result: QueryResult::Ids(out.result),
-        stats: out.stats,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Cached dispatch: the hot-query serving layer
-// ---------------------------------------------------------------------------
-//
-// Each `run_*_cached` variant routes the corresponding cold dispatcher
-// through the engine's [`crate::result_cache::ResultCache`]. Keys combine a
-// canonical fingerprint of the query AST with each input's
-// `(uid, generation, delta seq)` — so any staged write or compaction
-// invalidates entries for free, and identical concurrent misses coalesce
-// into one render (singleflight). When the cache is disabled the cold path
-// runs unchanged (stats report `BYPASS`).
-
-use crate::result_cache::{fingerprint_join, fingerprint_select, CacheKey, InputVersion};
-
-fn memory_input(d: &Dataset) -> InputVersion {
-    InputVersion {
-        token: d.uid(),
-        version: spade_index::Version::MEMORY,
-    }
-}
-
-fn indexed_input(d: &IndexedDataset) -> InputVersion {
-    InputVersion {
-        token: d.uid(),
-        version: d.version(),
-    }
-}
-
-fn unwrap_served(
-    served: (std::sync::Arc<QueryResult>, crate::stats::QueryStats),
-) -> QueryOutput<QueryResult> {
-    let (result, stats) = served;
-    QueryOutput {
-        // Hot path note: hits clone the payload out of the shared entry —
-        // still orders of magnitude cheaper than a render, and it keeps the
-        // public `QueryOutput` shape unchanged.
-        result: (*result).clone(),
-        stats,
-    }
-}
-
-/// [`run_select`] through the result cache. In-memory datasets are
-/// immutable, so their entries are keyed at [`spade_index::Version::MEMORY`]
-/// and never invalidate.
-pub fn run_select_cached(
-    spade: &Spade,
-    data: &Dataset,
-    q: &SelectQuery,
-) -> QueryOutput<QueryResult> {
-    run_select_cached_in(spade, 0, data, q)
-}
-
-/// [`run_select_cached`] on behalf of a tenant: the namespace id joins the
-/// cache key, so namespaces never share cached bytes (the default
-/// in-process namespace is `0`).
-pub fn run_select_cached_in(
-    spade: &Spade,
-    tenant: u64,
-    data: &Dataset,
-    q: &SelectQuery,
-) -> QueryOutput<QueryResult> {
-    let fingerprint = fingerprint_select(q);
-    let served = spade.result_cache.serve::<std::convert::Infallible>(
-        || CacheKey {
-            fingerprint,
-            tenant,
-            left: memory_input(data),
-            right: None,
-        },
-        || {
-            let out = run_select(spade, data, q);
-            Ok((out.result, out.stats))
-        },
-        || Ok(()),
-    );
-    match served {
-        Ok(s) => unwrap_served(s),
-        Err(e) => match e {},
-    }
-}
-
-/// [`run_select_indexed`] through the result cache.
-pub fn run_select_indexed_cached(
-    spade: &Spade,
-    data: &IndexedDataset,
-    q: &SelectQuery,
-) -> spade_storage::Result<QueryOutput<QueryResult>> {
-    run_select_indexed_cached_with(spade, data, q, &crate::cancel::CancelToken::new())
-}
-
-/// [`run_select_indexed_with`] through the result cache. The key is
-/// computed from the dataset's live `(generation, seq)` watermark before
-/// execution and validated after, so a cached entry is always byte-identical
-/// to a cold run at its snapshot. The cancel token is polled while waiting
-/// on a coalesced in-flight render, too.
-pub fn run_select_indexed_cached_with(
-    spade: &Spade,
-    data: &IndexedDataset,
-    q: &SelectQuery,
-    cancel: &crate::cancel::CancelToken,
-) -> spade_storage::Result<QueryOutput<QueryResult>> {
-    run_select_indexed_cached_in(spade, 0, data, q, cancel)
-}
-
-/// [`run_select_indexed_cached_with`] on behalf of a tenant namespace.
-pub fn run_select_indexed_cached_in(
-    spade: &Spade,
-    tenant: u64,
-    data: &IndexedDataset,
-    q: &SelectQuery,
-    cancel: &crate::cancel::CancelToken,
-) -> spade_storage::Result<QueryOutput<QueryResult>> {
-    let fingerprint = fingerprint_select(q);
-    spade
-        .result_cache
-        .serve(
-            || CacheKey {
-                fingerprint,
-                tenant,
-                left: indexed_input(data),
-                right: None,
-            },
-            || {
-                let out = run_select_indexed_with(spade, data, q, cancel)?;
-                Ok((out.result, out.stats))
-            },
-            || cancel.check(),
-        )
-        .map(unwrap_served)
-}
-
-/// [`run_join`] through the result cache (both sides in-memory).
-pub fn run_join_cached(
-    spade: &Spade,
-    d1: &Dataset,
-    d2: &Dataset,
-    q: &JoinQuery,
-) -> QueryOutput<QueryResult> {
-    run_join_cached_in(spade, 0, d1, d2, q)
-}
-
-/// [`run_join_cached`] on behalf of a tenant namespace.
-pub fn run_join_cached_in(
-    spade: &Spade,
-    tenant: u64,
-    d1: &Dataset,
-    d2: &Dataset,
-    q: &JoinQuery,
-) -> QueryOutput<QueryResult> {
-    let fingerprint = fingerprint_join(q);
-    let served = spade.result_cache.serve::<std::convert::Infallible>(
-        || CacheKey {
-            fingerprint,
-            tenant,
-            left: memory_input(d1),
-            right: Some(memory_input(d2)),
-        },
-        || {
-            let out = run_join(spade, d1, d2, q);
-            Ok((out.result, out.stats))
-        },
-        || Ok(()),
-    );
-    match served {
-        Ok(s) => unwrap_served(s),
-        Err(e) => match e {},
-    }
-}
-
-/// [`run_join_indexed`] through the result cache.
-pub fn run_join_indexed_cached(
-    spade: &Spade,
-    d1: &IndexedDataset,
-    d2: &IndexedDataset,
-    q: &JoinQuery,
-) -> spade_storage::Result<QueryOutput<QueryResult>> {
-    run_join_indexed_cached_with(spade, d1, d2, q, &crate::cancel::CancelToken::new())
-}
-
-/// [`run_join_indexed_with`] through the result cache: the key embeds both
-/// inputs' versions, so a write to either side invalidates.
-pub fn run_join_indexed_cached_with(
-    spade: &Spade,
-    d1: &IndexedDataset,
-    d2: &IndexedDataset,
-    q: &JoinQuery,
-    cancel: &crate::cancel::CancelToken,
-) -> spade_storage::Result<QueryOutput<QueryResult>> {
-    run_join_indexed_cached_in(spade, 0, d1, d2, q, cancel)
-}
-
-/// [`run_join_indexed_cached_with`] on behalf of a tenant namespace.
-pub fn run_join_indexed_cached_in(
-    spade: &Spade,
-    tenant: u64,
-    d1: &IndexedDataset,
-    d2: &IndexedDataset,
-    q: &JoinQuery,
-    cancel: &crate::cancel::CancelToken,
-) -> spade_storage::Result<QueryOutput<QueryResult>> {
-    let fingerprint = fingerprint_join(q);
-    spade
-        .result_cache
-        .serve(
-            || CacheKey {
-                fingerprint,
-                tenant,
-                left: indexed_input(d1),
-                right: Some(indexed_input(d2)),
-            },
-            || {
-                let out = run_join_indexed_with(spade, d1, d2, q, cancel)?;
-                Ok((out.result, out.stats))
-            },
-            || cancel.check(),
-        )
-        .map(unwrap_served)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::EngineConfig;
-    use spade_geometry::Point;
+    use crate::scope::Scope;
+    use crate::stats::CacheOutcome;
 
     fn engine() -> Spade {
         Spade::new(EngineConfig::test_small())
@@ -585,97 +384,159 @@ mod tests {
         )
     }
 
-    #[test]
-    fn select_variants_dispatch() {
-        let s = engine();
-        let data = grid_points();
-        let poly = Polygon::circle(Point::new(4.5, 4.5), 2.0, 16);
-        let a = run_select(&s, &data, &SelectQuery::Intersects(poly.clone()));
-        assert!(!a.result.is_empty());
-        assert!(a.result.ids().is_some());
-
-        let b = run_select(
-            &s,
-            &data,
-            &SelectQuery::Range(BBox::new(Point::new(1.0, 1.0), Point::new(3.0, 3.0))),
-        );
-        assert_eq!(b.result.len(), 9); // 3×3 lattice points inclusive
-
-        let c = run_select(&s, &data, &SelectQuery::Contained(poly));
-        assert_eq!(c.result.ids(), a.result.ids()); // points: contain == intersect
-
-        let d = run_select(
-            &s,
-            &data,
-            &SelectQuery::WithinDistance(DistanceConstraint::Point(Point::new(0.0, 0.0)), 1.5),
-        );
-        assert_eq!(d.result.len(), 4); // (0,0),(1,0),(0,1),(1,1)
-
-        let e = run_select(&s, &data, &SelectQuery::Knn(Point::new(0.0, 0.0), 3));
-        match &e.result {
-            QueryResult::Ranked(v) => {
-                assert_eq!(v.len(), 3);
-                assert_eq!(v[0].0, 0);
-            }
-            other => panic!("expected ranked, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn join_variants_dispatch() {
-        let s = engine();
-        let pts = grid_points();
-        let polys = Dataset::from_polygons(
+    fn tiles() -> Dataset {
+        Dataset::from_polygons(
             "tiles",
             vec![
                 Polygon::rect(BBox::new(Point::new(-0.5, -0.5), Point::new(4.5, 4.5))),
                 Polygon::rect(BBox::new(Point::new(4.5, 4.5), Point::new(9.5, 9.5))),
+                Polygon::rect(BBox::new(Point::new(2.0, 2.0), Point::new(7.0, 7.0))),
             ],
-        );
-        let j = run_join(&s, &polys, &pts, &JoinQuery::Intersects);
-        assert_eq!(j.result.len(), 25 + 25);
+        )
+    }
 
-        let d = run_join(&s, &pts, &pts, &JoinQuery::WithinDistance(0.5));
-        assert_eq!(d.result.len(), 100); // only self-pairs
+    fn indexed(data: &Dataset, cell: f64) -> IndexedDataset {
+        let grid = spade_index::GridIndex::build(None, &data.objects, cell).unwrap();
+        IndexedDataset::new(data.name.clone(), data.kind, grid)
+    }
 
-        let k = run_join(&s, &pts, &pts, &JoinQuery::Knn(1));
-        match &k.result {
-            QueryResult::RankedPairs(v) => {
-                assert_eq!(v.len(), 100);
-                assert!(v.iter().all(|(a, b, d)| a == b && *d == 0.0));
+    /// The five select classes. The kNN probe sits off-lattice so no two
+    /// points tie on distance and the ranked order is unique.
+    fn select_classes() -> Vec<SelectQuery> {
+        let poly = Polygon::circle(Point::new(4.5, 4.5), 3.0, 16);
+        vec![
+            SelectQuery::Intersects(poly.clone()),
+            SelectQuery::Range(BBox::new(Point::new(1.0, 1.0), Point::new(7.0, 6.0))),
+            SelectQuery::Contained(poly),
+            SelectQuery::WithinDistance(DistanceConstraint::Point(Point::new(4.0, 4.0)), 2.5),
+            SelectQuery::Knn(Point::new(2.13, 7.31), 7),
+        ]
+    }
+
+    #[derive(Debug)]
+    enum Q {
+        Select(SelectQuery),
+        Join(JoinQuery),
+    }
+
+    /// The dispatcher contract, for all five select classes × {in-memory,
+    /// indexed} and all four join classes × the same two sources:
+    /// (a) `QueryCtx::default()` is the cold oracle byte for byte,
+    /// (b) the cached ctx goes `MISS` then `HIT` without touching a cell,
+    /// (c) a non-full scope reports `BYPASS` and leaves the cache counters
+    ///     alone even when `cached` is set (and has no in-memory meaning),
+    /// (d) a pre-cancelled token yields `Cancelled` from every indexed
+    ///     family with the device ledger at zero.
+    #[test]
+    fn dispatcher_contract() {
+        let (pts, polys) = (grid_points(), tiles());
+        let (ipts, ipolys) = (indexed(&pts, 3.0), indexed(&polys, 5.0));
+        let all_pairs: Vec<(u32, u32)> = (0..ipolys.grid().num_cells() as u32)
+            .flat_map(|l| (0..ipts.grid().num_cells() as u32).map(move |r| (l, r)))
+            .collect();
+        // A join's left side: the points for the point-only classes.
+        let on_points =
+            |q: &JoinQuery| !matches!(q, JoinQuery::Intersects | JoinQuery::CountPoints);
+        let run = |q: &Q, out_of_core: bool, s: &Spade, ctx: &QueryCtx| match (q, out_of_core) {
+            (Q::Select(q), false) => run_select_ctx(s, &pts, q, ctx),
+            (Q::Select(q), true) => run_select_ctx(s, &ipts, q, ctx),
+            (Q::Join(q), false) if on_points(q) => run_join_ctx(s, &pts, &pts, q, ctx),
+            (Q::Join(q), false) => run_join_ctx(s, &polys, &pts, q, ctx),
+            (Q::Join(q), true) if on_points(q) => run_join_ctx(s, &ipts, &ipts, q, ctx),
+            (Q::Join(q), true) => run_join_ctx(s, &ipolys, &ipts, q, ctx),
+        };
+        let joins = [
+            JoinQuery::Intersects,
+            JoinQuery::WithinDistance(0.5),
+            JoinQuery::Knn(3),
+            JoinQuery::CountPoints,
+        ];
+        let classes: Vec<Q> = (select_classes().into_iter().map(Q::Select))
+            .chain(joins.map(Q::Join))
+            .collect();
+        let oracle = engine();
+
+        for (q, out_of_core) in classes.iter().flat_map(|q| [(q, false), (q, true)]) {
+            let label = format!("{q:?}, out of core: {out_of_core}");
+            // The oracle, and a non-full scope that still covers everything.
+            let (mut want, scope) = match q {
+                Q::Select(q) => (
+                    run_select(&oracle, &pts, q).result,
+                    Scope::Cells(crate::scope::CellScope::full()),
+                ),
+                Q::Join(q) => (
+                    run_join(&oracle, if on_points(q) { &pts } else { &polys }, &pts, q).result,
+                    Scope::Pairs {
+                        pairs: &all_pairs,
+                        include_delta: true,
+                    },
+                ),
+            };
+            // Cell order is not input order: indexed id lists come sorted.
+            if let (QueryResult::Ids(ids), true) = (&mut want, out_of_core) {
+                ids.sort_unstable();
             }
-            other => panic!("expected ranked pairs, got {other:?}"),
-        }
+            let s = engine();
 
-        let c = run_join(&s, &polys, &pts, &JoinQuery::CountPoints);
-        match &c.result {
-            QueryResult::Counts(v) => {
-                assert_eq!(v.len(), 2);
-                assert_eq!(v[0].1 + v[1].1, 50);
+            if out_of_core {
+                let cancelled = QueryCtx::default();
+                cancelled.cancel.cancel();
+                let err = run(q, true, &s, &cancelled).err();
+                assert_eq!(err, Some(StorageError::Cancelled), "(d) {label}");
+                assert_eq!(s.device.used(), 0, "(d) ledger after cancel, {label}");
             }
-            other => panic!("expected counts, got {other:?}"),
+
+            let cold = run(q, out_of_core, &s, &QueryCtx::default()).unwrap();
+            assert_eq!(cold.result, want, "(a) {label}");
+            assert_eq!(cold.stats.result_cache, CacheOutcome::Bypass, "(a) {label}");
+
+            let scoped = QueryCtx {
+                scope,
+                ..QueryCtx::cached()
+            };
+            match run(q, out_of_core, &s, &scoped) {
+                Ok(out) if out_of_core => {
+                    assert_eq!(out.result, want, "(c) {label}");
+                    assert_eq!(out.stats.result_cache, CacheOutcome::Bypass, "(c) {label}");
+                }
+                Err(StorageError::Unsupported(_)) if !out_of_core => {}
+                other => panic!("(c) {label}: {other:?}"),
+            }
+            assert_eq!(s.result_cache.stats(), Default::default(), "(c) {label}");
+
+            let miss = run(q, out_of_core, &s, &QueryCtx::cached()).unwrap();
+            let hit = run(q, out_of_core, &s, &QueryCtx::cached()).unwrap();
+            assert_eq!(miss.stats.result_cache, CacheOutcome::Miss, "(b) {label}");
+            assert_eq!(hit.stats.result_cache, CacheOutcome::Hit, "(b) {label}");
+            assert_eq!(hit.stats.cells_loaded, 0, "(b) {label}");
+            assert_eq!((&miss.result, &hit.result), (&want, &want), "(b) {label}");
         }
     }
 
+    /// Every (query class × kind) pair the point-only executors would
+    /// panic on is refused up front, whatever the source.
     #[test]
-    fn indexed_dispatch() {
+    fn kind_mismatch_is_an_error() {
         let s = engine();
-        let data = grid_points();
-        let grid = spade_index::GridIndex::build(None, &data.objects, 5.0).unwrap();
-        let indexed = IndexedDataset::new("g", crate::dataset::DatasetKind::Points, grid);
-        let poly = Polygon::circle(Point::new(4.5, 4.5), 2.0, 16);
-        let a = run_select_indexed(&s, &indexed, &SelectQuery::Intersects(poly.clone())).unwrap();
-        let b = run_select(&s, &data, &SelectQuery::Intersects(poly));
-        let mut bs = b.result.ids().unwrap().to_vec();
-        bs.sort_unstable();
-        assert_eq!(a.result.ids().unwrap(), bs);
-        let r = run_select_indexed(
-            &s,
-            &indexed,
-            &SelectQuery::Range(BBox::new(Point::new(1.0, 1.0), Point::new(3.0, 3.0))),
-        )
-        .unwrap();
-        assert_eq!(r.result.len(), 9);
+        let (pts, polys) = (grid_points(), tiles());
+        let (ipts, ipolys) = (indexed(&pts, 3.0), indexed(&polys, 5.0));
+        let ctx = QueryCtx::default();
+        let refused = |r: spade_storage::Result<QueryOutput<QueryResult>>| {
+            matches!(r, Err(StorageError::Unsupported(_)))
+        };
+        for q in &select_classes()[3..] {
+            assert!(refused(run_select_ctx(&s, &polys, q, &ctx)), "{q:?}");
+            assert!(refused(run_select_ctx(&s, &ipolys, q, &ctx)), "{q:?}");
+        }
+        for q in [JoinQuery::WithinDistance(1.0), JoinQuery::Knn(2)] {
+            assert!(refused(run_join_ctx(&s, &polys, &pts, &q, &ctx)), "{q:?}");
+            assert!(refused(run_join_ctx(&s, &ipts, &ipolys, &q, &ctx)), "{q:?}");
+        }
+        let (count, join) = (JoinQuery::CountPoints, JoinQuery::Intersects);
+        assert!(refused(run_join_ctx(&s, &polys, &polys, &count, &ctx)));
+        assert!(refused(run_join_ctx(&s, &ipts, &ipts, &count, &ctx)));
+        assert!(refused(run_join_ctx(&s, &pts, &pts, &join, &ctx)));
+        assert!(refused(run_join_ctx(&s, &ipolys, &pts, &join, &ctx)));
     }
 
     /// Scoped execution must partition exactly: a 3-way split of the
@@ -687,34 +548,25 @@ mod tests {
     #[test]
     fn scoped_execution_partitions_exactly() {
         let s = engine();
-        let data = grid_points();
-        let grid = spade_index::GridIndex::build(None, &data.objects, 3.0).unwrap();
-        let indexed = IndexedDataset::new("g", crate::dataset::DatasetKind::Points, grid);
+        let indexed = indexed(&grid_points(), 3.0);
         let n = indexed.grid().num_cells() as u32;
         assert!(n >= 3, "need a multi-cell grid, got {n} cells");
         let cuts = [0u32, n / 3, 2 * n / 3, u32::MAX];
-        let cancel = crate::cancel::CancelToken::new();
+        let full_ctx = QueryCtx::default();
 
-        let poly = Polygon::circle(Point::new(4.5, 4.5), 3.0, 16);
-        let queries = vec![
-            SelectQuery::Intersects(poly.clone()),
-            SelectQuery::Range(BBox::new(Point::new(1.0, 1.0), Point::new(7.0, 6.0))),
-            SelectQuery::Contained(poly),
-            SelectQuery::WithinDistance(DistanceConstraint::Point(Point::new(4.0, 4.0)), 2.5),
-            SelectQuery::Knn(Point::new(2.0, 7.0), 7),
-        ];
-        for q in &queries {
-            let full = run_select_indexed(&s, &indexed, q).unwrap().result;
+        for q in &select_classes() {
+            let full = run_select_ctx(&s, &indexed, q, &full_ctx).unwrap().result;
             let parts: Vec<QueryResult> = (0..3)
                 .map(|i| {
-                    let scope = crate::scope::CellScope {
-                        lo: cuts[i],
-                        hi: cuts[i + 1],
-                        include_delta: i == 0,
+                    let ctx = QueryCtx {
+                        scope: Scope::Cells(crate::scope::CellScope {
+                            lo: cuts[i],
+                            hi: cuts[i + 1],
+                            include_delta: i == 0,
+                        }),
+                        ..QueryCtx::default()
                     };
-                    run_select_indexed_scoped(&s, &indexed, q, scope, &cancel)
-                        .unwrap()
-                        .result
+                    run_select_ctx(&s, &indexed, q, &ctx).unwrap().result
                 })
                 .collect();
             match full {
@@ -746,21 +598,14 @@ mod tests {
         }
 
         // The join: partition every cell pair across three executions.
-        let polys = Dataset::from_polygons(
-            "tiles",
-            vec![
-                Polygon::rect(BBox::new(Point::new(-0.5, -0.5), Point::new(4.5, 4.5))),
-                Polygon::rect(BBox::new(Point::new(4.5, 4.5), Point::new(9.5, 9.5))),
-                Polygon::rect(BBox::new(Point::new(2.0, 2.0), Point::new(7.0, 7.0))),
-            ],
-        );
-        let pg = spade_index::GridIndex::build(None, &polys.objects, 5.0).unwrap();
-        let ip = IndexedDataset::new("tiles", crate::dataset::DatasetKind::Polygons, pg);
+        let ip = self::indexed(&tiles(), 5.0);
         let all_pairs: Vec<(u32, u32)> = (0..ip.grid().num_cells() as u32)
             .flat_map(|l| (0..n).map(move |r| (l, r)))
             .collect();
         for q in [JoinQuery::Intersects, JoinQuery::CountPoints] {
-            let full = run_join_indexed(&s, &ip, &indexed, &q).unwrap().result;
+            let full = run_join_ctx(&s, &ip, &indexed, &q, &full_ctx)
+                .unwrap()
+                .result;
             let parts: Vec<QueryResult> = (0..3)
                 .map(|i| {
                     let slice: Vec<(u32, u32)> = all_pairs
@@ -768,9 +613,14 @@ mod tests {
                         .filter(|(l, r)| (l + r) % 3 == i)
                         .copied()
                         .collect();
-                    run_join_indexed_pairs(&s, &ip, &indexed, &q, slice, i == 0, &cancel)
-                        .unwrap()
-                        .result
+                    let ctx = QueryCtx {
+                        scope: Scope::Pairs {
+                            pairs: &slice,
+                            include_delta: i == 0,
+                        },
+                        ..QueryCtx::default()
+                    };
+                    run_join_ctx(&s, &ip, &indexed, &q, &ctx).unwrap().result
                 })
                 .collect();
             match full {

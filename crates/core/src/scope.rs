@@ -39,16 +39,72 @@ impl CellScope {
     pub fn contains(&self, cell: u32) -> bool {
         self.lo <= cell && cell < self.hi
     }
-
-    /// Is this the full (unscoped) scope?
-    pub fn is_full(&self) -> bool {
-        *self == Self::full()
-    }
 }
 
-impl Default for CellScope {
-    fn default() -> Self {
-        Self::full()
+/// Which part of the cell space one execution covers — the `scope` field
+/// of [`crate::QueryCtx`]. Single-dataset families understand `Full` and
+/// `Cells`; the two families with a cell-pair plan (intersection join and
+/// count aggregation) understand `Full` and `Pairs`. The other shape is
+/// rejected in-band rather than given an invented meaning.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Scope<'a> {
+    /// Every cell plus the delta: the plain local run.
+    #[default]
+    Full,
+    /// A contiguous cell range of a single-dataset query.
+    Cells(CellScope),
+    /// Explicit `(left cell, right cell)` candidates replacing a join's
+    /// hull-filter phase. Any pair of cells with no intersecting objects
+    /// contributes nothing (refinement is exact), so a conservative
+    /// superset of the hull-filter pairs is safe; pairs naming
+    /// out-of-range cells (a stale shard map racing a compaction) are
+    /// dropped. Exactly one scatter request per query must own the delta
+    /// cross terms.
+    Pairs {
+        pairs: &'a [(u32, u32)],
+        include_delta: bool,
+    },
+}
+
+impl<'a> Scope<'a> {
+    /// Is this the plain local run? Only then may a result enter or leave
+    /// the result cache: a scoped partial is not the answer to its key.
+    /// (`Cells(CellScope::full())` computes the same bytes but is still a
+    /// shard request, and shard requests are never cached.)
+    pub fn is_full(&self) -> bool {
+        matches!(self, Scope::Full)
+    }
+
+    /// Does this execution merge the staged delta writes?
+    pub fn include_delta(&self) -> bool {
+        match self {
+            Scope::Full => true,
+            Scope::Cells(s) => s.include_delta,
+            Scope::Pairs { include_delta, .. } => *include_delta,
+        }
+    }
+
+    /// The cell range a single-dataset executor refines.
+    pub(crate) fn cells(&self) -> spade_storage::Result<CellScope> {
+        match self {
+            Scope::Full => Ok(CellScope::full()),
+            Scope::Cells(s) => Ok(*s),
+            Scope::Pairs { .. } => Err(spade_storage::StorageError::Unsupported(
+                "cell-pair scope on a single-dataset query".into(),
+            )),
+        }
+    }
+
+    /// The explicit cell pairs of a two-dataset executor, or `None` to run
+    /// its hull-filter phase.
+    pub(crate) fn pairs(&self) -> spade_storage::Result<Option<&'a [(u32, u32)]>> {
+        match self {
+            Scope::Full => Ok(None),
+            Scope::Pairs { pairs, .. } => Ok(Some(pairs)),
+            Scope::Cells(_) => Err(spade_storage::StorageError::Unsupported(
+                "cell-range scope on a two-dataset query".into(),
+            )),
+        }
     }
 }
 
@@ -59,10 +115,9 @@ mod tests {
     #[test]
     fn full_scope_covers_everything() {
         let f = CellScope::full();
-        assert!(f.is_full());
         assert!(f.contains(0));
         assert!(f.contains(u32::MAX - 1));
-        assert_eq!(f, CellScope::default());
+        assert!(f.include_delta);
     }
 
     #[test]
@@ -76,6 +131,28 @@ mod tests {
         assert!(s.contains(4));
         assert!(s.contains(8));
         assert!(!s.contains(9));
-        assert!(!s.is_full());
+    }
+
+    #[test]
+    fn scope_shapes() {
+        let range = CellScope {
+            lo: 0,
+            hi: 3,
+            include_delta: false,
+        };
+        let pairs = [(0u32, 1u32)];
+        let by_pairs = Scope::Pairs {
+            pairs: &pairs,
+            include_delta: true,
+        };
+        assert!(Scope::default().is_full() && Scope::default().include_delta());
+        assert!(!Scope::Cells(CellScope::full()).is_full());
+        assert!(!Scope::Cells(range).is_full() && !Scope::Cells(range).include_delta());
+        assert!(!by_pairs.is_full() && by_pairs.include_delta());
+        assert_eq!(Scope::Full.cells(), Ok(CellScope::full()));
+        assert_eq!(Scope::Full.pairs(), Ok(None));
+        assert_eq!(by_pairs.pairs(), Ok(Some(&pairs[..])));
+        assert!(by_pairs.cells().is_err());
+        assert!(Scope::Cells(range).pairs().is_err());
     }
 }

@@ -12,9 +12,11 @@
 //! index's *bounding polygons* (each cell's convex hull) to choose cells,
 //! then streams each chosen cell through the in-memory plan.
 
+use crate::ctx::QueryCtx;
 use crate::dataset::{Dataset, DatasetKind, IndexedDataset};
-use crate::engine::{Constraint, Spade};
+use crate::engine::{Constraint, Measure, Spade};
 use crate::optimizer;
+use crate::prefetch::StreamStats;
 use crate::stats::QueryOutput;
 use spade_canvas::algebra;
 use spade_canvas::create::PreparedPolygon;
@@ -303,96 +305,72 @@ pub fn select_contained(
     QueryOutput { result: ids, stats }
 }
 
-/// Out-of-core containment selection: since every object is clustered into
-/// exactly one grid cell, per-cell containment results union losslessly;
-/// the filter stage is the same hull selection (an object contained in the
-/// constraint certainly intersects it).
-pub fn select_contained_indexed(
+/// The out-of-core driver shared by the single-dataset executors that
+/// produce ids (§5.3). *Filter*: a polygon selection over the cells'
+/// hulls against `filter` (a false positive only loads one extra cell),
+/// kept to the cells `ctx.scope` covers. *Refine*: stream each candidate
+/// through `refine`, prefetching ahead; cell bytes are shipped to the
+/// device per use (accounted; OOM at this scale means the cell streams
+/// without residing). *Delta*: when the scope owns it, the staged writes
+/// are one more in-memory "cell" refined the same way, so merged results
+/// match a cold rebuild. `ctx.cancel` is polled at every cell boundary.
+pub(crate) fn filter_and_refine(
     spade: &Spade,
     data: &IndexedDataset,
-    constraint_poly: &Polygon,
-) -> spade_storage::Result<QueryOutput<Vec<u32>>> {
-    select_contained_indexed_with(
-        spade,
-        data,
-        constraint_poly,
-        &crate::cancel::CancelToken::new(),
-    )
-}
-
-/// [`select_contained_indexed`] with cooperative cancellation, polled at
-/// every cell boundary of the refinement stream.
-pub fn select_contained_indexed_with(
-    spade: &Spade,
-    data: &IndexedDataset,
-    constraint_poly: &Polygon,
-    cancel: &crate::cancel::CancelToken,
-) -> spade_storage::Result<QueryOutput<Vec<u32>>> {
-    select_contained_indexed_scoped(
-        spade,
-        data,
-        constraint_poly,
-        cancel,
-        crate::scope::CellScope::full(),
-    )
-}
-
-/// [`select_contained_indexed_with`] restricted to a cell scope: only
-/// candidate cells inside the scope refine, and the staged delta merges
-/// only when the scope owns it. With [`CellScope::full`] this is exactly
-/// the unscoped run.
-///
-/// [`CellScope::full`]: crate::scope::CellScope::full
-pub fn select_contained_indexed_scoped(
-    spade: &Spade,
-    data: &IndexedDataset,
-    constraint_poly: &Polygon,
-    cancel: &crate::cancel::CancelToken,
-    scope: crate::scope::CellScope,
-) -> spade_storage::Result<QueryOutput<Vec<u32>>> {
-    let mut qspan = crate::trace::span("query.contained.indexed");
-    let measure = spade.begin();
-    let _stat_scope = crate::optimizer::stats::scope(data.uid());
-    let mut polygon_time = Duration::ZERO;
-
+    filter: &Constraint,
+    ctx: &QueryCtx,
+    polygon_time: &mut Duration,
+    mut refine: impl FnMut(&Dataset) -> Vec<u32>,
+) -> spade_storage::Result<(Vec<u32>, StreamStats)> {
+    let scope = ctx.scope.cells()?;
     let view = data.read_view();
     crate::explain::note_view(&view);
     let t0 = Instant::now();
-    let prepared = vec![PreparedPolygon::prepare(0, constraint_poly)];
     let hulls: Vec<PreparedPolygon> = view
         .grid
         .bounding_polygons()
         .into_iter()
-        .map(|(i, h)| PreparedPolygon::prepare(i, &h))
+        .map(|(i, hull)| PreparedPolygon::prepare(i, &hull))
         .collect();
-    polygon_time += t0.elapsed();
-    let filter = Constraint::from_polygons_res(spade, &prepared, spade.config.filter_resolution);
-    let mut candidates = select_polygons_mem(spade, &hulls, &filter);
-    candidates.retain(|&c| scope.contains(c));
+    *polygon_time += t0.elapsed();
+    let sequence: Vec<(usize, usize)> = select_polygons_mem(spade, &hulls, filter)
+        .into_iter()
+        .filter(|&c| scope.contains(c))
+        .map(|c| (0, c as usize))
+        .collect();
 
-    let sequence: Vec<(usize, usize)> = candidates.iter().map(|&c| (0, c as usize)).collect();
     let mut ids = Vec::new();
-    let stream = crate::prefetch::stream_cells_with(
+    let stream = crate::prefetch::stream_cells(
         spade.config.prefetch_depth,
         spade.config.cell_cache_bytes,
         &[&view],
         &sequence,
-        cancel,
+        &ctx.cancel,
         |cell| {
             let _ = spade.device.upload(cell.bytes);
             spade.observed.observe_cell_load(data.uid(), cell.bytes);
-            ids.extend(select_contained(spade, &cell.data, constraint_poly).result);
+            ids.extend(refine(&cell.data));
             spade.device.free(cell.bytes);
             Ok(())
         },
     )?;
-    // Merge staged writes through the same refinement: the delta is one
-    // extra in-memory "cell", so merged results match a cold rebuild.
     if scope.include_delta && view.has_delta() {
-        ids.extend(select_contained(spade, &view.delta_dataset(), constraint_poly).result);
+        ids.extend(refine(&view.delta_dataset()));
     }
     ids.sort_unstable();
     ids.dedup();
+    Ok((ids, stream))
+}
+
+/// Close an id-producing out-of-core query: span attributes, the wall
+/// clock, then the stream's overlap accounting.
+pub(crate) fn finish_ids(
+    spade: &Spade,
+    measure: Measure,
+    mut qspan: crate::trace::SpanGuard,
+    polygon_time: Duration,
+    (ids, stream): (Vec<u32>, StreamStats),
+) -> QueryOutput<Vec<u32>> {
     let n = ids.len() as u64;
     qspan.attr("cells", stream.cells);
     qspan.attr("results", n);
@@ -405,7 +383,32 @@ pub fn select_contained_indexed_scoped(
         n,
     );
     stream.charge(&mut stats);
-    Ok(QueryOutput { result: ids, stats })
+    QueryOutput { result: ids, stats }
+}
+
+/// Out-of-core containment selection: since every object is clustered into
+/// exactly one grid cell, per-cell containment results union losslessly;
+/// the filter stage is the same hull selection (an object contained in the
+/// constraint certainly intersects it). Only candidate cells inside
+/// `ctx.scope` refine, and the staged delta merges only when the scope
+/// owns it.
+pub fn select_contained_indexed(
+    spade: &Spade,
+    data: &IndexedDataset,
+    constraint_poly: &Polygon,
+    ctx: &QueryCtx,
+) -> spade_storage::Result<QueryOutput<Vec<u32>>> {
+    let qspan = crate::trace::span("query.contained.indexed");
+    let measure = spade.begin();
+    let _stat_scope = crate::optimizer::stats::scope(data.uid());
+    let t0 = Instant::now();
+    let prepared = vec![PreparedPolygon::prepare(0, constraint_poly)];
+    let mut polygon_time = t0.elapsed();
+    let filter = Constraint::from_polygons_res(spade, &prepared, spade.config.filter_resolution);
+    let refined = filter_and_refine(spade, data, &filter, ctx, &mut polygon_time, |cell| {
+        select_contained(spade, cell, constraint_poly).result
+    })?;
+    Ok(finish_ids(spade, measure, qspan, polygon_time, refined))
 }
 
 fn object_vertices(g: &spade_geometry::Geometry) -> Vec<Point> {
@@ -469,129 +472,36 @@ fn constraint_hole_cuts(constraint: &Polygon, g: &spade_geometry::Geometry) -> b
 /// refinement loop is pipelined: upcoming cells are read and decoded on a
 /// background I/O thread (through the cell cache) while the current one
 /// refines on the device.
+///
+/// The hull filter always runs whole; only candidate cells inside
+/// `ctx.scope` stream through refinement, and the staged delta merges only
+/// when the scope owns it — the scatter-gather invariant cluster executors
+/// rely on. On cancellation the constraint canvas is freed before the
+/// error propagates, so the device ledger stays balanced.
 pub fn select_indexed(
     spade: &Spade,
     data: &IndexedDataset,
     constraint_poly: &Polygon,
+    ctx: &QueryCtx,
 ) -> spade_storage::Result<QueryOutput<Vec<u32>>> {
-    select_indexed_with(
-        spade,
-        data,
-        constraint_poly,
-        &crate::cancel::CancelToken::new(),
-    )
-}
-
-/// [`select_indexed`] with cooperative cancellation, polled at every cell
-/// boundary. On cancellation the constraint canvas is freed before the
-/// error propagates, so the device ledger stays balanced.
-pub fn select_indexed_with(
-    spade: &Spade,
-    data: &IndexedDataset,
-    constraint_poly: &Polygon,
-    cancel: &crate::cancel::CancelToken,
-) -> spade_storage::Result<QueryOutput<Vec<u32>>> {
-    select_indexed_scoped(
-        spade,
-        data,
-        constraint_poly,
-        cancel,
-        crate::scope::CellScope::full(),
-    )
-}
-
-/// [`select_indexed_with`] restricted to a cell scope: the hull filter
-/// runs as usual, but only candidate cells inside the scope stream through
-/// refinement, and the staged delta merges only when the scope owns it.
-/// With [`CellScope::full`] this is exactly the unscoped run — the
-/// scatter-gather invariant cluster executors rely on.
-///
-/// [`CellScope::full`]: crate::scope::CellScope::full
-pub fn select_indexed_scoped(
-    spade: &Spade,
-    data: &IndexedDataset,
-    constraint_poly: &Polygon,
-    cancel: &crate::cancel::CancelToken,
-    scope: crate::scope::CellScope,
-) -> spade_storage::Result<QueryOutput<Vec<u32>>> {
-    let mut qspan = crate::trace::span("query.select.indexed");
+    let qspan = crate::trace::span("query.select.indexed");
     let measure = spade.begin();
     let _stat_scope = crate::optimizer::stats::scope(data.uid());
-    let mut polygon_time = Duration::ZERO;
 
-    // Prepare the constraint once; the same canvas serves the filter and
-    // every refinement pass (it stays resident on the device).
+    // Prepare the constraint once; the same canvas serves every
+    // refinement pass — cells and delta alike — and stays resident on the
+    // device; the filter runs against a coarse rendering of it.
     let t0 = Instant::now();
     let prepared = vec![PreparedPolygon::prepare(0, constraint_poly)];
-    polygon_time += t0.elapsed();
+    let mut polygon_time = t0.elapsed();
     let constraint = Constraint::from_polygons(spade, &prepared);
     let _ = spade.device.upload(constraint.byte_size());
-
-    // Index filtering: a polygon selection over the cells' hulls, run at
-    // the coarse filter resolution (a false positive only loads one extra
-    // cell).
-    let view = data.read_view();
-    crate::explain::note_view(&view);
-    let t0 = Instant::now();
-    let hull_prepared: Vec<PreparedPolygon> = view
-        .grid
-        .bounding_polygons()
-        .into_iter()
-        .map(|(i, hull)| PreparedPolygon::prepare(i, &hull))
-        .collect();
-    polygon_time += t0.elapsed();
-    let filter_constraint =
-        Constraint::from_polygons_res(spade, &prepared, spade.config.filter_resolution);
-    let mut candidate_cells = select_polygons_mem(spade, &hull_prepared, &filter_constraint);
-    candidate_cells.retain(|&c| scope.contains(c));
-
-    // Refinement: stream each candidate cell through the in-memory plan,
-    // prefetching ahead. Cell bytes are shipped to the device per use
-    // (accounted; OOM at this scale means the cell streams without
-    // residing).
-    let sequence: Vec<(usize, usize)> = candidate_cells.iter().map(|&c| (0, c as usize)).collect();
-    let mut ids = Vec::new();
-    let stream_res = crate::prefetch::stream_cells_with(
-        spade.config.prefetch_depth,
-        spade.config.cell_cache_bytes,
-        &[&view],
-        &sequence,
-        cancel,
-        |cell| {
-            let _ = spade.device.upload(cell.bytes);
-            spade.observed.observe_cell_load(data.uid(), cell.bytes);
-            ids.extend(select_mem_dispatch(spade, &cell.data, &constraint));
-            spade.device.free(cell.bytes);
-            Ok(())
-        },
-    );
-    // Staged writes refine against the same resident constraint canvas,
-    // so the merged result is identical to a fully-compacted run.
-    if stream_res.is_ok() && scope.include_delta && view.has_delta() {
-        ids.extend(select_mem_dispatch(
-            spade,
-            &view.delta_dataset(),
-            &constraint,
-        ));
-    }
+    let filter = Constraint::from_polygons_res(spade, &prepared, spade.config.filter_resolution);
+    let refined = filter_and_refine(spade, data, &filter, ctx, &mut polygon_time, |cell| {
+        select_mem_dispatch(spade, cell, &constraint)
+    });
     spade.device.free(constraint.byte_size());
-    let stream = stream_res?;
-    ids.sort_unstable();
-    ids.dedup();
-
-    let n = ids.len() as u64;
-    qspan.attr("cells", stream.cells);
-    qspan.attr("results", n);
-    let mut stats = measure.finish(
-        spade,
-        stream.io_time,
-        stream.bytes_from_disk,
-        polygon_time,
-        stream.cells,
-        n,
-    );
-    stream.charge(&mut stats);
-    Ok(QueryOutput { result: ids, stats })
+    Ok(finish_ids(spade, measure, qspan, polygon_time, refined?))
 }
 
 #[cfg(test)]
@@ -747,7 +657,7 @@ mod tests {
         let poly = hexagon(40.0, 60.0, 18.0);
 
         let mem = select(&s, &data, &poly);
-        let ooc = select_indexed(&s, &indexed, &poly).unwrap();
+        let ooc = select_indexed(&s, &indexed, &poly, &QueryCtx::default()).unwrap();
         let mut a = mem.result.clone();
         a.sort_unstable();
         assert_eq!(a, ooc.result);
@@ -772,7 +682,7 @@ mod tests {
         let grid = GridIndex::build(None, &data.objects, 30.0).unwrap();
         let indexed = IndexedDataset::new("boxes", DatasetKind::Polygons, grid);
         let constraint = hexagon(48.0, 48.0, 20.0);
-        let ooc = select_indexed(&s, &indexed, &constraint).unwrap();
+        let ooc = select_indexed(&s, &indexed, &constraint, &QueryCtx::default()).unwrap();
         let oracle: Vec<u32> = boxes
             .iter()
             .enumerate()
@@ -896,7 +806,8 @@ mod tests {
         let mem = select_contained(&s, &data, &constraint);
         let grid = GridIndex::build(None, &data.objects, 35.0).unwrap();
         let indexed = IndexedDataset::new("boxes", DatasetKind::Polygons, grid);
-        let ooc = select_contained_indexed(&s, &indexed, &constraint).unwrap();
+        let ooc =
+            select_contained_indexed(&s, &indexed, &constraint, &QueryCtx::default()).unwrap();
         let mut mem_sorted = mem.result.clone();
         mem_sorted.sort_unstable();
         assert_eq!(ooc.result, mem_sorted);

@@ -173,6 +173,16 @@ pub struct QueryOutput<T> {
     pub stats: QueryStats,
 }
 
+impl<T> QueryOutput<T> {
+    /// Re-shape the payload, keeping the statistics.
+    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> QueryOutput<U> {
+        QueryOutput {
+            result: f(self.result),
+            stats: self.stats,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

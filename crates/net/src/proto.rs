@@ -805,6 +805,7 @@ const STORAGE_PARSE: u8 = 6;
 const STORAGE_IO: u8 = 7;
 const STORAGE_CORRUPT: u8 = 8;
 const STORAGE_CANCELLED: u8 = 9;
+const STORAGE_UNSUPPORTED: u8 = 10;
 
 fn put_storage_error(buf: &mut Vec<u8>, e: &StorageError) {
     match e {
@@ -843,6 +844,10 @@ fn put_storage_error(buf: &mut Vec<u8>, e: &StorageError) {
             put_str(buf, s);
         }
         StorageError::Cancelled => put_u8(buf, STORAGE_CANCELLED),
+        StorageError::Unsupported(s) => {
+            put_u8(buf, STORAGE_UNSUPPORTED);
+            put_str(buf, s);
+        }
     }
 }
 
@@ -863,6 +868,7 @@ fn get_storage_error(buf: &mut &[u8]) -> Result<StorageError, WireError> {
         STORAGE_IO => Ok(StorageError::Io(get_string(buf)?)),
         STORAGE_CORRUPT => Ok(StorageError::Corrupt(get_string(buf)?)),
         STORAGE_CANCELLED => Ok(StorageError::Cancelled),
+        STORAGE_UNSUPPORTED => Ok(StorageError::Unsupported(get_string(buf)?)),
         t => Err(WireError::Corrupt(format!("unknown storage error tag {t}"))),
     }
 }

@@ -226,7 +226,7 @@ fn stats(rng: &mut TestRng) -> QueryStats {
 }
 
 fn storage_error(rng: &mut TestRng) -> StorageError {
-    match rng.next_u64() % 9 {
+    match rng.next_u64() % 10 {
         0 => StorageError::UnknownTable(name(rng)),
         1 => StorageError::UnknownColumn(name(rng)),
         2 => StorageError::TypeMismatch {
@@ -246,6 +246,7 @@ fn storage_error(rng: &mut TestRng) -> StorageError {
         5 => StorageError::Parse(name(rng)),
         6 => StorageError::Io(name(rng)),
         7 => StorageError::Corrupt(name(rng)),
+        8 => StorageError::Unsupported(name(rng)),
         _ => StorageError::Cancelled,
     }
 }

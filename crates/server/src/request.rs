@@ -1,7 +1,7 @@
 //! Typed query requests and responses of the service layer.
 
 use spade_core::query::{JoinQuery, QueryResult, SelectQuery};
-use spade_core::QueryStats;
+use spade_core::{CellScope, QueryStats, Scope};
 use spade_storage::sql::SqlResult;
 use std::time::Duration;
 
@@ -106,6 +106,31 @@ impl QueryRequest {
             QueryRequest::ShardJoin { .. } => "shard-join",
             QueryRequest::CellStats { .. } => "cell-stats",
             QueryRequest::WalFetch { .. } => "wal-fetch",
+        }
+    }
+
+    /// The part of the cell space this request covers: a shard request
+    /// borrows its cell range or pair list, everything else is full.
+    pub fn scope(&self) -> Scope<'_> {
+        match self {
+            QueryRequest::ShardSelect {
+                cells,
+                include_delta,
+                ..
+            } => Scope::Cells(CellScope {
+                lo: cells.0,
+                hi: cells.1,
+                include_delta: *include_delta,
+            }),
+            QueryRequest::ShardJoin {
+                pairs,
+                include_delta,
+                ..
+            } => Scope::Pairs {
+                pairs,
+                include_delta: *include_delta,
+            },
+            _ => Scope::Full,
         }
     }
 }

@@ -24,8 +24,8 @@ use crate::request::{QueryRequest, QueryResponse, ResponsePayload, ServiceError}
 use crate::stats::{ServiceSnapshot, ServiceStats};
 use spade_core::cancel::CancelToken;
 use spade_core::dataset::{Dataset, IndexedDataset};
-use spade_core::query::{self, QueryResult, SelectQuery};
-use spade_core::{EngineConfig, QueryStats, Spade};
+use spade_core::query::{self, JoinQuery, QueryResult, SelectQuery};
+use spade_core::{EngineConfig, QueryCtx, QueryStats, Spade};
 use spade_storage::wal::{pending_by_dataset, PendingWrites, Wal, WalOp};
 use spade_storage::Database;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -1148,41 +1148,42 @@ fn estimate_footprint(
         let grid = d.grid();
         grid.cells().iter().map(|c| c.bytes).max().unwrap_or(0)
     };
-    let key = |name: &String| (ns.id(), name.clone());
+    // A shard slice streams at most one cell per side resident, same as
+    // the full request, so it reserves identically — but only a
+    // grid-indexed dataset has cells to slice.
+    let shard = !request.scope().is_full();
+    let unknown = |name: &String| ServiceError::UnknownDataset(name.clone());
     match request {
-        QueryRequest::Select { dataset, query } => {
-            if let Some(idx) = shared.indexed.read().unwrap().get(&key(dataset)) {
-                let constraint = match query {
-                    SelectQuery::WithinDistance(..) | SelectQuery::Knn(..) => {
-                        canvas(cfg.distance_resolution)
-                    }
-                    _ => canvas(cfg.resolution),
-                };
-                Ok(constraint + canvas(cfg.filter_resolution) + max_cell(idx))
-            } else if shared.datasets.read().unwrap().contains_key(&key(dataset)) {
+        QueryRequest::Select { dataset, query }
+        | QueryRequest::ShardSelect { dataset, query, .. } => {
+            match resolve(shared, ns, dataset)? {
+                Registered::Indexed(idx) => {
+                    let constraint = match query {
+                        SelectQuery::WithinDistance(..) | SelectQuery::Knn(..) => {
+                            canvas(cfg.distance_resolution)
+                        }
+                        _ => canvas(cfg.resolution),
+                    };
+                    Ok(constraint + canvas(cfg.filter_resolution) + max_cell(&idx))
+                }
+                Registered::Memory(_) if shard => Err(unknown(dataset)),
                 // In-memory plans render but never allocate device memory;
                 // the constraint canvas is still a fair working-set proxy.
-                Ok(canvas(cfg.resolution))
-            } else {
-                Err(ServiceError::UnknownDataset(dataset.clone()))
+                Registered::Memory(_) => Ok(canvas(cfg.resolution)),
             }
         }
-        QueryRequest::Join { left, right, query } => {
-            let idx = shared.indexed.read().unwrap();
-            let mem = shared.datasets.read().unwrap();
-            let side = |name: &String| -> Result<u64, ServiceError> {
-                if let Some(d) = idx.get(&key(name)) {
-                    Ok(max_cell(d))
-                } else if mem.contains_key(&key(name)) {
-                    Ok(0)
-                } else {
-                    Err(ServiceError::UnknownDataset(name.clone()))
-                }
+        QueryRequest::Join { left, right, query }
+        | QueryRequest::ShardJoin {
+            left, right, query, ..
+        } => {
+            let side = |name: &String| match resolve(shared, ns, name)? {
+                Registered::Indexed(d) => Ok(max_cell(&d)),
+                Registered::Memory(_) if shard => Err(unknown(name)),
+                Registered::Memory(_) => Ok(0),
             };
             let base = side(left)? + side(right)?;
             let constraint = match query {
-                spade_core::query::JoinQuery::WithinDistance(_)
-                | spade_core::query::JoinQuery::Knn(_) => canvas(cfg.distance_resolution),
+                JoinQuery::WithinDistance(_) | JoinQuery::Knn(_) => canvas(cfg.distance_resolution),
                 _ => canvas(cfg.filter_resolution),
             };
             Ok(base + constraint)
@@ -1191,58 +1192,17 @@ fn estimate_footprint(
         // Spatial requests execute to discover their plan, so an EXPLAIN
         // needs the same reservation as the request it wraps.
         QueryRequest::Explain { request, .. } => estimate_footprint(shared, ns, request),
-        // Writes stage on the host (WAL + delta store); they reserve no
-        // device memory but still resolve the dataset so unknown names
-        // fail fast. Flush-triggered compaction also runs host-side.
+        // Writes stage on the host (WAL + delta store) and statistics are
+        // read there; they reserve no device memory but still resolve the
+        // dataset so unknown names fail fast. Flush-triggered compaction
+        // also runs host-side.
         QueryRequest::Insert { dataset, .. }
         | QueryRequest::Delete { dataset, .. }
-        | QueryRequest::Flush { dataset } => {
-            if shared.indexed.read().unwrap().contains_key(&key(dataset)) {
-                Ok(0)
-            } else {
-                Err(ServiceError::UnknownDataset(dataset.clone()))
-            }
+        | QueryRequest::Flush { dataset }
+        | QueryRequest::CellStats { dataset } => {
+            resolve(shared, ns, dataset)?.indexed(dataset).map(|_| 0)
         }
-        // A shard slice streams at most one cell per side resident, same
-        // as the full request; reserve identically.
-        QueryRequest::ShardSelect { dataset, query, .. } => {
-            if let Some(idx) = shared.indexed.read().unwrap().get(&key(dataset)) {
-                let constraint = match query {
-                    SelectQuery::WithinDistance(..) | SelectQuery::Knn(..) => {
-                        canvas(cfg.distance_resolution)
-                    }
-                    _ => canvas(cfg.resolution),
-                };
-                Ok(constraint + canvas(cfg.filter_resolution) + max_cell(idx))
-            } else {
-                Err(ServiceError::UnknownDataset(dataset.clone()))
-            }
-        }
-        QueryRequest::ShardJoin {
-            left, right, query, ..
-        } => {
-            let idx = shared.indexed.read().unwrap();
-            let side = |name: &String| -> Result<u64, ServiceError> {
-                idx.get(&key(name))
-                    .map(|d| max_cell(d))
-                    .ok_or_else(|| ServiceError::UnknownDataset(name.clone()))
-            };
-            let base = side(left)? + side(right)?;
-            let constraint = match query {
-                spade_core::query::JoinQuery::WithinDistance(_)
-                | spade_core::query::JoinQuery::Knn(_) => canvas(cfg.distance_resolution),
-                _ => canvas(cfg.filter_resolution),
-            };
-            Ok(base + constraint)
-        }
-        // Statistics and WAL streaming run on the host.
-        QueryRequest::CellStats { dataset } => {
-            if shared.indexed.read().unwrap().contains_key(&key(dataset)) {
-                Ok(0)
-            } else {
-                Err(ServiceError::UnknownDataset(dataset.clone()))
-            }
-        }
+        // WAL streaming runs on the host.
         QueryRequest::WalFetch { .. } => Ok(0),
     }
 }
@@ -1411,58 +1371,50 @@ fn execute(
     cancel: &CancelToken,
 ) -> Result<(ResponsePayload, QueryStats), ServiceError> {
     cancel.check().map_err(ServiceError::from)?;
-    let key = |name: &String| (ns.id(), name.clone());
+    // All read paths go through the ctx dispatchers with `cached` set:
+    // repeated hot-tile queries are served straight from the result cache
+    // while the dataset version is unchanged, and identical concurrent
+    // misses coalesce into one render. The namespace id joins the cache
+    // key, so tenants never share cached bytes. A shard request differs
+    // from its plain form only in the ctx's scope — which also makes the
+    // dispatcher bypass the cache: a scoped result is not the full answer
+    // for its (dataset, query) key, and coordinators already cache at the
+    // merged level if they want to.
+    let ctx = QueryCtx {
+        cancel: cancel.clone(),
+        scope: request.scope(),
+        tenant: ns.id(),
+        cached: true,
+    };
+    let shard = !ctx.scope.is_full();
+    let unknown = |name: &String| ServiceError::UnknownDataset(name.clone());
     match request {
-        QueryRequest::Select { dataset, query } => {
-            // All read paths go through the cached dispatchers: repeated
-            // hot-tile queries are served straight from the result cache
-            // while the dataset version is unchanged, and identical
-            // concurrent misses coalesce into one render. The namespace id
-            // joins the cache key, so tenants never share cached bytes.
-            let indexed = shared.indexed.read().unwrap().get(&key(dataset)).cloned();
-            if let Some(idx) = indexed {
-                let out = query::run_select_indexed_cached_in(
-                    &shared.spade,
-                    ns.id(),
-                    &idx,
-                    query,
-                    cancel,
-                )?;
-                return Ok((ResponsePayload::Query(out.result), out.stats));
+        QueryRequest::Select { dataset, query }
+        | QueryRequest::ShardSelect { dataset, query, .. } => {
+            let data = resolve(shared, ns, dataset)?;
+            if shard && matches!(data, Registered::Memory(_)) {
+                return Err(unknown(dataset));
             }
-            let mem = shared.datasets.read().unwrap().get(&key(dataset)).cloned();
-            match mem {
-                Some(d) => {
-                    let out = query::run_select_cached_in(&shared.spade, ns.id(), &d, query);
-                    Ok((ResponsePayload::Query(out.result), out.stats))
-                }
-                None => Err(ServiceError::UnknownDataset(dataset.clone())),
-            }
+            let out = query::run_select_ctx(&shared.spade, data.source(), query, &ctx)?;
+            Ok((ResponsePayload::Query(out.result), out.stats))
         }
-        QueryRequest::Join { left, right, query } => {
-            let idx = shared.indexed.read().unwrap();
-            let (l_idx, r_idx) = (idx.get(&key(left)).cloned(), idx.get(&key(right)).cloned());
-            drop(idx);
-            if let (Some(l), Some(r)) = (l_idx, r_idx) {
-                let out = query::run_join_indexed_cached_in(
-                    &shared.spade,
-                    ns.id(),
-                    &l,
-                    &r,
-                    query,
-                    cancel,
-                )?;
-                return Ok((ResponsePayload::Query(out.result), out.stats));
+        QueryRequest::Join { left, right, query }
+        | QueryRequest::ShardJoin {
+            left, right, query, ..
+        } => {
+            let (l, r) = (resolve(shared, ns, left)?, resolve(shared, ns, right)?);
+            // One plan serves both sides: out-of-core when both are
+            // grid-indexed (the only plan a shard slice has), in-memory
+            // otherwise. The first side outside the plan is unknown to the
+            // catalog that plan reads.
+            let is_indexed = |d: &Registered| matches!(d, Registered::Indexed(_));
+            let indexed_plan = shard || (is_indexed(&l) && is_indexed(&r));
+            for (side, name) in [(&l, left), (&r, right)] {
+                if is_indexed(side) != indexed_plan {
+                    return Err(unknown(name));
+                }
             }
-            let mem = shared.datasets.read().unwrap();
-            let resolve = |name: &String| -> Result<Arc<Dataset>, ServiceError> {
-                mem.get(&key(name))
-                    .cloned()
-                    .ok_or_else(|| ServiceError::UnknownDataset(name.clone()))
-            };
-            let (l, r) = (resolve(left)?, resolve(right)?);
-            drop(mem);
-            let out = query::run_join_cached_in(&shared.spade, ns.id(), &l, &r, query);
+            let out = query::run_join_ctx(&shared.spade, l.source(), r.source(), query, &ctx)?;
             Ok((ResponsePayload::Query(out.result), out.stats))
         }
         QueryRequest::Sql(stmt) => {
@@ -1481,46 +1433,8 @@ fn execute(
         QueryRequest::Insert { .. } | QueryRequest::Delete { .. } | QueryRequest::Flush { .. } => {
             execute_write(shared, ns, request)
         }
-        // Shard partials bypass the result cache on purpose: a scoped
-        // result is not the full answer for its (dataset, query) key, and
-        // coordinators already cache at the merged level if they want to.
-        QueryRequest::ShardSelect {
-            dataset,
-            query,
-            cells,
-            include_delta,
-        } => {
-            let idx = resolve_indexed(shared, ns, dataset)?;
-            let scope = spade_core::CellScope {
-                lo: cells.0,
-                hi: cells.1,
-                include_delta: *include_delta,
-            };
-            let out = query::run_select_indexed_scoped(&shared.spade, &idx, query, scope, cancel)?;
-            Ok((ResponsePayload::Query(out.result), out.stats))
-        }
-        QueryRequest::ShardJoin {
-            left,
-            right,
-            query,
-            pairs,
-            include_delta,
-        } => {
-            let l = resolve_indexed(shared, ns, left)?;
-            let r = resolve_indexed(shared, ns, right)?;
-            let out = query::run_join_indexed_pairs(
-                &shared.spade,
-                &l,
-                &r,
-                query,
-                pairs.clone(),
-                *include_delta,
-                cancel,
-            )?;
-            Ok((ResponsePayload::Query(out.result), out.stats))
-        }
         QueryRequest::CellStats { dataset } => {
-            let idx = resolve_indexed(shared, ns, dataset)?;
+            let idx = resolve(shared, ns, dataset)?.indexed(dataset)?;
             let cells = idx
                 .grid()
                 .cells()
@@ -1596,14 +1510,9 @@ impl spade_storage::sql::SqlObserver for SpatialInsertObserver<'_> {
         table: &str,
         rows: &[Vec<spade_storage::Value>],
     ) -> spade_storage::Result<()> {
-        let idx = self
-            .shared
-            .indexed
-            .read()
-            .unwrap()
-            .get(&(self.ns.id(), table.to_string()))
-            .cloned();
-        let Some(idx) = idx else { return Ok(()) };
+        let Ok(Registered::Indexed(idx)) = resolve(self.shared, self.ns, table) else {
+            return Ok(());
+        };
         // Parse every row before touching the WAL: a malformed row aborts
         // the whole statement with nothing made durable or visible.
         let parsed: Vec<(u32, spade_geometry::Geometry)> = rows
@@ -1665,20 +1574,43 @@ fn spatial_row(
     }
 }
 
-/// Resolve a grid-indexed dataset in a namespace or fail with
-/// [`ServiceError::UnknownDataset`].
-fn resolve_indexed(
-    shared: &Shared,
-    ns: &Namespace,
-    name: &str,
-) -> Result<Arc<IndexedDataset>, ServiceError> {
-    shared
-        .indexed
-        .read()
-        .unwrap()
-        .get(&(ns.id(), name.to_string()))
-        .cloned()
-        .ok_or_else(|| ServiceError::UnknownDataset(name.to_string()))
+/// A catalog entry: a dataset lives in the grid-indexed registry or the
+/// in-memory one.
+enum Registered {
+    Indexed(Arc<IndexedDataset>),
+    Memory(Arc<Dataset>),
+}
+
+impl Registered {
+    fn source(&self) -> query::Source<'_> {
+        match self {
+            Registered::Indexed(d) => query::Source::Indexed(d),
+            Registered::Memory(d) => query::Source::Memory(d),
+        }
+    }
+
+    /// The grid-indexed form — the only one writes, shard slices and cell
+    /// statistics exist for.
+    fn indexed(self, name: &str) -> Result<Arc<IndexedDataset>, ServiceError> {
+        match self {
+            Registered::Indexed(d) => Ok(d),
+            Registered::Memory(_) => Err(ServiceError::UnknownDataset(name.to_string())),
+        }
+    }
+}
+
+/// Look `name` up in a namespace's catalog or fail with
+/// [`ServiceError::UnknownDataset`]. The grid-indexed registry wins over
+/// the in-memory one on a name clash.
+fn resolve(shared: &Shared, ns: &Namespace, name: &str) -> Result<Registered, ServiceError> {
+    let key = (ns.id(), name.to_string());
+    if let Some(d) = shared.indexed.read().unwrap().get(&key) {
+        return Ok(Registered::Indexed(Arc::clone(d)));
+    }
+    match shared.datasets.read().unwrap().get(&key) {
+        Some(d) => Ok(Registered::Memory(Arc::clone(d))),
+        None => Err(ServiceError::UnknownDataset(key.1)),
+    }
 }
 
 /// Execute one write request. The write path is: (1) backpressure — if the
@@ -1700,7 +1632,7 @@ fn execute_write(
             id,
             geometry,
         } => {
-            let idx = resolve_indexed(shared, ns, dataset)?;
+            let idx = resolve(shared, ns, dataset)?.indexed(dataset)?;
             backpressure(shared, ns, dataset, &idx)?;
             let seq = match &shared.wal {
                 Some(wal) => {
@@ -1730,7 +1662,7 @@ fn execute_write(
             ))
         }
         QueryRequest::Delete { dataset, id } => {
-            let idx = resolve_indexed(shared, ns, dataset)?;
+            let idx = resolve(shared, ns, dataset)?.indexed(dataset)?;
             backpressure(shared, ns, dataset, &idx)?;
             let seq = match &shared.wal {
                 Some(wal) => {
@@ -1752,7 +1684,7 @@ fn execute_write(
             ))
         }
         QueryRequest::Flush { dataset } => {
-            let idx = resolve_indexed(shared, ns, dataset)?;
+            let idx = resolve(shared, ns, dataset)?.indexed(dataset)?;
             if let Some(wal) = &shared.wal {
                 wal.lock().unwrap().sync()?;
             }
@@ -1866,13 +1798,7 @@ fn compactor_loop(shared: &Shared) {
                 q = guard;
             }
         };
-        let idx = shared
-            .indexed
-            .read()
-            .unwrap()
-            .get(&(ns.id(), name.clone()))
-            .cloned();
-        if let Some(idx) = idx {
+        if let Ok(Registered::Indexed(idx)) = resolve(shared, &ns, &name) {
             let _ = compact_now(shared, &ns, &name, &idx);
         }
     }

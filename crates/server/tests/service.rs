@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 use spade_core::dataset::{Dataset, DatasetKind, IndexedDataset};
 use spade_core::query::{self, JoinQuery, QueryResult, SelectQuery};
-use spade_core::{CancelToken, EngineConfig, Spade};
+use spade_core::{CancelToken, EngineConfig, QueryCtx, Spade};
 use spade_geometry::{BBox, Point, Polygon};
 use spade_index::GridIndex;
 use spade_server::{QueryRequest, QueryService, ResponsePayload, ServiceConfig, ServiceError};
@@ -124,20 +124,16 @@ fn baseline(config: &EngineConfig) -> Vec<QueryResult> {
         .map(|req| match req {
             QueryRequest::Select { dataset, query } => {
                 let d = if dataset == "pts" { &pts } else { &polys };
-                query::run_select_indexed(&spade, d, query).unwrap().result
-            }
-            QueryRequest::Join { query, .. } => {
-                query::run_join_indexed(&spade, &polys, &pts, query)
+                query::run_select_ctx(&spade, d, query, &QueryCtx::default())
                     .unwrap()
                     .result
             }
-            QueryRequest::Sql(_)
-            | QueryRequest::Explain { .. }
-            | QueryRequest::Insert { .. }
-            | QueryRequest::Delete { .. }
-            | QueryRequest::Flush { .. } => {
-                unreachable!("workload has no SQL, EXPLAIN, or writes")
+            QueryRequest::Join { query, .. } => {
+                query::run_join_ctx(&spade, &polys, &pts, query, &QueryCtx::default())
+                    .unwrap()
+                    .result
             }
+            other => unreachable!("workload has only selects and joins, not {other:?}"),
         })
         .collect()
 }
@@ -412,6 +408,63 @@ fn unknown_dataset_fails_fast() {
         .wait()
         .unwrap_err();
     assert_eq!(err, ServiceError::UnknownDataset("nope".into()));
+}
+
+/// A point-only query class over polygon data used to reach
+/// `Dataset::as_points` and panic on the worker thread, which died holding
+/// its admission reservation while the ticket waited forever. The
+/// dispatcher refuses the combination up front: the ticket resolves to an
+/// error, the lone worker lives to serve the next query, and no tenant
+/// holds a reservation afterwards.
+#[test]
+fn kind_mismatch_is_an_error_not_a_dead_worker() {
+    let svc = service(ServiceConfig {
+        engine: tiny_config(),
+        workers: 1,
+        fairness_cap: 1,
+        wal_dir: None,
+    });
+    let session = svc.session();
+    let mismatched = [
+        QueryRequest::Join {
+            left: "polys".into(),
+            right: "pts".into(),
+            query: JoinQuery::WithinDistance(5.0),
+        },
+        QueryRequest::Join {
+            left: "pts".into(),
+            right: "polys".into(),
+            query: JoinQuery::Knn(3),
+        },
+        QueryRequest::Join {
+            left: "polys".into(),
+            right: "polys".into(),
+            query: JoinQuery::CountPoints,
+        },
+        QueryRequest::Select {
+            dataset: "polys".into(),
+            query: SelectQuery::Knn(Point::new(33.0, 66.0), 10),
+        },
+    ];
+    for request in mismatched {
+        let err = session.submit(request.clone()).wait().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ServiceError::Storage(spade_storage::StorageError::Unsupported(_))
+            ),
+            "{request:?} answered {err:?}"
+        );
+    }
+    let next = session.submit(workload().remove(0)).wait();
+    assert!(next.is_ok(), "the worker must survive: {next:?}");
+    for line in svc
+        .metrics_text()
+        .lines()
+        .filter(|l| l.starts_with("spade_tenant_reserved_bytes{"))
+    {
+        assert!(line.ends_with(" 0"), "leaked reservation: {line}");
+    }
 }
 
 #[test]

@@ -53,6 +53,10 @@ pub enum StorageError {
     /// The operation was cooperatively cancelled (explicit cancel or an
     /// expired deadline) before completing.
     Cancelled,
+    /// The request is well-formed but names a combination the engine has
+    /// no plan for (a kNN over polygon data, a cell-pair scope on a
+    /// single-dataset query).
+    Unsupported(String),
 }
 
 impl std::fmt::Display for StorageError {
@@ -74,6 +78,7 @@ impl std::fmt::Display for StorageError {
             StorageError::Io(m) => write!(f, "I/O error: {m}"),
             StorageError::Corrupt(m) => write!(f, "corrupt data: {m}"),
             StorageError::Cancelled => write!(f, "operation cancelled"),
+            StorageError::Unsupported(m) => write!(f, "unsupported: {m}"),
         }
     }
 }

@@ -7,7 +7,7 @@
 
 use spade::datagen::spider;
 use spade::engine::dataset::{Dataset, DatasetKind, IndexedDataset};
-use spade::engine::{select, EngineConfig, Spade};
+use spade::engine::{select, EngineConfig, QueryCtx, Spade};
 use spade::geometry::{BBox, Point, Polygon};
 use spade::index::GridIndex;
 
@@ -50,7 +50,8 @@ fn main() {
     // the cells' hull polygons, then only matching blocks stream through
     // device memory.
     let constraint = Polygon::circle(Point::new(0.3, 0.6), 0.2, 24);
-    let out = select::select_indexed(&engine, &indexed, &constraint).expect("indexed select");
+    let out = select::select_indexed(&engine, &indexed, &constraint, &QueryCtx::default())
+        .expect("indexed select");
     println!("\nselection: {} points in constraint", out.result.len());
     println!(
         "cells loaded: {} of {} (hull filter pruned the rest)",
@@ -66,7 +67,8 @@ fn main() {
 
     // A second, smaller query touches fewer cells.
     let small = Polygon::rect(BBox::new(Point::new(0.8, 0.8), Point::new(0.9, 0.9)));
-    let out2 = select::select_indexed(&engine, &indexed, &small).expect("indexed select");
+    let out2 = select::select_indexed(&engine, &indexed, &small, &QueryCtx::default())
+        .expect("indexed select");
     println!(
         "\nsmall query: {} points, {} cells loaded, {} KiB moved",
         out2.result.len(),

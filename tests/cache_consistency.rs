@@ -24,7 +24,7 @@
 use spade::engine::dataset::{Dataset, DatasetKind, IndexedDataset};
 use spade::engine::distance::DistanceConstraint;
 use spade::engine::query::{self, JoinQuery, SelectQuery};
-use spade::engine::{CacheOutcome, EngineConfig, Spade};
+use spade::engine::{CacheOutcome, EngineConfig, QueryCtx, Spade};
 use spade::geometry::{BBox, Geometry, Point, Polygon};
 use spade::index::GridIndex;
 use std::collections::BTreeMap;
@@ -136,14 +136,14 @@ fn differential_indexed(dir: Option<&std::path::Path>) {
         .chain(poly_selects.iter().map(|q| (&polys, q)))
         .collect();
     for (data, q) in selects {
-        let first = query::run_select_indexed_cached(&hot, data, q).unwrap();
+        let first = query::run_select_ctx(&hot, data, q, &QueryCtx::cached()).unwrap();
         assert_eq!(first.stats.result_cache, CacheOutcome::Miss, "{q:?}");
-        let second = query::run_select_indexed_cached(&hot, data, q).unwrap();
+        let second = query::run_select_ctx(&hot, data, q, &QueryCtx::cached()).unwrap();
         assert_eq!(second.stats.result_cache, CacheOutcome::Hit, "{q:?}");
         assert_eq!(second.stats.cells_loaded, 0, "HIT must do zero cell I/O");
         assert_eq!(second.stats.passes, 0, "HIT must do zero render passes");
         assert_eq!(second.stats.bytes_from_disk, 0);
-        let bypass = query::run_select_indexed_cached(&cold, data, q).unwrap();
+        let bypass = query::run_select_ctx(&cold, data, q, &QueryCtx::cached()).unwrap();
         assert_eq!(bypass.stats.result_cache, CacheOutcome::Bypass);
         assert_eq!(first.result, bypass.result, "cached != uncached: {q:?}");
         assert_eq!(second.result, bypass.result, "hit != uncached: {q:?}");
@@ -155,13 +155,13 @@ fn differential_indexed(dir: Option<&std::path::Path>) {
             JoinQuery::WithinDistance(_) | JoinQuery::Knn(_) => &pts,
             _ => &polys,
         };
-        let first = query::run_join_indexed_cached(&hot, left, &pts, q).unwrap();
+        let first = query::run_join_ctx(&hot, left, &pts, q, &QueryCtx::cached()).unwrap();
         assert_eq!(first.stats.result_cache, CacheOutcome::Miss, "{q:?}");
-        let second = query::run_join_indexed_cached(&hot, left, &pts, q).unwrap();
+        let second = query::run_join_ctx(&hot, left, &pts, q, &QueryCtx::cached()).unwrap();
         assert_eq!(second.stats.result_cache, CacheOutcome::Hit, "{q:?}");
         assert_eq!(second.stats.cells_loaded, 0, "HIT must do zero cell I/O");
         assert_eq!(second.stats.passes, 0);
-        let bypass = query::run_join_indexed_cached(&cold, left, &pts, q).unwrap();
+        let bypass = query::run_join_ctx(&cold, left, &pts, q, &QueryCtx::cached()).unwrap();
         assert_eq!(bypass.stats.result_cache, CacheOutcome::Bypass);
         assert_eq!(first.result, bypass.result, "cached != uncached: {q:?}");
         assert_eq!(second.result, bypass.result, "hit != uncached: {q:?}");
@@ -202,10 +202,10 @@ fn differential_all_families_in_memory_datasets() {
         .collect();
     for (data, q) in selects {
         let want = query::run_select(&hot, data, q).result;
-        let first = query::run_select_cached(&hot, data, q);
+        let first = query::run_select_ctx(&hot, data, q, &QueryCtx::cached()).unwrap();
         assert_eq!(first.stats.result_cache, CacheOutcome::Miss, "{q:?}");
         assert_eq!(first.result, want, "{q:?}");
-        let second = query::run_select_cached(&hot, data, q);
+        let second = query::run_select_ctx(&hot, data, q, &QueryCtx::cached()).unwrap();
         assert_eq!(second.stats.result_cache, CacheOutcome::Hit, "{q:?}");
         assert_eq!(second.stats.passes, 0);
         assert_eq!(second.result, want, "{q:?}");
@@ -216,10 +216,10 @@ fn differential_all_families_in_memory_datasets() {
             _ => &polys,
         };
         let want = query::run_join(&hot, left, &pts, q).result;
-        let first = query::run_join_cached(&hot, left, &pts, q);
+        let first = query::run_join_ctx(&hot, left, &pts, q, &QueryCtx::cached()).unwrap();
         assert_eq!(first.stats.result_cache, CacheOutcome::Miss, "{q:?}");
         assert_eq!(first.result, want, "{q:?}");
-        let second = query::run_join_cached(&hot, left, &pts, q);
+        let second = query::run_join_ctx(&hot, left, &pts, q, &QueryCtx::cached()).unwrap();
         assert_eq!(second.stats.result_cache, CacheOutcome::Hit, "{q:?}");
         assert_eq!(second.result, want, "{q:?}");
     }
@@ -239,10 +239,10 @@ fn writes_and_compaction_invalidate_hot_entries() {
     let q = SelectQuery::Range(BBox::new(Point::new(20.0, 20.0), Point::new(70.0, 60.0)));
 
     // Warm the entry.
-    let v0 = query::run_select_indexed_cached(&spade, &live, &q).unwrap();
+    let v0 = query::run_select_ctx(&spade, &live, &q, &QueryCtx::cached()).unwrap();
     assert_eq!(v0.stats.result_cache, CacheOutcome::Miss);
     assert_eq!(
-        query::run_select_indexed_cached(&spade, &live, &q)
+        query::run_select_ctx(&spade, &live, &q, &QueryCtx::cached())
             .unwrap()
             .stats
             .result_cache,
@@ -254,7 +254,7 @@ fn writes_and_compaction_invalidate_hot_entries() {
     let mut logical: BTreeMap<u32, Geometry> = base.iter().cloned().collect();
     live.insert(9_000, Geometry::Point(Point::new(45.0, 45.0)));
     logical.insert(9_000, Geometry::Point(Point::new(45.0, 45.0)));
-    let after_insert = query::run_select_indexed_cached(&spade, &live, &q).unwrap();
+    let after_insert = query::run_select_ctx(&spade, &live, &q, &QueryCtx::cached()).unwrap();
     assert_eq!(after_insert.stats.result_cache, CacheOutcome::Miss);
     assert_ne!(after_insert.result, v0.result, "staged insert must be seen");
     let objs: Vec<_> = logical.clone().into_iter().collect();
@@ -263,14 +263,14 @@ fn writes_and_compaction_invalidate_hot_entries() {
         DatasetKind::Points,
         GridIndex::build(None, &objs, cell).unwrap(),
     );
-    let want = query::run_select_indexed(&spade, &oracle, &q).unwrap();
+    let want = query::run_select_ctx(&spade, &oracle, &q, &QueryCtx::default()).unwrap();
     assert_eq!(after_insert.result, want.result);
 
     // A staged delete invalidates again, even though it re-renders to the
     // pre-insert answer: the watermark, not the payload, is the key.
     live.delete(9_000);
     logical.remove(&9_000);
-    let after_delete = query::run_select_indexed_cached(&spade, &live, &q).unwrap();
+    let after_delete = query::run_select_ctx(&spade, &live, &q, &QueryCtx::cached()).unwrap();
     assert_eq!(after_delete.stats.result_cache, CacheOutcome::Miss);
     assert_eq!(after_delete.result, v0.result);
 
@@ -278,7 +278,7 @@ fn writes_and_compaction_invalidate_hot_entries() {
     // another MISS, same answer, and the HIT that follows sticks.
     live.insert(9_001, Geometry::Point(Point::new(30.0, 30.0)));
     live.compact(spade.config.max_cell_bytes).unwrap();
-    let after_compact = query::run_select_indexed_cached(&spade, &live, &q).unwrap();
+    let after_compact = query::run_select_ctx(&spade, &live, &q, &QueryCtx::cached()).unwrap();
     assert_eq!(after_compact.stats.result_cache, CacheOutcome::Miss);
     logical.insert(9_001, Geometry::Point(Point::new(30.0, 30.0)));
     let objs: Vec<_> = logical.into_iter().collect();
@@ -287,10 +287,10 @@ fn writes_and_compaction_invalidate_hot_entries() {
         DatasetKind::Points,
         GridIndex::build(None, &objs, cell).unwrap(),
     );
-    let want = query::run_select_indexed(&spade, &oracle, &q).unwrap();
+    let want = query::run_select_ctx(&spade, &oracle, &q, &QueryCtx::default()).unwrap();
     assert_eq!(after_compact.result, want.result);
     assert_eq!(
-        query::run_select_indexed_cached(&spade, &live, &q)
+        query::run_select_ctx(&spade, &live, &q, &QueryCtx::cached())
             .unwrap()
             .stats
             .result_cache,
@@ -319,7 +319,7 @@ fn eviction_churn_releases_ledger_reservations() {
             Point::new(lo, lo * 0.5),
             Point::new(lo + 40.0, lo * 0.5 + 35.0),
         ));
-        query::run_select_indexed_cached(&spade, &live, &q).unwrap();
+        query::run_select_ctx(&spade, &live, &q, &QueryCtx::cached()).unwrap();
         let rc = spade.result_cache.stats();
         assert!(
             rc.bytes <= budget,
@@ -349,7 +349,7 @@ fn eviction_churn_releases_ledger_reservations() {
 
     // And clear() is a full drain even with fresh entries resident.
     let q = SelectQuery::Range(BBox::new(Point::new(0.0, 0.0), Point::new(50.0, 50.0)));
-    query::run_select_indexed_cached(&spade, &live, &q).unwrap();
+    query::run_select_ctx(&spade, &live, &q, &QueryCtx::cached()).unwrap();
     assert!(spade.result_cache.stats().bytes > 0);
     spade.result_cache.clear();
     assert_eq!(spade.result_cache.stats().bytes, 0);
@@ -450,11 +450,13 @@ proptest! {
                 DatasetKind::Points,
                 GridIndex::build(None, &objs, cell).unwrap(),
             );
-            let want = query::run_select_indexed(spade, &oracle, &q).unwrap().result;
+            let want = query::run_select_ctx(spade, &oracle, &q, &QueryCtx::default())
+                .unwrap()
+                .result;
 
-            let got = query::run_select_indexed_cached(spade, &live, &q).unwrap();
+            let got = query::run_select_ctx(spade, &live, &q, &QueryCtx::cached()).unwrap();
             prop_assert_eq!(&got.result, &want, "step {}: {:?}", step, &q);
-            let again = query::run_select_indexed_cached(spade, &live, &q).unwrap();
+            let again = query::run_select_ctx(spade, &live, &q, &QueryCtx::cached()).unwrap();
             prop_assert_eq!(&again.result, &want, "repeat at step {}: {:?}", step, &q);
             prop_assert_eq!(again.stats.result_cache, CacheOutcome::Hit);
             prop_assert_eq!(again.stats.cells_loaded, 0);

@@ -9,7 +9,7 @@ use spade::baselines::s2like::PointIndex;
 use spade::baselines::stig::Stig;
 use spade::datagen::{spider, urban};
 use spade::engine::dataset::{Dataset, DatasetKind, IndexedDataset};
-use spade::engine::{distance, join, knn, select, EngineConfig, Spade};
+use spade::engine::{distance, join, knn, select, EngineConfig, QueryCtx, Spade};
 use spade::geometry::{BBox, Point};
 use spade::index::GridIndex;
 use std::time::Duration;
@@ -198,7 +198,9 @@ fn pipelined_selection_agrees_across_seeds() {
             let truth = brute::select_points(&pts, &c);
             let mut mem = select::select(&spade, &data, &c).result;
             mem.sort_unstable();
-            let ooc = select::select_indexed(&spade, &indexed, &c).unwrap().result;
+            let ooc = select::select_indexed(&spade, &indexed, &c, &QueryCtx::default())
+                .unwrap()
+                .result;
             assert_eq!(mem, truth, "in-memory vs oracle (seed {seed}, c{i})");
             assert_eq!(ooc, truth, "pipelined OOC vs oracle (seed {seed}, c{i})");
         }
@@ -227,7 +229,9 @@ fn pipelined_join_agrees_across_seeds() {
         let g2 = GridIndex::build(Some(dir.join("b")), &d_pts.objects, 0.35).unwrap();
         let i1 = IndexedDataset::new("parcels", DatasetKind::Polygons, g1);
         let i2 = IndexedDataset::new("p", DatasetKind::Points, g2);
-        let mut ooc = join::join_indexed(&spade, &i1, &i2).unwrap().result;
+        let mut ooc = join::join_indexed(&spade, &i1, &i2, &QueryCtx::default())
+            .unwrap()
+            .result;
         ooc.sort_unstable();
         assert_eq!(ooc, truth, "pipelined OOC vs oracle (seed {seed})");
         std::fs::remove_dir_all(dir).ok();
@@ -249,7 +253,7 @@ fn pipelined_knn_agrees_across_seeds() {
         for k in [1usize, 10, 40] {
             let truth = brute::knn(&pts, q, k);
             let mem = knn::knn_select(&spade, &data, q, k).result;
-            let ooc = knn::knn_select_indexed(&spade, &indexed, q, k)
+            let ooc = knn::knn_select_indexed(&spade, &indexed, q, k, &QueryCtx::default())
                 .unwrap()
                 .result;
             assert_eq!(mem.len(), truth.len(), "in-memory k={k} seed {seed}");

@@ -9,7 +9,7 @@
 use spade::datagen::{spider, urban};
 use spade::engine::dataset::{Dataset, DatasetKind, IndexedDataset};
 use spade::engine::distance::DistanceConstraint;
-use spade::engine::{aggregate, distance, join, knn, select, EngineConfig, Spade};
+use spade::engine::{aggregate, distance, join, knn, select, EngineConfig, QueryCtx, Spade};
 use spade::geometry::{BBox, Point};
 use spade::index::GridIndex;
 
@@ -17,8 +17,14 @@ fn unit() -> BBox {
     BBox::new(Point::ZERO, Point::new(1.0, 1.0))
 }
 
+/// A directory of its own for every call: the tests of this binary run on
+/// parallel threads, each builds (and on drop removes) a [`Fixture`], so a
+/// name shared by two of them lets one delete the block files the other is
+/// still reading.
 fn tmpdir(tag: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("spade-det-{tag}-{}", std::process::id()));
+    static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let d = std::env::temp_dir().join(format!("spade-det-{tag}-{}-{n}", std::process::id()));
     std::fs::create_dir_all(&d).unwrap();
     d
 }
@@ -76,7 +82,7 @@ fn run_suite(spade: &Spade, f: &Fixture) -> Vec<u8> {
     push_u32s(&mut out, &mem);
     push_u32s(
         &mut out,
-        &select::select_indexed(spade, &f.pts_idx, &c)
+        &select::select_indexed(spade, &f.pts_idx, &c, &QueryCtx::default())
             .unwrap()
             .result,
     );
@@ -89,7 +95,7 @@ fn run_suite(spade: &Spade, f: &Fixture) -> Vec<u8> {
     );
     push_u32s(
         &mut out,
-        &distance::distance_select_indexed(spade, &f.pts_idx, &dc, 0.08)
+        &distance::distance_select_indexed(spade, &f.pts_idx, &dc, 0.08, &QueryCtx::default())
             .unwrap()
             .result,
     );
@@ -100,9 +106,15 @@ fn run_suite(spade: &Spade, f: &Fixture) -> Vec<u8> {
             out.extend_from_slice(&id.to_le_bytes());
             out.extend_from_slice(&d.to_bits().to_le_bytes());
         }
-        for (id, d) in knn::knn_select_indexed(spade, &f.pts_idx, Point::new(0.3, 0.7), k)
-            .unwrap()
-            .result
+        for (id, d) in knn::knn_select_indexed(
+            spade,
+            &f.pts_idx,
+            Point::new(0.3, 0.7),
+            k,
+            &QueryCtx::default(),
+        )
+        .unwrap()
+        .result
         {
             out.extend_from_slice(&id.to_le_bytes());
             out.extend_from_slice(&d.to_bits().to_le_bytes());
@@ -114,7 +126,7 @@ fn run_suite(spade: &Spade, f: &Fixture) -> Vec<u8> {
         out.extend_from_slice(&a.to_le_bytes());
         out.extend_from_slice(&b.to_le_bytes());
     }
-    let mut ooc = join::join_indexed(spade, &f.parcels_idx, &f.pts_idx)
+    let mut ooc = join::join_indexed(spade, &f.parcels_idx, &f.pts_idx, &QueryCtx::default())
         .unwrap()
         .result;
     ooc.sort_unstable();
@@ -128,7 +140,11 @@ fn run_suite(spade: &Spade, f: &Fixture) -> Vec<u8> {
         out.extend_from_slice(&id.to_le_bytes());
         out.extend_from_slice(&n.to_le_bytes());
     }
-    for (id, n) in aggregate::aggregate_indexed(spade, &f.parcels_idx, &f.pts_idx).result {
+    for (id, n) in
+        aggregate::aggregate_indexed(spade, &f.parcels_idx, &f.pts_idx, &QueryCtx::default())
+            .unwrap()
+            .result
+    {
         out.extend_from_slice(&id.to_le_bytes());
         out.extend_from_slice(&n.to_le_bytes());
     }

@@ -14,7 +14,7 @@
 use spade::engine::dataset::{DatasetKind, IndexedDataset};
 use spade::engine::distance::DistanceConstraint;
 use spade::engine::query::{self, JoinQuery, QueryResult, SelectQuery};
-use spade::engine::{EngineConfig, Spade};
+use spade::engine::{EngineConfig, QueryCtx, Spade};
 use spade::geometry::{BBox, Geometry, Point, Polygon};
 use spade::index::GridIndex;
 use std::collections::BTreeMap;
@@ -164,11 +164,15 @@ fn run_families(spade: &Spade, polys: &IndexedDataset, pts: &IndexedDataset) -> 
     ];
     let mut out: Vec<QueryResult> = selects
         .into_iter()
-        .map(|(d, q)| query::run_select_indexed(spade, d, &q).unwrap().result)
+        .map(|(d, q)| {
+            query::run_select_ctx(spade, d, &q, &QueryCtx::default())
+                .unwrap()
+                .result
+        })
         .collect();
     for q in [JoinQuery::Intersects, JoinQuery::CountPoints] {
         out.push(
-            query::run_join_indexed(spade, polys, pts, &q)
+            query::run_join_ctx(spade, polys, pts, &q, &QueryCtx::default())
                 .unwrap()
                 .result,
         );
@@ -269,12 +273,14 @@ fn compacted_index_reopens_identically() {
     assert!(ceil > 0, "compaction advances the checkpoint");
 
     let q = SelectQuery::Range(BBox::new(Point::new(10.0, 10.0), Point::new(90.0, 90.0)));
-    let want = query::run_select_indexed(&spade, &live, &q).unwrap().result;
+    let want = query::run_select_ctx(&spade, &live, &q, &QueryCtx::default())
+        .unwrap()
+        .result;
 
     let (reopened, wal_seq) =
         IndexedDataset::open("pts", DatasetKind::Points, dir.join("pts")).unwrap();
     assert_eq!(wal_seq, ceil, "manifest persisted the folded sequence");
-    let got = query::run_select_indexed(&spade, &reopened, &q)
+    let got = query::run_select_ctx(&spade, &reopened, &q, &QueryCtx::default())
         .unwrap()
         .result;
     assert_eq!(got, want);
@@ -317,7 +323,9 @@ fn write_during_compaction_survives() {
         Point::new(-10.0, -10.0),
         Point::new(130.0, 130.0),
     ));
-    let ids = query::run_select_indexed(&spade, &live, &q).unwrap().result;
+    let ids = query::run_select_ctx(&spade, &*live, &q, &QueryCtx::default())
+        .unwrap()
+        .result;
     let ids = match ids {
         QueryResult::Ids(v) => v,
         other => panic!("expected id list, got {other:?}"),

@@ -5,7 +5,7 @@
 use spade::datagen::{spider, urban};
 use spade::engine::dataset::{Dataset, DatasetKind, IndexedDataset};
 use spade::engine::distance::DistanceConstraint;
-use spade::engine::{aggregate, distance, join, knn, select, trace, EngineConfig, Spade};
+use spade::engine::{aggregate, distance, join, knn, select, trace, EngineConfig, QueryCtx, Spade};
 use spade::geometry::{BBox, Point};
 use spade::index::GridIndex;
 use std::sync::Mutex;
@@ -116,10 +116,12 @@ fn tracing_does_not_change_out_of_core_results() {
 
     let run = || {
         let spade = Spade::new(EngineConfig::test_small());
-        let sel = select::select_indexed(&spade, &ipts, &constraint)
+        let sel = select::select_indexed(&spade, &ipts, &constraint, &QueryCtx::default())
             .unwrap()
             .result;
-        let joined = join::join_indexed(&spade, &ipolys, &ipts).unwrap().result;
+        let joined = join::join_indexed(&spade, &ipolys, &ipts, &QueryCtx::default())
+            .unwrap()
+            .result;
         (sel, joined)
     };
 
@@ -169,7 +171,7 @@ fn tracing_overhead_within_ten_percent() {
     let time_run = || {
         let spade = Spade::new(EngineConfig::test_small());
         let t0 = std::time::Instant::now();
-        let out = join::join_indexed(&spade, &ipolys, &ipts).unwrap();
+        let out = join::join_indexed(&spade, &ipolys, &ipts, &QueryCtx::default()).unwrap();
         (t0.elapsed(), out.result.len())
     };
 

@@ -4,7 +4,7 @@
 
 use spade::datagen::{spider, urban};
 use spade::engine::dataset::{Dataset, DatasetKind, IndexedDataset};
-use spade::engine::{join, select, EngineConfig, Spade};
+use spade::engine::{join, select, EngineConfig, QueryCtx, Spade};
 use spade::geometry::{BBox, Point};
 use spade::index::GridIndex;
 
@@ -35,7 +35,7 @@ fn disk_backed_selection_equals_in_memory() {
     for c in urban::constraint_polygons(3, &unit(), 0.12, 24, 1) {
         let mut mem = select::select(&spade, &data, &c).result;
         mem.sort_unstable();
-        let ooc = select::select_indexed(&spade, &indexed, &c).unwrap();
+        let ooc = select::select_indexed(&spade, &indexed, &c, &QueryCtx::default()).unwrap();
         assert_eq!(ooc.result, mem);
         // The hull filter must prune something for a 0.24-wide constraint.
         assert!(ooc.stats.cells_loaded < indexed.grid().num_cells() as u64);
@@ -58,7 +58,7 @@ fn disk_backed_join_equals_in_memory() {
     let g2 = GridIndex::build(Some(dir.join("b")), &pts.objects, 0.35).unwrap();
     let i1 = IndexedDataset::new("parcels", DatasetKind::Polygons, g1);
     let i2 = IndexedDataset::new("p", DatasetKind::Points, g2);
-    let ooc = join::join_indexed(&spade, &i1, &i2).unwrap();
+    let ooc = join::join_indexed(&spade, &i1, &i2, &QueryCtx::default()).unwrap();
     assert_eq!(ooc.result, mem);
     assert!(ooc.stats.cells_loaded > 0);
     std::fs::remove_dir_all(dir).ok();
@@ -74,7 +74,7 @@ fn device_memory_is_balanced_after_queries() {
         .pop()
         .unwrap();
     for _ in 0..3 {
-        let _ = select::select_indexed(&spade, &indexed, &c).unwrap();
+        let _ = select::select_indexed(&spade, &indexed, &c, &QueryCtx::default()).unwrap();
     }
     // All uploads must have been freed.
     assert_eq!(spade.device.used(), 0);
@@ -96,7 +96,7 @@ fn transfer_time_counts_into_io() {
     let c = urban::constraint_polygons(1, &unit(), 0.3, 16, 3)
         .pop()
         .unwrap();
-    let out = select::select_indexed(&spade, &indexed, &c).unwrap();
+    let out = select::select_indexed(&spade, &indexed, &c, &QueryCtx::default()).unwrap();
     assert!(
         out.stats.io_fraction() > 0.5,
         "io fraction {} with a 2 MB/s bus",
@@ -126,7 +126,7 @@ fn pipelined_execution_is_deterministic() {
                 prefetch_depth: depth,
                 ..EngineConfig::test_small()
             });
-            let out = select::select_indexed(&spade, &indexed, &c).unwrap();
+            let out = select::select_indexed(&spade, &indexed, &c, &QueryCtx::default()).unwrap();
             match &reference {
                 None => reference = Some((out.result, out.stats.cells_loaded)),
                 Some((ids, cells)) => {
@@ -156,7 +156,7 @@ fn shared_cell_join_hits_the_cache() {
     let i1 = IndexedDataset::new("parcels", DatasetKind::Polygons, g1);
     let i2 = IndexedDataset::new("p", DatasetKind::Points, g2);
 
-    let out = join::join_indexed(&spade, &i1, &i2).unwrap();
+    let out = join::join_indexed(&spade, &i1, &i2, &QueryCtx::default()).unwrap();
     assert!(
         out.stats.cache_hits > 0,
         "shared-cell join order produced no cache hits: {:?}",

@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 use spade::baselines::brute;
 use spade::engine::dataset::{Dataset, DatasetKind, IndexedDataset};
-use spade::engine::{select, EngineConfig, Spade};
+use spade::engine::{select, EngineConfig, QueryCtx, Spade};
 use spade::geometry::predicates::polygons_intersect;
 use spade::geometry::{wkt, BBox, Geometry, Point, Polygon};
 use spade::index::GridIndex;
@@ -76,7 +76,7 @@ proptest! {
         let indexed = IndexedDataset::new("p", DatasetKind::Points, grid);
         let mut mem = select::select(&spade, &data, &constraint).result;
         mem.sort_unstable();
-        let ooc = select::select_indexed(&spade, &indexed, &constraint).unwrap().result;
+        let ooc = select::select_indexed(&spade, &indexed, &constraint, &QueryCtx::default()).unwrap().result;
         prop_assert_eq!(ooc, mem);
     }
 
@@ -353,7 +353,7 @@ fn layer_estimate_matches_real_join_transfers() {
     let pts_idx = IndexedDataset::new("p", DatasetKind::Points, gq);
 
     explain::begin();
-    join::join_indexed(&spade, &parcels_idx, &pts_idx).unwrap();
+    join::join_indexed(&spade, &parcels_idx, &pts_idx, &QueryCtx::default()).unwrap();
     let report = explain::finish();
     let j = report.join.expect("join plan must be reported");
     assert_eq!(j.strategy, JoinStrategy::LayerIndex);
