@@ -18,12 +18,9 @@ use spade_geometry::{Point, Polygon};
 use std::time::Duration;
 
 /// The engine configuration used by all experiments.
-pub fn bench_engine() -> Spade {
+fn bench_engine() -> Spade {
     Spade::new(EngineConfig {
-        resolution: 1024,
-        device_memory: 64 << 20,
         max_cell_bytes: 2 << 20,
-        layer_resolution: 512,
         ..EngineConfig::default()
     })
 }
@@ -795,7 +792,7 @@ pub fn ablate_layer() -> Vec<Table> {
     let set = spade_core::dataset::PreparedPolygonSet::prepare(
         &spade.pipeline,
         &polys,
-        spade.config.layer_resolution,
+        spade.config.layer_resolution(),
     );
     let points = pts.as_points();
 

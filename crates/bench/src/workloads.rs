@@ -5,7 +5,7 @@
 //! distribution skew — are preserved. The `SCALE` environment variable
 //! (default 1.0) multiplies all object counts for larger runs.
 
-use spade_core::dataset::{Dataset, DatasetKind, IndexedDataset};
+use spade_core::dataset::{Dataset, IndexedDataset};
 use spade_core::Spade;
 use spade_datagen::{spider, urban};
 use spade_geometry::{BBox, Point, Polygon};
@@ -184,25 +184,15 @@ pub fn unit_square_constraint(extent_frac: f64) -> Polygon {
     Polygon::new(pts)
 }
 
-/// Pretty count of an in-memory dataset for table headers.
-pub fn describe(d: &Dataset) -> String {
-    format!("{} ({} objects)", d.name, d.len())
-}
-
-/// Workload sanity marker used by tests.
-pub fn kind_of(d: &Dataset) -> DatasetKind {
-    d.kind
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spade_core::EngineConfig;
+    use spade_core::{dataset::DatasetKind, EngineConfig};
 
     #[test]
     fn real_data_analogues_have_expected_shapes() {
         let t = taxi(2000);
-        assert_eq!(kind_of(&t), DatasetKind::Points);
+        assert_eq!(t.kind, DatasetKind::Points);
         assert!(nyc_extent().contains_box(&t.extent));
         let c = counties();
         // County polygons must be far more complex than neighborhoods.
@@ -250,7 +240,7 @@ mod tests {
         let g = spider_points(40, true, 1);
         assert_eq!(u.len(), g.len());
         let b = spider_boxes(10, false, 2);
-        assert_eq!(kind_of(&b), DatasetKind::Polygons);
+        assert_eq!(b.kind, DatasetKind::Polygons);
         let p = parcels(500);
         assert_eq!(p.len(), 500);
     }

@@ -27,8 +27,6 @@ const REQUESTS: usize = 256;
 fn serve() -> NetServer {
     let mut engine = EngineConfig::test_small();
     engine.resolution = 128;
-    engine.layer_resolution = 128;
-    engine.filter_resolution = 64;
     let svc = Arc::new(QueryService::new(ServiceConfig {
         engine,
         workers: 4,

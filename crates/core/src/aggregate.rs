@@ -30,7 +30,7 @@ pub fn aggregate_points(spade: &Spade, polys: &Dataset, points: &Dataset) -> Que
     let mut qspan = crate::trace::span("query.aggregate");
     let measure = spade.begin();
     let t0 = Instant::now();
-    let set = PreparedPolygonSet::prepare(&spade.pipeline, polys, spade.config.layer_resolution);
+    let set = PreparedPolygonSet::prepare(&spade.pipeline, polys, spade.config.layer_resolution());
     let polygon_time = t0.elapsed();
     let pts = points.as_points();
 

@@ -18,18 +18,6 @@ pub struct EngineConfig {
     /// Maximum slots of a single Map list canvas; result estimates above
     /// this force the 2-pass Map implementation (§5.4).
     pub max_map_slots: usize,
-    /// kNN: number of log-spaced circles `c`.
-    pub knn_circles: usize,
-    /// Layer-index construction resolution.
-    pub layer_resolution: u32,
-    /// Resolution used by the out-of-core index-filter stage (coarse:
-    /// false positives only cost an extra cell load).
-    pub filter_resolution: u32,
-    /// Resolution of distance-constraint canvases (circles/capsules).
-    /// Any value is exact — the boundary index resolves uncertain pixels —
-    /// lower values trade boundary tests for rendering time, which pays
-    /// off for the small circles kNN queries draw (§5.2).
-    pub distance_resolution: u32,
     /// Grid cells should serialize under this many bytes (the "≤ 2 GB per
     /// cell" rule of §6.1, scaled).
     pub max_cell_bytes: u64,
@@ -55,11 +43,6 @@ pub struct EngineConfig {
     /// backed; with the flag off (the default) every span site reduces to
     /// one relaxed atomic load, so queries pay nothing.
     pub tracing: bool,
-    /// Byte cap on the framebuffer arena's free lists — released transient
-    /// render targets (Map list canvases, aggregation scratch, layer
-    /// construction buffers) are pooled for reuse up to this many bytes and
-    /// dropped beyond it. `0` disables pooling entirely.
-    pub texture_pool_bytes: u64,
     /// WAL durability mode for live writes: fsync per record (`Always`),
     /// one fsync per batch window (`GroupCommit`, the default), or leave
     /// flushing to the OS (`Never`).
@@ -70,13 +53,6 @@ pub struct EngineConfig {
     /// Background compaction starts once a dataset's staged delta exceeds
     /// this many bytes (`0` compacts after every write batch).
     pub compact_trigger_bytes: u64,
-    /// Byte budget of the engine's result cache: rendered query results are
-    /// kept keyed by `(query fingerprint, dataset version)` and re-served
-    /// without touching disk or the pipeline while the dataset version is
-    /// unchanged. Staged writes and compactions invalidate entries for free
-    /// by bumping the version. Cached bytes are charged to the framebuffer
-    /// arena's device ledger so admission control sees their footprint.
-    pub result_cache_bytes: u64,
     /// Master switch of the result cache. Off, every query renders cold
     /// (`EXPLAIN ANALYZE` reports `cache: BYPASS`).
     pub result_cache_enabled: bool,
@@ -105,20 +81,14 @@ impl Default for EngineConfig {
             bandwidth: 12.0e9,
             workers: 0,
             max_map_slots: 1 << 22,
-            knn_circles: 64,
-            layer_resolution: 512,
-            filter_resolution: 256,
-            distance_resolution: 512,
             max_cell_bytes: 16 << 20,
             prefetch_depth: 2,
             cell_cache_bytes: 32 << 20, // half the scaled device memory
             pace_transfers: false,
             tracing: false,
-            texture_pool_bytes: 32 << 20,
             wal_sync: WalSync::GroupCommit,
             delta_max_bytes: 8 << 20,
             compact_trigger_bytes: 1 << 20,
-            result_cache_bytes: 8 << 20, // an eighth of scaled device memory
             result_cache_enabled: true,
             adaptive_stats: true,
             simd_kernels: true,
@@ -133,17 +103,51 @@ impl EngineConfig {
             resolution: 256,
             device_memory: 8 << 20,
             max_cell_bytes: 1 << 20,
-            layer_resolution: 256,
-            filter_resolution: 128,
-            distance_resolution: 256,
-            knn_circles: 32,
             cell_cache_bytes: 4 << 20,
-            texture_pool_bytes: 4 << 20,
             delta_max_bytes: 1 << 20,
             compact_trigger_bytes: 64 << 10,
-            result_cache_bytes: 1 << 20,
             ..Default::default()
         }
+    }
+
+    /// Layer-index construction resolution. Like every sub-canvas size
+    /// below it is a performance detail, not a knob: the boundary index
+    /// keeps results exact at any resolution.
+    pub fn layer_resolution(&self) -> u32 {
+        self.resolution.min(512)
+    }
+
+    /// Resolution of the out-of-core index-filter stage (coarse: a false
+    /// positive only costs an extra cell load).
+    pub fn filter_resolution(&self) -> u32 {
+        (self.resolution / 2).min(256)
+    }
+
+    /// Resolution of distance-constraint canvases (circles/capsules):
+    /// lower than the query canvas trades boundary tests for rendering
+    /// time, which pays off for the small circles kNN queries draw (§5.2).
+    pub fn distance_resolution(&self) -> u32 {
+        self.resolution.min(512)
+    }
+
+    /// kNN: number of log-spaced circles `c`.
+    pub fn knn_circles(&self) -> usize {
+        (self.resolution / 8).clamp(1, 64) as usize
+    }
+
+    /// Byte cap on the framebuffer arena's free lists: released transient
+    /// render targets (Map list canvases, aggregation scratch, layer
+    /// construction buffers) are pooled for reuse up to half the device
+    /// and dropped beyond it.
+    pub fn texture_pool_bytes(&self) -> u64 {
+        self.device_memory / 2
+    }
+
+    /// Byte budget of the result cache, an eighth of the device its
+    /// entries are charged to (through the arena's ledger, so admission
+    /// control sees their footprint).
+    pub fn result_cache_bytes(&self) -> u64 {
+        self.device_memory / 8
     }
 
     pub fn effective_workers(&self) -> usize {
@@ -168,15 +172,6 @@ mod tests {
     }
 
     #[test]
-    fn ooc_knobs_default_on() {
-        let c = EngineConfig::default();
-        assert!(c.prefetch_depth > 0);
-        assert!(c.cell_cache_bytes > 0 && c.cell_cache_bytes <= c.device_memory);
-        let t = EngineConfig::test_small();
-        assert!(t.cell_cache_bytes <= t.device_memory);
-    }
-
-    #[test]
     fn ingest_knobs_default_sane() {
         let c = EngineConfig::default();
         assert_eq!(c.wal_sync, WalSync::GroupCommit);
@@ -185,13 +180,51 @@ mod tests {
         assert!(t.compact_trigger_bytes <= t.delta_max_bytes);
     }
 
+    /// The six derived values against the literals they replaced: every
+    /// configuration in the repository (`Default` at 1024 / 64 MiB,
+    /// `test_small` at 256 / 8 MiB, the test suites' 128, the 64 KiB
+    /// device of the eviction and rejection tests) resolves to exactly
+    /// what it used to spell out.
     #[test]
-    fn result_cache_knobs_default_sane() {
-        let c = EngineConfig::default();
-        assert!(c.result_cache_enabled);
-        assert!(c.result_cache_bytes > 0 && c.result_cache_bytes <= c.device_memory);
-        let t = EngineConfig::test_small();
-        assert!(t.result_cache_bytes <= t.device_memory);
+    fn derived_knobs_match_the_literals_they_replaced() {
+        let canvases = |c: &EngineConfig| {
+            [
+                c.layer_resolution(),
+                c.filter_resolution(),
+                c.distance_resolution(),
+                c.knn_circles() as u32,
+            ]
+        };
+        let at = |resolution| EngineConfig {
+            resolution,
+            ..Default::default()
+        };
+        assert_eq!(canvases(&EngineConfig::default()), [512, 256, 512, 64]);
+        assert_eq!(canvases(&EngineConfig::test_small()), [256, 128, 256, 32]);
+        assert_eq!(canvases(&at(128)), [128, 64, 128, 16]);
+        // Monotone, never above the query canvas, and kNN always has a circle.
+        for resolution in 1..=2048 {
+            let (prev, cur) = (canvases(&at(resolution - 1)), canvases(&at(resolution)));
+            assert!(cur.iter().zip(&prev).all(|(c, p)| c >= p), "{resolution}");
+            assert!(cur.iter().all(|&c| c <= resolution) && cur[3] >= 1);
+        }
+
+        let budgets = |c: &EngineConfig| (c.texture_pool_bytes(), c.result_cache_bytes());
+        let on = |device_memory| EngineConfig {
+            device_memory,
+            ..Default::default()
+        };
+        assert_eq!(budgets(&EngineConfig::default()), (32 << 20, 8 << 20));
+        assert_eq!(budgets(&EngineConfig::test_small()), (4 << 20, 1 << 20));
+        assert_eq!(budgets(&on(64 << 10)), (32 << 10, 8 << 10));
+        // Whatever is charged to the device fits inside it.
+        for device_memory in [0, 1, 7, 64 << 10, 8 << 20, 64 << 20, u64::MAX] {
+            let (pool, cache) = budgets(&on(device_memory));
+            assert!(pool + cache <= device_memory && cache <= pool);
+        }
+        for c in [EngineConfig::default(), EngineConfig::test_small()] {
+            assert!(c.cell_cache_bytes <= c.device_memory);
+        }
     }
 
     #[test]

@@ -616,9 +616,9 @@ pub struct PreparedPolygonSet {
 }
 
 impl PreparedPolygonSet {
-    pub fn prepare(pipe: &spade_gpu::Pipeline, dataset: &Dataset, layer_resolution: u32) -> Self {
+    pub fn prepare(pipe: &spade_gpu::Pipeline, dataset: &Dataset, resolution: u32) -> Self {
         let polygons = dataset.prepare_polygons();
-        let layers = spade_canvas::layer::build_layer_index(pipe, &polygons, layer_resolution);
+        let layers = spade_canvas::layer::build_layer_index(pipe, &polygons, resolution);
         PreparedPolygonSet { polygons, layers }
     }
 

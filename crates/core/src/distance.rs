@@ -65,7 +65,7 @@ fn build_distance_constraint(
     let region = constraint.bbox().inflate(r);
     let pad = (region.width().max(region.height()) * 1e-6).max(1e-9);
     let vp =
-        spade_gpu::Viewport::square_pixels(region.inflate(pad), spade.config.distance_resolution);
+        spade_gpu::Viewport::square_pixels(region.inflate(pad), spade.config.distance_resolution());
     match constraint {
         DistanceConstraint::Point(p) => {
             let layer = dcanvas::distance_canvas_points(&spade.pipeline, vp, &[(0, *p)], r);
@@ -224,7 +224,7 @@ pub fn distance_join_multi(
         let pad = (region.width().max(region.height()) * 1e-6).max(1e-9);
         let vp = spade_gpu::Viewport::square_pixels(
             region.inflate(pad),
-            spade.config.distance_resolution,
+            spade.config.distance_resolution(),
         );
         let layer_canvas =
             dcanvas::distance_canvas_points_multi(&spade.pipeline, vp, &layer_constraints);

@@ -43,9 +43,11 @@ impl Spade {
                 .paced(config.pace_transfers),
         );
         pipeline.arena().bind_ledger(Arc::clone(&device));
-        pipeline.arena().set_retain_limit(config.texture_pool_bytes);
+        pipeline
+            .arena()
+            .set_retain_limit(config.texture_pool_bytes());
         let result_cache = crate::result_cache::ResultCache::new(
-            config.result_cache_bytes,
+            config.result_cache_bytes(),
             config.result_cache_enabled,
         );
         result_cache.bind_arena(pipeline.arena_handle());

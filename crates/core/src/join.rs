@@ -210,13 +210,13 @@ pub fn join(spade: &Spade, d1: &Dataset, d2: &Dataset) -> QueryOutput<Pairs> {
     let (pairs, polygon_time) = match (d1.kind, d2.kind) {
         (DatasetKind::Polygons, DatasetKind::Points) => {
             let set =
-                PreparedPolygonSet::prepare(&spade.pipeline, d1, spade.config.layer_resolution);
+                PreparedPolygonSet::prepare(&spade.pipeline, d1, spade.config.layer_resolution());
             let prep = t0.elapsed();
             (join_polygon_point_mem(spade, &set, &d2.as_points()), prep)
         }
         (DatasetKind::Points, DatasetKind::Polygons) => {
             let set =
-                PreparedPolygonSet::prepare(&spade.pipeline, d2, spade.config.layer_resolution);
+                PreparedPolygonSet::prepare(&spade.pipeline, d2, spade.config.layer_resolution());
             let prep = t0.elapsed();
             let mut pairs = join_polygon_point_mem(spade, &set, &d1.as_points());
             for p in &mut pairs {
@@ -227,21 +227,21 @@ pub fn join(spade: &Spade, d1: &Dataset, d2: &Dataset) -> QueryOutput<Pairs> {
         }
         (DatasetKind::Polygons, DatasetKind::Polygons) => {
             let s1 =
-                PreparedPolygonSet::prepare(&spade.pipeline, d1, spade.config.layer_resolution);
+                PreparedPolygonSet::prepare(&spade.pipeline, d1, spade.config.layer_resolution());
             let s2 =
-                PreparedPolygonSet::prepare(&spade.pipeline, d2, spade.config.layer_resolution);
+                PreparedPolygonSet::prepare(&spade.pipeline, d2, spade.config.layer_resolution());
             let prep = t0.elapsed();
             (join_polygon_polygon_mem(spade, &s1, &s2), prep)
         }
         (DatasetKind::Polygons, DatasetKind::Lines) => {
             let set =
-                PreparedPolygonSet::prepare(&spade.pipeline, d1, spade.config.layer_resolution);
+                PreparedPolygonSet::prepare(&spade.pipeline, d1, spade.config.layer_resolution());
             let prep = t0.elapsed();
             (join_polygon_line_mem(spade, &set, &lines_of(d2)), prep)
         }
         (DatasetKind::Lines, DatasetKind::Polygons) => {
             let set =
-                PreparedPolygonSet::prepare(&spade.pipeline, d2, spade.config.layer_resolution);
+                PreparedPolygonSet::prepare(&spade.pipeline, d2, spade.config.layer_resolution());
             let prep = t0.elapsed();
             let mut pairs = join_polygon_line_mem(spade, &set, &lines_of(d1));
             for p in &mut pairs {
@@ -293,13 +293,13 @@ pub(crate) fn candidate_cell_pairs(
             layers: spade_canvas::layer::build_layer_index(
                 &spade.pipeline,
                 &polygons,
-                spade.config.layer_resolution,
+                spade.config.layer_resolution(),
             ),
             polygons,
         }
     };
     let (set1, set2) = (hull_set(view1), hull_set(view2));
-    join_polygon_polygon_mem_res(spade, &set1, &set2, spade.config.filter_resolution)
+    join_polygon_polygon_mem_res(spade, &set1, &set2, spade.config.filter_resolution())
 }
 
 /// Out-of-core join between two grid-indexed data sets (§5.3). The filter
@@ -615,7 +615,7 @@ impl Resident {
                 let set = PreparedPolygonSet::prepare(
                     &spade.pipeline,
                     &data,
-                    spade.config.layer_resolution,
+                    spade.config.layer_resolution(),
                 );
                 *polygon_time += t0.elapsed();
                 Resident::Polys(set)

@@ -73,7 +73,7 @@ pub fn knn_select(
 /// computes the bucket histogram (the aggregation plan of §5.2 needs one
 /// pass regardless of the number of circles).
 fn knn_radius(spade: &Spade, pts: &[(u32, Point)], q: Point, r_max: f64, k: usize) -> f64 {
-    let circles = spade.config.knn_circles;
+    let circles = spade.config.knn_circles();
     let region = spade_geometry::BBox::new(q, q).inflate(r_max);
     let vp = spade.viewport_for(&region);
 
@@ -178,7 +178,7 @@ pub fn knn_select_indexed(
         extent = extent.union(&cell.bbox());
     }
     let r_max = extent.max_dist_to_point(q).max(1e-12);
-    let circles = spade.config.knn_circles;
+    let circles = spade.config.knn_circles();
     let region = spade_geometry::BBox::new(q, q).inflate(r_max);
     let vp = spade.viewport_for(&region);
 

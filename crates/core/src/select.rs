@@ -404,7 +404,7 @@ pub fn select_contained_indexed(
     let t0 = Instant::now();
     let prepared = vec![PreparedPolygon::prepare(0, constraint_poly)];
     let mut polygon_time = t0.elapsed();
-    let filter = Constraint::from_polygons_res(spade, &prepared, spade.config.filter_resolution);
+    let filter = Constraint::from_polygons_res(spade, &prepared, spade.config.filter_resolution());
     let refined = filter_and_refine(spade, data, &filter, ctx, &mut polygon_time, |cell| {
         select_contained(spade, cell, constraint_poly).result
     })?;
@@ -496,7 +496,7 @@ pub fn select_indexed(
     let mut polygon_time = t0.elapsed();
     let constraint = Constraint::from_polygons(spade, &prepared);
     let _ = spade.device.upload(constraint.byte_size());
-    let filter = Constraint::from_polygons_res(spade, &prepared, spade.config.filter_resolution);
+    let filter = Constraint::from_polygons_res(spade, &prepared, spade.config.filter_resolution());
     let refined = filter_and_refine(spade, data, &filter, ctx, &mut polygon_time, |cell| {
         select_mem_dispatch(spade, cell, &constraint)
     });

@@ -807,81 +807,68 @@ impl QueryService {
             .cloned()
             .collect();
         tenants.sort_by_key(|a| a.id());
-        let tenant_counter =
-            |out: &mut String, name: &str, help: &str, first: bool, ns: &Namespace, v: u64| {
-                render_labeled_counter(out, name, help, &[("tenant", ns.name())], v, first);
-            };
-        for (i, ns) in tenants.iter().enumerate() {
-            let first = i == 0;
-            let s = &ns.stats;
-            tenant_counter(
-                &mut out,
+        type RenderLabeled = fn(&mut String, &str, &str, &[(&str, &str)], u64, bool);
+        type TenantFamily = (
+            RenderLabeled,
+            &'static str,
+            &'static str,
+            fn(&Namespace) -> u64,
+        );
+        let per_tenant: [TenantFamily; 7] = [
+            (
+                render_labeled_counter,
                 "spade_tenant_queries_submitted_total",
                 "Queries submitted by this tenant.",
-                first,
-                ns,
-                s.submitted.load(Ordering::Relaxed),
-            );
-        }
-        for (i, ns) in tenants.iter().enumerate() {
-            tenant_counter(
-                &mut out,
+                |ns| ns.stats.submitted.load(Ordering::Relaxed),
+            ),
+            (
+                render_labeled_counter,
                 "spade_tenant_queries_completed_total",
                 "Queries of this tenant that completed with a result.",
-                i == 0,
-                ns,
-                ns.stats.completed.load(Ordering::Relaxed),
-            );
-        }
-        for (i, ns) in tenants.iter().enumerate() {
-            tenant_counter(
-                &mut out,
+                |ns| ns.stats.completed.load(Ordering::Relaxed),
+            ),
+            (
+                render_labeled_counter,
                 "spade_tenant_queries_rejected_total",
                 "Queries of this tenant rejected by admission control.",
-                i == 0,
-                ns,
-                ns.stats.rejected.load(Ordering::Relaxed),
-            );
-        }
-        for (i, ns) in tenants.iter().enumerate() {
-            tenant_counter(
-                &mut out,
+                |ns| ns.stats.rejected.load(Ordering::Relaxed),
+            ),
+            (
+                render_labeled_counter,
                 "spade_tenant_queries_cancelled_total",
                 "Queries of this tenant cancelled or expired.",
-                i == 0,
-                ns,
-                ns.stats.cancelled.load(Ordering::Relaxed),
-            );
-        }
-        for (i, ns) in tenants.iter().enumerate() {
-            tenant_counter(
-                &mut out,
+                |ns| ns.stats.cancelled.load(Ordering::Relaxed),
+            ),
+            (
+                render_labeled_counter,
                 "spade_tenant_queries_failed_total",
                 "Queries of this tenant that failed with an error.",
-                i == 0,
-                ns,
-                ns.stats.failed.load(Ordering::Relaxed),
-            );
-        }
-        for (i, ns) in tenants.iter().enumerate() {
-            tenant_counter(
-                &mut out,
+                |ns| ns.stats.failed.load(Ordering::Relaxed),
+            ),
+            (
+                render_labeled_counter,
                 "spade_tenant_quota_deferrals_total",
                 "Admission scans that bypassed this tenant at its quota.",
-                i == 0,
-                ns,
-                ns.stats.quota_deferrals.load(Ordering::Relaxed),
-            );
-        }
-        for (i, ns) in tenants.iter().enumerate() {
-            render_labeled_gauge(
-                &mut out,
+                |ns| ns.stats.quota_deferrals.load(Ordering::Relaxed),
+            ),
+            (
+                render_labeled_gauge,
                 "spade_tenant_reserved_bytes",
                 "Estimated device bytes reserved by this tenant's running queries.",
-                &[("tenant", ns.name())],
-                ns.reserved(),
-                i == 0,
-            );
+                |ns| ns.reserved(),
+            ),
+        ];
+        for (render, name, help, value) in per_tenant {
+            for (i, ns) in tenants.iter().enumerate() {
+                render(
+                    &mut out,
+                    name,
+                    help,
+                    &[("tenant", ns.name())],
+                    value(ns),
+                    i == 0,
+                );
+            }
         }
         // Per-tenant optimizer decision and misprediction counters,
         // aggregated from the engine's observed statistics: a tenant owns
@@ -889,59 +876,51 @@ impl QueryService {
         // join key over them (joins attribute their statistics to the
         // dataset pair). Namespaces isolate the aggregation — one tenant's
         // decisions never appear under another's labels.
-        let tenant_stat_keys = |ns: &Namespace| -> Vec<u64> {
-            let mut uids: Vec<u64> = Vec::new();
-            for ((tid, _), d) in self.shared.datasets.read().unwrap().iter() {
-                if *tid == ns.id() {
-                    uids.push(d.uid());
-                }
-            }
-            for ((tid, _), d) in self.shared.indexed.read().unwrap().iter() {
-                if *tid == ns.id() {
-                    uids.push(d.uid());
-                }
-            }
-            let mut keys = uids.clone();
-            for &a in &uids {
-                for &b in &uids {
-                    keys.push(spade_core::optimizer::stats::join_key(a, b));
-                }
-            }
-            keys
-        };
-        use spade_core::optimizer::stats::Decision;
-        for (i, ns) in tenants.iter().enumerate() {
-            let (dec, _) = self
-                .shared
-                .spade
-                .observed
-                .counters_for(&tenant_stat_keys(ns));
-            for (j, d) in Decision::ALL.iter().enumerate() {
-                render_labeled_counter(
-                    &mut out,
-                    "spade_optimizer_decisions_total",
-                    "Optimizer decisions (Map implementation, join strategy) on this tenant's datasets.",
-                    &[("tenant", ns.name()), ("decision", d.label())],
-                    dec[j],
-                    i == 0 && j == 0,
-                );
-            }
+        use spade_core::optimizer::stats::{join_key, Decision};
+        // (tenant id, dataset uid): each registry is read once per scrape.
+        let mut owned: Vec<(u64, u64)> = Vec::new();
+        for ((tid, _), d) in self.shared.datasets.read().unwrap().iter() {
+            owned.push((*tid, d.uid()));
         }
-        for (i, ns) in tenants.iter().enumerate() {
-            let (_, mis) = self
-                .shared
-                .spade
-                .observed
-                .counters_for(&tenant_stat_keys(ns));
-            for (j, d) in Decision::ALL.iter().enumerate() {
-                render_labeled_counter(
-                    &mut out,
-                    "spade_optimizer_mispredictions_total",
-                    "Optimizer decisions hindsight proved wrong (1-pass overflows, 2-pass overshoots, join strategy flips).",
-                    &[("tenant", ns.name()), ("decision", d.label())],
-                    mis[j],
-                    i == 0 && j == 0,
-                );
+        for ((tid, _), d) in self.shared.indexed.read().unwrap().iter() {
+            owned.push((*tid, d.uid()));
+        }
+        // One [decisions, mispredictions] snapshot per tenant per scrape.
+        let observed: Vec<[[u64; 4]; 2]> = tenants
+            .iter()
+            .map(|ns| {
+                let uids = owned.iter().filter(|(tid, _)| *tid == ns.id());
+                let uids: Vec<u64> = uids.map(|&(_, uid)| uid).collect();
+                let mut keys = uids.clone();
+                for &a in &uids {
+                    keys.extend(uids.iter().map(|&b| join_key(a, b)));
+                }
+                let (dec, mis) = self.shared.spade.observed.counters_for(&keys);
+                [dec, mis]
+            })
+            .collect();
+        let optimizer = [
+            (
+                "spade_optimizer_decisions_total",
+                "Optimizer decisions (Map implementation, join strategy) on this tenant's datasets.",
+            ),
+            (
+                "spade_optimizer_mispredictions_total",
+                "Optimizer decisions hindsight proved wrong (1-pass overflows, 2-pass overshoots, join strategy flips).",
+            ),
+        ];
+        for (family, (name, help)) in optimizer.into_iter().enumerate() {
+            for (i, (ns, counts)) in tenants.iter().zip(&observed).enumerate() {
+                for (j, d) in Decision::ALL.iter().enumerate() {
+                    render_labeled_counter(
+                        &mut out,
+                        name,
+                        help,
+                        &[("tenant", ns.name()), ("decision", d.label())],
+                        counts[family][j],
+                        i == 0 && j == 0,
+                    );
+                }
             }
         }
         render_counter(
@@ -1160,11 +1139,11 @@ fn estimate_footprint(
                 Registered::Indexed(idx) => {
                     let constraint = match query {
                         SelectQuery::WithinDistance(..) | SelectQuery::Knn(..) => {
-                            canvas(cfg.distance_resolution)
+                            canvas(cfg.distance_resolution())
                         }
                         _ => canvas(cfg.resolution),
                     };
-                    Ok(constraint + canvas(cfg.filter_resolution) + max_cell(&idx))
+                    Ok(constraint + canvas(cfg.filter_resolution()) + max_cell(&idx))
                 }
                 Registered::Memory(_) if shard => Err(unknown(dataset)),
                 // In-memory plans render but never allocate device memory;
@@ -1183,8 +1162,10 @@ fn estimate_footprint(
             };
             let base = side(left)? + side(right)?;
             let constraint = match query {
-                JoinQuery::WithinDistance(_) | JoinQuery::Knn(_) => canvas(cfg.distance_resolution),
-                _ => canvas(cfg.filter_resolution),
+                JoinQuery::WithinDistance(_) | JoinQuery::Knn(_) => {
+                    canvas(cfg.distance_resolution())
+                }
+                _ => canvas(cfg.filter_resolution()),
             };
             Ok(base + constraint)
         }

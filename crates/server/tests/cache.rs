@@ -22,10 +22,6 @@ use std::sync::Arc;
 fn tiny_config() -> EngineConfig {
     let mut c = EngineConfig::test_small();
     c.resolution = 128;
-    c.layer_resolution = 128;
-    c.filter_resolution = 64;
-    c.distance_resolution = 128;
-    c.knn_circles = 16;
     c
 }
 
@@ -214,7 +210,9 @@ fn hot_tile_with_live_writer_stays_consistent() {
     // Ledger balance: draining the cache releases every reserved byte from
     // the arena gauge and the device ledger.
     let rc = svc.engine().result_cache.stats();
-    assert!(rc.inserted as usize <= misses, "stored ≤ rendered");
+    // (The post-flush query above is one more render than the readers saw.)
+    let rendered = misses + usize::from(resp.stats.result_cache == CacheOutcome::Miss);
+    assert!(rc.inserted as usize <= rendered, "stored ≤ rendered");
     svc.engine().result_cache.clear();
     let rc = svc.engine().result_cache.stats();
     assert_eq!(rc.entries, 0);

@@ -13,10 +13,6 @@ use spade_server::{NamespaceConfig, QueryRequest, QueryService, ServiceConfig};
 fn tiny_config() -> EngineConfig {
     let mut c = EngineConfig::test_small();
     c.resolution = 128;
-    c.layer_resolution = 128;
-    c.filter_resolution = 64;
-    c.distance_resolution = 128;
-    c.knn_circles = 16;
     // A tiny list-canvas budget so full-cell `n_max` bounds exceed it
     // while selective results fit: 2-pass overshoots (mispredictions)
     // become routine.

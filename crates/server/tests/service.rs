@@ -26,10 +26,6 @@ use std::time::{Duration, Instant};
 fn tiny_config() -> EngineConfig {
     let mut c = EngineConfig::test_small();
     c.resolution = 128;
-    c.layer_resolution = 128;
-    c.filter_resolution = 64;
-    c.distance_resolution = 128;
-    c.knn_circles = 16;
     c
 }
 
@@ -652,6 +648,7 @@ fn four_sessions_beat_one_by_1_5x() {
     let mut engine = EngineConfig::test_small();
     engine.pace_transfers = true;
     engine.bandwidth = 2.0e8; // 200 MB/s: ~5 ms per constraint canvas
+    engine.result_cache_enabled = false; // the repeats must render, not hit
     let make = |engine: EngineConfig| {
         service(ServiceConfig {
             engine,
@@ -808,7 +805,7 @@ fn concurrent_mixed_draw_sizes_share_executor_and_arena() {
     assert_eq!(pool.busy, 0);
     let arena = svc.engine().pipeline.arena().stats();
     assert_eq!(arena.live_bytes, 0);
-    assert!(arena.pooled_bytes <= svc.engine().config.texture_pool_bytes);
+    assert!(arena.pooled_bytes <= svc.engine().config.texture_pool_bytes());
     // Resident result-cache entries are the only legitimate remaining
     // charge; draining them must balance the ledger exactly.
     svc.engine().result_cache.clear();

@@ -18,10 +18,6 @@ use std::time::{Duration, Instant};
 fn tiny_config() -> EngineConfig {
     let mut c = EngineConfig::test_small();
     c.resolution = 128;
-    c.layer_resolution = 128;
-    c.filter_resolution = 64;
-    c.distance_resolution = 128;
-    c.knn_circles = 16;
     c
 }
 
@@ -413,4 +409,76 @@ fn sql_tables_are_isolated_per_tenant() {
         spade_storage::sql::SqlResult::Rows(t) => assert_eq!(t.num_rows(), 1),
         other => panic!("expected rows, got {other:?}"),
     }
+}
+
+/// One scrape of a two-tenant service against the rendering of the commit
+/// before the per-tenant families became one table: family order, every
+/// `# HELP` / `# TYPE` line and label set, and the per-tenant and optimizer
+/// sample values byte for byte. Samples outside those families carry
+/// timings and pool sizes, so their values (only) are masked to `_`.
+#[test]
+fn two_tenant_scrape_matches_golden() {
+    let mut engine = tiny_config();
+    // Selective windows overshoot their 2-pass Maps, so the misprediction
+    // family is not all zeros.
+    engine.max_map_slots = 64;
+    let svc = QueryService::new(ServiceConfig {
+        engine,
+        workers: 1,
+        fairness_cap: 2,
+        wal_dir: None,
+    });
+    svc.create_namespace(
+        "acme",
+        NamespaceConfig {
+            quota_bytes: Some(64),
+            token: None,
+        },
+    )
+    .unwrap();
+    svc.register_indexed("pts", indexed("pts", scatter(2_000, 100.0, 1)));
+    svc.register_indexed_in("acme", "pts", indexed("pts", scatter(2_000, 100.0, 2)))
+        .unwrap();
+
+    // default: 4 completed, 2 cancelled, 1 failed; acme: 3 rejected.
+    let default = svc.session();
+    for i in 0..4 {
+        let lo = 10.0 + i as f64;
+        default.submit(range(lo, lo + 6.0)).wait().unwrap();
+    }
+    for _ in 0..2 {
+        let token = spade_core::CancelToken::new();
+        token.cancel();
+        let cancelled = default.submit_with_token(range(0.0, 50.0), token);
+        cancelled.wait().unwrap_err();
+    }
+    let points_join_points = QueryRequest::Join {
+        left: "pts".into(),
+        right: "pts".into(),
+        query: spade_core::query::JoinQuery::Intersects,
+    };
+    default.submit(points_join_points).wait().unwrap_err();
+    let acme = svc.session_in("acme", None).unwrap();
+    for _ in 0..3 {
+        acme.submit(range(0.0, 99.0)).wait().unwrap_err();
+    }
+
+    let exact = |l: &str| {
+        l.starts_with('#') || l.starts_with("spade_tenant_") || l.starts_with("spade_optimizer_")
+    };
+    let scrape: Vec<String> = svc
+        .metrics_text()
+        .lines()
+        .map(|l| match l.rsplit_once(' ') {
+            Some((sample, _)) if !exact(l) => format!("{sample} _"),
+            _ => l.to_string(),
+        })
+        .collect();
+    let golden: Vec<&str> = include_str!("golden/two_tenant_scrape.txt")
+        .lines()
+        .collect();
+    for (i, (got, want)) in scrape.iter().zip(&golden).enumerate() {
+        assert_eq!(got, want, "line {}", i + 1);
+    }
+    assert_eq!(scrape.len(), golden.len());
 }

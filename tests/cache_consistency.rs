@@ -33,10 +33,6 @@ use std::sync::OnceLock;
 fn engine_with(enabled: bool) -> Spade {
     let mut c = EngineConfig::test_small();
     c.resolution = 128;
-    c.layer_resolution = 128;
-    c.filter_resolution = 64;
-    c.distance_resolution = 128;
-    c.knn_circles = 16;
     c.result_cache_enabled = enabled;
     Spade::new(c)
 }
@@ -305,9 +301,9 @@ fn writes_and_compaction_invalidate_hot_entries() {
 #[test]
 fn eviction_churn_releases_ledger_reservations() {
     let mut c = EngineConfig::test_small();
-    c.result_cache_bytes = 8 << 10; // tiny: force continuous eviction
+    c.device_memory = 64 << 10; // an 8 KiB result cache: force continuous eviction
     let spade = Spade::new(c);
-    let budget = spade.config.result_cache_bytes;
+    let budget = spade.config.result_cache_bytes();
     let base = base_points(400);
     let grid = GridIndex::build(None, &base, 25.0).unwrap();
     let live = IndexedDataset::new("pts", DatasetKind::Points, grid);

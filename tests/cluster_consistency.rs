@@ -25,10 +25,6 @@ use std::time::{Duration, Instant};
 fn tiny_config() -> EngineConfig {
     let mut c = EngineConfig::test_small();
     c.resolution = 128;
-    c.layer_resolution = 128;
-    c.filter_resolution = 64;
-    c.distance_resolution = 128;
-    c.knn_circles = 16;
     c
 }
 

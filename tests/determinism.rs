@@ -270,9 +270,9 @@ fn recycled_framebuffers_never_leak_stale_pixels() {
 
     let unpooled = Spade::new(EngineConfig {
         workers: 2,
-        texture_pool_bytes: 0,
         ..EngineConfig::test_small()
     });
+    unpooled.pipeline.arena().set_retain_limit(0);
     assert_eq!(run_suite(&unpooled, &f), first, "pooling changed results");
     assert_eq!(unpooled.pipeline.arena().stats().hits, 0);
 }

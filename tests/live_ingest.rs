@@ -22,10 +22,6 @@ use std::collections::BTreeMap;
 fn engine() -> Spade {
     let mut c = EngineConfig::test_small();
     c.resolution = 128;
-    c.layer_resolution = 128;
-    c.filter_resolution = 64;
-    c.distance_resolution = 128;
-    c.knn_circles = 16;
     Spade::new(c)
 }
 
