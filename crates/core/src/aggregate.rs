@@ -14,36 +14,61 @@
 
 use crate::ctx::QueryCtx;
 use crate::dataset::{Dataset, PreparedPolygonSet};
-use crate::engine::{Constraint, Spade};
+use crate::engine::Spade;
+use crate::join::{layer_constraints, PairWalk, Resident};
 use crate::stats::QueryOutput;
 use spade_canvas::algebra;
 use spade_canvas::canvas::{classify, pixel_bound, pixel_id, PixelClass};
 use spade_geometry::Point;
 use spade_gpu::{BlendMode, DrawCall, Primitive};
-use std::time::{Duration, Instant};
+use std::collections::BTreeMap;
+use std::time::Duration;
 
 /// Aggregation result: `(polygon id, point count)` in polygon-id order.
 pub type Counts = Vec<(u32, u64)>;
 
-/// The point-optimized aggregation plan (§5.2, plan 2).
+/// The point-optimized aggregation plan (§5.2, plan 2): the one-pair case
+/// of the out-of-core walk — each side prepared once, counted by
+/// `count_points`.
 pub fn aggregate_points(spade: &Spade, polys: &Dataset, points: &Dataset) -> QueryOutput<Counts> {
     let mut qspan = crate::trace::span("query.aggregate");
     let measure = spade.begin();
-    let t0 = Instant::now();
-    let set = PreparedPolygonSet::prepare(&spade.pipeline, polys, spade.config.layer_resolution());
-    let polygon_time = t0.elapsed();
-    let pts = points.as_points();
+    let mut polygon_time = Duration::ZERO;
+    let left = Resident::prepare(spade, polys, &mut polygon_time);
+    let right = Resident::prepare(spade, points, &mut polygon_time);
+    let mut totals: BTreeMap<u32, u64> = polys.objects.iter().map(|(id, _)| (*id, 0)).collect();
+    count_cells(spade, &left, &right, &mut totals);
 
-    let mut totals: std::collections::BTreeMap<u32, u64> =
-        polys.objects.iter().map(|(id, _)| (*id, 0u64)).collect();
+    let result: Counts = totals.into_iter().collect();
+    let n = result.len() as u64;
+    qspan.attr("polygons", n);
+    let stats = measure.finish(spade, Duration::ZERO, 0, polygon_time, 0, n);
+    QueryOutput { result, stats }
+}
 
-    for layer in 0..set.layers.len() {
-        let layer_polys = set.layer_polygons(layer);
-        if layer_polys.is_empty() {
-            continue;
-        }
-        let constraint = Constraint::from_polygons(spade, &layer_polys);
+/// Refine one (polygon cell, point cell) pair: add its counts to `totals`.
+pub(crate) fn count_cells(
+    spade: &Spade,
+    polys: &Resident,
+    points: &Resident,
+    totals: &mut BTreeMap<u32, u64>,
+) {
+    let (Resident::Polys(set), Resident::Points(pts)) = (polys, points) else {
+        unimplemented!("aggregation counts points per polygon");
+    };
+    count_points(spade, set, pts, totals);
+}
 
+/// The point-optimized counting kernel: add to `totals` the number of
+/// `pts` inside each polygon of `set` (only polygons with a point gain an
+/// entry).
+fn count_points(
+    spade: &Spade,
+    set: &PreparedPolygonSet,
+    pts: &[(u32, Point)],
+    totals: &mut BTreeMap<u32, u64>,
+) {
+    for constraint in layer_constraints(spade, set, spade.config.resolution) {
         // Multiway blend: per-pixel partial counts of the points.
         let prims: Vec<Primitive> = pts
             .iter()
@@ -104,12 +129,6 @@ pub fn aggregate_points(spade: &Spade, polys: &Dataset, points: &Dataset) -> Que
             *totals.entry(v[0]).or_insert(0) += 1;
         }
     }
-
-    let result: Counts = totals.into_iter().collect();
-    let n = result.len() as u64;
-    qspan.attr("polygons", n);
-    let stats = measure.finish(spade, Duration::ZERO, 0, polygon_time, 0, n);
-    QueryOutput { result, stats }
 }
 
 /// The generic plan (§5.2, plan 1): join, then geometric transform each
@@ -161,119 +180,46 @@ pub fn aggregate_via_join(spade: &Spade, polys: &Dataset, points: &Dataset) -> Q
 }
 
 /// Out-of-core aggregation (§5.3 "Other queries are also executed using a
-/// similar strategy"): filter (polygon-cell, point-cell) pairs through the
-/// bounding-polygon join — or take the explicit pairs of
-/// [`crate::scope::Scope::Pairs`] — stream each pair through the
-/// point-optimized plan, and sum the partial counts: each polygon lives in
-/// exactly one cell, so partials add without double counting. Every
-/// polygon id is zero-initialized under any scope, so shard partials cover
-/// the full id set and a coordinator merges by summing counts per id.
-///
-/// `ctx.cancel` is polled at every cell-pair boundary (where no upload is
-/// in flight, so the device ledger is balanced when `Cancelled`
-/// propagates).
+/// similar strategy"): the join's `PairWalk` over (polygon cell, point
+/// cell) pairs, refined by the point-optimized plan and folded by summing
+/// the partial counts — each polygon lives in exactly one cell, so
+/// partials add without double counting. Every polygon id is
+/// zero-initialized under any scope, so shard partials cover the full id
+/// set and a coordinator merges by summing counts per id.
 pub fn aggregate_indexed(
     spade: &Spade,
     polys: &crate::dataset::IndexedDataset,
     points: &crate::dataset::IndexedDataset,
     ctx: &QueryCtx,
 ) -> spade_storage::Result<QueryOutput<Counts>> {
-    let explicit = ctx.scope.pairs()?;
-    let include_delta = ctx.scope.include_delta();
-    let cancel = &ctx.cancel;
     let mut qspan = crate::trace::span("query.aggregate.indexed");
     let measure = spade.begin();
-    let pview = polys.read_view();
-    let tview = points.read_view();
-    crate::explain::note_view(&pview);
-    crate::explain::note_view(&tview);
-    let mut totals: std::collections::BTreeMap<u32, u64> = std::collections::BTreeMap::new();
-    let mut inner = crate::stats::QueryStats::default();
+    let mut polygon_time = Duration::ZERO;
+    let walk = PairWalk::plan(spade, polys, points, ctx, &mut polygon_time)?;
+    let mut totals = BTreeMap::new();
+    let (stream, _) = walk.run(spade, ctx, &mut polygon_time, |left, right, _| {
+        count_cells(spade, left, right, &mut totals)
+    })?;
 
-    let mut hull_time = Duration::ZERO;
-    let mut ordered =
-        crate::join::candidate_cell_pairs(spade, &pview, &tview, explicit, &mut hull_time);
-    crate::optimizer::order_cell_pairs(&mut ordered);
-
-    // Zero-initialize every polygon id so empty polygons report 0 —
-    // masked base cells plus the staged polygons.
+    // Empty polygons report 0: every id of the masked base cells (warm
+    // from the walk where a pair touched them) plus the staged polygons.
+    let pview = &walk.view1;
     for i in 0..pview.grid.num_cells() {
-        cancel.check()?;
-        for (id, _) in pview.load_cell(i)?.objects {
-            totals.entry(id).or_insert(0);
+        ctx.cancel.check()?;
+        let (cell, _) = pview.load_cell_cached(i, spade.config.cell_cache_bytes)?;
+        for (id, _) in &cell.objects {
+            totals.entry(*id).or_insert(0);
         }
     }
     for (id, _) in &pview.delta.staged {
         totals.entry(*id).or_insert(0);
     }
 
-    for (pc, tc) in ordered {
-        // Pair boundary: nothing is uploaded here, so a cancellation
-        // unwinds with the ledger balanced.
-        cancel.check()?;
-        let poly_cell = pview.load_cell(pc as usize)?;
-        let point_cell = tview.load_cell(tc as usize)?;
-        let _ = spade.device.upload(pview.cell_bytes(pc as usize));
-        let _ = spade.device.upload(tview.cell_bytes(tc as usize));
-        let partial = aggregate_points(spade, &poly_cell, &point_cell);
-        inner.absorb(&partial.stats);
-        for (id, c) in partial.result {
-            *totals.entry(id).or_insert(0) += c;
-        }
-        spade.device.free(pview.cell_bytes(pc as usize));
-        spade.device.free(tview.cell_bytes(tc as usize));
-    }
-
-    // Delta cross terms: each side's staged writes are one extra "cell"
-    // and run through the same point-optimized plan against every cell of
-    // the other side (the delta is small; hull filtering buys little).
-    // Scoped (scatter-gather) calls run these on exactly one shard.
-    let delta_polys = (include_delta && pview.has_delta()).then(|| pview.delta_dataset());
-    let delta_points = (include_delta && tview.has_delta()).then(|| tview.delta_dataset());
-    if let Some(dp) = &delta_polys {
-        for tc in 0..tview.grid.num_cells() {
-            cancel.check()?;
-            let point_cell = tview.load_cell(tc)?;
-            let partial = aggregate_points(spade, dp, &point_cell);
-            inner.absorb(&partial.stats);
-            for (id, c) in partial.result {
-                *totals.entry(id).or_insert(0) += c;
-            }
-        }
-    }
-    if let Some(dt) = &delta_points {
-        for pc in 0..pview.grid.num_cells() {
-            cancel.check()?;
-            let poly_cell = pview.load_cell(pc)?;
-            let partial = aggregate_points(spade, &poly_cell, dt);
-            inner.absorb(&partial.stats);
-            for (id, c) in partial.result {
-                *totals.entry(id).or_insert(0) += c;
-            }
-        }
-    }
-    if let (Some(dp), Some(dt)) = (&delta_polys, &delta_points) {
-        cancel.check()?;
-        let partial = aggregate_points(spade, dp, dt);
-        inner.absorb(&partial.stats);
-        for (id, c) in partial.result {
-            *totals.entry(id).or_insert(0) += c;
-        }
-    }
-
     let result: Counts = totals.into_iter().collect();
     let n = result.len() as u64;
     qspan.attr("polygons", n);
-    qspan.attr("cells", inner.cells_loaded);
-    let mut stats = measure.finish(
-        spade,
-        Duration::ZERO,
-        pview.grid.bytes_read() + tview.grid.bytes_read(),
-        inner.polygon_time + hull_time,
-        0,
-        n,
-    );
-    stats.cells_loaded = inner.cells_loaded;
+    qspan.attr("cells", stream.cells);
+    let stats = measure.finish_streamed(spade, &stream, polygon_time, n);
     Ok(QueryOutput { result, stats })
 }
 
@@ -415,6 +361,34 @@ mod tests {
         let i2 = crate::dataset::IndexedDataset::new("p", crate::dataset::DatasetKind::Points, g2);
         let ooc = aggregate_indexed(&s, &i1, &i2, &QueryCtx::default()).unwrap();
         assert_eq!(ooc.result, mem.result);
+    }
+
+    /// The walk's own I/O, not the grid's lifetime counter: a second and
+    /// third run over a grid that fits the cell cache read nothing.
+    #[test]
+    fn indexed_aggregation_reports_its_own_io() {
+        let s = engine();
+        let d_polys = Dataset::from_polygons("n", neighborhoods());
+        let d_pts = Dataset::from_points("p", scatter(1500, 100.0, 61));
+        let g1 = spade_index::GridIndex::build(None, &d_polys.objects, 40.0).unwrap();
+        let g2 = spade_index::GridIndex::build(None, &d_pts.objects, 40.0).unwrap();
+        assert!(g1.total_bytes() + g2.total_bytes() <= s.config.cell_cache_bytes);
+        let i1 =
+            crate::dataset::IndexedDataset::new("n", crate::dataset::DatasetKind::Polygons, g1);
+        let i2 = crate::dataset::IndexedDataset::new("p", crate::dataset::DatasetKind::Points, g2);
+        let run = || {
+            aggregate_indexed(&s, &i1, &i2, &QueryCtx::default())
+                .unwrap()
+                .stats
+        };
+        let first = run();
+        assert!(first.cells_loaded > 0 && first.bytes_from_disk > 0);
+        for _ in 0..2 {
+            let again = run();
+            assert_eq!(again.bytes_from_disk, 0);
+            assert_eq!(again.cache_hits, again.cells_loaded);
+            assert_eq!(again.cells_loaded, first.cells_loaded);
+        }
     }
 
     #[test]

@@ -390,12 +390,6 @@ impl IndexedDataset {
         });
     }
 
-    /// Load one cell of the *current* generation as an in-memory
-    /// [`Dataset`] (masked against the live delta), bypassing the cache.
-    pub fn load_cell(&self, idx: usize) -> spade_storage::Result<Dataset> {
-        self.read_view().load_cell(idx)
-    }
-
     /// Load one cell through the LRU cache under `budget` bytes. Returns
     /// the decoded cell and whether it was served from cache.
     pub fn load_cell_cached(
@@ -465,12 +459,6 @@ impl ReadView<'_> {
             .cloned()
             .collect();
         Arc::new(Dataset::from_objects(data.name.clone(), data.kind, objects))
-    }
-
-    /// Load one cell masked against the delta, bypassing the cache.
-    pub fn load_cell(&self, idx: usize) -> spade_storage::Result<Dataset> {
-        let raw = self.load_cell_raw(idx)?;
-        Ok(Arc::try_unwrap(self.apply_mask(Arc::new(raw))).unwrap_or_else(|a| (*a).clone()))
     }
 
     /// Load one cell through the owner's LRU cache under `budget` bytes.
@@ -755,7 +743,7 @@ mod tests {
         let idx = IndexedDataset::new("p", DatasetKind::Points, grid);
         let mut total = 0;
         for i in 0..idx.grid().num_cells() {
-            total += idx.load_cell(i).unwrap().len();
+            total += idx.load_cell_cached(i, 0).unwrap().0.len();
         }
         assert_eq!(total, 50);
     }
@@ -774,8 +762,8 @@ mod tests {
     fn logical(view: &ReadView<'_>) -> Vec<(u32, String)> {
         let mut out = Vec::new();
         for i in 0..view.grid.num_cells() {
-            for (id, g) in view.load_cell(i).unwrap().objects {
-                out.push((id, format!("{g:?}")));
+            for (id, g) in &view.load_cell_cached(i, 0).unwrap().0.objects {
+                out.push((*id, format!("{g:?}")));
             }
         }
         for (id, g) in &view.delta.staged {

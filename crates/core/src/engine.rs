@@ -137,6 +137,28 @@ impl Measure {
         stats.finish(self.start.elapsed() + extra);
         stats
     }
+
+    /// [`Measure::finish`] for an out-of-core query: disk I/O, bytes and
+    /// cell count come from the cell stream, whose overlap accounting is
+    /// charged once the wall clock is closed.
+    pub(crate) fn finish_streamed(
+        self,
+        spade: &Spade,
+        stream: &crate::prefetch::StreamStats,
+        polygon_time: std::time::Duration,
+        result_count: u64,
+    ) -> QueryStats {
+        let mut stats = self.finish(
+            spade,
+            stream.io_time,
+            stream.bytes_from_disk,
+            polygon_time,
+            stream.cells,
+            result_count,
+        );
+        stream.charge(&mut stats);
+        stats
+    }
 }
 
 impl Drop for Measure {

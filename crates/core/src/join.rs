@@ -8,42 +8,66 @@
 //! bounding polygons to produce cell pairs; the optimizer then picks
 //! between the layer-index strategy and a naive loop of selects by
 //! estimated transfer bytes, and orders the loop to share resident cells
-//! (§5.3–5.4).
+//! (§5.3–5.4). The ordered walk itself is `PairWalk`, shared with the
+//! out-of-core aggregation.
 
 use crate::ctx::QueryCtx;
 use crate::dataset::{Dataset, DatasetKind, IndexedDataset, PreparedPolygonSet, ReadView};
 use crate::engine::{Constraint, Spade};
 use crate::optimizer::{self, JoinStrategy};
-use crate::select::{polygon_candidates, CandidateGeom};
+use crate::prefetch::StreamStats;
+use crate::select::{line_candidates, polygon_candidates, CandidateGeom};
 use crate::stats::QueryOutput;
 use spade_canvas::algebra;
 use spade_canvas::create::PreparedPolygon;
-use spade_geometry::Point;
+use spade_geometry::{Geometry, Point};
+use spade_gpu::record::FrameTotals;
 use spade_gpu::Primitive;
 use std::time::{Duration, Instant};
 
 /// A join result: `(left id, right id)` pairs.
 pub type Pairs = Vec<(u32, u32)>;
 
-/// In-memory Polygon ⋈ Point join: one selection per layer of the polygon
-/// side (§5.2 scenario 1). Returns `(polygon id, point id)` pairs.
+/// One constraint canvas per non-empty layer of the polygon side (§5.2),
+/// rendered as the iterator advances.
+pub(crate) fn layer_constraints<'a>(
+    spade: &'a Spade,
+    polys: &'a PreparedPolygonSet,
+    resolution: u32,
+) -> impl Iterator<Item = Constraint> + 'a {
+    (0..polys.layers.len()).filter_map(move |layer| {
+        let layer_polys = polys.layer_polygons(layer);
+        (!layer_polys.is_empty())
+            .then(|| Constraint::from_polygons_res(spade, &layer_polys, resolution))
+    })
+}
+
+/// One selection per layer of the polygon side: `scan` probes one layer's
+/// constraint canvas and returns `(polygon id, probe id)` pairs.
+fn join_by_layer(
+    spade: &Spade,
+    polys: &PreparedPolygonSet,
+    resolution: u32,
+    scan: impl Fn(&Constraint) -> Pairs,
+) -> Pairs {
+    let mut pairs: Pairs = layer_constraints(spade, polys, resolution)
+        .flat_map(|constraint| scan(&constraint))
+        .collect();
+    pairs.sort_unstable();
+    pairs.dedup();
+    pairs
+}
+
+/// In-memory Polygon ⋈ Point join (§5.2 scenario 1). Returns
+/// `(polygon id, point id)` pairs.
 pub fn join_polygon_point_mem(
     spade: &Spade,
     polys: &PreparedPolygonSet,
     points: &[(u32, Point)],
 ) -> Pairs {
-    let mut pairs = Vec::new();
-    for layer in 0..polys.layers.len() {
-        let layer_polys = polys.layer_polygons(layer);
-        if layer_polys.is_empty() {
-            continue;
-        }
-        let constraint = Constraint::from_polygons(spade, &layer_polys);
-        pairs.extend(scan_points_for_pairs(spade, &constraint, points));
-    }
-    pairs.sort_unstable();
-    pairs.dedup();
-    pairs
+    join_by_layer(spade, polys, spade.config.resolution, |c| {
+        scan_points_for_pairs(spade, c, points)
+    })
 }
 
 /// The fused point-vs-constraint pass emitting `(constraint id, point id)`
@@ -96,72 +120,35 @@ pub fn join_polygon_polygon_mem_res(
     resolution: u32,
 ) -> Pairs {
     // Use the side with fewer layers as the constraint (w.l.o.g. l1 ≤ l2).
-    let (constraint_side, probe_side, swapped) = if d1.layers.len() <= d2.layers.len() {
-        (d1, d2, false)
-    } else {
-        (d2, d1, true)
-    };
-    let mut pairs = Vec::new();
-    for layer in 0..constraint_side.layers.len() {
-        let layer_polys = constraint_side.layer_polygons(layer);
-        if layer_polys.is_empty() {
-            continue;
-        }
-        let constraint = Constraint::from_polygons_res(spade, &layer_polys, resolution);
-        pairs.extend(scan_polygons_for_pairs(
-            spade,
-            &constraint,
-            &probe_side.polygons,
-        ));
-    }
+    let swapped = d1.layers.len() > d2.layers.len();
+    let (constraint_side, probe_side) = if swapped { (d2, d1) } else { (d1, d2) };
+    let pairs = join_by_layer(spade, constraint_side, resolution, |c| {
+        scan_polygons_for_pairs(spade, c, &probe_side.polygons)
+    });
     if swapped {
-        for p in &mut pairs {
-            *p = (p.1, p.0);
-        }
+        flip(pairs)
+    } else {
+        pairs
     }
+}
+
+/// `(a, b)` pairs as sorted `(b, a)` pairs.
+fn flip(pairs: Pairs) -> Pairs {
+    let mut pairs: Pairs = pairs.into_iter().map(|(a, b)| (b, a)).collect();
     pairs.sort_unstable();
-    pairs.dedup();
     pairs
 }
 
 /// The fused polygon-vs-constraint pass emitting `(constraint id, probe
 /// id)` pairs: probe polygons drawn conservatively, boundary pixels
 /// resolved with constant-time triangle tests.
-pub(crate) fn scan_polygons_for_pairs(
+fn scan_polygons_for_pairs(
     spade: &Spade,
     constraint: &Constraint,
     probes: &[PreparedPolygon],
 ) -> Pairs {
     let (prims, geoms) = polygon_candidates(probes);
     scan_candidates_for_pairs(spade, constraint, &prims, &geoms)
-}
-
-/// The same fused pass for polyline probes: each segment is a conservative
-/// line primitive whose boundary pixels run segment-triangle tests (line
-/// data is the paper's cheaper-than-polygons case, §6.1).
-pub fn join_polygon_line_mem(
-    spade: &Spade,
-    polys: &crate::dataset::PreparedPolygonSet,
-    lines: &[(u32, &spade_geometry::LineString)],
-) -> Pairs {
-    let (prims, geoms) = crate::select::line_candidates(lines);
-    let mut pairs = Vec::new();
-    for layer in 0..polys.layers.len() {
-        let layer_polys = polys.layer_polygons(layer);
-        if layer_polys.is_empty() {
-            continue;
-        }
-        let constraint = Constraint::from_polygons(spade, &layer_polys);
-        pairs.extend(scan_candidates_for_pairs(
-            spade,
-            &constraint,
-            &prims,
-            &geoms,
-        ));
-    }
-    pairs.sort_unstable();
-    pairs.dedup();
-    pairs
 }
 
 fn scan_candidates_for_pairs(
@@ -202,56 +189,101 @@ fn scan_candidates_for_pairs(
     pairs
 }
 
-/// Full in-memory join with statistics; dispatches on data-set kinds.
+/// A cell — a grid cell on the device, a staged delta, or a whole
+/// in-memory data set — in the prepared form the refinement kernels read:
+/// the point list, the polyline segments as conservative line primitives
+/// (line data is the paper's cheaper-than-polygons case, §6.1), or the
+/// triangulated polygons plus their layer index. Preparing is the one
+/// place a query pays polygon processing.
+pub(crate) enum Resident {
+    Points(Vec<(u32, Point)>),
+    Lines(Vec<Primitive>, Vec<CandidateGeom>),
+    Polys(PreparedPolygonSet),
+}
+
+impl Resident {
+    pub(crate) fn prepare(spade: &Spade, data: &Dataset, polygon_time: &mut Duration) -> Resident {
+        match data.kind {
+            DatasetKind::Points => Resident::Points(data.as_points()),
+            DatasetKind::Lines => {
+                let lines: Vec<_> = data
+                    .objects
+                    .iter()
+                    .filter_map(|(id, g)| match g {
+                        Geometry::LineString(l) => Some((*id, l)),
+                        _ => None,
+                    })
+                    .collect();
+                let (prims, geoms) = line_candidates(&lines);
+                Resident::Lines(prims, geoms)
+            }
+            DatasetKind::Polygons => {
+                let t0 = Instant::now();
+                let set = PreparedPolygonSet::prepare(
+                    &spade.pipeline,
+                    data,
+                    spade.config.layer_resolution(),
+                );
+                *polygon_time += t0.elapsed();
+                Resident::Polys(set)
+            }
+        }
+    }
+
+    /// One fused pass of this cell, as the probe side, over a constraint
+    /// canvas: `(constraint id, probe id)` pairs.
+    fn probe(&self, spade: &Spade, constraint: &Constraint) -> Pairs {
+        match self {
+            Resident::Points(pts) => scan_points_for_pairs(spade, constraint, pts),
+            Resident::Lines(prims, geoms) => {
+                scan_candidates_for_pairs(spade, constraint, prims, geoms)
+            }
+            Resident::Polys(set) => scan_polygons_for_pairs(spade, constraint, &set.polygons),
+        }
+    }
+}
+
+/// Refine one cell pair with the layer-index join; sorted `(left id,
+/// right id)` pairs.
+fn join_cells_layered(spade: &Spade, left: &Resident, right: &Resident) -> Pairs {
+    let by_layer = |set: &PreparedPolygonSet, probes: &Resident| {
+        join_by_layer(spade, set, spade.config.resolution, |c| {
+            probes.probe(spade, c)
+        })
+    };
+    match (left, right) {
+        (Resident::Polys(s1), Resident::Polys(s2)) => join_polygon_polygon_mem(spade, s1, s2),
+        (Resident::Polys(set), probes) => by_layer(set, probes),
+        (probes, Resident::Polys(set)) => flip(by_layer(set, probes)),
+        _ => unimplemented!("a join needs a polygon side"),
+    }
+}
+
+/// Refine one cell pair with the naive strategy: one selection per left
+/// polygon (§5.3 strategy 2).
+fn join_cells_naive(spade: &Spade, left: &Resident, right: &Resident) -> Pairs {
+    let Resident::Polys(set) = left else {
+        // The naive loop needs polygonal constraints; fall back.
+        return join_cells_layered(spade, left, right);
+    };
+    let mut pairs = Vec::new();
+    for poly in &set.polygons {
+        let constraint = Constraint::from_polygons(spade, std::slice::from_ref(poly));
+        let probed = right.probe(spade, &constraint);
+        pairs.extend(probed.into_iter().map(|(_, pid)| (poly.id, pid)));
+    }
+    pairs
+}
+
+/// Full in-memory join with statistics: the one-pair case of the
+/// out-of-core walk — each side prepared once, refined by the layer join.
 pub fn join(spade: &Spade, d1: &Dataset, d2: &Dataset) -> QueryOutput<Pairs> {
     let mut qspan = crate::trace::span("query.join");
     let measure = spade.begin();
-    let t0 = Instant::now();
-    let (pairs, polygon_time) = match (d1.kind, d2.kind) {
-        (DatasetKind::Polygons, DatasetKind::Points) => {
-            let set =
-                PreparedPolygonSet::prepare(&spade.pipeline, d1, spade.config.layer_resolution());
-            let prep = t0.elapsed();
-            (join_polygon_point_mem(spade, &set, &d2.as_points()), prep)
-        }
-        (DatasetKind::Points, DatasetKind::Polygons) => {
-            let set =
-                PreparedPolygonSet::prepare(&spade.pipeline, d2, spade.config.layer_resolution());
-            let prep = t0.elapsed();
-            let mut pairs = join_polygon_point_mem(spade, &set, &d1.as_points());
-            for p in &mut pairs {
-                *p = (p.1, p.0);
-            }
-            pairs.sort_unstable();
-            (pairs, prep)
-        }
-        (DatasetKind::Polygons, DatasetKind::Polygons) => {
-            let s1 =
-                PreparedPolygonSet::prepare(&spade.pipeline, d1, spade.config.layer_resolution());
-            let s2 =
-                PreparedPolygonSet::prepare(&spade.pipeline, d2, spade.config.layer_resolution());
-            let prep = t0.elapsed();
-            (join_polygon_polygon_mem(spade, &s1, &s2), prep)
-        }
-        (DatasetKind::Polygons, DatasetKind::Lines) => {
-            let set =
-                PreparedPolygonSet::prepare(&spade.pipeline, d1, spade.config.layer_resolution());
-            let prep = t0.elapsed();
-            (join_polygon_line_mem(spade, &set, &lines_of(d2)), prep)
-        }
-        (DatasetKind::Lines, DatasetKind::Polygons) => {
-            let set =
-                PreparedPolygonSet::prepare(&spade.pipeline, d2, spade.config.layer_resolution());
-            let prep = t0.elapsed();
-            let mut pairs = join_polygon_line_mem(spade, &set, &lines_of(d1));
-            for p in &mut pairs {
-                *p = (p.1, p.0);
-            }
-            pairs.sort_unstable();
-            (pairs, prep)
-        }
-        (a, b) => unimplemented!("join between {a:?} and {b:?}"),
-    };
+    let mut polygon_time = Duration::ZERO;
+    let left = Resident::prepare(spade, d1, &mut polygon_time);
+    let right = Resident::prepare(spade, d2, &mut polygon_time);
+    let pairs = join_cells_layered(spade, &left, &right);
     let n = pairs.len() as u64;
     qspan.attr("pairs", n);
     let stats = measure.finish(spade, Duration::ZERO, 0, polygon_time, 0, n);
@@ -261,11 +293,11 @@ pub fn join(spade: &Spade, d1: &Dataset, d2: &Dataset) -> QueryOutput<Pairs> {
     }
 }
 
-/// The candidate `(left cell, right cell)` pairs of an indexed join or
-/// aggregation: the scope's explicit pairs (out-of-range ones dropped), or
-/// the filter phase — a Polygon ⋈ Polygon join over the bounding polygons
-/// of the two grid indexes at the coarse filter resolution.
-pub(crate) fn candidate_cell_pairs(
+/// The candidate `(left cell, right cell)` pairs of a two-dataset query:
+/// the scope's explicit pairs (out-of-range ones dropped), or the filter
+/// phase — a Polygon ⋈ Polygon join over the bounding polygons of the two
+/// grid indexes at the coarse filter resolution.
+fn candidate_cell_pairs(
     spade: &Spade,
     view1: &ReadView<'_>,
     view2: &ReadView<'_>,
@@ -302,36 +334,171 @@ pub(crate) fn candidate_cell_pairs(
     join_polygon_polygon_mem_res(spade, &set1, &set2, spade.config.filter_resolution())
 }
 
-/// Out-of-core join between two grid-indexed data sets (§5.3). The filter
-/// phase joins the two indexes' bounding polygons — or is replaced by the
-/// explicit cell pairs of [`crate::scope::Scope::Pairs`], the
-/// scatter-gather form; the optimizer picks the strategy and the iteration
-/// order. `ctx.cancel` is polled at every residency change of the
-/// refinement walk, and resident cells are freed before a cancellation
-/// propagates, keeping the device ledger balanced.
+/// The out-of-core strategy every two-dataset query shares (§5.3): filter
+/// cell pairs by their bounding polygons, order them to share resident
+/// cells, refine pair by pair. [`PairWalk::plan`] fixes the snapshot, the
+/// ordered pairs and the load sequence; [`PairWalk::run`] owns everything
+/// between them and the caller's refinement kernel — prefetch, the cell
+/// cache, one preparation per residency change, the device ledger, the
+/// delta cross terms and the I/O accounting.
+pub(crate) struct PairWalk<'a> {
+    pub view1: ReadView<'a>,
+    pub view2: ReadView<'a>,
+    uids: [u64; 2],
+    /// Candidate `(left cell, right cell)` pairs in execution order.
+    pub cell_pairs: Pairs,
+    /// The exact loads the single-cell-residency walk needs: one `(side,
+    /// cell)` entry per residency change, in pair order. The prefetcher
+    /// reads ahead along it while the current pair refines.
+    pub sequence: Vec<(usize, usize)>,
+}
+
+impl<'a> PairWalk<'a> {
+    /// Snapshot both sides and fix the walk. The filter phase is replaced
+    /// by the explicit cell pairs of [`crate::scope::Scope::Pairs`], the
+    /// scatter-gather form.
+    pub(crate) fn plan(
+        spade: &Spade,
+        d1: &'a IndexedDataset,
+        d2: &'a IndexedDataset,
+        ctx: &QueryCtx,
+        polygon_time: &mut Duration,
+    ) -> spade_storage::Result<PairWalk<'a>> {
+        let explicit = ctx.scope.pairs()?;
+        let (view1, view2) = (d1.read_view(), d2.read_view());
+        crate::explain::note_view(&view1);
+        crate::explain::note_view(&view2);
+        let mut cell_pairs = candidate_cell_pairs(spade, &view1, &view2, explicit, polygon_time);
+        // Ordering before estimating lets a strategy estimate walk the
+        // very slice the executor will, so the two cannot drift.
+        optimizer::order_cell_pairs(&mut cell_pairs);
+        let mut sequence = Vec::new();
+        let mut resident = [None, None];
+        for &(c1, c2) in &cell_pairs {
+            for (side, cell) in [c1, c2].into_iter().enumerate() {
+                if resident[side] != Some(cell) {
+                    sequence.push((side, cell as usize));
+                    resident[side] = Some(cell);
+                }
+            }
+        }
+        Ok(PairWalk {
+            view1,
+            view2,
+            uids: [d1.uid(), d2.uid()],
+            cell_pairs,
+            sequence,
+        })
+    }
+
+    /// Walk the pairs with single-cell residency per side, handing every
+    /// pair of prepared cells to `refine(left, right, base)`. A resident
+    /// cell keeps its prepared form across the consecutive pairs the order
+    /// puts together, and a pair refines as soon as both its cells are
+    /// resident. Then the delta cross terms (`base == false`): when the
+    /// scope owns the delta, each side's staged writes are one more cell,
+    /// refined against every cell of the other side (the cache is warm
+    /// from the walk) and against each other, so merged results match a
+    /// cold rebuild.
+    ///
+    /// `ctx.cancel` is polled at every residency change and every delta
+    /// term; resident cells are freed before a cancellation propagates,
+    /// keeping the device ledger balanced. Returns the stream's I/O
+    /// accounting and the recording frame of the base walk alone — what an
+    /// optimizer that chose *how* to refine the base pairs is judged on;
+    /// the frame folds into the query's measure, so total accounting is
+    /// unchanged.
+    pub(crate) fn run(
+        &self,
+        spade: &Spade,
+        ctx: &QueryCtx,
+        polygon_time: &mut Duration,
+        mut refine: impl FnMut(&Resident, &Resident, bool),
+    ) -> spade_storage::Result<(StreamStats, FrameTotals)> {
+        let views = [&self.view1, &self.view2];
+        let budget = spade.config.cell_cache_bytes;
+        // Per side: the resident cell, its ledger charge, its prepared form.
+        let mut resident: [Option<(u32, u64, Resident)>; 2] = [None, None];
+        let mut next = 0;
+        spade_gpu::record::begin();
+        let streamed = crate::prefetch::stream_cells(
+            spade.config.prefetch_depth,
+            budget,
+            &views,
+            &self.sequence,
+            &ctx.cancel,
+            |cell| {
+                if let Some((_, bytes, _)) = resident[cell.source].take() {
+                    spade.device.free(bytes);
+                }
+                let _ = spade.device.upload(cell.bytes);
+                spade
+                    .observed
+                    .observe_cell_load(self.uids[cell.source], cell.bytes);
+                let prepared = Resident::prepare(spade, &cell.data, polygon_time);
+                resident[cell.source] = Some((cell.cell as u32, cell.bytes, prepared));
+                // Refine every pair now satisfied by the resident cells.
+                while let (Some(&pair), [Some((c1, _, left)), Some((c2, _, right))]) =
+                    (self.cell_pairs.get(next), &resident)
+                {
+                    if pair != (*c1, *c2) {
+                        break;
+                    }
+                    refine(left, right, true);
+                    next += 1;
+                }
+                Ok(())
+            },
+        );
+        for (_, bytes, _) in resident.iter().flatten() {
+            spade.device.free(*bytes);
+        }
+        let base = spade_gpu::record::finish();
+        let stream = streamed?;
+        debug_assert_eq!(next, self.cell_pairs.len(), "all cell pairs refined");
+
+        if ctx.scope.include_delta() {
+            let mut staged = |view: &ReadView<'_>| {
+                (!view.delta.staged.is_empty())
+                    .then(|| Resident::prepare(spade, &view.delta_dataset(), polygon_time))
+            };
+            let deltas = [staged(&self.view1), staged(&self.view2)];
+            for (side, delta) in deltas.iter().enumerate() {
+                let Some(delta) = delta else { continue };
+                let other = views[1 - side];
+                for i in 0..other.grid.num_cells() {
+                    ctx.cancel.check()?;
+                    let (data, _) = other.load_cell_cached(i, budget)?;
+                    let cell = Resident::prepare(spade, &data, polygon_time);
+                    if side == 0 {
+                        refine(delta, &cell, false);
+                    } else {
+                        refine(&cell, delta, false);
+                    }
+                }
+            }
+            if let [Some(left), Some(right)] = &deltas {
+                refine(left, right, false);
+            }
+        }
+        Ok((stream, base))
+    }
+}
+
+/// Out-of-core join between two grid-indexed data sets (§5.3): a
+/// `PairWalk` whose base pairs refine with the strategy the optimizer
+/// picks by transfer estimate (§5.4) and whose pairs fold by extension.
 pub fn join_indexed(
     spade: &Spade,
     d1: &IndexedDataset,
     d2: &IndexedDataset,
     ctx: &QueryCtx,
 ) -> spade_storage::Result<QueryOutput<Pairs>> {
-    let explicit = ctx.scope.pairs()?;
-    let include_delta = ctx.scope.include_delta();
-    let cancel = &ctx.cancel;
     let mut qspan = crate::trace::span("query.join.indexed");
     let measure = spade.begin();
     let mut polygon_time = Duration::ZERO;
-    let view1 = d1.read_view();
-    let view2 = d2.read_view();
-    crate::explain::note_view(&view1);
-    crate::explain::note_view(&view2);
-
-    let mut cell_pairs = candidate_cell_pairs(spade, &view1, &view2, explicit, &mut polygon_time);
-
-    // Identify the order of join operations first: share resident cells.
-    // Ordering before estimating lets the layer estimate walk the very
-    // slice the executor will, so estimator and executor cannot drift.
-    optimizer::order_cell_pairs(&mut cell_pairs);
+    let walk = PairWalk::plan(spade, d1, d2, ctx, &mut polygon_time)?;
+    let cell_pairs = &walk.cell_pairs;
 
     // Optimizer: strategy choice by transfer estimate (§5.4). The naive
     // strategy's per-object filtering is approximated at cell granularity
@@ -339,12 +506,12 @@ pub fn join_indexed(
     // the estimates compare the *order* benefit.
     let pair_key = optimizer::stats::join_key(d1.uid(), d2.uid());
     let _stat_scope = optimizer::stats::scope(pair_key);
-    let left_bytes: Vec<u64> = view1.grid.cells().iter().map(|c| c.bytes).collect();
-    let right_bytes: Vec<u64> = view2.grid.cells().iter().map(|c| c.bytes).collect();
-    let layer_est = optimizer::estimate_layer_bytes_ordered(&cell_pairs, &left_bytes, &right_bytes);
+    let left_bytes: Vec<u64> = walk.view1.grid.cells().iter().map(|c| c.bytes).collect();
+    let right_bytes: Vec<u64> = walk.view2.grid.cells().iter().map(|c| c.bytes).collect();
+    let layer_est = optimizer::estimate_layer_bytes_ordered(cell_pairs, &left_bytes, &right_bytes);
     let per_object: Vec<Vec<u32>> = {
         let mut m = std::collections::BTreeMap::<u32, Vec<u32>>::new();
-        for (l, r) in &cell_pairs {
+        for (l, r) in cell_pairs {
             m.entry(*l).or_default().push(*r);
         }
         m.into_values().collect()
@@ -352,7 +519,7 @@ pub fn join_indexed(
     // The naive probes read only left cells that matched a pair — an
     // unmatched cell yields no probe objects and costs no transfer.
     let naive_est = optimizer::estimate_naive_bytes(&per_object, &right_bytes)
-        + optimizer::estimate_probe_bytes(&cell_pairs, &left_bytes);
+        + optimizer::estimate_probe_bytes(cell_pairs, &left_bytes);
     let mut strategy = optimizer::choose_join_strategy(layer_est, naive_est);
 
     // Adaptive refinement: both strategies walk the same cells, so their
@@ -382,108 +549,33 @@ pub fn join_indexed(
         Some(d1.uid()),
         optimizer::stats::Decision::of_join(strategy),
     );
-
-    // Precompute the exact load sequence the single-cell-residency walk
-    // below will need: one entry per residency change, in pair order. The
-    // prefetcher can then read ahead while the current pair refines, and
-    // the consumer replays the identical residency logic in lockstep.
-    let mut sequence: Vec<(usize, usize)> = Vec::new();
-    {
-        let (mut r1, mut r2) = (None, None);
-        for &(c1, c2) in &cell_pairs {
-            if r1 != Some(c1) {
-                sequence.push((0, c1 as usize));
-                r1 = Some(c1);
-            }
-            if r2 != Some(c2) {
-                sequence.push((1, c2 as usize));
-                r2 = Some(c2);
-            }
-        }
-    }
     crate::explain::note_join(crate::explain::JoinDecision {
         strategy,
         layer_est_bytes: layer_est,
         naive_est_bytes: naive_est,
         cell_pairs: cell_pairs.len() as u64,
-        sequence_len: sequence.len() as u64,
+        sequence_len: walk.sequence.len() as u64,
         adaptive,
         predicted_cost_nanos: predicted_cost,
         ..crate::explain::JoinDecision::default()
     });
 
-    // Refinement with single-cell residency per side. A resident cell
-    // carries its *prepared* form (points list, or triangulated polygons
-    // plus layer index), so preparation is shared across the consecutive
-    // cell pairs the join order puts together. A pair refines as soon as
-    // both its cells are resident; the shared cache means a cell revisited
-    // by a later residency change skips the disk.
+    // The strategy applies to the base pairs; the delta cross terms are
+    // strategy-invariant and always take the layer join.
     let mut pairs = Vec::new();
-    let mut resident1: Option<(u32, Resident)> = None;
-    let mut resident2: Option<(u32, Resident)> = None;
-    let mut pair_idx = 0usize;
-    // A nested recording frame isolates the residency walk, so the actual
-    // transfer volume and execution cost of the *strategy* (not the delta
-    // merge below, which is strategy-invariant) can be measured and fed
-    // back to the observed statistics. The frame folds into the query's
-    // measure on finish — total accounting is unchanged.
-    spade_gpu::record::begin();
-    let stream_res = crate::prefetch::stream_cells(
-        spade.config.prefetch_depth,
-        spade.config.cell_cache_bytes,
-        &[&view1, &view2],
-        &sequence,
-        cancel,
-        |cell| {
-            let (source, resident) = if cell.source == 0 {
-                (&view1, &mut resident1)
-            } else {
-                (&view2, &mut resident2)
-            };
-            if let Some((i, _)) = resident.take() {
-                spade.device.free(source.cell_bytes(i as usize));
-            }
-            let _ = spade.device.upload(cell.bytes);
-            spade.observed.observe_cell_load(
-                if cell.source == 0 { d1.uid() } else { d2.uid() },
-                cell.bytes,
-            );
-            *resident = Some((
-                cell.cell as u32,
-                Resident::prepare(spade, (*cell.data).clone(), &mut polygon_time),
-            ));
-            // Refine every pair now satisfied by the resident cells.
-            while pair_idx < cell_pairs.len() {
-                let (c1, c2) = cell_pairs[pair_idx];
-                let (Some((i1, left)), Some((i2, right))) = (&resident1, &resident2) else {
-                    break;
-                };
-                if *i1 != c1 || *i2 != c2 {
-                    break;
-                }
-                pairs.extend(match strategy {
-                    JoinStrategy::LayerIndex => join_cells_layered(spade, left, right),
-                    JoinStrategy::NaiveSelects => join_cells_naive(spade, left, right),
-                });
-                pair_idx += 1;
-            }
-            Ok(())
-        },
-    );
-    if let Some((i, _)) = resident1 {
-        spade.device.free(view1.cell_bytes(i as usize));
-    }
-    if let Some((i, _)) = resident2 {
-        spade.device.free(view2.cell_bytes(i as usize));
-    }
-    let walk = spade_gpu::record::finish();
-    let stream = stream_res?;
-    debug_assert_eq!(pair_idx, cell_pairs.len(), "all cell pairs refined");
+    let (stream, base) = walk.run(spade, ctx, &mut polygon_time, |left, right, base| {
+        pairs.extend(match strategy {
+            JoinStrategy::NaiveSelects if base => join_cells_naive(spade, left, right),
+            _ => join_cells_layered(spade, left, right),
+        });
+    })?;
+    pairs.sort_unstable();
+    pairs.dedup();
 
     // Feed the realized walk back to the observed statistics and render
     // the hindsight verdict for EXPLAIN ANALYZE.
-    let actual_bytes = walk.transfer_bytes;
-    let actual_cost = walk.gpu.gpu_nanos + walk.transfer_nanos;
+    let actual_bytes = base.transfer_bytes;
+    let actual_cost = base.gpu.gpu_nanos + base.transfer_nanos;
     let est_chosen = match strategy {
         JoinStrategy::LayerIndex => layer_est,
         JoinStrategy::NaiveSelects => naive_est,
@@ -531,155 +623,14 @@ pub fn join_indexed(
     }
     crate::explain::note_join_actual(actual_bytes, actual_cost, mispredicted, would_have_chosen);
 
-    // Delta cross terms: each side's staged writes behave as one extra
-    // cell and join against every cell of the other side through the same
-    // refinement kernels, so merged pairs match a cold rebuild. The cell
-    // cache is warm from the walk above. Scoped (scatter-gather) calls run
-    // these on exactly one shard.
-    let delta1 = (include_delta && !view1.delta.staged.is_empty())
-        .then(|| Resident::prepare(spade, view1.delta_dataset(), &mut polygon_time));
-    let delta2 = (include_delta && !view2.delta.staged.is_empty())
-        .then(|| Resident::prepare(spade, view2.delta_dataset(), &mut polygon_time));
-    if let Some(dl) = &delta1 {
-        for i in 0..view2.grid.num_cells() {
-            cancel.check()?;
-            let (cell, _) = view2.load_cell_cached(i, spade.config.cell_cache_bytes)?;
-            let right = Resident::prepare(spade, (*cell).clone(), &mut polygon_time);
-            pairs.extend(join_cells_layered(spade, dl, &right));
-        }
-    }
-    if let Some(dr) = &delta2 {
-        for i in 0..view1.grid.num_cells() {
-            cancel.check()?;
-            let (cell, _) = view1.load_cell_cached(i, spade.config.cell_cache_bytes)?;
-            let left = Resident::prepare(spade, (*cell).clone(), &mut polygon_time);
-            pairs.extend(join_cells_layered(spade, &left, dr));
-        }
-    }
-    if let (Some(dl), Some(dr)) = (&delta1, &delta2) {
-        pairs.extend(join_cells_layered(spade, dl, dr));
-    }
-    pairs.sort_unstable();
-    pairs.dedup();
-
     let n = pairs.len() as u64;
     qspan.attr("cells", stream.cells);
     qspan.attr("pairs", n);
-    let mut stats = measure.finish(
-        spade,
-        stream.io_time,
-        stream.bytes_from_disk,
-        polygon_time,
-        stream.cells,
-        n,
-    );
-    stream.charge(&mut stats);
+    let stats = measure.finish_streamed(spade, &stream, polygon_time, n);
     Ok(QueryOutput {
         result: pairs,
         stats,
     })
-}
-
-fn lines_of(d: &Dataset) -> Vec<(u32, &spade_geometry::LineString)> {
-    d.objects
-        .iter()
-        .filter_map(|(id, g)| match g {
-            spade_geometry::Geometry::LineString(l) => Some((*id, l)),
-            _ => None,
-        })
-        .collect()
-}
-
-/// A resident (device-loaded) cell in its prepared form.
-enum Resident {
-    Points(Vec<(u32, Point)>),
-    Lines(Vec<(u32, spade_geometry::LineString)>),
-    Polys(PreparedPolygonSet),
-}
-
-impl Resident {
-    fn prepare(spade: &Spade, data: Dataset, polygon_time: &mut Duration) -> Resident {
-        match data.kind {
-            DatasetKind::Points => Resident::Points(data.as_points()),
-            DatasetKind::Lines => Resident::Lines(
-                data.objects
-                    .into_iter()
-                    .filter_map(|(id, g)| match g {
-                        spade_geometry::Geometry::LineString(l) => Some((id, l)),
-                        _ => None,
-                    })
-                    .collect(),
-            ),
-            DatasetKind::Polygons => {
-                let t0 = Instant::now();
-                let set = PreparedPolygonSet::prepare(
-                    &spade.pipeline,
-                    &data,
-                    spade.config.layer_resolution(),
-                );
-                *polygon_time += t0.elapsed();
-                Resident::Polys(set)
-            }
-        }
-    }
-}
-
-/// Refine one cell pair with the layer-index join.
-fn join_cells_layered(spade: &Spade, left: &Resident, right: &Resident) -> Pairs {
-    let flip = |pairs: Pairs| -> Pairs { pairs.into_iter().map(|(a, b)| (b, a)).collect() };
-    match (left, right) {
-        (Resident::Polys(set), Resident::Points(pts)) => join_polygon_point_mem(spade, set, pts),
-        (Resident::Points(pts), Resident::Polys(set)) => {
-            flip(join_polygon_point_mem(spade, set, pts))
-        }
-        (Resident::Polys(s1), Resident::Polys(s2)) => join_polygon_polygon_mem(spade, s1, s2),
-        (Resident::Polys(set), Resident::Lines(lines)) => {
-            let refs: Vec<(u32, &spade_geometry::LineString)> =
-                lines.iter().map(|(id, l)| (*id, l)).collect();
-            join_polygon_line_mem(spade, set, &refs)
-        }
-        (Resident::Lines(lines), Resident::Polys(set)) => {
-            let refs: Vec<(u32, &spade_geometry::LineString)> =
-                lines.iter().map(|(id, l)| (*id, l)).collect();
-            flip(join_polygon_line_mem(spade, set, &refs))
-        }
-        _ => unimplemented!("unsupported cell-pair kind combination"),
-    }
-}
-
-/// Refine one cell pair with the naive strategy: one selection per left
-/// polygon (§5.3 strategy 2).
-fn join_cells_naive(spade: &Spade, left: &Resident, right: &Resident) -> Pairs {
-    let Resident::Polys(set) = left else {
-        // The naive loop needs polygonal constraints; fall back.
-        return join_cells_layered(spade, left, right);
-    };
-    let mut pairs = Vec::new();
-    for poly in &set.polygons {
-        let constraint = Constraint::from_polygons(spade, std::slice::from_ref(poly));
-        match right {
-            Resident::Points(pts) => {
-                for (cid, pid) in scan_points_for_pairs(spade, &constraint, pts) {
-                    debug_assert_eq!(cid, poly.id);
-                    pairs.push((poly.id, pid));
-                }
-            }
-            Resident::Polys(probes) => {
-                for (_, pid) in scan_polygons_for_pairs(spade, &constraint, &probes.polygons) {
-                    pairs.push((poly.id, pid));
-                }
-            }
-            Resident::Lines(lines) => {
-                let refs: Vec<(u32, &spade_geometry::LineString)> =
-                    lines.iter().map(|(id, l)| (*id, l)).collect();
-                let (prims, geoms) = crate::select::line_candidates(&refs);
-                for (_, pid) in scan_candidates_for_pairs(spade, &constraint, &prims, &geoms) {
-                    pairs.push((poly.id, pid));
-                }
-            }
-        }
-    }
-    pairs
 }
 
 #[cfg(test)]
@@ -841,6 +792,45 @@ mod tests {
         let i2 = IndexedDataset::new("b", DatasetKind::Polygons, g2);
         let ooc = join_indexed(&s, &i1, &i2, &QueryCtx::default()).unwrap();
         assert_eq!(ooc.result, mem.result);
+    }
+
+    /// Cancelling from inside the refine step, for the join's kernel and
+    /// the aggregation's: the walk stops at the next residency change,
+    /// with nothing left on the device.
+    #[test]
+    fn mid_walk_cancellation_frees_resident_cells() {
+        let s = engine();
+        let polys = Dataset::from_polygons("polys", polygon_field());
+        let pts = Dataset::from_points("pts", scatter(1000, 100.0, 13));
+        let g1 = GridIndex::build(None, &polys.objects, 40.0).unwrap();
+        let g2 = GridIndex::build(None, &pts.objects, 40.0).unwrap();
+        let i1 = IndexedDataset::new("polys", DatasetKind::Polygons, g1);
+        let i2 = IndexedDataset::new("pts", DatasetKind::Points, g2);
+        for counting in [false, true] {
+            let ctx = QueryCtx::default();
+            let mut polygon_time = Duration::ZERO;
+            let walk = PairWalk::plan(&s, &i1, &i2, &ctx, &mut polygon_time).unwrap();
+            assert!(
+                walk.cell_pairs.len() > 2,
+                "the walk must outlive the cancel"
+            );
+            let mut refined = 0;
+            let mut totals = std::collections::BTreeMap::new();
+            let res = walk.run(&s, &ctx, &mut polygon_time, |left, right, _| {
+                if counting {
+                    crate::aggregate::count_cells(&s, left, right, &mut totals);
+                } else {
+                    join_cells_layered(&s, left, right);
+                }
+                refined += 1;
+                if refined == 2 {
+                    ctx.cancel.cancel();
+                }
+            });
+            assert_eq!(res.unwrap_err(), spade_storage::StorageError::Cancelled);
+            assert_eq!(refined, 2, "counting={counting}");
+            assert_eq!(s.device.used(), 0, "counting={counting}");
+        }
     }
 
     #[test]

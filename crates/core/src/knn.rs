@@ -258,15 +258,7 @@ pub fn knn_select_indexed(
     with_dist.truncate(k);
 
     let n = with_dist.len() as u64;
-    let mut stats = measure.finish(
-        spade,
-        stream.io_time,
-        stream.bytes_from_disk,
-        Duration::ZERO,
-        stream.cells,
-        n,
-    );
-    stream.charge(&mut stats);
+    let mut stats = measure.finish_streamed(spade, &stream, Duration::ZERO, n);
     stats.cells_loaded += sel.stats.cells_loaded;
     stats.bytes_from_disk += sel.stats.bytes_from_disk;
     stats.prefetch_hits += sel.stats.prefetch_hits;

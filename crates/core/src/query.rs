@@ -283,7 +283,8 @@ pub fn run_join_ctx<'a>(
                     crate::aggregate::aggregate_indexed(spade, l, r, ctx)?.map(QueryResult::Counts)
                 }
                 JoinQuery::WithinDistance(_) | JoinQuery::Knn(_) => {
-                    let (l, r) = (materialize(l, &ctx.cancel)?, materialize(r, &ctx.cancel)?);
+                    let l = materialize(spade, l, &ctx.cancel)?;
+                    let r = materialize(spade, r, &ctx.cancel)?;
                     ctx.cancel.check()?;
                     run_join(spade, &l, &r, q)
                 }
@@ -344,9 +345,10 @@ fn serve(
 }
 
 /// Assemble a full in-memory data set from an indexed one, cell by cell
-/// (cancellable between cells). Fallback path for join classes without an
-/// out-of-core plan.
+/// through the cell cache (cancellable between cells). Fallback path for
+/// join classes without an out-of-core plan.
 fn materialize(
+    spade: &Spade,
     d: &IndexedDataset,
     cancel: &crate::cancel::CancelToken,
 ) -> spade_storage::Result<Dataset> {
@@ -355,7 +357,8 @@ fn materialize(
     let mut objects = Vec::new();
     for i in 0..view.grid.num_cells() {
         cancel.check()?;
-        objects.extend(view.load_cell(i)?.objects);
+        let (cell, _) = view.load_cell_cached(i, spade.config.cell_cache_bytes)?;
+        objects.extend(cell.objects.iter().cloned());
     }
     // Staged writes are part of the logical dataset (the cells above are
     // already masked by the view).

@@ -374,15 +374,7 @@ pub(crate) fn finish_ids(
     let n = ids.len() as u64;
     qspan.attr("cells", stream.cells);
     qspan.attr("results", n);
-    let mut stats = measure.finish(
-        spade,
-        stream.io_time,
-        stream.bytes_from_disk,
-        polygon_time,
-        stream.cells,
-        n,
-    );
-    stream.charge(&mut stats);
+    let stats = measure.finish_streamed(spade, &stream, polygon_time, n);
     QueryOutput { result: ids, stats }
 }
 

@@ -103,6 +103,17 @@ pub fn render_gauge(out: &mut String, name: &str, help: &str, value: u64) {
     ));
 }
 
+/// [`render_counter`] or [`render_gauge`].
+pub type RenderScalar = fn(&mut String, &str, &str, u64);
+
+/// Render a table of unlabeled families, `(render fn, name, help, value)`
+/// per row, in row order.
+pub fn render_scalars(out: &mut String, rows: &[(RenderScalar, &str, &str, u64)]) {
+    for &(render, name, help, value) in rows {
+        render(out, name, help, value);
+    }
+}
+
 /// Escape a value interpolated into a Prometheus label per the text
 /// exposition format: backslash, double quote, and newline must be
 /// escaped; everything else passes through. Names reaching here are

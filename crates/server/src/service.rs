@@ -17,7 +17,8 @@
 
 use crate::admission::AdmissionController;
 use crate::metrics::{
-    render_counter, render_gauge, render_labeled_counter, render_labeled_gauge, MetricsRegistry,
+    render_counter, render_gauge, render_labeled_counter, render_labeled_gauge, render_scalars,
+    MetricsRegistry,
 };
 use crate::namespace::{validate_name, Namespace, NamespaceConfig, DEFAULT_NAMESPACE};
 use crate::request::{QueryRequest, QueryResponse, ResponsePayload, ServiceError};
@@ -474,54 +475,17 @@ impl QueryService {
         let snap = self.stats();
         let m = &self.shared.metrics;
         let mut out = String::new();
-        render_counter(
-            &mut out,
-            "spade_queries_submitted_total",
-            "Queries ever submitted (including rejected ones).",
-            snap.submitted,
-        );
-        render_counter(
-            &mut out,
-            "spade_queries_admitted_total",
-            "Queries admitted to a worker.",
-            snap.admitted,
-        );
-        render_counter(
-            &mut out,
-            "spade_queries_rejected_total",
-            "Queries rejected outright by admission control.",
-            snap.rejected,
-        );
-        render_counter(
-            &mut out,
-            "spade_queries_cancelled_total",
-            "Queries cancelled or expired, queued or mid-flight.",
-            snap.cancelled,
-        );
-        render_counter(
-            &mut out,
-            "spade_queries_completed_total",
-            "Queries that completed with a result.",
-            snap.completed,
-        );
-        render_counter(
-            &mut out,
-            "spade_queries_failed_total",
-            "Queries that failed with a storage/engine error.",
-            snap.failed,
-        );
-        render_gauge(
-            &mut out,
-            "spade_queue_depth",
-            "Queries waiting for admission right now.",
-            snap.queue_depth as u64,
-        );
-        render_gauge(
-            &mut out,
-            "spade_queries_running",
-            "Queries executing right now.",
-            snap.running as u64,
-        );
+        #[rustfmt::skip]
+        render_scalars(&mut out, &[
+            (render_counter, "spade_queries_submitted_total", "Queries ever submitted (including rejected ones).", snap.submitted),
+            (render_counter, "spade_queries_admitted_total", "Queries admitted to a worker.", snap.admitted),
+            (render_counter, "spade_queries_rejected_total", "Queries rejected outright by admission control.", snap.rejected),
+            (render_counter, "spade_queries_cancelled_total", "Queries cancelled or expired, queued or mid-flight.", snap.cancelled),
+            (render_counter, "spade_queries_completed_total", "Queries that completed with a result.", snap.completed),
+            (render_counter, "spade_queries_failed_total", "Queries that failed with a storage/engine error.", snap.failed),
+            (render_gauge, "spade_queue_depth", "Queries waiting for admission right now.", snap.queue_depth as u64),
+            (render_gauge, "spade_queries_running", "Queries executing right now.", snap.running as u64),
+        ]);
         m.queue_wait.render(
             &mut out,
             "spade_queue_wait_seconds",
@@ -532,215 +496,56 @@ impl QueryService {
             "spade_exec_seconds",
             "Time between admission and completion.",
         );
-        render_counter(
-            &mut out,
-            "spade_bytes_from_disk_total",
-            "Bytes read from disk blocks by completed queries.",
-            m.bytes_from_disk.get(),
-        );
-        render_counter(
-            &mut out,
-            "spade_bytes_to_device_total",
-            "Bytes shipped host to device by completed queries.",
-            m.bytes_to_device.get(),
-        );
-        render_counter(
-            &mut out,
-            "spade_passes_total",
-            "Rendering passes executed by completed queries.",
-            m.passes.get(),
-        );
-        render_counter(
-            &mut out,
-            "spade_cells_loaded_total",
-            "Grid cells delivered to refinement by completed queries.",
-            m.cells_loaded.get(),
-        );
-        render_counter(
-            &mut out,
-            "spade_prefetch_hits_total",
-            "Cells already decoded in the prefetch channel when asked.",
-            m.prefetch_hits.get(),
-        );
-        render_counter(
-            &mut out,
-            "spade_prefetch_misses_total",
-            "Cells the refinement stage had to wait for.",
-            m.prefetch_misses.get(),
-        );
-        render_counter(
-            &mut out,
-            "spade_cache_hits_total",
-            "Cells served from the decoded-cell cache instead of disk.",
-            m.cache_hits.get(),
-        );
-        render_counter(
-            &mut out,
-            "spade_io_nanoseconds_total",
-            "Producer-side I/O time of completed queries, in nanoseconds.",
-            m.io_nanos.get(),
-        );
-        render_counter(
-            &mut out,
-            "spade_io_hidden_nanoseconds_total",
-            "I/O time that overlapped GPU refinement, in nanoseconds.",
-            m.io_hidden_nanos.get(),
-        );
-        render_counter(
-            &mut out,
-            "spade_gpu_nanoseconds_total",
-            "Pipeline-pass time of completed queries, in nanoseconds.",
-            m.gpu_nanos.get(),
-        );
-        // Persistent render executor and framebuffer arena, shared by every
-        // session of this service (sized once at construction, not per
-        // query — see DESIGN.md on executor/admission interaction).
         let pool = self.shared.spade.pipeline.pool().stats();
-        render_gauge(
-            &mut out,
-            "spade_pool_workers",
-            "Parallel lanes of the shared render executor.",
-            pool.workers as u64,
-        );
-        render_gauge(
-            &mut out,
-            "spade_pool_busy",
-            "Executor lanes running pipeline tasks right now.",
-            pool.busy as u64,
-        );
-        render_counter(
-            &mut out,
-            "spade_pool_jobs_total",
-            "Jobs (parallel pipeline stages) dispatched to the executor.",
-            pool.jobs,
-        );
-        render_counter(
-            &mut out,
-            "spade_pool_tasks_total",
-            "Executor tasks run across all jobs.",
-            pool.tasks,
-        );
         let arena = self.shared.spade.pipeline.arena().stats();
-        render_counter(
-            &mut out,
-            "spade_arena_hits_total",
-            "Framebuffer checkouts served from the arena free lists.",
-            arena.hits,
-        );
-        render_counter(
-            &mut out,
-            "spade_arena_misses_total",
-            "Framebuffer checkouts that had to allocate a new texture.",
-            arena.misses,
-        );
-        render_gauge(
-            &mut out,
-            "spade_arena_pooled_bytes",
-            "Bytes held in the arena free lists right now.",
-            arena.pooled_bytes,
-        );
-        render_gauge(
-            &mut out,
-            "spade_arena_live_bytes",
-            "Bytes of arena textures currently checked out.",
-            arena.live_bytes,
-        );
-        render_gauge(
-            &mut out,
-            "spade_arena_external_bytes",
-            "Bytes charged by external arena residents (result cache).",
-            arena.external_bytes,
-        );
-        // Hot-query serving layer: the generation-keyed result cache.
         let rc = self.shared.spade.result_cache.stats();
-        render_counter(
-            &mut out,
-            "spade_result_cache_hits_total",
-            "Queries served from the result cache.",
-            rc.hits,
-        );
-        render_counter(
-            &mut out,
-            "spade_result_cache_coalesced_total",
-            "Queries coalesced onto a concurrent identical render.",
-            rc.coalesced,
-        );
-        render_counter(
-            &mut out,
-            "spade_result_cache_misses_total",
-            "Cache probes that had to render cold.",
-            rc.misses,
-        );
-        render_counter(
-            &mut out,
-            "spade_result_cache_bypass_total",
-            "Queries that skipped the result cache (disabled).",
-            rc.bypasses,
-        );
-        render_counter(
-            &mut out,
-            "spade_result_cache_inserted_total",
-            "Results admitted to the cache.",
-            rc.inserted,
-        );
-        render_counter(
-            &mut out,
-            "spade_result_cache_evicted_total",
-            "Entries evicted or purged from the cache.",
-            rc.evicted,
-        );
-        render_counter(
-            &mut out,
-            "spade_result_cache_not_stored_total",
-            "Computed results not admitted (version moved or oversized).",
-            rc.not_stored,
-        );
-        render_gauge(
-            &mut out,
-            "spade_result_cache_entries",
-            "Entries resident in the result cache right now.",
-            rc.entries,
-        );
-        render_gauge(
-            &mut out,
-            "spade_result_cache_bytes",
-            "Bytes resident in the result cache right now.",
-            rc.bytes,
-        );
+        #[rustfmt::skip]
+        render_scalars(&mut out, &[
+            (render_counter, "spade_bytes_from_disk_total", "Bytes read from disk blocks by completed queries.", m.bytes_from_disk.get()),
+            (render_counter, "spade_bytes_to_device_total", "Bytes shipped host to device by completed queries.", m.bytes_to_device.get()),
+            (render_counter, "spade_passes_total", "Rendering passes executed by completed queries.", m.passes.get()),
+            (render_counter, "spade_cells_loaded_total", "Grid cells delivered to refinement by completed queries.", m.cells_loaded.get()),
+            (render_counter, "spade_prefetch_hits_total", "Cells already decoded in the prefetch channel when asked.", m.prefetch_hits.get()),
+            (render_counter, "spade_prefetch_misses_total", "Cells the refinement stage had to wait for.", m.prefetch_misses.get()),
+            (render_counter, "spade_cache_hits_total", "Cells served from the decoded-cell cache instead of disk.", m.cache_hits.get()),
+            (render_counter, "spade_io_nanoseconds_total", "Producer-side I/O time of completed queries, in nanoseconds.", m.io_nanos.get()),
+            (render_counter, "spade_io_hidden_nanoseconds_total", "I/O time that overlapped GPU refinement, in nanoseconds.", m.io_hidden_nanos.get()),
+            (render_counter, "spade_gpu_nanoseconds_total", "Pipeline-pass time of completed queries, in nanoseconds.", m.gpu_nanos.get()),
+            // Persistent render executor and framebuffer arena, shared by
+            // every session of this service (sized once at construction, not
+            // per query — see DESIGN.md on executor/admission interaction).
+            (render_gauge, "spade_pool_workers", "Parallel lanes of the shared render executor.", pool.workers as u64),
+            (render_gauge, "spade_pool_busy", "Executor lanes running pipeline tasks right now.", pool.busy as u64),
+            (render_counter, "spade_pool_jobs_total", "Jobs (parallel pipeline stages) dispatched to the executor.", pool.jobs),
+            (render_counter, "spade_pool_tasks_total", "Executor tasks run across all jobs.", pool.tasks),
+            (render_counter, "spade_arena_hits_total", "Framebuffer checkouts served from the arena free lists.", arena.hits),
+            (render_counter, "spade_arena_misses_total", "Framebuffer checkouts that had to allocate a new texture.", arena.misses),
+            (render_gauge, "spade_arena_pooled_bytes", "Bytes held in the arena free lists right now.", arena.pooled_bytes),
+            (render_gauge, "spade_arena_live_bytes", "Bytes of arena textures currently checked out.", arena.live_bytes),
+            (render_gauge, "spade_arena_external_bytes", "Bytes charged by external arena residents (result cache).", arena.external_bytes),
+            // Hot-query serving layer: the generation-keyed result cache.
+            (render_counter, "spade_result_cache_hits_total", "Queries served from the result cache.", rc.hits),
+            (render_counter, "spade_result_cache_coalesced_total", "Queries coalesced onto a concurrent identical render.", rc.coalesced),
+            (render_counter, "spade_result_cache_misses_total", "Cache probes that had to render cold.", rc.misses),
+            (render_counter, "spade_result_cache_bypass_total", "Queries that skipped the result cache (disabled).", rc.bypasses),
+            (render_counter, "spade_result_cache_inserted_total", "Results admitted to the cache.", rc.inserted),
+            (render_counter, "spade_result_cache_evicted_total", "Entries evicted or purged from the cache.", rc.evicted),
+            (render_counter, "spade_result_cache_not_stored_total", "Computed results not admitted (version moved or oversized).", rc.not_stored),
+            (render_gauge, "spade_result_cache_entries", "Entries resident in the result cache right now.", rc.entries),
+            (render_gauge, "spade_result_cache_bytes", "Bytes resident in the result cache right now.", rc.bytes),
+        ]);
         // Live-ingestion surface: WAL write rates, staged delta debt, and
         // compaction work, per the write path in DESIGN.md.
         if let Some(wal) = &self.shared.wal {
             let w = wal.lock().unwrap().stats();
-            render_counter(
-                &mut out,
-                "spade_wal_appends_total",
-                "Records appended to the write-ahead log.",
-                w.appends,
-            );
-            render_counter(
-                &mut out,
-                "spade_wal_fsyncs_total",
-                "WAL fsync calls (group commit amortizes these).",
-                w.fsyncs,
-            );
-            render_counter(
-                &mut out,
-                "spade_wal_bytes_total",
-                "Bytes appended to the write-ahead log, framing included.",
-                w.bytes_written,
-            );
-            render_counter(
-                &mut out,
-                "spade_wal_segments_total",
-                "WAL segment rotations.",
-                w.segments_rotated,
-            );
-            render_counter(
-                &mut out,
-                "spade_wal_segments_deleted_total",
-                "Sealed WAL segments reclaimed after checkpoints.",
-                w.segments_deleted,
-            );
+            #[rustfmt::skip]
+            render_scalars(&mut out, &[
+                (render_counter, "spade_wal_appends_total", "Records appended to the write-ahead log.", w.appends),
+                (render_counter, "spade_wal_fsyncs_total", "WAL fsync calls (group commit amortizes these).", w.fsyncs),
+                (render_counter, "spade_wal_bytes_total", "Bytes appended to the write-ahead log, framing included.", w.bytes_written),
+                (render_counter, "spade_wal_segments_total", "WAL segment rotations.", w.segments_rotated),
+                (render_counter, "spade_wal_segments_deleted_total", "Sealed WAL segments reclaimed after checkpoints.", w.segments_deleted),
+            ]);
         }
         let (mut staged, mut tombstones, mut delta_bytes) = (0u64, 0u64, 0u64);
         // Tenant names by id, for labeled per-dataset/per-tenant samples.
@@ -764,24 +569,12 @@ impl QueryService {
                 .unwrap_or_else(|| ns_id.to_string());
             per_dataset.push((tenant, name.clone(), s.bytes));
         }
-        render_gauge(
-            &mut out,
-            "spade_delta_staged_objects",
-            "Objects staged in delta stores, awaiting compaction.",
-            staged,
-        );
-        render_gauge(
-            &mut out,
-            "spade_delta_tombstones",
-            "Delete tombstones staged in delta stores.",
-            tombstones,
-        );
-        render_gauge(
-            &mut out,
-            "spade_delta_bytes",
-            "Approximate staged delta bytes (compaction debt) right now.",
-            delta_bytes,
-        );
+        #[rustfmt::skip]
+        render_scalars(&mut out, &[
+            (render_gauge, "spade_delta_staged_objects", "Objects staged in delta stores, awaiting compaction.", staged),
+            (render_gauge, "spade_delta_tombstones", "Delete tombstones staged in delta stores.", tombstones),
+            (render_gauge, "spade_delta_bytes", "Approximate staged delta bytes (compaction debt) right now.", delta_bytes),
+        ]);
         // Per-dataset compaction debt, labeled by tenant and dataset. Both
         // label values were validated at creation and are escaped again at
         // render time (`sanitize_label`).
@@ -808,55 +601,16 @@ impl QueryService {
             .collect();
         tenants.sort_by_key(|a| a.id());
         type RenderLabeled = fn(&mut String, &str, &str, &[(&str, &str)], u64, bool);
-        type TenantFamily = (
-            RenderLabeled,
-            &'static str,
-            &'static str,
-            fn(&Namespace) -> u64,
-        );
-        let per_tenant: [TenantFamily; 7] = [
-            (
-                render_labeled_counter,
-                "spade_tenant_queries_submitted_total",
-                "Queries submitted by this tenant.",
-                |ns| ns.stats.submitted.load(Ordering::Relaxed),
-            ),
-            (
-                render_labeled_counter,
-                "spade_tenant_queries_completed_total",
-                "Queries of this tenant that completed with a result.",
-                |ns| ns.stats.completed.load(Ordering::Relaxed),
-            ),
-            (
-                render_labeled_counter,
-                "spade_tenant_queries_rejected_total",
-                "Queries of this tenant rejected by admission control.",
-                |ns| ns.stats.rejected.load(Ordering::Relaxed),
-            ),
-            (
-                render_labeled_counter,
-                "spade_tenant_queries_cancelled_total",
-                "Queries of this tenant cancelled or expired.",
-                |ns| ns.stats.cancelled.load(Ordering::Relaxed),
-            ),
-            (
-                render_labeled_counter,
-                "spade_tenant_queries_failed_total",
-                "Queries of this tenant that failed with an error.",
-                |ns| ns.stats.failed.load(Ordering::Relaxed),
-            ),
-            (
-                render_labeled_counter,
-                "spade_tenant_quota_deferrals_total",
-                "Admission scans that bypassed this tenant at its quota.",
-                |ns| ns.stats.quota_deferrals.load(Ordering::Relaxed),
-            ),
-            (
-                render_labeled_gauge,
-                "spade_tenant_reserved_bytes",
-                "Estimated device bytes reserved by this tenant's running queries.",
-                |ns| ns.reserved(),
-            ),
+        type TenantValue = fn(&Namespace) -> u64;
+        #[rustfmt::skip]
+        let per_tenant: [(RenderLabeled, &str, &str, TenantValue); 7] = [
+            (render_labeled_counter, "spade_tenant_queries_submitted_total", "Queries submitted by this tenant.", |ns| ns.stats.submitted.load(Ordering::Relaxed)),
+            (render_labeled_counter, "spade_tenant_queries_completed_total", "Queries of this tenant that completed with a result.", |ns| ns.stats.completed.load(Ordering::Relaxed)),
+            (render_labeled_counter, "spade_tenant_queries_rejected_total", "Queries of this tenant rejected by admission control.", |ns| ns.stats.rejected.load(Ordering::Relaxed)),
+            (render_labeled_counter, "spade_tenant_queries_cancelled_total", "Queries of this tenant cancelled or expired.", |ns| ns.stats.cancelled.load(Ordering::Relaxed)),
+            (render_labeled_counter, "spade_tenant_queries_failed_total", "Queries of this tenant that failed with an error.", |ns| ns.stats.failed.load(Ordering::Relaxed)),
+            (render_labeled_counter, "spade_tenant_quota_deferrals_total", "Admission scans that bypassed this tenant at its quota.", |ns| ns.stats.quota_deferrals.load(Ordering::Relaxed)),
+            (render_labeled_gauge, "spade_tenant_reserved_bytes", "Estimated device bytes reserved by this tenant's running queries.", |ns| ns.reserved()),
         ];
         for (render, name, help, value) in per_tenant {
             for (i, ns) in tenants.iter().enumerate() {
@@ -923,30 +677,13 @@ impl QueryService {
                 }
             }
         }
-        render_counter(
-            &mut out,
-            "spade_compact_runs_total",
-            "Compaction runs completed (background or synchronous).",
-            m.compact_runs.get(),
-        );
-        render_counter(
-            &mut out,
-            "spade_compact_bytes_read_total",
-            "Encoded cell bytes compaction read back to rewrite.",
-            m.compact_bytes_read.get(),
-        );
-        render_counter(
-            &mut out,
-            "spade_compact_bytes_written_total",
-            "Encoded cell bytes compaction wrote for new generations.",
-            m.compact_bytes_written.get(),
-        );
-        render_counter(
-            &mut out,
-            "spade_compact_cells_split_total",
-            "Cells split by compaction to respect the cell byte budget.",
-            m.compact_cells_split.get(),
-        );
+        #[rustfmt::skip]
+        render_scalars(&mut out, &[
+            (render_counter, "spade_compact_runs_total", "Compaction runs completed (background or synchronous).", m.compact_runs.get()),
+            (render_counter, "spade_compact_bytes_read_total", "Encoded cell bytes compaction read back to rewrite.", m.compact_bytes_read.get()),
+            (render_counter, "spade_compact_bytes_written_total", "Encoded cell bytes compaction wrote for new generations.", m.compact_bytes_written.get()),
+            (render_counter, "spade_compact_cells_split_total", "Cells split by compaction to respect the cell byte budget.", m.compact_cells_split.get()),
+        ]);
         out
     }
 }

@@ -4,7 +4,7 @@
 
 use spade::datagen::{spider, urban};
 use spade::engine::dataset::{Dataset, DatasetKind, IndexedDataset};
-use spade::engine::{join, select, EngineConfig, QueryCtx, Spade};
+use spade::engine::{aggregate, join, select, EngineConfig, QueryCtx, Spade};
 use spade::geometry::{BBox, Point};
 use spade::index::GridIndex;
 
@@ -106,36 +106,56 @@ fn transfer_time_counts_into_io() {
 
 /// Pipelining must not change what a query computes: identical results and
 /// an identical `cells_loaded` count for every worker count × prefetch
-/// depth combination (depth 0 is the synchronous fallback path).
+/// depth combination (depth 0 is the synchronous fallback path) — for the
+/// single-dataset stream and for both callers of the cell-pair walk.
 #[test]
 fn pipelined_execution_is_deterministic() {
-    let pts = spider::gaussian_points(15_000, 29);
-    let data = Dataset::from_points("p", pts);
     let dir = tmpdir("det");
-    let grid = GridIndex::build(Some(dir.clone()), &data.objects, 0.2).unwrap();
-    let indexed = IndexedDataset::new("p", DatasetKind::Points, grid);
+    let index = |name: &str, data: Dataset, cell_size: f64| {
+        let grid = GridIndex::build(Some(dir.join(name)), &data.objects, cell_size).unwrap();
+        IndexedDataset::new(name, data.kind, grid)
+    };
+    let indexed = index(
+        "p",
+        Dataset::from_points("p", spider::gaussian_points(15_000, 29)),
+        0.2,
+    );
+    // The pair walk's inputs are small and the canvases coarse: eighteen
+    // joins in a debug build.
+    let polys = index(
+        "parcels",
+        Dataset::from_polygons("parcels", spider::parcels(30, 0.08, 31)),
+        0.35,
+    );
+    let sparse = index(
+        "sparse",
+        Dataset::from_points("sparse", spider::uniform_points(3_000, 37)),
+        0.35,
+    );
     let c = urban::constraint_polygons(1, &unit(), 0.25, 24, 4)
         .pop()
         .unwrap();
 
-    let mut reference: Option<(Vec<u32>, u64)> = None;
+    let mut reference = None;
     for workers in [1usize, 2, 8] {
         for depth in [0usize, 1, 4] {
             let spade = Spade::new(EngineConfig {
                 workers,
                 prefetch_depth: depth,
+                resolution: 64,
                 ..EngineConfig::test_small()
             });
-            let out = select::select_indexed(&spade, &indexed, &c, &QueryCtx::default()).unwrap();
+            let ctx = QueryCtx::default();
+            let selected = select::select_indexed(&spade, &indexed, &c, &ctx).unwrap();
+            let joined = join::join_indexed(&spade, &polys, &sparse, &ctx).unwrap();
+            let counted = aggregate::aggregate_indexed(&spade, &polys, &sparse, &ctx).unwrap();
+            let got = (
+                (selected.result, joined.result, counted.result),
+                [selected.stats, joined.stats, counted.stats].map(|s| s.cells_loaded),
+            );
             match &reference {
-                None => reference = Some((out.result, out.stats.cells_loaded)),
-                Some((ids, cells)) => {
-                    assert_eq!(&out.result, ids, "workers={workers} depth={depth}");
-                    assert_eq!(
-                        out.stats.cells_loaded, *cells,
-                        "workers={workers} depth={depth}"
-                    );
-                }
+                None => reference = Some(got),
+                Some(want) => assert_eq!(&got, want, "workers={workers} depth={depth}"),
             }
         }
     }
@@ -144,7 +164,8 @@ fn pipelined_execution_is_deterministic() {
 
 /// A join whose optimizer-ordered cell pairs revisit cells must be served
 /// from the cell cache on revisits, and the prefetcher must account every
-/// cell touch as either a hit or a miss.
+/// cell touch as either a hit or a miss — in the aggregation over the same
+/// walk as well.
 #[test]
 fn shared_cell_join_hits_the_cache() {
     let spade = engine();
@@ -170,6 +191,14 @@ fn shared_cell_join_hits_the_cache() {
     );
     // Cached cells skip the disk but still cross the modeled bus.
     assert!(out.stats.bytes_to_device >= out.stats.bytes_from_disk);
+
+    let counted = aggregate::aggregate_indexed(&spade, &i1, &i2, &QueryCtx::default()).unwrap();
+    assert!(counted.stats.cells_loaded > 0);
+    assert_eq!(
+        counted.stats.prefetch_hits + counted.stats.prefetch_misses,
+        counted.stats.cells_loaded,
+        "prefetch accounting must cover every cell touch"
+    );
     std::fs::remove_dir_all(dir).ok();
 }
 
