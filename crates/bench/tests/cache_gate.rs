@@ -17,9 +17,10 @@ use std::time::{Duration, Instant};
 const RUNS: usize = 15;
 
 fn build(spade_cache: bool) -> (Spade, IndexedDataset) {
-    let mut c = EngineConfig::default();
-    c.result_cache_enabled = spade_cache;
-    let spade = Spade::new(c);
+    let spade = Spade::new(EngineConfig {
+        result_cache_enabled: spade_cache,
+        ..EngineConfig::default()
+    });
     let objs: Vec<(u32, Geometry)> = spider::uniform_points(60_000, 41)
         .into_iter()
         .enumerate()

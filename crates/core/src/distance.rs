@@ -17,6 +17,7 @@ use crate::ctx::QueryCtx;
 use crate::dataset::Dataset;
 use crate::engine::{Constraint, Spade};
 use crate::join::{scan_points_for_pairs, Pairs};
+use crate::select::{finish_ids, select_points_mem, CellWalk};
 use crate::stats::QueryOutput;
 use spade_canvas::create::PreparedPolygon;
 use spade_canvas::distance as dcanvas;
@@ -55,17 +56,18 @@ impl DistanceConstraint {
     }
 }
 
-/// Render the constraint canvas for "within `r` of G" (§4.2).
-fn build_distance_constraint(
+/// Render the constraint canvas for "within `r` of G" (§4.2) at
+/// `resolution` (the boundary index keeps it exact at any).
+pub(crate) fn build_distance_constraint(
     spade: &Spade,
     constraint: &DistanceConstraint,
     r: f64,
+    resolution: u32,
     polygon_time: &mut Duration,
 ) -> Constraint {
     let region = constraint.bbox().inflate(r);
     let pad = (region.width().max(region.height()) * 1e-6).max(1e-9);
-    let vp =
-        spade_gpu::Viewport::square_pixels(region.inflate(pad), spade.config.distance_resolution());
+    let vp = spade_gpu::Viewport::square_pixels(region.inflate(pad), resolution);
     match constraint {
         DistanceConstraint::Point(p) => {
             let layer = dcanvas::distance_canvas_points(&spade.pipeline, vp, &[(0, *p)], r);
@@ -97,8 +99,9 @@ pub fn distance_select(
     let mut qspan = crate::trace::span("query.distance");
     let measure = spade.begin();
     let mut polygon_time = Duration::ZERO;
-    let c = build_distance_constraint(spade, constraint, r, &mut polygon_time);
-    let ids = crate::select::select_points_mem(spade, &data.as_points(), &c);
+    let resolution = spade.config.distance_resolution();
+    let c = build_distance_constraint(spade, constraint, r, resolution, &mut polygon_time);
+    let ids = select_points_mem(spade, &data.as_points(), &c);
     let n = ids.len() as u64;
     qspan.attr("results", n);
     let stats = measure.finish(spade, Duration::ZERO, 0, polygon_time, 0, n);
@@ -109,9 +112,7 @@ pub fn distance_select(
 /// constraints): the same distance canvas first filters the grid cells —
 /// its boundary entries answer hull-triangle distance tests exactly — and
 /// the matching cells inside `ctx.scope` stream through the in-memory pass
-/// (the staged delta merges only when the scope owns it). The distance
-/// canvas is freed before a cancellation propagates, keeping the device
-/// ledger balanced.
+/// (the staged delta merges only when the scope owns it).
 pub fn distance_select_indexed(
     spade: &Spade,
     data: &crate::dataset::IndexedDataset,
@@ -121,23 +122,15 @@ pub fn distance_select_indexed(
 ) -> spade_storage::Result<QueryOutput<Vec<u32>>> {
     let qspan = crate::trace::span("query.distance.indexed");
     let measure = spade.begin();
-    let _stat_scope = crate::optimizer::stats::scope(data.uid());
     let mut polygon_time = Duration::ZERO;
-
-    let c = build_distance_constraint(spade, constraint, r, &mut polygon_time);
-    let _ = spade.device.upload(c.byte_size());
-    let refined =
-        crate::select::filter_and_refine(spade, data, &c, ctx, &mut polygon_time, |cell| {
-            crate::select::select_points_mem(spade, &cell.as_points(), &c)
-        });
-    spade.device.free(c.byte_size());
-    Ok(crate::select::finish_ids(
-        spade,
-        measure,
-        qspan,
-        polygon_time,
-        refined?,
-    ))
+    let walk = CellWalk::plan(data, ctx, &mut polygon_time)?;
+    let resolution = spade.config.distance_resolution();
+    let c = build_distance_constraint(spade, constraint, r, resolution, &mut polygon_time);
+    let mut ids = Vec::new();
+    let stream = walk.run(spade, ctx, &c, &c, |cell| {
+        ids.extend(select_points_mem(spade, &cell.as_points(), &c))
+    })?;
+    Ok(finish_ids(spade, measure, qspan, polygon_time, ids, stream))
 }
 
 /// Pack disks into layers so no two disks in a layer overlap — the

@@ -6,22 +6,31 @@
 //! each circle (drawing all circles costs one pass), pick the smallest
 //! radius holding at least `k` points, run a distance selection with that
 //! radius, and sort the (small) candidate set by exact distance.
+//!
+//! Both passes are per-cell kernels with distributive folds (a histogram
+//! sum, a candidate list), so the out-of-core plan is a count bound from
+//! the manifest plus two runs of the one cell walk
+//! ([`crate::select::CellWalk`]) under the same snapshot, and the
+//! in-memory plan is the one-cell case: the same two kernels applied to
+//! the data set itself.
 
 use crate::ctx::QueryCtx;
 use crate::dataset::Dataset;
-use crate::distance::{distance_join_multi, distance_select, DistanceConstraint};
-use crate::engine::Spade;
+use crate::distance::{build_distance_constraint, distance_join_multi, DistanceConstraint};
+use crate::engine::{Constraint, Spade};
+use crate::prefetch::StreamStats;
+use crate::select::{select_points_mem, CellWalk};
 use crate::stats::QueryOutput;
 use spade_canvas::algebra;
-use spade_geometry::Point;
-use spade_gpu::{Primitive, Viewport};
+use spade_geometry::{BBox, Point};
+use spade_gpu::Primitive;
 use std::time::Duration;
 
 /// Ratio `α` between consecutive circle radii (`r_i = r_max / α^i`).
 const KNN_ALPHA: f64 = 1.5;
 
 /// kNN selection: the `k` points of `data` closest to `q`, with their
-/// distances, nearest first.
+/// distances, nearest first (ties by id).
 pub fn knn_select(
     spade: &Spade,
     data: &Dataset,
@@ -32,93 +41,39 @@ pub fn knn_select(
     qspan.attr("k", k as u64);
     let measure = spade.begin();
     let pts = data.as_points();
-    if pts.is_empty() || k == 0 {
-        let stats = measure.finish(spade, Duration::ZERO, 0, Duration::ZERO, 0, 0);
-        return QueryOutput {
-            result: Vec::new(),
-            stats,
-        };
+    let mut result = Vec::new();
+    if !pts.is_empty() && k > 0 {
+        let r_max = data.extent.max_dist_to_point(q).max(1e-12);
+        let radius = knn_radius(spade, &pts, q, r_max, k);
+        let within = circle(spade, q, radius, spade.config.distance_resolution());
+        push_within(spade, &pts, &within, q, &mut result);
+        rank(&mut result, k);
     }
-
-    // Step 1: circle aggregation — count points per log-spaced radius.
-    let r_max = data.extent.max_dist_to_point(q).max(1e-12);
-    let radius = knn_radius(spade, &pts, q, r_max, k);
-
-    // Step 2: distance selection with the chosen radius.
-    let sel = distance_select(spade, data, &DistanceConstraint::Point(q), radius);
-
-    // Step 3: sort by exact distance, keep k.
-    let mut with_dist: Vec<(u32, f64)> = sel
-        .result
-        .into_iter()
-        .map(|id| {
-            let p = pts[pts.iter().position(|(i, _)| *i == id).expect("id")].1;
-            (id, p.dist(q))
-        })
-        .collect();
-    with_dist.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-    with_dist.truncate(k);
-
-    let n = with_dist.len() as u64;
+    let n = result.len() as u64;
     qspan.attr("results", n);
     let stats = measure.finish(spade, Duration::ZERO, 0, Duration::ZERO, 0, n);
-    QueryOutput {
-        result: with_dist,
-        stats,
-    }
+    QueryOutput { result, stats }
 }
 
-/// The circle-aggregation step: the smallest `r_i = r_max / α^i` whose
-/// circle holds at least `k` points. One rendering pass over the points
-/// computes the bucket histogram (the aggregation plan of §5.2 needs one
-/// pass regardless of the number of circles).
-fn knn_radius(spade: &Spade, pts: &[(u32, Point)], q: Point, r_max: f64, k: usize) -> f64 {
-    let circles = spade.config.knn_circles();
-    let region = spade_geometry::BBox::new(q, q).inflate(r_max);
-    let vp = spade.viewport_for(&region);
+/// The distance canvas of "within `r` of `q`" (a point constraint has no
+/// polygon to prepare, so no polygon time to report).
+fn circle(spade: &Spade, q: Point, r: f64, resolution: u32) -> Constraint {
+    let (q, mut no_polygon_time) = (DistanceConstraint::Point(q), Duration::ZERO);
+    build_distance_constraint(spade, &q, r, resolution, &mut no_polygon_time)
+}
 
+/// The circle-aggregation kernel over one cell: each point emits the index
+/// of the smallest circle `r_i = r_max / α^i` containing it, into `hist`.
+/// One rendering pass regardless of the number of circles (§5.2).
+fn count_circles(spade: &Spade, pts: &[(u32, Point)], q: Point, r_max: f64, hist: &mut [u64]) {
+    let circles = hist.len();
+    let vp = spade.viewport_for(&BBox::new(q, q).inflate(r_max));
     let prims: Vec<Primitive> = pts
         .iter()
         .enumerate()
         .map(|(i, (_, p))| Primitive::point(*p, [1, i as u32, 0, 0]))
         .collect();
-    // Each point emits the index of the smallest circle containing it.
-    let emitted = emit_buckets(spade, &prims, pts, q, r_max, circles, vp);
-
-    let mut hist = vec![0u64; circles];
-    for b in emitted {
-        hist[b as usize] += 1;
-    }
-    // agg(circle i) = points within r_i = Σ_{j ≥ i} hist[j]; pick the
-    // largest i (smallest radius) with agg ≥ k.
-    let mut cum = 0u64;
-    let mut best = 0usize;
-    let mut found = false;
-    for i in (0..circles).rev() {
-        cum += hist[i];
-        if cum >= k as u64 {
-            best = i;
-            found = true;
-            break;
-        }
-    }
-    if !found {
-        // Fewer than k points in total: take everything.
-        return r_max;
-    }
-    r_max / KNN_ALPHA.powi(best as i32)
-}
-
-fn emit_buckets(
-    spade: &Spade,
-    prims: &[Primitive],
-    pts: &[(u32, Point)],
-    q: Point,
-    r_max: f64,
-    circles: usize,
-    vp: Viewport,
-) -> Vec<u32> {
-    let result = algebra::map_emit(&spade.pipeline, prims, vp, false, |frag, out| {
+    let emitted = algebra::map_emit(&spade.pipeline, &prims, vp, false, |frag, out| {
         let p = pts[frag.attrs[1] as usize].1;
         let d = p.dist(q);
         if d > r_max {
@@ -134,22 +89,108 @@ fn emit_buckets(
         };
         out.push([bucket as u32, 0, 0, 0]);
     });
-    result.values.into_iter().map(|v| v[0]).collect()
+    for v in emitted.values {
+        hist[v[0] as usize] += 1;
+    }
 }
 
-/// Out-of-core kNN selection: the circle-aggregation histogram is
-/// distributive, so it accumulates per cell (each cell loaded once), the
-/// radius falls out of the merged histogram, and the final distance
-/// selection reuses the indexed path. `ctx.cancel` is polled at every cell
-/// boundary of both the histogram pass and the nested distance selection.
+/// The smallest `r_i` whose circle holds at least `k` points:
+/// agg(circle i) = points within r_i = Σ_{j ≥ i} hist[j].
+fn radius_for(hist: &[u64], r_max: f64, k: usize) -> f64 {
+    let mut cum = 0u64;
+    for i in (0..hist.len()).rev() {
+        cum += hist[i];
+        if cum >= k as u64 {
+            return r_max / KNN_ALPHA.powi(i as i32);
+        }
+    }
+    r_max // fewer than k points in total: take everything
+}
+
+/// The circle-aggregation step over one in-memory point set.
+fn knn_radius(spade: &Spade, pts: &[(u32, Point)], q: Point, r_max: f64, k: usize) -> f64 {
+    let mut hist = vec![0u64; spade.config.knn_circles()];
+    count_circles(spade, pts, q, r_max, &mut hist);
+    radius_for(&hist, r_max, k)
+}
+
+/// The distance-selection kernel over one cell: `(id, exact distance)` of
+/// the points inside the distance canvas `within` around `q`. Points are
+/// selected by position, so the distance needs no lookup by id.
+fn push_within(
+    spade: &Spade,
+    pts: &[(u32, Point)],
+    within: &Constraint,
+    q: Point,
+    out: &mut Vec<(u32, f64)>,
+) {
+    let by_position: Vec<(u32, Point)> = (0..).zip(pts.iter().map(|&(_, p)| p)).collect();
+    out.extend(
+        select_points_mem(spade, &by_position, within)
+            .into_iter()
+            .map(|i| (pts[i as usize].0, pts[i as usize].1.dist(q))),
+    );
+}
+
+/// Keep the `k` nearest candidates, ordered by `(distance, id)`.
+fn rank(candidates: &mut Vec<(u32, f64)>, k: usize) {
+    candidates.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+    candidates.truncate(k);
+}
+
+/// A zero-I/O upper bound on the distance of the `k`-th neighbour, from
+/// the manifest alone: every point of a cell lies inside its hull, hence
+/// within the hull's farthest vertex of `q`; so the scope's cells sorted
+/// by that distance, cut at the prefix whose live object counts reach `k`,
+/// put at least `k` points within the prefix's last distance. A cell's
+/// live count is `num_objects` less the masked ids that could live in it
+/// (an under-count only lengthens the prefix), and the staged writes are
+/// one more cell bounded by their bbox. If the counts never reach `k`, the
+/// last distance covers everything the walk can see.
+fn count_bound(walk: &CellWalk<'_>, q: Point, k: usize) -> f64 {
+    let delta = &walk.view.delta;
+    let mut cells: Vec<(f64, usize)> = (0u32..)
+        .zip(walk.view.grid.cells())
+        .filter(|(i, _)| walk.scope.contains(*i))
+        .map(|(_, c)| {
+            let far = c.hull.exterior.points.iter().map(|v| v.dist(q));
+            let masked = delta.mask.range(c.id_min..=c.id_max).count();
+            (
+                far.fold(0.0, f64::max),
+                c.num_objects.saturating_sub(masked),
+            )
+        })
+        .collect();
+    if walk.scope.include_delta && !delta.staged.is_empty() {
+        cells.push((delta.bbox().max_dist_to_point(q), delta.staged.len()));
+    }
+    cells.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mut live = 0;
+    let reached = cells.iter().find(|(_, n)| {
+        live += n;
+        live >= k
+    });
+    let far = reached.or(cells.last()).map_or(0.0, |c| c.0);
+    // Widened by a rounding margin: the points at exactly `far` must pass
+    // the `d ≤ r_max` tests of both kernels.
+    (far * (1.0 + 1e-9)).max(1e-12)
+}
+
+/// Out-of-core kNN selection: a count bound `r_ub` on the `k`-th distance
+/// from the manifest (no I/O), then two runs of the cell walk under one
+/// snapshot — the circle histogram with `r_max = r_ub` over the cells
+/// whose hull is within `r_ub` (no point outside them is), then the
+/// distance selection with the radius the histogram picked, folding
+/// `(id, distance)` candidates — then the exact sort. `ctx.cancel` is
+/// polled at every cell boundary of both passes.
 ///
-/// Under a cell scope the histogram, the nested selection and the delta
-/// merge all see only the scoped cells, so the output is this scope's
-/// exact local top-k by `(distance, id)`. Any member of the *global* top-k
-/// living in this scope is necessarily in the local top-k (fewer than `k`
-/// objects beat it anywhere), so concatenating per-scope results over a
-/// covering, disjoint scope set, re-sorting by `(distance, id)` and
-/// truncating to `k` reproduces the full-scope answer exactly.
+/// Under a cell scope the bound, both passes and the delta merge all see
+/// only the scoped cells, so the output is this scope's exact local top-k
+/// by `(distance, id)`. Any member of the *global* top-k living in this
+/// scope is necessarily in the local top-k (fewer than `k` objects beat it
+/// anywhere), so concatenating per-scope results over a covering, disjoint
+/// scope set, re-sorting by `(distance, id)` and truncating to `k`
+/// reproduces the full-scope answer exactly.
 pub fn knn_select_indexed(
     spade: &Spade,
     data: &crate::dataset::IndexedDataset,
@@ -157,123 +198,33 @@ pub fn knn_select_indexed(
     k: usize,
     ctx: &QueryCtx,
 ) -> spade_storage::Result<QueryOutput<Vec<(u32, f64)>>> {
-    let scope = ctx.scope.cells()?;
     let mut qspan = crate::trace::span("query.knn.indexed");
     qspan.attr("k", k as u64);
     let measure = spade.begin();
-    let _stat_scope = crate::optimizer::stats::scope(data.uid());
-    let view = data.read_view();
-    crate::explain::note_view(&view);
-    if k == 0 || (view.grid.num_objects() == 0 && view.delta.staged.is_empty()) {
-        let stats = measure.finish(spade, Duration::ZERO, 0, Duration::ZERO, 0, 0);
-        return Ok(QueryOutput {
-            result: Vec::new(),
-            stats,
-        });
+    let mut polygon_time = Duration::ZERO;
+    let walk = CellWalk::plan(data, ctx, &mut polygon_time)?;
+    let mut stream = StreamStats::default();
+    let mut result = Vec::new();
+    if k > 0 {
+        let r_max = count_bound(&walk, q, k);
+        // The bound's circle only gates cell loads: a coarse canvas.
+        let bound = circle(spade, q, r_max, spade.config.filter_resolution());
+        let mut hist = vec![0u64; spade.config.knn_circles()];
+        stream += walk.run(spade, ctx, &bound, &bound, |cell| {
+            count_circles(spade, &cell.as_points(), q, r_max, &mut hist)
+        })?;
+        let radius = radius_for(&hist, r_max, k);
+        let within = circle(spade, q, radius, spade.config.distance_resolution());
+        stream += walk.run(spade, ctx, &within, &within, |cell| {
+            push_within(spade, &cell.as_points(), &within, q, &mut result)
+        })?;
+        rank(&mut result, k);
     }
-    // r_max must cover the staged writes too — a freshly inserted point
-    // can lie outside every cell's bbox.
-    let mut extent = view.delta.bbox();
-    for cell in view.grid.cells() {
-        extent = extent.union(&cell.bbox());
-    }
-    let r_max = extent.max_dist_to_point(q).max(1e-12);
-    let circles = spade.config.knn_circles();
-    let region = spade_geometry::BBox::new(q, q).inflate(r_max);
-    let vp = spade.viewport_for(&region);
-
-    // Per-cell histogram accumulation: one pipelined pass over every cell.
-    // The pass also warms the cell cache, so the distance selection below
-    // re-reads its candidate cells from memory instead of disk.
-    let sequence: Vec<(usize, usize)> = (0..view.grid.num_cells())
-        .filter(|&i| scope.contains(i as u32))
-        .map(|i| (0, i))
-        .collect();
-    let mut hist = vec![0u64; circles];
-    let mut positions: std::collections::HashMap<u32, Point> = std::collections::HashMap::new();
-    let stream = crate::prefetch::stream_cells(
-        spade.config.prefetch_depth,
-        spade.config.cell_cache_bytes,
-        &[&view],
-        &sequence,
-        &ctx.cancel,
-        |cell| {
-            let _ = spade.device.upload(cell.bytes);
-            spade.observed.observe_cell_load(data.uid(), cell.bytes);
-            let pts = cell.data.as_points();
-            let prims: Vec<Primitive> = pts
-                .iter()
-                .enumerate()
-                .map(|(j, (_, p))| Primitive::point(*p, [1, j as u32, 0, 0]))
-                .collect();
-            for b in emit_buckets(spade, &prims, &pts, q, r_max, circles, vp) {
-                hist[b as usize] += 1;
-            }
-            positions.extend(pts);
-            spade.device.free(cell.bytes);
-            Ok(())
-        },
-    )?;
-    // The staged writes are one more "cell" of the distributive histogram.
-    if scope.include_delta && view.has_delta() {
-        let pts = view.delta_dataset().as_points();
-        let prims: Vec<Primitive> = pts
-            .iter()
-            .enumerate()
-            .map(|(j, (_, p))| Primitive::point(*p, [1, j as u32, 0, 0]))
-            .collect();
-        for b in emit_buckets(spade, &prims, &pts, q, r_max, circles, vp) {
-            hist[b as usize] += 1;
-        }
-        positions.extend(pts);
-    }
-    let mut cum = 0u64;
-    let mut radius = r_max;
-    for i in (0..circles).rev() {
-        cum += hist[i];
-        if cum >= k as u64 {
-            radius = r_max / KNN_ALPHA.powi(i as i32);
-            break;
-        }
-    }
-
-    // Indexed distance selection with the chosen radius (scoped to the
-    // same cells as the histogram), then exact sort.
-    let sel = crate::distance::distance_select_indexed(
-        spade,
-        data,
-        &DistanceConstraint::Point(q),
-        radius,
-        ctx,
-    )?;
-    // Ids without a recorded position belong to writes that landed after
-    // the histogram snapshot (the nested selection reads its own view);
-    // dropping them keeps the answer consistent with our snapshot.
-    let mut with_dist: Vec<(u32, f64)> = sel
-        .result
-        .into_iter()
-        .filter_map(|id| positions.get(&id).map(|p| (id, p.dist(q))))
-        .collect();
-    with_dist.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-    with_dist.truncate(k);
-
-    let n = with_dist.len() as u64;
-    let mut stats = measure.finish_streamed(spade, &stream, Duration::ZERO, n);
-    stats.cells_loaded += sel.stats.cells_loaded;
-    stats.bytes_from_disk += sel.stats.bytes_from_disk;
-    stats.prefetch_hits += sel.stats.prefetch_hits;
-    stats.prefetch_misses += sel.stats.prefetch_misses;
-    stats.cache_hits += sel.stats.cache_hits;
-    stats.io_hidden += sel.stats.io_hidden;
-    // The nested selection contributed more hidden I/O: recompute the
-    // residual so the components stay consistent with the wall total.
-    stats.recompute_cpu();
-    qspan.attr("cells", stats.cells_loaded);
+    let n = result.len() as u64;
+    qspan.attr("cells", stream.cells);
     qspan.attr("results", n);
-    Ok(QueryOutput {
-        result: with_dist,
-        stats,
-    })
+    let stats = measure.finish_streamed(spade, &stream, polygon_time, n);
+    Ok(QueryOutput { result, stats })
 }
 
 /// kNN join: for each point of `d1`, its `k` nearest neighbours in `d2`.
@@ -320,8 +271,7 @@ pub fn knn_join(
     }
     let mut result = Vec::new();
     for (l, mut cands) in grouped {
-        cands.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-        cands.truncate(k);
+        rank(&mut cands, k);
         for (r, d) in cands {
             result.push((l, r, d));
         }
@@ -367,6 +317,12 @@ mod tests {
         all.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
         all.truncate(k);
         all
+    }
+
+    fn indexed(pts: Vec<Point>, cell_size: f64) -> crate::dataset::IndexedDataset {
+        let data = Dataset::from_points("p", pts);
+        let grid = spade_index::GridIndex::build(None, &data.objects, cell_size).unwrap();
+        crate::dataset::IndexedDataset::new("p", crate::dataset::DatasetKind::Points, grid)
     }
 
     #[test]
@@ -441,9 +397,7 @@ mod tests {
         let s = engine();
         let pts = scatter(800, 100.0, 89);
         let data = Dataset::from_points("p", pts.clone());
-        let grid = spade_index::GridIndex::build(None, &data.objects, 30.0).unwrap();
-        let indexed =
-            crate::dataset::IndexedDataset::new("p", crate::dataset::DatasetKind::Points, grid);
+        let indexed = indexed(pts, 30.0);
         let q = Point::new(37.0, 63.0);
         for k in [1usize, 8, 30] {
             let mem = knn_select(&s, &data, q, k);
@@ -454,6 +408,114 @@ mod tests {
             }
             assert!(ooc.stats.cells_loaded > 0);
         }
+    }
+
+    /// The count bound keeps both passes to the cells around `q`, every
+    /// cell touch is a prefetch hit or miss, and a repeat is served from
+    /// the cell cache.
+    #[test]
+    fn indexed_knn_reads_only_cells_within_the_bound() {
+        let s = engine();
+        // 9 × 9 cells of 25 points each.
+        let lattice = (0..45 * 45)
+            .map(|i| Point::new((2 * (i % 45) + 1) as f64, (2 * (i / 45) + 1) as f64))
+            .collect();
+        let data = indexed(lattice, 10.0);
+        let cells = data.grid().num_cells() as u64;
+        assert_eq!(cells, 81);
+        let q = Point::new(45.0, 45.0); // the centre of cell (4, 4)
+        let cold = knn_select_indexed(&s, &data, q, 1, &QueryCtx::default()).unwrap();
+        assert_eq!(cold.result.len(), 1);
+        assert_eq!(cold.result[0].1, 0.0);
+        let st = &cold.stats;
+        assert!(st.cells_loaded > 0 && st.cells_loaded < cells, "{st:?}");
+        assert_eq!(st.prefetch_hits + st.prefetch_misses, st.cells_loaded);
+        assert!(st.bytes_from_disk > 0);
+        let warm = knn_select_indexed(&s, &data, q, 1, &QueryCtx::default()).unwrap();
+        assert_eq!(warm.result, cold.result);
+        assert_eq!(warm.stats.cells_loaded, st.cells_loaded);
+        assert_eq!(warm.stats.bytes_from_disk, 0);
+        assert_eq!(warm.stats.cache_hits, warm.stats.cells_loaded);
+    }
+
+    /// The two passes as `knn_select_indexed` drives them, with a hook
+    /// between them and one after every cell of the second — places where
+    /// a test can write or cancel deterministically.
+    fn two_passes(
+        s: &Spade,
+        walk: &CellWalk<'_>,
+        ctx: &QueryCtx,
+        (q, k): (Point, usize),
+        between: impl FnOnce(),
+        mut in_second: impl FnMut(),
+    ) -> spade_storage::Result<Vec<(u32, f64)>> {
+        let r_max = count_bound(walk, q, k);
+        let bound = circle(s, q, r_max, s.config.filter_resolution());
+        let mut hist = vec![0u64; s.config.knn_circles()];
+        walk.run(s, ctx, &bound, &bound, |cell| {
+            count_circles(s, &cell.as_points(), q, r_max, &mut hist)
+        })?;
+        between();
+        let radius = radius_for(&hist, r_max, k);
+        let within = circle(s, q, radius, s.config.distance_resolution());
+        let mut got = Vec::new();
+        walk.run(s, ctx, &within, &within, |cell| {
+            push_within(s, &cell.as_points(), &within, q, &mut got);
+            in_second();
+        })?;
+        rank(&mut got, k);
+        Ok(got)
+    }
+
+    /// Writes landing between the two passes — a replace that moves a
+    /// top-k id far away and a delete of another — must not show: both
+    /// passes read the walk's one snapshot.
+    #[test]
+    fn both_passes_answer_from_one_snapshot() {
+        let s = engine();
+        let pts = scatter(800, 100.0, 97);
+        let data = indexed(pts.clone(), 30.0);
+        let (q, k) = (Point::new(37.0, 63.0), 8);
+        let before = oracle_knn(&pts, q, k);
+        let ctx = QueryCtx::default();
+        let walk = CellWalk::plan(&data, &ctx, &mut Duration::default()).unwrap();
+        let write = || {
+            let moved = spade_geometry::Geometry::Point(Point::new(99.0, 1.0));
+            data.insert_at(1, before[0].0, moved);
+            data.delete_at(2, before[1].0);
+        };
+        let got = two_passes(&s, &walk, &ctx, (q, k), write, || ()).unwrap();
+        assert_eq!(got, before);
+        drop(walk);
+
+        // The next query sees both writes.
+        let mut after: Vec<(u32, f64)> = oracle_knn(&pts, q, k + 2)
+            .into_iter()
+            .filter(|(id, _)| *id != before[0].0 && *id != before[1].0)
+            .collect();
+        after.truncate(k);
+        let fresh = knn_select_indexed(&s, &data, q, k, &ctx).unwrap();
+        assert_eq!(fresh.result, after);
+    }
+
+    /// Cancelling from inside the second pass: the walk stops at the next
+    /// cell boundary and frees the distance canvas itself.
+    #[test]
+    fn cancel_inside_the_second_pass_frees_the_canvas() {
+        let s = engine();
+        let data = indexed(scatter(800, 100.0, 101), 30.0);
+        let ctx = QueryCtx::default();
+        let walk = CellWalk::plan(&data, &ctx, &mut Duration::default()).unwrap();
+        let mut refined = 0;
+        let cancel = || {
+            refined += 1;
+            ctx.cancel.cancel();
+        };
+        let query = (Point::new(50.0, 50.0), 400);
+        let res = two_passes(&s, &walk, &ctx, query, || (), cancel);
+        assert_eq!(res.unwrap_err(), spade_storage::StorageError::Cancelled);
+        assert_eq!(refined, 1);
+        assert_eq!(s.device.used(), 0);
     }
 
     #[test]

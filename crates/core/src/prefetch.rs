@@ -60,6 +60,21 @@ pub struct StreamStats {
     pub cache_hits: u64,
 }
 
+/// Streams of one query add: a query that walks its cells twice reports
+/// the sum.
+impl std::ops::AddAssign for StreamStats {
+    fn add_assign(&mut self, other: StreamStats) {
+        self.io_time += other.io_time;
+        self.recv_wait += other.recv_wait;
+        self.io_hidden += other.io_hidden;
+        self.bytes_from_disk += other.bytes_from_disk;
+        self.cells += other.cells;
+        self.prefetch_hits += other.prefetch_hits;
+        self.prefetch_misses += other.prefetch_misses;
+        self.cache_hits += other.cache_hits;
+    }
+}
+
 impl StreamStats {
     /// Fold this stream's accounting into a query's stats record.
     ///

@@ -13,10 +13,11 @@
 //! then streams each chosen cell through the in-memory plan.
 
 use crate::ctx::QueryCtx;
-use crate::dataset::{Dataset, DatasetKind, IndexedDataset};
+use crate::dataset::{Dataset, DatasetKind, IndexedDataset, ReadView};
 use crate::engine::{Constraint, Measure, Spade};
 use crate::optimizer;
 use crate::prefetch::StreamStats;
+use crate::scope::CellScope;
 use crate::stats::QueryOutput;
 use spade_canvas::algebra;
 use spade_canvas::create::PreparedPolygon;
@@ -242,9 +243,23 @@ pub fn select_contained(
     let prepared = vec![PreparedPolygon::prepare(0, constraint_poly)];
     let polygon_time = t0.elapsed();
     let constraint = Constraint::from_polygons(spade, &prepared);
+    let ids = contained_mem(spade, data, constraint_poly, &constraint);
+    let n = ids.len() as u64;
+    qspan.attr("results", n);
+    let stats = measure.finish(spade, Duration::ZERO, 0, polygon_time, 0, n);
+    QueryOutput { result: ids, stats }
+}
 
-    let ids = match data.kind {
-        DatasetKind::Points => select_points_mem(spade, &data.as_points(), &constraint),
+/// The containment kernel over one cell: `constraint` is the rendered
+/// canvas of `constraint_poly`.
+fn contained_mem(
+    spade: &Spade,
+    data: &Dataset,
+    constraint_poly: &Polygon,
+    constraint: &Constraint,
+) -> Vec<u32> {
+    match data.kind {
+        DatasetKind::Points => select_points_mem(spade, &data.as_points(), constraint),
         _ => {
             // §7: test the vertex collection of each object. An object is a
             // containment candidate iff *every* vertex matches.
@@ -298,84 +313,138 @@ pub fn select_contained(
                 })
                 .collect()
         }
-    };
-    let n = ids.len() as u64;
-    qspan.attr("results", n);
-    let stats = measure.finish(spade, Duration::ZERO, 0, polygon_time, 0, n);
-    QueryOutput { result: ids, stats }
-}
-
-/// The out-of-core driver shared by the single-dataset executors that
-/// produce ids (§5.3). *Filter*: a polygon selection over the cells'
-/// hulls against `filter` (a false positive only loads one extra cell),
-/// kept to the cells `ctx.scope` covers. *Refine*: stream each candidate
-/// through `refine`, prefetching ahead; cell bytes are shipped to the
-/// device per use (accounted; OOM at this scale means the cell streams
-/// without residing). *Delta*: when the scope owns it, the staged writes
-/// are one more in-memory "cell" refined the same way, so merged results
-/// match a cold rebuild. `ctx.cancel` is polled at every cell boundary.
-pub(crate) fn filter_and_refine(
-    spade: &Spade,
-    data: &IndexedDataset,
-    filter: &Constraint,
-    ctx: &QueryCtx,
-    polygon_time: &mut Duration,
-    mut refine: impl FnMut(&Dataset) -> Vec<u32>,
-) -> spade_storage::Result<(Vec<u32>, StreamStats)> {
-    let scope = ctx.scope.cells()?;
-    let view = data.read_view();
-    crate::explain::note_view(&view);
-    let t0 = Instant::now();
-    let hulls: Vec<PreparedPolygon> = view
-        .grid
-        .bounding_polygons()
-        .into_iter()
-        .map(|(i, hull)| PreparedPolygon::prepare(i, &hull))
-        .collect();
-    *polygon_time += t0.elapsed();
-    let sequence: Vec<(usize, usize)> = select_polygons_mem(spade, &hulls, filter)
-        .into_iter()
-        .filter(|&c| scope.contains(c))
-        .map(|c| (0, c as usize))
-        .collect();
-
-    let mut ids = Vec::new();
-    let stream = crate::prefetch::stream_cells(
-        spade.config.prefetch_depth,
-        spade.config.cell_cache_bytes,
-        &[&view],
-        &sequence,
-        &ctx.cancel,
-        |cell| {
-            let _ = spade.device.upload(cell.bytes);
-            spade.observed.observe_cell_load(data.uid(), cell.bytes);
-            ids.extend(refine(&cell.data));
-            spade.device.free(cell.bytes);
-            Ok(())
-        },
-    )?;
-    if scope.include_delta && view.has_delta() {
-        ids.extend(refine(&view.delta_dataset()));
     }
-    ids.sort_unstable();
-    ids.dedup();
-    Ok((ids, stream))
 }
 
-/// Close an id-producing out-of-core query: span attributes, the wall
-/// clock, then the stream's overlap accounting.
+/// The out-of-core strategy every single-dataset query shares (§5.3) —
+/// the one-dataset twin of [`crate::join::PairWalk`]. [`CellWalk::plan`]
+/// fixes the snapshot, the scope and the prepared cell hulls once per
+/// query; [`CellWalk::run`] owns everything between a constraint and the
+/// caller's per-cell kernel, and may run more than once (kNN: twice) over
+/// the same snapshot.
+pub(crate) struct CellWalk<'a> {
+    pub view: ReadView<'a>,
+    pub scope: CellScope,
+    uid: u64,
+    hulls: Vec<PreparedPolygon>,
+    /// Map decisions made under the walk are attributed to its dataset.
+    _stats: crate::optimizer::stats::ScopeGuard,
+}
+
+impl<'a> CellWalk<'a> {
+    pub(crate) fn plan(
+        data: &'a IndexedDataset,
+        ctx: &QueryCtx,
+        polygon_time: &mut Duration,
+    ) -> spade_storage::Result<CellWalk<'a>> {
+        let scope = ctx.scope.cells()?;
+        let view = data.read_view();
+        crate::explain::note_view(&view);
+        let t0 = Instant::now();
+        let hulls = (0u32..)
+            .zip(view.grid.cells())
+            .map(|(i, cell)| PreparedPolygon::prepare(i, &cell.hull))
+            .collect();
+        *polygon_time += t0.elapsed();
+        Ok(CellWalk {
+            view,
+            scope,
+            uid: data.uid(),
+            hulls,
+            _stats: crate::optimizer::stats::scope(data.uid()),
+        })
+    }
+
+    /// *Filter*: a polygon selection over the cells' hulls against
+    /// `filter` (possibly a coarse rendering of `resident`: a false
+    /// positive only loads one extra cell), kept to the cells the scope
+    /// covers. *Refine*: stream each candidate through `refine`,
+    /// prefetching ahead, with `resident` — the canvas `refine` samples —
+    /// on the device until the walk returns or fails; cell bytes are
+    /// shipped per use (accounted; OOM at this scale means the cell
+    /// streams without residing). *Delta*: when the scope owns it, the
+    /// staged writes are one more in-memory "cell" refined the same way,
+    /// so merged results match a cold rebuild. `ctx.cancel` is polled at
+    /// every cell boundary.
+    pub(crate) fn run(
+        &self,
+        spade: &Spade,
+        ctx: &QueryCtx,
+        filter: &Constraint,
+        resident: &Constraint,
+        mut refine: impl FnMut(&Dataset),
+    ) -> spade_storage::Result<StreamStats> {
+        let sequence: Vec<(usize, usize)> = select_polygons_mem(spade, &self.hulls, filter)
+            .into_iter()
+            .filter(|&c| self.scope.contains(c))
+            .map(|c| (0, c as usize))
+            .collect();
+        let _ = spade.device.upload(resident.byte_size());
+        let streamed = crate::prefetch::stream_cells(
+            spade.config.prefetch_depth,
+            spade.config.cell_cache_bytes,
+            &[&self.view],
+            &sequence,
+            &ctx.cancel,
+            |cell| {
+                let _ = spade.device.upload(cell.bytes);
+                spade.observed.observe_cell_load(self.uid, cell.bytes);
+                refine(&cell.data);
+                spade.device.free(cell.bytes);
+                Ok(())
+            },
+        );
+        if streamed.is_ok() && self.scope.include_delta && self.view.has_delta() {
+            refine(&self.view.delta_dataset());
+        }
+        spade.device.free(resident.byte_size());
+        streamed
+    }
+}
+
+/// Close an id-producing out-of-core query: sort the per-cell ids, span
+/// attributes, the wall clock, then the stream's overlap accounting.
 pub(crate) fn finish_ids(
     spade: &Spade,
     measure: Measure,
     mut qspan: crate::trace::SpanGuard,
     polygon_time: Duration,
-    (ids, stream): (Vec<u32>, StreamStats),
+    mut ids: Vec<u32>,
+    stream: StreamStats,
 ) -> QueryOutput<Vec<u32>> {
+    ids.sort_unstable();
+    ids.dedup();
     let n = ids.len() as u64;
     qspan.attr("cells", stream.cells);
     qspan.attr("results", n);
     let stats = measure.finish_streamed(spade, &stream, polygon_time, n);
     QueryOutput { result: ids, stats }
+}
+
+/// An out-of-core selection against a polygonal constraint: the polygon
+/// is prepared once and its canvas serves every refinement — cells and
+/// delta alike — through `kernel`; the hull filter runs against a coarse
+/// rendering of it.
+fn polygon_walk(
+    spade: &Spade,
+    data: &IndexedDataset,
+    constraint_poly: &Polygon,
+    ctx: &QueryCtx,
+    qspan: crate::trace::SpanGuard,
+    kernel: impl Fn(&Dataset, &Constraint) -> Vec<u32>,
+) -> spade_storage::Result<QueryOutput<Vec<u32>>> {
+    let measure = spade.begin();
+    let t0 = Instant::now();
+    let prepared = vec![PreparedPolygon::prepare(0, constraint_poly)];
+    let mut polygon_time = t0.elapsed();
+    let walk = CellWalk::plan(data, ctx, &mut polygon_time)?;
+    let constraint = Constraint::from_polygons(spade, &prepared);
+    let filter = Constraint::from_polygons_res(spade, &prepared, spade.config.filter_resolution());
+    let mut ids = Vec::new();
+    let stream = walk.run(spade, ctx, &filter, &constraint, |cell| {
+        ids.extend(kernel(cell, &constraint))
+    })?;
+    Ok(finish_ids(spade, measure, qspan, polygon_time, ids, stream))
 }
 
 /// Out-of-core containment selection: since every object is clustered into
@@ -391,16 +460,9 @@ pub fn select_contained_indexed(
     ctx: &QueryCtx,
 ) -> spade_storage::Result<QueryOutput<Vec<u32>>> {
     let qspan = crate::trace::span("query.contained.indexed");
-    let measure = spade.begin();
-    let _stat_scope = crate::optimizer::stats::scope(data.uid());
-    let t0 = Instant::now();
-    let prepared = vec![PreparedPolygon::prepare(0, constraint_poly)];
-    let mut polygon_time = t0.elapsed();
-    let filter = Constraint::from_polygons_res(spade, &prepared, spade.config.filter_resolution());
-    let refined = filter_and_refine(spade, data, &filter, ctx, &mut polygon_time, |cell| {
-        select_contained(spade, cell, constraint_poly).result
-    })?;
-    Ok(finish_ids(spade, measure, qspan, polygon_time, refined))
+    polygon_walk(spade, data, constraint_poly, ctx, qspan, |cell, c| {
+        contained_mem(spade, cell, constraint_poly, c)
+    })
 }
 
 fn object_vertices(g: &spade_geometry::Geometry) -> Vec<Point> {
@@ -468,8 +530,7 @@ fn constraint_hole_cuts(constraint: &Polygon, g: &spade_geometry::Geometry) -> b
 /// The hull filter always runs whole; only candidate cells inside
 /// `ctx.scope` stream through refinement, and the staged delta merges only
 /// when the scope owns it — the scatter-gather invariant cluster executors
-/// rely on. On cancellation the constraint canvas is freed before the
-/// error propagates, so the device ledger stays balanced.
+/// rely on.
 pub fn select_indexed(
     spade: &Spade,
     data: &IndexedDataset,
@@ -477,23 +538,9 @@ pub fn select_indexed(
     ctx: &QueryCtx,
 ) -> spade_storage::Result<QueryOutput<Vec<u32>>> {
     let qspan = crate::trace::span("query.select.indexed");
-    let measure = spade.begin();
-    let _stat_scope = crate::optimizer::stats::scope(data.uid());
-
-    // Prepare the constraint once; the same canvas serves every
-    // refinement pass — cells and delta alike — and stays resident on the
-    // device; the filter runs against a coarse rendering of it.
-    let t0 = Instant::now();
-    let prepared = vec![PreparedPolygon::prepare(0, constraint_poly)];
-    let mut polygon_time = t0.elapsed();
-    let constraint = Constraint::from_polygons(spade, &prepared);
-    let _ = spade.device.upload(constraint.byte_size());
-    let filter = Constraint::from_polygons_res(spade, &prepared, spade.config.filter_resolution());
-    let refined = filter_and_refine(spade, data, &filter, ctx, &mut polygon_time, |cell| {
-        select_mem_dispatch(spade, cell, &constraint)
-    });
-    spade.device.free(constraint.byte_size());
-    Ok(finish_ids(spade, measure, qspan, polygon_time, refined?))
+    polygon_walk(spade, data, constraint_poly, ctx, qspan, |cell, c| {
+        select_mem_dispatch(spade, cell, c)
+    })
 }
 
 #[cfg(test)]

@@ -111,24 +111,6 @@ impl QueryStats {
             .saturating_sub(self.polygon_time);
     }
 
-    /// Merge another stats record into this one (summing components).
-    pub fn absorb(&mut self, other: &QueryStats) {
-        self.io_time += other.io_time;
-        self.gpu_time += other.gpu_time;
-        self.polygon_time += other.polygon_time;
-        self.cpu_time += other.cpu_time;
-        self.total_time += other.total_time;
-        self.bytes_from_disk += other.bytes_from_disk;
-        self.bytes_to_device += other.bytes_to_device;
-        self.passes += other.passes;
-        self.cells_loaded += other.cells_loaded;
-        self.result_count += other.result_count;
-        self.prefetch_hits += other.prefetch_hits;
-        self.prefetch_misses += other.prefetch_misses;
-        self.cache_hits += other.cache_hits;
-        self.io_hidden += other.io_hidden;
-    }
-
     /// Fraction of the total attributed to I/O (the paper observes ≥95%
     /// for the Buildings workload, §6.2).
     pub fn io_fraction(&self) -> f64 {
@@ -208,35 +190,6 @@ mod tests {
         };
         s.finish(Duration::from_millis(100));
         assert_eq!(s.cpu_time, Duration::ZERO);
-    }
-
-    #[test]
-    fn absorb_sums() {
-        let mut a = QueryStats {
-            passes: 2,
-            bytes_from_disk: 100,
-            result_count: 5,
-            cache_hits: 1,
-            ..Default::default()
-        };
-        let b = QueryStats {
-            passes: 3,
-            bytes_from_disk: 50,
-            result_count: 7,
-            cache_hits: 4,
-            prefetch_hits: 2,
-            prefetch_misses: 1,
-            io_hidden: Duration::from_millis(5),
-            ..Default::default()
-        };
-        a.absorb(&b);
-        assert_eq!(a.passes, 5);
-        assert_eq!(a.bytes_from_disk, 150);
-        assert_eq!(a.result_count, 12);
-        assert_eq!(a.cache_hits, 5);
-        assert_eq!(a.prefetch_hits, 2);
-        assert_eq!(a.prefetch_misses, 1);
-        assert_eq!(a.io_hidden, Duration::from_millis(5));
     }
 
     #[test]

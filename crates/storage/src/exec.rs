@@ -727,7 +727,7 @@ mod tests {
             CmpOp::Ge,
         ];
         let op = ops[(lcg(seed) % 6) as usize];
-        if depth == 0 || lcg(seed) % 3 == 0 {
+        if depth == 0 || lcg(seed).is_multiple_of(3) {
             return match lcg(seed) % 12 {
                 0 => Expr::cmp(op, Expr::col("a"), Expr::lit(0i64)),
                 1 => Expr::cmp(op, Expr::col("a"), Expr::lit(0.5)),

@@ -4,7 +4,8 @@
 
 use spade::datagen::{spider, urban};
 use spade::engine::dataset::{Dataset, DatasetKind, IndexedDataset};
-use spade::engine::{aggregate, join, select, EngineConfig, QueryCtx, Spade};
+use spade::engine::distance::{self, DistanceConstraint};
+use spade::engine::{aggregate, join, knn, select, EngineConfig, QueryCtx, Spade};
 use spade::geometry::{BBox, Point};
 use spade::index::GridIndex;
 
@@ -76,6 +77,17 @@ fn device_memory_is_balanced_after_queries() {
     for _ in 0..3 {
         let _ = select::select_indexed(&spade, &indexed, &c, &QueryCtx::default()).unwrap();
     }
+    // The walk frees the constraint canvas of each kNN pass, and frees it
+    // when a pass is cancelled.
+    let q = Point::new(0.4, 0.6);
+    let near = knn::knn_select_indexed(&spade, &indexed, q, 50, &QueryCtx::default()).unwrap();
+    assert_eq!(near.result.len(), 50);
+    let cancelled = QueryCtx::default();
+    cancelled.cancel.cancel();
+    assert_eq!(
+        knn::knn_select_indexed(&spade, &indexed, q, 50, &cancelled).unwrap_err(),
+        spade::storage::StorageError::Cancelled
+    );
     // All uploads must have been freed.
     assert_eq!(spade.device.used(), 0);
     assert!(spade.device.transfer_stats.bytes() > 0);
@@ -107,7 +119,8 @@ fn transfer_time_counts_into_io() {
 /// Pipelining must not change what a query computes: identical results and
 /// an identical `cells_loaded` count for every worker count × prefetch
 /// depth combination (depth 0 is the synchronous fallback path) — for the
-/// single-dataset stream and for both callers of the cell-pair walk.
+/// callers of the cell walk (one run, and kNN's two) and of the cell-pair
+/// walk.
 #[test]
 fn pipelined_execution_is_deterministic() {
     let dir = tmpdir("det");
@@ -135,6 +148,8 @@ fn pipelined_execution_is_deterministic() {
     let c = urban::constraint_polygons(1, &unit(), 0.25, 24, 4)
         .pop()
         .unwrap();
+    let q = Point::new(0.45, 0.55);
+    let origin = DistanceConstraint::Point(q);
 
     let mut reference = None;
     for workers in [1usize, 2, 8] {
@@ -147,11 +162,22 @@ fn pipelined_execution_is_deterministic() {
             });
             let ctx = QueryCtx::default();
             let selected = select::select_indexed(&spade, &indexed, &c, &ctx).unwrap();
+            let near =
+                distance::distance_select_indexed(&spade, &sparse, &origin, 0.3, &ctx).unwrap();
+            let nearest = knn::knn_select_indexed(&spade, &sparse, q, 25, &ctx).unwrap();
             let joined = join::join_indexed(&spade, &polys, &sparse, &ctx).unwrap();
             let counted = aggregate::aggregate_indexed(&spade, &polys, &sparse, &ctx).unwrap();
             let got = (
-                (selected.result, joined.result, counted.result),
-                [selected.stats, joined.stats, counted.stats].map(|s| s.cells_loaded),
+                (selected.result, near.result, nearest.result),
+                (joined.result, counted.result),
+                [
+                    selected.stats,
+                    near.stats,
+                    nearest.stats,
+                    joined.stats,
+                    counted.stats,
+                ]
+                .map(|s| s.cells_loaded),
             );
             match &reference {
                 None => reference = Some(got),

@@ -198,6 +198,79 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Out-of-core kNN: the count bound is exact.
+
+use spade::engine::{knn, CellScope, Scope};
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Indexed kNN ≡ in-memory kNN ≡ brute force by `(distance, id)`, and
+    /// the local top-k of a covering set of disjoint cell ranges merge to
+    /// the same answer. Points and `q` sit on a lattice as coarse as one
+    /// point (everything coincident, distances tied at the k-th rank), `q`
+    /// up to three extents outside, `k` past `n`; the writes tombstone and
+    /// replace ids inside the cells the bound counts (so `num_objects`
+    /// over-counts) and stage inserts outside every hull.
+    #[test]
+    fn indexed_knn_matches_brute_force(
+        raw in prop::collection::vec((0u32..65, 0u32..65), 1..100),
+        spread in 0usize..4,
+        q in (-192i32..257, -192i32..257),
+        k in 1usize..130,
+        cell in 0.15f64..0.6,
+        writes in prop::collection::vec((0u32..140, 0u32..3, (0u32..65, 0u32..65)), 0..10),
+        cuts in (0u32..12, 0u32..12),
+    ) {
+        let (modulus, step) = [(1, 0), (2, 64), (9, 8), (65, 1)][spread];
+        let at = |(a, b): (u32, u32)| {
+            Point::new(((a % modulus) * step) as f64 / 64.0, ((b % modulus) * step) as f64 / 64.0)
+        };
+        let q = Point::new(q.0 as f64 / 64.0, q.1 as f64 / 64.0);
+        let spade = Spade::new(EngineConfig { resolution: 64, ..EngineConfig::test_small() });
+
+        let base = Dataset::from_points("p", raw.iter().map(|&r| at(r)).collect());
+        let grid = GridIndex::build(None, &base.objects, cell).unwrap();
+        let cells = grid.num_cells() as u32;
+        let indexed = IndexedDataset::new("p", DatasetKind::Points, grid);
+        let mut truth: std::collections::BTreeMap<u32, Point> =
+            (0..).zip(raw.iter().map(|&r| at(r))).collect();
+        for &(id, kind, pos) in &writes {
+            let p = if kind == 2 { at(pos) + Point::new(1.5, 0.0) } else { at(pos) };
+            if kind == 0 {
+                indexed.delete(id);
+                truth.remove(&id);
+            } else {
+                indexed.insert(id, Geometry::Point(p));
+                truth.insert(id, p);
+            }
+        }
+
+        let rank = |mut all: Vec<(u32, f64)>| {
+            all.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+            all.truncate(k);
+            all
+        };
+        let brute = rank(truth.iter().map(|(&id, p)| (id, p.dist(q))).collect());
+        let objects = truth.iter().map(|(&id, &p)| (id, Geometry::Point(p))).collect();
+        let mem = Dataset::from_objects("p", DatasetKind::Points, objects);
+        prop_assert_eq!(&knn::knn_select(&spade, &mem, q, k).result, &brute);
+        let full = knn::knn_select_indexed(&spade, &indexed, q, k, &QueryCtx::default());
+        prop_assert_eq!(&full.unwrap().result, &brute);
+
+        let (a, b) = (cuts.0 % (cells + 1), cuts.1 % (cells + 1));
+        let (lo, hi) = (a.min(b), a.max(b));
+        let mut merged = Vec::new();
+        for (i, (lo, hi)) in [(0, lo), (lo, hi), (hi, u32::MAX)].into_iter().enumerate() {
+            let scope = Scope::Cells(CellScope { lo, hi, include_delta: i as u32 == cuts.0 % 3 });
+            let ctx = QueryCtx { scope, ..QueryCtx::default() };
+            merged.extend(knn::knn_select_indexed(&spade, &indexed, q, k, &ctx).unwrap().result);
+        }
+        prop_assert_eq!(&rank(merged), &brute);
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Optimizer cell-pair ordering and transfer estimation.
 
 use spade::engine::optimizer::{estimate_layer_bytes_ordered, order_cell_pairs, JoinStrategy};
