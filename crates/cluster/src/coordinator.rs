@@ -49,7 +49,7 @@ impl From<ClientError> for ClusterError {
 
 /// The result-bearing families a scatter fans out, for the
 /// `spade_shard_fanout_total{family}` metric.
-const FAMILIES: [&str; 7] = [
+const FAMILIES: [&str; 8] = [
     "select",
     "range",
     "contained",
@@ -57,7 +57,21 @@ const FAMILIES: [&str; 7] = [
     "knn",
     "join",
     "aggregate",
+    "distance-join",
 ];
+
+/// The join families the coordinator routes pair by pair: the metric
+/// family, and the reach two cells must come within of each other to hold
+/// a result. A kNN join is not one: its candidate cells depend on *live*
+/// counts (the delta mask), which a [`ShardMap`] does not carry.
+fn pair_family(query: &JoinQuery) -> Option<(&'static str, f64)> {
+    match query {
+        JoinQuery::Intersects => Some(("join", 0.0)),
+        JoinQuery::CountPoints => Some(("aggregate", 0.0)),
+        JoinQuery::WithinDistance(r) => Some(("distance-join", *r)),
+        JoinQuery::Knn(_) => None,
+    }
+}
 
 /// A scatter-gather front door over N workers, each a full `spade-net`
 /// server holding the complete dataset. See the crate docs for the
@@ -68,7 +82,7 @@ pub struct ClusterClient {
     workers: Vec<Client>,
     maps: RwLock<HashMap<String, ShardMap>>,
     round_robin: AtomicUsize,
-    fanout: [AtomicU64; 7],
+    fanout: [AtomicU64; 8],
     bytes_moved: Vec<AtomicU64>,
 }
 
@@ -151,8 +165,8 @@ impl ClusterClient {
         &self.workers[i % self.workers.len()]
     }
 
-    /// Execute one request against the cluster. Selections and
-    /// intersects/count-points joins scatter when a shard map exists;
+    /// Execute one request against the cluster. Selections and the
+    /// pair-routed joins ([`pair_family`]) scatter when a shard map exists;
     /// writes broadcast; everything else routes to one worker.
     pub fn query(&self, request: &QueryRequest) -> Result<QueryResponse, ClusterError> {
         match request {
@@ -167,14 +181,13 @@ impl ClusterClient {
             }
             QueryRequest::Join { left, right, query } => {
                 let maps = (self.shard_map(left), self.shard_map(right));
-                match (maps, query) {
-                    ((Some(lm), Some(rm)), JoinQuery::Intersects | JoinQuery::CountPoints)
-                        if self.workers.len() > 1 =>
-                    {
-                        self.scatter_join(left, right, query, &lm, &rm)
+                match (maps, pair_family(query)) {
+                    ((Some(lm), Some(rm)), Some(family)) if self.workers.len() > 1 => {
+                        self.scatter_join(left, right, query, family, &lm, &rm)
                     }
-                    // Distance and kNN joins have no pairwise plan; any
-                    // single worker holds the full data and answers alone.
+                    // No shard map, one worker, or a kNN join: any single
+                    // worker holds the full data and answers alone, inside
+                    // its own device budget.
                     _ => Ok(self.next_worker().query(request)?),
                 }
             }
@@ -249,19 +262,28 @@ impl ClusterClient {
         merge_partials(partials, k)
     }
 
-    /// Route every bbox-intersecting cell pair to a worker: pairs whose
-    /// two cells share an owner run there; cross-shard pairs run on the
-    /// side where the cell that must come along is smaller (each worker
+    /// Route every cell pair whose bboxes come within `reach` of each other
+    /// (a superset of the pairs a worker's own hull filter would keep) to
+    /// a worker: pairs whose two cells share an owner run there;
+    /// cross-shard pairs run on the side where the cell that must come
+    /// along is smaller (each worker
     /// holds the full dataset, so "moving" a cell is a modeled cost — the
     /// same byte estimate the single-node optimizer uses to order its
     /// pair walk — not an actual transfer; the counters record it so the
     /// routing policy is observable).
-    fn plan_join_pairs(&self, lm: &ShardMap, rm: &ShardMap) -> (Vec<Vec<(u32, u32)>>, Vec<u64>) {
+    fn plan_join_pairs(
+        &self,
+        lm: &ShardMap,
+        rm: &ShardMap,
+        reach: f64,
+    ) -> (Vec<Vec<(u32, u32)>>, Vec<u64>) {
         let shards = lm.shards().min(self.workers.len());
         let mut per_shard: Vec<Vec<(u32, u32)>> = vec![Vec::new(); shards];
         let mut moved = vec![0u64; shards];
         for l in 0..lm.num_cells() as u32 {
             let Some(lb) = lm.cell_bbox(l) else { continue };
+            // Widened by a rounding margin, to stay a superset.
+            let lb = lb.inflate(reach * (1.0 + 1e-9));
             for r in 0..rm.num_cells() as u32 {
                 let Some(rb) = rm.cell_bbox(r) else { continue };
                 if !lb.intersects(&rb) {
@@ -288,15 +310,11 @@ impl ClusterClient {
         left: &str,
         right: &str,
         query: &JoinQuery,
+        (family, reach): (&str, f64),
         lm: &ShardMap,
         rm: &ShardMap,
     ) -> Result<QueryResponse, ClusterError> {
-        let family = match query {
-            JoinQuery::Intersects => "join",
-            JoinQuery::CountPoints => "aggregate",
-            _ => unreachable!("scatter_join is only called for pairwise families"),
-        };
-        let (per_shard, moved) = self.plan_join_pairs(lm, rm);
+        let (per_shard, moved) = self.plan_join_pairs(lm, rm, reach);
         for (i, m) in moved.iter().enumerate() {
             self.bytes_moved[i].fetch_add(*m, Ordering::Relaxed);
         }
@@ -330,9 +348,9 @@ impl ClusterClient {
     fn explain(&self, analyze: bool, inner: &QueryRequest) -> Result<QueryResponse, ClusterError> {
         let mut routing = String::new();
         if let QueryRequest::Join { left, right, query } = inner {
-            if matches!(query, JoinQuery::Intersects | JoinQuery::CountPoints) {
+            if let Some((_, reach)) = pair_family(query) {
                 if let (Some(lm), Some(rm)) = (self.shard_map(left), self.shard_map(right)) {
-                    let (per_shard, moved) = self.plan_join_pairs(&lm, &rm);
+                    let (per_shard, moved) = self.plan_join_pairs(&lm, &rm, reach);
                     let total: usize = per_shard.iter().map(Vec::len).sum();
                     let local: usize = per_shard
                         .iter()

@@ -14,12 +14,13 @@
 //!   partitions *execution*, not storage: a selection scatters one
 //!   cell-range slice per worker and merges (sort + dedup for id results,
 //!   distance-ordered truncation for kNN); a join routes individual cell
-//!   *pairs* — co-located pairs run on their owner, cross-shard pairs on
-//!   whichever side the byte estimates say is cheaper to bring the other
-//!   cell to. Exactly one slice of every scatter carries the delta store,
-//!   so staged writes are counted exactly once. Writes broadcast to all
-//!   workers; families without a pairwise decomposition (distance/kNN
-//!   joins, SQL) route whole to one worker.
+//!   *pairs* (intersection, count and distance joins) — co-located pairs
+//!   run on their owner, cross-shard pairs on whichever side the byte
+//!   estimates say is cheaper to bring the other cell to. Exactly one
+//!   slice of every scatter carries the delta store, so staged writes are
+//!   counted exactly once. Writes broadcast to all workers; SQL and kNN
+//!   joins (whose candidate pairs need live cell counts the shard map does
+//!   not carry) route whole to one worker.
 //!
 //! * [`Replica`] — a WAL-shipping follower. It polls a leader for WAL
 //!   records past its applied watermark (`QueryRequest::WalFetch`),

@@ -15,7 +15,7 @@
 use crate::ctx::QueryCtx;
 use crate::dataset::{Dataset, PreparedPolygonSet};
 use crate::engine::Spade;
-use crate::join::{layer_constraints, PairWalk, Resident};
+use crate::join::{hull_pairs, layer_constraints, PairWalk, Resident};
 use crate::stats::QueryOutput;
 use spade_canvas::algebra;
 use spade_canvas::canvas::{classify, pixel_bound, pixel_id, PixelClass};
@@ -195,7 +195,9 @@ pub fn aggregate_indexed(
     let mut qspan = crate::trace::span("query.aggregate.indexed");
     let measure = spade.begin();
     let mut polygon_time = Duration::ZERO;
-    let walk = PairWalk::plan(spade, polys, points, ctx, &mut polygon_time)?;
+    let walk = PairWalk::plan(polys, points, ctx, |v1, v2| {
+        hull_pairs(spade, v1, v2, &mut polygon_time)
+    })?;
     let mut totals = BTreeMap::new();
     let (stream, _) = walk.run(spade, ctx, &mut polygon_time, |left, right, _| {
         count_cells(spade, left, right, &mut totals)

@@ -9,6 +9,7 @@ use spade_index::{GridIndex, Version};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 /// Process-unique dataset identities, used as result-cache key components
 /// so two different datasets never share cache entries. Clones of an
@@ -430,6 +431,18 @@ impl ReadView<'_> {
     /// Whether this view carries any staged writes.
     pub fn has_delta(&self) -> bool {
         !self.delta.is_empty()
+    }
+
+    /// The cells' bounding polygons in the form the index filters render
+    /// and probe, keyed by cell index; the preparation is polygon time.
+    pub(crate) fn prepared_hulls(&self, polygon_time: &mut Duration) -> Vec<PreparedPolygon> {
+        let t0 = Instant::now();
+        let hulls = (0u32..)
+            .zip(self.grid.cells())
+            .map(|(i, cell)| PreparedPolygon::prepare(i, &cell.hull))
+            .collect();
+        *polygon_time += t0.elapsed();
+        hulls
     }
 
     fn load_cell_raw(&self, idx: usize) -> spade_storage::Result<Dataset> {

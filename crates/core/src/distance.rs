@@ -14,10 +14,10 @@
 //! layer renders into one canvas with exact per-pixel attribution.
 
 use crate::ctx::QueryCtx;
-use crate::dataset::Dataset;
+use crate::dataset::{Dataset, IndexedDataset, ReadView};
 use crate::engine::{Constraint, Spade};
-use crate::join::{scan_points_for_pairs, Pairs};
-use crate::select::{finish_ids, select_points_mem, CellWalk};
+use crate::join::{scan_points_for_pairs, PairWalk, Pairs};
+use crate::select::{finish_ids, select_points_mem, select_polygons_mem, CellWalk};
 use crate::stats::QueryOutput;
 use spade_canvas::create::PreparedPolygon;
 use spade_canvas::distance as dcanvas;
@@ -56,6 +56,13 @@ impl DistanceConstraint {
     }
 }
 
+/// The viewport of a distance canvas over `region` (the constraint's
+/// bounds inflated by its radius), padded so the rim rasterizes inside.
+fn distance_viewport(region: BBox, resolution: u32) -> spade_gpu::Viewport {
+    let pad = (region.width().max(region.height()) * 1e-6).max(1e-9);
+    spade_gpu::Viewport::square_pixels(region.inflate(pad), resolution)
+}
+
 /// Render the constraint canvas for "within `r` of G" (§4.2) at
 /// `resolution` (the boundary index keeps it exact at any).
 pub(crate) fn build_distance_constraint(
@@ -65,9 +72,7 @@ pub(crate) fn build_distance_constraint(
     resolution: u32,
     polygon_time: &mut Duration,
 ) -> Constraint {
-    let region = constraint.bbox().inflate(r);
-    let pad = (region.width().max(region.height()) * 1e-6).max(1e-9);
-    let vp = spade_gpu::Viewport::square_pixels(region.inflate(pad), resolution);
+    let vp = distance_viewport(constraint.bbox().inflate(r), resolution);
     match constraint {
         DistanceConstraint::Point(p) => {
             let layer = dcanvas::distance_canvas_points(&spade.pipeline, vp, &[(0, *p)], r);
@@ -183,16 +188,17 @@ pub fn disk_layers(disks: &[(Point, f64)]) -> Vec<Vec<usize>> {
 /// created from `d1` (the paper uses the smaller side; callers pass it
 /// first).
 pub fn distance_join(spade: &Spade, d1: &Dataset, d2: &Dataset, r: f64) -> QueryOutput<Pairs> {
-    let constraints: Vec<(u32, Point, f64)> = d1
-        .as_points()
-        .into_iter()
-        .map(|(id, p)| (id, p, r))
-        .collect();
-    distance_join_multi(spade, &constraints, d2)
+    distance_join_multi(spade, &with_radius(&d1.as_points(), r), d2)
+}
+
+/// The type-1 constraints of a point cell: every point with radius `r`.
+fn with_radius(points: &[(u32, Point)], r: f64) -> Vec<(u32, Point, f64)> {
+    points.iter().map(|&(id, p)| (id, p, r)).collect()
 }
 
 /// Type-2 distance join (§5.2): per-object radii `r_i`. Returns
-/// `(d1 id, d2 id)` pairs with `distance ≤ r_i`.
+/// `(d1 id, d2 id)` pairs with `distance ≤ r_i` — the one-pair case of the
+/// out-of-core walk: one constraint cell's canvases, scanned once.
 pub fn distance_join_multi(
     spade: &Spade,
     constraints: &[(u32, Point, f64)],
@@ -200,41 +206,138 @@ pub fn distance_join_multi(
 ) -> QueryOutput<Pairs> {
     let mut qspan = crate::trace::span("query.distance_join");
     let measure = spade.begin();
-    let points = d2.as_points();
-
-    // On-the-fly layer index over the constraint disks.
-    let disks: Vec<(Point, f64)> = constraints.iter().map(|&(_, c, r)| (c, r)).collect();
-    let layers = disk_layers(&disks);
-
-    let mut pairs: Pairs = Vec::new();
-    for layer in &layers {
-        let layer_constraints: Vec<(u32, Point, f64)> =
-            layer.iter().map(|&i| constraints[i]).collect();
-        let mut region = BBox::empty();
-        for (_, c, r) in &layer_constraints {
-            region = region.union(&BBox::new(*c, *c).inflate(*r));
-        }
-        let pad = (region.width().max(region.height()) * 1e-6).max(1e-9);
-        let vp = spade_gpu::Viewport::square_pixels(
-            region.inflate(pad),
-            spade.config.distance_resolution(),
-        );
-        let layer_canvas =
-            dcanvas::distance_canvas_points_multi(&spade.pipeline, vp, &layer_constraints);
-        let constraint = Constraint::from_layer(layer_canvas, vp, layer_constraints.len());
-        pairs.extend(scan_points_for_pairs(spade, &constraint, &points));
-    }
+    let mut pairs = within_radii(spade, constraints, &d2.as_points());
     pairs.sort_unstable();
     pairs.dedup();
-
     let n = pairs.len() as u64;
-    qspan.attr("layers", layers.len() as u64);
     qspan.attr("pairs", n);
     let stats = measure.finish(spade, Duration::ZERO, 0, Duration::ZERO, 0, n);
     QueryOutput {
         result: pairs,
         stats,
     }
+}
+
+/// The on-the-fly layer index of one constraint cell (§5.2): one canvas
+/// per layer of non-overlapping disks, rendered as the iterator advances.
+fn disk_canvases<'a>(
+    spade: &'a Spade,
+    constraints: &'a [(u32, Point, f64)],
+) -> impl Iterator<Item = Constraint> + 'a {
+    let disks: Vec<(Point, f64)> = constraints.iter().map(|&(_, c, r)| (c, r)).collect();
+    disk_layers(&disks).into_iter().map(move |layer| {
+        let layer_constraints: Vec<(u32, Point, f64)> =
+            layer.iter().map(|&i| constraints[i]).collect();
+        let region = layer_constraints
+            .iter()
+            .fold(BBox::empty(), |region, (_, c, r)| {
+                region.union(&BBox::new(*c, *c).inflate(*r))
+            });
+        let vp = distance_viewport(region, spade.config.distance_resolution());
+        let layer_canvas =
+            dcanvas::distance_canvas_points_multi(&spade.pipeline, vp, &layer_constraints);
+        Constraint::from_layer(layer_canvas, vp, layer_constraints.len())
+    })
+}
+
+/// The distance-join kernel over one (constraint cell, point cell) pair:
+/// `(constraint id, point id)` for every point within its constraint's
+/// disk, unordered — one pass over the points per layer.
+pub(crate) fn within_radii(
+    spade: &Spade,
+    constraints: &[(u32, Point, f64)],
+    points: &[(u32, Point)],
+) -> Pairs {
+    disk_canvases(spade, constraints)
+        .flat_map(|canvas| scan_points_for_pairs(spade, &canvas, points))
+        .collect()
+}
+
+/// [`within_radii`] for the pair walk, which is left-major: the canvases
+/// of a constraint cell stay rendered across the consecutive pairs that
+/// share it, one rendering per residency rather than one per right cell.
+#[derive(Default)]
+pub(crate) struct ResidentDisks(Option<(Option<u32>, Vec<Constraint>)>);
+
+impl ResidentDisks {
+    /// The kernel over `points` for constraint cell `cell` (`None`: the
+    /// staged delta), whose disks `constraints` lists when the cell is new.
+    pub(crate) fn within_radii(
+        &mut self,
+        spade: &Spade,
+        cell: Option<u32>,
+        constraints: impl FnOnce() -> Vec<(u32, Point, f64)>,
+        points: &[(u32, Point)],
+    ) -> Pairs {
+        if self.0.as_ref().map(|(of, _)| *of) != Some(cell) {
+            self.0 = Some((cell, disk_canvases(spade, &constraints()).collect()));
+        }
+        let (_, canvases) = self.0.as_ref().expect("rendered above");
+        canvases
+            .iter()
+            .flat_map(|canvas| scan_points_for_pairs(spade, canvas, points))
+            .collect()
+    }
+}
+
+/// The filter phase of the distance families: per left cell, the right
+/// cells whose hull comes within `reach(left cell)` of its hull — the
+/// filter of [`distance_select_indexed`] around a polygon, at the coarse
+/// filter resolution.
+pub(crate) fn hulls_within(
+    spade: &Spade,
+    view1: &ReadView<'_>,
+    view2: &ReadView<'_>,
+    polygon_time: &mut Duration,
+    reach: impl Fn(u32) -> f64,
+) -> Pairs {
+    let right = view2.prepared_hulls(polygon_time);
+    let resolution = spade.config.filter_resolution();
+    let mut pairs = Vec::new();
+    for (l, cell) in (0u32..).zip(view1.grid.cells()) {
+        let hull = DistanceConstraint::Polygon(cell.hull.clone());
+        let near = build_distance_constraint(spade, &hull, reach(l), resolution, polygon_time);
+        pairs.extend(
+            select_polygons_mem(spade, &right, &near)
+                .into_iter()
+                .map(|r| (l, r)),
+        );
+    }
+    pairs
+}
+
+/// Out-of-core type-1 distance join: a [`PairWalk`] over the cell pairs
+/// whose hulls come within `r` of each other, refined by the type-1
+/// kernel on the two resident point cells and folded by extension, so the
+/// partials of a covering [`crate::scope::Scope::Pairs`] set concatenate.
+pub fn distance_join_indexed(
+    spade: &Spade,
+    d1: &IndexedDataset,
+    d2: &IndexedDataset,
+    r: f64,
+    ctx: &QueryCtx,
+) -> spade_storage::Result<QueryOutput<Pairs>> {
+    let mut qspan = crate::trace::span("query.distance_join.indexed");
+    let measure = spade.begin();
+    let mut polygon_time = Duration::ZERO;
+    let walk = PairWalk::plan(d1, d2, ctx, |v1, v2| {
+        hulls_within(spade, v1, v2, &mut polygon_time, |_| r)
+    })?;
+    let (mut pairs, mut disks) = (Vec::new(), ResidentDisks::default());
+    let (stream, _) = walk.run(spade, ctx, &mut polygon_time, |left, right, (l, _)| {
+        let constraints = || with_radius(left.points(), r);
+        pairs.extend(disks.within_radii(spade, l, constraints, right.points()));
+    })?;
+    pairs.sort_unstable();
+    pairs.dedup();
+    let n = pairs.len() as u64;
+    qspan.attr("cells", stream.cells);
+    qspan.attr("pairs", n);
+    let stats = measure.finish_streamed(spade, &stream, polygon_time, n);
+    Ok(QueryOutput {
+        result: pairs,
+        stats,
+    })
 }
 
 #[cfg(test)]

@@ -230,6 +230,15 @@ impl Resident {
         }
     }
 
+    /// The point list of a point cell, which is all the distance and kNN
+    /// kernels read (the dispatcher refuses any other kind for them).
+    pub(crate) fn points(&self) -> &[(u32, Point)] {
+        match self {
+            Resident::Points(pts) => pts,
+            _ => unimplemented!("a distance or kNN join needs point data"),
+        }
+    }
+
     /// One fused pass of this cell, as the probe side, over a constraint
     /// canvas: `(constraint id, probe id)` pairs.
     fn probe(&self, spade: &Spade, constraint: &Constraint) -> Pairs {
@@ -293,34 +302,17 @@ pub fn join(spade: &Spade, d1: &Dataset, d2: &Dataset) -> QueryOutput<Pairs> {
     }
 }
 
-/// The candidate `(left cell, right cell)` pairs of a two-dataset query:
-/// the scope's explicit pairs (out-of-range ones dropped), or the filter
-/// phase — a Polygon ⋈ Polygon join over the bounding polygons of the two
-/// grid indexes at the coarse filter resolution.
-fn candidate_cell_pairs(
+/// The filter phase of the intersection families (§5.3): a Polygon ⋈
+/// Polygon join over the bounding polygons of the two grid indexes at the
+/// coarse filter resolution.
+pub(crate) fn hull_pairs(
     spade: &Spade,
     view1: &ReadView<'_>,
     view2: &ReadView<'_>,
-    explicit: Option<&[(u32, u32)]>,
     polygon_time: &mut Duration,
 ) -> Pairs {
-    if let Some(pairs) = explicit {
-        let (n1, n2) = (view1.grid.num_cells() as u32, view2.grid.num_cells() as u32);
-        return pairs
-            .iter()
-            .copied()
-            .filter(|&(l, r)| l < n1 && r < n2)
-            .collect();
-    }
     let mut hull_set = |view: &ReadView<'_>| {
-        let t0 = Instant::now();
-        let polygons: Vec<PreparedPolygon> = view
-            .grid
-            .bounding_polygons()
-            .into_iter()
-            .map(|(i, h)| PreparedPolygon::prepare(i, &h))
-            .collect();
-        *polygon_time += t0.elapsed();
+        let polygons = view.prepared_hulls(polygon_time);
         PreparedPolygonSet {
             layers: spade_canvas::layer::build_layer_index(
                 &spade.pipeline,
@@ -336,11 +328,14 @@ fn candidate_cell_pairs(
 
 /// The out-of-core strategy every two-dataset query shares (§5.3): filter
 /// cell pairs by their bounding polygons, order them to share resident
-/// cells, refine pair by pair. [`PairWalk::plan`] fixes the snapshot, the
-/// ordered pairs and the load sequence; [`PairWalk::run`] owns everything
-/// between them and the caller's refinement kernel — prefetch, the cell
-/// cache, one preparation per residency change, the device ledger, the
-/// delta cross terms and the I/O accounting.
+/// cells, refine pair by pair. A caller supplies what differs per class —
+/// the candidate filter, the refinement kernel and its fold;
+/// [`PairWalk::plan`] fixes the snapshot, the ordered pairs and the load
+/// sequence; [`PairWalk::run`] owns everything between them and the
+/// kernel — prefetch, the cell cache, one preparation per residency
+/// change, the device ledger, the delta cross terms and the I/O
+/// accounting — and may run more than once (kNN join: twice) over the
+/// same snapshot.
 pub(crate) struct PairWalk<'a> {
     pub view1: ReadView<'a>,
     pub view2: ReadView<'a>,
@@ -354,21 +349,28 @@ pub(crate) struct PairWalk<'a> {
 }
 
 impl<'a> PairWalk<'a> {
-    /// Snapshot both sides and fix the walk. The filter phase is replaced
-    /// by the explicit cell pairs of [`crate::scope::Scope::Pairs`], the
-    /// scatter-gather form.
+    /// Snapshot both sides and fix the walk. `filter` is the class's
+    /// filter phase over the two snapshots (any conservative superset of
+    /// the pairs holding a result is safe: refinement is exact); the
+    /// explicit cell pairs of [`crate::scope::Scope::Pairs`], the
+    /// scatter-gather form, replace it (out-of-range ones dropped).
     pub(crate) fn plan(
-        spade: &Spade,
         d1: &'a IndexedDataset,
         d2: &'a IndexedDataset,
         ctx: &QueryCtx,
-        polygon_time: &mut Duration,
+        filter: impl FnOnce(&ReadView<'a>, &ReadView<'a>) -> Pairs,
     ) -> spade_storage::Result<PairWalk<'a>> {
         let explicit = ctx.scope.pairs()?;
         let (view1, view2) = (d1.read_view(), d2.read_view());
         crate::explain::note_view(&view1);
         crate::explain::note_view(&view2);
-        let mut cell_pairs = candidate_cell_pairs(spade, &view1, &view2, explicit, polygon_time);
+        let (n1, n2) = (view1.grid.num_cells() as u32, view2.grid.num_cells() as u32);
+        let mut cell_pairs = match explicit {
+            Some(pairs) => (pairs.iter().copied())
+                .filter(|&(l, r)| l < n1 && r < n2)
+                .collect(),
+            None => filter(&view1, &view2),
+        };
         // Ordering before estimating lets a strategy estimate walk the
         // very slice the executor will, so the two cannot drift.
         optimizer::order_cell_pairs(&mut cell_pairs);
@@ -392,14 +394,14 @@ impl<'a> PairWalk<'a> {
     }
 
     /// Walk the pairs with single-cell residency per side, handing every
-    /// pair of prepared cells to `refine(left, right, base)`. A resident
-    /// cell keeps its prepared form across the consecutive pairs the order
-    /// puts together, and a pair refines as soon as both its cells are
-    /// resident. Then the delta cross terms (`base == false`): when the
-    /// scope owns the delta, each side's staged writes are one more cell,
-    /// refined against every cell of the other side (the cache is warm
-    /// from the walk) and against each other, so merged results match a
-    /// cold rebuild.
+    /// pair of prepared cells and their cell ids to `refine(left, right,
+    /// cells)`. A resident cell keeps its prepared form across the
+    /// consecutive pairs the order puts together, and a pair refines as
+    /// soon as both its cells are resident. Then the delta cross terms:
+    /// when the scope owns the delta, each side's staged writes are one
+    /// more cell (with no id), refined against every cell of the other
+    /// side (the cache is warm from the walk) and against each other, so
+    /// merged results match a cold rebuild.
     ///
     /// `ctx.cancel` is polled at every residency change and every delta
     /// term; resident cells are freed before a cancellation propagates,
@@ -413,7 +415,7 @@ impl<'a> PairWalk<'a> {
         spade: &Spade,
         ctx: &QueryCtx,
         polygon_time: &mut Duration,
-        mut refine: impl FnMut(&Resident, &Resident, bool),
+        mut refine: impl FnMut(&Resident, &Resident, (Option<u32>, Option<u32>)),
     ) -> spade_storage::Result<(StreamStats, FrameTotals)> {
         let views = [&self.view1, &self.view2];
         let budget = spade.config.cell_cache_bytes;
@@ -444,7 +446,7 @@ impl<'a> PairWalk<'a> {
                     if pair != (*c1, *c2) {
                         break;
                     }
-                    refine(left, right, true);
+                    refine(left, right, (Some(*c1), Some(*c2)));
                     next += 1;
                 }
                 Ok(())
@@ -471,14 +473,14 @@ impl<'a> PairWalk<'a> {
                     let (data, _) = other.load_cell_cached(i, budget)?;
                     let cell = Resident::prepare(spade, &data, polygon_time);
                     if side == 0 {
-                        refine(delta, &cell, false);
+                        refine(delta, &cell, (None, Some(i as u32)));
                     } else {
-                        refine(&cell, delta, false);
+                        refine(&cell, delta, (Some(i as u32), None));
                     }
                 }
             }
             if let [Some(left), Some(right)] = &deltas {
-                refine(left, right, false);
+                refine(left, right, (None, None));
             }
         }
         Ok((stream, base))
@@ -497,7 +499,9 @@ pub fn join_indexed(
     let mut qspan = crate::trace::span("query.join.indexed");
     let measure = spade.begin();
     let mut polygon_time = Duration::ZERO;
-    let walk = PairWalk::plan(spade, d1, d2, ctx, &mut polygon_time)?;
+    let walk = PairWalk::plan(d1, d2, ctx, |v1, v2| {
+        hull_pairs(spade, v1, v2, &mut polygon_time)
+    })?;
     let cell_pairs = &walk.cell_pairs;
 
     // Optimizer: strategy choice by transfer estimate (§5.4). The naive
@@ -563,9 +567,11 @@ pub fn join_indexed(
     // The strategy applies to the base pairs; the delta cross terms are
     // strategy-invariant and always take the layer join.
     let mut pairs = Vec::new();
-    let (stream, base) = walk.run(spade, ctx, &mut polygon_time, |left, right, base| {
-        pairs.extend(match strategy {
-            JoinStrategy::NaiveSelects if base => join_cells_naive(spade, left, right),
+    let (stream, base) = walk.run(spade, ctx, &mut polygon_time, |left, right, cells| {
+        pairs.extend(match (strategy, cells) {
+            (JoinStrategy::NaiveSelects, (Some(_), Some(_))) => {
+                join_cells_naive(spade, left, right)
+            }
             _ => join_cells_layered(spade, left, right),
         });
     })?;
@@ -809,10 +815,22 @@ mod tests {
         for counting in [false, true] {
             let ctx = QueryCtx::default();
             let mut polygon_time = Duration::ZERO;
-            let walk = PairWalk::plan(&s, &i1, &i2, &ctx, &mut polygon_time).unwrap();
-            assert!(
-                walk.cell_pairs.len() > 2,
-                "the walk must outlive the cancel"
+            let walk = PairWalk::plan(&i1, &i2, &ctx, |v1, v2| {
+                hull_pairs(&s, v1, v2, &mut polygon_time)
+            })
+            .unwrap();
+            // The hull join, handed in as the walk's filter: the pairs, their
+            // order and the load sequence of the intersection families, pinned.
+            assert_eq!(
+                format!("{:?}", walk.cell_pairs),
+                "[(0, 0), (1, 4), (1, 2), (1, 1), (2, 2), (3, 3), (4, 0), (4, 1), \
+                 (4, 3), (4, 4), (5, 5), (6, 3), (6, 6), (7, 7), (7, 4), (8, 8)]"
+            );
+            assert_eq!(
+                format!("{:?}", walk.sequence),
+                "[(0, 0), (1, 0), (0, 1), (1, 4), (1, 2), (1, 1), (0, 2), (1, 2), \
+                 (0, 3), (1, 3), (0, 4), (1, 0), (1, 1), (1, 3), (1, 4), (0, 5), \
+                 (1, 5), (0, 6), (1, 3), (1, 6), (0, 7), (1, 7), (1, 4), (0, 8), (1, 8)]"
             );
             let mut refined = 0;
             let mut totals = std::collections::BTreeMap::new();

@@ -12,12 +12,17 @@
 //! the manifest plus two runs of the one cell walk
 //! ([`crate::select::CellWalk`]) under the same snapshot, and the
 //! in-memory plan is the one-cell case: the same two kernels applied to
-//! the data set itself.
+//! the data set itself. The kNN join is the same recipe one arity up: a
+//! count bound per left cell, then two runs of the cell-pair walk
+//! ([`crate::join::PairWalk`]).
 
 use crate::ctx::QueryCtx;
-use crate::dataset::Dataset;
-use crate::distance::{build_distance_constraint, distance_join_multi, DistanceConstraint};
+use crate::dataset::{Dataset, IndexedDataset, ReadView};
+use crate::distance::{
+    build_distance_constraint, hulls_within, within_radii, DistanceConstraint, ResidentDisks,
+};
 use crate::engine::{Constraint, Spade};
+use crate::join::PairWalk;
 use crate::prefetch::StreamStats;
 use crate::select::{select_points_mem, CellWalk};
 use crate::stats::QueryOutput;
@@ -124,9 +129,8 @@ fn push_within(
     q: Point,
     out: &mut Vec<(u32, f64)>,
 ) {
-    let by_position: Vec<(u32, Point)> = (0..).zip(pts.iter().map(|&(_, p)| p)).collect();
     out.extend(
-        select_points_mem(spade, &by_position, within)
+        select_points_mem(spade, &by_position(pts), within)
             .into_iter()
             .map(|i| (pts[i as usize].0, pts[i as usize].1.dist(q))),
     );
@@ -138,31 +142,44 @@ fn rank(candidates: &mut Vec<(u32, f64)>, k: usize) {
     candidates.truncate(k);
 }
 
-/// A zero-I/O upper bound on the distance of the `k`-th neighbour, from
-/// the manifest alone: every point of a cell lies inside its hull, hence
-/// within the hull's farthest vertex of `q`; so the scope's cells sorted
-/// by that distance, cut at the prefix whose live object counts reach `k`,
-/// put at least `k` points within the prefix's last distance. A cell's
-/// live count is `num_objects` less the masked ids that could live in it
-/// (an under-count only lengthens the prefix), and the staged writes are
-/// one more cell bounded by their bbox. If the counts never reach `k`, the
-/// last distance covers everything the walk can see.
-fn count_bound(walk: &CellWalk<'_>, q: Point, k: usize) -> f64 {
-    let delta = &walk.view.delta;
-    let mut cells: Vec<(f64, usize)> = (0u32..)
-        .zip(walk.view.grid.cells())
-        .filter(|(i, _)| walk.scope.contains(*i))
-        .map(|(_, c)| {
-            let far = c.hull.exterior.points.iter().map(|v| v.dist(q));
+/// A zero-I/O upper bound on the distance of the `k`-th neighbour of every
+/// point in the convex hull of `from`, from the manifest alone. Distance
+/// is convex in either endpoint, so over two convex sets it peaks at a
+/// vertex pair: every point of a cell lies within `far` — the largest
+/// `from`-vertex-to-hull-vertex distance — of every point of `from`'s
+/// hull. So the `cells` in scope sorted by `far`, cut at the prefix whose
+/// live object counts reach `k`, put at least `k` points within the
+/// prefix's last `far`. A cell's live count is `num_objects` less the
+/// masked ids that could live in it (an under-count only lengthens the
+/// prefix), and the staged writes are one more cell bounded by their bbox.
+/// If the counts never reach `k`, the last distance covers everything the
+/// walk can see.
+fn count_bound(
+    view: &ReadView<'_>,
+    cells: impl Iterator<Item = u32>,
+    include_delta: bool,
+    from: &[Point],
+    k: usize,
+) -> f64 {
+    let delta = &view.delta;
+    let far = |vertices: &[Point]| {
+        let dists = vertices
+            .iter()
+            .flat_map(|v| from.iter().map(|p| v.dist(*p)));
+        dists.fold(0.0, f64::max)
+    };
+    let mut cells: Vec<(f64, usize)> = cells
+        .map(|i| {
+            let c = &view.grid.cells()[i as usize];
             let masked = delta.mask.range(c.id_min..=c.id_max).count();
             (
-                far.fold(0.0, f64::max),
+                far(&c.hull.exterior.points),
                 c.num_objects.saturating_sub(masked),
             )
         })
         .collect();
-    if walk.scope.include_delta && !delta.staged.is_empty() {
-        cells.push((delta.bbox().max_dist_to_point(q), delta.staged.len()));
+    if include_delta && !delta.staged.is_empty() {
+        cells.push((far(&delta.bbox().corners()), delta.staged.len()));
     }
     cells.sort_by(|a, b| a.0.total_cmp(&b.0));
     let mut live = 0;
@@ -193,7 +210,7 @@ fn count_bound(walk: &CellWalk<'_>, q: Point, k: usize) -> f64 {
 /// reproduces the full-scope answer exactly.
 pub fn knn_select_indexed(
     spade: &Spade,
-    data: &crate::dataset::IndexedDataset,
+    data: &IndexedDataset,
     q: Point,
     k: usize,
     ctx: &QueryCtx,
@@ -206,7 +223,8 @@ pub fn knn_select_indexed(
     let mut stream = StreamStats::default();
     let mut result = Vec::new();
     if k > 0 {
-        let r_max = count_bound(&walk, q, k);
+        let scoped = (0..walk.view.grid.num_cells() as u32).filter(|i| walk.scope.contains(*i));
+        let r_max = count_bound(&walk.view, scoped, walk.scope.include_delta, &[q], k);
         // The bound's circle only gates cell loads: a coarse canvas.
         let bound = circle(spade, q, r_max, spade.config.filter_resolution());
         let mut hist = vec![0u64; spade.config.knn_circles()];
@@ -228,7 +246,9 @@ pub fn knn_select_indexed(
 }
 
 /// kNN join: for each point of `d1`, its `k` nearest neighbours in `d2`.
-/// Returns `(d1 id, d2 id, distance)` triples grouped by `d1` id.
+/// Returns `(d1 id, d2 id, distance)` triples grouped by `d1` id — the
+/// one-pair case of the out-of-core walk: the same two kernels applied to
+/// the data sets themselves.
 pub fn knn_join(
     spade: &Spade,
     d1: &Dataset,
@@ -238,48 +258,161 @@ pub fn knn_join(
     let mut qspan = crate::trace::span("query.knn_join");
     qspan.attr("k", k as u64);
     let measure = spade.begin();
-    let left = d1.as_points();
-    let right = d2.as_points();
-    if left.is_empty() || right.is_empty() || k == 0 {
-        let stats = measure.finish(spade, Duration::ZERO, 0, Duration::ZERO, 0, 0);
-        return QueryOutput {
-            result: Vec::new(),
-            stats,
-        };
-    }
-
-    // Step 1: a radius per left point via circle aggregation.
-    let constraints: Vec<(u32, Point, f64)> = left
-        .iter()
-        .map(|&(id, p)| {
-            let r_max = d2.extent.max_dist_to_point(p).max(1e-12);
-            (id, p, knn_radius(spade, &right, p, r_max, k))
-        })
-        .collect();
-
-    // Step 2: Type-2 distance join with the computed radii.
-    let candidates = distance_join_multi(spade, &constraints, d2);
-
-    // Step 3: sort each group by exact distance, keep k.
-    let mut grouped: std::collections::BTreeMap<u32, Vec<(u32, f64)>> =
-        std::collections::BTreeMap::new();
-    let left_pos: std::collections::HashMap<u32, Point> = left.iter().copied().collect();
-    let right_pos: std::collections::HashMap<u32, Point> = right.iter().copied().collect();
-    for (l, r) in candidates.result {
-        let d = left_pos[&l].dist(right_pos[&r]);
-        grouped.entry(l).or_default().push((r, d));
-    }
+    let (left, right) = (d1.as_points(), d2.as_points());
     let mut result = Vec::new();
-    for (l, mut cands) in grouped {
-        rank(&mut cands, k);
-        for (r, d) in cands {
-            result.push((l, r, d));
-        }
+    if !left.is_empty() && !right.is_empty() && k > 0 {
+        // Step 1: a radius per left point via circle aggregation.
+        let radius = |&(_, p): &(u32, Point)| {
+            let r_max = d2.extent.max_dist_to_point(p).max(1e-12);
+            knn_radius(spade, &right, p, r_max, k)
+        };
+        let radii: Vec<f64> = left.iter().map(radius).collect();
+        // Steps 2 and 3: type-2 distance join, then the exact sort.
+        let disks = disks_by_position(&left, &radii);
+        let hits = within_radii(spade, &disks, &by_position(&right));
+        push_neighbours(hits, &left, &right, &mut result);
+        rank_groups(&mut result, k);
     }
     let n = result.len() as u64;
     qspan.attr("results", n);
     let stats = measure.finish(spade, Duration::ZERO, 0, Duration::ZERO, 0, n);
     QueryOutput { result, stats }
+}
+
+/// A cell's points numbered by position: a kernel's hits then index the
+/// cell directly, with no lookup by id.
+fn by_position(pts: &[(u32, Point)]) -> Vec<(u32, Point)> {
+    (0..).zip(pts.iter().map(|&(_, p)| p)).collect()
+}
+
+/// The type-2 constraints of a left cell, by position.
+fn disks_by_position(left: &[(u32, Point)], radii: &[f64]) -> Vec<(u32, Point, f64)> {
+    let disks = by_position(left).into_iter().zip(radii);
+    disks.map(|((i, p), &r)| (i, p, r)).collect()
+}
+
+/// Fold the type-2 kernel's `(left position, right position)` hits on one
+/// cell pair into `(left id, right id, exact distance)` candidates.
+fn push_neighbours(
+    hits: crate::join::Pairs,
+    left: &[(u32, Point)],
+    right: &[(u32, Point)],
+    out: &mut Vec<(u32, u32, f64)>,
+) {
+    out.extend(hits.into_iter().map(|(i, j)| {
+        let ((l, p), (r, q)) = (left[i as usize], right[j as usize]);
+        (l, r, p.dist(q))
+    }));
+}
+
+/// Group the candidates by left id and keep each group's `k` nearest,
+/// ordered by `(distance, right id)`.
+fn rank_groups(found: &mut Vec<(u32, u32, f64)>, k: usize) {
+    found.sort_by(|a, b| (a.0.cmp(&b.0)).then(a.2.total_cmp(&b.2).then(a.1.cmp(&b.1))));
+    found.dedup();
+    let (mut group, mut kept) = (None, 0);
+    found.retain(|&(l, ..)| {
+        if group != Some(l) {
+            (group, kept) = (Some(l), 0);
+        }
+        kept += 1;
+        kept <= k
+    });
+}
+
+/// Out-of-core kNN join: [`knn_select_indexed`]'s recipe one arity up. A
+/// count bound per left cell (no I/O) picks its candidate right cells —
+/// no point outside them is among the `k` nearest of a point in its hull
+/// — then two runs of the pair walk under one pair of snapshots: every
+/// left point's circle histogram, collapsed to a radius when its cell
+/// leaves residency (the walk is left-major: one cell's histograms are
+/// live at a time), then the type-2 distance kernel with those radii,
+/// its candidates ranked at the end. A left cell met again for its
+/// right-delta term keeps the smaller radius; each holds `k` points.
+///
+/// Under [`crate::scope::Scope::Pairs`] the bound and both passes see
+/// only the right cells listed for a left cell, so the output is every
+/// left point's exact top-k among them, and re-ranking the concatenated
+/// partials of a covering pair set reproduces the full answer (the merge
+/// argument of [`knn_select_indexed`]).
+pub fn knn_join_indexed(
+    spade: &Spade,
+    d1: &IndexedDataset,
+    d2: &IndexedDataset,
+    k: usize,
+    ctx: &QueryCtx,
+) -> spade_storage::Result<QueryOutput<Vec<(u32, u32, f64)>>> {
+    let mut qspan = crate::trace::span("query.knn_join.indexed");
+    qspan.attr("k", k as u64);
+    let measure = spade.begin();
+    let mut polygon_time = Duration::ZERO;
+    let walk = PairWalk::plan(d1, d2, ctx, |v1, v2| {
+        let all = 0..v2.grid.num_cells() as u32;
+        hulls_within(spade, v1, v2, &mut polygon_time, |l| {
+            let hull = &v1.grid.cells()[l as usize].hull;
+            count_bound(v2, all.clone(), true, &hull.exterior.points, k)
+        })
+    })?;
+    let mut stream = StreamStats::default();
+    let mut result = Vec::new();
+    if k > 0 {
+        let (v1, v2) = (&walk.view1, &walk.view2);
+        let delta_slot = v1.grid.num_cells();
+        let slot = |l: Option<u32>| l.map_or(delta_slot, |l| l as usize);
+        // The bound of a left cell over the right cells the walk pairs it
+        // with; of the staged left delta, over all of them.
+        let r_max = |l: Option<u32>| match l {
+            Some(l) => {
+                let paired = walk.cell_pairs.iter().filter(|p| p.0 == l).map(|p| p.1);
+                let hull = &v1.grid.cells()[l as usize].hull.exterior.points;
+                count_bound(v2, paired, ctx.scope.include_delta(), hull, k)
+            }
+            None => {
+                let all = 0..v2.grid.num_cells() as u32;
+                count_bound(v2, all, true, &v1.delta.bbox().corners(), k)
+            }
+        };
+        let mut radii: Vec<Vec<f64>> = vec![Vec::new(); delta_slot + 1];
+        // The left cell being counted: its slot, bound and histograms.
+        let mut live: Option<(usize, f64, Vec<Vec<u64>>)> = None;
+        let collapse = |live: Option<(usize, f64, Vec<Vec<u64>>)>, radii: &mut [Vec<f64>]| {
+            let Some((slot, r_max, hists)) = live else {
+                return;
+            };
+            for (radius, hist) in radii[slot].iter_mut().zip(&hists) {
+                *radius = radius.min(radius_for(hist, r_max, k));
+            }
+        };
+        let circles = spade.config.knn_circles();
+        let counting = walk.run(spade, ctx, &mut polygon_time, |left, right, (l, _)| {
+            let left = left.points();
+            if live.as_ref().map(|live| live.0) != Some(slot(l)) {
+                collapse(live.take(), &mut radii);
+                radii[slot(l)].resize(left.len(), f64::INFINITY);
+                live = Some((slot(l), r_max(l), vec![vec![0; circles]; left.len()]));
+            }
+            let (_, r_max, hists) = live.as_mut().expect("set above");
+            for (&(_, p), hist) in left.iter().zip(hists) {
+                count_circles(spade, right.points(), p, *r_max, hist);
+            }
+        });
+        stream += counting?.0;
+        collapse(live.take(), &mut radii);
+        let mut disks = ResidentDisks::default();
+        let ranking = walk.run(spade, ctx, &mut polygon_time, |left, right, (l, _)| {
+            let (left, right) = (left.points(), right.points());
+            let constraints = || disks_by_position(left, &radii[slot(l)]);
+            let hits = disks.within_radii(spade, l, constraints, &by_position(right));
+            push_neighbours(hits, left, right, &mut result);
+        });
+        stream += ranking?.0;
+        rank_groups(&mut result, k);
+    }
+    let n = result.len() as u64;
+    qspan.attr("cells", stream.cells);
+    qspan.attr("results", n);
+    let stats = measure.finish_streamed(spade, &stream, polygon_time, n);
+    Ok(QueryOutput { result, stats })
 }
 
 #[cfg(test)]
@@ -449,7 +582,8 @@ mod tests {
         between: impl FnOnce(),
         mut in_second: impl FnMut(),
     ) -> spade_storage::Result<Vec<(u32, f64)>> {
-        let r_max = count_bound(walk, q, k);
+        let scoped = (0..walk.view.grid.num_cells() as u32).filter(|i| walk.scope.contains(*i));
+        let r_max = count_bound(&walk.view, scoped, walk.scope.include_delta, &[q], k);
         let bound = circle(s, q, r_max, s.config.filter_resolution());
         let mut hist = vec![0u64; s.config.knn_circles()];
         walk.run(s, ctx, &bound, &bound, |cell| {

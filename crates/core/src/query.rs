@@ -238,13 +238,10 @@ pub fn run_select_ctx<'a>(
 }
 
 /// Execute a join query under a [`QueryCtx`]; both sides must live in the
-/// same kind of [`Source`]. Indexed `Intersects` runs the optimizer-driven
-/// indexed join and `CountPoints` the indexed aggregation, each over the
-/// scope's explicit cell pairs when it names some. Distance and kNN joins
-/// have no out-of-core plan and no pairwise decomposition: they are
-/// answered by materializing both sides (their cells stream through the
-/// cache) and running the in-memory executor, whatever the scope — a
-/// coordinator routes them whole to one worker.
+/// same kind of [`Source`]. Every indexed class is one executor over the
+/// cell-pair walk ([`crate::join`]'s `PairWalk`) — the optimizer-driven
+/// join, the aggregation, the distance join and the kNN join — each over
+/// the scope's explicit cell pairs when it names some.
 pub fn run_join_ctx<'a>(
     spade: &Spade,
     left: impl Into<Source<'a>>,
@@ -282,12 +279,12 @@ pub fn run_join_ctx<'a>(
                 JoinQuery::CountPoints => {
                     crate::aggregate::aggregate_indexed(spade, l, r, ctx)?.map(QueryResult::Counts)
                 }
-                JoinQuery::WithinDistance(_) | JoinQuery::Knn(_) => {
-                    let l = materialize(spade, l, &ctx.cancel)?;
-                    let r = materialize(spade, r, &ctx.cancel)?;
-                    ctx.cancel.check()?;
-                    run_join(spade, &l, &r, q)
+                JoinQuery::WithinDistance(d) => {
+                    crate::distance::distance_join_indexed(spade, l, r, *d, ctx)?
+                        .map(QueryResult::Pairs)
                 }
+                JoinQuery::Knn(k) => crate::knn::knn_join_indexed(spade, l, r, *k, ctx)?
+                    .map(QueryResult::RankedPairs),
             }),
             _ => Err(StorageError::Unsupported(
                 "a join of an indexed and an in-memory dataset".into(),
@@ -342,29 +339,6 @@ fn serve(
         result: (*result).clone(),
         stats,
     })
-}
-
-/// Assemble a full in-memory data set from an indexed one, cell by cell
-/// through the cell cache (cancellable between cells). Fallback path for
-/// join classes without an out-of-core plan.
-fn materialize(
-    spade: &Spade,
-    d: &IndexedDataset,
-    cancel: &crate::cancel::CancelToken,
-) -> spade_storage::Result<Dataset> {
-    let view = d.read_view();
-    crate::explain::note_view(&view);
-    let mut objects = Vec::new();
-    for i in 0..view.grid.num_cells() {
-        cancel.check()?;
-        let (cell, _) = view.load_cell_cached(i, spade.config.cell_cache_bytes)?;
-        objects.extend(cell.objects.iter().cloned());
-    }
-    // Staged writes are part of the logical dataset (the cells above are
-    // already masked by the view).
-    objects.extend(view.delta.staged.iter().cloned());
-    objects.sort_by_key(|(id, _)| *id);
-    Ok(Dataset::from_objects(d.name.clone(), d.kind, objects))
 }
 
 #[cfg(test)]
@@ -434,12 +408,16 @@ mod tests {
     fn dispatcher_contract() {
         let (pts, polys) = (grid_points(), tiles());
         let (ipts, ipolys) = (indexed(&pts, 3.0), indexed(&polys, 5.0));
-        let all_pairs: Vec<(u32, u32)> = (0..ipolys.grid().num_cells() as u32)
-            .flat_map(|l| (0..ipts.grid().num_cells() as u32).map(move |r| (l, r)))
-            .collect();
         // A join's left side: the points for the point-only classes.
         let on_points =
             |q: &JoinQuery| !matches!(q, JoinQuery::Intersects | JoinQuery::CountPoints);
+        // Every cell pair of the two sides a class actually joins.
+        let all_pairs = |left: &IndexedDataset| -> Vec<(u32, u32)> {
+            (0..left.grid().num_cells() as u32)
+                .flat_map(|l| (0..ipts.grid().num_cells() as u32).map(move |r| (l, r)))
+                .collect()
+        };
+        let (point_pairs, polygon_pairs) = (all_pairs(&ipts), all_pairs(&ipolys));
         let run = |q: &Q, out_of_core: bool, s: &Spade, ctx: &QueryCtx| match (q, out_of_core) {
             (Q::Select(q), false) => run_select_ctx(s, &pts, q, ctx),
             (Q::Select(q), true) => run_select_ctx(s, &ipts, q, ctx),
@@ -470,7 +448,11 @@ mod tests {
                 Q::Join(q) => (
                     run_join(&oracle, if on_points(q) { &pts } else { &polys }, &pts, q).result,
                     Scope::Pairs {
-                        pairs: &all_pairs,
+                        pairs: if on_points(q) {
+                            &point_pairs
+                        } else {
+                            &polygon_pairs
+                        },
                         include_delta: true,
                     },
                 ),
@@ -600,13 +582,19 @@ mod tests {
             }
         }
 
-        // The join: partition every cell pair across three executions.
+        // The joins: partition every cell pair across three executions.
         let ip = self::indexed(&tiles(), 5.0);
-        let all_pairs: Vec<(u32, u32)> = (0..ip.grid().num_cells() as u32)
-            .flat_map(|l| (0..n).map(move |r| (l, r)))
-            .collect();
-        for q in [JoinQuery::Intersects, JoinQuery::CountPoints] {
-            let full = run_join_ctx(&s, &ip, &indexed, &q, &full_ctx)
+        let joins = [
+            (JoinQuery::Intersects, &ip),
+            (JoinQuery::CountPoints, &ip),
+            (JoinQuery::WithinDistance(1.5), &indexed),
+            (JoinQuery::Knn(4), &indexed),
+        ];
+        for (q, left) in joins {
+            let all_pairs: Vec<(u32, u32)> = (0..left.grid().num_cells() as u32)
+                .flat_map(|l| (0..n).map(move |r| (l, r)))
+                .collect();
+            let full = run_join_ctx(&s, left, &indexed, &q, &full_ctx)
                 .unwrap()
                 .result;
             let parts: Vec<QueryResult> = (0..3)
@@ -623,7 +611,7 @@ mod tests {
                         },
                         ..QueryCtx::default()
                     };
-                    run_join_ctx(&s, &ip, &indexed, &q, &ctx).unwrap().result
+                    run_join_ctx(&s, left, &indexed, &q, &ctx).unwrap().result
                 })
                 .collect();
             match full {
@@ -637,9 +625,30 @@ mod tests {
                         .collect();
                     union.sort_unstable();
                     union.dedup();
-                    let mut expect = full_pairs.clone();
-                    expect.sort_unstable();
-                    assert_eq!(union, expect, "pair union must equal the whole");
+                    assert!(!union.is_empty(), "{q:?}");
+                    assert_eq!(union, full_pairs, "pair union must equal the whole ({q:?})");
+                }
+                QueryResult::RankedPairs(full_ranked) => {
+                    let JoinQuery::Knn(k) = q else {
+                        panic!("ranked pairs from {q:?}")
+                    };
+                    let mut groups = std::collections::BTreeMap::<u32, Vec<(u32, f64)>>::new();
+                    for p in &parts {
+                        let QueryResult::RankedPairs(v) = p else {
+                            panic!("expected ranked-pairs partial, got {p:?}")
+                        };
+                        for &(l, r, d) in v {
+                            groups.entry(l).or_default().push((r, d));
+                        }
+                    }
+                    let mut union = Vec::new();
+                    for (l, mut group) in groups {
+                        group.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+                        group.truncate(k);
+                        union.extend(group.into_iter().map(|(r, d)| (l, r, d)));
+                    }
+                    assert_eq!(full_ranked.len(), 100 * k);
+                    assert_eq!(union, full_ranked, "merged top-k must equal the whole");
                 }
                 QueryResult::Counts(full_counts) => {
                     let mut sums = std::collections::BTreeMap::new();

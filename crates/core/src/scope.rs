@@ -43,9 +43,10 @@ impl CellScope {
 
 /// Which part of the cell space one execution covers — the `scope` field
 /// of [`crate::QueryCtx`]. Single-dataset families understand `Full` and
-/// `Cells`; the two families with a cell-pair plan (intersection join and
-/// count aggregation) understand `Full` and `Pairs`. The other shape is
-/// rejected in-band rather than given an invented meaning.
+/// `Cells`; the four families with a cell-pair plan (intersection join,
+/// count aggregation, distance join and kNN join) understand `Full` and
+/// `Pairs`. The other shape is rejected in-band rather than given an
+/// invented meaning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scope<'a> {
     /// Every cell plus the delta: the plain local run.
@@ -54,9 +55,9 @@ pub enum Scope<'a> {
     /// A contiguous cell range of a single-dataset query.
     Cells(CellScope),
     /// Explicit `(left cell, right cell)` candidates replacing a join's
-    /// hull-filter phase. Any pair of cells with no intersecting objects
-    /// contributes nothing (refinement is exact), so a conservative
-    /// superset of the hull-filter pairs is safe; pairs naming
+    /// filter phase. Any pair of cells holding no result contributes
+    /// nothing (refinement is exact), so a conservative superset of the
+    /// filter's pairs is safe; pairs naming
     /// out-of-range cells (a stale shard map racing a compaction) are
     /// dropped. Exactly one scatter request per query must own the delta
     /// cross terms.

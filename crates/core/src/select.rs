@@ -340,12 +340,7 @@ impl<'a> CellWalk<'a> {
         let scope = ctx.scope.cells()?;
         let view = data.read_view();
         crate::explain::note_view(&view);
-        let t0 = Instant::now();
-        let hulls = (0u32..)
-            .zip(view.grid.cells())
-            .map(|(i, cell)| PreparedPolygon::prepare(i, &cell.hull))
-            .collect();
-        *polygon_time += t0.elapsed();
+        let hulls = view.prepared_hulls(polygon_time);
         Ok(CellWalk {
             view,
             scope,

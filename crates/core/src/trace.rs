@@ -18,7 +18,8 @@
 //! | `query.distance` / `query.distance.indexed` | distance selections | `results` |
 //! | `query.knn` / `query.knn.indexed` | kNN selections | `k`, `results` |
 //! | `query.join` / `query.join.indexed` | joins | `pairs` |
-//! | `query.distance_join` / `query.knn_join` | distance / kNN joins | `pairs` |
+//! | `query.distance_join` / `query.distance_join.indexed` | distance joins | `pairs` |
+//! | `query.knn_join` / `query.knn_join.indexed` | kNN joins | `k`, `results` |
 //! | `query.aggregate` / `query.aggregate.indexed` | count-points aggregation | `polygons` |
 //! | `prefetch.load` | background producer thread | `source`, `cell`, `bytes`, `cache_hit` |
 //! | `prefetch.wait` | consumer stalls on the channel | — |

@@ -463,6 +463,49 @@ fn kind_mismatch_is_an_error_not_a_dead_worker() {
     }
 }
 
+/// Admission reserves one cell per side plus a distance canvas for a
+/// distance or kNN join, and the pair walk keeps that promise: the device
+/// peak of each, alone on a fresh 1-worker service, is non-zero and within
+/// the estimate (read back from a service too small to admit it).
+#[test]
+fn distance_and_knn_joins_run_inside_their_reservation() {
+    let config = |engine| ServiceConfig {
+        engine,
+        workers: 1,
+        fairness_cap: 1,
+        wal_dir: None,
+    };
+    let mut too_small = tiny_config();
+    too_small.device_memory = 16 << 10;
+    let refusing = service(config(too_small));
+    for query in [JoinQuery::WithinDistance(3.0), JoinQuery::Knn(3)] {
+        let request = QueryRequest::Join {
+            left: "pts".into(),
+            right: "pts".into(),
+            query,
+        };
+        let refused = refusing.session().submit(request.clone()).wait();
+        let Err(ServiceError::Rejected { estimated, .. }) = refused else {
+            panic!("expected a rejection, got {refused:?}");
+        };
+        let svc = service(config(tiny_config()));
+        let reply = svc.session().submit(request.clone()).wait().unwrap();
+        assert!(reply.stats.cells_loaded > 0 && !expect_query(reply.payload).is_empty());
+        let peak = svc.engine().device.peak();
+        assert!(
+            0 < peak && peak <= estimated,
+            "{request:?}: {peak} of {estimated}"
+        );
+        for line in svc
+            .metrics_text()
+            .lines()
+            .filter(|l| l.starts_with("spade_tenant_reserved_bytes{"))
+        {
+            assert!(line.ends_with(" 0"), "leaked reservation: {line}");
+        }
+    }
+}
+
 #[test]
 fn oversized_footprint_is_rejected() {
     // A device smaller than one constraint canvas can never admit an

@@ -74,6 +74,7 @@ fn make_service(wal_dir: Option<PathBuf>) -> Arc<QueryService> {
     }));
     svc.register_indexed("pts", indexed_points("pts", scatter(4_000, 100.0, 11)));
     svc.register_indexed("polys", indexed_polys("polys"));
+    svc.register_indexed("few", indexed_points("few", scatter(48, 100.0, 41)));
     svc.register_indexed(
         "wtr",
         indexed_points("wtr", scatter(WTR_SEED_COUNT, 100.0, 31)),
@@ -91,8 +92,8 @@ fn serve_worker(wal_dir: Option<PathBuf>) -> NetServer {
 }
 
 /// One request per query family: range, intersects, contained,
-/// within-distance and kNN selections, plus an intersects join and a
-/// count-points aggregation join.
+/// within-distance and kNN selections, plus an intersects join, a
+/// count-points aggregation join, a distance join and (last) a kNN join.
 fn families() -> Vec<QueryRequest> {
     let constraint = Polygon::new(vec![
         Point::new(10.0, 15.0),
@@ -134,7 +135,31 @@ fn families() -> Vec<QueryRequest> {
             right: "pts".into(),
             query: JoinQuery::CountPoints,
         },
+        QueryRequest::Join {
+            left: "few".into(),
+            right: "pts".into(),
+            query: JoinQuery::WithinDistance(4.0),
+        },
+        QueryRequest::Join {
+            left: "few".into(),
+            right: "pts".into(),
+            query: JoinQuery::Knn(3),
+        },
     ]
+}
+
+/// One `spade_shard_fanout_total` sample per family, in family order.
+fn fanout(cluster: &ClusterClient) -> Vec<(String, u64)> {
+    let metrics = cluster.metrics_text();
+    let samples = metrics
+        .lines()
+        .filter_map(|line| line.strip_prefix("spade_shard_fanout_total{family=\""));
+    samples
+        .map(|sample| {
+            let (family, count) = sample.split_once("\"} ").expect("a labeled sample");
+            (family.to_string(), count.parse().expect("a counter value"))
+        })
+        .collect()
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -166,6 +191,7 @@ fn three_shard_cluster_matches_single_node_for_every_family() {
     let cluster = ClusterClient::connect(&addrs, ClusterConfig::default()).unwrap();
     cluster.refresh_shard_map("pts").unwrap();
     cluster.refresh_shard_map("polys").unwrap();
+    cluster.refresh_shard_map("few").unwrap();
     cluster.refresh_shard_map("wtr").unwrap();
     let map = cluster.shard_map("pts").expect("map cached after refresh");
     assert_eq!(map.shards(), 3, "one range per worker");
@@ -232,13 +258,23 @@ fn three_shard_cluster_matches_single_node_for_every_family() {
     assert_eq!(scattered.payload, expected.payload);
     assert_eq!(scattered.stats.result_count, (WTR_SEED_COUNT + 96) as u64);
 
-    // The scatter actually fanned out and the counters saw it.
+    // The scatter actually fanned out and the counters saw it: every
+    // family but the kNN join, which routes whole to one worker.
     let metrics = cluster.metrics_text();
     assert!(
         metrics.contains("spade_shard_fanout_total"),
         "fanout counter missing:\n{metrics}"
     );
     assert!(metrics.contains("spade_shard_map_generation"));
+    let before = fanout(&cluster);
+    let scattered = |family: &str| before.iter().any(|(f, n)| f == family && *n > 1);
+    assert!(
+        scattered("join") && scattered("distance-join"),
+        "{before:?}"
+    );
+    let knn_join = requests.last().unwrap();
+    assert_eq!(cluster.query(knn_join).unwrap().payload, baselines[8]);
+    assert_eq!(fanout(&cluster), before, "a kNN join records no fan-out");
 
     // EXPLAIN ANALYZE on the join names the shard routing.
     let explain = cluster

@@ -2,12 +2,14 @@
 //! accounting, and equivalence between the in-memory and out-of-core
 //! query paths (§5.3).
 
+use spade::baselines::brute;
 use spade::datagen::{spider, urban};
 use spade::engine::dataset::{Dataset, DatasetKind, IndexedDataset};
 use spade::engine::distance::{self, DistanceConstraint};
-use spade::engine::{aggregate, join, knn, select, EngineConfig, QueryCtx, Spade};
+use spade::engine::{aggregate, join, knn, select, EngineConfig, QueryCtx, QueryStats, Spade};
 use spade::geometry::{BBox, Point};
 use spade::index::GridIndex;
+use spade::storage::StorageError;
 
 fn engine() -> Spade {
     Spade::new(EngineConfig::test_small())
@@ -65,6 +67,171 @@ fn disk_backed_join_equals_in_memory() {
     std::fs::remove_dir_all(dir).ok();
 }
 
+/// A point set in memory and as a disk-backed grid under `dir`.
+fn point_grid(dir: &std::path::Path, pts: Vec<Point>, cell: f64) -> (Dataset, IndexedDataset) {
+    let data = Dataset::from_points("p", pts);
+    let grid = GridIndex::build(Some(dir.to_path_buf()), &data.objects, cell).unwrap();
+    let indexed = IndexedDataset::new("p", DatasetKind::Points, grid);
+    (data, indexed)
+}
+
+/// What a pair walk must report cold, and on a repeat served by the cell
+/// cache: every cell touch is a prefetch hit or miss, the cold run read
+/// disk, the repeat read none.
+fn assert_walked(cold: &QueryStats, warm: &QueryStats) {
+    assert!(
+        cold.cells_loaded > 0 && cold.bytes_from_disk > 0,
+        "{cold:?}"
+    );
+    for st in [cold, warm] {
+        assert_eq!(st.prefetch_hits + st.prefetch_misses, st.cells_loaded);
+    }
+    assert_eq!(warm.cells_loaded, cold.cells_loaded);
+    assert_eq!(warm.bytes_from_disk, 0);
+    assert_eq!(warm.cache_hits, warm.cells_loaded);
+}
+
+/// Distance and kNN joins out of core: indexed ≡ in-memory ≡ brute force,
+/// through the walk's ledger — cells loaded, disk bytes, the cell cache.
+#[test]
+fn disk_backed_distance_and_knn_joins_equal_in_memory_and_brute_force() {
+    let spade = Spade::new(EngineConfig {
+        resolution: 64,
+        ..EngineConfig::test_small()
+    });
+    let dir = tmpdir("pjoin");
+    let ctx = QueryCtx::default();
+    for seed in [51u64, 53, 59] {
+        let (l, r) = (
+            spider::uniform_points(80, seed),
+            spider::gaussian_points(400, seed + 1),
+        );
+        // Each class gets grids of its own: a cold cell cache.
+        let grids = |class: &str| {
+            let at = dir.join(format!("{class}-{seed}"));
+            let left = point_grid(&at.join("l"), l.clone(), 0.35);
+            (left, point_grid(&at.join("r"), r.clone(), 0.35))
+        };
+
+        let ((lm, li), (rm, ri)) = grids("distance");
+        let mut truth = brute::distance_join(&l, &r, 0.06);
+        truth.sort_unstable();
+        assert!(!truth.is_empty());
+        assert_eq!(
+            distance::distance_join(&spade, &lm, &rm, 0.06).result,
+            truth
+        );
+        let cold = distance::distance_join_indexed(&spade, &li, &ri, 0.06, &ctx).unwrap();
+        let warm = distance::distance_join_indexed(&spade, &li, &ri, 0.06, &ctx).unwrap();
+        assert_eq!((&cold.result, &warm.result), (&truth, &truth), "{seed}");
+        assert_walked(&cold.stats, &warm.stats);
+
+        let ((lm, li), (rm, ri)) = grids("knn");
+        let truth: Vec<(u32, u32, f64)> = (0u32..)
+            .zip(&l)
+            .flat_map(|(i, p)| {
+                brute::knn(&r, *p, 4)
+                    .into_iter()
+                    .map(move |(j, d)| (i, j, d))
+            })
+            .collect();
+        assert_eq!(knn::knn_join(&spade, &lm, &rm, 4).result, truth);
+        let cold = knn::knn_join_indexed(&spade, &li, &ri, 4, &ctx).unwrap();
+        let warm = knn::knn_join_indexed(&spade, &li, &ri, 4, &ctx).unwrap();
+        assert_eq!((&cold.result, &warm.result), (&truth, &truth), "{seed}");
+        assert_walked(&cold.stats, &warm.stats);
+    }
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// Both classes run inside the device budget: whatever the data size, the
+/// peak is one cell per side, and a small radius reads only the cells
+/// around each left cell.
+#[test]
+fn distance_and_knn_joins_stay_inside_the_device_budget() {
+    let config = EngineConfig {
+        resolution: 64,
+        ..EngineConfig::test_small()
+    };
+    let dir = tmpdir("budget");
+    let (lm, li) = point_grid(&dir.join("l"), spider::uniform_points(300, 61), 0.125);
+    let (rm, ri) = point_grid(&dir.join("r"), spider::uniform_points(24_000, 67), 0.125);
+    let largest = |d: &IndexedDataset| d.grid().cells().iter().map(|c| c.bytes).max().unwrap();
+    let total = |d: &IndexedDataset| d.grid().cells().iter().map(|c| c.bytes).sum::<u64>();
+    let canvas = |res: u32| (res as u64).pow(2) * 16;
+    let canvases = canvas(config.distance_resolution()) + canvas(config.filter_resolution());
+    let resident = largest(&li) + largest(&ri);
+    assert!(total(&li) + total(&ri) >= 4 * (resident + canvases));
+    let ctx = QueryCtx::default();
+
+    let spade = Spade::new(config.clone());
+    let near = distance::distance_join_indexed(&spade, &li, &ri, 0.01, &ctx).unwrap();
+    assert_eq!(
+        near.result,
+        distance::distance_join(&spade, &lm, &rm, 0.01).result
+    );
+    assert!(0 < spade.device.peak() && spade.device.peak() <= resident);
+    let (nl, nr) = (li.grid().num_cells() as u64, ri.grid().num_cells() as u64);
+    assert!(near.stats.cells_loaded < nl * nr, "{:?}", near.stats);
+
+    let spade = Spade::new(config);
+    let nearest = knn::knn_join_indexed(&spade, &li, &ri, 2, &ctx).unwrap();
+    assert_eq!(nearest.result, knn::knn_join(&spade, &lm, &rm, 2).result);
+    assert!(0 < spade.device.peak() && spade.device.peak() <= resident);
+    assert_eq!(spade.device.used(), 0);
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// A small-radius distance join on 9 × 9 cells of 25 lattice points each
+/// pairs every cell with little more than itself.
+#[test]
+fn small_radius_distance_join_prunes_cell_pairs() {
+    let spade = Spade::new(EngineConfig {
+        resolution: 64,
+        ..EngineConfig::test_small()
+    });
+    let lattice: Vec<Point> = (0..45 * 45)
+        .map(|i| Point::new((2 * (i % 45) + 1) as f64, (2 * (i / 45) + 1) as f64))
+        .collect();
+    let dir = tmpdir("lattice");
+    let (_, data) = point_grid(&dir, lattice, 10.0);
+    let cells = data.grid().num_cells() as u64;
+    assert_eq!(cells, 81);
+    let out =
+        distance::distance_join_indexed(&spade, &data, &data, 0.5, &QueryCtx::default()).unwrap();
+    let itself: Vec<(u32, u32)> = (0..45 * 45).map(|i| (i, i)).collect();
+    assert_eq!(out.result, itself);
+    let loaded = out.stats.cells_loaded;
+    assert!(
+        2 * cells <= loaded && loaded < cells * cells,
+        "{:?}",
+        out.stats
+    );
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// Run `query` and cancel it from inside its walk: as soon as a cell is
+/// resident on the device.
+fn cancelled_mid_walk<T>(
+    spade: &Spade,
+    query: impl FnOnce(&QueryCtx) -> Result<T, StorageError>,
+) -> Option<StorageError> {
+    let ctx = QueryCtx::default();
+    let done = std::sync::atomic::AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            use std::sync::atomic::Ordering::Acquire;
+            while spade.device.used() == 0 && !done.load(Acquire) {
+                std::thread::yield_now();
+            }
+            ctx.cancel.cancel();
+        });
+        let out = query(&ctx);
+        done.store(true, std::sync::atomic::Ordering::Release);
+        out.err()
+    })
+}
+
 #[test]
 fn device_memory_is_balanced_after_queries() {
     let spade = engine();
@@ -86,8 +253,22 @@ fn device_memory_is_balanced_after_queries() {
     cancelled.cancel.cancel();
     assert_eq!(
         knn::knn_select_indexed(&spade, &indexed, q, 50, &cancelled).unwrap_err(),
-        spade::storage::StorageError::Cancelled
+        StorageError::Cancelled
     );
+    // The pair walk frees both resident cells when a distance or kNN join
+    // is cancelled under it.
+    let few = Dataset::from_points("few", spider::uniform_points(400, 15));
+    let grid = GridIndex::build(None, &few.objects, 0.5).unwrap();
+    let few = IndexedDataset::new("few", DatasetKind::Points, grid);
+    let stopped = cancelled_mid_walk(&spade, |ctx| {
+        distance::distance_join_indexed(&spade, &few, &indexed, 0.02, ctx)
+    });
+    assert_eq!(stopped, Some(StorageError::Cancelled));
+    assert_eq!(spade.device.used(), 0);
+    let stopped = cancelled_mid_walk(&spade, |ctx| {
+        knn::knn_join_indexed(&spade, &few, &indexed, 2, ctx)
+    });
+    assert_eq!(stopped, Some(StorageError::Cancelled));
     // All uploads must have been freed.
     assert_eq!(spade.device.used(), 0);
     assert!(spade.device.transfer_stats.bytes() > 0);
@@ -120,7 +301,7 @@ fn transfer_time_counts_into_io() {
 /// an identical `cells_loaded` count for every worker count × prefetch
 /// depth combination (depth 0 is the synchronous fallback path) — for the
 /// callers of the cell walk (one run, and kNN's two) and of the cell-pair
-/// walk.
+/// walk (one run, and the kNN join's two).
 #[test]
 fn pipelined_execution_is_deterministic() {
     let dir = tmpdir("det");
@@ -145,6 +326,11 @@ fn pipelined_execution_is_deterministic() {
         Dataset::from_points("sparse", spider::uniform_points(3_000, 37)),
         0.35,
     );
+    let few = index(
+        "few",
+        Dataset::from_points("few", spider::uniform_points(150, 39)),
+        0.35,
+    );
     let c = urban::constraint_polygons(1, &unit(), 0.25, 24, 4)
         .pop()
         .unwrap();
@@ -167,15 +353,20 @@ fn pipelined_execution_is_deterministic() {
             let nearest = knn::knn_select_indexed(&spade, &sparse, q, 25, &ctx).unwrap();
             let joined = join::join_indexed(&spade, &polys, &sparse, &ctx).unwrap();
             let counted = aggregate::aggregate_indexed(&spade, &polys, &sparse, &ctx).unwrap();
+            let close = distance::distance_join_indexed(&spade, &few, &sparse, 0.03, &ctx).unwrap();
+            let closest = knn::knn_join_indexed(&spade, &few, &sparse, 3, &ctx).unwrap();
             let got = (
                 (selected.result, near.result, nearest.result),
                 (joined.result, counted.result),
+                (close.result, closest.result),
                 [
                     selected.stats,
                     near.stats,
                     nearest.stats,
                     joined.stats,
                     counted.stats,
+                    close.stats,
+                    closest.stats,
                 ]
                 .map(|s| s.cells_loaded),
             );
