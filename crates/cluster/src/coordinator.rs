@@ -318,8 +318,8 @@ impl ClusterClient {
         for (i, m) in moved.iter().enumerate() {
             self.bytes_moved[i].fetch_add(*m, Ordering::Relaxed);
         }
-        // Shard 0 always participates (it carries the delta cross terms);
-        // other shards are contacted only when pairs routed to them.
+        // Shard 0 always participates (it owns the deltas and plans their
+        // pairs); other shards are contacted only when pairs routed to them.
         let mut targets: Vec<usize> = (0..per_shard.len())
             .filter(|&i| i == 0 || !per_shard[i].is_empty())
             .collect();

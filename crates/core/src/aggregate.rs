@@ -195,8 +195,8 @@ pub fn aggregate_indexed(
     let mut qspan = crate::trace::span("query.aggregate.indexed");
     let measure = spade.begin();
     let mut polygon_time = Duration::ZERO;
-    let walk = PairWalk::plan(polys, points, ctx, |v1, v2| {
-        hull_pairs(spade, v1, v2, &mut polygon_time)
+    let walk = PairWalk::plan(polys, points, ctx, |left, right| {
+        hull_pairs(spade, left, right, &mut polygon_time)
     })?;
     let mut totals = BTreeMap::new();
     let (stream, _) = walk.run(spade, ctx, &mut polygon_time, |left, right, _| {

@@ -6,9 +6,10 @@ use spade_geometry::{BBox, Geometry, LineString, Point, Polygon};
 use spade_index::compact::{compact, CompactReport};
 use spade_index::delta::{DeltaSnapshot, DeltaStore};
 use spade_index::{GridIndex, Version};
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Process-unique dataset identities, used as result-cache key components
@@ -270,6 +271,7 @@ impl IndexedDataset {
             owner: self,
             grid: Arc::clone(&live.grid),
             delta: live.delta.snapshot(),
+            delta_cell: OnceLock::new(),
         }
     }
 
@@ -405,13 +407,20 @@ impl IndexedDataset {
 /// A consistent snapshot of one dataset for the duration of a query: the
 /// grid generation current when the view was taken plus the delta staged
 /// on top of it. Cells load *masked* — tombstoned and replaced objects are
-/// filtered out — so base results never contain an id the delta overrides;
-/// the staged objects themselves are exposed via
-/// [`ReadView::delta_dataset`] for the executor to merge in.
+/// filtered out — so base results never contain an id the delta overrides.
+///
+/// The staged inserts are one more cell: *slot* `num_cells` of the view.
+/// Its hull is the bbox rectangle of the staged geometries (a conservative
+/// superset), its live count `staged.len()`, its device charge
+/// `delta.bytes`, it has no cell id, and it loads from memory — never
+/// from disk, never through the cell cache. Every slot accessor below
+/// answers for it.
 pub struct ReadView<'a> {
     owner: &'a IndexedDataset,
     pub grid: Arc<GridIndex>,
     pub delta: DeltaSnapshot,
+    /// The delta slot's cell, built on first load.
+    delta_cell: OnceLock<Arc<Dataset>>,
 }
 
 impl ReadView<'_> {
@@ -423,9 +432,43 @@ impl ReadView<'_> {
         self.owner.kind
     }
 
-    /// Encoded block size of cell `idx` — the device-transfer charge.
+    /// The slots a walk plans over: the grid cells, then the delta slot
+    /// when `include_delta` and anything is staged.
+    pub(crate) fn slots(&self, include_delta: bool) -> std::ops::Range<u32> {
+        let delta = include_delta && !self.delta.staged.is_empty();
+        0..self.grid.num_cells() as u32 + delta as u32
+    }
+
+    /// The cell id of a slot: `None` for the delta slot.
+    pub(crate) fn cell_id(&self, slot: u32) -> Option<u32> {
+        ((slot as usize) < self.grid.num_cells()).then_some(slot)
+    }
+
+    /// The device-transfer charge of slot `idx`: a cell's encoded block
+    /// size, the delta's staged bytes.
     pub fn cell_bytes(&self, idx: usize) -> u64 {
-        self.grid.cells()[idx].bytes
+        (self.grid.cells().get(idx)).map_or(self.delta.bytes, |c| c.bytes)
+    }
+
+    /// A slot's bounding polygon (degenerate delta boxes are inflated the
+    /// way the grid inflates degenerate cells).
+    pub(crate) fn hull(&self, slot: u32) -> Cow<'_, Polygon> {
+        match self.grid.cells().get(slot as usize) {
+            Some(cell) => Cow::Borrowed(&cell.hull),
+            None => Cow::Owned(Polygon::rect(self.delta.bbox().inflate(1e-9))),
+        }
+    }
+
+    /// A lower bound on the objects a slot delivers: a cell's
+    /// `num_objects` less the masked ids that could live in it.
+    pub(crate) fn live_objects(&self, slot: u32) -> usize {
+        match self.grid.cells().get(slot as usize) {
+            Some(c) => {
+                let masked = self.delta.mask.range(c.id_min..=c.id_max).count();
+                c.num_objects.saturating_sub(masked)
+            }
+            None => self.delta.staged.len(),
+        }
     }
 
     /// Whether this view carries any staged writes.
@@ -433,13 +476,16 @@ impl ReadView<'_> {
         !self.delta.is_empty()
     }
 
-    /// The cells' bounding polygons in the form the index filters render
-    /// and probe, keyed by cell index; the preparation is polygon time.
-    pub(crate) fn prepared_hulls(&self, polygon_time: &mut Duration) -> Vec<PreparedPolygon> {
+    /// The bounding polygons of `slots` in the form the index filters
+    /// render and probe, keyed by slot; the preparation is polygon time.
+    pub(crate) fn prepared_hulls(
+        &self,
+        slots: std::ops::Range<u32>,
+        polygon_time: &mut Duration,
+    ) -> Vec<PreparedPolygon> {
         let t0 = Instant::now();
-        let hulls = (0u32..)
-            .zip(self.grid.cells())
-            .map(|(i, cell)| PreparedPolygon::prepare(i, &cell.hull))
+        let hulls = slots
+            .map(|s| PreparedPolygon::prepare(s, &self.hull(s)))
             .collect();
         *polygon_time += t0.elapsed();
         hulls
@@ -474,14 +520,18 @@ impl ReadView<'_> {
         Arc::new(Dataset::from_objects(data.name.clone(), data.kind, objects))
     }
 
-    /// Load one cell through the owner's LRU cache under `budget` bytes.
-    /// The cache stores *unmasked* cells keyed by `(generation, cell)`;
-    /// the mask of this view is applied on the way out.
+    /// Load one slot: a cell through the owner's LRU cache under `budget`
+    /// bytes (returning whether the cache served it), the delta slot from
+    /// memory. The cache stores *unmasked* cells keyed by `(generation,
+    /// cell)`; the mask of this view is applied on the way out.
     pub fn load_cell_cached(
         &self,
         idx: usize,
         budget: u64,
     ) -> spade_storage::Result<(Arc<Dataset>, bool)> {
+        if idx == self.grid.num_cells() {
+            return Ok((self.delta_dataset(), false));
+        }
         let key = (self.grid.generation, idx);
         if budget == 0 {
             let raw = Arc::new(self.load_cell_raw(idx)?);
@@ -500,12 +550,10 @@ impl ReadView<'_> {
 
     /// The staged inserts of this view as an in-memory dataset — the
     /// "extra cell" every query family merges with its grid results.
-    pub fn delta_dataset(&self) -> Dataset {
-        Dataset::from_objects(
-            format!("{}#delta", self.owner.name),
-            self.owner.kind,
-            self.delta.staged.clone(),
-        )
+    pub fn delta_dataset(&self) -> Arc<Dataset> {
+        let name = format!("{}#delta", self.owner.name);
+        let build = || Dataset::from_objects(name, self.owner.kind, self.delta.staged.clone());
+        Arc::clone(self.delta_cell.get_or_init(|| Arc::new(build())))
     }
 }
 

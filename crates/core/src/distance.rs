@@ -22,6 +22,7 @@ use crate::stats::QueryOutput;
 use spade_canvas::create::PreparedPolygon;
 use spade_canvas::distance as dcanvas;
 use spade_geometry::{BBox, LineString, Point, Polygon, Segment};
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// The geometry a distance constraint measures from.
@@ -280,22 +281,22 @@ impl ResidentDisks {
     }
 }
 
-/// The filter phase of the distance families: per left cell, the right
-/// cells whose hull comes within `reach(left cell)` of its hull — the
+/// The filter phase of the distance families: per left slot, the right
+/// slots whose hull comes within `reach(left slot)` of its hull — the
 /// filter of [`distance_select_indexed`] around a polygon, at the coarse
 /// filter resolution.
 pub(crate) fn hulls_within(
     spade: &Spade,
-    view1: &ReadView<'_>,
-    view2: &ReadView<'_>,
+    (view1, slots1): (&ReadView<'_>, Range<u32>),
+    (view2, slots2): (&ReadView<'_>, Range<u32>),
     polygon_time: &mut Duration,
     reach: impl Fn(u32) -> f64,
 ) -> Pairs {
-    let right = view2.prepared_hulls(polygon_time);
+    let right = view2.prepared_hulls(slots2, polygon_time);
     let resolution = spade.config.filter_resolution();
     let mut pairs = Vec::new();
-    for (l, cell) in (0u32..).zip(view1.grid.cells()) {
-        let hull = DistanceConstraint::Polygon(cell.hull.clone());
+    for l in slots1 {
+        let hull = DistanceConstraint::Polygon(view1.hull(l).into_owned());
         let near = build_distance_constraint(spade, &hull, reach(l), resolution, polygon_time);
         pairs.extend(
             select_polygons_mem(spade, &right, &near)
@@ -320,8 +321,8 @@ pub fn distance_join_indexed(
     let mut qspan = crate::trace::span("query.distance_join.indexed");
     let measure = spade.begin();
     let mut polygon_time = Duration::ZERO;
-    let walk = PairWalk::plan(d1, d2, ctx, |v1, v2| {
-        hulls_within(spade, v1, v2, &mut polygon_time, |_| r)
+    let walk = PairWalk::plan(d1, d2, ctx, |left, right| {
+        hulls_within(spade, left, right, &mut polygon_time, |_| r)
     })?;
     let (mut pairs, mut disks) = (Vec::new(), ResidentDisks::default());
     let (stream, _) = walk.run(spade, ctx, &mut polygon_time, |left, right, (l, _)| {

@@ -23,6 +23,8 @@ use spade_canvas::create::PreparedPolygon;
 use spade_geometry::{Geometry, Point};
 use spade_gpu::record::FrameTotals;
 use spade_gpu::Primitive;
+use std::ops::Range;
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 /// A join result: `(left id, right id)` pairs.
@@ -303,16 +305,16 @@ pub fn join(spade: &Spade, d1: &Dataset, d2: &Dataset) -> QueryOutput<Pairs> {
 }
 
 /// The filter phase of the intersection families (§5.3): a Polygon ⋈
-/// Polygon join over the bounding polygons of the two grid indexes at the
+/// Polygon join over the bounding polygons of the two views' slots at the
 /// coarse filter resolution.
 pub(crate) fn hull_pairs(
     spade: &Spade,
-    view1: &ReadView<'_>,
-    view2: &ReadView<'_>,
+    (view1, slots1): (&ReadView<'_>, Range<u32>),
+    (view2, slots2): (&ReadView<'_>, Range<u32>),
     polygon_time: &mut Duration,
 ) -> Pairs {
-    let mut hull_set = |view: &ReadView<'_>| {
-        let polygons = view.prepared_hulls(polygon_time);
+    let mut hull_set = |view: &ReadView<'_>, slots| {
+        let polygons = view.prepared_hulls(slots, polygon_time);
         PreparedPolygonSet {
             layers: spade_canvas::layer::build_layer_index(
                 &spade.pipeline,
@@ -322,7 +324,7 @@ pub(crate) fn hull_pairs(
             polygons,
         }
     };
-    let (set1, set2) = (hull_set(view1), hull_set(view2));
+    let (set1, set2) = (hull_set(view1, slots1), hull_set(view2, slots2));
     join_polygon_polygon_mem_res(spade, &set1, &set2, spade.config.filter_resolution())
 }
 
@@ -333,43 +335,57 @@ pub(crate) fn hull_pairs(
 /// [`PairWalk::plan`] fixes the snapshot, the ordered pairs and the load
 /// sequence; [`PairWalk::run`] owns everything between them and the
 /// kernel — prefetch, the cell cache, one preparation per residency
-/// change, the device ledger, the delta cross terms and the I/O
-/// accounting — and may run more than once (kNN join: twice) over the
-/// same snapshot.
+/// change, the device ledger and the I/O accounting — and may run more
+/// than once (kNN join: twice) over the same snapshot. A side's staged
+/// delta is one more slot of its view ([`ReadView`]): planned, filtered,
+/// streamed and charged like any cell.
 pub(crate) struct PairWalk<'a> {
     pub view1: ReadView<'a>,
     pub view2: ReadView<'a>,
     uids: [u64; 2],
-    /// Candidate `(left cell, right cell)` pairs in execution order.
+    /// Candidate `(left slot, right slot)` pairs in execution order.
     pub cell_pairs: Pairs,
     /// The exact loads the single-cell-residency walk needs: one `(side,
-    /// cell)` entry per residency change, in pair order. The prefetcher
+    /// slot)` entry per residency change, in pair order. The prefetcher
     /// reads ahead along it while the current pair refines.
     pub sequence: Vec<(usize, usize)>,
 }
 
 impl<'a> PairWalk<'a> {
     /// Snapshot both sides and fix the walk. `filter` is the class's
-    /// filter phase over the two snapshots (any conservative superset of
-    /// the pairs holding a result is safe: refinement is exact); the
-    /// explicit cell pairs of [`crate::scope::Scope::Pairs`], the
-    /// scatter-gather form, replace it (out-of-range ones dropped).
+    /// filter phase over slot ranges of the two snapshots (any conservative
+    /// superset of the pairs holding a result is safe: refinement is
+    /// exact); the full scope hands it every slot. The explicit cell pairs
+    /// of [`crate::scope::Scope::Pairs`], the scatter-gather form, replace
+    /// it (out-of-range ones dropped) but cannot name a delta, so the
+    /// scope that owns the deltas filters each delta slot against the
+    /// other side.
     pub(crate) fn plan(
         d1: &'a IndexedDataset,
         d2: &'a IndexedDataset,
         ctx: &QueryCtx,
-        filter: impl FnOnce(&ReadView<'a>, &ReadView<'a>) -> Pairs,
+        mut filter: impl FnMut((&ReadView<'a>, Range<u32>), (&ReadView<'a>, Range<u32>)) -> Pairs,
     ) -> spade_storage::Result<PairWalk<'a>> {
         let explicit = ctx.scope.pairs()?;
         let (view1, view2) = (d1.read_view(), d2.read_view());
         crate::explain::note_view(&view1);
         crate::explain::note_view(&view2);
         let (n1, n2) = (view1.grid.num_cells() as u32, view2.grid.num_cells() as u32);
+        let owned = ctx.scope.include_delta();
+        let (end1, end2) = (view1.slots(owned).end, view2.slots(owned).end);
         let mut cell_pairs = match explicit {
-            Some(pairs) => (pairs.iter().copied())
-                .filter(|&(l, r)| l < n1 && r < n2)
-                .collect(),
-            None => filter(&view1, &view2),
+            Some(pairs) => {
+                let mut pairs: Pairs = (pairs.iter().copied())
+                    .filter(|&(l, r)| l < n1 && r < n2)
+                    .collect();
+                for (lefts, rights) in [(n1..end1, 0..end2), (0..n1, n2..end2)] {
+                    if !lefts.is_empty() && !rights.is_empty() {
+                        pairs.extend(filter((&view1, lefts), (&view2, rights)));
+                    }
+                }
+                pairs
+            }
+            None => filter((&view1, 0..end1), (&view2, 0..end2)),
         };
         // Ordering before estimating lets a strategy estimate walk the
         // very slice the executor will, so the two cannot drift.
@@ -393,23 +409,20 @@ impl<'a> PairWalk<'a> {
         })
     }
 
-    /// Walk the pairs with single-cell residency per side, handing every
-    /// pair of prepared cells and their cell ids to `refine(left, right,
-    /// cells)`. A resident cell keeps its prepared form across the
-    /// consecutive pairs the order puts together, and a pair refines as
-    /// soon as both its cells are resident. Then the delta cross terms:
-    /// when the scope owns the delta, each side's staged writes are one
-    /// more cell (with no id), refined against every cell of the other
-    /// side (the cache is warm from the walk) and against each other, so
-    /// merged results match a cold rebuild.
+    /// Walk the pairs with single-slot residency per side, handing every
+    /// pair of prepared cells and their cell ids (`None`: the staged
+    /// delta) to `refine(left, right, cells)`. A resident cell keeps its
+    /// prepared form across the consecutive pairs the order puts together,
+    /// a delta keeps it for the whole run (its slot re-enters residency
+    /// once per left group), and a pair refines as soon as both its slots
+    /// are resident.
     ///
-    /// `ctx.cancel` is polled at every residency change and every delta
-    /// term; resident cells are freed before a cancellation propagates,
-    /// keeping the device ledger balanced. Returns the stream's I/O
-    /// accounting and the recording frame of the base walk alone — what an
-    /// optimizer that chose *how* to refine the base pairs is judged on;
-    /// the frame folds into the query's measure, so total accounting is
-    /// unchanged.
+    /// `ctx.cancel` is polled at every residency change; resident cells
+    /// are freed before a cancellation propagates, keeping the device
+    /// ledger balanced. Returns the stream's I/O accounting and the
+    /// recording frame of the walk — what an optimizer that chose *how* to
+    /// refine is judged on; the frame folds into the query's measure, so
+    /// total accounting is unchanged.
     pub(crate) fn run(
         &self,
         spade: &Spade,
@@ -418,35 +431,42 @@ impl<'a> PairWalk<'a> {
         mut refine: impl FnMut(&Resident, &Resident, (Option<u32>, Option<u32>)),
     ) -> spade_storage::Result<(StreamStats, FrameTotals)> {
         let views = [&self.view1, &self.view2];
-        let budget = spade.config.cell_cache_bytes;
-        // Per side: the resident cell, its ledger charge, its prepared form.
-        let mut resident: [Option<(u32, u64, Resident)>; 2] = [None, None];
+        // Per side: the resident slot, its ledger charge, its prepared
+        // form; and a delta's prepared form, shared by its residencies.
+        let mut resident: [Option<(u32, u64, Rc<Resident>)>; 2] = [None, None];
+        let mut staged: [Option<Rc<Resident>>; 2] = [None, None];
         let mut next = 0;
         spade_gpu::record::begin();
         let streamed = crate::prefetch::stream_cells(
             spade.config.prefetch_depth,
-            budget,
+            spade.config.cell_cache_bytes,
             &views,
             &self.sequence,
             &ctx.cancel,
             |cell| {
-                if let Some((_, bytes, _)) = resident[cell.source].take() {
+                let (side, slot) = (cell.source, cell.cell as u32);
+                if let Some((_, bytes, _)) = resident[side].take() {
                     spade.device.free(bytes);
                 }
                 let _ = spade.device.upload(cell.bytes);
                 spade
                     .observed
-                    .observe_cell_load(self.uids[cell.source], cell.bytes);
-                let prepared = Resident::prepare(spade, &cell.data, polygon_time);
-                resident[cell.source] = Some((cell.cell as u32, cell.bytes, prepared));
-                // Refine every pair now satisfied by the resident cells.
+                    .observe_cell_load(self.uids[side], cell.bytes);
+                let mut prepare = || Rc::new(Resident::prepare(spade, &cell.data, polygon_time));
+                let prepared = match views[side].cell_id(slot) {
+                    Some(_) => prepare(),
+                    None => Rc::clone(staged[side].get_or_insert_with(prepare)),
+                };
+                resident[side] = Some((slot, cell.bytes, prepared));
+                // Refine every pair now satisfied by the resident slots.
                 while let (Some(&pair), [Some((c1, _, left)), Some((c2, _, right))]) =
                     (self.cell_pairs.get(next), &resident)
                 {
                     if pair != (*c1, *c2) {
                         break;
                     }
-                    refine(left, right, (Some(*c1), Some(*c2)));
+                    let cells = (self.view1.cell_id(*c1), self.view2.cell_id(*c2));
+                    refine(left, right, cells);
                     next += 1;
                 }
                 Ok(())
@@ -455,40 +475,15 @@ impl<'a> PairWalk<'a> {
         for (_, bytes, _) in resident.iter().flatten() {
             spade.device.free(*bytes);
         }
-        let base = spade_gpu::record::finish();
+        let frame = spade_gpu::record::finish();
         let stream = streamed?;
         debug_assert_eq!(next, self.cell_pairs.len(), "all cell pairs refined");
-
-        if ctx.scope.include_delta() {
-            let mut staged = |view: &ReadView<'_>| {
-                (!view.delta.staged.is_empty())
-                    .then(|| Resident::prepare(spade, &view.delta_dataset(), polygon_time))
-            };
-            let deltas = [staged(&self.view1), staged(&self.view2)];
-            for (side, delta) in deltas.iter().enumerate() {
-                let Some(delta) = delta else { continue };
-                let other = views[1 - side];
-                for i in 0..other.grid.num_cells() {
-                    ctx.cancel.check()?;
-                    let (data, _) = other.load_cell_cached(i, budget)?;
-                    let cell = Resident::prepare(spade, &data, polygon_time);
-                    if side == 0 {
-                        refine(delta, &cell, (None, Some(i as u32)));
-                    } else {
-                        refine(&cell, delta, (Some(i as u32), None));
-                    }
-                }
-            }
-            if let [Some(left), Some(right)] = &deltas {
-                refine(left, right, (None, None));
-            }
-        }
-        Ok((stream, base))
+        Ok((stream, frame))
     }
 }
 
 /// Out-of-core join between two grid-indexed data sets (§5.3): a
-/// `PairWalk` whose base pairs refine with the strategy the optimizer
+/// `PairWalk` whose cell pairs refine with the strategy the optimizer
 /// picks by transfer estimate (§5.4) and whose pairs fold by extension.
 pub fn join_indexed(
     spade: &Spade,
@@ -499,8 +494,8 @@ pub fn join_indexed(
     let mut qspan = crate::trace::span("query.join.indexed");
     let measure = spade.begin();
     let mut polygon_time = Duration::ZERO;
-    let walk = PairWalk::plan(d1, d2, ctx, |v1, v2| {
-        hull_pairs(spade, v1, v2, &mut polygon_time)
+    let walk = PairWalk::plan(d1, d2, ctx, |left, right| {
+        hull_pairs(spade, left, right, &mut polygon_time)
     })?;
     let cell_pairs = &walk.cell_pairs;
 
@@ -510,8 +505,10 @@ pub fn join_indexed(
     // the estimates compare the *order* benefit.
     let pair_key = optimizer::stats::join_key(d1.uid(), d2.uid());
     let _stat_scope = optimizer::stats::scope(pair_key);
-    let left_bytes: Vec<u64> = walk.view1.grid.cells().iter().map(|c| c.bytes).collect();
-    let right_bytes: Vec<u64> = walk.view2.grid.cells().iter().map(|c| c.bytes).collect();
+    // Per slot, a delta's included: the estimates index the pairs the
+    // walk will run.
+    let bytes = |v: &ReadView<'_>| Vec::from_iter(v.slots(true).map(|s| v.cell_bytes(s as usize)));
+    let (left_bytes, right_bytes) = (bytes(&walk.view1), bytes(&walk.view2));
     let layer_est = optimizer::estimate_layer_bytes_ordered(cell_pairs, &left_bytes, &right_bytes);
     let per_object: Vec<Vec<u32>> = {
         let mut m = std::collections::BTreeMap::<u32, Vec<u32>>::new();
@@ -564,10 +561,10 @@ pub fn join_indexed(
         ..crate::explain::JoinDecision::default()
     });
 
-    // The strategy applies to the base pairs; the delta cross terms are
-    // strategy-invariant and always take the layer join.
+    // The strategy applies to the pairs of two cells; a pair with a delta
+    // on either side always takes the layer join.
     let mut pairs = Vec::new();
-    let (stream, base) = walk.run(spade, ctx, &mut polygon_time, |left, right, cells| {
+    let (stream, frame) = walk.run(spade, ctx, &mut polygon_time, |left, right, cells| {
         pairs.extend(match (strategy, cells) {
             (JoinStrategy::NaiveSelects, (Some(_), Some(_))) => {
                 join_cells_naive(spade, left, right)
@@ -580,8 +577,8 @@ pub fn join_indexed(
 
     // Feed the realized walk back to the observed statistics and render
     // the hindsight verdict for EXPLAIN ANALYZE.
-    let actual_bytes = base.transfer_bytes;
-    let actual_cost = base.gpu.gpu_nanos + base.transfer_nanos;
+    let actual_bytes = frame.transfer_bytes;
+    let actual_cost = frame.gpu.gpu_nanos + frame.transfer_nanos;
     let est_chosen = match strategy {
         JoinStrategy::LayerIndex => layer_est,
         JoinStrategy::NaiveSelects => naive_est,
@@ -801,8 +798,8 @@ mod tests {
     }
 
     /// Cancelling from inside the refine step, for the join's kernel and
-    /// the aggregation's: the walk stops at the next residency change,
-    /// with nothing left on the device.
+    /// the aggregation's, and with a staged delta resident: the walk stops
+    /// at the next residency change, with nothing left on the device.
     #[test]
     fn mid_walk_cancellation_frees_resident_cells() {
         let s = engine();
@@ -812,41 +809,56 @@ mod tests {
         let g2 = GridIndex::build(None, &pts.objects, 40.0).unwrap();
         let i1 = IndexedDataset::new("polys", DatasetKind::Polygons, g1);
         let i2 = IndexedDataset::new("pts", DatasetKind::Points, g2);
-        for counting in [false, true] {
+        for (counting, staged) in [(false, false), (true, false), (false, true)] {
+            if staged {
+                i2.insert(5000, Geometry::Point(Point::new(50.0, 50.0)));
+            }
             let ctx = QueryCtx::default();
             let mut polygon_time = Duration::ZERO;
-            let walk = PairWalk::plan(&i1, &i2, &ctx, |v1, v2| {
-                hull_pairs(&s, v1, v2, &mut polygon_time)
+            let walk = PairWalk::plan(&i1, &i2, &ctx, |left, right| {
+                hull_pairs(&s, left, right, &mut polygon_time)
             })
             .unwrap();
             // The hull join, handed in as the walk's filter: the pairs, their
-            // order and the load sequence of the intersection families, pinned.
+            // order and the load sequence of the intersection families,
+            // pinned; the delta is right slot 9, met inside a left group.
+            let delta_pairs = if staged { "(4, 9), " } else { "" };
             assert_eq!(
                 format!("{:?}", walk.cell_pairs),
-                "[(0, 0), (1, 4), (1, 2), (1, 1), (2, 2), (3, 3), (4, 0), (4, 1), \
-                 (4, 3), (4, 4), (5, 5), (6, 3), (6, 6), (7, 7), (7, 4), (8, 8)]"
+                format!(
+                    "[(0, 0), (1, 4), (1, 2), (1, 1), (2, 2), (3, 3), (4, 0), (4, 1), \
+                     (4, 3), (4, 4), {delta_pairs}(5, 5), (6, 3), (6, 6), (7, 7), (7, 4), (8, 8)]"
+                )
             );
+            let delta_loads = if staged { "(1, 9), " } else { "" };
             assert_eq!(
                 format!("{:?}", walk.sequence),
-                "[(0, 0), (1, 0), (0, 1), (1, 4), (1, 2), (1, 1), (0, 2), (1, 2), \
-                 (0, 3), (1, 3), (0, 4), (1, 0), (1, 1), (1, 3), (1, 4), (0, 5), \
-                 (1, 5), (0, 6), (1, 3), (1, 6), (0, 7), (1, 7), (1, 4), (0, 8), (1, 8)]"
+                format!(
+                    "[(0, 0), (1, 0), (0, 1), (1, 4), (1, 2), (1, 1), (0, 2), (1, 2), \
+                     (0, 3), (1, 3), (0, 4), (1, 0), (1, 1), (1, 3), (1, 4), {delta_loads}(0, 5), \
+                     (1, 5), (0, 6), (1, 3), (1, 6), (0, 7), (1, 7), (1, 4), (0, 8), (1, 8)]"
+                )
             );
             let mut refined = 0;
             let mut totals = std::collections::BTreeMap::new();
-            let res = walk.run(&s, &ctx, &mut polygon_time, |left, right, _| {
+            let res = walk.run(&s, &ctx, &mut polygon_time, |left, right, cells| {
                 if counting {
                     crate::aggregate::count_cells(&s, left, right, &mut totals);
                 } else {
                     join_cells_layered(&s, left, right);
                 }
                 refined += 1;
-                if refined == 2 {
+                if let (true, (Some(l), None)) = (staged, cells) {
+                    // The resident delta is on the ledger like any cell.
+                    let bytes = walk.view1.cell_bytes(l as usize) + walk.view2.delta.bytes;
+                    assert_eq!(s.device.used(), bytes);
+                    ctx.cancel.cancel();
+                } else if !staged && refined == 2 {
                     ctx.cancel.cancel();
                 }
             });
             assert_eq!(res.unwrap_err(), spade_storage::StorageError::Cancelled);
-            assert_eq!(refined, 2, "counting={counting}");
+            assert_eq!(refined, if staged { 11 } else { 2 }, "counting={counting}");
             assert_eq!(s.device.used(), 0, "counting={counting}");
         }
     }

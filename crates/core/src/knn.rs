@@ -145,42 +145,28 @@ fn rank(candidates: &mut Vec<(u32, f64)>, k: usize) {
 /// A zero-I/O upper bound on the distance of the `k`-th neighbour of every
 /// point in the convex hull of `from`, from the manifest alone. Distance
 /// is convex in either endpoint, so over two convex sets it peaks at a
-/// vertex pair: every point of a cell lies within `far` — the largest
+/// vertex pair: every point of a slot lies within `far` — the largest
 /// `from`-vertex-to-hull-vertex distance — of every point of `from`'s
-/// hull. So the `cells` in scope sorted by `far`, cut at the prefix whose
-/// live object counts reach `k`, put at least `k` points within the
-/// prefix's last `far`. A cell's live count is `num_objects` less the
-/// masked ids that could live in it (an under-count only lengthens the
-/// prefix), and the staged writes are one more cell bounded by their bbox.
-/// If the counts never reach `k`, the last distance covers everything the
-/// walk can see.
+/// hull. So the `slots` in scope (the staged delta is one of them) sorted
+/// by `far`, cut at the prefix whose live object counts reach `k`, put at
+/// least `k` points within the prefix's last `far`; an under-count only
+/// lengthens the prefix. If the counts never reach `k`, the last distance
+/// covers everything the walk can see.
 fn count_bound(
     view: &ReadView<'_>,
-    cells: impl Iterator<Item = u32>,
-    include_delta: bool,
+    slots: impl Iterator<Item = u32>,
     from: &[Point],
     k: usize,
 ) -> f64 {
-    let delta = &view.delta;
     let far = |vertices: &[Point]| {
         let dists = vertices
             .iter()
             .flat_map(|v| from.iter().map(|p| v.dist(*p)));
         dists.fold(0.0, f64::max)
     };
-    let mut cells: Vec<(f64, usize)> = cells
-        .map(|i| {
-            let c = &view.grid.cells()[i as usize];
-            let masked = delta.mask.range(c.id_min..=c.id_max).count();
-            (
-                far(&c.hull.exterior.points),
-                c.num_objects.saturating_sub(masked),
-            )
-        })
+    let mut cells: Vec<(f64, usize)> = slots
+        .map(|s| (far(&view.hull(s).exterior.points), view.live_objects(s)))
         .collect();
-    if include_delta && !delta.staged.is_empty() {
-        cells.push((far(&delta.bbox().corners()), delta.staged.len()));
-    }
     cells.sort_by(|a, b| a.0.total_cmp(&b.0));
     let mut live = 0;
     let reached = cells.iter().find(|(_, n)| {
@@ -191,6 +177,12 @@ fn count_bound(
     // Widened by a rounding margin: the points at exactly `far` must pass
     // the `d ≤ r_max` tests of both kernels.
     (far * (1.0 + 1e-9)).max(1e-12)
+}
+
+/// The slots a scoped cell walk sees: its cells, and the delta it owns.
+fn scoped_slots<'w>(walk: &'w CellWalk<'_>) -> impl Iterator<Item = u32> + 'w {
+    let slots = walk.view.slots(walk.scope.include_delta);
+    slots.filter(|&s| (walk.view.cell_id(s)).is_none_or(|c| walk.scope.contains(c)))
 }
 
 /// Out-of-core kNN selection: a count bound `r_ub` on the `k`-th distance
@@ -223,8 +215,7 @@ pub fn knn_select_indexed(
     let mut stream = StreamStats::default();
     let mut result = Vec::new();
     if k > 0 {
-        let scoped = (0..walk.view.grid.num_cells() as u32).filter(|i| walk.scope.contains(*i));
-        let r_max = count_bound(&walk.view, scoped, walk.scope.include_delta, &[q], k);
+        let r_max = count_bound(&walk.view, scoped_slots(&walk), &[q], k);
         // The bound's circle only gates cell loads: a coarse canvas.
         let bound = circle(spade, q, r_max, spade.config.filter_resolution());
         let mut hist = vec![0u64; spade.config.knn_circles()];
@@ -321,20 +312,20 @@ fn rank_groups(found: &mut Vec<(u32, u32, f64)>, k: usize) {
 }
 
 /// Out-of-core kNN join: [`knn_select_indexed`]'s recipe one arity up. A
-/// count bound per left cell (no I/O) picks its candidate right cells —
+/// count bound per left slot (no I/O) picks its candidate right slots —
 /// no point outside them is among the `k` nearest of a point in its hull
 /// — then two runs of the pair walk under one pair of snapshots: every
-/// left point's circle histogram, collapsed to a radius when its cell
-/// leaves residency (the walk is left-major: one cell's histograms are
+/// left point's circle histogram, collapsed to a radius when its slot
+/// leaves residency (the walk is left-major: one slot's histograms are
 /// live at a time), then the type-2 distance kernel with those radii,
-/// its candidates ranked at the end. A left cell met again for its
-/// right-delta term keeps the smaller radius; each holds `k` points.
+/// its candidates ranked at the end.
 ///
 /// Under [`crate::scope::Scope::Pairs`] the bound and both passes see
-/// only the right cells listed for a left cell, so the output is every
-/// left point's exact top-k among them, and re-ranking the concatenated
-/// partials of a covering pair set reproduces the full answer (the merge
-/// argument of [`knn_select_indexed`]).
+/// only the right cells listed for a left cell (and, for the owner of the
+/// deltas, the delta slots their filter pairs it with), so the output is
+/// every left point's exact top-k among them, and re-ranking the
+/// concatenated partials of a covering pair set reproduces the full
+/// answer (the merge argument of [`knn_select_indexed`]).
 pub fn knn_join_indexed(
     spade: &Spade,
     d1: &IndexedDataset,
@@ -346,11 +337,9 @@ pub fn knn_join_indexed(
     qspan.attr("k", k as u64);
     let measure = spade.begin();
     let mut polygon_time = Duration::ZERO;
-    let walk = PairWalk::plan(d1, d2, ctx, |v1, v2| {
-        let all = 0..v2.grid.num_cells() as u32;
-        hulls_within(spade, v1, v2, &mut polygon_time, |l| {
-            let hull = &v1.grid.cells()[l as usize].hull;
-            count_bound(v2, all.clone(), true, &hull.exterior.points, k)
+    let walk = PairWalk::plan(d1, d2, ctx, |(v1, lefts), (v2, rights)| {
+        hulls_within(spade, (v1, lefts), (v2, rights), &mut polygon_time, |l| {
+            count_bound(v2, v2.slots(true), &v1.hull(l).exterior.points, k)
         })
     })?;
     let mut stream = StreamStats::default();
@@ -359,37 +348,27 @@ pub fn knn_join_indexed(
         let (v1, v2) = (&walk.view1, &walk.view2);
         let delta_slot = v1.grid.num_cells();
         let slot = |l: Option<u32>| l.map_or(delta_slot, |l| l as usize);
-        // The bound of a left cell over the right cells the walk pairs it
-        // with; of the staged left delta, over all of them.
-        let r_max = |l: Option<u32>| match l {
-            Some(l) => {
-                let paired = walk.cell_pairs.iter().filter(|p| p.0 == l).map(|p| p.1);
-                let hull = &v1.grid.cells()[l as usize].hull.exterior.points;
-                count_bound(v2, paired, ctx.scope.include_delta(), hull, k)
-            }
-            None => {
-                let all = 0..v2.grid.num_cells() as u32;
-                count_bound(v2, all, true, &v1.delta.bbox().corners(), k)
-            }
+        // The bound of a left slot over the right slots the walk pairs it
+        // with.
+        let r_max = |l: usize| {
+            let paired = walk.cell_pairs.iter().filter(|p| p.0 as usize == l);
+            let hull = v1.hull(l as u32);
+            count_bound(v2, paired.map(|p| p.1), &hull.exterior.points, k)
         };
         let mut radii: Vec<Vec<f64>> = vec![Vec::new(); delta_slot + 1];
-        // The left cell being counted: its slot, bound and histograms.
+        // The left slot being counted: its bound and histograms.
         let mut live: Option<(usize, f64, Vec<Vec<u64>>)> = None;
         let collapse = |live: Option<(usize, f64, Vec<Vec<u64>>)>, radii: &mut [Vec<f64>]| {
-            let Some((slot, r_max, hists)) = live else {
-                return;
-            };
-            for (radius, hist) in radii[slot].iter_mut().zip(&hists) {
-                *radius = radius.min(radius_for(hist, r_max, k));
+            if let Some((slot, r_max, hists)) = live {
+                radii[slot] = (hists.iter().map(|h| radius_for(h, r_max, k))).collect();
             }
         };
         let circles = spade.config.knn_circles();
         let counting = walk.run(spade, ctx, &mut polygon_time, |left, right, (l, _)| {
-            let left = left.points();
-            if live.as_ref().map(|live| live.0) != Some(slot(l)) {
+            let (left, l) = (left.points(), slot(l));
+            if live.as_ref().map(|live| live.0) != Some(l) {
                 collapse(live.take(), &mut radii);
-                radii[slot(l)].resize(left.len(), f64::INFINITY);
-                live = Some((slot(l), r_max(l), vec![vec![0; circles]; left.len()]));
+                live = Some((l, r_max(l), vec![vec![0; circles]; left.len()]));
             }
             let (_, r_max, hists) = live.as_mut().expect("set above");
             for (&(_, p), hist) in left.iter().zip(hists) {
@@ -582,8 +561,7 @@ mod tests {
         between: impl FnOnce(),
         mut in_second: impl FnMut(),
     ) -> spade_storage::Result<Vec<(u32, f64)>> {
-        let scoped = (0..walk.view.grid.num_cells() as u32).filter(|i| walk.scope.contains(*i));
-        let r_max = count_bound(&walk.view, scoped, walk.scope.include_delta, &[q], k);
+        let r_max = count_bound(&walk.view, scoped_slots(walk), &[q], k);
         let bound = circle(s, q, r_max, s.config.filter_resolution());
         let mut hist = vec![0u64; s.config.knn_circles()];
         walk.run(s, ctx, &bound, &bound, |cell| {

@@ -24,18 +24,16 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// One cell delivered to the refinement stage.
+/// One slot delivered to the refinement stage.
 pub struct FetchedCell {
     /// Index into the `sources` slice this cell belongs to.
     pub source: usize,
-    /// Cell index within the source's grid.
+    /// Slot within the source's view: a grid cell or the staged delta.
     pub cell: usize,
     /// The decoded cell data.
     pub data: Arc<Dataset>,
-    /// Encoded block size — the device-transfer charge for this cell.
+    /// The device-transfer charge for this slot.
     pub bytes: u64,
-    /// Whether the bytes came from the LRU cache rather than disk.
-    pub cache_hit: bool,
 }
 
 /// Accounting for one streamed sequence.
@@ -93,8 +91,40 @@ impl StreamStats {
     }
 }
 
-/// Stream `sequence` — `(source, cell)` pairs — to `consumer`, loading
-/// through each source's cell cache, prefetching up to `depth` cells ahead
+/// Load one slot of the sequence, traced, adding its I/O to `tally`: a
+/// cache hit is counted, a block read adds its bytes, and the staged
+/// delta — no cell, already in memory — is neither.
+fn load(
+    sources: &[&ReadView<'_>],
+    (src, cell): (usize, usize),
+    cache_budget: u64,
+    tally: &mut StreamStats,
+) -> spade_storage::Result<FetchedCell> {
+    let mut load_span = crate::trace::span("prefetch.load");
+    let t = Instant::now();
+    let loaded = sources[src].load_cell_cached(cell, cache_budget);
+    tally.io_time += t.elapsed();
+    load_span.attr("source", src as u64);
+    load_span.attr("cell", cell as u64);
+    let (data, cache_hit) = loaded?;
+    let bytes = sources[src].cell_bytes(cell);
+    load_span.attr("bytes", bytes);
+    load_span.attr("cache_hit", cache_hit as u64);
+    if cache_hit {
+        tally.cache_hits += 1;
+    } else if sources[src].cell_id(cell as u32).is_some() {
+        tally.bytes_from_disk += bytes;
+    }
+    Ok(FetchedCell {
+        source: src,
+        cell,
+        data,
+        bytes,
+    })
+}
+
+/// Stream `sequence` — `(source, slot)` pairs — to `consumer`, loading
+/// through each source's cell cache, prefetching up to `depth` slots ahead
 /// on a background I/O thread. Errors from the load path or the consumer
 /// abort the stream and propagate. `cancel` is polled at every cell
 /// boundary: the consumer side checks before refining each cell (and
@@ -111,92 +141,36 @@ pub fn stream_cells<F>(
 where
     F: FnMut(FetchedCell) -> spade_storage::Result<()>,
 {
-    if sequence.is_empty() {
-        return Ok(StreamStats::default());
-    }
-    if depth == 0 {
+    let mut stats = StreamStats::default();
+    if depth == 0 || sequence.is_empty() {
         // Synchronous: every load is a consumer-side stall.
-        let mut stats = StreamStats::default();
-        for &(src, cell) in sequence {
+        for &step in sequence {
             cancel.check()?;
-            let mut load_span = crate::trace::span("prefetch.load");
-            let t = Instant::now();
-            let (data, cache_hit) = sources[src].load_cell_cached(cell, cache_budget)?;
-            let io = t.elapsed();
-            stats.io_time += io;
-            stats.recv_wait += io;
-            let bytes = sources[src].cell_bytes(cell);
-            load_span.attr("source", src as u64);
-            load_span.attr("cell", cell as u64);
-            load_span.attr("bytes", bytes);
-            load_span.attr("cache_hit", cache_hit as u64);
-            drop(load_span);
-            if cache_hit {
-                stats.cache_hits += 1;
-            } else {
-                stats.bytes_from_disk += bytes;
-            }
+            let cell = load(sources, step, cache_budget, &mut stats)?;
+            stats.recv_wait = stats.io_time;
             stats.prefetch_misses += 1;
             stats.cells += 1;
-            consumer(FetchedCell {
-                source: src,
-                cell,
-                data,
-                bytes,
-                cache_hit,
-            })?;
+            consumer(cell)?;
         }
         return Ok(stats);
     }
 
-    type Produced = (Duration, u64, u64);
-    let mut stats = StreamStats::default();
     let mut outcome: spade_storage::Result<()> = Ok(());
-    let (io_time, bytes_from_disk, cache_hits): Produced = std::thread::scope(|scope| {
+    let produced = std::thread::scope(|scope| {
         let (tx, rx) = mpsc::sync_channel::<spade_storage::Result<FetchedCell>>(depth);
         let producer = scope.spawn(move || {
-            let mut io_time = Duration::ZERO;
-            let mut bytes_from_disk = 0u64;
-            let mut cache_hits = 0u64;
-            for &(src, cell) in sequence {
+            let mut produced = StreamStats::default();
+            for &step in sequence {
                 if cancel.is_cancelled() {
                     break; // stop reading ahead for a dead query
                 }
-                let mut load_span = crate::trace::span("prefetch.load");
-                let t = Instant::now();
-                let loaded = sources[src].load_cell_cached(cell, cache_budget);
-                io_time += t.elapsed();
-                load_span.attr("source", src as u64);
-                load_span.attr("cell", cell as u64);
-                match loaded {
-                    Ok((data, cache_hit)) => {
-                        let bytes = sources[src].cell_bytes(cell);
-                        load_span.attr("bytes", bytes);
-                        load_span.attr("cache_hit", cache_hit as u64);
-                        drop(load_span);
-                        if cache_hit {
-                            cache_hits += 1;
-                        } else {
-                            bytes_from_disk += bytes;
-                        }
-                        let cell = FetchedCell {
-                            source: src,
-                            cell,
-                            data,
-                            bytes,
-                            cache_hit,
-                        };
-                        if tx.send(Ok(cell)).is_err() {
-                            break; // consumer bailed out
-                        }
-                    }
-                    Err(e) => {
-                        let _ = tx.send(Err(e));
-                        break;
-                    }
+                let loaded = load(sources, step, cache_budget, &mut produced);
+                let failed = loaded.is_err();
+                if tx.send(loaded).is_err() || failed {
+                    break; // consumer bailed out, or has the error
                 }
             }
-            (io_time, bytes_from_disk, cache_hits)
+            produced
         });
 
         for _ in 0..sequence.len() {
@@ -246,10 +220,8 @@ where
         }
     });
     outcome?;
-    stats.io_time = io_time;
-    stats.bytes_from_disk = bytes_from_disk;
-    stats.cache_hits = cache_hits;
-    stats.io_hidden = io_time.saturating_sub(stats.recv_wait);
+    stats += produced;
+    stats.io_hidden = stats.io_time.saturating_sub(stats.recv_wait);
     Ok(stats)
 }
 

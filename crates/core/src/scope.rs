@@ -59,8 +59,8 @@ pub enum Scope<'a> {
     /// nothing (refinement is exact), so a conservative superset of the
     /// filter's pairs is safe; pairs naming
     /// out-of-range cells (a stale shard map racing a compaction) are
-    /// dropped. Exactly one scatter request per query must own the delta
-    /// cross terms.
+    /// dropped. Exactly one scatter request per query must own the deltas:
+    /// it plans their pairs itself, since a pair list cannot name one.
     Pairs {
         pairs: &'a [(u32, u32)],
         include_delta: bool,

@@ -340,7 +340,7 @@ impl<'a> CellWalk<'a> {
         let scope = ctx.scope.cells()?;
         let view = data.read_view();
         crate::explain::note_view(&view);
-        let hulls = view.prepared_hulls(polygon_time);
+        let hulls = view.prepared_hulls(view.slots(false), polygon_time);
         Ok(CellWalk {
             view,
             scope,

@@ -30,6 +30,7 @@ use spade_core::{EngineConfig, QueryCtx, QueryStats, Spade};
 use spade_storage::wal::{pending_by_dataset, PendingWrites, Wal, WalOp};
 use spade_storage::Database;
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -132,6 +133,8 @@ struct Shared {
     work_ready: Condvar,
     stats: ServiceStats,
     metrics: MetricsRegistry,
+    /// Queries whose execution unwound; each also counts as failed.
+    worker_panics: AtomicU64,
     fairness_cap: usize,
     /// Graceful-shutdown phase: new submissions are refused while queued
     /// and running queries drain ([`QueryService::shutdown`]).
@@ -209,6 +212,7 @@ impl QueryService {
             work_ready: Condvar::new(),
             stats: ServiceStats::default(),
             metrics: MetricsRegistry::default(),
+            worker_panics: AtomicU64::new(0),
             fairness_cap: config.fairness_cap.max(1),
             draining: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
@@ -483,6 +487,7 @@ impl QueryService {
             (render_counter, "spade_queries_cancelled_total", "Queries cancelled or expired, queued or mid-flight.", snap.cancelled),
             (render_counter, "spade_queries_completed_total", "Queries that completed with a result.", snap.completed),
             (render_counter, "spade_queries_failed_total", "Queries that failed with a storage/engine error.", snap.failed),
+            (render_counter, "spade_worker_panics_total", "Failed queries whose execution panicked; the worker survived.", self.shared.worker_panics.load(Ordering::Relaxed)),
             (render_gauge, "spade_queue_depth", "Queries waiting for admission right now.", snap.queue_depth as u64),
             (render_gauge, "spade_queries_running", "Queries executing right now.", snap.running as u64),
         ]);
@@ -851,7 +856,8 @@ impl Ticket {
 /// Estimated device-memory footprint of a request, in bytes. Canvas terms
 /// are `resolution² × 16` (four 32-bit channels per pixel); out-of-core
 /// requests add the largest grid cell per streamed side, since the
-/// executors hold at most one cell per side resident. SQL runs on the
+/// executors hold at most one cell per side resident — and a join's
+/// staged delta is resident as one more cell of its side. SQL runs on the
 /// host, so its device footprint is zero.
 fn estimate_footprint(
     shared: &Shared,
@@ -893,7 +899,7 @@ fn estimate_footprint(
             left, right, query, ..
         } => {
             let side = |name: &String| match resolve(shared, ns, name)? {
-                Registered::Indexed(d) => Ok(max_cell(&d)),
+                Registered::Indexed(d) => Ok(max_cell(&d).max(d.delta_stats().bytes)),
                 Registered::Memory(_) if shard => Err(unknown(name)),
                 Registered::Memory(_) => Ok(0),
             };
@@ -962,8 +968,19 @@ fn worker_loop(shared: &Shared) {
             .queue_wait_nanos
             .fetch_add(queue_wait.as_nanos() as u64, Ordering::Relaxed);
 
+        // A panic below must not take the reservations, the session's
+        // running slot, the ticket and this worker down with it: it
+        // becomes the query's in-band error and the loop goes on.
         let t0 = Instant::now();
-        let outcome = execute(shared, &job.ns, &job.request, &job.cancel);
+        let run = || execute(shared, &job.ns, &job.request, &job.cancel);
+        let outcome = catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|panic| {
+            shared.worker_panics.fetch_add(1, Ordering::Relaxed);
+            let what = (panic.downcast_ref::<String>().map(String::as_str))
+                .or(panic.downcast_ref::<&str>().copied())
+                .unwrap_or("no message");
+            let what = format!("internal error: query execution panicked: {what}");
+            Err(ServiceError::Storage(spade_storage::StorageError::Io(what)))
+        });
         let exec_time = t0.elapsed();
 
         shared.admission.release(job.footprint);

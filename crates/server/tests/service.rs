@@ -411,7 +411,9 @@ fn unknown_dataset_fails_fast() {
 /// its admission reservation while the ticket waited forever. The
 /// dispatcher refuses the combination up front: the ticket resolves to an
 /// error, the lone worker lives to serve the next query, and no tenant
-/// holds a reservation afterwards.
+/// holds a reservation afterwards. A panic the dispatcher cannot foresee —
+/// a data set registered as points that holds polygons — is caught by the
+/// worker's unwind guard with the same outcome, and counted.
 #[test]
 fn kind_mismatch_is_an_error_not_a_dead_worker() {
     let svc = service(ServiceConfig {
@@ -452,15 +454,33 @@ fn kind_mismatch_is_an_error_not_a_dead_worker() {
             "{request:?} answered {err:?}"
         );
     }
+    let mislabelled = Dataset::from_polygons("liar", polygon_field()).objects;
+    svc.register(
+        "liar",
+        Dataset::from_objects("liar", DatasetKind::Points, mislabelled),
+    );
+    let panicked = session.submit(QueryRequest::Select {
+        dataset: "liar".into(),
+        query: SelectQuery::Knn(Point::new(33.0, 66.0), 10),
+    });
+    match panicked.wait().unwrap_err() {
+        ServiceError::Storage(spade_storage::StorageError::Io(what)) => {
+            assert!(what.contains("panicked: expected point"), "{what}")
+        }
+        other => panic!("expected the panic in band, got {other:?}"),
+    }
     let next = session.submit(workload().remove(0)).wait();
     assert!(next.is_ok(), "the worker must survive: {next:?}");
-    for line in svc
-        .metrics_text()
+    let metrics = svc.metrics_text();
+    assert!(metrics.contains("\nspade_worker_panics_total 1\n"));
+    for line in metrics
         .lines()
         .filter(|l| l.starts_with("spade_tenant_reserved_bytes{"))
     {
         assert!(line.ends_with(" 0"), "leaked reservation: {line}");
     }
+    let snap = svc.stats();
+    assert_eq!((snap.running, snap.accounted()), (0, snap.submitted));
 }
 
 /// Admission reserves one cell per side plus a distance canvas for a

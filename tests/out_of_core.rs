@@ -6,8 +6,10 @@ use spade::baselines::brute;
 use spade::datagen::{spider, urban};
 use spade::engine::dataset::{Dataset, DatasetKind, IndexedDataset};
 use spade::engine::distance::{self, DistanceConstraint};
-use spade::engine::{aggregate, join, knn, select, EngineConfig, QueryCtx, QueryStats, Spade};
-use spade::geometry::{BBox, Point};
+use spade::engine::{
+    aggregate, join, knn, select, EngineConfig, QueryCtx, QueryStats, Scope, Spade,
+};
+use spade::geometry::{BBox, Geometry, Point, Polygon};
 use spade::index::GridIndex;
 use spade::storage::StorageError;
 
@@ -174,6 +176,39 @@ fn distance_and_knn_joins_stay_inside_the_device_budget() {
     let (nl, nr) = (li.grid().num_cells() as u64, ri.grid().num_cells() as u64);
     assert!(near.stats.cells_loaded < nl * nr, "{:?}", near.stats);
 
+    let spade = Spade::new(config.clone());
+    let nearest = knn::knn_join_indexed(&spade, &li, &ri, 2, &ctx).unwrap();
+    assert_eq!(nearest.result, knn::knn_join(&spade, &lm, &rm, 2).result);
+    assert!(0 < spade.device.peak() && spade.device.peak() <= resident);
+    assert_eq!(spade.device.used(), 0);
+
+    // With staged writes on both sides the bound is the same: a delta is
+    // resident as one more cell of its side, never beside one.
+    let (mut lo, mut ro) = (lm.objects, rm.objects);
+    for (id, p) in (30_000..).zip(spider::uniform_points(60, 71)) {
+        let (d, objects) = if id % 2 == 0 {
+            (&li, &mut lo)
+        } else {
+            (&ri, &mut ro)
+        };
+        d.insert(id, Geometry::Point(p));
+        objects.push((id, Geometry::Point(p)));
+    }
+    let slot = |d: &IndexedDataset| largest(d).max(d.delta_stats().bytes);
+    assert!(li.delta_stats().bytes > largest(&li));
+    let resident = slot(&li) + slot(&ri);
+    let (lm, rm) = (
+        Dataset::from_objects("l", DatasetKind::Points, lo),
+        Dataset::from_objects("r", DatasetKind::Points, ro),
+    );
+    let spade = Spade::new(config.clone());
+    let near = distance::distance_join_indexed(&spade, &li, &ri, 0.01, &ctx).unwrap();
+    assert_eq!(
+        near.result,
+        distance::distance_join(&spade, &lm, &rm, 0.01).result
+    );
+    assert!(0 < spade.device.peak() && spade.device.peak() <= resident);
+    assert_eq!(spade.device.used(), 0);
     let spade = Spade::new(config);
     let nearest = knn::knn_join_indexed(&spade, &li, &ri, 2, &ctx).unwrap();
     assert_eq!(nearest.result, knn::knn_join(&spade, &lm, &rm, 2).result);
@@ -194,7 +229,7 @@ fn small_radius_distance_join_prunes_cell_pairs() {
         .map(|i| Point::new((2 * (i % 45) + 1) as f64, (2 * (i / 45) + 1) as f64))
         .collect();
     let dir = tmpdir("lattice");
-    let (_, data) = point_grid(&dir, lattice, 10.0);
+    let (lattice, data) = point_grid(&dir, lattice, 10.0);
     let cells = data.grid().num_cells() as u64;
     assert_eq!(cells, 81);
     let out =
@@ -207,7 +242,103 @@ fn small_radius_distance_join_prunes_cell_pairs() {
         "{:?}",
         out.stats
     );
+
+    // A staged write is one more cell in that plan, not a scan after it: a
+    // one-cell data set in the lattice's corner, with one staged insert,
+    // joins the 81 cells from either side reading only the corner — as
+    // does the lattice once it carries a staged insert of its own — and
+    // answers as a cold rebuild of the logical contents does.
+    let at = |x: f64, y: f64| Geometry::Point(Point::new(x, y));
+    let few = vec![(0, at(1.25, 1.25)), (1, at(3.0, 3.25)), (7, at(5.0, 1.25))];
+    let mut all = lattice.objects;
+    let tiles: Vec<Polygon> = (0..81)
+        .map(|i| {
+            let min = Point::new((10 * (i % 9) + 1) as f64, (10 * (i / 9) + 1) as f64);
+            Polygon::rect(BBox::new(min, min + Point::new(8.0, 8.0)))
+        })
+        .collect();
+    let tiles = Dataset::from_polygons("tiles", tiles);
+    let grid = |objects: &[(u32, Geometry)]| GridIndex::build(None, objects, 10.0).unwrap();
+    let tiles = IndexedDataset::new("tiles", DatasetKind::Polygons, grid(&tiles.objects));
+    assert_eq!(tiles.grid().num_cells(), 81);
+    let written = IndexedDataset::new("few", DatasetKind::Points, grid(&few[..2]));
+    written.insert(7, few[2].1.clone());
+    let cold = IndexedDataset::new("few", DatasetKind::Points, grid(&few));
+    let ctx = QueryCtx::default();
+    for both in [false, true] {
+        if both {
+            all.push((5000, at(3.0, 3.375)));
+            data.insert(5000, at(3.0, 3.375));
+        }
+        let cold_data = IndexedDataset::new("p", DatasetKind::Points, grid(&all));
+        let sides = [(&written, &data), (&data, &written)];
+        let cold_sides = [(&cold, &cold_data), (&cold_data, &cold)];
+        for ((l, r), (cl, cr)) in sides.into_iter().zip(cold_sides) {
+            let before = cache_lookups([l, r]);
+            let near = distance::distance_join_indexed(&spade, l, r, 0.5, &ctx).unwrap();
+            assert_reads_a_corner(&near.stats, cache_lookups([l, r]) - before, 1);
+            let want = distance::distance_join_indexed(&spade, cl, cr, 0.5, &ctx).unwrap();
+            assert_eq!(near.result, want.result);
+            assert_eq!(near.result.len(), 3 + both as usize);
+        }
+        let before = cache_lookups([&written, &data]);
+        let nearest = knn::knn_join_indexed(&spade, &written, &data, 1, &ctx).unwrap();
+        assert_reads_a_corner(&nearest.stats, cache_lookups([&written, &data]) - before, 2);
+        let want = knn::knn_join_indexed(&spade, &cold, &cold_data, 1, &ctx).unwrap();
+        assert_eq!(nearest.result, want.result);
+        assert_eq!(nearest.result.len(), 3);
+        assert_eq!(nearest.result[1].1 == 5000, both);
+        for ((l, r), (cl, cr)) in [(&written, &tiles), (&tiles, &written)]
+            .into_iter()
+            .zip([(&cold, &tiles), (&tiles, &cold)])
+        {
+            let before = cache_lookups([l, r]);
+            let inside = join::join_indexed(&spade, l, r, &ctx).unwrap();
+            assert_reads_a_corner(&inside.stats, cache_lookups([l, r]) - before, 1);
+            let want = join::join_indexed(&spade, cl, cr, &ctx).unwrap();
+            assert_eq!(inside.result, want.result);
+            assert_eq!(inside.result.len(), 3);
+        }
+    }
+    assert_eq!(spade.device.used(), 0);
+
+    // Scattered: the explicit pairs of two shards cannot name a delta, so
+    // the shard that owns the deltas adds their terms itself.
+    let full = distance::distance_join_indexed(&spade, &written, &data, 0.5, &ctx).unwrap();
+    let mut parts = Vec::new();
+    for shard in 0..2 {
+        let pairs: Vec<(u32, u32)> = (0..81).filter(|r| r % 2 == shard).map(|r| (0, r)).collect();
+        let scope = Scope::Pairs {
+            pairs: &pairs,
+            include_delta: shard == 0,
+        };
+        let ctx = QueryCtx {
+            scope,
+            ..QueryCtx::default()
+        };
+        let part = distance::distance_join_indexed(&spade, &written, &data, 0.5, &ctx).unwrap();
+        parts.extend(part.result);
+    }
+    parts.sort_unstable();
+    assert_eq!(parts, full.result);
     std::fs::remove_dir_all(dir).ok();
+}
+
+/// Lifetime lookups of the two sides' cell caches: every cell read of an
+/// indexed query goes through one.
+fn cache_lookups(sides: [&IndexedDataset; 2]) -> u64 {
+    let lookups = |d: &IndexedDataset| {
+        let (hits, misses) = d.cache.counters();
+        hits + misses
+    };
+    sides.into_iter().map(lookups).sum()
+}
+
+/// A selective walk reads under ten slots a pass, and looks up no cell
+/// that its `cells_loaded` does not count.
+fn assert_reads_a_corner(stats: &QueryStats, looked_up: u64, passes: u64) {
+    assert!(stats.cells_loaded < 10 * passes, "{stats:?}");
+    assert!(looked_up <= stats.cells_loaded, "{looked_up}: {stats:?}");
 }
 
 /// Run `query` and cancel it from inside its walk: as soon as a cell is
