@@ -174,7 +174,7 @@ impl ClusterClient {
                 let map = self.shard_map(dataset);
                 match map {
                     Some(map) if self.workers.len() > 1 => {
-                        self.scatter_select(dataset, query, &map)
+                        self.scatter_select(request.class(), dataset, query, &map)
                     }
                     _ => Ok(self.next_worker().query(request)?),
                 }
@@ -230,17 +230,11 @@ impl ClusterClient {
 
     fn scatter_select(
         &self,
+        family: &str,
         dataset: &str,
         query: &SelectQuery,
         map: &ShardMap,
     ) -> Result<QueryResponse, ClusterError> {
-        let family = match query {
-            SelectQuery::Intersects(_) => "select",
-            SelectQuery::Range(_) => "range",
-            SelectQuery::Contained(_) => "contained",
-            SelectQuery::WithinDistance(..) => "distance",
-            SelectQuery::Knn(..) => "knn",
-        };
         let shards = map.shards().min(self.workers.len());
         self.note_fanout(family, shards as u64);
         let pending: Vec<PendingReply> = (0..shards)
@@ -476,9 +470,11 @@ fn wait_query_partials(
 ///   in that shard's local top-k, so concatenate, re-sort, truncate.
 /// * Pairs: pair lists are disjoint by construction (each cell pair is
 ///   routed to exactly one shard); sort + dedup mirrors the single node.
-/// * Counts: every shard zero-initializes all polygon ids and sums only
-///   its routed pairs (plus delta terms on one shard); per-id addition
-///   of the partials is exactly the single-node accumulation reordered.
+/// * Counts: every shard sums only its routed pairs and reports the
+///   polygons of the cells they name; the shard that owns the deltas adds
+///   the delta terms and, at 0, the polygons of every cell its own pairs
+///   did not name, so the partials cover the full id set; per-id addition
+///   is exactly the single-node accumulation reordered.
 fn merge_partials(
     partials: Vec<(QueryResult, QueryStats, Duration, Duration)>,
     knn_k: Option<usize>,
@@ -566,13 +562,7 @@ fn merge_partials(
             ))
         }
     };
-    stats.result_count = match &result {
-        QueryResult::Ids(v) => v.len() as u64,
-        QueryResult::Ranked(v) => v.len() as u64,
-        QueryResult::Pairs(v) => v.len() as u64,
-        QueryResult::RankedPairs(v) => v.len() as u64,
-        QueryResult::Counts(v) => v.len() as u64,
-    };
+    stats.result_count = result.len() as u64;
     Ok(QueryResponse {
         payload: ResponsePayload::Query(result),
         stats,

@@ -13,7 +13,7 @@
 //!   run exact tests.
 
 use crate::ctx::QueryCtx;
-use crate::dataset::{Dataset, PreparedPolygonSet};
+use crate::dataset::Dataset;
 use crate::engine::Spade;
 use crate::join::{hull_pairs, layer_constraints, PairWalk, Resident};
 use crate::stats::QueryOutput;
@@ -21,7 +21,7 @@ use spade_canvas::algebra;
 use spade_canvas::canvas::{classify, pixel_bound, pixel_id, PixelClass};
 use spade_geometry::Point;
 use spade_gpu::{BlendMode, DrawCall, Primitive};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
 /// Aggregation result: `(polygon id, point count)` in polygon-id order.
@@ -29,14 +29,14 @@ pub type Counts = Vec<(u32, u64)>;
 
 /// The point-optimized aggregation plan (§5.2, plan 2): the one-pair case
 /// of the out-of-core walk — each side prepared once, counted by
-/// `count_points`.
+/// `count_cells`.
 pub fn aggregate_points(spade: &Spade, polys: &Dataset, points: &Dataset) -> QueryOutput<Counts> {
     let mut qspan = crate::trace::span("query.aggregate");
     let measure = spade.begin();
     let mut polygon_time = Duration::ZERO;
     let left = Resident::prepare(spade, polys, &mut polygon_time);
     let right = Resident::prepare(spade, points, &mut polygon_time);
-    let mut totals: BTreeMap<u32, u64> = polys.objects.iter().map(|(id, _)| (*id, 0)).collect();
+    let mut totals = BTreeMap::new();
     count_cells(spade, &left, &right, &mut totals);
 
     let result: Counts = totals.into_iter().collect();
@@ -46,7 +46,9 @@ pub fn aggregate_points(spade: &Spade, polys: &Dataset, points: &Dataset) -> Que
     QueryOutput { result, stats }
 }
 
-/// Refine one (polygon cell, point cell) pair: add its counts to `totals`.
+/// Refine one (polygon cell, point cell) pair with the point-optimized
+/// counting kernel: add to `totals` the number of `points` inside each
+/// polygon of `polys` (an empty polygon reports 0).
 pub(crate) fn count_cells(
     spade: &Spade,
     polys: &Resident,
@@ -56,18 +58,9 @@ pub(crate) fn count_cells(
     let (Resident::Polys(set), Resident::Points(pts)) = (polys, points) else {
         unimplemented!("aggregation counts points per polygon");
     };
-    count_points(spade, set, pts, totals);
-}
-
-/// The point-optimized counting kernel: add to `totals` the number of
-/// `pts` inside each polygon of `set` (only polygons with a point gain an
-/// entry).
-fn count_points(
-    spade: &Spade,
-    set: &PreparedPolygonSet,
-    pts: &[(u32, Point)],
-    totals: &mut BTreeMap<u32, u64>,
-) {
+    for p in &set.polygons {
+        totals.entry(p.id).or_insert(0);
+    }
     for constraint in layer_constraints(spade, set, spade.config.resolution) {
         // Multiway blend: per-pixel partial counts of the points.
         let prims: Vec<Primitive> = pts
@@ -183,9 +176,10 @@ pub fn aggregate_via_join(spade: &Spade, polys: &Dataset, points: &Dataset) -> Q
 /// similar strategy"): the join's `PairWalk` over (polygon cell, point
 /// cell) pairs, refined by the point-optimized plan and folded by summing
 /// the partial counts — each polygon lives in exactly one cell, so
-/// partials add without double counting. Every polygon id is
-/// zero-initialized under any scope, so shard partials cover the full id
-/// set and a coordinator merges by summing counts per id.
+/// partials add without double counting. A polygon slot the walk paired
+/// with nothing still reports its ids at 0: the scope that owns the deltas
+/// streams those slots once more, unrefined, so a coordinator merging
+/// shard partials by summing counts per id sees the full id set.
 pub fn aggregate_indexed(
     spade: &Spade,
     polys: &crate::dataset::IndexedDataset,
@@ -199,23 +193,29 @@ pub fn aggregate_indexed(
         hull_pairs(spade, left, right, &mut polygon_time)
     })?;
     let mut totals = BTreeMap::new();
-    let (stream, _) = walk.run(spade, ctx, &mut polygon_time, |left, right, _| {
+    let (mut stream, _) = walk.run(spade, ctx, &mut polygon_time, |left, right, _| {
         count_cells(spade, left, right, &mut totals)
     })?;
 
-    // Empty polygons report 0: every id of the masked base cells (warm
-    // from the walk where a pair touched them) plus the staged polygons.
-    let pview = &walk.view1;
-    for i in 0..pview.grid.num_cells() {
-        ctx.cancel.check()?;
-        let (cell, _) = pview.load_cell_cached(i, spade.config.cell_cache_bytes)?;
-        for (id, _) in &cell.objects {
-            totals.entry(*id).or_insert(0);
-        }
-    }
-    for (id, _) in &pview.delta.staged {
-        totals.entry(*id).or_insert(0);
-    }
+    let owner = ctx.scope.include_delta();
+    let matched: BTreeSet<u32> = walk.cell_pairs.iter().map(|p| p.0).collect();
+    let unmatched: Vec<(usize, usize)> = (walk.view1.slots(true))
+        .filter(|s| owner && !matched.contains(s))
+        .map(|s| (0, s as usize))
+        .collect();
+    stream += crate::prefetch::stream_cells(
+        spade.config.prefetch_depth,
+        spade.config.cell_cache_bytes,
+        &[&walk.view1],
+        &unmatched,
+        &ctx.cancel,
+        |cell| {
+            for (id, _) in &cell.data.objects {
+                totals.entry(*id).or_insert(0);
+            }
+            Ok(())
+        },
+    )?;
 
     let result: Counts = totals.into_iter().collect();
     let n = result.len() as u64;

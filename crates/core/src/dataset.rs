@@ -392,16 +392,6 @@ impl IndexedDataset {
             false
         });
     }
-
-    /// Load one cell through the LRU cache under `budget` bytes. Returns
-    /// the decoded cell and whether it was served from cache.
-    pub fn load_cell_cached(
-        &self,
-        idx: usize,
-        budget: u64,
-    ) -> spade_storage::Result<(Arc<Dataset>, bool)> {
-        self.read_view().load_cell_cached(idx, budget)
-    }
 }
 
 /// A consistent snapshot of one dataset for the duration of a query: the
@@ -523,8 +513,9 @@ impl ReadView<'_> {
     /// Load one slot: a cell through the owner's LRU cache under `budget`
     /// bytes (returning whether the cache served it), the delta slot from
     /// memory. The cache stores *unmasked* cells keyed by `(generation,
-    /// cell)`; the mask of this view is applied on the way out.
-    pub fn load_cell_cached(
+    /// cell)`; the mask of this view is applied on the way out. A query
+    /// reads through [`crate::prefetch::stream_cells`], its one caller.
+    pub(crate) fn load_cell_cached(
         &self,
         idx: usize,
         budget: u64,
@@ -548,9 +539,9 @@ impl ReadView<'_> {
         Ok((self.apply_mask(raw), false))
     }
 
-    /// The staged inserts of this view as an in-memory dataset — the
-    /// "extra cell" every query family merges with its grid results.
-    pub fn delta_dataset(&self) -> Arc<Dataset> {
+    /// The staged inserts of this view as an in-memory dataset: what the
+    /// delta slot loads.
+    fn delta_dataset(&self) -> Arc<Dataset> {
         let name = format!("{}#delta", self.owner.name);
         let build = || Dataset::from_objects(name, self.owner.kind, self.delta.staged.clone());
         Arc::clone(self.delta_cell.get_or_init(|| Arc::new(build())))
@@ -782,6 +773,7 @@ mod tests {
         let d = Dataset::from_points("p", pts);
         let grid = GridIndex::build(None, &d.objects, 5.0).unwrap();
         let idx = IndexedDataset::new("p", DatasetKind::Points, grid);
+        let idx = idx.read_view();
         let (first, hit) = idx.load_cell_cached(0, 1 << 20).unwrap();
         assert!(!hit);
         let (second, hit) = idx.load_cell_cached(0, 1 << 20).unwrap();
@@ -802,8 +794,9 @@ mod tests {
         let d = Dataset::from_points("p", pts);
         let grid = GridIndex::build(None, &d.objects, 5.0).unwrap();
         let idx = IndexedDataset::new("p", DatasetKind::Points, grid);
+        let idx = idx.read_view();
         let mut total = 0;
-        for i in 0..idx.grid().num_cells() {
+        for i in 0..idx.grid.num_cells() {
             total += idx.load_cell_cached(i, 0).unwrap().0.len();
         }
         assert_eq!(total, 50);

@@ -21,6 +21,7 @@ use crate::stats::QueryOutput;
 use spade_canvas::algebra;
 use spade_canvas::create::PreparedPolygon;
 use spade_geometry::{Geometry, Point};
+use spade_gpu::device::Charge;
 use spade_gpu::record::FrameTotals;
 use spade_gpu::Primitive;
 use std::ops::Range;
@@ -417,9 +418,9 @@ impl<'a> PairWalk<'a> {
     /// once per left group), and a pair refines as soon as both its slots
     /// are resident.
     ///
-    /// `ctx.cancel` is polled at every residency change; resident cells
-    /// are freed before a cancellation propagates, keeping the device
-    /// ledger balanced. Returns the stream's I/O accounting and the
+    /// `ctx.cancel` is polled at every residency change; a resident slot
+    /// is a [`Charge`] the walk holds, so the device ledger balances
+    /// however the walk ends. Returns the stream's I/O accounting and the
     /// recording frame of the walk — what an optimizer that chose *how* to
     /// refine is judged on; the frame folds into the query's measure, so
     /// total accounting is unchanged.
@@ -433,7 +434,7 @@ impl<'a> PairWalk<'a> {
         let views = [&self.view1, &self.view2];
         // Per side: the resident slot, its ledger charge, its prepared
         // form; and a delta's prepared form, shared by its residencies.
-        let mut resident: [Option<(u32, u64, Rc<Resident>)>; 2] = [None, None];
+        let mut resident: [Option<(u32, Charge<'_>, Rc<Resident>)>; 2] = [None, None];
         let mut staged: [Option<Rc<Resident>>; 2] = [None, None];
         let mut next = 0;
         spade_gpu::record::begin();
@@ -445,10 +446,8 @@ impl<'a> PairWalk<'a> {
             &ctx.cancel,
             |cell| {
                 let (side, slot) = (cell.source, cell.cell as u32);
-                if let Some((_, bytes, _)) = resident[side].take() {
-                    spade.device.free(bytes);
-                }
-                let _ = spade.device.upload(cell.bytes);
+                resident[side] = None; // one slot per side: out before in
+                let charge = spade.device.charge(cell.bytes);
                 spade
                     .observed
                     .observe_cell_load(self.uids[side], cell.bytes);
@@ -457,7 +456,7 @@ impl<'a> PairWalk<'a> {
                     Some(_) => prepare(),
                     None => Rc::clone(staged[side].get_or_insert_with(prepare)),
                 };
-                resident[side] = Some((slot, cell.bytes, prepared));
+                resident[side] = Some((slot, charge, prepared));
                 // Refine every pair now satisfied by the resident slots.
                 while let (Some(&pair), [Some((c1, _, left)), Some((c2, _, right))]) =
                     (self.cell_pairs.get(next), &resident)
@@ -472,9 +471,6 @@ impl<'a> PairWalk<'a> {
                 Ok(())
             },
         );
-        for (_, bytes, _) in resident.iter().flatten() {
-            spade.device.free(*bytes);
-        }
         let frame = spade_gpu::record::finish();
         let stream = streamed?;
         debug_assert_eq!(next, self.cell_pairs.len(), "all cell pairs refined");
@@ -771,6 +767,15 @@ mod tests {
         assert_eq!(ooc.result, mem.result);
         assert!(ooc.stats.cells_loaded > 0);
         assert!(ooc.stats.bytes_from_disk > 0);
+
+        // On a device another query has filled no cell fits: the pairs
+        // stream without residing, and the walk gives back nothing it
+        // never got.
+        let held = s.device.available() - 8;
+        s.device.alloc(held).unwrap();
+        let crowded = join_indexed(&s, &i1, &i2, &QueryCtx::default()).unwrap();
+        assert_eq!(crowded.result, mem.result);
+        assert_eq!(s.device.used(), held);
     }
 
     #[test]

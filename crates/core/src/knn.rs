@@ -179,12 +179,6 @@ fn count_bound(
     (far * (1.0 + 1e-9)).max(1e-12)
 }
 
-/// The slots a scoped cell walk sees: its cells, and the delta it owns.
-fn scoped_slots<'w>(walk: &'w CellWalk<'_>) -> impl Iterator<Item = u32> + 'w {
-    let slots = walk.view.slots(walk.scope.include_delta);
-    slots.filter(|&s| (walk.view.cell_id(s)).is_none_or(|c| walk.scope.contains(c)))
-}
-
 /// Out-of-core kNN selection: a count bound `r_ub` on the `k`-th distance
 /// from the manifest (no I/O), then two runs of the cell walk under one
 /// snapshot — the circle histogram with `r_max = r_ub` over the cells
@@ -193,8 +187,8 @@ fn scoped_slots<'w>(walk: &'w CellWalk<'_>) -> impl Iterator<Item = u32> + 'w {
 /// `(id, distance)` candidates — then the exact sort. `ctx.cancel` is
 /// polled at every cell boundary of both passes.
 ///
-/// Under a cell scope the bound, both passes and the delta merge all see
-/// only the scoped cells, so the output is this scope's exact local top-k
+/// Under a cell scope the bound and both passes see only the slots of
+/// [`CellWalk::slots`], so the output is this scope's exact local top-k
 /// by `(distance, id)`. Any member of the *global* top-k living in this
 /// scope is necessarily in the local top-k (fewer than `k` objects beat it
 /// anywhere), so concatenating per-scope results over a covering, disjoint
@@ -215,7 +209,7 @@ pub fn knn_select_indexed(
     let mut stream = StreamStats::default();
     let mut result = Vec::new();
     if k > 0 {
-        let r_max = count_bound(&walk.view, scoped_slots(&walk), &[q], k);
+        let r_max = count_bound(&walk.view, walk.slots(), &[q], k);
         // The bound's circle only gates cell loads: a coarse canvas.
         let bound = circle(spade, q, r_max, spade.config.filter_resolution());
         let mut hist = vec![0u64; spade.config.knn_circles()];
@@ -561,7 +555,7 @@ mod tests {
         between: impl FnOnce(),
         mut in_second: impl FnMut(),
     ) -> spade_storage::Result<Vec<(u32, f64)>> {
-        let r_max = count_bound(&walk.view, scoped_slots(walk), &[q], k);
+        let r_max = count_bound(&walk.view, walk.slots(), &[q], k);
         let bound = circle(s, q, r_max, s.config.filter_resolution());
         let mut hist = vec![0u64; s.config.knn_circles()];
         walk.run(s, ctx, &bound, &bound, |cell| {

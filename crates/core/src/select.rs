@@ -324,7 +324,7 @@ fn contained_mem(
 /// the same snapshot.
 pub(crate) struct CellWalk<'a> {
     pub view: ReadView<'a>,
-    pub scope: CellScope,
+    scope: CellScope,
     uid: u64,
     hulls: Vec<PreparedPolygon>,
     /// Map decisions made under the walk are attributed to its dataset.
@@ -340,7 +340,7 @@ impl<'a> CellWalk<'a> {
         let scope = ctx.scope.cells()?;
         let view = data.read_view();
         crate::explain::note_view(&view);
-        let hulls = view.prepared_hulls(view.slots(false), polygon_time);
+        let hulls = view.prepared_hulls(view.slots(scope.include_delta), polygon_time);
         Ok(CellWalk {
             view,
             scope,
@@ -350,17 +350,22 @@ impl<'a> CellWalk<'a> {
         })
     }
 
-    /// *Filter*: a polygon selection over the cells' hulls against
+    /// The slots the scope sees: its cells, and the delta it owns.
+    pub(crate) fn slots(&self) -> impl Iterator<Item = u32> + '_ {
+        let slots = self.view.slots(self.scope.include_delta);
+        slots.filter(|&s| (self.view.cell_id(s)).is_none_or(|c| self.scope.contains(c)))
+    }
+
+    /// *Filter*: a polygon selection over the slots' hulls against
     /// `filter` (possibly a coarse rendering of `resident`: a false
-    /// positive only loads one extra cell), kept to the cells the scope
-    /// covers. *Refine*: stream each candidate through `refine`,
+    /// positive only loads one extra cell), kept to the slots the scope
+    /// sees — the staged delta is one of them, so merged results match a
+    /// cold rebuild. *Refine*: stream each candidate through `refine`,
     /// prefetching ahead, with `resident` — the canvas `refine` samples —
-    /// on the device until the walk returns or fails; cell bytes are
-    /// shipped per use (accounted; OOM at this scale means the cell
-    /// streams without residing). *Delta*: when the scope owns it, the
-    /// staged writes are one more in-memory "cell" refined the same way,
-    /// so merged results match a cold rebuild. `ctx.cancel` is polled at
-    /// every cell boundary.
+    /// on the device until the walk returns, fails or unwinds, and each
+    /// slot beside it while it refines (accounted; a slot that does not
+    /// fit streams without residing). `ctx.cancel` is polled at every slot
+    /// boundary.
     pub(crate) fn run(
         &self,
         spade: &Spade,
@@ -369,31 +374,25 @@ impl<'a> CellWalk<'a> {
         resident: &Constraint,
         mut refine: impl FnMut(&Dataset),
     ) -> spade_storage::Result<StreamStats> {
-        let sequence: Vec<(usize, usize)> = select_polygons_mem(spade, &self.hulls, filter)
-            .into_iter()
-            .filter(|&c| self.scope.contains(c))
-            .map(|c| (0, c as usize))
+        let hit = select_polygons_mem(spade, &self.hulls, filter); // sorted
+        let sequence: Vec<(usize, usize)> = (self.slots())
+            .filter(|s| hit.binary_search(s).is_ok())
+            .map(|s| (0, s as usize))
             .collect();
-        let _ = spade.device.upload(resident.byte_size());
-        let streamed = crate::prefetch::stream_cells(
+        let _resident = spade.device.charge(resident.byte_size());
+        crate::prefetch::stream_cells(
             spade.config.prefetch_depth,
             spade.config.cell_cache_bytes,
             &[&self.view],
             &sequence,
             &ctx.cancel,
             |cell| {
-                let _ = spade.device.upload(cell.bytes);
+                let _cell = spade.device.charge(cell.bytes);
                 spade.observed.observe_cell_load(self.uid, cell.bytes);
                 refine(&cell.data);
-                spade.device.free(cell.bytes);
                 Ok(())
             },
-        );
-        if streamed.is_ok() && self.scope.include_delta && self.view.has_delta() {
-            refine(&self.view.delta_dataset());
-        }
-        spade.device.free(resident.byte_size());
-        streamed
+        )
     }
 }
 
@@ -700,6 +699,73 @@ mod tests {
         assert!(ooc.stats.cells_loaded > 0);
         assert!(ooc.stats.bytes_from_disk > 0);
         assert!(ooc.stats.bytes_to_device > 0);
+
+        // On a device another query has filled, neither the canvas nor a
+        // cell fits: both stream without residing, and the walk gives back
+        // nothing it never got.
+        let held = s.device.available() - 8;
+        s.device.alloc(held).unwrap();
+        let crowded = select_indexed(&s, &indexed, &poly, &QueryCtx::default()).unwrap();
+        assert_eq!(crowded.result, ooc.result);
+        assert_eq!(s.device.used(), held);
+    }
+
+    /// The staged delta is the walk's last slot: it enters the sequence
+    /// through the hull filter, is on the ledger while it refines, and sits
+    /// behind a cancel poll like any cell.
+    #[test]
+    fn mid_walk_cancellation_frees_resident_cells() {
+        let s = engine();
+        // 9 × 9 cells of 25 points each.
+        let lattice = (0..45 * 45)
+            .map(|i| Point::new((2 * (i % 45) + 1) as f64, (2 * (i / 45) + 1) as f64))
+            .collect();
+        let data = Dataset::from_points("p", lattice);
+        let grid = GridIndex::build(None, &data.objects, 10.0).unwrap();
+        let indexed = IndexedDataset::new("p", DatasetKind::Points, grid);
+        indexed.insert(
+            9000,
+            spade_geometry::Geometry::Point(Point::new(44.0, 46.0)),
+        );
+        let prepared = vec![PreparedPolygon::prepare(0, &hexagon(45.0, 45.0, 12.0))];
+        let constraint = Constraint::from_polygons(&s, &prepared);
+
+        // Two passes under one ctx, as kNN makes them. `cancel_in`: the
+        // position in the sequence of the slot whose refinement cancels.
+        let walk_cancelling = |cancel_in: Option<usize>| {
+            let ctx = QueryCtx::default();
+            let walk = CellWalk::plan(&indexed, &ctx, &mut Duration::default()).unwrap();
+            let mut refined = Vec::new();
+            let mut pass = || {
+                walk.run(&s, &ctx, &constraint, &constraint, |cell| {
+                    let bytes = match cell.name.strip_suffix("#delta") {
+                        Some(_) => walk.view.delta.bytes,
+                        None => walk.view.cell_bytes(cell.name[2..].parse().unwrap()),
+                    };
+                    assert_eq!(s.device.used(), constraint.byte_size() + bytes);
+                    if cancel_in == Some(refined.len()) {
+                        ctx.cancel.cancel();
+                    }
+                    refined.push(cell.name.clone());
+                })
+            };
+            let first = pass();
+            let cells = first.and_then(|first| Ok(first.cells + pass()?.cells));
+            assert_eq!(s.device.used(), 0, "{cancel_in:?}");
+            (cells, refined)
+        };
+        let (cells, refined) = walk_cancelling(None);
+        assert_eq!(cells, Ok(refined.len() as u64));
+        let slots = &refined[..refined.len() / 2];
+        assert!((4..81).contains(&slots.len()), "{slots:?}");
+        assert_eq!(slots.last().unwrap(), "p#delta");
+        // Cancelled in the first cell; in the last one, with only the delta
+        // slot left to refine; and with the delta slot resident.
+        for at in [0, slots.len() - 2, slots.len() - 1] {
+            let (cells, refined) = walk_cancelling(Some(at));
+            assert_eq!(cells, Err(spade_storage::StorageError::Cancelled));
+            assert_eq!(refined, slots[..=at]);
+        }
     }
 
     #[test]

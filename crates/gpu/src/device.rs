@@ -208,6 +208,29 @@ impl DeviceMemory {
         self.alloc(bytes)?;
         Ok(self.transfer_to_device(bytes))
     }
+
+    /// [`upload`](Self::upload) as a value: the data stays resident until
+    /// the returned [`Charge`] drops. An upload that does not fit holds
+    /// nothing — at cell scale the data streams without residing.
+    pub fn charge(&self, bytes: u64) -> Charge<'_> {
+        let held = if self.upload(bytes).is_ok() { bytes } else { 0 };
+        Charge { device: self, held }
+    }
+}
+
+/// Device residency of one upload, freed on drop — on return, `?`,
+/// cancellation or unwind alike — and never more than it allocated.
+#[must_use = "dropping a charge ends the residency"]
+#[derive(Debug)]
+pub struct Charge<'d> {
+    device: &'d DeviceMemory,
+    held: u64,
+}
+
+impl Drop for Charge<'_> {
+    fn drop(&mut self) {
+        self.device.free(self.held);
+    }
 }
 
 #[cfg(test)]
@@ -273,6 +296,18 @@ mod tests {
         assert!(t > Duration::ZERO);
         assert_eq!(dev.used(), 512);
         assert!(dev.upload(1024).is_err());
+        // As guards: one that fits and one that does not, dropped together,
+        // give back the bytes of the first only — and on unwind too.
+        let transferred = dev.transfer_stats.bytes();
+        let unwound = std::panic::catch_unwind(|| {
+            let _fits = dev.charge(256);
+            let _oom = dev.charge(512);
+            assert_eq!(dev.used(), 768);
+            panic!("kernel");
+        });
+        assert!(unwound.is_err());
+        assert_eq!(dev.used(), 512);
+        assert_eq!(dev.transfer_stats.bytes(), transferred + 256);
     }
 
     #[test]

@@ -855,10 +855,10 @@ impl Ticket {
 
 /// Estimated device-memory footprint of a request, in bytes. Canvas terms
 /// are `resolution² × 16` (four 32-bit channels per pixel); out-of-core
-/// requests add the largest grid cell per streamed side, since the
-/// executors hold at most one cell per side resident — and a join's
-/// staged delta is resident as one more cell of its side. SQL runs on the
-/// host, so its device footprint is zero.
+/// requests add the largest slot per streamed side, since the executors
+/// hold at most one per side resident — a grid cell, or the side's staged
+/// delta, which streams as one more cell. SQL runs on the host, so its
+/// device footprint is zero.
 fn estimate_footprint(
     shared: &Shared,
     ns: &Namespace,
@@ -866,9 +866,10 @@ fn estimate_footprint(
 ) -> Result<u64, ServiceError> {
     let cfg = &shared.spade.config;
     let canvas = |res: u32| (res as u64) * (res as u64) * 16;
-    let max_cell = |d: &IndexedDataset| {
+    let max_slot = |d: &IndexedDataset| {
         let grid = d.grid();
-        grid.cells().iter().map(|c| c.bytes).max().unwrap_or(0)
+        let cell = grid.cells().iter().map(|c| c.bytes).max().unwrap_or(0);
+        cell.max(d.delta_stats().bytes)
     };
     // A shard slice streams at most one cell per side resident, same as
     // the full request, so it reserves identically — but only a
@@ -886,7 +887,7 @@ fn estimate_footprint(
                         }
                         _ => canvas(cfg.resolution),
                     };
-                    Ok(constraint + canvas(cfg.filter_resolution()) + max_cell(&idx))
+                    Ok(constraint + canvas(cfg.filter_resolution()) + max_slot(&idx))
                 }
                 Registered::Memory(_) if shard => Err(unknown(dataset)),
                 // In-memory plans render but never allocate device memory;
@@ -899,7 +900,7 @@ fn estimate_footprint(
             left, right, query, ..
         } => {
             let side = |name: &String| match resolve(shared, ns, name)? {
-                Registered::Indexed(d) => Ok(max_cell(&d).max(d.delta_stats().bytes)),
+                Registered::Indexed(d) => Ok(max_slot(&d)),
                 Registered::Memory(_) if shard => Err(unknown(name)),
                 Registered::Memory(_) => Ok(0),
             };

@@ -469,10 +469,23 @@ fn kind_mismatch_is_an_error_not_a_dead_worker() {
         }
         other => panic!("expected the panic in band, got {other:?}"),
     }
+    // The same lie told by a grid: the kernel panics with the constraint
+    // canvas and a cell on the device, and the unwind takes both off.
+    let cells = Dataset::from_polygons("liar", polygon_field()).objects;
+    let grid = GridIndex::build(None, &cells, 40.0).unwrap();
+    let mislabelled = IndexedDataset::new("grid-liar", DatasetKind::Points, grid);
+    svc.register_indexed("grid-liar", mislabelled);
+    let panicked = session.submit(QueryRequest::Select {
+        dataset: "grid-liar".into(),
+        query: SelectQuery::Knn(Point::new(33.0, 66.0), 10),
+    });
+    assert!(panicked.wait().is_err());
+    assert!(svc.engine().device.peak() > 0);
+    assert_eq!(svc.engine().device.used(), 0);
     let next = session.submit(workload().remove(0)).wait();
     assert!(next.is_ok(), "the worker must survive: {next:?}");
     let metrics = svc.metrics_text();
-    assert!(metrics.contains("\nspade_worker_panics_total 1\n"));
+    assert!(metrics.contains("\nspade_worker_panics_total 2\n"));
     for line in metrics
         .lines()
         .filter(|l| l.starts_with("spade_tenant_reserved_bytes{"))

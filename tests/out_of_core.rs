@@ -6,6 +6,7 @@ use spade::baselines::brute;
 use spade::datagen::{spider, urban};
 use spade::engine::dataset::{Dataset, DatasetKind, IndexedDataset};
 use spade::engine::distance::{self, DistanceConstraint};
+use spade::engine::stats::QueryOutput;
 use spade::engine::{
     aggregate, join, knn, select, EngineConfig, QueryCtx, QueryStats, Scope, Spade,
 };
@@ -322,6 +323,139 @@ fn small_radius_distance_join_prunes_cell_pairs() {
     parts.sort_unstable();
     assert_eq!(parts, full.result);
     std::fs::remove_dir_all(dir).ok();
+}
+
+/// A query's result, printed, and its stats: one shape for every class.
+fn shown<T: std::fmt::Debug>(out: Result<QueryOutput<T>, StorageError>) -> (String, QueryStats) {
+    let out = out.unwrap();
+    (format!("{:?}", out.result), out.stats)
+}
+
+/// The cell walk's half of the same contract, on the same lattice: a
+/// staged insert is a slot the hull filter admits or not — never a scan
+/// after the walk — and an admitted one is counted and on the device
+/// ledger like the cell it is; and an aggregation's zero-fill reads only
+/// through the walk, and only in the scope that owns the deltas.
+#[test]
+fn a_staged_delta_is_one_more_slot_of_the_cell_walk() {
+    let config = EngineConfig {
+        resolution: 64,
+        ..EngineConfig::test_small()
+    };
+    let lattice: Vec<Point> = (0..45 * 45)
+        .map(|i| Point::new((2 * (i % 45) + 1) as f64, (2 * (i / 45) + 1) as f64))
+        .collect();
+    let mut all = Dataset::from_points("p", lattice).objects;
+    let grid = |objects: &[(u32, Geometry)]| GridIndex::build(None, objects, 10.0).unwrap();
+    let data = IndexedDataset::new("p", DatasetKind::Points, grid(&all));
+    let cell_bytes = data.grid().cells()[0].bytes;
+    assert!(data.grid().cells().iter().all(|c| c.bytes == cell_bytes));
+
+    // Each class around the centre of cell (4, 4), on an engine of its own:
+    // its result, its stats and its device peak.
+    let q = Point::new(45.0, 45.0);
+    let window = Polygon::rect(BBox::new(Point::new(42.0, 42.0), Point::new(48.0, 48.0)));
+    let origin = DistanceConstraint::Point(q);
+    let classes = |d: &IndexedDataset| -> [(String, QueryStats, u64); 3] {
+        let ctx = QueryCtx::default();
+        let run = |class: usize| {
+            let spade = Spade::new(config.clone());
+            let (result, stats) = match class {
+                0 => shown(select::select_indexed(&spade, d, &window, &ctx)),
+                1 => shown(distance::distance_select_indexed(
+                    &spade, d, &origin, 3.0, &ctx,
+                )),
+                _ => shown(knn::knn_select_indexed(&spade, d, q, 3, &ctx)),
+            };
+            assert_eq!(spade.device.used(), 0);
+            (result, stats, spade.device.peak())
+        };
+        [run(0), run(1), run(2)]
+    };
+    let rebuilt = |all: &[(u32, Geometry)]| {
+        classes(&IndexedDataset::new("p", DatasetKind::Points, grid(all)))
+    };
+    let before = classes(&data);
+
+    // Far from every constraint: no delta slot loads, nothing more renders.
+    let far = Geometry::Point(Point::new(88.0, 88.5));
+    data.insert(5000, far.clone());
+    all.push((5000, far));
+    for ((got, want), was) in classes(&data).iter().zip(rebuilt(&all)).zip(&before) {
+        assert_eq!(got.0, want.0);
+        assert_eq!(got.1.cells_loaded, was.1.cells_loaded, "{:?}", got.1);
+        assert_eq!(got.1.passes, was.1.passes, "{:?}", got.1);
+        assert_eq!(got.2, was.2);
+    }
+
+    // Inside every constraint, and by now larger than a cell: one more
+    // counted slot per pass, resident in the place of a cell.
+    for (id, i) in (5001..5100).zip(0..) {
+        let near = Geometry::Point(Point::new(44.0 + 0.02 * i as f64, 45.5));
+        data.insert(id, near.clone());
+        all.push((id, near));
+    }
+    let delta = data.delta_stats();
+    assert!(delta.bytes > cell_bytes);
+    // (Beside a resident slot, the Map output list its refinement checks
+    // out: 16 B per object.)
+    let resident = delta.bytes - cell_bytes + 16 * (delta.staged as u64 - 25);
+    for (((got, want), was), passes) in (classes(&data).iter())
+        .zip(rebuilt(&all))
+        .zip(&before)
+        .zip([1, 1, 2])
+    {
+        assert_eq!(got.0, want.0);
+        assert_ne!(got.0, was.0);
+        assert_eq!(got.1.cells_loaded, was.1.cells_loaded + passes);
+        assert_eq!(got.2, was.2 + resident);
+    }
+
+    // A scattered aggregation over one tile per lattice cell: the shard
+    // that owns no delta looks up the cells of its two pairs and nothing
+    // else; the owner streams the tiles no pair of its own named; and the
+    // per-id sum of the two is the whole, which is a cold rebuild's.
+    let tiles: Vec<Polygon> = (0..81)
+        .map(|i| {
+            let min = Point::new((10 * (i % 9) + 1) as f64, (10 * (i / 9) + 1) as f64);
+            Polygon::rect(BBox::new(min, min + Point::new(8.0, 8.0)))
+        })
+        .collect();
+    let tiles = Dataset::from_polygons("tiles", tiles);
+    let tiles = IndexedDataset::new("tiles", DatasetKind::Polygons, grid(&tiles.objects));
+    let spade = Spade::new(config.clone());
+    let whole = aggregate::aggregate_indexed(&spade, &tiles, &data, &QueryCtx::default()).unwrap();
+    let cold = IndexedDataset::new("p", DatasetKind::Points, grid(&all));
+    let want = aggregate::aggregate_indexed(&spade, &tiles, &cold, &QueryCtx::default()).unwrap();
+    assert_eq!(whole.result, want.result);
+    assert_eq!(whole.result.len(), 81);
+    let mut sum = std::collections::BTreeMap::new();
+    for owner in [false, true] {
+        let pairs: Vec<(u32, u32)> = (0..81)
+            .filter(|i| (*i < 2) != owner)
+            .map(|i| (i, i))
+            .collect();
+        let ctx = QueryCtx {
+            scope: Scope::Pairs {
+                pairs: &pairs,
+                include_delta: owner,
+            },
+            ..QueryCtx::default()
+        };
+        let before = cache_lookups([&tiles, &data]);
+        let part = aggregate::aggregate_indexed(&spade, &tiles, &data, &ctx).unwrap();
+        let looked_up = cache_lookups([&tiles, &data]) - before;
+        assert!(
+            looked_up <= part.stats.cells_loaded,
+            "{looked_up}: {:?}",
+            part.stats
+        );
+        assert_eq!(part.result.len(), if owner { 81 } else { 2 });
+        for (id, n) in part.result {
+            *sum.entry(id).or_insert(0) += n;
+        }
+    }
+    assert_eq!(Vec::from_iter(sum), whole.result);
 }
 
 /// Lifetime lookups of the two sides' cell caches: every cell read of an
