@@ -3,8 +3,8 @@
 //!
 //! The real ratio is orders of magnitude (a hash probe + payload clone vs a
 //! cell scan + render), so ≥5× on the *median* of repeated runs holds with
-//! a wide margin on any hardware. Release-only: the CI `cache-consistency`
-//! job runs it.
+//! a wide margin on any hardware. Release-only: `cargo test --release` runs
+//! it (the CI `release` job).
 
 use spade_core::dataset::IndexedDataset;
 use spade_core::query::{self, SelectQuery};

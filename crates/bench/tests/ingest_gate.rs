@@ -4,7 +4,7 @@
 //! pays one per [`GROUP_COMMIT_WINDOW`] records. On any real filesystem
 //! that difference is an order of magnitude; the gate requires a
 //! conservative ≥3× so it holds even on fast NVMe or an fsync-cheap tmpfs.
-//! Release-only: the CI crash-recovery job runs it.
+//! Release-only: `cargo test --release` runs it (the CI `release` job).
 
 use spade_geometry::{Geometry, Point};
 use spade_storage::wal::{Wal, WalOp, WalSync};

@@ -6,7 +6,7 @@
 //! flight on one pooled connection and its request frames coalesce into
 //! shared `write_all`s. On a loopback that difference is far more than
 //! 3×; the conservative bar keeps the gate stable on loaded CI runners.
-//! Release-only: the CI network-loopback job runs it.
+//! Release-only: `cargo test --release` runs it (the CI `release` job).
 
 use spade_client::{Client, ClientConfig};
 use spade_core::dataset::{Dataset, DatasetKind, IndexedDataset};

@@ -5,13 +5,19 @@
 //! opposite skews cannot be statically wedged to either strategy.
 //!
 //! Calibration uses the same override hook the test asserts with: forced
-//! runs still feed the observed-statistics EWMAs, so after `RUNS` forced
-//! executions of each strategy both cost models are warm and the adaptive
-//! run decides from measurements, not static byte estimates.
+//! runs still feed the observed-statistics EWMAs, so after `MIN_SAMPLES`
+//! forced executions of each strategy both cost models are warm and the
+//! adaptive run decides from measurements, not static byte estimates.
 //!
-//! Release-only: the CI `optimizer-gate` job runs it.
+//! The container's CPU speed swings in multi-second phases, so no arm runs
+//! as a block: every round runs all three arms, in an order that rotates
+//! from round to round (the ledger's alternating-pairs discipline), and
+//! each arm's median is taken over the rounds.
+//!
+//! Release-only: `cargo test --release` runs it (the CI `release` job).
 
 use spade_core::dataset::{DatasetKind, IndexedDataset};
+use spade_core::optimizer::stats::MIN_SAMPLES;
 use spade_core::optimizer::JoinStrategy;
 use spade_core::{explain, join, EngineConfig, QueryCtx, Spade};
 use spade_datagen::spider;
@@ -41,18 +47,32 @@ fn indexed_points(n: usize, seed: u64, cell: f64) -> IndexedDataset {
     IndexedDataset::new("pts", DatasetKind::Points, grid)
 }
 
-/// Median wall time of `RUNS` executions of the indexed join.
-fn median(spade: &Spade, left: &IndexedDataset, right: &IndexedDataset) -> Duration {
-    let mut times: Vec<Duration> = (0..RUNS)
-        .map(|_| {
-            let t0 = Instant::now();
-            let out = join::join_indexed(spade, left, right, &QueryCtx::default()).expect("join");
-            std::hint::black_box(out.result.len());
-            t0.elapsed()
-        })
-        .collect();
+/// The gate's arms: each strategy forced, then the adaptive choice.
+const ARMS: [Option<JoinStrategy>; 3] = [
+    Some(JoinStrategy::LayerIndex),
+    Some(JoinStrategy::NaiveSelects),
+    None,
+];
+
+/// Wall time of one execution of the indexed join under `arm`.
+fn time_join(
+    spade: &Spade,
+    left: &IndexedDataset,
+    right: &IndexedDataset,
+    arm: Option<JoinStrategy>,
+) -> Duration {
+    spade.observed.set_join_override(arm);
+    let t0 = Instant::now();
+    let out = join::join_indexed(spade, left, right, &QueryCtx::default()).expect("join");
+    std::hint::black_box(out.result.len());
+    let elapsed = t0.elapsed();
+    spade.observed.set_join_override(None);
+    elapsed
+}
+
+fn median(mut times: Vec<Duration>) -> Duration {
     times.sort();
-    times[RUNS / 2]
+    times[times.len() / 2]
 }
 
 /// Calibrate both strategies on `(left, right)`, then compare the adaptive
@@ -64,15 +84,11 @@ fn gate(
     left: &IndexedDataset,
     right: &IndexedDataset,
 ) -> (Duration, Duration, Duration) {
-    spade
-        .observed
-        .set_join_override(Some(JoinStrategy::LayerIndex));
-    let layer = median(spade, left, right);
-    spade
-        .observed
-        .set_join_override(Some(JoinStrategy::NaiveSelects));
-    let naive = median(spade, left, right);
-    spade.observed.set_join_override(None);
+    for _ in 0..MIN_SAMPLES {
+        for arm in &ARMS[..2] {
+            time_join(spade, left, right, *arm);
+        }
+    }
 
     // The decision under test must come from warm observations.
     explain::begin();
@@ -84,7 +100,14 @@ fn gate(
         "{name}: both strategies calibrated, decision must be adaptive"
     );
 
-    let adaptive = median(spade, left, right);
+    let mut times: [Vec<Duration>; 3] = Default::default();
+    for round in 0..RUNS {
+        for k in 0..ARMS.len() {
+            let arm = (round + k) % ARMS.len();
+            times[arm].push(time_join(spade, left, right, ARMS[arm]));
+        }
+    }
+    let [layer, naive, adaptive] = times.map(median);
     let better = layer.min(naive);
     assert!(
         adaptive.as_secs_f64() <= better.as_secs_f64() * 1.10,

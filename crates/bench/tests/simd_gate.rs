@@ -4,8 +4,8 @@
 //! workloads the kernels barely touch (out-of-core join, a service-style
 //! select mix) they must not regress by more than 5%.
 //!
-//! Medians of repeated runs keep the gate stable; release-only — the CI
-//! `simd-gate` job runs it.
+//! Medians of repeated runs keep the gate stable; release-only —
+//! `cargo test --release` runs it (the CI `release` job).
 
 use spade_core::dataset::{Dataset, DatasetKind, IndexedDataset};
 use spade_core::{join, select, EngineConfig, QueryCtx, Spade};

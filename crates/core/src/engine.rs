@@ -418,10 +418,10 @@ mod tests {
                 .map(|_| {
                     scope.spawn(|| {
                         let m = s.begin();
-                        let _ = s.device.upload(64);
+                        // Freed on drop.
+                        let _c = s.device.charge(64);
                         let _ =
                             Constraint::from_polygons(&s, &[PreparedPolygon::prepare(0, &poly)]);
-                        s.device.free(64);
                         m.finish(
                             &s,
                             std::time::Duration::ZERO,

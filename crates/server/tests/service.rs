@@ -838,7 +838,8 @@ fn metrics_text_exposes_service_and_engine_counters() {
 /// Sixteen sessions hammer one shared executor + arena with draw calls of
 /// wildly different sizes (tiny knn circles next to full-canvas joins).
 /// Every result must still match the sequential baseline and the arena must
-/// end fully returned — the CI concurrency-stress job picks this up by name.
+/// end fully returned. Tier-1 runs it; so does the CI `release` job, at
+/// release speed.
 #[test]
 fn concurrent_mixed_draw_sizes_share_executor_and_arena() {
     let config = tiny_config();
