@@ -91,10 +91,9 @@ fn gate(
     }
 
     // The decision under test must come from warm observations.
-    explain::begin();
+    let report = explain::open();
     join::join_indexed(spade, left, right, &QueryCtx::default()).expect("join");
-    let report = explain::finish();
-    let j = report.join.expect("join plan reported");
+    let j = report.finish().join.expect("join plan reported");
     assert!(
         j.adaptive,
         "{name}: both strategies calibrated, decision must be adaptive"

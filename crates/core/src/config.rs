@@ -56,15 +56,6 @@ pub struct EngineConfig {
     /// Master switch of the result cache. Off, every query renders cold
     /// (`EXPLAIN ANALYZE` reports `cache: BYPASS`).
     pub result_cache_enabled: bool,
-    /// Let the optimizer consult observed per-dataset statistics
-    /// ([`crate::optimizer::stats`]) once a dataset is warm: measured
-    /// result-size ratios refine the Map 1-pass/2-pass choice, measured
-    /// per-strategy costs refine the join strategy. Off, every decision
-    /// uses the paper's static estimates only. Either way observations are
-    /// still recorded (the decision counters feed the server metrics) and
-    /// query results are byte-identical — the knob changes how queries
-    /// run, never what they return.
-    pub adaptive_stats: bool,
     /// Use the batched (lane-parallel) rasterization, blending, and scan
     /// kernels. Off, every per-pixel and per-row loop runs its scalar
     /// form. Both paths are bit-identical by construction — the batched
@@ -90,7 +81,6 @@ impl Default for EngineConfig {
             delta_max_bytes: 8 << 20,
             compact_trigger_bytes: 1 << 20,
             result_cache_enabled: true,
-            adaptive_stats: true,
             simd_kernels: true,
         }
     }
@@ -225,12 +215,6 @@ mod tests {
         for c in [EngineConfig::default(), EngineConfig::test_small()] {
             assert!(c.cell_cache_bytes <= c.device_memory);
         }
-    }
-
-    #[test]
-    fn adaptive_stats_default_on() {
-        assert!(EngineConfig::default().adaptive_stats);
-        assert!(EngineConfig::test_small().adaptive_stats);
     }
 
     #[test]

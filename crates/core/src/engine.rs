@@ -23,9 +23,8 @@ pub struct Spade {
     /// dispatchers in [`crate::query`]. Its resident bytes are charged
     /// through the arena into the device ledger.
     pub result_cache: crate::result_cache::ResultCache,
-    /// Measured per-dataset statistics feeding the optimizer's adaptive
-    /// decisions (and the decision/misprediction counters the server
-    /// exports) — see [`crate::optimizer::stats`].
+    /// Measured per-pair join costs feeding the optimizer's adaptive join
+    /// decision — see [`crate::optimizer::stats`].
     pub observed: crate::optimizer::stats::ObservedStats,
 }
 

@@ -7,10 +7,15 @@
 //! a query execution, so estimated values can be printed next to actuals.
 //!
 //! Like [`spade_gpu::record`], collection is thread-local and nestable: a
-//! caller opens a report with [`begin`], runs the query on the same
-//! thread, and closes it with [`finish`]. Decision sites inside the engine
-//! call the `note_*` hooks, which are no-ops when no report is open —
-//! ordinary queries pay one thread-local check per decision.
+//! caller opens a report with [`open`], runs the query on the same thread,
+//! and closes it with [`Report::finish`] — or, on an early return or an
+//! unwind, by dropping the guard. Decision sites inside the engine call the
+//! `note_*` hooks, which are no-ops when no report is open — ordinary
+//! queries pay one thread-local check per decision.
+//!
+//! A report is also how a decision gets *counted*: the service opens one
+//! per job and adds the job's Map and join decisions to its tenant's
+//! counters, so no decision counter lives in the engine.
 
 use crate::optimizer::{JoinStrategy, MapImpl};
 use crate::stats::QueryStats;
@@ -25,12 +30,6 @@ pub struct MapDecisions {
     pub one_pass: u64,
     /// Maps run with the 2-pass implementation.
     pub two_pass: u64,
-    /// 1-pass attempts whose estimate proved wrong (fell back to 2-pass).
-    pub fallbacks: u64,
-    /// Draw calls burned by failed 1-pass attempts. Recorded separately —
-    /// the wasted work is discarded from the query's `QueryStats` frame so
-    /// actuals describe the passes that produced the answer.
-    pub wasted_passes: u64,
     /// 2-pass Maps whose result turned out to fit a 1-pass canvas (the
     /// bound exceeded the slots but the actual result did not): in
     /// hindsight, 1-pass would have been chosen.
@@ -136,8 +135,6 @@ impl PlanReport {
             let mine = self.map.get_or_insert_with(MapDecisions::default);
             mine.one_pass += m.one_pass;
             mine.two_pass += m.two_pass;
-            mine.fallbacks += m.fallbacks;
-            mine.wasted_passes += m.wasted_passes;
             mine.overshoots += m.overshoots;
             mine.max_n_max = mine.max_n_max.max(m.max_n_max);
             mine.slots = mine.slots.max(m.slots);
@@ -217,18 +214,9 @@ impl PlanReport {
                 "  map: {} 1-pass, {} 2-pass (max n_max {} vs {} slots",
                 m.one_pass, m.two_pass, m.max_n_max, m.slots
             ));
-            if m.fallbacks > 0 {
-                out.push_str(&format!(", {} fallbacks", m.fallbacks));
-            }
             match actual {
                 Some(s) => out.push_str(&format!("; actual results {})\n", s.result_count)),
                 None => out.push_str(")\n"),
-            }
-            if m.fallbacks > 0 {
-                out.push_str(&format!(
-                    "  mispredicted: {} 1-pass attempts overflowed ({} wasted passes discarded from actuals), would-have-chosen TwoPass\n",
-                    m.fallbacks, m.wasted_passes
-                ));
             }
             if m.overshoots > 0 {
                 out.push_str(&format!(
@@ -274,9 +262,41 @@ thread_local! {
     static REPORTS: RefCell<Vec<PlanReport>> = const { RefCell::new(Vec::new()) };
 }
 
+/// An open plan report. [`Report::finish`] closes it and returns what
+/// it collected; dropping it unfinished — an early return, an unwind —
+/// closes it too, so a query that panics mid-report cannot leave its frame
+/// on the thread for every later report to fold into.
+#[must_use = "dropping the guard closes the report"]
+pub struct Report {
+    open: bool,
+}
+
 /// Open a plan report on the current thread. Reports nest LIFO; an inner
-/// report folds into its parent on [`finish`], mirroring
+/// report folds into its parent when it closes, mirroring
 /// [`spade_gpu::record`].
+pub fn open() -> Report {
+    begin();
+    Report { open: true }
+}
+
+impl Report {
+    /// Close the report and return it (inclusive of nested reports).
+    pub fn finish(mut self) -> PlanReport {
+        self.open = false;
+        finish()
+    }
+}
+
+impl Drop for Report {
+    fn drop(&mut self) {
+        if self.open {
+            finish();
+        }
+    }
+}
+
+/// Unguarded [`open`]: the caller must reach [`finish`] on every path,
+/// unwinding included. Prefer [`open`].
 pub fn begin() {
     REPORTS.with(|r| r.borrow_mut().push(PlanReport::default()));
 }
@@ -303,26 +323,14 @@ fn with_top(apply: impl FnOnce(&mut PlanReport)) {
 }
 
 /// Record one Map execution (called by [`crate::optimizer::run_map`]).
-/// `wasted_passes` are the draw calls a failed 1-pass attempt burned
-/// before falling back; `overshoot` marks a 2-pass whose result fit the
-/// 1-pass canvas after all.
-pub(crate) fn note_map(
-    chosen: MapImpl,
-    n_max: u64,
-    slots: u64,
-    fell_back: bool,
-    wasted_passes: u64,
-    overshoot: bool,
-) {
+/// `overshoot` marks a 2-pass whose result fit the 1-pass canvas after
+/// all.
+pub(crate) fn note_map(chosen: MapImpl, n_max: u64, slots: u64, overshoot: bool) {
     with_top(|t| {
         let m = t.map.get_or_insert_with(MapDecisions::default);
         match chosen {
             MapImpl::OnePass => m.one_pass += 1,
             MapImpl::TwoPass => m.two_pass += 1,
-        }
-        if fell_back {
-            m.fallbacks += 1;
-            m.wasted_passes += wasted_passes;
         }
         if overshoot {
             m.overshoots += 1;
@@ -423,23 +431,20 @@ mod tests {
 
     #[test]
     fn notes_without_open_report_are_dropped() {
-        note_map(MapImpl::OnePass, 10, 100, false, 0, false);
+        note_map(MapImpl::OnePass, 10, 100, false);
         assert_eq!(finish(), PlanReport::default());
     }
 
     #[test]
     fn map_decisions_aggregate() {
-        begin();
-        note_map(MapImpl::OnePass, 10, 100, false, 0, false);
-        note_map(MapImpl::OnePass, 50, 100, false, 0, false);
-        note_map(MapImpl::TwoPass, 500, 100, false, 0, true);
-        note_map(MapImpl::TwoPass, 20, 100, true, 3, false);
-        let r = finish();
-        let m = r.map.unwrap();
+        let report = open();
+        note_map(MapImpl::OnePass, 10, 100, false);
+        note_map(MapImpl::OnePass, 50, 100, false);
+        note_map(MapImpl::TwoPass, 500, 100, false);
+        note_map(MapImpl::TwoPass, 20, 100, true);
+        let m = report.finish().map.unwrap();
         assert_eq!(m.one_pass, 2);
         assert_eq!(m.two_pass, 2);
-        assert_eq!(m.fallbacks, 1);
-        assert_eq!(m.wasted_passes, 3);
         assert_eq!(m.overshoots, 1);
         assert_eq!(m.max_n_max, 500);
         assert_eq!(m.slots, 100);
@@ -447,12 +452,12 @@ mod tests {
 
     #[test]
     fn nested_reports_fold_into_parent() {
-        begin();
-        note_map(MapImpl::OnePass, 5, 100, false, 0, false);
-        begin();
-        note_map(MapImpl::OnePass, 7, 100, false, 0, false);
-        let inner = finish();
-        let outer = finish();
+        let outer = open();
+        note_map(MapImpl::OnePass, 5, 100, false);
+        let inner = open();
+        note_map(MapImpl::OnePass, 7, 100, false);
+        let inner = inner.finish();
+        let outer = outer.finish();
         assert_eq!(inner.map.unwrap().one_pass, 1);
         assert_eq!(outer.map.unwrap().one_pass, 2);
         assert_eq!(outer.map.unwrap().max_n_max, 7);
@@ -460,7 +465,7 @@ mod tests {
 
     #[test]
     fn first_join_decision_wins() {
-        begin();
+        let report = open();
         let first = JoinDecision {
             strategy: JoinStrategy::LayerIndex,
             layer_est_bytes: 100,
@@ -478,12 +483,12 @@ mod tests {
             sequence_len: 1,
             ..JoinDecision::default()
         });
-        assert_eq!(finish().join, Some(first));
+        assert_eq!(report.finish().join, Some(first));
     }
 
     #[test]
     fn join_actuals_fill_first_unanalyzed_decision() {
-        begin();
+        let report = open();
         note_join(JoinDecision {
             strategy: JoinStrategy::LayerIndex,
             layer_est_bytes: 100,
@@ -493,7 +498,7 @@ mod tests {
         note_join_actual(480, 9_000, true, Some(JoinStrategy::NaiveSelects));
         // A later (nested) actual must not overwrite the verdict.
         note_join_actual(1, 1, false, None);
-        let j = finish().join.unwrap();
+        let j = report.finish().join.unwrap();
         assert_eq!(j.actual_bytes, Some(480));
         assert_eq!(j.actual_cost_nanos, Some(9_000));
         assert!(j.mispredicted);
@@ -612,8 +617,6 @@ mod tests {
             map: Some(MapDecisions {
                 one_pass: 1,
                 two_pass: 4,
-                fallbacks: 1,
-                wasted_passes: 1,
                 overshoots: 3,
                 max_n_max: 6_000,
                 slots: 4_096,
@@ -621,15 +624,31 @@ mod tests {
             ..PlanReport::default()
         };
         let s = report.render(None);
-        assert!(s.contains("1 1-pass attempts overflowed (1 wasted passes discarded from actuals), would-have-chosen TwoPass"));
         assert!(s.contains(
             "3 2-pass runs whose results fit the 1-pass canvas (est n_max 6000 vs 4096 slots), would-have-chosen OnePass"
         ));
     }
 
     #[test]
+    fn a_report_unwound_past_closes_its_frame() {
+        let unwound = std::panic::catch_unwind(|| {
+            let _report = open();
+            note_map(MapImpl::TwoPass, 900, 100, true);
+            panic!("a query panicked mid-report");
+        });
+        assert!(unwound.is_err());
+        // The next report sees only its own note, and nothing stays open.
+        let report = open();
+        note_map(MapImpl::OnePass, 5, 100, false);
+        let m = report.finish().map.unwrap();
+        assert_eq!((m.one_pass, m.two_pass, m.overshoots), (1, 0, 0));
+        assert_eq!(m.max_n_max, 5);
+        assert_eq!(finish(), PlanReport::default());
+    }
+
+    #[test]
     fn delta_notes_dedupe_and_fold() {
-        begin();
+        let outer = open();
         note_delta(DeltaInfo {
             dataset: "a".into(),
             generation: 1,
@@ -646,7 +665,7 @@ mod tests {
             tombstones: 1,
             bytes: 64,
         });
-        begin();
+        let inner = open();
         note_delta(DeltaInfo {
             dataset: "b".into(),
             generation: 2,
@@ -654,8 +673,8 @@ mod tests {
             tombstones: 0,
             bytes: 128,
         });
-        let inner = finish();
-        let outer = finish();
+        let inner = inner.finish();
+        let outer = outer.finish();
         assert_eq!(inner.deltas.len(), 1);
         assert_eq!(outer.deltas.len(), 2);
         assert!(outer.render(None).contains("delta[b]: generation 2"));

@@ -343,7 +343,6 @@ pub(crate) fn hull_pairs(
 pub(crate) struct PairWalk<'a> {
     pub view1: ReadView<'a>,
     pub view2: ReadView<'a>,
-    uids: [u64; 2],
     /// Candidate `(left slot, right slot)` pairs in execution order.
     pub cell_pairs: Pairs,
     /// The exact loads the single-cell-residency walk needs: one `(side,
@@ -404,7 +403,6 @@ impl<'a> PairWalk<'a> {
         Ok(PairWalk {
             view1,
             view2,
-            uids: [d1.uid(), d2.uid()],
             cell_pairs,
             sequence,
         })
@@ -448,9 +446,6 @@ impl<'a> PairWalk<'a> {
                 let (side, slot) = (cell.source, cell.cell as u32);
                 resident[side] = None; // one slot per side: out before in
                 let charge = spade.device.charge(cell.bytes);
-                spade
-                    .observed
-                    .observe_cell_load(self.uids[side], cell.bytes);
                 let mut prepare = || Rc::new(Resident::prepare(spade, &cell.data, polygon_time));
                 let prepared = match views[side].cell_id(slot) {
                     Some(_) => prepare(),
@@ -500,7 +495,6 @@ pub fn join_indexed(
     // for the estimate; its execution below is per cell pair as well, so
     // the estimates compare the *order* benefit.
     let pair_key = optimizer::stats::join_key(d1.uid(), d2.uid());
-    let _stat_scope = optimizer::stats::scope(pair_key);
     // Per slot, a delta's included: the estimates index the pairs the
     // walk will run.
     let bytes = |v: &ReadView<'_>| Vec::from_iter(v.slots(true).map(|s| v.cell_bytes(s as usize)));
@@ -525,27 +519,21 @@ pub fn join_indexed(
     // pair, pick the cheaper *predicted execution cost* instead.
     let mut adaptive = false;
     let mut predicted_cost = None;
-    if spade.config.adaptive_stats {
-        if let Some((lc, nc)) = spade.observed.join_costs(pair_key) {
-            let lp = (lc * layer_est as f64) as u64;
-            let np = (nc * naive_est as f64) as u64;
-            predicted_cost = Some((lp, np));
-            strategy = if np < lp {
-                JoinStrategy::NaiveSelects
-            } else {
-                JoinStrategy::LayerIndex
-            };
-            adaptive = true;
-        }
+    if let Some((lc, nc)) = spade.observed.join_costs(pair_key) {
+        let lp = (lc * layer_est as f64) as u64;
+        let np = (nc * naive_est as f64) as u64;
+        predicted_cost = Some((lp, np));
+        strategy = if np < lp {
+            JoinStrategy::NaiveSelects
+        } else {
+            JoinStrategy::LayerIndex
+        };
+        adaptive = true;
     }
     if let Some(forced) = spade.observed.join_override() {
         strategy = forced;
         adaptive = false;
     }
-    spade.observed.count_decision(
-        Some(d1.uid()),
-        optimizer::stats::Decision::of_join(strategy),
-    );
     crate::explain::note_join(crate::explain::JoinDecision {
         strategy,
         layer_est_bytes: layer_est,
@@ -571,7 +559,7 @@ pub fn join_indexed(
     pairs.sort_unstable();
     pairs.dedup();
 
-    // Feed the realized walk back to the observed statistics and render
+    // Feed the realized cost back to the observed statistics and render
     // the hindsight verdict for EXPLAIN ANALYZE.
     let actual_bytes = frame.transfer_bytes;
     let actual_cost = frame.gpu.gpu_nanos + frame.transfer_nanos;
@@ -581,7 +569,7 @@ pub fn join_indexed(
     };
     spade
         .observed
-        .observe_join(pair_key, strategy, est_chosen, actual_bytes, actual_cost);
+        .observe_join(pair_key, strategy, est_chosen, actual_cost);
     let (mispredicted, would_have_chosen) = if adaptive {
         // An adaptive decision mispredicts when the actual cost blew past
         // its own prediction while the alternative's prediction would have
@@ -614,12 +602,6 @@ pub fn join_indexed(
             (false, None)
         }
     };
-    if mispredicted {
-        spade.observed.count_misprediction(
-            Some(d1.uid()),
-            optimizer::stats::Decision::of_join(strategy),
-        );
-    }
     crate::explain::note_join_actual(actual_bytes, actual_cost, mispredicted, would_have_chosen);
 
     let n = pairs.len() as u64;

@@ -13,20 +13,18 @@
 //! 3. **Join operation order** — consecutive selects should share at least
 //!    one resident grid cell, so cell loads carry over between iterations.
 //!
-//! On top of the paper's static estimates sits the [`stats`] layer: when a
-//! dataset is warm (≥ [`stats::MIN_SAMPLES`] observed queries) and
-//! `EngineConfig::adaptive_stats` is on, the Map decision uses the
-//! measured result-size ratio instead of the loose `n_max` bound, and the
-//! join decision uses the measured per-strategy execution cost. A wrong
-//! adaptive call is never a wrong answer: an undersized 1-pass Map falls
-//! back to 2-pass, and both join strategies compute the same pair set —
-//! so results stay byte-identical with adaptive statistics on or off.
+//! On top of the paper's static estimates sits the [`stats`] layer: once a
+//! dataset pair has run both join strategies a few times, the join
+//! decision uses their measured execution cost per estimated byte instead
+//! of bytes alone. A wrong adaptive call is never a wrong answer — both
+//! join strategies compute the same pair set. The Map decision stays the
+//! paper's static rule.
 
 pub mod stats;
 
 use crate::engine::Spade;
 use spade_canvas::algebra::{self, MapResult};
-use spade_gpu::{record, DrawCall, Primitive};
+use spade_gpu::{DrawCall, Primitive};
 
 /// Which Map implementation to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,122 +33,33 @@ pub enum MapImpl {
     TwoPass,
 }
 
-/// Pick the Map implementation from the result-size estimate, refined by
-/// the observed result ratio when the current dataset scope is warm.
+/// Pick the Map implementation from the result-size estimate: 1-pass when
+/// the `n_max` bound fits the list canvas, 2-pass otherwise.
 pub fn choose_map_impl(spade: &Spade, n_max: usize) -> MapImpl {
-    choose_map(spade, n_max).0
+    if n_max <= spade.config.max_map_slots {
+        MapImpl::OnePass
+    } else {
+        MapImpl::TwoPass
+    }
 }
 
-/// The Map choice plus the list-canvas capacity to allocate for it: the
-/// static 1-pass uses the `n_max` bound itself, the adaptive 1-pass the
-/// (smaller) observed prediction. Capacity only sizes the list canvas —
-/// values are placed linearly and compacted, so the result bytes are
-/// identical for any capacity that fits.
-fn choose_map(spade: &Spade, n_max: usize) -> (MapImpl, usize) {
-    let slots = spade.config.max_map_slots;
-    if n_max <= slots {
-        return (MapImpl::OnePass, n_max);
-    }
-    if spade.config.adaptive_stats {
-        if let Some(key) = stats::current() {
-            if let Some(pred) = spade.observed.map_prediction(key, n_max as u64) {
-                if pred as usize <= slots {
-                    // Warm stats say the real result fits a 1-pass canvas
-                    // even though the static bound does not. If the
-                    // prediction is wrong, the overflow fallback runs the
-                    // 2-pass — a misprediction, never a wrong answer.
-                    return (MapImpl::OnePass, pred as usize);
-                }
-            }
-        }
-    }
-    (MapImpl::TwoPass, n_max)
-}
-
-/// Execute a Map with the chosen implementation, falling back to 2-pass if
-/// a 1-pass estimate proves wrong (impossible for the paper's static upper
-/// bounds, routine for adaptive predictions). The failed attempt's work is
-/// recorded in its own discarded frame so the query's `QueryStats` report
-/// only the passes that produced the answer; the waste is surfaced
-/// separately as `wasted_passes` in the plan report.
+/// Execute a Map with the implementation [`choose_map_impl`] picks and note
+/// the choice in the plan report. A 2-pass whose result fit the 1-pass
+/// canvas after all is noted as an overshoot: the bound was loose.
 pub fn run_map(spade: &Spade, prims: &[Primitive], call: &DrawCall<'_>, n_max: usize) -> MapResult {
     let slots = spade.config.max_map_slots as u64;
-    let key = stats::current();
-    let (choice, capacity) = choose_map(spade, n_max);
-    match choice {
-        MapImpl::OnePass => {
-            record::begin();
-            match algebra::map_1pass(&spade.pipeline, prims, call, capacity) {
-                Ok(r) => {
-                    record::finish();
-                    spade
-                        .observed
-                        .count_decision(key, stats::Decision::MapOnePass);
-                    if let Some(k) = key {
-                        spade
-                            .observed
-                            .observe_map(k, n_max as u64, r.values.len() as u64);
-                    }
-                    crate::explain::note_map(
-                        MapImpl::OnePass,
-                        n_max as u64,
-                        slots,
-                        false,
-                        0,
-                        false,
-                    );
-                    r
-                }
-                Err(_) => {
-                    // The attempt was wasted: drop its draw calls from the
-                    // enclosing query frame (globals already saw them).
-                    let wasted = record::discard();
-                    spade
-                        .observed
-                        .count_decision(key, stats::Decision::MapOnePass);
-                    spade
-                        .observed
-                        .count_misprediction(key, stats::Decision::MapOnePass);
-                    let r = algebra::map_2pass(&spade.pipeline, prims, call);
-                    if let Some(k) = key {
-                        spade
-                            .observed
-                            .observe_map(k, n_max as u64, r.values.len() as u64);
-                    }
-                    crate::explain::note_map(
-                        MapImpl::TwoPass,
-                        n_max as u64,
-                        slots,
-                        true,
-                        wasted.gpu.draw_calls,
-                        false,
-                    );
-                    r
-                }
-            }
-        }
-        MapImpl::TwoPass => {
-            let r = algebra::map_2pass(&spade.pipeline, prims, call);
-            let produced = r.values.len() as u64;
-            spade
-                .observed
-                .count_decision(key, stats::Decision::MapTwoPass);
-            if let Some(k) = key {
-                spade.observed.observe_map(k, n_max as u64, produced);
-            }
-            // Hindsight check: the 2-pass was chosen because the bound
-            // exceeded the canvas, yet the result fit — a 1-pass would
-            // have done it in one rendering pass.
-            let overshoot = produced <= slots;
-            if overshoot {
-                spade
-                    .observed
-                    .count_misprediction(key, stats::Decision::MapTwoPass);
-            }
-            crate::explain::note_map(MapImpl::TwoPass, n_max as u64, slots, false, 0, overshoot);
-            r
-        }
-    }
+    let choice = choose_map_impl(spade, n_max);
+    let r = match choice {
+        // The caller's `n_max` bounds the production (a point emits at
+        // most one value), so the static 1-pass cannot overflow; the 2-pass
+        // arm only keeps a wrong bound from ever being a wrong answer.
+        MapImpl::OnePass => algebra::map_1pass(&spade.pipeline, prims, call, n_max)
+            .unwrap_or_else(|_| algebra::map_2pass(&spade.pipeline, prims, call)),
+        MapImpl::TwoPass => algebra::map_2pass(&spade.pipeline, prims, call),
+    };
+    let overshoot = choice == MapImpl::TwoPass && r.values.len() as u64 <= slots;
+    crate::explain::note_map(choice, n_max as u64, slots, overshoot);
+    r
 }
 
 /// The two out-of-core join strategies of §5.3.
@@ -222,15 +131,6 @@ pub fn estimate_layer_bytes_ordered(
     total
 }
 
-/// Convenience form of [`estimate_layer_bytes_ordered`] that orders a copy
-/// of `pairs` first. For callers that will execute the pairs, prefer
-/// ordering the real vector once and estimating on it directly.
-pub fn estimate_layer_bytes(pairs: &[(u32, u32)], left_bytes: &[u64], right_bytes: &[u64]) -> u64 {
-    let mut ordered: Vec<(u32, u32)> = pairs.to_vec();
-    order_cell_pairs(&mut ordered);
-    estimate_layer_bytes_ordered(&ordered, left_bytes, right_bytes)
-}
-
 /// Estimated bytes transferred by the naive strategy: for each probe
 /// object, the blocks of every cell its filter matched (no sharing across
 /// probes beyond consecutive duplicates).
@@ -277,80 +177,41 @@ mod tests {
         assert_eq!(choose_map_impl(&spade, 101), MapImpl::TwoPass);
     }
 
-    #[test]
-    fn map_choice_uses_warm_observations() {
-        let spade = Spade::new(EngineConfig {
-            max_map_slots: 100,
-            ..EngineConfig::test_small()
-        });
-        let _scope = stats::scope(42);
-        // Cold: the static bound rules.
-        assert_eq!(choose_map_impl(&spade, 1000), MapImpl::TwoPass);
-        // Warm with a tiny observed ratio: 1000 × (0.01 × 1.5) = 15 ≤ 100.
-        for _ in 0..stats::MIN_SAMPLES {
-            spade.observed.observe_map(42, 1000, 10);
-        }
-        assert_eq!(choose_map_impl(&spade, 1000), MapImpl::OnePass);
-        // A huge bound still overwhelms the observed ratio.
-        assert_eq!(choose_map_impl(&spade, 100_000), MapImpl::TwoPass);
-    }
-
-    #[test]
-    fn map_choice_ignores_observations_when_disabled() {
-        let spade = Spade::new(EngineConfig {
-            max_map_slots: 100,
-            adaptive_stats: false,
-            ..EngineConfig::test_small()
-        });
-        let _scope = stats::scope(42);
-        for _ in 0..stats::MIN_SAMPLES {
-            spade.observed.observe_map(42, 1000, 10);
-        }
-        assert_eq!(choose_map_impl(&spade, 1000), MapImpl::TwoPass);
-    }
-
-    #[test]
-    fn fallback_work_not_double_counted() {
-        // An adaptive 1-pass attempt that overflows must (a) fall back to
-        // a correct 2-pass, (b) keep the wasted attempt's draw calls out
-        // of the query's recording frame, and (c) surface the waste and
-        // the misprediction in the plan report and counters.
-        let spade = Spade::new(EngineConfig {
-            max_map_slots: 4,
-            ..EngineConfig::test_small()
-        });
-        let _scope = stats::scope(99);
-        // Warm: three tiny results against a 100 bound → prediction
-        // ceil(100 × 0.01 × 1.5) = 2 ≤ 4 slots → adaptive 1-pass.
-        for _ in 0..stats::MIN_SAMPLES {
-            spade.observed.observe_map(99, 100, 1);
-        }
-        assert_eq!(choose_map_impl(&spade, 100), MapImpl::OnePass);
-        // But this run actually produces 10 values: overflow → fallback.
-        let prims: Vec<Primitive> = (0..10)
+    /// Run one point Map of `n` values under a bound of `n_max`, inside a
+    /// recording frame and a plan report.
+    fn point_map(
+        spade: &Spade,
+        n: u32,
+        n_max: usize,
+    ) -> (
+        MapResult,
+        spade_gpu::record::FrameTotals,
+        crate::explain::PlanReport,
+    ) {
+        let prims: Vec<Primitive> = (0..n)
             .map(|i| Primitive::point(Point::new(i as f64 + 0.5, 0.5), [i + 1, 0, 0, 0]))
             .collect();
         let vp = Viewport::new(BBox::new(Point::ZERO, Point::new(10.0, 10.0)), 10, 10);
         let call = DrawCall::simple(vp, BlendMode::Replace, false);
         spade_gpu::record::begin();
-        crate::explain::begin();
-        let r = run_map(&spade, &prims, &call, 100);
-        let report = crate::explain::finish();
-        let frame = spade_gpu::record::finish();
-        assert_eq!(r.values.len(), 10);
-        assert_eq!(r.passes, 2);
-        // The query frame sees exactly the 2-pass (count + materialize);
-        // the failed attempt's draw call was discarded, not folded in.
-        assert_eq!(frame.gpu.draw_calls, 2, "wasted pass leaked into frame");
+        let report = crate::explain::open();
+        let r = run_map(spade, &prims, &call, n_max);
+        (r, spade_gpu::record::finish(), report.finish())
+    }
+
+    #[test]
+    fn static_one_pass_renders_one_pass() {
+        // A bound that fits the slots runs the 1-pass Map: one draw call in
+        // the query's frame, one 1-pass decision, nothing mispredicted.
+        let spade = Spade::new(EngineConfig {
+            max_map_slots: 16,
+            ..EngineConfig::test_small()
+        });
+        let (r, frame, report) = point_map(&spade, 10, 10);
+        assert_eq!((r.values.len(), r.passes), (10, 1));
+        assert_eq!(frame.gpu.draw_calls, 1);
         let m = report.map.unwrap();
-        assert_eq!(m.one_pass, 0);
-        assert_eq!(m.two_pass, 1);
-        assert_eq!(m.fallbacks, 1);
-        assert_eq!(m.wasted_passes, 1);
-        let (dec, mis) = spade.observed.counters_for(&[99]);
-        // Index 0 is Decision::ALL[0] = MapOnePass.
-        assert_eq!(dec[0], 1, "the (wrong) decision was 1-pass");
-        assert_eq!(mis[0], 1, "and it counts as a misprediction");
+        assert_eq!((m.one_pass, m.two_pass, m.overshoots), (1, 0, 0));
     }
 
     #[test]
@@ -359,29 +220,22 @@ mod tests {
             max_map_slots: 4,
             ..EngineConfig::test_small()
         });
-        let _scope = stats::scope(7);
-        // Cold stats, bound 100 > 4 slots → static 2-pass; but only 3
-        // values are produced, which would have fit 1-pass: overshoot.
-        let prims: Vec<Primitive> = (0..3)
-            .map(|i| Primitive::point(Point::new(i as f64 + 0.5, 0.5), [i + 1, 0, 0, 0]))
-            .collect();
-        let vp = Viewport::new(BBox::new(Point::ZERO, Point::new(10.0, 10.0)), 10, 10);
-        let call = DrawCall::simple(vp, BlendMode::Replace, false);
-        crate::explain::begin();
-        let r = run_map(&spade, &prims, &call, 100);
-        let report = crate::explain::finish();
-        assert_eq!(r.values.len(), 3);
-        assert_eq!(report.map.unwrap().overshoots, 1);
-        let (dec, mis) = spade.observed.counters_for(&[7]);
-        // Index 1 is Decision::ALL[1] = MapTwoPass.
-        assert_eq!(dec[1], 1);
-        assert_eq!(mis[1], 1);
+        // Bound 100 > 4 slots → static 2-pass; but only 3 values are
+        // produced, which would have fit 1-pass: overshoot.
+        let (r, frame, report) = point_map(&spade, 3, 100);
+        assert_eq!((r.values.len(), r.passes), (3, 2));
+        assert_eq!(frame.gpu.draw_calls, 2, "count + materialize");
+        let m = report.map.unwrap();
+        assert_eq!((m.one_pass, m.two_pass, m.overshoots), (0, 1, 1));
         // The rendered analyze output carries the would-have-chosen line.
         let s = report.render(Some(&crate::stats::QueryStats::default()));
         assert!(
             s.contains("would-have-chosen OnePass"),
             "missing line in:\n{s}"
         );
+        // A result that does not fit the slots is no overshoot.
+        let (_, _, report) = point_map(&spade, 6, 100);
+        assert_eq!(report.map.unwrap().overshoots, 0);
     }
 
     #[test]
@@ -413,7 +267,9 @@ mod tests {
         // Versus plain sorted order, the boustrophedon never transfers more.
         let pairs: Vec<(u32, u32)> = (0..4).flat_map(|l| (0..4).map(move |r| (l, r))).collect();
         let bytes = vec![10u64; 4];
-        let shared = estimate_layer_bytes(&pairs, &bytes, &bytes);
+        let mut ordered = pairs.clone();
+        order_cell_pairs(&mut ordered);
+        let shared = estimate_layer_bytes_ordered(&ordered, &bytes, &bytes);
         // Plain sorted order: left loads 4×10; right loads 4 per left group.
         let plain = 4 * 10 + 4 * 4 * 10;
         assert!(shared <= plain as u64);
@@ -421,23 +277,28 @@ mod tests {
 
     #[test]
     fn layer_estimate_counts_residency() {
-        let pairs = vec![(0, 0), (0, 1), (1, 1)];
+        let mut pairs = vec![(0, 0), (0, 1), (1, 1)];
+        order_cell_pairs(&mut pairs);
         let left = vec![10, 20];
         let right = vec![100, 200];
         // Ordered: (0,0),(0,1),(1,1): loads 10+100, then 200, then 20.
-        assert_eq!(estimate_layer_bytes(&pairs, &left, &right), 330);
+        assert_eq!(estimate_layer_bytes_ordered(&pairs, &left, &right), 330);
     }
 
     #[test]
     fn ordered_estimate_matches_ordering_copy() {
+        // The order is canonical: any permutation of the same pairs orders
+        // to the same walk, so its estimate is the same.
         let mut pairs = vec![(3, 1), (0, 2), (3, 2), (0, 1), (1, 1)];
+        let mut copy: Vec<(u32, u32)> = pairs.iter().rev().copied().collect();
         let left = vec![10u64, 20, 30, 40];
         let right = vec![100u64, 200, 300];
-        let via_copy = estimate_layer_bytes(&pairs, &left, &right);
         order_cell_pairs(&mut pairs);
+        order_cell_pairs(&mut copy);
+        assert_eq!(pairs, copy);
         assert_eq!(
             estimate_layer_bytes_ordered(&pairs, &left, &right),
-            via_copy
+            estimate_layer_bytes_ordered(&copy, &left, &right)
         );
     }
 
@@ -469,7 +330,9 @@ mod tests {
         let mut right_bytes = vec![0u64; 6];
         right_bytes[2] = 100;
         right_bytes[5] = 100;
-        let layer = estimate_layer_bytes(&pairs, &left_bytes, &right_bytes);
+        let mut ordered = pairs.clone();
+        order_cell_pairs(&mut ordered);
+        let layer = estimate_layer_bytes_ordered(&ordered, &left_bytes, &right_bytes);
         // The boustrophedon walk re-loads right cell 2: (0,2),(1,5),(1,2),(2,5).
         assert_eq!(layer, 25 + 100 + 25 + 100 + 100 + 25 + 100);
         let per_object = vec![vec![2], vec![2, 5], vec![5]];

@@ -1,49 +1,29 @@
-//! Observed per-dataset statistics feeding the optimizer.
+//! Observed join costs feeding the optimizer's join-strategy decision.
 //!
-//! The paper's optimizer (§5.4) decides from *static* transfer estimates:
-//! `n_max` upper bounds for the Map implementation, grid-cell byte counts
-//! for the join strategy. Those bounds are safe but often loose — `n_max`
-//! can exceed the real result size by orders of magnitude, and the two
-//! join strategies move the same cells but burn very different amounts of
-//! rendering time per byte. This module keeps what the engine *measured*
-//! on previous queries against the same dataset:
+//! The paper's optimizer (§5.4) picks the out-of-core join strategy from
+//! *static* transfer estimates. Both strategies walk the same cells, so
+//! their byte estimates rarely disagree — what differs is how much
+//! rendering time a byte costs each of them. This module keeps, per
+//! dataset pair ([`join_key`]), an EWMA of the measured execution cost per
+//! estimated byte for each strategy; `join::join_indexed` consults it once
+//! both strategies are *warm* (≥ [`MIN_SAMPLES`] executions each) and falls
+//! back to the static estimates until then.
 //!
-//! * an EWMA of the actual bytes moved per cell load,
-//! * the measured result-set size as a fraction of the `n_max` bound
-//!   (mean and observed peak),
-//! * per join strategy, the realized transfer volume relative to the
-//!   static estimate and the realized execution cost per estimated byte.
-//!
-//! [`crate::optimizer::choose_map_impl`] and the join decision consult
-//! these when a dataset is *warm* (≥ [`MIN_SAMPLES`] observations) and
-//! `EngineConfig::adaptive_stats` is on; cold datasets fall back to the
-//! paper's static estimates. Observation is always on — it is a handful of
-//! relaxed counter bumps and one short mutex hold per query — so the
-//! decision counters exported through `spade-server::metrics` work even
-//! with the adaptive knob off.
-//!
-//! Correctness never depends on a prediction: an adaptive 1-pass Map that
-//! underestimates falls back to 2-pass, and the two join strategies
-//! produce identical pair sets. Adaptive statistics change *how* a query
-//! runs, never *what* it returns.
+//! Correctness never depends on the costs: the two join strategies produce
+//! identical pair sets, so observed statistics change *how* a join runs,
+//! never *what* it returns.
 
 use crate::optimizer::JoinStrategy;
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Mutex;
 
 /// Observations before a statistic is trusted for decisions.
 pub const MIN_SAMPLES: u64 = 3;
 
-/// Safety margin applied to the observed peak result ratio before an
-/// adaptive 1-pass Map is attempted (the fallback keeps an underestimate
-/// correct; the margin just keeps fallbacks rare).
-pub const MAP_MARGIN: f64 = 1.5;
-
 /// Exponentially weighted moving average with a sample count.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Ewma {
+struct Ewma {
     value: f64,
     samples: u64,
 }
@@ -51,7 +31,7 @@ pub struct Ewma {
 impl Ewma {
     const ALPHA: f64 = 0.3;
 
-    pub fn observe(&mut self, x: f64) {
+    fn observe(&mut self, x: f64) {
         self.value = if self.samples == 0 {
             x
         } else {
@@ -60,100 +40,31 @@ impl Ewma {
         self.samples += 1;
     }
 
-    pub fn value(&self) -> f64 {
-        self.value
-    }
-
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
-
-    pub fn warm(&self) -> bool {
+    fn warm(&self) -> bool {
         self.samples >= MIN_SAMPLES
     }
 }
 
-/// The four optimizer decisions the engine counts, labeled as exported
-/// through `spade_optimizer_{decisions,mispredictions}_total{decision=…}`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Decision {
-    MapOnePass,
-    MapTwoPass,
-    JoinLayerIndex,
-    JoinNaiveSelects,
+/// Realized execution cost (GPU + modeled bus nanos) per *estimated* byte,
+/// per strategy — how expensive a predicted byte turned out.
+#[derive(Debug, Clone, Copy, Default)]
+struct JoinCosts {
+    layer: Ewma,
+    naive: Ewma,
 }
 
-impl Decision {
-    pub const ALL: [Decision; 4] = [
-        Decision::MapOnePass,
-        Decision::MapTwoPass,
-        Decision::JoinLayerIndex,
-        Decision::JoinNaiveSelects,
-    ];
-
-    pub fn label(self) -> &'static str {
-        match self {
-            Decision::MapOnePass => "map_one_pass",
-            Decision::MapTwoPass => "map_two_pass",
-            Decision::JoinLayerIndex => "join_layer_index",
-            Decision::JoinNaiveSelects => "join_naive_selects",
-        }
-    }
-
-    fn idx(self) -> usize {
-        match self {
-            Decision::MapOnePass => 0,
-            Decision::MapTwoPass => 1,
-            Decision::JoinLayerIndex => 2,
-            Decision::JoinNaiveSelects => 3,
-        }
-    }
-
-    pub fn of_join(s: JoinStrategy) -> Decision {
-        match s {
-            JoinStrategy::LayerIndex => Decision::JoinLayerIndex,
-            JoinStrategy::NaiveSelects => Decision::JoinNaiveSelects,
-        }
-    }
-}
-
-/// Everything observed about one statistics key (a dataset uid, or a join
-/// pair key from [`join_key`]).
-#[derive(Debug, Clone, Default)]
-pub struct DatasetObserved {
-    /// Actual bytes moved per cell load.
-    pub cell_load_bytes: Ewma,
-    /// Measured result count / the `n_max` upper bound, per Map run.
-    pub map_ratio: Ewma,
-    /// Largest result ratio ever observed (the adaptive 1-pass bound).
-    pub map_peak_ratio: f64,
-    /// Realized transfer volume / static estimate, per strategy.
-    pub layer_bytes_ratio: Ewma,
-    pub naive_bytes_ratio: Ewma,
-    /// Realized execution cost (GPU + modeled bus nanos) per *estimated*
-    /// byte, per strategy — how expensive a predicted byte turned out.
-    pub layer_cost: Ewma,
-    pub naive_cost: Ewma,
-    /// Decisions and mispredictions counted under this key, indexed by
-    /// [`Decision::idx`].
-    pub decisions: [u64; 4],
-    pub mispredictions: [u64; 4],
-}
-
-/// Per-key observed statistics plus engine-wide decision totals.
+/// Per-pair join costs, plus the calibration override.
 ///
 /// Lives on [`crate::engine::Spade`] next to the result cache; one short
-/// mutex hold per observation or decision keeps the store coherent under
-/// concurrent queries without touching the hot fragment path.
+/// mutex hold per out-of-core join keeps the store coherent under
+/// concurrent queries.
 #[derive(Debug, Default)]
 pub struct ObservedStats {
-    inner: Mutex<HashMap<u64, DatasetObserved>>,
-    total_decisions: [AtomicU64; 4],
-    total_mispredictions: [AtomicU64; 4],
+    costs: Mutex<HashMap<u64, JoinCosts>>,
     /// Test/bench hook: pin the join strategy (0 = none, 1 = layer,
-    /// 2 = naive). Observations are still recorded for the executed
-    /// strategy, which is how the `optimizer_gate` bench calibrates both
-    /// strategies before letting the adaptive decision run free.
+    /// 2 = naive). Costs are still recorded for the executed strategy,
+    /// which is how the `optimizer_gate` bench calibrates both strategies
+    /// before letting the adaptive decision run free.
     join_override: AtomicU8,
 }
 
@@ -162,63 +73,17 @@ impl ObservedStats {
         Self::default()
     }
 
-    fn with(&self, key: u64, apply: impl FnOnce(&mut DatasetObserved)) {
-        let mut inner = self.inner.lock().unwrap();
-        apply(inner.entry(key).or_default());
-    }
-
-    /// Record one cell load's actual byte volume.
-    pub fn observe_cell_load(&self, key: u64, bytes: u64) {
-        self.with(key, |d| d.cell_load_bytes.observe(bytes as f64));
-    }
-
-    /// Record one Map run: the `n_max` bound it was planned with and the
-    /// result count it actually produced.
-    pub fn observe_map(&self, key: u64, n_max: u64, produced: u64) {
-        let ratio = produced as f64 / n_max.max(1) as f64;
-        self.with(key, |d| {
-            d.map_ratio.observe(ratio);
-            d.map_peak_ratio = d.map_peak_ratio.max(ratio);
-        });
-    }
-
-    /// Predicted result size for a Map with bound `n_max`, from the warm
-    /// observed peak ratio plus margin. `None` while cold — the caller
-    /// falls back to the static `n_max` bound.
-    pub fn map_prediction(&self, key: u64, n_max: u64) -> Option<u64> {
-        let inner = self.inner.lock().unwrap();
-        let d = inner.get(&key)?;
-        if !d.map_ratio.warm() {
-            return None;
-        }
-        let ratio = (d.map_peak_ratio.max(d.map_ratio.value()) * MAP_MARGIN).min(1.0);
-        Some(((n_max as f64 * ratio).ceil() as u64).max(1))
-    }
-
     /// Record one out-of-core join execution under `key` (a [`join_key`]):
-    /// the strategy that ran, the static estimate it was chosen with, the
-    /// bytes the residency walk actually moved, and the walk's execution
-    /// cost in nanos (GPU + modeled bus).
-    pub fn observe_join(
-        &self,
-        key: u64,
-        strategy: JoinStrategy,
-        est_bytes: u64,
-        actual_bytes: u64,
-        cost_nanos: u64,
-    ) {
-        let bytes_ratio = actual_bytes as f64 / est_bytes.max(1) as f64;
+    /// the strategy that ran, the static estimate it was chosen with, and
+    /// the walk's execution cost in nanos (GPU + modeled bus).
+    pub fn observe_join(&self, key: u64, strategy: JoinStrategy, est_bytes: u64, cost_nanos: u64) {
         let cost_per_byte = cost_nanos as f64 / est_bytes.max(1) as f64;
-        self.with(key, |d| match strategy {
-            JoinStrategy::LayerIndex => {
-                d.layer_bytes_ratio.observe(bytes_ratio);
-                d.layer_cost.observe(cost_per_byte);
-            }
-            JoinStrategy::NaiveSelects => {
-                d.naive_bytes_ratio.observe(bytes_ratio);
-                d.naive_cost.observe(cost_per_byte);
-            }
-        });
+        let mut costs = self.costs.lock().unwrap();
+        let d = costs.entry(key).or_default();
+        match strategy {
+            JoinStrategy::LayerIndex => d.layer.observe(cost_per_byte),
+            JoinStrategy::NaiveSelects => d.naive.observe(cost_per_byte),
+        }
     }
 
     /// Observed cost per estimated byte for (layer, naive), available only
@@ -226,63 +91,14 @@ impl ObservedStats {
     /// measured cost, so the decision stays on the static estimates until
     /// something (a forced run, a tie-break) has exercised it.
     pub fn join_costs(&self, key: u64) -> Option<(f64, f64)> {
-        let inner = self.inner.lock().unwrap();
-        let d = inner.get(&key)?;
-        (d.layer_cost.warm() && d.naive_cost.warm())
-            .then(|| (d.layer_cost.value(), d.naive_cost.value()))
-    }
-
-    /// Count one optimizer decision (and bump the engine-wide total).
-    pub fn count_decision(&self, key: Option<u64>, decision: Decision) {
-        self.total_decisions[decision.idx()].fetch_add(1, Ordering::Relaxed);
-        if let Some(key) = key {
-            self.with(key, |d| d.decisions[decision.idx()] += 1);
-        }
-    }
-
-    /// Count one misprediction of a past decision.
-    pub fn count_misprediction(&self, key: Option<u64>, decision: Decision) {
-        self.total_mispredictions[decision.idx()].fetch_add(1, Ordering::Relaxed);
-        if let Some(key) = key {
-            self.with(key, |d| d.mispredictions[decision.idx()] += 1);
-        }
-    }
-
-    /// A copy of everything observed under `key`.
-    pub fn snapshot(&self, key: u64) -> Option<DatasetObserved> {
-        self.inner.lock().unwrap().get(&key).cloned()
-    }
-
-    /// Summed (decisions, mispredictions) over a set of keys, indexed by
-    /// [`Decision::idx`] — the server aggregates a tenant's dataset uids
-    /// (plus their [`join_key`]s) through this.
-    pub fn counters_for(&self, keys: &[u64]) -> ([u64; 4], [u64; 4]) {
-        let inner = self.inner.lock().unwrap();
-        let mut dec = [0u64; 4];
-        let mut mis = [0u64; 4];
-        for key in keys {
-            if let Some(d) = inner.get(key) {
-                for i in 0..4 {
-                    dec[i] += d.decisions[i];
-                    mis[i] += d.mispredictions[i];
-                }
-            }
-        }
-        (dec, mis)
-    }
-
-    /// Engine-wide (decisions, mispredictions) totals, including decisions
-    /// made outside any dataset scope.
-    pub fn totals(&self) -> ([u64; 4], [u64; 4]) {
-        (
-            std::array::from_fn(|i| self.total_decisions[i].load(Ordering::Relaxed)),
-            std::array::from_fn(|i| self.total_mispredictions[i].load(Ordering::Relaxed)),
-        )
+        let costs = self.costs.lock().unwrap();
+        let d = costs.get(&key)?;
+        (d.layer.warm() && d.naive.warm()).then_some((d.layer.value, d.naive.value))
     }
 
     /// Pin (or unpin) the join strategy. A test/bench hook: forced runs
-    /// still record observations, so forcing each strategy a few times is
-    /// how a benchmark calibrates the adaptive decision.
+    /// still record costs, so forcing each strategy a few times is how a
+    /// benchmark calibrates the adaptive decision.
     pub fn set_join_override(&self, forced: Option<JoinStrategy>) {
         let v = match forced {
             None => 0,
@@ -310,36 +126,6 @@ pub fn join_key(left_uid: u64, right_uid: u64) -> u64 {
     h.wrapping_mul(0xbf58_476d_1ce4_e5b9)
 }
 
-thread_local! {
-    static SCOPE: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Enter a dataset-statistics scope on the current thread: until the
-/// returned guard drops, Map decisions made on this thread (including
-/// inside nested per-cell sub-queries) are attributed to `key`. Mirrors
-/// the thread-local nesting of [`spade_gpu::record`] and
-/// [`crate::explain`].
-pub fn scope(key: u64) -> ScopeGuard {
-    SCOPE.with(|s| s.borrow_mut().push(key));
-    ScopeGuard(())
-}
-
-/// The innermost scope key, if any.
-pub fn current() -> Option<u64> {
-    SCOPE.with(|s| s.borrow().last().copied())
-}
-
-/// RAII guard of [`scope`]; pops its key on drop.
-pub struct ScopeGuard(());
-
-impl Drop for ScopeGuard {
-    fn drop(&mut self) {
-        SCOPE.with(|s| {
-            s.borrow_mut().pop();
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,28 +135,11 @@ mod tests {
         let mut e = Ewma::default();
         assert!(!e.warm());
         e.observe(10.0);
-        assert_eq!(e.value(), 10.0);
+        assert_eq!(e.value, 10.0);
         e.observe(20.0);
         e.observe(20.0);
         assert!(e.warm());
-        assert!(e.value() > 10.0 && e.value() < 20.0);
-    }
-
-    #[test]
-    fn map_prediction_cold_then_warm() {
-        let s = ObservedStats::new();
-        assert_eq!(s.map_prediction(1, 1000), None);
-        for _ in 0..MIN_SAMPLES {
-            s.observe_map(1, 1000, 10); // ratio 0.01
-        }
-        let p = s.map_prediction(1, 1000).unwrap();
-        // peak ratio 0.01 × margin 1.5 → 15.
-        assert_eq!(p, 15);
-        // A spike raises the peak immediately.
-        s.observe_map(1, 1000, 600);
-        assert!(s.map_prediction(1, 1000).unwrap() >= 600);
-        // The prediction never exceeds the n_max bound itself.
-        assert!(s.map_prediction(1, 10).unwrap() <= 10);
+        assert!(e.value > 10.0 && e.value < 20.0);
     }
 
     #[test]
@@ -378,50 +147,17 @@ mod tests {
         let s = ObservedStats::new();
         let k = join_key(7, 8);
         for _ in 0..MIN_SAMPLES {
-            s.observe_join(k, JoinStrategy::LayerIndex, 1000, 1000, 5_000);
+            s.observe_join(k, JoinStrategy::LayerIndex, 1000, 5_000);
         }
         assert_eq!(s.join_costs(k), None, "naive side still cold");
         for _ in 0..MIN_SAMPLES {
-            s.observe_join(k, JoinStrategy::NaiveSelects, 1000, 1000, 20_000);
+            s.observe_join(k, JoinStrategy::NaiveSelects, 1000, 20_000);
         }
         let (lc, nc) = s.join_costs(k).unwrap();
         assert!(lc < nc, "layer measured cheaper per byte: {lc} vs {nc}");
-        let d = s.snapshot(k).unwrap();
-        assert_eq!(d.layer_bytes_ratio.samples(), MIN_SAMPLES);
-        assert!((d.layer_bytes_ratio.value() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn counters_are_keyed_and_totaled() {
-        let s = ObservedStats::new();
-        s.count_decision(Some(1), Decision::MapOnePass);
-        s.count_decision(Some(2), Decision::MapOnePass);
-        s.count_decision(None, Decision::JoinLayerIndex);
-        s.count_misprediction(Some(1), Decision::MapOnePass);
-        let (dec, mis) = s.counters_for(&[1]);
-        assert_eq!(dec[Decision::MapOnePass.idx()], 1);
-        assert_eq!(mis[Decision::MapOnePass.idx()], 1);
-        let (dec, _) = s.counters_for(&[1, 2]);
-        assert_eq!(dec[Decision::MapOnePass.idx()], 2);
-        // Unscoped decisions still reach the engine totals.
-        let (tdec, tmis) = s.totals();
-        assert_eq!(tdec[Decision::JoinLayerIndex.idx()], 1);
-        assert_eq!(tdec[Decision::MapOnePass.idx()], 2);
-        assert_eq!(tmis[Decision::MapOnePass.idx()], 1);
-    }
-
-    #[test]
-    fn scope_nests_lifo() {
-        assert_eq!(current(), None);
-        let g1 = scope(10);
-        assert_eq!(current(), Some(10));
-        {
-            let _g2 = scope(20);
-            assert_eq!(current(), Some(20));
-        }
-        assert_eq!(current(), Some(10));
-        drop(g1);
-        assert_eq!(current(), None);
+        assert_eq!((lc, nc), (5.0, 20.0));
+        // Costs are keyed by the dataset pair: the reversed pair is cold.
+        assert_eq!(s.join_costs(join_key(8, 7)), None);
     }
 
     #[test]

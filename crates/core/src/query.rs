@@ -82,7 +82,6 @@ impl QueryResult {
 /// infallible, which is what makes it (with [`run_join`]) the oracle the
 /// differential suites compare every other path against.
 pub fn run_select(spade: &Spade, data: &Dataset, q: &SelectQuery) -> QueryOutput<QueryResult> {
-    let _stat_scope = crate::optimizer::stats::scope(data.uid());
     match q {
         SelectQuery::Intersects(poly) => {
             crate::select::select(spade, data, poly).map(QueryResult::Ids)
@@ -109,8 +108,6 @@ pub fn run_join(
     d2: &Dataset,
     q: &JoinQuery,
 ) -> QueryOutput<QueryResult> {
-    let _stat_scope =
-        crate::optimizer::stats::scope(crate::optimizer::stats::join_key(d1.uid(), d2.uid()));
     match q {
         JoinQuery::Intersects => crate::join::join(spade, d1, d2).map(QueryResult::Pairs),
         JoinQuery::WithinDistance(r) => {

@@ -393,10 +393,10 @@ impl ResultCache {
             };
             // The render runs inside a nested plan report so its optimizer
             // decisions can be stored with the entry and replayed on hits;
-            // `finish` folds them into any outer `EXPLAIN` report as before.
-            crate::explain::begin();
+            // `finish` folds them into any outer report as before.
+            let report = crate::explain::open();
             let outcome = compute.take().expect("leader role reached once")();
-            let report = Arc::new(crate::explain::finish());
+            let report = Arc::new(report.finish());
             return match outcome {
                 Ok((result, mut stats)) => {
                     let result = Arc::new(result);

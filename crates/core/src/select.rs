@@ -325,10 +325,7 @@ fn contained_mem(
 pub(crate) struct CellWalk<'a> {
     pub view: ReadView<'a>,
     scope: CellScope,
-    uid: u64,
     hulls: Vec<PreparedPolygon>,
-    /// Map decisions made under the walk are attributed to its dataset.
-    _stats: crate::optimizer::stats::ScopeGuard,
 }
 
 impl<'a> CellWalk<'a> {
@@ -341,13 +338,7 @@ impl<'a> CellWalk<'a> {
         let view = data.read_view();
         crate::explain::note_view(&view);
         let hulls = view.prepared_hulls(view.slots(scope.include_delta), polygon_time);
-        Ok(CellWalk {
-            view,
-            scope,
-            uid: data.uid(),
-            hulls,
-            _stats: crate::optimizer::stats::scope(data.uid()),
-        })
+        Ok(CellWalk { view, scope, hulls })
     }
 
     /// The slots the scope sees: its cells, and the delta it owns.
@@ -388,7 +379,6 @@ impl<'a> CellWalk<'a> {
             &ctx.cancel,
             |cell| {
                 let _cell = spade.device.charge(cell.bytes);
-                spade.observed.observe_cell_load(self.uid, cell.bytes);
                 refine(&cell.data);
                 Ok(())
             },

@@ -79,17 +79,6 @@ pub fn finish() -> FrameTotals {
     })
 }
 
-/// Close the innermost frame and return its totals WITHOUT folding them
-/// into the parent frame. The global accumulators already saw the work
-/// (they always do); this drops it from the per-query attribution only.
-/// Used for speculative work that was thrown away — e.g. a 1-pass Map
-/// attempt whose result-size estimate proved wrong — so the query's stats
-/// report the work that produced its answer, not the wasted attempt.
-/// Returns zeros if no frame is open.
-pub fn discard() -> FrameTotals {
-    FRAMES.with(|f| f.borrow_mut().pop().unwrap_or_default())
-}
-
 fn with_top(apply: impl FnOnce(&mut FrameTotals)) {
     FRAMES.with(|f| {
         if let Some(top) = f.borrow_mut().last_mut() {
@@ -200,25 +189,5 @@ mod tests {
     #[test]
     fn finish_without_begin_is_zero() {
         assert_eq!(finish(), FrameTotals::default());
-    }
-
-    #[test]
-    fn discarded_frame_does_not_fold_into_parent() {
-        let stats = PipelineStats::new();
-        begin();
-        stats.add_draw_call();
-        begin();
-        stats.add_draw_call();
-        stats.add_fragments(9);
-        let wasted = discard();
-        let outer = finish();
-        // The discarded frame reported its own work...
-        assert_eq!(wasted.gpu.draw_calls, 1);
-        assert_eq!(wasted.gpu.fragments, 9);
-        // ...but the parent never saw it.
-        assert_eq!(outer.gpu.draw_calls, 1);
-        assert_eq!(outer.gpu.fragments, 0);
-        // The global accumulator still counted everything.
-        assert_eq!(stats.snapshot().draw_calls, 2);
     }
 }

@@ -18,6 +18,8 @@
 //! is unchanged.
 
 use crate::request::ServiceError;
+use spade_core::optimizer::JoinStrategy;
+use spade_core::{CacheOutcome, PlanReport};
 use spade_storage::Database;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -44,7 +46,17 @@ pub struct NamespaceConfig {
     pub token: Option<String>,
 }
 
-/// Per-tenant admission and outcome counters, rendered with a
+/// The optimizer decisions a tenant's counters distinguish, as their
+/// `decision="…"` label values; [`TenantStats::decisions`] and
+/// [`TenantStats::mispredictions`] are indexed alike.
+pub const DECISIONS: [&str; 4] = [
+    "map_one_pass",
+    "map_two_pass",
+    "join_layer_index",
+    "join_naive_selects",
+];
+
+/// Per-tenant admission, outcome and optimizer counters, rendered with a
 /// `tenant="…"` label by [`crate::QueryService::metrics_text`].
 #[derive(Debug, Default)]
 pub struct TenantStats {
@@ -56,6 +68,39 @@ pub struct TenantStats {
     /// Times an admission scan skipped one of this tenant's queued queries
     /// because the tenant was at its quota (other tenants proceeded).
     pub quota_deferrals: AtomicU64,
+    /// Optimizer decisions this tenant's queries made, by [`DECISIONS`].
+    pub decisions: [AtomicU64; 4],
+    /// Those decisions hindsight proved wrong: 2-pass Maps whose result
+    /// fit the 1-pass canvas, join strategies the actuals overturned.
+    pub mispredictions: [AtomicU64; 4],
+}
+
+impl TenantStats {
+    /// Count the decisions of one job's plan report. A reply served from
+    /// the result cache (HIT or COALESCED) counts nothing: the render that
+    /// produced it counted its decisions already.
+    pub(crate) fn count_plan(&self, plan: &PlanReport) {
+        let served = |c: CacheOutcome| matches!(c, CacheOutcome::Hit | CacheOutcome::CoalescedHit);
+        if plan.cache.is_some_and(|c| served(c.outcome)) {
+            return;
+        }
+        let add = |counters: &[AtomicU64; 4], i: usize, n: u64| {
+            counters[i].fetch_add(n, Ordering::Relaxed);
+        };
+        if let Some(m) = &plan.map {
+            add(&self.decisions, 0, m.one_pass);
+            add(&self.decisions, 1, m.two_pass);
+            add(&self.mispredictions, 1, m.overshoots);
+        }
+        if let Some(j) = &plan.join {
+            let i = match j.strategy {
+                JoinStrategy::LayerIndex => 2,
+                JoinStrategy::NaiveSelects => 3,
+            };
+            add(&self.decisions, i, 1);
+            add(&self.mispredictions, i, j.mispredicted as u64);
+        }
+    }
 }
 
 /// One tenant of the service. Internal: sessions hold an `Arc` of this and

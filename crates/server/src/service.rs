@@ -20,7 +20,9 @@ use crate::metrics::{
     render_counter, render_gauge, render_labeled_counter, render_labeled_gauge, render_scalars,
     MetricsRegistry,
 };
-use crate::namespace::{validate_name, Namespace, NamespaceConfig, DEFAULT_NAMESPACE};
+use crate::namespace::{
+    validate_name, Namespace, NamespaceConfig, TenantStats, DECISIONS, DEFAULT_NAMESPACE,
+};
 use crate::request::{QueryRequest, QueryResponse, ResponsePayload, ServiceError};
 use crate::stats::{ServiceSnapshot, ServiceStats};
 use spade_core::cancel::CancelToken;
@@ -359,15 +361,10 @@ impl QueryService {
         let wal_key = ns.wal_key(&name);
         if let Some(pending) = self.shared.pending.lock().unwrap().remove(&wal_key) {
             let floor = data.checkpoint_seq();
-            for rec in &pending.ops {
-                if rec.seq <= floor {
-                    continue; // already folded into the persisted index
-                }
-                match &rec.op {
-                    WalOp::Insert { id, geom } => data.insert_at(rec.seq, *id, geom.clone()),
-                    WalOp::Delete { id } => data.delete_at(rec.seq, *id),
-                    WalOp::Checkpoint { .. } => {}
-                }
+            // Records at or below the floor are folded into the persisted
+            // index already.
+            for rec in pending.ops.into_iter().filter(|rec| rec.seq > floor) {
+                stage(&data, Some(rec.seq), rec.op);
             }
         }
         self.shared
@@ -629,54 +626,23 @@ impl QueryService {
                 );
             }
         }
-        // Per-tenant optimizer decision and misprediction counters,
-        // aggregated from the engine's observed statistics: a tenant owns
-        // the counters keyed by its datasets' uids plus every pairwise
-        // join key over them (joins attribute their statistics to the
-        // dataset pair). Namespaces isolate the aggregation — one tenant's
-        // decisions never appear under another's labels.
-        use spade_core::optimizer::stats::{join_key, Decision};
-        // (tenant id, dataset uid): each registry is read once per scrape.
-        let mut owned: Vec<(u64, u64)> = Vec::new();
-        for ((tid, _), d) in self.shared.datasets.read().unwrap().iter() {
-            owned.push((*tid, d.uid()));
-        }
-        for ((tid, _), d) in self.shared.indexed.read().unwrap().iter() {
-            owned.push((*tid, d.uid()));
-        }
-        // One [decisions, mispredictions] snapshot per tenant per scrape.
-        let observed: Vec<[[u64; 4]; 2]> = tenants
-            .iter()
-            .map(|ns| {
-                let uids = owned.iter().filter(|(tid, _)| *tid == ns.id());
-                let uids: Vec<u64> = uids.map(|&(_, uid)| uid).collect();
-                let mut keys = uids.clone();
-                for &a in &uids {
-                    keys.extend(uids.iter().map(|&b| join_key(a, b)));
-                }
-                let (dec, mis) = self.shared.spade.observed.counters_for(&keys);
-                [dec, mis]
-            })
-            .collect();
-        let optimizer = [
-            (
-                "spade_optimizer_decisions_total",
-                "Optimizer decisions (Map implementation, join strategy) on this tenant's datasets.",
-            ),
-            (
-                "spade_optimizer_mispredictions_total",
-                "Optimizer decisions hindsight proved wrong (1-pass overflows, 2-pass overshoots, join strategy flips).",
-            ),
+        // Per-tenant optimizer decision and misprediction counters, one
+        // sample per decision label, counted from each job's plan report.
+        type TenantDecisions = fn(&TenantStats) -> &[AtomicU64; 4];
+        #[rustfmt::skip]
+        let optimizer: [(&str, &str, TenantDecisions); 2] = [
+            ("spade_optimizer_decisions_total", "Optimizer decisions (Map implementation, join strategy) on this tenant's datasets.", |s| &s.decisions),
+            ("spade_optimizer_mispredictions_total", "Optimizer decisions hindsight proved wrong (2-pass overshoots, join strategy flips).", |s| &s.mispredictions),
         ];
-        for (family, (name, help)) in optimizer.into_iter().enumerate() {
-            for (i, (ns, counts)) in tenants.iter().zip(&observed).enumerate() {
-                for (j, d) in Decision::ALL.iter().enumerate() {
+        for (name, help, counts) in optimizer {
+            for (i, ns) in tenants.iter().enumerate() {
+                for (j, (decision, n)) in DECISIONS.iter().zip(counts(&ns.stats)).enumerate() {
                     render_labeled_counter(
                         &mut out,
                         name,
                         help,
-                        &[("tenant", ns.name()), ("decision", d.label())],
-                        counts[family][j],
+                        &[("tenant", ns.name()), ("decision", decision)],
+                        n.load(Ordering::Relaxed),
                         i == 0 && j == 0,
                     );
                 }
@@ -971,8 +937,10 @@ fn worker_loop(shared: &Shared) {
 
         // A panic below must not take the reservations, the session's
         // running slot, the ticket and this worker down with it: it
-        // becomes the query's in-band error and the loop goes on.
+        // becomes the query's in-band error and the loop goes on. The
+        // job's plan report counts its optimizer decisions for its tenant.
         let t0 = Instant::now();
+        let report = spade_core::explain::open();
         let run = || execute(shared, &job.ns, &job.request, &job.cancel);
         let outcome = catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|panic| {
             shared.worker_panics.fetch_add(1, Ordering::Relaxed);
@@ -982,6 +950,7 @@ fn worker_loop(shared: &Shared) {
             let what = format!("internal error: query execution panicked: {what}");
             Err(ServiceError::Storage(spade_storage::StorageError::Io(what)))
         });
+        job.ns.stats.count_plan(&report.finish());
         let exec_time = t0.elapsed();
 
         shared.admission.release(job.footprint);
@@ -1230,11 +1199,11 @@ fn execute(
 }
 
 /// Routes SQL `INSERT` statements into registered spatial datasets through
-/// the same WAL + delta-store path as typed [`QueryRequest::Insert`]s. A
-/// spatial table row is `(id INT, x, y)`; tables not registered as indexed
-/// datasets pass through untouched. The callback fires before the rows
-/// land in the relational table, so the WAL append is the durability point
-/// for both representations.
+/// the [`write`] path of typed [`QueryRequest::Insert`]s, backpressure and
+/// compaction signal included. A spatial table row is `(id INT, x, y)`;
+/// tables not registered as indexed datasets pass through untouched. The
+/// callback fires before the rows land in the relational table, so the WAL
+/// append is the durability point for both representations.
 struct SpatialInsertObserver<'a> {
     shared: &'a Shared,
     ns: &'a Arc<Namespace>,
@@ -1251,43 +1220,16 @@ impl spade_storage::sql::SqlObserver for SpatialInsertObserver<'_> {
         };
         // Parse every row before touching the WAL: a malformed row aborts
         // the whole statement with nothing made durable or visible.
-        let parsed: Vec<(u32, spade_geometry::Geometry)> = rows
-            .iter()
+        let ops = (rows.iter())
             .map(|row| spatial_row(table, row))
             .collect::<spade_storage::Result<_>>()?;
-        match &self.shared.wal {
-            Some(wal) => {
-                // Batch append + stage under one WAL critical section (see
-                // the `Shared::wal` invariant); one fsync for the statement.
-                let mut wal = wal.lock().unwrap();
-                let ops = parsed
-                    .iter()
-                    .map(|(id, geom)| WalOp::Insert {
-                        id: *id,
-                        geom: geom.clone(),
-                    })
-                    .collect();
-                let seqs = wal.append_batch(&self.ns.wal_key(table), ops)?;
-                for (seq, (id, geom)) in seqs.into_iter().zip(parsed) {
-                    idx.insert_at(seq, id, geom);
-                }
-            }
-            None => {
-                for (id, geom) in parsed {
-                    idx.insert(id, geom);
-                }
-            }
-        }
-        Ok(())
+        write(self.shared, self.ns, table, &idx, ops).map(drop)
     }
 }
 
-/// Interpret one relational row destined for a spatial table: column 0 is
-/// the object id, columns 1–2 the point coordinates.
-fn spatial_row(
-    table: &str,
-    row: &[spade_storage::Value],
-) -> spade_storage::Result<(u32, spade_geometry::Geometry)> {
+/// Interpret one relational row destined for a spatial table as the insert
+/// it logs: column 0 is the object id, columns 1–2 the point coordinates.
+fn spatial_row(table: &str, row: &[spade_storage::Value]) -> spade_storage::Result<WalOp> {
     use spade_storage::Value;
     let num = |v: &Value| -> Option<f64> {
         match v {
@@ -1297,13 +1239,15 @@ fn spatial_row(
         }
     };
     match row {
-        [Value::Int(id), x, y] if num(x).is_some() && num(y).is_some() && *id >= 0 => Ok((
-            *id as u32,
-            spade_geometry::Geometry::Point(spade_geometry::Point::new(
-                num(x).unwrap(),
-                num(y).unwrap(),
-            )),
-        )),
+        [Value::Int(id), x, y] if num(x).is_some() && num(y).is_some() && *id >= 0 => {
+            Ok(WalOp::Insert {
+                id: *id as u32,
+                geom: spade_geometry::Geometry::Point(spade_geometry::Point::new(
+                    num(x).unwrap(),
+                    num(y).unwrap(),
+                )),
+            })
+        }
         _ => Err(spade_storage::StorageError::Parse(format!(
             "table '{table}' is a registered spatial dataset; INSERT rows must be (id INT, x, y)"
         ))),
@@ -1349,108 +1293,106 @@ fn resolve(shared: &Shared, ns: &Namespace, name: &str) -> Result<Registered, Se
     }
 }
 
-/// Execute one write request. The write path is: (1) backpressure — if the
-/// staged delta already exceeds `delta_max_bytes`, compact synchronously on
-/// the writer's worker before admitting more debt; (2) WAL append (the
-/// durability point — `wal_sync` decides whether the append fsyncs); (3)
-/// stage into the delta store, which makes the write visible to queries;
-/// (4) if the delta crossed `compact_trigger_bytes`, signal the background
-/// compactor. Without a WAL the service sequences writes itself and skips
-/// the durability step.
+/// Execute one write request: an insert or delete takes the [`write`]
+/// path; a flush syncs the WAL and compacts now.
 fn execute_write(
     shared: &Shared,
     ns: &Arc<Namespace>,
     request: &QueryRequest,
 ) -> Result<(ResponsePayload, QueryStats), ServiceError> {
-    match request {
+    let (dataset, op) = match request {
         QueryRequest::Insert {
             dataset,
             id,
             geometry,
-        } => {
-            let idx = resolve(shared, ns, dataset)?.indexed(dataset)?;
-            backpressure(shared, ns, dataset, &idx)?;
-            let seq = match &shared.wal {
-                Some(wal) => {
-                    // Append and stage under one WAL critical section (see
-                    // the `Shared::wal` invariant).
-                    let mut wal = wal.lock().unwrap();
-                    let seq = wal.append(
-                        &ns.wal_key(dataset),
-                        WalOp::Insert {
-                            id: *id,
-                            geom: geometry.clone(),
-                        },
-                    )?;
-                    idx.insert_at(seq, *id, geometry.clone());
-                    seq
-                }
-                None => idx.insert(*id, geometry.clone()),
-            };
-            let stats = idx.delta_stats();
-            maybe_signal_compactor(shared, ns, dataset, stats.bytes);
-            Ok((
-                ResponsePayload::Ack {
-                    seq,
-                    generation: stats.generation,
-                },
-                QueryStats::default(),
-            ))
-        }
-        QueryRequest::Delete { dataset, id } => {
-            let idx = resolve(shared, ns, dataset)?.indexed(dataset)?;
-            backpressure(shared, ns, dataset, &idx)?;
-            let seq = match &shared.wal {
-                Some(wal) => {
-                    let mut wal = wal.lock().unwrap();
-                    let seq = wal.append(&ns.wal_key(dataset), WalOp::Delete { id: *id })?;
-                    idx.delete_at(seq, *id);
-                    seq
-                }
-                None => idx.delete(*id),
-            };
-            let stats = idx.delta_stats();
-            maybe_signal_compactor(shared, ns, dataset, stats.bytes);
-            Ok((
-                ResponsePayload::Ack {
-                    seq,
-                    generation: stats.generation,
-                },
-                QueryStats::default(),
-            ))
-        }
+        } => (
+            dataset,
+            WalOp::Insert {
+                id: *id,
+                geom: geometry.clone(),
+            },
+        ),
+        QueryRequest::Delete { dataset, id } => (dataset, WalOp::Delete { id: *id }),
         QueryRequest::Flush { dataset } => {
             let idx = resolve(shared, ns, dataset)?.indexed(dataset)?;
             if let Some(wal) = &shared.wal {
                 wal.lock().unwrap().sync()?;
             }
             compact_now(shared, ns, dataset, &idx)?;
-            let stats = idx.delta_stats();
-            Ok((
-                ResponsePayload::Ack {
-                    seq: idx.checkpoint_seq(),
-                    generation: stats.generation,
-                },
-                QueryStats::default(),
-            ))
+            let ack = ResponsePayload::Ack {
+                seq: idx.checkpoint_seq(),
+                generation: idx.delta_stats().generation,
+            };
+            return Ok((ack, QueryStats::default()));
         }
         other => unreachable!("execute_write on non-write request {:?}", other.class()),
-    }
+    };
+    let idx = resolve(shared, ns, dataset)?.indexed(dataset)?;
+    Ok((
+        write(shared, ns, dataset, &idx, vec![op])?,
+        QueryStats::default(),
+    ))
 }
 
-/// Writer backpressure: a write against a delta already at or over
-/// `delta_max_bytes` pays for compaction synchronously instead of growing
-/// the debt without bound.
-fn backpressure(
+/// The one write path, for typed writes and SQL `INSERT`s alike: (1)
+/// backpressure — a delta already at or over `delta_max_bytes` compacts
+/// synchronously on the writer's worker before admitting more debt; (2)
+/// WAL append, the durability point (`wal_sync` decides whether a single
+/// append fsyncs; several ops are one batch with one fsync); (3) stage into
+/// the delta store, which makes the writes visible to queries; (4) past
+/// `compact_trigger_bytes`, signal the background compactor. (2) and (3)
+/// share one WAL critical section (the `Shared::wal` invariant); without a
+/// WAL the dataset sequences the writes itself. Acks the last op.
+fn write(
     shared: &Shared,
     ns: &Arc<Namespace>,
     dataset: &str,
     idx: &Arc<IndexedDataset>,
-) -> Result<(), ServiceError> {
+    ops: Vec<WalOp>,
+) -> spade_storage::Result<ResponsePayload> {
     if idx.delta_stats().bytes >= shared.spade.config.delta_max_bytes {
         compact_now(shared, ns, dataset, idx)?;
     }
-    Ok(())
+    let seqs: Vec<u64> = match &shared.wal {
+        Some(wal) => {
+            let mut wal = wal.lock().unwrap();
+            let key = ns.wal_key(dataset);
+            let seqs = match &ops[..] {
+                [op] => vec![wal.append(&key, op.clone())?],
+                _ => wal.append_batch(&key, ops.clone())?,
+            };
+            for (&seq, op) in seqs.iter().zip(ops) {
+                stage(idx, Some(seq), op);
+            }
+            seqs
+        }
+        None => ops.into_iter().map(|op| stage(idx, None, op)).collect(),
+    };
+    let stats = idx.delta_stats();
+    maybe_signal_compactor(shared, ns, dataset, stats.bytes);
+    Ok(ResponsePayload::Ack {
+        seq: seqs.last().copied().unwrap_or_default(),
+        generation: stats.generation,
+    })
+}
+
+/// Stage one logged op into the delta store at its WAL sequence, or — with
+/// no WAL (`None`) — at the next sequence the dataset assigns; returns the
+/// sequence. A checkpoint stages nothing.
+fn stage(idx: &IndexedDataset, seq: Option<u64>, op: WalOp) -> u64 {
+    match (op, seq) {
+        (WalOp::Insert { id, geom }, Some(seq)) => {
+            idx.insert_at(seq, id, geom);
+            seq
+        }
+        (WalOp::Insert { id, geom }, None) => idx.insert(id, geom),
+        (WalOp::Delete { id }, Some(seq)) => {
+            idx.delete_at(seq, id);
+            seq
+        }
+        (WalOp::Delete { id }, None) => idx.delete(id),
+        (WalOp::Checkpoint { .. }, seq) => seq.unwrap_or_default(),
+    }
 }
 
 /// Run one compaction of `idx` and account for it: fold the report into
@@ -1465,7 +1407,7 @@ fn compact_now(
     ns: &Arc<Namespace>,
     dataset: &str,
     idx: &Arc<IndexedDataset>,
-) -> Result<(), ServiceError> {
+) -> spade_storage::Result<()> {
     let report = idx.compact(shared.spade.config.max_cell_bytes)?;
     if let Some(report) = report {
         shared.metrics.compact_runs.add(1);
@@ -1568,9 +1510,9 @@ fn explain(
         };
         return Ok((ResponsePayload::Explain(text), QueryStats::default()));
     }
-    spade_core::explain::begin();
+    let report = spade_core::explain::open();
     let outcome = execute(shared, ns, request, cancel);
-    let report = spade_core::explain::finish();
+    let report = report.finish();
     let (_, stats) = outcome?;
     let mut text = format!(
         "{} {}\n",

@@ -275,6 +275,40 @@ fn sql_insert_with_wrong_shape_is_rejected() {
     );
 }
 
+/// SQL `INSERT`s into a spatial dataset take the typed writes' path,
+/// backpressure included: once the staged delta reaches `delta_max_bytes`,
+/// the next statement compacts before it stages, so a stream of SQL writes
+/// cannot grow the delta without bound.
+#[test]
+fn sql_inserts_pay_backpressure() {
+    let wal_dir = tmp("sqlbp-wal");
+    let idx_dir = tmp("sqlbp-idx");
+    // The background compactor never fires: any compaction is backpressure.
+    let mut cfg = no_compact_config();
+    cfg.delta_max_bytes = 256;
+    let svc = QueryService::new(svc_config(cfg, &wal_dir));
+    svc.register_indexed("pts", build_disk_points(&idx_dir));
+    let session = svc.session();
+    let sql = |stmt: String| {
+        (session.submit(QueryRequest::Sql(stmt)).wait()).expect("sql succeeds");
+    };
+    sql("CREATE TABLE pts (id INT, x FLOAT, y FLOAT)".into());
+    for i in 0..40u32 {
+        sql(format!("INSERT INTO pts VALUES ({}, {i}.5, 7.0)", 9400 + i));
+    }
+    let text = svc.metrics_text();
+    let runs: u64 = (text.lines())
+        .find_map(|l| l.strip_prefix("spade_compact_runs_total "))
+        .and_then(|v| v.parse().ok())
+        .expect("compaction counter rendered");
+    assert!(runs > 0, "SQL writes never paid backpressure:\n{text}");
+    let ids = ids_of(&svc, everything());
+    assert!(
+        (9400..9440).all(|id| ids.contains(&id)),
+        "a SQL write was lost"
+    );
+}
+
 /// Many writers race explicit flushes. Whatever interleaving of WAL
 /// appends, delta drains, and checkpoints the race produces, every
 /// acknowledged write must be visible immediately and after a restart —

@@ -1,10 +1,11 @@
 //! Optimizer statistics through the service: per-tenant decision and
 //! misprediction counters in the metrics exposition, namespace isolation
-//! of those counters, and the EXPLAIN ANALYZE would-have-chosen line.
+//! of those counters, cache hits that count nothing, and the EXPLAIN
+//! ANALYZE would-have-chosen line.
 
 use spade_core::dataset::{Dataset, DatasetKind, IndexedDataset};
 use spade_core::query::SelectQuery;
-use spade_core::EngineConfig;
+use spade_core::{CacheOutcome, EngineConfig};
 use spade_datagen::spider;
 use spade_geometry::{BBox, Point};
 use spade_index::GridIndex;
@@ -115,6 +116,37 @@ fn optimizer_counters_exported_per_tenant_and_isolated() {
         );
         assert_eq!(v, 0, "globex never queried ({d}):\n{metrics}");
     }
+}
+
+/// A reply served from the result cache counts no decisions: its plan
+/// report replays the render's, which counted when it ran.
+#[test]
+fn cache_hit_counts_no_decisions() {
+    let svc = QueryService::new(ServiceConfig {
+        engine: tiny_config(),
+        workers: 1,
+        fairness_cap: 2,
+        wal_dir: None,
+    });
+    svc.create_namespace("acme", NamespaceConfig::default())
+        .unwrap();
+    svc.register_indexed_in("acme", "pts", indexed("pts", scatter(2_000, 100.0, 4)))
+        .unwrap();
+    let acme = svc.session_in("acme", None).unwrap();
+    let two_pass = || {
+        sample(
+            &svc.metrics_text(),
+            "spade_optimizer_decisions_total",
+            &["tenant=\"acme\"", "decision=\"map_two_pass\""],
+        )
+    };
+    let first = acme.submit(range(30.0, 36.0)).wait().unwrap();
+    assert_eq!(first.stats.result_cache, CacheOutcome::Miss);
+    let rendered = two_pass();
+    assert!(rendered > 0, "the render ran 2-pass maps");
+    let second = acme.submit(range(30.0, 36.0)).wait().unwrap();
+    assert_eq!(second.stats.result_cache, CacheOutcome::Hit);
+    assert_eq!(two_pass(), rendered, "the HIT counted the render again");
 }
 
 #[test]

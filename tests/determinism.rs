@@ -9,7 +9,10 @@
 use spade::datagen::{spider, urban};
 use spade::engine::dataset::{Dataset, DatasetKind, IndexedDataset};
 use spade::engine::distance::DistanceConstraint;
-use spade::engine::{aggregate, distance, join, knn, select, EngineConfig, QueryCtx, Spade};
+use spade::engine::optimizer::{stats::MIN_SAMPLES, JoinStrategy};
+use spade::engine::{
+    aggregate, distance, explain, join, knn, select, EngineConfig, QueryCtx, Spade,
+};
 use spade::geometry::{BBox, Point};
 use spade::index::GridIndex;
 
@@ -181,35 +184,50 @@ fn all_query_families_byte_identical_across_worker_counts() {
     }
 }
 
-/// Adaptive statistics must be invisible in result bytes. With a small
-/// 1-pass budget the optimizer's choices actually differ between the two
-/// engines once observations warm up (the adaptive engine shrinks 1-pass
-/// canvases and flips join strategies), yet three warm rounds of all five
-/// query families must stay byte-identical to the cold static engine —
-/// adaptivity may only re-route work, never change answers.
+/// The join strategy must be invisible in result bytes: an engine pinned
+/// to the layer-index join, one pinned to the naive selects, and a free
+/// engine whose adaptive choice was calibrated on both run three rounds of
+/// all five query families at a small 1-pass budget, byte-identically —
+/// the optimizer may only re-route work, never change answers.
 #[test]
-fn adaptive_stats_on_off_byte_identical() {
+fn forced_and_adaptive_join_strategies_byte_identical() {
     let f = Fixture::build();
-    let cfg = |adaptive| EngineConfig {
-        workers: 2,
-        max_map_slots: 64,
-        adaptive_stats: adaptive,
-        ..EngineConfig::test_small()
+    let engine = || {
+        Spade::new(EngineConfig {
+            workers: 2,
+            max_map_slots: 64,
+            ..EngineConfig::test_small()
+        })
     };
-    let on = Spade::new(cfg(true));
-    let off = Spade::new(cfg(false));
-    for round in 0..3 {
-        let a = run_suite(&on, &f);
-        let b = run_suite(&off, &f);
-        assert_eq!(a, b, "adaptive stats changed result bytes at round {round}");
+    let (layer, naive, free) = (engine(), engine(), engine());
+    layer
+        .observed
+        .set_join_override(Some(JoinStrategy::LayerIndex));
+    naive
+        .observed
+        .set_join_override(Some(JoinStrategy::NaiveSelects));
+    let join = |spade: &Spade| {
+        join::join_indexed(spade, &f.parcels_idx, &f.pts_idx, &QueryCtx::default()).unwrap()
+    };
+    // Calibrate: forced runs warm the free engine's cost of both strategies.
+    for forced in [JoinStrategy::LayerIndex, JoinStrategy::NaiveSelects] {
+        free.observed.set_join_override(Some(forced));
+        for _ in 0..MIN_SAMPLES {
+            join(&free);
+        }
     }
-    // The comparison is vacuous unless the adaptive engine actually made
-    // decisions from its observations.
-    let (decisions, _) = on.observed.totals();
-    assert!(
-        decisions.iter().sum::<u64>() > 0,
-        "adaptive engine recorded no optimizer decisions"
-    );
+    free.observed.set_join_override(None);
+    for round in 0..3 {
+        let want = run_suite(&layer, &f);
+        assert_eq!(run_suite(&naive, &f), want, "naive join at round {round}");
+        assert_eq!(run_suite(&free, &f), want, "adaptive join at round {round}");
+    }
+    // The comparison is vacuous unless the free engine decided from its
+    // observations.
+    let report = explain::open();
+    join(&free);
+    let decision = report.finish().join.expect("join plan reported");
+    assert!(decision.adaptive, "calibrated engine decided statically");
 }
 
 /// The batched kernels must be invisible in result bytes: with
