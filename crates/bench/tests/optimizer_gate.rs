@@ -19,7 +19,7 @@
 use spade_core::dataset::{DatasetKind, IndexedDataset};
 use spade_core::optimizer::stats::MIN_SAMPLES;
 use spade_core::optimizer::JoinStrategy;
-use spade_core::{explain, join, EngineConfig, QueryCtx, Spade};
+use spade_core::{join, EngineConfig, QueryCtx, Spade};
 use spade_datagen::spider;
 use spade_geometry::{Geometry, Polygon};
 use spade_index::GridIndex;
@@ -91,9 +91,8 @@ fn gate(
     }
 
     // The decision under test must come from warm observations.
-    let report = explain::open();
-    join::join_indexed(spade, left, right, &QueryCtx::default()).expect("join");
-    let j = report.finish().join.expect("join plan reported");
+    let out = join::join_indexed(spade, left, right, &QueryCtx::default()).expect("join");
+    let j = out.stats.plan.join.expect("join plan reported");
     assert!(
         j.adaptive,
         "{name}: both strategies calibrated, decision must be adaptive"

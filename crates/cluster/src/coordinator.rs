@@ -166,7 +166,7 @@ impl ClusterClient {
     }
 
     /// Execute one request against the cluster. Selections and the
-    /// pair-routed joins ([`pair_family`]) scatter when a shard map exists;
+    /// pair-routed joins (`pair_family`) scatter when a shard map exists;
     /// writes broadcast; everything else routes to one worker.
     pub fn query(&self, request: &QueryRequest) -> Result<QueryResponse, ClusterError> {
         match request {

@@ -221,7 +221,7 @@ pub fn aggregate_indexed(
     let n = result.len() as u64;
     qspan.attr("polygons", n);
     qspan.attr("cells", stream.cells);
-    let stats = measure.finish_streamed(spade, &stream, polygon_time, n);
+    let stats = measure.finish_streamed(spade, &stream, &walk.deltas, polygon_time, n);
     Ok(QueryOutput { result, stats })
 }
 

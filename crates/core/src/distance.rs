@@ -17,7 +17,7 @@ use crate::ctx::QueryCtx;
 use crate::dataset::{Dataset, IndexedDataset, ReadView};
 use crate::engine::{Constraint, Spade};
 use crate::join::{scan_points_for_pairs, PairWalk, Pairs};
-use crate::select::{finish_ids, select_points_mem, select_polygons_mem, CellWalk};
+use crate::select::{select_points_mem, select_polygons_mem, CellWalk};
 use crate::stats::QueryOutput;
 use spade_canvas::create::PreparedPolygon;
 use spade_canvas::distance as dcanvas;
@@ -136,7 +136,7 @@ pub fn distance_select_indexed(
     let stream = walk.run(spade, ctx, &c, &c, |cell| {
         ids.extend(select_points_mem(spade, &cell.as_points(), &c))
     })?;
-    Ok(finish_ids(spade, measure, qspan, polygon_time, ids, stream))
+    Ok(walk.finish_ids(spade, measure, qspan, polygon_time, ids, stream))
 }
 
 /// Pack disks into layers so no two disks in a layer overlap — the
@@ -307,7 +307,7 @@ pub(crate) fn hulls_within(
     pairs
 }
 
-/// Out-of-core type-1 distance join: a [`PairWalk`] over the cell pairs
+/// Out-of-core type-1 distance join: a `PairWalk` over the cell pairs
 /// whose hulls come within `r` of each other, refined by the type-1
 /// kernel on the two resident point cells and folded by extension, so the
 /// partials of a covering [`crate::scope::Scope::Pairs`] set concatenate.
@@ -334,7 +334,7 @@ pub fn distance_join_indexed(
     let n = pairs.len() as u64;
     qspan.attr("cells", stream.cells);
     qspan.attr("pairs", n);
-    let stats = measure.finish_streamed(spade, &stream, polygon_time, n);
+    let stats = measure.finish_streamed(spade, &stream, &walk.deltas, polygon_time, n);
     Ok(QueryOutput {
         result: pairs,
         stats,

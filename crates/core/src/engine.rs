@@ -1,6 +1,7 @@
 //! The engine object and shared query machinery.
 
 use crate::config::EngineConfig;
+use crate::explain::DeltaInfo;
 use crate::stats::QueryStats;
 use spade_canvas::canvas::CanvasLayer;
 use spade_canvas::create::{self, PreparedPolygon};
@@ -98,8 +99,8 @@ pub(crate) struct Measure {
 impl Measure {
     /// Close the measurement into a stats record. `disk_io` is the wall
     /// time spent in block loads, `disk_bytes` the bytes read, both
-    /// tracked by the caller; device transfers come from this query's own
-    /// recording frame, not the global ledger.
+    /// tracked by the caller; device transfers and the Map choices come
+    /// from this query's own recording frame, not the global ledger.
     pub(crate) fn finish(
         mut self,
         spade: &Spade,
@@ -123,6 +124,9 @@ impl Measure {
             result_count,
             ..Default::default()
         };
+        if frame.map != Default::default() {
+            stats.plan.map = Some(frame.map);
+        }
         // Include modeled device-transfer time in the wall total: on real
         // hardware the bus transfer is wall time; in simulation it is
         // accounting, so it is added on top of the measured elapsed time —
@@ -139,11 +143,13 @@ impl Measure {
 
     /// [`Measure::finish`] for an out-of-core query: disk I/O, bytes and
     /// cell count come from the cell stream, whose overlap accounting is
-    /// charged once the wall clock is closed.
+    /// charged once the wall clock is closed; `deltas` are the walk's
+    /// delta merges.
     pub(crate) fn finish_streamed(
         self,
         spade: &Spade,
         stream: &crate::prefetch::StreamStats,
+        deltas: &[DeltaInfo],
         polygon_time: std::time::Duration,
         result_count: u64,
     ) -> QueryStats {
@@ -156,6 +162,7 @@ impl Measure {
             result_count,
         );
         stream.charge(&mut stats);
+        stats.plan.deltas = deltas.to_vec();
         stats
     }
 }

@@ -14,6 +14,7 @@
 use crate::ctx::QueryCtx;
 use crate::dataset::{Dataset, DatasetKind, IndexedDataset, PreparedPolygonSet, ReadView};
 use crate::engine::{Constraint, Spade};
+use crate::explain::{DeltaInfo, JoinDecision};
 use crate::optimizer::{self, JoinStrategy};
 use crate::prefetch::StreamStats;
 use crate::select::{line_candidates, polygon_candidates, CandidateGeom};
@@ -349,6 +350,8 @@ pub(crate) struct PairWalk<'a> {
     /// slot)` entry per residency change, in pair order. The prefetcher
     /// reads ahead along it while the current pair refines.
     pub sequence: Vec<(usize, usize)>,
+    /// The views' delta merges, for the query's plan.
+    pub deltas: Vec<DeltaInfo>,
 }
 
 impl<'a> PairWalk<'a> {
@@ -368,8 +371,7 @@ impl<'a> PairWalk<'a> {
     ) -> spade_storage::Result<PairWalk<'a>> {
         let explicit = ctx.scope.pairs()?;
         let (view1, view2) = (d1.read_view(), d2.read_view());
-        crate::explain::note_view(&view1);
-        crate::explain::note_view(&view2);
+        let deltas = DeltaInfo::of_views(&[&view1, &view2]);
         let (n1, n2) = (view1.grid.num_cells() as u32, view2.grid.num_cells() as u32);
         let owned = ctx.scope.include_delta();
         let (end1, end2) = (view1.slots(owned).end, view2.slots(owned).end);
@@ -405,6 +407,7 @@ impl<'a> PairWalk<'a> {
             view2,
             cell_pairs,
             sequence,
+            deltas,
         })
     }
 
@@ -534,16 +537,6 @@ pub fn join_indexed(
         strategy = forced;
         adaptive = false;
     }
-    crate::explain::note_join(crate::explain::JoinDecision {
-        strategy,
-        layer_est_bytes: layer_est,
-        naive_est_bytes: naive_est,
-        cell_pairs: cell_pairs.len() as u64,
-        sequence_len: walk.sequence.len() as u64,
-        adaptive,
-        predicted_cost_nanos: predicted_cost,
-        ..crate::explain::JoinDecision::default()
-    });
 
     // The strategy applies to the pairs of two cells; a pair with a delta
     // on either side always takes the layer join.
@@ -602,12 +595,24 @@ pub fn join_indexed(
             (false, None)
         }
     };
-    crate::explain::note_join_actual(actual_bytes, actual_cost, mispredicted, would_have_chosen);
 
     let n = pairs.len() as u64;
     qspan.attr("cells", stream.cells);
     qspan.attr("pairs", n);
-    let stats = measure.finish_streamed(spade, &stream, polygon_time, n);
+    let mut stats = measure.finish_streamed(spade, &stream, &walk.deltas, polygon_time, n);
+    stats.plan.join = Some(JoinDecision {
+        strategy,
+        layer_est_bytes: layer_est,
+        naive_est_bytes: naive_est,
+        cell_pairs: cell_pairs.len() as u64,
+        sequence_len: walk.sequence.len() as u64,
+        adaptive,
+        predicted_cost_nanos: predicted_cost,
+        actual_bytes,
+        actual_cost_nanos: actual_cost,
+        mispredicted,
+        would_have_chosen,
+    });
     Ok(QueryOutput {
         result: pairs,
         stats,

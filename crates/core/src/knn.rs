@@ -10,11 +10,11 @@
 //! Both passes are per-cell kernels with distributive folds (a histogram
 //! sum, a candidate list), so the out-of-core plan is a count bound from
 //! the manifest plus two runs of the one cell walk
-//! ([`crate::select::CellWalk`]) under the same snapshot, and the
+//! (`select::CellWalk`) under the same snapshot, and the
 //! in-memory plan is the one-cell case: the same two kernels applied to
 //! the data set itself. The kNN join is the same recipe one arity up: a
 //! count bound per left cell, then two runs of the cell-pair walk
-//! ([`crate::join::PairWalk`]).
+//! (`join::PairWalk`).
 
 use crate::ctx::QueryCtx;
 use crate::dataset::{Dataset, IndexedDataset, ReadView};
@@ -188,7 +188,7 @@ fn count_bound(
 /// polled at every cell boundary of both passes.
 ///
 /// Under a cell scope the bound and both passes see only the slots of
-/// [`CellWalk::slots`], so the output is this scope's exact local top-k
+/// `CellWalk::slots`, so the output is this scope's exact local top-k
 /// by `(distance, id)`. Any member of the *global* top-k living in this
 /// scope is necessarily in the local top-k (fewer than `k` objects beat it
 /// anywhere), so concatenating per-scope results over a covering, disjoint
@@ -226,7 +226,7 @@ pub fn knn_select_indexed(
     let n = result.len() as u64;
     qspan.attr("cells", stream.cells);
     qspan.attr("results", n);
-    let stats = measure.finish_streamed(spade, &stream, polygon_time, n);
+    let stats = measure.finish_streamed(spade, &stream, &walk.deltas, polygon_time, n);
     Ok(QueryOutput { result, stats })
 }
 
@@ -384,7 +384,7 @@ pub fn knn_join_indexed(
     let n = result.len() as u64;
     qspan.attr("cells", stream.cells);
     qspan.attr("results", n);
-    let stats = measure.finish_streamed(spade, &stream, polygon_time, n);
+    let stats = measure.finish_streamed(spade, &stream, &walk.deltas, polygon_time, n);
     Ok(QueryOutput { result, stats })
 }
 

@@ -42,8 +42,8 @@
 //!   when disabled), threaded through every query family, the prefetch
 //!   producer and each pipeline pass.
 //! * [`explain`] — plan reports: the optimizer decisions a query made,
-//!   with estimated values to compare against the actuals in
-//!   [`stats::QueryStats`] (`EXPLAIN ANALYZE`).
+//!   carried on its [`stats::QueryStats`] as `plan` and rendered with the
+//!   estimated values next to the actuals (`EXPLAIN ANALYZE`).
 
 pub mod aggregate;
 pub mod cancel;

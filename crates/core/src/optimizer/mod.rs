@@ -24,6 +24,7 @@ pub mod stats;
 
 use crate::engine::Spade;
 use spade_canvas::algebra::{self, MapResult};
+use spade_gpu::record::MapDecisions;
 use spade_gpu::{DrawCall, Primitive};
 
 /// Which Map implementation to run.
@@ -43,9 +44,10 @@ pub fn choose_map_impl(spade: &Spade, n_max: usize) -> MapImpl {
     }
 }
 
-/// Execute a Map with the implementation [`choose_map_impl`] picks and note
-/// the choice in the plan report. A 2-pass whose result fit the 1-pass
-/// canvas after all is noted as an overshoot: the bound was loose.
+/// Execute a Map with the implementation [`choose_map_impl`] picks and
+/// record the choice in the query's frame ([`spade_gpu::record`]). A 2-pass
+/// whose result fit the 1-pass canvas after all is an overshoot: the bound
+/// was loose.
 pub fn run_map(spade: &Spade, prims: &[Primitive], call: &DrawCall<'_>, n_max: usize) -> MapResult {
     let slots = spade.config.max_map_slots as u64;
     let choice = choose_map_impl(spade, n_max);
@@ -57,15 +59,22 @@ pub fn run_map(spade: &Spade, prims: &[Primitive], call: &DrawCall<'_>, n_max: u
             .unwrap_or_else(|_| algebra::map_2pass(&spade.pipeline, prims, call)),
         MapImpl::TwoPass => algebra::map_2pass(&spade.pipeline, prims, call),
     };
-    let overshoot = choice == MapImpl::TwoPass && r.values.len() as u64 <= slots;
-    crate::explain::note_map(choice, n_max as u64, slots, overshoot);
+    let two_pass = choice == MapImpl::TwoPass;
+    spade_gpu::record::add_map(MapDecisions {
+        one_pass: !two_pass as u64,
+        two_pass: two_pass as u64,
+        overshoots: (two_pass && r.values.len() as u64 <= slots) as u64,
+        max_n_max: n_max as u64,
+        slots,
+    });
     r
 }
 
 /// The two out-of-core join strategies of §5.3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum JoinStrategy {
-    /// Layer-index join over filtered cell pairs.
+    /// Layer-index join over filtered cell pairs (the choice on a tie).
+    #[default]
     LayerIndex,
     /// A loop of per-object selections.
     NaiveSelects,
@@ -165,7 +174,7 @@ mod tests {
     use super::*;
     use crate::config::EngineConfig;
     use spade_geometry::{BBox, Point};
-    use spade_gpu::{BlendMode, Viewport};
+    use spade_gpu::{BlendMode, FrameTotals, Viewport};
 
     #[test]
     fn map_choice_threshold() {
@@ -178,25 +187,16 @@ mod tests {
     }
 
     /// Run one point Map of `n` values under a bound of `n_max`, inside a
-    /// recording frame and a plan report.
-    fn point_map(
-        spade: &Spade,
-        n: u32,
-        n_max: usize,
-    ) -> (
-        MapResult,
-        spade_gpu::record::FrameTotals,
-        crate::explain::PlanReport,
-    ) {
+    /// recording frame.
+    fn point_map(spade: &Spade, n: u32, n_max: usize) -> (MapResult, FrameTotals) {
         let prims: Vec<Primitive> = (0..n)
             .map(|i| Primitive::point(Point::new(i as f64 + 0.5, 0.5), [i + 1, 0, 0, 0]))
             .collect();
         let vp = Viewport::new(BBox::new(Point::ZERO, Point::new(10.0, 10.0)), 10, 10);
         let call = DrawCall::simple(vp, BlendMode::Replace, false);
         spade_gpu::record::begin();
-        let report = crate::explain::open();
         let r = run_map(spade, &prims, &call, n_max);
-        (r, spade_gpu::record::finish(), report.finish())
+        (r, spade_gpu::record::finish())
     }
 
     #[test]
@@ -207,10 +207,10 @@ mod tests {
             max_map_slots: 16,
             ..EngineConfig::test_small()
         });
-        let (r, frame, report) = point_map(&spade, 10, 10);
+        let (r, frame) = point_map(&spade, 10, 10);
         assert_eq!((r.values.len(), r.passes), (10, 1));
         assert_eq!(frame.gpu.draw_calls, 1);
-        let m = report.map.unwrap();
+        let m = frame.map;
         assert_eq!((m.one_pass, m.two_pass, m.overshoots), (1, 0, 0));
     }
 
@@ -222,20 +222,22 @@ mod tests {
         });
         // Bound 100 > 4 slots → static 2-pass; but only 3 values are
         // produced, which would have fit 1-pass: overshoot.
-        let (r, frame, report) = point_map(&spade, 3, 100);
+        let (r, frame) = point_map(&spade, 3, 100);
         assert_eq!((r.values.len(), r.passes), (3, 2));
         assert_eq!(frame.gpu.draw_calls, 2, "count + materialize");
-        let m = report.map.unwrap();
+        let m = frame.map;
         assert_eq!((m.one_pass, m.two_pass, m.overshoots), (0, 1, 1));
         // The rendered analyze output carries the would-have-chosen line.
-        let s = report.render(Some(&crate::stats::QueryStats::default()));
+        let mut stats = crate::stats::QueryStats::default();
+        stats.plan.map = Some(m);
+        let s = crate::explain::render(&stats, true);
         assert!(
             s.contains("would-have-chosen OnePass"),
             "missing line in:\n{s}"
         );
         // A result that does not fit the slots is no overshoot.
-        let (_, _, report) = point_map(&spade, 6, 100);
-        assert_eq!(report.map.unwrap().overshoots, 0);
+        let (_, frame) = point_map(&spade, 6, 100);
+        assert_eq!(frame.map.overshoots, 0);
     }
 
     #[test]

@@ -394,17 +394,30 @@ mod tests {
     }
 
     /// The dispatcher contract, for all five select classes × {in-memory,
-    /// indexed} and all four join classes × the same two sources:
+    /// indexed, indexed with a staged write} and all four join classes ×
+    /// the same three sources:
     /// (a) `QueryCtx::default()` is the cold oracle byte for byte,
     /// (b) the cached ctx goes `MISS` then `HIT` without touching a cell,
+    ///     and the HIT carries its MISS's plan,
     /// (c) a non-full scope reports `BYPASS` and leaves the cache counters
     ///     alone even when `cached` is set (and has no in-memory meaning),
     /// (d) a pre-cancelled token yields `Cancelled` from every indexed
-    ///     family with the device ledger at zero.
+    ///     family with the device ledger at zero,
+    /// (e) every run carries its decisions in `stats.plan`: the Map
+    ///     choices of each class that runs a Map, the indexed join's
+    ///     strategy, and one delta merge per dataset with staged writes.
     #[test]
     fn dispatcher_contract() {
         let (pts, polys) = (grid_points(), tiles());
         let (ipts, ipolys) = (indexed(&pts, 3.0), indexed(&polys, 5.0));
+        // The third source: each side re-inserts its object 0 unchanged, so
+        // the logical contents (and every answer) stay the same while the
+        // staged delta joins every walk.
+        let (spts, spolys) = (indexed(&pts, 3.0), indexed(&polys, 5.0));
+        spts.insert(0, pts.objects[0].1.clone());
+        spolys.insert(0, polys.objects[0].1.clone());
+        let points: [Source<'_>; 3] = [(&pts).into(), (&ipts).into(), (&spts).into()];
+        let polygons: [Source<'_>; 3] = [(&polys).into(), (&ipolys).into(), (&spolys).into()];
         // A join's left side: the points for the point-only classes.
         let on_points =
             |q: &JoinQuery| !matches!(q, JoinQuery::Intersects | JoinQuery::CountPoints);
@@ -415,13 +428,10 @@ mod tests {
                 .collect()
         };
         let (point_pairs, polygon_pairs) = (all_pairs(&ipts), all_pairs(&ipolys));
-        let run = |q: &Q, out_of_core: bool, s: &Spade, ctx: &QueryCtx| match (q, out_of_core) {
-            (Q::Select(q), false) => run_select_ctx(s, &pts, q, ctx),
-            (Q::Select(q), true) => run_select_ctx(s, &ipts, q, ctx),
-            (Q::Join(q), false) if on_points(q) => run_join_ctx(s, &pts, &pts, q, ctx),
-            (Q::Join(q), false) => run_join_ctx(s, &polys, &pts, q, ctx),
-            (Q::Join(q), true) if on_points(q) => run_join_ctx(s, &ipts, &ipts, q, ctx),
-            (Q::Join(q), true) => run_join_ctx(s, &ipolys, &ipts, q, ctx),
+        let run = |q: &Q, source: usize, s: &Spade, ctx: &QueryCtx| match q {
+            Q::Select(q) => run_select_ctx(s, points[source], q, ctx),
+            Q::Join(q) if on_points(q) => run_join_ctx(s, points[source], points[source], q, ctx),
+            Q::Join(q) => run_join_ctx(s, polygons[source], points[source], q, ctx),
         };
         let joins = [
             JoinQuery::Intersects,
@@ -434,8 +444,9 @@ mod tests {
             .collect();
         let oracle = engine();
 
-        for (q, out_of_core) in classes.iter().flat_map(|q| [(q, false), (q, true)]) {
-            let label = format!("{q:?}, out of core: {out_of_core}");
+        for (q, source) in classes.iter().flat_map(|q| (0..3).map(move |i| (q, i))) {
+            let (out_of_core, staged) = (source > 0, source == 2);
+            let label = format!("{q:?}, out of core: {out_of_core}, staged: {staged}");
             // The oracle, and a non-full scope that still covers everything.
             let (mut want, scope) = match q {
                 Q::Select(q) => (
@@ -463,12 +474,12 @@ mod tests {
             if out_of_core {
                 let cancelled = QueryCtx::default();
                 cancelled.cancel.cancel();
-                let err = run(q, true, &s, &cancelled).err();
+                let err = run(q, source, &s, &cancelled).err();
                 assert_eq!(err, Some(StorageError::Cancelled), "(d) {label}");
                 assert_eq!(s.device.used(), 0, "(d) ledger after cancel, {label}");
             }
 
-            let cold = run(q, out_of_core, &s, &QueryCtx::default()).unwrap();
+            let cold = run(q, source, &s, &QueryCtx::default()).unwrap();
             assert_eq!(cold.result, want, "(a) {label}");
             assert_eq!(cold.stats.result_cache, CacheOutcome::Bypass, "(a) {label}");
 
@@ -476,7 +487,7 @@ mod tests {
                 scope,
                 ..QueryCtx::cached()
             };
-            match run(q, out_of_core, &s, &scoped) {
+            match run(q, source, &s, &scoped) {
                 Ok(out) if out_of_core => {
                     assert_eq!(out.result, want, "(c) {label}");
                     assert_eq!(out.stats.result_cache, CacheOutcome::Bypass, "(c) {label}");
@@ -486,12 +497,31 @@ mod tests {
             }
             assert_eq!(s.result_cache.stats(), Default::default(), "(c) {label}");
 
-            let miss = run(q, out_of_core, &s, &QueryCtx::cached()).unwrap();
-            let hit = run(q, out_of_core, &s, &QueryCtx::cached()).unwrap();
+            let miss = run(q, source, &s, &QueryCtx::cached()).unwrap();
+            let hit = run(q, source, &s, &QueryCtx::cached()).unwrap();
             assert_eq!(miss.stats.result_cache, CacheOutcome::Miss, "(b) {label}");
             assert_eq!(hit.stats.result_cache, CacheOutcome::Hit, "(b) {label}");
             assert_eq!(hit.stats.cells_loaded, 0, "(b) {label}");
             assert_eq!((&miss.result, &hit.result), (&want, &want), "(b) {label}");
+            assert_eq!(hit.stats.plan, miss.stats.plan, "(b) {label}");
+            let key = miss.stats.plan.cache.and_then(|note| note.key);
+            assert!(key.is_some(), "(b) {label}");
+
+            // Every select class maps its points; no join class runs a Map.
+            // A self-join's two views of one staged dataset merge it once.
+            let staged_sets: &[&str] = match q {
+                _ if !staged => &[],
+                Q::Join(q) if !on_points(q) => &["tiles", "g"],
+                _ => &["g"],
+            };
+            let indexed_join = out_of_core && matches!(q, Q::Join(JoinQuery::Intersects));
+            for plan in [&cold.stats.plan, &miss.stats.plan] {
+                assert_eq!(plan.map.is_some(), matches!(q, Q::Select(_)), "(e) {label}");
+                assert_eq!(plan.join.is_some(), indexed_join, "(e) {label}");
+                let merged = plan.deltas.iter().map(|d| (d.dataset.as_str(), d.staged));
+                let want_merged = staged_sets.iter().map(|&d| (d, 1));
+                assert!(merged.eq(want_merged), "(e) {label}: {:?}", plan.deltas);
+            }
         }
     }
 

@@ -32,7 +32,7 @@
 //! arena is bound to, and released the moment an entry is evicted, purged,
 //! or the cache is cleared.
 
-use crate::explain::PlanReport;
+use crate::explain::{CacheNote, PlanReport};
 use crate::query::{JoinQuery, QueryResult, SelectQuery};
 use crate::stats::{CacheOutcome, QueryStats};
 use spade_gpu::TexturePool;
@@ -215,9 +215,9 @@ pub fn result_bytes(r: &QueryResult) -> u64 {
 
 struct Entry {
     result: Arc<QueryResult>,
-    /// Plan decisions of the render that produced this entry, replayed
-    /// into any open `EXPLAIN` report when the entry is served.
-    report: Arc<PlanReport>,
+    /// Plan decisions of the render that produced this entry, copied into
+    /// the stats of every reply it serves.
+    plan: Arc<PlanReport>,
     bytes: u64,
     /// Whether the device ledger granted the reservation for this entry.
     accounted: bool,
@@ -235,8 +235,8 @@ struct Inner {
     bytes: u64,
 }
 
-/// What a hit serves: the cached result plus the plan report of the render
-/// that produced it.
+/// What a hit serves: the cached result plus the plan of the render that
+/// produced it.
 type Served = (Arc<QueryResult>, Arc<PlanReport>);
 
 enum FlightState {
@@ -338,20 +338,18 @@ impl ResultCache {
     ) -> Result<(Arc<QueryResult>, QueryStats), E> {
         if !self.enabled {
             self.bypasses.fetch_add(1, Ordering::Relaxed);
-            crate::explain::note_cache(CacheOutcome::Bypass, None);
             let (result, mut stats) = compute()?;
             stats.result_cache = CacheOutcome::Bypass;
+            stats.plan.cache = Some(CacheNote { key: None });
             return Ok((Arc::new(result), stats));
         }
         let start = Instant::now();
         let mut compute = Some(compute);
         loop {
             let key = make_key();
-            if let Some((result, report)) = self.lookup(&key) {
+            if let Some((result, plan)) = self.lookup(&key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                crate::explain::note_cache(CacheOutcome::Hit, Some(key));
-                crate::explain::replay(&report);
-                let stats = served_stats(&result, CacheOutcome::Hit, start);
+                let stats = served_stats(&result, &plan, CacheOutcome::Hit, key, start);
                 return Ok((result, stats));
             }
             // Miss: join or open the flight for this key.
@@ -371,11 +369,10 @@ impl ResultCache {
             };
             if !leader {
                 match self.wait_flight(&flight, &poll)? {
-                    Some((result, report)) => {
+                    Some((result, plan)) => {
                         self.coalesced.fetch_add(1, Ordering::Relaxed);
-                        crate::explain::note_cache(CacheOutcome::CoalescedHit, Some(key));
-                        crate::explain::replay(&report);
-                        let stats = served_stats(&result, CacheOutcome::CoalescedHit, start);
+                        let outcome = CacheOutcome::CoalescedHit;
+                        let stats = served_stats(&result, &plan, outcome, key, start);
                         return Ok((result, stats));
                     }
                     // Leader failed or raced a version change: retry from
@@ -391,32 +388,30 @@ impl ResultCache {
                 flight: &flight,
                 resolved: false,
             };
-            // The render runs inside a nested plan report so its optimizer
-            // decisions can be stored with the entry and replayed on hits;
-            // `finish` folds them into any outer report as before.
-            let report = crate::explain::open();
             let outcome = compute.take().expect("leader role reached once")();
-            let report = Arc::new(report.finish());
             return match outcome {
                 Ok((result, mut stats)) => {
                     let result = Arc::new(result);
+                    // The render's decisions are stored with the entry, so
+                    // every reply it serves carries them.
+                    let plan = Arc::new(stats.plan.clone());
                     // Validate-after-compute: admit only if the versions the
                     // key named did not move while rendering, so a cached
                     // entry is always byte-identical to a cold execution at
                     // its key's snapshot.
                     let stable = make_key() == key;
                     if stable {
-                        self.insert(key, Arc::clone(&result), Arc::clone(&report));
+                        self.insert(key, Arc::clone(&result), Arc::clone(&plan));
                     } else {
                         self.not_stored.fetch_add(1, Ordering::Relaxed);
                     }
                     // Followers may be served the result either way: the
                     // leader's render *was* an execution against the
                     // versions current at their probe.
-                    guard.resolve(FlightState::Done(Arc::clone(&result), report));
+                    guard.resolve(FlightState::Done(Arc::clone(&result), plan));
                     self.misses.fetch_add(1, Ordering::Relaxed);
                     stats.result_cache = CacheOutcome::Miss;
-                    crate::explain::note_cache(CacheOutcome::Miss, Some(key));
+                    stats.plan.cache = Some(CacheNote { key: Some(key) });
                     Ok((result, stats))
                 }
                 Err(e) => {
@@ -438,7 +433,7 @@ impl ResultCache {
         let mut state = flight.state.lock().unwrap();
         loop {
             match &*state {
-                FlightState::Done(r, rep) => return Ok(Some((Arc::clone(r), Arc::clone(rep)))),
+                FlightState::Done(r, plan) => return Ok(Some((Arc::clone(r), Arc::clone(plan)))),
                 FlightState::Failed => return Ok(None),
                 FlightState::Running => {
                     poll()?;
@@ -455,12 +450,12 @@ impl ResultCache {
         let tick = inner.tick;
         let entry = inner.map.get_mut(key)?;
         entry.stamp = tick;
-        let served = (Arc::clone(&entry.result), Arc::clone(&entry.report));
+        let served = (Arc::clone(&entry.result), Arc::clone(&entry.plan));
         inner.order.push_back((*key, tick));
         Some(served)
     }
 
-    fn insert(&self, key: CacheKey, result: Arc<QueryResult>, report: Arc<PlanReport>) {
+    fn insert(&self, key: CacheKey, result: Arc<QueryResult>, plan: Arc<PlanReport>) {
         let bytes = result_bytes(&result);
         if bytes > self.budget {
             self.not_stored.fetch_add(1, Ordering::Relaxed);
@@ -499,7 +494,7 @@ impl ResultCache {
             key,
             Entry {
                 result,
-                report,
+                plan,
                 bytes,
                 accounted,
                 stamp: tick,
@@ -573,11 +568,22 @@ impl ResultCache {
 }
 
 /// Synthesized stats of a query served from the cache: zero I/O, zero
-/// passes, zero cells — only the probe's wall time and the result count.
-fn served_stats(result: &QueryResult, outcome: CacheOutcome, start: Instant) -> QueryStats {
+/// passes, zero cells — only the probe's wall time, the result count, and
+/// the plan of the render that produced the entry under the probed key.
+fn served_stats(
+    result: &QueryResult,
+    plan: &PlanReport,
+    outcome: CacheOutcome,
+    key: CacheKey,
+    start: Instant,
+) -> QueryStats {
     let mut stats = QueryStats {
         result_count: result.len() as u64,
         result_cache: outcome,
+        plan: PlanReport {
+            cache: Some(CacheNote { key: Some(key) }),
+            ..plan.clone()
+        },
         ..Default::default()
     };
     stats.finish(start.elapsed());

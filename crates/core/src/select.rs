@@ -15,6 +15,7 @@
 use crate::ctx::QueryCtx;
 use crate::dataset::{Dataset, DatasetKind, IndexedDataset, ReadView};
 use crate::engine::{Constraint, Measure, Spade};
+use crate::explain::DeltaInfo;
 use crate::optimizer;
 use crate::prefetch::StreamStats;
 use crate::scope::CellScope;
@@ -324,6 +325,8 @@ fn contained_mem(
 /// the same snapshot.
 pub(crate) struct CellWalk<'a> {
     pub view: ReadView<'a>,
+    /// The view's delta merge, for the query's plan.
+    pub deltas: Vec<DeltaInfo>,
     scope: CellScope,
     hulls: Vec<PreparedPolygon>,
 }
@@ -336,9 +339,14 @@ impl<'a> CellWalk<'a> {
     ) -> spade_storage::Result<CellWalk<'a>> {
         let scope = ctx.scope.cells()?;
         let view = data.read_view();
-        crate::explain::note_view(&view);
+        let deltas = DeltaInfo::of_views(&[&view]);
         let hulls = view.prepared_hulls(view.slots(scope.include_delta), polygon_time);
-        Ok(CellWalk { view, scope, hulls })
+        Ok(CellWalk {
+            view,
+            deltas,
+            scope,
+            hulls,
+        })
     }
 
     /// The slots the scope sees: its cells, and the delta it owns.
@@ -384,25 +392,27 @@ impl<'a> CellWalk<'a> {
             },
         )
     }
-}
 
-/// Close an id-producing out-of-core query: sort the per-cell ids, span
-/// attributes, the wall clock, then the stream's overlap accounting.
-pub(crate) fn finish_ids(
-    spade: &Spade,
-    measure: Measure,
-    mut qspan: crate::trace::SpanGuard,
-    polygon_time: Duration,
-    mut ids: Vec<u32>,
-    stream: StreamStats,
-) -> QueryOutput<Vec<u32>> {
-    ids.sort_unstable();
-    ids.dedup();
-    let n = ids.len() as u64;
-    qspan.attr("cells", stream.cells);
-    qspan.attr("results", n);
-    let stats = measure.finish_streamed(spade, &stream, polygon_time, n);
-    QueryOutput { result: ids, stats }
+    /// Close an id-producing query over this walk: sort the per-cell ids,
+    /// span attributes, the wall clock, then the stream's overlap
+    /// accounting.
+    pub(crate) fn finish_ids(
+        &self,
+        spade: &Spade,
+        measure: Measure,
+        mut qspan: crate::trace::SpanGuard,
+        polygon_time: Duration,
+        mut ids: Vec<u32>,
+        stream: StreamStats,
+    ) -> QueryOutput<Vec<u32>> {
+        ids.sort_unstable();
+        ids.dedup();
+        let n = ids.len() as u64;
+        qspan.attr("cells", stream.cells);
+        qspan.attr("results", n);
+        let stats = measure.finish_streamed(spade, &stream, &self.deltas, polygon_time, n);
+        QueryOutput { result: ids, stats }
+    }
 }
 
 /// An out-of-core selection against a polygonal constraint: the polygon
@@ -428,7 +438,7 @@ fn polygon_walk(
     let stream = walk.run(spade, ctx, &filter, &constraint, |cell| {
         ids.extend(kernel(cell, &constraint))
     })?;
-    Ok(finish_ids(spade, measure, qspan, polygon_time, ids, stream))
+    Ok(walk.finish_ids(spade, measure, qspan, polygon_time, ids, stream))
 }
 
 /// Out-of-core containment selection: since every object is clustered into

@@ -5,7 +5,7 @@
 //! processing time (triangulation + boundary-index creation), and CPU time
 //! (everything else). [`QueryStats`] carries those components plus the
 //! transfer/pass counters the optimizer and the analysis sections reason
-//! about.
+//! about, and the plan the optimizer chose on the way.
 
 use std::time::Duration;
 
@@ -84,6 +84,10 @@ pub struct QueryStats {
     pub io_hidden: Duration,
     /// Result-cache provenance of this execution.
     pub result_cache: CacheOutcome,
+    /// The optimizer decisions this execution made (or, served from the
+    /// result cache, the decisions of the render that produced it) — what
+    /// `EXPLAIN` renders ([`crate::explain`]).
+    pub plan: crate::explain::PlanReport,
 }
 
 impl QueryStats {

@@ -12,7 +12,7 @@
 //! accumulators). Frames nest — sub-queries (e.g. the per-cell selections
 //! inside an indexed kNN) open inner frames, and on [`finish`] an inner
 //! frame folds its totals into its parent, so the outer query's frame is
-//! inclusive of all nested work.
+//! inclusive of all nested work, the optimizer's [`MapDecisions`] included.
 //!
 //! This is correct because every counter-bumping call happens on the thread
 //! driving the query: the pipeline's worker pool aggregates per-worker
@@ -25,14 +25,38 @@ use std::time::Duration;
 
 use crate::stats::StatsSnapshot;
 
-/// Totals accumulated by one frame: pipeline counters plus host→device
-/// transfer accounting.
+/// The Map implementations (1-pass / 2-pass by estimate `n_max`) a frame ran.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MapDecisions {
+    pub one_pass: u64,
+    pub two_pass: u64,
+    /// 2-pass Maps whose result fit the 1-pass canvas after all.
+    pub overshoots: u64,
+    /// Largest result-size estimate (`n_max`) any Map saw.
+    pub max_n_max: u64,
+    /// The list-canvas slot budget the estimates were compared against.
+    pub slots: u64,
+}
+
+impl MapDecisions {
+    fn absorb(&mut self, other: &MapDecisions) {
+        self.one_pass += other.one_pass;
+        self.two_pass += other.two_pass;
+        self.overshoots += other.overshoots;
+        self.max_n_max = self.max_n_max.max(other.max_n_max);
+        self.slots = self.slots.max(other.slots);
+    }
+}
+
+/// Totals accumulated by one frame: pipeline counters, host→device
+/// transfer accounting and the Map choices.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrameTotals {
     pub gpu: StatsSnapshot,
     pub transfers: u64,
     pub transfer_bytes: u64,
     pub transfer_nanos: u64,
+    pub map: MapDecisions,
 }
 
 impl FrameTotals {
@@ -46,6 +70,7 @@ impl FrameTotals {
         self.transfers += other.transfers;
         self.transfer_bytes += other.transfer_bytes;
         self.transfer_nanos += other.transfer_nanos;
+        self.map.absorb(&other.map);
     }
 
     /// Modeled host→device bus time for this frame.
@@ -119,6 +144,11 @@ pub(crate) fn add_transfer(bytes: u64, nanos: u64) {
     });
 }
 
+/// Record the optimizer's Map choices into the open frame.
+pub fn add_map(decisions: MapDecisions) {
+    with_top(|t| t.map.absorb(&decisions));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,6 +185,36 @@ mod tests {
         // Outer is inclusive of inner.
         assert_eq!(outer.gpu.draw_calls, 2);
         assert_eq!(outer.gpu.primitives, 5);
+    }
+
+    #[test]
+    fn map_decisions_fold_through_nested_frames() {
+        let map = |two_pass: bool, overshoot: bool, n_max: u64| MapDecisions {
+            one_pass: !two_pass as u64,
+            two_pass: two_pass as u64,
+            overshoots: overshoot as u64,
+            max_n_max: n_max,
+            slots: 100,
+        };
+        begin();
+        add_map(map(false, false, 10));
+        add_map(map(true, false, 500));
+        begin();
+        add_map(map(false, false, 50));
+        add_map(map(true, true, 20));
+        let inner = finish().map;
+        let outer = finish().map;
+        assert_eq!(
+            (inner.one_pass, inner.two_pass, inner.overshoots),
+            (1, 1, 1)
+        );
+        assert_eq!((inner.max_n_max, inner.slots), (50, 100));
+        // Outer is inclusive of inner: counts sum, estimates take the max.
+        assert_eq!(
+            (outer.one_pass, outer.two_pass, outer.overshoots),
+            (2, 2, 1)
+        );
+        assert_eq!((outer.max_n_max, outer.slots), (500, 100));
     }
 
     #[test]

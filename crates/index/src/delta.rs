@@ -1,7 +1,7 @@
 //! Per-dataset delta store: the in-memory staging buffer of live writes.
 //!
 //! Inserts and deletes land here (after the WAL made them durable) and
-//! are folded into the grid index by [`crate::compact`]. Every entry
+//! are folded into the grid index by [`crate::compact`](mod@crate::compact). Every entry
 //! carries the sequence number the caller assigned (the WAL sequence when
 //! a WAL is attached, a local counter otherwise), so compaction can drain
 //! exactly the prefix it snapshotted while concurrent writes keep

@@ -1,7 +1,7 @@
 //! The clustered grid index (§5.3, tuning §6.1).
 //!
 //! A `GridIndex` is immutable once built: live writes stage in a
-//! [`crate::delta::DeltaStore`] and [`crate::compact`] folds them into a
+//! [`crate::delta::DeltaStore`] and [`crate::compact`](mod@crate::compact) folds them into a
 //! **new** index with `generation + 1`, sharing unchanged blocks with its
 //! predecessor. In-flight readers holding the old index keep a fully
 //! consistent view — nothing they reference is ever rewritten in place.

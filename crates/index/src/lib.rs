@@ -17,7 +17,7 @@
 //! per-partition index.
 
 //! Live ingestion support: writes stage in a per-dataset [`delta`] store
-//! and a background [`compact`] pass folds them into a fresh index
+//! and a background [`compact`](mod@compact) pass folds them into a fresh index
 //! generation, leaving in-flight readers on the old one.
 
 pub mod compact;

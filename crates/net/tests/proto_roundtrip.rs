@@ -222,6 +222,7 @@ fn stats(rng: &mut TestRng) -> QueryStats {
             2 => CacheOutcome::Hit,
             _ => CacheOutcome::CoalescedHit,
         },
+        ..Default::default()
     }
 }
 

@@ -19,7 +19,7 @@
 
 use crate::request::ServiceError;
 use spade_core::optimizer::JoinStrategy;
-use spade_core::{CacheOutcome, PlanReport};
+use spade_core::QueryStats;
 use spade_storage::Database;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -76,14 +76,15 @@ pub struct TenantStats {
 }
 
 impl TenantStats {
-    /// Count the decisions of one job's plan report. A reply served from
-    /// the result cache (HIT or COALESCED) counts nothing: the render that
-    /// produced it counted its decisions already.
-    pub(crate) fn count_plan(&self, plan: &PlanReport) {
-        let served = |c: CacheOutcome| matches!(c, CacheOutcome::Hit | CacheOutcome::CoalescedHit);
-        if plan.cache.is_some_and(|c| served(c.outcome)) {
+    /// Count the decisions of one completed job, from the plan its stats
+    /// carry. A reply served from the result cache (HIT or COALESCED)
+    /// counts nothing: the render that produced it counted its decisions
+    /// already.
+    pub(crate) fn count_plan(&self, stats: &QueryStats) {
+        if stats.result_cache.served_from_cache() {
             return;
         }
+        let plan = &stats.plan;
         let add = |counters: &[AtomicU64; 4], i: usize, n: u64| {
             counters[i].fetch_add(n, Ordering::Relaxed);
         };

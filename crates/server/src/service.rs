@@ -627,7 +627,7 @@ impl QueryService {
             }
         }
         // Per-tenant optimizer decision and misprediction counters, one
-        // sample per decision label, counted from each job's plan report.
+        // sample per decision label, counted from each completed job's plan.
         type TenantDecisions = fn(&TenantStats) -> &[AtomicU64; 4];
         #[rustfmt::skip]
         let optimizer: [(&str, &str, TenantDecisions); 2] = [
@@ -937,10 +937,8 @@ fn worker_loop(shared: &Shared) {
 
         // A panic below must not take the reservations, the session's
         // running slot, the ticket and this worker down with it: it
-        // becomes the query's in-band error and the loop goes on. The
-        // job's plan report counts its optimizer decisions for its tenant.
+        // becomes the query's in-band error and the loop goes on.
         let t0 = Instant::now();
-        let report = spade_core::explain::open();
         let run = || execute(shared, &job.ns, &job.request, &job.cancel);
         let outcome = catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|panic| {
             shared.worker_panics.fetch_add(1, Ordering::Relaxed);
@@ -950,7 +948,6 @@ fn worker_loop(shared: &Shared) {
             let what = format!("internal error: query execution panicked: {what}");
             Err(ServiceError::Storage(spade_storage::StorageError::Io(what)))
         });
-        job.ns.stats.count_plan(&report.finish());
         let exec_time = t0.elapsed();
 
         shared.admission.release(job.footprint);
@@ -980,6 +977,7 @@ fn worker_loop(shared: &Shared) {
             Ok((payload, stats)) => {
                 shared.stats.completed.fetch_add(1, Ordering::Relaxed);
                 job.ns.stats.completed.fetch_add(1, Ordering::Relaxed);
+                job.ns.stats.count_plan(&stats);
                 shared.metrics.record_query(&stats);
                 Ok(QueryResponse {
                     payload,
@@ -1484,9 +1482,9 @@ fn compactor_loop(shared: &Shared) {
 
 /// Execute an `EXPLAIN` / `EXPLAIN ANALYZE` request. SQL forwards to the
 /// SQL layer's own `EXPLAIN` (which plans without executing unless
-/// `ANALYZE`); spatial requests run inside a [`spade_core::explain`] plan
-/// report — the optimizer decides in-flight, so execution *is* planning —
-/// and render the decisions, with actual runtime numbers when `analyze`.
+/// `ANALYZE`); spatial requests execute — the optimizer decides in-flight,
+/// so execution *is* planning — and render the plan their stats carry
+/// ([`spade_core::explain`]), with actual runtime numbers when `analyze`.
 fn explain(
     shared: &Shared,
     ns: &Arc<Namespace>,
@@ -1510,10 +1508,7 @@ fn explain(
         };
         return Ok((ResponsePayload::Explain(text), QueryStats::default()));
     }
-    let report = spade_core::explain::open();
-    let outcome = execute(shared, ns, request, cancel);
-    let report = report.finish();
-    let (_, stats) = outcome?;
+    let (_, stats) = execute(shared, ns, request, cancel)?;
     let mut text = format!(
         "{} {}\n",
         if analyze {
@@ -1523,7 +1518,7 @@ fn explain(
         },
         describe(request),
     );
-    text.push_str(&report.render(if analyze { Some(&stats) } else { None }));
+    text.push_str(&spade_core::explain::render(&stats, analyze));
     Ok((ResponsePayload::Explain(text), stats))
 }
 

@@ -423,6 +423,13 @@ fn kind_mismatch_is_an_error_not_a_dead_worker() {
         wal_dir: None,
     });
     let session = svc.session();
+    // Every failing job below counts no optimizer decision for its tenant.
+    let decided = || -> u64 {
+        (svc.metrics_text().lines())
+            .filter(|l| l.starts_with("spade_optimizer_decisions_total{"))
+            .filter_map(|l| l.rsplit(' ').next()?.parse::<u64>().ok())
+            .sum()
+    };
     let mismatched = [
         QueryRequest::Join {
             left: "polys".into(),
@@ -482,10 +489,27 @@ fn kind_mismatch_is_an_error_not_a_dead_worker() {
     assert!(panicked.wait().is_err());
     assert!(svc.engine().device.peak() > 0);
     assert_eq!(svc.engine().device.used(), 0);
+    // A half-true grid: its first cell's real points run their Map before
+    // its last cell's polygon, labelled a point, panics — the job decided,
+    // then failed.
+    let mut half = Dataset::from_points("half-liar", scatter(50, 30.0, 5)).objects;
+    let far = BBox::new(Point::new(90.0, 90.0), Point::new(95.0, 95.0));
+    half.push((50, spade_geometry::Geometry::Polygon(Polygon::rect(far))));
+    let grid = GridIndex::build(None, &half, 40.0).unwrap();
+    let half_liar = IndexedDataset::new("half-liar", DatasetKind::Points, grid);
+    svc.register_indexed("half-liar", half_liar);
+    let everything = BBox::new(Point::ZERO, Point::new(100.0, 100.0));
+    let failed = session.submit(QueryRequest::Select {
+        dataset: "half-liar".into(),
+        query: SelectQuery::Range(everything),
+    });
+    assert!(failed.wait().is_err());
+    assert_eq!(decided(), 0, "a failed job counted its decisions");
     let next = session.submit(workload().remove(0)).wait();
     assert!(next.is_ok(), "the worker must survive: {next:?}");
+    assert!(decided() > 0, "a completed select counts its Map");
     let metrics = svc.metrics_text();
-    assert!(metrics.contains("\nspade_worker_panics_total 2\n"));
+    assert!(metrics.contains("\nspade_worker_panics_total 3\n"));
     for line in metrics
         .lines()
         .filter(|l| l.starts_with("spade_tenant_reserved_bytes{"))

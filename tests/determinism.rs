@@ -10,9 +10,7 @@ use spade::datagen::{spider, urban};
 use spade::engine::dataset::{Dataset, DatasetKind, IndexedDataset};
 use spade::engine::distance::DistanceConstraint;
 use spade::engine::optimizer::{stats::MIN_SAMPLES, JoinStrategy};
-use spade::engine::{
-    aggregate, distance, explain, join, knn, select, EngineConfig, QueryCtx, Spade,
-};
+use spade::engine::{aggregate, distance, join, knn, select, EngineConfig, QueryCtx, Spade};
 use spade::geometry::{BBox, Point};
 use spade::index::GridIndex;
 
@@ -224,9 +222,7 @@ fn forced_and_adaptive_join_strategies_byte_identical() {
     }
     // The comparison is vacuous unless the free engine decided from its
     // observations.
-    let report = explain::open();
-    join(&free);
-    let decision = report.finish().join.expect("join plan reported");
+    let decision = join(&free).stats.plan.join.expect("join plan reported");
     assert!(decision.adaptive, "calibrated engine decided statically");
 }
 

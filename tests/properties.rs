@@ -412,7 +412,7 @@ fn order_cell_pairs_degenerate_inputs() {
 #[test]
 fn layer_estimate_matches_real_join_transfers() {
     use spade::datagen::spider;
-    use spade::engine::{explain, join};
+    use spade::engine::join;
 
     let spade = Spade::new(EngineConfig::test_small());
     spade
@@ -425,14 +425,11 @@ fn layer_estimate_matches_real_join_transfers() {
     let parcels_idx = IndexedDataset::new("parcels", DatasetKind::Polygons, gp);
     let pts_idx = IndexedDataset::new("p", DatasetKind::Points, gq);
 
-    explain::begin();
-    join::join_indexed(&spade, &parcels_idx, &pts_idx, &QueryCtx::default()).unwrap();
-    let report = explain::finish();
-    let j = report.join.expect("join plan must be reported");
+    let out = join::join_indexed(&spade, &parcels_idx, &pts_idx, &QueryCtx::default()).unwrap();
+    let j = out.stats.plan.join.expect("join plan must be reported");
     assert_eq!(j.strategy, JoinStrategy::LayerIndex);
     assert_eq!(
-        j.actual_bytes,
-        Some(j.layer_est_bytes),
+        j.actual_bytes, j.layer_est_bytes,
         "estimate drifted from the executor's transfers"
     );
 }
