@@ -1,8 +1,8 @@
 //! Microbenchmarks for the batched (lane-parallel) kernels in isolation:
 //! coverage counting, fragment blending, point-containment scans, and the
-//! storage filter kernel, each against its scalar form. The end-to-end
-//! effect is gated by `tests/simd_gate.rs`; these isolate where the time
-//! goes when a kernel regresses.
+//! storage filter kernel, each against its scalar form. The raster
+//! kernel's speed-up is gated by `tests/simd_gate.rs`; these isolate where
+//! the time goes when a kernel regresses.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use spade_geometry::predicates::{point_in_polygon, points_in_polygon_mask};
@@ -49,7 +49,7 @@ fn bench_coverage(c: &mut Criterion) {
         b.iter(|| -> usize {
             prims
                 .iter()
-                .map(|p| raster::coverage_count_with(p, &vp, false, false))
+                .map(|p| raster::coverage_count(p, &vp, false))
                 .sum()
         })
     });
@@ -57,7 +57,7 @@ fn bench_coverage(c: &mut Criterion) {
         b.iter(|| -> usize {
             prims
                 .iter()
-                .map(|p| raster::coverage_count_with(p, &vp, false, true))
+                .map(|p| raster::coverage_count_with(p, &vp, false))
                 .sum()
         })
     });
@@ -72,7 +72,7 @@ fn bench_rasterize(c: &mut Criterion) {
         b.iter(|| {
             let mut acc = 0u64;
             for p in &prims {
-                raster::rasterize_with(p, &vp, false, false, &mut |x, y| {
+                raster::rasterize(p, &vp, false, &mut |x, y| {
                     acc = acc.wrapping_add(u64::from(x) ^ u64::from(y));
                 });
             }
@@ -83,14 +83,14 @@ fn bench_rasterize(c: &mut Criterion) {
         b.iter(|| {
             let mut acc = 0u64;
             for p in &prims {
-                raster::rasterize_with(p, &vp, false, true, &mut |x, y| {
+                raster::rasterize_with(p, &vp, false, &mut |x, y| {
                     acc = acc.wrapping_add(u64::from(x) ^ u64::from(y));
                 });
             }
             acc
         })
     });
-    g.bench_function("batched_blocks", |b| {
+    g.bench_function("blocks", |b| {
         b.iter(|| {
             let mut acc = 0u64;
             for p in &prims {

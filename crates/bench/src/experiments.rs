@@ -833,7 +833,8 @@ pub fn ablate_layer() -> Vec<Table> {
 /// rasterization rule loses on sub-pixel geometry, as the canvas gets
 /// coarser (the effect the conservative boundary pass of §4.2 exists for).
 pub fn ablate_conservative() -> Vec<Table> {
-    use spade_gpu::raster;
+    use spade_gpu::{BlendMode, DrawCall, Primitive};
+    let spade = bench_engine();
     let data = wl::buildings(5_000);
     let constraint = wl::constraints(&wl::world_extent(), 64, 0xcc)[8].clone();
 
@@ -858,22 +859,17 @@ pub fn ablate_conservative() -> Vec<Table> {
     for resolution in [32u32, 64, 128, 256, 1024] {
         let pad = constraint.bbox().width().max(constraint.bbox().height()) * 1e-6;
         let vp = spade_gpu::Viewport::square_pixels(constraint.bbox().inflate(pad), resolution);
+        let [default_rule, conservative] =
+            [false, true].map(|rule| DrawCall::simple(vp, BlendMode::Replace, rule));
         let mut visible_default = 0usize;
         let mut visible_cons = 0usize;
         for prepared in &members {
-            let mut frags_default = 0usize;
-            let mut frags_cons = 0usize;
-            for tr in &prepared.triangles {
-                let prim = spade_gpu::Primitive::triangle(tr.a, tr.b, tr.c, [0; 4]);
-                frags_default += raster::coverage_count(&prim, &vp, false);
-                frags_cons += raster::coverage_count(&prim, &vp, true);
-            }
-            if frags_default > 0 {
-                visible_default += 1;
-            }
-            if frags_cons > 0 {
-                visible_cons += 1;
-            }
+            let prims: Vec<Primitive> = (prepared.triangles.iter())
+                .map(|tr| Primitive::triangle(tr.a, tr.b, tr.c, [0; 4]))
+                .collect();
+            let visible = |call| usize::from(spade.pipeline.count_pass(&prims, call) > 0);
+            visible_default += visible(&default_rule);
+            visible_cons += visible(&conservative);
         }
         assert_eq!(
             visible_cons,

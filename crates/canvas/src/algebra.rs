@@ -16,12 +16,17 @@
 //!   exist, chosen by the query optimizer (§5.4): a 1-pass version that
 //!   needs an upper bound `n_max` on the result count, and a 2-pass version
 //!   that first counts (the "simulated Map") and then materializes.
+//!
+//! Every Map pass is a pass of the pipeline ([`Pipeline::map`],
+//! [`Pipeline::count_pass`]), rasterized, recorded and traced there; this
+//! module owns what the operators add around it — the list canvas, the
+//! scan and the overflow check.
 
-use spade_gpu::raster;
 use spade_gpu::scan;
-use spade_gpu::shader::{Fragment, ShaderContext};
-use spade_gpu::{DrawCall, Pipeline, PixelValue, Primitive, Texture, WorkerPool, NULL_PIXEL};
-use std::sync::atomic::AtomicU32;
+use spade_gpu::shader::Fragment;
+use spade_gpu::{
+    BlendMode, DrawCall, Pipeline, PixelValue, Primitive, Texture, WorkerPool, NULL_PIXEL,
+};
 
 /// Standalone geometric transform: apply `f` to every primitive vertex
 /// (queries fuse this into the vertex shader; index construction and the
@@ -142,7 +147,15 @@ pub fn map_1pass(
     call: &DrawCall<'_>,
     n_max: usize,
 ) -> Result<MapResult, MapOverflow> {
-    let (chunks, produced) = shade_chunks(pipe, prims, call);
+    let chunks = pipe.map(
+        prims,
+        call,
+        || (),
+        |_, frag, ctx, out| {
+            out.extend(call.fragment.shade(frag, ctx));
+        },
+    );
+    let produced = chunks.iter().map(Vec::len).sum();
     if produced > n_max {
         return Err(MapOverflow { n_max, produced });
     }
@@ -218,100 +231,22 @@ pub fn map_emit_stateful<S>(
 where
     S: Send,
 {
-    pipe.stats.add_draw_call();
-    let world = viewport.world;
-    let simd = pipe.simd_kernels();
-    let start = std::time::Instant::now();
-    let chunks: Vec<Vec<PixelValue>> = pipe.pool().parallel_map_chunks(prims, |_, chunk| {
-        let mut out = Vec::new();
-        let mut state = init();
-        for prim in chunk {
-            if !prim.bbox().intersects(&world) {
-                continue;
-            }
-            let attrs = prim.attrs();
-            raster::rasterize_with(prim, &viewport, conservative, simd, &mut |x, y| {
-                let frag = Fragment {
-                    x,
-                    y,
-                    world: viewport.pixel_center(x, y),
-                    attrs,
-                };
-                emit(&mut state, &frag, &mut out);
-            });
-        }
-        out
+    let call = DrawCall::simple(viewport, BlendMode::Replace, conservative);
+    let chunks = pipe.map(prims, &call, init, |state, frag, _, out| {
+        emit(state, frag, out)
     });
-    pipe.stats.add_gpu_time(start.elapsed());
-    let values: Vec<PixelValue> = chunks.into_iter().flatten().collect();
-    pipe.stats.add_fragments(values.len() as u64);
-    MapResult { values, passes: 1 }
-}
-
-/// Rasterize and fragment-shade `prims`, returning the emitted values per
-/// worker chunk (deterministic order) plus the total count.
-fn shade_chunks(
-    pipe: &Pipeline,
-    prims: &[Primitive],
-    call: &DrawCall<'_>,
-) -> (Vec<Vec<PixelValue>>, usize) {
-    pipe.stats.add_draw_call();
-    let counter = AtomicU32::new(0);
-    let vp = call.viewport;
-    let world = vp.world;
-    let ctx = ShaderContext {
-        textures: call.textures,
-        uniforms_f: call.uniforms_f,
-        uniforms_u: call.uniforms_u,
-        counter: &counter,
-    };
-    let simd = pipe.simd_kernels();
-    let start = std::time::Instant::now();
-    let chunks: Vec<Vec<PixelValue>> = pipe.pool().parallel_map_chunks(prims, |_, chunk| {
-        let mut out = Vec::new();
-        let mut expand = Vec::new();
-        for prim in chunk {
-            let moved = prim.map_positions(|p| {
-                call.vertex
-                    .shade(spade_gpu::Vertex::new(p, prim.attrs()))
-                    .pos
-            });
-            expand.clear();
-            match call.geometry {
-                Some(gs) => gs.expand(&moved, &mut expand),
-                None => expand.push(moved),
-            }
-            for prim in &expand {
-                if !prim.bbox().intersects(&world) {
-                    continue;
-                }
-                let attrs = prim.attrs();
-                raster::rasterize_with(prim, &vp, call.conservative, simd, &mut |x, y| {
-                    let frag = Fragment {
-                        x,
-                        y,
-                        world: vp.pixel_center(x, y),
-                        attrs,
-                    };
-                    if let Some(v) = call.fragment.shade(&frag, &ctx) {
-                        out.push(v);
-                    }
-                });
-            }
-        }
-        out
-    });
-    pipe.stats.add_gpu_time(start.elapsed());
-    let total = chunks.iter().map(Vec::len).sum();
-    pipe.stats.add_fragments(total as u64);
-    (chunks, total)
+    MapResult {
+        values: chunks.into_iter().flatten().collect(),
+        passes: 1,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use spade_geometry::{BBox, Point};
-    use spade_gpu::{BlendMode, Viewport};
+    use spade_gpu::shader::ShaderContext;
+    use spade_gpu::Viewport;
 
     fn pool(workers: usize) -> WorkerPool {
         WorkerPool::new(workers)

@@ -56,12 +56,6 @@ pub struct EngineConfig {
     /// Master switch of the result cache. Off, every query renders cold
     /// (`EXPLAIN ANALYZE` reports `cache: BYPASS`).
     pub result_cache_enabled: bool,
-    /// Use the batched (lane-parallel) rasterization, blending, and scan
-    /// kernels. Off, every per-pixel and per-row loop runs its scalar
-    /// form. Both paths are bit-identical by construction — the batched
-    /// kernels perform the same floating-point operation sequences on the
-    /// same operands — so the knob changes throughput only, never results.
-    pub simd_kernels: bool,
 }
 
 impl Default for EngineConfig {
@@ -81,7 +75,6 @@ impl Default for EngineConfig {
             delta_max_bytes: 8 << 20,
             compact_trigger_bytes: 1 << 20,
             result_cache_enabled: true,
-            simd_kernels: true,
         }
     }
 }
@@ -215,12 +208,6 @@ mod tests {
         for c in [EngineConfig::default(), EngineConfig::test_small()] {
             assert!(c.cell_cache_bytes <= c.device_memory);
         }
-    }
-
-    #[test]
-    fn simd_kernels_default_on() {
-        assert!(EngineConfig::default().simd_kernels);
-        assert!(EngineConfig::test_small().simd_kernels);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::time::Instant;
 
 /// The SPADE engine: the software pipeline, the simulated device, and the
 /// configuration. One instance serves many queries; per-query statistics
-/// are measured with snapshots.
+/// are measured on per-thread recording frames.
 pub struct Spade {
     pub config: EngineConfig,
     pub pipeline: Pipeline,
@@ -37,7 +37,6 @@ impl Spade {
             crate::trace::set_enabled(true);
         }
         let pipeline = Pipeline::with_workers(config.effective_workers());
-        pipeline.set_simd_kernels(config.simd_kernels);
         let device = Arc::new(
             DeviceMemory::with_bandwidth(config.device_memory, config.bandwidth)
                 .paced(config.pace_transfers),
@@ -78,31 +77,29 @@ impl Spade {
     /// this query's pipeline and transfer work even when other queries run
     /// concurrently against the same engine.
     pub(crate) fn begin(&self) -> Measure {
-        spade_gpu::record::begin();
         Measure {
             start: Instant::now(),
-            open: true,
+            frame: spade_gpu::record::begin(),
         }
     }
 }
 
 /// Per-query measurement backed by a thread-local recording frame, so
 /// overlapping queries on a shared engine never see each other's counters.
-/// If a query unwinds early (an error or cancellation propagating with `?`
-/// before `finish`), the `Drop` impl closes the frame so the thread's frame
-/// stack stays balanced.
+/// If a query ends early (an error or cancellation propagating with `?`
+/// before `finish`, or an unwind), dropping the frame closes it.
 pub(crate) struct Measure {
     start: Instant,
-    open: bool,
+    frame: spade_gpu::record::Frame,
 }
 
 impl Measure {
     /// Close the measurement into a stats record. `disk_io` is the wall
     /// time spent in block loads, `disk_bytes` the bytes read, both
-    /// tracked by the caller; device transfers and the Map choices come
-    /// from this query's own recording frame, not the global ledger.
+    /// tracked by the caller; passes, device transfers and the Map
+    /// choices come from this query's own recording frame.
     pub(crate) fn finish(
-        mut self,
+        self,
         spade: &Spade,
         disk_io: std::time::Duration,
         disk_bytes: u64,
@@ -110,16 +107,15 @@ impl Measure {
         cells_loaded: u64,
         result_count: u64,
     ) -> QueryStats {
-        self.open = false;
-        let frame = spade_gpu::record::finish();
+        let frame = self.frame.finish();
         let dev_time = frame.transfer_time();
         let mut stats = QueryStats {
             io_time: disk_io + dev_time,
-            gpu_time: std::time::Duration::from_nanos(frame.gpu.gpu_nanos),
+            gpu_time: std::time::Duration::from_nanos(frame.gpu_nanos),
             polygon_time,
             bytes_from_disk: disk_bytes,
             bytes_to_device: frame.transfer_bytes,
-            passes: frame.gpu.draw_calls,
+            passes: frame.passes,
             cells_loaded,
             result_count,
             ..Default::default()
@@ -164,14 +160,6 @@ impl Measure {
         stream.charge(&mut stats);
         stats.plan.deltas = deltas.to_vec();
         stats
-    }
-}
-
-impl Drop for Measure {
-    fn drop(&mut self) {
-        if self.open {
-            let _ = spade_gpu::record::finish();
-        }
     }
 }
 
@@ -418,7 +406,7 @@ mod tests {
 
         // 4 threads run the same query concurrently against the same
         // engine; every one must report exactly the solo pass count and
-        // byte volume even though the global counters see 4× the work.
+        // byte volume even though the engine runs 4× the work.
         let stats: Vec<crate::stats::QueryStats> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4)
                 .map(|_| {
@@ -453,9 +441,10 @@ mod tests {
     #[test]
     fn dropped_measure_closes_its_frame() {
         let s = engine();
+        let poly = Polygon::rect(BBox::new(Point::ZERO, Point::new(4.0, 4.0)));
         {
             let _m = s.begin(); // dropped without finish, as on an error path
-            s.pipeline.stats.add_draw_call();
+            let _ = Constraint::from_polygons(&s, &[PreparedPolygon::prepare(0, &poly)]);
         }
         let m = s.begin();
         let stats = m.finish(
@@ -467,5 +456,36 @@ mod tests {
             0,
         );
         assert_eq!(stats.passes, 0, "stale frame leaked into next query");
+    }
+
+    /// A query that unwinds mid-walk closes every frame it opened — its
+    /// measure's and its pair walk's — so a pass run afterwards with no
+    /// frame open is credited to no one.
+    #[test]
+    fn an_unwound_pair_walk_closes_its_frames() {
+        use crate::dataset::{Dataset, DatasetKind, IndexedDataset};
+        use spade_gpu::{record, BlendMode, DrawCall, FrameTotals, Primitive, Texture};
+        let s = engine();
+        let tiles = (0..4).map(|i| {
+            let x = i as f64;
+            Polygon::rect(BBox::new(Point::new(x, 0.0), Point::new(x + 0.8, 0.8)))
+        });
+        let tiles = Dataset::from_polygons("tiles", tiles.collect());
+        let grid = spade_index::GridIndex::build(None, &tiles.objects, 1.0).unwrap();
+        // Polygons labelled as points: the walk's refinement panics the
+        // first time it prepares a cell.
+        let mislabelled = IndexedDataset::new("tiles", DatasetKind::Points, grid);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let ctx = crate::QueryCtx::default();
+            crate::distance::distance_join_indexed(&s, &mislabelled, &mislabelled, 0.5, &ctx)
+        }));
+        assert!(unwound.is_err(), "the mislabelled walk must panic");
+
+        let vp = s.viewport_for(&BBox::new(Point::ZERO, Point::new(1.0, 1.0)));
+        let mut tex = Texture::new(vp.width, vp.height);
+        let point = [Primitive::point(Point::new(0.5, 0.5), [1, 0, 0, 0])];
+        let call = DrawCall::simple(vp, BlendMode::Replace, false);
+        s.pipeline.draw(&mut tex, &point, &call);
+        assert_eq!(record::finish(), FrameTotals::default(), "a frame leaked");
     }
 }

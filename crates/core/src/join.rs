@@ -438,7 +438,7 @@ impl<'a> PairWalk<'a> {
         let mut resident: [Option<(u32, Charge<'_>, Rc<Resident>)>; 2] = [None, None];
         let mut staged: [Option<Rc<Resident>>; 2] = [None, None];
         let mut next = 0;
-        spade_gpu::record::begin();
+        let frame = spade_gpu::record::begin();
         let streamed = crate::prefetch::stream_cells(
             spade.config.prefetch_depth,
             spade.config.cell_cache_bytes,
@@ -469,7 +469,7 @@ impl<'a> PairWalk<'a> {
                 Ok(())
             },
         );
-        let frame = spade_gpu::record::finish();
+        let frame = frame.finish();
         let stream = streamed?;
         debug_assert_eq!(next, self.cell_pairs.len(), "all cell pairs refined");
         Ok((stream, frame))
@@ -555,7 +555,7 @@ pub fn join_indexed(
     // Feed the realized cost back to the observed statistics and render
     // the hindsight verdict for EXPLAIN ANALYZE.
     let actual_bytes = frame.transfer_bytes;
-    let actual_cost = frame.gpu.gpu_nanos + frame.transfer_nanos;
+    let actual_cost = frame.gpu_nanos + frame.transfer_nanos;
     let est_chosen = match strategy {
         JoinStrategy::LayerIndex => layer_est,
         JoinStrategy::NaiveSelects => naive_est,

@@ -194,14 +194,14 @@ mod tests {
             .collect();
         let vp = Viewport::new(BBox::new(Point::ZERO, Point::new(10.0, 10.0)), 10, 10);
         let call = DrawCall::simple(vp, BlendMode::Replace, false);
-        spade_gpu::record::begin();
+        let frame = spade_gpu::record::begin();
         let r = run_map(spade, &prims, &call, n_max);
-        (r, spade_gpu::record::finish())
+        (r, frame.finish())
     }
 
     #[test]
     fn static_one_pass_renders_one_pass() {
-        // A bound that fits the slots runs the 1-pass Map: one draw call in
+        // A bound that fits the slots runs the 1-pass Map: one pass in
         // the query's frame, one 1-pass decision, nothing mispredicted.
         let spade = Spade::new(EngineConfig {
             max_map_slots: 16,
@@ -209,7 +209,7 @@ mod tests {
         });
         let (r, frame) = point_map(&spade, 10, 10);
         assert_eq!((r.values.len(), r.passes), (10, 1));
-        assert_eq!(frame.gpu.draw_calls, 1);
+        assert_eq!(frame.passes, 1);
         let m = frame.map;
         assert_eq!((m.one_pass, m.two_pass, m.overshoots), (1, 0, 0));
     }
@@ -224,7 +224,7 @@ mod tests {
         // produced, which would have fit 1-pass: overshoot.
         let (r, frame) = point_map(&spade, 3, 100);
         assert_eq!((r.values.len(), r.passes), (3, 2));
-        assert_eq!(frame.gpu.draw_calls, 2, "count + materialize");
+        assert_eq!(frame.passes, 2, "count + materialize");
         let m = frame.map;
         assert_eq!((m.one_pass, m.two_pass, m.overshoots), (0, 1, 1));
         // The rendered analyze output carries the would-have-chosen line.

@@ -23,7 +23,7 @@
 //! | `query.aggregate` / `query.aggregate.indexed` | count-points aggregation | `polygons` |
 //! | `prefetch.load` | background producer thread | `source`, `cell`, `bytes`, `cache_hit` |
 //! | `prefetch.wait` | consumer stalls on the channel | — |
-//! | `gpu.draw` / `gpu.count_pass` | every pipeline pass | `primitives`, `visible`, `fragments` |
+//! | `gpu.draw` / `gpu.count_pass` / `gpu.map` | every pipeline pass — one span per pass `QueryStats::passes` counts | `primitives`, `visible`, `fragments` |
 
 pub use spade_gpu::trace::{
     drain, dropped, enabled, set_enabled, snapshot, span, Span, SpanGuard, CAPACITY, MAX_ATTRS,

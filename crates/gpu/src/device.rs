@@ -4,9 +4,9 @@
 //! the PCIe transfer of data from host to device dominates query time —
 //! "the data transfer forms the primary bottleneck in query execution times"
 //! (§5.4). This module models both: a byte budget that out-of-core index
-//! construction tunes cell sizes against (§6.1), and a transfer ledger with
-//! a configurable modeled bandwidth that the query optimizer's cost model
-//! and the time-breakdown reporting read.
+//! construction tunes cell sizes against (§6.1), and a bus of configurable
+//! modeled bandwidth whose transfers are recorded on the calling query's
+//! frame ([`crate::record`]), which the time-breakdown reporting reads.
 //!
 //! The ledger is lock-free so many concurrent queries can allocate and free
 //! against the same device: `alloc` is an atomic reserve-then-commit
@@ -18,35 +18,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use crate::record;
-
-/// Accumulated transfer statistics.
-#[derive(Debug, Default)]
-pub struct TransferStats {
-    pub transfers: AtomicU64,
-    pub bytes: AtomicU64,
-    pub modeled_nanos: AtomicU64,
-}
-
-impl TransferStats {
-    pub fn bytes(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
-    }
-
-    pub fn transfers(&self) -> u64 {
-        self.transfers.load(Ordering::Relaxed)
-    }
-
-    /// Modeled time spent on the host→device bus.
-    pub fn modeled_time(&self) -> Duration {
-        Duration::from_nanos(self.modeled_nanos.load(Ordering::Relaxed))
-    }
-
-    pub fn reset(&self) {
-        self.transfers.store(0, Ordering::Relaxed);
-        self.bytes.store(0, Ordering::Relaxed);
-        self.modeled_nanos.store(0, Ordering::Relaxed);
-    }
-}
 
 /// Errors from device allocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,7 +54,6 @@ pub struct DeviceMemory {
     /// modeled bus time, so the transfer bottleneck of §5.4 is physically
     /// reproduced and overlapping queries genuinely contend for the bus.
     paced: bool,
-    pub transfer_stats: TransferStats,
 }
 
 /// Default modeled PCIe 3.0 ×16 bandwidth (≈ 12 GB/s effective).
@@ -102,7 +72,6 @@ impl DeviceMemory {
             peak: AtomicU64::new(0),
             bandwidth: bandwidth.max(1.0),
             paced: false,
-            transfer_stats: TransferStats::default(),
         }
     }
 
@@ -181,20 +150,12 @@ impl DeviceMemory {
         }
     }
 
-    /// Record a host→device transfer of `bytes`; returns the modeled bus
-    /// time for the cost model and the I/O-time breakdown. With pacing
+    /// Record a host→device transfer of `bytes` on the calling thread's
+    /// frame; returns the modeled bus time for the cost model and the
+    /// I/O-time breakdown. With pacing
     /// enabled the calling thread also sleeps for the modeled time.
     pub fn transfer_to_device(&self, bytes: u64) -> Duration {
         let nanos = (bytes as f64 / self.bandwidth * 1e9) as u64;
-        self.transfer_stats
-            .transfers
-            .fetch_add(1, Ordering::Relaxed);
-        self.transfer_stats
-            .bytes
-            .fetch_add(bytes, Ordering::Relaxed);
-        self.transfer_stats
-            .modeled_nanos
-            .fetch_add(nanos, Ordering::Relaxed);
         record::add_transfer(bytes, nanos);
         let modeled = Duration::from_nanos(nanos);
         if self.paced && !modeled.is_zero() {
@@ -281,12 +242,12 @@ mod tests {
         let dev = DeviceMemory::with_bandwidth(u64::MAX, 1e9); // 1 GB/s
         let t = dev.transfer_to_device(500_000_000); // 0.5 GB
         assert_eq!(t, Duration::from_millis(500));
+        let frame = record::begin();
         dev.transfer_to_device(500_000_000);
-        assert_eq!(dev.transfer_stats.transfers(), 2);
-        assert_eq!(dev.transfer_stats.bytes(), 1_000_000_000);
-        assert_eq!(dev.transfer_stats.modeled_time(), Duration::from_secs(1));
-        dev.transfer_stats.reset();
-        assert_eq!(dev.transfer_stats.bytes(), 0);
+        dev.transfer_to_device(500_000_000);
+        let totals = frame.finish();
+        assert_eq!(totals.transfer_bytes, 1_000_000_000);
+        assert_eq!(totals.transfer_time(), Duration::from_secs(1));
     }
 
     #[test]
@@ -298,7 +259,7 @@ mod tests {
         assert!(dev.upload(1024).is_err());
         // As guards: one that fits and one that does not, dropped together,
         // give back the bytes of the first only — and on unwind too.
-        let transferred = dev.transfer_stats.bytes();
+        let frame = record::begin();
         let unwound = std::panic::catch_unwind(|| {
             let _fits = dev.charge(256);
             let _oom = dev.charge(512);
@@ -307,7 +268,7 @@ mod tests {
         });
         assert!(unwound.is_err());
         assert_eq!(dev.used(), 512);
-        assert_eq!(dev.transfer_stats.bytes(), transferred + 256);
+        assert_eq!(frame.finish().transfer_bytes, 256);
     }
 
     #[test]

@@ -38,14 +38,13 @@ pub mod raster;
 pub mod record;
 pub mod scan;
 pub mod shader;
-pub mod stats;
 pub mod texture;
 pub mod trace;
 pub mod viewport;
 
 pub use arena::{ArenaStats, PooledTexture, TexturePool};
 pub use blend::BlendMode;
-pub use device::{DeviceMemory, TransferStats};
+pub use device::DeviceMemory;
 pub use fragments::FragmentBuffer;
 pub use pipeline::{DrawCall, Pipeline};
 pub use pool::{PoolStats, WorkerPool};
@@ -55,6 +54,5 @@ pub use shader::{
     AffineVertex, FnFragment, FnVertex, Fragment, FragmentShader, GeometryShader, IdentityVertex,
     NoGeometry, ShaderContext, VertexShader, WriteAttrs,
 };
-pub use stats::PipelineStats;
 pub use texture::{PixelValue, Texture, NULL_PIXEL};
 pub use viewport::Viewport;

@@ -1,23 +1,27 @@
-//! The draw-call driver: vertex → geometry → clip → rasterize → fragment →
+//! The pass driver: vertex → geometry → clip → rasterize → fragment →
 //! blend, executed data-parallel.
 //!
 //! A [`DrawCall`] bundles the programmable stages and fixed-function state
 //! of one rendering pass, mirroring a GL pipeline state object. [`Pipeline`]
-//! executes passes against a target [`Texture`]:
+//! executes passes of three kinds — a draw into a target [`Texture`], the
+//! counting pass, and a Map pass that emits values instead of blending
+//! (§5.1) — and every one runs through the same stages:
 //!
 //! 1. the vertex shader transforms primitive vertices (in parallel),
 //! 2. the geometry shader optionally expands primitives,
 //! 3. clipping drops primitives whose bounds miss the viewport,
-//! 4. the rasterizer enumerates covered pixels (default or conservative),
+//! 4. the rasterizer enumerates covered pixels (default or conservative)
+//!    through the batched kernels,
 //! 5. the fragment shader computes each fragment's output (or discards it),
-//! 6. fragments are blended into the target in primitive order.
+//! 6. a draw blends fragments into the target in primitive order.
 //!
 //! Parallelization is two-phase: workers shade, clip and rasterize disjoint
-//! chunks of the primitive stream into per-band fragment buffers (one fused
-//! stage — no intermediate shaded-primitive materialization), then bands of
-//! the target are blended concurrently (each band by one worker, applying
-//! fragments in primitive order, so results are deterministic for *every*
-//! blend mode and any worker count).
+//! chunks of the primitive stream (one fused stage — no intermediate
+//! shaded-primitive materialization), then a draw blends bands of the
+//! target concurrently (each band by one worker, applying fragments in
+//! primitive order, so results are deterministic for *every* blend mode and
+//! any worker count). The driver is also the one place a pass is timed,
+//! recorded on the calling query's frame ([`crate::record`]) and traced.
 //!
 //! Both phases run on a persistent [`WorkerPool`] owned by the pipeline —
 //! launching a pass costs a queue push, not thread spawns — and transient
@@ -27,16 +31,16 @@ use crate::arena::TexturePool;
 use crate::blend::BlendMode;
 use crate::fragments::FragmentBuffer;
 use crate::pool::{self, WorkerPool};
-use crate::primitive::Primitive;
+use crate::primitive::{Primitive, Vertex};
 use crate::raster;
+use crate::record;
 use crate::shader::{
     Fragment, FragmentShader, GeometryShader, IdentityVertex, ShaderContext, VertexShader,
     WriteAttrs,
 };
-use crate::stats::PipelineStats;
-use crate::texture::Texture;
+use crate::texture::{PixelValue, Texture};
 use crate::viewport::Viewport;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -75,20 +79,12 @@ impl<'a> DrawCall<'a> {
     }
 }
 
-/// The pipeline executor: a persistent render executor ([`WorkerPool`]),
-/// a framebuffer arena ([`TexturePool`]) and global statistics; shared by
-/// reference between operators and across concurrent queries.
+/// The pipeline executor: a persistent render executor ([`WorkerPool`])
+/// and a framebuffer arena ([`TexturePool`]); shared by reference between
+/// operators and across concurrent queries.
 pub struct Pipeline {
     pool: WorkerPool,
     arena: Arc<TexturePool>,
-    pub stats: PipelineStats,
-    /// Batched (lane-parallel) raster/blend kernels enabled. On by default;
-    /// results are bit-identical either way, so the knob exists for
-    /// differential testing and the CI kernel gate, not semantics.
-    simd: AtomicBool,
-    /// Coverage blocks emitted through the batched rasterizer (stays 0 with
-    /// `simd` off) — lets differential tests prove the fast path ran.
-    batched_blocks: AtomicU64,
 }
 
 impl Default for Pipeline {
@@ -106,29 +102,11 @@ impl Pipeline {
         Pipeline {
             pool: WorkerPool::new(workers),
             arena: Arc::new(TexturePool::new()),
-            stats: PipelineStats::new(),
-            simd: AtomicBool::new(true),
-            batched_blocks: AtomicU64::new(0),
         }
     }
 
     pub fn workers(&self) -> usize {
         self.pool.workers()
-    }
-
-    /// Toggle the batched (8-wide) raster/blend kernels.
-    pub fn set_simd_kernels(&self, on: bool) {
-        self.simd.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether the batched kernels are enabled for this pipeline.
-    pub fn simd_kernels(&self) -> bool {
-        self.simd.load(Ordering::Relaxed)
-    }
-
-    /// Total coverage blocks the batched rasterizer has emitted.
-    pub fn batched_blocks(&self) -> u64 {
-        self.batched_blocks.load(Ordering::Relaxed)
     }
 
     /// The persistent executor every pass of this pipeline dispatches to.
@@ -148,211 +126,212 @@ impl Pipeline {
     }
 
     /// Execute one rendering pass against `target`, returning the final
-    /// value of the pass's atomic counter (used by the counting Map pass).
+    /// value of the pass's atomic counter.
     pub fn draw(&self, target: &mut Texture, prims: &[Primitive], call: &DrawCall<'_>) -> u32 {
-        let mut pass_span = crate::trace::span("gpu.draw");
-        let start = Instant::now();
-        self.stats.add_draw_call();
-        let counter = AtomicU32::new(0);
-
+        // One SoA fragment buffer per (worker chunk, band), worker-major, so
+        // the blend can walk chunks in primitive order.
         let vp = call.viewport;
-        let world = vp.world;
         let bands = self.workers().clamp(1, vp.height as usize);
         let rows_per_band = (vp.height as usize).div_ceil(bands) as u32;
-        let ctx = ShaderContext {
-            textures: call.textures,
-            uniforms_f: call.uniforms_f,
-            uniforms_u: call.uniforms_u,
-            counter: &counter,
-        };
-
-        // --- Fused vertex + geometry + clip + rasterize + fragment stage.
-        // Each chunk of the *input* stream shades, expands, clips and
-        // rasterizes in one pass — the shaded primitive stream is never
-        // materialized. One SoA fragment buffer per (worker chunk, band),
-        // worker-major, so the blend can walk chunks in primitive order.
-        //
-        // When the batched kernels are on and the fragment shader writes
-        // attrs verbatim (`writes_attrs`, the canvas-creation shader),
-        // default-rule triangles skip per-pixel shading entirely: the block
-        // rasterizer pushes whole 8-wide coverage blocks — masked lanes
-        // included — straight into the SoA buffers, and the masked blend
-        // neutralizes the dead lanes. Everything else (points, lines,
-        // conservative passes, shaders that can discard or compute values)
-        // takes the scalar per-fragment path into the same buffers, so both
-        // paths stay bit-identical by construction.
-        let simd = self.simd_kernels();
-        let direct_blocks = simd && !call.conservative && call.fragment.writes_attrs();
-        let prim_count = AtomicU64::new(0);
-        let clip_count = AtomicU64::new(0);
-        let frag_count = AtomicU64::new(0);
-        let disc_count = AtomicU64::new(0);
-        let block_count = AtomicU64::new(0);
-        let buffers: Vec<Vec<FragmentBuffer>> = self.pool.parallel_map_chunks(prims, |_, chunk| {
-            let mut bands_out: Vec<FragmentBuffer> =
-                (0..bands).map(|_| FragmentBuffer::new()).collect();
-            let mut expand_buf: Vec<Primitive> = Vec::new();
-            let mut nprim = 0u64;
-            let mut nclip = 0u64;
-            let mut nfrag = 0u64;
-            let mut ndisc = 0u64;
-            let mut nblocks = 0u64;
-            for prim in chunk {
-                let moved = prim.map_positions(|p| self::shade_pos(call.vertex, p, prim.attrs()));
-                expand_buf.clear();
-                match call.geometry {
-                    Some(gs) => gs.expand(&moved, &mut expand_buf),
-                    None => expand_buf.push(moved),
+        let band = |y: u32| ((y / rows_per_band) as usize).min(bands - 1);
+        // When the fragment shader writes attrs verbatim (`writes_attrs`,
+        // the canvas-creation shader), default-rule triangles skip
+        // per-pixel shading entirely: the block rasterizer pushes whole
+        // 8-wide coverage blocks — masked lanes included — straight into
+        // the SoA buffers, and the masked blend neutralizes the dead lanes.
+        // Everything else (points, lines, conservative passes, shaders that
+        // can discard or compute values) is shaded per fragment into the
+        // same buffers, so both paths stay bit-identical by construction.
+        let blocks = !call.conservative && call.fragment.writes_attrs();
+        self.pass(
+            "gpu.draw",
+            prims,
+            call,
+            || {
+                (0..bands)
+                    .map(|_| FragmentBuffer::new())
+                    .collect::<Vec<_>>()
+            },
+            |out, prim, ctx| {
+                let attrs = prim.attrs();
+                let mut n = 0;
+                if blocks
+                    && raster::rasterize_blocks(prim, &vp, false, &mut |x, y, w, m| {
+                        n += u64::from(m.count_ones());
+                        out[band(y)].push_block(x, y, w, m, attrs);
+                    })
+                {
+                    return n;
                 }
-                nprim += expand_buf.len() as u64;
-                for prim in &expand_buf {
-                    if !prim.bbox().intersects(&world) {
-                        nclip += 1;
-                        continue;
+                fragments(prim, &vp, call.conservative, |frag| {
+                    if let Some(v) = call.fragment.shade(&frag, ctx) {
+                        out[band(frag.y)].push(frag.x, frag.y, v);
                     }
-                    let attrs = prim.attrs();
-                    if direct_blocks {
-                        let used = raster::rasterize_blocks(
-                            prim,
-                            &vp,
-                            call.conservative,
-                            &mut |x, y, n, m| {
-                                nfrag += u64::from(m.count_ones());
-                                nblocks += 1;
-                                let band = ((y / rows_per_band) as usize).min(bands - 1);
-                                bands_out[band].push_block(x, y, n, m, attrs);
-                            },
-                        );
-                        if used {
-                            continue;
-                        }
+                })
+            },
+            |buffers, counter| {
+                // Blend bands in parallel; chunks applied in primitive
+                // order, each through the masked SoA kernel (mode dispatch
+                // per buffer, not per fragment).
+                let width = target.width() as usize;
+                let mut band_slices = target.band_slices(bands);
+                self.pool.for_each_mut(&mut band_slices, |i, (y0, slice)| {
+                    for chunk in &buffers {
+                        call.blend.blend_soa(slice, *y0, width, &chunk[i]);
                     }
-                    raster::rasterize_with(prim, &vp, call.conservative, simd, &mut |x, y| {
-                        nfrag += 1;
-                        let frag = Fragment {
-                            x,
-                            y,
-                            world: vp.pixel_center(x, y),
-                            attrs,
-                        };
-                        match call.fragment.shade(&frag, &ctx) {
-                            Some(v) => {
-                                let band = ((y / rows_per_band) as usize).min(bands - 1);
-                                bands_out[band].push(x, y, v);
-                            }
-                            None => ndisc += 1,
-                        }
-                    });
-                }
-            }
-            prim_count.fetch_add(nprim, Ordering::Relaxed);
-            clip_count.fetch_add(nclip, Ordering::Relaxed);
-            frag_count.fetch_add(nfrag, Ordering::Relaxed);
-            disc_count.fetch_add(ndisc, Ordering::Relaxed);
-            block_count.fetch_add(nblocks, Ordering::Relaxed);
-            bands_out
-        });
-        self.stats
-            .add_primitives(prim_count.load(Ordering::Relaxed));
-        self.stats.add_clipped(clip_count.load(Ordering::Relaxed));
-        self.stats.add_fragments(frag_count.load(Ordering::Relaxed));
-        self.stats.add_discarded(disc_count.load(Ordering::Relaxed));
-        self.batched_blocks
-            .fetch_add(block_count.load(Ordering::Relaxed), Ordering::Relaxed);
-
-        // --- Blend bands in parallel; chunks applied in primitive order,
-        // each through the masked SoA kernel (mode dispatch per buffer, not
-        // per fragment). ---
-        let width = target.width();
-        let blend = call.blend;
-        let mut band_slices = target.band_slices(bands);
-        self.pool.for_each_mut(&mut band_slices, |band_idx, band| {
-            let (y0, slice) = band;
-            for chunk_bufs in &buffers {
-                blend.blend_soa(slice, *y0, width as usize, &chunk_bufs[band_idx]);
-            }
-        });
-
-        self.stats.add_gpu_time(start.elapsed());
-        pass_span.attr("primitives", prim_count.load(Ordering::Relaxed));
-        pass_span.attr(
-            "visible",
-            prim_count.load(Ordering::Relaxed) - clip_count.load(Ordering::Relaxed),
-        );
-        pass_span.attr("fragments", frag_count.load(Ordering::Relaxed));
-        counter.load(Ordering::Relaxed)
+                });
+                counter
+            },
+        )
     }
 
     /// Run a pass that only counts shaded (non-discarded) fragments without
     /// writing any pixels — the "simulated Map" first step of the 2-pass Map
     /// implementation (§5.1).
     pub fn count_pass(&self, prims: &[Primitive], call: &DrawCall<'_>) -> u64 {
-        let mut pass_span = crate::trace::span("gpu.count_pass");
-        let start = Instant::now();
-        self.stats.add_draw_call();
-        let counter = AtomicU32::new(0);
         let vp = call.viewport;
-        let world = vp.world;
+        // Shaders that emit unconditionally (e.g. `WriteAttrs`) let the
+        // counting pass count coverage directly — the rasterizer's scanline
+        // fast path — instead of enumerating every pixel.
+        let coverage = call.fragment.always_emits();
+        self.pass(
+            "gpu.count_pass",
+            prims,
+            call,
+            || 0u64,
+            |n, prim, ctx| {
+                if coverage {
+                    let covered = raster::coverage_count_with(prim, &vp, call.conservative) as u64;
+                    *n += covered;
+                    return covered;
+                }
+                fragments(prim, &vp, call.conservative, |frag| {
+                    *n += u64::from(call.fragment.shade(&frag, ctx).is_some());
+                })
+            },
+            |counts, _| counts.into_iter().sum(),
+        )
+    }
+
+    /// Run a Map pass (§5.1): rasterize `prims` as [`Pipeline::draw`] does,
+    /// but instead of blending, hand every fragment to `emit`, which may
+    /// append any number of values to its worker chunk's output and keeps
+    /// per-chunk scratch state from `init` (the equivalent of shader
+    /// workgroup-local memory). Returns each chunk's values in primitive
+    /// order, so their concatenation is in deterministic (primitive,
+    /// fragment, emission) order.
+    pub fn map<S: Send>(
+        &self,
+        prims: &[Primitive],
+        call: &DrawCall<'_>,
+        init: impl Fn() -> S + Sync,
+        emit: impl Fn(&mut S, &Fragment, &ShaderContext<'_>, &mut Vec<PixelValue>) + Sync,
+    ) -> Vec<Vec<PixelValue>> {
+        let vp = call.viewport;
+        self.pass(
+            "gpu.map",
+            prims,
+            call,
+            || (init(), Vec::new()),
+            |(state, out), prim, ctx| {
+                fragments(prim, &vp, call.conservative, |frag| {
+                    emit(state, &frag, ctx, out)
+                })
+            },
+            |chunks, _| chunks.into_iter().map(|(_, out)| out).collect(),
+        )
+    }
+
+    /// The one pass driver. Every worker chunk of the input stream runs the
+    /// fused vertex → geometry → clip stage — the shaded stream is never
+    /// materialized — and hands each visible primitive to `raster` with the
+    /// chunk's state; `raster` rasterizes and shades it and returns its
+    /// fragment count. `finish` then takes the chunk states in primitive
+    /// order and the final value of the pass's atomic counter. The pass,
+    /// `finish` included, is timed and recorded once on the calling
+    /// thread's frame ([`record`]) and once as a `name` span.
+    fn pass<S: Send, R>(
+        &self,
+        name: &'static str,
+        prims: &[Primitive],
+        call: &DrawCall<'_>,
+        init: impl Fn() -> S + Sync,
+        raster: impl Fn(&mut S, &Primitive, &ShaderContext<'_>) -> u64 + Sync,
+        finish: impl FnOnce(Vec<S>, u32) -> R,
+    ) -> R {
+        let mut span = crate::trace::span(name);
+        let start = Instant::now();
+        let counter = AtomicU32::new(0);
         let ctx = ShaderContext {
             textures: call.textures,
             uniforms_f: call.uniforms_f,
             uniforms_u: call.uniforms_u,
             counter: &counter,
         };
-        // Shaders that emit unconditionally (e.g. `WriteAttrs`) let the
-        // counting pass count coverage directly — the rasterizer's scanline
-        // fast path — instead of enumerating every pixel through a closure.
-        let count_coverage = call.fragment.always_emits();
-        let simd = self.simd_kernels();
-        let counts = self.pool.parallel_map_chunks(prims, |_, chunk| {
-            let mut n = 0u64;
-            let mut expand_buf: Vec<Primitive> = Vec::new();
+        let world = call.viewport.world;
+        let chunks = self.pool.parallel_map_chunks(prims, |_, chunk| {
+            let mut state = init();
+            // Primitives after expansion, the visible ones, their fragments.
+            let mut counts = [0u64; 3];
+            let mut expand_buf = Vec::new();
             for prim in chunk {
-                let moved = prim.map_positions(|p| shade_pos(call.vertex, p, prim.attrs()));
-                expand_buf.clear();
-                match call.geometry {
-                    Some(gs) => gs.expand(&moved, &mut expand_buf),
-                    None => expand_buf.push(moved),
-                }
-                for prim in &expand_buf {
-                    if !prim.bbox().intersects(&world) {
-                        continue;
+                let moved =
+                    prim.map_positions(|p| call.vertex.shade(Vertex::new(p, prim.attrs())).pos);
+                let expanded: &[Primitive] = match call.geometry {
+                    Some(gs) => {
+                        expand_buf.clear();
+                        gs.expand(&moved, &mut expand_buf);
+                        &expand_buf
                     }
-                    if count_coverage {
-                        n += raster::coverage_count_with(prim, &vp, call.conservative, simd) as u64;
-                        continue;
-                    }
-                    let attrs = prim.attrs();
-                    raster::rasterize_with(prim, &vp, call.conservative, simd, &mut |x, y| {
-                        let frag = Fragment {
-                            x,
-                            y,
-                            world: vp.pixel_center(x, y),
-                            attrs,
-                        };
-                        if call.fragment.shade(&frag, &ctx).is_some() {
-                            n += 1;
-                        }
-                    });
+                    None => std::slice::from_ref(&moved),
+                };
+                counts[0] += expanded.len() as u64;
+                for prim in expanded.iter().filter(|p| p.bbox().intersects(&world)) {
+                    counts[1] += 1;
+                    counts[2] += raster(&mut state, prim, &ctx);
                 }
             }
-            n
+            (state, counts)
         });
-        self.stats.add_gpu_time(start.elapsed());
-        let total: u64 = counts.into_iter().sum();
-        pass_span.attr("primitives", prims.len() as u64);
-        pass_span.attr("counted", total);
-        total
+        let mut counts = [0u64; 3];
+        let states = (chunks.into_iter())
+            .map(|(state, chunk)| {
+                counts.iter_mut().zip(chunk).for_each(|(t, c)| *t += c);
+                state
+            })
+            .collect();
+        let out = finish(states, counter.load(Ordering::Relaxed));
+        record::add_pass(start.elapsed());
+        for (key, value) in ["primitives", "visible", "fragments"]
+            .into_iter()
+            .zip(counts)
+        {
+            span.attr(key, value);
+        }
+        out
     }
 }
 
-#[inline]
-fn shade_pos(
-    vs: &dyn VertexShader,
-    p: spade_geometry::Point,
-    attrs: [u32; 4],
-) -> spade_geometry::Point {
-    vs.shade(crate::primitive::Vertex::new(p, attrs)).pos
+/// Rasterize `prim` and hand each of its fragments to `shade`; returns how
+/// many there were.
+fn fragments(
+    prim: &Primitive,
+    vp: &Viewport,
+    conservative: bool,
+    mut shade: impl FnMut(Fragment),
+) -> u64 {
+    let attrs = prim.attrs();
+    let mut n = 0;
+    raster::rasterize_with(prim, vp, conservative, &mut |x, y| {
+        n += 1;
+        shade(Fragment {
+            x,
+            y,
+            world: vp.pixel_center(x, y),
+            attrs,
+        });
+    });
+    n
 }
 
 #[cfg(test)]
@@ -381,10 +360,6 @@ mod tests {
             assert_eq!(tex.get(i, 0), [i + 1, 0, 0, 0]);
         }
         assert_eq!(tex.count_non_null(), 5);
-        let snap = pl.stats.snapshot();
-        assert_eq!(snap.draw_calls, 1);
-        assert_eq!(snap.primitives, 5);
-        assert_eq!(snap.fragments, 5);
     }
 
     #[test]
@@ -401,7 +376,6 @@ mod tests {
             &DrawCall::simple(vp10(), BlendMode::Replace, false),
         );
         assert_eq!(tex.count_non_null(), 1);
-        assert_eq!(pl.stats.snapshot().clipped, 1);
     }
 
     #[test]
@@ -493,7 +467,6 @@ mod tests {
         };
         pl.draw(&mut tex, &prims, &call);
         assert_eq!(tex.count_non_null(), 5); // x = 0, 2, 4, 6, 8
-        assert_eq!(pl.stats.snapshot().discarded, 5);
     }
 
     #[test]
@@ -541,7 +514,6 @@ mod tests {
         };
         pl.draw(&mut tex, &prims, &call);
         assert_eq!(tex.count_non_null(), 5);
-        assert_eq!(pl.stats.snapshot().primitives, 5);
     }
 
     #[test]
@@ -582,14 +554,9 @@ mod tests {
         assert_eq!(c, 10);
     }
 
-    #[test]
-    fn simd_kernels_on_off_bit_identical_draws() {
-        // The SoA block path (WriteAttrs + default rule) and the scalar
-        // per-fragment path must produce bit-identical textures for every
-        // blend mode, at several worker counts — and the batched engine
-        // must actually have taken the block path.
-        let vp = Viewport::new(BBox::new(Point::ZERO, Point::new(10.0, 10.0)), 64, 64);
-        let prims: Vec<Primitive> = (0..40)
+    /// Triangles of every orientation scattered over a 64×64 canvas.
+    fn scattered_triangles(n: u32) -> Vec<Primitive> {
+        (0..n)
             .map(|i| {
                 let x = (i as f64 * 0.37) % 9.0;
                 let y = (i as f64 * 0.71) % 9.0;
@@ -600,7 +567,19 @@ mod tests {
                     [i + 1, i, 0, 1],
                 )
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn block_path_matches_per_fragment_path() {
+        // `WriteAttrs` on default-rule triangles takes the SoA block path;
+        // a closure shader writing the same attrs cannot claim
+        // `writes_attrs` and is shaded per fragment. Both must produce
+        // bit-identical textures for every blend mode at several worker
+        // counts.
+        let vp = Viewport::new(BBox::new(Point::ZERO, Point::new(10.0, 10.0)), 64, 64);
+        let prims = scattered_triangles(40);
+        let per_fragment = FnFragment(|f: &Fragment, _: &ShaderContext<'_>| Some(f.attrs));
         for blend in [
             BlendMode::Replace,
             BlendMode::KeepFirst,
@@ -609,28 +588,27 @@ mod tests {
             BlendMode::Min,
         ] {
             for workers in [1, 2, 8] {
-                let on = Pipeline::with_workers(workers);
-                let off = Pipeline::with_workers(workers);
-                off.set_simd_kernels(false);
-                let call = DrawCall::simple(vp, blend, false);
+                let pl = Pipeline::with_workers(workers);
+                let blocks = DrawCall::simple(vp, blend, false);
+                let shaded = DrawCall {
+                    fragment: &per_fragment,
+                    ..DrawCall::simple(vp, blend, false)
+                };
                 let mut ta = Texture::new(64, 64);
                 let mut tb = Texture::new(64, 64);
-                on.draw(&mut ta, &prims, &call);
-                off.draw(&mut tb, &prims, &call);
+                pl.draw(&mut ta, &prims, &blocks);
+                pl.draw(&mut tb, &prims, &shaded);
+                assert!(ta.count_non_null() > 0);
                 assert_eq!(ta, tb, "blend={blend:?} workers={workers}");
-                assert!(on.batched_blocks() > 0, "block path never taken");
-                assert_eq!(off.batched_blocks(), 0, "simd=off took the block path");
-                // Stats must agree too: same fragment counts either way.
-                assert_eq!(
-                    on.stats.snapshot().fragments,
-                    off.stats.snapshot().fragments
-                );
             }
         }
     }
 
     #[test]
     fn simd_count_pass_matches_scalar() {
+        // The counting pass — coverage counted through the batched kernel
+        // for an always-emitting shader, fragments shaded one by one
+        // otherwise — equals the scalar oracle's coverage, summed.
         let prims: Vec<Primitive> = (0..20)
             .map(|i| {
                 let x = (i as f64 * 0.53) % 8.0;
@@ -642,49 +620,70 @@ mod tests {
                 )
             })
             .collect();
-        let call = DrawCall::simple(vp10(), BlendMode::Replace, false);
-        let on = Pipeline::with_workers(4);
-        let off = Pipeline::with_workers(4);
-        off.set_simd_kernels(false);
-        assert_eq!(on.count_pass(&prims, &call), off.count_pass(&prims, &call));
+        let pl = Pipeline::with_workers(4);
+        let per_fragment = FnFragment(|f: &Fragment, _: &ShaderContext<'_>| Some(f.attrs));
+        for conservative in [false, true] {
+            let want: usize = (prims.iter())
+                .map(|p| raster::coverage_count(p, &vp10(), conservative))
+                .sum();
+            let call = DrawCall::simple(vp10(), BlendMode::Replace, conservative);
+            let shaded = DrawCall {
+                fragment: &per_fragment,
+                ..DrawCall::simple(vp10(), BlendMode::Replace, conservative)
+            };
+            assert_eq!(pl.count_pass(&prims, &call), want as u64);
+            assert_eq!(pl.count_pass(&prims, &shaded), want as u64);
+        }
     }
 
     #[test]
     fn discarding_shader_bypasses_block_path() {
         // A shader that can discard must not take the direct-attrs block
-        // path even with simd on; results must still match the scalar
-        // engine and discard statistics must be preserved.
-        let frag = FnFragment(|f: &Fragment, _: &ShaderContext<'_>| {
+        // path; its texture must equal the scalar oracle's: every fragment
+        // of the scalar rasterizer, shaded, written in primitive order.
+        let discard = |f: &Fragment, _: &ShaderContext<'_>| {
             if (f.x + f.y).is_multiple_of(3) {
                 None
             } else {
                 Some(f.attrs)
             }
-        });
-        let prims = vec![Primitive::triangle(
-            Point::new(1.0, 1.0),
-            Point::new(8.0, 1.0),
-            Point::new(4.0, 8.0),
-            [7, 0, 0, 0],
-        )];
+        };
+        let frag = FnFragment(discard);
+        let prims = scattered_triangles(12);
+        let vp = vp10();
         let call = DrawCall {
             fragment: &frag,
-            ..DrawCall::simple(vp10(), BlendMode::Replace, false)
+            ..DrawCall::simple(vp, BlendMode::Replace, false)
         };
-        let on = Pipeline::with_workers(2);
-        let off = Pipeline::with_workers(2);
-        off.set_simd_kernels(false);
-        let mut ta = Texture::new(10, 10);
-        let mut tb = Texture::new(10, 10);
-        on.draw(&mut ta, &prims, &call);
-        off.draw(&mut tb, &prims, &call);
-        assert_eq!(ta, tb);
-        assert_eq!(on.batched_blocks(), 0, "discard shader took block path");
-        assert_eq!(
-            on.stats.snapshot().discarded,
-            off.stats.snapshot().discarded
-        );
-        assert!(on.stats.snapshot().discarded > 0);
+        let pl = Pipeline::with_workers(2);
+        let mut got = Texture::new(10, 10);
+        pl.draw(&mut got, &prims, &call);
+
+        let counter = AtomicU32::new(0);
+        let ctx = ShaderContext {
+            textures: &[],
+            uniforms_f: &[],
+            uniforms_u: &[],
+            counter: &counter,
+        };
+        let mut want = Texture::new(10, 10);
+        let mut discarded = 0;
+        for prim in &prims {
+            raster::rasterize(prim, &vp, false, &mut |x, y| {
+                let f = Fragment {
+                    x,
+                    y,
+                    world: vp.pixel_center(x, y),
+                    attrs: prim.attrs(),
+                };
+                match discard(&f, &ctx) {
+                    Some(v) => want.put(x, y, v),
+                    None => discarded += 1,
+                }
+            });
+        }
+        assert!(discarded > 0);
+        assert_eq!(got, want);
     }
 
     #[test]

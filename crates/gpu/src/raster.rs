@@ -292,31 +292,26 @@ pub fn rasterize(
     }
 }
 
-/// [`rasterize`] with the batched kernels toggled explicitly: when
-/// `batched` is set, default-rule triangles run through the 8-wide block
-/// kernel (each mask decoded in ascending-bit order, so the fragment
-/// sequence — order included — is unchanged); everything else, and
-/// `batched == false`, takes the scalar path. Both paths are bit-identical;
-/// the flag only selects the kernel.
+/// [`rasterize`] through the batched kernels, the form every pass uses:
+/// default-rule triangles run through the 8-wide block kernel (each mask
+/// decoded in ascending-bit order, so the fragment sequence — order
+/// included — is unchanged); everything else has no block form and takes
+/// the scalar path. Bit-identical to [`rasterize`], which stays the oracle.
 pub fn rasterize_with(
     prim: &Primitive,
     vp: &Viewport,
     conservative: bool,
-    batched: bool,
     emit: &mut impl FnMut(u32, u32),
 ) {
-    if batched {
-        let done = rasterize_blocks(prim, vp, conservative, &mut |x, y, _n, mut m| {
-            while m != 0 {
-                emit(x + m.trailing_zeros(), y);
-                m &= m - 1;
-            }
-        });
-        if done {
-            return;
+    let done = rasterize_blocks(prim, vp, conservative, &mut |x, y, _n, mut m| {
+        while m != 0 {
+            emit(x + m.trailing_zeros(), y);
+            m &= m - 1;
         }
+    });
+    if !done {
+        rasterize(prim, vp, conservative, emit);
     }
-    rasterize(prim, vp, conservative, emit);
 }
 
 /// Block-emitting front door for the batched SoA fragment path. Invokes
@@ -371,8 +366,7 @@ fn raster_tri_blocks(tri: &Triangle, vp: &Viewport, block: &mut impl FnMut(u32, 
     }
 }
 
-/// Count covered pixels without materializing them (used by the 2-pass Map
-/// operator's counting pass and by tests).
+/// Count covered pixels without materializing them.
 ///
 /// Points are O(1) and triangles use a per-row scanline interval search
 /// instead of enumerating every pixel of the bounding box through a closure;
@@ -380,19 +374,18 @@ fn raster_tri_blocks(tri: &Triangle, vp: &Viewport, block: &mut impl FnMut(u32, 
 /// because every pixel that decides the count is tested with the exact same
 /// floating-point predicate the enumerating rasterizer uses.
 pub fn coverage_count(prim: &Primitive, vp: &Viewport, conservative: bool) -> usize {
-    coverage_count_with(prim, vp, conservative, false)
+    count_coverage(prim, vp, conservative, false)
 }
 
-/// [`coverage_count`] with the batched kernels toggled explicitly: when a
-/// default-rule triangle row falls off the analytic interval search, the
-/// linear rescan runs as block popcounts instead of per-pixel probes.
-/// Counts are identical either way.
-pub fn coverage_count_with(
-    prim: &Primitive,
-    vp: &Viewport,
-    conservative: bool,
-    batched: bool,
-) -> usize {
+/// [`coverage_count`] through the batched kernels, the form the 2-pass Map
+/// operator's counting pass uses: when a default-rule triangle row falls
+/// off the analytic interval search, the linear rescan runs as block
+/// popcounts instead of per-pixel probes. Counts are identical.
+pub fn coverage_count_with(prim: &Primitive, vp: &Viewport, conservative: bool) -> usize {
+    count_coverage(prim, vp, conservative, true)
+}
+
+fn count_coverage(prim: &Primitive, vp: &Viewport, conservative: bool, batched: bool) -> usize {
     match prim {
         Primitive::Point { p, .. } => usize::from(vp.world_to_pixel(*p).is_some()),
         Primitive::Line { .. } => {
@@ -1045,10 +1038,10 @@ mod tests {
                 let mut scalar = Vec::new();
                 rasterize(&t, vp, false, &mut |x, y| scalar.push((x, y)));
                 let mut batched = Vec::new();
-                rasterize_with(&t, vp, false, true, &mut |x, y| batched.push((x, y)));
+                rasterize_with(&t, vp, false, &mut |x, y| batched.push((x, y)));
                 assert_eq!(batched, scalar, "case={case} pts={pts:?}");
                 assert_eq!(
-                    coverage_count_with(&t, vp, false, true),
+                    coverage_count_with(&t, vp, false),
                     scalar.len(),
                     "case={case} pts={pts:?}"
                 );
@@ -1171,12 +1164,11 @@ mod tests {
             for vp in &vps {
                 let mut n = 0usize;
                 rasterize(&t, vp, false, &mut |_, _| n += 1);
-                for batched in [false, true] {
-                    assert_eq!(
-                        coverage_count_with(&t, vp, false, batched),
-                        n,
-                        "case={case} batched={batched} pts={pts:?}"
-                    );
+                for (count, form) in [
+                    (coverage_count(&t, vp, false), "scalar"),
+                    (coverage_count_with(&t, vp, false), "batched"),
+                ] {
+                    assert_eq!(count, n, "case={case} {form} pts={pts:?}");
                 }
             }
         }

@@ -1,29 +1,28 @@
 //! Per-query stats recording, isolated per thread.
 //!
-//! The pipeline and transfer counters ([`crate::stats::PipelineStats`],
-//! [`crate::device::TransferStats`]) are global accumulators shared by every
-//! query running against an engine. Diffing global snapshots to attribute
-//! work to one query is wrong as soon as two queries overlap: each would
-//! also observe the other's draw calls and transfers.
+//! A query's rendering passes ([`crate::Pipeline`]) and host→device
+//! transfers ([`crate::DeviceMemory`]) are counted in exactly one place:
+//! a *frame* the query opens on its executing thread. Every pass and
+//! transfer that thread performs while the frame is open is added to it,
+//! so two queries overlapping on one engine never see each other's work.
+//! Frames nest — sub-queries (e.g. the cell walk inside a join) open inner
+//! frames, and an inner frame folds its totals into its parent when it
+//! closes, so the outer query's frame is inclusive of all nested work, the
+//! optimizer's [`MapDecisions`] included.
 //!
-//! This module gives every query its own ledger. A query opens a *frame* on
-//! its executing thread; every counter bump performed by that thread while
-//! the frame is open is added to the frame (in addition to the global
-//! accumulators). Frames nest — sub-queries (e.g. the per-cell selections
-//! inside an indexed kNN) open inner frames, and on [`finish`] an inner
-//! frame folds its totals into its parent, so the outer query's frame is
-//! inclusive of all nested work, the optimizer's [`MapDecisions`] included.
+//! [`begin`] returns the frame as a guard: [`Frame::finish`] closes it and
+//! returns its totals, and a guard dropped on an error return or an unwind
+//! closes it too, so a failed query never leaves its frame open under the
+//! next one.
 //!
-//! This is correct because every counter-bumping call happens on the thread
-//! driving the query: the pipeline's worker pool aggregates per-worker
-//! counts locally and commits them from the draw call's calling thread, and
-//! the prefetch producer thread performs disk I/O only, never device or
-//! pipeline operations.
+//! This is correct because every counter bump happens on the thread
+//! driving the query: a pass is recorded by its calling thread after the
+//! worker pool returns, and the prefetch producer thread performs disk I/O
+//! only, never device or pipeline operations.
 
 use std::cell::RefCell;
+use std::marker::PhantomData;
 use std::time::Duration;
-
-use crate::stats::StatsSnapshot;
 
 /// The Map implementations (1-pass / 2-pass by estimate `n_max`) a frame ran.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -48,12 +47,13 @@ impl MapDecisions {
     }
 }
 
-/// Totals accumulated by one frame: pipeline counters, host→device
-/// transfer accounting and the Map choices.
+/// Totals accumulated by one frame: rendering passes and their time,
+/// host→device transfer accounting and the Map choices.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrameTotals {
-    pub gpu: StatsSnapshot,
-    pub transfers: u64,
+    pub passes: u64,
+    /// Nanoseconds spent inside passes ("GPU time").
+    pub gpu_nanos: u64,
     pub transfer_bytes: u64,
     pub transfer_nanos: u64,
     pub map: MapDecisions,
@@ -61,13 +61,8 @@ pub struct FrameTotals {
 
 impl FrameTotals {
     fn absorb(&mut self, other: &FrameTotals) {
-        self.gpu.draw_calls += other.gpu.draw_calls;
-        self.gpu.primitives += other.gpu.primitives;
-        self.gpu.clipped += other.gpu.clipped;
-        self.gpu.fragments += other.gpu.fragments;
-        self.gpu.discarded += other.gpu.discarded;
-        self.gpu.gpu_nanos += other.gpu.gpu_nanos;
-        self.transfers += other.transfers;
+        self.passes += other.passes;
+        self.gpu_nanos += other.gpu_nanos;
         self.transfer_bytes += other.transfer_bytes;
         self.transfer_nanos += other.transfer_nanos;
         self.map.absorb(&other.map);
@@ -83,20 +78,62 @@ thread_local! {
     static FRAMES: RefCell<Vec<FrameTotals>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Open a recording frame on the current thread. Every pipeline/transfer
-/// counter bump on this thread until the matching [`finish`] is credited to
-/// it. Frames nest LIFO.
-pub fn begin() {
-    FRAMES.with(|f| f.borrow_mut().push(FrameTotals::default()));
+/// An open recording frame. Closes when finished or dropped; frames are
+/// per thread, so the guard is not `Send`.
+#[must_use = "dropping a frame closes it"]
+pub struct Frame {
+    /// Frames open on this thread, this one included, when it opened.
+    depth: usize,
+    _thread: PhantomData<*const ()>,
 }
 
-/// Close the innermost frame and return its totals (inclusive of nested
-/// frames). The totals are also folded into the parent frame, if any.
-/// Returns zeros if no frame is open.
+/// Open a recording frame on the current thread: every pass and transfer
+/// on this thread until the frame closes is credited to it.
+pub fn begin() -> Frame {
+    let depth = FRAMES.with(|f| {
+        let mut frames = f.borrow_mut();
+        frames.push(FrameTotals::default());
+        frames.len()
+    });
+    Frame {
+        depth,
+        _thread: PhantomData,
+    }
+}
+
+impl Frame {
+    /// Close the frame and return its totals, inclusive of nested frames;
+    /// they also fold into the parent frame, if any.
+    pub fn finish(self) -> FrameTotals {
+        close(self.depth)
+    }
+}
+
+impl Drop for Frame {
+    fn drop(&mut self) {
+        close(self.depth);
+    }
+}
+
+/// Close the innermost open frame on this thread and return its totals —
+/// zeros when none is open. Queries close their frames through their
+/// [`Frame`]; this is how a caller checks that none was left open.
 pub fn finish() -> FrameTotals {
+    close(FRAMES.with(|f| f.borrow().len()))
+}
+
+/// Close the frame opened at `depth`, and any still open above it, folding
+/// its totals into its parent. Zeros when it is already closed.
+fn close(depth: usize) -> FrameTotals {
     FRAMES.with(|f| {
         let mut frames = f.borrow_mut();
-        let totals = frames.pop().unwrap_or_default();
+        if depth == 0 || frames.len() < depth {
+            return FrameTotals::default();
+        }
+        let mut totals = FrameTotals::default();
+        for frame in frames.drain(depth - 1..) {
+            totals.absorb(&frame);
+        }
         if let Some(parent) = frames.last_mut() {
             parent.absorb(&totals);
         }
@@ -112,33 +149,16 @@ fn with_top(apply: impl FnOnce(&mut FrameTotals)) {
     });
 }
 
-pub(crate) fn add_draw_call() {
-    with_top(|t| t.gpu.draw_calls += 1);
-}
-
-pub(crate) fn add_primitives(n: u64) {
-    with_top(|t| t.gpu.primitives += n);
-}
-
-pub(crate) fn add_clipped(n: u64) {
-    with_top(|t| t.gpu.clipped += n);
-}
-
-pub(crate) fn add_fragments(n: u64) {
-    with_top(|t| t.gpu.fragments += n);
-}
-
-pub(crate) fn add_discarded(n: u64) {
-    with_top(|t| t.gpu.discarded += n);
-}
-
-pub(crate) fn add_gpu_nanos(n: u64) {
-    with_top(|t| t.gpu.gpu_nanos += n);
+/// Record one rendering pass that took `elapsed`.
+pub(crate) fn add_pass(elapsed: Duration) {
+    with_top(|t| {
+        t.passes += 1;
+        t.gpu_nanos += elapsed.as_nanos() as u64;
+    });
 }
 
 pub(crate) fn add_transfer(bytes: u64, nanos: u64) {
     with_top(|t| {
-        t.transfers += 1;
         t.transfer_bytes += bytes;
         t.transfer_nanos += nanos;
     });
@@ -153,38 +173,46 @@ pub fn add_map(decisions: MapDecisions) {
 mod tests {
     use super::*;
     use crate::device::DeviceMemory;
-    use crate::stats::PipelineStats;
+    use crate::{BlendMode, DrawCall, Pipeline, Primitive, Texture, Viewport};
+    use spade_geometry::{BBox, Point};
+
+    /// One real rendering pass: a point drawn into a 4×4 canvas.
+    fn draw(pipe: &Pipeline) {
+        let vp = Viewport::new(BBox::new(Point::ZERO, Point::new(4.0, 4.0)), 4, 4);
+        let prims = [Primitive::point(Point::new(1.5, 1.5), [1, 0, 0, 0])];
+        let mut tex = Texture::new(4, 4);
+        pipe.draw(
+            &mut tex,
+            &prims,
+            &DrawCall::simple(vp, BlendMode::Replace, false),
+        );
+    }
 
     #[test]
     fn frame_captures_only_enclosed_work() {
-        let stats = PipelineStats::new();
-        stats.add_fragments(100); // before the frame: not recorded
-        begin();
-        stats.add_fragments(7);
-        stats.add_draw_call();
-        let totals = finish();
-        stats.add_fragments(100); // after the frame: not recorded
-        assert_eq!(totals.gpu.fragments, 7);
-        assert_eq!(totals.gpu.draw_calls, 1);
-        // The global accumulator still saw everything.
-        assert_eq!(stats.snapshot().fragments, 207);
+        let pipe = Pipeline::with_workers(2);
+        draw(&pipe); // before the frame: not recorded
+        let frame = begin();
+        draw(&pipe);
+        let totals = frame.finish();
+        draw(&pipe); // after the frame: not recorded
+        assert_eq!(totals.passes, 1);
+        assert!(totals.gpu_nanos > 0);
     }
 
     #[test]
     fn nested_frames_fold_into_parent() {
-        let stats = PipelineStats::new();
-        begin();
-        stats.add_draw_call();
-        begin();
-        stats.add_draw_call();
-        stats.add_primitives(5);
-        let inner = finish();
-        let outer = finish();
-        assert_eq!(inner.gpu.draw_calls, 1);
-        assert_eq!(inner.gpu.primitives, 5);
+        let pipe = Pipeline::with_workers(2);
+        let outer = begin();
+        draw(&pipe);
+        let inner = begin();
+        draw(&pipe);
+        let inner = inner.finish();
+        let outer = outer.finish();
+        assert_eq!(inner.passes, 1);
         // Outer is inclusive of inner.
-        assert_eq!(outer.gpu.draw_calls, 2);
-        assert_eq!(outer.gpu.primitives, 5);
+        assert_eq!(outer.passes, 2);
+        assert!(outer.gpu_nanos >= inner.gpu_nanos);
     }
 
     #[test]
@@ -196,14 +224,14 @@ mod tests {
             max_n_max: n_max,
             slots: 100,
         };
-        begin();
+        let outer = begin();
         add_map(map(false, false, 10));
         add_map(map(true, false, 500));
-        begin();
+        let inner = begin();
         add_map(map(false, false, 50));
         add_map(map(true, true, 20));
-        let inner = finish().map;
-        let outer = finish().map;
+        let inner = inner.finish().map;
+        let outer = outer.finish().map;
         assert_eq!(
             (inner.one_pass, inner.two_pass, inner.overshoots),
             (1, 1, 1)
@@ -220,34 +248,39 @@ mod tests {
     #[test]
     fn transfers_are_recorded_per_frame() {
         let dev = DeviceMemory::with_bandwidth(u64::MAX, 1e9);
-        begin();
+        let frame = begin();
         dev.upload(1_000).unwrap();
-        let totals = finish();
-        assert_eq!(totals.transfers, 1);
+        let totals = frame.finish();
         assert_eq!(totals.transfer_bytes, 1_000);
         assert!(totals.transfer_nanos > 0);
     }
 
     #[test]
     fn frames_are_thread_isolated() {
-        let stats = PipelineStats::new();
-        begin();
-        stats.add_fragments(3);
+        let pipe = Pipeline::with_workers(2);
+        let frame = begin();
+        draw(&pipe);
         // Another thread's work is not attributed to this thread's frame.
         std::thread::scope(|s| {
             s.spawn(|| {
-                begin();
-                stats.add_fragments(1000);
-                let other = finish();
-                assert_eq!(other.gpu.fragments, 1000);
+                let other = begin();
+                draw(&pipe);
+                draw(&pipe);
+                assert_eq!(other.finish().passes, 2);
             });
         });
-        let totals = finish();
-        assert_eq!(totals.gpu.fragments, 3);
+        assert_eq!(frame.finish().passes, 1);
     }
 
     #[test]
     fn finish_without_begin_is_zero() {
+        assert_eq!(finish(), FrameTotals::default());
+        // A dropped frame is closed: nothing is left for the next finish.
+        let pipe = Pipeline::with_workers(2);
+        {
+            let _frame = begin();
+            draw(&pipe);
+        }
         assert_eq!(finish(), FrameTotals::default());
     }
 }

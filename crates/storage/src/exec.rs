@@ -500,7 +500,7 @@ pub fn scan(table: &Table, columns: &[String], filter: Option<&Expr>) -> Result<
 
 /// [`scan`] with the block filter kernel toggled explicitly. Results are
 /// identical either way — the toggle exists for differential testing and
-/// for the engine's `simd_kernels` knob.
+/// the kernel benchmark.
 pub fn scan_with(
     table: &Table,
     columns: &[String],

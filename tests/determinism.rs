@@ -226,42 +226,6 @@ fn forced_and_adaptive_join_strategies_byte_identical() {
     assert!(decision.adaptive, "calibrated engine decided statically");
 }
 
-/// The batched kernels must be invisible in result bytes: with
-/// `simd_kernels` off every rasterization, blend, and scan loop runs its
-/// scalar form, yet all five query families — in-memory and out-of-core —
-/// must stay byte-identical to the batched engine at every worker count.
-/// The kernels are bit-identical by construction (same floating-point
-/// operation sequences on the same operands), and this is the end-to-end
-/// proof.
-#[test]
-fn simd_kernels_on_off_byte_identical() {
-    let f = Fixture::build();
-    for workers in [1usize, 2, 8] {
-        let cfg = |simd| EngineConfig {
-            workers,
-            simd_kernels: simd,
-            ..EngineConfig::test_small()
-        };
-        let on = Spade::new(cfg(true));
-        let off = Spade::new(cfg(false));
-        for round in 0..2 {
-            let a = run_suite(&on, &f);
-            let b = run_suite(&off, &f);
-            assert_eq!(
-                a, b,
-                "simd kernels changed result bytes at workers={workers} round={round}"
-            );
-        }
-        // Non-vacuity: the batched engine actually took the block path,
-        // the scalar engine never did.
-        assert!(
-            on.pipeline.batched_blocks() > 0,
-            "simd engine never emitted a coverage block at workers={workers}"
-        );
-        assert_eq!(off.pipeline.batched_blocks(), 0);
-    }
-}
-
 /// Arena regression: the second round above rendered into recycled
 /// framebuffers. Prove the recycling actually happened (hits > 0) and that
 /// disabling the arena entirely still yields the same bytes — pooling is

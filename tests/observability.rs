@@ -5,6 +5,8 @@
 use spade::datagen::{spider, urban};
 use spade::engine::dataset::{Dataset, DatasetKind, IndexedDataset};
 use spade::engine::distance::DistanceConstraint;
+use spade::engine::query::{run_join, run_select, JoinQuery, QueryResult, SelectQuery};
+use spade::engine::stats::QueryOutput;
 use spade::engine::{aggregate, distance, join, knn, select, trace, EngineConfig, QueryCtx, Spade};
 use spade::geometry::{BBox, Point};
 use spade::index::GridIndex;
@@ -52,7 +54,8 @@ fn run_families(
 
 /// Differential: tracing on vs off yields byte-identical results across
 /// the five query families, and the traced run records one span per
-/// family (plus GPU pipeline passes underneath).
+/// family plus one span per pipeline pass underneath — every pass the
+/// query counts, Map passes included.
 #[test]
 fn tracing_does_not_change_results() {
     let _g = gate();
@@ -95,6 +98,50 @@ fn tracing_does_not_change_results() {
     // The family spans carry their result cardinality.
     let sel_span = spans.iter().find(|s| s.name == "query.select").unwrap();
     assert_eq!(sel_span.attr("results"), Some(untraced.0.len() as u64));
+
+    // Per in-memory class, on a fresh engine: the pass spans the calling
+    // thread recorded number exactly the passes the query reports.
+    let few = Dataset::from_points("few", spider::uniform_points(2_000, 5));
+    let selects = [
+        ("select", SelectQuery::Intersects(constraint.clone())),
+        (
+            "range",
+            SelectQuery::Range(BBox::new(Point::new(0.2, 0.3), Point::new(0.6, 0.5))),
+        ),
+        ("contained", SelectQuery::Contained(constraint)),
+        (
+            "distance",
+            SelectQuery::WithinDistance(DistanceConstraint::Point(Point::new(0.5, 0.5)), 0.1),
+        ),
+        ("knn", SelectQuery::Knn(Point::new(0.3, 0.7), 16)),
+    ];
+    let joins = [
+        ("join", JoinQuery::Intersects, &polys),
+        ("distance join", JoinQuery::WithinDistance(0.02), &few),
+        ("knn join", JoinQuery::Knn(2), &few),
+        ("count", JoinQuery::CountPoints, &polys),
+    ];
+    trace::set_enabled(true);
+    let count_passes = |label: &str, run: &dyn Fn(&Spade) -> QueryOutput<QueryResult>| {
+        let spade = Spade::new(EngineConfig::test_small());
+        trace::drain();
+        let out = run(&spade);
+        let spans = trace::drain();
+        let caller = spans.iter().find(|s| s.name.starts_with("query."));
+        let caller = caller.expect("query span").thread;
+        let traced = spans.iter().filter(|s| {
+            s.thread == caller && ["gpu.draw", "gpu.count_pass", "gpu.map"].contains(&s.name)
+        });
+        assert!(out.stats.passes > 0, "{label}");
+        assert_eq!(traced.count() as u64, out.stats.passes, "{label}");
+    };
+    for (label, q) in &selects {
+        count_passes(label, &|s| run_select(s, &few, q));
+    }
+    for (label, q, left) in &joins {
+        count_passes(label, &|s| run_join(s, left, &few, q));
+    }
+    trace::set_enabled(false);
 }
 
 /// Same differential over the out-of-core (grid-indexed, disk-backed)

@@ -536,7 +536,7 @@ fn device_memory_is_balanced_after_queries() {
     assert_eq!(stopped, Some(StorageError::Cancelled));
     // All uploads must have been freed.
     assert_eq!(spade.device.used(), 0);
-    assert!(spade.device.transfer_stats.bytes() > 0);
+    assert!(near.stats.bytes_to_device > 0);
     assert!(spade.device.peak() > 0);
 }
 
