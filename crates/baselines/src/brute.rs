@@ -1,7 +1,9 @@
 //! Brute-force oracles: the ground truth every engine is tested against.
 
 use spade_geometry::distance::point_polygon_distance;
-use spade_geometry::predicates::{points_in_polygon_mask, polygons_intersect};
+use spade_geometry::predicates::{
+    point_in_polygon, points_in_polygon_mask, polygons_intersect, segments_intersect,
+};
 use spade_geometry::{Point, Polygon};
 
 /// Bbox-prefilter then batched containment: gather candidate ids, run the
@@ -38,6 +40,33 @@ pub fn select_polygons(polys: &[Polygon], constraint: &Polygon) -> Vec<u32> {
         .iter()
         .enumerate()
         .filter(|(_, p)| polygons_intersect(p, constraint))
+        .map(|(i, _)| i as u32)
+        .collect()
+}
+
+/// Ids of polygons lying entirely inside the constraint (`ST_CONTAINS`):
+/// every vertex inside it (boundary inclusive), no edge meeting its
+/// boundary, and none of its holes overlapping the polygon. For points,
+/// containment is [`select_points`].
+pub fn select_contained(polys: &[Polygon], constraint: &Polygon) -> Vec<u32> {
+    let rim = constraint.boundary_edges();
+    let holes: Vec<Polygon> = (constraint.holes.iter())
+        .map(|h| Polygon::new(h.points.clone()))
+        .collect();
+    let inside = |p: &Polygon| {
+        let mut vertices = p
+            .exterior
+            .points
+            .iter()
+            .chain(p.holes.iter().flat_map(|h| &h.points));
+        vertices.all(|&v| point_in_polygon(v, constraint))
+            && !(p.boundary_edges().iter()).any(|e| rim.iter().any(|r| segments_intersect(*e, *r)))
+            && !holes.iter().any(|h| polygons_intersect(p, h))
+    };
+    polys
+        .iter()
+        .enumerate()
+        .filter(|(_, p)| inside(p))
         .map(|(i, _)| i as u32)
         .collect()
 }
@@ -91,6 +120,17 @@ pub fn knn(points: &[Point], q: Point, k: usize) -> Vec<(u32, f64)> {
     all
 }
 
+/// For each left point, its `k` nearest right points: `(left index, right
+/// index, distance)`, grouped by left index, nearest first.
+pub fn knn_join(left: &[Point], right: &[Point], k: usize) -> Vec<(u32, u32, f64)> {
+    let near = |(i, p): (usize, &Point)| {
+        knn(right, *p, k)
+            .into_iter()
+            .map(move |(j, d)| (i as u32, j, d))
+    };
+    left.iter().enumerate().flat_map(near).collect()
+}
+
 /// Point count per polygon.
 pub fn aggregate(polys: &[Polygon], points: &[Point]) -> Vec<(u32, u64)> {
     polys
@@ -113,7 +153,6 @@ pub fn select_within_distance(points: &[Point], poly: &Polygon, r: f64) -> Vec<u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spade_geometry::predicates::point_in_polygon;
     use spade_geometry::BBox;
 
     fn lcg(seed: &mut u64) -> f64 {

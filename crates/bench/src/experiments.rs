@@ -13,8 +13,10 @@ use spade_baselines::stig::Stig;
 use spade_canvas::create::PreparedPolygon;
 use spade_core::dataset::Dataset;
 use spade_core::engine::Constraint;
+use spade_core::query::{run_join_ctx, run_select_ctx, JoinQuery, QueryResult, SelectQuery};
 use spade_core::{select, EngineConfig, QueryCtx, Spade};
 use spade_geometry::{Point, Polygon};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The engine configuration used by all experiments.
@@ -346,32 +348,37 @@ pub fn fig7() -> Vec<Table> {
     vec![a, b]
 }
 
-fn project_dataset(d: &Dataset) -> Dataset {
+fn project_dataset(d: &Dataset) -> Arc<Dataset> {
     let objects = d
         .objects
         .iter()
         .map(|(id, g)| (*id, spade_geometry::project::geometry_to_mercator(g)))
         .collect();
-    Dataset::from_objects(format!("{}-3857", d.name), d.kind, objects)
+    Arc::new(Dataset::from_objects(
+        format!("{}-3857", d.name),
+        d.kind,
+        objects,
+    ))
 }
 
-fn random_points_in(d: &Dataset, n: usize, seed: u64) -> Dataset {
+fn random_points_in(d: &Dataset, n: usize, seed: u64) -> Arc<Dataset> {
     let pts = spade_datagen::spider::uniform_points(n, seed);
-    Dataset::from_points(
+    Arc::new(Dataset::from_points(
         "random",
         spade_datagen::spider::scale_points(&pts, &d.extent),
-    )
+    ))
 }
 
 fn distance_join_row(
     spade: &Spade,
-    left: &Dataset,
-    right: &Dataset,
+    left: &Arc<Dataset>,
+    right: &Arc<Dataset>,
     r: f64,
     rdd: &PointRdd,
     s2: &PointIndex,
 ) -> Vec<String> {
-    let out = spade_core::distance::distance_join(spade, left, right, r);
+    let q = JoinQuery::WithinDistance(r);
+    let out = run_join_ctx(spade, left, right, &q, &QueryCtx::default()).expect("distance join");
     let left_rdd = PointRdd::build(points_of(left), cluster_cfg());
     let (r_cl, t_cl) = timed(|| rdd.distance_join(&left_rdd, r));
     let left_pts = points_of(left);
@@ -413,7 +420,8 @@ pub fn fig8() -> Vec<Table> {
     for k in [1usize, 10, 20, 30, 40, 50] {
         let (_, t_spade) = timed(|| {
             for &q in &queries {
-                let out = spade_core::knn::knn_select(&spade, &taxi, q, k);
+                let q = SelectQuery::Knn(q, k);
+                let out = run_select_ctx(&spade, &taxi, &q, &QueryCtx::default()).expect("kNN");
                 assert_eq!(out.result.len(), k.min(taxi.len()));
             }
         });
@@ -467,13 +475,14 @@ pub fn fig9() -> Vec<Table> {
 
 fn knn_join_row(
     spade: &Spade,
-    left: &Dataset,
-    right: &Dataset,
+    left: &Arc<Dataset>,
+    right: &Arc<Dataset>,
     k: usize,
     s2: &PointIndex,
     label: String,
 ) -> Vec<String> {
-    let out = spade_core::knn::knn_join(spade, left, right, k);
+    let q = JoinQuery::Knn(k);
+    let out = run_join_ctx(spade, left, right, &q, &QueryCtx::default()).expect("kNN join");
     let left_pts = points_of(left);
     let (r_s2, t_s2) = timed(|| {
         let mut triples = Vec::new();
@@ -783,12 +792,12 @@ fn classify_points(
     out
 }
 
-/// Layer-index ablation: layered join vs a naive loop of per-polygon
-/// selections (in-memory).
+/// Layer-index ablation: the layered join vs a naive loop of per-polygon
+/// selections (in-memory), each timed with its polygon preparation.
 pub fn ablate_layer() -> Vec<Table> {
     let spade = bench_engine();
-    let polys = wl::census();
-    let pts = wl::taxi(100_000);
+    let polys = Arc::new(wl::census());
+    let pts = Arc::new(wl::taxi(100_000));
     let set = spade_core::dataset::PreparedPolygonSet::prepare(
         &spade.pipeline,
         &polys,
@@ -796,11 +805,15 @@ pub fn ablate_layer() -> Vec<Table> {
     );
     let points = pts.as_points();
 
-    let (layered, t_layer) =
-        timed(|| spade_core::join::join_polygon_point_mem(&spade, &set, &points));
+    let join = JoinQuery::Intersects;
+    let (layered, t_layer) = timed(|| {
+        run_join_ctx(&spade, &polys, &pts, &join, &QueryCtx::default())
+            .expect("layered join")
+            .result
+    });
     let (naive, t_naive) = timed(|| {
         let mut pairs = Vec::new();
-        for poly in &set.polygons {
+        for poly in &polys.prepare_polygons() {
             let c = Constraint::from_polygons(&spade, std::slice::from_ref(poly));
             for id in select::select_points_mem(&spade, &points, &c) {
                 pairs.push((poly.id, id));
@@ -810,7 +823,7 @@ pub fn ablate_layer() -> Vec<Table> {
         pairs.dedup();
         pairs
     });
-    assert_eq!(layered, naive, "strategies must agree");
+    assert_eq!(layered, QueryResult::Pairs(naive), "strategies must agree");
 
     let mut t = Table::new(
         "Ablation: layer index (census ⋈ taxi join, in-memory)",
@@ -996,8 +1009,9 @@ pub fn ablate_mapimpl() -> Vec<Table> {
         max_map_slots: 0,
         ..bench_engine().config
     });
-    let a = select::select(&one_pass, &data, &c);
-    let b = select::select(&two_pass, &data, &c);
+    let (data, c) = (Arc::new(data), SelectQuery::Intersects(c));
+    let a = run_select_ctx(&one_pass, &data, &c, &QueryCtx::default()).expect("1-pass select");
+    let b = run_select_ctx(&two_pass, &data, &c, &QueryCtx::default()).expect("2-pass select");
     assert_eq!(a.result, b.result);
 
     let mut t = Table::new(

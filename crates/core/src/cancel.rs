@@ -3,9 +3,10 @@
 //! Out-of-core queries stream grid cells for seconds at a time; a service
 //! in front of the engine needs to abandon them — a client went away, a
 //! deadline expired, an operator killed a runaway query. Cancellation is
-//! *cooperative*: the executor polls a [`CancelToken`] at every cell
-//! boundary of the out-of-core loops (`select`, `join`, `knn`, `distance`,
-//! `aggregate`, and the prefetch producer), the natural points where no
+//! *cooperative*: the executor polls a [`CancelToken`] at every slot
+//! boundary of the walks (`select`, `join`, `knn`, `distance`,
+//! `aggregate`, and the prefetch producer) — in-memory data included, as
+//! the walks' one memory slot — the natural points where no
 //! device allocation is in flight, so the device ledger is balanced when
 //! the query unwinds with [`StorageError::Cancelled`].
 

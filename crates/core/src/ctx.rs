@@ -7,7 +7,7 @@ use crate::scope::Scope;
 /// default is the plain local run: a token that never cancels, the full
 /// scope, tenant 0, cold.
 ///
-/// The indexed executors read `cancel` (polled at every cell boundary, so
+/// The executors read `cancel` (polled at every slot boundary, so
 /// a cancel or expired deadline surfaces as
 /// [`spade_storage::StorageError::Cancelled`] with the device ledger
 /// balanced) and `scope`. `tenant` and `cached` are the dispatchers'

@@ -90,11 +90,26 @@ impl Dataset {
     }
 
     /// Process-unique identity of this dataset's contents, stable across
-    /// clones. In-memory datasets are immutable, so the uid plus
-    /// [`Version::MEMORY`] fully identifies what a query read — the
-    /// result-cache key component for the in-memory paths.
+    /// clones. In-memory datasets are immutable, so the uid alone
+    /// identifies what a query read — the result-cache key component of a
+    /// registered dataset, whose view's version is always `(0, 0)`.
     pub fn uid(&self) -> u64 {
         self.uid
+    }
+
+    /// The view a query over this registered dataset runs against: no grid
+    /// cells and no delta, and the dataset itself — this `Arc`, not a copy
+    /// — as the one memory slot.
+    pub fn read_view(self: &Arc<Self>) -> ReadView<'_> {
+        let no_cells = GridIndex::build(None, &[], 1.0).expect("an empty in-memory grid");
+        ReadView {
+            name: &self.name,
+            kind: self.kind,
+            cache: None,
+            grid: Arc::new(no_cells),
+            delta: DeltaSnapshot::default(),
+            memory: OnceLock::from(Arc::clone(self)),
+        }
     }
 
     pub fn len(&self) -> usize {
@@ -127,6 +142,16 @@ impl Dataset {
             }
         }
         out
+    }
+
+    /// View the polylines as `(id, line)` pairs (other members skipped).
+    pub fn as_lines(&self) -> Vec<(u32, &LineString)> {
+        (self.objects.iter())
+            .filter_map(|(id, g)| match g {
+                Geometry::LineString(l) => Some((*id, l)),
+                _ => None,
+            })
+            .collect()
     }
 
     /// Prepared (triangulated) polygons; the time this takes is the
@@ -268,10 +293,12 @@ impl IndexedDataset {
     pub fn read_view(&self) -> ReadView<'_> {
         let live = self.live.lock().unwrap();
         ReadView {
-            owner: self,
+            name: &self.name,
+            kind: self.kind,
+            cache: Some(&self.cache),
             grid: Arc::clone(&live.grid),
             delta: live.delta.snapshot(),
-            delta_cell: OnceLock::new(),
+            memory: OnceLock::new(),
         }
     }
 
@@ -399,54 +426,68 @@ impl IndexedDataset {
 /// on top of it. Cells load *masked* — tombstoned and replaced objects are
 /// filtered out — so base results never contain an id the delta overrides.
 ///
-/// The staged inserts are one more cell: *slot* `num_cells` of the view.
-/// Its hull is the bbox rectangle of the staged geometries (a conservative
-/// superset), its live count `staged.len()`, its device charge
-/// `delta.bytes`, it has no cell id, and it loads from memory — never
-/// from disk, never through the cell cache. Every slot accessor below
-/// answers for it.
+/// After the grid cells comes one *memory slot*, slot `num_cells` of the
+/// view: an indexed dataset's staged inserts, or the whole of a registered
+/// in-memory dataset, whose view has no grid cells and no delta
+/// ([`Dataset::read_view`]). Its hull is the rectangle of its extent (a
+/// conservative superset), its live count its length, its device charge
+/// its byte size (a delta's staged bytes); it has no cell id, and it loads
+/// from memory — never from disk, never through the cell cache. Every slot
+/// accessor below answers for it.
 pub struct ReadView<'a> {
-    owner: &'a IndexedDataset,
+    name: &'a str,
+    kind: DatasetKind,
+    /// The owner's decoded-cell cache; a registered dataset has no cells.
+    cache: Option<&'a CellCache>,
     pub grid: Arc<GridIndex>,
     pub delta: DeltaSnapshot,
-    /// The delta slot's cell, built on first load.
-    delta_cell: OnceLock<Arc<Dataset>>,
+    /// The memory slot's objects: a registered dataset's own `Arc`, or the
+    /// staged inserts from their first load (until then the delta answers
+    /// with the same length, bbox and bytes).
+    memory: OnceLock<Arc<Dataset>>,
 }
 
 impl ReadView<'_> {
     pub fn name(&self) -> &str {
-        &self.owner.name
+        self.name
     }
 
     pub fn kind(&self) -> DatasetKind {
-        self.owner.kind
+        self.kind
     }
 
-    /// The slots a walk plans over: the grid cells, then the delta slot
-    /// when `include_delta` and anything is staged.
-    pub(crate) fn slots(&self, include_delta: bool) -> std::ops::Range<u32> {
-        let delta = include_delta && !self.delta.staged.is_empty();
-        0..self.grid.num_cells() as u32 + delta as u32
+    /// The slots a walk plans over: the grid cells, then the memory slot
+    /// when `include_memory` and it holds anything.
+    pub(crate) fn slots(&self, include_memory: bool) -> std::ops::Range<u32> {
+        let memory = include_memory && self.memory_len() > 0;
+        0..self.grid.num_cells() as u32 + memory as u32
     }
 
-    /// The cell id of a slot: `None` for the delta slot.
+    /// The cell id of a slot: `None` for the memory slot.
     pub(crate) fn cell_id(&self, slot: u32) -> Option<u32> {
         ((slot as usize) < self.grid.num_cells()).then_some(slot)
     }
 
-    /// The device-transfer charge of slot `idx`: a cell's encoded block
-    /// size, the delta's staged bytes.
-    pub fn cell_bytes(&self, idx: usize) -> u64 {
-        (self.grid.cells().get(idx)).map_or(self.delta.bytes, |c| c.bytes)
+    /// The number of objects in the memory slot.
+    fn memory_len(&self) -> usize {
+        (self.memory.get()).map_or(self.delta.staged.len(), |data| data.len())
     }
 
-    /// A slot's bounding polygon (degenerate delta boxes are inflated the
-    /// way the grid inflates degenerate cells).
+    /// The device-transfer charge of slot `idx`: a cell's encoded block
+    /// size, the memory slot's byte size.
+    pub fn cell_bytes(&self, idx: usize) -> u64 {
+        let memory = || (self.memory.get()).map_or(self.delta.bytes, |d| d.byte_size() as u64);
+        (self.grid.cells().get(idx)).map_or_else(memory, |c| c.bytes)
+    }
+
+    /// A slot's bounding polygon (degenerate memory-slot boxes are
+    /// inflated the way the grid inflates degenerate cells).
     pub(crate) fn hull(&self, slot: u32) -> Cow<'_, Polygon> {
-        match self.grid.cells().get(slot as usize) {
-            Some(cell) => Cow::Borrowed(&cell.hull),
-            None => Cow::Owned(Polygon::rect(self.delta.bbox().inflate(1e-9))),
+        if let Some(cell) = self.grid.cells().get(slot as usize) {
+            return Cow::Borrowed(&cell.hull);
         }
+        let extent = (self.memory.get()).map_or_else(|| self.delta.bbox(), |d| d.extent);
+        Cow::Owned(Polygon::rect(extent.inflate(1e-9)))
     }
 
     /// A lower bound on the objects a slot delivers: a cell's
@@ -457,7 +498,7 @@ impl ReadView<'_> {
                 let masked = self.delta.mask.range(c.id_min..=c.id_max).count();
                 c.num_objects.saturating_sub(masked)
             }
-            None => self.delta.staged.len(),
+            None => self.memory_len(),
         }
     }
 
@@ -484,8 +525,8 @@ impl ReadView<'_> {
     fn load_cell_raw(&self, idx: usize) -> spade_storage::Result<Dataset> {
         let objects = self.grid.load_cell(idx)?;
         Ok(Dataset::from_objects(
-            format!("{}#{}", self.owner.name, idx),
-            self.owner.kind,
+            format!("{}#{}", self.name, idx),
+            self.kind,
             objects,
         ))
     }
@@ -511,7 +552,7 @@ impl ReadView<'_> {
     }
 
     /// Load one slot: a cell through the owner's LRU cache under `budget`
-    /// bytes (returning whether the cache served it), the delta slot from
+    /// bytes (returning whether the cache served it), the memory slot from
     /// memory. The cache stores *unmasked* cells keyed by `(generation,
     /// cell)`; the mask of this view is applied on the way out. A query
     /// reads through [`crate::prefetch::stream_cells`], its one caller.
@@ -521,30 +562,30 @@ impl ReadView<'_> {
         budget: u64,
     ) -> spade_storage::Result<(Arc<Dataset>, bool)> {
         if idx == self.grid.num_cells() {
-            return Ok((self.delta_dataset(), false));
+            return Ok((self.memory_dataset(), false));
         }
         let key = (self.grid.generation, idx);
-        if budget == 0 {
+        let Some(cache) = self.cache.filter(|_| budget > 0) else {
             let raw = Arc::new(self.load_cell_raw(idx)?);
             return Ok((self.apply_mask(raw), false));
-        }
-        if let Some(hit) = self.owner.cache.get(key) {
+        };
+        if let Some(hit) = cache.get(key) {
             return Ok((self.apply_mask(hit), true));
         }
         let raw = Arc::new(self.load_cell_raw(idx)?);
         let bytes = self.grid.cells()[idx].bytes;
-        self.owner
-            .cache
-            .insert(key, Arc::clone(&raw), bytes, budget);
+        cache.insert(key, Arc::clone(&raw), bytes, budget);
         Ok((self.apply_mask(raw), false))
     }
 
-    /// The staged inserts of this view as an in-memory dataset: what the
-    /// delta slot loads.
-    fn delta_dataset(&self) -> Arc<Dataset> {
-        let name = format!("{}#delta", self.owner.name);
-        let build = || Dataset::from_objects(name, self.owner.kind, self.delta.staged.clone());
-        Arc::clone(self.delta_cell.get_or_init(|| Arc::new(build())))
+    /// What the memory slot loads: the registered dataset itself, or the
+    /// staged inserts as an in-memory dataset, built once per view.
+    fn memory_dataset(&self) -> Arc<Dataset> {
+        Arc::clone(self.memory.get_or_init(|| {
+            let name = format!("{}#delta", self.name);
+            let staged = self.delta.staged.clone();
+            Arc::new(Dataset::from_objects(name, self.kind, staged))
+        }))
     }
 }
 

@@ -14,9 +14,10 @@
 //! layer renders into one canvas with exact per-pixel attribution.
 
 use crate::ctx::QueryCtx;
-use crate::dataset::{Dataset, IndexedDataset, ReadView};
+use crate::dataset::ReadView;
 use crate::engine::{Constraint, Spade};
 use crate::join::{scan_points_for_pairs, PairWalk, Pairs};
+use crate::query::Source;
 use crate::select::{select_points_mem, select_polygons_mem, CellWalk};
 use crate::stats::QueryOutput;
 use spade_canvas::create::PreparedPolygon;
@@ -95,41 +96,23 @@ pub(crate) fn build_distance_constraint(
     }
 }
 
-/// Distance selection: ids of points within `r` of the constraint.
-pub fn distance_select(
+/// Distance selection: ids of points within `r` of the constraint
+/// (§5.3's strategy applied to distance constraints). The same distance
+/// canvas first filters the grid cells — its boundary entries answer
+/// hull-triangle distance tests exactly — and the matching cells inside
+/// `ctx.scope` stream through the fused point pass (the memory slot
+/// merges only when the scope owns it).
+pub fn distance_select_indexed<'a>(
     spade: &Spade,
-    data: &Dataset,
-    constraint: &DistanceConstraint,
-    r: f64,
-) -> QueryOutput<Vec<u32>> {
-    let mut qspan = crate::trace::span("query.distance");
-    let measure = spade.begin();
-    let mut polygon_time = Duration::ZERO;
-    let resolution = spade.config.distance_resolution();
-    let c = build_distance_constraint(spade, constraint, r, resolution, &mut polygon_time);
-    let ids = select_points_mem(spade, &data.as_points(), &c);
-    let n = ids.len() as u64;
-    qspan.attr("results", n);
-    let stats = measure.finish(spade, Duration::ZERO, 0, polygon_time, 0, n);
-    QueryOutput { result: ids, stats }
-}
-
-/// Out-of-core distance selection (§5.3's strategy applied to distance
-/// constraints): the same distance canvas first filters the grid cells —
-/// its boundary entries answer hull-triangle distance tests exactly — and
-/// the matching cells inside `ctx.scope` stream through the in-memory pass
-/// (the staged delta merges only when the scope owns it).
-pub fn distance_select_indexed(
-    spade: &Spade,
-    data: &crate::dataset::IndexedDataset,
+    data: impl Into<Source<'a>>,
     constraint: &DistanceConstraint,
     r: f64,
     ctx: &QueryCtx,
 ) -> spade_storage::Result<QueryOutput<Vec<u32>>> {
-    let qspan = crate::trace::span("query.distance.indexed");
+    let qspan = crate::trace::span("query.distance");
     let measure = spade.begin();
     let mut polygon_time = Duration::ZERO;
-    let walk = CellWalk::plan(data, ctx, &mut polygon_time)?;
+    let walk = CellWalk::plan(data.into(), ctx, &mut polygon_time)?;
     let resolution = spade.config.distance_resolution();
     let c = build_distance_constraint(spade, constraint, r, resolution, &mut polygon_time);
     let mut ids = Vec::new();
@@ -184,41 +167,6 @@ pub fn disk_layers(disks: &[(Point, f64)]) -> Vec<Vec<usize>> {
     layers
 }
 
-/// Type-1 distance join (§5.2): all pairs `(x ∈ D1, y ∈ D2)` with
-/// `distance(x, y) ≤ r`, both sides point sets. Constraint canvases are
-/// created from `d1` (the paper uses the smaller side; callers pass it
-/// first).
-pub fn distance_join(spade: &Spade, d1: &Dataset, d2: &Dataset, r: f64) -> QueryOutput<Pairs> {
-    distance_join_multi(spade, &with_radius(&d1.as_points(), r), d2)
-}
-
-/// The type-1 constraints of a point cell: every point with radius `r`.
-fn with_radius(points: &[(u32, Point)], r: f64) -> Vec<(u32, Point, f64)> {
-    points.iter().map(|&(id, p)| (id, p, r)).collect()
-}
-
-/// Type-2 distance join (§5.2): per-object radii `r_i`. Returns
-/// `(d1 id, d2 id)` pairs with `distance ≤ r_i` — the one-pair case of the
-/// out-of-core walk: one constraint cell's canvases, scanned once.
-pub fn distance_join_multi(
-    spade: &Spade,
-    constraints: &[(u32, Point, f64)],
-    d2: &Dataset,
-) -> QueryOutput<Pairs> {
-    let mut qspan = crate::trace::span("query.distance_join");
-    let measure = spade.begin();
-    let mut pairs = within_radii(spade, constraints, &d2.as_points());
-    pairs.sort_unstable();
-    pairs.dedup();
-    let n = pairs.len() as u64;
-    qspan.attr("pairs", n);
-    let stats = measure.finish(spade, Duration::ZERO, 0, Duration::ZERO, 0, n);
-    QueryOutput {
-        result: pairs,
-        stats,
-    }
-}
-
 /// The on-the-fly layer index of one constraint cell (§5.2): one canvas
 /// per layer of non-overlapping disks, rendered as the iterator advances.
 fn disk_canvases<'a>(
@@ -241,28 +189,18 @@ fn disk_canvases<'a>(
     })
 }
 
-/// The distance-join kernel over one (constraint cell, point cell) pair:
-/// `(constraint id, point id)` for every point within its constraint's
-/// disk, unordered — one pass over the points per layer.
-pub(crate) fn within_radii(
-    spade: &Spade,
-    constraints: &[(u32, Point, f64)],
-    points: &[(u32, Point)],
-) -> Pairs {
-    disk_canvases(spade, constraints)
-        .flat_map(|canvas| scan_points_for_pairs(spade, &canvas, points))
-        .collect()
-}
-
-/// [`within_radii`] for the pair walk, which is left-major: the canvases
-/// of a constraint cell stay rendered across the consecutive pairs that
-/// share it, one rendering per residency rather than one per right cell.
+/// The distance-join kernel over one (constraint cell, point cell) pair
+/// for the pair walk: `(constraint id, point id)` for every point within
+/// its constraint's disk, unordered — one pass over the points per layer.
+/// The walk is left-major, so the canvases of a constraint cell stay
+/// rendered across the consecutive pairs that share it, one rendering per
+/// residency rather than one per right cell.
 #[derive(Default)]
 pub(crate) struct ResidentDisks(Option<(Option<u32>, Vec<Constraint>)>);
 
 impl ResidentDisks {
     /// The kernel over `points` for constraint cell `cell` (`None`: the
-    /// staged delta), whose disks `constraints` lists when the cell is new.
+    /// memory slot), whose disks `constraints` lists when the cell is new.
     pub(crate) fn within_radii(
         &mut self,
         spade: &Spade,
@@ -307,26 +245,29 @@ pub(crate) fn hulls_within(
     pairs
 }
 
-/// Out-of-core type-1 distance join: a `PairWalk` over the cell pairs
-/// whose hulls come within `r` of each other, refined by the type-1
-/// kernel on the two resident point cells and folded by extension, so the
-/// partials of a covering [`crate::scope::Scope::Pairs`] set concatenate.
-pub fn distance_join_indexed(
+/// Type-1 distance join (§5.2): all pairs `(x ∈ D1, y ∈ D2)` with
+/// `distance(x, y) ≤ r`, both sides point sets, constraint canvases
+/// created from `d1`. A `PairWalk` over the cell pairs whose hulls come
+/// within `r` of each other, refined by the type-1 kernel on the two
+/// resident point slots and folded by extension, so the partials of a
+/// covering [`crate::scope::Scope::Pairs`] set concatenate.
+pub fn distance_join_indexed<'a>(
     spade: &Spade,
-    d1: &IndexedDataset,
-    d2: &IndexedDataset,
+    d1: impl Into<Source<'a>>,
+    d2: impl Into<Source<'a>>,
     r: f64,
     ctx: &QueryCtx,
 ) -> spade_storage::Result<QueryOutput<Pairs>> {
-    let mut qspan = crate::trace::span("query.distance_join.indexed");
+    let mut qspan = crate::trace::span("query.distance_join");
     let measure = spade.begin();
     let mut polygon_time = Duration::ZERO;
-    let walk = PairWalk::plan(d1, d2, ctx, |left, right| {
+    let walk = PairWalk::plan(d1.into(), d2.into(), ctx, |left, right| {
         hulls_within(spade, left, right, &mut polygon_time, |_| r)
     })?;
     let (mut pairs, mut disks) = (Vec::new(), ResidentDisks::default());
     let (stream, _) = walk.run(spade, ctx, &mut polygon_time, |left, right, (l, _)| {
-        let constraints = || with_radius(left.points(), r);
+        // The type-1 constraints: every left point with radius `r`.
+        let constraints = || left.points().iter().map(|&(id, p)| (id, p, r)).collect();
         pairs.extend(disks.within_radii(spade, l, constraints, right.points()));
     })?;
     pairs.sort_unstable();
@@ -334,7 +275,7 @@ pub fn distance_join_indexed(
     let n = pairs.len() as u64;
     qspan.attr("cells", stream.cells);
     qspan.attr("pairs", n);
-    let stats = measure.finish_streamed(spade, &stream, &walk.deltas, polygon_time, n);
+    let stats = measure.finish(spade, &stream, &walk.deltas, polygon_time, n);
     Ok(QueryOutput {
         result: pairs,
         stats,
@@ -345,9 +286,28 @@ pub fn distance_join_indexed(
 mod tests {
     use super::*;
     use crate::config::EngineConfig;
+    use crate::dataset::Dataset;
+    use std::sync::Arc;
 
     fn engine() -> Spade {
         Spade::new(EngineConfig::test_small())
+    }
+
+    /// A distance selection over `data` registered in memory.
+    fn distance_select_memory(
+        s: &Spade,
+        data: &Dataset,
+        q: &DistanceConstraint,
+        r: f64,
+    ) -> QueryOutput<Vec<u32>> {
+        let data = Arc::new(data.clone());
+        distance_select_indexed(s, &data, q, r, &QueryCtx::default()).unwrap()
+    }
+
+    /// A distance join of `d1` and `d2` registered in memory.
+    fn distance_join_memory(s: &Spade, d1: &Dataset, d2: &Dataset, r: f64) -> QueryOutput<Pairs> {
+        let (d1, d2) = (Arc::new(d1.clone()), Arc::new(d2.clone()));
+        distance_join_indexed(s, &d1, &d2, r, &QueryCtx::default()).unwrap()
     }
 
     fn scatter(n: usize, extent: f64, seed: u64) -> Vec<Point> {
@@ -374,7 +334,7 @@ mod tests {
         let data = Dataset::from_points("p", pts.clone());
         let q = DistanceConstraint::Point(Point::new(50.0, 50.0));
         let r = 17.0;
-        let out = distance_select(&s, &data, &q, r);
+        let out = distance_select_memory(&s, &data, &q, r);
         let mut got = out.result.clone();
         got.sort_unstable();
         let oracle: Vec<u32> = pts
@@ -398,7 +358,7 @@ mod tests {
         ]);
         let q = DistanceConstraint::Line(line);
         let r = 8.0;
-        let out = distance_select(&s, &data, &q, r);
+        let out = distance_select_memory(&s, &data, &q, r);
         let mut got = out.result.clone();
         got.sort_unstable();
         let oracle: Vec<u32> = pts
@@ -418,7 +378,7 @@ mod tests {
         let poly = Polygon::circle(Point::new(50.0, 50.0), 15.0, 8);
         let q = DistanceConstraint::Polygon(poly);
         let r = 10.0;
-        let out = distance_select(&s, &data, &q, r);
+        let out = distance_select_memory(&s, &data, &q, r);
         let mut got = out.result.clone();
         got.sort_unstable();
         let oracle: Vec<u32> = pts
@@ -459,7 +419,7 @@ mod tests {
         let d1 = Dataset::from_points("l", left.clone());
         let d2 = Dataset::from_points("r", right.clone());
         let r = 6.0;
-        let out = distance_join(&s, &d1, &d2, r);
+        let out = distance_join_memory(&s, &d1, &d2, r);
         let mut oracle = Vec::new();
         for (i, a) in left.iter().enumerate() {
             for (j, b) in right.iter().enumerate() {
@@ -483,7 +443,14 @@ mod tests {
             .map(|(i, p)| (i as u32, *p, 2.0 + (i % 5) as f64 * 2.0))
             .collect();
         let d2 = Dataset::from_points("r", right.clone());
-        let out = distance_join_multi(&s, &constraints, &d2);
+        // The type-2 kernel over one (constraint slot, point slot) pair.
+        let mut out = ResidentDisks::default().within_radii(
+            &s,
+            None,
+            || constraints.clone(),
+            &d2.as_points(),
+        );
+        out.sort_unstable();
         let mut oracle = Vec::new();
         for (id, c, r) in &constraints {
             for (j, b) in right.iter().enumerate() {
@@ -493,7 +460,7 @@ mod tests {
             }
         }
         oracle.sort_unstable();
-        assert_eq!(out.result, oracle);
+        assert_eq!(out, oracle);
     }
 
     #[test]
@@ -506,7 +473,7 @@ mod tests {
             crate::dataset::IndexedDataset::new("p", crate::dataset::DatasetKind::Points, grid);
         let q = DistanceConstraint::Point(Point::new(42.0, 58.0));
         for r in [5.0, 15.0, 40.0] {
-            let mut mem = distance_select(&s, &data, &q, r).result;
+            let mut mem = distance_select_memory(&s, &data, &q, r).result;
             mem.sort_unstable();
             let ooc = distance_select_indexed(&s, &indexed, &q, r, &QueryCtx::default()).unwrap();
             assert_eq!(ooc.result, mem, "r={r}");
@@ -523,7 +490,7 @@ mod tests {
         let pts = vec![Point::new(1.0, 1.0), Point::new(2.0, 2.0)];
         let d1 = Dataset::from_points("l", pts.clone());
         let d2 = Dataset::from_points("r", pts);
-        let out = distance_join(&s, &d1, &d2, 0.0);
+        let out = distance_join_memory(&s, &d1, &d2, 0.0);
         // Each point is within distance 0 of itself only.
         assert_eq!(out.result, vec![(0, 0), (1, 1)]);
     }

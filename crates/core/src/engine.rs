@@ -2,6 +2,7 @@
 
 use crate::config::EngineConfig;
 use crate::explain::DeltaInfo;
+use crate::prefetch::StreamStats;
 use crate::stats::QueryStats;
 use spade_canvas::canvas::CanvasLayer;
 use spade_canvas::create::{self, PreparedPolygon};
@@ -94,35 +95,36 @@ pub(crate) struct Measure {
 }
 
 impl Measure {
-    /// Close the measurement into a stats record. `disk_io` is the wall
-    /// time spent in block loads, `disk_bytes` the bytes read, both
-    /// tracked by the caller; passes, device transfers and the Map
-    /// choices come from this query's own recording frame.
+    /// Close the measurement into a stats record: passes, device
+    /// transfers and the Map choices come from this query's own recording
+    /// frame; disk I/O, bytes and the grid-cell count from its slot
+    /// `stream`, whose overlap accounting is charged once the wall clock
+    /// is closed; `deltas` are the walk's delta merges.
     pub(crate) fn finish(
         self,
         spade: &Spade,
-        disk_io: std::time::Duration,
-        disk_bytes: u64,
+        stream: &StreamStats,
+        deltas: &[DeltaInfo],
         polygon_time: std::time::Duration,
-        cells_loaded: u64,
         result_count: u64,
     ) -> QueryStats {
         let frame = self.frame.finish();
         let dev_time = frame.transfer_time();
         let mut stats = QueryStats {
-            io_time: disk_io + dev_time,
+            io_time: stream.io_time + dev_time,
             gpu_time: std::time::Duration::from_nanos(frame.gpu_nanos),
             polygon_time,
-            bytes_from_disk: disk_bytes,
+            bytes_from_disk: stream.bytes_from_disk,
             bytes_to_device: frame.transfer_bytes,
             passes: frame.passes,
-            cells_loaded,
+            cells_loaded: stream.cells,
             result_count,
             ..Default::default()
         };
         if frame.map != Default::default() {
             stats.plan.map = Some(frame.map);
         }
+        stats.plan.deltas = deltas.to_vec();
         // Include modeled device-transfer time in the wall total: on real
         // hardware the bus transfer is wall time; in simulation it is
         // accounting, so it is added on top of the measured elapsed time —
@@ -134,31 +136,7 @@ impl Measure {
             dev_time
         };
         stats.finish(self.start.elapsed() + extra);
-        stats
-    }
-
-    /// [`Measure::finish`] for an out-of-core query: disk I/O, bytes and
-    /// cell count come from the cell stream, whose overlap accounting is
-    /// charged once the wall clock is closed; `deltas` are the walk's
-    /// delta merges.
-    pub(crate) fn finish_streamed(
-        self,
-        spade: &Spade,
-        stream: &crate::prefetch::StreamStats,
-        deltas: &[DeltaInfo],
-        polygon_time: std::time::Duration,
-        result_count: u64,
-    ) -> QueryStats {
-        let mut stats = self.finish(
-            spade,
-            stream.io_time,
-            stream.bytes_from_disk,
-            polygon_time,
-            stream.cells,
-            result_count,
-        );
         stream.charge(&mut stats);
-        stats.plan.deltas = deltas.to_vec();
         stats
     }
 }
@@ -214,22 +192,6 @@ impl Constraint {
             layer,
             viewport,
             num_vertices: verts,
-        }
-    }
-
-    /// Build a constraint from axis-parallel rectangles (the range-query
-    /// fast path through the geometry shader, §4.2).
-    pub fn from_rects(spade: &Spade, rects: &[(u32, BBox)]) -> Constraint {
-        let mut bbox = BBox::empty();
-        for (_, b) in rects {
-            bbox = bbox.union(b);
-        }
-        let viewport = spade.viewport_for(&bbox);
-        let layer = create::render_rects(&spade.pipeline, viewport, rects);
-        Constraint {
-            layer,
-            viewport,
-            num_vertices: rects.len() * 4,
         }
     }
 
@@ -356,7 +318,9 @@ mod tests {
     fn rect_constraint_equivalent() {
         let s = engine();
         let bb = BBox::new(Point::new(2.0, 2.0), Point::new(8.0, 8.0));
-        let c = Constraint::from_rects(&s, &[(3, bb)]);
+        let vp = s.viewport_for(&bb);
+        let layer = create::render_rects(&s.pipeline, vp, &[(3, bb)]);
+        let c = Constraint::from_layer(layer, vp, 4);
         assert_eq!(c.match_point(Point::new(5.0, 5.0)), vec![3]);
         assert!(c.match_point(Point::new(8.7, 5.0)).is_empty());
         // Boundary-exactness right at the rim.
@@ -370,14 +334,12 @@ mod tests {
         // Some GPU work.
         let poly = Polygon::rect(BBox::new(Point::ZERO, Point::new(4.0, 4.0)));
         let _ = Constraint::from_polygons(&s, &[PreparedPolygon::prepare(0, &poly)]);
-        let stats = m.finish(
-            &s,
-            std::time::Duration::from_millis(1),
-            123,
-            std::time::Duration::ZERO,
-            0,
-            42,
-        );
+        let stream = StreamStats {
+            io_time: std::time::Duration::from_millis(1),
+            bytes_from_disk: 123,
+            ..Default::default()
+        };
+        let stats = m.finish(&s, &stream, &[], std::time::Duration::ZERO, 42);
         assert!(stats.total_time > std::time::Duration::ZERO);
         assert!(stats.passes >= 2); // interior + boundary pass
         assert_eq!(stats.bytes_from_disk, 123);
@@ -395,14 +357,7 @@ mod tests {
         // Reference: the work one constraint render performs, run alone.
         let m = s.begin();
         let _ = Constraint::from_polygons(&s, &[PreparedPolygon::prepare(0, &poly)]);
-        let alone = m.finish(
-            &s,
-            std::time::Duration::ZERO,
-            0,
-            std::time::Duration::ZERO,
-            0,
-            0,
-        );
+        let alone = m.finish(&s, &StreamStats::default(), &[], Default::default(), 0);
 
         // 4 threads run the same query concurrently against the same
         // engine; every one must report exactly the solo pass count and
@@ -416,14 +371,7 @@ mod tests {
                         let _c = s.device.charge(64);
                         let _ =
                             Constraint::from_polygons(&s, &[PreparedPolygon::prepare(0, &poly)]);
-                        m.finish(
-                            &s,
-                            std::time::Duration::ZERO,
-                            0,
-                            std::time::Duration::ZERO,
-                            0,
-                            0,
-                        )
+                        m.finish(&s, &StreamStats::default(), &[], Default::default(), 0)
                     })
                 })
                 .collect();
@@ -447,14 +395,7 @@ mod tests {
             let _ = Constraint::from_polygons(&s, &[PreparedPolygon::prepare(0, &poly)]);
         }
         let m = s.begin();
-        let stats = m.finish(
-            &s,
-            std::time::Duration::ZERO,
-            0,
-            std::time::Duration::ZERO,
-            0,
-            0,
-        );
+        let stats = m.finish(&s, &StreamStats::default(), &[], Default::default(), 0);
         assert_eq!(stats.passes, 0, "stale frame leaked into next query");
     }
 

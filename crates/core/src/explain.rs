@@ -365,7 +365,7 @@ mod tests {
 
     /// Close a measurement that did no other work into its stats.
     fn finish(m: crate::engine::Measure, spade: &crate::Spade) -> QueryStats {
-        m.finish(spade, Default::default(), 0, Default::default(), 0, 0)
+        m.finish(spade, &Default::default(), &[], Default::default(), 0)
     }
 
     #[test]

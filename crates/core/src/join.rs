@@ -1,27 +1,29 @@
-//! Spatial joins (§5.2 in-memory, §5.3 out-of-core).
+//! Spatial joins (§5.2 kernels, §5.3 plan).
 //!
 //! A join `D1 ⋈ D2` runs as a collection of selections whose constraints
 //! come from one side. The layer index makes this efficient: every layer of
 //! the constraint side holds mutually non-intersecting polygons, so one
 //! canvas (and one rendering pass per data side) processes the whole layer
-//! (§5.2). Out-of-core, the filter phase joins the two grid indexes'
-//! bounding polygons to produce cell pairs; the optimizer then picks
-//! between the layer-index strategy and a naive loop of selects by
-//! estimated transfer bytes, and orders the loop to share resident cells
-//! (§5.3–5.4). The ordered walk itself is `PairWalk`, shared with the
-//! out-of-core aggregation.
+//! (§5.2). The filter phase joins the two grid indexes' bounding polygons
+//! to produce cell pairs; the optimizer then picks between the layer-index
+//! strategy and a naive loop of selects by estimated transfer bytes, and
+//! orders the loop to share resident cells (§5.3–5.4). The ordered walk
+//! itself is `PairWalk`, shared with every two-dataset class. Data in
+//! memory is its zero-cell case: one memory slot per side, one pair, no
+//! filter.
 
 use crate::ctx::QueryCtx;
-use crate::dataset::{Dataset, DatasetKind, IndexedDataset, PreparedPolygonSet, ReadView};
+use crate::dataset::{Dataset, DatasetKind, PreparedPolygonSet, ReadView};
 use crate::engine::{Constraint, Spade};
 use crate::explain::{DeltaInfo, JoinDecision};
 use crate::optimizer::{self, JoinStrategy};
 use crate::prefetch::StreamStats;
+use crate::query::Source;
 use crate::select::{line_candidates, polygon_candidates, CandidateGeom};
 use crate::stats::QueryOutput;
 use spade_canvas::algebra;
 use spade_canvas::create::PreparedPolygon;
-use spade_geometry::{Geometry, Point};
+use spade_geometry::Point;
 use spade_gpu::device::Charge;
 use spade_gpu::record::FrameTotals;
 use spade_gpu::Primitive;
@@ -62,18 +64,6 @@ fn join_by_layer(
     pairs
 }
 
-/// In-memory Polygon ⋈ Point join (§5.2 scenario 1). Returns
-/// `(polygon id, point id)` pairs.
-pub fn join_polygon_point_mem(
-    spade: &Spade,
-    polys: &PreparedPolygonSet,
-    points: &[(u32, Point)],
-) -> Pairs {
-    join_by_layer(spade, polys, spade.config.resolution, |c| {
-        scan_points_for_pairs(spade, c, points)
-    })
-}
-
 /// The fused point-vs-constraint pass emitting `(constraint id, point id)`
 /// pairs; n_max = number of points (§5.4: a point intersects at most one
 /// polygon per layer).
@@ -104,20 +94,11 @@ pub(crate) fn scan_points_for_pairs(
     result.values.into_iter().map(|v| (v[0], v[1])).collect()
 }
 
-/// In-memory Polygon ⋈ Polygon join (§5.2 scenario 2): selections per
-/// layer of the side with fewer layers. Returns `(d1 id, d2 id)` pairs.
+/// Polygon ⋈ Polygon join (§5.2 scenario 2): selections per layer of the
+/// side with fewer layers, at canvas `resolution` (the filter phase joins
+/// cell hulls at the coarse filter resolution). Returns `(d1 id, d2 id)`
+/// pairs.
 pub fn join_polygon_polygon_mem(
-    spade: &Spade,
-    d1: &PreparedPolygonSet,
-    d2: &PreparedPolygonSet,
-) -> Pairs {
-    join_polygon_polygon_mem_res(spade, d1, d2, spade.config.resolution)
-}
-
-/// [`join_polygon_polygon_mem`] with an explicit canvas resolution (the
-/// out-of-core filter phase joins cell hulls at the coarse filter
-/// resolution).
-pub fn join_polygon_polygon_mem_res(
     spade: &Spade,
     d1: &PreparedPolygonSet,
     d2: &PreparedPolygonSet,
@@ -193,7 +174,7 @@ fn scan_candidates_for_pairs(
     pairs
 }
 
-/// A cell — a grid cell on the device, a staged delta, or a whole
+/// A slot — a grid cell on the device, a staged delta, or a whole
 /// in-memory data set — in the prepared form the refinement kernels read:
 /// the point list, the polyline segments as conservative line primitives
 /// (line data is the paper's cheaper-than-polygons case, §6.1), or the
@@ -210,15 +191,7 @@ impl Resident {
         match data.kind {
             DatasetKind::Points => Resident::Points(data.as_points()),
             DatasetKind::Lines => {
-                let lines: Vec<_> = data
-                    .objects
-                    .iter()
-                    .filter_map(|(id, g)| match g {
-                        Geometry::LineString(l) => Some((*id, l)),
-                        _ => None,
-                    })
-                    .collect();
-                let (prims, geoms) = line_candidates(&lines);
+                let (prims, geoms) = line_candidates(&data.as_lines());
                 Resident::Lines(prims, geoms)
             }
             DatasetKind::Polygons => {
@@ -265,7 +238,9 @@ fn join_cells_layered(spade: &Spade, left: &Resident, right: &Resident) -> Pairs
         })
     };
     match (left, right) {
-        (Resident::Polys(s1), Resident::Polys(s2)) => join_polygon_polygon_mem(spade, s1, s2),
+        (Resident::Polys(s1), Resident::Polys(s2)) => {
+            join_polygon_polygon_mem(spade, s1, s2, spade.config.resolution)
+        }
         (Resident::Polys(set), probes) => by_layer(set, probes),
         (probes, Resident::Polys(set)) => flip(by_layer(set, probes)),
         _ => unimplemented!("a join needs a polygon side"),
@@ -286,24 +261,6 @@ fn join_cells_naive(spade: &Spade, left: &Resident, right: &Resident) -> Pairs {
         pairs.extend(probed.into_iter().map(|(_, pid)| (poly.id, pid)));
     }
     pairs
-}
-
-/// Full in-memory join with statistics: the one-pair case of the
-/// out-of-core walk — each side prepared once, refined by the layer join.
-pub fn join(spade: &Spade, d1: &Dataset, d2: &Dataset) -> QueryOutput<Pairs> {
-    let mut qspan = crate::trace::span("query.join");
-    let measure = spade.begin();
-    let mut polygon_time = Duration::ZERO;
-    let left = Resident::prepare(spade, d1, &mut polygon_time);
-    let right = Resident::prepare(spade, d2, &mut polygon_time);
-    let pairs = join_cells_layered(spade, &left, &right);
-    let n = pairs.len() as u64;
-    qspan.attr("pairs", n);
-    let stats = measure.finish(spade, Duration::ZERO, 0, polygon_time, 0, n);
-    QueryOutput {
-        result: pairs,
-        stats,
-    }
 }
 
 /// The filter phase of the intersection families (§5.3): a Polygon ⋈
@@ -327,10 +284,10 @@ pub(crate) fn hull_pairs(
         }
     };
     let (set1, set2) = (hull_set(view1, slots1), hull_set(view2, slots2));
-    join_polygon_polygon_mem_res(spade, &set1, &set2, spade.config.filter_resolution())
+    join_polygon_polygon_mem(spade, &set1, &set2, spade.config.filter_resolution())
 }
 
-/// The out-of-core strategy every two-dataset query shares (§5.3): filter
+/// The strategy every two-dataset query shares (§5.3): filter
 /// cell pairs by their bounding polygons, order them to share resident
 /// cells, refine pair by pair. A caller supplies what differs per class —
 /// the candidate filter, the refinement kernel and its fold;
@@ -338,9 +295,10 @@ pub(crate) fn hull_pairs(
 /// sequence; [`PairWalk::run`] owns everything between them and the
 /// kernel — prefetch, the cell cache, one preparation per residency
 /// change, the device ledger and the I/O accounting — and may run more
-/// than once (kNN join: twice) over the same snapshot. A side's staged
-/// delta is one more slot of its view ([`ReadView`]): planned, filtered,
-/// streamed and charged like any cell.
+/// than once (kNN join: twice) over the same snapshot. A side's memory
+/// slot — its staged delta, or the whole of a registered dataset — is one
+/// more slot of its view ([`ReadView`]): planned, filtered, streamed and
+/// charged like any cell.
 pub(crate) struct PairWalk<'a> {
     pub view1: ReadView<'a>,
     pub view2: ReadView<'a>,
@@ -358,14 +316,16 @@ impl<'a> PairWalk<'a> {
     /// Snapshot both sides and fix the walk. `filter` is the class's
     /// filter phase over slot ranges of the two snapshots (any conservative
     /// superset of the pairs holding a result is safe: refinement is
-    /// exact); the full scope hands it every slot. The explicit cell pairs
-    /// of [`crate::scope::Scope::Pairs`], the scatter-gather form, replace
-    /// it (out-of-range ones dropped) but cannot name a delta, so the
-    /// scope that owns the deltas filters each delta slot against the
+    /// exact); the full scope hands it every slot. When neither side has a
+    /// grid cell, each has at most its memory slot and that one pair is
+    /// the candidate set: no filter renders. The explicit cell pairs of
+    /// [`crate::scope::Scope::Pairs`], the scatter-gather form, replace it
+    /// (out-of-range ones dropped) but cannot name a memory slot, so the
+    /// scope that owns the deltas filters each memory slot against the
     /// other side.
     pub(crate) fn plan(
-        d1: &'a IndexedDataset,
-        d2: &'a IndexedDataset,
+        d1: Source<'a>,
+        d2: Source<'a>,
         ctx: &QueryCtx,
         mut filter: impl FnMut((&ReadView<'a>, Range<u32>), (&ReadView<'a>, Range<u32>)) -> Pairs,
     ) -> spade_storage::Result<PairWalk<'a>> {
@@ -376,6 +336,9 @@ impl<'a> PairWalk<'a> {
         let owned = ctx.scope.include_delta();
         let (end1, end2) = (view1.slots(owned).end, view2.slots(owned).end);
         let mut cell_pairs = match explicit {
+            _ if n1 + n2 == 0 => (0..end1)
+                .flat_map(|l| (0..end2).map(move |r| (l, r)))
+                .collect(),
             Some(pairs) => {
                 let mut pairs: Pairs = (pairs.iter().copied())
                     .filter(|&(l, r)| l < n1 && r < n2)
@@ -412,12 +375,12 @@ impl<'a> PairWalk<'a> {
     }
 
     /// Walk the pairs with single-slot residency per side, handing every
-    /// pair of prepared cells and their cell ids (`None`: the staged
-    /// delta) to `refine(left, right, cells)`. A resident cell keeps its
-    /// prepared form across the consecutive pairs the order puts together,
-    /// a delta keeps it for the whole run (its slot re-enters residency
-    /// once per left group), and a pair refines as soon as both its slots
-    /// are resident.
+    /// pair of prepared cells and their cell ids (`None`: the memory slot)
+    /// to `refine(left, right, cells)`. A resident cell keeps its prepared
+    /// form across the consecutive pairs the order puts together, a memory
+    /// slot keeps it for the whole run (it re-enters residency once per
+    /// left group), and a pair refines as soon as both its slots are
+    /// resident.
     ///
     /// `ctx.cancel` is polled at every residency change; a resident slot
     /// is a [`Charge`] the walk holds, so the device ledger balances
@@ -434,7 +397,8 @@ impl<'a> PairWalk<'a> {
     ) -> spade_storage::Result<(StreamStats, FrameTotals)> {
         let views = [&self.view1, &self.view2];
         // Per side: the resident slot, its ledger charge, its prepared
-        // form; and a delta's prepared form, shared by its residencies.
+        // form; and the memory slot's prepared form, shared by its
+        // residencies.
         let mut resident: [Option<(u32, Charge<'_>, Rc<Resident>)>; 2] = [None, None];
         let mut staged: [Option<Rc<Resident>>; 2] = [None, None];
         let mut next = 0;
@@ -476,30 +440,35 @@ impl<'a> PairWalk<'a> {
     }
 }
 
-/// Out-of-core join between two grid-indexed data sets (§5.3): a
-/// `PairWalk` whose cell pairs refine with the strategy the optimizer
-/// picks by transfer estimate (§5.4) and whose pairs fold by extension.
-pub fn join_indexed(
+/// Spatial (intersection) join (§5.3): a `PairWalk` whose pairs of two
+/// grid cells refine with the strategy the optimizer picks by transfer
+/// estimate (§5.4), every other pair with the layer join, and whose pairs
+/// fold by extension.
+pub fn join_indexed<'a>(
     spade: &Spade,
-    d1: &IndexedDataset,
-    d2: &IndexedDataset,
+    d1: impl Into<Source<'a>>,
+    d2: impl Into<Source<'a>>,
     ctx: &QueryCtx,
 ) -> spade_storage::Result<QueryOutput<Pairs>> {
-    let mut qspan = crate::trace::span("query.join.indexed");
+    let mut qspan = crate::trace::span("query.join");
     let measure = spade.begin();
     let mut polygon_time = Duration::ZERO;
+    let (d1, d2) = (d1.into(), d2.into());
     let walk = PairWalk::plan(d1, d2, ctx, |left, right| {
         hull_pairs(spade, left, right, &mut polygon_time)
     })?;
     let cell_pairs = &walk.cell_pairs;
+    // Without grid cells on both sides there is no pair of two cells to
+    // choose a strategy for: the join decides, observes, reports nothing.
+    let decides = walk.view1.grid.num_cells() > 0 && walk.view2.grid.num_cells() > 0;
 
     // Optimizer: strategy choice by transfer estimate (§5.4). The naive
     // strategy's per-object filtering is approximated at cell granularity
     // for the estimate; its execution below is per cell pair as well, so
     // the estimates compare the *order* benefit.
-    let pair_key = optimizer::stats::join_key(d1.uid(), d2.uid());
-    // Per slot, a delta's included: the estimates index the pairs the
-    // walk will run.
+    let pair_key = optimizer::stats::join_key(d1.describe().2, d2.describe().2);
+    // Per slot, a memory slot's included: the estimates index the pairs
+    // the walk will run.
     let bytes = |v: &ReadView<'_>| Vec::from_iter(v.slots(true).map(|s| v.cell_bytes(s as usize)));
     let (left_bytes, right_bytes) = (bytes(&walk.view1), bytes(&walk.view2));
     let layer_est = optimizer::estimate_layer_bytes_ordered(cell_pairs, &left_bytes, &right_bytes);
@@ -538,8 +507,8 @@ pub fn join_indexed(
         adaptive = false;
     }
 
-    // The strategy applies to the pairs of two cells; a pair with a delta
-    // on either side always takes the layer join.
+    // The strategy applies to the pairs of two cells; a pair with a
+    // memory slot on either side always takes the layer join.
     let mut pairs = Vec::new();
     let (stream, frame) = walk.run(spade, ctx, &mut polygon_time, |left, right, cells| {
         pairs.extend(match (strategy, cells) {
@@ -560,9 +529,9 @@ pub fn join_indexed(
         JoinStrategy::LayerIndex => layer_est,
         JoinStrategy::NaiveSelects => naive_est,
     };
-    spade
-        .observed
-        .observe_join(pair_key, strategy, est_chosen, actual_cost);
+    if decides {
+        (spade.observed).observe_join(pair_key, strategy, est_chosen, actual_cost);
+    }
     let (mispredicted, would_have_chosen) = if adaptive {
         // An adaptive decision mispredicts when the actual cost blew past
         // its own prediction while the alternative's prediction would have
@@ -599,8 +568,8 @@ pub fn join_indexed(
     let n = pairs.len() as u64;
     qspan.attr("cells", stream.cells);
     qspan.attr("pairs", n);
-    let mut stats = measure.finish_streamed(spade, &stream, &walk.deltas, polygon_time, n);
-    stats.plan.join = Some(JoinDecision {
+    let mut stats = measure.finish(spade, &stream, &walk.deltas, polygon_time, n);
+    stats.plan.join = decides.then_some(JoinDecision {
         strategy,
         layer_est_bytes: layer_est,
         naive_est_bytes: naive_est,
@@ -623,12 +592,21 @@ pub fn join_indexed(
 mod tests {
     use super::*;
     use crate::config::EngineConfig;
+    use crate::dataset::IndexedDataset;
     use spade_geometry::predicates::{point_in_polygon, polygons_intersect};
     use spade_geometry::{BBox, Polygon};
     use spade_index::GridIndex;
+    use std::sync::Arc;
 
     fn engine() -> Spade {
         Spade::new(EngineConfig::test_small())
+    }
+
+    /// A join of `d1` and `d2` registered in memory: one memory slot per
+    /// side, one pair.
+    fn join_memory(s: &Spade, d1: &Dataset, d2: &Dataset) -> QueryOutput<Pairs> {
+        let (d1, d2) = (Arc::new(d1.clone()), Arc::new(d2.clone()));
+        join_indexed(s, &d1, &d2, &QueryCtx::default()).unwrap()
     }
 
     fn scatter(n: usize, extent: f64, seed: u64) -> Vec<Point> {
@@ -696,7 +674,7 @@ mod tests {
         let pts = scatter(800, 100.0, 7);
         let d1 = Dataset::from_polygons("polys", polys.clone());
         let d2 = Dataset::from_points("pts", pts.clone());
-        let out = join(&s, &d1, &d2);
+        let out = join_memory(&s, &d1, &d2);
         assert_eq!(out.result, oracle_point_join(&polys, &pts));
         assert!(out.stats.passes > 0);
     }
@@ -708,7 +686,7 @@ mod tests {
         let pts = scatter(300, 100.0, 11);
         let d1 = Dataset::from_points("pts", pts.clone());
         let d2 = Dataset::from_polygons("polys", polys.clone());
-        let out = join(&s, &d1, &d2);
+        let out = join_memory(&s, &d1, &d2);
         let oracle: Pairs = oracle_point_join(&polys, &pts)
             .into_iter()
             .map(|(a, b)| (b, a))
@@ -733,7 +711,7 @@ mod tests {
             .collect();
         let d1 = Dataset::from_polygons("a", a.clone());
         let d2 = Dataset::from_polygons("b", b.clone());
-        let out = join(&s, &d1, &d2);
+        let out = join_memory(&s, &d1, &d2);
         assert_eq!(out.result, oracle_poly_join(&a, &b));
     }
 
@@ -744,7 +722,7 @@ mod tests {
         let pts = scatter(1000, 100.0, 13);
         let d1m = Dataset::from_polygons("polys", polys.clone());
         let d2m = Dataset::from_points("pts", pts.clone());
-        let mem = join(&s, &d1m, &d2m);
+        let mem = join_memory(&s, &d1m, &d2m);
 
         let g1 = GridIndex::build(None, &d1m.objects, 40.0).unwrap();
         let g2 = GridIndex::build(None, &d2m.objects, 40.0).unwrap();
@@ -779,7 +757,7 @@ mod tests {
             .collect();
         let d1m = Dataset::from_polygons("a", a.clone());
         let d2m = Dataset::from_polygons("b", b.clone());
-        let mem = join(&s, &d1m, &d2m);
+        let mem = join_memory(&s, &d1m, &d2m);
 
         let g1 = GridIndex::build(None, &d1m.objects, 50.0).unwrap();
         let g2 = GridIndex::build(None, &d2m.objects, 50.0).unwrap();
@@ -803,11 +781,14 @@ mod tests {
         let i2 = IndexedDataset::new("pts", DatasetKind::Points, g2);
         for (counting, staged) in [(false, false), (true, false), (false, true)] {
             if staged {
-                i2.insert(5000, Geometry::Point(Point::new(50.0, 50.0)));
+                i2.insert(
+                    5000,
+                    spade_geometry::Geometry::Point(Point::new(50.0, 50.0)),
+                );
             }
             let ctx = QueryCtx::default();
             let mut polygon_time = Duration::ZERO;
-            let walk = PairWalk::plan(&i1, &i2, &ctx, |left, right| {
+            let walk = PairWalk::plan((&i1).into(), (&i2).into(), &ctx, |left, right| {
                 hull_pairs(&s, left, right, &mut polygon_time)
             })
             .unwrap();
@@ -860,7 +841,7 @@ mod tests {
         let s = engine();
         let d1 = Dataset::from_polygons("a", polygon_field());
         let d2 = Dataset::from_points("p", vec![]);
-        let out = join(&s, &d1, &d2);
+        let out = join_memory(&s, &d1, &d2);
         assert!(out.result.is_empty());
     }
 
@@ -880,7 +861,7 @@ mod tests {
             .collect();
         let d1 = Dataset::from_polygons("polys", polys.clone());
         let d2 = Dataset::from_lines("lines", lines.clone());
-        let out = join(&s, &d1, &d2);
+        let out = join_memory(&s, &d1, &d2);
         let mut oracle = Vec::new();
         for (i, poly) in polys.iter().enumerate() {
             for (j, line) in lines.iter().enumerate() {
@@ -895,7 +876,7 @@ mod tests {
         oracle.sort_unstable();
         assert_eq!(out.result, oracle);
         // The flipped direction agrees.
-        let flipped = join(&s, &d2, &d1);
+        let flipped = join_memory(&s, &d2, &d1);
         let mut expect: Pairs = oracle.into_iter().map(|(a, b)| (b, a)).collect();
         expect.sort_unstable();
         assert_eq!(flipped.result, expect);
@@ -916,7 +897,7 @@ mod tests {
             .collect();
         let d1 = Dataset::from_polygons("polys", polys);
         let d2 = Dataset::from_lines("lines", lines);
-        let mem = join(&s, &d1, &d2);
+        let mem = join_memory(&s, &d1, &d2);
         let g1 = GridIndex::build(None, &d1.objects, 40.0).unwrap();
         let g2 = GridIndex::build(None, &d2.objects, 40.0).unwrap();
         let i1 = IndexedDataset::new("polys", DatasetKind::Polygons, g1);
@@ -939,7 +920,7 @@ mod tests {
         ))];
         let d1 = Dataset::from_polygons("a", a);
         let d2 = Dataset::from_polygons("b", b);
-        let out = join(&s, &d1, &d2);
+        let out = join_memory(&s, &d1, &d2);
         assert_eq!(out.result, vec![(0, 0)]);
     }
 }

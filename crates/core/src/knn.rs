@@ -8,22 +8,20 @@
 //! radius, and sort the (small) candidate set by exact distance.
 //!
 //! Both passes are per-cell kernels with distributive folds (a histogram
-//! sum, a candidate list), so the out-of-core plan is a count bound from
-//! the manifest plus two runs of the one cell walk
-//! (`select::CellWalk`) under the same snapshot, and the
-//! in-memory plan is the one-cell case: the same two kernels applied to
-//! the data set itself. The kNN join is the same recipe one arity up: a
-//! count bound per left cell, then two runs of the cell-pair walk
-//! (`join::PairWalk`).
+//! sum, a candidate list), so the plan is a count bound from the manifest
+//! plus two runs of the one cell walk (`select::CellWalk`) under the same
+//! snapshot; data in memory is the walk's one-slot case, its bound taken
+//! from the rectangle of its extent. The kNN join is the same recipe one
+//! arity up: a count bound per left slot, then two runs of the cell-pair
+//! walk (`join::PairWalk`).
 
 use crate::ctx::QueryCtx;
-use crate::dataset::{Dataset, IndexedDataset, ReadView};
-use crate::distance::{
-    build_distance_constraint, hulls_within, within_radii, DistanceConstraint, ResidentDisks,
-};
+use crate::dataset::ReadView;
+use crate::distance::{build_distance_constraint, hulls_within, DistanceConstraint, ResidentDisks};
 use crate::engine::{Constraint, Spade};
 use crate::join::PairWalk;
 use crate::prefetch::StreamStats;
+use crate::query::Source;
 use crate::select::{select_points_mem, CellWalk};
 use crate::stats::QueryOutput;
 use spade_canvas::algebra;
@@ -33,32 +31,6 @@ use std::time::Duration;
 
 /// Ratio `α` between consecutive circle radii (`r_i = r_max / α^i`).
 const KNN_ALPHA: f64 = 1.5;
-
-/// kNN selection: the `k` points of `data` closest to `q`, with their
-/// distances, nearest first (ties by id).
-pub fn knn_select(
-    spade: &Spade,
-    data: &Dataset,
-    q: Point,
-    k: usize,
-) -> QueryOutput<Vec<(u32, f64)>> {
-    let mut qspan = crate::trace::span("query.knn");
-    qspan.attr("k", k as u64);
-    let measure = spade.begin();
-    let pts = data.as_points();
-    let mut result = Vec::new();
-    if !pts.is_empty() && k > 0 {
-        let r_max = data.extent.max_dist_to_point(q).max(1e-12);
-        let radius = knn_radius(spade, &pts, q, r_max, k);
-        let within = circle(spade, q, radius, spade.config.distance_resolution());
-        push_within(spade, &pts, &within, q, &mut result);
-        rank(&mut result, k);
-    }
-    let n = result.len() as u64;
-    qspan.attr("results", n);
-    let stats = measure.finish(spade, Duration::ZERO, 0, Duration::ZERO, 0, n);
-    QueryOutput { result, stats }
-}
 
 /// The distance canvas of "within `r` of `q`" (a point constraint has no
 /// polygon to prepare, so no polygon time to report).
@@ -112,13 +84,6 @@ fn radius_for(hist: &[u64], r_max: f64, k: usize) -> f64 {
     r_max // fewer than k points in total: take everything
 }
 
-/// The circle-aggregation step over one in-memory point set.
-fn knn_radius(spade: &Spade, pts: &[(u32, Point)], q: Point, r_max: f64, k: usize) -> f64 {
-    let mut hist = vec![0u64; spade.config.knn_circles()];
-    count_circles(spade, pts, q, r_max, &mut hist);
-    radius_for(&hist, r_max, k)
-}
-
 /// The distance-selection kernel over one cell: `(id, exact distance)` of
 /// the points inside the distance canvas `within` around `q`. Points are
 /// selected by position, so the distance needs no lookup by id.
@@ -147,7 +112,7 @@ fn rank(candidates: &mut Vec<(u32, f64)>, k: usize) {
 /// is convex in either endpoint, so over two convex sets it peaks at a
 /// vertex pair: every point of a slot lies within `far` — the largest
 /// `from`-vertex-to-hull-vertex distance — of every point of `from`'s
-/// hull. So the `slots` in scope (the staged delta is one of them) sorted
+/// hull. So the `slots` in scope (the memory slot is one of them) sorted
 /// by `far`, cut at the prefix whose live object counts reach `k`, put at
 /// least `k` points within the prefix's last `far`; an under-count only
 /// lengthens the prefix. If the counts never reach `k`, the last distance
@@ -179,13 +144,14 @@ fn count_bound(
     (far * (1.0 + 1e-9)).max(1e-12)
 }
 
-/// Out-of-core kNN selection: a count bound `r_ub` on the `k`-th distance
-/// from the manifest (no I/O), then two runs of the cell walk under one
-/// snapshot — the circle histogram with `r_max = r_ub` over the cells
-/// whose hull is within `r_ub` (no point outside them is), then the
-/// distance selection with the radius the histogram picked, folding
-/// `(id, distance)` candidates — then the exact sort. `ctx.cancel` is
-/// polled at every cell boundary of both passes.
+/// kNN selection: the `k` points of `data` closest to `q`, with their
+/// distances, nearest first (ties by id). A count bound `r_ub` on the
+/// `k`-th distance from the manifest (no I/O), then two runs of the cell
+/// walk under one snapshot — the circle histogram with `r_max = r_ub`
+/// over the cells whose hull is within `r_ub` (no point outside them is),
+/// then the distance selection with the radius the histogram picked,
+/// folding `(id, distance)` candidates — then the exact sort. `ctx.cancel`
+/// is polled at every slot boundary of both passes.
 ///
 /// Under a cell scope the bound and both passes see only the slots of
 /// `CellWalk::slots`, so the output is this scope's exact local top-k
@@ -194,18 +160,18 @@ fn count_bound(
 /// anywhere), so concatenating per-scope results over a covering, disjoint
 /// scope set, re-sorting by `(distance, id)` and truncating to `k`
 /// reproduces the full-scope answer exactly.
-pub fn knn_select_indexed(
+pub fn knn_select_indexed<'a>(
     spade: &Spade,
-    data: &IndexedDataset,
+    data: impl Into<Source<'a>>,
     q: Point,
     k: usize,
     ctx: &QueryCtx,
 ) -> spade_storage::Result<QueryOutput<Vec<(u32, f64)>>> {
-    let mut qspan = crate::trace::span("query.knn.indexed");
+    let mut qspan = crate::trace::span("query.knn");
     qspan.attr("k", k as u64);
     let measure = spade.begin();
     let mut polygon_time = Duration::ZERO;
-    let walk = CellWalk::plan(data, ctx, &mut polygon_time)?;
+    let walk = CellWalk::plan(data.into(), ctx, &mut polygon_time)?;
     let mut stream = StreamStats::default();
     let mut result = Vec::new();
     if k > 0 {
@@ -226,42 +192,8 @@ pub fn knn_select_indexed(
     let n = result.len() as u64;
     qspan.attr("cells", stream.cells);
     qspan.attr("results", n);
-    let stats = measure.finish_streamed(spade, &stream, &walk.deltas, polygon_time, n);
+    let stats = measure.finish(spade, &stream, &walk.deltas, polygon_time, n);
     Ok(QueryOutput { result, stats })
-}
-
-/// kNN join: for each point of `d1`, its `k` nearest neighbours in `d2`.
-/// Returns `(d1 id, d2 id, distance)` triples grouped by `d1` id — the
-/// one-pair case of the out-of-core walk: the same two kernels applied to
-/// the data sets themselves.
-pub fn knn_join(
-    spade: &Spade,
-    d1: &Dataset,
-    d2: &Dataset,
-    k: usize,
-) -> QueryOutput<Vec<(u32, u32, f64)>> {
-    let mut qspan = crate::trace::span("query.knn_join");
-    qspan.attr("k", k as u64);
-    let measure = spade.begin();
-    let (left, right) = (d1.as_points(), d2.as_points());
-    let mut result = Vec::new();
-    if !left.is_empty() && !right.is_empty() && k > 0 {
-        // Step 1: a radius per left point via circle aggregation.
-        let radius = |&(_, p): &(u32, Point)| {
-            let r_max = d2.extent.max_dist_to_point(p).max(1e-12);
-            knn_radius(spade, &right, p, r_max, k)
-        };
-        let radii: Vec<f64> = left.iter().map(radius).collect();
-        // Steps 2 and 3: type-2 distance join, then the exact sort.
-        let disks = disks_by_position(&left, &radii);
-        let hits = within_radii(spade, &disks, &by_position(&right));
-        push_neighbours(hits, &left, &right, &mut result);
-        rank_groups(&mut result, k);
-    }
-    let n = result.len() as u64;
-    qspan.attr("results", n);
-    let stats = measure.finish(spade, Duration::ZERO, 0, Duration::ZERO, 0, n);
-    QueryOutput { result, stats }
 }
 
 /// A cell's points numbered by position: a kernel's hits then index the
@@ -305,7 +237,9 @@ fn rank_groups(found: &mut Vec<(u32, u32, f64)>, k: usize) {
     });
 }
 
-/// Out-of-core kNN join: [`knn_select_indexed`]'s recipe one arity up. A
+/// kNN join: for each point of `d1`, its `k` nearest neighbours in `d2`,
+/// as `(d1 id, d2 id, distance)` triples grouped by `d1` id —
+/// [`knn_select_indexed`]'s recipe one arity up. A
 /// count bound per left slot (no I/O) picks its candidate right slots —
 /// no point outside them is among the `k` nearest of a point in its hull
 /// — then two runs of the pair walk under one pair of snapshots: every
@@ -316,22 +250,22 @@ fn rank_groups(found: &mut Vec<(u32, u32, f64)>, k: usize) {
 ///
 /// Under [`crate::scope::Scope::Pairs`] the bound and both passes see
 /// only the right cells listed for a left cell (and, for the owner of the
-/// deltas, the delta slots their filter pairs it with), so the output is
+/// deltas, the memory slots their filter pairs it with), so the output is
 /// every left point's exact top-k among them, and re-ranking the
 /// concatenated partials of a covering pair set reproduces the full
 /// answer (the merge argument of [`knn_select_indexed`]).
-pub fn knn_join_indexed(
+pub fn knn_join_indexed<'a>(
     spade: &Spade,
-    d1: &IndexedDataset,
-    d2: &IndexedDataset,
+    d1: impl Into<Source<'a>>,
+    d2: impl Into<Source<'a>>,
     k: usize,
     ctx: &QueryCtx,
 ) -> spade_storage::Result<QueryOutput<Vec<(u32, u32, f64)>>> {
-    let mut qspan = crate::trace::span("query.knn_join.indexed");
+    let mut qspan = crate::trace::span("query.knn_join");
     qspan.attr("k", k as u64);
     let measure = spade.begin();
     let mut polygon_time = Duration::ZERO;
-    let walk = PairWalk::plan(d1, d2, ctx, |(v1, lefts), (v2, rights)| {
+    let walk = PairWalk::plan(d1.into(), d2.into(), ctx, |(v1, lefts), (v2, rights)| {
         hulls_within(spade, (v1, lefts), (v2, rights), &mut polygon_time, |l| {
             count_bound(v2, v2.slots(true), &v1.hull(l).exterior.points, k)
         })
@@ -340,8 +274,8 @@ pub fn knn_join_indexed(
     let mut result = Vec::new();
     if k > 0 {
         let (v1, v2) = (&walk.view1, &walk.view2);
-        let delta_slot = v1.grid.num_cells();
-        let slot = |l: Option<u32>| l.map_or(delta_slot, |l| l as usize);
+        let memory_slot = v1.grid.num_cells();
+        let slot = |l: Option<u32>| l.map_or(memory_slot, |l| l as usize);
         // The bound of a left slot over the right slots the walk pairs it
         // with.
         let r_max = |l: usize| {
@@ -349,7 +283,7 @@ pub fn knn_join_indexed(
             let hull = v1.hull(l as u32);
             count_bound(v2, paired.map(|p| p.1), &hull.exterior.points, k)
         };
-        let mut radii: Vec<Vec<f64>> = vec![Vec::new(); delta_slot + 1];
+        let mut radii: Vec<Vec<f64>> = vec![Vec::new(); memory_slot + 1];
         // The left slot being counted: its bound and histograms.
         let mut live: Option<(usize, f64, Vec<Vec<u64>>)> = None;
         let collapse = |live: Option<(usize, f64, Vec<Vec<u64>>)>, radii: &mut [Vec<f64>]| {
@@ -384,7 +318,7 @@ pub fn knn_join_indexed(
     let n = result.len() as u64;
     qspan.attr("cells", stream.cells);
     qspan.attr("results", n);
-    let stats = measure.finish_streamed(spade, &stream, &walk.deltas, polygon_time, n);
+    let stats = measure.finish(spade, &stream, &walk.deltas, polygon_time, n);
     Ok(QueryOutput { result, stats })
 }
 
@@ -392,9 +326,33 @@ pub fn knn_join_indexed(
 mod tests {
     use super::*;
     use crate::config::EngineConfig;
+    use crate::dataset::Dataset;
+    use std::sync::Arc;
 
     fn engine() -> Spade {
         Spade::new(EngineConfig::test_small())
+    }
+
+    /// A kNN selection over `data` registered in memory.
+    fn knn_select_memory(
+        s: &Spade,
+        data: &Dataset,
+        q: Point,
+        k: usize,
+    ) -> QueryOutput<Vec<(u32, f64)>> {
+        let data = Arc::new(data.clone());
+        knn_select_indexed(s, &data, q, k, &QueryCtx::default()).unwrap()
+    }
+
+    /// A kNN join of `d1` and `d2` registered in memory.
+    fn knn_join_memory(
+        s: &Spade,
+        d1: &Dataset,
+        d2: &Dataset,
+        k: usize,
+    ) -> QueryOutput<Vec<(u32, u32, f64)>> {
+        let (d1, d2) = (Arc::new(d1.clone()), Arc::new(d2.clone()));
+        knn_join_indexed(s, &d1, &d2, k, &QueryCtx::default()).unwrap()
     }
 
     fn scatter(n: usize, extent: f64, seed: u64) -> Vec<Point> {
@@ -438,7 +396,7 @@ mod tests {
         let data = Dataset::from_points("p", pts.clone());
         let q = Point::new(42.0, 58.0);
         for k in [1, 5, 20] {
-            let out = knn_select(&s, &data, q, k);
+            let out = knn_select_memory(&s, &data, q, k);
             let oracle = oracle_knn(&pts, q, k);
             assert_eq!(out.result.len(), k, "k={k}");
             // Distances must agree (ids may tie at equal distance).
@@ -456,7 +414,7 @@ mod tests {
         let s = engine();
         let pts = scatter(10, 50.0, 67);
         let data = Dataset::from_points("p", pts);
-        let out = knn_select(&s, &data, Point::new(25.0, 25.0), 50);
+        let out = knn_select_memory(&s, &data, Point::new(25.0, 25.0), 50);
         assert_eq!(out.result.len(), 10);
         // Sorted by distance.
         assert!(out.result.windows(2).all(|w| w[0].1 <= w[1].1));
@@ -468,7 +426,7 @@ mod tests {
         let pts = scatter(200, 50.0, 71);
         let q = pts[17];
         let data = Dataset::from_points("p", pts);
-        let out = knn_select(&s, &data, q, 1);
+        let out = knn_select_memory(&s, &data, q, 1);
         assert_eq!(out.result[0].0, 17);
         assert_eq!(out.result[0].1, 0.0);
     }
@@ -481,7 +439,7 @@ mod tests {
         let d1 = Dataset::from_points("l", left.clone());
         let d2 = Dataset::from_points("r", right.clone());
         let k = 4;
-        let out = knn_join(&s, &d1, &d2, k);
+        let out = knn_join_memory(&s, &d1, &d2, k);
         assert_eq!(out.result.len(), 25 * k);
         for (i, l) in left.iter().enumerate() {
             let oracle = oracle_knn(&right, *l, k);
@@ -506,7 +464,7 @@ mod tests {
         let indexed = indexed(pts, 30.0);
         let q = Point::new(37.0, 63.0);
         for k in [1usize, 8, 30] {
-            let mem = knn_select(&s, &data, q, k);
+            let mem = knn_select_memory(&s, &data, q, k);
             let ooc = knn_select_indexed(&s, &indexed, q, k, &QueryCtx::default()).unwrap();
             assert_eq!(ooc.result.len(), mem.result.len(), "k={k}");
             for (a, b) in ooc.result.iter().zip(&mem.result) {
@@ -584,7 +542,7 @@ mod tests {
         let (q, k) = (Point::new(37.0, 63.0), 8);
         let before = oracle_knn(&pts, q, k);
         let ctx = QueryCtx::default();
-        let walk = CellWalk::plan(&data, &ctx, &mut Duration::default()).unwrap();
+        let walk = CellWalk::plan((&data).into(), &ctx, &mut Duration::default()).unwrap();
         let write = || {
             let moved = spade_geometry::Geometry::Point(Point::new(99.0, 1.0));
             data.insert_at(1, before[0].0, moved);
@@ -611,7 +569,7 @@ mod tests {
         let s = engine();
         let data = indexed(scatter(800, 100.0, 101), 30.0);
         let ctx = QueryCtx::default();
-        let walk = CellWalk::plan(&data, &ctx, &mut Duration::default()).unwrap();
+        let walk = CellWalk::plan((&data).into(), &ctx, &mut Duration::default()).unwrap();
         let mut refined = 0;
         let cancel = || {
             refined += 1;
@@ -628,9 +586,13 @@ mod tests {
     fn knn_zero_k_and_empty() {
         let s = engine();
         let data = Dataset::from_points("p", scatter(10, 10.0, 83));
-        assert!(knn_select(&s, &data, Point::ZERO, 0).result.is_empty());
+        assert!(knn_select_memory(&s, &data, Point::ZERO, 0)
+            .result
+            .is_empty());
         let empty = Dataset::from_points("e", vec![]);
-        assert!(knn_select(&s, &empty, Point::ZERO, 5).result.is_empty());
-        assert!(knn_join(&s, &empty, &data, 3).result.is_empty());
+        assert!(knn_select_memory(&s, &empty, Point::ZERO, 5)
+            .result
+            .is_empty());
+        assert!(knn_join_memory(&s, &empty, &data, 3).result.is_empty());
     }
 }

@@ -10,8 +10,10 @@
 //! * [`config`] — engine configuration: canvas resolution, device memory
 //!   budget, worker count, kNN parameters (§6.1's tuning knobs).
 //! * [`dataset`] — in-memory spatial data sets and their prepared forms
-//!   (triangulations, layer indexes), plus out-of-core handles backed by
-//!   the clustered grid index.
+//!   (triangulations, layer indexes), out-of-core handles backed by the
+//!   clustered grid index, and the `ReadView` a query of either runs
+//!   against (an in-memory set is a view with no grid cells and one
+//!   memory slot).
 //! * [`stats`] — the query time breakdown the paper reports (I/O / GPU /
 //!   polygon processing / CPU, §6.2) plus transfer and pass counters.
 //! * [`engine`] — the [`engine::Spade`] engine object tying the pipeline,
@@ -19,11 +21,11 @@
 //! * [`select`] — spatial selection (§5.2, Fig. 4): the fused
 //!   blend + mask + map pass over point/line/polygon data.
 //! * [`join`] — spatial joins as collections of selections driven by the
-//!   layer index; in-memory and both out-of-core strategies (§5.3).
+//!   layer index, over the cell-pair walk with both strategies (§5.3).
 //! * [`distance`] — distance-based selections and the two distance-join
 //!   types (§5.2), with on-the-fly layer construction.
-//! * [`aggregate`] — spatial aggregation: the generic join+count plan and
-//!   the point-optimized multiway-blend plan (§5.2).
+//! * [`aggregate`] — spatial aggregation: the point-optimized
+//!   multiway-blend plan (§5.2).
 //! * [`knn`] — kNN selection and join via log-spaced circle aggregation
 //!   (§5.2).
 //! * [`optimizer`] — the query optimizer (§5.4): Map implementation
@@ -35,8 +37,8 @@
 //!   refines on the device.
 //! * [`cancel`] — cooperative cancellation tokens and deadlines, polled at
 //!   the cell boundaries of every out-of-core loop.
-//! * [`ctx`] / [`scope`] — the [`QueryCtx`] every indexed executor and
-//!   both dispatchers of [`query`] take: cancel token, cell scope, tenant,
+//! * [`ctx`] / [`scope`] — the [`QueryCtx`] every executor and both
+//!   dispatchers of [`query`] take: cancel token, cell scope, tenant,
 //!   cache policy.
 //! * [`trace`] — engine-wide tracing spans (ring-buffer backed, zero-cost
 //!   when disabled), threaded through every query family, the prefetch

@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 pub struct FetchedCell {
     /// Index into the `sources` slice this cell belongs to.
     pub source: usize,
-    /// Slot within the source's view: a grid cell or the staged delta.
+    /// Slot within the source's view: a grid cell or the memory slot.
     pub cell: usize,
     /// The decoded cell data.
     pub data: Arc<Dataset>,
@@ -47,12 +47,12 @@ pub struct StreamStats {
     pub io_hidden: Duration,
     /// Bytes actually read from disk (cache hits excluded).
     pub bytes_from_disk: u64,
-    /// Cells delivered to the consumer.
+    /// Grid cells delivered to the consumer (the memory slot is no cell).
     pub cells: u64,
-    /// Cells already decoded and waiting when the consumer asked.
+    /// Grid cells already decoded and waiting when the consumer asked.
     pub prefetch_hits: u64,
-    /// Cells the consumer had to wait for (always the full count when
-    /// prefetching is disabled).
+    /// Grid cells the consumer had to wait for (always the full count
+    /// when prefetching is disabled).
     pub prefetch_misses: u64,
     /// Cells served from the LRU cache instead of disk.
     pub cache_hits: u64,
@@ -92,8 +92,8 @@ impl StreamStats {
 }
 
 /// Load one slot of the sequence, traced, adding its I/O to `tally`: a
-/// cache hit is counted, a block read adds its bytes, and the staged
-/// delta — no cell, already in memory — is neither.
+/// cache hit is counted, a block read adds its bytes, and the memory
+/// slot — no cell, already in memory — is neither.
 fn load(
     sources: &[&ReadView<'_>],
     (src, cell): (usize, usize),
@@ -142,14 +142,22 @@ where
     F: FnMut(FetchedCell) -> spade_storage::Result<()>,
 {
     let mut stats = StreamStats::default();
+    // A delivered grid cell counts once, as a prefetch hit when it was
+    // `ready`; the memory slot counts neither.
+    let deliver = |stats: &mut StreamStats, cell: &FetchedCell, ready: bool| {
+        if sources[cell.source].cell_id(cell.cell as u32).is_some() {
+            stats.cells += 1;
+            stats.prefetch_hits += ready as u64;
+            stats.prefetch_misses += !ready as u64;
+        }
+    };
     if depth == 0 || sequence.is_empty() {
         // Synchronous: every load is a consumer-side stall.
         for &step in sequence {
             cancel.check()?;
             let cell = load(sources, step, cache_budget, &mut stats)?;
             stats.recv_wait = stats.io_time;
-            stats.prefetch_misses += 1;
-            stats.cells += 1;
+            deliver(&mut stats, &cell, false);
             consumer(cell)?;
         }
         return Ok(stats);
@@ -180,28 +188,27 @@ where
             }
             // Non-blocking first: a ready cell is a prefetch hit (its I/O
             // was fully hidden behind the previous refinement).
-            let msg = match rx.try_recv() {
-                Ok(m) => {
-                    stats.prefetch_hits += 1;
-                    m
-                }
+            let received = match rx.try_recv() {
+                Ok(m) => Some((m, true)),
                 Err(mpsc::TryRecvError::Empty) => {
                     let _wait_span = crate::trace::span("prefetch.wait");
                     let t = Instant::now();
-                    match rx.recv() {
-                        Ok(m) => {
-                            stats.recv_wait += t.elapsed();
-                            stats.prefetch_misses += 1;
-                            m
-                        }
-                        Err(_) => break, // producer gone without a message
-                    }
+                    let m = rx.recv().ok();
+                    stats.recv_wait += t.elapsed();
+                    m.map(|m| (m, false))
                 }
-                Err(mpsc::TryRecvError::Disconnected) => break,
+                Err(mpsc::TryRecvError::Disconnected) => None,
+            };
+            // The producer leaves without its next message only once the
+            // query is cancelled: a cancel landing after the check above
+            // must not end the stream as a success.
+            let Some((msg, ready)) = received else {
+                outcome = cancel.check();
+                break;
             };
             match msg {
                 Ok(cell) => {
-                    stats.cells += 1;
+                    deliver(&mut stats, &cell, ready);
                     if let Err(e) = consumer(cell) {
                         outcome = Err(e);
                         break;

@@ -1,19 +1,24 @@
 //! The engine's front door: a query AST and a single dispatch point.
 //!
-//! The executors in [`crate::select`], [`crate::join`], [`crate::distance`],
-//! [`crate::knn`] and [`crate::aggregate`] are directly usable; this module
-//! wraps them behind one [`SelectQuery`]/[`JoinQuery`] type so callers (and the paper
-//! harness) can express "the query" as data — the planner then picks the
-//! executor exactly as §5.2 describes per query class.
+//! Every query family has one executor, in [`crate::select`],
+//! [`crate::join`], [`crate::distance`], [`crate::knn`] or
+//! [`crate::aggregate`], over one of the two walks — and over any
+//! [`Source`]: data in memory is the walk's zero-cell case, a view with
+//! one memory slot. This module wraps them behind one
+//! [`SelectQuery`]/[`JoinQuery`] type so callers (and the paper harness)
+//! can express "the query" as data; [`run_select_ctx`] and
+//! [`run_join_ctx`] pick the executor exactly as §5.2 describes per query
+//! class, and apply a [`QueryCtx`]'s cache policy.
 
 use crate::ctx::QueryCtx;
-use crate::dataset::{Dataset, DatasetKind, IndexedDataset};
+use crate::dataset::{Dataset, DatasetKind, IndexedDataset, ReadView};
 use crate::distance::DistanceConstraint;
 use crate::engine::Spade;
 use crate::result_cache::{fingerprint_join, fingerprint_select, CacheKey, InputVersion};
 use crate::stats::QueryOutput;
 use spade_geometry::{BBox, Point, Polygon};
 use spade_storage::StorageError;
+use std::sync::Arc;
 
 /// A single-data-set spatial query.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,64 +83,18 @@ impl QueryResult {
     }
 }
 
-/// Execute a selection query against an in-memory data set: cold and
-/// infallible, which is what makes it (with [`run_join`]) the oracle the
-/// differential suites compare every other path against.
-pub fn run_select(spade: &Spade, data: &Dataset, q: &SelectQuery) -> QueryOutput<QueryResult> {
-    match q {
-        SelectQuery::Intersects(poly) => {
-            crate::select::select(spade, data, poly).map(QueryResult::Ids)
-        }
-        SelectQuery::Range(bb) => {
-            crate::select::select_range(spade, data, *bb).map(QueryResult::Ids)
-        }
-        SelectQuery::Contained(poly) => {
-            crate::select::select_contained(spade, data, poly).map(QueryResult::Ids)
-        }
-        SelectQuery::WithinDistance(c, r) => {
-            crate::distance::distance_select(spade, data, c, *r).map(QueryResult::Ids)
-        }
-        SelectQuery::Knn(p, k) => {
-            crate::knn::knn_select(spade, data, *p, *k).map(QueryResult::Ranked)
-        }
-    }
-}
-
-/// Execute a join query over two in-memory data sets (cold, infallible).
-pub fn run_join(
-    spade: &Spade,
-    d1: &Dataset,
-    d2: &Dataset,
-    q: &JoinQuery,
-) -> QueryOutput<QueryResult> {
-    match q {
-        JoinQuery::Intersects => crate::join::join(spade, d1, d2).map(QueryResult::Pairs),
-        JoinQuery::WithinDistance(r) => {
-            crate::distance::distance_join(spade, d1, d2, *r).map(QueryResult::Pairs)
-        }
-        JoinQuery::Knn(k) => crate::knn::knn_join(spade, d1, d2, *k).map(QueryResult::RankedPairs),
-        // The optimizer always picks the point-optimized plan for point
-        // data (§5.2).
-        JoinQuery::CountPoints => {
-            crate::aggregate::aggregate_points(spade, d1, d2).map(QueryResult::Counts)
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Context-taking dispatch: every caller that is not the oracle
-// ---------------------------------------------------------------------------
-
-/// Where a query's data lives. Both dispatchers take `impl Into<Source>`,
-/// so call sites pass `&Dataset` or `&IndexedDataset` directly.
+/// Where a query's data lives. Both dispatchers and every executor take
+/// `impl Into<Source>`, so call sites pass `&Arc<Dataset>` or
+/// `&IndexedDataset` directly; below the dispatch, everything sees only
+/// the [`ReadView`] a source opens.
 #[derive(Clone, Copy)]
 pub enum Source<'a> {
-    Memory(&'a Dataset),
+    Memory(&'a Arc<Dataset>),
     Indexed(&'a IndexedDataset),
 }
 
-impl<'a> From<&'a Dataset> for Source<'a> {
-    fn from(d: &'a Dataset) -> Self {
+impl<'a> From<&'a Arc<Dataset>> for Source<'a> {
+    fn from(d: &'a Arc<Dataset>) -> Self {
         Source::Memory(d)
     }
 }
@@ -146,99 +105,101 @@ impl<'a> From<&'a IndexedDataset> for Source<'a> {
     }
 }
 
-impl Source<'_> {
-    fn name(&self) -> &str {
+impl<'a> Source<'a> {
+    /// The snapshot a query over this source runs against: an indexed
+    /// dataset's grid and delta, or a registered dataset's memory slot.
+    pub(crate) fn read_view(self) -> ReadView<'a> {
         match self {
-            Source::Memory(d) => &d.name,
-            Source::Indexed(d) => &d.name,
+            Source::Memory(d) => d.read_view(),
+            Source::Indexed(d) => d.read_view(),
         }
     }
 
-    fn kind(&self) -> DatasetKind {
+    /// The dataset's name, kind and process-unique identity.
+    pub(crate) fn describe(self) -> (&'a str, DatasetKind, u64) {
         match self {
-            Source::Memory(d) => d.kind,
-            Source::Indexed(d) => d.kind,
+            Source::Memory(d) => (&d.name, d.kind, d.uid()),
+            Source::Indexed(d) => (&d.name, d.kind, d.uid()),
         }
     }
 
-    /// This input's result-cache key component, read live: in-memory
-    /// datasets are immutable and keyed at [`spade_index::Version::MEMORY`];
-    /// an indexed one carries its `(generation, delta seq)` watermark, so
-    /// any staged write or compaction invalidates its entries for free.
-    fn input(&self) -> InputVersion {
-        match self {
-            Source::Memory(d) => InputVersion {
-                token: d.uid(),
-                version: spade_index::Version::MEMORY,
-            },
-            Source::Indexed(d) => InputVersion {
-                token: d.uid(),
-                version: d.version(),
-            },
-        }
+    /// This input's result-cache key component, read live: an indexed
+    /// dataset carries its `(generation, delta seq)` watermark, so any
+    /// staged write or compaction invalidates its entries for free; a
+    /// registered dataset is immutable, and its view — an empty grid with
+    /// no delta — is always at `(0, 0)`.
+    fn input(self) -> InputVersion {
+        let version = match self {
+            Source::Memory(_) => Default::default(),
+            Source::Indexed(d) => d.version(),
+        };
+        let token = self.describe().2;
+        InputVersion { token, version }
     }
 
-    /// The (query class × kind) check: the point-only executors reach
+    /// The (query class × kind) check: the point-only kernels reach
     /// [`Dataset::as_points`], which panics on anything else.
-    fn require(&self, kind: DatasetKind, class: &str) -> spade_storage::Result<()> {
-        if self.kind() == kind {
-            return Ok(());
+    fn require(self, kind: DatasetKind, class: &str) -> spade_storage::Result<()> {
+        match self.describe() {
+            (_, held, _) if held == kind => Ok(()),
+            (name, held, _) => Err(StorageError::Unsupported(format!(
+                "{class} needs {kind:?} data, '{name}' holds {held:?}"
+            ))),
         }
-        Err(StorageError::Unsupported(format!(
-            "{class} needs {kind:?} data, '{}' holds {:?}",
-            self.name(),
-            self.kind()
-        )))
     }
 }
 
-/// Execute a selection query under a [`QueryCtx`] — indexed or in-memory
-/// source, cold or through the result cache, full or cell-scoped, for any
-/// tenant. Out-of-core execution can fail on a corrupt or unreadable block
-/// (or be cancelled), so errors surface here instead of panicking
-/// mid-query. With `QueryCtx::default()` the result is byte-identical to
-/// [`run_select`] over the same objects.
+/// Execute a selection query under a [`QueryCtx`] — over any source, cold
+/// or through the result cache, full or cell-scoped, for any tenant.
+/// Every query class streams the source's slots through one cell walk
+/// (§5.3), so errors from a corrupt or unreadable block, a cancel or a
+/// deadline surface here instead of panicking mid-query.
 pub fn run_select_ctx<'a>(
     spade: &Spade,
     data: impl Into<Source<'a>>,
     q: &SelectQuery,
     ctx: &QueryCtx,
 ) -> spade_storage::Result<QueryOutput<QueryResult>> {
-    let data = data.into();
+    let d = data.into();
     if matches!(q, SelectQuery::WithinDistance(..) | SelectQuery::Knn(..)) {
-        data.require(DatasetKind::Points, "a distance or kNN selection")?;
+        d.require(DatasetKind::Points, "a distance or kNN selection")?;
     }
-    let fingerprint = || fingerprint_select(q);
-    serve(spade, ctx, fingerprint, data, None, || match data {
-        Source::Memory(d) => Ok(run_select(spade, d, q)),
-        // Every query class streams through the grid filter (§5.3).
-        Source::Indexed(d) => Ok(match q {
-            SelectQuery::Intersects(poly) => {
-                crate::select::select_indexed(spade, d, poly, ctx)?.map(QueryResult::Ids)
-            }
-            SelectQuery::Range(bb) => {
-                crate::select::select_indexed(spade, d, &Polygon::rect(*bb), ctx)?
-                    .map(QueryResult::Ids)
-            }
-            SelectQuery::Contained(poly) => {
-                crate::select::select_contained_indexed(spade, d, poly, ctx)?.map(QueryResult::Ids)
-            }
-            SelectQuery::WithinDistance(c, r) => {
-                crate::distance::distance_select_indexed(spade, d, c, *r, ctx)?
-                    .map(QueryResult::Ids)
-            }
-            SelectQuery::Knn(p, k) => {
-                crate::knn::knn_select_indexed(spade, d, *p, *k, ctx)?.map(QueryResult::Ranked)
-            }
-        }),
-    })
+    serve(
+        spade,
+        ctx,
+        || fingerprint_select(q),
+        d,
+        None,
+        || {
+            Ok(match q {
+                SelectQuery::Intersects(poly) => {
+                    crate::select::select_indexed(spade, d, poly, ctx)?.map(QueryResult::Ids)
+                }
+                SelectQuery::Range(bb) => {
+                    crate::select::select_indexed(spade, d, &Polygon::rect(*bb), ctx)?
+                        .map(QueryResult::Ids)
+                }
+                SelectQuery::Contained(poly) => {
+                    crate::select::select_contained_indexed(spade, d, poly, ctx)?
+                        .map(QueryResult::Ids)
+                }
+                SelectQuery::WithinDistance(c, r) => {
+                    crate::distance::distance_select_indexed(spade, d, c, *r, ctx)?
+                        .map(QueryResult::Ids)
+                }
+                SelectQuery::Knn(p, k) => {
+                    crate::knn::knn_select_indexed(spade, d, *p, *k, ctx)?.map(QueryResult::Ranked)
+                }
+            })
+        },
+    )
 }
 
-/// Execute a join query under a [`QueryCtx`]; both sides must live in the
-/// same kind of [`Source`]. Every indexed class is one executor over the
-/// cell-pair walk ([`crate::join`]'s `PairWalk`) — the optimizer-driven
-/// join, the aggregation, the distance join and the kNN join — each over
-/// the scope's explicit cell pairs when it names some.
+/// Execute a join query under a [`QueryCtx`], each side from any
+/// [`Source`]. Every class is one executor over the cell-pair walk
+/// ([`crate::join`]'s `PairWalk`) — the optimizer-driven join, the
+/// aggregation, the distance join and the kNN join — each over the
+/// scope's explicit cell pairs when it names some.
 pub fn run_join_ctx<'a>(
     spade: &Spade,
     left: impl Into<Source<'a>>,
@@ -246,30 +207,33 @@ pub fn run_join_ctx<'a>(
     q: &JoinQuery,
     ctx: &QueryCtx,
 ) -> spade_storage::Result<QueryOutput<QueryResult>> {
-    let (left, right) = (left.into(), right.into());
+    let (l, r) = (left.into(), right.into());
     match q {
         JoinQuery::Intersects => {
-            if left.kind() != DatasetKind::Polygons {
-                right.require(
+            if l.describe().1 != DatasetKind::Polygons {
+                r.require(
                     DatasetKind::Polygons,
                     "an intersection join without a polygon side",
                 )?;
             }
         }
         JoinQuery::WithinDistance(_) | JoinQuery::Knn(_) => {
-            left.require(DatasetKind::Points, "a distance or kNN join")?;
-            right.require(DatasetKind::Points, "a distance or kNN join")?;
+            l.require(DatasetKind::Points, "a distance or kNN join")?;
+            r.require(DatasetKind::Points, "a distance or kNN join")?;
         }
         JoinQuery::CountPoints => {
-            left.require(DatasetKind::Polygons, "the counted side of an aggregation")?;
-            right.require(DatasetKind::Points, "the counting side of an aggregation")?;
+            l.require(DatasetKind::Polygons, "the counted side of an aggregation")?;
+            r.require(DatasetKind::Points, "the counting side of an aggregation")?;
         }
     }
-    let fingerprint = || fingerprint_join(q);
-    serve(spade, ctx, fingerprint, left, Some(right), || {
-        match (left, right) {
-            (Source::Memory(l), Source::Memory(r)) => Ok(run_join(spade, l, r, q)),
-            (Source::Indexed(l), Source::Indexed(r)) => Ok(match q {
+    serve(
+        spade,
+        ctx,
+        || fingerprint_join(q),
+        l,
+        Some(r),
+        || {
+            Ok(match q {
                 JoinQuery::Intersects => {
                     crate::join::join_indexed(spade, l, r, ctx)?.map(QueryResult::Pairs)
                 }
@@ -282,12 +246,9 @@ pub fn run_join_ctx<'a>(
                 }
                 JoinQuery::Knn(k) => crate::knn::knn_join_indexed(spade, l, r, *k, ctx)?
                     .map(QueryResult::RankedPairs),
-            }),
-            _ => Err(StorageError::Unsupported(
-                "a join of an indexed and an in-memory dataset".into(),
-            )),
-        }
-    })
+            })
+        },
+    )
 }
 
 /// The one place a [`QueryCtx`]'s cache policy is applied. A cached,
@@ -298,7 +259,7 @@ pub fn run_join_ctx<'a>(
 /// and identical concurrent misses coalesce into one render — the cancel
 /// token is polled while waiting on one. Everything else runs `cold`
 /// untouched and reports `BYPASS`: a scoped partial is not the answer to
-/// its key, and in-memory data has no cells to scope.
+/// its key.
 fn serve(
     spade: &Spade,
     ctx: &QueryCtx,
@@ -307,15 +268,7 @@ fn serve(
     right: Option<Source<'_>>,
     cold: impl FnOnce() -> spade_storage::Result<QueryOutput<QueryResult>>,
 ) -> spade_storage::Result<QueryOutput<QueryResult>> {
-    if !ctx.scope.is_full() {
-        if let Source::Memory(_) = left {
-            return Err(StorageError::Unsupported(
-                "a cell scope on an in-memory dataset".into(),
-            ));
-        }
-        return cold();
-    }
-    if !ctx.cached {
+    if !ctx.scope.is_full() || !ctx.cached {
         return cold();
     }
     let fingerprint = fingerprint();
@@ -349,24 +302,24 @@ mod tests {
         Spade::new(EngineConfig::test_small())
     }
 
-    fn grid_points() -> Dataset {
-        Dataset::from_points(
+    fn grid_points() -> Arc<Dataset> {
+        Arc::new(Dataset::from_points(
             "g",
             (0..100)
                 .map(|i| Point::new((i % 10) as f64, (i / 10) as f64))
                 .collect(),
-        )
+        ))
     }
 
-    fn tiles() -> Dataset {
-        Dataset::from_polygons(
+    fn tiles() -> Arc<Dataset> {
+        Arc::new(Dataset::from_polygons(
             "tiles",
             vec![
                 Polygon::rect(BBox::new(Point::new(-0.5, -0.5), Point::new(4.5, 4.5))),
                 Polygon::rect(BBox::new(Point::new(4.5, 4.5), Point::new(9.5, 9.5))),
                 Polygon::rect(BBox::new(Point::new(2.0, 2.0), Point::new(7.0, 7.0))),
             ],
-        )
+        ))
     }
 
     fn indexed(data: &Dataset, cell: f64) -> IndexedDataset {
@@ -393,19 +346,63 @@ mod tests {
         Join(JoinQuery),
     }
 
+    /// The independent answer to each class over `pts` and `polys`, from
+    /// `spade_baselines::brute` (ids are input positions here).
+    fn brute(q: &Q, pts: &Dataset, polys: &Dataset) -> QueryResult {
+        use spade_baselines::brute;
+        let points: Vec<Point> = pts.as_points().into_iter().map(|(_, p)| p).collect();
+        let polygons: Vec<Polygon> = polys
+            .as_polygons()
+            .into_iter()
+            .map(|(_, p)| p.clone())
+            .collect();
+        match q {
+            Q::Select(SelectQuery::Intersects(poly) | SelectQuery::Contained(poly)) => {
+                QueryResult::Ids(brute::select_points(&points, poly))
+            }
+            Q::Select(SelectQuery::Range(bb)) => {
+                QueryResult::Ids(brute::select_points(&points, &Polygon::rect(*bb)))
+            }
+            Q::Select(SelectQuery::WithinDistance(DistanceConstraint::Point(c), r)) => {
+                let near = brute::distance_join(&[*c], &points, *r);
+                QueryResult::Ids(near.into_iter().map(|(_, id)| id).collect())
+            }
+            Q::Select(SelectQuery::Knn(p, k)) => QueryResult::Ranked(brute::knn(&points, *p, *k)),
+            Q::Select(other) => unimplemented!("no brute form of {other:?}"),
+            Q::Join(JoinQuery::Intersects) => {
+                QueryResult::Pairs(brute::join_polygon_point(&polygons, &points))
+            }
+            Q::Join(JoinQuery::WithinDistance(r)) => {
+                QueryResult::Pairs(brute::distance_join(&points, &points, *r))
+            }
+            Q::Join(JoinQuery::Knn(k)) => {
+                QueryResult::RankedPairs(brute::knn_join(&points, &points, *k))
+            }
+            Q::Join(JoinQuery::CountPoints) => {
+                QueryResult::Counts(brute::aggregate(&polygons, &points))
+            }
+        }
+    }
+
     /// The dispatcher contract, for all five select classes × {in-memory,
     /// indexed, indexed with a staged write} and all four join classes ×
     /// the same three sources:
-    /// (a) `QueryCtx::default()` is the cold oracle byte for byte,
+    /// (a) `QueryCtx::default()` answers what `brute` does, byte for byte,
     /// (b) the cached ctx goes `MISS` then `HIT` without touching a cell,
     ///     and the HIT carries its MISS's plan,
-    /// (c) a non-full scope reports `BYPASS` and leaves the cache counters
-    ///     alone even when `cached` is set (and has no in-memory meaning),
-    /// (d) a pre-cancelled token yields `Cancelled` from every indexed
-    ///     family with the device ledger at zero,
+    /// (c) a non-full scope that covers everything reports `BYPASS` with
+    ///     the full result and leaves the cache counters alone even when
+    ///     `cached` is set — on the in-memory source too, whose memory
+    ///     slot the scope owning the deltas owns,
+    /// (d) a pre-cancelled token yields `Cancelled` from every family on
+    ///     every source, with the device ledger at zero,
     /// (e) every run carries its decisions in `stats.plan`: the Map
-    ///     choices of each class that runs a Map, the indexed join's
-    ///     strategy, and one delta merge per dataset with staged writes.
+    ///     choices of each class that runs a Map, the join strategy of a
+    ///     walk with grid cells on both sides, and one delta merge per
+    ///     dataset with staged writes,
+    /// (f) an in-memory join holds both memory slots on the device at once.
+    /// And a join of an indexed and an in-memory side, either way round,
+    /// answers what `brute` does for all four join classes.
     #[test]
     fn dispatcher_contract() {
         let (pts, polys) = (grid_points(), tiles());
@@ -428,10 +425,10 @@ mod tests {
                 .collect()
         };
         let (point_pairs, polygon_pairs) = (all_pairs(&ipts), all_pairs(&ipolys));
-        let run = |q: &Q, source: usize, s: &Spade, ctx: &QueryCtx| match q {
-            Q::Select(q) => run_select_ctx(s, points[source], q, ctx),
-            Q::Join(q) if on_points(q) => run_join_ctx(s, points[source], points[source], q, ctx),
-            Q::Join(q) => run_join_ctx(s, polygons[source], points[source], q, ctx),
+        let run = |q: &Q, (left, right): (usize, usize), s: &Spade, ctx: &QueryCtx| match q {
+            Q::Select(q) => run_select_ctx(s, points[left], q, ctx),
+            Q::Join(q) if on_points(q) => run_join_ctx(s, points[left], points[right], q, ctx),
+            Q::Join(q) => run_join_ctx(s, polygons[left], points[right], q, ctx),
         };
         let joins = [
             JoinQuery::Intersects,
@@ -442,63 +439,53 @@ mod tests {
         let classes: Vec<Q> = (select_classes().into_iter().map(Q::Select))
             .chain(joins.map(Q::Join))
             .collect();
-        let oracle = engine();
 
         for (q, source) in classes.iter().flat_map(|q| (0..3).map(move |i| (q, i))) {
             let (out_of_core, staged) = (source > 0, source == 2);
             let label = format!("{q:?}, out of core: {out_of_core}, staged: {staged}");
-            // The oracle, and a non-full scope that still covers everything.
-            let (mut want, scope) = match q {
-                Q::Select(q) => (
-                    run_select(&oracle, &pts, q).result,
-                    Scope::Cells(crate::scope::CellScope::full()),
-                ),
-                Q::Join(q) => (
-                    run_join(&oracle, if on_points(q) { &pts } else { &polys }, &pts, q).result,
-                    Scope::Pairs {
-                        pairs: if on_points(q) {
-                            &point_pairs
-                        } else {
-                            &polygon_pairs
-                        },
-                        include_delta: true,
+            let want = brute(q, &pts, &polys);
+            // A non-full scope that still covers everything.
+            let scope = match q {
+                Q::Select(_) => Scope::Cells(crate::scope::CellScope::full()),
+                Q::Join(q) => Scope::Pairs {
+                    pairs: if on_points(q) {
+                        &point_pairs
+                    } else {
+                        &polygon_pairs
                     },
-                ),
+                    include_delta: true,
+                },
             };
-            // Cell order is not input order: indexed id lists come sorted.
-            if let (QueryResult::Ids(ids), true) = (&mut want, out_of_core) {
-                ids.sort_unstable();
-            }
             let s = engine();
+            let sources = (source, source);
 
-            if out_of_core {
-                let cancelled = QueryCtx::default();
-                cancelled.cancel.cancel();
-                let err = run(q, source, &s, &cancelled).err();
-                assert_eq!(err, Some(StorageError::Cancelled), "(d) {label}");
-                assert_eq!(s.device.used(), 0, "(d) ledger after cancel, {label}");
-            }
+            let cancelled = QueryCtx::default();
+            cancelled.cancel.cancel();
+            let err = run(q, sources, &s, &cancelled).err();
+            assert_eq!(err, Some(StorageError::Cancelled), "(d) {label}");
+            assert_eq!(s.device.used(), 0, "(d) ledger after cancel, {label}");
 
-            let cold = run(q, source, &s, &QueryCtx::default()).unwrap();
+            let cold = run(q, sources, &s, &QueryCtx::default()).unwrap();
             assert_eq!(cold.result, want, "(a) {label}");
             assert_eq!(cold.stats.result_cache, CacheOutcome::Bypass, "(a) {label}");
+            if let (Q::Join(q), false) = (q, out_of_core) {
+                // Both memory slots were on the device at once.
+                let left = if on_points(q) { &pts } else { &polys };
+                let slots = (left.byte_size() + pts.byte_size()) as u64;
+                assert!(s.device.peak() >= slots, "(f) {label}");
+            }
 
             let scoped = QueryCtx {
                 scope,
                 ..QueryCtx::cached()
             };
-            match run(q, source, &s, &scoped) {
-                Ok(out) if out_of_core => {
-                    assert_eq!(out.result, want, "(c) {label}");
-                    assert_eq!(out.stats.result_cache, CacheOutcome::Bypass, "(c) {label}");
-                }
-                Err(StorageError::Unsupported(_)) if !out_of_core => {}
-                other => panic!("(c) {label}: {other:?}"),
-            }
+            let out = run(q, sources, &s, &scoped).unwrap();
+            assert_eq!(out.result, want, "(c) {label}");
+            assert_eq!(out.stats.result_cache, CacheOutcome::Bypass, "(c) {label}");
             assert_eq!(s.result_cache.stats(), Default::default(), "(c) {label}");
 
-            let miss = run(q, source, &s, &QueryCtx::cached()).unwrap();
-            let hit = run(q, source, &s, &QueryCtx::cached()).unwrap();
+            let miss = run(q, sources, &s, &QueryCtx::cached()).unwrap();
+            let hit = run(q, sources, &s, &QueryCtx::cached()).unwrap();
             assert_eq!(miss.stats.result_cache, CacheOutcome::Miss, "(b) {label}");
             assert_eq!(hit.stats.result_cache, CacheOutcome::Hit, "(b) {label}");
             assert_eq!(hit.stats.cells_loaded, 0, "(b) {label}");
@@ -521,6 +508,15 @@ mod tests {
                 let merged = plan.deltas.iter().map(|d| (d.dataset.as_str(), d.staged));
                 let want_merged = staged_sets.iter().map(|&d| (d, 1));
                 assert!(merged.eq(want_merged), "(e) {label}: {:?}", plan.deltas);
+            }
+
+            // The mixed joins: this source on the left, the in-memory one
+            // on the right, and the other way round.
+            if let (Q::Join(_), true) = (q, out_of_core) {
+                for mixed in [(source, 0), (0, source)] {
+                    let out = run(q, mixed, &s, &QueryCtx::default()).unwrap();
+                    assert_eq!(out.result, want, "mixed {mixed:?}, {label}");
+                }
             }
         }
     }
@@ -548,7 +544,7 @@ mod tests {
         assert!(refused(run_join_ctx(&s, &polys, &polys, &count, &ctx)));
         assert!(refused(run_join_ctx(&s, &ipts, &ipts, &count, &ctx)));
         assert!(refused(run_join_ctx(&s, &pts, &pts, &join, &ctx)));
-        assert!(refused(run_join_ctx(&s, &ipolys, &pts, &join, &ctx)));
+        assert!(refused(run_join_ctx(&s, &ipts, &pts, &join, &ctx)));
     }
 
     /// Scoped execution must partition exactly: a 3-way split of the

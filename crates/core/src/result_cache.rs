@@ -882,7 +882,7 @@ mod tests {
         assert_eq!(s.evicted, 2);
         assert_eq!(arena.stats().external_bytes, s.bytes);
         // Entries of other datasets are untouched.
-        cache.purge_outdated(99, Version::MEMORY);
+        cache.purge_outdated(99, Version::default());
         assert_eq!(cache.stats().entries, 1);
     }
 

@@ -2,10 +2,11 @@
 //!
 //! The clustered grid index assigns every object to exactly one
 //! hull-bounded cell, so a query's result is the disjoint union of its
-//! per-cell results (plus the staged delta, which behaves as one more
-//! cell). A [`CellScope`] restricts an indexed executor to a contiguous
-//! range of cell indices — the unit a cluster coordinator scatters across
-//! shards — and says whether this executor also owns the delta. Running
+//! per-cell results (plus the view's memory slot — the staged delta, or a
+//! whole in-memory dataset — which behaves as one more cell). A
+//! [`CellScope`] restricts an executor to a contiguous range of cell
+//! indices — the unit a cluster coordinator scatters across shards — and
+//! says whether this executor also owns the delta and the memory slot. Running
 //! the same query once per scope of a covering, disjoint set of scopes
 //! (with `include_delta` set on exactly one of them) and merging yields
 //! byte-identical results to a single full-scope run.

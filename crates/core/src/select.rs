@@ -1,23 +1,26 @@
 //! Spatial selection queries (§5.2, Fig. 4).
 //!
 //! A selection finds all objects of a data set intersecting a polygonal
-//! constraint. The in-memory plan is the paper's fused pipeline: render the
-//! constraint canvas once (one pass + boundary pass), then draw the query
-//! data in a single pass whose fragment shader performs blend + mask —
-//! sampling the constraint texture, running the exact boundary test where
-//! needed — and Map stores survivors into the output list, which the
+//! constraint. The per-cell kernel is the paper's fused pipeline: render
+//! the constraint canvas once (one pass + boundary pass), then draw the
+//! query data in a single pass whose fragment shader performs blend +
+//! mask — sampling the constraint texture, running the exact boundary test
+//! where needed — and Map stores survivors into the output list, which the
 //! parallel scan extracts.
 //!
-//! The out-of-core plan (§5.3) first runs the same selection over the grid
-//! index's *bounding polygons* (each cell's convex hull) to choose cells,
-//! then streams each chosen cell through the in-memory plan.
+//! The plan (§5.3) first runs the same selection over the grid index's
+//! *bounding polygons* (each cell's convex hull) to choose cells, then
+//! streams each chosen cell through the kernel. Data that fits in memory
+//! is the zero-cell case: its one memory slot is the candidate set, and no
+//! filter renders.
 
 use crate::ctx::QueryCtx;
-use crate::dataset::{Dataset, DatasetKind, IndexedDataset, ReadView};
+use crate::dataset::{Dataset, DatasetKind, ReadView};
 use crate::engine::{Constraint, Measure, Spade};
 use crate::explain::DeltaInfo;
 use crate::optimizer;
 use crate::prefetch::StreamStats;
+use crate::query::Source;
 use crate::scope::CellScope;
 use crate::stats::QueryOutput;
 use spade_canvas::algebra;
@@ -72,7 +75,7 @@ pub(crate) fn line_candidates(
     (prims, geoms)
 }
 
-/// In-memory point selection: ids of points intersecting the constraint.
+/// The point-selection kernel: ids of points intersecting the constraint.
 /// This is the fused blend+mask+map pass of Fig. 4, using the Map
 /// implementation the optimizer picks (§5.4: `n_max` = number of objects).
 pub fn select_points_mem(
@@ -104,7 +107,7 @@ pub fn select_points_mem(
     result.values.into_iter().map(|v| v[0] - 1).collect()
 }
 
-/// In-memory polygon selection: ids of polygons intersecting the
+/// The polygon-selection kernel: ids of polygons intersecting the
 /// constraint (each candidate drawn conservatively; boundary pixels
 /// resolved with constant-time triangle tests through the boundary index).
 pub fn select_polygons_mem(
@@ -113,16 +116,6 @@ pub fn select_polygons_mem(
     constraint: &Constraint,
 ) -> Vec<u32> {
     let (prims, geoms) = polygon_candidates(polys);
-    select_candidates(spade, &prims, &geoms, constraint)
-}
-
-/// In-memory polyline selection.
-pub fn select_lines_mem(
-    spade: &Spade,
-    lines: &[(u32, &LineString)],
-    constraint: &Constraint,
-) -> Vec<u32> {
-    let (prims, geoms) = line_candidates(lines);
     select_candidates(spade, &prims, &geoms, constraint)
 }
 
@@ -162,26 +155,6 @@ fn select_candidates(
     ids
 }
 
-/// Spatial selection over an in-memory data set with full statistics.
-pub fn select(spade: &Spade, data: &Dataset, constraint_poly: &Polygon) -> QueryOutput<Vec<u32>> {
-    let mut qspan = crate::trace::span("query.select");
-    let measure = spade.begin();
-
-    // Polygon processing: triangulate the constraint (boundary index
-    // entries are created during canvas rendering).
-    let t0 = Instant::now();
-    let prepared = vec![PreparedPolygon::prepare(0, constraint_poly)];
-    let polygon_time = t0.elapsed();
-
-    let constraint = Constraint::from_polygons(spade, &prepared);
-    let ids = select_mem_dispatch(spade, data, &constraint);
-
-    let n = ids.len() as u64;
-    qspan.attr("results", n);
-    let stats = measure.finish(spade, Duration::ZERO, 0, polygon_time, 0, n);
-    QueryOutput { result: ids, stats }
-}
-
 pub(crate) fn select_mem_dispatch(
     spade: &Spade,
     data: &Dataset,
@@ -194,65 +167,21 @@ pub(crate) fn select_mem_dispatch(
             select_polygons_mem(spade, &prepared, constraint)
         }
         DatasetKind::Lines => {
-            let lines: Vec<(u32, &LineString)> = data
-                .objects
-                .iter()
-                .filter_map(|(id, g)| match g {
-                    spade_geometry::Geometry::LineString(l) => Some((*id, l)),
-                    _ => None,
-                })
-                .collect();
-            select_lines_mem(spade, &lines, constraint)
+            let (prims, geoms) = line_candidates(&data.as_lines());
+            select_candidates(spade, &prims, &geoms, constraint)
         }
     }
 }
 
-/// Rectangular range selection — the fast path of §4.2: the rectangle is
-/// expanded into two triangles by a geometry shader (no triangulation, no
-/// per-edge boundary construction on the CPU).
-pub fn select_range(
-    spade: &Spade,
-    data: &Dataset,
-    range: spade_geometry::BBox,
-) -> QueryOutput<Vec<u32>> {
-    let mut qspan = crate::trace::span("query.range");
-    let measure = spade.begin();
-    let constraint = Constraint::from_rects(spade, &[(0, range)]);
-    let ids = select_mem_dispatch(spade, data, &constraint);
-    let n = ids.len() as u64;
-    qspan.attr("results", n);
-    let stats = measure.finish(spade, Duration::ZERO, 0, Duration::ZERO, 0, n);
-    QueryOutput { result: ids, stats }
-}
-
-/// Containment selection (`ST_CONTAINS`, §7): objects lying *entirely*
-/// inside the constraint polygon.
+/// The containment kernel over one cell (`ST_CONTAINS`, §7): objects lying
+/// *entirely* inside `constraint_poly`, whose rendered canvas is
+/// `constraint`.
 ///
 /// Following §7, lines and polygons are treated as collections of vertices
 /// whose containment is tested through the same point machinery; since
 /// all-vertices-inside does not imply containment for concave constraints,
 /// candidates whose boundary could cross the constraint rim get an exact
 /// edge-crossing refinement (for points, containment equals intersection).
-pub fn select_contained(
-    spade: &Spade,
-    data: &Dataset,
-    constraint_poly: &Polygon,
-) -> QueryOutput<Vec<u32>> {
-    let mut qspan = crate::trace::span("query.contained");
-    let measure = spade.begin();
-    let t0 = Instant::now();
-    let prepared = vec![PreparedPolygon::prepare(0, constraint_poly)];
-    let polygon_time = t0.elapsed();
-    let constraint = Constraint::from_polygons(spade, &prepared);
-    let ids = contained_mem(spade, data, constraint_poly, &constraint);
-    let n = ids.len() as u64;
-    qspan.attr("results", n);
-    let stats = measure.finish(spade, Duration::ZERO, 0, polygon_time, 0, n);
-    QueryOutput { result: ids, stats }
-}
-
-/// The containment kernel over one cell: `constraint` is the rendered
-/// canvas of `constraint_poly`.
 fn contained_mem(
     spade: &Spade,
     data: &Dataset,
@@ -317,8 +246,8 @@ fn contained_mem(
     }
 }
 
-/// The out-of-core strategy every single-dataset query shares (§5.3) —
-/// the one-dataset twin of [`crate::join::PairWalk`]. [`CellWalk::plan`]
+/// The strategy every single-dataset query shares (§5.3) — the
+/// one-dataset twin of [`crate::join::PairWalk`]. [`CellWalk::plan`]
 /// fixes the snapshot, the scope and the prepared cell hulls once per
 /// query; [`CellWalk::run`] owns everything between a constraint and the
 /// caller's per-cell kernel, and may run more than once (kNN: twice) over
@@ -328,19 +257,22 @@ pub(crate) struct CellWalk<'a> {
     /// The view's delta merge, for the query's plan.
     pub deltas: Vec<DeltaInfo>,
     scope: CellScope,
-    hulls: Vec<PreparedPolygon>,
+    /// The filter's prepared slot hulls; `None` when the view has no grid
+    /// cells, so its memory slot alone is the candidate set.
+    hulls: Option<Vec<PreparedPolygon>>,
 }
 
 impl<'a> CellWalk<'a> {
     pub(crate) fn plan(
-        data: &'a IndexedDataset,
+        data: Source<'a>,
         ctx: &QueryCtx,
         polygon_time: &mut Duration,
     ) -> spade_storage::Result<CellWalk<'a>> {
         let scope = ctx.scope.cells()?;
         let view = data.read_view();
         let deltas = DeltaInfo::of_views(&[&view]);
-        let hulls = view.prepared_hulls(view.slots(scope.include_delta), polygon_time);
+        let hulls = (view.grid.num_cells() > 0)
+            .then(|| view.prepared_hulls(view.slots(scope.include_delta), polygon_time));
         Ok(CellWalk {
             view,
             deltas,
@@ -349,7 +281,8 @@ impl<'a> CellWalk<'a> {
         })
     }
 
-    /// The slots the scope sees: its cells, and the delta it owns.
+    /// The slots the scope sees: its cells, and the memory slot when it
+    /// owns the deltas.
     pub(crate) fn slots(&self) -> impl Iterator<Item = u32> + '_ {
         let slots = self.view.slots(self.scope.include_delta);
         slots.filter(|&s| (self.view.cell_id(s)).is_none_or(|c| self.scope.contains(c)))
@@ -358,8 +291,9 @@ impl<'a> CellWalk<'a> {
     /// *Filter*: a polygon selection over the slots' hulls against
     /// `filter` (possibly a coarse rendering of `resident`: a false
     /// positive only loads one extra cell), kept to the slots the scope
-    /// sees — the staged delta is one of them, so merged results match a
-    /// cold rebuild. *Refine*: stream each candidate through `refine`,
+    /// sees — the memory slot is one of them, so a staged delta's merged
+    /// results match a cold rebuild; skipped without grid cells (`hulls`).
+    /// *Refine*: stream each candidate through `refine`,
     /// prefetching ahead, with `resident` — the canvas `refine` samples —
     /// on the device until the walk returns, fails or unwinds, and each
     /// slot beside it while it refines (accounted; a slot that does not
@@ -373,9 +307,9 @@ impl<'a> CellWalk<'a> {
         resident: &Constraint,
         mut refine: impl FnMut(&Dataset),
     ) -> spade_storage::Result<StreamStats> {
-        let hit = select_polygons_mem(spade, &self.hulls, filter); // sorted
+        let hit = (self.hulls.as_ref()).map(|hulls| select_polygons_mem(spade, hulls, filter));
         let sequence: Vec<(usize, usize)> = (self.slots())
-            .filter(|s| hit.binary_search(s).is_ok())
+            .filter(|s| hit.as_ref().is_none_or(|hit| hit.binary_search(s).is_ok())) // sorted
             .map(|s| (0, s as usize))
             .collect();
         let _resident = spade.device.charge(resident.byte_size());
@@ -410,18 +344,18 @@ impl<'a> CellWalk<'a> {
         let n = ids.len() as u64;
         qspan.attr("cells", stream.cells);
         qspan.attr("results", n);
-        let stats = measure.finish_streamed(spade, &stream, &self.deltas, polygon_time, n);
+        let stats = measure.finish(spade, &stream, &self.deltas, polygon_time, n);
         QueryOutput { result: ids, stats }
     }
 }
 
-/// An out-of-core selection against a polygonal constraint: the polygon
-/// is prepared once and its canvas serves every refinement — cells and
-/// delta alike — through `kernel`; the hull filter runs against a coarse
+/// A selection against a polygonal constraint: the polygon is prepared
+/// once and its canvas serves every refinement — cells and memory slot
+/// alike — through `kernel`; the hull filter runs against a coarse
 /// rendering of it.
 fn polygon_walk(
     spade: &Spade,
-    data: &IndexedDataset,
+    data: Source<'_>,
     constraint_poly: &Polygon,
     ctx: &QueryCtx,
     qspan: crate::trace::SpanGuard,
@@ -441,22 +375,27 @@ fn polygon_walk(
     Ok(walk.finish_ids(spade, measure, qspan, polygon_time, ids, stream))
 }
 
-/// Out-of-core containment selection: since every object is clustered into
-/// exactly one grid cell, per-cell containment results union losslessly;
-/// the filter stage is the same hull selection (an object contained in the
-/// constraint certainly intersects it). Only candidate cells inside
-/// `ctx.scope` refine, and the staged delta merges only when the scope
-/// owns it.
-pub fn select_contained_indexed(
+/// Containment selection (`ST_CONTAINS`, §7): since every object is
+/// clustered into exactly one slot, per-slot containment results union
+/// losslessly; the filter stage is the same hull selection (an object
+/// contained in the constraint certainly intersects it). Only candidate
+/// cells inside `ctx.scope` refine, and the memory slot merges only when
+/// the scope owns it.
+pub fn select_contained_indexed<'a>(
     spade: &Spade,
-    data: &IndexedDataset,
+    data: impl Into<Source<'a>>,
     constraint_poly: &Polygon,
     ctx: &QueryCtx,
 ) -> spade_storage::Result<QueryOutput<Vec<u32>>> {
-    let qspan = crate::trace::span("query.contained.indexed");
-    polygon_walk(spade, data, constraint_poly, ctx, qspan, |cell, c| {
-        contained_mem(spade, cell, constraint_poly, c)
-    })
+    let qspan = crate::trace::span("query.contained");
+    polygon_walk(
+        spade,
+        data.into(),
+        constraint_poly,
+        ctx,
+        qspan,
+        |cell, c| contained_mem(spade, cell, constraint_poly, c),
+    )
 }
 
 fn object_vertices(g: &spade_geometry::Geometry) -> Vec<Point> {
@@ -515,38 +454,57 @@ fn constraint_hole_cuts(constraint: &Polygon, g: &spade_geometry::Geometry) -> b
     })
 }
 
-/// Out-of-core spatial selection (§5.3): filter the grid cells with a GPU
-/// selection over their bounding polygons, then refine cell by cell. The
-/// refinement loop is pipelined: upcoming cells are read and decoded on a
-/// background I/O thread (through the cell cache) while the current one
-/// refines on the device.
+/// Spatial selection (§5.3): filter the grid cells with a GPU selection
+/// over their bounding polygons, then refine slot by slot. The refinement
+/// loop is pipelined: upcoming cells are read and decoded on a background
+/// I/O thread (through the cell cache) while the current one refines on
+/// the device. A registered dataset is one memory slot, refined whole.
 ///
 /// The hull filter always runs whole; only candidate cells inside
-/// `ctx.scope` stream through refinement, and the staged delta merges only
-/// when the scope owns it — the scatter-gather invariant cluster executors
-/// rely on.
-pub fn select_indexed(
+/// `ctx.scope` stream through refinement, and the memory slot merges only
+/// when the scope owns it — the scatter-gather invariant cluster
+/// executors rely on.
+pub fn select_indexed<'a>(
     spade: &Spade,
-    data: &IndexedDataset,
+    data: impl Into<Source<'a>>,
     constraint_poly: &Polygon,
     ctx: &QueryCtx,
 ) -> spade_storage::Result<QueryOutput<Vec<u32>>> {
-    let qspan = crate::trace::span("query.select.indexed");
-    polygon_walk(spade, data, constraint_poly, ctx, qspan, |cell, c| {
-        select_mem_dispatch(spade, cell, c)
-    })
+    let qspan = crate::trace::span("query.select");
+    polygon_walk(
+        spade,
+        data.into(),
+        constraint_poly,
+        ctx,
+        qspan,
+        |cell, c| select_mem_dispatch(spade, cell, c),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::EngineConfig;
+    use crate::dataset::IndexedDataset;
     use spade_geometry::predicates::{point_in_polygon, polygons_intersect};
     use spade_geometry::BBox;
     use spade_index::GridIndex;
+    use std::sync::Arc;
 
     fn engine() -> Spade {
         Spade::new(EngineConfig::test_small())
+    }
+
+    /// A selection over `data` registered in memory: its one memory slot,
+    /// walked.
+    fn select_memory(s: &Spade, data: &Dataset, poly: &Polygon) -> QueryOutput<Vec<u32>> {
+        let data = Arc::new(data.clone());
+        select_indexed(s, &data, poly, &QueryCtx::default()).unwrap()
+    }
+
+    fn contained_memory(s: &Spade, data: &Dataset, poly: &Polygon) -> QueryOutput<Vec<u32>> {
+        let data = Arc::new(data.clone());
+        select_contained_indexed(s, &data, poly, &QueryCtx::default()).unwrap()
     }
 
     fn scatter(n: usize, extent: f64) -> Vec<Point> {
@@ -576,7 +534,7 @@ mod tests {
         let pts = scatter(2000, 100.0);
         let data = Dataset::from_points("pts", pts.clone());
         let poly = hexagon(50.0, 50.0, 22.0);
-        let out = select(&s, &data, &poly);
+        let out = select_memory(&s, &data, &poly);
         let oracle: Vec<u32> = pts
             .iter()
             .enumerate()
@@ -606,7 +564,7 @@ mod tests {
             Point::new(3.5, 9.0),
             Point::new(1.0, 9.0),
         ]);
-        let out = select(&s, &data, &poly);
+        let out = select_memory(&s, &data, &poly);
         let oracle: std::collections::BTreeSet<u32> = pts
             .iter()
             .enumerate()
@@ -630,7 +588,7 @@ mod tests {
         }
         let data = Dataset::from_polygons("boxes", boxes.clone());
         let constraint = hexagon(50.0, 50.0, 25.0);
-        let out = select(&s, &data, &constraint);
+        let out = select_memory(&s, &data, &constraint);
         let oracle: Vec<u32> = boxes
             .iter()
             .enumerate()
@@ -655,7 +613,7 @@ mod tests {
             .collect();
         let data = Dataset::from_lines("lines", lines.clone());
         let constraint = hexagon(50.0, 50.0, 20.0);
-        let out = select(&s, &data, &constraint);
+        let out = select_memory(&s, &data, &constraint);
         let oracle: Vec<u32> = lines
             .iter()
             .enumerate()
@@ -675,7 +633,7 @@ mod tests {
         let data = Dataset::from_points("pts", scatter(100, 10.0));
         // Constraint far away from the data.
         let poly = hexagon(500.0, 500.0, 5.0);
-        let out = select(&s, &data, &poly);
+        let out = select_memory(&s, &data, &poly);
         assert!(out.result.is_empty());
         assert_eq!(out.stats.result_count, 0);
     }
@@ -689,7 +647,7 @@ mod tests {
         let indexed = IndexedDataset::new("pts", DatasetKind::Points, grid);
         let poly = hexagon(40.0, 60.0, 18.0);
 
-        let mem = select(&s, &data, &poly);
+        let mem = select_memory(&s, &data, &poly);
         let ooc = select_indexed(&s, &indexed, &poly, &QueryCtx::default()).unwrap();
         let mut a = mem.result.clone();
         a.sort_unstable();
@@ -708,6 +666,27 @@ mod tests {
         let crowded = select_indexed(&s, &indexed, &poly, &QueryCtx::default()).unwrap();
         assert_eq!(crowded.result, ooc.result);
         assert_eq!(s.device.used(), held);
+    }
+
+    /// `cells_loaded` counts grid cells: a selection whose walk streams
+    /// the staged delta beside its cells reports the cells alone, each a
+    /// prefetch hit or miss.
+    #[test]
+    fn cells_loaded_counts_grid_cells_only() {
+        let s = engine();
+        let data = Dataset::from_points("pts", scatter(3000, 100.0));
+        let grid = GridIndex::build(None, &data.objects, 20.0).unwrap();
+        let indexed = IndexedDataset::new("pts", DatasetKind::Points, grid);
+        let poly = hexagon(40.0, 60.0, 18.0);
+        let ctx = QueryCtx::default();
+        let clean = select_indexed(&s, &indexed, &poly, &ctx).unwrap().stats;
+        let staged_point = spade_geometry::Geometry::Point(Point::new(40.0, 60.0));
+        indexed.insert(9000, staged_point);
+        let staged = select_indexed(&s, &indexed, &poly, &ctx).unwrap();
+        assert!(staged.result.contains(&9000), "the delta slot streamed");
+        let st = &staged.stats;
+        assert_eq!(st.cells_loaded, clean.cells_loaded);
+        assert_eq!(st.prefetch_hits + st.prefetch_misses, st.cells_loaded);
     }
 
     /// The staged delta is the walk's last slot: it enters the sequence
@@ -734,7 +713,7 @@ mod tests {
         // position in the sequence of the slot whose refinement cancels.
         let walk_cancelling = |cancel_in: Option<usize>| {
             let ctx = QueryCtx::default();
-            let walk = CellWalk::plan(&indexed, &ctx, &mut Duration::default()).unwrap();
+            let walk = CellWalk::plan((&indexed).into(), &ctx, &mut Duration::default()).unwrap();
             let mut refined = Vec::new();
             let mut pass = || {
                 walk.run(&s, &ctx, &constraint, &constraint, |cell| {
@@ -754,8 +733,9 @@ mod tests {
             assert_eq!(s.device.used(), 0, "{cancel_in:?}");
             (cells, refined)
         };
+        // The delta slot refines once per pass and is no grid cell.
         let (cells, refined) = walk_cancelling(None);
-        assert_eq!(cells, Ok(refined.len() as u64));
+        assert_eq!(cells, Ok(refined.len() as u64 - 2));
         let slots = &refined[..refined.len() / 2];
         assert!((4..81).contains(&slots.len()), "{slots:?}");
         assert_eq!(slots.last().unwrap(), "p#delta");
@@ -824,7 +804,7 @@ mod tests {
         let mut all = boxes.clone();
         all.push(bridging);
         let data = Dataset::from_polygons("boxes", all.clone());
-        let out = select_contained(&s, &data, &constraint);
+        let out = contained_memory(&s, &data, &constraint);
         // Oracle: contained iff all vertices inside and no edge crossing.
         let oracle: Vec<u32> = all
             .iter()
@@ -854,9 +834,9 @@ mod tests {
         let pts = scatter(500, 50.0);
         let data = Dataset::from_points("p", pts.clone());
         let c = hexagon(25.0, 25.0, 12.0);
-        let mut contained = select_contained(&s, &data, &c).result;
+        let mut contained = contained_memory(&s, &data, &c).result;
         contained.sort_unstable();
-        let mut intersecting = select(&s, &data, &c).result;
+        let mut intersecting = select_memory(&s, &data, &c).result;
         intersecting.sort_unstable();
         assert_eq!(contained, intersecting);
     }
@@ -887,7 +867,7 @@ mod tests {
             Polygon::rect(BBox::new(Point::new(10.0, 10.0), Point::new(30.0, 30.0))),
         ];
         let data = Dataset::from_polygons("boxes", boxes);
-        let out = select_contained(&s, &data, &constraint);
+        let out = contained_memory(&s, &data, &constraint);
         assert_eq!(out.result, vec![0]);
     }
 
@@ -903,7 +883,7 @@ mod tests {
         }
         let data = Dataset::from_polygons("boxes", boxes);
         let constraint = hexagon(50.0, 50.0, 30.0);
-        let mem = select_contained(&s, &data, &constraint);
+        let mem = contained_memory(&s, &data, &constraint);
         let grid = GridIndex::build(None, &data.objects, 35.0).unwrap();
         let indexed = IndexedDataset::new("boxes", DatasetKind::Polygons, grid);
         let ooc =
@@ -923,7 +903,7 @@ mod tests {
             LineString::new(vec![Point::new(25.0, 25.0), Point::new(60.0, 25.0)]), // exits
         ];
         let data = Dataset::from_lines("lines", lines);
-        let out = select_contained(&s, &data, &c);
+        let out = contained_memory(&s, &data, &c);
         assert_eq!(out.result, vec![0]);
     }
 
@@ -932,7 +912,9 @@ mod tests {
         let s = engine();
         let pts = scatter(800, 50.0);
         let bb = BBox::new(Point::new(10.0, 10.0), Point::new(30.0, 25.0));
-        let c = Constraint::from_rects(&s, &[(0, bb)]);
+        let vp = s.viewport_for(&bb);
+        let layer = spade_canvas::create::render_rects(&s.pipeline, vp, &[(0, bb)]);
+        let c = Constraint::from_layer(layer, vp, 4);
         let got = select_points_mem(&s, &Dataset::from_points("p", pts.clone()).as_points(), &c);
         let oracle: Vec<u32> = pts
             .iter()

@@ -63,9 +63,9 @@ pub struct QueryStats {
     pub bytes_to_device: u64,
     /// Rendering passes executed.
     pub passes: u64,
-    /// Grid cells loaded (out-of-core queries). Counts cells delivered to
-    /// the refinement stage — whether the bytes came from disk or the cell
-    /// cache — so the count is deterministic across prefetch depths,
+    /// Grid cells loaded. Counts cells delivered to the refinement stage —
+    /// whether the bytes came from disk or the cell cache, and never a
+    /// memory slot — so the count is deterministic across prefetch depths,
     /// worker counts, and cache states.
     pub cells_loaded: u64,
     /// Result cardinality.

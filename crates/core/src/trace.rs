@@ -13,14 +13,13 @@
 //!
 //! | name | emitted by | attrs |
 //! |------|-----------|-------|
-//! | `query.select` / `query.range` / `query.contained` | selection executors | `results` |
-//! | `query.select.indexed` / `query.contained.indexed` | out-of-core selections | `cells`, `results` |
-//! | `query.distance` / `query.distance.indexed` | distance selections | `results` |
-//! | `query.knn` / `query.knn.indexed` | kNN selections | `k`, `results` |
-//! | `query.join` / `query.join.indexed` | joins | `pairs` |
-//! | `query.distance_join` / `query.distance_join.indexed` | distance joins | `pairs` |
-//! | `query.knn_join` / `query.knn_join.indexed` | kNN joins | `k`, `results` |
-//! | `query.aggregate` / `query.aggregate.indexed` | count-points aggregation | `polygons` |
+//! | `query.select` / `query.contained` | selections (a range is a select) | `cells`, `results` |
+//! | `query.distance` | distance selections | `cells`, `results` |
+//! | `query.knn` | kNN selections | `k`, `cells`, `results` |
+//! | `query.join` | joins | `cells`, `pairs` |
+//! | `query.distance_join` | distance joins | `cells`, `pairs` |
+//! | `query.knn_join` | kNN joins | `k`, `cells`, `results` |
+//! | `query.aggregate` | count-points aggregation | `cells`, `polygons` |
 //! | `prefetch.load` | background producer thread | `source`, `cell`, `bytes`, `cache_hit` |
 //! | `prefetch.wait` | consumer stalls on the channel | — |
 //! | `gpu.draw` / `gpu.count_pass` / `gpu.map` | every pipeline pass — one span per pass `QueryStats::passes` counts | `primitives`, `visible`, `fragments` |

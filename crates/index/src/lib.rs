@@ -49,15 +49,6 @@ pub struct Version {
     pub seq: u64,
 }
 
-impl Version {
-    /// The fixed version of immutable in-memory datasets, which have no
-    /// grid generation or delta stream.
-    pub const MEMORY: Version = Version {
-        generation: 0,
-        seq: 0,
-    };
-}
-
 impl std::fmt::Display for Version {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "g{}s{}", self.generation, self.seq)

@@ -820,11 +820,11 @@ impl Ticket {
 }
 
 /// Estimated device-memory footprint of a request, in bytes. Canvas terms
-/// are `resolution² × 16` (four 32-bit channels per pixel); out-of-core
-/// requests add the largest slot per streamed side, since the executors
-/// hold at most one per side resident — a grid cell, or the side's staged
-/// delta, which streams as one more cell. SQL runs on the host, so its
-/// device footprint is zero.
+/// are `resolution² × 16` (four 32-bit channels per pixel); each side adds
+/// its largest slot, since the walks hold at most one per side resident —
+/// a grid cell, or the memory slot (a staged delta, or a registered
+/// dataset whole). A shard slice reserves like the full request. SQL runs
+/// on the host, so its device footprint is zero.
 fn estimate_footprint(
     shared: &Shared,
     ns: &Namespace,
@@ -832,52 +832,47 @@ fn estimate_footprint(
 ) -> Result<u64, ServiceError> {
     let cfg = &shared.spade.config;
     let canvas = |res: u32| (res as u64) * (res as u64) * 16;
-    let max_slot = |d: &IndexedDataset| {
-        let grid = d.grid();
-        let cell = grid.cells().iter().map(|c| c.bytes).max().unwrap_or(0);
-        cell.max(d.delta_stats().bytes)
+    let max_slot = |name: &String| -> Result<u64, ServiceError> {
+        Ok(match resolve(shared, ns, name)? {
+            Registered::Indexed(d) => {
+                let grid = d.grid();
+                let cell = grid.cells().iter().map(|c| c.bytes).max().unwrap_or(0);
+                cell.max(d.delta_stats().bytes)
+            }
+            Registered::Memory(d) => d.byte_size() as u64,
+        })
     };
-    // A shard slice streams at most one cell per side resident, same as
-    // the full request, so it reserves identically — but only a
-    // grid-indexed dataset has cells to slice.
-    let shard = !request.scope().is_full();
-    let unknown = |name: &String| ServiceError::UnknownDataset(name.clone());
+    // Past the constraint canvas, a term reserves its bytes when they fit
+    // the device next to the rest, and nothing otherwise — what
+    // `DeviceMemory::charge` holds for a slot that does not fit.
+    let capacity = shared.admission.capacity();
+    let fit = |sum: u64, bytes: u64| match sum + bytes {
+        total if total <= capacity => total,
+        _ => sum,
+    };
     match request {
         QueryRequest::Select { dataset, query }
         | QueryRequest::ShardSelect { dataset, query, .. } => {
-            match resolve(shared, ns, dataset)? {
-                Registered::Indexed(idx) => {
-                    let constraint = match query {
-                        SelectQuery::WithinDistance(..) | SelectQuery::Knn(..) => {
-                            canvas(cfg.distance_resolution())
-                        }
-                        _ => canvas(cfg.resolution),
-                    };
-                    Ok(constraint + canvas(cfg.filter_resolution()) + max_slot(&idx))
+            let constraint = match query {
+                SelectQuery::WithinDistance(..) | SelectQuery::Knn(..) => {
+                    canvas(cfg.distance_resolution())
                 }
-                Registered::Memory(_) if shard => Err(unknown(dataset)),
-                // In-memory plans render but never allocate device memory;
-                // the constraint canvas is still a fair working-set proxy.
-                Registered::Memory(_) => Ok(canvas(cfg.resolution)),
-            }
+                _ => canvas(cfg.resolution),
+            };
+            let slot = max_slot(dataset)?;
+            Ok(fit(fit(constraint, canvas(cfg.filter_resolution())), slot))
         }
         QueryRequest::Join { left, right, query }
         | QueryRequest::ShardJoin {
             left, right, query, ..
         } => {
-            let side = |name: &String| match resolve(shared, ns, name)? {
-                Registered::Indexed(d) => Ok(max_slot(&d)),
-                Registered::Memory(_) if shard => Err(unknown(name)),
-                Registered::Memory(_) => Ok(0),
-            };
-            let base = side(left)? + side(right)?;
             let constraint = match query {
                 JoinQuery::WithinDistance(_) | JoinQuery::Knn(_) => {
                     canvas(cfg.distance_resolution())
                 }
                 _ => canvas(cfg.filter_resolution()),
             };
-            Ok(base + constraint)
+            Ok(fit(fit(constraint, max_slot(left)?), max_slot(right)?))
         }
         QueryRequest::Sql(_) => Ok(0),
         // Spatial requests execute to discover their plan, so an EXPLAIN
@@ -1089,15 +1084,10 @@ fn execute(
         tenant: ns.id(),
         cached: true,
     };
-    let shard = !ctx.scope.is_full();
-    let unknown = |name: &String| ServiceError::UnknownDataset(name.clone());
     match request {
         QueryRequest::Select { dataset, query }
         | QueryRequest::ShardSelect { dataset, query, .. } => {
             let data = resolve(shared, ns, dataset)?;
-            if shard && matches!(data, Registered::Memory(_)) {
-                return Err(unknown(dataset));
-            }
             let out = query::run_select_ctx(&shared.spade, data.source(), query, &ctx)?;
             Ok((ResponsePayload::Query(out.result), out.stats))
         }
@@ -1106,17 +1096,6 @@ fn execute(
             left, right, query, ..
         } => {
             let (l, r) = (resolve(shared, ns, left)?, resolve(shared, ns, right)?);
-            // One plan serves both sides: out-of-core when both are
-            // grid-indexed (the only plan a shard slice has), in-memory
-            // otherwise. The first side outside the plan is unknown to the
-            // catalog that plan reads.
-            let is_indexed = |d: &Registered| matches!(d, Registered::Indexed(_));
-            let indexed_plan = shard || (is_indexed(&l) && is_indexed(&r));
-            for (side, name) in [(&l, left), (&r, right)] {
-                if is_indexed(side) != indexed_plan {
-                    return Err(unknown(name));
-                }
-            }
             let out = query::run_join_ctx(&shared.spade, l.source(), r.source(), query, &ctx)?;
             Ok((ResponsePayload::Query(out.result), out.stats))
         }
@@ -1267,8 +1246,8 @@ impl Registered {
         }
     }
 
-    /// The grid-indexed form — the only one writes, shard slices and cell
-    /// statistics exist for.
+    /// The grid-indexed form — the only one writes and cell statistics
+    /// exist for.
     fn indexed(self, name: &str) -> Result<Arc<IndexedDataset>, ServiceError> {
         match self {
             Registered::Indexed(d) => Ok(d),

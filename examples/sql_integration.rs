@@ -7,11 +7,13 @@
 //! ```
 
 use spade::engine::dataset::{Dataset, DatasetKind};
-use spade::engine::{select, EngineConfig, Spade};
+use spade::engine::query::{run_select_ctx, SelectQuery};
+use spade::engine::{EngineConfig, QueryCtx, Spade};
 use spade::geometry::{Geometry, Point, Polygon};
 use spade::storage::geom::{geometry_table, read_geometry_table};
 use spade::storage::sql::{execute, SqlResult};
 use spade::storage::Database;
+use std::sync::Arc;
 
 fn main() {
     let db = Database::in_memory();
@@ -48,15 +50,21 @@ fn main() {
         .with_table("locations", read_geometry_table)
         .unwrap()
         .unwrap();
-    let data = Dataset::from_objects("locations", DatasetKind::Points, spatial);
-    let downtown = Polygon::circle(Point::new(2.5, 2.5), 2.0, 16);
-    let hits = select::select(&engine, &data, &downtown);
-    println!("restaurants downtown (spatial ids): {:?}", hits.result);
+    let data = Arc::new(Dataset::from_objects(
+        "locations",
+        DatasetKind::Points,
+        spatial,
+    ));
+    let downtown = SelectQuery::Intersects(Polygon::circle(Point::new(2.5, 2.5), 2.0, 16));
+    let hits = run_select_ctx(&engine, &data, &downtown, &QueryCtx::default());
+    let hits = hits.expect("selection").result;
+    let hits = hits.ids().expect("a selection answers ids");
+    println!("restaurants downtown (spatial ids): {hits:?}");
 
     // 4. Link back to relational attributes: for each spatial hit, a SQL
     //    lookup with a relational predicate (rating ≥ 4.5).
     println!("\nhighly rated downtown restaurants:");
-    for id in &hits.result {
+    for id in hits {
         let rows = match execute(
             &db,
             &format!("SELECT name, rating FROM restaurants WHERE id = {id} AND rating >= 4.5"),

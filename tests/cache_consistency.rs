@@ -21,14 +21,15 @@
 //!   cache's resident bytes exactly, and purge/clear return every charged
 //!   byte to the device ledger immediately.
 
+use spade::baselines::brute;
 use spade::engine::dataset::{Dataset, DatasetKind, IndexedDataset};
 use spade::engine::distance::DistanceConstraint;
-use spade::engine::query::{self, JoinQuery, SelectQuery};
+use spade::engine::query::{self, JoinQuery, QueryResult, SelectQuery};
 use spade::engine::{CacheOutcome, EngineConfig, QueryCtx, Spade};
 use spade::geometry::{BBox, Geometry, Point, Polygon};
 use spade::index::GridIndex;
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 fn engine_with(enabled: bool) -> Spade {
     let mut c = EngineConfig::test_small();
@@ -181,23 +182,79 @@ fn differential_all_families_out_of_core() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Differential, in-memory (`Dataset`) path: immutable datasets key at the
-/// MEMORY watermark and never invalidate; results still must match the
-/// uncached executors bytewise.
+/// The independent answer to a select over `data` (ids are input
+/// positions in this suite's datasets).
+fn brute_select(data: &Dataset, q: &SelectQuery) -> QueryResult {
+    let points = || -> Vec<Point> { data.as_points().into_iter().map(|(_, p)| p).collect() };
+    let polygons = || -> Vec<Polygon> {
+        let polys = data.as_polygons().into_iter();
+        polys.map(|(_, p)| p.clone()).collect()
+    };
+    QueryResult::Ids(match (data.kind, q) {
+        (DatasetKind::Points, SelectQuery::Intersects(c) | SelectQuery::Contained(c)) => {
+            brute::select_points(&points(), c)
+        }
+        (DatasetKind::Points, SelectQuery::Range(bb)) => {
+            brute::select_points(&points(), &Polygon::rect(*bb))
+        }
+        (DatasetKind::Points, SelectQuery::WithinDistance(DistanceConstraint::Point(c), r)) => {
+            let near = brute::distance_join(&[*c], &points(), *r);
+            near.into_iter().map(|(_, id)| id).collect()
+        }
+        (DatasetKind::Points, SelectQuery::Knn(p, k)) => {
+            return QueryResult::Ranked(brute::knn(&points(), *p, *k))
+        }
+        (DatasetKind::Polygons, SelectQuery::Intersects(c)) => {
+            brute::select_polygons(&polygons(), c)
+        }
+        (DatasetKind::Polygons, SelectQuery::Contained(c)) => {
+            brute::select_contained(&polygons(), c)
+        }
+        other => unimplemented!("no brute form of {other:?}"),
+    })
+}
+
+/// The independent answer to a join of `left` and the points `pts`.
+fn brute_join(left: &Dataset, pts: &Dataset, q: &JoinQuery) -> QueryResult {
+    let points =
+        |d: &Dataset| -> Vec<Point> { d.as_points().into_iter().map(|(_, p)| p).collect() };
+    let polygons: Vec<Polygon> = (left.as_polygons().into_iter())
+        .map(|(_, p)| p.clone())
+        .collect();
+    let (lp, rp) = (|| points(left), || points(pts));
+    match q {
+        JoinQuery::Intersects => QueryResult::Pairs(brute::join_polygon_point(&polygons, &rp())),
+        JoinQuery::WithinDistance(r) => QueryResult::Pairs(brute::distance_join(&lp(), &rp(), *r)),
+        JoinQuery::Knn(k) => QueryResult::RankedPairs(brute::knn_join(&lp(), &rp(), *k)),
+        JoinQuery::CountPoints => QueryResult::Counts(brute::aggregate(&polygons, &rp())),
+    }
+}
+
+/// Differential, in-memory (`Dataset`) path: immutable datasets key at
+/// their uid alone and never invalidate; results still must match the
+/// brute-force oracle bytewise.
 #[test]
 fn differential_all_families_in_memory_datasets() {
     let hot = engine_with(true);
-    let polys = Dataset::from_objects("polys", DatasetKind::Polygons, base_polygons());
-    let pts = Dataset::from_objects("pts", DatasetKind::Points, base_points(400));
+    let polys = Arc::new(Dataset::from_objects(
+        "polys",
+        DatasetKind::Polygons,
+        base_polygons(),
+    ));
+    let pts = Arc::new(Dataset::from_objects(
+        "pts",
+        DatasetKind::Points,
+        base_points(400),
+    ));
     let (pt_selects, poly_selects, joins) = workload();
 
-    let selects: Vec<(&Dataset, &SelectQuery)> = pt_selects
+    let selects: Vec<(&Arc<Dataset>, &SelectQuery)> = pt_selects
         .iter()
         .map(|q| (&pts, q))
         .chain(poly_selects.iter().map(|q| (&polys, q)))
         .collect();
     for (data, q) in selects {
-        let want = query::run_select(&hot, data, q).result;
+        let want = brute_select(data, q);
         let first = query::run_select_ctx(&hot, data, q, &QueryCtx::cached()).unwrap();
         assert_eq!(first.stats.result_cache, CacheOutcome::Miss, "{q:?}");
         assert_eq!(first.result, want, "{q:?}");
@@ -211,7 +268,7 @@ fn differential_all_families_in_memory_datasets() {
             JoinQuery::WithinDistance(_) | JoinQuery::Knn(_) => &pts,
             _ => &polys,
         };
-        let want = query::run_join(&hot, left, &pts, q).result;
+        let want = brute_join(left, &pts, q);
         let first = query::run_join_ctx(&hot, left, &pts, q, &QueryCtx::cached()).unwrap();
         assert_eq!(first.stats.result_cache, CacheOutcome::Miss, "{q:?}");
         assert_eq!(first.result, want, "{q:?}");

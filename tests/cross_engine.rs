@@ -12,6 +12,7 @@ use spade::engine::dataset::{Dataset, DatasetKind, IndexedDataset};
 use spade::engine::{distance, join, knn, select, EngineConfig, QueryCtx, Spade};
 use spade::geometry::{BBox, Point};
 use spade::index::GridIndex;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn engine() -> Spade {
@@ -34,7 +35,7 @@ fn unit() -> BBox {
 fn selection_agrees_across_engines() {
     let spade = engine();
     let pts = spider::uniform_points(5_000, 11);
-    let data = Dataset::from_points("p", pts.clone());
+    let data = Arc::new(Dataset::from_points("p", pts.clone()));
     let stig = Stig::build(pts.clone(), 256);
     let rdd = PointRdd::build(pts.clone(), cluster_cfg());
     let s2 = PointIndex::build(pts.clone());
@@ -44,9 +45,8 @@ fn selection_agrees_across_engines() {
         .enumerate()
     {
         let truth = brute::select_points(&pts, &c);
-        let mut got = select::select(&spade, &data, &c).result;
-        got.sort_unstable();
-        assert_eq!(got, truth, "SPADE (constraint {i})");
+        let got = select::select_indexed(&spade, &data, &c, &QueryCtx::default());
+        assert_eq!(got.unwrap().result, truth, "SPADE (constraint {i})");
         assert_eq!(stig.select_polygon(&c, 4), truth, "STIG (constraint {i})");
         assert_eq!(rdd.select_polygon(&c), truth, "cluster (constraint {i})");
         assert_eq!(s2.select_polygon(&c), truth, "S2 (constraint {i})");
@@ -57,14 +57,34 @@ fn selection_agrees_across_engines() {
 fn polygon_selection_agrees() {
     let spade = engine();
     let boxes = spider::uniform_boxes(800, 0.05, 13);
-    let data = Dataset::from_polygons("b", boxes.clone());
+    let data = Arc::new(Dataset::from_polygons("b", boxes.clone()));
     let rdd = PolygonRdd::build(boxes.clone(), cluster_cfg());
     let c = urban::constraint_polygons(1, &unit(), 0.2, 24, 5)
         .pop()
         .unwrap();
     let truth = brute::select_polygons(&boxes, &c);
-    assert_eq!(select::select(&spade, &data, &c).result, truth, "SPADE");
+    let got = select::select_indexed(&spade, &data, &c, &QueryCtx::default());
+    assert_eq!(got.unwrap().result, truth, "SPADE");
     assert_eq!(rdd.select_polygon(&c), truth, "cluster");
+}
+
+#[test]
+fn contained_selection_agrees() {
+    let spade = engine();
+    let boxes = spider::uniform_boxes(800, 0.05, 13);
+    let data = Arc::new(Dataset::from_polygons("b", boxes.clone()));
+    let grid = GridIndex::build(None, &data.objects, 0.25).unwrap();
+    let indexed = IndexedDataset::new("b", DatasetKind::Polygons, grid);
+    for c in urban::constraint_polygons(3, &unit(), 0.25, 24, 7) {
+        let truth = brute::select_contained(&boxes, &c);
+        assert!(!truth.is_empty());
+        for got in [
+            select::select_contained_indexed(&spade, &data, &c, &QueryCtx::default()),
+            select::select_contained_indexed(&spade, &indexed, &c, &QueryCtx::default()),
+        ] {
+            assert_eq!(got.unwrap().result, truth, "SPADE");
+        }
+    }
 }
 
 #[test]
@@ -72,13 +92,14 @@ fn point_polygon_join_agrees() {
     let spade = engine();
     let pts = spider::gaussian_points(3_000, 17);
     let parcels = spider::parcels(150, 0.05, 19);
-    let d_pts = Dataset::from_points("p", pts.clone());
-    let d_par = Dataset::from_polygons("parcels", parcels.clone());
+    let d_pts = Arc::new(Dataset::from_points("p", pts.clone()));
+    let d_par = Arc::new(Dataset::from_polygons("parcels", parcels.clone()));
 
     let mut truth = brute::join_polygon_point(&parcels, &pts);
     truth.sort_unstable();
 
-    let got = join::join(&spade, &d_par, &d_pts).result;
+    let got = join::join_indexed(&spade, &d_par, &d_pts, &QueryCtx::default());
+    let got = got.unwrap().result;
     assert_eq!(got, truth, "SPADE");
 
     let rdd = PointRdd::build(pts, cluster_cfg());
@@ -93,11 +114,13 @@ fn polygon_polygon_join_agrees() {
     let b = spider::uniform_boxes(300, 0.06, 29);
     let mut truth = brute::join_polygon_polygon(&a, &b);
     truth.sort_unstable();
-    let got = join::join(
+    let got = join::join_indexed(
         &spade,
-        &Dataset::from_polygons("a", a.clone()),
-        &Dataset::from_polygons("b", b.clone()),
+        &Arc::new(Dataset::from_polygons("a", a.clone())),
+        &Arc::new(Dataset::from_polygons("b", b.clone())),
+        &QueryCtx::default(),
     )
+    .unwrap()
     .result;
     assert_eq!(got, truth, "SPADE");
     let ra = PolygonRdd::build(a, cluster_cfg());
@@ -114,12 +137,14 @@ fn distance_join_agrees() {
     let mut truth = brute::distance_join(&left, &right, r);
     truth.sort_unstable();
 
-    let got = distance::distance_join(
+    let got = distance::distance_join_indexed(
         &spade,
-        &Dataset::from_points("l", left.clone()),
-        &Dataset::from_points("r", right.clone()),
+        &Arc::new(Dataset::from_points("l", left.clone())),
+        &Arc::new(Dataset::from_points("r", right.clone())),
         r,
+        &QueryCtx::default(),
     )
+    .unwrap()
     .result;
     assert_eq!(got, truth, "SPADE");
 
@@ -142,7 +167,7 @@ fn distance_join_agrees() {
 fn knn_agrees_on_distances() {
     let spade = engine();
     let pts = spider::gaussian_points(2_000, 41);
-    let data = Dataset::from_points("p", pts.clone());
+    let data = Arc::new(Dataset::from_points("p", pts.clone()));
     let s2 = PointIndex::build(pts.clone());
     let rdd = PointRdd::build(pts.clone(), cluster_cfg());
 
@@ -156,7 +181,8 @@ fn knn_agrees_on_distances() {
     {
         for k in [1usize, 7, 25] {
             let truth = brute::knn(&pts, q, k);
-            let got = knn::knn_select(&spade, &data, q, k).result;
+            let got = knn::knn_select_indexed(&spade, &data, q, k, &QueryCtx::default());
+            let got = got.unwrap().result;
             assert_eq!(got.len(), truth.len(), "SPADE k={k} q{qi}");
             for (g, t) in got.iter().zip(&truth) {
                 assert!(
@@ -174,6 +200,45 @@ fn knn_agrees_on_distances() {
     }
 }
 
+#[test]
+fn knn_join_agrees() {
+    let spade = engine();
+    let left = spider::uniform_points(60, 53);
+    let right = spider::gaussian_points(1_500, 59);
+    let (dl, dr) = (
+        Arc::new(Dataset::from_points("l", left.clone())),
+        Arc::new(Dataset::from_points("r", right.clone())),
+    );
+    let il = IndexedDataset::new("l", DatasetKind::Points, {
+        GridIndex::build(None, &dl.objects, 0.3).unwrap()
+    });
+    let ir = IndexedDataset::new("r", DatasetKind::Points, {
+        GridIndex::build(None, &dr.objects, 0.3).unwrap()
+    });
+    for k in [1usize, 5] {
+        let truth = brute::knn_join(&left, &right, k);
+        let ctx = QueryCtx::default();
+        assert_eq!(
+            knn::knn_join_indexed(&spade, &dl, &dr, k, &ctx)
+                .unwrap()
+                .result,
+            truth
+        );
+        assert_eq!(
+            knn::knn_join_indexed(&spade, &il, &ir, k, &ctx)
+                .unwrap()
+                .result,
+            truth
+        );
+        assert_eq!(
+            knn::knn_join_indexed(&spade, &il, &dr, k, &ctx)
+                .unwrap()
+                .result,
+            truth
+        );
+    }
+}
+
 fn ooc_dir(tag: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!("spade-xe-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&d).unwrap();
@@ -187,7 +252,7 @@ fn pipelined_selection_agrees_across_seeds() {
     let spade = engine();
     for seed in [3u64, 11, 27] {
         let pts = spider::gaussian_points(6_000, seed);
-        let data = Dataset::from_points("p", pts.clone());
+        let data = Arc::new(Dataset::from_points("p", pts.clone()));
         let dir = ooc_dir(&format!("sel{seed}"));
         let grid = GridIndex::build(Some(dir.clone()), &data.objects, 0.2).unwrap();
         let indexed = IndexedDataset::new("p", DatasetKind::Points, grid);
@@ -196,8 +261,8 @@ fn pipelined_selection_agrees_across_seeds() {
             .enumerate()
         {
             let truth = brute::select_points(&pts, &c);
-            let mut mem = select::select(&spade, &data, &c).result;
-            mem.sort_unstable();
+            let mem = select::select_indexed(&spade, &data, &c, &QueryCtx::default());
+            let mem = mem.unwrap().result;
             let ooc = select::select_indexed(&spade, &indexed, &c, &QueryCtx::default())
                 .unwrap()
                 .result;
@@ -219,9 +284,10 @@ fn pipelined_join_agrees_across_seeds() {
         let mut truth = brute::join_polygon_point(&parcels, &pts);
         truth.sort_unstable();
 
-        let d_par = Dataset::from_polygons("parcels", parcels);
-        let d_pts = Dataset::from_points("p", pts);
-        let mem = join::join(&spade, &d_par, &d_pts).result;
+        let d_par = Arc::new(Dataset::from_polygons("parcels", parcels));
+        let d_pts = Arc::new(Dataset::from_points("p", pts));
+        let mem = join::join_indexed(&spade, &d_par, &d_pts, &QueryCtx::default());
+        let mem = mem.unwrap().result;
         assert_eq!(mem, truth, "in-memory vs oracle (seed {seed})");
 
         let dir = ooc_dir(&format!("join{seed}"));
@@ -245,14 +311,15 @@ fn pipelined_knn_agrees_across_seeds() {
     let spade = engine();
     for seed in [7u64, 17, 37] {
         let pts = spider::gaussian_points(3_000, seed);
-        let data = Dataset::from_points("p", pts.clone());
+        let data = Arc::new(Dataset::from_points("p", pts.clone()));
         let dir = ooc_dir(&format!("knn{seed}"));
         let grid = GridIndex::build(Some(dir.clone()), &data.objects, 0.2).unwrap();
         let indexed = IndexedDataset::new("p", DatasetKind::Points, grid);
         let q = Point::new(0.25 + 0.05 * (seed % 5) as f64, 0.6);
         for k in [1usize, 10, 40] {
             let truth = brute::knn(&pts, q, k);
-            let mem = knn::knn_select(&spade, &data, q, k).result;
+            let mem = knn::knn_select_indexed(&spade, &data, q, k, &QueryCtx::default());
+            let mem = mem.unwrap().result;
             let ooc = knn::knn_select_indexed(&spade, &indexed, q, k, &QueryCtx::default())
                 .unwrap()
                 .result;
@@ -279,10 +346,9 @@ fn aggregation_agrees() {
     let pts = spider::uniform_points(4_000, 43);
     let parcels = spider::parcels(60, 0.05, 47);
     let truth = brute::aggregate(&parcels, &pts);
-    let d_par = Dataset::from_polygons("parcels", parcels);
-    let d_pts = Dataset::from_points("p", pts);
-    let a = spade::engine::aggregate::aggregate_points(&spade, &d_par, &d_pts).result;
-    let b = spade::engine::aggregate::aggregate_via_join(&spade, &d_par, &d_pts).result;
-    assert_eq!(a, truth, "point-optimized plan");
-    assert_eq!(b, truth, "join plan");
+    let d_par = Arc::new(Dataset::from_polygons("parcels", parcels));
+    let d_pts = Arc::new(Dataset::from_points("p", pts));
+    let ctx = QueryCtx::default();
+    let a = spade::engine::aggregate::aggregate_indexed(&spade, &d_par, &d_pts, &ctx);
+    assert_eq!(a.unwrap().result, truth, "point-optimized plan");
 }

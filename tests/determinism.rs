@@ -13,6 +13,7 @@ use spade::engine::optimizer::{stats::MIN_SAMPLES, JoinStrategy};
 use spade::engine::{aggregate, distance, join, knn, select, EngineConfig, QueryCtx, Spade};
 use spade::geometry::{BBox, Point};
 use spade::index::GridIndex;
+use std::sync::Arc;
 
 fn unit() -> BBox {
     BBox::new(Point::ZERO, Point::new(1.0, 1.0))
@@ -32,8 +33,8 @@ fn tmpdir(tag: &str) -> std::path::PathBuf {
 
 /// All datasets the suite queries, in-memory and disk-backed.
 struct Fixture {
-    pts: Dataset,
-    parcels: Dataset,
+    pts: Arc<Dataset>,
+    parcels: Arc<Dataset>,
     pts_idx: IndexedDataset,
     parcels_idx: IndexedDataset,
     dir: std::path::PathBuf,
@@ -41,8 +42,12 @@ struct Fixture {
 
 impl Fixture {
     fn build() -> Fixture {
-        let pts = Dataset::from_points("p", spider::gaussian_points(6_000, 71));
-        let parcels = Dataset::from_polygons("parcels", spider::parcels(80, 0.05, 73));
+        let pts = Arc::new(Dataset::from_points(
+            "p",
+            spider::gaussian_points(6_000, 71),
+        ));
+        let parcels = spider::parcels(80, 0.05, 73);
+        let parcels = Arc::new(Dataset::from_polygons("parcels", parcels));
         let dir = tmpdir("fix");
         let gp = GridIndex::build(Some(dir.join("p")), &pts.objects, 0.2).unwrap();
         let gq = GridIndex::build(Some(dir.join("q")), &parcels.objects, 0.35).unwrap();
@@ -73,14 +78,14 @@ fn push_u32s(out: &mut Vec<u8>, ids: &[u32]) {
 /// bit patterns, so any deviation — even one ULP — changes the bytes.
 fn run_suite(spade: &Spade, f: &Fixture) -> Vec<u8> {
     let mut out = Vec::new();
+    let ctx = QueryCtx::default();
 
     // 1. Polygon-constraint selection.
     let c = urban::constraint_polygons(1, &unit(), 0.2, 24, 5)
         .pop()
         .unwrap();
-    let mut mem = select::select(spade, &f.pts, &c).result;
-    mem.sort_unstable();
-    push_u32s(&mut out, &mem);
+    let mem = select::select_indexed(spade, &f.pts, &c, &ctx);
+    push_u32s(&mut out, &mem.unwrap().result);
     push_u32s(
         &mut out,
         &select::select_indexed(spade, &f.pts_idx, &c, &QueryCtx::default())
@@ -90,10 +95,8 @@ fn run_suite(spade: &Spade, f: &Fixture) -> Vec<u8> {
 
     // 2. Distance selection around a point.
     let dc = DistanceConstraint::Point(Point::new(0.45, 0.55));
-    push_u32s(
-        &mut out,
-        &distance::distance_select(spade, &f.pts, &dc, 0.08).result,
-    );
+    let mem = distance::distance_select_indexed(spade, &f.pts, &dc, 0.08, &ctx);
+    push_u32s(&mut out, &mem.unwrap().result);
     push_u32s(
         &mut out,
         &distance::distance_select_indexed(spade, &f.pts_idx, &dc, 0.08, &QueryCtx::default())
@@ -103,7 +106,8 @@ fn run_suite(spade: &Spade, f: &Fixture) -> Vec<u8> {
 
     // 3. kNN.
     for k in [1usize, 12] {
-        for (id, d) in knn::knn_select(spade, &f.pts, Point::new(0.3, 0.7), k).result {
+        let mem = knn::knn_select_indexed(spade, &f.pts, Point::new(0.3, 0.7), k, &ctx);
+        for (id, d) in mem.unwrap().result {
             out.extend_from_slice(&id.to_le_bytes());
             out.extend_from_slice(&d.to_bits().to_le_bytes());
         }
@@ -123,7 +127,10 @@ fn run_suite(spade: &Spade, f: &Fixture) -> Vec<u8> {
     }
 
     // 4. Polygon × point join.
-    for (a, b) in join::join(spade, &f.parcels, &f.pts).result {
+    for (a, b) in join::join_indexed(spade, &f.parcels, &f.pts, &ctx)
+        .unwrap()
+        .result
+    {
         out.extend_from_slice(&a.to_le_bytes());
         out.extend_from_slice(&b.to_le_bytes());
     }
@@ -136,8 +143,9 @@ fn run_suite(spade: &Spade, f: &Fixture) -> Vec<u8> {
         out.extend_from_slice(&b.to_le_bytes());
     }
 
-    // 5. Per-polygon aggregation (both plans).
-    for (id, n) in aggregate::aggregate_points(spade, &f.parcels, &f.pts).result {
+    // 5. Per-polygon aggregation.
+    let mem = aggregate::aggregate_indexed(spade, &f.parcels, &f.pts, &ctx);
+    for (id, n) in mem.unwrap().result {
         out.extend_from_slice(&id.to_le_bytes());
         out.extend_from_slice(&n.to_le_bytes());
     }

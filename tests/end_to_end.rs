@@ -3,12 +3,13 @@
 //! paper's architecture (Fig. 1).
 
 use spade::engine::dataset::{Dataset, DatasetKind};
-use spade::engine::{select, EngineConfig, Spade};
+use spade::engine::{select, EngineConfig, QueryCtx, Spade};
 use spade::geometry::wkt;
 use spade::geometry::{Geometry, Point, Polygon};
 use spade::storage::geom::{geometry_table, read_geometry_table};
 use spade::storage::sql::{execute, SqlResult};
 use spade::storage::Database;
+use std::sync::Arc;
 
 #[test]
 fn full_pipeline_from_sql_to_spatial_results() {
@@ -36,9 +37,10 @@ fn full_pipeline_from_sql_to_spatial_results() {
         .with_table("poi_geom", read_geometry_table)
         .unwrap()
         .unwrap();
-    let data = Dataset::from_objects("poi", DatasetKind::Points, spatial);
+    let data = Arc::new(Dataset::from_objects("poi", DatasetKind::Points, spatial));
     let window = Polygon::circle(Point::new(2.0, 2.0), 1.5, 12);
-    let mut hits = select::select(&engine, &data, &window).result;
+    let hits = select::select_indexed(&engine, &data, &window, &QueryCtx::default());
+    let mut hits = hits.unwrap().result;
     hits.sort_unstable();
     assert_eq!(hits, vec![0, 1, 3]);
 
@@ -114,11 +116,16 @@ fn mixed_geometry_dataset_selection() {
             wkt::from_wkt("POLYGON ((20 20, 22 20, 22 22, 20 22, 20 20))").unwrap(),
         ),
     ];
-    let data = Dataset::from_objects("mixed", DatasetKind::Polygons, objects);
+    let data = Arc::new(Dataset::from_objects(
+        "mixed",
+        DatasetKind::Polygons,
+        objects,
+    ));
     // A constraint touching object 0 (corner at (2,2), distance ≈ 9.9)
     // and both parts of multipolygon 1, but not the far square 2
     // (corner (20,20), distance ≈ 15.6).
     let c = Polygon::circle(Point::new(9.0, 9.0), 11.0, 24);
-    let hits = select::select(&engine, &data, &c).result;
+    let hits = select::select_indexed(&engine, &data, &c, &QueryCtx::default());
+    let hits = hits.unwrap().result;
     assert_eq!(hits, vec![0, 1]);
 }

@@ -5,12 +5,16 @@
 use spade::datagen::{spider, urban};
 use spade::engine::dataset::{Dataset, DatasetKind, IndexedDataset};
 use spade::engine::distance::DistanceConstraint;
-use spade::engine::query::{run_join, run_select, JoinQuery, QueryResult, SelectQuery};
+use spade::engine::query::{run_join_ctx, run_select_ctx, JoinQuery, QueryResult, SelectQuery};
 use spade::engine::stats::QueryOutput;
 use spade::engine::{aggregate, distance, join, knn, select, trace, EngineConfig, QueryCtx, Spade};
 use spade::geometry::{BBox, Point};
 use spade::index::GridIndex;
-use std::sync::Mutex;
+use spade::storage::StorageError;
+use std::sync::{Arc, Mutex};
+
+/// One dispatched query's answer.
+type Answer = Result<QueryOutput<QueryResult>, StorageError>;
 
 /// The trace flag and ring buffer are process-global; tests that flip the
 /// flag must not interleave.
@@ -27,8 +31,8 @@ fn unit() -> BBox {
 /// aggregation) against fresh engine state, returning every result.
 #[allow(clippy::type_complexity)]
 fn run_families(
-    pts: &Dataset,
-    polys: &Dataset,
+    pts: &Arc<Dataset>,
+    polys: &Arc<Dataset>,
     constraint: &spade::geometry::Polygon,
 ) -> (
     Vec<u32>,
@@ -38,18 +42,20 @@ fn run_families(
     Vec<(u32, u64)>,
 ) {
     let spade = Spade::new(EngineConfig::test_small());
-    let sel = select::select(&spade, pts, constraint).result;
-    let joined = join::join(&spade, polys, pts).result;
-    let dist = distance::distance_select(
-        &spade,
-        pts,
-        &DistanceConstraint::Point(Point::new(0.5, 0.5)),
-        0.1,
+    let ctx = QueryCtx::default();
+    let sel = select::select_indexed(&spade, pts, constraint, &ctx);
+    let joined = join::join_indexed(&spade, polys, pts, &ctx);
+    let near = DistanceConstraint::Point(Point::new(0.5, 0.5));
+    let dist = distance::distance_select_indexed(&spade, pts, &near, 0.1, &ctx);
+    let nearest = knn::knn_select_indexed(&spade, pts, Point::new(0.3, 0.7), 16, &ctx);
+    let agg = aggregate::aggregate_indexed(&spade, polys, pts, &ctx);
+    (
+        sel.unwrap().result,
+        joined.unwrap().result,
+        dist.unwrap().result,
+        nearest.unwrap().result,
+        agg.unwrap().result,
     )
-    .result;
-    let nearest = knn::knn_select(&spade, pts, Point::new(0.3, 0.7), 16).result;
-    let agg = aggregate::aggregate_points(&spade, polys, pts).result;
-    (sel, joined, dist, nearest, agg)
 }
 
 /// Differential: tracing on vs off yields byte-identical results across
@@ -59,8 +65,11 @@ fn run_families(
 #[test]
 fn tracing_does_not_change_results() {
     let _g = gate();
-    let pts = Dataset::from_points("p", spider::uniform_points(20_000, 7));
-    let polys = Dataset::from_polygons("parcels", spider::parcels(40, 0.08, 11));
+    let pts = Arc::new(Dataset::from_points("p", spider::uniform_points(20_000, 7)));
+    let polys = Arc::new(Dataset::from_polygons(
+        "parcels",
+        spider::parcels(40, 0.08, 11),
+    ));
     let constraint = urban::constraint_polygons(1, &unit(), 0.2, 24, 3)
         .pop()
         .unwrap();
@@ -101,7 +110,10 @@ fn tracing_does_not_change_results() {
 
     // Per in-memory class, on a fresh engine: the pass spans the calling
     // thread recorded number exactly the passes the query reports.
-    let few = Dataset::from_points("few", spider::uniform_points(2_000, 5));
+    let few = Arc::new(Dataset::from_points(
+        "few",
+        spider::uniform_points(2_000, 5),
+    ));
     let selects = [
         ("select", SelectQuery::Intersects(constraint.clone())),
         (
@@ -122,10 +134,10 @@ fn tracing_does_not_change_results() {
         ("count", JoinQuery::CountPoints, &polys),
     ];
     trace::set_enabled(true);
-    let count_passes = |label: &str, run: &dyn Fn(&Spade) -> QueryOutput<QueryResult>| {
+    let count_passes = |label: &str, run: &dyn Fn(&Spade) -> Answer| {
         let spade = Spade::new(EngineConfig::test_small());
         trace::drain();
-        let out = run(&spade);
+        let out = run(&spade).unwrap();
         let spans = trace::drain();
         let caller = spans.iter().find(|s| s.name.starts_with("query."));
         let caller = caller.expect("query span").thread;
@@ -136,10 +148,12 @@ fn tracing_does_not_change_results() {
         assert_eq!(traced.count() as u64, out.stats.passes, "{label}");
     };
     for (label, q) in &selects {
-        count_passes(label, &|s| run_select(s, &few, q));
+        count_passes(label, &|s| run_select_ctx(s, &few, q, &QueryCtx::default()));
     }
     for (label, q, left) in &joins {
-        count_passes(label, &|s| run_join(s, left, &few, q));
+        count_passes(label, &|s| {
+            run_join_ctx(s, *left, &few, q, &QueryCtx::default())
+        });
     }
     trace::set_enabled(false);
 }
@@ -184,16 +198,13 @@ fn tracing_does_not_change_out_of_core_results() {
     std::fs::remove_dir_all(&dir).ok();
 
     assert_eq!(untraced, traced, "tracing changed an out-of-core result");
-    for name in ["query.select.indexed", "query.join.indexed"] {
+    for name in ["query.select", "query.join"] {
         assert!(
             spans.iter().any(|s| s.name == name),
             "missing span '{name}'"
         );
     }
-    let join_span = spans
-        .iter()
-        .find(|s| s.name == "query.join.indexed")
-        .unwrap();
+    let join_span = spans.iter().find(|s| s.name == "query.join").unwrap();
     assert_eq!(join_span.attr("pairs"), Some(untraced.1.len() as u64));
     assert!(join_span.attr("cells").unwrap_or(0) > 0);
 }

@@ -13,6 +13,7 @@ use spade::engine::{
 use spade::geometry::{BBox, Geometry, Point, Polygon};
 use spade::index::GridIndex;
 use spade::storage::StorageError;
+use std::sync::Arc;
 
 fn engine() -> Spade {
     Spade::new(EngineConfig::test_small())
@@ -32,15 +33,16 @@ fn tmpdir(tag: &str) -> std::path::PathBuf {
 fn disk_backed_selection_equals_in_memory() {
     let spade = engine();
     let pts = spider::gaussian_points(20_000, 7);
-    let data = Dataset::from_points("p", pts);
+    let data = Arc::new(Dataset::from_points("p", pts));
     let dir = tmpdir("sel");
     let grid = GridIndex::build(Some(dir.clone()), &data.objects, 0.2).unwrap();
     assert!(grid.num_cells() > 4);
     let indexed = IndexedDataset::new("p", DatasetKind::Points, grid);
 
     for c in urban::constraint_polygons(3, &unit(), 0.12, 24, 1) {
-        let mut mem = select::select(&spade, &data, &c).result;
-        mem.sort_unstable();
+        let mem = select::select_indexed(&spade, &data, &c, &QueryCtx::default()).unwrap();
+        assert_eq!(mem.stats.cells_loaded, 0);
+        let mem = mem.result;
         let ooc = select::select_indexed(&spade, &indexed, &c, &QueryCtx::default()).unwrap();
         assert_eq!(ooc.result, mem);
         // The hull filter must prune something for a 0.24-wide constraint.
@@ -55,9 +57,15 @@ fn disk_backed_selection_equals_in_memory() {
 #[test]
 fn disk_backed_join_equals_in_memory() {
     let spade = engine();
-    let pts = Dataset::from_points("p", spider::uniform_points(8_000, 9));
-    let parcels = Dataset::from_polygons("parcels", spider::parcels(100, 0.05, 11));
-    let mem = join::join(&spade, &parcels, &pts).result;
+    let pts = Arc::new(Dataset::from_points("p", spider::uniform_points(8_000, 9)));
+    let parcels = Arc::new(Dataset::from_polygons(
+        "parcels",
+        spider::parcels(100, 0.05, 11),
+    ));
+    let ctx = QueryCtx::default();
+    let mem = join::join_indexed(&spade, &parcels, &pts, &ctx)
+        .unwrap()
+        .result;
 
     let dir = tmpdir("join");
     let g1 = GridIndex::build(Some(dir.join("a")), &parcels.objects, 0.35).unwrap();
@@ -71,8 +79,8 @@ fn disk_backed_join_equals_in_memory() {
 }
 
 /// A point set in memory and as a disk-backed grid under `dir`.
-fn point_grid(dir: &std::path::Path, pts: Vec<Point>, cell: f64) -> (Dataset, IndexedDataset) {
-    let data = Dataset::from_points("p", pts);
+fn point_grid(dir: &std::path::Path, pts: Vec<Point>, cell: f64) -> (Arc<Dataset>, IndexedDataset) {
+    let data = Arc::new(Dataset::from_points("p", pts));
     let grid = GridIndex::build(Some(dir.to_path_buf()), &data.objects, cell).unwrap();
     let indexed = IndexedDataset::new("p", DatasetKind::Points, grid);
     (data, indexed)
@@ -120,10 +128,8 @@ fn disk_backed_distance_and_knn_joins_equal_in_memory_and_brute_force() {
         let mut truth = brute::distance_join(&l, &r, 0.06);
         truth.sort_unstable();
         assert!(!truth.is_empty());
-        assert_eq!(
-            distance::distance_join(&spade, &lm, &rm, 0.06).result,
-            truth
-        );
+        let mem = distance::distance_join_indexed(&spade, &lm, &rm, 0.06, &ctx).unwrap();
+        assert_eq!(mem.result, truth);
         let cold = distance::distance_join_indexed(&spade, &li, &ri, 0.06, &ctx).unwrap();
         let warm = distance::distance_join_indexed(&spade, &li, &ri, 0.06, &ctx).unwrap();
         assert_eq!((&cold.result, &warm.result), (&truth, &truth), "{seed}");
@@ -138,7 +144,8 @@ fn disk_backed_distance_and_knn_joins_equal_in_memory_and_brute_force() {
                     .map(move |(j, d)| (i, j, d))
             })
             .collect();
-        assert_eq!(knn::knn_join(&spade, &lm, &rm, 4).result, truth);
+        let mem = knn::knn_join_indexed(&spade, &lm, &rm, 4, &ctx).unwrap();
+        assert_eq!(mem.result, truth);
         let cold = knn::knn_join_indexed(&spade, &li, &ri, 4, &ctx).unwrap();
         let warm = knn::knn_join_indexed(&spade, &li, &ri, 4, &ctx).unwrap();
         assert_eq!((&cold.result, &warm.result), (&truth, &truth), "{seed}");
@@ -166,26 +173,28 @@ fn distance_and_knn_joins_stay_inside_the_device_budget() {
     let resident = largest(&li) + largest(&ri);
     assert!(total(&li) + total(&ri) >= 4 * (resident + canvases));
     let ctx = QueryCtx::default();
+    // The in-memory witnesses run on an engine of their own: their memory
+    // slots are whole datasets, far beyond one cell per side.
+    let witness = Spade::new(config.clone());
 
     let spade = Spade::new(config.clone());
     let near = distance::distance_join_indexed(&spade, &li, &ri, 0.01, &ctx).unwrap();
-    assert_eq!(
-        near.result,
-        distance::distance_join(&spade, &lm, &rm, 0.01).result
-    );
+    let mem = distance::distance_join_indexed(&witness, &lm, &rm, 0.01, &ctx).unwrap();
+    assert_eq!(near.result, mem.result);
     assert!(0 < spade.device.peak() && spade.device.peak() <= resident);
     let (nl, nr) = (li.grid().num_cells() as u64, ri.grid().num_cells() as u64);
     assert!(near.stats.cells_loaded < nl * nr, "{:?}", near.stats);
 
     let spade = Spade::new(config.clone());
     let nearest = knn::knn_join_indexed(&spade, &li, &ri, 2, &ctx).unwrap();
-    assert_eq!(nearest.result, knn::knn_join(&spade, &lm, &rm, 2).result);
+    let mem = knn::knn_join_indexed(&witness, &lm, &rm, 2, &ctx).unwrap();
+    assert_eq!(nearest.result, mem.result);
     assert!(0 < spade.device.peak() && spade.device.peak() <= resident);
     assert_eq!(spade.device.used(), 0);
 
     // With staged writes on both sides the bound is the same: a delta is
     // resident as one more cell of its side, never beside one.
-    let (mut lo, mut ro) = (lm.objects, rm.objects);
+    let (mut lo, mut ro) = (lm.objects.clone(), rm.objects.clone());
     for (id, p) in (30_000..).zip(spider::uniform_points(60, 71)) {
         let (d, objects) = if id % 2 == 0 {
             (&li, &mut lo)
@@ -199,20 +208,19 @@ fn distance_and_knn_joins_stay_inside_the_device_budget() {
     assert!(li.delta_stats().bytes > largest(&li));
     let resident = slot(&li) + slot(&ri);
     let (lm, rm) = (
-        Dataset::from_objects("l", DatasetKind::Points, lo),
-        Dataset::from_objects("r", DatasetKind::Points, ro),
+        Arc::new(Dataset::from_objects("l", DatasetKind::Points, lo)),
+        Arc::new(Dataset::from_objects("r", DatasetKind::Points, ro)),
     );
     let spade = Spade::new(config.clone());
     let near = distance::distance_join_indexed(&spade, &li, &ri, 0.01, &ctx).unwrap();
-    assert_eq!(
-        near.result,
-        distance::distance_join(&spade, &lm, &rm, 0.01).result
-    );
+    let mem = distance::distance_join_indexed(&witness, &lm, &rm, 0.01, &ctx).unwrap();
+    assert_eq!(near.result, mem.result);
     assert!(0 < spade.device.peak() && spade.device.peak() <= resident);
     assert_eq!(spade.device.used(), 0);
     let spade = Spade::new(config);
     let nearest = knn::knn_join_indexed(&spade, &li, &ri, 2, &ctx).unwrap();
-    assert_eq!(nearest.result, knn::knn_join(&spade, &lm, &rm, 2).result);
+    let mem = knn::knn_join_indexed(&witness, &lm, &rm, 2, &ctx).unwrap();
+    assert_eq!(nearest.result, mem.result);
     assert!(0 < spade.device.peak() && spade.device.peak() <= resident);
     assert_eq!(spade.device.used(), 0);
     std::fs::remove_dir_all(dir).ok();
@@ -251,7 +259,7 @@ fn small_radius_distance_join_prunes_cell_pairs() {
     // answers as a cold rebuild of the logical contents does.
     let at = |x: f64, y: f64| Geometry::Point(Point::new(x, y));
     let few = vec![(0, at(1.25, 1.25)), (1, at(3.0, 3.25)), (7, at(5.0, 1.25))];
-    let mut all = lattice.objects;
+    let mut all = lattice.objects.clone();
     let tiles: Vec<Polygon> = (0..81)
         .map(|i| {
             let min = Point::new((10 * (i % 9) + 1) as f64, (10 * (i / 9) + 1) as f64);
@@ -389,7 +397,8 @@ fn a_staged_delta_is_one_more_slot_of_the_cell_walk() {
     }
 
     // Inside every constraint, and by now larger than a cell: one more
-    // counted slot per pass, resident in the place of a cell.
+    // slot per pass, shipped and resident in the place of a cell — but no
+    // grid cell, so `cells_loaded` does not count it.
     for (id, i) in (5001..5100).zip(0..) {
         let near = Geometry::Point(Point::new(44.0 + 0.02 * i as f64, 45.5));
         data.insert(id, near.clone());
@@ -407,7 +416,9 @@ fn a_staged_delta_is_one_more_slot_of_the_cell_walk() {
     {
         assert_eq!(got.0, want.0);
         assert_ne!(got.0, was.0);
-        assert_eq!(got.1.cells_loaded, was.1.cells_loaded + passes);
+        assert_eq!(got.1.cells_loaded, was.1.cells_loaded);
+        let shipped = got.1.bytes_to_device - was.1.bytes_to_device;
+        assert_eq!(shipped, passes * delta.bytes, "{:?}", got.1);
         assert_eq!(got.2, was.2 + resident);
     }
 

@@ -14,6 +14,7 @@ use spade::engine::{select, EngineConfig, QueryCtx, Spade};
 use spade::geometry::predicates::polygons_intersect;
 use spade::geometry::{wkt, BBox, Geometry, Point, Polygon};
 use spade::index::GridIndex;
+use std::sync::Arc;
 
 fn engine() -> Spade {
     Spade::new(EngineConfig::test_small())
@@ -57,8 +58,9 @@ proptest! {
         constraint in blob_polygon(),
     ) {
         let spade = engine();
-        let data = Dataset::from_points("p", pts.clone());
-        let mut got = select::select(&spade, &data, &constraint).result;
+        let data = Arc::new(Dataset::from_points("p", pts.clone()));
+        let got = select::select_indexed(&spade, &data, &constraint, &QueryCtx::default());
+        let mut got = got.unwrap().result;
         got.sort_unstable();
         let truth = brute::select_points(&pts, &constraint);
         prop_assert_eq!(got, truth);
@@ -71,11 +73,11 @@ proptest! {
         cell in 0.15f64..0.6,
     ) {
         let spade = engine();
-        let data = Dataset::from_points("p", pts);
+        let data = Arc::new(Dataset::from_points("p", pts));
         let grid = GridIndex::build(None, &data.objects, cell).unwrap();
         let indexed = IndexedDataset::new("p", DatasetKind::Points, grid);
-        let mut mem = select::select(&spade, &data, &constraint).result;
-        mem.sort_unstable();
+        let mem = select::select_indexed(&spade, &data, &constraint, &QueryCtx::default());
+        let mem = mem.unwrap().result;
         let ooc = select::select_indexed(&spade, &indexed, &constraint, &QueryCtx::default()).unwrap().result;
         prop_assert_eq!(ooc, mem);
     }
@@ -169,13 +171,15 @@ proptest! {
         r in 0.02f64..0.3,
     ) {
         let spade = engine();
-        let data = Dataset::from_points("p", pts.clone());
-        let out = spade::engine::distance::distance_select(
+        let data = Arc::new(Dataset::from_points("p", pts.clone()));
+        let out = spade::engine::distance::distance_select_indexed(
             &spade,
             &data,
             &spade::engine::distance::DistanceConstraint::Point(center),
             r,
-        );
+            &QueryCtx::default(),
+        )
+        .unwrap();
         let mut got = out.result;
         got.sort_unstable();
         let truth: Vec<u32> = pts
@@ -253,8 +257,9 @@ proptest! {
         };
         let brute = rank(truth.iter().map(|(&id, p)| (id, p.dist(q))).collect());
         let objects = truth.iter().map(|(&id, &p)| (id, Geometry::Point(p))).collect();
-        let mem = Dataset::from_objects("p", DatasetKind::Points, objects);
-        prop_assert_eq!(&knn::knn_select(&spade, &mem, q, k).result, &brute);
+        let mem = Arc::new(Dataset::from_objects("p", DatasetKind::Points, objects));
+        let in_memory = knn::knn_select_indexed(&spade, &mem, q, k, &QueryCtx::default());
+        prop_assert_eq!(&in_memory.unwrap().result, &brute);
         let full = knn::knn_select_indexed(&spade, &indexed, q, k, &QueryCtx::default());
         prop_assert_eq!(&full.unwrap().result, &brute);
 
