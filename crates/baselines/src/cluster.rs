@@ -15,9 +15,9 @@
 //!   approximation the paper calls GeoSpark out on (§4.2) — points are
 //!   exact.
 
+use crate::rtree::RTree;
 use spade_geometry::predicates::{point_in_polygon, polygons_intersect};
 use spade_geometry::{BBox, Point, Polygon};
-use spade_index::RTree;
 use std::time::Duration;
 
 /// Cluster configuration.

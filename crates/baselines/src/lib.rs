@@ -13,8 +13,12 @@
 //!   partitioning, one R-tree per partition, filter-refine workers, and a
 //!   configurable per-task overhead modeling cluster coordination.
 //! * [`brute`] — brute-force oracles shared by tests and benches.
+//!
+//! [`rtree`] is the STR R-tree the cluster baseline partitions with; its
+//! leaves are also the §7 alternative to grid clustering.
 
 pub mod brute;
 pub mod cluster;
+pub mod rtree;
 pub mod s2like;
 pub mod stig;

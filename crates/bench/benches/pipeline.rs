@@ -81,10 +81,6 @@ fn bench_scan(c: &mut Criterion) {
     let mut g = c.benchmark_group("scan");
     g.sample_size(20);
     let pool = spade_gpu::WorkerPool::new(8);
-    let input: Vec<u32> = (0..1_000_000).map(|i| (i % 5) as u32).collect();
-    g.bench_function("exclusive_1M", |b| {
-        b.iter(|| scan::exclusive_scan(&input, &pool))
-    });
     let mut tex = Texture::new(1024, 1024);
     for i in (0..tex.len()).step_by(7) {
         tex.put_linear(i, [1, 0, 0, 0]);

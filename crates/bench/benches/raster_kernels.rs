@@ -1,13 +1,13 @@
 //! Microbenchmarks for the batched (lane-parallel) kernels in isolation:
-//! coverage counting, fragment blending, point-containment scans, and the
-//! storage filter kernel, each against its scalar form. The raster
+//! coverage counting, rasterization, point-containment scans, and the
+//! storage filter kernel, the last three against their scalar forms. The raster
 //! kernel's speed-up is gated by `tests/simd_gate.rs`; these isolate where
 //! the time goes when a kernel regresses.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use spade_geometry::predicates::{point_in_polygon, points_in_polygon_mask};
 use spade_geometry::{BBox, Point, Polygon};
-use spade_gpu::{raster, BlendMode, Primitive, Viewport, NULL_PIXEL};
+use spade_gpu::{raster, Primitive, Viewport};
 use spade_storage::exec::{scan_with, CmpOp, Expr};
 use spade_storage::table::{Schema, Table};
 use spade_storage::value::Value;
@@ -45,19 +45,11 @@ fn bench_coverage(c: &mut Criterion) {
     let prims = triangles(64);
     let vp = vp();
     let mut g = c.benchmark_group("coverage_count");
-    g.bench_function("scalar", |b| {
-        b.iter(|| -> usize {
-            prims
-                .iter()
-                .map(|p| raster::coverage_count(p, &vp, false))
-                .sum()
-        })
-    });
     g.bench_function("batched", |b| {
         b.iter(|| -> usize {
             prims
                 .iter()
-                .map(|p| raster::coverage_count_with(p, &vp, false))
+                .map(|p| raster::coverage_count(p, &vp, false))
                 .sum()
         })
     });
@@ -99,41 +91,6 @@ fn bench_rasterize(c: &mut Criterion) {
                 });
             }
             acc
-        })
-    });
-    g.finish();
-}
-
-fn bench_blend(c: &mut Criterion) {
-    let n = 1 << 16;
-    let mut seed = 0xf00d_u64;
-    let src: Vec<_> = (0..n)
-        .map(|_| {
-            if lcg(&mut seed) < 0.3 {
-                NULL_PIXEL
-            } else {
-                [(lcg(&mut seed) * 1e6) as u32, 0, 0, 0]
-            }
-        })
-        .collect();
-    let base: Vec<_> = (0..n).map(|i| [i as u32, 0, 0, 0]).collect();
-    let mut g = c.benchmark_group("blend_add");
-    g.bench_function("scalar", |b| {
-        b.iter(|| {
-            let mut dst = base.clone();
-            for (px, &sv) in dst.iter_mut().zip(&src) {
-                if sv != NULL_PIXEL {
-                    *px = BlendMode::Add.apply(*px, sv);
-                }
-            }
-            dst
-        })
-    });
-    g.bench_function("apply_slice", |b| {
-        b.iter(|| {
-            let mut dst = base.clone();
-            BlendMode::Add.apply_slice(&mut dst, &src);
-            dst
         })
     });
     g.finish();
@@ -204,7 +161,6 @@ criterion_group!(
     benches,
     bench_coverage,
     bench_rasterize,
-    bench_blend,
     bench_containment,
     bench_filter_scan
 );

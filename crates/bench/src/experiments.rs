@@ -943,8 +943,9 @@ pub fn ablate_hull() -> Vec<Table> {
 /// Indexing-strategy ablation (§7): grid clustering vs R-tree (STR leaf)
 /// partitioning, both filtered through the same GPU hull selection.
 pub fn ablate_rtree() -> Vec<Table> {
+    use spade_baselines::rtree;
     use spade_core::dataset::{DatasetKind, IndexedDataset};
-    use spade_index::{rtree, GridIndex};
+    use spade_index::GridIndex;
 
     let spade = bench_engine();
     let data = wl::taxi(100_000);

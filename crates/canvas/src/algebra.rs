@@ -1,16 +1,19 @@
 //! The GPU-friendly algebra operators (§2.1, implementations §5.1).
 //!
-//! SPADE implements four operator groups on canvases:
+//! The paper composes every query from five fundamental operators. The
+//! engine never materializes one as a pass of its own: each is *fused* into
+//! the rendering pass that needs it (DESIGN.md §1 has the table).
 //!
-//! * **Geometric transform** — moves geometry in space; performed by vertex
-//!   shaders during canvas creation ([`geometric_transform`] provides the
-//!   standalone form).
-//! * **Value transform** — rewrites pixel metadata in place.
-//! * **Mask** — filters pixels by a mask condition (the fragment-shader
-//!   form is fused into query passes; the standalone form operates on a
-//!   materialized canvas).
-//! * **(Multiway) blend** — merges canvases with a blend function; a single
-//!   multiway blend replaces chains of binary blends (§5.1).
+//! * **Geometric transform** — the vertex stage of a pass
+//!   ([`DrawCall::vertex`]).
+//! * **Value transform** — the value a fragment shader returns.
+//! * **Mask** — a fragment shader that discards the pixels failing the
+//!   mask condition.
+//! * **Blend** — the pass's [`BlendMode`].
+//! * **Multiway blend** — one `Max` draw over all inputs (the layer
+//!   index's first pass), instead of a chain of binary blends (§5.1).
+//! * **Dissect** — the parallel scan ([`dissect`] over
+//!   [`scan::compact_non_null`]).
 //! * **Map** (= dissect ∘ geometric transform) — emits one point per
 //!   non-null fragment into an output *list canvas*. Two implementations
 //!   exist, chosen by the query optimizer (§5.4): a 1-pass version that
@@ -24,81 +27,7 @@
 
 use spade_gpu::scan;
 use spade_gpu::shader::Fragment;
-use spade_gpu::{
-    BlendMode, DrawCall, Pipeline, PixelValue, Primitive, Texture, WorkerPool, NULL_PIXEL,
-};
-
-/// Standalone geometric transform: apply `f` to every primitive vertex
-/// (queries fuse this into the vertex shader; index construction and the
-/// aggregation plan use the standalone form).
-pub fn geometric_transform(
-    prims: &[Primitive],
-    f: impl Fn(spade_geometry::Point) -> spade_geometry::Point + Sync,
-) -> Vec<Primitive> {
-    prims.iter().map(|p| p.map_positions(&f)).collect()
-}
-
-/// Value transform: rewrite every non-null pixel with `f`, in parallel on
-/// the persistent executor.
-pub fn value_transform(
-    tex: &mut Texture,
-    pool: &WorkerPool,
-    f: impl Fn(PixelValue) -> PixelValue + Sync,
-) {
-    pool.for_each_chunk_mut(tex.pixels_mut(), |_, _, slice| {
-        for px in slice.iter_mut() {
-            if *px != NULL_PIXEL {
-                *px = f(*px);
-            }
-        }
-    });
-}
-
-/// Mask: null out every pixel that fails `keep(x, y, value)`, in parallel.
-pub fn mask(
-    tex: &mut Texture,
-    pool: &WorkerPool,
-    keep: impl Fn(u32, u32, PixelValue) -> bool + Sync,
-) {
-    let width = tex.width() as usize;
-    pool.for_each_chunk_mut(tex.pixels_mut(), |_, base, slice| {
-        for (i, px) in slice.iter_mut().enumerate() {
-            if *px != NULL_PIXEL {
-                let flat = base + i;
-                let (x, y) = ((flat % width) as u32, (flat / width) as u32);
-                if !keep(x, y, *px) {
-                    *px = NULL_PIXEL;
-                }
-            }
-        }
-    });
-}
-
-/// Binary blend: merge `src` into `dst` pixel-wise, skipping null source
-/// pixels (a null source pixel means "no geometry here", not "value 0").
-pub fn blend(dst: &mut Texture, src: &Texture, mode: spade_gpu::BlendMode, pool: &WorkerPool) {
-    assert_eq!(dst.len(), src.len(), "blend requires equal-size canvases");
-    let src_pixels = src.pixels();
-    pool.for_each_chunk_mut(dst.pixels_mut(), |_, base, slice| {
-        mode.apply_slice(slice, &src_pixels[base..base + slice.len()]);
-    });
-}
-
-/// Multiway blend: fold many canvases into one with a single pass per
-/// canvas (§5.1 implements this as one rendering pass over all inputs; on
-/// materialized textures the fold is equivalent).
-pub fn multiway_blend(
-    canvases: &[&Texture],
-    mode: spade_gpu::BlendMode,
-    pool: &WorkerPool,
-) -> Option<Texture> {
-    let first = canvases.first()?;
-    let mut out = (*first).clone();
-    for src in &canvases[1..] {
-        blend(&mut out, src, mode, pool);
-    }
-    Some(out)
-}
+use spade_gpu::{BlendMode, DrawCall, Pipeline, PixelValue, Primitive, Texture, WorkerPool};
 
 /// Dissect: split a canvas into its non-null pixels (each conceptually a
 /// single-point canvas). Returns `(x, y, value)` entries in row-major order.
@@ -262,62 +191,6 @@ mod tests {
             t.put(x, y, v);
         }
         t
-    }
-
-    #[test]
-    fn geometric_transform_moves_prims() {
-        let prims = vec![Primitive::point(Point::new(1.0, 1.0), [1, 0, 0, 0])];
-        let moved = geometric_transform(&prims, |p| p * 2.0);
-        assert_eq!(moved[0].bbox().min, Point::new(2.0, 2.0));
-    }
-
-    #[test]
-    fn value_transform_skips_null() {
-        let mut t = tex_with(&[(1, 1, [5, 0, 0, 0])]);
-        value_transform(&mut t, &pool(4), |v| [v[0] * 10, v[1], v[2], v[3]]);
-        assert_eq!(t.get(1, 1), [50, 0, 0, 0]);
-        assert_eq!(t.get(0, 0), NULL_PIXEL); // nulls untouched
-        assert_eq!(t.count_non_null(), 1);
-    }
-
-    #[test]
-    fn mask_filters_by_predicate() {
-        let mut t = tex_with(&[
-            (1, 1, [5, 0, 0, 0]),
-            (2, 2, [6, 0, 0, 0]),
-            (3, 3, [7, 0, 0, 0]),
-        ]);
-        mask(&mut t, &pool(2), |_, _, v| v[0] % 2 == 0);
-        assert_eq!(t.count_non_null(), 1);
-        assert_eq!(t.get(2, 2), [6, 0, 0, 0]);
-    }
-
-    #[test]
-    fn mask_receives_coordinates() {
-        let mut t = tex_with(&[(1, 1, [5, 0, 0, 0]), (7, 3, [6, 0, 0, 0])]);
-        mask(&mut t, &pool(3), |x, y, _| x == 7 && y == 3);
-        assert_eq!(t.count_non_null(), 1);
-        assert_eq!(t.get(7, 3)[0], 6);
-    }
-
-    #[test]
-    fn blend_merges_non_null_source() {
-        let mut dst = tex_with(&[(1, 1, [5, 0, 0, 0])]);
-        let src = tex_with(&[(1, 1, [3, 0, 0, 0]), (2, 2, [9, 0, 0, 0])]);
-        blend(&mut dst, &src, BlendMode::Add, &pool(2));
-        assert_eq!(dst.get(1, 1), [8, 0, 0, 0]);
-        assert_eq!(dst.get(2, 2), [9, 0, 0, 0]);
-        assert_eq!(dst.count_non_null(), 2);
-    }
-
-    #[test]
-    fn multiway_blend_folds() {
-        let a = tex_with(&[(0, 0, [1, 0, 0, 0])]);
-        let b = tex_with(&[(0, 0, [2, 0, 0, 0])]);
-        let c = tex_with(&[(0, 0, [4, 0, 0, 0])]);
-        let out = multiway_blend(&[&a, &b, &c], BlendMode::Add, &pool(2)).unwrap();
-        assert_eq!(out.get(0, 0), [7, 0, 0, 0]);
-        assert!(multiway_blend(&[], BlendMode::Add, &pool(2)).is_none());
     }
 
     #[test]

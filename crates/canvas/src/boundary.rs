@@ -183,22 +183,6 @@ impl BoundaryIndex {
         }
     }
 
-    /// Exact segment test at a boundary pixel.
-    pub fn test_segment_at(&self, pixel: (u32, u32), primary: u32, s: Segment) -> bool {
-        match self.overflow.get(&pixel) {
-            Some(v) => v.iter().any(|&i| self.entries[i as usize].test_segment(s)),
-            None => self.entries[primary as usize].test_segment(s),
-        }
-    }
-
-    /// Exact triangle test at a boundary pixel.
-    pub fn test_triangle_at(&self, pixel: (u32, u32), primary: u32, t: &Triangle) -> bool {
-        match self.overflow.get(&pixel) {
-            Some(v) => v.iter().any(|&i| self.entries[i as usize].test_triangle(t)),
-            None => self.entries[primary as usize].test_triangle(t),
-        }
-    }
-
     /// Object ids of all entries at `pixel` whose geometry the query point
     /// intersects (deduplicated). Join pair-extraction uses this: at an
     /// overflow pixel, entries of several objects may match.

@@ -1,9 +1,10 @@
-//! Canvas pixel conventions and the canvas wrapper.
+//! Canvas pixel conventions and the canvas layer.
 //!
 //! The discrete canvas stores, per pixel, a triple of 4-tuples — one tuple
 //! `(v0, v1, v2, vb)` per primitive class (§4.1). Each tuple maps directly
-//! onto the four color channels of an FBO texture, so a canvas is backed by
-//! three textures (point, line, polygon).
+//! onto the four color channels of an FBO texture, so each class is one
+//! [`CanvasLayer`]. A fused select/join pass binds only the layer of the
+//! class it needs, so the engine renders layers, never the full triple.
 //!
 //! Channel conventions used throughout this reproduction:
 //!
@@ -15,7 +16,7 @@
 //! | 3 | `CH_BOUND` | boundary-index entry + 1 (0 = no boundary data) |
 
 use crate::boundary::BoundaryIndex;
-use spade_gpu::{PixelValue, Texture, Viewport};
+use spade_gpu::{PixelValue, Texture};
 
 /// Channel index of the object identifier (`v0`).
 pub const CH_ID: usize = 0;
@@ -85,61 +86,9 @@ impl CanvasLayer {
     }
 }
 
-/// A discrete canvas: one layer per primitive class, sharing a viewport.
-///
-/// Most SPADE passes operate on a single class at a time (the fused
-/// select/join shaders bind only the constraint layer they need), so the
-/// per-class layers are optional and created lazily.
-#[derive(Debug)]
-pub struct Canvas {
-    pub viewport: Viewport,
-    pub points: Option<CanvasLayer>,
-    pub lines: Option<CanvasLayer>,
-    pub polygons: Option<CanvasLayer>,
-}
-
-impl Canvas {
-    pub fn new(viewport: Viewport) -> Self {
-        Canvas {
-            viewport,
-            points: None,
-            lines: None,
-            polygons: None,
-        }
-    }
-
-    /// Total device byte footprint of the allocated layers.
-    pub fn byte_size(&self) -> usize {
-        [&self.points, &self.lines, &self.polygons]
-            .into_iter()
-            .flatten()
-            .map(|l| l.texture.byte_size())
-            .sum()
-    }
-
-    /// The polygon layer, creating it if absent.
-    pub fn polygons_mut(&mut self) -> &mut CanvasLayer {
-        let (w, h) = (self.viewport.width, self.viewport.height);
-        self.polygons.get_or_insert_with(|| CanvasLayer::new(w, h))
-    }
-
-    /// The line layer, creating it if absent.
-    pub fn lines_mut(&mut self) -> &mut CanvasLayer {
-        let (w, h) = (self.viewport.width, self.viewport.height);
-        self.lines.get_or_insert_with(|| CanvasLayer::new(w, h))
-    }
-
-    /// The point layer, creating it if absent.
-    pub fn points_mut(&mut self) -> &mut CanvasLayer {
-        let (w, h) = (self.viewport.width, self.viewport.height);
-        self.points.get_or_insert_with(|| CanvasLayer::new(w, h))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spade_geometry::{BBox, Point};
 
     #[test]
     fn pack_and_classify() {
@@ -162,18 +111,5 @@ mod tests {
         // uncertainty dominates.
         let both = pack(3, 0, FLAG_INTERIOR | FLAG_BOUNDARY, 1);
         assert_eq!(classify(both), PixelClass::Boundary);
-    }
-
-    #[test]
-    fn lazy_layers() {
-        let vp = Viewport::new(BBox::new(Point::ZERO, Point::new(1.0, 1.0)), 8, 8);
-        let mut c = Canvas::new(vp);
-        assert_eq!(c.byte_size(), 0);
-        c.polygons_mut();
-        assert_eq!(c.byte_size(), 8 * 8 * 16);
-        c.points_mut();
-        c.lines_mut();
-        assert_eq!(c.byte_size(), 3 * 8 * 8 * 16);
-        assert!(c.points.is_some() && c.lines.is_some() && c.polygons.is_some());
     }
 }

@@ -5,9 +5,6 @@
 //! transfer and only the query region needs rendering). Creation per
 //! primitive class:
 //!
-//! * **points** — one pass; each point writes its object id to its pixel.
-//! * **lines** — one conservative pass over the segments; every touched
-//!   pixel is a boundary pixel whose `vb` indexes the segment itself.
 //! * **polygons** — two passes: the triangulated interior with default
 //!   rasterization, then the boundary edges with *conservative*
 //!   rasterization writing `vb` pointers to the incident triangles.
@@ -17,7 +14,7 @@
 use crate::boundary::{BoundaryEntry, BoundaryGeom, BoundaryIndex};
 use crate::canvas::{pack, CanvasLayer, FLAG_BOUNDARY, FLAG_INTERIOR};
 use spade_geometry::predicates::point_in_triangle;
-use spade_geometry::{BBox, LineString, Point, Polygon, Segment, Triangle};
+use spade_geometry::{BBox, Polygon, Segment, Triangle};
 use spade_gpu::raster;
 use spade_gpu::{BlendMode, DrawCall, GeometryShader, Pipeline, Primitive, Viewport, WorkerPool};
 
@@ -71,70 +68,6 @@ impl PreparedPolygon {
     }
 }
 
-/// Render point objects into a point-class canvas layer.
-///
-/// When `record_boundary` is set, each point gets a boundary entry (the
-/// data is its own boundary index) so the canvas can serve as a query
-/// constraint; data-side canvases skip this to save memory.
-pub fn render_points(
-    pipe: &Pipeline,
-    vp: Viewport,
-    points: &[(u32, Point)],
-    record_boundary: bool,
-) -> CanvasLayer {
-    let mut layer = CanvasLayer::new(vp.width, vp.height);
-    let mut prims = Vec::with_capacity(points.len());
-    if record_boundary {
-        for &(id, p) in points {
-            let entry = layer.boundary.push(BoundaryEntry {
-                object: id,
-                geom: BoundaryGeom::Point(p),
-            });
-            prims.push(Primitive::point(p, pack(id, 0, FLAG_BOUNDARY, entry + 1)));
-        }
-    } else {
-        for &(id, p) in points {
-            prims.push(Primitive::point(p, pack(id, 0, FLAG_BOUNDARY, 0)));
-        }
-    }
-    pipe.draw(
-        &mut layer.texture,
-        &prims,
-        &DrawCall::simple(vp, BlendMode::Replace, false),
-    );
-    if record_boundary {
-        record_coverage(&mut layer.boundary, &prims, &vp, false, pipe.pool());
-    }
-    layer
-}
-
-/// Render polyline objects into a line-class canvas layer (conservative, so
-/// no segment escapes between pixel samples).
-pub fn render_lines(pipe: &Pipeline, vp: Viewport, lines: &[(u32, &LineString)]) -> CanvasLayer {
-    let mut layer = CanvasLayer::new(vp.width, vp.height);
-    let mut prims = Vec::new();
-    for (id, line) in lines {
-        for seg in line.segments() {
-            let entry = layer.boundary.push(BoundaryEntry {
-                object: *id,
-                geom: BoundaryGeom::Segment(seg),
-            });
-            prims.push(Primitive::line(
-                seg.a,
-                seg.b,
-                pack(*id, 0, FLAG_BOUNDARY, entry + 1),
-            ));
-        }
-    }
-    pipe.draw(
-        &mut layer.texture,
-        &prims,
-        &DrawCall::simple(vp, BlendMode::Replace, true),
-    );
-    record_coverage(&mut layer.boundary, &prims, &vp, true, pipe.pool());
-    layer
-}
-
 /// Render polygon objects into a polygon-class canvas layer with the
 /// two-pass scheme of §4.2: interior triangles first, then conservative
 /// boundary edges carrying `vb` pointers.
@@ -186,7 +119,7 @@ pub fn render_polygons(pipe: &Pipeline, vp: Viewport, polys: &[PreparedPolygon])
         &boundary,
         &DrawCall::simple(vp, BlendMode::Replace, true),
     );
-    record_coverage_no_finalize(&mut layer.boundary, &boundary, &vp, true, pipe.pool());
+    record_coverage(&mut layer.boundary, &boundary, &vp, pipe.pool());
 
     // Exactness pass: a boundary pixel may also be touched by *interior*
     // triangles (of this or an adjacent object) whose coverage the single
@@ -324,7 +257,7 @@ pub fn render_rects(pipe: &Pipeline, vp: Viewport, rects: &[(u32, BBox)]) -> Can
         &boundary,
         &DrawCall::simple(vp, BlendMode::Replace, true),
     );
-    record_coverage_no_finalize(&mut layer.boundary, &boundary, &vp, true, pipe.pool());
+    record_coverage(&mut layer.boundary, &boundary, &vp, pipe.pool());
     let all_tris: Vec<(u32, Triangle)> = rects
         .iter()
         .flat_map(|(id, b)| {
@@ -339,25 +272,13 @@ pub fn render_rects(pipe: &Pipeline, vp: Viewport, rects: &[(u32, BBox)]) -> Can
     layer
 }
 
-/// Record which boundary entries touch which pixels, building the overflow
-/// lists that keep multi-edge pixels exact. The primitives' `vb` attribute
-/// (channel 3) names the entry.
-pub(crate) fn record_coverage(
+/// Record which boundary entries the conservative boundary primitives touch
+/// at which pixels, building the overflow lists that keep multi-edge pixels
+/// exact. The primitives' `vb` attribute (channel 3) names the entry.
+fn record_coverage(
     boundary: &mut BoundaryIndex,
     prims: &[Primitive],
     vp: &Viewport,
-    conservative: bool,
-    pool: &WorkerPool,
-) {
-    record_coverage_no_finalize(boundary, prims, vp, conservative, pool);
-    boundary.finalize_overflow();
-}
-
-fn record_coverage_no_finalize(
-    boundary: &mut BoundaryIndex,
-    prims: &[Primitive],
-    vp: &Viewport,
-    conservative: bool,
     pool: &WorkerPool,
 ) {
     let per_chunk: Vec<Vec<((u32, u32), u32)>> = pool.parallel_map_chunks(prims, |_, chunk| {
@@ -367,7 +288,7 @@ fn record_coverage_no_finalize(
             if vb == 0 {
                 continue;
             }
-            raster::rasterize(prim, vp, conservative, &mut |x, y| {
+            raster::rasterize(prim, vp, true, &mut |x, y| {
                 out.push(((x, y), vb - 1));
             });
         }
@@ -384,6 +305,7 @@ fn record_coverage_no_finalize(
 mod tests {
     use super::*;
     use crate::canvas::{classify, pixel_bound, pixel_id, PixelClass};
+    use spade_geometry::Point;
 
     fn vp(n: u32) -> Viewport {
         Viewport::new(BBox::new(Point::ZERO, Point::new(10.0, 10.0)), n, n)
@@ -402,43 +324,6 @@ mod tests {
         for (seg, tri) in &p.edges {
             assert!(point_in_triangle(seg.midpoint(), &p.triangles[*tri]));
         }
-    }
-
-    #[test]
-    fn point_canvas_writes_pixels() {
-        let pipe = Pipeline::with_workers(2);
-        let pts = vec![(0u32, Point::new(1.5, 1.5)), (1, Point::new(7.5, 3.5))];
-        let layer = render_points(&pipe, vp(10), &pts, true);
-        assert_eq!(pixel_id(layer.texture.get(1, 1)), Some(0));
-        assert_eq!(pixel_id(layer.texture.get(7, 3)), Some(1));
-        assert_eq!(layer.texture.count_non_null(), 2);
-        assert_eq!(layer.boundary.len(), 2);
-    }
-
-    #[test]
-    fn point_canvas_without_boundary_entries() {
-        let pipe = Pipeline::with_workers(2);
-        let pts = vec![(0u32, Point::new(1.5, 1.5))];
-        let layer = render_points(&pipe, vp(10), &pts, false);
-        assert_eq!(layer.boundary.len(), 0);
-        assert_eq!(layer.texture.count_non_null(), 1);
-    }
-
-    #[test]
-    fn line_canvas_boundary_entries() {
-        let pipe = Pipeline::with_workers(2);
-        let line = LineString::new(vec![
-            Point::new(0.5, 0.5),
-            Point::new(9.5, 0.5),
-            Point::new(9.5, 9.5),
-        ]);
-        let layer = render_lines(&pipe, vp(10), &[(3, &line)]);
-        assert_eq!(layer.boundary.len(), 2); // two segments
-                                             // A pixel on the first segment is boundary class with a vb pointer.
-        let v = layer.texture.get(5, 0);
-        assert_eq!(classify(v), PixelClass::Boundary);
-        let vb = pixel_bound(v).unwrap();
-        assert_eq!(layer.boundary.entry(vb).object, 3);
     }
 
     #[test]

@@ -45,11 +45,6 @@ impl LayerIndex {
         self.layers.iter().map(Vec::len).sum()
     }
 
-    /// The layer containing `id`, if any.
-    pub fn layer_of(&self, id: u32) -> Option<usize> {
-        self.layers.iter().position(|l| l.contains(&id))
-    }
-
     /// Approximate byte footprint (transferred with the data, §6.3).
     pub fn byte_size(&self) -> usize {
         self.num_objects() * 4 + self.layers.len() * std::mem::size_of::<Vec<u32>>()
@@ -243,8 +238,6 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 3);
-        assert!(idx.layer_of(0).is_some());
-        assert_eq!(idx.layer_of(99), None);
     }
 
     #[test]

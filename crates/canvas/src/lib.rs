@@ -10,20 +10,23 @@
 //!
 //! Modules:
 //!
-//! * [`canvas`] — the pixel-format conventions and the [`canvas::Canvas`]
-//!   wrapper (one texture per primitive class).
+//! * [`canvas`] — the pixel-format conventions and the
+//!   [`canvas::CanvasLayer`] (one texture per primitive class).
 //! * [`boundary`] — the boundary index (§4.3), including overflow lists for
 //!   pixels crossed by several edges (a strengthening over the paper; see
 //!   DESIGN.md).
 //! * [`create`] — canvas creation through the shader pipeline (§4.2):
-//!   points, lines, polygons (two-pass interior+boundary), rectangles.
+//!   polygons (two-pass interior+boundary) and rectangles.
 //! * [`distance`] — distance-constraint canvases built with geometry
 //!   shaders: circles around points, capsules around segments, buffers
 //!   around polygons (§4.2).
 //! * [`layer`] — the layer index (§4.3, §5.5): partitioning objects into
 //!   non-intersecting layers with the two-pass blend/mask algorithm.
-//! * [`algebra`] — the algebra operators (§5.1): geometric transform, value
-//!   transform, mask, (multiway) blend, and the two Map implementations.
+//! * [`algebra`] — the algebra operators (§5.1): dissect and the two Map
+//!   implementations. The other operators are fused into the passes that
+//!   use them — geometric transform into the vertex stage, mask into a
+//!   discarding fragment shader, (multiway) blend into the pass's
+//!   `BlendMode` — see DESIGN.md §1.
 
 pub mod algebra;
 pub mod boundary;
@@ -33,7 +36,5 @@ pub mod distance;
 pub mod layer;
 
 pub use boundary::{BoundaryEntry, BoundaryGeom, BoundaryIndex};
-pub use canvas::{
-    Canvas, PixelClass, CH_BOUND, CH_FLAG, CH_ID, CH_VAL, FLAG_BOUNDARY, FLAG_INTERIOR,
-};
+pub use canvas::{PixelClass, CH_BOUND, CH_FLAG, CH_ID, CH_VAL, FLAG_BOUNDARY, FLAG_INTERIOR};
 pub use layer::LayerIndex;

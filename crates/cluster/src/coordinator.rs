@@ -109,11 +109,6 @@ impl ClusterClient {
         })
     }
 
-    /// Number of workers.
-    pub fn num_workers(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Fetch fresh per-cell statistics for `dataset` (from worker 0) and
     /// rebuild its shard map. Call after registering the dataset on every
     /// worker, and again after an explicit `Flush` — pair-routed joins

@@ -99,12 +99,6 @@ impl ShardMap {
     pub fn num_cells(&self) -> usize {
         self.cells.len()
     }
-
-    /// Per-cell byte sizes in id order (the optimizer's transfer-estimate
-    /// helpers take these as slices).
-    pub fn bytes_by_cell(&self) -> Vec<u64> {
-        self.cells.iter().map(|c| c.bytes).collect()
-    }
 }
 
 #[cfg(test)]

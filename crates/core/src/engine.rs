@@ -60,11 +60,6 @@ impl Spade {
         }
     }
 
-    /// A default-configured engine.
-    pub fn with_defaults() -> Self {
-        Self::new(EngineConfig::default())
-    }
-
     /// The query viewport over a world region: square pixels, longer axis
     /// at the configured resolution, slightly inflated so geometry exactly
     /// on the region border still rasterizes inside.
@@ -233,13 +228,6 @@ impl Constraint {
         }
     }
 
-    /// Convenience allocating form of [`Constraint::match_point_into`].
-    pub fn match_point(&self, p: Point) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.match_point_into(p, &mut out);
-        out
-    }
-
     /// Match a segment fragment at a given canvas pixel.
     pub fn match_segment_at(&self, px: (u32, u32), s: Segment, out: &mut Vec<u32>) {
         self.match_prim_at(px, out, |bi, vb, out| {
@@ -300,16 +288,22 @@ mod tests {
         assert_eq!(vp.width, s.config.resolution);
     }
 
+    fn matches(c: &Constraint, p: Point) -> Vec<u32> {
+        let mut out = Vec::new();
+        c.match_point_into(p, &mut out);
+        out
+    }
+
     #[test]
     fn constraint_matches_points() {
         let s = engine();
         let poly = Polygon::rect(BBox::new(Point::new(2.0, 2.0), Point::new(8.0, 8.0)));
         let prepared = vec![PreparedPolygon::prepare(7, &poly)];
         let c = Constraint::from_polygons(&s, &prepared);
-        assert_eq!(c.match_point(Point::new(5.0, 5.0)), vec![7]);
-        assert_eq!(c.match_point(Point::new(2.0, 5.0)), vec![7]); // on edge
-        assert!(c.match_point(Point::new(1.0, 1.0)).is_empty());
-        assert!(c.match_point(Point::new(100.0, 100.0)).is_empty()); // off canvas
+        assert_eq!(matches(&c, Point::new(5.0, 5.0)), vec![7]);
+        assert_eq!(matches(&c, Point::new(2.0, 5.0)), vec![7]); // on edge
+        assert!(matches(&c, Point::new(1.0, 1.0)).is_empty());
+        assert!(matches(&c, Point::new(100.0, 100.0)).is_empty()); // off canvas
         assert_eq!(c.num_vertices, 4);
         assert!(c.byte_size() > 0);
     }
@@ -321,10 +315,10 @@ mod tests {
         let vp = s.viewport_for(&bb);
         let layer = create::render_rects(&s.pipeline, vp, &[(3, bb)]);
         let c = Constraint::from_layer(layer, vp, 4);
-        assert_eq!(c.match_point(Point::new(5.0, 5.0)), vec![3]);
-        assert!(c.match_point(Point::new(8.7, 5.0)).is_empty());
+        assert_eq!(matches(&c, Point::new(5.0, 5.0)), vec![3]);
+        assert!(matches(&c, Point::new(8.7, 5.0)).is_empty());
         // Boundary-exactness right at the rim.
-        assert_eq!(c.match_point(Point::new(8.0, 8.0)), vec![3]);
+        assert_eq!(matches(&c, Point::new(8.0, 8.0)), vec![3]);
     }
 
     #[test]

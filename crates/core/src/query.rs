@@ -327,12 +327,23 @@ mod tests {
         IndexedDataset::new(data.name.clone(), data.kind, grid)
     }
 
-    /// The five select classes. The kNN probe sits off-lattice so no two
-    /// points tie on distance and the ranked order is unique.
+    /// The five select classes. The intersection constraint is an L whose
+    /// two inner edges run through lattice points away from the viewport's
+    /// rim, so pixel centres there fall on either side of the edge and only
+    /// the boundary index answers right. The kNN probe sits off-lattice so
+    /// no two points tie on distance and the ranked order is unique.
     fn select_classes() -> Vec<SelectQuery> {
         let poly = Polygon::circle(Point::new(4.5, 4.5), 3.0, 16);
+        let ell = [
+            (0.5, 0.3),
+            (7.5, 0.3),
+            (7.5, 3.0),
+            (4.0, 3.0),
+            (4.0, 6.0),
+            (0.5, 6.0),
+        ];
         vec![
-            SelectQuery::Intersects(poly.clone()),
+            SelectQuery::Intersects(Polygon::new(ell.map(|(x, y)| Point::new(x, y)).to_vec())),
             SelectQuery::Range(BBox::new(Point::new(1.0, 1.0), Point::new(7.0, 6.0))),
             SelectQuery::Contained(poly),
             SelectQuery::WithinDistance(DistanceConstraint::Point(Point::new(4.0, 4.0)), 2.5),
@@ -388,6 +399,8 @@ mod tests {
     /// indexed, indexed with a staged write} and all four join classes ×
     /// the same three sources:
     /// (a) `QueryCtx::default()` answers what `brute` does, byte for byte,
+    ///     at canvas resolutions 32, 64 and 256 — rasterisation is only a
+    ///     filter, the boundary index decides every boundary pixel exactly,
     /// (b) the cached ctx goes `MISS` then `HIT` without touching a cell,
     ///     and the HIT carries its MISS's plan,
     /// (c) a non-full scope that covers everything reports `BYPASS` with
@@ -468,6 +481,14 @@ mod tests {
             let cold = run(q, sources, &s, &QueryCtx::default()).unwrap();
             assert_eq!(cold.result, want, "(a) {label}");
             assert_eq!(cold.stats.result_cache, CacheOutcome::Bypass, "(a) {label}");
+            for resolution in [32, 64] {
+                let config = EngineConfig {
+                    resolution,
+                    ..EngineConfig::test_small()
+                };
+                let out = run(q, sources, &Spade::new(config), &QueryCtx::default()).unwrap();
+                assert_eq!(out.result, want, "(a) resolution {resolution}, {label}");
+            }
             if let (Q::Join(q), false) = (q, out_of_core) {
                 // Both memory slots were on the device at once.
                 let left = if on_points(q) { &pts } else { &polys };

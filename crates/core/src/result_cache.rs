@@ -318,10 +318,6 @@ impl ResultCache {
         let _ = self.arena.set(arena);
     }
 
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Serve one query execution through the cache.
     ///
     /// `make_key` computes the current cache key (re-reading dataset

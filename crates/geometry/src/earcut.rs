@@ -29,14 +29,6 @@ pub fn triangulate_polygon(poly: &Polygon) -> Vec<Triangle> {
     triangulate_simple(&ring)
 }
 
-/// Triangulate a simple (hole-free) ring given by its vertices.
-pub fn triangulate_ring(ring: &Ring) -> Vec<Triangle> {
-    if ring.len() < 3 {
-        return Vec::new();
-    }
-    triangulate_simple(&ccw_points(ring))
-}
-
 fn ccw_points(ring: &Ring) -> Vec<Point> {
     let mut pts = ring.points.clone();
     if ring.signed_area() < 0.0 {

@@ -11,8 +11,7 @@
 //! * ear-clipping polygon triangulation (the paper uses Earcut.hpp; this is
 //!   a from-scratch Rust implementation of the same algorithm),
 //! * convex hulls (grid-index cell bounds are convex hulls, §5.3),
-//! * the EPSG:4326 → EPSG:3857 projection performed in the vertex shader,
-//! * WKT parsing/printing for data interchange.
+//! * the EPSG:4326 → EPSG:3857 projection performed in the vertex shader.
 
 pub mod bbox;
 pub mod distance;
@@ -22,7 +21,6 @@ pub mod point;
 pub mod predicates;
 pub mod primitives;
 pub mod project;
-pub mod wkt;
 
 pub use bbox::BBox;
 pub use point::Point;

@@ -176,63 +176,8 @@ fn ray_cast(p: Point, ring: &[Point]) -> bool {
     inside
 }
 
-/// Lane width of the batched predicate kernels below.
+/// Lane width of the batched predicate kernel below.
 pub const PRED_LANES: usize = 8;
-
-/// Batched boundary-inclusive point-in-triangle: fills `out` so that
-/// `out[i] == point_in_triangle(points[i], t)`.
-///
-/// Evaluates the three cross products for [`PRED_LANES`] points at a time
-/// over fixed-size lane arrays with branch-free sign accumulation — the
-/// shape LLVM autovectorizes. Each lane runs exactly the scalar test's fp
-/// expressions, and the sign test is total (a point is never
-/// boundary-ambiguous: collinear lanes contribute neither `has_neg` nor
-/// `has_pos`), so this kernel is exact with no scalar fallback.
-pub fn points_in_triangle_mask(points: &[Point], t: &Triangle, out: &mut Vec<bool>) {
-    out.clear();
-    out.resize(points.len(), false);
-    let (a, b, c) = (t.a, t.b, t.c);
-    let (d1x, d1y) = (b.x - a.x, b.y - a.y);
-    let (d2x, d2y) = (c.x - b.x, c.y - b.y);
-    let (d3x, d3y) = (a.x - c.x, a.y - c.y);
-    for (chunk, ochunk) in points.chunks(PRED_LANES).zip(out.chunks_mut(PRED_LANES)) {
-        let n = chunk.len();
-        let mut px = [0.0f64; PRED_LANES];
-        let mut py = [0.0f64; PRED_LANES];
-        for i in 0..n {
-            px[i] = chunk[i].x;
-            py[i] = chunk[i].y;
-        }
-        let mut neg = [false; PRED_LANES];
-        let mut pos = [false; PRED_LANES];
-        for i in 0..PRED_LANES {
-            let d1 = d1x * (py[i] - a.y) - d1y * (px[i] - a.x);
-            let d2 = d2x * (py[i] - b.y) - d2y * (px[i] - b.x);
-            let d3 = d3x * (py[i] - c.y) - d3y * (px[i] - c.x);
-            neg[i] = d1 < 0.0 || d2 < 0.0 || d3 < 0.0;
-            pos[i] = d1 > 0.0 || d2 > 0.0 || d3 > 0.0;
-        }
-        for i in 0..n {
-            ochunk[i] = !(neg[i] && pos[i]);
-        }
-    }
-}
-
-/// Batched boundary-inclusive point-in-ring: fills `out` so that `out[i]`
-/// matches the scalar ring test `point_in_polygon` uses for exteriors.
-///
-/// Lane-parallel ray casting: per edge, all lanes compute the crossing
-/// toggle branch-free (the intersection abscissa is computed
-/// unconditionally; horizontal edges yield ±inf/NaN which the crossing
-/// condition masks out, exactly as the scalar test never reaches them).
-/// Lanes that might touch the ring *boundary* — some edge's orientation
-/// cross product is exactly `0.0` — cannot be resolved by ray casting
-/// alone and fall back to the exact scalar predicate; for every other lane
-/// `point_on_segment` is false for all edges, so the ray-cast parity *is*
-/// the scalar answer.
-pub fn points_in_ring_mask(points: &[Point], ring: &[Point], out: &mut Vec<bool>) {
-    ring_mask_impl(points, ring, false, out);
-}
 
 /// Batched polygon containment with hole support: exterior boundary
 /// inclusive, holes strict — fills `out[i] == point_in_polygon(points[i],
@@ -251,10 +196,15 @@ pub fn points_in_polygon_mask(points: &[Point], poly: &Polygon, out: &mut Vec<bo
     }
 }
 
-/// Shared ring kernel: `strict` selects the hole semantics (boundary
-/// excluded) for the ambiguous-lane fallback. Non-ambiguous lanes cannot
-/// lie on the boundary, where the two semantics coincide with plain
-/// ray-cast parity.
+/// Batched point-in-ring: lane-parallel ray casting. Per edge, all lanes
+/// compute the crossing toggle branch-free (the intersection abscissa is
+/// computed unconditionally; horizontal edges yield ±inf/NaN which the
+/// crossing condition masks out, exactly as the scalar test never reaches
+/// them). Lanes that might touch the ring *boundary* — some edge's
+/// orientation cross product is exactly `0.0` — fall back to the exact
+/// scalar predicate, and `strict` selects the hole semantics (boundary
+/// excluded) for that fallback. Every other lane cannot lie on the
+/// boundary, so its ray-cast parity *is* the scalar answer.
 fn ring_mask_impl(points: &[Point], ring: &[Point], strict: bool, out: &mut Vec<bool>) {
     out.clear();
     out.resize(points.len(), false);
@@ -335,29 +285,6 @@ pub fn polygons_intersect(p1: &Polygon, p2: &Polygon) -> bool {
     p1.boundary_edges()
         .iter()
         .any(|a| e2.iter().any(|b| segments_intersect(*a, *b)))
-}
-
-/// Triangle-vs-polygon intersection (used when one side of a join is already
-/// triangulated).
-pub fn triangle_intersects_polygon(t: &Triangle, poly: &Polygon) -> bool {
-    if !t.bbox().intersects(&poly.bbox()) {
-        return false;
-    }
-    if t.vertices().iter().any(|&v| point_in_polygon(v, poly)) {
-        return true;
-    }
-    if poly
-        .exterior
-        .points
-        .iter()
-        .any(|&v| point_in_triangle(v, t))
-    {
-        return true;
-    }
-    let edges = poly.boundary_edges();
-    t.edges()
-        .iter()
-        .any(|a| edges.iter().any(|b| segments_intersect(*a, *b)))
 }
 
 #[cfg(test)]
@@ -560,56 +487,6 @@ mod tests {
     }
 
     #[test]
-    fn triangle_mask_matches_scalar_randomized() {
-        let mut seed = 20240601u64;
-        for case in 0..50u32 {
-            let t = Triangle::new(
-                Point::new(lcg(&mut seed) * 8.0, lcg(&mut seed) * 8.0),
-                Point::new(lcg(&mut seed) * 8.0, lcg(&mut seed) * 8.0),
-                Point::new(lcg(&mut seed) * 8.0, lcg(&mut seed) * 8.0),
-            );
-            // Random points plus exact boundary hits: vertices, edge
-            // midpoints, and points just off each edge.
-            let mut pts: Vec<Point> = (0..53)
-                .map(|_| Point::new(lcg(&mut seed) * 10.0 - 1.0, lcg(&mut seed) * 10.0 - 1.0))
-                .collect();
-            pts.extend([t.a, t.b, t.c]);
-            for e in t.edges() {
-                pts.push(Point::new((e.a.x + e.b.x) * 0.5, (e.a.y + e.b.y) * 0.5));
-            }
-            let mut mask = Vec::new();
-            points_in_triangle_mask(&pts, &t, &mut mask);
-            assert_eq!(mask.len(), pts.len());
-            for (i, p) in pts.iter().enumerate() {
-                assert_eq!(
-                    mask[i],
-                    point_in_triangle(*p, &t),
-                    "case={case} i={i} p={p:?} t={t:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn triangle_mask_degenerate_triangles() {
-        // Collinear (zero-area) and needle triangles: every lane must agree
-        // with the scalar test, which treats the degenerate hull as its
-        // boundary.
-        let flat = Triangle::new(Point::ZERO, Point::new(4.0, 0.0), Point::new(2.0, 0.0));
-        let pts = vec![
-            Point::new(1.0, 0.0),  // on the segment
-            Point::new(5.0, 0.0),  // past the end, still collinear
-            Point::new(1.0, 0.01), // just off
-            Point::ZERO,
-        ];
-        let mut mask = Vec::new();
-        points_in_triangle_mask(&pts, &flat, &mut mask);
-        for (i, p) in pts.iter().enumerate() {
-            assert_eq!(mask[i], point_in_triangle(*p, &flat), "i={i}");
-        }
-    }
-
-    #[test]
     fn ring_mask_matches_scalar_randomized() {
         let mut seed = 777777u64;
         for case in 0..40u32 {
@@ -641,7 +518,7 @@ mod tests {
                 pts.push(Point::new(v.x + 1.5, v.y));
             }
             let mut mask = Vec::new();
-            points_in_ring_mask(&pts, &ring, &mut mask);
+            points_in_polygon_mask(&pts, &Polygon::new(ring.clone()), &mut mask);
             for (i, p) in pts.iter().enumerate() {
                 assert_eq!(
                     mask[i],
@@ -672,7 +549,7 @@ mod tests {
             pts.push(Point::new(t, 3.0)); // interior / exterior row
         }
         let mut mask = Vec::new();
-        points_in_ring_mask(&pts, &ring, &mut mask);
+        points_in_polygon_mask(&pts, &Polygon::new(ring.clone()), &mut mask);
         for (i, p) in pts.iter().enumerate() {
             assert_eq!(mask[i], point_in_ring(*p, &ring), "i={i} p={p:?}");
         }
@@ -717,7 +594,8 @@ mod tests {
         // Degenerate ring: fewer than 3 vertices matches the scalar "never
         // inside" answer.
         let mut dmask = Vec::new();
-        points_in_ring_mask(&pts, &[Point::ZERO, Point::new(1.0, 1.0)], &mut dmask);
+        let segment = Polygon::new(vec![Point::ZERO, Point::new(1.0, 1.0)]);
+        points_in_polygon_mask(&pts, &segment, &mut dmask);
         assert!(dmask.iter().all(|&m| !m));
     }
 
@@ -758,29 +636,5 @@ mod tests {
             Segment::new(Point::new(-1.0, -1.0), Point::new(-1.0, 5.0)),
             &p
         ));
-    }
-
-    #[test]
-    fn triangle_polygon_cases() {
-        let p = square();
-        let t = Triangle::new(
-            Point::new(3.0, 3.0),
-            Point::new(6.0, 3.0),
-            Point::new(3.0, 6.0),
-        );
-        assert!(triangle_intersects_polygon(&t, &p));
-        let far = Triangle::new(
-            Point::new(30.0, 30.0),
-            Point::new(31.0, 30.0),
-            Point::new(30.0, 31.0),
-        );
-        assert!(!triangle_intersects_polygon(&far, &p));
-        // Triangle containing the polygon entirely.
-        let big = Triangle::new(
-            Point::new(-20.0, -20.0),
-            Point::new(40.0, -20.0),
-            Point::new(-20.0, 40.0),
-        );
-        assert!(triangle_intersects_polygon(&big, &p));
     }
 }

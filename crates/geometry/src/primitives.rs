@@ -104,10 +104,6 @@ impl LineString {
     pub fn bbox(&self) -> BBox {
         BBox::from_points(self.points.iter().copied())
     }
-
-    pub fn num_segments(&self) -> usize {
-        self.points.len().saturating_sub(1)
-    }
 }
 
 /// A closed ring of vertices. The closing edge (last → first) is implicit;
@@ -285,19 +281,6 @@ impl Polygon {
     pub fn triangulate(&self) -> Vec<Triangle> {
         earcut::triangulate_polygon(self)
     }
-
-    /// Normalize winding: exterior CCW, holes CW (the convention the
-    /// triangulator and predicates expect).
-    pub fn normalize_winding(&mut self) {
-        if !self.exterior.is_ccw() {
-            self.exterior.reverse();
-        }
-        for h in &mut self.holes {
-            if h.is_ccw() {
-                h.reverse();
-            }
-        }
-    }
 }
 
 /// A collection of polygons treated as one geometric object.
@@ -398,10 +381,6 @@ impl Geometry {
             _ => &[],
         }
     }
-
-    pub fn is_areal(&self) -> bool {
-        matches!(self, Geometry::Polygon(_) | Geometry::MultiPolygon(_))
-    }
 }
 
 impl From<Point> for Geometry {
@@ -498,29 +477,6 @@ mod tests {
     }
 
     #[test]
-    fn normalize_winding_fixes_orientations() {
-        let mut poly = Polygon::with_holes(
-            vec![
-                // CW exterior
-                Point::new(0.0, 0.0),
-                Point::new(0.0, 4.0),
-                Point::new(4.0, 4.0),
-                Point::new(4.0, 0.0),
-            ],
-            vec![vec![
-                // CCW hole
-                Point::new(1.0, 1.0),
-                Point::new(2.0, 1.0),
-                Point::new(2.0, 2.0),
-                Point::new(1.0, 2.0),
-            ]],
-        );
-        poly.normalize_winding();
-        assert!(poly.exterior.is_ccw());
-        assert!(!poly.holes[0].is_ccw());
-    }
-
-    #[test]
     fn triangle_measurements() {
         let t = Triangle::new(Point::ZERO, Point::new(2.0, 0.0), Point::new(0.0, 2.0));
         assert!((t.signed_area() - 2.0).abs() < 1e-12);
@@ -535,7 +491,7 @@ mod tests {
             Point::new(3.0, 0.0),
             Point::new(3.0, 4.0),
         ]);
-        assert_eq!(l.num_segments(), 2);
+        assert_eq!(l.segments().count(), 2);
         assert!((l.length() - 7.0).abs() < 1e-12);
     }
 
@@ -564,11 +520,9 @@ mod tests {
     #[test]
     fn geometry_dispatch() {
         let g: Geometry = unit_square().into();
-        assert!(g.is_areal());
         assert_eq!(g.num_vertices(), 4);
         assert!(g.centroid().dist(Point::new(0.5, 0.5)) < 1e-12);
         let p: Geometry = Point::new(1.0, 2.0).into();
-        assert!(!p.is_areal());
         assert_eq!(p.bbox().min, Point::new(1.0, 2.0));
         assert!(p.polygons().is_empty());
     }

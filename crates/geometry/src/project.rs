@@ -5,7 +5,6 @@
 //! on the fly, for distance and kNN queries (§4.2, §5.1). These are the same
 //! formulas the shaders evaluate.
 
-use crate::bbox::BBox;
 use crate::point::Point;
 use crate::primitives::{Geometry, LineString, MultiPolygon, Polygon, Ring};
 
@@ -23,14 +22,6 @@ pub fn lonlat_to_mercator(p: Point) -> Point {
     let x = EARTH_RADIUS_M * lon.to_radians();
     let y = EARTH_RADIUS_M * ((std::f64::consts::FRAC_PI_4 + lat.to_radians() / 2.0).tan()).ln();
     Point::new(x, y)
-}
-
-/// Inverse projection: EPSG:3857 meters back to longitude/latitude degrees.
-pub fn mercator_to_lonlat(p: Point) -> Point {
-    let lon = (p.x / EARTH_RADIUS_M).to_degrees();
-    let lat =
-        (2.0 * (p.y / EARTH_RADIUS_M).exp().atan() - std::f64::consts::FRAC_PI_2).to_degrees();
-    Point::new(lon, lat)
 }
 
 /// Project a whole geometry (every coordinate) to EPSG:3857.
@@ -67,12 +58,6 @@ fn map_polygon(p: &Polygon, f: impl Fn(Point) -> Point + Copy) -> Polygon {
     }
 }
 
-/// Project a bounding box (projecting its corners; exact for Mercator since
-/// the projection is monotone in each axis).
-pub fn bbox_to_mercator(b: &BBox) -> BBox {
-    BBox::new(lonlat_to_mercator(b.min), lonlat_to_mercator(b.max))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,21 +74,6 @@ mod tests {
         let p = lonlat_to_mercator(Point::new(-74.0060, 40.7128));
         assert!((p.x - -8_238_310.0).abs() < 1_000.0, "x = {}", p.x);
         assert!((p.y - 4_970_071.0).abs() < 1_000.0, "y = {}", p.y);
-    }
-
-    #[test]
-    fn roundtrip_is_identity() {
-        for &(lon, lat) in &[
-            (0.0, 0.0),
-            (-74.0, 40.7),
-            (139.69, 35.68),
-            (-0.12, 51.5),
-            (151.2, -33.87),
-        ] {
-            let p = Point::new(lon, lat);
-            let q = mercator_to_lonlat(lonlat_to_mercator(p));
-            assert!(p.dist(q) < 1e-9, "{p:?} -> {q:?}");
-        }
     }
 
     #[test]
@@ -135,14 +105,6 @@ mod tests {
         // ~0.04° of longitude near NYC is ~4.4 km in Mercator meters.
         assert!((b.width() - 4452.0).abs() < 50.0, "width = {}", b.width());
         assert!(b.height() > 3000.0 && b.height() < 6000.0);
-    }
-
-    #[test]
-    fn bbox_projection_matches_corner_projection() {
-        let b = BBox::new(Point::new(-74.0, 40.0), Point::new(-73.0, 41.0));
-        let pb = bbox_to_mercator(&b);
-        assert_eq!(pb.min, lonlat_to_mercator(b.min));
-        assert_eq!(pb.max, lonlat_to_mercator(b.max));
     }
 
     #[test]

@@ -5,7 +5,6 @@ use proptest::prelude::*;
 use spade_geometry::distance::{point_segment_distance, segment_segment_distance};
 use spade_geometry::hull::convex_hull;
 use spade_geometry::predicates::*;
-use spade_geometry::project::{lonlat_to_mercator, mercator_to_lonlat};
 use spade_geometry::{Point, Polygon, Segment, Triangle};
 
 prop_compose! {
@@ -90,13 +89,6 @@ proptest! {
         let h1 = convex_hull(&pts);
         let h2 = convex_hull(&h1);
         prop_assert_eq!(h1, h2);
-    }
-
-    #[test]
-    fn mercator_roundtrip(lon in -179.0f64..179.0, lat in -80.0f64..80.0) {
-        let p = Point::new(lon, lat);
-        let q = mercator_to_lonlat(lonlat_to_mercator(p));
-        prop_assert!(p.dist(q) < 1e-9, "{:?} -> {:?}", p, q);
     }
 
     #[test]

@@ -70,25 +70,6 @@ impl BlendMode {
         }
     }
 
-    /// Dense batched form of [`BlendMode::apply`]: blend `src[i]` into
-    /// `dst[i]` for every `i`, skipping null source pixels (null means "no
-    /// geometry here", not the value zero — the same convention the canvas
-    /// algebra's binary blend uses). The mode dispatch is hoisted out of
-    /// the loop and each lane is a branch-free select on a computed result,
-    /// so the body is the shape LLVM autovectorizes; per lane it performs
-    /// exactly `apply`'s operations, making the two forms bit-identical by
-    /// construction.
-    pub fn apply_slice(self, dst: &mut [PixelValue], src: &[PixelValue]) {
-        assert_eq!(dst.len(), src.len());
-        match self {
-            BlendMode::Replace => dense(dst, src, |d, s| BlendMode::Replace.apply(d, s)),
-            BlendMode::KeepFirst => dense(dst, src, |d, s| BlendMode::KeepFirst.apply(d, s)),
-            BlendMode::Add => dense(dst, src, |d, s| BlendMode::Add.apply(d, s)),
-            BlendMode::Max => dense(dst, src, |d, s| BlendMode::Max.apply(d, s)),
-            BlendMode::Min => dense(dst, src, |d, s| BlendMode::Min.apply(d, s)),
-        }
-    }
-
     /// Scatter batched form of [`BlendMode::apply`] over an SoA fragment
     /// buffer: each live (`mask = 1`) fragment blends into
     /// `dst[(y − y0)·width + x]`; masked-off lanes of batched coverage
@@ -107,25 +88,6 @@ impl BlendMode {
             BlendMode::Max => scatter(dst, y0, width, fb, |d, s| BlendMode::Max.apply(d, s)),
             BlendMode::Min => scatter(dst, y0, width, fb, |d, s| BlendMode::Min.apply(d, s)),
         }
-    }
-
-    /// True when the blend result does not depend on fragment order.
-    pub fn is_commutative(self) -> bool {
-        !matches!(self, BlendMode::Replace | BlendMode::KeepFirst)
-    }
-}
-
-/// Monomorphized dense blend loop: `f` is a mode-specific `apply` closure,
-/// so the mode match happens once per slice, not once per pixel.
-#[inline]
-fn dense(
-    dst: &mut [PixelValue],
-    src: &[PixelValue],
-    f: impl Fn(PixelValue, PixelValue) -> PixelValue,
-) {
-    for (d, s) in dst.iter_mut().zip(src) {
-        let r = f(*d, *s);
-        *d = if *s != NULL_PIXEL { r } else { *d };
     }
 }
 
@@ -196,15 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn commutativity_flags() {
-        assert!(!BlendMode::Replace.is_commutative());
-        assert!(!BlendMode::KeepFirst.is_commutative());
-        assert!(BlendMode::Add.is_commutative());
-        assert!(BlendMode::Max.is_commutative());
-        assert!(BlendMode::Min.is_commutative());
-    }
-
-    #[test]
     fn max_is_commutative_property() {
         let a = [5, 1, 9, 0];
         let b = [3, 7, 2, 1];
@@ -227,8 +180,8 @@ mod tests {
 
     /// Exhaustive property test over the u32 edge cases (satellite of the
     /// branch-free Add saturation requirement): for every mode and every
-    /// edge pair, the scalar `apply`, the dense `apply_slice` and the SoA
-    /// `blend_soa` must be bit-identical — including saturating Add at the
+    /// edge pair, the scalar `apply` and the SoA `blend_soa` must be
+    /// bit-identical — including saturating Add at the
     /// `u32::MAX` boundary and the null-destination modes — and a
     /// masked-off SoA lane must be an exact no-op for every mode.
     #[test]
@@ -240,11 +193,6 @@ mod tests {
                     let d: PixelValue = [a, b, a, b];
                     let s: PixelValue = [b, a, u32::MAX - (a / 2), b.wrapping_add(1)];
                     let want = mode.apply(d, s);
-
-                    let mut dense_dst = [d];
-                    mode.apply_slice(&mut dense_dst, &[s]);
-                    let dense_want = if s == NULL_PIXEL { d } else { want };
-                    assert_eq!(dense_dst[0], dense_want, "{mode:?} dense d={d:?} s={s:?}");
 
                     let mut fb = FragmentBuffer::new();
                     fb.push(0, 0, s);
@@ -264,32 +212,20 @@ mod tests {
     }
 
     /// Add saturation is branch-free per channel (`saturating_add` on the
-    /// lane type); pin the extremes so the scalar and batched forms can
-    /// never diverge on overflow.
+    /// lane type); pin the extremes so the scalar and SoA forms can never
+    /// diverge on overflow.
     #[test]
     fn add_saturation_edge_matrix() {
         for &a in &EDGES {
             for &b in &EDGES {
                 let want = a.saturating_add(b);
                 assert_eq!(BlendMode::Add.apply([a; 4], [b; 4]), [want; 4]);
+                let mut fb = FragmentBuffer::new();
+                fb.push(0, 0, [b; 4]);
                 let mut dst = [[a; 4]];
-                BlendMode::Add.apply_slice(&mut dst, &[[b; 4]]);
-                let dense_want = if b == 0 { a } else { want }; // all-b-zero source is NULL
-                assert_eq!(dst[0], [dense_want; 4]);
+                BlendMode::Add.blend_soa(&mut dst, 0, 1, &fb);
+                assert_eq!(dst[0], [want; 4]);
             }
-        }
-    }
-
-    /// The dense form must skip null *sources* (the canvas algebra's
-    /// convention), not blend zeros in.
-    #[test]
-    fn apply_slice_skips_null_sources() {
-        for mode in MODES {
-            let mut dst = [[5, 6, 7, 8], [5, 6, 7, 8]];
-            let src = [NULL_PIXEL, [1, 2, 3, 4]];
-            mode.apply_slice(&mut dst, &src);
-            assert_eq!(dst[0], [5, 6, 7, 8], "{mode:?} blended a null source");
-            assert_eq!(dst[1], mode.apply([5, 6, 7, 8], [1, 2, 3, 4]));
         }
     }
 

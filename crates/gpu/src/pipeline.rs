@@ -201,7 +201,7 @@ impl Pipeline {
             || 0u64,
             |n, prim, ctx| {
                 if coverage {
-                    let covered = raster::coverage_count_with(prim, &vp, call.conservative) as u64;
+                    let covered = raster::coverage_count(prim, &vp, call.conservative) as u64;
                     *n += covered;
                     return covered;
                 }
@@ -608,7 +608,7 @@ mod tests {
     fn simd_count_pass_matches_scalar() {
         // The counting pass — coverage counted through the batched kernel
         // for an always-emitting shader, fragments shaded one by one
-        // otherwise — equals the scalar oracle's coverage, summed.
+        // otherwise — equals the oracle rasterizer's emission count, summed.
         let prims: Vec<Primitive> = (0..20)
             .map(|i| {
                 let x = (i as f64 * 0.53) % 8.0;
@@ -623,9 +623,10 @@ mod tests {
         let pl = Pipeline::with_workers(4);
         let per_fragment = FnFragment(|f: &Fragment, _: &ShaderContext<'_>| Some(f.attrs));
         for conservative in [false, true] {
-            let want: usize = (prims.iter())
-                .map(|p| raster::coverage_count(p, &vp10(), conservative))
-                .sum();
+            let mut want = 0usize;
+            for p in &prims {
+                raster::rasterize(p, &vp10(), conservative, &mut |_, _| want += 1);
+            }
             let call = DrawCall::simple(vp10(), BlendMode::Replace, conservative);
             let shaded = DrawCall {
                 fragment: &per_fragment,

@@ -338,24 +338,6 @@ impl WorkerPool {
             f(i, unsafe { &mut *base.slot(i) });
         });
     }
-
-    /// Mutate contiguous chunks of `items` in parallel. `f` receives the
-    /// chunk index, the chunk's start offset in `items`, and the chunk.
-    pub fn for_each_chunk_mut<T, F>(&self, items: &mut [T], f: F)
-    where
-        T: Send + Sync,
-        F: Fn(usize, usize, &mut [T]) + Sync,
-    {
-        let ranges = chunk_ranges(items.len(), self.lanes);
-        let mut chunks: Vec<(usize, &mut [T])> = Vec::with_capacity(ranges.len());
-        let mut rest = items;
-        for r in &ranges {
-            let (head, tail) = rest.split_at_mut(r.len());
-            chunks.push((r.start, head));
-            rest = tail;
-        }
-        self.for_each_mut(&mut chunks, |i, (start, chunk)| f(i, *start, chunk));
-    }
 }
 
 impl Drop for WorkerPool {
@@ -494,20 +476,6 @@ mod tests {
         pool.for_each_mut(&mut items, |i, v| *v = (i * 3) as u64);
         for (i, v) in items.iter().enumerate() {
             assert_eq!(*v, (i * 3) as u64);
-        }
-    }
-
-    #[test]
-    fn for_each_chunk_mut_offsets_match() {
-        let pool = WorkerPool::new(3);
-        let mut items = vec![0usize; 50];
-        pool.for_each_chunk_mut(&mut items, |_, start, chunk| {
-            for (k, v) in chunk.iter_mut().enumerate() {
-                *v = start + k;
-            }
-        });
-        for (i, v) in items.iter().enumerate() {
-            assert_eq!(*v, i);
         }
     }
 

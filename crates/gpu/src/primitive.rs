@@ -6,7 +6,7 @@
 //! flow unchanged to the fragment shader (SPADE uses them for the object
 //! identifier and the boundary-index pointer).
 
-use spade_geometry::{BBox, Point, Segment, Triangle};
+use spade_geometry::{BBox, Point};
 
 /// A pipeline vertex: position plus four integer attributes.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -18,14 +18,6 @@ pub struct Vertex {
 impl Vertex {
     pub fn new(pos: Point, attrs: [u32; 4]) -> Self {
         Vertex { pos, attrs }
-    }
-
-    /// A vertex whose only attribute is an object identifier in channel 0.
-    pub fn with_id(pos: Point, id: u32) -> Self {
-        Vertex {
-            pos,
-            attrs: [id, 0, 0, 0],
-        }
     }
 }
 
@@ -72,14 +64,6 @@ impl Primitive {
         }
     }
 
-    pub fn set_attrs(&mut self, new: [u32; 4]) {
-        match self {
-            Primitive::Point { attrs, .. }
-            | Primitive::Line { attrs, .. }
-            | Primitive::Triangle { attrs, .. } => *attrs = new,
-        }
-    }
-
     pub fn bbox(&self) -> BBox {
         match self {
             Primitive::Point { p, .. } => BBox::new(*p, *p),
@@ -105,72 +89,11 @@ impl Primitive {
             },
         }
     }
-
-    /// View as a geometry segment, when applicable.
-    pub fn as_segment(&self) -> Option<Segment> {
-        match self {
-            Primitive::Line { a, b, .. } => Some(Segment::new(*a, *b)),
-            _ => None,
-        }
-    }
-
-    /// View as a geometry triangle, when applicable.
-    pub fn as_triangle(&self) -> Option<Triangle> {
-        match self {
-            Primitive::Triangle { a, b, c, .. } => Some(Triangle::new(*a, *b, *c)),
-            _ => None,
-        }
-    }
-}
-
-/// Assemble primitives from a vertex stream, mirroring the GL draw modes
-/// SPADE uses (`GL_POINTS`, `GL_LINES`, `GL_TRIANGLES`).
-pub fn assemble_points(vertices: &[Vertex]) -> Vec<Primitive> {
-    vertices
-        .iter()
-        .map(|v| Primitive::point(v.pos, v.attrs))
-        .collect()
-}
-
-/// Assemble a line list: every consecutive pair of vertices forms a line.
-/// A trailing unpaired vertex is ignored (GL semantics).
-pub fn assemble_lines(vertices: &[Vertex]) -> Vec<Primitive> {
-    vertices
-        .chunks_exact(2)
-        .map(|w| Primitive::line(w[0].pos, w[1].pos, w[0].attrs))
-        .collect()
-}
-
-/// Assemble a triangle list: every consecutive triple forms a triangle.
-pub fn assemble_triangles(vertices: &[Vertex]) -> Vec<Primitive> {
-    vertices
-        .chunks_exact(3)
-        .map(|w| Primitive::triangle(w[0].pos, w[1].pos, w[2].pos, w[0].attrs))
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn assembly_modes() {
-        let vs: Vec<Vertex> = (0..7)
-            .map(|i| Vertex::with_id(Point::new(i as f64, 0.0), i))
-            .collect();
-        assert_eq!(assemble_points(&vs).len(), 7);
-        assert_eq!(assemble_lines(&vs).len(), 3); // trailing vertex dropped
-        assert_eq!(assemble_triangles(&vs).len(), 2); // trailing vertex dropped
-    }
-
-    #[test]
-    fn line_takes_first_vertex_attrs() {
-        let prims = assemble_lines(&[
-            Vertex::with_id(Point::ZERO, 42),
-            Vertex::with_id(Point::new(1.0, 0.0), 99),
-        ]);
-        assert_eq!(prims[0].attrs(), [42, 0, 0, 0]);
-    }
 
     #[test]
     fn bbox_per_kind() {
@@ -198,27 +121,5 @@ mod tests {
         let moved = t.map_positions(|p| p + Point::new(10.0, 0.0));
         assert_eq!(moved.bbox().min, Point::new(10.0, 0.0));
         assert_eq!(moved.attrs(), [7, 0, 0, 0]);
-    }
-
-    #[test]
-    fn attr_mutation() {
-        let mut p = Primitive::point(Point::ZERO, [0; 4]);
-        p.set_attrs([1, 2, 3, 4]);
-        assert_eq!(p.attrs(), [1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn geometry_views() {
-        let l = Primitive::line(Point::ZERO, Point::new(1.0, 1.0), [0; 4]);
-        assert!(l.as_segment().is_some());
-        assert!(l.as_triangle().is_none());
-        let t = Primitive::triangle(
-            Point::ZERO,
-            Point::new(1.0, 0.0),
-            Point::new(0.0, 1.0),
-            [0; 4],
-        );
-        assert!(t.as_triangle().is_some());
-        assert!(t.as_segment().is_none());
     }
 }

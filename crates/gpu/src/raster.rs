@@ -366,26 +366,17 @@ fn raster_tri_blocks(tri: &Triangle, vp: &Viewport, block: &mut impl FnMut(u32, 
     }
 }
 
-/// Count covered pixels without materializing them.
+/// Count covered pixels without materializing them (the 2-pass Map
+/// operator's counting pass).
 ///
 /// Points are O(1) and triangles use a per-row scanline interval search
 /// instead of enumerating every pixel of the bounding box through a closure;
-/// the counts are guaranteed identical to [`rasterize`]'s emission count
-/// because every pixel that decides the count is tested with the exact same
-/// floating-point predicate the enumerating rasterizer uses.
+/// when a default-rule triangle row falls off the analytic interval search,
+/// the linear rescan runs as block popcounts. The counts are guaranteed
+/// identical to [`rasterize`]'s emission count because every pixel that
+/// decides the count is tested with the exact same floating-point predicate
+/// the enumerating rasterizer uses.
 pub fn coverage_count(prim: &Primitive, vp: &Viewport, conservative: bool) -> usize {
-    count_coverage(prim, vp, conservative, false)
-}
-
-/// [`coverage_count`] through the batched kernels, the form the 2-pass Map
-/// operator's counting pass uses: when a default-rule triangle row falls
-/// off the analytic interval search, the linear rescan runs as block
-/// popcounts instead of per-pixel probes. Counts are identical.
-pub fn coverage_count_with(prim: &Primitive, vp: &Viewport, conservative: bool) -> usize {
-    count_coverage(prim, vp, conservative, true)
-}
-
-fn count_coverage(prim: &Primitive, vp: &Viewport, conservative: bool, batched: bool) -> usize {
     match prim {
         Primitive::Point { p, .. } => usize::from(vp.world_to_pixel(*p).is_some()),
         Primitive::Line { .. } => {
@@ -395,7 +386,7 @@ fn count_coverage(prim: &Primitive, vp: &Viewport, conservative: bool, batched: 
         }
         Primitive::Triangle { a, b, c, .. } => {
             let tri = Triangle::new(*a, *b, *c);
-            coverage_count_tri(&tri, vp, conservative, batched)
+            coverage_count_tri(&tri, vp, conservative)
         }
     }
 }
@@ -410,7 +401,7 @@ fn count_coverage(prim: &Primitive, vp: &Viewport, conservative: bool, batched: 
 /// both ends of the run — all probes use the exact per-pixel predicate. If
 /// the hint finds no covered pixel the row falls back to a linear scan,
 /// which can never be wrong.
-fn coverage_count_tri(tri: &Triangle, vp: &Viewport, conservative: bool, batched: bool) -> usize {
+fn coverage_count_tri(tri: &Triangle, vp: &Viewport, conservative: bool) -> usize {
     let Some((x0, y0, x1, y1)) = vp.pixel_range(&tri.bbox()) else {
         return 0;
     };
@@ -473,13 +464,7 @@ fn coverage_count_tri(tri: &Triangle, vp: &Viewport, conservative: bool, batched
             Some(ev) => {
                 ev.begin_row(py);
                 let ev = &*ev;
-                row_interval_count(x0, x1, hint, &|x| ev.inside(x), || {
-                    if batched {
-                        ev.count_row(x0, x1)
-                    } else {
-                        (x0..=x1).filter(|&x| ev.inside(x)).count()
-                    }
-                })
+                row_interval_count(x0, x1, hint, &|x| ev.inside(x), || ev.count_row(x0, x1))
             }
             None => {
                 let inside = |x: u32| triangle_overlaps_box(tri, &vp.pixel_box(x, y));
@@ -1041,7 +1026,7 @@ mod tests {
                 rasterize_with(&t, vp, false, &mut |x, y| batched.push((x, y)));
                 assert_eq!(batched, scalar, "case={case} pts={pts:?}");
                 assert_eq!(
-                    coverage_count_with(&t, vp, false),
+                    coverage_count(&t, vp, false),
                     scalar.len(),
                     "case={case} pts={pts:?}"
                 );
@@ -1124,9 +1109,8 @@ mod tests {
     #[test]
     fn hoisted_fallback_matches_enumeration_on_degenerate_slivers() {
         // Degenerate rows (zero-area, collinear, sub-pixel slivers) are the
-        // ones whose analytic seed fails, forcing the linear fallback —
-        // now row-hoisted (scalar) or block-popcount (batched). Both must
-        // agree with full enumeration exactly.
+        // ones whose analytic seed fails, forcing the block-popcount linear
+        // fallback. It must agree with full enumeration exactly.
         let vps = [
             vp10(),
             Viewport::new(BBox::new(Point::ZERO, Point::new(10.0, 10.0)), 512, 512),
@@ -1164,12 +1148,7 @@ mod tests {
             for vp in &vps {
                 let mut n = 0usize;
                 rasterize(&t, vp, false, &mut |_, _| n += 1);
-                for (count, form) in [
-                    (coverage_count(&t, vp, false), "scalar"),
-                    (coverage_count_with(&t, vp, false), "batched"),
-                ] {
-                    assert_eq!(count, n, "case={case} {form} pts={pts:?}");
-                }
+                assert_eq!(coverage_count(&t, vp, false), n, "case={case} pts={pts:?}");
             }
         }
     }

@@ -1,4 +1,4 @@
-//! Parallel prefix scan and stream compaction.
+//! Stream compaction by parallel prefix scan.
 //!
 //! SPADE extracts query results from the Map operator's output canvas with a
 //! GPU parallel scan (§5.1, citing Harris et al.'s CUDA scan). This module
@@ -8,36 +8,6 @@
 
 use crate::pool::WorkerPool;
 use crate::texture::{PixelValue, Texture, NULL_PIXEL};
-
-/// Exclusive prefix sum of `input` (`output[i] = sum of input[..i]`).
-pub fn exclusive_scan(input: &[u32], pool: &WorkerPool) -> Vec<u64> {
-    if input.is_empty() {
-        return Vec::new();
-    }
-    // Up-sweep: per-chunk totals.
-    let totals = pool.parallel_map_chunks(input, |_, chunk| {
-        chunk.iter().map(|&v| v as u64).sum::<u64>()
-    });
-    // Serial exclusive scan of chunk totals.
-    let mut offsets = Vec::with_capacity(totals.len());
-    let mut acc = 0u64;
-    for t in &totals {
-        offsets.push(acc);
-        acc += t;
-    }
-    // Down-sweep: scan within each chunk starting at its offset. The pool
-    // chunks `out` exactly like the up-sweep chunked `input` (same length,
-    // same lane count).
-    let mut out = vec![0u64; input.len()];
-    pool.for_each_chunk_mut(&mut out, |chunk_idx, start, slice| {
-        let mut acc = offsets[chunk_idx];
-        for (o, &v) in slice.iter_mut().zip(&input[start..]) {
-            *o = acc;
-            acc += v as u64;
-        }
-    });
-    out
-}
 
 /// A compacted canvas entry: pixel coordinates plus the pixel value.
 pub type CompactEntry = (u32, u32, PixelValue);
@@ -87,41 +57,6 @@ pub fn compact_non_null(tex: &Texture, pool: &WorkerPool) -> Vec<CompactEntry> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scan_matches_serial() {
-        let input: Vec<u32> = (0..1000).map(|i| (i % 7) as u32).collect();
-        let expected: Vec<u64> = {
-            let mut acc = 0u64;
-            input
-                .iter()
-                .map(|&v| {
-                    let o = acc;
-                    acc += v as u64;
-                    o
-                })
-                .collect()
-        };
-        for workers in [1, 2, 4, 16] {
-            let pool = WorkerPool::new(workers);
-            assert_eq!(exclusive_scan(&input, &pool), expected, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn scan_empty_and_single() {
-        let pool = WorkerPool::new(4);
-        assert!(exclusive_scan(&[], &pool).is_empty());
-        assert_eq!(exclusive_scan(&[5], &pool), vec![0]);
-    }
-
-    #[test]
-    fn scan_handles_large_values_without_overflow() {
-        let input = vec![u32::MAX; 8];
-        let pool = WorkerPool::new(2);
-        let out = exclusive_scan(&input, &pool);
-        assert_eq!(out[7], 7 * (u32::MAX as u64));
-    }
 
     #[test]
     fn compact_preserves_row_major_order() {

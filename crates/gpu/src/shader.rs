@@ -180,7 +180,7 @@ mod tests {
 
     #[test]
     fn identity_vertex_passthrough() {
-        let v = Vertex::with_id(Point::new(1.0, 2.0), 7);
+        let v = Vertex::new(Point::new(1.0, 2.0), [7, 0, 0, 0]);
         assert_eq!(IdentityVertex.shade(v), v);
     }
 
@@ -190,7 +190,7 @@ mod tests {
             scale: Point::new(2.0, 3.0),
             offset: Point::new(1.0, -1.0),
         };
-        let v = sh.shade(Vertex::with_id(Point::new(1.0, 1.0), 7));
+        let v = sh.shade(Vertex::new(Point::new(1.0, 1.0), [7, 0, 0, 0]));
         assert_eq!(v.pos, Point::new(3.0, 2.0));
         assert_eq!(v.attrs[0], 7);
     }
@@ -199,7 +199,9 @@ mod tests {
     fn fn_vertex_projection() {
         let sh = FnVertex(|p: Point| Point::new(p.x * 10.0, p.y));
         assert_eq!(
-            sh.shade(Vertex::with_id(Point::new(2.0, 5.0), 0)).pos.x,
+            sh.shade(Vertex::new(Point::new(2.0, 5.0), [0, 0, 0, 0]))
+                .pos
+                .x,
             20.0
         );
     }

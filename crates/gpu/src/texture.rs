@@ -88,12 +88,6 @@ impl Texture {
         self.data[i] = v;
     }
 
-    /// Linear (flat index) read, used by list-shaped canvases (§5.1 Map).
-    #[inline]
-    pub fn get_linear(&self, i: usize) -> PixelValue {
-        self.data[i]
-    }
-
     /// Linear (flat index) write.
     #[inline]
     pub fn put_linear(&mut self, i: usize, v: PixelValue) {
@@ -103,11 +97,6 @@ impl Texture {
     /// The raw pixel slice (row-major).
     pub fn pixels(&self) -> &[PixelValue] {
         &self.data
-    }
-
-    /// Mutable raw pixel slice, for blend stages.
-    pub fn pixels_mut(&mut self) -> &mut [PixelValue] {
-        &mut self.data
     }
 
     /// Count of non-null pixels.
@@ -182,7 +171,7 @@ mod tests {
     fn linear_access_is_row_major() {
         let mut t = Texture::new(3, 2);
         t.put(2, 1, [9, 0, 0, 0]);
-        assert_eq!(t.get_linear(5), [9, 0, 0, 0]);
+        assert_eq!(t.pixels()[5], [9, 0, 0, 0]);
         t.put_linear(0, [7, 0, 0, 0]);
         assert_eq!(t.get(0, 0), [7, 0, 0, 0]);
     }

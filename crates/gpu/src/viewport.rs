@@ -121,11 +121,6 @@ impl Viewport {
         let y1 = ((hi.y - 1e-12).floor().max(0.0) as u32).min(self.height - 1);
         Some((x0, y0, x1.max(x0), y1.max(y0)))
     }
-
-    /// Total pixel count.
-    pub fn num_pixels(&self) -> usize {
-        self.width as usize * self.height as usize
-    }
 }
 
 #[cfg(test)]

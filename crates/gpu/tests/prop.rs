@@ -108,20 +108,4 @@ proptest! {
         prop_assert_eq!(pixels(&prim, true), pixels(&prim, true));
         prop_assert_eq!(pixels(&prim, false), pixels(&prim, false));
     }
-
-    #[test]
-    fn scan_matches_serial_prefix_sum(input in prop::collection::vec(0u32..100, 0..500)) {
-        let pool = spade_gpu::WorkerPool::new(7);
-        let parallel = spade_gpu::scan::exclusive_scan(&input, &pool);
-        let mut acc = 0u64;
-        let serial: Vec<u64> = input
-            .iter()
-            .map(|&v| {
-                let o = acc;
-                acc += v as u64;
-                o
-            })
-            .collect();
-        prop_assert_eq!(parallel, serial);
-    }
 }

@@ -137,8 +137,8 @@ impl GridIndex {
     /// Build the index from an arbitrary partitioning — the §7 extension:
     /// "other indexing strategies can be used in a similar fashion… the
     /// index filtering simply performs selections/joins on the bounding
-    /// polygons". [`crate::rtree::str_partitions`] supplies the R-tree-leaf
-    /// partitioning variant.
+    /// polygons". `spade_baselines::rtree::str_partitions` supplies the
+    /// R-tree-leaf partitioning variant.
     pub fn from_partitions(
         dir: Option<PathBuf>,
         objects: &[(u32, Geometry)],
@@ -286,11 +286,6 @@ impl GridIndex {
     /// each compacted index starts a fresh ledger.
     pub fn bytes_read(&self) -> u64 {
         *self.bytes_read.lock().unwrap()
-    }
-
-    /// Reset the query I/O ledger (per-query accounting).
-    pub fn reset_bytes_read(&self) {
-        *self.bytes_read.lock().unwrap() = 0;
     }
 
     /// Bytes read by compaction over this index.
@@ -582,8 +577,6 @@ mod tests {
         }
         assert_eq!(seen.len(), 200);
         assert_eq!(idx.bytes_read(), idx.total_bytes());
-        idx.reset_bytes_read();
-        assert_eq!(idx.bytes_read(), 0);
     }
 
     #[test]

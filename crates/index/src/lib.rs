@@ -12,9 +12,9 @@
 //!   their **centroid**, and the cell's hull *expands* to cover them — so
 //!   cells may overlap, which the filter-by-join strategy tolerates.
 //!
-//! The [`rtree`] module provides the alternative strategy sketched in §7
-//! (bounding polygons over R-tree leaves) and serves the cluster baseline's
-//! per-partition index.
+//! [`GridIndex::from_partitions`] accepts any partitioning, the alternative
+//! strategies sketched in §7; the STR R-tree leaves of
+//! `spade_baselines::rtree` are one.
 
 //! Live ingestion support: writes stage in a per-dataset [`delta`] store
 //! and a background [`compact`](mod@compact) pass folds them into a fresh index
@@ -23,12 +23,10 @@
 pub mod compact;
 pub mod delta;
 pub mod grid;
-pub mod rtree;
 
 pub use compact::{compact, CompactReport};
 pub use delta::{DeltaSnapshot, DeltaStore};
 pub use grid::{GridCell, GridIndex};
-pub use rtree::RTree;
 
 /// A dataset's read-visible version: the installed grid generation plus the
 /// delta-store sequence watermark.

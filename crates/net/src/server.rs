@@ -323,8 +323,3 @@ fn handle_conn(inner: &Arc<Inner>, mut stream: TcpStream) {
     let _ = writer.join();
     let _ = stream.shutdown(Shutdown::Both);
 }
-
-/// The version string servers log on start; handy for examples.
-pub fn banner() -> String {
-    format!("spade-net protocol v{PROTOCOL_VERSION}")
-}

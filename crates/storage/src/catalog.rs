@@ -52,14 +52,6 @@ impl Database {
         Ok(())
     }
 
-    pub fn has_table(&self, name: &str) -> bool {
-        self.tables.read().unwrap().contains_key(name)
-    }
-
-    pub fn table_names(&self) -> Vec<String> {
-        self.tables.read().unwrap().keys().cloned().collect()
-    }
-
     /// Run `f` with shared access to a table.
     pub fn with_table<R>(&self, name: &str, f: impl FnOnce(&Table) -> R) -> Result<R> {
         let tables = self.tables.read().unwrap();
@@ -84,15 +76,6 @@ impl Database {
             .write()
             .unwrap()
             .insert(table.name.clone(), table);
-    }
-
-    /// Take a table out of the catalog.
-    pub fn take_table(&self, name: &str) -> Result<Table> {
-        self.tables
-            .write()
-            .unwrap()
-            .remove(name)
-            .ok_or_else(|| StorageError::UnknownTable(name.to_string()))
     }
 
     fn table_path(&self, name: &str) -> Option<PathBuf> {
@@ -142,8 +125,6 @@ mod tests {
             .unwrap();
         let n = db.with_table("t", |t| t.num_rows()).unwrap();
         assert_eq!(n, 1);
-        assert!(db.has_table("t"));
-        assert_eq!(db.table_names(), vec!["t".to_string()]);
     }
 
     #[test]
@@ -159,7 +140,7 @@ mod tests {
             Err(StorageError::UnknownTable(_))
         ));
         db.drop_table("t").unwrap();
-        assert!(!db.has_table("t"));
+        assert!(db.with_table("t", |_| ()).is_err());
         assert!(db.drop_table("t").is_err());
     }
 
@@ -190,16 +171,5 @@ mod tests {
         let db = Database::in_memory();
         db.create_table("t", schema()).unwrap();
         assert!(db.save_table("t").is_err());
-    }
-
-    #[test]
-    fn put_and_take() {
-        let db = Database::in_memory();
-        let t = Table::new("x", schema());
-        db.put_table(t);
-        assert!(db.has_table("x"));
-        let taken = db.take_table("x").unwrap();
-        assert_eq!(taken.name, "x");
-        assert!(!db.has_table("x"));
     }
 }

@@ -27,13 +27,6 @@ impl Value {
         matches!(self, Value::Null)
     }
 
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// Numeric view: ints widen to floats (SQL-style comparisons between
     /// INT and FLOAT columns work through this).
     pub fn as_float(&self) -> Option<f64> {
@@ -138,10 +131,8 @@ mod tests {
 
     #[test]
     fn accessors() {
-        assert_eq!(Value::Int(5).as_int(), Some(5));
         assert_eq!(Value::Int(5).as_float(), Some(5.0));
         assert_eq!(Value::Float(2.5).as_float(), Some(2.5));
-        assert_eq!(Value::Float(2.5).as_int(), None);
         assert_eq!(Value::from("hi").as_str(), Some("hi"));
         assert_eq!(Value::from(vec![1u8, 2]).as_bytes(), Some(&[1u8, 2][..]));
     }

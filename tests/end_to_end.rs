@@ -4,12 +4,25 @@
 
 use spade::engine::dataset::{Dataset, DatasetKind};
 use spade::engine::{select, EngineConfig, QueryCtx, Spade};
-use spade::geometry::wkt;
-use spade::geometry::{Geometry, Point, Polygon};
+use spade::geometry::{Geometry, LineString, MultiPolygon, Point, Polygon};
 use spade::storage::geom::{geometry_table, read_geometry_table};
 use spade::storage::sql::{execute, SqlResult};
 use spade::storage::Database;
 use std::sync::Arc;
+
+fn pts(coords: &[(f64, f64)]) -> Vec<Point> {
+    coords.iter().map(|&(x, y)| Point::new(x, y)).collect()
+}
+
+/// The axis-aligned square with lower-left corner `(x, y)`, CCW.
+fn square(x: f64, y: f64, side: f64) -> Polygon {
+    Polygon::new(pts(&[
+        (x, y),
+        (x + side, y),
+        (x + side, y + side),
+        (x, y + side),
+    ]))
+}
 
 #[test]
 fn full_pipeline_from_sql_to_spatial_results() {
@@ -22,12 +35,12 @@ fn full_pipeline_from_sql_to_spatial_results() {
     )
     .unwrap();
 
-    // Geometry table (WKT in, blobs stored).
+    // Geometry table (geometries in, blobs stored).
     let geoms: Vec<(u32, Geometry)> = vec![
-        (0, wkt::from_wkt("POINT (1 1)").unwrap()),
-        (1, wkt::from_wkt("POINT (2 2)").unwrap()),
-        (2, wkt::from_wkt("POINT (8 8)").unwrap()),
-        (3, wkt::from_wkt("POINT (2.5 1.5)").unwrap()),
+        (0, Point::new(1.0, 1.0).into()),
+        (1, Point::new(2.0, 2.0).into()),
+        (2, Point::new(8.0, 8.0).into()),
+        (3, Point::new(2.5, 1.5).into()),
     ];
     db.put_table(geometry_table("poi_geom", &geoms).unwrap());
 
@@ -69,13 +82,24 @@ fn geometry_tables_survive_disk_roundtrip() {
     let geoms: Vec<(u32, Geometry)> = vec![
         (
             7,
-            wkt::from_wkt("POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0), (1 1, 2 1, 2 2, 1 2, 1 1))")
-                .unwrap(),
+            Polygon::with_holes(
+                pts(&[(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)]),
+                vec![pts(&[(1.0, 1.0), (2.0, 1.0), (2.0, 2.0), (1.0, 2.0)])],
+            )
+            .into(),
         ),
-        (8, wkt::from_wkt("LINESTRING (0 0, 5 5, 10 0)").unwrap()),
+        (
+            8,
+            LineString::new(pts(&[(0.0, 0.0), (5.0, 5.0), (10.0, 0.0)])).into(),
+        ),
         (
             9,
-            wkt::from_wkt("MULTIPOLYGON (((0 0, 1 0, 0 1, 0 0)))").unwrap(),
+            MultiPolygon::new(vec![Polygon::new(pts(&[
+                (0.0, 0.0),
+                (1.0, 0.0),
+                (0.0, 1.0),
+            ]))])
+            .into(),
         ),
     ];
     db.put_table(geometry_table("g", &geoms).unwrap());
@@ -86,11 +110,6 @@ fn geometry_tables_survive_disk_roundtrip() {
     db2.load_table("g").unwrap();
     let back = db2.with_table("g", read_geometry_table).unwrap().unwrap();
     assert_eq!(back, geoms);
-    // WKT printing still round-trips after storage.
-    for (_, g) in &back {
-        let s = wkt::to_wkt(g);
-        assert_eq!(&wkt::from_wkt(&s).unwrap(), g);
-    }
     std::fs::remove_dir_all(dir).ok();
 }
 
@@ -100,21 +119,12 @@ fn mixed_geometry_dataset_selection() {
     // denote multi-polygons too).
     let engine = Spade::new(EngineConfig::test_small());
     let objects: Vec<(u32, Geometry)> = vec![
-        (
-            0,
-            wkt::from_wkt("POLYGON ((0 0, 2 0, 2 2, 0 2, 0 0))").unwrap(),
-        ),
+        (0, square(0.0, 0.0, 2.0).into()),
         (
             1,
-            wkt::from_wkt(
-                "MULTIPOLYGON (((5 5, 6 5, 6 6, 5 6, 5 5)), ((9 9, 10 9, 10 10, 9 10, 9 9)))",
-            )
-            .unwrap(),
+            MultiPolygon::new(vec![square(5.0, 5.0, 1.0), square(9.0, 9.0, 1.0)]).into(),
         ),
-        (
-            2,
-            wkt::from_wkt("POLYGON ((20 20, 22 20, 22 22, 20 22, 20 20))").unwrap(),
-        ),
+        (2, square(20.0, 20.0, 2.0).into()),
     ];
     let data = Arc::new(Dataset::from_objects(
         "mixed",

@@ -4,7 +4,7 @@
 //! * triangulation preserves area and stays inside the polygon,
 //! * layers never contain intersecting objects,
 //! * the grid index partitions the data,
-//! * WKT and the storage codec round-trip,
+//! * the storage codec round-trips,
 //! * distance-canvas membership equals the exact distance comparison.
 
 use proptest::prelude::*;
@@ -12,7 +12,7 @@ use spade::baselines::brute;
 use spade::engine::dataset::{Dataset, DatasetKind, IndexedDataset};
 use spade::engine::{select, EngineConfig, QueryCtx, Spade};
 use spade::geometry::predicates::polygons_intersect;
-use spade::geometry::{wkt, BBox, Geometry, Point, Polygon};
+use spade::geometry::{BBox, Geometry, Point, Polygon};
 use spade::index::GridIndex;
 use std::sync::Arc;
 
@@ -138,18 +138,6 @@ proptest! {
             }
         }
         prop_assert_eq!(seen.len(), pts.len());
-    }
-
-    #[test]
-    fn wkt_roundtrip(poly in blob_polygon(), pts in prop::collection::vec(unit_point(), 2..8)) {
-        for g in [
-            Geometry::Polygon(poly),
-            Geometry::Point(pts[0]),
-            Geometry::LineString(spade::geometry::LineString::new(pts.clone())),
-        ] {
-            let s = wkt::to_wkt(&g);
-            prop_assert_eq!(&wkt::from_wkt(&s).unwrap(), &g);
-        }
     }
 
     #[test]
