@@ -7,16 +7,16 @@
 //!
 //! * **polygons** — two passes: the triangulated interior with default
 //!   rasterization, then the boundary edges with *conservative*
-//!   rasterization writing `vb` pointers to the incident triangles.
-//! * **rectangles** — the range-query fast path: a geometry shader expands
-//!   each diagonal into two triangles (§4.2).
+//!   rasterization writing `vb` pointers to the incident triangles. A
+//!   rectangle is the polygon `Polygon::rect`; the paper's geometry-shader
+//!   fast path for it (§4.2) measured slower than this path here.
 
 use crate::boundary::{BoundaryEntry, BoundaryGeom, BoundaryIndex};
 use crate::canvas::{pack, CanvasLayer, FLAG_BOUNDARY, FLAG_INTERIOR};
 use spade_geometry::predicates::point_in_triangle;
 use spade_geometry::{BBox, Polygon, Segment, Triangle};
 use spade_gpu::raster;
-use spade_gpu::{BlendMode, DrawCall, GeometryShader, Pipeline, Primitive, Viewport, WorkerPool};
+use spade_gpu::{BlendMode, DrawCall, Pipeline, Primitive, Viewport, WorkerPool};
 
 /// A polygon prepared for rendering: triangulation plus the edge → incident
 /// triangle mapping the boundary index stores (§4.3, Fig. 4).
@@ -196,82 +196,6 @@ fn record_triangles_at_boundary(
     layer.boundary.finalize_overflow();
 }
 
-/// The geometry shader that expands an axis-parallel rectangle — submitted
-/// as its diagonal line — into two triangles (§4.2 "Optimizing for
-/// Rectangular Range Queries").
-pub struct RectExpand;
-
-impl GeometryShader for RectExpand {
-    fn expand(&self, prim: &Primitive, out: &mut Vec<Primitive>) {
-        if let Primitive::Line { a, b, attrs } = prim {
-            let bb = BBox::new(*a, *b);
-            let [p0, p1, p2, p3] = bb.corners();
-            out.push(Primitive::triangle(p0, p1, p2, *attrs));
-            out.push(Primitive::triangle(p0, p2, p3, *attrs));
-        }
-    }
-}
-
-/// Render axis-parallel rectangles (stored as diagonals) into a
-/// polygon-class layer, via the [`RectExpand`] geometry shader.
-pub fn render_rects(pipe: &Pipeline, vp: Viewport, rects: &[(u32, BBox)]) -> CanvasLayer {
-    let mut layer = CanvasLayer::new(vp.width, vp.height);
-
-    // Interior pass through the geometry shader.
-    let diagonals: Vec<Primitive> = rects
-        .iter()
-        .map(|(id, b)| Primitive::line(b.min, b.max, pack(*id, 0, FLAG_INTERIOR, 0)))
-        .collect();
-    let gs = RectExpand;
-    let call = DrawCall {
-        geometry: Some(&gs),
-        ..DrawCall::simple(vp, BlendMode::Replace, false)
-    };
-    pipe.draw(&mut layer.texture, &diagonals, &call);
-
-    // Boundary pass: the four edges, each indexing its incident triangle.
-    let mut boundary = Vec::new();
-    for (id, b) in rects {
-        let [p0, p1, p2, p3] = b.corners();
-        let t1 = Triangle::new(p0, p1, p2);
-        let t2 = Triangle::new(p0, p2, p3);
-        for (seg, tri) in [
-            (Segment::new(p0, p1), t1), // bottom
-            (Segment::new(p1, p2), t1), // right
-            (Segment::new(p2, p3), t2), // top
-            (Segment::new(p3, p0), t2), // left
-        ] {
-            let entry = layer.boundary.push(BoundaryEntry {
-                object: *id,
-                geom: BoundaryGeom::Triangle(tri),
-            });
-            boundary.push(Primitive::line(
-                seg.a,
-                seg.b,
-                pack(*id, 0, FLAG_BOUNDARY, entry + 1),
-            ));
-        }
-    }
-    pipe.draw(
-        &mut layer.texture,
-        &boundary,
-        &DrawCall::simple(vp, BlendMode::Replace, true),
-    );
-    record_coverage(&mut layer.boundary, &boundary, &vp, pipe.pool());
-    let all_tris: Vec<(u32, Triangle)> = rects
-        .iter()
-        .flat_map(|(id, b)| {
-            let [p0, p1, p2, p3] = b.corners();
-            [
-                (*id, Triangle::new(p0, p1, p2)),
-                (*id, Triangle::new(p0, p2, p3)),
-            ]
-        })
-        .collect();
-    record_triangles_at_boundary(&mut layer, &all_tris, &vp, pipe.pool());
-    layer
-}
-
 /// Record which boundary entries the conservative boundary primitives touch
 /// at which pixels, building the overflow lists that keep multi-edge pixels
 /// exact. The primitives' `vb` attribute (channel 3) names the entry.
@@ -417,43 +341,5 @@ mod tests {
         );
         let layer = render_polygons(&pipe, vp(10), &[a, b]);
         assert!(layer.boundary.overflow_pixels() > 0);
-    }
-
-    #[test]
-    fn rect_canvas_matches_polygon_canvas() {
-        let pipe = Pipeline::with_workers(2);
-        let bb = BBox::new(Point::new(2.0, 2.0), Point::new(8.0, 8.0));
-        let rect_layer = render_rects(&pipe, vp(10), &[(5, bb)]);
-        let poly_layer = render_polygons(
-            &pipe,
-            vp(10),
-            &[PreparedPolygon::prepare(5, &Polygon::rect(bb))],
-        );
-        // Same classification everywhere.
-        for y in 0..10 {
-            for x in 0..10 {
-                assert_eq!(
-                    classify(rect_layer.texture.get(x, y)),
-                    classify(poly_layer.texture.get(x, y)),
-                    "pixel ({x},{y})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn rect_boundary_tests_are_exact() {
-        let pipe = Pipeline::with_workers(2);
-        let bb = BBox::new(Point::new(2.0, 2.0), Point::new(8.0, 8.0));
-        let layer = render_rects(&pipe, vp(10), &[(0, bb)]);
-        let v = layer.texture.get(2, 5); // left rim pixel
-        assert_eq!(classify(v), PixelClass::Boundary);
-        let vb = pixel_bound(v).unwrap();
-        assert!(layer
-            .boundary
-            .test_point_at((2, 5), vb, Point::new(2.1, 5.5)));
-        assert!(!layer
-            .boundary
-            .test_point_at((2, 5), vb, Point::new(1.9, 5.5)));
     }
 }

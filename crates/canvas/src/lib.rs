@@ -16,7 +16,7 @@
 //!   pixels crossed by several edges (a strengthening over the paper; see
 //!   DESIGN.md).
 //! * [`create`] — canvas creation through the shader pipeline (§4.2):
-//!   polygons (two-pass interior+boundary) and rectangles.
+//!   polygons (two-pass interior+boundary).
 //! * [`distance`] — distance-constraint canvases built with geometry
 //!   shaders: circles around points, capsules around segments, buffers
 //!   around polygons (§4.2).

@@ -6,30 +6,24 @@ use spade_server::{QueryRequest, QueryResponse, ServiceError};
 use std::collections::HashMap;
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Client tuning.
+/// Delay before the first reconnect attempt after a failed dial; doubles
+/// per consecutive failure up to [`RECONNECT_BACKOFF_MAX`], resets on
+/// success.
+const RECONNECT_BACKOFF: Duration = Duration::from_millis(10);
+const RECONNECT_BACKOFF_MAX: Duration = Duration::from_secs(1);
+
+/// Who the client is to the server.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
     /// Tenant namespace presented in the handshake.
     pub namespace: String,
     /// The namespace's auth token, when it has one.
     pub token: Option<String>,
-    /// Connections in the pool; requests round-robin across them. Each
-    /// connection pipelines independently, so 1 is enough for pipelining —
-    /// more spreads the per-connection reader/writer work.
-    pub connections: usize,
-    /// Frame size cap for received frames.
-    pub max_frame: u32,
-    /// Delay before the first reconnect attempt after a dial failure on a
-    /// dead pool slot. Doubles per consecutive failure up to
-    /// [`ClientConfig::reconnect_backoff_max`]; resets on success.
-    pub reconnect_backoff: Duration,
-    /// Cap for the exponential reconnect backoff.
-    pub reconnect_backoff_max: Duration,
 }
 
 impl Default for ClientConfig {
@@ -37,10 +31,6 @@ impl Default for ClientConfig {
         ClientConfig {
             namespace: "default".into(),
             token: None,
-            connections: 1,
-            max_frame: DEFAULT_MAX_FRAME,
-            reconnect_backoff: Duration::from_millis(10),
-            reconnect_backoff_max: Duration::from_secs(1),
         }
     }
 }
@@ -114,7 +104,7 @@ impl Conn {
         let mut buf = Vec::new();
         encode_frame(&mut buf, 0, &encode_client(&hello));
         stream.write_all(&buf)?;
-        let frame = read_frame(&mut stream, config.max_frame).map_err(ClientError::Transport)?;
+        let frame = read_frame(&mut stream, DEFAULT_MAX_FRAME).map_err(ClientError::Transport)?;
         match decode_server(&frame.payload).map_err(ClientError::Transport)? {
             ServerMsg::HelloOk { version, .. } if version == PROTOCOL_VERSION => {}
             ServerMsg::HelloOk { version, .. } => {
@@ -142,10 +132,9 @@ impl Conn {
             reader: Mutex::new(None),
         });
         let reader_conn = Arc::clone(&conn);
-        let max_frame = config.max_frame;
         let handle = thread::Builder::new()
             .name("spade-client-reader".into())
-            .spawn(move || reader_loop(&reader_conn, max_frame))
+            .spawn(move || reader_loop(&reader_conn))
             .expect("spawn client reader");
         *conn.reader.lock().unwrap() = Some(handle);
         Ok(conn)
@@ -194,10 +183,10 @@ impl Conn {
     }
 }
 
-fn reader_loop(conn: &Arc<Conn>, max_frame: u32) {
+fn reader_loop(conn: &Arc<Conn>) {
     loop {
         // `&TcpStream` implements `Read`, so the reader needs no clone.
-        let frame = match read_frame(&mut &conn.stream, max_frame) {
+        let frame = match read_frame(&mut &conn.stream, DEFAULT_MAX_FRAME) {
             Ok(f) => f,
             Err(_) => {
                 conn.fail(ClientError::ConnectionLost);
@@ -248,15 +237,6 @@ impl PendingReply {
     }
 }
 
-/// One pool slot: the current connection plus that slot's reconnect
-/// backoff state. Slots hold the connection behind a lock so a dead one
-/// can be replaced in place — handles returned by earlier picks keep
-/// their own `Arc` and fail independently.
-struct Slot {
-    conn: RwLock<Arc<Conn>>,
-    retry: Mutex<Backoff>,
-}
-
 struct Backoff {
     /// Earliest instant the next dial may be attempted.
     next_attempt: Instant,
@@ -264,34 +244,30 @@ struct Backoff {
     delay: Duration,
 }
 
-/// A pooled, pipelining client for one SPADE server. Dead connections are
-/// redialed lazily: the next submission that lands on a dead slot attempts
-/// a reconnect (under a capped exponential backoff), so a pool survives a
+/// A pipelining client for one SPADE server over one connection. A dead
+/// connection is redialed lazily: the next submission attempts a
+/// reconnect (under a capped exponential backoff), so a client survives a
 /// server restart without being rebuilt.
 pub struct Client {
-    slots: Vec<Slot>,
+    /// The current connection, behind a lock so a dead one can be replaced
+    /// in place — handles submitted on it keep their own `Arc` and fail
+    /// independently.
+    conn: RwLock<Arc<Conn>>,
+    retry: Mutex<Backoff>,
     addrs: Vec<SocketAddr>,
     config: ClientConfig,
-    round_robin: AtomicUsize,
 }
 
 impl std::fmt::Debug for Client {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let live = self
-            .slots
-            .iter()
-            .filter(|s| !s.conn.read().unwrap().dead.load(Ordering::Acquire))
-            .count();
-        f.debug_struct("Client")
-            .field("connections", &self.slots.len())
-            .field("live", &live)
-            .finish()
+        let live = !self.conn.read().unwrap().dead.load(Ordering::Acquire);
+        f.debug_struct("Client").field("live", &live).finish()
     }
 }
 
 impl Client {
-    /// Connect `config.connections` sockets and perform the handshake on
-    /// each. The resolved address is kept for lazy reconnects.
+    /// Connect and perform the handshake. The resolved address is kept
+    /// for lazy reconnects.
     pub fn connect(
         addr: impl ToSocketAddrs + Copy,
         config: ClientConfig,
@@ -303,49 +279,28 @@ impl Client {
                 "address resolved to nothing",
             ))));
         }
-        let n = config.connections.max(1);
-        let mut slots = Vec::with_capacity(n);
-        for _ in 0..n {
-            slots.push(Slot {
-                conn: RwLock::new(Conn::connect(&addrs[..], &config)?),
-                retry: Mutex::new(Backoff {
-                    next_attempt: Instant::now(),
-                    delay: config.reconnect_backoff,
-                }),
-            });
-        }
         Ok(Client {
-            slots,
+            conn: RwLock::new(Conn::connect(&addrs[..], &config)?),
+            retry: Mutex::new(Backoff {
+                next_attempt: Instant::now(),
+                delay: RECONNECT_BACKOFF,
+            }),
             addrs,
             config,
-            round_robin: AtomicUsize::new(0),
         })
     }
 
-    fn pick(&self) -> Result<Arc<Conn>, ClientError> {
-        let start = self.round_robin.fetch_add(1, Ordering::Relaxed);
-        let mut last_err = None;
-        for i in 0..self.slots.len() {
-            let slot = &self.slots[(start + i) % self.slots.len()];
-            let conn = Arc::clone(&slot.conn.read().unwrap());
-            if !conn.dead.load(Ordering::Acquire) {
-                return Ok(conn);
-            }
-            match self.revive(slot) {
-                Ok(conn) => return Ok(conn),
-                Err(e) => last_err = Some(e),
-            }
+    /// The live connection, redialing a dead one at most once per backoff
+    /// window. Concurrent callers serialize on the retry lock; whoever
+    /// dials successfully resets the backoff for everyone.
+    fn live(&self) -> Result<Arc<Conn>, ClientError> {
+        let conn = Arc::clone(&self.conn.read().unwrap());
+        if !conn.dead.load(Ordering::Acquire) {
+            return Ok(conn);
         }
-        Err(last_err.unwrap_or(ClientError::ConnectionLost))
-    }
-
-    /// Replace a dead slot's connection, at most once per backoff window.
-    /// Concurrent callers serialize on the slot's retry lock; whoever dials
-    /// successfully resets the backoff for everyone.
-    fn revive(&self, slot: &Slot) -> Result<Arc<Conn>, ClientError> {
-        let mut retry = slot.retry.lock().unwrap();
-        // A predecessor may have revived the slot while we waited.
-        let current = Arc::clone(&slot.conn.read().unwrap());
+        let mut retry = self.retry.lock().unwrap();
+        // A predecessor may have revived the connection while we waited.
+        let current = Arc::clone(&self.conn.read().unwrap());
         if !current.dead.load(Ordering::Acquire) {
             return Ok(current);
         }
@@ -354,14 +309,14 @@ impl Client {
         }
         match Conn::connect(&self.addrs[..], &self.config) {
             Ok(conn) => {
-                *slot.conn.write().unwrap() = Arc::clone(&conn);
-                retry.delay = self.config.reconnect_backoff;
+                *self.conn.write().unwrap() = Arc::clone(&conn);
+                retry.delay = RECONNECT_BACKOFF;
                 retry.next_attempt = Instant::now();
                 Ok(conn)
             }
             Err(e) => {
                 retry.next_attempt = Instant::now() + retry.delay;
-                retry.delay = (retry.delay * 2).min(self.config.reconnect_backoff_max);
+                retry.delay = (retry.delay * 2).min(RECONNECT_BACKOFF_MAX);
                 Err(e)
             }
         }
@@ -371,7 +326,7 @@ impl Client {
     /// many, then wait on each — that is request pipelining, and it is
     /// where the wire protocol's throughput comes from.
     pub fn submit(&self, request: &QueryRequest) -> Result<PendingReply, ClientError> {
-        let conn = self.pick()?;
+        let conn = self.live()?;
         let id = conn.next_id.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = mpsc::channel();
         conn.pending.lock().unwrap().insert(id, tx);
@@ -388,32 +343,24 @@ impl Client {
         self.submit(request)?.wait()
     }
 
-    /// `(frames_sent, socket_flushes)` across the pool. Frames per flush
-    /// > 1 means write coalescing batched concurrent submissions.
+    /// `(frames_sent, socket_flushes)` on the current connection. Frames
+    /// per flush > 1 means write coalescing batched concurrent
+    /// submissions.
     pub fn batching_stats(&self) -> (u64, u64) {
-        let mut frames = 0;
-        let mut flushes = 0;
-        for s in &self.slots {
-            let c = s.conn.read().unwrap();
-            frames += c.frames_sent.load(Ordering::Relaxed);
-            flushes += c.flushes.load(Ordering::Relaxed);
-        }
-        (frames, flushes)
+        let c = self.conn.read().unwrap();
+        let load = |n: &AtomicU64| n.load(Ordering::Relaxed);
+        (load(&c.frames_sent), load(&c.flushes))
     }
 }
 
 impl Drop for Client {
     fn drop(&mut self) {
-        for slot in &self.slots {
-            let conn = slot.conn.read().unwrap();
-            conn.dead.store(true, Ordering::Release);
-            let _ = conn.stream.shutdown(Shutdown::Both);
-        }
-        for slot in &self.slots {
-            let handle = slot.conn.read().unwrap().reader.lock().unwrap().take();
-            if let Some(h) = handle {
-                let _ = h.join();
-            }
+        let conn = Arc::clone(&self.conn.read().unwrap());
+        conn.dead.store(true, Ordering::Release);
+        let _ = conn.stream.shutdown(Shutdown::Both);
+        let reader = conn.reader.lock().unwrap().take();
+        if let Some(h) = reader {
+            let _ = h.join();
         }
     }
 }

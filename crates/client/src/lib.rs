@@ -3,11 +3,11 @@
 //! A small, thread-friendly client for servers started with
 //! `spade_net::NetServer`:
 //!
-//! - **Pooling** — [`ClientConfig::connections`] sockets, requests
-//!   round-robin across them; a dead connection is skipped.
 //! - **Pipelining** — [`Client::submit`] returns a [`PendingReply`]
-//!   immediately; keep many in flight on one connection and wait in any
-//!   order. Responses are matched by the frame's `request_id`.
+//!   immediately; keep many in flight on the one connection and wait in
+//!   any order. Responses are matched by the frame's `request_id`.
+//! - **Lazy reconnect** — a dead connection is redialed by the next
+//!   submission, under a capped exponential backoff.
 //! - **Write coalescing** — concurrent submitters queue encoded frames
 //!   into a shared outbox and whoever holds the flush lock writes them
 //!   all in one syscall (the same group-commit idea the storage WAL uses

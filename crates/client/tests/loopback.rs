@@ -151,7 +151,6 @@ fn unknown_namespace_and_bad_token_are_refused() {
         ClientConfig {
             namespace: "tenant-a".into(),
             token: Some("wrong".into()),
-            ..Default::default()
         },
     )
     .unwrap_err();
@@ -163,7 +162,6 @@ fn unknown_namespace_and_bad_token_are_refused() {
         ClientConfig {
             namespace: "tenant-a".into(),
             token: Some("secret".into()),
-            ..Default::default()
         },
     )
     .unwrap();
@@ -388,14 +386,7 @@ fn pool_recovers_after_server_restart_without_a_new_client() {
         .submit(range_query(10.0, 60.0))
         .wait()
         .unwrap();
-    let client = Client::connect(
-        addr,
-        ClientConfig {
-            connections: 2,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let client = Client::connect(addr, ClientConfig::default()).unwrap();
     assert_eq!(
         client.query(&range_query(10.0, 60.0)).unwrap().payload,
         baseline.payload

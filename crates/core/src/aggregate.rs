@@ -133,7 +133,7 @@ pub fn aggregate_indexed<'a>(
         .collect();
     stream += crate::prefetch::stream_cells(
         spade.config.prefetch_depth,
-        spade.config.cell_cache_bytes,
+        spade.config.cell_cache_bytes(),
         &[&walk.view1],
         &unmatched,
         &ctx.cancel,
@@ -252,7 +252,7 @@ mod tests {
         let d_pts = Dataset::from_points("p", scatter(1500, 100.0, 61));
         let g1 = spade_index::GridIndex::build(None, &d_polys.objects, 40.0).unwrap();
         let g2 = spade_index::GridIndex::build(None, &d_pts.objects, 40.0).unwrap();
-        assert!(g1.total_bytes() + g2.total_bytes() <= s.config.cell_cache_bytes);
+        assert!(g1.total_bytes() + g2.total_bytes() <= s.config.cell_cache_bytes());
         let i1 =
             crate::dataset::IndexedDataset::new("n", crate::dataset::DatasetKind::Polygons, g1);
         let i2 = crate::dataset::IndexedDataset::new("p", crate::dataset::DatasetKind::Points, g2);

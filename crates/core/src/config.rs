@@ -26,11 +26,6 @@ pub struct EngineConfig {
     /// `0` disables the prefetch thread (fully synchronous loads); results
     /// and load counts are identical at any depth — only overlap changes.
     pub prefetch_depth: usize,
-    /// Byte budget of the host-side decoded-cell LRU cache each
-    /// [`crate::dataset::IndexedDataset`] keeps, so optimizer orderings
-    /// that revisit cells reuse loaded data instead of re-hitting disk.
-    /// Sized relative to device memory by default; `0` disables caching.
-    pub cell_cache_bytes: u64,
     /// When enabled, every modeled host→device transfer occupies real wall
     /// time on the calling thread (a sleep of the modeled bus duration), so
     /// the transfer bottleneck of §5.4 is physically reproduced. Off by
@@ -68,7 +63,6 @@ impl Default for EngineConfig {
             max_map_slots: 1 << 22,
             max_cell_bytes: 16 << 20,
             prefetch_depth: 2,
-            cell_cache_bytes: 32 << 20, // half the scaled device memory
             pace_transfers: false,
             tracing: false,
             wal_sync: WalSync::GroupCommit,
@@ -86,7 +80,6 @@ impl EngineConfig {
             resolution: 256,
             device_memory: 8 << 20,
             max_cell_bytes: 1 << 20,
-            cell_cache_bytes: 4 << 20,
             delta_max_bytes: 1 << 20,
             compact_trigger_bytes: 64 << 10,
             ..Default::default()
@@ -123,6 +116,14 @@ impl EngineConfig {
     /// construction buffers) are pooled for reuse up to half the device
     /// and dropped beyond it.
     pub fn texture_pool_bytes(&self) -> u64 {
+        self.device_memory / 2
+    }
+
+    /// Byte budget of the host-side decoded-cell LRU cache each
+    /// [`crate::dataset::IndexedDataset`] keeps, so optimizer orderings
+    /// that revisit cells reuse loaded data instead of re-hitting disk:
+    /// half the device.
+    pub fn cell_cache_bytes(&self) -> u64 {
         self.device_memory / 2
     }
 
@@ -163,7 +164,7 @@ mod tests {
         assert!(t.compact_trigger_bytes <= t.delta_max_bytes);
     }
 
-    /// The six derived values against the literals they replaced: every
+    /// The seven derived values against the literals they replaced: every
     /// configuration in the repository (`Default` at 1024 / 64 MiB,
     /// `test_small` at 256 / 8 MiB, the test suites' 128, the 64 KiB
     /// device of the eviction and rejection tests) resolves to exactly
@@ -192,21 +193,31 @@ mod tests {
             assert!(cur.iter().all(|&c| c <= resolution) && cur[3] >= 1);
         }
 
-        let budgets = |c: &EngineConfig| (c.texture_pool_bytes(), c.result_cache_bytes());
+        let budgets = |c: &EngineConfig| {
+            (
+                c.texture_pool_bytes(),
+                c.result_cache_bytes(),
+                c.cell_cache_bytes(),
+            )
+        };
         let on = |device_memory| EngineConfig {
             device_memory,
             ..Default::default()
         };
-        assert_eq!(budgets(&EngineConfig::default()), (32 << 20, 8 << 20));
-        assert_eq!(budgets(&EngineConfig::test_small()), (4 << 20, 1 << 20));
-        assert_eq!(budgets(&on(64 << 10)), (32 << 10, 8 << 10));
+        assert_eq!(
+            budgets(&EngineConfig::default()),
+            (32 << 20, 8 << 20, 32 << 20)
+        );
+        assert_eq!(
+            budgets(&EngineConfig::test_small()),
+            (4 << 20, 1 << 20, 4 << 20)
+        );
+        assert_eq!(budgets(&on(64 << 10)), (32 << 10, 8 << 10, 32 << 10));
         // Whatever is charged to the device fits inside it.
         for device_memory in [0, 1, 7, 64 << 10, 8 << 20, 64 << 20, u64::MAX] {
-            let (pool, cache) = budgets(&on(device_memory));
+            let (pool, cache, cells) = budgets(&on(device_memory));
             assert!(pool + cache <= device_memory && cache <= pool);
-        }
-        for c in [EngineConfig::default(), EngineConfig::test_small()] {
-            assert!(c.cell_cache_bytes <= c.device_memory);
+            assert!(cells <= device_memory);
         }
     }
 

@@ -309,19 +309,6 @@ mod tests {
     }
 
     #[test]
-    fn rect_constraint_equivalent() {
-        let s = engine();
-        let bb = BBox::new(Point::new(2.0, 2.0), Point::new(8.0, 8.0));
-        let vp = s.viewport_for(&bb);
-        let layer = create::render_rects(&s.pipeline, vp, &[(3, bb)]);
-        let c = Constraint::from_layer(layer, vp, 4);
-        assert_eq!(matches(&c, Point::new(5.0, 5.0)), vec![3]);
-        assert!(matches(&c, Point::new(8.7, 5.0)).is_empty());
-        // Boundary-exactness right at the rim.
-        assert_eq!(matches(&c, Point::new(8.0, 8.0)), vec![3]);
-    }
-
-    #[test]
     fn measurement_produces_breakdown() {
         let s = engine();
         let m = s.begin();

@@ -405,7 +405,7 @@ impl<'a> PairWalk<'a> {
         let frame = spade_gpu::record::begin();
         let streamed = crate::prefetch::stream_cells(
             spade.config.prefetch_depth,
-            spade.config.cell_cache_bytes,
+            spade.config.cell_cache_bytes(),
             &views,
             &self.sequence,
             &ctx.cancel,

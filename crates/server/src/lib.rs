@@ -7,10 +7,10 @@
 //!
 //! Three service-level mechanisms sit between submission and execution:
 //!
-//! - **Admission control** ([`AdmissionController`]): each query carries an
-//!   estimated device-memory footprint; it starts only when that estimate
-//!   fits next to the estimates of every running query, gated against the
-//!   [`spade_gpu::DeviceMemory`] capacity. Queries that can never fit are
+//! - **Admission control**: each query carries an estimated device-memory
+//!   footprint; it starts only when that estimate fits next to the
+//!   estimates of every running query, reserved on a shadow
+//!   [`spade_gpu::DeviceMemory`] ledger of the engine's capacity. Queries that can never fit are
 //!   rejected outright; the rest wait in a FIFO queue with a per-session
 //!   fairness cap. This reproduces the paper's observation (§5.4) that the
 //!   host–device bus is the bottleneck: thrashing residency between
@@ -48,14 +48,12 @@
 //! assert!(response.payload.query().is_some());
 //! ```
 
-pub mod admission;
 pub mod metrics;
 pub mod namespace;
 pub mod request;
 pub mod service;
 pub mod stats;
 
-pub use admission::AdmissionController;
 pub use namespace::{NamespaceConfig, DEFAULT_NAMESPACE};
 pub use request::{CellInfo, QueryRequest, QueryResponse, ResponsePayload, ServiceError};
 pub use service::{QueryService, Reply, ServiceConfig, Session, Ticket};

@@ -71,6 +71,11 @@ impl Histogram {
         self.count.load(Ordering::Relaxed)
     }
 
+    /// The sum of every observed duration.
+    pub fn sum(&self) -> Duration {
+        Duration::from_nanos(self.sum_nanos.load(Ordering::Relaxed))
+    }
+
     /// Render in Prometheus text format with `le` bounds in seconds.
     pub fn render(&self, out: &mut String, name: &str, help: &str) {
         out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} histogram\n"));

@@ -8,9 +8,9 @@
 //! namespace id joins every cache key, so tenants can never share cached
 //! bytes), its own write-ahead-log key prefix (recovery routes replayed
 //! records back to the right tenant's dataset), an optional admission
-//! quota carved out of the device-memory admission controller, and an
-//! optional auth token that sessions — local or over the wire — must
-//! present.
+//! quota — a [`DeviceMemory`] ledger of its own, reserved before the
+//! service's device-wide admission ledger — and an optional auth token
+//! that sessions — local or over the wire — must present.
 //!
 //! The default namespace (id 0, name `"default"`) always exists, has no
 //! quota and no token, and is what the pre-namespace `QueryService` API
@@ -20,6 +20,7 @@
 use crate::request::ServiceError;
 use spade_core::optimizer::JoinStrategy;
 use spade_core::QueryStats;
+use spade_gpu::DeviceMemory;
 use spade_storage::Database;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -38,8 +39,8 @@ pub struct NamespaceConfig {
     /// Device-memory admission quota in bytes: the sum of estimated
     /// footprints of this tenant's *running* queries never exceeds it.
     /// A tenant at its quota waits without blocking other tenants'
-    /// admissions. `None` shares the whole device (subject to the global
-    /// admission controller).
+    /// admissions. `None` shares the whole device (subject to the
+    /// device-wide admission ledger).
     pub quota_bytes: Option<u64>,
     /// Auth token sessions must present ([`crate::QueryService::session_in`]
     /// and the wire handshake). `None` admits anyone who knows the name.
@@ -61,6 +62,9 @@ pub const DECISIONS: [&str; 4] = [
 #[derive(Debug, Default)]
 pub struct TenantStats {
     pub submitted: AtomicU64,
+    /// Queries admitted to a worker. Summed into the service-wide total
+    /// only; not rendered per tenant.
+    pub admitted: AtomicU64,
     pub completed: AtomicU64,
     pub rejected: AtomicU64,
     pub cancelled: AtomicU64,
@@ -111,9 +115,9 @@ pub struct Namespace {
     pub(crate) id: u64,
     pub(crate) name: String,
     pub(crate) token: Option<String>,
-    pub(crate) quota: Option<u64>,
-    /// Estimated bytes of this tenant's currently running queries.
-    reserved: AtomicU64,
+    /// Estimated bytes of this tenant's running queries, capped at the
+    /// quota; `None` without one.
+    quota: Option<DeviceMemory>,
     pub(crate) stats: TenantStats,
     /// This tenant's embedded relational store. SQL requests submitted
     /// through a session execute against the submitting session's
@@ -128,8 +132,7 @@ impl Namespace {
             id,
             name,
             token: config.token,
-            quota: config.quota_bytes,
-            reserved: AtomicU64::new(0),
+            quota: config.quota_bytes.map(DeviceMemory::new),
             stats: TenantStats::default(),
             db: Mutex::new(Database::in_memory()),
         }
@@ -144,12 +147,13 @@ impl Namespace {
     }
 
     pub fn quota(&self) -> Option<u64> {
-        self.quota
+        self.quota.as_ref().map(DeviceMemory::capacity)
     }
 
-    /// Estimated bytes of this tenant's running queries right now.
+    /// Estimated bytes of this tenant's running queries right now (0
+    /// without a quota).
     pub fn reserved(&self) -> u64 {
-        self.reserved.load(Ordering::Acquire)
+        self.quota.as_ref().map_or(0, DeviceMemory::used)
     }
 
     /// Check a presented token against the namespace's. A namespace with
@@ -167,47 +171,19 @@ impl Namespace {
 
     /// Can a footprint this large ever run under the quota?
     pub(crate) fn admissible(&self, bytes: u64) -> bool {
-        match self.quota {
-            Some(q) => bytes <= q,
-            None => true,
-        }
+        self.quota.as_ref().is_none_or(|q| bytes <= q.capacity())
     }
 
-    /// Atomically reserve quota for one running query; `false` leaves the
-    /// query queued without blocking other tenants.
+    /// Reserve quota for one running query; `false` leaves the query
+    /// queued without blocking other tenants.
     pub(crate) fn try_reserve(&self, bytes: u64) -> bool {
-        let Some(quota) = self.quota else { return true };
-        let mut cur = self.reserved.load(Ordering::Acquire);
-        loop {
-            let new = match cur.checked_add(bytes) {
-                Some(n) if n <= quota => n,
-                _ => return false,
-            };
-            match self
-                .reserved
-                .compare_exchange_weak(cur, new, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => return true,
-                Err(actual) => cur = actual,
-            }
-        }
+        self.quota.as_ref().is_none_or(|q| q.alloc(bytes).is_ok())
     }
 
     /// Release a [`Namespace::try_reserve`] reservation.
     pub(crate) fn release(&self, bytes: u64) {
-        if self.quota.is_none() {
-            return;
-        }
-        let mut cur = self.reserved.load(Ordering::Acquire);
-        loop {
-            let new = cur.saturating_sub(bytes);
-            match self
-                .reserved
-                .compare_exchange_weak(cur, new, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => return,
-                Err(actual) => cur = actual,
-            }
+        if let Some(q) = &self.quota {
+            q.free(bytes);
         }
     }
 

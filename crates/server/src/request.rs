@@ -8,8 +8,8 @@ use std::time::Duration;
 /// A query a session submits to the [`crate::QueryService`]. Dataset names
 /// refer to the service's catalog ([`crate::QueryService::register`] /
 /// [`crate::QueryService::register_indexed`]); selection and join classes
-/// reuse the engine's query AST. Name resolution prefers the grid-indexed
-/// (out-of-core) form of a dataset when both are registered.
+/// reuse the engine's query AST. A name holds one dataset, in-memory or
+/// grid-indexed; registering it again replaces it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QueryRequest {
     /// A selection (intersects / range / containment / distance / kNN)

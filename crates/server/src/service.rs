@@ -2,9 +2,10 @@
 //!
 //! One shared [`Spade`] engine behind a worker pool. Sessions submit typed
 //! [`QueryRequest`]s and get [`Ticket`]s; workers admit queued queries
-//! through the [`AdmissionController`] (FIFO, with a per-session fairness
-//! cap), execute them with a per-query [`CancelToken`] threaded into the
-//! engine's out-of-core loops, and reply over the ticket's channel.
+//! against a device-wide reservation ledger (FIFO, with a per-session
+//! fairness cap), execute them with a per-query [`CancelToken`] threaded
+//! into the engine's out-of-core loops, and reply over the ticket's
+//! channel.
 //!
 //! Admission order: the queue is scanned front to back. Entries whose
 //! token is cancelled or whose deadline has passed are purged in place.
@@ -15,7 +16,6 @@
 //! rather than skipping it, so memory admission is strictly FIFO and a
 //! large query cannot be starved by a stream of small ones.
 
-use crate::admission::AdmissionController;
 use crate::metrics::{
     render_counter, render_gauge, render_labeled_counter, render_labeled_gauge, render_scalars,
     MetricsRegistry,
@@ -29,6 +29,7 @@ use spade_core::cancel::CancelToken;
 use spade_core::dataset::{Dataset, IndexedDataset};
 use spade_core::query::{self, JoinQuery, QueryResult, SelectQuery};
 use spade_core::{EngineConfig, QueryCtx, QueryStats, Spade};
+use spade_gpu::DeviceMemory;
 use spade_storage::wal::{pending_by_dataset, PendingWrites, Wal, WalOp};
 use spade_storage::Database;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -36,7 +37,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 /// Service tuning knobs.
@@ -73,29 +74,20 @@ impl Default for ServiceConfig {
 /// The resolution of one submitted query.
 pub type Reply = Result<QueryResponse, ServiceError>;
 
-/// Where a completed query's reply goes. Tickets carry a per-query
-/// channel; the network server routes many in-flight queries of one
-/// connection into a single writer channel, tagged by the wire
-/// `request_id`, so responses leave in completion order (out-of-order
-/// relative to submission — that is request pipelining).
-pub(crate) enum ReplySink {
-    Ticket(mpsc::Sender<Reply>),
-    Routed {
-        tx: mpsc::Sender<(u64, Reply)>,
-        id: u64,
-    },
+/// Where a completed query's reply goes: a channel, tagged with `id`. The
+/// network server routes many in-flight queries of one connection into a
+/// single writer channel, tagged by the wire `request_id`, so responses
+/// leave in completion order (out-of-order relative to submission — that
+/// is request pipelining); a [`Ticket`] is the same sink with a channel of
+/// its own.
+struct ReplySink {
+    tx: mpsc::Sender<(u64, Reply)>,
+    id: u64,
 }
 
 impl ReplySink {
     fn send(&self, reply: Reply) {
-        match self {
-            ReplySink::Ticket(tx) => {
-                let _ = tx.send(reply);
-            }
-            ReplySink::Routed { tx, id } => {
-                let _ = tx.send((*id, reply));
-            }
-        }
+        let _ = self.tx.send((self.id, reply));
     }
 }
 
@@ -119,18 +111,18 @@ struct Queue {
 struct Shared {
     spade: Arc<Spade>,
     /// Per-tenant catalogs: keys are `(namespace id, dataset name)`, so
-    /// two tenants registering the same name never collide.
-    datasets: RwLock<HashMap<(u64, String), Arc<Dataset>>>,
-    indexed: RwLock<HashMap<(u64, String), Arc<IndexedDataset>>>,
+    /// two tenants registering the same name never collide. A name holds
+    /// one dataset, of either kind; registering it again replaces it.
+    catalog: RwLock<HashMap<(u64, String), Registered>>,
     /// Tenant namespaces by name. The default namespace (id 0) is created
     /// at construction and cannot be removed.
     namespaces: RwLock<HashMap<String, Arc<Namespace>>>,
-    /// The always-present default namespace, held directly so accessors
-    /// like [`QueryService::database`] can borrow through it without going
-    /// through the map.
-    default_ns: Arc<Namespace>,
     next_namespace: AtomicU64,
-    admission: AdmissionController,
+    /// Estimated footprints of the running queries, capped at the device
+    /// capacity. A shadow of the engine's ledger, never the ledger itself:
+    /// the executors' uploads already account there, and charging both
+    /// would halve the usable device.
+    admission: DeviceMemory,
     queue: Mutex<Queue>,
     work_ready: Condvar,
     stats: ServiceStats,
@@ -184,8 +176,8 @@ impl QueryService {
         Self::with_engine(engine, config)
     }
 
-    /// Build a service over an existing (shareable) engine. The admission
-    /// controller gates on the engine's device capacity.
+    /// Build a service over an existing (shareable) engine. Admission
+    /// gates on the engine's device capacity.
     pub fn with_engine(engine: Arc<Spade>, config: ServiceConfig) -> Self {
         let (wal, pending) = match &config.wal_dir {
             Some(dir) => {
@@ -195,20 +187,13 @@ impl QueryService {
             }
             None => (None, BTreeMap::new()),
         };
-        let default_ns = Arc::new(Namespace::new(
-            0,
-            DEFAULT_NAMESPACE.to_string(),
-            NamespaceConfig::default(),
-        ));
-        let mut namespaces = HashMap::new();
-        namespaces.insert(DEFAULT_NAMESPACE.to_string(), Arc::clone(&default_ns));
+        let default_ns = Namespace::new(0, DEFAULT_NAMESPACE.into(), NamespaceConfig::default());
+        let namespaces = HashMap::from([(DEFAULT_NAMESPACE.to_string(), Arc::new(default_ns))]);
         let shared = Arc::new(Shared {
-            admission: AdmissionController::new(engine.device.capacity()),
+            admission: DeviceMemory::new(engine.device.capacity()),
             spade: engine,
-            datasets: RwLock::new(HashMap::new()),
-            indexed: RwLock::new(HashMap::new()),
+            catalog: RwLock::new(HashMap::new()),
             namespaces: RwLock::new(namespaces),
-            default_ns,
             next_namespace: AtomicU64::new(1),
             queue: Mutex::new(Queue::default()),
             work_ready: Condvar::new(),
@@ -250,14 +235,6 @@ impl QueryService {
     /// The shared engine (for inspection: device ledger, config).
     pub fn engine(&self) -> &Arc<Spade> {
         &self.shared.spade
-    }
-
-    /// The *default namespace's* embedded relational store, for direct
-    /// setup/loading. SQL requests submitted through default-namespace
-    /// sessions execute against this database; every other tenant has its
-    /// own isolated store ([`QueryService::with_database`]).
-    pub fn database(&self) -> MutexGuard<'_, Database> {
-        self.shared.default_ns.db.lock().unwrap()
     }
 
     /// Run `f` against one tenant's relational store, for direct
@@ -325,16 +302,17 @@ impl QueryService {
         let name = name.into();
         validate_name("dataset", &name)?;
         let ns = self.namespace(namespace)?;
+        let entry = Registered::Memory(Arc::new(data));
         self.shared
-            .datasets
+            .catalog
             .write()
             .unwrap()
-            .insert((ns.id(), name), Arc::new(data));
+            .insert((ns.id(), name), entry);
         Ok(())
     }
 
-    /// Register a grid-indexed (out-of-core) dataset under `name`. Name
-    /// resolution prefers the indexed form when both are registered.
+    /// Register a grid-indexed (out-of-core) dataset under `name`,
+    /// replacing whatever dataset the name held.
     ///
     /// Crash recovery happens here: WAL records replayed at service open
     /// that name this dataset and postdate its persisted checkpoint are
@@ -367,11 +345,12 @@ impl QueryService {
                 stage(&data, Some(rec.seq), rec.op);
             }
         }
+        let entry = Registered::Indexed(Arc::new(data));
         self.shared
-            .indexed
+            .catalog
             .write()
             .unwrap()
-            .insert((ns.id(), name), Arc::new(data));
+            .insert((ns.id(), name), entry);
         Ok(())
     }
 
@@ -459,13 +438,30 @@ impl QueryService {
         }
     }
 
-    /// A point-in-time view of the service counters.
+    /// A point-in-time view of the service counters: the tenants'
+    /// counters summed, and the wall split the histograms' sums.
     pub fn stats(&self) -> ServiceSnapshot {
         let (depth, running) = {
             let q = self.shared.queue.lock().unwrap();
             (q.pending.len(), q.running)
         };
-        self.shared.stats.snapshot(depth, running)
+        let namespaces = self.shared.namespaces.read().unwrap();
+        let sum = |counter: fn(&TenantStats) -> &AtomicU64| -> u64 {
+            (namespaces.values())
+                .map(|ns| counter(&ns.stats).load(Ordering::Relaxed))
+                .sum()
+        };
+        ServiceSnapshot {
+            submitted: sum(|s| &s.submitted),
+            admitted: sum(|s| &s.admitted),
+            rejected: sum(|s| &s.rejected),
+            cancelled: sum(|s| &s.cancelled),
+            completed: sum(|s| &s.completed),
+            failed: sum(|s| &s.failed),
+            total_queue_wait: self.shared.metrics.queue_wait.sum(),
+            total_exec: self.shared.metrics.exec.sum(),
+            ..self.shared.stats.snapshot(depth, running)
+        }
     }
 
     /// A Prometheus-text snapshot of every service metric: admission
@@ -560,7 +556,10 @@ impl QueryService {
             .map(|ns| (ns.id(), ns.name().to_string()))
             .collect();
         let mut per_dataset: Vec<(String, String, u64)> = Vec::new();
-        for ((ns_id, name), d) in self.shared.indexed.read().unwrap().iter() {
+        for ((ns_id, name), entry) in self.shared.catalog.read().unwrap().iter() {
+            let Registered::Indexed(d) = entry else {
+                continue;
+            };
             let s = d.delta_stats();
             staged += s.staged as u64;
             tombstones += s.tombstones as u64;
@@ -705,7 +704,7 @@ impl Session {
             cancel: cancel.clone(),
             rx,
         };
-        self.enqueue(request, cancel, ReplySink::Ticket(tx));
+        self.enqueue(request, cancel, ReplySink { tx, id: 0 });
         ticket
     }
 
@@ -721,11 +720,10 @@ impl Session {
         id: u64,
         tx: mpsc::Sender<(u64, Reply)>,
     ) {
-        self.enqueue(request, cancel, ReplySink::Routed { tx, id });
+        self.enqueue(request, cancel, ReplySink { tx, id });
     }
 
     fn enqueue(&self, request: QueryRequest, cancel: CancelToken, reply: ReplySink) {
-        self.shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
         self.ns.stats.submitted.fetch_add(1, Ordering::Relaxed);
 
         if self.shared.shutdown.load(Ordering::Acquire)
@@ -744,8 +742,7 @@ impl Session {
                 return;
             }
         };
-        if !self.shared.admission.admissible(footprint) || !self.ns.admissible(footprint) {
-            self.shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
+        if footprint > self.shared.admission.capacity() || !self.ns.admissible(footprint) {
             self.ns.stats.rejected.fetch_add(1, Ordering::Relaxed);
             // The binding constraint is whichever is smaller: the tenant's
             // quota or the whole device.
@@ -793,7 +790,7 @@ impl Session {
 /// The handle to one submitted query.
 pub struct Ticket {
     cancel: CancelToken,
-    rx: mpsc::Receiver<Reply>,
+    rx: mpsc::Receiver<(u64, Reply)>,
 }
 
 impl Ticket {
@@ -810,12 +807,9 @@ impl Ticket {
 
     /// Block until the query resolves.
     pub fn wait(self) -> Reply {
-        self.rx.recv().unwrap_or(Err(ServiceError::Shutdown))
-    }
-
-    /// Non-blocking poll; `None` while the query is still queued/running.
-    pub fn try_wait(&self) -> Option<Reply> {
-        self.rx.try_recv().ok()
+        self.rx
+            .recv()
+            .map_or(Err(ServiceError::Shutdown), |(_, r)| r)
     }
 }
 
@@ -924,11 +918,7 @@ fn worker_loop(shared: &Shared) {
         };
 
         let queue_wait = job.enqueued.elapsed();
-        shared.stats.admitted.fetch_add(1, Ordering::Relaxed);
-        shared
-            .stats
-            .queue_wait_nanos
-            .fetch_add(queue_wait.as_nanos() as u64, Ordering::Relaxed);
+        job.ns.stats.admitted.fetch_add(1, Ordering::Relaxed);
 
         // A panic below must not take the reservations, the session's
         // running slot, the ticket and this worker down with it: it
@@ -945,7 +935,7 @@ fn worker_loop(shared: &Shared) {
         });
         let exec_time = t0.elapsed();
 
-        shared.admission.release(job.footprint);
+        shared.admission.free(job.footprint);
         job.ns.release(job.footprint);
         {
             let mut q = shared.queue.lock().unwrap();
@@ -961,16 +951,11 @@ fn worker_loop(shared: &Shared) {
         // queries: wake the pool.
         shared.work_ready.notify_all();
 
-        shared
-            .stats
-            .exec_nanos
-            .fetch_add(exec_time.as_nanos() as u64, Ordering::Relaxed);
         shared.stats.record_latency(queue_wait + exec_time);
         shared.metrics.queue_wait.observe(queue_wait);
         shared.metrics.exec.observe(exec_time);
         let reply = match outcome {
             Ok((payload, stats)) => {
-                shared.stats.completed.fetch_add(1, Ordering::Relaxed);
                 job.ns.stats.completed.fetch_add(1, Ordering::Relaxed);
                 job.ns.stats.count_plan(&stats);
                 shared.metrics.record_query(&stats);
@@ -985,11 +970,9 @@ fn worker_loop(shared: &Shared) {
                 let e = refine_cancel(e, &job.cancel);
                 match e {
                     ServiceError::Cancelled | ServiceError::DeadlineExceeded => {
-                        shared.stats.cancelled.fetch_add(1, Ordering::Relaxed);
                         job.ns.stats.cancelled.fetch_add(1, Ordering::Relaxed);
                     }
                     _ => {
-                        shared.stats.failed.fetch_add(1, Ordering::Relaxed);
                         job.ns.stats.failed.fetch_add(1, Ordering::Relaxed);
                     }
                 };
@@ -1015,7 +998,6 @@ fn admit_next(shared: &Shared, q: &mut Queue) -> Option<Pending> {
         if q.pending[i].cancel.is_cancelled() {
             let p = q.pending.remove(i).expect("index in bounds");
             let err = refine_cancel(ServiceError::Cancelled, &p.cancel);
-            shared.stats.cancelled.fetch_add(1, Ordering::Relaxed);
             p.ns.stats.cancelled.fetch_add(1, Ordering::Relaxed);
             p.reply.send(Err(err));
             continue;
@@ -1037,7 +1019,7 @@ fn admit_next(shared: &Shared, q: &mut Queue) -> Option<Pending> {
             i += 1;
             continue;
         }
-        if !shared.admission.try_reserve(q.pending[i].footprint) {
+        if shared.admission.alloc(q.pending[i].footprint).is_err() {
             // Memory admission is strictly FIFO: stop, don't starve the
             // head with later small queries.
             q.pending[i].ns.release(q.pending[i].footprint);
@@ -1231,8 +1213,8 @@ fn spatial_row(table: &str, row: &[spade_storage::Value]) -> spade_storage::Resu
     }
 }
 
-/// A catalog entry: a dataset lives in the grid-indexed registry or the
-/// in-memory one.
+/// A catalog entry: a grid-indexed dataset or an in-memory one.
+#[derive(Clone)]
 enum Registered {
     Indexed(Arc<IndexedDataset>),
     Memory(Arc<Dataset>),
@@ -1257,17 +1239,11 @@ impl Registered {
 }
 
 /// Look `name` up in a namespace's catalog or fail with
-/// [`ServiceError::UnknownDataset`]. The grid-indexed registry wins over
-/// the in-memory one on a name clash.
+/// [`ServiceError::UnknownDataset`].
 fn resolve(shared: &Shared, ns: &Namespace, name: &str) -> Result<Registered, ServiceError> {
     let key = (ns.id(), name.to_string());
-    if let Some(d) = shared.indexed.read().unwrap().get(&key) {
-        return Ok(Registered::Indexed(Arc::clone(d)));
-    }
-    match shared.datasets.read().unwrap().get(&key) {
-        Some(d) => Ok(Registered::Memory(Arc::clone(d))),
-        None => Err(ServiceError::UnknownDataset(key.1)),
-    }
+    let entry = shared.catalog.read().unwrap().get(&key).cloned();
+    entry.ok_or(ServiceError::UnknownDataset(key.1))
 }
 
 /// Execute one write request: an insert or delete takes the [`write`]

@@ -3,27 +3,20 @@
 //! The engine's [`spade_core::QueryStats`] describes one query; the service
 //! aggregates across queries and sessions: queue depth, admission counters,
 //! the queue-vs-execution wall split, and latency quantiles over a sliding
-//! window of recent completions.
+//! window of recent completions. Only the window lives here: the counters
+//! are the tenants' ([`crate::namespace::TenantStats`]) summed, and the
+//! wall split is the sums of the service's queue-wait and exec histograms.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
 /// How many recent query latencies the p50/p95 window keeps.
 const WINDOW: usize = 256;
 
-/// Shared counters, updated lock-free except for the latency window.
+/// The latency window of recent completions.
 #[derive(Debug, Default)]
 pub(crate) struct ServiceStats {
-    pub submitted: AtomicU64,
-    pub admitted: AtomicU64,
-    pub rejected: AtomicU64,
-    pub cancelled: AtomicU64,
-    pub completed: AtomicU64,
-    pub failed: AtomicU64,
-    pub queue_wait_nanos: AtomicU64,
-    pub exec_nanos: AtomicU64,
     latencies: Mutex<VecDeque<u64>>,
 }
 
@@ -36,6 +29,8 @@ impl ServiceStats {
         w.push_back(total.as_nanos() as u64);
     }
 
+    /// The window's quantiles next to the given queue gauges; counters
+    /// and wall-split totals are left zero for the caller to fill.
     pub fn snapshot(&self, queue_depth: usize, running: usize) -> ServiceSnapshot {
         let (p50, p95) = {
             let w = self.latencies.lock().unwrap();
@@ -57,22 +52,15 @@ impl ServiceStats {
         ServiceSnapshot {
             queue_depth,
             running,
-            submitted: self.submitted.load(Ordering::Relaxed),
-            admitted: self.admitted.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            cancelled: self.cancelled.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            total_queue_wait: Duration::from_nanos(self.queue_wait_nanos.load(Ordering::Relaxed)),
-            total_exec: Duration::from_nanos(self.exec_nanos.load(Ordering::Relaxed)),
             p50_latency: p50,
             p95_latency: p95,
+            ..Default::default()
         }
     }
 }
 
 /// A point-in-time view of the service counters.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServiceSnapshot {
     /// Queries waiting for admission right now.
     pub queue_depth: usize,

@@ -404,6 +404,21 @@ fn unknown_dataset_fails_fast() {
         .wait()
         .unwrap_err();
     assert_eq!(err, ServiceError::UnknownDataset("nope".into()));
+
+    // A name holds one dataset: registering it again replaces it, whichever
+    // kind either registration is.
+    svc.register_indexed("x", indexed_points(25.0));
+    svc.register("x", Dataset::from_points("x", vec![Point::new(50.0, 50.0)]));
+    let all = BBox::new(Point::ZERO, Point::new(100.0, 100.0));
+    let got = svc
+        .session()
+        .submit(QueryRequest::Select {
+            dataset: "x".into(),
+            query: SelectQuery::Range(all),
+        })
+        .wait()
+        .unwrap();
+    assert_eq!(expect_query(got.payload), QueryResult::Ids(vec![0]));
 }
 
 /// A point-only query class over polygon data used to reach

@@ -481,4 +481,30 @@ fn two_tenant_scrape_matches_golden() {
         assert_eq!(got, want, "line {}", i + 1);
     }
     assert_eq!(scrape.len(), golden.len());
+
+    // The golden file masks the service-wide totals; pin them here, against
+    // the snapshot and against the sum of the per-tenant samples.
+    let snap = svc.stats();
+    let totals = [
+        ("submitted", snap.submitted),
+        ("completed", snap.completed),
+        ("cancelled", snap.cancelled),
+        ("failed", snap.failed),
+        ("rejected", snap.rejected),
+    ];
+    assert_eq!(totals.map(|(_, n)| n), [10, 4, 2, 1, 3]);
+    let text = svc.metrics_text();
+    let samples = |prefix: &str| -> u64 {
+        (text.lines())
+            .filter(|l| l.starts_with(prefix))
+            .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
+            .sum()
+    };
+    for (outcome, n) in totals {
+        assert_eq!(samples(&format!("spade_queries_{outcome}_total ")), n);
+        assert_eq!(
+            samples(&format!("spade_tenant_queries_{outcome}_total{{")),
+            n
+        );
+    }
 }

@@ -98,7 +98,6 @@ fn main() {
         ClientConfig {
             namespace: "acme".into(),
             token: Some("s3cret".into()),
-            ..Default::default()
         },
     )
     .expect("tenant connect");
