@@ -101,35 +101,10 @@ fn half_diag(vp: &Viewport) -> f64 {
 }
 
 /// Build a distance canvas around point constraints: object `id` covers
-/// everything within `r` of its center (a circle canvas, §4.2).
+/// everything within its own radius of its center (a circle canvas, §4.2;
+/// the Type-2 distance join of §5.2 and the kNN join give each object its
+/// own radius).
 pub fn distance_canvas_points(
-    pipe: &Pipeline,
-    vp: Viewport,
-    centers: &[(u32, Point)],
-    r: f64,
-) -> CanvasLayer {
-    let sources: Vec<DistSource> = centers.iter().map(|&(_, c)| DistSource::Point(c)).collect();
-    let prims: Vec<Primitive> = centers
-        .iter()
-        .enumerate()
-        .map(|(i, &(id, c))| Primitive::point(c, pack(id, i as u32, 0, 0)))
-        .collect();
-    let radii = vec![r; centers.len()];
-    let gs = SquareExpand {
-        half: r + half_diag(&vp),
-    };
-    render_distance(pipe, vp, &prims, &gs, &sources, &radii, |i| BoundaryEntry {
-        object: centers[i].0,
-        geom: BoundaryGeom::PointDist {
-            center: centers[i].1,
-            r,
-        },
-    })
-}
-
-/// Build a distance canvas around point constraints with a *per-object*
-/// radius (the Type-2 distance join of §5.2 and the kNN join use this).
-pub fn distance_canvas_points_multi(
     pipe: &Pipeline,
     vp: Viewport,
     constraints: &[(u32, Point, f64)],
@@ -455,6 +430,11 @@ mod tests {
         Viewport::new(BBox::new(Point::ZERO, Point::new(100.0, 100.0)), 100, 100)
     }
 
+    /// Point constraints of one common radius.
+    fn circles(centers: &[(u32, Point)], r: f64) -> Vec<(u32, Point, f64)> {
+        centers.iter().map(|&(id, c)| (id, c, r)).collect()
+    }
+
     /// Exact membership oracle for a set of circles.
     fn in_circles(p: Point, centers: &[(u32, Point)], r: f64) -> bool {
         centers.iter().any(|&(_, c)| p.dist(c) <= r)
@@ -482,7 +462,7 @@ mod tests {
         let vp = vp100();
         let centers = vec![(0u32, Point::new(30.0, 30.0)), (1, Point::new(60.0, 70.0))];
         let r = 12.0;
-        let layer = distance_canvas_points(&pipe, vp, &centers, r);
+        let layer = distance_canvas_points(&pipe, vp, &circles(&centers, r));
         // Probe a grid of points; the canvas decision must match the oracle.
         for i in 0..50 {
             for j in 0..50 {
@@ -500,7 +480,7 @@ mod tests {
     fn circle_canvas_has_interior_core() {
         let pipe = Pipeline::with_workers(2);
         let vp = vp100();
-        let layer = distance_canvas_points(&pipe, vp, &[(0, Point::new(50.0, 50.0))], 20.0);
+        let layer = distance_canvas_points(&pipe, vp, &[(0, Point::new(50.0, 50.0), 20.0)]);
         // The center pixel must be interior-certain (no exact test needed).
         assert_eq!(classify(layer.texture.get(50, 50)), PixelClass::Interior);
         // Far away: outside.
@@ -531,7 +511,7 @@ mod tests {
             (0u32, Point::new(30.0, 50.0), 5.0),
             (1u32, Point::new(70.0, 50.0), 15.0),
         ];
-        let layer = distance_canvas_points_multi(&pipe, vp, &constraints);
+        let layer = distance_canvas_points(&pipe, vp, &constraints);
         // Within the small circle only.
         assert!(canvas_says(&layer, &vp, Point::new(33.0, 50.0)));
         assert!(!canvas_says(&layer, &vp, Point::new(38.0, 50.0)));
@@ -581,7 +561,7 @@ mod tests {
             .map(|i| (i as u32, Point::new(40.0 + i as f64 * 3.0, 50.0)))
             .collect();
         let r = 7.0;
-        let layer = distance_canvas_points(&pipe, vp, &centers, r);
+        let layer = distance_canvas_points(&pipe, vp, &circles(&centers, r));
         for i in 0..100 {
             let p = Point::new(30.0 + i as f64 * 0.35, 50.0 + ((i % 7) as f64 - 3.0));
             assert_eq!(

@@ -33,11 +33,6 @@ pub struct EngineConfig {
     /// service benchmarks turn it on to study how concurrent sessions
     /// overlap bus stalls.
     pub pace_transfers: bool,
-    /// Arm the engine-wide span recorder ([`crate::trace`]) when this
-    /// engine is constructed. Tracing is process-global and ring-buffer
-    /// backed; with the flag off (the default) every span site reduces to
-    /// one relaxed atomic load, so queries pay nothing.
-    pub tracing: bool,
     /// WAL durability mode for live writes: fsync per record (`Always`),
     /// one fsync per batch window (`GroupCommit`, the default), or leave
     /// flushing to the OS (`Never`).
@@ -64,7 +59,6 @@ impl Default for EngineConfig {
             max_cell_bytes: 16 << 20,
             prefetch_depth: 2,
             pace_transfers: false,
-            tracing: false,
             wal_sync: WalSync::GroupCommit,
             delta_max_bytes: 8 << 20,
             compact_trigger_bytes: 1 << 20,
@@ -127,9 +121,8 @@ impl EngineConfig {
         self.device_memory / 2
     }
 
-    /// Byte budget of the result cache, an eighth of the device its
-    /// entries are charged to (through the arena's ledger, so admission
-    /// control sees their footprint).
+    /// Byte budget of the result cache, an eighth of the device: each
+    /// entry holds a charge of its bytes on the engine's device ledger.
     pub fn result_cache_bytes(&self) -> u64 {
         self.device_memory / 8
     }

@@ -1,5 +1,6 @@
 //! Spatial data sets: in-memory and out-of-core forms.
 
+use crate::lru::Lru;
 use spade_canvas::create::PreparedPolygon;
 use spade_canvas::LayerIndex;
 use spade_geometry::{BBox, Geometry, LineString, Point, Polygon};
@@ -7,7 +8,6 @@ use spade_index::compact::{compact, CompactReport};
 use spade_index::delta::{DeltaSnapshot, DeltaStore};
 use spade_index::{GridIndex, Version};
 use std::borrow::Cow;
-use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -167,7 +167,7 @@ impl Dataset {
     pub fn byte_size(&self) -> usize {
         self.objects
             .iter()
-            .map(|(_, g)| 16 + g.num_vertices() * 16)
+            .map(|(_, g)| g.byte_size() as usize)
             .sum()
     }
 }
@@ -608,10 +608,7 @@ pub type CellKey = (u64, usize);
 
 #[derive(Default)]
 struct CacheInner {
-    map: HashMap<CellKey, (Arc<Dataset>, u64)>,
-    /// LRU order, least recent first.
-    order: VecDeque<CellKey>,
-    bytes: u64,
+    cells: Lru<CellKey, Arc<Dataset>>,
     hits: u64,
     misses: u64,
 }
@@ -624,45 +621,28 @@ impl CellCache {
     /// Look up a cell, refreshing its LRU position on hit.
     pub fn get(&self, key: CellKey) -> Option<Arc<Dataset>> {
         let mut inner = self.inner.lock().unwrap();
-        if let Some((data, _)) = inner.map.get(&key) {
-            let data = Arc::clone(data);
-            inner.order.retain(|&i| i != key);
-            inner.order.push_back(key);
-            inner.hits += 1;
-            Some(data)
-        } else {
-            inner.misses += 1;
-            None
+        let hit = inner.cells.get(&key).map(Arc::clone);
+        match hit {
+            Some(_) => inner.hits += 1,
+            None => inner.misses += 1,
         }
+        hit
     }
 
     /// Insert a decoded cell charged at `bytes`, evicting LRU entries to
     /// stay within `budget`. Cells larger than the whole budget are not
     /// cached at all.
     pub fn insert(&self, key: CellKey, data: Arc<Dataset>, bytes: u64, budget: u64) {
-        if bytes > budget {
-            return;
+        if bytes <= budget {
+            (self.inner.lock().unwrap())
+                .cells
+                .insert(key, data, bytes, budget);
         }
-        let mut inner = self.inner.lock().unwrap();
-        if inner.map.contains_key(&key) {
-            return;
-        }
-        while inner.bytes + bytes > budget {
-            let Some(victim) = inner.order.pop_front() else {
-                break;
-            };
-            if let Some((_, b)) = inner.map.remove(&victim) {
-                inner.bytes -= b;
-            }
-        }
-        inner.map.insert(key, (data, bytes));
-        inner.order.push_back(key);
-        inner.bytes += bytes;
     }
 
     /// Number of cached cells.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().map.len()
+        self.inner.lock().unwrap().cells.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -671,7 +651,7 @@ impl CellCache {
 
     /// Bytes currently charged to the cache.
     pub fn bytes(&self) -> u64 {
-        self.inner.lock().unwrap().bytes
+        self.inner.lock().unwrap().cells.bytes()
     }
 
     /// Lifetime (hits, misses) counters.
@@ -682,10 +662,7 @@ impl CellCache {
 
     /// Drop every cached cell (counters survive).
     pub fn clear(&self) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.map.clear();
-        inner.order.clear();
-        inner.bytes = 0;
+        self.inner.lock().unwrap().cells.retain(|_, _| false);
     }
 }
 

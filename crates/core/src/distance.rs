@@ -77,7 +77,7 @@ pub(crate) fn build_distance_constraint(
     let vp = distance_viewport(constraint.bbox().inflate(r), resolution);
     match constraint {
         DistanceConstraint::Point(p) => {
-            let layer = dcanvas::distance_canvas_points(&spade.pipeline, vp, &[(0, *p)], r);
+            let layer = dcanvas::distance_canvas_points(&spade.pipeline, vp, &[(0, *p, r)]);
             Constraint::from_layer(layer, vp, 1)
         }
         DistanceConstraint::Line(l) => {
@@ -183,8 +183,7 @@ fn disk_canvases<'a>(
                 region.union(&BBox::new(*c, *c).inflate(*r))
             });
         let vp = distance_viewport(region, spade.config.distance_resolution());
-        let layer_canvas =
-            dcanvas::distance_canvas_points_multi(&spade.pipeline, vp, &layer_constraints);
+        let layer_canvas = dcanvas::distance_canvas_points(&spade.pipeline, vp, &layer_constraints);
         Constraint::from_layer(layer_canvas, vp, layer_constraints.len())
     })
 }

@@ -17,13 +17,13 @@ use std::time::Instant;
 pub struct Spade {
     pub config: EngineConfig,
     pub pipeline: Pipeline,
-    /// Shared with the pipeline's framebuffer arena, which charges
-    /// checked-out render targets against the same ledger as data cells.
+    /// The one device ledger: data cells, the framebuffer arena's
+    /// checked-out render targets and cached results each hold a
+    /// [`spade_gpu::device::Charge`] on it.
     pub device: Arc<DeviceMemory>,
     /// The hot-query serving layer: rendered results keyed by
     /// `(query fingerprint, dataset version)`, served by the cached
-    /// dispatchers in [`crate::query`]. Its resident bytes are charged
-    /// through the arena into the device ledger.
+    /// dispatchers in [`crate::query`].
     pub result_cache: crate::result_cache::ResultCache,
     /// Measured per-pair join costs feeding the optimizer's adaptive join
     /// decision — see [`crate::optimizer::stats`].
@@ -32,11 +32,6 @@ pub struct Spade {
 
 impl Spade {
     pub fn new(config: EngineConfig) -> Self {
-        if config.tracing {
-            // One-way arming: tracing is process-global, and an untraced
-            // engine must not silence a traced one sharing the process.
-            crate::trace::set_enabled(true);
-        }
         let pipeline = Pipeline::with_workers(config.effective_workers());
         let device = Arc::new(
             DeviceMemory::with_bandwidth(config.device_memory, config.bandwidth)
@@ -47,10 +42,10 @@ impl Spade {
             .arena()
             .set_retain_limit(config.texture_pool_bytes());
         let result_cache = crate::result_cache::ResultCache::new(
+            Arc::clone(&device),
             config.result_cache_bytes(),
             config.result_cache_enabled,
         );
-        result_cache.bind_arena(pipeline.arena_handle());
         Spade {
             config,
             pipeline,

@@ -399,7 +399,7 @@ impl<'a> PairWalk<'a> {
         // Per side: the resident slot, its ledger charge, its prepared
         // form; and the memory slot's prepared form, shared by its
         // residencies.
-        let mut resident: [Option<(u32, Charge<'_>, Rc<Resident>)>; 2] = [None, None];
+        let mut resident: [Option<(u32, Charge, Rc<Resident>)>; 2] = [None, None];
         let mut staged: [Option<Rc<Resident>>; 2] = [None, None];
         let mut next = 0;
         let frame = spade_gpu::record::begin();

@@ -57,6 +57,7 @@ pub mod engine;
 pub mod explain;
 pub mod join;
 pub mod knn;
+mod lru;
 pub mod optimizer;
 pub mod prefetch;
 pub mod query;

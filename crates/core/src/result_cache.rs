@@ -27,19 +27,21 @@
 //! are served the leader's result as a coalesced hit. Leaders that fail,
 //! panic, or race a version change release their flight so followers retry.
 //!
-//! **Footprint is visible to admission control.** Entry bytes are charged
-//! through [`TexturePool::charge_external`] into the device ledger the
-//! arena is bound to, and released the moment an entry is evicted, purged,
-//! or the cache is cleared.
+//! **Entries are resident on the device.** Each entry holds a [`Charge`]
+//! of its bytes on the engine's device ledger, next to data cells and
+//! render targets, released the moment the entry is evicted, purged, or
+//! the cache is cleared.
 
 use crate::explain::{CacheNote, PlanReport};
+use crate::lru::Lru;
 use crate::query::{JoinQuery, QueryResult, SelectQuery};
 use crate::stats::{CacheOutcome, QueryStats};
-use spade_gpu::TexturePool;
+use spade_gpu::device::Charge;
+use spade_gpu::DeviceMemory;
 use spade_index::Version;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// One input relation of a query, pinned to the version it was read at.
@@ -218,21 +220,8 @@ struct Entry {
     /// Plan decisions of the render that produced this entry, copied into
     /// the stats of every reply it serves.
     plan: Arc<PlanReport>,
-    bytes: u64,
-    /// Whether the device ledger granted the reservation for this entry.
-    accounted: bool,
-    /// Recency stamp; matches the newest queue slot for this key.
-    stamp: u64,
-}
-
-#[derive(Default)]
-struct Inner {
-    map: HashMap<CacheKey, Entry>,
-    /// Lazy LRU queue of `(key, stamp)`; slots whose stamp no longer
-    /// matches the entry are skipped at eviction time.
-    order: VecDeque<(CacheKey, u64)>,
-    tick: u64,
-    bytes: u64,
+    /// The entry's bytes on the device ledger, released when it drops.
+    _charge: Charge,
 }
 
 /// What a hit serves: the cached result plus the plan of the render that
@@ -278,9 +267,9 @@ pub struct ResultCacheStats {
 pub struct ResultCache {
     enabled: bool,
     budget: u64,
-    inner: Mutex<Inner>,
+    device: Arc<DeviceMemory>,
+    entries: Mutex<Lru<CacheKey, Entry>>,
     flights: Mutex<HashMap<CacheKey, Arc<Flight>>>,
-    arena: OnceLock<Arc<TexturePool>>,
     hits: AtomicU64,
     coalesced: AtomicU64,
     misses: AtomicU64,
@@ -295,13 +284,14 @@ pub struct ResultCache {
 const FLIGHT_POLL: Duration = Duration::from_millis(5);
 
 impl ResultCache {
-    pub fn new(budget: u64, enabled: bool) -> Self {
+    /// A cache of `budget` bytes whose entries are resident on `device`.
+    pub fn new(device: Arc<DeviceMemory>, budget: u64, enabled: bool) -> Self {
         ResultCache {
             enabled: enabled && budget > 0,
             budget,
-            inner: Mutex::new(Inner::default()),
+            device,
+            entries: Mutex::new(Lru::default()),
             flights: Mutex::new(HashMap::new()),
-            arena: OnceLock::new(),
             hits: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -310,12 +300,6 @@ impl ResultCache {
             evicted: AtomicU64::new(0),
             not_stored: AtomicU64::new(0),
         }
-    }
-
-    /// Charge entry bytes through this arena (and its device ledger). Only
-    /// the first bind takes effect.
-    pub fn bind_arena(&self, arena: Arc<TexturePool>) {
-        let _ = self.arena.set(arena);
     }
 
     /// Serve one query execution through the cache.
@@ -441,14 +425,9 @@ impl ResultCache {
     }
 
     fn lookup(&self, key: &CacheKey) -> Option<Served> {
-        let mut inner = self.inner.lock().unwrap();
-        inner.tick += 1;
-        let tick = inner.tick;
-        let entry = inner.map.get_mut(key)?;
-        entry.stamp = tick;
-        let served = (Arc::clone(&entry.result), Arc::clone(&entry.plan));
-        inner.order.push_back((*key, tick));
-        Some(served)
+        let mut entries = self.entries.lock().unwrap();
+        let entry = entries.get(key)?;
+        Some((Arc::clone(&entry.result), Arc::clone(&entry.plan)))
     }
 
     fn insert(&self, key: CacheKey, result: Arc<QueryResult>, plan: Arc<PlanReport>) {
@@ -457,52 +436,16 @@ impl ResultCache {
             self.not_stored.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        let accounted = match self.arena.get() {
-            Some(arena) => arena.charge_external(bytes),
-            None => false,
+        let entry = Entry {
+            result,
+            plan,
+            _charge: self.device.hold(bytes),
         };
-        let mut inner = self.inner.lock().unwrap();
-        if let Some(old) = inner.map.remove(&key) {
-            // A racing leader of the same key beat us; replace its entry
-            // (identical payload) and refund its charge.
-            inner.bytes -= old.bytes;
-            self.release_charge(old.bytes, old.accounted);
-        }
-        while inner.bytes + bytes > self.budget {
-            match inner.order.pop_front() {
-                Some((victim_key, stamp)) => {
-                    if inner.map.get(&victim_key).is_none_or(|v| v.stamp != stamp) {
-                        continue; // stale queue slot: the key was touched or replaced since
-                    }
-                    let victim = inner.map.remove(&victim_key).expect("checked above");
-                    inner.bytes -= victim.bytes;
-                    self.evicted.fetch_add(1, Ordering::Relaxed);
-                    self.release_charge(victim.bytes, victim.accounted);
-                }
-                None => break,
-            }
-        }
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.order.push_back((key, tick));
-        inner.bytes += bytes;
-        inner.map.insert(
-            key,
-            Entry {
-                result,
-                plan,
-                bytes,
-                accounted,
-                stamp: tick,
-            },
-        );
+        // A racing leader of the same key may have beaten us; its entry
+        // (identical payload) is replaced and its charge released.
+        let evicted = (self.entries.lock().unwrap()).insert(key, entry, bytes, self.budget);
+        self.evicted.fetch_add(evicted, Ordering::Relaxed);
         self.inserted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn release_charge(&self, bytes: u64, accounted: bool) {
-        if let Some(arena) = self.arena.get() {
-            arena.release_external(bytes, accounted);
-        }
     }
 
     /// Drop every entry that references dataset `token` at a version other
@@ -511,43 +454,22 @@ impl ResultCache {
     /// bytes immediately instead of waiting for LRU pressure. Called after
     /// compaction.
     pub fn purge_outdated(&self, token: u64, current: Version) {
-        let mut inner = self.inner.lock().unwrap();
-        let stale: Vec<CacheKey> = inner
-            .map
-            .keys()
-            .filter(|k| {
-                let left = k.left.token == token && k.left.version != current;
-                let right = k
-                    .right
-                    .is_some_and(|r| r.token == token && r.version != current);
-                left || right
-            })
-            .copied()
-            .collect();
-        for key in stale {
-            if let Some(entry) = inner.map.remove(&key) {
-                inner.bytes -= entry.bytes;
-                self.evicted.fetch_add(1, Ordering::Relaxed);
-                self.release_charge(entry.bytes, entry.accounted);
-            }
-        }
+        let stale = |v: &InputVersion| v.token == token && v.version != current;
+        let purged = (self.entries.lock().unwrap())
+            .retain(|k, _| !stale(&k.left) && !k.right.as_ref().is_some_and(stale));
+        self.evicted.fetch_add(purged, Ordering::Relaxed);
     }
 
     /// Drop everything, releasing all charges.
     pub fn clear(&self) {
-        let mut inner = self.inner.lock().unwrap();
-        for (_, entry) in inner.map.drain() {
-            self.evicted.fetch_add(1, Ordering::Relaxed);
-            self.release_charge(entry.bytes, entry.accounted);
-        }
-        inner.order.clear();
-        inner.bytes = 0;
+        let cleared = self.entries.lock().unwrap().retain(|_, _| false);
+        self.evicted.fetch_add(cleared, Ordering::Relaxed);
     }
 
     pub fn stats(&self) -> ResultCacheStats {
         let (entries, bytes) = {
-            let inner = self.inner.lock().unwrap();
-            (inner.map.len() as u64, inner.bytes)
+            let entries = self.entries.lock().unwrap();
+            (entries.len() as u64, entries.bytes())
         };
         ResultCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -621,6 +543,11 @@ mod tests {
     use spade_geometry::{BBox, Point, Polygon};
     use std::convert::Infallible;
 
+    /// A cache of `budget` bytes on a device with room to spare.
+    fn cache_of(budget: u64, enabled: bool) -> ResultCache {
+        ResultCache::new(Arc::new(DeviceMemory::new(1 << 30)), budget, enabled)
+    }
+
     fn key_at(fp: u64, seq: u64) -> CacheKey {
         CacheKey {
             fingerprint: fp,
@@ -639,7 +566,7 @@ mod tests {
     /// never be served to another — even if dataset uids collide.
     #[test]
     fn tenants_never_share_entries() {
-        let cache = ResultCache::new(1 << 20, true);
+        let cache = cache_of(1 << 20, true);
         let key_for = |tenant: u64| CacheKey {
             tenant,
             ..key_at(0xfeed, 3)
@@ -710,7 +637,7 @@ mod tests {
 
     #[test]
     fn disabled_cache_bypasses() {
-        let cache = ResultCache::new(1 << 20, false);
+        let cache = cache_of(1 << 20, false);
         for _ in 0..2 {
             let (r, stats) = cache
                 .serve::<Infallible>(
@@ -729,7 +656,7 @@ mod tests {
 
     #[test]
     fn miss_then_hit_computes_once() {
-        let cache = ResultCache::new(1 << 20, true);
+        let cache = cache_of(1 << 20, true);
         let mut computes = 0u32;
         let (_, stats) = cache
             .serve::<Infallible>(
@@ -774,7 +701,7 @@ mod tests {
 
     #[test]
     fn version_moving_mid_render_blocks_admission() {
-        let cache = ResultCache::new(1 << 20, true);
+        let cache = cache_of(1 << 20, true);
         let seq = std::sync::atomic::AtomicU64::new(0);
         let (_, stats) = cache
             .serve::<Infallible>(
@@ -799,7 +726,7 @@ mod tests {
     #[test]
     fn lru_eviction_respects_budget_and_recency() {
         let entry_bytes = result_bytes(&ids(100));
-        let cache = ResultCache::new(entry_bytes * 2, true);
+        let cache = cache_of(entry_bytes * 2, true);
         let fill = |fp: u64| {
             cache
                 .serve::<Infallible>(
@@ -827,12 +754,9 @@ mod tests {
 
     #[test]
     fn charges_balance_through_arena_ledger() {
-        let arena = Arc::new(TexturePool::new());
-        let ledger = Arc::new(spade_gpu::DeviceMemory::new(1 << 20));
-        arena.bind_ledger(Arc::clone(&ledger));
+        let ledger = Arc::new(DeviceMemory::new(1 << 20));
         let entry_bytes = result_bytes(&ids(50));
-        let cache = ResultCache::new(entry_bytes * 2, true);
-        cache.bind_arena(Arc::clone(&arena));
+        let cache = ResultCache::new(Arc::clone(&ledger), entry_bytes * 2, true);
         for fp in 0..10 {
             cache
                 .serve::<Infallible>(
@@ -845,18 +769,15 @@ mod tests {
         let s = cache.stats();
         assert!(s.entries <= 2);
         assert_eq!(ledger.used(), s.bytes, "ledger mirrors resident bytes");
-        assert_eq!(arena.stats().external_bytes, s.bytes);
         cache.clear();
         assert_eq!(ledger.used(), 0, "clear releases every reservation");
-        assert_eq!(arena.stats().external_bytes, 0);
         assert_eq!(cache.stats().entries, 0);
     }
 
     #[test]
     fn purge_outdated_releases_stale_versions_only() {
-        let arena = Arc::new(TexturePool::new());
-        let cache = ResultCache::new(1 << 20, true);
-        cache.bind_arena(Arc::clone(&arena));
+        let ledger = Arc::new(DeviceMemory::new(1 << 30));
+        let cache = ResultCache::new(Arc::clone(&ledger), 1 << 20, true);
         for seq in [1u64, 2, 3] {
             cache
                 .serve::<Infallible>(
@@ -876,7 +797,7 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.entries, 1, "only the current-version entry survives");
         assert_eq!(s.evicted, 2);
-        assert_eq!(arena.stats().external_bytes, s.bytes);
+        assert_eq!(ledger.used(), s.bytes);
         // Entries of other datasets are untouched.
         cache.purge_outdated(99, Version::default());
         assert_eq!(cache.stats().entries, 1);
@@ -884,7 +805,7 @@ mod tests {
 
     #[test]
     fn failed_leader_releases_followers() {
-        let cache = Arc::new(ResultCache::new(1 << 20, true));
+        let cache = Arc::new(cache_of(1 << 20, true));
         // Leader errors; a later identical query must be able to render.
         let err = cache.serve::<&str>(|| key_at(5, 0), || Err("boom"), || Ok(()));
         assert_eq!(err.unwrap_err(), "boom");
@@ -901,7 +822,7 @@ mod tests {
 
     #[test]
     fn concurrent_identical_misses_render_once() {
-        let cache = Arc::new(ResultCache::new(1 << 20, true));
+        let cache = Arc::new(cache_of(1 << 20, true));
         let computes = Arc::new(AtomicU64::new(0));
         let outcomes: Vec<CacheOutcome> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..8)

@@ -5,8 +5,7 @@
 //! this module re-exports it under the engine's namespace and documents
 //! the span vocabulary the engine emits.
 //!
-//! Arm recording with [`crate::EngineConfig::tracing`] (checked once at
-//! [`crate::Spade::new`]) or directly with [`set_enabled`]. Disabled —
+//! Recording is process-global and armed with [`set_enabled`]. Disabled —
 //! the default — every span site costs one relaxed atomic load.
 //!
 //! ## Span names
@@ -27,26 +26,3 @@
 pub use spade_gpu::trace::{
     drain, dropped, enabled, set_enabled, snapshot, span, Span, SpanGuard, CAPACITY, MAX_ATTRS,
 };
-
-#[cfg(test)]
-mod tests {
-    use crate::config::EngineConfig;
-    use crate::engine::Spade;
-
-    #[test]
-    fn engine_config_arms_tracing() {
-        // Arming is one-way (another engine with tracing off must not
-        // silence a traced engine sharing the process), so restore state.
-        let was = super::enabled();
-        let _spade = Spade::new(EngineConfig {
-            tracing: true,
-            ..EngineConfig::test_small()
-        });
-        assert!(super::enabled());
-        // An untraced engine leaves the global flag alone.
-        super::set_enabled(false);
-        let _quiet = Spade::new(EngineConfig::test_small());
-        assert!(!super::enabled());
-        super::set_enabled(was);
-    }
-}

@@ -373,6 +373,12 @@ impl Geometry {
         }
     }
 
+    /// Approximate in-memory byte size in the vector format (§4.2): 16
+    /// bytes of header plus 16 per vertex.
+    pub fn byte_size(&self) -> u64 {
+        16 + self.num_vertices() as u64 * 16
+    }
+
     /// The polygons of this geometry, if it is areal.
     pub fn polygons(&self) -> &[Polygon] {
         match self {

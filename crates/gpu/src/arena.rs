@@ -16,13 +16,13 @@
 //! * **Bounded retention** — released buffers are pooled only up to a byte
 //!   cap (`set_retain_limit`); beyond it they are dropped, so the arena
 //!   cannot grow without bound under mixed resolutions.
-//! * **Ledger integration** — when bound to a [`DeviceMemory`], checkouts
-//!   reserve bytes in the device ledger (a framebuffer occupies GPU memory
-//!   on real hardware) and release them on return. Accounting is
+//! * **Ledger integration** — when bound to a [`DeviceMemory`], a checkout
+//!   holds a [`Charge`] on the device ledger (a framebuffer occupies GPU
+//!   memory on real hardware) that is released on return. Accounting is
 //!   best-effort: if the ledger is exhausted the checkout still succeeds,
 //!   unaccounted — a render pass must never fail on bookkeeping.
 
-use crate::device::DeviceMemory;
+use crate::device::{Charge, DeviceMemory};
 use crate::texture::Texture;
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
@@ -43,9 +43,6 @@ pub struct TexturePool {
     pooled_bytes: AtomicU64,
     /// Bytes currently checked out.
     live_bytes: AtomicU64,
-    /// Bytes charged by external residents (cached query results) that live
-    /// outside the free lists but inside the device ledger.
-    external_bytes: AtomicU64,
     retain_limit: AtomicU64,
     /// Device ledger charged for checked-out framebuffers, once bound.
     ledger: OnceLock<Arc<DeviceMemory>>,
@@ -60,9 +57,6 @@ pub struct ArenaStats {
     pub misses: u64,
     pub pooled_bytes: u64,
     pub live_bytes: u64,
-    /// Bytes held by external residents (e.g. cached query results) charged
-    /// through [`TexturePool::charge_external`].
-    pub external_bytes: u64,
 }
 
 impl Default for TexturePool {
@@ -79,7 +73,6 @@ impl TexturePool {
             misses: AtomicU64::new(0),
             pooled_bytes: AtomicU64::new(0),
             live_bytes: AtomicU64::new(0),
-            external_bytes: AtomicU64::new(0),
             retain_limit: AtomicU64::new(DEFAULT_RETAIN_BYTES),
             ledger: OnceLock::new(),
         }
@@ -126,25 +119,16 @@ impl TexturePool {
         };
         span.attr("bytes", bytes);
         self.live_bytes.fetch_add(bytes, Ordering::Relaxed);
-        let accounted = match self.ledger.get() {
-            Some(ledger) => ledger.alloc(bytes).is_ok(),
-            None => false,
-        };
         PooledTexture {
             tex: Some(tex),
             pool: self,
-            accounted,
+            _charge: self.ledger.get().map(|ledger| ledger.hold(bytes)),
         }
     }
 
-    fn release(&self, tex: Texture, accounted: bool) {
+    fn release(&self, tex: Texture) {
         let bytes = tex.byte_size() as u64;
         self.live_bytes.fetch_sub(bytes, Ordering::Relaxed);
-        if accounted {
-            if let Some(ledger) = self.ledger.get() {
-                ledger.free(bytes);
-            }
-        }
         let limit = self.retain_limit.load(Ordering::Relaxed);
         let mut buckets = self.buckets.lock().unwrap();
         // Checked under the bucket lock so concurrent releases cannot
@@ -158,51 +142,22 @@ impl TexturePool {
         }
     }
 
-    /// Charge `bytes` held by an external resident — a cached query result
-    /// or canvas that occupies device memory without living in the free
-    /// lists. The footprint is reflected in [`ArenaStats::external_bytes`]
-    /// and, when a ledger is bound, reserved in the device ledger so
-    /// admission control sees it. Returns whether the ledger accepted the
-    /// reservation (accounting is best-effort, like [`Self::checkout`]);
-    /// pass the flag back to [`Self::release_external`] when the resident
-    /// is dropped.
-    pub fn charge_external(&self, bytes: u64) -> bool {
-        self.external_bytes.fetch_add(bytes, Ordering::Relaxed);
-        match self.ledger.get() {
-            Some(ledger) => ledger.alloc(bytes).is_ok(),
-            None => false,
-        }
-    }
-
-    /// Release a charge taken via [`Self::charge_external`]. `accounted`
-    /// must be the flag that call returned so the ledger only refunds
-    /// reservations it actually granted.
-    pub fn release_external(&self, bytes: u64, accounted: bool) {
-        self.external_bytes.fetch_sub(bytes, Ordering::Relaxed);
-        if accounted {
-            if let Some(ledger) = self.ledger.get() {
-                ledger.free(bytes);
-            }
-        }
-    }
-
     pub fn stats(&self) -> ArenaStats {
         ArenaStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             pooled_bytes: self.pooled_bytes.load(Ordering::Relaxed),
             live_bytes: self.live_bytes.load(Ordering::Relaxed),
-            external_bytes: self.external_bytes.load(Ordering::Relaxed),
         }
     }
 }
 
 /// RAII guard over a checked-out texture; derefs to [`Texture`] and returns
-/// the buffer to the arena on drop.
+/// the buffer to the arena, and its device bytes to the ledger, on drop.
 pub struct PooledTexture<'a> {
     tex: Option<Texture>,
     pool: &'a TexturePool,
-    accounted: bool,
+    _charge: Option<Charge>,
 }
 
 impl Deref for PooledTexture<'_> {
@@ -222,7 +177,7 @@ impl DerefMut for PooledTexture<'_> {
 impl Drop for PooledTexture<'_> {
     fn drop(&mut self) {
         if let Some(tex) = self.tex.take() {
-            self.pool.release(tex, self.accounted);
+            self.pool.release(tex);
         }
     }
 }
@@ -319,29 +274,6 @@ mod tests {
         assert_eq!(t.width(), 8);
         assert_eq!(ledger.used(), 0, "unaccounted checkout leaves ledger alone");
         drop(t);
-        assert_eq!(ledger.used(), 0);
-    }
-
-    #[test]
-    fn external_charges_hit_ledger_and_stats() {
-        let pool = TexturePool::new();
-        let ledger = Arc::new(DeviceMemory::new(1 << 20));
-        pool.bind_ledger(Arc::clone(&ledger));
-        let accounted = pool.charge_external(4096);
-        assert!(accounted);
-        assert_eq!(pool.stats().external_bytes, 4096);
-        assert_eq!(ledger.used(), 4096);
-        pool.release_external(4096, accounted);
-        assert_eq!(pool.stats().external_bytes, 0);
-        assert_eq!(ledger.used(), 0);
-        // An exhausted ledger declines the reservation but the charge is
-        // still visible in the arena stats; release must not over-free.
-        let big = pool.charge_external(2 << 20);
-        assert!(!big);
-        assert_eq!(ledger.used(), 0);
-        assert_eq!(pool.stats().external_bytes, 2 << 20);
-        pool.release_external(2 << 20, big);
-        assert_eq!(pool.stats().external_bytes, 0);
         assert_eq!(ledger.used(), 0);
     }
 

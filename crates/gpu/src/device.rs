@@ -15,6 +15,7 @@
 //! true high-water mark even when allocations race.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::record;
@@ -173,22 +174,37 @@ impl DeviceMemory {
     /// [`upload`](Self::upload) as a value: the data stays resident until
     /// the returned [`Charge`] drops. An upload that does not fit holds
     /// nothing — at cell scale the data streams without residing.
-    pub fn charge(&self, bytes: u64) -> Charge<'_> {
+    pub fn charge(self: &Arc<Self>, bytes: u64) -> Charge {
         let held = if self.upload(bytes).is_ok() { bytes } else { 0 };
-        Charge { device: self, held }
+        Charge {
+            device: Arc::clone(self),
+            held,
+        }
+    }
+
+    /// Reserve `bytes` until the returned [`Charge`] drops, without a
+    /// transfer: a render target or a cached result resident on the
+    /// device. Best effort like [`charge`](Self::charge): a reservation
+    /// that does not fit holds nothing.
+    pub fn hold(self: &Arc<Self>, bytes: u64) -> Charge {
+        let held = if self.alloc(bytes).is_ok() { bytes } else { 0 };
+        Charge {
+            device: Arc::clone(self),
+            held,
+        }
     }
 }
 
-/// Device residency of one upload, freed on drop — on return, `?`,
-/// cancellation or unwind alike — and never more than it allocated.
+/// Device residency, freed on drop — on return, `?`, cancellation,
+/// eviction or unwind alike — and never more than it allocated.
 #[must_use = "dropping a charge ends the residency"]
 #[derive(Debug)]
-pub struct Charge<'d> {
-    device: &'d DeviceMemory,
+pub struct Charge {
+    device: Arc<DeviceMemory>,
     held: u64,
 }
 
-impl Drop for Charge<'_> {
+impl Drop for Charge {
     fn drop(&mut self) {
         self.device.free(self.held);
     }
@@ -252,18 +268,21 @@ mod tests {
 
     #[test]
     fn upload_allocates_and_transfers() {
-        let dev = DeviceMemory::new(1024);
+        let dev = Arc::new(DeviceMemory::new(1024));
         let t = dev.upload(512).unwrap();
         assert!(t > Duration::ZERO);
         assert_eq!(dev.used(), 512);
         assert!(dev.upload(1024).is_err());
         // As guards: one that fits and one that does not, dropped together,
-        // give back the bytes of the first only — and on unwind too.
+        // give back the bytes of the first only — and on unwind too. A
+        // hold reserves without a transfer.
         let frame = record::begin();
         let unwound = std::panic::catch_unwind(|| {
             let _fits = dev.charge(256);
             let _oom = dev.charge(512);
-            assert_eq!(dev.used(), 768);
+            let _target = dev.hold(128);
+            let _no_room = dev.hold(512);
+            assert_eq!(dev.used(), 896);
             panic!("kernel");
         });
         assert!(unwound.is_err());

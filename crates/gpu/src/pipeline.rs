@@ -41,7 +41,6 @@ use crate::shader::{
 use crate::texture::{PixelValue, Texture};
 use crate::viewport::Viewport;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// The state of one rendering pass.
@@ -84,7 +83,7 @@ impl<'a> DrawCall<'a> {
 /// operators and across concurrent queries.
 pub struct Pipeline {
     pool: WorkerPool,
-    arena: Arc<TexturePool>,
+    arena: TexturePool,
 }
 
 impl Default for Pipeline {
@@ -101,7 +100,7 @@ impl Pipeline {
     pub fn with_workers(workers: usize) -> Self {
         Pipeline {
             pool: WorkerPool::new(workers),
-            arena: Arc::new(TexturePool::new()),
+            arena: TexturePool::new(),
         }
     }
 
@@ -117,12 +116,6 @@ impl Pipeline {
     /// The framebuffer arena transient render targets come from.
     pub fn arena(&self) -> &TexturePool {
         &self.arena
-    }
-
-    /// An owned handle to the arena, for long-lived residents (the result
-    /// cache) that charge their footprint through it.
-    pub fn arena_handle(&self) -> Arc<TexturePool> {
-        Arc::clone(&self.arena)
     }
 
     /// Execute one rendering pass against `target`, returning the final

@@ -9,9 +9,9 @@
 //! Design rules, mirroring [`crate::record`]:
 //!
 //! * **Zero cost when disabled.** [`span`] checks one relaxed atomic and
-//!   returns an inert guard — no clock read, no allocation, no lock. The
-//!   engine arms tracing from `EngineConfig::tracing`; it is process-global
-//!   (any engine arming it traces every engine sharing the process).
+//!   returns an inert guard — no clock read, no allocation, no lock.
+//!   [`set_enabled`] arms it process-wide: every engine sharing the
+//!   process is traced.
 //! * **Thread-aware nesting.** Each thread keeps a depth counter, so a
 //!   span opened inside another span records its nesting depth, and spans
 //!   from different threads (e.g. the prefetch producer) are

@@ -19,13 +19,6 @@
 use spade_geometry::{BBox, Geometry};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Approximate in-memory byte cost of a staged geometry — the same
-/// "vector format" figure `Dataset::byte_size` uses (16 bytes of header
-/// plus 16 per vertex).
-fn geom_bytes(g: &Geometry) -> u64 {
-    16 + g.num_vertices() as u64 * 16
-}
-
 /// Mutable staging buffer of not-yet-compacted writes.
 #[derive(Debug, Default)]
 pub struct DeltaStore {
@@ -50,9 +43,9 @@ impl DeltaStore {
         self.max_seq = self.max_seq.max(seq);
         // A newer insert supersedes any staged delete of the same id.
         self.tombstones.remove(&id);
-        let bytes = geom_bytes(&geom);
+        let bytes = geom.byte_size();
         if let Some((_, old)) = self.staged.insert(id, (seq, geom)) {
-            self.bytes -= geom_bytes(&old);
+            self.bytes -= old.byte_size();
         }
         self.bytes += bytes;
     }
@@ -61,7 +54,7 @@ impl DeltaStore {
     pub fn delete(&mut self, seq: u64, id: u32) {
         self.max_seq = self.max_seq.max(seq);
         if let Some((_, old)) = self.staged.remove(&id) {
-            self.bytes -= geom_bytes(&old);
+            self.bytes -= old.byte_size();
         }
         self.tombstones.insert(id, seq);
     }
@@ -119,7 +112,7 @@ impl DeltaStore {
         let mut freed = 0u64;
         self.staged.retain(|_, (seq, g)| {
             if *seq <= through_seq {
-                freed += geom_bytes(g);
+                freed += g.byte_size();
                 false
             } else {
                 true

@@ -14,7 +14,7 @@ use spade_storage::wal::crc32;
 use spade_storage::{cursor, Result, StorageError};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// One grid cell: its bounding polygon (a convex hull), the ids of the
 /// objects clustered into it, and the physical size of its data block.
@@ -72,11 +72,6 @@ pub struct GridIndex {
     pub generation: u64,
     pub(crate) cells: Vec<GridCell>,
     pub(crate) store: BlockStore,
-    /// Bytes read through [`GridIndex::load_cell`] since construction.
-    bytes_read: Mutex<u64>,
-    /// Bytes read by compaction ([`GridIndex::load_cell_compact`]) —
-    /// kept apart so maintenance I/O never shows up as query I/O.
-    compact_bytes_read: Mutex<u64>,
 }
 
 impl GridIndex {
@@ -176,8 +171,6 @@ impl GridIndex {
                 Some(d) => BlockStore::Disk { dir: d, files },
                 None => BlockStore::Memory(blocks),
             },
-            bytes_read: Mutex::new(0),
-            compact_bytes_read: Mutex::new(0),
         })
     }
 
@@ -196,8 +189,6 @@ impl GridIndex {
             generation,
             cells,
             store,
-            bytes_read: Mutex::new(0),
-            compact_bytes_read: Mutex::new(0),
         }
     }
 
@@ -248,28 +239,14 @@ impl GridIndex {
         read_geometry_table(&table)
     }
 
-    /// Load one cell's block, returning its objects and charging the block
-    /// bytes to the query I/O ledger.
+    /// Load one cell's block, returning its objects. The caller counts the
+    /// cell's `bytes` as read: a query in its stream statistics,
+    /// compaction in its report.
     pub fn load_cell(&self, idx: usize) -> Result<Vec<(u32, Geometry)>> {
-        let cell = self
-            .cells
-            .get(idx)
-            .ok_or_else(|| StorageError::Io(format!("no cell {idx}")))?;
-        let objects = self.read_block(idx)?;
-        *self.bytes_read.lock().unwrap() += cell.bytes;
-        Ok(objects)
-    }
-
-    /// Load one cell's block for compaction: same read path, charged to
-    /// the maintenance ledger instead of the query one.
-    pub fn load_cell_compact(&self, idx: usize) -> Result<Vec<(u32, Geometry)>> {
-        let cell = self
-            .cells
-            .get(idx)
-            .ok_or_else(|| StorageError::Io(format!("no cell {idx}")))?;
-        let objects = self.read_block(idx)?;
-        *self.compact_bytes_read.lock().unwrap() += cell.bytes;
-        Ok(objects)
+        if idx >= self.cells.len() {
+            return Err(StorageError::Io(format!("no cell {idx}")));
+        }
+        self.read_block(idx)
     }
 
     /// Reference to cell `idx`'s stored block (file name or shared bytes),
@@ -280,17 +257,6 @@ impl GridIndex {
             BlockStore::Disk { files, .. } => BlockRef::File(files[idx].clone()),
             BlockStore::Memory(blocks) => BlockRef::Bytes(Arc::clone(&blocks[idx])),
         }
-    }
-
-    /// Bytes read through [`GridIndex::load_cell`] so far. Per-generation:
-    /// each compacted index starts a fresh ledger.
-    pub fn bytes_read(&self) -> u64 {
-        *self.bytes_read.lock().unwrap()
-    }
-
-    /// Bytes read by compaction over this index.
-    pub fn compact_bytes_read(&self) -> u64 {
-        *self.compact_bytes_read.lock().unwrap()
     }
 
     /// File names of every block of this generation, for disk-backed
@@ -576,7 +542,6 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 200);
-        assert_eq!(idx.bytes_read(), idx.total_bytes());
     }
 
     #[test]
@@ -681,17 +646,6 @@ mod tests {
                 assert!(cell.id_min <= id && id <= cell.id_max);
             }
         }
-    }
-
-    #[test]
-    fn compaction_ledger_is_separate() {
-        let objects = point_set(80);
-        let idx = GridIndex::build(None, &objects, 25.0).unwrap();
-        idx.load_cell_compact(0).unwrap();
-        assert_eq!(idx.bytes_read(), 0, "compaction reads are not query I/O");
-        assert!(idx.compact_bytes_read() > 0);
-        idx.load_cell(0).unwrap();
-        assert_eq!(idx.bytes_read(), idx.cells()[0].bytes);
     }
 
     #[test]

@@ -520,7 +520,7 @@ impl QueryService {
             (render_counter, "spade_arena_misses_total", "Framebuffer checkouts that had to allocate a new texture.", arena.misses),
             (render_gauge, "spade_arena_pooled_bytes", "Bytes held in the arena free lists right now.", arena.pooled_bytes),
             (render_gauge, "spade_arena_live_bytes", "Bytes of arena textures currently checked out.", arena.live_bytes),
-            (render_gauge, "spade_arena_external_bytes", "Bytes charged by external arena residents (result cache).", arena.external_bytes),
+            (render_gauge, "spade_arena_external_bytes", "Bytes charged by external arena residents (result cache).", rc.bytes),
             // Hot-query serving layer: the generation-keyed result cache.
             (render_counter, "spade_result_cache_hits_total", "Queries served from the result cache.", rc.hits),
             (render_counter, "spade_result_cache_coalesced_total", "Queries coalesced onto a concurrent identical render.", rc.coalesced),

@@ -207,9 +207,10 @@ fn hot_tile_with_live_writer_stays_consistent() {
     want.extend(10_000..10_000 + writes);
     assert_eq!(got, want, "post-flush answer must be the full logical set");
 
-    // Ledger balance: draining the cache releases every reserved byte from
-    // the arena gauge and the device ledger.
+    // Ledger balance: with no query running the device ledger holds the
+    // cache's resident bytes, and draining the cache releases every one.
     let rc = svc.engine().result_cache.stats();
+    assert_eq!(svc.engine().device.used(), rc.bytes);
     // (The post-flush query above is one more render than the readers saw.)
     let rendered = misses + usize::from(resp.stats.result_cache == CacheOutcome::Miss);
     assert!(rc.inserted as usize <= rendered, "stored ≤ rendered");
@@ -217,7 +218,7 @@ fn hot_tile_with_live_writer_stays_consistent() {
     let rc = svc.engine().result_cache.stats();
     assert_eq!(rc.entries, 0);
     assert_eq!(rc.bytes, 0);
-    assert_eq!(svc.engine().pipeline.arena().stats().external_bytes, 0);
+    assert_eq!(svc.engine().device.used(), 0);
 }
 
 /// EXPLAIN ANALYZE reports cache provenance: a first run is a MISS with the

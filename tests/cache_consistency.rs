@@ -351,10 +351,10 @@ fn writes_and_compaction_invalidate_hot_entries() {
     );
 }
 
-/// Eviction/invalidation must release arena and device-ledger reservations
+/// Eviction/invalidation must release device-ledger reservations
 /// immediately: under churn the resident bytes never exceed the budget, the
-/// arena's external gauge mirrors the cache's own ledger, and purge + clear
-/// drain both to zero (regression for charge leaks).
+/// device ledger between queries holds exactly the cache's resident bytes,
+/// and purge + clear drain both to zero (regression for charge leaks).
 #[test]
 fn eviction_churn_releases_ledger_reservations() {
     let mut c = EngineConfig::test_small();
@@ -380,9 +380,9 @@ fn eviction_churn_releases_ledger_reservations() {
             rc.bytes
         );
         assert_eq!(
-            spade.pipeline.arena().stats().external_bytes,
+            spade.device.used(),
             rc.bytes,
-            "arena external gauge must track cache bytes"
+            "device ledger must hold exactly the cache bytes"
         );
     }
     let rc = spade.result_cache.stats();
@@ -398,7 +398,7 @@ fn eviction_churn_releases_ledger_reservations() {
     let rc = spade.result_cache.stats();
     assert_eq!(rc.entries, 0, "every entry predates the new watermark");
     assert_eq!(rc.bytes, 0);
-    assert_eq!(spade.pipeline.arena().stats().external_bytes, 0);
+    assert_eq!(spade.device.used(), 0);
 
     // And clear() is a full drain even with fresh entries resident.
     let q = SelectQuery::Range(BBox::new(Point::new(0.0, 0.0), Point::new(50.0, 50.0)));
@@ -406,7 +406,6 @@ fn eviction_churn_releases_ledger_reservations() {
     assert!(spade.result_cache.stats().bytes > 0);
     spade.result_cache.clear();
     assert_eq!(spade.result_cache.stats().bytes, 0);
-    assert_eq!(spade.pipeline.arena().stats().external_bytes, 0);
     assert_eq!(
         spade.device.used(),
         0,

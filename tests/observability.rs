@@ -79,11 +79,7 @@ fn tracing_does_not_change_results() {
     let untraced = run_families(&pts, &polys, &constraint);
     assert!(trace::drain().is_empty(), "disabled tracing recorded spans");
 
-    // Arm through the engine's own config path rather than set_enabled.
-    let _armed = Spade::new(EngineConfig {
-        tracing: true,
-        ..EngineConfig::test_small()
-    });
+    trace::set_enabled(true);
     assert!(trace::enabled());
     let traced = run_families(&pts, &polys, &constraint);
     trace::set_enabled(false);
