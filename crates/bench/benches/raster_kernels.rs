@@ -1,8 +1,8 @@
 //! Microbenchmarks for the batched (lane-parallel) kernels in isolation:
-//! coverage counting, rasterization, point-containment scans, and the
-//! storage filter kernel, the last three against their scalar forms. The raster
-//! kernel's speed-up is gated by `tests/simd_gate.rs`; these isolate where
-//! the time goes when a kernel regresses.
+//! coverage counting, rasterization under both rules, point-containment
+//! scans, and the storage filter kernel, the last four against their scalar
+//! forms. The raster kernels' speed-ups are gated by `tests/simd_gate.rs`;
+//! these isolate where the time goes when a kernel regresses.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use spade_geometry::predicates::{point_in_polygon, points_in_polygon_mask};
@@ -96,6 +96,43 @@ fn bench_rasterize(c: &mut Criterion) {
     g.finish();
 }
 
+/// Conservative coverage of thin diagonal slivers (polygon boundary fans):
+/// one covered run per row against the oracle's test of every bbox pixel.
+fn bench_conservative(c: &mut Criterion) {
+    let mut seed = 0x511e_u64;
+    let prims: Vec<Primitive> = (0..64)
+        .map(|i| {
+            let (x, y) = (lcg(&mut seed) * 0.6, lcg(&mut seed) * 0.6);
+            let d = 0.05 + lcg(&mut seed) * 0.3;
+            Primitive::triangle(
+                Point::new(x, y),
+                Point::new(x + d, y + d + 0.002),
+                Point::new(x + d + 0.004, y + d + 0.006),
+                [i + 1, 0, 0, 0],
+            )
+        })
+        .collect();
+    let vp = vp();
+    let mut g = c.benchmark_group("conservative");
+    for (name, runs) in [("oracle", false), ("runs", true)] {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let mut acc = 0u64;
+                let mut emit = |x: u32, y: u32| acc = acc.wrapping_add(u64::from(x) ^ u64::from(y));
+                for p in &prims {
+                    if runs {
+                        raster::rasterize_with(p, &vp, true, &mut emit);
+                    } else {
+                        raster::rasterize(p, &vp, true, &mut emit);
+                    }
+                }
+                acc
+            })
+        });
+    }
+    g.finish();
+}
+
 fn bench_containment(c: &mut Criterion) {
     let mut seed = 0xabcd_u64;
     let verts: Vec<Point> = (0..64)
@@ -161,6 +198,7 @@ criterion_group!(
     benches,
     bench_coverage,
     bench_rasterize,
+    bench_conservative,
     bench_containment,
     bench_filter_scan
 );

@@ -1,21 +1,23 @@
-//! Acceptance gate for the batched raster kernel: on a raster-bound
-//! workload — the polygon fans of a canvas-creation pass, wide triangles
-//! and thin diagonal slivers on a 1024² canvas — rasterizing through the
-//! batched form every pass uses must be at least 1.3× the scalar oracle,
-//! fragment for fragment.
+//! Acceptance gates for the batched raster kernels, each against the
+//! scalar oracle `raster::rasterize`, fragment for fragment:
 //!
-//! Medians of repeated runs keep the gate stable; release-only —
-//! `cargo test --release` runs it (the CI `release` job).
+//! * default rule — on the polygon fans of a canvas-creation pass, wide
+//!   triangles and thin diagonal slivers on a 1024² canvas, the 8-wide
+//!   block kernel must be at least 1.3× the oracle;
+//! * conservative rule — on 2,000 thin diagonal slivers at 512², the
+//!   boundary coverage of layer construction, the per-row run form must be
+//!   at least 2× the oracle, which tests every pixel of each bounding box.
+//!
+//! Medians of repeated runs keep the gates stable; release-only —
+//! `cargo test --release` runs them (the CI `release` job).
 
 use spade_geometry::{BBox, Point};
 use spade_gpu::{raster, Primitive, Texture, Viewport};
 use std::time::{Duration, Instant};
 
-const RUNS: usize = 15;
-
-/// Median wall time of `RUNS` executions of `f`.
-fn median(mut f: impl FnMut() -> Texture) -> Duration {
-    let mut times: Vec<Duration> = (0..RUNS)
+/// Median wall time of `runs` executions of `f`.
+fn median(runs: usize, mut f: impl FnMut() -> Texture) -> Duration {
+    let mut times: Vec<Duration> = (0..runs)
         .map(|_| {
             let t0 = Instant::now();
             std::hint::black_box(f());
@@ -23,18 +25,20 @@ fn median(mut f: impl FnMut() -> Texture) -> Duration {
         })
         .collect();
     times.sort();
-    times[RUNS / 2]
+    times[runs / 2]
+}
+
+fn lcg(seed: &mut u64) -> f64 {
+    *seed = seed
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    ((*seed >> 11) as f64) / ((1u64 << 53) as f64)
 }
 
 /// 200 triangles of a canvas-creation pass at full resolution.
 fn raster_bound() -> Vec<Primitive> {
     let mut seed = 0x5eed_u64;
-    let mut lcg = move || {
-        seed = seed
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        ((seed >> 11) as f64) / ((1u64 << 53) as f64)
-    };
+    let mut lcg = move || lcg(&mut seed);
     // Polygon fans arriving at the canvas pass are a mix of compact
     // triangles and thin diagonal slivers (boundary fans). Slivers are the
     // raster-bound worst case: the scanline walks a large bounding box for
@@ -62,21 +66,36 @@ fn raster_bound() -> Vec<Primitive> {
         .collect()
 }
 
-fn vp() -> Viewport {
-    Viewport::new(BBox::new(Point::ZERO, Point::new(1.0, 1.0)), 1024, 1024)
+/// 2,000 thin diagonal slivers, the shape of a polygon boundary's
+/// conservative coverage triangles.
+fn slivers() -> Vec<Primitive> {
+    let mut seed = 0x511e_u64;
+    (0..2000)
+        .map(|i| {
+            let (x, y) = (lcg(&mut seed) * 0.6, lcg(&mut seed) * 0.6);
+            let d = 0.05 + lcg(&mut seed) * 0.3;
+            Primitive::triangle(
+                Point::new(x, y),
+                Point::new(x + d, y + d + 0.002),
+                Point::new(x + d + 0.004, y + d + 0.006),
+                [i + 1, 0, 0, 0],
+            )
+        })
+        .collect()
 }
 
-/// The canvas a canvas-creation pass writes — every fragment's attrs, in
-/// order — through the batched kernel or the scalar oracle.
-fn render(prims: &[Primitive], batched: bool) -> Texture {
-    let (vp, mut tex) = (vp(), Texture::new(1024, 1024));
+/// The canvas a pass writes at `n`² — every fragment's attrs, in order —
+/// through the batched kernels or the scalar oracle.
+fn render(prims: &[Primitive], n: u32, conservative: bool, batched: bool) -> Texture {
+    let vp = Viewport::new(BBox::new(Point::ZERO, Point::new(1.0, 1.0)), n, n);
+    let mut tex = Texture::new(n, n);
     for p in prims {
         let attrs = p.attrs();
         let mut put = |x, y| tex.put(x, y, attrs);
         if batched {
-            raster::rasterize_with(p, &vp, false, &mut put);
+            raster::rasterize_with(p, &vp, conservative, &mut put);
         } else {
-            raster::rasterize(p, &vp, false, &mut put);
+            raster::rasterize(p, &vp, conservative, &mut put);
         }
     }
     tex
@@ -87,16 +106,35 @@ fn render(prims: &[Primitive], batched: bool) -> Texture {
 fn batched_kernels_speed_up_raster_bound_work() {
     let prims = raster_bound();
     // Warm up, and the gate compares equal work: the same canvas.
-    let want = render(&prims, false);
+    let want = render(&prims, 1024, false, false);
     assert!(want.count_non_null() > 0);
-    assert_eq!(render(&prims, true), want);
-    let t_on = median(|| render(&prims, true));
-    let t_off = median(|| render(&prims, false));
+    assert_eq!(render(&prims, 1024, false, true), want);
+    let t_on = median(15, || render(&prims, 1024, false, true));
+    let t_off = median(15, || render(&prims, 1024, false, false));
     let speedup = t_off.as_secs_f64() / t_on.as_secs_f64();
     eprintln!("raster_bound: batched {t_on:?} scalar {t_off:?} speedup {speedup:.2}x");
     assert!(
         speedup >= 1.3,
         "expected batched raster >= 1.3x scalar, got {speedup:.2}x \
          (batched median {t_on:?}, scalar median {t_off:?})"
+    );
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "timing-sensitive; run in release")]
+fn conservative_runs_speed_up_sliver_coverage() {
+    let prims = slivers();
+    let want = render(&prims, 512, true, false);
+    assert!(want.count_non_null() > 0);
+    assert_eq!(render(&prims, 512, true, true), want);
+    // The oracle takes over half a second per run here, so fewer runs.
+    let t_runs = median(5, || render(&prims, 512, true, true));
+    let t_oracle = median(5, || render(&prims, 512, true, false));
+    let speedup = t_oracle.as_secs_f64() / t_runs.as_secs_f64();
+    eprintln!("slivers: runs {t_runs:?} oracle {t_oracle:?} speedup {speedup:.2}x");
+    assert!(
+        speedup >= 2.0,
+        "expected conservative runs >= 2x the oracle, got {speedup:.2}x \
+         (runs median {t_runs:?}, oracle median {t_oracle:?})"
     );
 }

@@ -164,6 +164,7 @@ fn record_triangles_at_boundary(
             let Some((x0, y0, x1, y1)) = vp.pixel_range(&t.bbox()) else {
                 continue;
             };
+            let test = raster::TriBoxTest::new(t);
             for y in y0..=y1 {
                 let row = &rows[y as usize];
                 let lo = row.partition_point(|&x| x < x0);
@@ -171,7 +172,7 @@ fn record_triangles_at_boundary(
                     if x > x1 {
                         break;
                     }
-                    if raster::triangle_overlaps_box(t, &vp.pixel_box(x, y)) {
+                    if test.overlaps(&vp.pixel_box(x, y)) {
                         out.push(((x, y), base + k));
                     }
                 }
@@ -212,7 +213,7 @@ fn record_coverage(
             if vb == 0 {
                 continue;
             }
-            raster::rasterize(prim, vp, true, &mut |x, y| {
+            raster::rasterize_with(prim, vp, true, &mut |x, y| {
                 out.push(((x, y), vb - 1));
             });
         }

@@ -386,6 +386,10 @@ fn record_distance_coverage(layer: &mut CanvasLayer, vp: &Viewport, pool: &spade
                 let Some((x0, y0, x1, y1)) = vp.pixel_range(&reach) else {
                     continue;
                 };
+                let tri_test = match &e.geom {
+                    BoundaryGeom::Triangle(t) => Some(spade_gpu::raster::TriBoxTest::new(t)),
+                    _ => None,
+                };
                 for y in y0..=y1 {
                     for x in x0..=x1 {
                         let px = texture.get(x, y);
@@ -399,9 +403,9 @@ fn record_distance_coverage(layer: &mut CanvasLayer, vp: &Viewport, pool: &spade
                             BoundaryGeom::SegmentDist { seg, r } => {
                                 point_segment_distance(center, *seg) <= r + hd
                             }
-                            BoundaryGeom::Triangle(t) => {
-                                spade_gpu::raster::triangle_overlaps_box(t, &vp.pixel_box(x, y))
-                            }
+                            BoundaryGeom::Triangle(_) => tri_test
+                                .as_ref()
+                                .is_some_and(|t| t.overlaps(&vp.pixel_box(x, y))),
                             _ => true,
                         };
                         if possible {

@@ -95,7 +95,7 @@ pub fn build_layer_index(
                 if !ok {
                     break;
                 }
-                spade_gpu::raster::rasterize(&prim, &vp, true, &mut |x, y| {
+                spade_gpu::raster::rasterize_with(&prim, &vp, true, &mut |x, y| {
                     if cmax.get(x, y)[0] != p.id + 1 {
                         ok = false;
                     }

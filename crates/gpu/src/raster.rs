@@ -12,6 +12,11 @@
 //! Rasterization also performs clipping: fragments are only generated inside
 //! the viewport, mirroring the fixed-function vertex post-processing stage
 //! (§2.2).
+//!
+//! [`rasterize`] tests every pixel of the bounding box and is the oracle;
+//! [`rasterize_with`], which passes use, emits the same fragments in the
+//! same order from 8-pixel blocks (default rule) and per-row runs
+//! (conservative triangles), tested with the oracle's exact predicates.
 
 use crate::primitive::Primitive;
 use crate::viewport::Viewport;
@@ -294,15 +299,19 @@ pub fn rasterize(
 
 /// [`rasterize`] through the batched kernels, the form every pass uses:
 /// default-rule triangles run through the 8-wide block kernel (each mask
-/// decoded in ascending-bit order, so the fragment sequence — order
-/// included — is unchanged); everything else has no block form and takes
-/// the scalar path. Bit-identical to [`rasterize`], which stays the oracle.
+/// decoded in ascending-bit order); conservative triangles emit each row's
+/// covered run `first..=last` in ascending x (see `tri_row_runs`);
+/// points and lines take the scalar path. The fragment sequence, order
+/// included, is [`rasterize`]'s, which stays the oracle.
 pub fn rasterize_with(
     prim: &Primitive,
     vp: &Viewport,
     conservative: bool,
     emit: &mut impl FnMut(u32, u32),
 ) {
+    if let (Primitive::Triangle { a, b, c, .. }, true) = (prim, conservative) {
+        return raster_tri_runs(&Triangle::new(*a, *b, *c), vp, emit);
+    }
     let done = rasterize_blocks(prim, vp, conservative, &mut |x, y, _n, mut m| {
         while m != 0 {
             emit(x + m.trailing_zeros(), y);
@@ -320,8 +329,9 @@ pub fn rasterize_with(
 /// `x + i` covered), row-major / left-to-right — the same pixel order as
 /// [`rasterize`]. Returns `true` when the primitive was rasterized in
 /// block form (default-rule triangles); `false` — without emitting
-/// anything — when it has no block form (points, lines, the conservative
-/// rule) and the caller must fall back to [`rasterize`].
+/// anything — when it has no block form (points, lines, and conservative
+/// triangles, which run as rows) and the caller must fall back to
+/// [`rasterize_with`].
 pub fn rasterize_blocks(
     prim: &Primitive,
     vp: &Viewport,
@@ -369,13 +379,12 @@ fn raster_tri_blocks(tri: &Triangle, vp: &Viewport, block: &mut impl FnMut(u32, 
 /// Count covered pixels without materializing them (the 2-pass Map
 /// operator's counting pass).
 ///
-/// Points are O(1) and triangles use a per-row scanline interval search
-/// instead of enumerating every pixel of the bounding box through a closure;
-/// when a default-rule triangle row falls off the analytic interval search,
-/// the linear rescan runs as block popcounts. The counts are guaranteed
-/// identical to [`rasterize`]'s emission count because every pixel that
-/// decides the count is tested with the exact same floating-point predicate
-/// the enumerating rasterizer uses.
+/// Points are O(1) and triangles add up the per-row covered runs of
+/// `tri_row_runs` instead of enumerating every pixel of the bounding box;
+/// when a default-rule row has no seed, its linear rescan runs as block
+/// popcounts. The counts are guaranteed identical to [`rasterize`]'s
+/// emission count because every pixel that decides the count is tested with
+/// the exact same floating-point predicate the enumerating rasterizer uses.
 pub fn coverage_count(prim: &Primitive, vp: &Viewport, conservative: bool) -> usize {
     match prim {
         Primitive::Point { p, .. } => usize::from(vp.world_to_pixel(*p).is_some()),
@@ -385,53 +394,93 @@ pub fn coverage_count(prim: &Primitive, vp: &Viewport, conservative: bool) -> us
             n
         }
         Primitive::Triangle { a, b, c, .. } => {
+            let mut total = 0usize;
             let tri = Triangle::new(*a, *b, *c);
-            coverage_count_tri(&tri, vp, conservative)
+            tri_row_runs(&tri, vp, conservative, &mut |test, y, x0, x1, run| {
+                total += match run {
+                    Some((first, last)) => (last - first + 1) as usize,
+                    None if !conservative => test.edges.count_row(x0, x1),
+                    None => (x0..=x1).filter(|&x| test.inside(x, y)).count(),
+                }
+            });
+            total
         }
     }
 }
 
-/// Scanline triangle coverage count. Within one row, each coverage rule is
-/// an *interval* in x: every individual comparison in the per-pixel
-/// predicate is monotone in x even under floating point (pixel coordinates
-/// are monotone in x, fp multiplication by a row-constant and fp addition
-/// are monotone, and min/max/comparison preserve monotonicity), and a
-/// conjunction of monotone threshold tests is a contiguous run. So per row
-/// we locate one covered pixel near an analytic hint, then binary-search
-/// both ends of the run — all probes use the exact per-pixel predicate. If
-/// the hint finds no covered pixel the row falls back to a linear scan,
-/// which can never be wrong.
-fn coverage_count_tri(tri: &Triangle, vp: &Viewport, conservative: bool) -> usize {
+/// Conservative triangle rasterization as one covered run per row (see
+/// [`tri_row_runs`]); a row without a seed is scanned pixel by pixel. The
+/// fragments and their order are [`raster_tri_conservative`]'s.
+fn raster_tri_runs(tri: &Triangle, vp: &Viewport, emit: &mut impl FnMut(u32, u32)) {
+    tri_row_runs(tri, vp, true, &mut |test, y, x0, x1, run| {
+        let (lo, hi) = run.unwrap_or((x0, x1));
+        for x in (lo..=hi).filter(|&x| run.is_some() || test.inside(x, y)) {
+            emit(x, y);
+        }
+    });
+}
+
+/// A triangle's exact per-pixel predicate under one rule: pixel centers of
+/// the row `edges` was last aimed at, or, with `boxes` (the conservative
+/// rule), pixel boxes through the hoisted overlap test.
+struct RowTest<'a> {
+    edges: TriRowKernel,
+    boxes: Option<(TriBoxTest, &'a Viewport)>,
+}
+
+impl RowTest<'_> {
+    #[inline]
+    fn inside(&self, x: u32, y: u32) -> bool {
+        match &self.boxes {
+            Some((t, vp)) => t.overlaps(&vp.pixel_box(x, y)),
+            None => self.edges.inside(x),
+        }
+    }
+}
+
+/// Walk the rows of a triangle's pixel range under one coverage rule and
+/// hand each to `row(test, y, x0, x1, run)`: `run` is the row's covered run
+/// `first..=last`, or `None` when the row must be scanned with `test`.
+///
+/// Within one row, each coverage rule is an *interval* in x: every
+/// individual comparison in the per-pixel predicate is monotone in x even
+/// under floating point (pixel coordinates are monotone in x, fp
+/// multiplication by a row-constant and fp addition are monotone, and
+/// min/max/comparison preserve monotonicity), and a conjunction of monotone
+/// threshold tests is a contiguous run. So per row we probe an analytic hint
+/// and its two neighbours for a covered pixel, then binary-search both ends
+/// of the run with the exact per-pixel predicate. A row with no seed is
+/// left to the caller's scan, which can never be wrong. Rows the default
+/// rule proves empty are skipped.
+fn tri_row_runs<'a>(
+    tri: &Triangle,
+    vp: &'a Viewport,
+    conservative: bool,
+    row: &mut impl FnMut(&RowTest<'a>, u32, u32, u32, Option<(u32, u32)>),
+) {
     let Some((x0, y0, x1, y1)) = vp.pixel_range(&tri.bbox()) else {
-        return 0;
+        return;
     };
-    // Same winding normalization as the enumerating rasterizer.
-    let (a, b, c) = if tri.signed_area() >= 0.0 {
-        (tri.a, tri.b, tri.c)
-    } else {
-        (tri.a, tri.c, tri.b)
+    let mut test = RowTest {
+        edges: TriRowKernel::new(tri, vp),
+        boxes: conservative.then(|| (TriBoxTest::new(tri), vp)),
     };
-    // Default-rule probes go through the row-hoisted kernel; its per-pixel
-    // values are bit-identical to the naive edge-function expressions.
-    let mut ev = (!conservative).then(|| TriRowKernel::new(tri, vp));
-    let mut total = 0usize;
     for y in y0..=y1 {
-        // Row-constant pixel-center y, computed with the exact expression
-        // `pixel_center` uses.
+        // Row-constant pixel-center y, exactly as `pixel_center` has it.
         let py = vp.pixel_center(x0, y).y;
+        test.edges.begin_row(py);
         // Analytic row interval in world-x from the three half-plane
-        // constraints e = (v-u)×(p-u) ≥ 0, rewritten as s·px ≤ t with
-        // s = v.y-u.y and t = (v.x-u.x)·(py-u.y) + s·u.x. Approximate —
-        // it only seeds the exact search below — except the s == 0 case:
-        // there the per-pixel edge value is exactly the row constant
-        // (v.x-u.x)·(py-u.y) (the px term is ±0), so t < 0 proves the
-        // whole row uncovered under the default rule.
+        // constraints e = (v-u)×(p-u) ≥ 0 (the kernel's CCW edges),
+        // rewritten as s·px ≤ t with s = v.y-u.y and t = (v.x-u.x)·(py-u.y)
+        // + s·u.x. Approximate — it only seeds the exact search below —
+        // except the s == 0 case: there the per-pixel edge value is exactly
+        // the row constant (v.x-u.x)·(py-u.y) (the px term is ±0), so t < 0
+        // proves the whole row uncovered under the default rule.
         let mut wlo = f64::NEG_INFINITY;
         let mut whi = f64::INFINITY;
         let mut row_empty = false;
-        for (u, v) in [(a, b), (b, c), (c, a)] {
-            let s = v.y - u.y;
-            let t = (v.x - u.x) * (py - u.y) + s * u.x;
+        let k = &test.edges;
+        for (s, t) in (0..3).map(|i| (k.dy[i], k.t[i] + k.dy[i] * k.ux[i])) {
             if s > 0.0 {
                 whi = whi.min(t / s);
             } else if s < 0.0 {
@@ -443,69 +492,25 @@ fn coverage_count_tri(tri: &Triangle, vp: &Viewport, conservative: bool) -> usiz
         if row_empty && !conservative {
             continue;
         }
-        let wmid = if wlo.is_finite() && whi.is_finite() {
-            0.5 * (wlo + whi)
-        } else if wlo.is_finite() {
-            wlo
-        } else if whi.is_finite() {
-            whi
-        } else {
-            vp.pixel_center((x0 + x1) / 2, y).x
+        let wmid = match (wlo.is_finite(), whi.is_finite()) {
+            (true, true) => 0.5 * (wlo + whi),
+            (true, false) => wlo,
+            (false, true) => whi,
+            (false, false) => vp.pixel_center((x0 + x1) / 2, y).x,
         };
         let hx = vp.world_to_pixel_f(Point::new(wmid, py)).x;
-        let hint = if hx.is_finite() {
+        let h = if hx.is_finite() {
             (hx.floor() as i64).clamp(x0 as i64, x1 as i64) as u32
         } else {
             (x0 + x1) / 2
         };
-        // Exact per-pixel predicates: bit-identical expressions to
-        // `raster_tri_default` / `raster_tri_conservative`.
-        total += match &mut ev {
-            Some(ev) => {
-                ev.begin_row(py);
-                let ev = &*ev;
-                row_interval_count(x0, x1, hint, &|x| ev.inside(x), || ev.count_row(x0, x1))
-            }
-            None => {
-                let inside = |x: u32| triangle_overlaps_box(tri, &vp.pixel_box(x, y));
-                row_interval_count(x0, x1, hint, &inside, || {
-                    (x0..=x1).filter(|&x| inside(x)).count()
-                })
-            }
-        };
-    }
-    total
-}
-
-/// Count the covered run of an interval-shaped row predicate on
-/// `[x0, x1]`. Probes `hint` and its neighbours; on a seed, binary-searches
-/// both run ends; otherwise rescans the whole row through `fallback`
-/// (which must be an exhaustive count with the same predicate — never
-/// wrong, just slower).
-fn row_interval_count(
-    x0: u32,
-    x1: u32,
-    hint: u32,
-    inside: &impl Fn(u32) -> bool,
-    fallback: impl FnOnce() -> usize,
-) -> usize {
-    let h = hint.clamp(x0, x1);
-    let seed = if inside(h) {
-        Some(h)
-    } else if h > x0 && inside(h - 1) {
-        Some(h - 1)
-    } else if h < x1 && inside(h + 1) {
-        Some(h + 1)
-    } else {
-        None
-    };
-    match seed {
-        Some(s) => {
-            let first = bisect_first(x0, s, inside);
-            let last = bisect_last(s, x1, inside);
-            (last - first + 1) as usize
-        }
-        None => fallback(),
+        let inside = |x: u32| test.inside(x, y);
+        let probes = [h, h.wrapping_sub(1), h + 1];
+        let seed = probes
+            .into_iter()
+            .find(|&s| (x0..=x1).contains(&s) && inside(s));
+        let run = seed.map(|s| (bisect_first(x0, s, &inside), bisect_last(s, x1, &inside)));
+        row(&test, y, x0, x1, run);
     }
 }
 
@@ -735,24 +740,44 @@ fn raster_tri_conservative(tri: &Triangle, vp: &Viewport, emit: &mut impl FnMut(
 
 /// Separating-axis triangle/AABB overlap (boundary inclusive).
 pub fn triangle_overlaps_box(tri: &Triangle, b: &BBox) -> bool {
-    // Axis-aligned axes.
-    let tb = tri.bbox();
-    if !tb.intersects(b) {
-        return false;
+    TriBoxTest::new(tri).overlaps(b)
+}
+
+/// [`triangle_overlaps_box`] with the triangle's side hoisted: its bbox and
+/// its projection range on each edge normal are computed once, so a box
+/// costs only its four corner projections. The fp operations and operands
+/// are the one-shot test's, so every answer is the same bit for bit.
+pub struct TriBoxTest {
+    bbox: BBox,
+    /// Per edge `(i, i+1)`: its normal and the triangle's range on it.
+    axes: [(Point, (f64, f64)); 3],
+}
+
+impl TriBoxTest {
+    pub fn new(tri: &Triangle) -> TriBoxTest {
+        let (verts, bbox) = (tri.vertices(), tri.bbox());
+        let axes = std::array::from_fn(|i| {
+            let n = (verts[(i + 1) % 3] - verts[i]).perp();
+            (n, project_range(&verts, n))
+        });
+        TriBoxTest { bbox, axes }
     }
-    // Triangle edge normals.
-    let verts = tri.vertices();
-    let corners = b.corners();
-    for i in 0..3 {
-        let e = verts[(i + 1) % 3] - verts[i];
-        let n = e.perp();
-        let (tmin, tmax) = project_range(&verts, n);
-        let (bmin, bmax) = project_range(&corners, n);
-        if tmax < bmin || bmax < tmin {
+
+    /// Separating-axis overlap of the triangle and `b` (boundary inclusive).
+    #[inline]
+    pub fn overlaps(&self, b: &BBox) -> bool {
+        if !self.bbox.intersects(b) {
             return false;
         }
+        let corners = b.corners();
+        for &(n, (tmin, tmax)) in &self.axes {
+            let (bmin, bmax) = project_range(&corners, n);
+            if tmax < bmin || bmax < tmin {
+                return false;
+            }
+        }
+        true
     }
-    true
 }
 
 fn project_range(pts: &[Point], axis: Point) -> (f64, f64) {
@@ -954,15 +979,46 @@ mod tests {
         ((*seed >> 11) as f64) / ((1u64 << 53) as f64)
     }
 
+    /// Three vertices on `vp`'s pixel grid, up to two pixels beyond the
+    /// viewport: each coordinate is a pixel boundary (computed as
+    /// `Viewport::pixel_box` does) two times in three and free otherwise, so
+    /// vertices land on pixel corners and pixel edges; every third triangle
+    /// also has a vertical edge.
+    fn grid_aligned(vp: &Viewport, seed: &mut u64, case: u32) -> [Point; 3] {
+        let ps = vp.pixel_size();
+        let mut coord = |min: f64, size: f64, n: u32| {
+            let k = (lcg(seed) * f64::from(n + 5)).floor() - 2.0;
+            let off = if lcg(seed) < 2.0 / 3.0 {
+                0.0
+            } else {
+                lcg(seed)
+            };
+            min + (k + off) * size
+        };
+        let mut pts = [Point::ZERO; 3];
+        for p in &mut pts {
+            let x = coord(vp.world.min.x, ps.x, vp.width);
+            *p = Point::new(x, coord(vp.world.min.y, ps.y, vp.height));
+        }
+        if case.is_multiple_of(3) {
+            pts[1].x = pts[0].x;
+        }
+        pts
+    }
+
     #[test]
     fn coverage_count_matches_enumeration_randomized() {
         // The scanline fast path must agree with pixel enumeration exactly,
         // for both rules, across random triangles including slivers,
-        // degenerates and shapes spilling outside the viewport — and at a
-        // resolution high enough that the binary search actually runs.
+        // degenerates, pixel-grid-aligned shapes and shapes spilling outside
+        // the viewport — at resolutions whose pixel sizes are not powers of
+        // two, and high enough that the binary search actually runs.
+        let world = BBox::new(Point::ZERO, Point::new(10.0, 10.0));
         let vps = [
             vp10(),
-            Viewport::new(BBox::new(Point::ZERO, Point::new(10.0, 10.0)), 256, 256),
+            Viewport::new(world, 256, 256),
+            Viewport::new(world, 7, 7),
+            Viewport::new(world, 100, 100),
         ];
         let mut seed = 12345u64;
         for case in 0..200u32 {
@@ -979,8 +1035,11 @@ mod tests {
                 // Collinear (zero-area) triangle.
                 pts[2] = Point::new((pts[0].x + pts[1].x) * 0.5, (pts[0].y + pts[1].y) * 0.5);
             }
-            let t = Primitive::triangle(pts[0], pts[1], pts[2], [0; 4]);
             for vp in &vps {
+                if case % 5 == 2 {
+                    pts = grid_aligned(vp, &mut seed, case);
+                }
+                let t = Primitive::triangle(pts[0], pts[1], pts[2], [0; 4]);
                 for cons in [false, true] {
                     let mut n = 0usize;
                     rasterize(&t, vp, cons, &mut |_, _| n += 1);
@@ -989,6 +1048,68 @@ mod tests {
                         n,
                         "case={case} cons={cons} pts={pts:?}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn conservative_runs_match_scalar_oracle() {
+        // The run form of the conservative rule must emit the oracle's
+        // fragment sequence exactly — order included — for random, sliver,
+        // collinear and pixel-grid-aligned triangles, many spilling out of
+        // the viewport, on square and non-square viewports whose pixel sizes
+        // are not powers of two. Counting shares the row runs, so it must
+        // agree too. The shallow-apex kind puts a vertex just above a row's
+        // lower boundary with one nearly flat edge: the analytic hint of
+        // that row lands far from its covered run, so the per-row scan
+        // fallback is exercised with pixels to find.
+        let mut seed = 2022u64;
+        for n in [7u32, 64, 100, 256] {
+            let vps = [
+                Viewport::new(BBox::new(Point::new(-1.3, 0.7), Point::new(8.9, 7.1)), n, n),
+                Viewport::new(BBox::new(Point::ZERO, Point::new(10.0, 10.0)), n, n * 3 / 5),
+            ];
+            for vp in &vps {
+                let (lo, w, h) = (vp.world.min, vp.world.width(), vp.world.height());
+                for case in 0..60u32 {
+                    let mut pts = [Point::ZERO; 3];
+                    for p in &mut pts {
+                        let (fx, fy) = (lcg(&mut seed) * 1.4 - 0.2, lcg(&mut seed) * 1.4 - 0.2);
+                        *p = Point::new(lo.x + fx * w, lo.y + fy * h);
+                    }
+                    let ps = vp.pixel_size();
+                    match case % 5 {
+                        // Sliver thinner than a pixel, slanted across rows.
+                        1 => {
+                            let d = ps.y * 0.3;
+                            pts[1] = Point::new(pts[0].x + 0.4 * w, pts[0].y + 0.3 * h);
+                            pts[2] = Point::new(pts[1].x + d, pts[1].y + d);
+                        }
+                        // Collinear (zero-area).
+                        2 => pts[2] = pts[0].lerp(pts[1], 0.375),
+                        3 => pts = grid_aligned(vp, &mut seed, case),
+                        // Shallow apex.
+                        4 => {
+                            let k = (lcg(&mut seed) * f64::from(vp.height)).floor();
+                            let ay = lo.y + (k + 0.1 + 0.2 * lcg(&mut seed)) * ps.y;
+                            let a = Point::new(pts[0].x, ay);
+                            let l = (0.1 + 0.3 * lcg(&mut seed)) * w;
+                            let slope = 0.002 + 0.02 * lcg(&mut seed);
+                            pts[1] = Point::new(a.x + l, a.y - l * slope);
+                            pts[2] = Point::new(a.x - 0.02 * w, a.y - 0.3 * h);
+                            pts[0] = a;
+                        }
+                        _ => {}
+                    }
+                    let t = Primitive::triangle(pts[0], pts[1], pts[2], [0; 4]);
+                    let mut oracle = Vec::new();
+                    rasterize(&t, vp, true, &mut |x, y| oracle.push((x, y)));
+                    let mut runs = Vec::new();
+                    rasterize_with(&t, vp, true, &mut |x, y| runs.push((x, y)));
+                    let at = format!("n={n} vp={:?} case={case} pts={pts:?}", vp.world);
+                    assert_eq!(runs, oracle, "{at}");
+                    assert_eq!(coverage_count(&t, vp, true), oracle.len(), "{at}");
                 }
             }
         }
