@@ -474,23 +474,31 @@ fn merge_partials(
     partials: Vec<(QueryResult, QueryStats, Duration, Duration)>,
     knn_k: Option<usize>,
 ) -> Result<QueryResponse, ClusterError> {
-    let mut stats = QueryStats::default();
-    let mut queue_wait = Duration::ZERO;
-    let mut exec_time = Duration::ZERO;
+    // Fan-out runs in parallel: the wall terms are the critical-path
+    // shard's — the one with the largest total — so they still partition
+    // its total; volume terms add up over every shard.
+    let critical = partials.iter().max_by_key(|p| p.1.total_time);
+    let Some((_, s, queue_wait, exec_time)) = critical else {
+        return Err(ClusterError::Protocol(
+            "scatter produced no partials".into(),
+        ));
+    };
+    let (queue_wait, exec_time) = (*queue_wait, *exec_time);
+    let mut stats = QueryStats {
+        io_time: s.io_time,
+        io_hidden: s.io_hidden,
+        gpu_time: s.gpu_time,
+        polygon_time: s.polygon_time,
+        cpu_time: s.cpu_time,
+        total_time: s.total_time,
+        ..Default::default()
+    };
     let mut ids: Vec<u32> = Vec::new();
     let mut ranked: Vec<(u32, f64)> = Vec::new();
     let mut pairs: Vec<(u32, u32)> = Vec::new();
     let mut counts: BTreeMap<u32, u64> = BTreeMap::new();
     let mut kind: Option<u8> = None;
-    for (result, s, qw, et) in partials {
-        // Fan-out runs in parallel: wall terms take the slowest shard,
-        // volume terms add up.
-        stats.io_time += s.io_time;
-        stats.gpu_time += s.gpu_time;
-        stats.polygon_time += s.polygon_time;
-        stats.cpu_time += s.cpu_time;
-        stats.total_time = stats.total_time.max(s.total_time);
-        stats.io_hidden += s.io_hidden;
+    for (result, s, _, _) in partials {
         stats.bytes_from_disk += s.bytes_from_disk;
         stats.bytes_to_device += s.bytes_to_device;
         stats.passes += s.passes;
@@ -498,8 +506,6 @@ fn merge_partials(
         stats.prefetch_hits += s.prefetch_hits;
         stats.prefetch_misses += s.prefetch_misses;
         stats.cache_hits += s.cache_hits;
-        queue_wait = queue_wait.max(qw);
-        exec_time = exec_time.max(et);
         let this = match &result {
             QueryResult::Ids(_) => 1,
             QueryResult::Ranked(_) => 2,

@@ -16,7 +16,6 @@ use spade_canvas::algebra;
 use spade_canvas::canvas::{classify, pixel_bound, pixel_id, PixelClass};
 use spade_gpu::{BlendMode, DrawCall, Primitive};
 use std::collections::{BTreeMap, BTreeSet};
-use std::time::Duration;
 
 /// Aggregation result: `(polygon id, point count)` in polygon-id order.
 pub type Counts = Vec<(u32, u64)>;
@@ -116,12 +115,11 @@ pub fn aggregate_indexed<'a>(
 ) -> spade_storage::Result<QueryOutput<Counts>> {
     let mut qspan = crate::trace::span("query.aggregate");
     let measure = spade.begin();
-    let mut polygon_time = Duration::ZERO;
     let walk = PairWalk::plan(polys.into(), points.into(), ctx, |left, right| {
-        hull_pairs(spade, left, right, &mut polygon_time)
+        hull_pairs(spade, left, right)
     })?;
     let mut totals = BTreeMap::new();
-    let (mut stream, _) = walk.run(spade, ctx, &mut polygon_time, |left, right, _| {
+    let (mut stream, _) = walk.run(spade, ctx, |left, right, _| {
         count_cells(spade, left, right, &mut totals)
     })?;
 
@@ -149,7 +147,7 @@ pub fn aggregate_indexed<'a>(
     let n = result.len() as u64;
     qspan.attr("polygons", n);
     qspan.attr("cells", stream.cells);
-    let stats = measure.finish(spade, &stream, &walk.deltas, polygon_time, n);
+    let stats = measure.finish(spade, &stream, &walk.deltas, n);
     Ok(QueryOutput { result, stats })
 }
 

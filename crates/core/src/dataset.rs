@@ -10,7 +10,6 @@ use spade_index::{GridIndex, Version};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
 
 /// Process-unique dataset identities, used as result-cache key components
 /// so two different datasets never share cache entries. Clones of an
@@ -509,17 +508,9 @@ impl ReadView<'_> {
 
     /// The bounding polygons of `slots` in the form the index filters
     /// render and probe, keyed by slot; the preparation is polygon time.
-    pub(crate) fn prepared_hulls(
-        &self,
-        slots: std::ops::Range<u32>,
-        polygon_time: &mut Duration,
-    ) -> Vec<PreparedPolygon> {
-        let t0 = Instant::now();
-        let hulls = slots
-            .map(|s| PreparedPolygon::prepare(s, &self.hull(s)))
-            .collect();
-        *polygon_time += t0.elapsed();
-        hulls
+    pub(crate) fn prepared_hulls(&self, slots: std::ops::Range<u32>) -> Vec<PreparedPolygon> {
+        let prepare = |s| PreparedPolygon::prepare(s, &self.hull(s));
+        spade_gpu::record::preparing(|| slots.map(prepare).collect())
     }
 
     fn load_cell_raw(&self, idx: usize) -> spade_storage::Result<Dataset> {

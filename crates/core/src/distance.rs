@@ -24,7 +24,6 @@ use spade_canvas::create::PreparedPolygon;
 use spade_canvas::distance as dcanvas;
 use spade_geometry::{BBox, LineString, Point, Polygon, Segment};
 use std::ops::Range;
-use std::time::{Duration, Instant};
 
 /// The geometry a distance constraint measures from.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,7 +71,6 @@ pub(crate) fn build_distance_constraint(
     constraint: &DistanceConstraint,
     r: f64,
     resolution: u32,
-    polygon_time: &mut Duration,
 ) -> Constraint {
     let vp = distance_viewport(constraint.bbox().inflate(r), resolution);
     match constraint {
@@ -86,9 +84,7 @@ pub(crate) fn build_distance_constraint(
             Constraint::from_layer(layer, vp, l.points.len())
         }
         DistanceConstraint::Polygon(poly) => {
-            let t0 = Instant::now();
-            let prepared = PreparedPolygon::prepare(0, poly);
-            *polygon_time += t0.elapsed();
+            let prepared = spade_gpu::record::preparing(|| PreparedPolygon::prepare(0, poly));
             let nv = prepared.num_vertices();
             let layer = dcanvas::distance_canvas_polygon(&spade.pipeline, vp, &prepared, r);
             Constraint::from_layer(layer, vp, nv)
@@ -111,15 +107,14 @@ pub fn distance_select_indexed<'a>(
 ) -> spade_storage::Result<QueryOutput<Vec<u32>>> {
     let qspan = crate::trace::span("query.distance");
     let measure = spade.begin();
-    let mut polygon_time = Duration::ZERO;
-    let walk = CellWalk::plan(data.into(), ctx, &mut polygon_time)?;
+    let walk = CellWalk::plan(data.into(), ctx)?;
     let resolution = spade.config.distance_resolution();
-    let c = build_distance_constraint(spade, constraint, r, resolution, &mut polygon_time);
+    let c = build_distance_constraint(spade, constraint, r, resolution);
     let mut ids = Vec::new();
     let stream = walk.run(spade, ctx, &c, &c, |cell| {
         ids.extend(select_points_mem(spade, &cell.as_points(), &c))
     })?;
-    Ok(walk.finish_ids(spade, measure, qspan, polygon_time, ids, stream))
+    Ok(walk.finish_ids(spade, measure, qspan, ids, stream))
 }
 
 /// Pack disks into layers so no two disks in a layer overlap — the
@@ -226,15 +221,14 @@ pub(crate) fn hulls_within(
     spade: &Spade,
     (view1, slots1): (&ReadView<'_>, Range<u32>),
     (view2, slots2): (&ReadView<'_>, Range<u32>),
-    polygon_time: &mut Duration,
     reach: impl Fn(u32) -> f64,
 ) -> Pairs {
-    let right = view2.prepared_hulls(slots2, polygon_time);
+    let right = view2.prepared_hulls(slots2);
     let resolution = spade.config.filter_resolution();
     let mut pairs = Vec::new();
     for l in slots1 {
         let hull = DistanceConstraint::Polygon(view1.hull(l).into_owned());
-        let near = build_distance_constraint(spade, &hull, reach(l), resolution, polygon_time);
+        let near = build_distance_constraint(spade, &hull, reach(l), resolution);
         pairs.extend(
             select_polygons_mem(spade, &right, &near)
                 .into_iter()
@@ -259,12 +253,11 @@ pub fn distance_join_indexed<'a>(
 ) -> spade_storage::Result<QueryOutput<Pairs>> {
     let mut qspan = crate::trace::span("query.distance_join");
     let measure = spade.begin();
-    let mut polygon_time = Duration::ZERO;
     let walk = PairWalk::plan(d1.into(), d2.into(), ctx, |left, right| {
-        hulls_within(spade, left, right, &mut polygon_time, |_| r)
+        hulls_within(spade, left, right, |_| r)
     })?;
     let (mut pairs, mut disks) = (Vec::new(), ResidentDisks::default());
-    let (stream, _) = walk.run(spade, ctx, &mut polygon_time, |left, right, (l, _)| {
+    let (stream, _) = walk.run(spade, ctx, |left, right, (l, _)| {
         // The type-1 constraints: every left point with radius `r`.
         let constraints = || left.points().iter().map(|&(id, p)| (id, p, r)).collect();
         pairs.extend(disks.within_radii(spade, l, constraints, right.points()));
@@ -274,7 +267,7 @@ pub fn distance_join_indexed<'a>(
     let n = pairs.len() as u64;
     qspan.attr("cells", stream.cells);
     qspan.attr("pairs", n);
-    let stats = measure.finish(spade, &stream, &walk.deltas, polygon_time, n);
+    let stats = measure.finish(spade, &stream, &walk.deltas, n);
     Ok(QueryOutput {
         result: pairs,
         stats,

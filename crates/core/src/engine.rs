@@ -86,16 +86,15 @@ pub(crate) struct Measure {
 
 impl Measure {
     /// Close the measurement into a stats record: passes, device
-    /// transfers and the Map choices come from this query's own recording
-    /// frame; disk I/O, bytes and the grid-cell count from its slot
-    /// `stream`, whose overlap accounting is charged once the wall clock
-    /// is closed; `deltas` are the walk's delta merges.
+    /// transfers, preparation time and the Map choices come from this
+    /// query's own recording frame; disk I/O, bytes, the grid-cell count
+    /// and the prefetch overlap from its slot `stream`; `deltas` are the
+    /// walk's delta merges.
     pub(crate) fn finish(
         self,
         spade: &Spade,
         stream: &StreamStats,
         deltas: &[DeltaInfo],
-        polygon_time: std::time::Duration,
         result_count: u64,
     ) -> QueryStats {
         let frame = self.frame.finish();
@@ -103,7 +102,7 @@ impl Measure {
         let mut stats = QueryStats {
             io_time: stream.io_time + dev_time,
             gpu_time: std::time::Duration::from_nanos(frame.gpu_nanos),
-            polygon_time,
+            polygon_time: std::time::Duration::from_nanos(frame.prep_nanos),
             bytes_from_disk: stream.bytes_from_disk,
             bytes_to_device: frame.transfer_bytes,
             passes: frame.passes,
@@ -115,6 +114,7 @@ impl Measure {
             stats.plan.map = Some(frame.map);
         }
         stats.plan.deltas = deltas.to_vec();
+        stream.charge(&mut stats);
         // Include modeled device-transfer time in the wall total: on real
         // hardware the bus transfer is wall time; in simulation it is
         // accounting, so it is added on top of the measured elapsed time —
@@ -126,7 +126,6 @@ impl Measure {
             dev_time
         };
         stats.finish(self.start.elapsed() + extra);
-        stream.charge(&mut stats);
         stats
     }
 }
@@ -307,15 +306,17 @@ mod tests {
     fn measurement_produces_breakdown() {
         let s = engine();
         let m = s.begin();
-        // Some GPU work.
+        // Some GPU work, and a stall standing in for a block read.
         let poly = Polygon::rect(BBox::new(Point::ZERO, Point::new(4.0, 4.0)));
         let _ = Constraint::from_polygons(&s, &[PreparedPolygon::prepare(0, &poly)]);
+        let read = std::time::Instant::now();
+        std::thread::sleep(std::time::Duration::from_millis(1));
         let stream = StreamStats {
-            io_time: std::time::Duration::from_millis(1),
+            io_time: read.elapsed(),
             bytes_from_disk: 123,
             ..Default::default()
         };
-        let stats = m.finish(&s, &stream, &[], std::time::Duration::ZERO, 42);
+        let stats = m.finish(&s, &stream, &[], 42);
         assert!(stats.total_time > std::time::Duration::ZERO);
         assert!(stats.passes >= 2); // interior + boundary pass
         assert_eq!(stats.bytes_from_disk, 123);
@@ -333,7 +334,7 @@ mod tests {
         // Reference: the work one constraint render performs, run alone.
         let m = s.begin();
         let _ = Constraint::from_polygons(&s, &[PreparedPolygon::prepare(0, &poly)]);
-        let alone = m.finish(&s, &StreamStats::default(), &[], Default::default(), 0);
+        let alone = m.finish(&s, &StreamStats::default(), &[], 0);
 
         // 4 threads run the same query concurrently against the same
         // engine; every one must report exactly the solo pass count and
@@ -347,7 +348,7 @@ mod tests {
                         let _c = s.device.charge(64);
                         let _ =
                             Constraint::from_polygons(&s, &[PreparedPolygon::prepare(0, &poly)]);
-                        m.finish(&s, &StreamStats::default(), &[], Default::default(), 0)
+                        m.finish(&s, &StreamStats::default(), &[], 0)
                     })
                 })
                 .collect();
@@ -371,7 +372,7 @@ mod tests {
             let _ = Constraint::from_polygons(&s, &[PreparedPolygon::prepare(0, &poly)]);
         }
         let m = s.begin();
-        let stats = m.finish(&s, &StreamStats::default(), &[], Default::default(), 0);
+        let stats = m.finish(&s, &StreamStats::default(), &[], 0);
         assert_eq!(stats.passes, 0, "stale frame leaked into next query");
     }
 

@@ -29,7 +29,6 @@ use spade_gpu::record::FrameTotals;
 use spade_gpu::Primitive;
 use std::ops::Range;
 use std::rc::Rc;
-use std::time::{Duration, Instant};
 
 /// A join result: `(left id, right id)` pairs.
 pub type Pairs = Vec<(u32, u32)>;
@@ -187,23 +186,17 @@ pub(crate) enum Resident {
 }
 
 impl Resident {
-    pub(crate) fn prepare(spade: &Spade, data: &Dataset, polygon_time: &mut Duration) -> Resident {
+    pub(crate) fn prepare(spade: &Spade, data: &Dataset) -> Resident {
         match data.kind {
             DatasetKind::Points => Resident::Points(data.as_points()),
             DatasetKind::Lines => {
                 let (prims, geoms) = line_candidates(&data.as_lines());
                 Resident::Lines(prims, geoms)
             }
-            DatasetKind::Polygons => {
-                let t0 = Instant::now();
-                let set = PreparedPolygonSet::prepare(
-                    &spade.pipeline,
-                    data,
-                    spade.config.layer_resolution(),
-                );
-                *polygon_time += t0.elapsed();
-                Resident::Polys(set)
-            }
+            DatasetKind::Polygons => Resident::Polys(spade_gpu::record::preparing(|| {
+                let resolution = spade.config.layer_resolution();
+                PreparedPolygonSet::prepare(&spade.pipeline, data, resolution)
+            })),
         }
     }
 
@@ -265,23 +258,25 @@ fn join_cells_naive(spade: &Spade, left: &Resident, right: &Resident) -> Pairs {
 
 /// The filter phase of the intersection families (§5.3): a Polygon ⋈
 /// Polygon join over the bounding polygons of the two views' slots at the
-/// coarse filter resolution.
+/// coarse filter resolution; preparing the hulls and their layer indexes
+/// is polygon time.
 pub(crate) fn hull_pairs(
     spade: &Spade,
     (view1, slots1): (&ReadView<'_>, Range<u32>),
     (view2, slots2): (&ReadView<'_>, Range<u32>),
-    polygon_time: &mut Duration,
 ) -> Pairs {
-    let mut hull_set = |view: &ReadView<'_>, slots| {
-        let polygons = view.prepared_hulls(slots, polygon_time);
-        PreparedPolygonSet {
-            layers: spade_canvas::layer::build_layer_index(
-                &spade.pipeline,
-                &polygons,
-                spade.config.layer_resolution(),
-            ),
-            polygons,
-        }
+    let hull_set = |view: &ReadView<'_>, slots| {
+        spade_gpu::record::preparing(|| {
+            let polygons = view.prepared_hulls(slots);
+            PreparedPolygonSet {
+                layers: spade_canvas::layer::build_layer_index(
+                    &spade.pipeline,
+                    &polygons,
+                    spade.config.layer_resolution(),
+                ),
+                polygons,
+            }
+        })
     };
     let (set1, set2) = (hull_set(view1, slots1), hull_set(view2, slots2));
     join_polygon_polygon_mem(spade, &set1, &set2, spade.config.filter_resolution())
@@ -392,7 +387,6 @@ impl<'a> PairWalk<'a> {
         &self,
         spade: &Spade,
         ctx: &QueryCtx,
-        polygon_time: &mut Duration,
         mut refine: impl FnMut(&Resident, &Resident, (Option<u32>, Option<u32>)),
     ) -> spade_storage::Result<(StreamStats, FrameTotals)> {
         let views = [&self.view1, &self.view2];
@@ -413,7 +407,7 @@ impl<'a> PairWalk<'a> {
                 let (side, slot) = (cell.source, cell.cell as u32);
                 resident[side] = None; // one slot per side: out before in
                 let charge = spade.device.charge(cell.bytes);
-                let mut prepare = || Rc::new(Resident::prepare(spade, &cell.data, polygon_time));
+                let prepare = || Rc::new(Resident::prepare(spade, &cell.data));
                 let prepared = match views[side].cell_id(slot) {
                     Some(_) => prepare(),
                     None => Rc::clone(staged[side].get_or_insert_with(prepare)),
@@ -452,11 +446,8 @@ pub fn join_indexed<'a>(
 ) -> spade_storage::Result<QueryOutput<Pairs>> {
     let mut qspan = crate::trace::span("query.join");
     let measure = spade.begin();
-    let mut polygon_time = Duration::ZERO;
     let (d1, d2) = (d1.into(), d2.into());
-    let walk = PairWalk::plan(d1, d2, ctx, |left, right| {
-        hull_pairs(spade, left, right, &mut polygon_time)
-    })?;
+    let walk = PairWalk::plan(d1, d2, ctx, |left, right| hull_pairs(spade, left, right))?;
     let cell_pairs = &walk.cell_pairs;
     // Without grid cells on both sides there is no pair of two cells to
     // choose a strategy for: the join decides, observes, reports nothing.
@@ -510,7 +501,7 @@ pub fn join_indexed<'a>(
     // The strategy applies to the pairs of two cells; a pair with a
     // memory slot on either side always takes the layer join.
     let mut pairs = Vec::new();
-    let (stream, frame) = walk.run(spade, ctx, &mut polygon_time, |left, right, cells| {
+    let (stream, frame) = walk.run(spade, ctx, |left, right, cells| {
         pairs.extend(match (strategy, cells) {
             (JoinStrategy::NaiveSelects, (Some(_), Some(_))) => {
                 join_cells_naive(spade, left, right)
@@ -522,7 +513,8 @@ pub fn join_indexed<'a>(
     pairs.dedup();
 
     // Feed the realized cost back to the observed statistics and render
-    // the hindsight verdict for EXPLAIN ANALYZE.
+    // the hindsight verdict for EXPLAIN ANALYZE. Preparation, which both
+    // strategies pay alike, is not in it.
     let actual_bytes = frame.transfer_bytes;
     let actual_cost = frame.gpu_nanos + frame.transfer_nanos;
     let est_chosen = match strategy {
@@ -568,7 +560,7 @@ pub fn join_indexed<'a>(
     let n = pairs.len() as u64;
     qspan.attr("cells", stream.cells);
     qspan.attr("pairs", n);
-    let mut stats = measure.finish(spade, &stream, &walk.deltas, polygon_time, n);
+    let mut stats = measure.finish(spade, &stream, &walk.deltas, n);
     stats.plan.join = decides.then_some(JoinDecision {
         strategy,
         layer_est_bytes: layer_est,
@@ -787,9 +779,8 @@ mod tests {
                 );
             }
             let ctx = QueryCtx::default();
-            let mut polygon_time = Duration::ZERO;
             let walk = PairWalk::plan((&i1).into(), (&i2).into(), &ctx, |left, right| {
-                hull_pairs(&s, left, right, &mut polygon_time)
+                hull_pairs(&s, left, right)
             })
             .unwrap();
             // The hull join, handed in as the walk's filter: the pairs, their
@@ -814,7 +805,7 @@ mod tests {
             );
             let mut refined = 0;
             let mut totals = std::collections::BTreeMap::new();
-            let res = walk.run(&s, &ctx, &mut polygon_time, |left, right, cells| {
+            let res = walk.run(&s, &ctx, |left, right, cells| {
                 if counting {
                     crate::aggregate::count_cells(&s, left, right, &mut totals);
                 } else {

@@ -27,16 +27,13 @@ use crate::stats::QueryOutput;
 use spade_canvas::algebra;
 use spade_geometry::{BBox, Point};
 use spade_gpu::Primitive;
-use std::time::Duration;
 
 /// Ratio `α` between consecutive circle radii (`r_i = r_max / α^i`).
 const KNN_ALPHA: f64 = 1.5;
 
-/// The distance canvas of "within `r` of `q`" (a point constraint has no
-/// polygon to prepare, so no polygon time to report).
+/// The distance canvas of "within `r` of `q`".
 fn circle(spade: &Spade, q: Point, r: f64, resolution: u32) -> Constraint {
-    let (q, mut no_polygon_time) = (DistanceConstraint::Point(q), Duration::ZERO);
-    build_distance_constraint(spade, &q, r, resolution, &mut no_polygon_time)
+    build_distance_constraint(spade, &DistanceConstraint::Point(q), r, resolution)
 }
 
 /// The circle-aggregation kernel over one cell: each point emits the index
@@ -170,8 +167,7 @@ pub fn knn_select_indexed<'a>(
     let mut qspan = crate::trace::span("query.knn");
     qspan.attr("k", k as u64);
     let measure = spade.begin();
-    let mut polygon_time = Duration::ZERO;
-    let walk = CellWalk::plan(data.into(), ctx, &mut polygon_time)?;
+    let walk = CellWalk::plan(data.into(), ctx)?;
     let mut stream = StreamStats::default();
     let mut result = Vec::new();
     if k > 0 {
@@ -192,7 +188,7 @@ pub fn knn_select_indexed<'a>(
     let n = result.len() as u64;
     qspan.attr("cells", stream.cells);
     qspan.attr("results", n);
-    let stats = measure.finish(spade, &stream, &walk.deltas, polygon_time, n);
+    let stats = measure.finish(spade, &stream, &walk.deltas, n);
     Ok(QueryOutput { result, stats })
 }
 
@@ -264,9 +260,8 @@ pub fn knn_join_indexed<'a>(
     let mut qspan = crate::trace::span("query.knn_join");
     qspan.attr("k", k as u64);
     let measure = spade.begin();
-    let mut polygon_time = Duration::ZERO;
     let walk = PairWalk::plan(d1.into(), d2.into(), ctx, |(v1, lefts), (v2, rights)| {
-        hulls_within(spade, (v1, lefts), (v2, rights), &mut polygon_time, |l| {
+        hulls_within(spade, (v1, lefts), (v2, rights), |l| {
             count_bound(v2, v2.slots(true), &v1.hull(l).exterior.points, k)
         })
     })?;
@@ -292,7 +287,7 @@ pub fn knn_join_indexed<'a>(
             }
         };
         let circles = spade.config.knn_circles();
-        let counting = walk.run(spade, ctx, &mut polygon_time, |left, right, (l, _)| {
+        let counting = walk.run(spade, ctx, |left, right, (l, _)| {
             let (left, l) = (left.points(), slot(l));
             if live.as_ref().map(|live| live.0) != Some(l) {
                 collapse(live.take(), &mut radii);
@@ -306,7 +301,7 @@ pub fn knn_join_indexed<'a>(
         stream += counting?.0;
         collapse(live.take(), &mut radii);
         let mut disks = ResidentDisks::default();
-        let ranking = walk.run(spade, ctx, &mut polygon_time, |left, right, (l, _)| {
+        let ranking = walk.run(spade, ctx, |left, right, (l, _)| {
             let (left, right) = (left.points(), right.points());
             let constraints = || disks_by_position(left, &radii[slot(l)]);
             let hits = disks.within_radii(spade, l, constraints, &by_position(right));
@@ -318,7 +313,7 @@ pub fn knn_join_indexed<'a>(
     let n = result.len() as u64;
     qspan.attr("cells", stream.cells);
     qspan.attr("results", n);
-    let stats = measure.finish(spade, &stream, &walk.deltas, polygon_time, n);
+    let stats = measure.finish(spade, &stream, &walk.deltas, n);
     Ok(QueryOutput { result, stats })
 }
 
@@ -542,7 +537,7 @@ mod tests {
         let (q, k) = (Point::new(37.0, 63.0), 8);
         let before = oracle_knn(&pts, q, k);
         let ctx = QueryCtx::default();
-        let walk = CellWalk::plan((&data).into(), &ctx, &mut Duration::default()).unwrap();
+        let walk = CellWalk::plan((&data).into(), &ctx).unwrap();
         let write = || {
             let moved = spade_geometry::Geometry::Point(Point::new(99.0, 1.0));
             data.insert_at(1, before[0].0, moved);
@@ -569,7 +564,7 @@ mod tests {
         let s = engine();
         let data = indexed(scatter(800, 100.0, 101), 30.0);
         let ctx = QueryCtx::default();
-        let walk = CellWalk::plan((&data).into(), &ctx, &mut Duration::default()).unwrap();
+        let walk = CellWalk::plan((&data).into(), &ctx).unwrap();
         let mut refined = 0;
         let cancel = || {
             refined += 1;

@@ -74,20 +74,13 @@ impl std::ops::AddAssign for StreamStats {
 }
 
 impl StreamStats {
-    /// Fold this stream's accounting into a query's stats record.
-    ///
-    /// Every indexed query path closes its wall clock (`Measure::finish`)
-    /// *before* charging the stream, so the overlap (`io_hidden`) arrives
-    /// after the CPU residual was first computed — recompute it here so
-    /// hidden I/O is not double-subtracted from the total.
+    /// Fold this stream's overlap accounting into a query's stats record,
+    /// before its wall clock closes ([`crate::stats::QueryStats::finish`]).
     pub fn charge(&self, stats: &mut crate::stats::QueryStats) {
         stats.prefetch_hits += self.prefetch_hits;
         stats.prefetch_misses += self.prefetch_misses;
         stats.cache_hits += self.cache_hits;
         stats.io_hidden += self.io_hidden;
-        if !stats.total_time.is_zero() {
-            stats.recompute_cpu();
-        }
     }
 }
 

@@ -27,7 +27,6 @@ use spade_canvas::algebra;
 use spade_canvas::create::PreparedPolygon;
 use spade_geometry::{LineString, Point, Polygon, Segment, Triangle};
 use spade_gpu::{BlendMode, DrawCall, FnFragment, Primitive};
-use std::time::{Duration, Instant};
 
 /// Exact geometry of a candidate primitive, looked up by fragment shaders
 /// for boundary tests.
@@ -261,16 +260,12 @@ pub(crate) struct CellWalk<'a> {
 }
 
 impl<'a> CellWalk<'a> {
-    pub(crate) fn plan(
-        data: Source<'a>,
-        ctx: &QueryCtx,
-        polygon_time: &mut Duration,
-    ) -> spade_storage::Result<CellWalk<'a>> {
+    pub(crate) fn plan(data: Source<'a>, ctx: &QueryCtx) -> spade_storage::Result<CellWalk<'a>> {
         let scope = ctx.scope.cells()?;
         let view = data.read_view();
         let deltas = DeltaInfo::of_views(&[&view]);
         let hulls = (view.grid.num_cells() > 0)
-            .then(|| view.prepared_hulls(view.slots(scope.include_delta), polygon_time));
+            .then(|| view.prepared_hulls(view.slots(scope.include_delta)));
         Ok(CellWalk {
             view,
             deltas,
@@ -333,7 +328,6 @@ impl<'a> CellWalk<'a> {
         spade: &Spade,
         measure: Measure,
         mut qspan: crate::trace::SpanGuard,
-        polygon_time: Duration,
         mut ids: Vec<u32>,
         stream: StreamStats,
     ) -> QueryOutput<Vec<u32>> {
@@ -342,7 +336,7 @@ impl<'a> CellWalk<'a> {
         let n = ids.len() as u64;
         qspan.attr("cells", stream.cells);
         qspan.attr("results", n);
-        let stats = measure.finish(spade, &stream, &self.deltas, polygon_time, n);
+        let stats = measure.finish(spade, &stream, &self.deltas, n);
         QueryOutput { result: ids, stats }
     }
 }
@@ -360,17 +354,16 @@ fn polygon_walk(
     kernel: impl Fn(&Dataset, &Constraint) -> Vec<u32>,
 ) -> spade_storage::Result<QueryOutput<Vec<u32>>> {
     let measure = spade.begin();
-    let t0 = Instant::now();
-    let prepared = vec![PreparedPolygon::prepare(0, constraint_poly)];
-    let mut polygon_time = t0.elapsed();
-    let walk = CellWalk::plan(data, ctx, &mut polygon_time)?;
+    let prepared =
+        spade_gpu::record::preparing(|| vec![PreparedPolygon::prepare(0, constraint_poly)]);
+    let walk = CellWalk::plan(data, ctx)?;
     let constraint = Constraint::from_polygons(spade, &prepared);
     let filter = Constraint::from_polygons_res(spade, &prepared, spade.config.filter_resolution());
     let mut ids = Vec::new();
     let stream = walk.run(spade, ctx, &filter, &constraint, |cell| {
         ids.extend(kernel(cell, &constraint))
     })?;
-    Ok(walk.finish_ids(spade, measure, qspan, polygon_time, ids, stream))
+    Ok(walk.finish_ids(spade, measure, qspan, ids, stream))
 }
 
 /// Containment selection (`ST_CONTAINS`, §7): since every object is
@@ -711,7 +704,7 @@ mod tests {
         // position in the sequence of the slot whose refinement cancels.
         let walk_cancelling = |cancel_in: Option<usize>| {
             let ctx = QueryCtx::default();
-            let walk = CellWalk::plan((&indexed).into(), &ctx, &mut Duration::default()).unwrap();
+            let walk = CellWalk::plan((&indexed).into(), &ctx).unwrap();
             let mut refined = Vec::new();
             let mut pass = || {
                 walk.run(&s, &ctx, &constraint, &constraint, |cell| {

@@ -3,7 +3,9 @@
 //! The paper profiles every query into four components (Fig. 5 bottom):
 //! I/O time (disk→host and host→device combined), GPU time, polygon
 //! processing time (triangulation + boundary-index creation), and CPU time
-//! (everything else). [`QueryStats`] carries those components plus the
+//! (everything else). Here they partition the wall time: visible I/O
+//! (`io_time − io_hidden`) + `gpu_time` + `polygon_time` + `cpu_time` is
+//! exactly `total_time`. [`QueryStats`] carries those components plus the
 //! transfer/pass counters the optimizer and the analysis sections reason
 //! about, and the plan the optimizer chose on the way.
 
@@ -47,15 +49,20 @@ impl CacheOutcome {
 /// Statistics for one query execution.
 #[derive(Debug, Clone, Default)]
 pub struct QueryStats {
-    /// Disk→host plus host→device time (the paper reports them combined).
+    /// Disk→host load time plus the modeled host→device bus time (the
+    /// paper reports them combined); the share in `io_hidden` overlapped
+    /// other work.
     pub io_time: Duration,
-    /// Time spent executing pipeline passes.
+    /// Time inside the query's and the filters' rendering passes; passes
+    /// that prepare polygons are `polygon_time`.
     pub gpu_time: Duration,
-    /// Time triangulating constraint polygons and building boundary data.
+    /// Wall time of polygon preparation: triangulating constraints, data
+    /// and cell hulls and building their layer indexes, passes included.
     pub polygon_time: Duration,
-    /// Remaining CPU time (total − io − gpu − polygon).
+    /// The residual: `total − (io − io_hidden) − gpu − polygon`.
     pub cpu_time: Duration,
-    /// Wall-clock total.
+    /// Wall-clock total, plus the modeled bus time when transfers are not
+    /// paced.
     pub total_time: Duration,
     /// Bytes read from disk blocks.
     pub bytes_from_disk: u64,
@@ -91,28 +98,19 @@ pub struct QueryStats {
 }
 
 impl QueryStats {
-    /// Fill `cpu_time` as the residual of `total_time`.
-    pub fn finish(&mut self, total: Duration) {
-        self.total_time = total;
-        self.recompute_cpu();
-    }
-
-    /// Recompute the residual `cpu_time` from the current components.
+    /// Close the wall clock at `total` and fill `cpu_time` as its residual.
     ///
     /// With pipelined prefetch, `io_hidden` of the producer's I/O time
-    /// overlapped GPU refinement — that share occupied no extra wall time,
-    /// so only the *visible* I/O (`io_time − io_hidden`) is subtracted.
-    /// Subtracting the full `io_time` would let components sum past the
-    /// total and saturate `cpu_time` to zero misleadingly. Called again by
-    /// [`crate::prefetch::StreamStats::charge`], which learns the overlap
-    /// only after the query's wall clock has been closed.
-    pub fn recompute_cpu(&mut self) {
+    /// overlapped refinement and occupied no wall time of its own, so only
+    /// the *visible* I/O (`io_time − io_hidden`) is subtracted; the stream
+    /// is therefore charged before the clock closes. The other components
+    /// are disjoint intervals of the wall, which a debug build checks.
+    pub fn finish(&mut self, total: Duration) {
+        self.total_time = total;
         let visible_io = self.io_time.saturating_sub(self.io_hidden);
-        self.cpu_time = self
-            .total_time
-            .saturating_sub(visible_io)
-            .saturating_sub(self.gpu_time)
-            .saturating_sub(self.polygon_time);
+        let parts = visible_io + self.gpu_time + self.polygon_time;
+        debug_assert!(parts <= total, "time components exceed the wall: {self:?}");
+        self.cpu_time = total.saturating_sub(parts);
     }
 
     /// Fraction of the total attributed to I/O (the paper observes ≥95%
@@ -186,7 +184,10 @@ mod tests {
         assert_eq!(s.total_time, Duration::from_millis(100));
     }
 
+    /// Components that exceed the wall are an accounting fault: a debug
+    /// build stops on them, a release build floors the residual at zero.
     #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "exceed the wall"))]
     fn finish_saturates() {
         let mut s = QueryStats {
             io_time: Duration::from_millis(500),
@@ -230,33 +231,6 @@ mod tests {
             ..Default::default()
         };
         s.finish(Duration::from_millis(100));
-        assert_eq!(s.cpu_time, Duration::from_millis(20));
-    }
-
-    /// Regression for the call ordering in every indexed query path:
-    /// `Measure::finish` closes the wall clock *before*
-    /// `StreamStats::charge` delivers the overlap, so the residual must be
-    /// recomputed when `io_hidden` arrives.
-    #[test]
-    fn charge_after_finish_recomputes_residual() {
-        let mut s = QueryStats {
-            io_time: Duration::from_millis(60),
-            gpu_time: Duration::from_millis(50),
-            polygon_time: Duration::from_millis(10),
-            ..Default::default()
-        };
-        s.finish(Duration::from_millis(100));
-        assert_eq!(
-            s.cpu_time,
-            Duration::ZERO,
-            "without overlap info: saturated"
-        );
-        let stream = crate::prefetch::StreamStats {
-            io_hidden: Duration::from_millis(40),
-            ..Default::default()
-        };
-        stream.charge(&mut s);
-        assert_eq!(s.io_hidden, Duration::from_millis(40));
         assert_eq!(s.cpu_time, Duration::from_millis(20));
     }
 }

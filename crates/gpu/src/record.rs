@@ -15,6 +15,12 @@
 //! closes it too, so a failed query never leaves its frame open under the
 //! next one.
 //!
+//! Polygon preparation — triangulation and layer-index construction — is a
+//! *phase*: [`preparing`] runs it in a nested frame whose wall time its
+//! parent books as [`FrameTotals::prep_nanos`]. The passes it runs still
+//! count, but their time is preparation, not GPU time, so a query's GPU,
+//! preparation and remaining time never overlap.
+//!
 //! This is correct because every counter bump happens on the thread
 //! driving the query: a pass is recorded by its calling thread after the
 //! worker pool returns, and the prefetch producer thread performs disk I/O
@@ -22,7 +28,7 @@
 
 use std::cell::RefCell;
 use std::marker::PhantomData;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The Map implementations (1-pass / 2-pass by estimate `n_max`) a frame ran.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -48,12 +54,15 @@ impl MapDecisions {
 }
 
 /// Totals accumulated by one frame: rendering passes and their time,
-/// host→device transfer accounting and the Map choices.
+/// preparation time, host→device transfer accounting and the Map choices.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrameTotals {
     pub passes: u64,
-    /// Nanoseconds spent inside passes ("GPU time").
+    /// Nanoseconds spent inside passes outside any preparation phase
+    /// ("GPU time").
     pub gpu_nanos: u64,
+    /// Wall nanoseconds of the [`preparing`] phases, passes included.
+    pub prep_nanos: u64,
     pub transfer_bytes: u64,
     pub transfer_nanos: u64,
     pub map: MapDecisions,
@@ -63,6 +72,7 @@ impl FrameTotals {
     fn absorb(&mut self, other: &FrameTotals) {
         self.passes += other.passes;
         self.gpu_nanos += other.gpu_nanos;
+        self.prep_nanos += other.prep_nanos;
         self.transfer_bytes += other.transfer_bytes;
         self.transfer_nanos += other.transfer_nanos;
         self.map.absorb(&other.map);
@@ -75,7 +85,8 @@ impl FrameTotals {
 }
 
 thread_local! {
-    static FRAMES: RefCell<Vec<FrameTotals>> = const { RefCell::new(Vec::new()) };
+    /// The open frames, innermost last; a phase carries its start.
+    static FRAMES: RefCell<Vec<(FrameTotals, Option<Instant>)>> = const { RefCell::new(Vec::new()) };
 }
 
 /// An open recording frame. Closes when finished or dropped; frames are
@@ -90,15 +101,29 @@ pub struct Frame {
 /// Open a recording frame on the current thread: every pass and transfer
 /// on this thread until the frame closes is credited to it.
 pub fn begin() -> Frame {
+    open(None)
+}
+
+fn open(phase: Option<Instant>) -> Frame {
     let depth = FRAMES.with(|f| {
         let mut frames = f.borrow_mut();
-        frames.push(FrameTotals::default());
+        frames.push((FrameTotals::default(), phase));
         frames.len()
     });
     Frame {
         depth,
         _thread: PhantomData,
     }
+}
+
+/// Run `prepare` as a polygon-preparation phase of the open frame: its
+/// wall time is added to the frame's `prep_nanos` once, however phases
+/// nest, and the passes it runs count in `passes` but not in `gpu_nanos`.
+/// Transfers and Map choices fold as in any frame. The phase closes on
+/// return or unwind; with no frame open it records nothing.
+pub fn preparing<R>(prepare: impl FnOnce() -> R) -> R {
+    let _phase = open(Some(Instant::now()));
+    prepare()
 }
 
 impl Frame {
@@ -122,19 +147,22 @@ pub fn finish() -> FrameTotals {
     close(FRAMES.with(|f| f.borrow().len()))
 }
 
-/// Close the frame opened at `depth`, and any still open above it, folding
-/// its totals into its parent. Zeros when it is already closed.
+/// Close the frame opened at `depth`, and any still open above it, each
+/// folding into the one below; a phase's time becomes its wall time.
+/// Zeros when it is already closed.
 fn close(depth: usize) -> FrameTotals {
     FRAMES.with(|f| {
         let mut frames = f.borrow_mut();
-        if depth == 0 || frames.len() < depth {
-            return FrameTotals::default();
-        }
         let mut totals = FrameTotals::default();
-        for frame in frames.drain(depth - 1..) {
-            totals.absorb(&frame);
+        while depth > 0 && frames.len() >= depth {
+            let (mut t, phase) = frames.pop().expect("open frame");
+            t.absorb(&totals);
+            if let Some(start) = phase {
+                (t.gpu_nanos, t.prep_nanos) = (0, start.elapsed().as_nanos() as u64);
+            }
+            totals = t;
         }
-        if let Some(parent) = frames.last_mut() {
+        if let Some((parent, _)) = frames.last_mut() {
             parent.absorb(&totals);
         }
         totals
@@ -143,7 +171,7 @@ fn close(depth: usize) -> FrameTotals {
 
 fn with_top(apply: impl FnOnce(&mut FrameTotals)) {
     FRAMES.with(|f| {
-        if let Some(top) = f.borrow_mut().last_mut() {
+        if let Some((top, _)) = f.borrow_mut().last_mut() {
             apply(top);
         }
     });
@@ -270,6 +298,69 @@ mod tests {
             });
         });
         assert_eq!(frame.finish().passes, 1);
+    }
+
+    #[test]
+    fn a_pass_in_a_phase_is_preparation_not_gpu_time() {
+        let pipe = Pipeline::with_workers(2);
+        let frame = begin();
+        let start = Instant::now();
+        preparing(|| draw(&pipe));
+        let wall = start.elapsed().as_nanos() as u64;
+        let totals = frame.finish();
+        assert_eq!(totals.passes, 1);
+        assert_eq!(totals.gpu_nanos, 0);
+        assert!(totals.prep_nanos > 0 && totals.prep_nanos <= wall);
+    }
+
+    #[test]
+    fn nested_phases_count_their_wall_once() {
+        let pipe = Pipeline::with_workers(2);
+        let frame = begin();
+        let start = Instant::now();
+        preparing(|| {
+            draw(&pipe);
+            preparing(|| {
+                std::thread::sleep(Duration::from_millis(2));
+                preparing(|| draw(&pipe));
+            });
+        });
+        let wall = start.elapsed().as_nanos() as u64;
+        draw(&pipe);
+        let totals = frame.finish();
+        assert_eq!(totals.passes, 3);
+        // Counted once: the outer phase's wall, not its sum with the inner.
+        assert!(totals.prep_nanos >= 2_000_000 && totals.prep_nanos <= wall);
+        assert!(totals.gpu_nanos > 0, "the pass after the phase is GPU time");
+    }
+
+    #[test]
+    fn an_unwound_phase_closes_its_frame() {
+        let pipe = Pipeline::with_workers(2);
+        let frame = begin();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            preparing(|| {
+                draw(&pipe);
+                panic!("preparation failed");
+            })
+        }));
+        assert!(unwound.is_err());
+        draw(&pipe);
+        let totals = frame.finish();
+        // The phase folded into its parent and closed: the later pass is
+        // the parent's GPU time, and nothing is left open.
+        assert_eq!(totals.passes, 2);
+        assert!(totals.gpu_nanos > 0 && totals.prep_nanos > 0);
+        assert_eq!(finish(), FrameTotals::default());
+    }
+
+    #[test]
+    fn a_phase_without_a_frame_records_nothing() {
+        let pipe = Pipeline::with_workers(2);
+        preparing(|| draw(&pipe));
+        assert_eq!(finish(), FrameTotals::default());
+        let frame = begin();
+        assert_eq!(frame.finish(), FrameTotals::default());
     }
 
     #[test]
