@@ -27,7 +27,7 @@
 
 use spade_gpu::scan;
 use spade_gpu::shader::Fragment;
-use spade_gpu::{BlendMode, DrawCall, Pipeline, PixelValue, Primitive, Texture, WorkerPool};
+use spade_gpu::{Assemble, BlendMode, DrawCall, Pipeline, PixelValue, Texture, WorkerPool};
 
 /// Dissect: split a canvas into its non-null pixels (each conceptually a
 /// single-point canvas). Returns `(x, y, value)` entries in row-major order.
@@ -72,7 +72,7 @@ impl std::error::Error for MapOverflow {}
 /// the optimizer then falls back to [`map_2pass`].
 pub fn map_1pass(
     pipe: &Pipeline,
-    prims: &[Primitive],
+    prims: &[impl Assemble],
     call: &DrawCall<'_>,
     n_max: usize,
 ) -> Result<MapResult, MapOverflow> {
@@ -112,7 +112,7 @@ pub fn map_1pass(
 
 /// 2-pass Map (§5.1 implementation 2): a counting pass (the "simulated
 /// Map") followed by an exactly-sized materialization pass.
-pub fn map_2pass(pipe: &Pipeline, prims: &[Primitive], call: &DrawCall<'_>) -> MapResult {
+pub fn map_2pass(pipe: &Pipeline, prims: &[impl Assemble], call: &DrawCall<'_>) -> MapResult {
     let count = pipe.count_pass(prims, call) as usize;
     match map_1pass(pipe, prims, call, count) {
         Ok(mut r) => {
@@ -130,7 +130,7 @@ pub fn map_2pass(pipe: &Pipeline, prims: &[Primitive], call: &DrawCall<'_>) -> M
 /// deterministic (primitive, fragment, emission) order.
 pub fn map_emit(
     pipe: &Pipeline,
-    prims: &[Primitive],
+    prims: &[impl Assemble],
     viewport: spade_gpu::Viewport,
     conservative: bool,
     emit: impl Fn(&Fragment, &mut Vec<PixelValue>) + Sync,
@@ -151,7 +151,7 @@ pub fn map_emit(
 /// reuse scratch buffers across fragments.
 pub fn map_emit_stateful<S>(
     pipe: &Pipeline,
-    prims: &[Primitive],
+    prims: &[impl Assemble],
     viewport: spade_gpu::Viewport,
     conservative: bool,
     init: impl Fn() -> S + Sync,
@@ -175,7 +175,7 @@ mod tests {
     use super::*;
     use spade_geometry::{BBox, Point};
     use spade_gpu::shader::ShaderContext;
-    use spade_gpu::Viewport;
+    use spade_gpu::{Primitive, Viewport};
 
     fn pool(workers: usize) -> WorkerPool {
         WorkerPool::new(workers)

@@ -156,9 +156,7 @@ fn record_triangles_at_boundary(
         r.sort_unstable();
     }
     let rows = &rows;
-    let ranges = spade_gpu::pool::chunk_ranges(tris.len(), pool.workers());
-    let hits: Vec<Vec<((u32, u32), usize)>> = pool.parallel_map_chunks(tris, |chunk_idx, chunk| {
-        let base = ranges[chunk_idx].start;
+    let hits: Vec<Vec<((u32, u32), usize)>> = pool.parallel_map_chunks(tris, |base, chunk| {
         let mut out = Vec::new();
         for (k, (_, t)) in chunk.iter().enumerate() {
             let Some((x0, y0, x1, y1)) = vp.pixel_range(&t.bbox()) else {

@@ -182,13 +182,13 @@ pub fn distance_canvas_polygon(
     // boundary pixel testing point-in-triangle (distance 0 ≤ r).
     let tris = &poly.triangles;
     let mut interior_prims = Vec::with_capacity(tris.len());
-    let mut tri_entries = Vec::with_capacity(tris.len());
     for t in tris {
+        // Interior-triangle entries are pushed first, in order, so the
+        // entry index equals the triangle index.
         let entry = layer.boundary.push(BoundaryEntry {
             object: poly.id,
             geom: BoundaryGeom::Triangle(*t),
         });
-        tri_entries.push(entry);
         interior_prims.push(Primitive::triangle(
             t.a,
             t.b,
@@ -196,16 +196,13 @@ pub fn distance_canvas_polygon(
             pack(poly.id, entry, 0, 0),
         ));
     }
-    let _ = tri_entries; // entry index == triangle index (pushed in order)
 
     // Pass A: interior-certain pixels of triangles. The pixel box is fully
     // inside a (convex) triangle iff all four corners are.
-    let tris_a = tris.clone();
-    let vp_copy = vp;
-    let shader_a = FnFragment(move |frag: &Fragment, _: &ShaderContext<'_>| {
+    let shader_a = FnFragment(|frag: &Fragment, _: &ShaderContext<'_>| {
         let idx = frag.attrs[CH_VAL] as usize;
-        let t = tri_by_entry(&tris_a, idx);
-        let bb = vp_copy.pixel_box(frag.x, frag.y);
+        let t = &tris[idx];
+        let bb = vp.pixel_box(frag.x, frag.y);
         if bb.corners().iter().all(|&c| point_in_triangle(c, t)) {
             Some([frag.attrs[0], 0, FLAG_INTERIOR, 0])
         } else {
@@ -219,11 +216,10 @@ pub fn distance_canvas_polygon(
     pipe.draw(&mut layer.texture, &interior_prims, &call_a);
 
     // Pass B: uncertain triangle pixels (touched but not fully covered).
-    let tris_b = tris.clone();
-    let shader_b = FnFragment(move |frag: &Fragment, _: &ShaderContext<'_>| {
+    let shader_b = FnFragment(|frag: &Fragment, _: &ShaderContext<'_>| {
         let idx = frag.attrs[CH_VAL] as usize;
-        let t = tri_by_entry(&tris_b, idx);
-        let bb = vp_copy.pixel_box(frag.x, frag.y);
+        let t = &tris[idx];
+        let bb = vp.pixel_box(frag.x, frag.y);
         if bb.corners().iter().all(|&c| point_in_triangle(c, t)) {
             None // already certain
         } else {
@@ -237,30 +233,19 @@ pub fn distance_canvas_polygon(
     pipe.draw(&mut layer.texture, &interior_prims, &call_b);
 
     // Boundary capsules: within `r` of each polygon edge.
-    let edges: Vec<(u32, Segment)> = poly
-        .polygon
-        .boundary_edges()
-        .into_iter()
-        .map(|e| (poly.id, e))
-        .collect();
+    let edges = poly.polygon.boundary_edges();
     let mut capsule_prims = Vec::with_capacity(edges.len());
     let mut sources = Vec::with_capacity(edges.len());
-    let mut radii = Vec::with_capacity(edges.len());
     let mut entry_ids = Vec::with_capacity(edges.len());
-    for (id, seg) in &edges {
-        let entry = layer.boundary.push(BoundaryEntry {
-            object: *id,
-            geom: BoundaryGeom::SegmentDist { seg: *seg, r },
-        });
-        entry_ids.push(entry);
-        sources.push(DistSource::Segment(*seg));
-        radii.push(r);
-        capsule_prims.push(Primitive::line(
-            seg.a,
-            seg.b,
-            pack(*id, (sources.len() - 1) as u32, 0, 0),
-        ));
+    for (i, &seg) in (0..).zip(&edges) {
+        entry_ids.push(layer.boundary.push(BoundaryEntry {
+            object: poly.id,
+            geom: BoundaryGeom::SegmentDist { seg, r },
+        }));
+        sources.push(DistSource::Segment(seg));
+        capsule_prims.push(Primitive::line(seg.a, seg.b, pack(poly.id, i, 0, 0)));
     }
+    let radii = vec![r; edges.len()];
     let gs = CapsuleExpand { pad: r + hd };
     draw_distance_passes(
         pipe,
@@ -276,12 +261,6 @@ pub fn distance_canvas_polygon(
     // Record full coverage at boundary pixels for exact union tests.
     record_distance_coverage(&mut layer, &vp, pipe.pool());
     layer
-}
-
-fn tri_by_entry(tris: &[spade_geometry::Triangle], entry: usize) -> &spade_geometry::Triangle {
-    // Interior-triangle entries are pushed first, in order, so the entry
-    // index equals the triangle index.
-    &tris[entry]
 }
 
 /// Shared implementation: expand `prims` through `gs`, classify fragments
@@ -321,12 +300,10 @@ fn draw_distance_passes(
     let hd = half_diag(&vp);
 
     // Pass A: certainly-covered pixels.
-    let sources_a = sources.to_vec();
-    let radii_a = radii.to_vec();
-    let shader_a = FnFragment(move |frag: &Fragment, _: &ShaderContext<'_>| {
+    let shader_a = FnFragment(|frag: &Fragment, _: &ShaderContext<'_>| {
         let i = frag.attrs[CH_VAL] as usize;
-        let d = sources_a[i].distance(frag.world);
-        if d <= radii_a[i] - hd {
+        let d = sources[i].distance(frag.world);
+        if d <= radii[i] - hd {
             Some([frag.attrs[0], 0, FLAG_INTERIOR, 0])
         } else {
             None
@@ -340,16 +317,13 @@ fn draw_distance_passes(
     pipe.draw(&mut layer.texture, prims, &call_a);
 
     // Pass B: uncertain pixels, never overwriting certain ones.
-    let sources_b = sources.to_vec();
-    let radii_b = radii.to_vec();
-    let entries_b = entry_ids.to_vec();
-    let shader_b = FnFragment(move |frag: &Fragment, _: &ShaderContext<'_>| {
+    let shader_b = FnFragment(|frag: &Fragment, _: &ShaderContext<'_>| {
         let i = frag.attrs[CH_VAL] as usize;
-        let d = sources_b[i].distance(frag.world);
-        if d <= radii_b[i] - hd {
+        let d = sources[i].distance(frag.world);
+        if d <= radii[i] - hd {
             None
-        } else if d <= radii_b[i] + hd {
-            Some([frag.attrs[0], 0, FLAG_BOUNDARY, entries_b[i] + 1])
+        } else if d <= radii[i] + hd {
+            Some([frag.attrs[0], 0, FLAG_BOUNDARY, entry_ids[i] + 1])
         } else {
             None
         }
@@ -368,54 +342,51 @@ fn record_distance_coverage(layer: &mut CanvasLayer, vp: &Viewport, pool: &spade
     let texture = &layer.texture;
     let entries = layer.boundary.entries().to_vec();
     let hd = half_diag(vp);
-    let ranges = spade_gpu::pool::chunk_ranges(entries.len(), pool.workers());
-    let hits: Vec<Vec<((u32, u32), u32)>> =
-        pool.parallel_map_chunks(&entries, |chunk_idx, chunk| {
-            let base = ranges[chunk_idx].start;
-            let mut out = Vec::new();
-            for (k, e) in chunk.iter().enumerate() {
-                let reach = match &e.geom {
-                    BoundaryGeom::PointDist { center, r } => {
-                        spade_geometry::BBox::new(*center, *center).inflate(r + hd)
+    let hits: Vec<Vec<((u32, u32), u32)>> = pool.parallel_map_chunks(&entries, |base, chunk| {
+        let mut out = Vec::new();
+        for (k, e) in chunk.iter().enumerate() {
+            let reach = match &e.geom {
+                BoundaryGeom::PointDist { center, r } => {
+                    spade_geometry::BBox::new(*center, *center).inflate(r + hd)
+                }
+                BoundaryGeom::SegmentDist { seg, r } => seg.bbox().inflate(r + hd),
+                BoundaryGeom::Triangle(t) => t.bbox().inflate(hd),
+                BoundaryGeom::Segment(s) => s.bbox().inflate(hd),
+                BoundaryGeom::Point(p) => spade_geometry::BBox::new(*p, *p).inflate(hd),
+            };
+            let Some((x0, y0, x1, y1)) = vp.pixel_range(&reach) else {
+                continue;
+            };
+            let tri_test = match &e.geom {
+                BoundaryGeom::Triangle(t) => Some(spade_gpu::raster::TriBoxTest::new(t)),
+                _ => None,
+            };
+            for y in y0..=y1 {
+                for x in x0..=x1 {
+                    let px = texture.get(x, y);
+                    if px[crate::canvas::CH_FLAG] & FLAG_BOUNDARY == 0 {
+                        continue;
                     }
-                    BoundaryGeom::SegmentDist { seg, r } => seg.bbox().inflate(r + hd),
-                    BoundaryGeom::Triangle(t) => t.bbox().inflate(hd),
-                    BoundaryGeom::Segment(s) => s.bbox().inflate(hd),
-                    BoundaryGeom::Point(p) => spade_geometry::BBox::new(*p, *p).inflate(hd),
-                };
-                let Some((x0, y0, x1, y1)) = vp.pixel_range(&reach) else {
-                    continue;
-                };
-                let tri_test = match &e.geom {
-                    BoundaryGeom::Triangle(t) => Some(spade_gpu::raster::TriBoxTest::new(t)),
-                    _ => None,
-                };
-                for y in y0..=y1 {
-                    for x in x0..=x1 {
-                        let px = texture.get(x, y);
-                        if px[crate::canvas::CH_FLAG] & FLAG_BOUNDARY == 0 {
-                            continue;
+                    // Could any point of this pixel satisfy the entry?
+                    let center = vp.pixel_center(x, y);
+                    let possible = match &e.geom {
+                        BoundaryGeom::PointDist { center: c, r } => center.dist(*c) <= r + hd,
+                        BoundaryGeom::SegmentDist { seg, r } => {
+                            point_segment_distance(center, *seg) <= r + hd
                         }
-                        // Could any point of this pixel satisfy the entry?
-                        let center = vp.pixel_center(x, y);
-                        let possible = match &e.geom {
-                            BoundaryGeom::PointDist { center: c, r } => center.dist(*c) <= r + hd,
-                            BoundaryGeom::SegmentDist { seg, r } => {
-                                point_segment_distance(center, *seg) <= r + hd
-                            }
-                            BoundaryGeom::Triangle(_) => tri_test
-                                .as_ref()
-                                .is_some_and(|t| t.overlaps(&vp.pixel_box(x, y))),
-                            _ => true,
-                        };
-                        if possible {
-                            out.push(((x, y), (base + k) as u32));
-                        }
+                        BoundaryGeom::Triangle(_) => tri_test
+                            .as_ref()
+                            .is_some_and(|t| t.overlaps(&vp.pixel_box(x, y))),
+                        _ => true,
+                    };
+                    if possible {
+                        out.push(((x, y), (base + k) as u32));
                     }
                 }
             }
-            out
-        });
+        }
+        out
+    });
     for list in hits {
         for (px, entry) in list {
             layer.boundary.record_pixel(px, entry);

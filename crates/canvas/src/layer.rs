@@ -24,7 +24,8 @@
 use crate::create::PreparedPolygon;
 use spade_gpu::{BlendMode, DrawCall, Pipeline, Primitive, Viewport};
 
-/// The layer index: object ids per layer, plus the construction resolution.
+/// The layer index: per layer, the positions of its objects in the list it
+/// was built over, in list order; every object is in exactly one layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LayerIndex {
     pub layers: Vec<Vec<u32>>,
@@ -70,7 +71,7 @@ pub fn build_layer_index(
     }
     let vp = Viewport::square_pixels(bbox, resolution);
 
-    let mut remaining: Vec<&PreparedPolygon> = polys.iter().collect();
+    let mut remaining: Vec<u32> = (0..polys.len() as u32).collect();
     let mut layers = Vec::new();
 
     while !remaining.is_empty() {
@@ -79,7 +80,7 @@ pub fn build_layer_index(
         // iterates passes at one resolution, so every round after the first
         // reuses the same buffer.
         let mut cmax = pipe.arena().checkout(vp.width, vp.height);
-        let prims = coverage_prims(&remaining);
+        let prims = coverage_prims(remaining.iter().map(|&i| &polys[i as usize]));
         pipe.draw(
             &mut cmax,
             &prims,
@@ -89,9 +90,9 @@ pub fn build_layer_index(
         // Pass 2: blend + mask — an object is intact iff every pixel it
         // covers still carries its id.
         let intact: Vec<bool> = pipe.pool().parallel_tasks(remaining.len(), |i| {
-            let p = remaining[i];
+            let p = &polys[remaining[i] as usize];
             let mut ok = true;
-            for prim in coverage_prims(&[p]) {
+            for prim in coverage_prims([p]) {
                 if !ok {
                     break;
                 }
@@ -106,11 +107,11 @@ pub fn build_layer_index(
 
         let mut layer = Vec::new();
         let mut next = Vec::with_capacity(remaining.len());
-        for (p, keep) in remaining.into_iter().zip(intact) {
+        for (i, keep) in remaining.into_iter().zip(intact) {
             if keep {
-                layer.push(p.id);
+                layer.push(i);
             } else {
-                next.push(p);
+                next.push(i);
             }
         }
         // Progress guarantee: the maximum id among remaining objects is
@@ -118,7 +119,7 @@ pub fn build_layer_index(
         debug_assert!(!layer.is_empty(), "layer construction stalled");
         if layer.is_empty() {
             // Defensive fallback for degenerate numeric cases.
-            layer.push(next.pop().expect("non-empty remaining").id);
+            layer.push(next.pop().expect("non-empty remaining"));
         }
         layers.push(layer);
         remaining = next;
@@ -128,7 +129,7 @@ pub fn build_layer_index(
 
 /// The conservative coverage primitives of a polygon: its triangles plus
 /// its boundary edges (so touching-only pixels are covered too).
-fn coverage_prims(polys: &[&PreparedPolygon]) -> Vec<Primitive> {
+fn coverage_prims<'a>(polys: impl IntoIterator<Item = &'a PreparedPolygon>) -> Vec<Primitive> {
     let mut prims = Vec::new();
     for p in polys {
         let attrs = [p.id + 1, 0, 0, 0];

@@ -14,7 +14,7 @@ use crate::query::Source;
 use crate::stats::QueryOutput;
 use spade_canvas::algebra;
 use spade_canvas::canvas::{classify, pixel_bound, pixel_id, PixelClass};
-use spade_gpu::{BlendMode, DrawCall, Primitive};
+use spade_gpu::{BlendMode, DrawCall, FnFragment};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Aggregation result: `(polygon id, point count)` in polygon-id order.
@@ -35,21 +35,20 @@ pub(crate) fn count_cells(
     for p in &set.polygons {
         totals.entry(p.id).or_insert(0);
     }
+    // Every point fragment adds one to its pixel's partial count.
+    let one =
+        FnFragment(|_: &spade_gpu::Fragment, _: &spade_gpu::ShaderContext<'_>| Some([1, 1, 0, 0]));
     for constraint in layer_constraints(spade, set, spade.config.resolution) {
         // Multiway blend: per-pixel partial counts of the points.
-        let prims: Vec<Primitive> = pts
-            .iter()
-            .map(|(_, p)| Primitive::point(*p, [1, 1, 0, 0]))
-            .collect();
         let mut count_tex = spade
             .pipeline
             .arena()
             .checkout(constraint.viewport.width, constraint.viewport.height);
-        spade.pipeline.draw(
-            &mut count_tex,
-            &prims,
-            &DrawCall::simple(constraint.viewport, BlendMode::Add, false),
-        );
+        let call = DrawCall {
+            fragment: &one,
+            ..DrawCall::simple(constraint.viewport, BlendMode::Add, false)
+        };
+        spade.pipeline.draw(&mut count_tex, pts, &call);
 
         // Mask + map over the constraint canvas: interior pixels add their
         // partials to their polygon.
@@ -67,14 +66,9 @@ pub(crate) fn count_cells(
 
         // Boundary pixels: exact per-point tests through the boundary
         // index (only points whose pixel is boundary-classified).
-        let point_prims: Vec<Primitive> = pts
-            .iter()
-            .enumerate()
-            .map(|(i, (id, p))| Primitive::point(*p, [*id, i as u32, 0, 0]))
-            .collect();
         let emitted = algebra::map_emit(
             &spade.pipeline,
-            &point_prims,
+            pts,
             constraint.viewport,
             false,
             |frag, out| {

@@ -2,8 +2,9 @@
 
 use crate::lru::Lru;
 use spade_canvas::create::PreparedPolygon;
-use spade_canvas::LayerIndex;
+use spade_canvas::layer::{build_layer_index, LayerIndex};
 use spade_geometry::{BBox, Geometry, LineString, Point, Polygon};
+use spade_gpu::Pipeline;
 use spade_index::compact::{compact, CompactReport};
 use spade_index::delta::{DeltaSnapshot, DeltaStore};
 use spade_index::{GridIndex, Version};
@@ -658,27 +659,33 @@ impl CellCache {
 }
 
 /// A polygon data set with its prepared form and layer index — the unit
-/// the join executor works with.
+/// the join executor works with. `polygons` is in layer order, each layer
+/// in input order, so a layer is a subslice; `layers` names the members of
+/// each by their input position.
 pub struct PreparedPolygonSet {
     pub polygons: Vec<PreparedPolygon>,
     pub layers: LayerIndex,
 }
 
 impl PreparedPolygonSet {
-    pub fn prepare(pipe: &spade_gpu::Pipeline, dataset: &Dataset, resolution: u32) -> Self {
-        let polygons = dataset.prepare_polygons();
-        let layers = spade_canvas::layer::build_layer_index(pipe, &polygons, resolution);
+    pub fn prepare(pipe: &Pipeline, dataset: &Dataset, resolution: u32) -> Self {
+        Self::new(pipe, dataset.prepare_polygons(), resolution)
+    }
+
+    /// Build the layer index of `polygons` and put them in layer order.
+    pub fn new(pipe: &Pipeline, polygons: Vec<PreparedPolygon>, resolution: u32) -> Self {
+        let layers = build_layer_index(pipe, &polygons, resolution);
+        let mut input: Vec<_> = polygons.into_iter().map(Some).collect();
+        let polygons = (layers.layers.iter().flatten())
+            .map(|&i| input[i as usize].take().expect("one layer per polygon"))
+            .collect();
         PreparedPolygonSet { polygons, layers }
     }
 
     /// The prepared polygons of one layer.
-    pub fn layer_polygons(&self, layer: usize) -> Vec<PreparedPolygon> {
-        let ids = &self.layers.layers[layer];
-        self.polygons
-            .iter()
-            .filter(|p| ids.contains(&p.id))
-            .cloned()
-            .collect()
+    pub fn layer_polygons(&self, layer: usize) -> &[PreparedPolygon] {
+        let start = self.layers.layers[..layer].iter().map(Vec::len).sum();
+        &self.polygons[start..start + self.layers.layers[layer].len()]
     }
 }
 

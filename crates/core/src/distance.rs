@@ -184,8 +184,9 @@ fn disk_canvases<'a>(
 }
 
 /// The distance-join kernel over one (constraint cell, point cell) pair
-/// for the pair walk: `(constraint id, point id)` for every point within
-/// its constraint's disk, unordered — one pass over the points per layer.
+/// for the pair walk: `(constraint id, point position)` for every point
+/// within its constraint's disk, unordered — one pass over the points per
+/// layer.
 /// The walk is left-major, so the canvases of a constraint cell stay
 /// rendered across the consecutive pairs that share it, one rendering per
 /// residency rather than one per right cell.
@@ -260,7 +261,9 @@ pub fn distance_join_indexed<'a>(
     let (stream, _) = walk.run(spade, ctx, |left, right, (l, _)| {
         // The type-1 constraints: every left point with radius `r`.
         let constraints = || left.points().iter().map(|&(id, p)| (id, p, r)).collect();
-        pairs.extend(disks.within_radii(spade, l, constraints, right.points()));
+        let right = right.points();
+        let hits = disks.within_radii(spade, l, constraints, right);
+        pairs.extend(hits.into_iter().map(|(id, j)| (id, right[j as usize].0)));
     })?;
     pairs.sort_unstable();
     pairs.dedup();

@@ -43,7 +43,7 @@ pub(crate) fn layer_constraints<'a>(
     (0..polys.layers.len()).filter_map(move |layer| {
         let layer_polys = polys.layer_polygons(layer);
         (!layer_polys.is_empty())
-            .then(|| Constraint::from_polygons_res(spade, &layer_polys, resolution))
+            .then(|| Constraint::from_polygons_res(spade, layer_polys, resolution))
     })
 }
 
@@ -63,30 +63,26 @@ fn join_by_layer(
     pairs
 }
 
-/// The fused point-vs-constraint pass emitting `(constraint id, point id)`
-/// pairs; n_max = number of points (§5.4: a point intersects at most one
-/// polygon per layer).
+/// The fused point-vs-constraint pass over the point list itself, emitting
+/// `(constraint id, point position)` pairs — a caller wanting ids looks
+/// them up in `points`; n_max = number of points (§5.4: a point intersects
+/// at most one polygon per layer).
 pub(crate) fn scan_points_for_pairs(
     spade: &Spade,
     constraint: &Constraint,
     points: &[(u32, Point)],
 ) -> Pairs {
-    let prims: Vec<Primitive> = points
-        .iter()
-        .enumerate()
-        .map(|(i, (id, p))| Primitive::point(*p, [*id, i as u32, 0, 0]))
-        .collect();
     let result = algebra::map_emit_stateful(
         &spade.pipeline,
-        &prims,
+        points,
         constraint.viewport,
         false,
         Vec::<u32>::new,
         |scratch, frag, out| {
-            let p = points[frag.attrs[1] as usize].1;
-            constraint.match_point_into(p, scratch);
+            let i = frag.attrs[1];
+            constraint.match_point_into(points[i as usize].1, scratch);
             for &cid in scratch.iter() {
-                out.push([cid, frag.attrs[0], 0, 0]);
+                out.push([cid, i, 0, 0]);
             }
         },
     );
@@ -213,7 +209,9 @@ impl Resident {
     /// canvas: `(constraint id, probe id)` pairs.
     fn probe(&self, spade: &Spade, constraint: &Constraint) -> Pairs {
         match self {
-            Resident::Points(pts) => scan_points_for_pairs(spade, constraint, pts),
+            Resident::Points(pts) => (scan_points_for_pairs(spade, constraint, pts).into_iter())
+                .map(|(cid, i)| (cid, pts[i as usize].0))
+                .collect(),
             Resident::Lines(prims, geoms) => {
                 scan_candidates_for_pairs(spade, constraint, prims, geoms)
             }
@@ -268,14 +266,7 @@ pub(crate) fn hull_pairs(
     let hull_set = |view: &ReadView<'_>, slots| {
         spade_gpu::record::preparing(|| {
             let polygons = view.prepared_hulls(slots);
-            PreparedPolygonSet {
-                layers: spade_canvas::layer::build_layer_index(
-                    &spade.pipeline,
-                    &polygons,
-                    spade.config.layer_resolution(),
-                ),
-                polygons,
-            }
+            PreparedPolygonSet::new(&spade.pipeline, polygons, spade.config.layer_resolution())
         })
     };
     let (set1, set2) = (hull_set(view1, slots1), hull_set(view2, slots2));

@@ -22,11 +22,10 @@ use crate::engine::{Constraint, Spade};
 use crate::join::PairWalk;
 use crate::prefetch::StreamStats;
 use crate::query::Source;
-use crate::select::{select_points_mem, CellWalk};
+use crate::select::{select_point_positions, CellWalk};
 use crate::stats::QueryOutput;
 use spade_canvas::algebra;
 use spade_geometry::{BBox, Point};
-use spade_gpu::Primitive;
 
 /// Ratio `α` between consecutive circle radii (`r_i = r_max / α^i`).
 const KNN_ALPHA: f64 = 1.5;
@@ -39,15 +38,16 @@ fn circle(spade: &Spade, q: Point, r: f64, resolution: u32) -> Constraint {
 /// The circle-aggregation kernel over one cell: each point emits the index
 /// of the smallest circle `r_i = r_max / α^i` containing it, into `hist`.
 /// One rendering pass regardless of the number of circles (§5.2).
-fn count_circles(spade: &Spade, pts: &[(u32, Point)], q: Point, r_max: f64, hist: &mut [u64]) {
+pub(crate) fn count_circles(
+    spade: &Spade,
+    pts: &[(u32, Point)],
+    q: Point,
+    r_max: f64,
+    hist: &mut [u64],
+) {
     let circles = hist.len();
     let vp = spade.viewport_for(&BBox::new(q, q).inflate(r_max));
-    let prims: Vec<Primitive> = pts
-        .iter()
-        .enumerate()
-        .map(|(i, (_, p))| Primitive::point(*p, [1, i as u32, 0, 0]))
-        .collect();
-    let emitted = algebra::map_emit(&spade.pipeline, &prims, vp, false, |frag, out| {
+    let emitted = algebra::map_emit(&spade.pipeline, pts, vp, false, |frag, out| {
         let p = pts[frag.attrs[1] as usize].1;
         let d = p.dist(q);
         if d > r_max {
@@ -70,7 +70,7 @@ fn count_circles(spade: &Spade, pts: &[(u32, Point)], q: Point, r_max: f64, hist
 
 /// The smallest `r_i` whose circle holds at least `k` points:
 /// agg(circle i) = points within r_i = Σ_{j ≥ i} hist[j].
-fn radius_for(hist: &[u64], r_max: f64, k: usize) -> f64 {
+pub(crate) fn radius_for(hist: &[u64], r_max: f64, k: usize) -> f64 {
     let mut cum = 0u64;
     for i in (0..hist.len()).rev() {
         cum += hist[i];
@@ -82,8 +82,8 @@ fn radius_for(hist: &[u64], r_max: f64, k: usize) -> f64 {
 }
 
 /// The distance-selection kernel over one cell: `(id, exact distance)` of
-/// the points inside the distance canvas `within` around `q`. Points are
-/// selected by position, so the distance needs no lookup by id.
+/// the points inside the distance canvas `within` around `q`. The kernel
+/// answers positions, so the distance needs no lookup by id.
 fn push_within(
     spade: &Spade,
     pts: &[(u32, Point)],
@@ -92,7 +92,7 @@ fn push_within(
     out: &mut Vec<(u32, f64)>,
 ) {
     out.extend(
-        select_points_mem(spade, &by_position(pts), within)
+        select_point_positions(spade, pts, within)
             .into_iter()
             .map(|i| (pts[i as usize].0, pts[i as usize].1.dist(q))),
     );
@@ -114,7 +114,7 @@ fn rank(candidates: &mut Vec<(u32, f64)>, k: usize) {
 /// least `k` points within the prefix's last `far`; an under-count only
 /// lengthens the prefix. If the counts never reach `k`, the last distance
 /// covers everything the walk can see.
-fn count_bound(
+pub(crate) fn count_bound(
     view: &ReadView<'_>,
     slots: impl Iterator<Item = u32>,
     from: &[Point],
@@ -192,16 +192,11 @@ pub fn knn_select_indexed<'a>(
     Ok(QueryOutput { result, stats })
 }
 
-/// A cell's points numbered by position: a kernel's hits then index the
-/// cell directly, with no lookup by id.
-fn by_position(pts: &[(u32, Point)]) -> Vec<(u32, Point)> {
-    (0..).zip(pts.iter().map(|&(_, p)| p)).collect()
-}
-
-/// The type-2 constraints of a left cell, by position.
+/// The type-2 constraints of a left cell, numbered by position: the
+/// kernel's hits then index the cell directly, with no lookup by id.
 fn disks_by_position(left: &[(u32, Point)], radii: &[f64]) -> Vec<(u32, Point, f64)> {
-    let disks = by_position(left).into_iter().zip(radii);
-    disks.map(|((i, p), &r)| (i, p, r)).collect()
+    let disks = (0..).zip(left).zip(radii);
+    disks.map(|((i, &(_, p)), &r)| (i, p, r)).collect()
 }
 
 /// Fold the type-2 kernel's `(left position, right position)` hits on one
@@ -304,7 +299,7 @@ pub fn knn_join_indexed<'a>(
         let ranking = walk.run(spade, ctx, |left, right, (l, _)| {
             let (left, right) = (left.points(), right.points());
             let constraints = || disks_by_position(left, &radii[slot(l)]);
-            let hits = disks.within_radii(spade, l, constraints, &by_position(right));
+            let hits = disks.within_radii(spade, l, constraints, right);
             push_neighbours(hits, left, right, &mut result);
         });
         stream += ranking?.0;

@@ -25,7 +25,7 @@ pub mod stats;
 use crate::engine::Spade;
 use spade_canvas::algebra::{self, MapResult};
 use spade_gpu::record::MapDecisions;
-use spade_gpu::{DrawCall, Primitive};
+use spade_gpu::{Assemble, DrawCall};
 
 /// Which Map implementation to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,7 +48,12 @@ pub fn choose_map_impl(spade: &Spade, n_max: usize) -> MapImpl {
 /// record the choice in the query's frame ([`spade_gpu::record`]). A 2-pass
 /// whose result fit the 1-pass canvas after all is an overshoot: the bound
 /// was loose.
-pub fn run_map(spade: &Spade, prims: &[Primitive], call: &DrawCall<'_>, n_max: usize) -> MapResult {
+pub fn run_map(
+    spade: &Spade,
+    prims: &[impl Assemble],
+    call: &DrawCall<'_>,
+    n_max: usize,
+) -> MapResult {
     let slots = spade.config.max_map_slots as u64;
     let choice = choose_map_impl(spade, n_max);
     let r = match choice {
@@ -174,7 +179,7 @@ mod tests {
     use super::*;
     use crate::config::EngineConfig;
     use spade_geometry::{BBox, Point};
-    use spade_gpu::{BlendMode, FrameTotals, Viewport};
+    use spade_gpu::{BlendMode, FrameTotals, Primitive, Viewport};
 
     #[test]
     fn map_choice_threshold() {

@@ -296,7 +296,7 @@ mod tests {
     use super::*;
     use crate::config::EngineConfig;
     use crate::scope::Scope;
-    use crate::stats::CacheOutcome;
+    use crate::stats::{CacheOutcome, QueryStats};
 
     fn engine() -> Spade {
         Spade::new(EngineConfig::test_small())
@@ -395,6 +395,164 @@ mod tests {
         }
     }
 
+    /// The passes a cold, full-scope run of `q` over `(left, right)`
+    /// renders: the formulas beside DESIGN.md §1's operator table, in
+    /// terms of the constraint layers, the Map implementation and the
+    /// slots refined. A polygon canvas and a disk canvas are two passes, a
+    /// polygon's distance canvas four (the distance filter adds one hull
+    /// selection per left slot), a layer index one pass per layer, a Map
+    /// one pass (1-pass) or two (2-pass).
+    /// The join terms come from the walk the class plans (its pairs in
+    /// order, the slots each pair loads). `None` for a staged kNN select,
+    /// where which of its two runs refine the memory slot is not visible
+    /// from outside.
+    fn expected_passes(
+        s: &Spade,
+        q: &Q,
+        (left, right): (Source<'_>, Source<'_>),
+        stats: &QueryStats,
+    ) -> Option<u64> {
+        use crate::dataset::PreparedPolygonSet;
+        use crate::distance::{disk_layers, hulls_within};
+        use crate::join::{hull_pairs, PairWalk};
+        use crate::knn::{count_bound, count_circles, radius_for};
+        let grid = |src: Source<'_>| src.read_view().grid.num_cells() as u64;
+        if let Q::Select(q) = q {
+            let map = stats.plan.map.expect("every select class maps");
+            let maps = map.one_pass + map.two_pass;
+            let map_passes = map.one_pass + 2 * map.two_pass;
+            let filter = grid(left).min(1); // the hull selection
+            return match q {
+                // Canvas + coarse filter canvas, filter, one Map per slot.
+                SelectQuery::Intersects(_) | SelectQuery::Range(_) | SelectQuery::Contained(_) => {
+                    Some(2 + 2 + filter + map_passes)
+                }
+                // One distance canvas serves both filter and refinement.
+                SelectQuery::WithinDistance(..) => Some(2 + filter + map_passes),
+                // Two circles, two filtered runs: one counting pass per
+                // slot of the first, one Map per slot of the second.
+                SelectQuery::Knn(..) => {
+                    let counted = match (grid(left), left.read_view().has_delta()) {
+                        (0, _) => 1,
+                        (_, false) => stats.cells_loaded - maps,
+                        (_, true) => return None,
+                    };
+                    Some(2 + 2 + 2 * filter + counted + map_passes)
+                }
+            };
+        }
+        let Q::Join(j) = q else { unreachable!() };
+        let ctx = QueryCtx::default();
+        let walk = match j {
+            JoinQuery::Intersects | JoinQuery::CountPoints => {
+                PairWalk::plan(left, right, &ctx, |l, r| hull_pairs(s, l, r))
+            }
+            JoinQuery::WithinDistance(r) => {
+                PairWalk::plan(left, right, &ctx, |a, b| hulls_within(s, a, b, |_| *r))
+            }
+            JoinQuery::Knn(k) => PairWalk::plan(left, right, &ctx, |(v1, l), (v2, r)| {
+                hulls_within(s, (v1, l), (v2, r), |l| {
+                    count_bound(v2, v2.slots(true), &v1.hull(l).exterior.points, *k)
+                })
+            }),
+        }
+        .unwrap();
+        let (v1, v2) = (&walk.view1, &walk.view2);
+        let load = |v: &ReadView<'_>, slot: u32| v.load_cell_cached(slot as usize, 0).unwrap().0;
+        let layers = |slot: u32| {
+            let data = load(v1, slot);
+            let set = PreparedPolygonSet::prepare(&s.pipeline, &data, s.config.layer_resolution());
+            set.layers.len() as u64
+        };
+        // The left slot entering residency, once per change in pair order.
+        let entries: Vec<u32> = (walk.sequence.iter())
+            .filter(|&&(side, _)| side == 0)
+            .map(|&(_, slot)| slot as u32)
+            .collect();
+        let pairs = &walk.cell_pairs;
+        let filtered = grid(left) + grid(right) > 0;
+        let (end1, end2) = (v1.slots(true).end, v2.slots(true).end);
+        // Disk layers of the left slot's points at the given radii, and
+        // their passes: two per canvas per entry, one probe per pair.
+        let disks = |d: &dyn Fn(u32) -> u64| {
+            entries.iter().map(|&l| 2 * d(l)).sum::<u64>()
+                + pairs.iter().map(|p| d(p.0)).sum::<u64>()
+        };
+        match j {
+            JoinQuery::Intersects | JoinQuery::CountPoints => {
+                // Filter: each side's hull layer index, then per layer of
+                // the side with fewer: its canvas and one probe pass.
+                let hull_layers = |v: &ReadView<'_>, end| {
+                    let hulls = v.prepared_hulls(0..end);
+                    let res = s.config.layer_resolution();
+                    spade_canvas::layer::build_layer_index(&s.pipeline, &hulls, res).len() as u64
+                };
+                let (h1, h2) = (hull_layers(v1, end1), hull_layers(v2, end2));
+                let filter = if filtered {
+                    h1 + h2 + 3 * h1.min(h2)
+                } else {
+                    0
+                };
+                // Preparation: a layer index per cell residency, once for
+                // the memory slot.
+                let prep: u64 = (entries.iter().enumerate())
+                    .filter(|&(i, &l)| v1.cell_id(l).is_some() || !entries[..i].contains(&l))
+                    .map(|(_, &l)| layers(l))
+                    .sum();
+                // Per pair and layer: the canvas (2) and the probe (1);
+                // aggregation adds the partial-count draw.
+                let per_layer = if matches!(j, JoinQuery::CountPoints) {
+                    4
+                } else {
+                    3
+                };
+                let naive = matches!(
+                    stats.plan.join.as_ref().map(|d| d.strategy),
+                    Some(crate::optimizer::JoinStrategy::NaiveSelects)
+                );
+                let refine: u64 = (pairs.iter())
+                    .map(|&(l, r)| match (naive, v1.cell_id(l), v2.cell_id(r)) {
+                        // One canvas and one probe per left polygon.
+                        (true, Some(_), Some(_)) => 3 * load(v1, l).len() as u64,
+                        _ => per_layer * layers(l),
+                    })
+                    .sum();
+                Some(filter + prep + refine)
+            }
+            JoinQuery::WithinDistance(r) => {
+                let filter = if filtered { 5 * end1 as u64 } else { 0 };
+                let d = |l: u32| {
+                    let pts = load(v1, l).as_points();
+                    disk_layers(&pts.iter().map(|&(_, p)| (p, *r)).collect::<Vec<_>>()).len() as u64
+                };
+                Some(filter + disks(&d))
+            }
+            JoinQuery::Knn(k) => {
+                let filter = if filtered { 5 * end1 as u64 } else { 0 };
+                // Counting: one circle pass per left point per pair.
+                let counting: u64 = pairs.iter().map(|p| load(v1, p.0).len() as u64).sum();
+                // Ranking: the disks at the radii those histograms pick.
+                let d = |l: u32| {
+                    let paired: Vec<u32> =
+                        (pairs.iter().filter(|p| p.0 == l)).map(|p| p.1).collect();
+                    let hull = v1.hull(l);
+                    let r_max = count_bound(v2, paired.iter().copied(), &hull.exterior.points, *k);
+                    let disks: Vec<(Point, f64)> = (load(v1, l).as_points().iter())
+                        .map(|&(_, p)| {
+                            let mut hist = vec![0; s.config.knn_circles()];
+                            for &r in &paired {
+                                count_circles(s, &load(v2, r).as_points(), p, r_max, &mut hist);
+                            }
+                            (p, radius_for(&hist, r_max, *k))
+                        })
+                        .collect();
+                    disk_layers(&disks).len() as u64
+                };
+                Some(filter + counting + disks(&d))
+            }
+        }
+    }
+
     /// The dispatcher contract, for all five select classes × {in-memory,
     /// indexed, indexed with a staged write} and all four join classes ×
     /// the same three sources:
@@ -481,6 +639,13 @@ mod tests {
             let cold = run(q, sources, &s, &QueryCtx::default()).unwrap();
             assert_eq!(cold.result, want, "(a) {label}");
             assert_eq!(cold.stats.result_cache, CacheOutcome::Bypass, "(a) {label}");
+            let sides = match q {
+                Q::Join(q) if !on_points(q) => (polygons[source], points[source]),
+                _ => (points[source], points[source]),
+            };
+            if let Some(passes) = expected_passes(&s, q, sides, &cold.stats) {
+                assert_eq!(cold.stats.passes, passes, "(g) {label}");
+            }
             for resolution in [32, 64] {
                 let config = EngineConfig {
                     resolution,

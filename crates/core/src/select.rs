@@ -75,34 +75,38 @@ pub(crate) fn line_candidates(
 }
 
 /// The point-selection kernel: ids of points intersecting the constraint.
-/// This is the fused blend+mask+map pass of Fig. 4, using the Map
-/// implementation the optimizer picks (§5.4: `n_max` = number of objects).
 pub fn select_points_mem(
     spade: &Spade,
     points: &[(u32, Point)],
     constraint: &Constraint,
 ) -> Vec<u32> {
-    let prims: Vec<Primitive> = points
-        .iter()
-        .enumerate()
-        .map(|(i, (id, p))| Primitive::point(*p, [*id + 1, i as u32, 0, 0]))
-        .collect();
+    let positions = select_point_positions(spade, points, constraint);
+    (positions.into_iter())
+        .map(|i| points[i as usize].0)
+        .collect()
+}
+
+/// The positions in `points` of the points intersecting the constraint, in
+/// list order. This is the fused blend+mask+map pass of Fig. 4 over the
+/// point list itself, using the Map implementation the optimizer picks
+/// (§5.4: `n_max` = number of objects); a survivor emits its position + 1
+/// (0 is the null pixel the scan compacts away).
+pub(crate) fn select_point_positions(
+    spade: &Spade,
+    points: &[(u32, Point)],
+    constraint: &Constraint,
+) -> Vec<u32> {
     let shader = FnFragment(
         |frag: &spade_gpu::Fragment, _: &spade_gpu::ShaderContext<'_>| {
-            let p = points[frag.attrs[1] as usize].1;
-            if constraint.match_point_any(p) {
-                Some([frag.attrs[0], 0, 0, 0])
-            } else {
-                None
-            }
+            let i = frag.attrs[1];
+            (constraint.match_point_any(points[i as usize].1)).then_some([i + 1, 0, 0, 0])
         },
     );
     let call = DrawCall {
         fragment: &shader,
         ..DrawCall::simple(constraint.viewport, BlendMode::Replace, false)
     };
-    let n_max = points.len();
-    let result = optimizer::run_map(spade, &prims, &call, n_max);
+    let result = optimizer::run_map(spade, points, &call, points.len());
     result.values.into_iter().map(|v| v[0] - 1).collect()
 }
 
@@ -190,28 +194,27 @@ fn contained_mem(
     match data.kind {
         DatasetKind::Points => select_points_mem(spade, &data.as_points(), constraint),
         _ => {
-            // §7: test the vertex collection of each object. An object is a
+            // §7: test the vertex collection of each object — one
+            // `(id, vertex)` list, drawn as points. An object is a
             // containment candidate iff *every* vertex matches. Each id keeps
             // the position of its (first) object for the refinement below.
-            let mut vertex_prims = Vec::new();
+            let mut vertices = Vec::new();
             let mut vertex_counts: std::collections::BTreeMap<u32, (usize, usize, usize)> =
                 std::collections::BTreeMap::new();
-            let mut coords: Vec<Point> = Vec::new();
             for (pos, (id, g)) in data.objects.iter().enumerate() {
                 let e = vertex_counts.entry(*id).or_insert((pos, 0, 0));
                 for p in object_vertices(g) {
                     e.1 += 1;
-                    vertex_prims.push(Primitive::point(p, [*id, coords.len() as u32, 0, 0]));
-                    coords.push(p);
+                    vertices.push((*id, p));
                 }
             }
             let result = algebra::map_emit(
                 &spade.pipeline,
-                &vertex_prims,
+                &vertices,
                 constraint.viewport,
                 false,
                 |frag, out| {
-                    if constraint.match_point_any(coords[frag.attrs[1] as usize]) {
+                    if constraint.match_point_any(vertices[frag.attrs[1] as usize].1) {
                         out.push([frag.attrs[0], 0, 0, 0]);
                     }
                 },

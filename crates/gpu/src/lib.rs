@@ -48,7 +48,7 @@ pub use device::DeviceMemory;
 pub use fragments::FragmentBuffer;
 pub use pipeline::{DrawCall, Pipeline};
 pub use pool::{PoolStats, WorkerPool};
-pub use primitive::{Primitive, Vertex};
+pub use primitive::{Assemble, Primitive, Vertex};
 pub use record::FrameTotals;
 pub use shader::{
     AffineVertex, FnFragment, FnVertex, Fragment, FragmentShader, GeometryShader, IdentityVertex,

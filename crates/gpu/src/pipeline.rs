@@ -7,7 +7,8 @@
 //! counting pass, and a Map pass that emits values instead of blending
 //! (§5.1) — and every one runs through the same stages:
 //!
-//! 1. the vertex shader transforms primitive vertices (in parallel),
+//! 1. each input element assembles into its primitive ([`Assemble`]) and
+//!    the vertex shader transforms its vertices (in parallel),
 //! 2. the geometry shader optionally expands primitives,
 //! 3. clipping drops primitives whose bounds miss the viewport,
 //! 4. the rasterizer enumerates covered pixels (default or conservative)
@@ -31,7 +32,7 @@ use crate::arena::TexturePool;
 use crate::blend::BlendMode;
 use crate::fragments::FragmentBuffer;
 use crate::pool::{self, WorkerPool};
-use crate::primitive::{Primitive, Vertex};
+use crate::primitive::{Assemble, Primitive, Vertex};
 use crate::raster;
 use crate::record;
 use crate::shader::{
@@ -120,7 +121,7 @@ impl Pipeline {
 
     /// Execute one rendering pass against `target`, returning the final
     /// value of the pass's atomic counter.
-    pub fn draw(&self, target: &mut Texture, prims: &[Primitive], call: &DrawCall<'_>) -> u32 {
+    pub fn draw(&self, target: &mut Texture, prims: &[impl Assemble], call: &DrawCall<'_>) -> u32 {
         // One SoA fragment buffer per (worker chunk, band), worker-major, so
         // the blend can walk chunks in primitive order.
         let vp = call.viewport;
@@ -181,7 +182,7 @@ impl Pipeline {
     /// Run a pass that only counts shaded (non-discarded) fragments without
     /// writing any pixels — the "simulated Map" first step of the 2-pass Map
     /// implementation (§5.1).
-    pub fn count_pass(&self, prims: &[Primitive], call: &DrawCall<'_>) -> u64 {
+    pub fn count_pass(&self, prims: &[impl Assemble], call: &DrawCall<'_>) -> u64 {
         let vp = call.viewport;
         // Shaders that emit unconditionally (e.g. `WriteAttrs`) let the
         // counting pass count coverage directly — the rasterizer's scanline
@@ -215,7 +216,7 @@ impl Pipeline {
     /// fragment, emission) order.
     pub fn map<S: Send>(
         &self,
-        prims: &[Primitive],
+        prims: &[impl Assemble],
         call: &DrawCall<'_>,
         init: impl Fn() -> S + Sync,
         emit: impl Fn(&mut S, &Fragment, &ShaderContext<'_>, &mut Vec<PixelValue>) + Sync,
@@ -236,17 +237,19 @@ impl Pipeline {
     }
 
     /// The one pass driver. Every worker chunk of the input stream runs the
-    /// fused vertex → geometry → clip stage — the shaded stream is never
-    /// materialized — and hands each visible primitive to `raster` with the
-    /// chunk's state; `raster` rasterizes and shades it and returns its
-    /// fragment count. `finish` then takes the chunk states in primitive
-    /// order and the final value of the pass's atomic counter. The pass,
-    /// `finish` included, is timed and recorded once on the calling
-    /// thread's frame ([`record`]) and once as a `name` span.
+    /// fused assemble → vertex → geometry → clip stage — neither a primitive
+    /// list nor the shaded stream is materialized — and hands each visible
+    /// primitive to `raster` with the chunk's state; `raster` rasterizes and
+    /// shades it and returns its fragment count. `finish` then takes the
+    /// chunk states in primitive order and the final value of the pass's
+    /// atomic counter. The pass, `finish` included, is timed and recorded
+    /// once on the calling thread's frame ([`record`]) and once as a `name`
+    /// span. The vertex contract of every pass: `prims[i]` assembles as
+    /// `prims[i].assemble(i)`, `i` counted over the whole list.
     fn pass<S: Send, R>(
         &self,
         name: &'static str,
-        prims: &[Primitive],
+        prims: &[impl Assemble],
         call: &DrawCall<'_>,
         init: impl Fn() -> S + Sync,
         raster: impl Fn(&mut S, &Primitive, &ShaderContext<'_>) -> u64 + Sync,
@@ -262,12 +265,13 @@ impl Pipeline {
             counter: &counter,
         };
         let world = call.viewport.world;
-        let chunks = self.pool.parallel_map_chunks(prims, |_, chunk| {
+        let chunks = self.pool.parallel_map_chunks(prims, |first, chunk| {
             let mut state = init();
             // Primitives after expansion, the visible ones, their fragments.
             let mut counts = [0u64; 3];
             let mut expand_buf = Vec::new();
-            for prim in chunk {
+            for (index, item) in (first as u32..).zip(chunk) {
+                let prim = item.assemble(index);
                 let moved =
                     prim.map_positions(|p| call.vertex.shade(Vertex::new(p, prim.attrs())).pos);
                 let expanded: &[Primitive] = match call.geometry {

@@ -311,10 +311,10 @@ impl WorkerPool {
         slots.into_iter().map(|r| r.expect("task result")).collect()
     }
 
-    /// Apply `f` to each contiguous chunk of `items` in parallel, collecting
-    /// the per-chunk outputs **in chunk order** (deterministic regardless of
-    /// the scheduling order). Chunking matches [`chunk_ranges`] with this
-    /// pool's lane count.
+    /// Apply `f(start, chunk)` to each contiguous chunk of `items` (`start`
+    /// its offset) in parallel, collecting the per-chunk outputs **in chunk
+    /// order** (deterministic regardless of the scheduling order). Chunking
+    /// matches [`chunk_ranges`] with this pool's lane count.
     pub fn parallel_map_chunks<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
@@ -322,7 +322,9 @@ impl WorkerPool {
         F: Fn(usize, &[T]) -> R + Sync,
     {
         let ranges = chunk_ranges(items.len(), self.lanes);
-        self.parallel_tasks(ranges.len(), |i| f(i, &items[ranges[i].clone()]))
+        self.parallel_tasks(ranges.len(), |i| {
+            f(ranges[i].start, &items[ranges[i].clone()])
+        })
     }
 
     /// Mutate each item of `items` in parallel (one task per item). Used for

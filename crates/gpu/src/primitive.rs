@@ -91,6 +91,28 @@ impl Primitive {
     }
 }
 
+/// An element of a pass's input list: it knows the primitive it draws as,
+/// given its index in the list (primitive assembly).
+pub trait Assemble: Sync {
+    fn assemble(&self, index: u32) -> Primitive;
+}
+
+impl Assemble for Primitive {
+    fn assemble(&self, _: u32) -> Primitive {
+        *self
+    }
+}
+
+/// The one point convention: a point object `(id, position)` draws as a
+/// point primitive with `attrs = [id, index, 0, 0]`, so every shader over a
+/// point list reads the id from `frag.attrs[0]` and the point's position in
+/// the list — its way back to the exact coordinates — from `frag.attrs[1]`.
+impl Assemble for (u32, Point) {
+    fn assemble(&self, index: u32) -> Primitive {
+        Primitive::point(self.1, [self.0, index, 0, 0])
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

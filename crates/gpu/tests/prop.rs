@@ -4,7 +4,11 @@
 use proptest::prelude::*;
 use spade_geometry::{BBox, Point};
 use spade_gpu::raster::{self, triangle_overlaps_box};
-use spade_gpu::{Primitive, Viewport};
+use spade_gpu::shader::{Fragment, FragmentShader, GeometryShader, ShaderContext};
+use spade_gpu::{
+    record, Assemble, BlendMode, DrawCall, FnFragment, Pipeline, PixelValue, Primitive, Texture,
+    Viewport,
+};
 use std::collections::BTreeSet;
 
 prop_compose! {
@@ -15,6 +19,72 @@ prop_compose! {
 
 fn vp() -> Viewport {
     Viewport::new(BBox::new(Point::ZERO, Point::new(32.0, 32.0)), 32, 32)
+}
+
+prop_compose! {
+    /// A coordinate anywhere over the viewport, on a pixel edge, or
+    /// outside it.
+    fn coord()(kind in 0u32..3, inside in 0.0f64..32.0, edge in 0u32..33, outside in -8.0f64..40.0)
+        -> f64 {
+        match kind {
+            0 => inside,
+            1 => f64::from(edge),
+            _ => outside,
+        }
+    }
+}
+
+/// A geometry shader that turns each point into a plus of five points.
+struct Plus;
+
+impl GeometryShader for Plus {
+    fn expand(&self, prim: &Primitive, out: &mut Vec<Primitive>) {
+        if let Primitive::Point { p, attrs } = *prim {
+            for (dx, dy) in [(0.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)] {
+                out.push(Primitive::point(p + Point::new(dx, dy), attrs));
+            }
+        }
+    }
+}
+
+/// What one input stream produces through each pass kind, each pass with
+/// the passes its frame recorded: the `Replace` and `Add` textures, the
+/// `count_pass` total and the `map` values in order.
+#[derive(Debug, PartialEq)]
+struct Passes {
+    replace: (Texture, u64),
+    add: (Texture, u64),
+    count: (u64, u64),
+    map: (Vec<PixelValue>, u64),
+}
+
+/// Run `pass` in a recording frame of its own: its output and the passes
+/// the frame recorded.
+fn framed<R>(pass: impl FnOnce() -> R) -> (R, u64) {
+    let frame = record::begin();
+    let out = pass();
+    (out, frame.finish().passes)
+}
+
+fn run_passes(pipe: &Pipeline, prims: &[impl Assemble], call: &DrawCall<'_>) -> Passes {
+    let draw = |blend| {
+        framed(|| {
+            let mut tex = Texture::new(32, 32);
+            pipe.draw(&mut tex, prims, &DrawCall { blend, ..*call });
+            tex
+        })
+    };
+    Passes {
+        replace: draw(BlendMode::Replace),
+        add: draw(BlendMode::Add),
+        count: framed(|| pipe.count_pass(prims, call)),
+        map: framed(|| {
+            let emit = |_: &mut (), frag: &Fragment, ctx: &ShaderContext<'_>, out: &mut Vec<_>| {
+                out.extend(call.fragment.shade(frag, ctx))
+            };
+            pipe.map(prims, call, || (), emit).concat()
+        }),
+    }
 }
 
 fn pixels(prim: &Primitive, conservative: bool) -> BTreeSet<(u32, u32)> {
@@ -107,5 +177,50 @@ proptest! {
         let prim = Primitive::triangle(a, b, c, [0; 4]);
         prop_assert_eq!(pixels(&prim, true), pixels(&prim, true));
         prop_assert_eq!(pixels(&prim, false), pixels(&prim, false));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A point list drawn as it is equals the hand-built primitive list
+    /// carrying `[id, i, 0, 0]`, through every pass kind, with and without
+    /// a geometry shader, at one worker and at three — where a stream
+    /// index counted per chunk instead of over the whole list shows in the
+    /// attributes every shader here writes or discards on.
+    #[test]
+    fn point_list_pass_equals_hand_built_primitives(
+        points in prop::collection::vec((0u32..1_000_000, coord(), coord()), 4..200),
+    ) {
+        let points: Vec<(u32, Point)> =
+            points.into_iter().map(|(id, x, y)| (id, Point::new(x, y))).collect();
+        let prims: Vec<Primitive> = (0u32..)
+            .zip(&points)
+            .map(|(i, &(id, p))| Primitive::point(p, [id, i, 0, 0]))
+            .collect();
+        let discard = FnFragment(|f: &Fragment, _: &ShaderContext<'_>| {
+            (!f.attrs[1].is_multiple_of(3)).then_some(f.attrs)
+        });
+        let plus = Plus;
+        for workers in [1, 3] {
+            let pipe = Pipeline::with_workers(workers);
+            for geometry in [None, Some(&plus as &dyn GeometryShader)] {
+                for fragment in [None, Some(&discard as &dyn FragmentShader)] {
+                    let simple = DrawCall::simple(vp(), BlendMode::Replace, false);
+                    let call = DrawCall {
+                        geometry,
+                        fragment: fragment.unwrap_or(simple.fragment),
+                        ..simple
+                    };
+                    let got = run_passes(&pipe, &points, &call);
+                    let want = run_passes(&pipe, &prims, &call);
+                    prop_assert_eq!(
+                        (got.replace.1, got.add.1, got.count.1, got.map.1),
+                        (1, 1, 1, 1)
+                    );
+                    prop_assert_eq!(got, want, "workers={}", workers);
+                }
+            }
+        }
     }
 }
