@@ -9,7 +9,7 @@
 
 use crate::ctx::QueryCtx;
 use crate::engine::Spade;
-use crate::join::{hull_pairs, layer_constraints, PairWalk, Resident};
+use crate::join::{hull_pairs, PairWalk, Resident};
 use crate::query::Source;
 use crate::stats::QueryOutput;
 use spade_canvas::algebra;
@@ -29,16 +29,16 @@ pub(crate) fn count_cells(
     points: &Resident,
     totals: &mut BTreeMap<u32, u64>,
 ) {
-    let (Resident::Polys(set), Resident::Points(pts)) = (polys, points) else {
+    let (Resident::Polys(polys), Resident::Points(pts)) = (polys, points) else {
         unimplemented!("aggregation counts points per polygon");
     };
-    for p in &set.polygons {
+    for p in &polys.set.polygons {
         totals.entry(p.id).or_insert(0);
     }
     // Every point fragment adds one to its pixel's partial count.
     let one =
         FnFragment(|_: &spade_gpu::Fragment, _: &spade_gpu::ShaderContext<'_>| Some([1, 1, 0, 0]));
-    for constraint in layer_constraints(spade, set, spade.config.resolution) {
+    for constraint in polys.canvases(spade) {
         // Multiway blend: per-pixel partial counts of the points.
         let mut count_tex = spade
             .pipeline

@@ -1,5 +1,6 @@
 //! Spatial data sets: in-memory and out-of-core forms.
 
+use crate::join::Resident;
 use crate::lru::Lru;
 use spade_canvas::create::PreparedPolygon;
 use spade_canvas::layer::{build_layer_index, LayerIndex};
@@ -10,7 +11,7 @@ use spade_index::delta::{DeltaSnapshot, DeltaStore};
 use spade_index::{GridIndex, Version};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Process-unique dataset identities, used as result-cache key components
 /// so two different datasets never share cache entries. Clones of an
@@ -41,6 +42,68 @@ pub struct Dataset {
     pub extent: BBox,
     /// Process-unique identity (see [`Dataset::uid`]).
     uid: u64,
+    /// The prepared forms of this dataset as a memory slot.
+    pub(crate) prepared: PreparedMemo,
+}
+
+/// A memory slot's prepared forms, one per `(layer resolution, canvas
+/// resolution)` an engine asked for: the paper's load-time indexes (§1,
+/// "Canvas-specific indexes"), built by the first query that needs them
+/// and kept with the data. The lock only finds or adds a key's cell; the
+/// preparation runs in the cell's `OnceLock`, outside it, so concurrent
+/// first queries of one key prepare once and those of other keys do not
+/// wait. A clone starts empty.
+#[derive(Default)]
+pub(crate) struct PreparedMemo(Mutex<Vec<(PrepKey, MemoCell)>>);
+
+/// The resolutions a prepared form was built at: the layer index's and the
+/// layer canvases'.
+pub(crate) type PrepKey = (u32, u32);
+
+type MemoCell = Arc<OnceLock<Arc<Resident>>>;
+
+impl PreparedMemo {
+    /// The prepared form at `key`, made by `prepare` the first time any
+    /// query asks for that key and shared by every later one.
+    pub(crate) fn get(&self, key: PrepKey, prepare: impl FnOnce() -> Resident) -> Arc<Resident> {
+        let cell = {
+            let mut memo = self.entries();
+            match memo.iter().find(|(k, _)| *k == key) {
+                Some((_, cell)) => Arc::clone(cell),
+                None => {
+                    let cell = MemoCell::default();
+                    memo.push((key, Arc::clone(&cell)));
+                    cell
+                }
+            }
+        };
+        Arc::clone(cell.get_or_init(|| Arc::new(prepare())))
+    }
+
+    /// Whether a query has prepared the form at `key`.
+    #[cfg(test)]
+    pub(crate) fn holds(&self, key: PrepKey) -> bool {
+        (self.entries().iter()).any(|(k, cell)| *k == key && cell.get().is_some())
+    }
+
+    /// The keys and their cells. A key is added whole or not at all, so a
+    /// panic on another thread cannot leave the list half-written and
+    /// poison is ignored.
+    fn entries(&self) -> MutexGuard<'_, Vec<(PrepKey, MemoCell)>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Clone for PreparedMemo {
+    fn clone(&self) -> Self {
+        PreparedMemo::default()
+    }
+}
+
+impl std::fmt::Debug for PreparedMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("PreparedMemo")
+    }
 }
 
 impl Dataset {
@@ -86,6 +149,7 @@ impl Dataset {
             objects,
             extent,
             uid: next_uid(),
+            prepared: PreparedMemo::default(),
         }
     }
 

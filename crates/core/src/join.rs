@@ -28,36 +28,28 @@ use spade_gpu::device::Charge;
 use spade_gpu::record::FrameTotals;
 use spade_gpu::Primitive;
 use std::ops::Range;
-use std::rc::Rc;
+use std::sync::{Arc, OnceLock};
 
 /// A join result: `(left id, right id)` pairs.
 pub type Pairs = Vec<(u32, u32)>;
 
-/// One constraint canvas per non-empty layer of the polygon side (§5.2),
-/// rendered as the iterator advances.
-pub(crate) fn layer_constraints<'a>(
-    spade: &'a Spade,
-    polys: &'a PreparedPolygonSet,
-    resolution: u32,
-) -> impl Iterator<Item = Constraint> + 'a {
-    (0..polys.layers.len()).filter_map(move |layer| {
-        let layer_polys = polys.layer_polygons(layer);
-        (!layer_polys.is_empty())
-            .then(|| Constraint::from_polygons_res(spade, layer_polys, resolution))
-    })
-}
-
-/// One selection per layer of the polygon side: `scan` probes one layer's
-/// constraint canvas and returns `(polygon id, probe id)` pairs.
-fn join_by_layer(
+/// One constraint canvas per non-empty layer of the polygon side (§5.2).
+fn layer_constraints(
     spade: &Spade,
     polys: &PreparedPolygonSet,
     resolution: u32,
-    scan: impl Fn(&Constraint) -> Pairs,
-) -> Pairs {
-    let mut pairs: Pairs = layer_constraints(spade, polys, resolution)
-        .flat_map(|constraint| scan(&constraint))
-        .collect();
+) -> Vec<Constraint> {
+    (0..polys.layers.len())
+        .map(|layer| polys.layer_polygons(layer))
+        .filter(|layer| !layer.is_empty())
+        .map(|layer| Constraint::from_polygons_res(spade, layer, resolution))
+        .collect()
+}
+
+/// One selection per layer canvas of the polygon side: `scan` probes one
+/// layer's constraint canvas and returns `(polygon id, probe id)` pairs.
+fn join_by_layer(canvases: &[Constraint], scan: impl Fn(&Constraint) -> Pairs) -> Pairs {
+    let mut pairs: Pairs = canvases.iter().flat_map(scan).collect();
     pairs.sort_unstable();
     pairs.dedup();
     pairs
@@ -102,7 +94,8 @@ pub fn join_polygon_polygon_mem(
     // Use the side with fewer layers as the constraint (w.l.o.g. l1 ≤ l2).
     let swapped = d1.layers.len() > d2.layers.len();
     let (constraint_side, probe_side) = if swapped { (d2, d1) } else { (d1, d2) };
-    let pairs = join_by_layer(spade, constraint_side, resolution, |c| {
+    let canvases = layer_constraints(spade, constraint_side, resolution);
+    let pairs = join_by_layer(&canvases, |c| {
         scan_polygons_for_pairs(spade, c, &probe_side.polygons)
     });
     if swapped {
@@ -173,15 +166,36 @@ fn scan_candidates_for_pairs(
 /// in-memory data set — in the prepared form the refinement kernels read:
 /// the point list, the polyline segments as conservative line primitives
 /// (line data is the paper's cheaper-than-polygons case, §6.1), or the
-/// triangulated polygons plus their layer index. Preparing is the one
-/// place a query pays polygon processing.
+/// triangulated polygons with their layer index and layer canvases.
+/// Preparing is the one place a query pays polygon processing: a grid cell
+/// prepares once per residency, a memory slot once per dataset and engine
+/// resolutions ([`Resident::of_memory`]).
 pub(crate) enum Resident {
     Points(Vec<(u32, Point)>),
     Lines(Vec<Primitive>, Vec<CandidateGeom>),
-    Polys(PreparedPolygonSet),
+    Polys(PolygonSlot),
+}
+
+/// A polygon slot's prepared form: the triangulated polygons in layer order
+/// with their layer index, and one constraint canvas per non-empty layer
+/// at the query resolution, rendered by the first refinement that reads
+/// them and kept for as long as the slot stays prepared.
+pub(crate) struct PolygonSlot {
+    pub set: PreparedPolygonSet,
+    canvases: OnceLock<Vec<Constraint>>,
+}
+
+impl PolygonSlot {
+    /// The layer canvases (§5.2), rendered on first use.
+    pub(crate) fn canvases(&self, spade: &Spade) -> &[Constraint] {
+        self.canvases
+            .get_or_init(|| layer_constraints(spade, &self.set, spade.config.resolution))
+    }
 }
 
 impl Resident {
+    /// A slot's prepared form, made now: a grid cell's for one residency,
+    /// a memory slot's for its memo.
     pub(crate) fn prepare(spade: &Spade, data: &Dataset) -> Resident {
         match data.kind {
             DatasetKind::Points => Resident::Points(data.as_points()),
@@ -189,11 +203,24 @@ impl Resident {
                 let (prims, geoms) = line_candidates(&data.as_lines());
                 Resident::Lines(prims, geoms)
             }
-            DatasetKind::Polygons => Resident::Polys(spade_gpu::record::preparing(|| {
-                let resolution = spade.config.layer_resolution();
-                PreparedPolygonSet::prepare(&spade.pipeline, data, resolution)
-            })),
+            DatasetKind::Polygons => {
+                let set = spade_gpu::record::preparing(|| {
+                    let resolution = spade.config.layer_resolution();
+                    PreparedPolygonSet::prepare(&spade.pipeline, data, resolution)
+                });
+                let canvases = OnceLock::new();
+                Resident::Polys(PolygonSlot { set, canvases })
+            }
         }
+    }
+
+    /// A memory slot's prepared form: its dataset's own, kept on the
+    /// dataset per layer and canvas resolution, so only the first query of
+    /// an engine configuration prepares it — a registered dataset once, a
+    /// staged delta (a fresh dataset per view) once per query.
+    pub(crate) fn of_memory(spade: &Spade, data: &Dataset) -> Arc<Resident> {
+        let key = (spade.config.layer_resolution(), spade.config.resolution);
+        data.prepared.get(key, || Resident::prepare(spade, data))
     }
 
     /// The point list of a point cell, which is all the distance and kNN
@@ -215,25 +242,24 @@ impl Resident {
             Resident::Lines(prims, geoms) => {
                 scan_candidates_for_pairs(spade, constraint, prims, geoms)
             }
-            Resident::Polys(set) => scan_polygons_for_pairs(spade, constraint, &set.polygons),
+            Resident::Polys(slot) => scan_polygons_for_pairs(spade, constraint, &slot.set.polygons),
         }
     }
 }
 
-/// Refine one cell pair with the layer-index join; sorted `(left id,
-/// right id)` pairs.
+/// Refine one cell pair with the layer-index join over the polygon side's
+/// layer canvases — of two polygon sides, the one with fewer layers (§5.2
+/// scenario 2); sorted `(left id, right id)` pairs.
 fn join_cells_layered(spade: &Spade, left: &Resident, right: &Resident) -> Pairs {
-    let by_layer = |set: &PreparedPolygonSet, probes: &Resident| {
-        join_by_layer(spade, set, spade.config.resolution, |c| {
-            probes.probe(spade, c)
-        })
+    let by_layer = |polys: &PolygonSlot, probes: &Resident| {
+        join_by_layer(polys.canvases(spade), |c| probes.probe(spade, c))
     };
     match (left, right) {
-        (Resident::Polys(s1), Resident::Polys(s2)) => {
-            join_polygon_polygon_mem(spade, s1, s2, spade.config.resolution)
+        (Resident::Polys(l), Resident::Polys(r)) if l.set.layers.len() > r.set.layers.len() => {
+            flip(by_layer(r, left))
         }
-        (Resident::Polys(set), probes) => by_layer(set, probes),
-        (probes, Resident::Polys(set)) => flip(by_layer(set, probes)),
+        (Resident::Polys(polys), probes) => by_layer(polys, probes),
+        (probes, Resident::Polys(polys)) => flip(by_layer(polys, probes)),
         _ => unimplemented!("a join needs a polygon side"),
     }
 }
@@ -241,12 +267,12 @@ fn join_cells_layered(spade: &Spade, left: &Resident, right: &Resident) -> Pairs
 /// Refine one cell pair with the naive strategy: one selection per left
 /// polygon (§5.3 strategy 2).
 fn join_cells_naive(spade: &Spade, left: &Resident, right: &Resident) -> Pairs {
-    let Resident::Polys(set) = left else {
+    let Resident::Polys(polys) = left else {
         // The naive loop needs polygonal constraints; fall back.
         return join_cells_layered(spade, left, right);
     };
     let mut pairs = Vec::new();
-    for poly in &set.polygons {
+    for poly in &polys.set.polygons {
         let constraint = Constraint::from_polygons(spade, std::slice::from_ref(poly));
         let probed = right.probe(spade, &constraint);
         pairs.extend(probed.into_iter().map(|(_, pid)| (poly.id, pid)));
@@ -279,8 +305,8 @@ pub(crate) fn hull_pairs(
 /// the candidate filter, the refinement kernel and its fold;
 /// [`PairWalk::plan`] fixes the snapshot, the ordered pairs and the load
 /// sequence; [`PairWalk::run`] owns everything between them and the
-/// kernel — prefetch, the cell cache, one preparation per residency
-/// change, the device ledger and the I/O accounting — and may run more
+/// kernel — prefetch, the cell cache, the slots' prepared forms, the
+/// device ledger and the I/O accounting — and may run more
 /// than once (kNN join: twice) over the same snapshot. A side's memory
 /// slot — its staged delta, or the whole of a registered dataset — is one
 /// more slot of its view ([`ReadView`]): planned, filtered, streamed and
@@ -362,11 +388,12 @@ impl<'a> PairWalk<'a> {
 
     /// Walk the pairs with single-slot residency per side, handing every
     /// pair of prepared cells and their cell ids (`None`: the memory slot)
-    /// to `refine(left, right, cells)`. A resident cell keeps its prepared
-    /// form across the consecutive pairs the order puts together, a memory
-    /// slot keeps it for the whole run (it re-enters residency once per
-    /// left group), and a pair refines as soon as both its slots are
-    /// resident.
+    /// to `refine(left, right, cells)`. A grid cell is prepared at every
+    /// residency and keeps its prepared form, layer canvases included,
+    /// across the consecutive pairs the order puts together; a memory slot
+    /// re-enters residency once per left group but its prepared form is
+    /// its dataset's ([`Resident::of_memory`]), which outlives the walk. A
+    /// pair refines as soon as both its slots are resident.
     ///
     /// `ctx.cancel` is polled at every residency change; a resident slot
     /// is a [`Charge`] the walk holds, so the device ledger balances
@@ -381,11 +408,8 @@ impl<'a> PairWalk<'a> {
         mut refine: impl FnMut(&Resident, &Resident, (Option<u32>, Option<u32>)),
     ) -> spade_storage::Result<(StreamStats, FrameTotals)> {
         let views = [&self.view1, &self.view2];
-        // Per side: the resident slot, its ledger charge, its prepared
-        // form; and the memory slot's prepared form, shared by its
-        // residencies.
-        let mut resident: [Option<(u32, Charge, Rc<Resident>)>; 2] = [None, None];
-        let mut staged: [Option<Rc<Resident>>; 2] = [None, None];
+        // Per side: the resident slot, its ledger charge, its prepared form.
+        let mut resident: [Option<(u32, Charge, Arc<Resident>)>; 2] = [None, None];
         let mut next = 0;
         let frame = spade_gpu::record::begin();
         let streamed = crate::prefetch::stream_cells(
@@ -398,10 +422,9 @@ impl<'a> PairWalk<'a> {
                 let (side, slot) = (cell.source, cell.cell as u32);
                 resident[side] = None; // one slot per side: out before in
                 let charge = spade.device.charge(cell.bytes);
-                let prepare = || Rc::new(Resident::prepare(spade, &cell.data));
                 let prepared = match views[side].cell_id(slot) {
-                    Some(_) => prepare(),
-                    None => Rc::clone(staged[side].get_or_insert_with(prepare)),
+                    Some(_) => Arc::new(Resident::prepare(spade, &cell.data)),
+                    None => Resident::of_memory(spade, &cell.data),
                 };
                 resident[side] = Some((slot, charge, prepared));
                 // Refine every pair now satisfied by the resident slots.
@@ -815,6 +838,52 @@ mod tests {
             assert_eq!(res.unwrap_err(), spade_storage::StorageError::Cancelled);
             assert_eq!(refined, if staged { 11 } else { 2 }, "counting={counting}");
             assert_eq!(s.device.used(), 0, "counting={counting}");
+        }
+    }
+
+    /// A registered dataset is prepared once per engine resolutions and
+    /// kept: two engines at different resolutions sharing one `Arc` each
+    /// prepare their own form on their first query, answer exactly in
+    /// either order, and prepare nothing on their second; a clone of the
+    /// dataset starts with nothing prepared.
+    #[test]
+    fn memory_slot_is_prepared_once_per_engine_resolutions() {
+        let (polys, pts) = (polygon_field(), scatter(600, 100.0, 17));
+        let oracle = oracle_point_join(&polys, &pts);
+        let counts: Vec<(u32, u64)> = (0..polys.len() as u32)
+            .map(|i| (i, oracle.iter().filter(|p| p.0 == i).count() as u64))
+            .collect();
+        let engine_at = |resolution| {
+            Spade::new(EngineConfig {
+                resolution,
+                ..EngineConfig::test_small()
+            })
+        };
+        let key = |s: &Spade| (s.config.layer_resolution(), s.config.resolution);
+        let (fine, coarse) = (engine_at(256), engine_at(32));
+        for order in [[&fine, &coarse], [&coarse, &fine]] {
+            let d1 = Arc::new(Dataset::from_polygons("polys", polys.clone()));
+            let d2 = Arc::new(Dataset::from_points("pts", pts.clone()));
+            for s in order {
+                assert!(!d1.prepared.holds(key(s)));
+                for warm in [false, true] {
+                    let ctx = QueryCtx::default();
+                    let join = join_indexed(s, &d1, &d2, &ctx).unwrap();
+                    let agg = crate::aggregate::aggregate_indexed(s, &d1, &d2, &ctx).unwrap();
+                    assert_eq!(join.result, oracle, "warm={warm}");
+                    assert_eq!(agg.result, counts, "warm={warm}");
+                    let prepared = join.stats.polygon_time > std::time::Duration::ZERO;
+                    assert_eq!(prepared, !warm, "{:?}", join.stats);
+                    assert_eq!(agg.stats.polygon_time, std::time::Duration::ZERO);
+                    assert_eq!(s.device.used(), 0);
+                }
+                assert!(d1.prepared.holds(key(s)));
+            }
+            let copy = Arc::new((*d1).clone());
+            assert!(!copy.prepared.holds(key(&fine)) && !copy.prepared.holds(key(&coarse)));
+            let out = join_indexed(&fine, &copy, &d2, &QueryCtx::default()).unwrap();
+            assert_eq!(out.result, oracle);
+            assert!(out.stats.polygon_time > std::time::Duration::ZERO);
         }
     }
 

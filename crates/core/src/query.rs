@@ -395,10 +395,11 @@ mod tests {
         }
     }
 
-    /// The passes a cold, full-scope run of `q` over `(left, right)`
-    /// renders: the formulas beside DESIGN.md §1's operator table, in
-    /// terms of the constraint layers, the Map implementation and the
-    /// slots refined. A polygon canvas and a disk canvas are two passes, a
+    /// The passes a full-scope run of `q` over `(left, right)` renders,
+    /// `warm` when the left memory slot's memo already held its prepared
+    /// form: the formulas beside DESIGN.md §1's operator table, in terms
+    /// of the constraint layers, the Map implementation and the slots
+    /// refined. A polygon canvas and a disk canvas are two passes, a
     /// polygon's distance canvas four (the distance filter adds one hull
     /// selection per left slot), a layer index one pass per layer, a Map
     /// one pass (1-pass) or two (2-pass).
@@ -411,6 +412,7 @@ mod tests {
         q: &Q,
         (left, right): (Source<'_>, Source<'_>),
         stats: &QueryStats,
+        warm: bool,
     ) -> Option<u64> {
         use crate::dataset::PreparedPolygonSet;
         use crate::distance::{disk_layers, hulls_within};
@@ -493,31 +495,43 @@ mod tests {
                 } else {
                     0
                 };
-                // Preparation: a layer index per cell residency, once for
-                // the memory slot.
-                let prep: u64 = (entries.iter().enumerate())
-                    .filter(|&(i, &l)| v1.cell_id(l).is_some() || !entries[..i].contains(&l))
-                    .map(|(_, &l)| layers(l))
-                    .sum();
-                // Per pair and layer: the canvas (2) and the probe (1);
-                // aggregation adds the partial-count draw.
-                let per_layer = if matches!(j, JoinQuery::CountPoints) {
-                    4
-                } else {
-                    3
-                };
                 let naive = matches!(
                     stats.plan.join.as_ref().map(|d| d.strategy),
                     Some(crate::optimizer::JoinStrategy::NaiveSelects)
                 );
-                let refine: u64 = (pairs.iter())
-                    .map(|&(l, r)| match (naive, v1.cell_id(l), v2.cell_id(r)) {
-                        // One canvas and one probe per left polygon.
-                        (true, Some(_), Some(_)) => 3 * load(v1, l).len() as u64,
-                        _ => per_layer * layers(l),
-                    })
-                    .sum();
-                Some(filter + prep + refine)
+                let layered = |&(l, r): &(u32, u32)| {
+                    !naive || v1.cell_id(l).is_none() || v2.cell_id(r).is_none()
+                };
+                // Per pair: one probe per layer, and the aggregation's
+                // boundary Map per layer after its partial-count draw; a
+                // naive pair one canvas and one probe per left polygon.
+                let per_layer = if matches!(j, JoinQuery::CountPoints) {
+                    2
+                } else {
+                    1
+                };
+                let mut passes = filter;
+                let mut memory_prepared = warm;
+                // Per left entry (a run of pairs sharing a left slot): its
+                // layer index, and its layer canvases once it refines a
+                // layered pair; the memory slot's once per dataset and
+                // resolutions.
+                for entry in pairs.chunk_by(|a, b| a.0 == b.0) {
+                    let l = entry[0].0;
+                    let memory = v1.cell_id(l).is_none();
+                    if !(memory && memory_prepared) {
+                        let canvases = entry.iter().any(layered);
+                        passes += layers(l) * if canvases { 3 } else { 1 };
+                        memory_prepared |= memory;
+                    }
+                    for pair in entry {
+                        passes += match layered(pair) {
+                            true => per_layer * layers(l),
+                            false => 3 * load(v1, l).len() as u64,
+                        };
+                    }
+                }
+                Some(passes)
             }
             JoinQuery::WithinDistance(r) => {
                 let filter = if filtered { 5 * end1 as u64 } else { 0 };
@@ -636,6 +650,10 @@ mod tests {
             assert_eq!(err, Some(StorageError::Cancelled), "(d) {label}");
             assert_eq!(s.device.used(), 0, "(d) ledger after cancel, {label}");
 
+            // Whether an earlier class already prepared the in-memory
+            // polygons at this engine's resolutions.
+            let key = (s.config.layer_resolution(), s.config.resolution);
+            let warm = source == 0 && polys.prepared.holds(key);
             let cold = run(q, sources, &s, &QueryCtx::default()).unwrap();
             assert_eq!(cold.result, want, "(a) {label}");
             assert_eq!(cold.stats.result_cache, CacheOutcome::Bypass, "(a) {label}");
@@ -643,8 +661,17 @@ mod tests {
                 Q::Join(q) if !on_points(q) => (polygons[source], points[source]),
                 _ => (points[source], points[source]),
             };
-            if let Some(passes) = expected_passes(&s, q, sides, &cold.stats) {
+            if let Some(passes) = expected_passes(&s, q, sides, &cold.stats, warm) {
                 assert_eq!(cold.stats.passes, passes, "(g) {label}");
+            }
+            if let (Q::Join(JoinQuery::Intersects | JoinQuery::CountPoints), 0) = (q, source) {
+                // The memo is warm now: only the per-pair passes render.
+                let again = run(q, sources, &s, &QueryCtx::default()).unwrap();
+                assert_eq!(again.result, cold.result, "(g) warm {label}");
+                let no_time = std::time::Duration::ZERO;
+                assert_eq!(again.stats.polygon_time, no_time, "(g) warm {label}");
+                let passes = expected_passes(&s, q, sides, &again.stats, true);
+                assert_eq!(Some(again.stats.passes), passes, "(g) warm {label}");
             }
             for resolution in [32, 64] {
                 let config = EngineConfig {

@@ -166,7 +166,7 @@ pub(crate) fn select_mem_dispatch(
     match data.kind {
         DatasetKind::Points => select_points_mem(spade, &data.as_points(), constraint),
         DatasetKind::Polygons => {
-            let prepared = data.prepare_polygons();
+            let prepared = spade_gpu::record::preparing(|| data.prepare_polygons());
             select_polygons_mem(spade, &prepared, constraint)
         }
         DatasetKind::Lines => {

@@ -1075,3 +1075,71 @@ fn submits_racing_shutdown_all_resolve() {
         }
     }
 }
+
+/// A registered dataset keeps its prepared form between queries: the first
+/// join prepares it, later ones do not, and registering the name again
+/// starts cold. Concurrent first queries on two workers prepare it for all
+/// of them and answer byte-identically, with the ledger at zero after.
+#[test]
+fn registered_data_is_prepared_once_per_registration() {
+    let mut engine = tiny_config();
+    engine.result_cache_enabled = false;
+    let svc = service(ServiceConfig {
+        engine,
+        workers: 2,
+        fairness_cap: 8,
+        wal_dir: None,
+    });
+    let register = || {
+        svc.register("nbhd", Dataset::from_polygons("nbhd", polygon_field()));
+        svc.register(
+            "taxi",
+            Dataset::from_points("taxi", scatter(800, 100.0, 11)),
+        );
+    };
+    let session = svc.session();
+    let requests =
+        [JoinQuery::Intersects, JoinQuery::CountPoints].map(|query| QueryRequest::Join {
+            left: "nbhd".into(),
+            right: "taxi".into(),
+            query,
+        });
+    let mut answers = Vec::new();
+    for round in 0..2 {
+        register();
+        let tickets: Vec<_> = (0..8)
+            .map(|i| session.submit(requests[i % 2].clone()))
+            .collect();
+        let replies: Vec<_> = tickets
+            .into_iter()
+            .map(|t| t.wait().expect("query succeeds"))
+            .collect();
+        assert!(
+            replies.iter().any(|r| !r.stats.polygon_time.is_zero()),
+            "round {round}: a fresh registration starts cold"
+        );
+        for (i, reply) in replies.iter().enumerate() {
+            let again = format!("{:?}", reply.payload);
+            assert_eq!(
+                again,
+                format!("{:?}", replies[i % 2].payload),
+                "round {round}"
+            );
+        }
+        answers.push(
+            replies
+                .into_iter()
+                .take(2)
+                .map(|r| format!("{:?}", r.payload)),
+        );
+        let warm = session.submit(requests[0].clone()).wait().unwrap();
+        assert!(
+            warm.stats.polygon_time.is_zero(),
+            "round {round}: {:?}",
+            warm.stats
+        );
+        assert_eq!(svc.engine().device.used(), 0, "round {round}");
+    }
+    let (first, second) = (answers.remove(0), answers.remove(0));
+    assert!(first.eq(second));
+}

@@ -154,6 +154,49 @@ fn a_preparation_dominated_join_partitions_its_wall() {
     }
 }
 
+/// An intersection select over polygon data triangulates the data, and
+/// that is polygon time on every source, not CPU residual: each source
+/// books at least half of what triangulating the data alone takes (the
+/// constraint and the cell hulls are four-vertex rings, a sliver of it).
+/// Best of three on both sides, so a stall on either cannot decide.
+#[test]
+fn a_polygon_select_books_its_triangulation_as_polygon_time() {
+    let spade = Spade::new(EngineConfig::test_small());
+    let extent = BBox::new(Point::ZERO, Point::new(100.0, 100.0));
+    let polys = spade::datagen::urban::admin_polygons(150, &extent, 256, 5);
+    let data = Dataset::from_polygons("nbhd", polys);
+    let alone = (0..3)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            std::hint::black_box(data.prepare_polygons());
+            start.elapsed()
+        })
+        .min()
+        .unwrap();
+    let square = Polygon::rect(BBox::new(Point::new(38.0, 38.0), Point::new(44.0, 44.0)));
+    let sources = Sources::new(data, DatasetKind::Polygons, Geometry::Polygon(square));
+    // Covers the whole extent, so every slot refines.
+    let everything = Polygon::rect(extent.inflate(1.0));
+    let q = SelectQuery::Intersects(everything);
+    for (source, data) in sources.each() {
+        let booked = (0..3)
+            .map(|_| {
+                let stats = run_select_ctx(&spade, data, &q, &QueryCtx::default())
+                    .unwrap()
+                    .stats;
+                assert_partition(&stats, &format!("{source} polygon select"));
+                stats.polygon_time
+            })
+            .max()
+            .unwrap();
+        assert!(
+            booked > std::time::Duration::ZERO && booked * 2 >= alone,
+            "{source}: a polygon select booked {booked:?} of polygon time; \
+             triangulating its data takes {alone:?}"
+        );
+    }
+}
+
 /// `cluster_consistency`'s data on each of three loopback workers.
 fn worker() -> NetServer {
     let mut engine = EngineConfig::test_small();
