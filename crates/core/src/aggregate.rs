@@ -113,7 +113,7 @@ pub fn aggregate_indexed<'a>(
         hull_pairs(spade, left, right)
     })?;
     let mut totals = BTreeMap::new();
-    let (mut stream, _) = walk.run(spade, ctx, |left, right, _| {
+    let mut stream = walk.run(spade, ctx, |left, right, _| {
         count_cells(spade, left, right, &mut totals)
     })?;
 

@@ -33,20 +33,10 @@ pub struct JoinDecision {
     pub cell_pairs: u64,
     /// Residency changes in the boustrophedon-ordered load sequence.
     pub sequence_len: u64,
-    /// True when warm observed statistics (not the static estimates)
-    /// decided the strategy.
-    pub adaptive: bool,
-    /// Adaptive decisions only: predicted execution nanos (layer, naive)
-    /// from the observed per-strategy cost model.
-    pub predicted_cost_nanos: Option<(u64, u64)>,
     /// Bytes the residency walk actually moved to the device.
     pub actual_bytes: u64,
-    /// Execution nanos the walk actually took: its query passes plus the
-    /// modeled bus time. Polygon preparation, which both strategies pay
-    /// alike, is left out.
-    pub actual_cost_nanos: u64,
-    /// Hindsight verdict: the decision's own prediction was exceeded by
-    /// the actuals AND the alternative's prediction beat them.
+    /// Hindsight verdict: the chosen estimate was exceeded by the actual
+    /// bytes AND the alternative's estimate was below them.
     pub mispredicted: bool,
     /// The strategy hindsight says should have run (set iff mispredicted).
     pub would_have_chosen: Option<JoinStrategy>,
@@ -127,46 +117,19 @@ pub fn render(stats: &QueryStats, analyze: bool) -> String {
             Some(s) => out.push_str(&format!("; actual to-device {} B)\n", s.bytes_to_device)),
             None => out.push_str(")\n"),
         }
-        if let Some((lp, np)) = j.predicted_cost_nanos {
-            out.push_str(&format!(
-                "  observed: predicted cost layer {} µs vs naive {} µs (adaptive)\n",
-                lp / 1_000,
-                np / 1_000
-            ));
-        }
         out.push_str(&format!(
             "  cell pairs: {} ({} loads after boustrophedon ordering)\n",
             j.cell_pairs, j.sequence_len
         ));
-        if j.mispredicted {
-            let would = j.would_have_chosen.unwrap_or(match j.strategy {
-                JoinStrategy::LayerIndex => JoinStrategy::NaiveSelects,
-                JoinStrategy::NaiveSelects => JoinStrategy::LayerIndex,
-            });
-            match (j.adaptive, j.predicted_cost_nanos) {
-                (true, Some((lp, np))) => {
-                    let est = match j.strategy {
-                        JoinStrategy::LayerIndex => lp,
-                        JoinStrategy::NaiveSelects => np,
-                    };
-                    out.push_str(&format!(
-                        "  mispredicted: est {} µs, actual {} µs, would-have-chosen {:?}\n",
-                        est / 1_000,
-                        j.actual_cost_nanos / 1_000,
-                        would
-                    ));
-                }
-                _ => {
-                    let est = match j.strategy {
-                        JoinStrategy::LayerIndex => j.layer_est_bytes,
-                        JoinStrategy::NaiveSelects => j.naive_est_bytes,
-                    };
-                    out.push_str(&format!(
-                        "  mispredicted: est {} B, actual {} B, would-have-chosen {:?}\n",
-                        est, j.actual_bytes, would
-                    ));
-                }
-            }
+        if let Some(would) = j.would_have_chosen {
+            let est = match j.strategy {
+                JoinStrategy::LayerIndex => j.layer_est_bytes,
+                JoinStrategy::NaiveSelects => j.naive_est_bytes,
+            };
+            out.push_str(&format!(
+                "  mispredicted: est {} B, actual {} B, would-have-chosen {:?}\n",
+                est, j.actual_bytes, would
+            ));
         }
     }
     if let Some(m) = &plan.map {
@@ -299,7 +262,6 @@ mod tests {
                 layer_est_bytes: 1_200,
                 naive_est_bytes: 5_000,
                 actual_bytes: 4_800,
-                actual_cost_nanos: 77_000,
                 mispredicted: true,
                 would_have_chosen: Some(JoinStrategy::NaiveSelects),
                 ..JoinDecision::default()
@@ -310,29 +272,6 @@ mod tests {
         assert!(
             s.contains("mispredicted: est 1200 B, actual 4800 B, would-have-chosen NaiveSelects"),
             "missing verdict line in:\n{s}"
-        );
-    }
-
-    #[test]
-    fn render_prints_adaptive_cost_misprediction() {
-        let report = PlanReport {
-            join: Some(JoinDecision {
-                strategy: JoinStrategy::NaiveSelects,
-                adaptive: true,
-                predicted_cost_nanos: Some((40_000, 90_000)),
-                actual_bytes: 100,
-                actual_cost_nanos: 250_000,
-                mispredicted: true,
-                would_have_chosen: Some(JoinStrategy::LayerIndex),
-                ..JoinDecision::default()
-            }),
-            ..PlanReport::default()
-        };
-        let s = render(&planned(report), false);
-        assert!(s.contains("observed: predicted cost layer 40 µs vs naive 90 µs (adaptive)"));
-        assert!(
-            s.contains("mispredicted: est 90 µs, actual 250 µs, would-have-chosen LayerIndex"),
-            "missing adaptive verdict line in:\n{s}"
         );
     }
 

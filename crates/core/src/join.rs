@@ -25,7 +25,6 @@ use spade_canvas::algebra;
 use spade_canvas::create::PreparedPolygon;
 use spade_geometry::Point;
 use spade_gpu::device::Charge;
-use spade_gpu::record::FrameTotals;
 use spade_gpu::Primitive;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
@@ -397,22 +396,18 @@ impl<'a> PairWalk<'a> {
     ///
     /// `ctx.cancel` is polled at every residency change; a resident slot
     /// is a [`Charge`] the walk holds, so the device ledger balances
-    /// however the walk ends. Returns the stream's I/O accounting and the
-    /// recording frame of the walk — what an optimizer that chose *how* to
-    /// refine is judged on; the frame folds into the query's measure, so
-    /// total accounting is unchanged.
+    /// however the walk ends. Returns the stream's I/O accounting.
     pub(crate) fn run(
         &self,
         spade: &Spade,
         ctx: &QueryCtx,
         mut refine: impl FnMut(&Resident, &Resident, (Option<u32>, Option<u32>)),
-    ) -> spade_storage::Result<(StreamStats, FrameTotals)> {
+    ) -> spade_storage::Result<StreamStats> {
         let views = [&self.view1, &self.view2];
         // Per side: the resident slot, its ledger charge, its prepared form.
         let mut resident: [Option<(u32, Charge, Arc<Resident>)>; 2] = [None, None];
         let mut next = 0;
-        let frame = spade_gpu::record::begin();
-        let streamed = crate::prefetch::stream_cells(
+        let stream = crate::prefetch::stream_cells(
             spade.config.prefetch_depth,
             spade.config.cell_cache_bytes(),
             &views,
@@ -440,11 +435,9 @@ impl<'a> PairWalk<'a> {
                 }
                 Ok(())
             },
-        );
-        let frame = frame.finish();
-        let stream = streamed?;
+        )?;
         debug_assert_eq!(next, self.cell_pairs.len(), "all cell pairs refined");
-        Ok((stream, frame))
+        Ok(stream)
     }
 }
 
@@ -460,18 +453,18 @@ pub fn join_indexed<'a>(
 ) -> spade_storage::Result<QueryOutput<Pairs>> {
     let mut qspan = crate::trace::span("query.join");
     let measure = spade.begin();
-    let (d1, d2) = (d1.into(), d2.into());
-    let walk = PairWalk::plan(d1, d2, ctx, |left, right| hull_pairs(spade, left, right))?;
+    let walk = PairWalk::plan(d1.into(), d2.into(), ctx, |left, right| {
+        hull_pairs(spade, left, right)
+    })?;
     let cell_pairs = &walk.cell_pairs;
     // Without grid cells on both sides there is no pair of two cells to
-    // choose a strategy for: the join decides, observes, reports nothing.
+    // choose a strategy for: the join reports no decision.
     let decides = walk.view1.grid.num_cells() > 0 && walk.view2.grid.num_cells() > 0;
 
     // Optimizer: strategy choice by transfer estimate (§5.4). The naive
     // strategy's per-object filtering is approximated at cell granularity
     // for the estimate; its execution below is per cell pair as well, so
     // the estimates compare the *order* benefit.
-    let pair_key = optimizer::stats::join_key(d1.describe().2, d2.describe().2);
     // Per slot, a memory slot's included: the estimates index the pairs
     // the walk will run.
     let bytes = |v: &ReadView<'_>| Vec::from_iter(v.slots(true).map(|s| v.cell_bytes(s as usize)));
@@ -488,34 +481,14 @@ pub fn join_indexed<'a>(
     // unmatched cell yields no probe objects and costs no transfer.
     let naive_est = optimizer::estimate_naive_bytes(&per_object, &right_bytes)
         + optimizer::estimate_probe_bytes(cell_pairs, &left_bytes);
-    let mut strategy = optimizer::choose_join_strategy(layer_est, naive_est);
-
-    // Adaptive refinement: both strategies walk the same cells, so their
-    // byte estimates rarely disagree — what differs is refinement compute
-    // per estimated byte. Once both strategies are warm for this dataset
-    // pair, pick the cheaper *predicted execution cost* instead.
-    let mut adaptive = false;
-    let mut predicted_cost = None;
-    if let Some((lc, nc)) = spade.observed.join_costs(pair_key) {
-        let lp = (lc * layer_est as f64) as u64;
-        let np = (nc * naive_est as f64) as u64;
-        predicted_cost = Some((lp, np));
-        strategy = if np < lp {
-            JoinStrategy::NaiveSelects
-        } else {
-            JoinStrategy::LayerIndex
-        };
-        adaptive = true;
-    }
-    if let Some(forced) = spade.observed.join_override() {
-        strategy = forced;
-        adaptive = false;
-    }
+    let strategy = spade
+        .forced_join_strategy()
+        .unwrap_or_else(|| optimizer::choose_join_strategy(layer_est, naive_est));
 
     // The strategy applies to the pairs of two cells; a pair with a
     // memory slot on either side always takes the layer join.
     let mut pairs = Vec::new();
-    let (stream, frame) = walk.run(spade, ctx, |left, right, cells| {
+    let stream = walk.run(spade, ctx, |left, right, cells| {
         pairs.extend(match (strategy, cells) {
             (JoinStrategy::NaiveSelects, (Some(_), Some(_))) => {
                 join_cells_naive(spade, left, right)
@@ -526,67 +499,29 @@ pub fn join_indexed<'a>(
     pairs.sort_unstable();
     pairs.dedup();
 
-    // Feed the realized cost back to the observed statistics and render
-    // the hindsight verdict for EXPLAIN ANALYZE. Preparation, which both
-    // strategies pay alike, is not in it.
-    let actual_bytes = frame.transfer_bytes;
-    let actual_cost = frame.gpu_nanos + frame.transfer_nanos;
-    let est_chosen = match strategy {
-        JoinStrategy::LayerIndex => layer_est,
-        JoinStrategy::NaiveSelects => naive_est,
-    };
-    if decides {
-        (spade.observed).observe_join(pair_key, strategy, est_chosen, actual_cost);
-    }
-    let (mispredicted, would_have_chosen) = if adaptive {
-        // An adaptive decision mispredicts when the actual cost blew past
-        // its own prediction while the alternative's prediction would have
-        // beaten the actuals.
-        match predicted_cost {
-            Some((lp, np)) => {
-                let (chosen_pred, other_pred, other) = match strategy {
-                    JoinStrategy::LayerIndex => (lp, np, JoinStrategy::NaiveSelects),
-                    JoinStrategy::NaiveSelects => (np, lp, JoinStrategy::LayerIndex),
-                };
-                if actual_cost > chosen_pred && other_pred < actual_cost {
-                    (true, Some(other))
-                } else {
-                    (false, None)
-                }
-            }
-            None => (false, None),
-        }
-    } else {
-        // A static decision mispredicts when the walk moved more bytes
-        // than the chosen estimate while the alternative's estimate was
-        // below the actuals.
-        let (other_est, other) = match strategy {
-            JoinStrategy::LayerIndex => (naive_est, JoinStrategy::NaiveSelects),
-            JoinStrategy::NaiveSelects => (layer_est, JoinStrategy::LayerIndex),
-        };
-        if actual_bytes > est_chosen && other_est < actual_bytes {
-            (true, Some(other))
-        } else {
-            (false, None)
-        }
-    };
-
     let n = pairs.len() as u64;
     qspan.attr("cells", stream.cells);
     qspan.attr("pairs", n);
     let mut stats = measure.finish(spade, &stream, &walk.deltas, n);
+    // The hindsight verdict for EXPLAIN ANALYZE: the decision mispredicts
+    // when the walk moved more bytes than the chosen estimate while the
+    // alternative's estimate was below the actuals. The walk's residency
+    // charges are the join's only transfers.
+    let actual_bytes = stats.bytes_to_device;
+    let (est_chosen, other_est, other) = match strategy {
+        JoinStrategy::LayerIndex => (layer_est, naive_est, JoinStrategy::NaiveSelects),
+        JoinStrategy::NaiveSelects => (naive_est, layer_est, JoinStrategy::LayerIndex),
+    };
+    let mispredicted = actual_bytes > est_chosen && other_est < actual_bytes;
     stats.plan.join = decides.then_some(JoinDecision {
         strategy,
         layer_est_bytes: layer_est,
         naive_est_bytes: naive_est,
         cell_pairs: cell_pairs.len() as u64,
         sequence_len: walk.sequence.len() as u64,
-        adaptive,
-        predicted_cost_nanos: predicted_cost,
         actual_bytes,
-        actual_cost_nanos: actual_cost,
         mispredicted,
-        would_have_chosen,
+        would_have_chosen: mispredicted.then_some(other),
     });
     Ok(QueryOutput {
         result: pairs,

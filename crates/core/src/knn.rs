@@ -293,7 +293,7 @@ pub fn knn_join_indexed<'a>(
                 count_circles(spade, right.points(), p, *r_max, hist);
             }
         });
-        stream += counting?.0;
+        stream += counting?;
         collapse(live.take(), &mut radii);
         let mut disks = ResidentDisks::default();
         let ranking = walk.run(spade, ctx, |left, right, (l, _)| {
@@ -302,7 +302,7 @@ pub fn knn_join_indexed<'a>(
             let hits = disks.within_radii(spade, l, constraints, right);
             push_neighbours(hits, left, right, &mut result);
         });
-        stream += ranking?.0;
+        stream += ranking?;
         rank_groups(&mut result, k);
     }
     let n = result.len() as u64;

@@ -13,14 +13,10 @@
 //! 3. **Join operation order** — consecutive selects should share at least
 //!    one resident grid cell, so cell loads carry over between iterations.
 //!
-//! On top of the paper's static estimates sits the [`stats`] layer: once a
-//! dataset pair has run both join strategies a few times, the join
-//! decision uses their measured execution cost per estimated byte instead
-//! of bytes alone. A wrong adaptive call is never a wrong answer — both
-//! join strategies compute the same pair set. The Map decision stays the
-//! paper's static rule.
-
-pub mod stats;
+//! All three are static rules over the query's own inputs: no decision
+//! reads what the engine ran before, so a plan — and its `EXPLAIN` — is a
+//! function of the query alone. A wrong call is never a wrong answer: both
+//! Map implementations and both join strategies compute the same result.
 
 use crate::engine::Spade;
 use spade_canvas::algebra::{self, MapResult};

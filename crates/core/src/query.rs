@@ -25,7 +25,7 @@ use std::sync::Arc;
 pub enum SelectQuery {
     /// `ST_INTERSECTS` with a polygonal constraint (§5.2).
     Intersects(Polygon),
-    /// The rectangular-range fast path (§4.2).
+    /// An axis-aligned range: runs as `Intersects(Polygon::rect(bb))`.
     Range(BBox),
     /// `ST_CONTAINS`: objects entirely inside the constraint (§7).
     Contained(Polygon),
@@ -311,13 +311,20 @@ mod tests {
         ))
     }
 
+    /// Three rectangles and a diamond. The diamond's four diagonal edges
+    /// each run through three lattice points of [`grid_points`], its inside
+    /// on a different side of each, so pixel centres there fall on either
+    /// side of an edge and only the boundary index answers the joins and
+    /// the counts right.
     fn tiles() -> Arc<Dataset> {
+        let diamond = [(5.0, 0.0), (9.0, 4.0), (5.0, 8.0), (1.0, 4.0)];
         Arc::new(Dataset::from_polygons(
             "tiles",
             vec![
                 Polygon::rect(BBox::new(Point::new(-0.5, -0.5), Point::new(4.5, 4.5))),
                 Polygon::rect(BBox::new(Point::new(4.5, 4.5), Point::new(9.5, 9.5))),
                 Polygon::rect(BBox::new(Point::new(2.0, 2.0), Point::new(7.0, 7.0))),
+                Polygon::new(diamond.map(|(x, y)| Point::new(x, y)).to_vec()),
             ],
         ))
     }

@@ -102,7 +102,7 @@ fn optimizer_counters_exported_per_tenant_and_isolated() {
         "selective windows under a full-cell bound must overshoot:\n{metrics}"
     );
     // The idle tenant's counters stay zero for every decision label —
-    // observed statistics are keyed by dataset uid, not engine-global.
+    // decisions are counted per tenant, not engine-global.
     for d in [
         "map_one_pass",
         "map_two_pass",

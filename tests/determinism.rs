@@ -9,8 +9,10 @@
 use spade::datagen::{spider, urban};
 use spade::engine::dataset::{Dataset, DatasetKind, IndexedDataset};
 use spade::engine::distance::DistanceConstraint;
-use spade::engine::optimizer::{stats::MIN_SAMPLES, JoinStrategy};
-use spade::engine::{aggregate, distance, join, knn, select, EngineConfig, QueryCtx, Spade};
+use spade::engine::optimizer::JoinStrategy;
+use spade::engine::{
+    aggregate, distance, explain, join, knn, select, EngineConfig, QueryCtx, Spade,
+};
 use spade::geometry::{BBox, Point};
 use spade::index::GridIndex;
 use std::sync::Arc;
@@ -191,12 +193,14 @@ fn all_query_families_byte_identical_across_worker_counts() {
 }
 
 /// The join strategy must be invisible in result bytes: an engine pinned
-/// to the layer-index join, one pinned to the naive selects, and a free
-/// engine whose adaptive choice was calibrated on both run three rounds of
-/// all five query families at a small 1-pass budget, byte-identically —
-/// the optimizer may only re-route work, never change answers.
+/// to the layer-index join, one pinned to the naive selects, and one whose
+/// static byte rule decides run three rounds of all five query families
+/// at a small 1-pass budget, byte-identically — the optimizer may only
+/// re-route work, never change answers. And a plan depends on the query
+/// alone: an engine that ran both strategies before plans its next join
+/// exactly as a fresh engine does.
 #[test]
-fn forced_and_adaptive_join_strategies_byte_identical() {
+fn forced_and_static_join_strategies_byte_identical() {
     let f = Fixture::build();
     let engine = || {
         Spade::new(EngineConfig {
@@ -206,32 +210,36 @@ fn forced_and_adaptive_join_strategies_byte_identical() {
         })
     };
     let (layer, naive, free) = (engine(), engine(), engine());
-    layer
-        .observed
-        .set_join_override(Some(JoinStrategy::LayerIndex));
-    naive
-        .observed
-        .set_join_override(Some(JoinStrategy::NaiveSelects));
+    layer.force_join_strategy(Some(JoinStrategy::LayerIndex));
+    naive.force_join_strategy(Some(JoinStrategy::NaiveSelects));
     let join = |spade: &Spade| {
         join::join_indexed(spade, &f.parcels_idx, &f.pts_idx, &QueryCtx::default()).unwrap()
     };
-    // Calibrate: forced runs warm the free engine's cost of both strategies.
-    for forced in [JoinStrategy::LayerIndex, JoinStrategy::NaiveSelects] {
-        free.observed.set_join_override(Some(forced));
-        for _ in 0..MIN_SAMPLES {
-            join(&free);
-        }
-    }
-    free.observed.set_join_override(None);
     for round in 0..3 {
         let want = run_suite(&layer, &f);
         assert_eq!(run_suite(&naive, &f), want, "naive join at round {round}");
-        assert_eq!(run_suite(&free, &f), want, "adaptive join at round {round}");
+        assert_eq!(run_suite(&free, &f), want, "static join at round {round}");
     }
-    // The comparison is vacuous unless the free engine decided from its
-    // observations.
-    let decision = join(&free).stats.plan.join.expect("join plan reported");
-    assert!(decision.adaptive, "calibrated engine decided statically");
+    // The comparison is vacuous unless the naive engine ran the naive
+    // strategy.
+    let decision = join(&naive).stats.plan.join.expect("join plan reported");
+    assert_eq!(decision.strategy, JoinStrategy::NaiveSelects);
+
+    // Run each strategy on the unforced engine, then let it decide: its
+    // plan must read as a fresh engine's.
+    for forced in [JoinStrategy::LayerIndex, JoinStrategy::NaiveSelects] {
+        free.force_join_strategy(Some(forced));
+        for _ in 0..3 {
+            join(&free);
+        }
+    }
+    free.force_join_strategy(None);
+    let warmed = explain::render(&join(&free).stats, false);
+    let fresh = explain::render(&join(&engine()).stats, false);
+    assert_eq!(
+        warmed, fresh,
+        "a plan depends on what the engine ran before"
+    );
 }
 
 /// Arena regression: the second round above rendered into recycled

@@ -400,17 +400,15 @@ fn order_cell_pairs_degenerate_inputs() {
 
 /// End-to-end: the layer estimate computed before the walk equals the
 /// bytes the real out-of-core join actually uploads. The strategy is
-/// pinned to LayerIndex via the calibration override so the walk under
-/// measurement is the one the estimate models.
+/// pinned to LayerIndex via the test hook so the walk under measurement
+/// is the one the estimate models.
 #[test]
 fn layer_estimate_matches_real_join_transfers() {
     use spade::datagen::spider;
     use spade::engine::join;
 
     let spade = Spade::new(EngineConfig::test_small());
-    spade
-        .observed
-        .set_join_override(Some(JoinStrategy::LayerIndex));
+    spade.force_join_strategy(Some(JoinStrategy::LayerIndex));
     let parcels = Dataset::from_polygons("parcels", spider::parcels(60, 0.06, 41));
     let pts = Dataset::from_points("p", spider::gaussian_points(4_000, 43));
     let gp = GridIndex::build(None, &parcels.objects, 0.3).unwrap();
