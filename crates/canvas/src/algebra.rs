@@ -12,8 +12,8 @@
 //! * **Blend** — the pass's [`BlendMode`].
 //! * **Multiway blend** — one `Max` draw over all inputs (the layer
 //!   index's first pass), instead of a chain of binary blends (§5.1).
-//! * **Dissect** — the parallel scan ([`dissect`] over
-//!   [`scan::compact_non_null`]).
+//! * **Dissect** — the parallel scan ([`scan::compact_non_null`]), fused
+//!   into the 1-pass Map's list-canvas compaction.
 //! * **Map** (= dissect ∘ geometric transform) — emits one point per
 //!   non-null fragment into an output *list canvas*. Two implementations
 //!   exist, chosen by the query optimizer (§5.4): a 1-pass version that
@@ -27,13 +27,7 @@
 
 use spade_gpu::scan;
 use spade_gpu::shader::Fragment;
-use spade_gpu::{Assemble, BlendMode, DrawCall, Pipeline, PixelValue, Texture, WorkerPool};
-
-/// Dissect: split a canvas into its non-null pixels (each conceptually a
-/// single-point canvas). Returns `(x, y, value)` entries in row-major order.
-pub fn dissect(tex: &Texture, pool: &WorkerPool) -> Vec<scan::CompactEntry> {
-    scan::compact_non_null(tex, pool)
-}
+use spade_gpu::{Assemble, BlendMode, DrawCall, Pipeline, PixelValue};
 
 /// The result of a Map operation: the emitted values, in deterministic
 /// (primitive, fragment) order.
@@ -177,27 +171,8 @@ mod tests {
     use spade_gpu::shader::ShaderContext;
     use spade_gpu::{Primitive, Viewport};
 
-    fn pool(workers: usize) -> WorkerPool {
-        WorkerPool::new(workers)
-    }
-
     fn vp10() -> Viewport {
         Viewport::new(BBox::new(Point::ZERO, Point::new(10.0, 10.0)), 10, 10)
-    }
-
-    fn tex_with(vals: &[(u32, u32, PixelValue)]) -> Texture {
-        let mut t = Texture::new(10, 10);
-        for &(x, y, v) in vals {
-            t.put(x, y, v);
-        }
-        t
-    }
-
-    #[test]
-    fn dissect_yields_non_null_pixels() {
-        let t = tex_with(&[(3, 1, [9, 0, 0, 0]), (1, 0, [2, 0, 0, 0])]);
-        let parts = dissect(&t, &pool(2));
-        assert_eq!(parts, vec![(1, 0, [2, 0, 0, 0]), (3, 1, [9, 0, 0, 0])]);
     }
 
     #[test]

@@ -183,21 +183,35 @@ impl BoundaryIndex {
         }
     }
 
-    /// Object ids of all entries at `pixel` whose geometry the query point
-    /// intersects (deduplicated). Join pair-extraction uses this: at an
-    /// overflow pixel, entries of several objects may match.
-    pub fn matches_point_at(&self, pixel: (u32, u32), primary: u32, p: Point) -> Vec<u32> {
-        self.collect_matches(pixel, primary, |e| e.test_point(p))
+    /// Append to `out` the object ids of all entries at `pixel` whose
+    /// geometry the query point intersects, each id once among those this
+    /// call appends. Join pair-extraction uses this: at an overflow pixel,
+    /// entries of several objects may match. The caller's buffer keeps the
+    /// per-fragment path allocation-free.
+    pub fn matches_point_at(&self, pixel: (u32, u32), primary: u32, p: Point, out: &mut Vec<u32>) {
+        self.collect_matches(pixel, primary, |e| e.test_point(p), out)
     }
 
-    /// Object ids of entries at `pixel` intersecting the query segment.
-    pub fn matches_segment_at(&self, pixel: (u32, u32), primary: u32, s: Segment) -> Vec<u32> {
-        self.collect_matches(pixel, primary, |e| e.test_segment(s))
+    /// As [`BoundaryIndex::matches_point_at`], for the query segment.
+    pub fn matches_segment_at(
+        &self,
+        pixel: (u32, u32),
+        primary: u32,
+        s: Segment,
+        out: &mut Vec<u32>,
+    ) {
+        self.collect_matches(pixel, primary, |e| e.test_segment(s), out)
     }
 
-    /// Object ids of entries at `pixel` intersecting the query triangle.
-    pub fn matches_triangle_at(&self, pixel: (u32, u32), primary: u32, t: &Triangle) -> Vec<u32> {
-        self.collect_matches(pixel, primary, |e| e.test_triangle(t))
+    /// As [`BoundaryIndex::matches_point_at`], for the query triangle.
+    pub fn matches_triangle_at(
+        &self,
+        pixel: (u32, u32),
+        primary: u32,
+        t: &Triangle,
+        out: &mut Vec<u32>,
+    ) {
+        self.collect_matches(pixel, primary, |e| e.test_triangle(t), out)
     }
 
     fn collect_matches(
@@ -205,13 +219,14 @@ impl BoundaryIndex {
         pixel: (u32, u32),
         primary: u32,
         test: impl Fn(&BoundaryEntry) -> bool,
-    ) -> Vec<u32> {
-        let mut out = Vec::new();
+        out: &mut Vec<u32>,
+    ) {
+        let start = out.len();
         match self.overflow.get(&pixel) {
             Some(v) => {
                 for &i in v {
                     let e = &self.entries[i as usize];
-                    if test(e) && !out.contains(&e.object) {
+                    if test(e) && !out[start..].contains(&e.object) {
                         out.push(e.object);
                     }
                 }
@@ -223,7 +238,6 @@ impl BoundaryIndex {
                 }
             }
         }
-        out
     }
 
     /// Like [`BoundaryIndex::test_point_at`] but restricted to the single

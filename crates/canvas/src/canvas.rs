@@ -11,7 +11,7 @@
 //! | channel | name | meaning |
 //! |---|---|---|
 //! | 0 | `CH_ID`    | object identifier + 1 (0 = null pixel) |
-//! | 1 | `CH_VAL`   | free payload (aggregation counts, Map slots) |
+//! | 1 | `CH_VAL`   | free payload (Map slots) |
 //! | 2 | `CH_FLAG`  | [`FLAG_INTERIOR`] and/or [`FLAG_BOUNDARY`] bits |
 //! | 3 | `CH_BOUND` | boundary-index entry + 1 (0 = no boundary data) |
 

@@ -22,11 +22,12 @@
 //!   around polygons (§4.2).
 //! * [`layer`] — the layer index (§4.3, §5.5): partitioning objects into
 //!   non-intersecting layers with the two-pass blend/mask algorithm.
-//! * [`algebra`] — the algebra operators (§5.1): dissect and the two Map
-//!   implementations. The other operators are fused into the passes that
-//!   use them — geometric transform into the vertex stage, mask into a
-//!   discarding fragment shader, (multiway) blend into the pass's
-//!   `BlendMode` — see DESIGN.md §1.
+//! * [`algebra`] — the algebra operators (§5.1): the two Map
+//!   implementations, with dissect fused into the 1-pass Map's scan. The
+//!   other operators are fused into the passes that use them — geometric
+//!   transform into the vertex stage, mask into a discarding fragment
+//!   shader, (multiway) blend into the pass's `BlendMode` — see DESIGN.md
+//!   §1.
 
 pub mod algebra;
 pub mod boundary;

@@ -1,106 +1,54 @@
 //! Spatial aggregation (§5.2).
 //!
-//! Counts the objects of a point data set per polygon with the paper's
-//! **point-optimized plan** (the one the optimizer always picks for point
-//! data; the generic join-then-count plan is not implemented): it avoids
-//! materializing the join — an additive blend first builds per-pixel
-//! partial counts, interior pixels of each polygon then contribute their
-//! partials directly, and only boundary-pixel points run exact tests.
+//! Counts the objects of a point data set per polygon as a join followed by
+//! a count (the algebra's definition of aggregation): every cell pair runs
+//! the layered join's point probe (`Constraint::match_point_into` per point
+//! fragment, boundary pixels decided by the boundary index) and folds its
+//! `(polygon id, point id)` pairs into per-polygon totals, so a count is
+//! the join's pair count per polygon by construction. The paper's
+//! point-optimized plan — an additive blend into a count texture, then a
+//! dissect of the whole constraint canvas — is a GPU cost argument: on this
+//! software pipeline the texture and the sweep cost more than the probe
+//! (DESIGN.md §2).
 
 use crate::ctx::QueryCtx;
 use crate::engine::Spade;
-use crate::join::{hull_pairs, PairWalk, Resident};
+use crate::join::{hull_pairs, join_cells_layered, PairWalk, Resident};
 use crate::query::Source;
 use crate::stats::QueryOutput;
-use spade_canvas::algebra;
-use spade_canvas::canvas::{classify, pixel_bound, pixel_id, PixelClass};
-use spade_gpu::{BlendMode, DrawCall, FnFragment};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Aggregation result: `(polygon id, point count)` in polygon-id order.
 pub type Counts = Vec<(u32, u64)>;
 
-/// Refine one (polygon cell, point cell) pair with the point-optimized
-/// counting kernel: add to `totals` the number of `points` inside each
-/// polygon of `polys` (an empty polygon reports 0).
+/// Refine one (polygon cell, point cell) pair: add to `totals` the number
+/// of `points` inside each polygon of `polys` — the layered join's pairs
+/// folded per polygon id (an empty polygon reports 0).
 pub(crate) fn count_cells(
     spade: &Spade,
     polys: &Resident,
     points: &Resident,
     totals: &mut BTreeMap<u32, u64>,
 ) {
-    let (Resident::Polys(polys), Resident::Points(pts)) = (polys, points) else {
-        unimplemented!("aggregation counts points per polygon");
-    };
-    for p in &polys.set.polygons {
-        totals.entry(p.id).or_insert(0);
+    if let Resident::Polys(slot) = polys {
+        for p in &slot.set.polygons {
+            totals.entry(p.id).or_insert(0);
+        }
     }
-    // Every point fragment adds one to its pixel's partial count.
-    let one =
-        FnFragment(|_: &spade_gpu::Fragment, _: &spade_gpu::ShaderContext<'_>| Some([1, 1, 0, 0]));
-    for constraint in polys.canvases(spade) {
-        // Multiway blend: per-pixel partial counts of the points.
-        let mut count_tex = spade
-            .pipeline
-            .arena()
-            .checkout(constraint.viewport.width, constraint.viewport.height);
-        let call = DrawCall {
-            fragment: &one,
-            ..DrawCall::simple(constraint.viewport, BlendMode::Add, false)
-        };
-        spade.pipeline.draw(&mut count_tex, pts, &call);
-
-        // Mask + map over the constraint canvas: interior pixels add their
-        // partials to their polygon.
-        let parts = algebra::dissect(&constraint.layer.texture, spade.pipeline.pool());
-        for (x, y, v) in parts {
-            if classify(v) == PixelClass::Interior {
-                if let Some(id) = pixel_id(v) {
-                    let c = count_tex.get(x, y)[1] as u64;
-                    if c > 0 {
-                        *totals.entry(id).or_insert(0) += c;
-                    }
-                }
-            }
-        }
-
-        // Boundary pixels: exact per-point tests through the boundary
-        // index (only points whose pixel is boundary-classified).
-        let emitted = algebra::map_emit(
-            &spade.pipeline,
-            pts,
-            constraint.viewport,
-            false,
-            |frag, out| {
-                let v = constraint.layer.texture.get(frag.x, frag.y);
-                if classify(v) == PixelClass::Boundary {
-                    let vb = pixel_bound(v).expect("boundary vb");
-                    let p = pts[frag.attrs[1] as usize].1;
-                    for cid in constraint
-                        .layer
-                        .boundary
-                        .matches_point_at((frag.x, frag.y), vb, p)
-                    {
-                        out.push([cid, 1, 0, 0]);
-                    }
-                }
-            },
-        );
-        for v in emitted.values {
-            *totals.entry(v[0]).or_insert(0) += 1;
-        }
+    for (id, _) in join_cells_layered(spade, polys, points) {
+        *totals.entry(id).or_insert(0) += 1;
     }
 }
 
 /// Aggregation (§5.3 "Other queries are also executed using a similar
 /// strategy"): the join's `PairWalk` over (polygon slot, point slot)
-/// pairs, refined by the point-optimized plan and folded by summing the
-/// partial counts — each polygon lives in exactly one slot, so partials
-/// add without double counting. Result: `(polygon id, point count)` in
-/// polygon-id order. A polygon slot the walk paired with nothing still
-/// reports its ids at 0: the scope that owns the deltas streams those
-/// slots once more, unrefined, so a coordinator merging shard partials by
-/// summing counts per id sees the full id set.
+/// pairs, each refined by the layered join and folded by counting its
+/// pairs per polygon — each polygon and each point lives in exactly one
+/// slot, so partials add without double counting. Result: `(polygon id,
+/// point count)` in polygon-id order. A polygon slot the walk paired with
+/// nothing still reports its ids at 0: the scope that owns the deltas
+/// streams those slots once more, unrefined, so a coordinator merging
+/// shard partials by summing counts per id sees the full id set.
 pub fn aggregate_indexed<'a>(
     spade: &Spade,
     polys: impl Into<Source<'a>>,

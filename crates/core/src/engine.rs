@@ -224,7 +224,7 @@ impl Constraint {
             }
             spade_canvas::PixelClass::Boundary => {
                 let vb = spade_canvas::canvas::pixel_bound(v).expect("boundary pixel vb");
-                out.extend(self.layer.boundary.matches_point_at((x, y), vb, p));
+                self.layer.boundary.matches_point_at((x, y), vb, p, out);
             }
         }
     }
@@ -248,15 +248,13 @@ impl Constraint {
 
     /// Match a segment fragment at a given canvas pixel.
     pub fn match_segment_at(&self, px: (u32, u32), s: Segment, out: &mut Vec<u32>) {
-        self.match_prim_at(px, out, |bi, vb, out| {
-            out.extend(bi.matches_segment_at(px, vb, s))
-        })
+        self.match_prim_at(px, out, |bi, vb, out| bi.matches_segment_at(px, vb, s, out))
     }
 
     /// Match a triangle fragment at a given canvas pixel.
     pub fn match_triangle_at(&self, px: (u32, u32), t: &Triangle, out: &mut Vec<u32>) {
         self.match_prim_at(px, out, |bi, vb, out| {
-            out.extend(bi.matches_triangle_at(px, vb, t))
+            bi.matches_triangle_at(px, vb, t, out)
         })
     }
 

@@ -249,7 +249,7 @@ impl Resident {
 /// Refine one cell pair with the layer-index join over the polygon side's
 /// layer canvases — of two polygon sides, the one with fewer layers (§5.2
 /// scenario 2); sorted `(left id, right id)` pairs.
-fn join_cells_layered(spade: &Spade, left: &Resident, right: &Resident) -> Pairs {
+pub(crate) fn join_cells_layered(spade: &Spade, left: &Resident, right: &Resident) -> Pairs {
     let by_layer = |polys: &PolygonSlot, probes: &Resident| {
         join_by_layer(polys.canvases(spade), |c| probes.probe(spade, c))
     };

@@ -24,8 +24,8 @@
 //!   layer index, over the cell-pair walk with both strategies (§5.3).
 //! * [`distance`] — distance-based selections and the two distance-join
 //!   types (§5.2), with on-the-fly layer construction.
-//! * [`aggregate`] — spatial aggregation: the point-optimized
-//!   multiway-blend plan (§5.2).
+//! * [`aggregate`] — spatial aggregation: the layered join's pairs folded
+//!   into a count per polygon (§5.2).
 //! * [`knn`] — kNN selection and join via log-spaced circle aggregation
 //!   (§5.2).
 //! * [`optimizer`] — the query optimizer (§5.4): Map implementation

@@ -509,14 +509,9 @@ mod tests {
                 let layered = |&(l, r): &(u32, u32)| {
                     !naive || v1.cell_id(l).is_none() || v2.cell_id(r).is_none()
                 };
-                // Per pair: one probe per layer, and the aggregation's
-                // boundary Map per layer after its partial-count draw; a
-                // naive pair one canvas and one probe per left polygon.
-                let per_layer = if matches!(j, JoinQuery::CountPoints) {
-                    2
-                } else {
-                    1
-                };
+                // Per pair: one probe per layer (the aggregation's count
+                // folds the same probe's pairs); a naive pair one canvas
+                // and one probe per left polygon.
                 let mut passes = filter;
                 let mut memory_prepared = warm;
                 // Per left entry (a run of pairs sharing a left slot): its
@@ -533,7 +528,7 @@ mod tests {
                     }
                     for pair in entry {
                         passes += match layered(pair) {
-                            true => per_layer * layers(l),
+                            true => layers(l),
                             false => 3 * load(v1, l).len() as u64,
                         };
                     }

@@ -4,9 +4,9 @@
 //! allocating and zeroing fresh texture memory per draw; SPADE's operators
 //! lean on that, issuing several small passes per out-of-core cell (§4.2,
 //! §5.1). [`TexturePool`] provides the same amortization for the software
-//! pipeline: transient targets (two-pass Map list canvases, aggregation
-//! count buffers, layer-construction scratch) are checked out of
-//! size-bucketed free lists and returned on drop.
+//! pipeline: transient targets (Map list canvases, layer-construction
+//! scratch) are checked out of size-bucketed free lists and returned on
+//! drop.
 //!
 //! Guarantees:
 //!

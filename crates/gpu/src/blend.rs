@@ -20,8 +20,8 @@ pub enum BlendMode {
     Replace,
     /// Source overwrites only null destination pixels ("first writer wins").
     KeepFirst,
-    /// Per-channel saturating addition — the "alpha blending" aggregation
-    /// uses to count objects per pixel.
+    /// Per-channel saturating addition — the "alpha blending" the paper's
+    /// aggregation plan uses to count objects per pixel.
     Add,
     /// Per-channel maximum. The layer-index construction blends with "keep
     /// the object with the higher identifier" (§5.5 Pass 1).

@@ -14,7 +14,7 @@ use spade_geometry::{BBox, Geometry, Point};
 use spade_index::GridIndex;
 use spade_server::{QueryRequest, QueryService, ResponsePayload, ServiceConfig};
 use spade_storage::wal::WalSync;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn tiny_config() -> EngineConfig {
     let mut c = EngineConfig::test_small();
@@ -31,11 +31,28 @@ fn no_compact_config() -> EngineConfig {
     c
 }
 
-fn tmp(tag: &str) -> PathBuf {
+/// A fresh directory under the temp dir, removed when the guard drops —
+/// after everything declared later in the test, the service included.
+struct TmpDir(PathBuf);
+
+impl std::ops::Deref for TmpDir {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TmpDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
+}
+
+fn tmp(tag: &str) -> TmpDir {
     let d = std::env::temp_dir().join(format!("spade-svc-ingest-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
     std::fs::create_dir_all(&d).unwrap();
-    d
+    TmpDir(d)
 }
 
 fn scatter(n: usize, extent: f64, seed: u64) -> Vec<Point> {
@@ -128,7 +145,7 @@ fn acknowledged_writes_survive_restart() {
     assert!(!want.contains(&5));
 
     let svc = QueryService::new(svc_config(no_compact_config(), &wal_dir));
-    let (data, wal_seq) = IndexedDataset::open("pts", DatasetKind::Points, idx_dir).unwrap();
+    let (data, wal_seq) = IndexedDataset::open("pts", DatasetKind::Points, &*idx_dir).unwrap();
     assert_eq!(wal_seq, 0, "nothing was ever compacted");
     svc.register_indexed("pts", data);
     let got = ids_of(&svc, everything());
@@ -162,7 +179,7 @@ fn flush_checkpoints_and_recovery_skips_folded_records() {
     };
 
     let svc = QueryService::new(svc_config(no_compact_config(), &wal_dir));
-    let (data, wal_seq) = IndexedDataset::open("pts", DatasetKind::Points, idx_dir).unwrap();
+    let (data, wal_seq) = IndexedDataset::open("pts", DatasetKind::Points, &*idx_dir).unwrap();
     assert!(wal_seq >= 2, "manifest carries the checkpointed sequence");
     svc.register_indexed("pts", data);
     let got = ids_of(&svc, everything());
@@ -192,7 +209,7 @@ fn torn_wal_tail_loses_only_the_final_write() {
     }
 
     // Tear the final record: chop a few bytes off the last segment.
-    let mut segs: Vec<PathBuf> = std::fs::read_dir(&wal_dir)
+    let mut segs: Vec<PathBuf> = std::fs::read_dir(&*wal_dir)
         .unwrap()
         .filter_map(|e| e.ok())
         .map(|e| e.path())
@@ -206,7 +223,7 @@ fn torn_wal_tail_loses_only_the_final_write() {
     drop(f);
 
     let svc = QueryService::new(svc_config(no_compact_config(), &wal_dir));
-    let (data, _) = IndexedDataset::open("pts", DatasetKind::Points, idx_dir).unwrap();
+    let (data, _) = IndexedDataset::open("pts", DatasetKind::Points, &*idx_dir).unwrap();
     svc.register_indexed("pts", data);
     let got = ids_of(&svc, everything());
     assert!(got.contains(&9080), "pre-tear write lost");
@@ -242,7 +259,7 @@ fn sql_insert_is_spatially_visible_and_durable() {
     };
 
     let svc = QueryService::new(svc_config(no_compact_config(), &wal_dir));
-    let (data, _) = IndexedDataset::open("pts", DatasetKind::Points, idx_dir).unwrap();
+    let (data, _) = IndexedDataset::open("pts", DatasetKind::Points, &*idx_dir).unwrap();
     svc.register_indexed("pts", data);
     assert_eq!(ids_of(&svc, everything()), want);
 }
@@ -360,7 +377,7 @@ fn concurrent_writers_racing_flush_lose_nothing() {
     }
 
     let svc = QueryService::new(svc_config(no_compact_config(), &wal_dir));
-    let (data, _) = IndexedDataset::open("pts", DatasetKind::Points, idx_dir).unwrap();
+    let (data, _) = IndexedDataset::open("pts", DatasetKind::Points, &*idx_dir).unwrap();
     svc.register_indexed("pts", data);
     assert_eq!(
         ids_of(&svc, everything()),
@@ -414,7 +431,7 @@ fn background_compaction_preserves_recovery_equivalence() {
     assert!(want.contains(&9304) && !want.contains(&9305));
 
     let svc = QueryService::new(svc_config(tiny_config(), &wal_dir));
-    let (data, _) = IndexedDataset::open("pts", DatasetKind::Points, idx_dir).unwrap();
+    let (data, _) = IndexedDataset::open("pts", DatasetKind::Points, &*idx_dir).unwrap();
     svc.register_indexed("pts", data);
     assert_eq!(ids_of(&svc, everything()), want);
 }

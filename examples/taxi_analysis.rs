@@ -44,8 +44,8 @@ fn main() {
         sel.stats.breakdown()
     );
 
-    // 2. Spatial aggregation: pickups per neighborhood, using the
-    //    point-optimized plan (§5.2) — no join materialization.
+    // 2. Spatial aggregation: pickups per neighborhood, the join's pairs
+    //    counted per neighborhood as each cell pair refines.
     let agg = run_join_ctx(&engine, &hoods, &pickups, &JoinQuery::CountPoints, &ctx);
     let agg = agg.expect("aggregation");
     let QueryResult::Counts(counts) = &agg.result else {

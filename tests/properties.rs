@@ -424,3 +424,127 @@ fn layer_estimate_matches_real_join_transfers() {
         "estimate drifted from the executor's transfers"
     );
 }
+
+// ---------------------------------------------------------------------------
+// Aggregation is the join with a count fold.
+
+use spade::engine::dataset::PreparedPolygonSet;
+use spade::engine::query::Source;
+use spade::engine::{aggregate, join};
+use spade::geometry::MultiPolygon;
+
+/// A 4 × 4 lattice of adjacent unit squares (ids 1–16), a triangle no
+/// point reaches (17) and, last, a multipolygon (0) whose first part lies
+/// apart and whose second overlaps four squares: the layer index keeps the
+/// higher id where objects overlap, so the two parts land in different
+/// layers.
+fn count_polygons() -> Vec<(u32, Geometry)> {
+    let square =
+        |x: f64, y: f64| Polygon::rect(BBox::new(Point::new(x, y), Point::new(x + 1.0, y + 1.0)));
+    let mut objects: Vec<(u32, Geometry)> = (0..16)
+        .map(|i| (i + 1, square((i % 4) as f64, (i / 4) as f64).into()))
+        .collect();
+    let far = [(10.0, 10.0), (11.0, 10.0), (10.0, 11.0)].map(|(x, y)| Point::new(x, y));
+    objects.push((17, Polygon::new(far.to_vec()).into()));
+    let parts = vec![square(6.0, 0.0), square(0.5, 0.5)];
+    objects.push((0, Geometry::MultiPolygon(MultiPolygon::new(parts))));
+    objects
+}
+
+/// Points on the lattice's shared edges and vertices and on the
+/// overlapping part's edges, where only the boundary index decides.
+fn boundary_points() -> Vec<Point> {
+    let mut pts = Vec::new();
+    for i in 0..=8 {
+        for j in 0..=8 {
+            pts.push(Point::new(i as f64 / 2.0, j as f64 / 2.0));
+        }
+    }
+    pts.extend(
+        [(1.0, 0.5), (0.5, 1.25), (1.5, 0.75), (6.0, 0.5), (7.0, 1.0)]
+            .map(|(x, y)| Point::new(x, y)),
+    );
+    pts
+}
+
+/// `objects` in memory, on a grid, and on a grid that holds all but the
+/// last `staged` objects, which are staged as inserts.
+fn count_sources(
+    name: &str,
+    kind: DatasetKind,
+    objects: &[(u32, Geometry)],
+    staged: usize,
+) -> (Arc<Dataset>, IndexedDataset, IndexedDataset) {
+    let memory = Arc::new(Dataset::from_objects(name, kind, objects.to_vec()));
+    let grid = |objects: &[(u32, Geometry)]| GridIndex::build(None, objects, 1.5).unwrap();
+    let indexed = IndexedDataset::new(name, kind, grid(objects));
+    let (base, delta) = objects.split_at(objects.len() - staged);
+    let with_delta = IndexedDataset::new(name, kind, grid(base));
+    for (id, geom) in delta {
+        with_delta.insert(*id, geom.clone());
+    }
+    (memory, indexed, with_delta)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// On every source — in memory, indexed, indexed with staged inserts —
+    /// the aggregation equals the per-polygon count of the join's pairs,
+    /// every polygon id present (the unreached triangle at 0), over
+    /// generic points and points on shared edges and vertices; over the
+    /// generic points alone it also equals `brute::aggregate`.
+    #[test]
+    fn count_is_the_join_folded_per_polygon(
+        generic in prop::collection::vec(unit_point(), 20..300),
+    ) {
+        let spade = engine();
+        let polygons = count_polygons();
+        let poly_set = Dataset::from_objects("polys", DatasetKind::Polygons, polygons.clone());
+        let set = PreparedPolygonSet::prepare(&spade.pipeline, &poly_set, spade.config.layer_resolution());
+        let layer_of: Vec<(u32, u32)> = (0..set.layers.layers.len() as u32)
+            .flat_map(|l| set.layer_polygons(l as usize).iter().map(move |p| (p.id, l)))
+            .filter(|(id, _)| *id == 0)
+            .collect();
+        prop_assert!(layer_of.len() == 2 && layer_of[0].1 != layer_of[1].1, "{:?}", layer_of);
+
+        let generic: Vec<Point> = generic.iter().map(|p| Point::new(p.x * 4.0, p.y * 4.0)).collect();
+        // The independent answer over the generic points: every part of an
+        // object counts for its id (the multipolygon's parts are disjoint).
+        let parts = poly_set.as_polygons();
+        let shapes: Vec<Polygon> = parts.iter().map(|(_, p)| (*p).clone()).collect();
+        let mut brute_counts = std::collections::BTreeMap::<u32, u64>::new();
+        for ((id, _), (_, c)) in parts.iter().zip(brute::aggregate(&shapes, &generic)) {
+            *brute_counts.entry(*id).or_insert(0) += c;
+        }
+        let brute_counts: Vec<(u32, u64)> = brute_counts.into_iter().collect();
+
+        let ctx = QueryCtx::default();
+        for points in [generic.clone(), [generic.clone(), boundary_points()].concat()] {
+            let point_objects: Vec<(u32, Geometry)> =
+                (0..).zip(points.iter().map(|&p| Geometry::Point(p))).collect();
+            let polys = count_sources("polys", DatasetKind::Polygons, &polygons, 1);
+            let pts = count_sources("pts", DatasetKind::Points, &point_objects, 7);
+            let sources: [(Source<'_>, Source<'_>); 3] = [
+                ((&polys.0).into(), (&pts.0).into()),
+                ((&polys.1).into(), (&pts.1).into()),
+                ((&polys.2).into(), (&pts.2).into()),
+            ];
+            for (i, (l, r)) in sources.into_iter().enumerate() {
+                let counts = aggregate::aggregate_indexed(&spade, l, r, &ctx).unwrap().result;
+                let pairs = join::join_indexed(&spade, l, r, &ctx).unwrap().result;
+                let mut want: std::collections::BTreeMap<u32, u64> =
+                    polygons.iter().map(|(id, _)| (*id, 0)).collect();
+                for (id, _) in &pairs {
+                    *want.get_mut(id).unwrap() += 1;
+                }
+                prop_assert_eq!(&counts, &want.into_iter().collect::<Vec<_>>(), "source {}", i);
+                prop_assert_eq!(counts.len(), polygons.len());
+                prop_assert_eq!(counts[17], (17, 0));
+                if points.len() == generic.len() {
+                    prop_assert_eq!(&counts, &brute_counts, "source {}", i);
+                }
+            }
+        }
+    }
+}
