@@ -62,7 +62,7 @@ fn bench_blend_modes(c: &mut Criterion) {
             )
         })
         .collect();
-    for mode in [BlendMode::Replace, BlendMode::Add, BlendMode::Max] {
+    for mode in [BlendMode::Replace, BlendMode::Max] {
         g.bench_with_input(
             BenchmarkId::new("100k_points", format!("{mode:?}")),
             &mode,

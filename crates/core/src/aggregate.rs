@@ -153,7 +153,7 @@ mod tests {
     }
 
     #[test]
-    fn point_plan_matches_oracle() {
+    fn counts_match_oracle() {
         let s = engine();
         let polys = neighborhoods();
         let pts = scatter(2000, 100.0, 51);
@@ -184,15 +184,19 @@ mod tests {
     }
 
     /// The walk's own I/O, not the grid's lifetime counter: a second and
-    /// third run over a grid that fits the cell cache read nothing.
+    /// third run over a grid that fits the cell cache, prepared forms
+    /// included, read nothing.
     #[test]
     fn indexed_aggregation_reports_its_own_io() {
-        let s = engine();
+        let s = Spade::new(EngineConfig {
+            device_memory: 64 << 20,
+            ..EngineConfig::test_small()
+        });
         let d_polys = Dataset::from_polygons("n", neighborhoods());
         let d_pts = Dataset::from_points("p", scatter(1500, 100.0, 61));
         let g1 = spade_index::GridIndex::build(None, &d_polys.objects, 40.0).unwrap();
         let g2 = spade_index::GridIndex::build(None, &d_pts.objects, 40.0).unwrap();
-        assert!(g1.total_bytes() + g2.total_bytes() <= s.config.cell_cache_bytes());
+        let cells = (g1.num_cells(), g2.num_cells());
         let i1 =
             crate::dataset::IndexedDataset::new("n", crate::dataset::DatasetKind::Polygons, g1);
         let i2 = crate::dataset::IndexedDataset::new("p", crate::dataset::DatasetKind::Points, g2);
@@ -203,6 +207,10 @@ mod tests {
         };
         let first = run();
         assert!(first.cells_loaded > 0 && first.bytes_from_disk > 0);
+        // Every cell stayed cached, charged its prepared form too.
+        assert_eq!((i1.cache.len(), i2.cache.len()), cells);
+        assert!(i1.cache.bytes() + i2.cache.bytes() <= s.config.cell_cache_bytes());
+        assert!(i1.cache.bytes() > i1.grid().total_bytes());
         for _ in 0..2 {
             let again = run();
             assert_eq!(again.bytes_from_disk, 0);

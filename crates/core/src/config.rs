@@ -113,10 +113,11 @@ impl EngineConfig {
         self.device_memory / 2
     }
 
-    /// Byte budget of the host-side decoded-cell LRU cache each
-    /// [`crate::dataset::IndexedDataset`] keeps, so optimizer orderings
-    /// that revisit cells reuse loaded data instead of re-hitting disk:
-    /// half the device.
+    /// Byte budget of the host-side prepared-cell LRU cache each
+    /// [`crate::dataset::IndexedDataset`] keeps, so orderings and queries
+    /// that revisit cells reuse loaded and prepared data instead of
+    /// re-hitting disk and re-preparing: half the device. A cell is charged
+    /// its block plus its prepared form, layer canvases included.
     pub fn cell_cache_bytes(&self) -> u64 {
         self.device_memory / 2
     }

@@ -42,23 +42,24 @@ pub struct Dataset {
     pub extent: BBox,
     /// Process-unique identity (see [`Dataset::uid`]).
     uid: u64,
-    /// The prepared forms of this dataset as a memory slot.
+    /// The prepared forms of this dataset as a slot of a walk.
     pub(crate) prepared: PreparedMemo,
 }
 
-/// A memory slot's prepared forms, one per `(layer resolution, canvas
-/// resolution)` an engine asked for: the paper's load-time indexes (§1,
-/// "Canvas-specific indexes"), built by the first query that needs them
-/// and kept with the data. The lock only finds or adds a key's cell; the
-/// preparation runs in the cell's `OnceLock`, outside it, so concurrent
-/// first queries of one key prepare once and those of other keys do not
-/// wait. A clone starts empty.
+/// A slot's prepared forms, one per layer resolution an engine asked for:
+/// the paper's load-time indexes (§1, "Canvas-specific indexes"), built by
+/// the first query that needs them and kept with the data — a registered
+/// dataset's for as long as it is registered, a grid cell's for as long as
+/// the cell cache keeps its `Arc` ([`CellCache`]). The lock only finds or
+/// adds a key's cell; the preparation runs in the cell's `OnceLock`,
+/// outside it, so concurrent first queries of one key prepare once and
+/// those of other keys do not wait. A clone starts empty.
 #[derive(Default)]
 pub(crate) struct PreparedMemo(Mutex<Vec<(PrepKey, MemoCell)>>);
 
-/// The resolutions a prepared form was built at: the layer index's and the
+/// The resolution a prepared form was built at: its layer index's and its
 /// layer canvases'.
-pub(crate) type PrepKey = (u32, u32);
+pub(crate) type PrepKey = u32;
 
 type MemoCell = Arc<OnceLock<Arc<Resident>>>;
 
@@ -78,6 +79,15 @@ impl PreparedMemo {
             }
         };
         Arc::clone(cell.get_or_init(|| Arc::new(prepare())))
+    }
+
+    /// Host bytes of every form prepared so far, canvases rendered so far
+    /// included.
+    pub(crate) fn bytes(&self) -> u64 {
+        (self.entries().iter())
+            .filter_map(|(_, cell)| cell.get())
+            .map(|form| form.byte_size())
+            .sum()
     }
 
     /// Whether a query has prepared the form at `key`.
@@ -237,7 +247,7 @@ impl Dataset {
 }
 
 /// An out-of-core data set: a clustered grid index over disk blocks, plus
-/// the metadata the planner needs and a host-side decoded-cell cache.
+/// the metadata the planner needs and a host-side prepared-cell cache.
 ///
 /// Since the live-ingestion subsystem the handle is *mutable behind a
 /// lock*: writes stage in a [`DeltaStore`] and [`IndexedDataset::compact`]
@@ -257,11 +267,11 @@ pub struct IndexedDataset {
     /// unshared. Bounds disk growth under sustained ingest without ever
     /// unlinking a file a reader still needs.
     retired: Mutex<Vec<(Arc<GridIndex>, Vec<std::path::PathBuf>)>>,
-    /// Decoded-cell LRU cache, keyed by `(generation, cell)` so stale
+    /// Prepared-cell LRU cache, keyed by `(generation, cell)` so stale
     /// generations age out naturally. Host-side by design: cached cells
     /// still pay the modeled host→device transfer on every use (so
     /// device-balance and `bytes_to_device ≥ bytes_from_disk` invariants
-    /// hold), but skip the disk read and decode.
+    /// hold), but skip the disk read, the decode and the preparation.
     pub cache: CellCache,
     /// Process-unique identity (see [`IndexedDataset::uid`]).
     uid: u64,
@@ -501,7 +511,7 @@ impl IndexedDataset {
 pub struct ReadView<'a> {
     name: &'a str,
     kind: DatasetKind,
-    /// The owner's decoded-cell cache; a registered dataset has no cells.
+    /// The owner's prepared-cell cache; a registered dataset has no cells.
     cache: Option<&'a CellCache>,
     pub grid: Arc<GridIndex>,
     pub delta: DeltaSnapshot,
@@ -610,7 +620,9 @@ impl ReadView<'_> {
     /// Load one slot: a cell through the owner's LRU cache under `budget`
     /// bytes (returning whether the cache served it), the memory slot from
     /// memory. The cache stores *unmasked* cells keyed by `(generation,
-    /// cell)`; the mask of this view is applied on the way out. A query
+    /// cell)`; the mask of this view is applied on the way out, so a cell
+    /// the mask misses is the cached `Arc` itself, prepared forms and all,
+    /// and a masked one is a fresh copy that prepares per query. A query
     /// reads through [`crate::prefetch::stream_cells`], its one caller.
     pub(crate) fn load_cell_cached(
         &self,
@@ -634,6 +646,32 @@ impl ReadView<'_> {
         Ok((self.apply_mask(raw), false))
     }
 
+    /// Charge slot `slot`, once a walk has prepared it, at its block bytes
+    /// plus what the prepared forms of `data` — what
+    /// [`Self::load_cell_cached`] returned — hold now. Only the `Arc` the
+    /// cache holds is charged: the memory slot, a masked copy and a cell
+    /// the cache has since dropped are left alone.
+    pub(crate) fn charge_prepared(&self, slot: u32, data: &Arc<Dataset>, budget: u64) {
+        let (Some(cache), Some(cell)) = (self.cache, self.grid.cells().get(slot as usize)) else {
+            return;
+        };
+        let bytes = cell.bytes + data.prepared.bytes();
+        cache.recharge((self.grid.generation, slot as usize), data, bytes, budget);
+    }
+
+    /// Whether slot `slot` would load with a form prepared at `key`.
+    #[cfg(test)]
+    pub(crate) fn holds_prepared(&self, slot: u32, key: PrepKey) -> bool {
+        let data = match (self.cache, self.cell_id(slot)) {
+            (_, None) => self.memory.get().cloned(),
+            (Some(cache), Some(_)) => cache.peek((self.grid.generation, slot as usize)),
+            (None, Some(_)) => None,
+        };
+        data.is_some_and(|d| {
+            Arc::ptr_eq(&self.apply_mask(Arc::clone(&d)), &d) && d.prepared.holds(key)
+        })
+    }
+
     /// What the memory slot loads: the registered dataset itself, or the
     /// staged inserts as an in-memory dataset, built once per view.
     fn memory_dataset(&self) -> Arc<Dataset> {
@@ -645,15 +683,22 @@ impl ReadView<'_> {
     }
 }
 
-/// A byte-budgeted LRU cache of decoded cells, keyed by
+/// A byte-budgeted LRU cache of prepared cells, keyed by
 /// `(generation, cell index)` — entries of superseded generations simply
-/// stop being asked for and age out through normal LRU eviction.
+/// stop being asked for and age out through normal LRU eviction, and a
+/// compaction invalidates a cell's prepared form by construction.
 ///
-/// Charged at each cell's *encoded block size* (the same figure the I/O
-/// accounting uses), evicting least-recently-used entries once the budget
-/// set by [`crate::config::EngineConfig::cell_cache_bytes`] is exceeded.
-/// Deterministic: identical access sequences produce identical hit/miss
-/// patterns regardless of thread count or prefetch depth.
+/// An entry is a decoded cell's `Arc`, which keeps the prepared forms the
+/// walks build on it (its triangulation, layer index and layer canvases, or
+/// its point list) for as long as the cache keeps it. It is charged its
+/// *encoded block size* (the same figure the I/O accounting uses) when
+/// inserted, and its block size plus its prepared forms' bytes once a walk
+/// has prepared it and let it leave residency; least recently
+/// used entries are evicted to stay within the budget set by
+/// [`crate::config::EngineConfig::cell_cache_bytes`], and a cell larger
+/// than the whole budget is not kept. Deterministic for one query stream
+/// at prefetch depth 0: identical access sequences produce identical
+/// hit/miss patterns.
 #[derive(Default)]
 pub struct CellCache {
     inner: Mutex<CacheInner>,
@@ -694,6 +739,29 @@ impl CellCache {
                 .cells
                 .insert(key, data, bytes, budget);
         }
+    }
+
+    /// Re-charge the cached cell at `key` at `bytes`, its block size plus
+    /// its prepared forms', evicting LRU entries to stay within `budget`; a
+    /// cell larger than the whole budget leaves the cache. Only `data`, the
+    /// very `Arc` the cache holds under `key`, is re-charged.
+    pub(crate) fn recharge(&self, key: CellKey, data: &Arc<Dataset>, bytes: u64, budget: u64) {
+        let mut inner = self.inner.lock().unwrap();
+        if !(inner.cells.peek(&key)).is_some_and(|held| Arc::ptr_eq(held, data)) {
+            return;
+        }
+        if bytes <= budget {
+            inner.cells.insert(key, Arc::clone(data), bytes, budget);
+        } else {
+            inner.cells.remove(&key);
+        }
+    }
+
+    /// The cached cell at `key`, without counting a lookup or touching its
+    /// recency.
+    #[cfg(test)]
+    pub(crate) fn peek(&self, key: CellKey) -> Option<Arc<Dataset>> {
+        self.inner.lock().unwrap().cells.peek(&key).cloned()
     }
 
     /// Number of cached cells.
@@ -744,6 +812,18 @@ impl PreparedPolygonSet {
             .map(|&i| input[i as usize].take().expect("one layer per polygon"))
             .collect();
         PreparedPolygonSet { polygons, layers }
+    }
+
+    /// Host bytes of the triangulated polygons (their outlines, triangles
+    /// and boundary edges) and the layer index.
+    pub fn byte_size(&self) -> u64 {
+        use std::mem::size_of_val;
+        let polygon = |p: &PreparedPolygon| {
+            p.polygon.num_vertices() * std::mem::size_of::<Point>()
+                + size_of_val(p.triangles.as_slice())
+                + size_of_val(p.edges.as_slice())
+        };
+        (self.polygons.iter().map(polygon).sum::<usize>() + self.layers.byte_size()) as u64
     }
 
     /// The prepared polygons of one layer.

@@ -166,9 +166,10 @@ fn scan_candidates_for_pairs(
 /// the point list, the polyline segments as conservative line primitives
 /// (line data is the paper's cheaper-than-polygons case, §6.1), or the
 /// triangulated polygons with their layer index and layer canvases.
-/// Preparing is the one place a query pays polygon processing: a grid cell
-/// prepares once per residency, a memory slot once per dataset and engine
-/// resolutions ([`Resident::of_memory`]).
+/// Preparing is the one place a query pays polygon processing, once per
+/// dataset `Arc` and layer resolution ([`Resident::of`]): a registered
+/// dataset once, a grid cell once for as long as the cell cache keeps it, a
+/// staged delta or a masked cell once per query.
 pub(crate) enum Resident {
     Points(Vec<(u32, Point)>),
     Lines(Vec<Primitive>, Vec<CandidateGeom>),
@@ -176,9 +177,12 @@ pub(crate) enum Resident {
 }
 
 /// A polygon slot's prepared form: the triangulated polygons in layer order
-/// with their layer index, and one constraint canvas per non-empty layer
-/// at the query resolution, rendered by the first refinement that reads
-/// them and kept for as long as the slot stays prepared.
+/// with their layer index, and one constraint canvas per non-empty layer,
+/// rendered by the first refinement that reads them and kept with the
+/// form. The canvases render at the layer resolution, the layer index's,
+/// not the query resolution: the boundary index decides every boundary
+/// pixel, so a pair's result is exact at any canvas size, and a kept form
+/// costs a quarter of the bytes at the default configuration.
 pub(crate) struct PolygonSlot {
     pub set: PreparedPolygonSet,
     canvases: OnceLock<Vec<Constraint>>,
@@ -188,14 +192,23 @@ impl PolygonSlot {
     /// The layer canvases (§5.2), rendered on first use.
     pub(crate) fn canvases(&self, spade: &Spade) -> &[Constraint] {
         self.canvases
-            .get_or_init(|| layer_constraints(spade, &self.set, spade.config.resolution))
+            .get_or_init(|| layer_constraints(spade, &self.set, spade.config.layer_resolution()))
     }
 }
 
 impl Resident {
-    /// A slot's prepared form, made now: a grid cell's for one residency,
-    /// a memory slot's for its memo.
-    pub(crate) fn prepare(spade: &Spade, data: &Dataset) -> Resident {
+    /// A slot's prepared form: its dataset's own, kept on the dataset per
+    /// layer resolution, so only the first query of an engine
+    /// configuration prepares it — a registered dataset once, a grid cell
+    /// once per stay in the cell cache ([`crate::dataset::CellCache`]), a
+    /// staged delta (a fresh dataset per view) or a masked cell (a fresh
+    /// copy per load) once per query.
+    pub(crate) fn of(spade: &Spade, data: &Dataset) -> Arc<Resident> {
+        let key = spade.config.layer_resolution();
+        data.prepared.get(key, || Resident::prepare(spade, data))
+    }
+
+    fn prepare(spade: &Spade, data: &Dataset) -> Resident {
         match data.kind {
             DatasetKind::Points => Resident::Points(data.as_points()),
             DatasetKind::Lines => {
@@ -213,13 +226,21 @@ impl Resident {
         }
     }
 
-    /// A memory slot's prepared form: its dataset's own, kept on the
-    /// dataset per layer and canvas resolution, so only the first query of
-    /// an engine configuration prepares it — a registered dataset once, a
-    /// staged delta (a fresh dataset per view) once per query.
-    pub(crate) fn of_memory(spade: &Spade, data: &Dataset) -> Arc<Resident> {
-        let key = (spade.config.layer_resolution(), spade.config.resolution);
-        data.prepared.get(key, || Resident::prepare(spade, data))
+    /// Host bytes of this form: the point list, the line primitives, or
+    /// the triangulated polygons, their layer index and the layer canvases
+    /// rendered so far.
+    pub(crate) fn byte_size(&self) -> u64 {
+        use std::mem::size_of_val;
+        match self {
+            Resident::Points(pts) => size_of_val(pts.as_slice()) as u64,
+            Resident::Lines(prims, geoms) => {
+                (size_of_val(prims.as_slice()) + size_of_val(geoms.as_slice())) as u64
+            }
+            Resident::Polys(slot) => {
+                let canvases = slot.canvases.get().map_or(&[][..], Vec::as_slice);
+                slot.set.byte_size() + canvases.iter().map(Constraint::byte_size).sum::<u64>()
+            }
+        }
     }
 
     /// The point list of a point cell, which is all the distance and kNN
@@ -304,8 +325,8 @@ pub(crate) fn hull_pairs(
 /// the candidate filter, the refinement kernel and its fold;
 /// [`PairWalk::plan`] fixes the snapshot, the ordered pairs and the load
 /// sequence; [`PairWalk::run`] owns everything between them and the
-/// kernel — prefetch, the cell cache, the slots' prepared forms, the
-/// device ledger and the I/O accounting — and may run more
+/// kernel — prefetch, the cell cache and what it charges, the slots'
+/// prepared forms, the device ledger and the I/O accounting — and may run more
 /// than once (kNN join: twice) over the same snapshot. A side's memory
 /// slot — its staged delta, or the whole of a registered dataset — is one
 /// more slot of its view ([`ReadView`]): planned, filtered, streamed and
@@ -387,12 +408,12 @@ impl<'a> PairWalk<'a> {
 
     /// Walk the pairs with single-slot residency per side, handing every
     /// pair of prepared cells and their cell ids (`None`: the memory slot)
-    /// to `refine(left, right, cells)`. A grid cell is prepared at every
-    /// residency and keeps its prepared form, layer canvases included,
-    /// across the consecutive pairs the order puts together; a memory slot
-    /// re-enters residency once per left group but its prepared form is
-    /// its dataset's ([`Resident::of_memory`]), which outlives the walk. A
-    /// pair refines as soon as both its slots are resident.
+    /// to `refine(left, right, cells)`. Every slot takes its prepared form,
+    /// layer canvases included, from its dataset's memo ([`Resident::of`]):
+    /// a grid cell the cell cache serves keeps it across residencies and
+    /// queries, and is charged for it in the cache when it leaves
+    /// residency ([`ReadView::charge_prepared`]). A pair refines as soon
+    /// as both its slots are resident.
     ///
     /// `ctx.cancel` is polled at every residency change; a resident slot
     /// is a [`Charge`] the walk holds, so the device ledger balances
@@ -404,41 +425,59 @@ impl<'a> PairWalk<'a> {
         mut refine: impl FnMut(&Resident, &Resident, (Option<u32>, Option<u32>)),
     ) -> spade_storage::Result<StreamStats> {
         let views = [&self.view1, &self.view2];
-        // Per side: the resident slot, its ledger charge, its prepared form.
-        let mut resident: [Option<(u32, Charge, Arc<Resident>)>; 2] = [None, None];
+        let budget = spade.config.cell_cache_bytes();
+        let mut resident: [Option<Held>; 2] = [None, None];
+        let leave = |side: usize, held: Option<Held>| {
+            if let Some(held) = held {
+                views[side].charge_prepared(held.slot, &held.data, budget);
+            }
+        };
         let mut next = 0;
         let stream = crate::prefetch::stream_cells(
             spade.config.prefetch_depth,
-            spade.config.cell_cache_bytes(),
+            budget,
             &views,
             &self.sequence,
             &ctx.cancel,
             |cell| {
                 let (side, slot) = (cell.source, cell.cell as u32);
-                resident[side] = None; // one slot per side: out before in
-                let charge = spade.device.charge(cell.bytes);
-                let prepared = match views[side].cell_id(slot) {
-                    Some(_) => Arc::new(Resident::prepare(spade, &cell.data)),
-                    None => Resident::of_memory(spade, &cell.data),
-                };
-                resident[side] = Some((slot, charge, prepared));
+                leave(side, resident[side].take()); // one slot per side: out before in
+                resident[side] = Some(Held {
+                    slot,
+                    _charge: spade.device.charge(cell.bytes),
+                    form: Resident::of(spade, &cell.data),
+                    data: cell.data,
+                });
                 // Refine every pair now satisfied by the resident slots.
-                while let (Some(&pair), [Some((c1, _, left)), Some((c2, _, right))]) =
+                while let (Some(&pair), [Some(left), Some(right)]) =
                     (self.cell_pairs.get(next), &resident)
                 {
-                    if pair != (*c1, *c2) {
+                    if pair != (left.slot, right.slot) {
                         break;
                     }
-                    let cells = (self.view1.cell_id(*c1), self.view2.cell_id(*c2));
-                    refine(left, right, cells);
+                    let cells = (self.view1.cell_id(pair.0), self.view2.cell_id(pair.1));
+                    refine(&left.form, &right.form, cells);
                     next += 1;
                 }
                 Ok(())
             },
-        )?;
+        );
+        for (side, held) in resident.into_iter().enumerate() {
+            leave(side, held);
+        }
+        let stream = stream?;
         debug_assert_eq!(next, self.cell_pairs.len(), "all cell pairs refined");
         Ok(stream)
     }
+}
+
+/// A slot the walk holds resident: its ledger charge, its data and its
+/// prepared form.
+struct Held {
+    slot: u32,
+    _charge: Charge,
+    data: Arc<Dataset>,
+    form: Arc<Resident>,
 }
 
 /// Spatial (intersection) join (§5.3): a `PairWalk` whose pairs of two
@@ -582,6 +621,19 @@ mod tests {
         polys
     }
 
+    /// A coarse grid of larger tiles over `polygon_field`, for the
+    /// polygon ⋈ polygon joins.
+    fn polygon_field_probes() -> Vec<Polygon> {
+        (0..4)
+            .flat_map(|i| {
+                (0..4).map(move |j| {
+                    let min = Point::new(i as f64 * 25.0 + 3.0, j as f64 * 25.0 + 3.0);
+                    Polygon::rect(BBox::new(min, min + Point::new(20.0, 20.0)))
+                })
+            })
+            .collect()
+    }
+
     fn oracle_point_join(polys: &[Polygon], pts: &[Point]) -> Pairs {
         let mut out = Vec::new();
         for (i, poly) in polys.iter().enumerate() {
@@ -640,16 +692,7 @@ mod tests {
     #[test]
     fn polygon_polygon_join_matches_oracle() {
         let s = engine();
-        let a = polygon_field();
-        // Probe set: a coarse grid of larger tiles.
-        let b: Vec<Polygon> = (0..4)
-            .flat_map(|i| {
-                (0..4).map(move |j| {
-                    let min = Point::new(i as f64 * 25.0 + 3.0, j as f64 * 25.0 + 3.0);
-                    Polygon::rect(BBox::new(min, min + Point::new(20.0, 20.0)))
-                })
-            })
-            .collect();
+        let (a, b) = (polygon_field(), polygon_field_probes());
         let d1 = Dataset::from_polygons("a", a.clone());
         let d2 = Dataset::from_polygons("b", b.clone());
         let out = join_memory(&s, &d1, &d2);
@@ -794,7 +837,7 @@ mod tests {
                 ..EngineConfig::test_small()
             })
         };
-        let key = |s: &Spade| (s.config.layer_resolution(), s.config.resolution);
+        let key = |s: &Spade| s.config.layer_resolution();
         let (fine, coarse) = (engine_at(256), engine_at(32));
         for order in [[&fine, &coarse], [&coarse, &fine]] {
             let d1 = Arc::new(Dataset::from_polygons("polys", polys.clone()));
@@ -820,6 +863,307 @@ mod tests {
             assert_eq!(out.result, oracle);
             assert!(out.stats.polygon_time > std::time::Duration::ZERO);
         }
+    }
+
+    /// Lattice points every 2 units over `polygon_field`'s extent: every
+    /// tile edge runs through a row of them, so only the boundary index
+    /// answers the joins right.
+    fn lattice() -> Vec<Point> {
+        (0..=50)
+            .flat_map(|i| (0..=50).map(move |j| Point::new(i as f64 * 2.0, j as f64 * 2.0)))
+            .collect()
+    }
+
+    fn indexed(data: &Dataset, cell: f64) -> IndexedDataset {
+        let grid = GridIndex::build(None, &data.objects, cell).unwrap();
+        IndexedDataset::new(data.name.clone(), data.kind, grid)
+    }
+
+    fn points_of(data: &Dataset) -> Vec<Point> {
+        data.as_points().into_iter().map(|(_, p)| p).collect()
+    }
+
+    /// Every cell pair of two grids: a join scoped to them renders no
+    /// filter and prepares no hull, so its polygon time is its slots'.
+    fn every_pair(left: &IndexedDataset, right: &IndexedDataset) -> Pairs {
+        let n = right.grid().num_cells() as u32;
+        (0..left.grid().num_cells() as u32)
+            .flat_map(|l| (0..n).map(move |r| (l, r)))
+            .collect()
+    }
+
+    /// The run over explicit `pairs` that also owns the deltas.
+    fn scoped(pairs: &Pairs) -> QueryCtx<'_> {
+        QueryCtx {
+            scope: crate::scope::Scope::Pairs {
+                pairs,
+                include_delta: true,
+            },
+            ..QueryCtx::default()
+        }
+    }
+
+    /// The layers of each of a grid's cells at the engine's layer
+    /// resolution, read past the cell cache.
+    fn cell_layers(s: &Spade, data: &IndexedDataset) -> Vec<u64> {
+        let view = data.read_view();
+        let res = s.config.layer_resolution();
+        (0..view.grid.num_cells())
+            .map(|c| {
+                let cell = view.load_cell_cached(c, 0).unwrap().0;
+                PreparedPolygonSet::prepare(&s.pipeline, &cell, res)
+                    .layers
+                    .len() as u64
+            })
+            .collect()
+    }
+
+    /// A small-canvas engine whose cell cache keeps every prepared cell of
+    /// the grids below.
+    fn roomy() -> Spade {
+        let s = Spade::new(EngineConfig {
+            device_memory: 64 << 20,
+            ..EngineConfig::test_small()
+        });
+        s.force_join_strategy(Some(JoinStrategy::LayerIndex));
+        s
+    }
+
+    /// Every cell cache holds at most its budget, prepared forms included.
+    fn assert_within_budget(s: &Spade, sides: &[&IndexedDataset]) {
+        for side in sides {
+            assert!(
+                side.cache.bytes() <= s.config.cell_cache_bytes(),
+                "{}",
+                side.name
+            );
+        }
+    }
+
+    /// At the default configuration the layer canvases render at the
+    /// layer resolution, half the query resolution, and the joins and the
+    /// count still answer what brute force does on every source: the
+    /// boundary index decides every boundary pixel.
+    #[test]
+    fn default_resolution_joins_are_exact() {
+        let s = Spade::new(EngineConfig::default());
+        let layer_res = s.config.layer_resolution();
+        assert!(layer_res < s.config.resolution);
+        let (polys, pts, probes) = (polygon_field(), lattice(), polygon_field_probes());
+        let data = [
+            Dataset::from_polygons("polys", polys.clone()),
+            Dataset::from_points("pts", pts.clone()),
+            Dataset::from_polygons("probes", probes.clone()),
+        ];
+        let point_pairs = oracle_point_join(&polys, &pts);
+        let poly_pairs = oracle_poly_join(&polys, &probes);
+        let counts: Vec<(u32, u64)> = (0..polys.len() as u32)
+            .map(|i| (i, point_pairs.iter().filter(|p| p.0 == i).count() as u64))
+            .collect();
+        let memory = data.clone().map(Arc::new);
+        let grids = data.each_ref().map(|d| indexed(d, 40.0));
+        // Each side re-inserts its object 0 unchanged: the same answers,
+        // with a staged delta and a masked cell in every walk.
+        let staged = data.each_ref().map(|d| indexed(d, 40.0));
+        for (side, d) in staged.iter().zip(&data) {
+            side.insert(0, d.objects[0].1.clone());
+        }
+        let ctx = QueryCtx::default();
+        for source in 0..3 {
+            let side = |i: usize| -> Source<'_> {
+                match source {
+                    0 => (&memory[i]).into(),
+                    1 => (&grids[i]).into(),
+                    _ => (&staged[i]).into(),
+                }
+            };
+            let join = join_indexed(&s, side(0), side(1), &ctx).unwrap();
+            assert_eq!(join.result, point_pairs, "source {source}");
+            let count = crate::aggregate::aggregate_indexed(&s, side(0), side(1), &ctx).unwrap();
+            assert_eq!(count.result, counts, "source {source}");
+            let poly = join_indexed(&s, side(0), side(2), &ctx).unwrap();
+            assert_eq!(poly.result, poly_pairs, "source {source}");
+        }
+        // The registered dataset's kept canvases and every cell's, each
+        // at the layer resolution along its longer axis.
+        let view = grids[0].read_view();
+        let cells = (0..view.grid.num_cells()).map(|c| view.load_cell_cached(c, 0).unwrap().0);
+        for data in cells.chain([Arc::clone(&memory[0])]) {
+            let Resident::Polys(slot) = &*Resident::of(&s, &data) else {
+                panic!("a polygon slot");
+            };
+            for c in slot.canvases(&s) {
+                assert_eq!(c.viewport.width.max(c.viewport.height), layer_res);
+            }
+        }
+    }
+
+    /// A second join over a grid the cell cache holds prepares nothing: no
+    /// polygon time, and only the per-pair probes render. The cache keeps
+    /// within its budget after every query, charged what it holds.
+    #[test]
+    fn a_cached_cell_is_a_prepared_cell() {
+        let s = roomy();
+        let polys = Dataset::from_polygons("polys", polygon_field());
+        let pts = Dataset::from_points("pts", scatter(1000, 100.0, 23));
+        let oracle = oracle_point_join(&polygon_field(), &points_of(&pts));
+        let (i1, i2) = (indexed(&polys, 40.0), indexed(&pts, 40.0));
+        let pairs = every_pair(&i1, &i2);
+        let ctx = scoped(&pairs);
+        let layers = cell_layers(&s, &i1);
+        let probes: u64 = pairs.iter().map(|&(l, _)| layers[l as usize]).sum();
+        let blocks = i1.grid().total_bytes();
+        let cold = join_indexed(&s, &i1, &i2, &ctx).unwrap();
+        assert_eq!(cold.result, oracle);
+        assert!(cold.stats.polygon_time > std::time::Duration::ZERO);
+        // Every left cell prepared its layer index and rendered its
+        // canvases once.
+        assert_eq!(cold.stats.passes, probes + 3 * layers.iter().sum::<u64>());
+        assert_within_budget(&s, &[&i1, &i2]);
+        assert_eq!(i1.cache.len(), i1.grid().num_cells());
+        assert!(i1.cache.bytes() > blocks, "charged the prepared forms");
+        for _ in 0..2 {
+            let warm = join_indexed(&s, &i1, &i2, &ctx).unwrap();
+            assert_eq!(warm.result, oracle);
+            assert_eq!(warm.stats.polygon_time, std::time::Duration::ZERO);
+            assert_eq!(warm.stats.passes, probes, "no layer canvas renders");
+            assert_eq!(warm.stats.cache_hits, warm.stats.cells_loaded);
+            let agg = crate::aggregate::aggregate_indexed(&s, &i1, &i2, &ctx).unwrap();
+            assert_eq!(agg.stats.polygon_time, std::time::Duration::ZERO);
+            assert_eq!(agg.stats.passes, probes);
+            assert_within_budget(&s, &[&i1, &i2]);
+            assert_eq!(s.device.used(), 0);
+        }
+    }
+
+    /// A cell whose prepared form outgrows the whole cache budget is not
+    /// kept: every join prepares it again, reads it again, and stays exact.
+    #[test]
+    fn a_form_larger_than_the_budget_is_not_kept() {
+        let s = Spade::new(EngineConfig {
+            device_memory: 1 << 20,
+            ..EngineConfig::test_small()
+        });
+        let polys = Dataset::from_polygons("polys", polygon_field());
+        let pts = Dataset::from_points("pts", scatter(1000, 100.0, 29));
+        let oracle = oracle_point_join(&polygon_field(), &points_of(&pts));
+        let (i1, i2) = (indexed(&polys, 40.0), indexed(&pts, 40.0));
+        // Every polygon cell's form is larger than the budget; the blocks
+        // fit.
+        let budget = s.config.cell_cache_bytes();
+        let view = i1.read_view();
+        for c in 0..view.grid.num_cells() {
+            let form = Resident::prepare(&s, &view.load_cell_cached(c, 0).unwrap().0);
+            let Resident::Polys(slot) = &form else {
+                panic!("a polygon slot");
+            };
+            slot.canvases(&s);
+            assert!(form.byte_size() > budget, "cell {c}");
+        }
+        assert!(i1.grid().total_bytes() < budget);
+        for _ in 0..2 {
+            let out = join_indexed(&s, &i1, &i2, &QueryCtx::default()).unwrap();
+            assert_eq!(out.result, oracle);
+            assert!(out.stats.bytes_from_disk >= i1.grid().total_bytes());
+            assert!(i1.cache.is_empty(), "no polygon cell is kept");
+            assert_eq!(i2.cache.len(), i2.grid().num_cells());
+            assert_within_budget(&s, &[&i1, &i2]);
+            assert_eq!(s.device.used(), 0);
+        }
+    }
+
+    /// A staged delete masks its cell: that cell is a fresh copy, prepared
+    /// per query, while the cached forms of the others serve on; after a
+    /// compaction the new generation prepares again. Every answer is exact.
+    #[test]
+    fn staged_writes_and_compaction_keep_cached_cells_exact() {
+        let s = roomy();
+        let field = polygon_field();
+        let polys = Dataset::from_polygons("polys", field.clone());
+        let pts = Dataset::from_points("pts", scatter(1000, 100.0, 31));
+        let points = points_of(&pts);
+        let (i1, i2) = (indexed(&polys, 40.0), indexed(&pts, 40.0));
+        let run = |ctx: &QueryCtx| join_indexed(&s, &i1, &i2, ctx).unwrap();
+        let without = |gone: u32| -> Pairs {
+            (oracle_point_join(&field, &points).into_iter())
+                .filter(|&(l, _)| l != gone)
+                .collect()
+        };
+        let none = u32::MAX;
+        assert_eq!(run(&QueryCtx::default()).result, without(none));
+        let pairs = every_pair(&i1, &i2);
+        let warm = run(&scoped(&pairs));
+        assert_eq!(warm.result, without(none));
+        assert_eq!(warm.stats.polygon_time, std::time::Duration::ZERO);
+        // A staged delete of a tile: its cell is masked and prepares per
+        // query, still exact; the cached, unmasked form is left alone.
+        i1.delete(12);
+        for _ in 0..2 {
+            let masked = run(&scoped(&pairs));
+            assert_eq!(masked.result, without(12));
+            assert!(masked.stats.polygon_time > std::time::Duration::ZERO);
+            assert_within_budget(&s, &[&i1, &i2]);
+        }
+        // The compaction folds the delete into a new generation: its cells
+        // are prepared again, once.
+        i1.compact(s.config.max_cell_bytes)
+            .unwrap()
+            .expect("a delta to fold");
+        let pairs = every_pair(&i1, &i2);
+        for cold in [true, false] {
+            let out = run(&scoped(&pairs));
+            assert_eq!(out.result, without(12));
+            let prepared = out.stats.polygon_time > std::time::Duration::ZERO;
+            assert_eq!(prepared, cold);
+            assert_within_budget(&s, &[&i1, &i2]);
+        }
+        assert_eq!(run(&QueryCtx::default()).result, without(12));
+        assert_eq!(s.device.used(), 0);
+    }
+
+    /// Concurrent first joins over cells the cache holds but no walk has
+    /// prepared prepare each cell once: the threads' passes sum to every
+    /// thread's probes plus one preparation per cell, and every answer is
+    /// the same.
+    #[test]
+    fn concurrent_first_joins_prepare_a_cached_cell_once() {
+        let s = roomy();
+        let polys = Dataset::from_polygons("polys", polygon_field());
+        let pts = Dataset::from_points("pts", scatter(1000, 100.0, 37));
+        let oracle = oracle_point_join(&polygon_field(), &points_of(&pts));
+        let (i1, i2) = (indexed(&polys, 40.0), indexed(&pts, 40.0));
+        let budget = s.config.cell_cache_bytes();
+        for side in [&i1, &i2] {
+            let view = side.read_view();
+            for c in 0..view.grid.num_cells() {
+                view.load_cell_cached(c, budget).unwrap();
+            }
+        }
+        let pairs = every_pair(&i1, &i2);
+        let layers = cell_layers(&s, &i1);
+        let probes: u64 = pairs.iter().map(|&(l, _)| layers[l as usize]).sum();
+        let threads = 4;
+        let barrier = std::sync::Barrier::new(threads);
+        let outs: Vec<QueryOutput<Pairs>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        join_indexed(&s, &i1, &i2, &scoped(&pairs)).unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for out in &outs {
+            assert_eq!(out.result, oracle);
+            assert_eq!(out.stats.cache_hits, out.stats.cells_loaded);
+        }
+        let passes: u64 = outs.iter().map(|o| o.stats.passes).sum();
+        let prepared = 3 * layers.iter().sum::<u64>();
+        assert_eq!(passes, threads as u64 * probes + prepared);
+        assert_within_budget(&s, &[&i1, &i2]);
+        assert_eq!(s.device.used(), 0);
     }
 
     #[test]

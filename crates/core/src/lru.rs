@@ -1,4 +1,4 @@
-//! The byte-budgeted LRU map of the decoded-cell cache and the result
+//! The byte-budgeted LRU map of the prepared-cell cache and the result
 //! cache, each behind its own lock. Recency is a lazy queue of `(key,
 //! stamp)` slots: a hit pushes a fresh slot, and eviction skips slots whose
 //! stamp no longer matches. The queue is rebuilt from the live entries once
@@ -81,6 +81,18 @@ impl<K: Copy + Eq + Hash, V> Lru<K, V> {
         evicted
     }
 
+    /// Look up `key` without touching its recency.
+    pub(crate) fn peek(&self, key: &K) -> Option<&V> {
+        self.map.get(key).map(|slot| &slot.value)
+    }
+
+    /// Remove `key`'s entry, refunding its bytes.
+    pub(crate) fn remove(&mut self, key: &K) {
+        if let Some(slot) = self.map.remove(key) {
+            self.bytes -= slot.bytes;
+        }
+    }
+
     /// Keep only the entries `keep` accepts; returns how many were removed.
     pub(crate) fn retain(&mut self, mut keep: impl FnMut(&K, &V) -> bool) -> u64 {
         let before = self.map.len();
@@ -139,7 +151,13 @@ mod tests {
         assert_eq!(lru.insert(5, "e", 60, 100), 1);
         assert_eq!(lru.get(&1), None);
         assert_eq!((lru.len(), lru.bytes()), (2, 100));
-        assert_eq!(lru.retain(|k, _| *k == 5), 1);
+        // A peek leaves recency alone; a removal refunds its bytes.
+        assert_eq!(lru.peek(&4), Some(&"d"));
+        assert_eq!(lru.insert(6, "f", 40, 100), 1);
+        assert_eq!(lru.peek(&4), None);
+        lru.remove(&6);
+        assert_eq!((lru.len(), lru.bytes()), (1, 60));
+        assert_eq!(lru.retain(|k, _| *k == 5), 0);
         assert_eq!((lru.len(), lru.bytes()), (1, 60));
         assert_eq!(lru.retain(|_, _| false), 1);
         assert_eq!((lru.len(), lru.bytes()), (0, 0));

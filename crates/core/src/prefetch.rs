@@ -5,7 +5,10 @@
 //! I/O and GPU work never overlap. This module overlaps them: a bounded
 //! background producer thread reads and decodes upcoming cells (through
 //! the per-dataset LRU cell cache) while the caller refines the current
-//! one. The channel depth is [`crate::config::EngineConfig::prefetch_depth`];
+//! one. A cell the cache serves comes with the prepared form an earlier
+//! walk left on it, so the caller skips its preparation too; preparing
+//! stays on the caller's thread, inside the query's polygon time. The
+//! channel depth is [`crate::config::EngineConfig::prefetch_depth`];
 //! depth 0 degrades to the fully synchronous loop.
 //!
 //! Determinism: the caller supplies the complete load *sequence* up front
@@ -30,7 +33,8 @@ pub struct FetchedCell {
     pub source: usize,
     /// Slot within the source's view: a grid cell or the memory slot.
     pub cell: usize,
-    /// The decoded cell data.
+    /// The decoded cell data: the cell cache's own `Arc`, prepared forms
+    /// and all, unless the view's mask filtered it.
     pub data: Arc<Dataset>,
     /// The device-transfer charge for this slot.
     pub bytes: u64,

@@ -403,8 +403,9 @@ mod tests {
     }
 
     /// The passes a full-scope run of `q` over `(left, right)` renders,
-    /// `warm` when the left memory slot's memo already held its prepared
-    /// form: the formulas beside DESIGN.md §1's operator table, in terms
+    /// `warm` the left slots whose prepared form the run finds already
+    /// made (a registered dataset's memo, a cell the cell cache keeps): the
+    /// formulas beside DESIGN.md §1's operator table, in terms
     /// of the constraint layers, the Map implementation and the slots
     /// refined. A polygon canvas and a disk canvas are two passes, a
     /// polygon's distance canvas four (the distance filter adds one hull
@@ -419,7 +420,7 @@ mod tests {
         q: &Q,
         (left, right): (Source<'_>, Source<'_>),
         stats: &QueryStats,
-        warm: bool,
+        warm: &[u32],
     ) -> Option<u64> {
         use crate::dataset::PreparedPolygonSet;
         use crate::distance::{disk_layers, hulls_within};
@@ -513,18 +514,14 @@ mod tests {
                 // folds the same probe's pairs); a naive pair one canvas
                 // and one probe per left polygon.
                 let mut passes = filter;
-                let mut memory_prepared = warm;
-                // Per left entry (a run of pairs sharing a left slot): its
-                // layer index, and its layer canvases once it refines a
-                // layered pair; the memory slot's once per dataset and
-                // resolutions.
+                // Per left entry (a run of pairs sharing a left slot) whose
+                // form the run does not find made: its layer index, and its
+                // layer canvases once it refines a layered pair.
                 for entry in pairs.chunk_by(|a, b| a.0 == b.0) {
                     let l = entry[0].0;
-                    let memory = v1.cell_id(l).is_none();
-                    if !(memory && memory_prepared) {
+                    if !warm.contains(&l) {
                         let canvases = entry.iter().any(layered);
                         passes += layers(l) * if canvases { 3 } else { 1 };
-                        memory_prepared |= memory;
                     }
                     for pair in entry {
                         passes += match layered(pair) {
@@ -652,18 +649,21 @@ mod tests {
             assert_eq!(err, Some(StorageError::Cancelled), "(d) {label}");
             assert_eq!(s.device.used(), 0, "(d) ledger after cancel, {label}");
 
-            // Whether an earlier class already prepared the in-memory
-            // polygons at this engine's resolutions.
-            let key = (s.config.layer_resolution(), s.config.resolution);
-            let warm = source == 0 && polys.prepared.holds(key);
-            let cold = run(q, sources, &s, &QueryCtx::default()).unwrap();
-            assert_eq!(cold.result, want, "(a) {label}");
-            assert_eq!(cold.stats.result_cache, CacheOutcome::Bypass, "(a) {label}");
             let sides = match q {
                 Q::Join(q) if !on_points(q) => (polygons[source], points[source]),
                 _ => (points[source], points[source]),
             };
-            if let Some(passes) = expected_passes(&s, q, sides, &cold.stats, warm) {
+            // The left slots an earlier class already prepared at this
+            // engine's layer resolution: the in-memory polygons' memo, or
+            // a cell the cell cache kept.
+            let (left_view, key) = (sides.0.read_view(), s.config.layer_resolution());
+            let warm: Vec<u32> = (left_view.slots(true))
+                .filter(|&slot| left_view.holds_prepared(slot, key))
+                .collect();
+            let cold = run(q, sources, &s, &QueryCtx::default()).unwrap();
+            assert_eq!(cold.result, want, "(a) {label}");
+            assert_eq!(cold.stats.result_cache, CacheOutcome::Bypass, "(a) {label}");
+            if let Some(passes) = expected_passes(&s, q, sides, &cold.stats, &warm) {
                 assert_eq!(cold.stats.passes, passes, "(g) {label}");
             }
             if let (Q::Join(JoinQuery::Intersects | JoinQuery::CountPoints), 0) = (q, source) {
@@ -672,7 +672,7 @@ mod tests {
                 assert_eq!(again.result, cold.result, "(g) warm {label}");
                 let no_time = std::time::Duration::ZERO;
                 assert_eq!(again.stats.polygon_time, no_time, "(g) warm {label}");
-                let passes = expected_passes(&s, q, sides, &again.stats, true);
+                let passes = expected_passes(&s, q, sides, &again.stats, &[0]);
                 assert_eq!(Some(again.stats.passes), passes, "(g) warm {label}");
             }
             for resolution in [32, 64] {

@@ -83,7 +83,7 @@ pub struct QueryStats {
     /// Out-of-core pipelining: cells the refinement stage had to wait for
     /// (or load synchronously with prefetching disabled).
     pub prefetch_misses: u64,
-    /// Cells served from the host-side decoded-cell LRU cache instead of
+    /// Cells served from the host-side prepared-cell LRU cache instead of
     /// disk.
     pub cache_hits: u64,
     /// Disk/decode time that overlapped GPU refinement work — producer I/O

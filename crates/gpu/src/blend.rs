@@ -1,10 +1,12 @@
 //! Post-fragment blending.
 //!
 //! The final pipeline stage merges fragment outputs into the framebuffer
-//! (§2.2 "Post Fragment Processing"). SPADE uses the API-provided additive
-//! blending for simple aggregation blends and programmable fragment-shader
-//! blending for everything else (§5.1 "Multiway Blend"); the fixed-function
-//! modes supported here cover both.
+//! (§2.2 "Post Fragment Processing"). SPADE uses fixed-function blends
+//! where one suffices and programmable fragment-shader blending for
+//! everything else (§5.1 "Multiway Blend"); the modes here are the
+//! fixed-function ones its passes draw with. The paper's additive blend
+//! counted points per pixel for its aggregation plan, which this engine
+//! replaces with the join's probe and a count fold (DESIGN.md §2).
 
 use crate::fragments::FragmentBuffer;
 use crate::texture::{PixelValue, NULL_PIXEL};
@@ -20,9 +22,6 @@ pub enum BlendMode {
     Replace,
     /// Source overwrites only null destination pixels ("first writer wins").
     KeepFirst,
-    /// Per-channel saturating addition — the "alpha blending" the paper's
-    /// aggregation plan uses to count objects per pixel.
-    Add,
     /// Per-channel maximum. The layer-index construction blends with "keep
     /// the object with the higher identifier" (§5.5 Pass 1).
     Max,
@@ -43,12 +42,6 @@ impl BlendMode {
                     dst
                 }
             }
-            BlendMode::Add => [
-                dst[0].saturating_add(src[0]),
-                dst[1].saturating_add(src[1]),
-                dst[2].saturating_add(src[2]),
-                dst[3].saturating_add(src[3]),
-            ],
             BlendMode::Max => [
                 dst[0].max(src[0]),
                 dst[1].max(src[1]),
@@ -84,7 +77,6 @@ impl BlendMode {
             BlendMode::KeepFirst => {
                 scatter(dst, y0, width, fb, |d, s| BlendMode::KeepFirst.apply(d, s))
             }
-            BlendMode::Add => scatter(dst, y0, width, fb, |d, s| BlendMode::Add.apply(d, s)),
             BlendMode::Max => scatter(dst, y0, width, fb, |d, s| BlendMode::Max.apply(d, s)),
             BlendMode::Min => scatter(dst, y0, width, fb, |d, s| BlendMode::Min.apply(d, s)),
         }
@@ -135,14 +127,6 @@ mod tests {
     }
 
     #[test]
-    fn add_saturates() {
-        assert_eq!(
-            BlendMode::Add.apply([u32::MAX, 1, 0, 0], [1, 2, 3, 0]),
-            [u32::MAX, 3, 3, 0]
-        );
-    }
-
-    #[test]
     fn max_and_min() {
         assert_eq!(
             BlendMode::Max.apply([5, 1, 9, 0], [3, 7, 2, 1]),
@@ -162,28 +146,25 @@ mod tests {
         let a = [5, 1, 9, 0];
         let b = [3, 7, 2, 1];
         assert_eq!(BlendMode::Max.apply(a, b), BlendMode::Max.apply(b, a));
-        assert_eq!(BlendMode::Add.apply(a, b), BlendMode::Add.apply(b, a));
     }
 
-    const MODES: [BlendMode; 5] = [
+    const MODES: [BlendMode; 4] = [
         BlendMode::Replace,
         BlendMode::KeepFirst,
-        BlendMode::Add,
         BlendMode::Max,
         BlendMode::Min,
     ];
 
     /// u32 edge cases: zero (every channel zero is `NULL_PIXEL`, the "no
-    /// data" sentinel), small values, both sides of the saturation
-    /// boundary, and `u32::MAX` itself.
+    /// data" sentinel), small values, values near the top of the range,
+    /// and `u32::MAX` itself.
     const EDGES: [u32; 7] = [0, 1, 2, 7, u32::MAX / 2, u32::MAX - 1, u32::MAX];
 
-    /// Exhaustive property test over the u32 edge cases (satellite of the
-    /// branch-free Add saturation requirement): for every mode and every
-    /// edge pair, the scalar `apply` and the SoA `blend_soa` must be
-    /// bit-identical — including saturating Add at the
-    /// `u32::MAX` boundary and the null-destination modes — and a
-    /// masked-off SoA lane must be an exact no-op for every mode.
+    /// Exhaustive property test over the u32 edge cases: for every mode and
+    /// every edge pair, the scalar `apply` and the SoA `blend_soa` must be
+    /// bit-identical — including the `u32::MAX` boundary and the
+    /// null-destination modes — and a masked-off SoA lane must be an exact
+    /// no-op for every mode.
     #[test]
     fn batched_blends_bit_identical_to_scalar_over_edge_cases() {
         for mode in MODES {
@@ -207,24 +188,6 @@ mod tests {
                     mode.blend_soa(&mut noop_dst, 0, 1, &masked);
                     assert_eq!(noop_dst[0], d, "{mode:?} masked lane mutated dst");
                 }
-            }
-        }
-    }
-
-    /// Add saturation is branch-free per channel (`saturating_add` on the
-    /// lane type); pin the extremes so the scalar and SoA forms can never
-    /// diverge on overflow.
-    #[test]
-    fn add_saturation_edge_matrix() {
-        for &a in &EDGES {
-            for &b in &EDGES {
-                let want = a.saturating_add(b);
-                assert_eq!(BlendMode::Add.apply([a; 4], [b; 4]), [want; 4]);
-                let mut fb = FragmentBuffer::new();
-                fb.push(0, 0, [b; 4]);
-                let mut dst = [[a; 4]];
-                BlendMode::Add.blend_soa(&mut dst, 0, 1, &fb);
-                assert_eq!(dst[0], [want; 4]);
             }
         }
     }

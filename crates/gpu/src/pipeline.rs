@@ -376,22 +376,6 @@ mod tests {
     }
 
     #[test]
-    fn additive_blend_counts_overlaps() {
-        let pl = Pipeline::with_workers(4);
-        let mut tex = Texture::new(10, 10);
-        // 100 points into the same pixel: pixel value counts them.
-        let prims: Vec<Primitive> = (0..100)
-            .map(|_| Primitive::point(Point::new(3.3, 3.3), [1, 0, 0, 0]))
-            .collect();
-        pl.draw(
-            &mut tex,
-            &prims,
-            &DrawCall::simple(vp10(), BlendMode::Add, false),
-        );
-        assert_eq!(tex.get(3, 3)[0], 100);
-    }
-
-    #[test]
     fn replace_blend_is_primitive_ordered() {
         // The last primitive in submission order must win regardless of the
         // worker count.
@@ -580,7 +564,6 @@ mod tests {
         for blend in [
             BlendMode::Replace,
             BlendMode::KeepFirst,
-            BlendMode::Add,
             BlendMode::Max,
             BlendMode::Min,
         ] {

@@ -48,12 +48,12 @@ impl GeometryShader for Plus {
 }
 
 /// What one input stream produces through each pass kind, each pass with
-/// the passes its frame recorded: the `Replace` and `Add` textures, the
+/// the passes its frame recorded: the `Replace` and `Max` textures, the
 /// `count_pass` total and the `map` values in order.
 #[derive(Debug, PartialEq)]
 struct Passes {
     replace: (Texture, u64),
-    add: (Texture, u64),
+    max: (Texture, u64),
     count: (u64, u64),
     map: (Vec<PixelValue>, u64),
 }
@@ -76,7 +76,7 @@ fn run_passes(pipe: &Pipeline, prims: &[impl Assemble], call: &DrawCall<'_>) -> 
     };
     Passes {
         replace: draw(BlendMode::Replace),
-        add: draw(BlendMode::Add),
+        max: draw(BlendMode::Max),
         count: framed(|| pipe.count_pass(prims, call)),
         map: framed(|| {
             let emit = |_: &mut (), frag: &Fragment, ctx: &ShaderContext<'_>, out: &mut Vec<_>| {
@@ -215,7 +215,7 @@ proptest! {
                     let got = run_passes(&pipe, &points, &call);
                     let want = run_passes(&pipe, &prims, &call);
                     prop_assert_eq!(
-                        (got.replace.1, got.add.1, got.count.1, got.map.1),
+                        (got.replace.1, got.max.1, got.count.1, got.map.1),
                         (1, 1, 1, 1)
                     );
                     prop_assert_eq!(got, want, "workers={}", workers);
