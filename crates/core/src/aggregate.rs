@@ -12,6 +12,7 @@
 //! (DESIGN.md §2).
 
 use crate::ctx::QueryCtx;
+use crate::dataset::DatasetKind;
 use crate::engine::Spade;
 use crate::join::{hull_pairs, join_cells_layered, PairWalk, Resident};
 use crate::query::Source;
@@ -55,9 +56,12 @@ pub fn aggregate_indexed<'a>(
     points: impl Into<Source<'a>>,
     ctx: &QueryCtx,
 ) -> spade_storage::Result<QueryOutput<Counts>> {
+    let (polys, points) = (polys.into(), points.into());
+    polys.require(DatasetKind::Polygons, "the counted side of an aggregation")?;
+    points.require(DatasetKind::Points, "the counting side of an aggregation")?;
     let mut qspan = crate::trace::span("query.aggregate");
     let measure = spade.begin();
-    let walk = PairWalk::plan(polys.into(), points.into(), ctx, |left, right| {
+    let walk = PairWalk::plan(polys, points, ctx, |left, right| {
         hull_pairs(spade, left, right)
     })?;
     let mut totals = BTreeMap::new();

@@ -14,7 +14,7 @@
 //! layer renders into one canvas with exact per-pixel attribution.
 
 use crate::ctx::QueryCtx;
-use crate::dataset::ReadView;
+use crate::dataset::{DatasetKind, ReadView};
 use crate::engine::{Constraint, Spade};
 use crate::join::{scan_points_for_pairs, PairWalk, Pairs};
 use crate::query::Source;
@@ -105,9 +105,11 @@ pub fn distance_select_indexed<'a>(
     r: f64,
     ctx: &QueryCtx,
 ) -> spade_storage::Result<QueryOutput<Vec<u32>>> {
+    let data = data.into();
+    data.require(DatasetKind::Points, "a distance selection")?;
     let qspan = crate::trace::span("query.distance");
     let measure = spade.begin();
-    let walk = CellWalk::plan(data.into(), ctx)?;
+    let walk = CellWalk::plan(data, ctx)?;
     let resolution = spade.config.distance_resolution();
     let c = build_distance_constraint(spade, constraint, r, resolution);
     let mut ids = Vec::new();
@@ -252,9 +254,12 @@ pub fn distance_join_indexed<'a>(
     r: f64,
     ctx: &QueryCtx,
 ) -> spade_storage::Result<QueryOutput<Pairs>> {
+    let (d1, d2) = (d1.into(), d2.into());
+    d1.require(DatasetKind::Points, "a distance join")?;
+    d2.require(DatasetKind::Points, "a distance join")?;
     let mut qspan = crate::trace::span("query.distance_join");
     let measure = spade.begin();
-    let walk = PairWalk::plan(d1.into(), d2.into(), ctx, |left, right| {
+    let walk = PairWalk::plan(d1, d2, ctx, |left, right| {
         hulls_within(spade, left, right, |_| r)
     })?;
     let (mut pairs, mut disks) = (Vec::new(), ResidentDisks::default());

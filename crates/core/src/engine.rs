@@ -2,14 +2,12 @@
 
 use crate::config::EngineConfig;
 use crate::explain::DeltaInfo;
-use crate::optimizer::JoinStrategy;
 use crate::prefetch::StreamStats;
 use crate::stats::QueryStats;
 use spade_canvas::canvas::CanvasLayer;
 use spade_canvas::create::{self, PreparedPolygon};
 use spade_geometry::{BBox, Point, Segment, Triangle};
 use spade_gpu::{DeviceMemory, Pipeline, Viewport};
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -27,9 +25,6 @@ pub struct Spade {
     /// `(query fingerprint, dataset version)`, served by the cached
     /// dispatchers in [`crate::query`].
     pub result_cache: crate::result_cache::ResultCache,
-    /// The join strategy [`Spade::force_join_strategy`] pinned (0 = none,
-    /// 1 = layer, 2 = naive).
-    forced_join: AtomicU8,
 }
 
 impl Spade {
@@ -53,29 +48,6 @@ impl Spade {
             pipeline,
             device,
             result_cache,
-            forced_join: AtomicU8::new(0),
-        }
-    }
-
-    /// Test hook: pin the out-of-core join strategy (`None`: the
-    /// optimizer's byte rule decides). Both strategies compute the same
-    /// pairs, so this is how tests and the optimizer gate reach the naive
-    /// strategy (§5.3) on inputs whose estimates pick the layer join.
-    pub fn force_join_strategy(&self, forced: Option<JoinStrategy>) {
-        let v = match forced {
-            None => 0,
-            Some(JoinStrategy::LayerIndex) => 1,
-            Some(JoinStrategy::NaiveSelects) => 2,
-        };
-        self.forced_join.store(v, Ordering::Relaxed);
-    }
-
-    /// The strategy [`Spade::force_join_strategy`] pinned, if any.
-    pub(crate) fn forced_join_strategy(&self) -> Option<JoinStrategy> {
-        match self.forced_join.load(Ordering::Relaxed) {
-            1 => Some(JoinStrategy::LayerIndex),
-            2 => Some(JoinStrategy::NaiveSelects),
-            _ => None,
         }
     }
 

@@ -1,45 +1,33 @@
 //! Plan reports: what the optimizer decided, and why.
 //!
-//! The optimizer (§5.4) makes silent cost-based choices — 1-pass vs
-//! 2-pass Map by the result-size estimate `n_max`, layer-index vs naive
-//! join by estimated transfer bytes, boustrophedon cell-pair ordering.
-//! `EXPLAIN ANALYZE` needs those decisions *and* their inputs back out of
-//! a query execution, so estimated values can be printed next to actuals.
+//! The optimizer (§5.4) makes silent choices — 1-pass vs 2-pass Map by the
+//! result-size estimate `n_max`, boustrophedon cell-pair ordering — and the
+//! indexed join estimates the bytes its ordered walk moves. `EXPLAIN
+//! ANALYZE` needs those decisions *and* their inputs back out of a query
+//! execution, so estimated values can be printed next to actuals.
 //!
 //! The optimizer decides while the query runs, so the decisions are part of
 //! the record the query returns: [`QueryStats::plan`]. The code that makes
 //! each decision fills it in — the Map choices are tallied in the query's
 //! recording frame ([`spade_gpu::record`]) and moved into the plan when
 //! the measurement closes, the walks carry their views' delta merges, the
-//! indexed join builds its [`JoinDecision`] after the walk, and the result
+//! indexed join builds its [`JoinPlan`] after the walk, and the result
 //! cache stores a render's plan with its entry. This module only renders
 //! it; the service counts its tenants' decisions from the same field.
 
-use crate::optimizer::JoinStrategy;
 use crate::stats::QueryStats;
 pub use spade_gpu::record::MapDecisions;
 
-/// The out-of-core join strategy decision (§5.4): both estimates, the
-/// actuals of the walk that ran, and the hindsight verdict.
+/// The out-of-core join's plan (§5.3–5.4): the ordered walk over the
+/// filtered cell pairs and the bytes it is estimated to move.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct JoinDecision {
-    /// Strategy chosen (least estimated transfer volume; ties → layer).
-    pub strategy: JoinStrategy,
-    /// Estimated bytes moved by the layer-index strategy.
+pub struct JoinPlan {
+    /// Estimated bytes the layer-index walk moves to the device.
     pub layer_est_bytes: u64,
-    /// Estimated bytes moved by the naive per-object strategy.
-    pub naive_est_bytes: u64,
     /// Cell pairs that survived the filter stage.
     pub cell_pairs: u64,
     /// Residency changes in the boustrophedon-ordered load sequence.
     pub sequence_len: u64,
-    /// Bytes the residency walk actually moved to the device.
-    pub actual_bytes: u64,
-    /// Hindsight verdict: the chosen estimate was exceeded by the actual
-    /// bytes AND the alternative's estimate was below them.
-    pub mispredicted: bool,
-    /// The strategy hindsight says should have run (set iff mispredicted).
-    pub would_have_chosen: Option<JoinStrategy>,
 }
 
 /// Live-ingestion state one dataset contributed to a query: how much
@@ -94,8 +82,8 @@ pub struct CacheNote {
 pub struct PlanReport {
     /// Map implementation choices (None when the query ran no Map).
     pub map: Option<MapDecisions>,
-    /// Join strategy decision (None for non-join queries).
-    pub join: Option<JoinDecision>,
+    /// The join's walk (None for non-join queries).
+    pub join: Option<JoinPlan>,
     /// Per-dataset delta merges (empty when every input was compacted).
     pub deltas: Vec<DeltaInfo>,
     /// Result-cache provenance (None when no cached dispatcher ran).
@@ -109,10 +97,7 @@ pub fn render(stats: &QueryStats, analyze: bool) -> String {
     let actual = analyze.then_some(stats);
     let mut out = String::new();
     if let Some(j) = &plan.join {
-        out.push_str(&format!(
-            "  strategy: {:?} (est layer {} B vs naive {} B",
-            j.strategy, j.layer_est_bytes, j.naive_est_bytes
-        ));
+        out.push_str(&format!("  join: layer index (est {} B", j.layer_est_bytes));
         match actual {
             Some(s) => out.push_str(&format!("; actual to-device {} B)\n", s.bytes_to_device)),
             None => out.push_str(")\n"),
@@ -121,16 +106,6 @@ pub fn render(stats: &QueryStats, analyze: bool) -> String {
             "  cell pairs: {} ({} loads after boustrophedon ordering)\n",
             j.cell_pairs, j.sequence_len
         ));
-        if let Some(would) = j.would_have_chosen {
-            let est = match j.strategy {
-                JoinStrategy::LayerIndex => j.layer_est_bytes,
-                JoinStrategy::NaiveSelects => j.naive_est_bytes,
-            };
-            out.push_str(&format!(
-                "  mispredicted: est {} B, actual {} B, would-have-chosen {:?}\n",
-                est, j.actual_bytes, would
-            ));
-        }
     }
     if let Some(m) = &plan.map {
         out.push_str(&format!(
@@ -202,13 +177,10 @@ mod tests {
                 slots: 4096,
                 ..MapDecisions::default()
             }),
-            join: Some(JoinDecision {
-                strategy: JoinStrategy::LayerIndex,
+            join: Some(JoinPlan {
                 layer_est_bytes: 1234,
-                naive_est_bytes: 5678,
                 cell_pairs: 9,
                 sequence_len: 12,
-                ..JoinDecision::default()
             }),
             deltas: vec![DeltaInfo {
                 dataset: "live".into(),
@@ -243,36 +215,15 @@ mod tests {
         assert!(plain.contains("0x00000000deadbeef"));
         assert!(plain.contains("left g3s42"));
         assert!(plain.contains("tenant 9"));
-        assert!(plain.contains("LayerIndex"));
-        assert!(plain.contains("est layer 1234 B vs naive 5678 B"));
+        assert!(plain.contains("join: layer index (est 1234 B)"));
+        assert!(plain.contains("cell pairs: 9 (12 loads"));
         assert!(!plain.contains("actual"));
         let analyzed = render(&stats, true);
-        assert!(analyzed.contains("actual to-device 1300 B"));
+        assert!(analyzed.contains("join: layer index (est 1234 B; actual to-device 1300 B)"));
         assert!(analyzed.contains("actual results 987"));
         assert!(analyzed.contains("total="));
         assert!(analyzed.contains("delta[live]: generation 3"));
         assert!(analyzed.contains("17 staged + 2 tombstones"));
-    }
-
-    #[test]
-    fn render_prints_join_misprediction_verdict() {
-        let report = PlanReport {
-            join: Some(JoinDecision {
-                strategy: JoinStrategy::LayerIndex,
-                layer_est_bytes: 1_200,
-                naive_est_bytes: 5_000,
-                actual_bytes: 4_800,
-                mispredicted: true,
-                would_have_chosen: Some(JoinStrategy::NaiveSelects),
-                ..JoinDecision::default()
-            }),
-            ..PlanReport::default()
-        };
-        let s = render(&planned(report), false);
-        assert!(
-            s.contains("mispredicted: est 1200 B, actual 4800 B, would-have-chosen NaiveSelects"),
-            "missing verdict line in:\n{s}"
-        );
     }
 
     #[test]

@@ -5,18 +5,19 @@
 //! the constraint side holds mutually non-intersecting polygons, so one
 //! canvas (and one rendering pass per data side) processes the whole layer
 //! (§5.2). The filter phase joins the two grid indexes' bounding polygons
-//! to produce cell pairs; the optimizer then picks between the layer-index
-//! strategy and a naive loop of selects by estimated transfer bytes, and
-//! orders the loop to share resident cells (§5.3–5.4). The ordered walk
-//! itself is `PairWalk`, shared with every two-dataset class. Data in
-//! memory is its zero-cell case: one memory slot per side, one pair, no
-//! filter.
+//! to produce cell pairs; the optimizer orders them to share resident
+//! cells, and every pair refines with the layer-index join (§5.3–5.4). The
+//! paper's alternative, a naive loop of per-object selects, has no place
+//! here: the grid filters per cell, so the loop would walk the same pairs,
+//! move the same bytes and render more passes. The ordered walk itself is
+//! `PairWalk`, shared with every two-dataset class. Data in memory is its
+//! zero-cell case: one memory slot per side, one pair, no filter.
 
 use crate::ctx::QueryCtx;
 use crate::dataset::{Dataset, DatasetKind, PreparedPolygonSet, ReadView};
 use crate::engine::{Constraint, Spade};
-use crate::explain::{DeltaInfo, JoinDecision};
-use crate::optimizer::{self, JoinStrategy};
+use crate::explain::{DeltaInfo, JoinPlan};
+use crate::optimizer;
 use crate::prefetch::StreamStats;
 use crate::query::Source;
 use crate::select::{line_candidates, polygon_candidates, CandidateGeom};
@@ -248,7 +249,7 @@ impl Resident {
     pub(crate) fn points(&self) -> &[(u32, Point)] {
         match self {
             Resident::Points(pts) => pts,
-            _ => unimplemented!("a distance or kNN join needs point data"),
+            _ => unreachable!("the distance and kNN executors require point data"),
         }
     }
 
@@ -280,24 +281,8 @@ pub(crate) fn join_cells_layered(spade: &Spade, left: &Resident, right: &Residen
         }
         (Resident::Polys(polys), probes) => by_layer(polys, probes),
         (probes, Resident::Polys(polys)) => flip(by_layer(polys, probes)),
-        _ => unimplemented!("a join needs a polygon side"),
+        _ => unreachable!("the join and aggregation executors require a polygon side"),
     }
-}
-
-/// Refine one cell pair with the naive strategy: one selection per left
-/// polygon (§5.3 strategy 2).
-fn join_cells_naive(spade: &Spade, left: &Resident, right: &Resident) -> Pairs {
-    let Resident::Polys(polys) = left else {
-        // The naive loop needs polygonal constraints; fall back.
-        return join_cells_layered(spade, left, right);
-    };
-    let mut pairs = Vec::new();
-    for poly in &polys.set.polygons {
-        let constraint = Constraint::from_polygons(spade, std::slice::from_ref(poly));
-        let probed = right.probe(spade, &constraint);
-        pairs.extend(probed.into_iter().map(|(_, pid)| (poly.id, pid)));
-    }
-    pairs
 }
 
 /// The filter phase of the intersection families (§5.3): a Polygon ⋈
@@ -384,8 +369,8 @@ impl<'a> PairWalk<'a> {
             }
             None => filter((&view1, 0..end1), (&view2, 0..end2)),
         };
-        // Ordering before estimating lets a strategy estimate walk the
-        // very slice the executor will, so the two cannot drift.
+        // The join's byte estimate walks this very slice, the one the
+        // executor runs, so the two cannot drift.
         optimizer::order_cell_pairs(&mut cell_pairs);
         let mut sequence = Vec::new();
         let mut resident = [None, None];
@@ -480,60 +465,34 @@ struct Held {
     form: Arc<Resident>,
 }
 
-/// Spatial (intersection) join (§5.3): a `PairWalk` whose pairs of two
-/// grid cells refine with the strategy the optimizer picks by transfer
-/// estimate (§5.4), every other pair with the layer join, and whose pairs
-/// fold by extension.
+/// Spatial (intersection) join (§5.3): a `PairWalk` whose pairs refine
+/// with the layer-index join and fold by extension.
 pub fn join_indexed<'a>(
     spade: &Spade,
     d1: impl Into<Source<'a>>,
     d2: impl Into<Source<'a>>,
     ctx: &QueryCtx,
 ) -> spade_storage::Result<QueryOutput<Pairs>> {
+    let (d1, d2) = (d1.into(), d2.into());
+    if d1.describe().1 != DatasetKind::Polygons {
+        d2.require(
+            DatasetKind::Polygons,
+            "an intersection join without a polygon side",
+        )?;
+    }
     let mut qspan = crate::trace::span("query.join");
     let measure = spade.begin();
-    let walk = PairWalk::plan(d1.into(), d2.into(), ctx, |left, right| {
-        hull_pairs(spade, left, right)
-    })?;
-    let cell_pairs = &walk.cell_pairs;
-    // Without grid cells on both sides there is no pair of two cells to
-    // choose a strategy for: the join reports no decision.
-    let decides = walk.view1.grid.num_cells() > 0 && walk.view2.grid.num_cells() > 0;
-
-    // Optimizer: strategy choice by transfer estimate (§5.4). The naive
-    // strategy's per-object filtering is approximated at cell granularity
-    // for the estimate; its execution below is per cell pair as well, so
-    // the estimates compare the *order* benefit.
-    // Per slot, a memory slot's included: the estimates index the pairs
-    // the walk will run.
+    let walk = PairWalk::plan(d1, d2, ctx, |left, right| hull_pairs(spade, left, right))?;
+    // The walk's byte estimate (§5.4), for EXPLAIN: per slot, a memory
+    // slot's included, so it indexes the pairs the walk will run.
     let bytes = |v: &ReadView<'_>| Vec::from_iter(v.slots(true).map(|s| v.cell_bytes(s as usize)));
     let (left_bytes, right_bytes) = (bytes(&walk.view1), bytes(&walk.view2));
-    let layer_est = optimizer::estimate_layer_bytes_ordered(cell_pairs, &left_bytes, &right_bytes);
-    let per_object: Vec<Vec<u32>> = {
-        let mut m = std::collections::BTreeMap::<u32, Vec<u32>>::new();
-        for (l, r) in cell_pairs {
-            m.entry(*l).or_default().push(*r);
-        }
-        m.into_values().collect()
-    };
-    // The naive probes read only left cells that matched a pair — an
-    // unmatched cell yields no probe objects and costs no transfer.
-    let naive_est = optimizer::estimate_naive_bytes(&per_object, &right_bytes)
-        + optimizer::estimate_probe_bytes(cell_pairs, &left_bytes);
-    let strategy = spade
-        .forced_join_strategy()
-        .unwrap_or_else(|| optimizer::choose_join_strategy(layer_est, naive_est));
+    let layer_est =
+        optimizer::estimate_layer_bytes_ordered(&walk.cell_pairs, &left_bytes, &right_bytes);
 
-    // The strategy applies to the pairs of two cells; a pair with a
-    // memory slot on either side always takes the layer join.
     let mut pairs = Vec::new();
-    let stream = walk.run(spade, ctx, |left, right, cells| {
-        pairs.extend(match (strategy, cells) {
-            (JoinStrategy::NaiveSelects, (Some(_), Some(_))) => {
-                join_cells_naive(spade, left, right)
-            }
-            _ => join_cells_layered(spade, left, right),
-        });
+    let stream = walk.run(spade, ctx, |left, right, _| {
+        pairs.extend(join_cells_layered(spade, left, right));
     })?;
     pairs.sort_unstable();
     pairs.dedup();
@@ -542,25 +501,13 @@ pub fn join_indexed<'a>(
     qspan.attr("cells", stream.cells);
     qspan.attr("pairs", n);
     let mut stats = measure.finish(spade, &stream, &walk.deltas, n);
-    // The hindsight verdict for EXPLAIN ANALYZE: the decision mispredicts
-    // when the walk moved more bytes than the chosen estimate while the
-    // alternative's estimate was below the actuals. The walk's residency
-    // charges are the join's only transfers.
-    let actual_bytes = stats.bytes_to_device;
-    let (est_chosen, other_est, other) = match strategy {
-        JoinStrategy::LayerIndex => (layer_est, naive_est, JoinStrategy::NaiveSelects),
-        JoinStrategy::NaiveSelects => (naive_est, layer_est, JoinStrategy::LayerIndex),
-    };
-    let mispredicted = actual_bytes > est_chosen && other_est < actual_bytes;
-    stats.plan.join = decides.then_some(JoinDecision {
-        strategy,
+    // Without grid cells on both sides there is no out-of-core walk to
+    // plan: the join reports none.
+    let planned = walk.view1.grid.num_cells() > 0 && walk.view2.grid.num_cells() > 0;
+    stats.plan.join = planned.then_some(JoinPlan {
         layer_est_bytes: layer_est,
-        naive_est_bytes: naive_est,
-        cell_pairs: cell_pairs.len() as u64,
+        cell_pairs: walk.cell_pairs.len() as u64,
         sequence_len: walk.sequence.len() as u64,
-        actual_bytes,
-        mispredicted,
-        would_have_chosen: mispredicted.then_some(other),
     });
     Ok(QueryOutput {
         result: pairs,
@@ -921,12 +868,10 @@ mod tests {
     /// A small-canvas engine whose cell cache keeps every prepared cell of
     /// the grids below.
     fn roomy() -> Spade {
-        let s = Spade::new(EngineConfig {
+        Spade::new(EngineConfig {
             device_memory: 64 << 20,
             ..EngineConfig::test_small()
-        });
-        s.force_join_strategy(Some(JoinStrategy::LayerIndex));
-        s
+        })
     }
 
     /// Every cell cache holds at most its budget, prepared forms included.

@@ -16,7 +16,7 @@
 //! walk (`join::PairWalk`).
 
 use crate::ctx::QueryCtx;
-use crate::dataset::ReadView;
+use crate::dataset::{DatasetKind, ReadView};
 use crate::distance::{build_distance_constraint, hulls_within, DistanceConstraint, ResidentDisks};
 use crate::engine::{Constraint, Spade};
 use crate::join::PairWalk;
@@ -164,10 +164,12 @@ pub fn knn_select_indexed<'a>(
     k: usize,
     ctx: &QueryCtx,
 ) -> spade_storage::Result<QueryOutput<Vec<(u32, f64)>>> {
+    let data = data.into();
+    data.require(DatasetKind::Points, "a kNN selection")?;
     let mut qspan = crate::trace::span("query.knn");
     qspan.attr("k", k as u64);
     let measure = spade.begin();
-    let walk = CellWalk::plan(data.into(), ctx)?;
+    let walk = CellWalk::plan(data, ctx)?;
     let mut stream = StreamStats::default();
     let mut result = Vec::new();
     if k > 0 {
@@ -252,10 +254,13 @@ pub fn knn_join_indexed<'a>(
     k: usize,
     ctx: &QueryCtx,
 ) -> spade_storage::Result<QueryOutput<Vec<(u32, u32, f64)>>> {
+    let (d1, d2) = (d1.into(), d2.into());
+    d1.require(DatasetKind::Points, "a kNN join")?;
+    d2.require(DatasetKind::Points, "a kNN join")?;
     let mut qspan = crate::trace::span("query.knn_join");
     qspan.attr("k", k as u64);
     let measure = spade.begin();
-    let walk = PairWalk::plan(d1.into(), d2.into(), ctx, |(v1, lefts), (v2, rights)| {
+    let walk = PairWalk::plan(d1, d2, ctx, |(v1, lefts), (v2, rights)| {
         hulls_within(spade, (v1, lefts), (v2, rights), |l| {
             count_bound(v2, v2.slots(true), &v1.hull(l).exterior.points, k)
         })

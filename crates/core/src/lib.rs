@@ -21,7 +21,7 @@
 //! * [`select`] — spatial selection (§5.2, Fig. 4): the fused
 //!   blend + mask + map pass over point/line/polygon data.
 //! * [`join`] — spatial joins as collections of selections driven by the
-//!   layer index, over the cell-pair walk with both strategies (§5.3).
+//!   layer index, over the cell-pair walk (§5.3).
 //! * [`distance`] — distance-based selections and the two distance-join
 //!   types (§5.2), with on-the-fly layer construction.
 //! * [`aggregate`] — spatial aggregation: the layered join's pairs folded
@@ -29,8 +29,8 @@
 //! * [`knn`] — kNN selection and join via log-spaced circle aggregation
 //!   (§5.2).
 //! * [`optimizer`] — the query optimizer (§5.4): Map implementation
-//!   choice, out-of-core join strategy choice by estimated transfer bytes,
-//!   and join-order selection that shares cell loads.
+//!   choice, and join-order selection that shares cell loads with the
+//!   bytes the ordered walk moves.
 //! * [`prefetch`] — the pipelined out-of-core executor: a bounded
 //!   background prefetcher that reads and decodes upcoming grid cells
 //!   (through each data set's LRU cell cache) while the current cell

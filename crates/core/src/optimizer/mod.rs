@@ -1,22 +1,25 @@
 //! The query optimizer (§5.4).
 //!
-//! Three decisions, exactly the ones the paper's QO makes:
+//! Two of the paper's QO decisions:
 //!
 //! 1. **Map implementation** — 1-pass when the result-size estimate
 //!    (`n_max`) fits the maximum list-canvas allocation, 2-pass otherwise;
 //!    estimates follow §5.4 (selection: `|D|`; point join: `n` points per
 //!    layer; polygon join: `m·n` per layer).
-//! 2. **Out-of-core join strategy** — layer-index join vs. a naive loop of
-//!    selects, chosen by the estimated bytes transferred to the device
-//!    ("the join strategy that requires the least memory transfer is then
-//!    selected").
-//! 3. **Join operation order** — consecutive selects should share at least
-//!    one resident grid cell, so cell loads carry over between iterations.
+//! 2. **Join operation order** — consecutive selects should share at least
+//!    one resident grid cell, so cell loads carry over between iterations;
+//!    [`estimate_layer_bytes_ordered`] is the bytes the ordered walk moves.
 //!
-//! All three are static rules over the query's own inputs: no decision
-//! reads what the engine ran before, so a plan — and its `EXPLAIN` — is a
-//! function of the query alone. A wrong call is never a wrong answer: both
-//! Map implementations and both join strategies compute the same result.
+//! The paper's third, layer-index join vs. a naive loop of per-object
+//! selects by estimated transfer bytes, has one answer here: the grid
+//! filters per cell, so the loop would walk the layer join's own pairs and
+//! its estimate equals the layer join's term for term. Every join runs the
+//! layer index (DESIGN.md §2).
+//!
+//! Both rules are static, over the query's own inputs: no decision reads
+//! what the engine ran before, so a plan — and its `EXPLAIN` — is a
+//! function of the query alone. A wrong Map call is never a wrong answer:
+//! both implementations compute the same result.
 
 use crate::engine::Spade;
 use spade_canvas::algebra::{self, MapResult};
@@ -71,26 +74,6 @@ pub fn run_map(
     r
 }
 
-/// The two out-of-core join strategies of §5.3.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum JoinStrategy {
-    /// Layer-index join over filtered cell pairs (the choice on a tie).
-    #[default]
-    LayerIndex,
-    /// A loop of per-object selections.
-    NaiveSelects,
-}
-
-/// Choose the join strategy by estimated transfer volume (§5.4 "Choose the
-/// join implementation").
-pub fn choose_join_strategy(layer_bytes: u64, naive_bytes: u64) -> JoinStrategy {
-    if naive_bytes < layer_bytes {
-        JoinStrategy::NaiveSelects
-    } else {
-        JoinStrategy::LayerIndex
-    }
-}
-
 /// Order cell pairs so consecutive iterations share a resident cell: sort
 /// lexicographically, with every odd left-group's right-cells reversed
 /// (boustrophedon), so both the left cell carries over within a group and
@@ -113,7 +96,7 @@ pub fn order_cell_pairs(pairs: &mut [(u32, u32)]) {
     }
 }
 
-/// Estimated bytes transferred by the layer-index strategy over pairs
+/// Estimated bytes transferred by the layer-index walk over pairs
 /// ALREADY in execution order: a walk of the exact residency rule the
 /// executor's sequence uses (a resident cell is not re-transferred), so
 /// the estimate equals the bytes the walk will actually request. Call
@@ -139,35 +122,6 @@ pub fn estimate_layer_bytes_ordered(
         }
     }
     total
-}
-
-/// Estimated bytes transferred by the naive strategy: for each probe
-/// object, the blocks of every cell its filter matched (no sharing across
-/// probes beyond consecutive duplicates).
-pub fn estimate_naive_bytes(per_object_cells: &[Vec<u32>], cell_bytes: &[u64]) -> u64 {
-    let mut total = 0u64;
-    let mut resident = None;
-    for cells in per_object_cells {
-        for &c in cells {
-            if resident != Some(c) {
-                total += cell_bytes[c as usize];
-                resident = Some(c);
-            }
-        }
-    }
-    total
-}
-
-/// Bytes of the probe-side (left) cells the naive strategy reads to
-/// enumerate its probe objects: only the cells that appear in a candidate
-/// pair. A left cell whose filter matched nothing contributes no probes —
-/// charging the whole left grid (the old formula) overcharges the naive
-/// strategy on selective joins.
-pub fn estimate_probe_bytes(pairs: &[(u32, u32)], left_bytes: &[u64]) -> u64 {
-    let mut matched: Vec<u32> = pairs.iter().map(|&(l, _)| l).collect();
-    matched.sort_unstable();
-    matched.dedup();
-    matched.into_iter().map(|l| left_bytes[l as usize]).sum()
 }
 
 #[cfg(test)]
@@ -242,14 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn join_strategy_prefers_fewer_bytes() {
-        assert_eq!(choose_join_strategy(100, 200), JoinStrategy::LayerIndex);
-        assert_eq!(choose_join_strategy(300, 200), JoinStrategy::NaiveSelects);
-        // Ties go to the layer index (fewer rendering passes).
-        assert_eq!(choose_join_strategy(200, 200), JoinStrategy::LayerIndex);
-    }
-
-    #[test]
     fn cell_pair_ordering_shares_loads() {
         // A dense pair grid: the boustrophedon order shares a cell between
         // every consecutive pair.
@@ -302,50 +248,6 @@ mod tests {
         assert_eq!(
             estimate_layer_bytes_ordered(&pairs, &left, &right),
             estimate_layer_bytes_ordered(&copy, &left, &right)
-        );
-    }
-
-    #[test]
-    fn naive_estimate_sums_per_object() {
-        let cells = vec![vec![0, 1], vec![1, 2], vec![2]];
-        let bytes = vec![5, 7, 11];
-        // 5+7 (obj0) + 7 is resident? resident=1 after obj0 → obj1 loads
-        // nothing for 1, then 11; obj2: 2 already resident.
-        assert_eq!(estimate_naive_bytes(&cells, &bytes), 5 + 7 + 11);
-    }
-
-    #[test]
-    fn probe_bytes_count_only_matched_left_cells() {
-        let pairs = vec![(0, 2), (1, 2), (1, 5), (2, 5)];
-        let left_bytes = vec![25u64; 20]; // 20 left cells, only 3 matched
-        assert_eq!(estimate_probe_bytes(&pairs, &left_bytes), 75);
-        assert_eq!(estimate_probe_bytes(&[], &left_bytes), 0);
-    }
-
-    #[test]
-    fn probe_bytes_fix_flips_join_decision() {
-        // Regression for the naive_est overcharge: a selective join over a
-        // mostly-unmatched left grid. The old formula charged the naive
-        // strategy every left cell and picked LayerIndex; charging only
-        // the matched probe cells flips the decision to NaiveSelects.
-        let pairs = vec![(0, 2), (1, 2), (1, 5), (2, 5)];
-        let left_bytes = vec![25u64; 20];
-        let mut right_bytes = vec![0u64; 6];
-        right_bytes[2] = 100;
-        right_bytes[5] = 100;
-        let mut ordered = pairs.clone();
-        order_cell_pairs(&mut ordered);
-        let layer = estimate_layer_bytes_ordered(&ordered, &left_bytes, &right_bytes);
-        // The boustrophedon walk re-loads right cell 2: (0,2),(1,5),(1,2),(2,5).
-        assert_eq!(layer, 25 + 100 + 25 + 100 + 100 + 25 + 100);
-        let per_object = vec![vec![2], vec![2, 5], vec![5]];
-        let scan = estimate_naive_bytes(&per_object, &right_bytes);
-        let fixed = scan + estimate_probe_bytes(&pairs, &left_bytes);
-        let buggy = scan + left_bytes.iter().sum::<u64>();
-        assert_eq!(choose_join_strategy(layer, buggy), JoinStrategy::LayerIndex);
-        assert_eq!(
-            choose_join_strategy(layer, fixed),
-            JoinStrategy::NaiveSelects
         );
     }
 }

@@ -137,9 +137,11 @@ impl<'a> Source<'a> {
         InputVersion { token, version }
     }
 
-    /// The (query class × kind) check: the point-only kernels reach
-    /// [`Dataset::as_points`], which panics on anything else.
-    fn require(self, kind: DatasetKind, class: &str) -> spade_storage::Result<()> {
+    /// The (query class × kind) check each executor makes before it
+    /// plans: the point-only kernels reach [`Dataset::as_points`], which
+    /// panics on anything else, and a join refines only against a polygon
+    /// side.
+    pub(crate) fn require(self, kind: DatasetKind, class: &str) -> spade_storage::Result<()> {
         match self.describe() {
             (_, held, _) if held == kind => Ok(()),
             (name, held, _) => Err(StorageError::Unsupported(format!(
@@ -161,9 +163,6 @@ pub fn run_select_ctx<'a>(
     ctx: &QueryCtx,
 ) -> spade_storage::Result<QueryOutput<QueryResult>> {
     let d = data.into();
-    if matches!(q, SelectQuery::WithinDistance(..) | SelectQuery::Knn(..)) {
-        d.require(DatasetKind::Points, "a distance or kNN selection")?;
-    }
     serve(
         spade,
         ctx,
@@ -197,7 +196,7 @@ pub fn run_select_ctx<'a>(
 
 /// Execute a join query under a [`QueryCtx`], each side from any
 /// [`Source`]. Every class is one executor over the cell-pair walk
-/// ([`crate::join`]'s `PairWalk`) — the optimizer-driven join, the
+/// ([`crate::join`]'s `PairWalk`) — the layer-index join, the
 /// aggregation, the distance join and the kNN join — each over the
 /// scope's explicit cell pairs when it names some.
 pub fn run_join_ctx<'a>(
@@ -208,24 +207,6 @@ pub fn run_join_ctx<'a>(
     ctx: &QueryCtx,
 ) -> spade_storage::Result<QueryOutput<QueryResult>> {
     let (l, r) = (left.into(), right.into());
-    match q {
-        JoinQuery::Intersects => {
-            if l.describe().1 != DatasetKind::Polygons {
-                r.require(
-                    DatasetKind::Polygons,
-                    "an intersection join without a polygon side",
-                )?;
-            }
-        }
-        JoinQuery::WithinDistance(_) | JoinQuery::Knn(_) => {
-            l.require(DatasetKind::Points, "a distance or kNN join")?;
-            r.require(DatasetKind::Points, "a distance or kNN join")?;
-        }
-        JoinQuery::CountPoints => {
-            l.require(DatasetKind::Polygons, "the counted side of an aggregation")?;
-            r.require(DatasetKind::Points, "the counting side of an aggregation")?;
-        }
-    }
     serve(
         spade,
         ctx,
@@ -503,32 +484,17 @@ mod tests {
                 } else {
                     0
                 };
-                let naive = matches!(
-                    stats.plan.join.as_ref().map(|d| d.strategy),
-                    Some(crate::optimizer::JoinStrategy::NaiveSelects)
-                );
-                let layered = |&(l, r): &(u32, u32)| {
-                    !naive || v1.cell_id(l).is_none() || v2.cell_id(r).is_none()
-                };
-                // Per pair: one probe per layer (the aggregation's count
-                // folds the same probe's pairs); a naive pair one canvas
-                // and one probe per left polygon.
-                let mut passes = filter;
                 // Per left entry (a run of pairs sharing a left slot) whose
-                // form the run does not find made: its layer index, and its
-                // layer canvases once it refines a layered pair.
+                // form the run does not find made: its layer index and its
+                // layer canvases. Per pair: one probe per layer (the
+                // aggregation's count folds the same probe's pairs).
+                let mut passes = filter;
                 for entry in pairs.chunk_by(|a, b| a.0 == b.0) {
                     let l = entry[0].0;
                     if !warm.contains(&l) {
-                        let canvases = entry.iter().any(layered);
-                        passes += layers(l) * if canvases { 3 } else { 1 };
+                        passes += 3 * layers(l);
                     }
-                    for pair in entry {
-                        passes += match layered(pair) {
-                            true => layers(l),
-                            false => 3 * load(v1, l).len() as u64,
-                        };
-                    }
+                    passes += entry.len() as u64 * layers(l);
                 }
                 Some(passes)
             }
@@ -581,7 +547,7 @@ mod tests {
     /// (d) a pre-cancelled token yields `Cancelled` from every family on
     ///     every source, with the device ledger at zero,
     /// (e) every run carries its decisions in `stats.plan`: the Map
-    ///     choices of each class that runs a Map, the join strategy of a
+    ///     choices of each class that runs a Map, the join plan of a
     ///     walk with grid cells on both sides, and one delta merge per
     ///     dataset with staged writes,
     /// (f) an in-memory join holds both memory slots on the device at once.
@@ -760,6 +726,59 @@ mod tests {
         assert!(refused(run_join_ctx(&s, &ipts, &ipts, &count, &ctx)));
         assert!(refused(run_join_ctx(&s, &pts, &pts, &join, &ctx)));
         assert!(refused(run_join_ctx(&s, &ipts, &pts, &join, &ctx)));
+    }
+
+    /// The executors make the same (class × kind) check themselves: a
+    /// library call that bypasses the dispatcher gets the same
+    /// `Unsupported`, not a panic in a kernel, over either source.
+    #[test]
+    fn executors_refuse_wrong_kinds() {
+        use crate::{aggregate, distance, join, knn};
+        let s = engine();
+        let (pts, polys) = (grid_points(), tiles());
+        let (ipts, ipolys) = (indexed(&pts, 3.0), indexed(&polys, 5.0));
+        let ctx = QueryCtx::default();
+        let refused = |r: Result<(), StorageError>| matches!(r, Err(StorageError::Unsupported(_)));
+        let near = DistanceConstraint::Point(Point::new(4.0, 4.0));
+        for (p, q) in [
+            (Source::from(&pts), Source::from(&polys)),
+            ((&ipts).into(), (&ipolys).into()),
+        ] {
+            let cases: [(&str, Result<(), StorageError>); 7] = [
+                (
+                    "join(points, points)",
+                    join::join_indexed(&s, p, p, &ctx).map(drop),
+                ),
+                (
+                    "aggregate(points, points)",
+                    aggregate::aggregate_indexed(&s, p, p, &ctx).map(drop),
+                ),
+                (
+                    "aggregate(polys, polys)",
+                    aggregate::aggregate_indexed(&s, q, q, &ctx).map(drop),
+                ),
+                (
+                    "distance_join(polys, polys)",
+                    distance::distance_join_indexed(&s, q, q, 1.0, &ctx).map(drop),
+                ),
+                (
+                    "knn_join(polys, polys)",
+                    knn::knn_join_indexed(&s, q, q, 2, &ctx).map(drop),
+                ),
+                (
+                    "distance_select(polys)",
+                    distance::distance_select_indexed(&s, q, &near, 2.5, &ctx).map(drop),
+                ),
+                (
+                    "knn_select(polys)",
+                    knn::knn_select_indexed(&s, q, Point::new(2.0, 7.0), 3, &ctx).map(drop),
+                ),
+            ];
+            for (case, r) in cases {
+                assert!(refused(r), "{case}");
+            }
+        }
+        assert_eq!(s.device.used(), 0);
     }
 
     /// Scoped execution must partition exactly: a 3-way split of the

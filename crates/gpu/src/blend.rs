@@ -25,8 +25,6 @@ pub enum BlendMode {
     /// Per-channel maximum. The layer-index construction blends with "keep
     /// the object with the higher identifier" (§5.5 Pass 1).
     Max,
-    /// Per-channel minimum over non-null values.
-    Min,
 }
 
 impl BlendMode {
@@ -48,18 +46,6 @@ impl BlendMode {
                 dst[2].max(src[2]),
                 dst[3].max(src[3]),
             ],
-            BlendMode::Min => {
-                if dst == NULL_PIXEL {
-                    src
-                } else {
-                    [
-                        dst[0].min(src[0]),
-                        dst[1].min(src[1]),
-                        dst[2].min(src[2]),
-                        dst[3].min(src[3]),
-                    ]
-                }
-            }
         }
     }
 
@@ -78,7 +64,6 @@ impl BlendMode {
                 scatter(dst, y0, width, fb, |d, s| BlendMode::KeepFirst.apply(d, s))
             }
             BlendMode::Max => scatter(dst, y0, width, fb, |d, s| BlendMode::Max.apply(d, s)),
-            BlendMode::Min => scatter(dst, y0, width, fb, |d, s| BlendMode::Min.apply(d, s)),
         }
     }
 }
@@ -132,13 +117,6 @@ mod tests {
             BlendMode::Max.apply([5, 1, 9, 0], [3, 7, 2, 1]),
             [5, 7, 9, 1]
         );
-        assert_eq!(
-            BlendMode::Min.apply([5, 1, 9, 4], [3, 7, 2, 1]),
-            [3, 1, 2, 1]
-        );
-        // Min over a null destination takes the source (null is "no data",
-        // not the value zero).
-        assert_eq!(BlendMode::Min.apply(NULL_PIXEL, [3, 7, 2, 1]), [3, 7, 2, 1]);
     }
 
     #[test]
@@ -148,12 +126,7 @@ mod tests {
         assert_eq!(BlendMode::Max.apply(a, b), BlendMode::Max.apply(b, a));
     }
 
-    const MODES: [BlendMode; 4] = [
-        BlendMode::Replace,
-        BlendMode::KeepFirst,
-        BlendMode::Max,
-        BlendMode::Min,
-    ];
+    const MODES: [BlendMode; 3] = [BlendMode::Replace, BlendMode::KeepFirst, BlendMode::Max];
 
     /// u32 edge cases: zero (every channel zero is `NULL_PIXEL`, the "no
     /// data" sentinel), small values, values near the top of the range,

@@ -18,7 +18,7 @@
 //! * **Framebuffer objects** — rendering targets off-screen textures with
 //!   four 32-bit channels per pixel `[r, g, b, a]`, the representation the
 //!   discrete canvas maps its `(v0, v1, v2, vb)` tuples onto (§4.1).
-//! * **Blending** — fixed-function blends (replace, keep-first, max, min)
+//! * **Blending** — fixed-function blends (replace, keep-first, max)
 //!   plus programmable blending in the fragment shader.
 //! * **Parallel scan** — result extraction uses a prefix-scan compaction,
 //!   standing in for the CUDA scan of Harris et al. that the paper cites.

@@ -561,12 +561,7 @@ mod tests {
         let vp = Viewport::new(BBox::new(Point::ZERO, Point::new(10.0, 10.0)), 64, 64);
         let prims = scattered_triangles(40);
         let per_fragment = FnFragment(|f: &Fragment, _: &ShaderContext<'_>| Some(f.attrs));
-        for blend in [
-            BlendMode::Replace,
-            BlendMode::KeepFirst,
-            BlendMode::Max,
-            BlendMode::Min,
-        ] {
+        for blend in [BlendMode::Replace, BlendMode::KeepFirst, BlendMode::Max] {
             for workers in [1, 2, 8] {
                 let pl = Pipeline::with_workers(workers);
                 let blocks = DrawCall::simple(vp, blend, false);

@@ -18,7 +18,6 @@
 //! is unchanged.
 
 use crate::request::ServiceError;
-use spade_core::optimizer::JoinStrategy;
 use spade_core::QueryStats;
 use spade_gpu::DeviceMemory;
 use spade_storage::Database;
@@ -50,12 +49,7 @@ pub struct NamespaceConfig {
 /// The optimizer decisions a tenant's counters distinguish, as their
 /// `decision="…"` label values; [`TenantStats::decisions`] and
 /// [`TenantStats::mispredictions`] are indexed alike.
-pub const DECISIONS: [&str; 4] = [
-    "map_one_pass",
-    "map_two_pass",
-    "join_layer_index",
-    "join_naive_selects",
-];
+pub const DECISIONS: [&str; 2] = ["map_one_pass", "map_two_pass"];
 
 /// Per-tenant admission, outcome and optimizer counters, rendered with a
 /// `tenant="…"` label by [`crate::QueryService::metrics_text`].
@@ -73,10 +67,10 @@ pub struct TenantStats {
     /// because the tenant was at its quota (other tenants proceeded).
     pub quota_deferrals: AtomicU64,
     /// Optimizer decisions this tenant's queries made, by [`DECISIONS`].
-    pub decisions: [AtomicU64; 4],
+    pub decisions: [AtomicU64; 2],
     /// Those decisions hindsight proved wrong: 2-pass Maps whose result
-    /// fit the 1-pass canvas, join strategies the actuals overturned.
-    pub mispredictions: [AtomicU64; 4],
+    /// fit the 1-pass canvas.
+    pub mispredictions: [AtomicU64; 2],
 }
 
 impl TenantStats {
@@ -88,22 +82,10 @@ impl TenantStats {
         if stats.result_cache.served_from_cache() {
             return;
         }
-        let plan = &stats.plan;
-        let add = |counters: &[AtomicU64; 4], i: usize, n: u64| {
-            counters[i].fetch_add(n, Ordering::Relaxed);
-        };
-        if let Some(m) = &plan.map {
-            add(&self.decisions, 0, m.one_pass);
-            add(&self.decisions, 1, m.two_pass);
-            add(&self.mispredictions, 1, m.overshoots);
-        }
-        if let Some(j) = &plan.join {
-            let i = match j.strategy {
-                JoinStrategy::LayerIndex => 2,
-                JoinStrategy::NaiveSelects => 3,
-            };
-            add(&self.decisions, i, 1);
-            add(&self.mispredictions, i, j.mispredicted as u64);
+        if let Some(m) = &stats.plan.map {
+            self.decisions[0].fetch_add(m.one_pass, Ordering::Relaxed);
+            self.decisions[1].fetch_add(m.two_pass, Ordering::Relaxed);
+            self.mispredictions[1].fetch_add(m.overshoots, Ordering::Relaxed);
         }
     }
 }

@@ -627,11 +627,11 @@ impl QueryService {
         }
         // Per-tenant optimizer decision and misprediction counters, one
         // sample per decision label, counted from each completed job's plan.
-        type TenantDecisions = fn(&TenantStats) -> &[AtomicU64; 4];
+        type TenantDecisions = fn(&TenantStats) -> &[AtomicU64; 2];
         #[rustfmt::skip]
         let optimizer: [(&str, &str, TenantDecisions); 2] = [
-            ("spade_optimizer_decisions_total", "Optimizer decisions (Map implementation, join strategy) on this tenant's datasets.", |s| &s.decisions),
-            ("spade_optimizer_mispredictions_total", "Optimizer decisions hindsight proved wrong (2-pass overshoots, join strategy flips).", |s| &s.mispredictions),
+            ("spade_optimizer_decisions_total", "Optimizer decisions (Map implementation) on this tenant's datasets.", |s| &s.decisions),
+            ("spade_optimizer_mispredictions_total", "Optimizer decisions hindsight proved wrong (2-pass overshoots).", |s| &s.mispredictions),
         ];
         for (name, help, counts) in optimizer {
             for (i, ns) in tenants.iter().enumerate() {

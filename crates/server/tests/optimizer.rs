@@ -103,12 +103,7 @@ fn optimizer_counters_exported_per_tenant_and_isolated() {
     );
     // The idle tenant's counters stay zero for every decision label —
     // decisions are counted per tenant, not engine-global.
-    for d in [
-        "map_one_pass",
-        "map_two_pass",
-        "join_layer_index",
-        "join_naive_selects",
-    ] {
+    for d in ["map_one_pass", "map_two_pass"] {
         let v = sample(
             &metrics,
             "spade_optimizer_decisions_total",

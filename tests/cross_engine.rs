@@ -350,5 +350,5 @@ fn aggregation_agrees() {
     let d_pts = Arc::new(Dataset::from_points("p", pts));
     let ctx = QueryCtx::default();
     let a = spade::engine::aggregate::aggregate_indexed(&spade, &d_par, &d_pts, &ctx);
-    assert_eq!(a.unwrap().result, truth, "point-optimized plan");
+    assert_eq!(a.unwrap().result, truth, "the join with a count fold");
 }

@@ -9,7 +9,6 @@
 use spade::datagen::{spider, urban};
 use spade::engine::dataset::{Dataset, DatasetKind, IndexedDataset};
 use spade::engine::distance::DistanceConstraint;
-use spade::engine::optimizer::JoinStrategy;
 use spade::engine::{
     aggregate, distance, explain, join, knn, select, EngineConfig, QueryCtx, Spade,
 };
@@ -192,15 +191,11 @@ fn all_query_families_byte_identical_across_worker_counts() {
     }
 }
 
-/// The join strategy must be invisible in result bytes: an engine pinned
-/// to the layer-index join, one pinned to the naive selects, and one whose
-/// static byte rule decides run three rounds of all five query families
-/// at a small 1-pass budget, byte-identically — the optimizer may only
-/// re-route work, never change answers. And a plan depends on the query
-/// alone: an engine that ran both strategies before plans its next join
-/// exactly as a fresh engine does.
+/// A plan depends on the query alone: an engine that has run three
+/// rounds of all five query families at a small 1-pass budget, and joins
+/// among them, plans its next join exactly as a fresh engine does.
 #[test]
-fn forced_and_static_join_strategies_byte_identical() {
+fn join_plan_is_independent_of_engine_history() {
     let f = Fixture::build();
     let engine = || {
         Spade::new(EngineConfig {
@@ -209,35 +204,20 @@ fn forced_and_static_join_strategies_byte_identical() {
             ..EngineConfig::test_small()
         })
     };
-    let (layer, naive, free) = (engine(), engine(), engine());
-    layer.force_join_strategy(Some(JoinStrategy::LayerIndex));
-    naive.force_join_strategy(Some(JoinStrategy::NaiveSelects));
     let join = |spade: &Spade| {
         join::join_indexed(spade, &f.parcels_idx, &f.pts_idx, &QueryCtx::default()).unwrap()
     };
-    for round in 0..3 {
-        let want = run_suite(&layer, &f);
-        assert_eq!(run_suite(&naive, &f), want, "naive join at round {round}");
-        assert_eq!(run_suite(&free, &f), want, "static join at round {round}");
+    let busy = engine();
+    for _ in 0..3 {
+        run_suite(&busy, &f);
+        join(&busy);
     }
-    // The comparison is vacuous unless the naive engine ran the naive
-    // strategy.
-    let decision = join(&naive).stats.plan.join.expect("join plan reported");
-    assert_eq!(decision.strategy, JoinStrategy::NaiveSelects);
-
-    // Run each strategy on the unforced engine, then let it decide: its
-    // plan must read as a fresh engine's.
-    for forced in [JoinStrategy::LayerIndex, JoinStrategy::NaiveSelects] {
-        free.force_join_strategy(Some(forced));
-        for _ in 0..3 {
-            join(&free);
-        }
-    }
-    free.force_join_strategy(None);
-    let warmed = explain::render(&join(&free).stats, false);
-    let fresh = explain::render(&join(&engine()).stats, false);
+    let warmed = join(&busy).stats;
+    assert!(warmed.plan.join.is_some(), "join plan reported");
+    let fresh = join(&engine()).stats;
     assert_eq!(
-        warmed, fresh,
+        explain::render(&warmed, false),
+        explain::render(&fresh, false),
         "a plan depends on what the engine ran before"
     );
 }

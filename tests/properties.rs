@@ -266,7 +266,7 @@ proptest! {
 // ---------------------------------------------------------------------------
 // Optimizer cell-pair ordering and transfer estimation.
 
-use spade::engine::optimizer::{estimate_layer_bytes_ordered, order_cell_pairs, JoinStrategy};
+use spade::engine::optimizer::{estimate_layer_bytes_ordered, order_cell_pairs};
 
 /// Replay the executor's residency rule over an ordered pair sequence: a
 /// side's cell is uploaded only when it differs from the one currently
@@ -399,16 +399,13 @@ fn order_cell_pairs_degenerate_inputs() {
 }
 
 /// End-to-end: the layer estimate computed before the walk equals the
-/// bytes the real out-of-core join actually uploads. The strategy is
-/// pinned to LayerIndex via the test hook so the walk under measurement
-/// is the one the estimate models.
+/// bytes the real out-of-core join actually uploads.
 #[test]
 fn layer_estimate_matches_real_join_transfers() {
     use spade::datagen::spider;
     use spade::engine::join;
 
     let spade = Spade::new(EngineConfig::test_small());
-    spade.force_join_strategy(Some(JoinStrategy::LayerIndex));
     let parcels = Dataset::from_polygons("parcels", spider::parcels(60, 0.06, 41));
     let pts = Dataset::from_points("p", spider::gaussian_points(4_000, 43));
     let gp = GridIndex::build(None, &parcels.objects, 0.3).unwrap();
@@ -418,9 +415,8 @@ fn layer_estimate_matches_real_join_transfers() {
 
     let out = join::join_indexed(&spade, &parcels_idx, &pts_idx, &QueryCtx::default()).unwrap();
     let j = out.stats.plan.join.expect("join plan must be reported");
-    assert_eq!(j.strategy, JoinStrategy::LayerIndex);
     assert_eq!(
-        j.actual_bytes, j.layer_est_bytes,
+        out.stats.bytes_to_device, j.layer_est_bytes,
         "estimate drifted from the executor's transfers"
     );
 }
