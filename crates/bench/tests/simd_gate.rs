@@ -8,24 +8,42 @@
 //!   boundary coverage of layer construction, the per-row run form must be
 //!   at least 2× the oracle, which tests every pixel of each bounding box.
 //!
-//! Medians of repeated runs keep the gates stable; release-only —
-//! `cargo test --release` runs them (the CI `release` job).
+//! Each gate alternates the two arms run by run and takes the median of the
+//! per-pair speed-ups, so load that shifts during the gate lands on both
+//! arms of a pair alike; release-only — `cargo test --release` runs them
+//! (the CI `release` job).
 
 use spade_geometry::{BBox, Point};
 use spade_gpu::{raster, Primitive, Texture, Viewport};
 use std::time::{Duration, Instant};
 
-/// Median wall time of `runs` executions of `f`.
-fn median(runs: usize, mut f: impl FnMut() -> Texture) -> Duration {
-    let mut times: Vec<Duration> = (0..runs)
-        .map(|_| {
-            let t0 = Instant::now();
-            std::hint::black_box(f());
-            t0.elapsed()
-        })
-        .collect();
-    times.sort();
-    times[runs / 2]
+/// Wall time of one execution of `f`.
+fn time(f: &mut impl FnMut() -> Texture) -> Duration {
+    let t0 = Instant::now();
+    std::hint::black_box(f());
+    t0.elapsed()
+}
+
+/// `runs` alternating pairs, the oracle run first in each: the median of
+/// the per-pair speed-ups `oracle / batched`, with each arm's median time
+/// for the message.
+fn paired_speedup(
+    runs: usize,
+    mut batched: impl FnMut() -> Texture,
+    mut oracle: impl FnMut() -> Texture,
+) -> (f64, Duration, Duration) {
+    let (mut ratios, mut t_batched, mut t_oracle) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..runs {
+        let off = time(&mut oracle);
+        let on = time(&mut batched);
+        ratios.push(off.as_secs_f64() / on.as_secs_f64());
+        t_oracle.push(off);
+        t_batched.push(on);
+    }
+    ratios.sort_by(f64::total_cmp);
+    t_batched.sort();
+    t_oracle.sort();
+    (ratios[runs / 2], t_batched[runs / 2], t_oracle[runs / 2])
 }
 
 fn lcg(seed: &mut u64) -> f64 {
@@ -109,9 +127,11 @@ fn batched_kernels_speed_up_raster_bound_work() {
     let want = render(&prims, 1024, false, false);
     assert!(want.count_non_null() > 0);
     assert_eq!(render(&prims, 1024, false, true), want);
-    let t_on = median(15, || render(&prims, 1024, false, true));
-    let t_off = median(15, || render(&prims, 1024, false, false));
-    let speedup = t_off.as_secs_f64() / t_on.as_secs_f64();
+    let (speedup, t_on, t_off) = paired_speedup(
+        15,
+        || render(&prims, 1024, false, true),
+        || render(&prims, 1024, false, false),
+    );
     eprintln!("raster_bound: batched {t_on:?} scalar {t_off:?} speedup {speedup:.2}x");
     assert!(
         speedup >= 1.3,
@@ -128,9 +148,11 @@ fn conservative_runs_speed_up_sliver_coverage() {
     assert!(want.count_non_null() > 0);
     assert_eq!(render(&prims, 512, true, true), want);
     // The oracle takes over half a second per run here, so fewer runs.
-    let t_runs = median(5, || render(&prims, 512, true, true));
-    let t_oracle = median(5, || render(&prims, 512, true, false));
-    let speedup = t_oracle.as_secs_f64() / t_runs.as_secs_f64();
+    let (speedup, t_runs, t_oracle) = paired_speedup(
+        5,
+        || render(&prims, 512, true, true),
+        || render(&prims, 512, true, false),
+    );
     eprintln!("slivers: runs {t_runs:?} oracle {t_oracle:?} speedup {speedup:.2}x");
     assert!(
         speedup >= 2.0,

@@ -4,8 +4,9 @@
 //! engine never materializes one as a pass of its own: each is *fused* into
 //! the rendering pass that needs it (DESIGN.md §1 has the table).
 //!
-//! * **Geometric transform** — the vertex stage of a pass
-//!   ([`DrawCall::vertex`]).
+//! * **Geometric transform** — the viewport's world-to-pixel mapping
+//!   ([`spade_gpu::Viewport`]); data are projected at load, so no pass has
+//!   a vertex stage.
 //! * **Value transform** — the value a fragment shader returns.
 //! * **Mask** — a fragment shader that discards the pixels failing the
 //!   mask condition.
@@ -74,8 +75,8 @@ pub fn map_1pass(
         prims,
         call,
         || (),
-        |_, frag, ctx, out| {
-            out.extend(call.fragment.shade(frag, ctx));
+        |_, frag, out| {
+            out.extend(call.fragment.shade(frag));
         },
     );
     let produced = chunks.iter().map(Vec::len).sum();
@@ -155,9 +156,7 @@ where
     S: Send,
 {
     let call = DrawCall::simple(viewport, BlendMode::Replace, conservative);
-    let chunks = pipe.map(prims, &call, init, |state, frag, _, out| {
-        emit(state, frag, out)
-    });
+    let chunks = pipe.map(prims, &call, init, emit);
     MapResult {
         values: chunks.into_iter().flatten().collect(),
         passes: 1,
@@ -168,7 +167,6 @@ where
 mod tests {
     use super::*;
     use spade_geometry::{BBox, Point};
-    use spade_gpu::shader::ShaderContext;
     use spade_gpu::{Primitive, Viewport};
 
     fn vp10() -> Viewport {
@@ -229,7 +227,7 @@ mod tests {
     #[test]
     fn map_respects_fragment_discard() {
         let pipe = Pipeline::with_workers(2);
-        let frag = spade_gpu::FnFragment(|f: &Fragment, _: &ShaderContext<'_>| {
+        let frag = spade_gpu::FnFragment(|f: &Fragment| {
             if f.attrs[0].is_multiple_of(2) {
                 Some(f.attrs)
             } else {

@@ -22,8 +22,7 @@ use spade_geometry::distance::point_segment_distance;
 use spade_geometry::predicates::point_in_triangle;
 use spade_geometry::{Point, Segment};
 use spade_gpu::{
-    BlendMode, DrawCall, FnFragment, Fragment, GeometryShader, Pipeline, Primitive, ShaderContext,
-    Viewport,
+    BlendMode, DrawCall, FnFragment, Fragment, GeometryShader, Pipeline, Primitive, Viewport,
 };
 
 /// The source primitive a distance fragment measures against.
@@ -199,7 +198,7 @@ pub fn distance_canvas_polygon(
 
     // Pass A: interior-certain pixels of triangles. The pixel box is fully
     // inside a (convex) triangle iff all four corners are.
-    let shader_a = FnFragment(|frag: &Fragment, _: &ShaderContext<'_>| {
+    let shader_a = FnFragment(|frag: &Fragment| {
         let idx = frag.attrs[CH_VAL] as usize;
         let t = &tris[idx];
         let bb = vp.pixel_box(frag.x, frag.y);
@@ -216,7 +215,7 @@ pub fn distance_canvas_polygon(
     pipe.draw(&mut layer.texture, &interior_prims, &call_a);
 
     // Pass B: uncertain triangle pixels (touched but not fully covered).
-    let shader_b = FnFragment(|frag: &Fragment, _: &ShaderContext<'_>| {
+    let shader_b = FnFragment(|frag: &Fragment| {
         let idx = frag.attrs[CH_VAL] as usize;
         let t = &tris[idx];
         let bb = vp.pixel_box(frag.x, frag.y);
@@ -300,7 +299,7 @@ fn draw_distance_passes(
     let hd = half_diag(&vp);
 
     // Pass A: certainly-covered pixels.
-    let shader_a = FnFragment(|frag: &Fragment, _: &ShaderContext<'_>| {
+    let shader_a = FnFragment(|frag: &Fragment| {
         let i = frag.attrs[CH_VAL] as usize;
         let d = sources[i].distance(frag.world);
         if d <= radii[i] - hd {
@@ -317,7 +316,7 @@ fn draw_distance_passes(
     pipe.draw(&mut layer.texture, prims, &call_a);
 
     // Pass B: uncertain pixels, never overwriting certain ones.
-    let shader_b = FnFragment(|frag: &Fragment, _: &ShaderContext<'_>| {
+    let shader_b = FnFragment(|frag: &Fragment| {
         let i = frag.attrs[CH_VAL] as usize;
         let d = sources[i].distance(frag.world);
         if d <= radii[i] - hd {

@@ -25,7 +25,8 @@
 //! * [`algebra`] — the algebra operators (§5.1): the two Map
 //!   implementations, with dissect fused into the 1-pass Map's scan. The
 //!   other operators are fused into the passes that use them — geometric
-//!   transform into the vertex stage, mask into a discarding fragment
+//!   transform into the viewport's world-to-pixel mapping (data are
+//!   projected at load), mask into a discarding fragment
 //!   shader, (multiway) blend into the pass's `BlendMode` — see DESIGN.md
 //!   §1.
 

@@ -263,7 +263,7 @@ pub fn distance_join_indexed<'a>(
         hulls_within(spade, left, right, |_| r)
     })?;
     let (mut pairs, mut disks) = (Vec::new(), ResidentDisks::default());
-    let stream = walk.run(spade, ctx, |left, right, (l, _)| {
+    let stream = walk.run(spade, ctx, |left, right, l| {
         // The type-1 constraints: every left point with radius `r`.
         let constraints = || left.points().iter().map(|&(id, p)| (id, p, r)).collect();
         let right = right.points();

@@ -392,8 +392,8 @@ impl<'a> PairWalk<'a> {
     }
 
     /// Walk the pairs with single-slot residency per side, handing every
-    /// pair of prepared cells and their cell ids (`None`: the memory slot)
-    /// to `refine(left, right, cells)`. Every slot takes its prepared form,
+    /// pair of prepared cells and the left cell's id (`None`: the memory
+    /// slot) to `refine(left, right, l)`. Every slot takes its prepared form,
     /// layer canvases included, from its dataset's memo ([`Resident::of`]):
     /// a grid cell the cell cache serves keeps it across residencies and
     /// queries, and is charged for it in the cache when it leaves
@@ -407,7 +407,7 @@ impl<'a> PairWalk<'a> {
         &self,
         spade: &Spade,
         ctx: &QueryCtx,
-        mut refine: impl FnMut(&Resident, &Resident, (Option<u32>, Option<u32>)),
+        mut refine: impl FnMut(&Resident, &Resident, Option<u32>),
     ) -> spade_storage::Result<StreamStats> {
         let views = [&self.view1, &self.view2];
         let budget = spade.config.cell_cache_bytes();
@@ -440,8 +440,7 @@ impl<'a> PairWalk<'a> {
                     if pair != (left.slot, right.slot) {
                         break;
                     }
-                    let cells = (self.view1.cell_id(pair.0), self.view2.cell_id(pair.1));
-                    refine(&left.form, &right.form, cells);
+                    refine(&left.form, &right.form, self.view1.cell_id(pair.0));
                     next += 1;
                 }
                 Ok(())
@@ -742,18 +741,20 @@ mod tests {
                      (1, 5), (0, 6), (1, 3), (1, 6), (0, 7), (1, 7), (1, 4), (0, 8), (1, 8)]"
                 )
             );
+            let delta_at = walk.cell_pairs.iter().position(|&p| p == (4, 9));
             let mut refined = 0;
             let mut totals = std::collections::BTreeMap::new();
-            let res = walk.run(&s, &ctx, |left, right, cells| {
+            let res = walk.run(&s, &ctx, |left, right, l| {
                 if counting {
                     crate::aggregate::count_cells(&s, left, right, &mut totals);
                 } else {
                     join_cells_layered(&s, left, right);
                 }
                 refined += 1;
-                if let (true, (Some(l), None)) = (staged, cells) {
+                if delta_at == Some(refined - 1) {
                     // The resident delta is on the ledger like any cell.
-                    let bytes = walk.view1.cell_bytes(l as usize) + walk.view2.delta.bytes;
+                    let l = l.expect("the left side is a grid cell") as usize;
+                    let bytes = walk.view1.cell_bytes(l) + walk.view2.delta.bytes;
                     assert_eq!(s.device.used(), bytes);
                     ctx.cancel.cancel();
                 } else if !staged && refined == 2 {

@@ -287,7 +287,7 @@ pub fn knn_join_indexed<'a>(
             }
         };
         let circles = spade.config.knn_circles();
-        let counting = walk.run(spade, ctx, |left, right, (l, _)| {
+        let counting = walk.run(spade, ctx, |left, right, l| {
             let (left, l) = (left.points(), slot(l));
             if live.as_ref().map(|live| live.0) != Some(l) {
                 collapse(live.take(), &mut radii);
@@ -301,7 +301,7 @@ pub fn knn_join_indexed<'a>(
         stream += counting?;
         collapse(live.take(), &mut radii);
         let mut disks = ResidentDisks::default();
-        let ranking = walk.run(spade, ctx, |left, right, (l, _)| {
+        let ranking = walk.run(spade, ctx, |left, right, l| {
             let (left, right) = (left.points(), right.points());
             let constraints = || disks_by_position(left, &radii[slot(l)]);
             let hits = disks.within_radii(spade, l, constraints, right);

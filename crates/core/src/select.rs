@@ -96,12 +96,10 @@ pub(crate) fn select_point_positions(
     points: &[(u32, Point)],
     constraint: &Constraint,
 ) -> Vec<u32> {
-    let shader = FnFragment(
-        |frag: &spade_gpu::Fragment, _: &spade_gpu::ShaderContext<'_>| {
-            let i = frag.attrs[1];
-            (constraint.match_point_any(points[i as usize].1)).then_some([i + 1, 0, 0, 0])
-        },
-    );
+    let shader = FnFragment(|frag: &spade_gpu::Fragment| {
+        let i = frag.attrs[1];
+        (constraint.match_point_any(points[i as usize].1)).then_some([i + 1, 0, 0, 0])
+    });
     let call = DrawCall {
         fragment: &shader,
         ..DrawCall::simple(constraint.viewport, BlendMode::Replace, false)

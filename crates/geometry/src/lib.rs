@@ -11,7 +11,7 @@
 //! * ear-clipping polygon triangulation (the paper uses Earcut.hpp; this is
 //!   a from-scratch Rust implementation of the same algorithm),
 //! * convex hulls (grid-index cell bounds are convex hulls, §5.3),
-//! * the EPSG:4326 → EPSG:3857 projection performed in the vertex shader.
+//! * the EPSG:4326 → EPSG:3857 projection, applied to data at load.
 
 pub mod bbox;
 pub mod distance;

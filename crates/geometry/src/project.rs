@@ -1,9 +1,10 @@
 //! Coordinate-system projections.
 //!
 //! SPADE converts degree-based EPSG:4326 (longitude/latitude) coordinates to
-//! the meter-based EPSG:3857 Web-Mercator system inside the vertex shader,
-//! on the fly, for distance and kNN queries (§4.2, §5.1). These are the same
-//! formulas the shaders evaluate.
+//! the meter-based EPSG:3857 Web-Mercator system for distance and kNN
+//! queries (§4.2, §5.1). The paper does it in the vertex shader, on the
+//! fly; this engine applies the same formulas once, at load
+//! ([`geometry_to_mercator`]), so every pass already draws in meters.
 
 use crate::point::Point;
 use crate::primitives::{Geometry, LineString, MultiPolygon, Polygon, Ring};

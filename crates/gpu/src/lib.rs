@@ -9,9 +9,12 @@
 //!
 //! The important properties carried over from the real pipeline:
 //!
-//! * **Stage structure** — draw calls run vertex shader → geometry shader →
-//!   clipping → rasterization → fragment shader → blend, exactly as §2.2
-//!   describes; every SPADE operator is expressed as one or more passes.
+//! * **Stage structure** — draw calls run primitive assembly → geometry
+//!   shader → clipping → rasterization → fragment shader → blend, the
+//!   stages of §2.2 that SPADE's passes use; every SPADE operator is
+//!   expressed as one or more passes. There is no vertex stage: data are
+//!   projected into the query's coordinate system at load, so the paper's
+//!   vertex transform is the viewport's world-to-pixel mapping.
 //! * **Conservative rasterization** — §4.2 relies on the hardware feature
 //!   that draws *every* pixel touched by a primitive; [`raster`] implements
 //!   both the default (center-sample) and conservative rules.
@@ -48,11 +51,8 @@ pub use device::DeviceMemory;
 pub use fragments::FragmentBuffer;
 pub use pipeline::{DrawCall, Pipeline};
 pub use pool::{PoolStats, WorkerPool};
-pub use primitive::{Assemble, Primitive, Vertex};
+pub use primitive::{Assemble, Primitive};
 pub use record::FrameTotals;
-pub use shader::{
-    AffineVertex, FnFragment, FnVertex, Fragment, FragmentShader, GeometryShader, IdentityVertex,
-    NoGeometry, ShaderContext, VertexShader, WriteAttrs,
-};
+pub use shader::{FnFragment, Fragment, FragmentShader, GeometryShader, WriteAttrs};
 pub use texture::{PixelValue, Texture, NULL_PIXEL};
 pub use viewport::Viewport;

@@ -1,4 +1,4 @@
-//! The pass driver: vertex → geometry → clip → rasterize → fragment →
+//! The pass driver: assemble → geometry → clip → rasterize → fragment →
 //! blend, executed data-parallel.
 //!
 //! A [`DrawCall`] bundles the programmable stages and fixed-function state
@@ -7,8 +7,8 @@
 //! counting pass, and a Map pass that emits values instead of blending
 //! (§5.1) — and every one runs through the same stages:
 //!
-//! 1. each input element assembles into its primitive ([`Assemble`]) and
-//!    the vertex shader transforms its vertices (in parallel),
+//! 1. each input element assembles into its primitive ([`Assemble`]), in
+//!    world space (in parallel),
 //! 2. the geometry shader optionally expands primitives,
 //! 3. clipping drops primitives whose bounds miss the viewport,
 //! 4. the rasterizer enumerates covered pixels (default or conservative)
@@ -16,9 +16,9 @@
 //! 5. the fragment shader computes each fragment's output (or discards it),
 //! 6. a draw blends fragments into the target in primitive order.
 //!
-//! Parallelization is two-phase: workers shade, clip and rasterize disjoint
-//! chunks of the primitive stream (one fused stage — no intermediate
-//! shaded-primitive materialization), then a draw blends bands of the
+//! Parallelization is two-phase: workers assemble, clip and rasterize
+//! disjoint chunks of the primitive stream (one fused stage — no
+//! intermediate primitive list), then a draw blends bands of the
 //! target concurrently (each band by one worker, applying fragments in
 //! primitive order, so results are deterministic for *every* blend mode and
 //! any worker count). The driver is also the one place a pass is timed,
@@ -32,49 +32,34 @@ use crate::arena::TexturePool;
 use crate::blend::BlendMode;
 use crate::fragments::FragmentBuffer;
 use crate::pool::{self, WorkerPool};
-use crate::primitive::{Assemble, Primitive, Vertex};
+use crate::primitive::{Assemble, Primitive};
 use crate::raster;
 use crate::record;
-use crate::shader::{
-    Fragment, FragmentShader, GeometryShader, IdentityVertex, ShaderContext, VertexShader,
-    WriteAttrs,
-};
+use crate::shader::{Fragment, FragmentShader, GeometryShader, WriteAttrs};
 use crate::texture::{PixelValue, Texture};
 use crate::viewport::Viewport;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Instant;
 
 /// The state of one rendering pass.
 pub struct DrawCall<'a> {
     pub viewport: Viewport,
-    pub vertex: &'a dyn VertexShader,
     pub geometry: Option<&'a dyn GeometryShader>,
     pub fragment: &'a dyn FragmentShader,
     pub blend: BlendMode,
     /// Use conservative rasterization (§4.2) for this pass.
     pub conservative: bool,
-    /// Bound read-only textures (unit 0 first).
-    pub textures: &'a [&'a Texture],
-    pub uniforms_f: &'a [f64],
-    pub uniforms_u: &'a [u32],
 }
 
 impl<'a> DrawCall<'a> {
-    /// A minimal pass: identity vertex shader, no geometry shader, fragment
-    /// shader that writes the primitive attributes (canvas creation).
+    /// A minimal pass: no geometry shader, fragment shader that writes the
+    /// primitive attributes (canvas creation).
     pub fn simple(viewport: Viewport, blend: BlendMode, conservative: bool) -> DrawCall<'static> {
-        static IDENTITY: IdentityVertex = IdentityVertex;
-        static WRITE: WriteAttrs = WriteAttrs;
         DrawCall {
             viewport,
-            vertex: &IDENTITY,
             geometry: None,
-            fragment: &WRITE,
+            fragment: &WriteAttrs,
             blend,
             conservative,
-            textures: &[],
-            uniforms_f: &[],
-            uniforms_u: &[],
         }
     }
 }
@@ -119,9 +104,9 @@ impl Pipeline {
         &self.arena
     }
 
-    /// Execute one rendering pass against `target`, returning the final
-    /// value of the pass's atomic counter.
-    pub fn draw(&self, target: &mut Texture, prims: &[impl Assemble], call: &DrawCall<'_>) -> u32 {
+    /// Execute one rendering pass against `target`, returning how many
+    /// fragments it rasterized (discarded ones included).
+    pub fn draw(&self, target: &mut Texture, prims: &[impl Assemble], call: &DrawCall<'_>) -> u64 {
         // One SoA fragment buffer per (worker chunk, band), worker-major, so
         // the blend can walk chunks in primitive order.
         let vp = call.viewport;
@@ -146,7 +131,7 @@ impl Pipeline {
                     .map(|_| FragmentBuffer::new())
                     .collect::<Vec<_>>()
             },
-            |out, prim, ctx| {
+            |out, prim| {
                 let attrs = prim.attrs();
                 let mut n = 0;
                 if blocks
@@ -158,12 +143,12 @@ impl Pipeline {
                     return n;
                 }
                 fragments(prim, &vp, call.conservative, |frag| {
-                    if let Some(v) = call.fragment.shade(&frag, ctx) {
+                    if let Some(v) = call.fragment.shade(&frag) {
                         out[band(frag.y)].push(frag.x, frag.y, v);
                     }
                 })
             },
-            |buffers, counter| {
+            |buffers, count| {
                 // Blend bands in parallel; chunks applied in primitive
                 // order, each through the masked SoA kernel (mode dispatch
                 // per buffer, not per fragment).
@@ -174,7 +159,7 @@ impl Pipeline {
                         call.blend.blend_soa(slice, *y0, width, &chunk[i]);
                     }
                 });
-                counter
+                count
             },
         )
     }
@@ -184,23 +169,23 @@ impl Pipeline {
     /// implementation (§5.1).
     pub fn count_pass(&self, prims: &[impl Assemble], call: &DrawCall<'_>) -> u64 {
         let vp = call.viewport;
-        // Shaders that emit unconditionally (e.g. `WriteAttrs`) let the
-        // counting pass count coverage directly — the rasterizer's scanline
-        // fast path — instead of enumerating every pixel.
-        let coverage = call.fragment.always_emits();
+        // Shaders that write their attrs for every fragment (`WriteAttrs`)
+        // let the counting pass count coverage directly — the rasterizer's
+        // scanline fast path — instead of enumerating every pixel.
+        let coverage = call.fragment.writes_attrs();
         self.pass(
             "gpu.count_pass",
             prims,
             call,
             || 0u64,
-            |n, prim, ctx| {
+            |n, prim| {
                 if coverage {
                     let covered = raster::coverage_count(prim, &vp, call.conservative) as u64;
                     *n += covered;
                     return covered;
                 }
                 fragments(prim, &vp, call.conservative, |frag| {
-                    *n += u64::from(call.fragment.shade(&frag, ctx).is_some());
+                    *n += u64::from(call.fragment.shade(&frag).is_some());
                 })
             },
             |counts, _| counts.into_iter().sum(),
@@ -219,7 +204,7 @@ impl Pipeline {
         prims: &[impl Assemble],
         call: &DrawCall<'_>,
         init: impl Fn() -> S + Sync,
-        emit: impl Fn(&mut S, &Fragment, &ShaderContext<'_>, &mut Vec<PixelValue>) + Sync,
+        emit: impl Fn(&mut S, &Fragment, &mut Vec<PixelValue>) + Sync,
     ) -> Vec<Vec<PixelValue>> {
         let vp = call.viewport;
         self.pass(
@@ -227,43 +212,34 @@ impl Pipeline {
             prims,
             call,
             || (init(), Vec::new()),
-            |(state, out), prim, ctx| {
-                fragments(prim, &vp, call.conservative, |frag| {
-                    emit(state, &frag, ctx, out)
-                })
+            |(state, out), prim| {
+                fragments(prim, &vp, call.conservative, |frag| emit(state, &frag, out))
             },
             |chunks, _| chunks.into_iter().map(|(_, out)| out).collect(),
         )
     }
 
     /// The one pass driver. Every worker chunk of the input stream runs the
-    /// fused assemble → vertex → geometry → clip stage — neither a primitive
-    /// list nor the shaded stream is materialized — and hands each visible
-    /// primitive to `raster` with the chunk's state; `raster` rasterizes and
-    /// shades it and returns its fragment count. `finish` then takes the
-    /// chunk states in primitive order and the final value of the pass's
-    /// atomic counter. The pass, `finish` included, is timed and recorded
-    /// once on the calling thread's frame ([`record`]) and once as a `name`
-    /// span. The vertex contract of every pass: `prims[i]` assembles as
-    /// `prims[i].assemble(i)`, `i` counted over the whole list.
+    /// fused assemble → geometry → clip stage — no primitive list is
+    /// materialized — and hands each visible primitive to `raster` with the
+    /// chunk's state; `raster` rasterizes and shades it and returns its
+    /// fragment count. `finish` then takes the chunk states in primitive
+    /// order and the pass's total fragment count. The pass, `finish`
+    /// included, is timed and recorded once on the calling thread's frame
+    /// ([`record`]) and once as a `name` span. The assembly contract of
+    /// every pass: `prims[i]` assembles as `prims[i].assemble(i)`, `i`
+    /// counted over the whole list.
     fn pass<S: Send, R>(
         &self,
         name: &'static str,
         prims: &[impl Assemble],
         call: &DrawCall<'_>,
         init: impl Fn() -> S + Sync,
-        raster: impl Fn(&mut S, &Primitive, &ShaderContext<'_>) -> u64 + Sync,
-        finish: impl FnOnce(Vec<S>, u32) -> R,
+        raster: impl Fn(&mut S, &Primitive) -> u64 + Sync,
+        finish: impl FnOnce(Vec<S>, u64) -> R,
     ) -> R {
         let mut span = crate::trace::span(name);
         let start = Instant::now();
-        let counter = AtomicU32::new(0);
-        let ctx = ShaderContext {
-            textures: call.textures,
-            uniforms_f: call.uniforms_f,
-            uniforms_u: call.uniforms_u,
-            counter: &counter,
-        };
         let world = call.viewport.world;
         let chunks = self.pool.parallel_map_chunks(prims, |first, chunk| {
             let mut state = init();
@@ -272,20 +248,18 @@ impl Pipeline {
             let mut expand_buf = Vec::new();
             for (index, item) in (first as u32..).zip(chunk) {
                 let prim = item.assemble(index);
-                let moved =
-                    prim.map_positions(|p| call.vertex.shade(Vertex::new(p, prim.attrs())).pos);
                 let expanded: &[Primitive] = match call.geometry {
                     Some(gs) => {
                         expand_buf.clear();
-                        gs.expand(&moved, &mut expand_buf);
+                        gs.expand(&prim, &mut expand_buf);
                         &expand_buf
                     }
-                    None => std::slice::from_ref(&moved),
+                    None => std::slice::from_ref(&prim),
                 };
                 counts[0] += expanded.len() as u64;
                 for prim in expanded.iter().filter(|p| p.bbox().intersects(&world)) {
                     counts[1] += 1;
-                    counts[2] += raster(&mut state, prim, &ctx);
+                    counts[2] += raster(&mut state, prim);
                 }
             }
             (state, counts)
@@ -297,7 +271,7 @@ impl Pipeline {
                 state
             })
             .collect();
-        let out = finish(states, counter.load(Ordering::Relaxed));
+        let out = finish(states, counts[2]);
         record::add_pass(start.elapsed());
         for (key, value) in ["primitives", "visible", "fragments"]
             .into_iter()
@@ -334,7 +308,7 @@ fn fragments(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shader::{FnFragment, FnVertex, NoGeometry};
+    use crate::shader::FnFragment;
     use spade_geometry::{BBox, Point};
 
     fn vp10() -> Viewport {
@@ -430,7 +404,7 @@ mod tests {
     fn fragment_shader_discard_counted() {
         let pl = Pipeline::with_workers(2);
         let mut tex = Texture::new(10, 10);
-        let frag = FnFragment(|f: &Fragment, _: &ShaderContext<'_>| {
+        let frag = FnFragment(|f: &Fragment| {
             if f.x.is_multiple_of(2) {
                 Some(f.attrs)
             } else {
@@ -448,21 +422,6 @@ mod tests {
         };
         pl.draw(&mut tex, &prims, &call);
         assert_eq!(tex.count_non_null(), 5); // x = 0, 2, 4, 6, 8
-    }
-
-    #[test]
-    fn vertex_shader_transforms_positions() {
-        let pl = Pipeline::with_workers(2);
-        let mut tex = Texture::new(10, 10);
-        let vs = FnVertex(|p: Point| p + Point::new(5.0, 0.0));
-        let prims = vec![Primitive::point(Point::new(0.5, 0.5), [1, 0, 0, 0])];
-        let call = DrawCall {
-            vertex: &vs,
-            ..DrawCall::simple(vp10(), BlendMode::Replace, false)
-        };
-        pl.draw(&mut tex, &prims, &call);
-        assert_eq!(tex.get(5, 0), [1, 0, 0, 0]);
-        assert_eq!(tex.get(0, 0), crate::texture::NULL_PIXEL);
     }
 
     #[test]
@@ -515,24 +474,28 @@ mod tests {
     }
 
     #[test]
-    fn draw_returns_counter_value() {
+    fn draw_returns_fragment_count() {
+        // Under both rules, `WriteAttrs`' draw (the block path for
+        // default-rule triangles, per fragment for conservative ones)
+        // returns the counting pass's count and the oracle rasterizer's.
         let pl = Pipeline::with_workers(4);
-        let mut tex = Texture::new(10, 10);
-        let frag = FnFragment(|f: &Fragment, ctx: &ShaderContext<'_>| {
-            ctx.count();
-            Some(f.attrs)
-        });
-        let prims = vec![Primitive::line(
-            Point::new(0.5, 2.5),
-            Point::new(9.5, 2.5),
-            [1, 0, 0, 0],
-        )];
-        let call = DrawCall {
-            fragment: &frag,
-            ..DrawCall::simple(vp10(), BlendMode::Replace, false)
-        };
-        let c = pl.draw(&mut tex, &prims, &call);
-        assert_eq!(c, 10);
+        let prims = scattered_triangles(20);
+        for conservative in [false, true] {
+            let call = DrawCall::simple(vp10(), BlendMode::Replace, conservative);
+            let mut want = 0u64;
+            for p in &prims {
+                raster::rasterize(p, &vp10(), conservative, &mut |_, _| want += 1);
+            }
+            let mut tex = Texture::new(10, 10);
+            let drawn = pl.draw(&mut tex, &prims, &call);
+            assert!(drawn > 0);
+            assert_eq!(
+                drawn,
+                pl.count_pass(&prims, &call),
+                "conservative={conservative}"
+            );
+            assert_eq!(drawn, want, "conservative={conservative}");
+        }
     }
 
     /// Triangles of every orientation scattered over a 64×64 canvas.
@@ -560,7 +523,7 @@ mod tests {
         // counts.
         let vp = Viewport::new(BBox::new(Point::ZERO, Point::new(10.0, 10.0)), 64, 64);
         let prims = scattered_triangles(40);
-        let per_fragment = FnFragment(|f: &Fragment, _: &ShaderContext<'_>| Some(f.attrs));
+        let per_fragment = FnFragment(|f: &Fragment| Some(f.attrs));
         for blend in [BlendMode::Replace, BlendMode::KeepFirst, BlendMode::Max] {
             for workers in [1, 2, 8] {
                 let pl = Pipeline::with_workers(workers);
@@ -582,7 +545,7 @@ mod tests {
     #[test]
     fn simd_count_pass_matches_scalar() {
         // The counting pass — coverage counted through the batched kernel
-        // for an always-emitting shader, fragments shaded one by one
+        // for `WriteAttrs`, fragments shaded one by one
         // otherwise — equals the oracle rasterizer's emission count, summed.
         let prims: Vec<Primitive> = (0..20)
             .map(|i| {
@@ -596,7 +559,7 @@ mod tests {
             })
             .collect();
         let pl = Pipeline::with_workers(4);
-        let per_fragment = FnFragment(|f: &Fragment, _: &ShaderContext<'_>| Some(f.attrs));
+        let per_fragment = FnFragment(|f: &Fragment| Some(f.attrs));
         for conservative in [false, true] {
             let mut want = 0usize;
             for p in &prims {
@@ -617,7 +580,7 @@ mod tests {
         // A shader that can discard must not take the direct-attrs block
         // path; its texture must equal the scalar oracle's: every fragment
         // of the scalar rasterizer, shaded, written in primitive order.
-        let discard = |f: &Fragment, _: &ShaderContext<'_>| {
+        let discard = |f: &Fragment| {
             if (f.x + f.y).is_multiple_of(3) {
                 None
             } else {
@@ -635,13 +598,6 @@ mod tests {
         let mut got = Texture::new(10, 10);
         pl.draw(&mut got, &prims, &call);
 
-        let counter = AtomicU32::new(0);
-        let ctx = ShaderContext {
-            textures: &[],
-            uniforms_f: &[],
-            uniforms_u: &[],
-            counter: &counter,
-        };
         let mut want = Texture::new(10, 10);
         let mut discarded = 0;
         for prim in &prims {
@@ -652,7 +608,7 @@ mod tests {
                     world: vp.pixel_center(x, y),
                     attrs: prim.attrs(),
                 };
-                match discard(&f, &ctx) {
+                match discard(&f) {
                     Some(v) => want.put(x, y, v),
                     None => discarded += 1,
                 }
@@ -660,26 +616,5 @@ mod tests {
         }
         assert!(discarded > 0);
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn no_geometry_shader_equals_identity_expansion() {
-        let pl = Pipeline::with_workers(2);
-        let prims = vec![Primitive::point(Point::new(2.5, 2.5), [1, 0, 0, 0])];
-        let gs = NoGeometry;
-        let vp = vp10();
-        let mut a = Texture::new(10, 10);
-        let mut b = Texture::new(10, 10);
-        pl.draw(
-            &mut a,
-            &prims,
-            &DrawCall::simple(vp, BlendMode::Replace, false),
-        );
-        let call = DrawCall {
-            geometry: Some(&gs),
-            ..DrawCall::simple(vp, BlendMode::Replace, false)
-        };
-        pl.draw(&mut b, &prims, &call);
-        assert_eq!(a, b);
     }
 }

@@ -1,25 +1,12 @@
-//! Vertices and assembled primitives.
+//! Assembled primitives.
 //!
 //! The graphics pipeline supports three primitive types — points, lines and
 //! triangles (§2.2); polygons are rendered as triangle collections (§4.2).
-//! Each vertex carries the world position plus four 32-bit attributes that
-//! flow unchanged to the fragment shader (SPADE uses them for the object
-//! identifier and the boundary-index pointer).
+//! Each primitive carries its world-space vertices plus four 32-bit
+//! attributes that flow unchanged to the fragment shader (SPADE uses them
+//! for the object identifier and the boundary-index pointer).
 
 use spade_geometry::{BBox, Point};
-
-/// A pipeline vertex: position plus four integer attributes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Vertex {
-    pub pos: Point,
-    pub attrs: [u32; 4],
-}
-
-impl Vertex {
-    pub fn new(pos: Point, attrs: [u32; 4]) -> Self {
-        Vertex { pos, attrs }
-    }
-}
 
 /// An assembled primitive ready for rasterization. Attributes are flat
 /// (per-primitive): SPADE's shaders never interpolate them, they identify
@@ -71,24 +58,6 @@ impl Primitive {
             Primitive::Triangle { a, b, c, .. } => BBox::from_points([*a, *b, *c]),
         }
     }
-
-    /// Apply a position transform to every vertex (the vertex-shader stage).
-    pub fn map_positions(&self, f: impl Fn(Point) -> Point) -> Primitive {
-        match *self {
-            Primitive::Point { p, attrs } => Primitive::Point { p: f(p), attrs },
-            Primitive::Line { a, b, attrs } => Primitive::Line {
-                a: f(a),
-                b: f(b),
-                attrs,
-            },
-            Primitive::Triangle { a, b, c, attrs } => Primitive::Triangle {
-                a: f(a),
-                b: f(b),
-                c: f(c),
-                attrs,
-            },
-        }
-    }
 }
 
 /// An element of a pass's input list: it knows the primitive it draws as,
@@ -130,18 +99,5 @@ mod tests {
         assert_eq!(l.bbox().min, Point::new(-1.0, 1.0));
         let p = Primitive::point(Point::new(1.0, 1.0), [0; 4]);
         assert_eq!(p.bbox().area(), 0.0);
-    }
-
-    #[test]
-    fn map_positions_applies_transform() {
-        let t = Primitive::triangle(
-            Point::ZERO,
-            Point::new(1.0, 0.0),
-            Point::new(0.0, 1.0),
-            [7, 0, 0, 0],
-        );
-        let moved = t.map_positions(|p| p + Point::new(10.0, 0.0));
-        assert_eq!(moved.bbox().min, Point::new(10.0, 0.0));
-        assert_eq!(moved.attrs(), [7, 0, 0, 0]);
     }
 }

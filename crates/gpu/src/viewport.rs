@@ -2,9 +2,10 @@
 //!
 //! The paper's vertex shaders transform coordinates inside the valid query
 //! region into normalized `[-1, 1] × [-1, 1]` space (§4.2); primitives
-//! outside are clipped by the fixed-function vertex post-processing stage.
-//! [`Viewport`] carries that transform: a world-space [`BBox`] plus a pixel
-//! resolution, with helpers to map between the two spaces.
+//! outside are clipped. Here primitives stay in world space (data are
+//! projected at load) and [`Viewport`] is that transform: a world-space
+//! [`BBox`] plus a pixel resolution, with helpers to map between the two
+//! spaces. The pass driver clips against its `world` box.
 
 use spade_geometry::{BBox, Point};
 

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use spade_geometry::{BBox, Point};
 use spade_gpu::raster::{self, triangle_overlaps_box};
-use spade_gpu::shader::{Fragment, FragmentShader, GeometryShader, ShaderContext};
+use spade_gpu::shader::{Fragment, FragmentShader, GeometryShader};
 use spade_gpu::{
     record, Assemble, BlendMode, DrawCall, FnFragment, Pipeline, PixelValue, Primitive, Texture,
     Viewport,
@@ -79,8 +79,8 @@ fn run_passes(pipe: &Pipeline, prims: &[impl Assemble], call: &DrawCall<'_>) -> 
         max: draw(BlendMode::Max),
         count: framed(|| pipe.count_pass(prims, call)),
         map: framed(|| {
-            let emit = |_: &mut (), frag: &Fragment, ctx: &ShaderContext<'_>, out: &mut Vec<_>| {
-                out.extend(call.fragment.shade(frag, ctx))
+            let emit = |_: &mut (), frag: &Fragment, out: &mut Vec<_>| {
+                out.extend(call.fragment.shade(frag))
             };
             pipe.map(prims, call, || (), emit).concat()
         }),
@@ -198,7 +198,7 @@ proptest! {
             .zip(&points)
             .map(|(i, &(id, p))| Primitive::point(p, [id, i, 0, 0]))
             .collect();
-        let discard = FnFragment(|f: &Fragment, _: &ShaderContext<'_>| {
+        let discard = FnFragment(|f: &Fragment| {
             (!f.attrs[1].is_multiple_of(3)).then_some(f.attrs)
         });
         let plus = Plus;

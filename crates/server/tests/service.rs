@@ -424,9 +424,9 @@ fn unknown_dataset_fails_fast() {
 /// A point-only query class over polygon data used to reach
 /// `Dataset::as_points` and panic on the worker thread, which died holding
 /// its admission reservation while the ticket waited forever. The
-/// dispatcher refuses the combination up front: the ticket resolves to an
-/// error, the lone worker lives to serve the next query, and no tenant
-/// holds a reservation afterwards. A panic the dispatcher cannot foresee —
+/// executor refuses the combination before it plans: the ticket resolves to
+/// an error, the lone worker lives to serve the next query, and no tenant
+/// holds a reservation afterwards. A panic the executor cannot foresee —
 /// a data set registered as points that holds polygons — is caught by the
 /// worker's unwind guard with the same outcome, and counted.
 #[test]

@@ -16,8 +16,9 @@ use std::sync::Arc;
 fn main() {
     let engine = Spade::new(EngineConfig::default());
 
-    // Pickups in lon/lat, projected to EPSG:3857 meters — the projection
-    // SPADE's vertex shaders apply for distance and kNN queries (§4.2).
+    // Pickups in lon/lat, projected to EPSG:3857 meters at load — the
+    // projection SPADE's vertex shaders apply for distance and kNN queries
+    // (§4.2).
     let nyc = BBox::new(Point::new(-74.3, 40.5), Point::new(-73.7, 40.95));
     let pickups_ll = urban::clustered_points(100_000, &nyc, 8, 42);
     let pickups = Arc::new(Dataset::from_points(
