@@ -1,13 +1,16 @@
 //! Microbenchmarks for the batched (lane-parallel) kernels in isolation:
-//! coverage counting, rasterization under both rules, point-containment
-//! scans, and the storage filter kernel, the last four against their scalar
-//! forms. The raster kernels' speed-ups are gated by `tests/simd_gate.rs`;
-//! these isolate where the time goes when a kernel regresses.
+//! coverage counting, rasterization under both rules, the band-direct draw
+//! of a constraint canvas's interior, point-containment scans, and the
+//! storage filter kernel, the last five against their scalar forms. The
+//! raster kernels' and the draw's speed-ups are gated by
+//! `tests/simd_gate.rs`; these isolate where the time goes when a kernel
+//! regresses.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use spade_datagen::urban;
 use spade_geometry::predicates::{point_in_polygon, points_in_polygon_mask};
 use spade_geometry::{BBox, Point, Polygon};
-use spade_gpu::{raster, Primitive, Viewport};
+use spade_gpu::{raster, BlendMode, DrawCall, Pipeline, Primitive, Texture, Viewport};
 use spade_storage::exec::{scan_with, CmpOp, Expr};
 use spade_storage::table::{Schema, Table};
 use spade_storage::value::Value;
@@ -82,15 +85,37 @@ fn bench_rasterize(c: &mut Criterion) {
             acc
         })
     });
-    g.bench_function("blocks", |b| {
+    g.finish();
+}
+
+/// The interior pass of a 48-vertex constraint canvas at 1024² (the shape
+/// `simd_gate` times): `Pipeline::draw` on one worker, one slice blend per
+/// triangle row, against the oracle's fragments blended one by one.
+fn bench_blocks(c: &mut Criterion) {
+    let world = BBox::new(Point::ZERO, Point::new(1.0, 1.0));
+    let constraint = &urban::constraint_polygons(1, &world, 0.3, 48, 0xc0de)[0];
+    let prims: Vec<Primitive> = (constraint.triangulate().into_iter())
+        .map(|t| Primitive::triangle(t.a, t.b, t.c, [1, 0, 1, 0]))
+        .collect();
+    let vp = Viewport::new(constraint.bbox(), 1024, 1024);
+    let call = DrawCall::simple(vp, BlendMode::Replace, false);
+    let pipe = Pipeline::with_workers(1);
+    let mut tex = Texture::new(1024, 1024);
+    let mut g = c.benchmark_group("blocks");
+    g.bench_function("oracle", |b| {
         b.iter(|| {
-            let mut acc = 0u64;
+            tex.clear();
             for p in &prims {
-                raster::rasterize_blocks(p, &vp, false, &mut |x, _y, _n, m| {
-                    acc = acc.wrapping_add(u64::from(x) + u64::from(m.count_ones()));
+                raster::rasterize(p, &vp, false, &mut |x, y| {
+                    tex.put(x, y, call.blend.apply(tex.get(x, y), p.attrs()))
                 });
             }
-            acc
+        })
+    });
+    g.bench_function("draw", |b| {
+        b.iter(|| {
+            tex.clear();
+            pipe.draw(&mut tex, &prims, &call)
         })
     });
     g.finish();
@@ -198,6 +223,7 @@ criterion_group!(
     benches,
     bench_coverage,
     bench_rasterize,
+    bench_blocks,
     bench_conservative,
     bench_containment,
     bench_filter_scan

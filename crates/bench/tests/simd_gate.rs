@@ -6,36 +6,41 @@
 //!   block kernel must be at least 1.3× the oracle;
 //! * conservative rule — on 2,000 thin diagonal slivers at 512², the
 //!   boundary coverage of layer construction, the per-row run form must be
-//!   at least 2× the oracle, which tests every pixel of each bounding box.
+//!   at least 2× the oracle, which tests every pixel of each bounding box;
+//! * canvas creation — the interior pass of a 48-vertex constraint canvas
+//!   at 1024², `Pipeline::draw` on one worker (band-direct: one slice blend
+//!   per triangle row) must be at least 3× the oracle's fragments blended
+//!   one by one in primitive order.
 //!
 //! Each gate alternates the two arms run by run and takes the median of the
 //! per-pair speed-ups, so load that shifts during the gate lands on both
 //! arms of a pair alike; release-only — `cargo test --release` runs them
 //! (the CI `release` job).
 
+use spade_datagen::urban;
 use spade_geometry::{BBox, Point};
-use spade_gpu::{raster, Primitive, Texture, Viewport};
+use spade_gpu::{raster, BlendMode, DrawCall, Pipeline, Primitive, Texture, Viewport};
 use std::time::{Duration, Instant};
 
 /// Wall time of one execution of `f`.
-fn time(f: &mut impl FnMut() -> Texture) -> Duration {
+fn time(f: impl FnOnce() -> Texture) -> Duration {
     let t0 = Instant::now();
     std::hint::black_box(f());
     t0.elapsed()
 }
 
-/// `runs` alternating pairs, the oracle run first in each: the median of
-/// the per-pair speed-ups `oracle / batched`, with each arm's median time
-/// for the message.
+/// `runs` alternating pairs, the oracle run first in each, each arm timing
+/// itself: the median of the per-pair speed-ups `oracle / batched`, with
+/// each arm's median time for the message.
 fn paired_speedup(
     runs: usize,
-    mut batched: impl FnMut() -> Texture,
-    mut oracle: impl FnMut() -> Texture,
+    mut batched: impl FnMut() -> Duration,
+    mut oracle: impl FnMut() -> Duration,
 ) -> (f64, Duration, Duration) {
     let (mut ratios, mut t_batched, mut t_oracle) = (Vec::new(), Vec::new(), Vec::new());
     for _ in 0..runs {
-        let off = time(&mut oracle);
-        let on = time(&mut batched);
+        let off = oracle();
+        let on = batched();
         ratios.push(off.as_secs_f64() / on.as_secs_f64());
         t_oracle.push(off);
         t_batched.push(on);
@@ -102,6 +107,18 @@ fn slivers() -> Vec<Primitive> {
         .collect()
 }
 
+/// The interior pass of a 48-vertex constraint's canvas at 1024², the
+/// viewport its bounding box (a selection's canvas): the constraint's
+/// triangles, as `render_polygons` draws them.
+fn constraint_interior() -> (Vec<Primitive>, Viewport) {
+    let unit = BBox::new(Point::ZERO, Point::new(1.0, 1.0));
+    let constraint = &urban::constraint_polygons(1, &unit, 0.3, 48, 0xc0de)[0];
+    let prims = (constraint.triangulate().into_iter())
+        .map(|t| Primitive::triangle(t.a, t.b, t.c, [1, 0, 1, 0]))
+        .collect();
+    (prims, Viewport::new(constraint.bbox(), 1024, 1024))
+}
+
 /// The canvas a pass writes at `n`² — every fragment's attrs, in order —
 /// through the batched kernels or the scalar oracle.
 fn render(prims: &[Primitive], n: u32, conservative: bool, batched: bool) -> Texture {
@@ -129,8 +146,8 @@ fn batched_kernels_speed_up_raster_bound_work() {
     assert_eq!(render(&prims, 1024, false, true), want);
     let (speedup, t_on, t_off) = paired_speedup(
         15,
-        || render(&prims, 1024, false, true),
-        || render(&prims, 1024, false, false),
+        || time(|| render(&prims, 1024, false, true)),
+        || time(|| render(&prims, 1024, false, false)),
     );
     eprintln!("raster_bound: batched {t_on:?} scalar {t_off:?} speedup {speedup:.2}x");
     assert!(
@@ -150,13 +167,54 @@ fn conservative_runs_speed_up_sliver_coverage() {
     // The oracle takes over half a second per run here, so fewer runs.
     let (speedup, t_runs, t_oracle) = paired_speedup(
         5,
-        || render(&prims, 512, true, true),
-        || render(&prims, 512, true, false),
+        || time(|| render(&prims, 512, true, true)),
+        || time(|| render(&prims, 512, true, false)),
     );
     eprintln!("slivers: runs {t_runs:?} oracle {t_oracle:?} speedup {speedup:.2}x");
     assert!(
         speedup >= 2.0,
         "expected conservative runs >= 2x the oracle, got {speedup:.2}x \
          (runs median {t_runs:?}, oracle median {t_oracle:?})"
+    );
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "timing-sensitive; run in release")]
+fn band_draw_speeds_up_constraint_interior() {
+    let (prims, vp) = constraint_interior();
+    let pipe = Pipeline::with_workers(1);
+    let call = DrawCall::simple(vp, BlendMode::Replace, false);
+    let draw = |tex: &mut Texture| {
+        pipe.draw(tex, &prims, &call);
+    };
+    // The oracle: every fragment of the scalar rasterizer, blended one by
+    // one in primitive order.
+    let oracle = |tex: &mut Texture| {
+        for p in &prims {
+            raster::rasterize(p, &vp, false, &mut |x, y| {
+                tex.put(x, y, call.blend.apply(tex.get(x, y), p.attrs()))
+            });
+        }
+    };
+    let (mut got, mut want) = (Texture::new(1024, 1024), Texture::new(1024, 1024));
+    draw(&mut got);
+    oracle(&mut want);
+    assert!(want.count_non_null() > 500_000);
+    assert_eq!(got, want);
+    // Both arms draw into a cleared 1024² target with the clear untimed,
+    // so the ratio is the draws' alone.
+    let timed = |tex: &mut Texture, f: &dyn Fn(&mut Texture)| {
+        tex.clear();
+        let t0 = Instant::now();
+        f(std::hint::black_box(tex));
+        t0.elapsed()
+    };
+    let (speedup, t_draw, t_oracle) =
+        paired_speedup(15, || timed(&mut got, &draw), || timed(&mut want, &oracle));
+    eprintln!("constraint interior: draw {t_draw:?} oracle {t_oracle:?} speedup {speedup:.2}x");
+    assert!(
+        speedup >= 3.0,
+        "expected the band draw >= 3x the oracle, got {speedup:.2}x \
+         (draw median {t_draw:?}, oracle median {t_oracle:?})"
     );
 }

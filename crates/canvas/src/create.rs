@@ -119,7 +119,7 @@ pub fn render_polygons(pipe: &Pipeline, vp: Viewport, polys: &[PreparedPolygon])
         &boundary,
         &DrawCall::simple(vp, BlendMode::Replace, true),
     );
-    record_coverage(&mut layer.boundary, &boundary, &vp, pipe.pool());
+    let boundary_rows = record_coverage(&mut layer.boundary, &boundary, &vp, pipe.pool());
 
     // Exactness pass: a boundary pixel may also be touched by *interior*
     // triangles (of this or an adjacent object) whose coverage the single
@@ -130,32 +130,28 @@ pub fn render_polygons(pipe: &Pipeline, vp: Viewport, polys: &[PreparedPolygon])
         .iter()
         .flat_map(|p| p.triangles.iter().map(move |t| (p.id, *t)))
         .collect();
-    record_triangles_at_boundary(&mut layer, &all_tris, &vp, pipe.pool());
+    record_triangles_at_boundary(
+        &mut layer.boundary,
+        &all_tris,
+        &boundary_rows,
+        &vp,
+        pipe.pool(),
+    );
     layer
 }
 
-/// Record conservative triangle coverage at boundary-classified pixels, so
-/// the union test at those pixels is exact.
+/// Record conservative triangle coverage at the boundary pixels `rows`
+/// (per row, the ascending columns the boundary pass marked), so the union
+/// test at those pixels is exact. Boundary pixels are sparse (≈ perimeter),
+/// so each triangle only visits the boundary pixels inside its bbox instead
+/// of scanning its whole coverage.
 fn record_triangles_at_boundary(
-    layer: &mut CanvasLayer,
+    boundary: &mut BoundaryIndex,
     tris: &[(u32, Triangle)],
+    rows: &[Vec<u32>],
     vp: &Viewport,
     pool: &WorkerPool,
 ) {
-    // Boundary pixels are sparse (≈ perimeter); index them per row so each
-    // triangle only visits boundary pixels inside its bbox instead of
-    // scanning its whole coverage.
-    let texture = &layer.texture;
-    let mut rows: Vec<Vec<u32>> = vec![Vec::new(); texture.height() as usize];
-    for (x, y, v) in texture.iter_non_null() {
-        if v[crate::canvas::CH_FLAG] & FLAG_BOUNDARY != 0 {
-            rows[y as usize].push(x);
-        }
-    }
-    for r in &mut rows {
-        r.sort_unstable();
-    }
-    let rows = &rows;
     let hits: Vec<Vec<((u32, u32), usize)>> = pool.parallel_map_chunks(tris, |base, chunk| {
         let mut out = Vec::new();
         for (k, (_, t)) in chunk.iter().enumerate() {
@@ -184,26 +180,29 @@ fn record_triangles_at_boundary(
     for list in hits {
         for (px, tri_idx) in list {
             let entry = *entry_of[tri_idx].get_or_insert_with(|| {
-                layer.boundary.push(BoundaryEntry {
+                boundary.push(BoundaryEntry {
                     object: tris[tri_idx].0,
                     geom: BoundaryGeom::Triangle(tris[tri_idx].1),
                 })
             });
-            layer.boundary.record_pixel(px, entry);
+            boundary.record_pixel(px, entry);
         }
     }
-    layer.boundary.finalize_overflow();
+    boundary.finalize_overflow();
 }
 
 /// Record which boundary entries the conservative boundary primitives touch
 /// at which pixels, building the overflow lists that keep multi-edge pixels
 /// exact. The primitives' `vb` attribute (channel 3) names the entry.
+/// Returns the touched pixels per row, ascending and without repeats: the
+/// boundary pass rasterizes the same primitives under the same rule, so
+/// they are exactly the pixels it marks `FLAG_BOUNDARY`.
 fn record_coverage(
     boundary: &mut BoundaryIndex,
     prims: &[Primitive],
     vp: &Viewport,
     pool: &WorkerPool,
-) {
+) -> Vec<Vec<u32>> {
     let per_chunk: Vec<Vec<((u32, u32), u32)>> = pool.parallel_map_chunks(prims, |_, chunk| {
         let mut out = Vec::new();
         for prim in chunk {
@@ -217,11 +216,18 @@ fn record_coverage(
         }
         out
     });
+    let mut rows: Vec<Vec<u32>> = vec![Vec::new(); vp.height as usize];
     for list in per_chunk {
         for (px, entry) in list {
             boundary.record_pixel(px, entry);
+            rows[px.1 as usize].push(px.0);
         }
     }
+    for row in &mut rows {
+        row.sort_unstable();
+        row.dedup();
+    }
+    rows
 }
 
 #[cfg(test)]

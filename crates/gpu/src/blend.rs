@@ -49,10 +49,19 @@ impl BlendMode {
         }
     }
 
+    /// [`BlendMode::apply`] of one `src` over every pixel of `dst`: a
+    /// primitive's covered run on one row. `Replace` is a fill; the other
+    /// modes apply pixel by pixel over the slice.
+    #[inline]
+    pub fn blend_run(self, dst: &mut [PixelValue], src: PixelValue) {
+        match self {
+            BlendMode::Replace => dst.fill(src),
+            mode => dst.iter_mut().for_each(|d| *d = mode.apply(*d, src)),
+        }
+    }
+
     /// Scatter batched form of [`BlendMode::apply`] over an SoA fragment
-    /// buffer: each live (`mask = 1`) fragment blends into
-    /// `dst[(y − y0)·width + x]`; masked-off lanes of batched coverage
-    /// blocks blend as no-ops through the same select, not a branch.
+    /// buffer: each fragment blends into `dst[(y − y0)·width + x]`.
     /// Fragments are applied in buffer order, preserving primitive-ordered
     /// `Replace`/`KeepFirst` semantics.
     pub fn blend_soa(self, dst: &mut [PixelValue], y0: u32, width: usize, fb: &FragmentBuffer) {
@@ -68,9 +77,7 @@ impl BlendMode {
     }
 }
 
-/// Monomorphized SoA scatter loop: the blend result is always computed and
-/// a select on the lane mask decides whether it lands — no per-fragment
-/// branch, no per-fragment mode dispatch.
+/// Monomorphized SoA scatter loop: no per-fragment mode dispatch.
 #[inline]
 fn scatter(
     dst: &mut [PixelValue],
@@ -81,9 +88,7 @@ fn scatter(
 ) {
     for k in 0..fb.len() {
         let i = (fb.ys[k] - y0) as usize * width + fb.xs[k] as usize;
-        let d = dst[i];
-        let r = f(d, fb.vals[k]);
-        dst[i] = if fb.mask[k] != 0 { r } else { d };
+        dst[i] = f(dst[i], fb.vals[k]);
     }
 }
 
@@ -134,10 +139,9 @@ mod tests {
     const EDGES: [u32; 7] = [0, 1, 2, 7, u32::MAX / 2, u32::MAX - 1, u32::MAX];
 
     /// Exhaustive property test over the u32 edge cases: for every mode and
-    /// every edge pair, the scalar `apply` and the SoA `blend_soa` must be
-    /// bit-identical — including the `u32::MAX` boundary and the
-    /// null-destination modes — and a masked-off SoA lane must be an exact
-    /// no-op for every mode.
+    /// every edge pair, the scalar `apply`, the SoA `blend_soa` and the run
+    /// `blend_run` must be bit-identical — including the `u32::MAX` boundary
+    /// and the null-destination modes.
     #[test]
     fn batched_blends_bit_identical_to_scalar_over_edge_cases() {
         for mode in MODES {
@@ -154,12 +158,9 @@ mod tests {
                     mode.blend_soa(&mut soa_dst, 0, 1, &fb);
                     assert_eq!(soa_dst[0], want, "{mode:?} soa d={d:?} s={s:?}");
 
-                    // Masked-off lane: exact no-op regardless of value.
-                    let mut masked = FragmentBuffer::new();
-                    masked.push_block(0, 0, 1, 0, s);
-                    let mut noop_dst = [d];
-                    mode.blend_soa(&mut noop_dst, 0, 1, &masked);
-                    assert_eq!(noop_dst[0], d, "{mode:?} masked lane mutated dst");
+                    let mut run_dst = [d; 3];
+                    mode.blend_run(&mut run_dst, s);
+                    assert_eq!(run_dst, [want; 3], "{mode:?} run d={d:?} s={s:?}");
                 }
             }
         }

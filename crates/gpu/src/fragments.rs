@@ -1,17 +1,14 @@
 //! Structure-of-arrays fragment buffers.
 //!
-//! `Pipeline::draw` used to carry fragments as `Vec<(x, y, value)>` tuples
-//! and blend them one `BlendMode::apply` dispatch at a time. The SoA layout
-//! here — separate `x`, `y`, `value` and `mask` arrays — is what the
-//! batched blend kernels ([`crate::blend::BlendMode::blend_soa`]) iterate:
-//! a branch-free masked loop with the mode dispatch hoisted out. The same
-//! layout is the drop-in shape for a future `std::simd` port: each array is
-//! already a contiguous lane source.
-//!
-//! Fragments arrive two ways: scalar pushes (one live fragment each, from
-//! shaded/discard-capable paths) and whole coverage blocks from the batched
-//! rasterizer ([`crate::raster::rasterize_blocks`]), where masked-off lanes
-//! are materialized too and neutralized by `mask = 0` instead of a branch.
+//! The two-phase draw — shaded passes, whose fragment shader may discard or
+//! compute a value, and conservative passes — rasterizes each chunk of the
+//! primitive stream into one buffer per target band, then blends each band
+//! from its buffers in chunk (= primitive) order. The SoA layout here —
+//! separate `x`, `y` and `value` arrays, every entry a live fragment — is
+//! what the batched blend kernel ([`crate::blend::BlendMode::blend_soa`])
+//! iterates with the mode dispatch hoisted out of the loop. A default-rule
+//! canvas-creation draw stages nothing: it blends each triangle's row runs
+//! into its band directly (see [`crate::pipeline`]).
 
 use crate::texture::PixelValue;
 
@@ -24,9 +21,6 @@ pub struct FragmentBuffer {
     pub ys: Vec<u32>,
     /// Value to blend per fragment.
     pub vals: Vec<PixelValue>,
-    /// Per-fragment liveness: 1 = blend, 0 = masked-off lane of a batched
-    /// coverage block (blends as a no-op, branch-free).
-    pub mask: Vec<u8>,
 }
 
 impl FragmentBuffer {
@@ -34,7 +28,7 @@ impl FragmentBuffer {
         FragmentBuffer::default()
     }
 
-    /// Number of fragment slots (live and masked-off).
+    /// Number of fragments.
     pub fn len(&self) -> usize {
         self.xs.len()
     }
@@ -43,39 +37,12 @@ impl FragmentBuffer {
         self.xs.is_empty()
     }
 
-    /// Number of live (mask = 1) fragments.
-    pub fn live(&self) -> usize {
-        self.mask.iter().map(|&m| m as usize).sum()
-    }
-
-    pub fn clear(&mut self) {
-        self.xs.clear();
-        self.ys.clear();
-        self.vals.clear();
-        self.mask.clear();
-    }
-
-    /// Append one live fragment.
+    /// Append one fragment.
     #[inline]
     pub fn push(&mut self, x: u32, y: u32, v: PixelValue) {
         self.xs.push(x);
         self.ys.push(y);
         self.vals.push(v);
-        self.mask.push(1);
-    }
-
-    /// Append a rasterizer coverage block: `n` consecutive columns starting
-    /// at `x0` on row `y`, all carrying value `v`, with bit `i` of `mask`
-    /// deciding whether column `x0 + i` is live. Lanes are appended in
-    /// ascending column order, preserving the scalar emission order.
-    #[inline]
-    pub fn push_block(&mut self, x0: u32, y: u32, n: u32, mask: u8, v: PixelValue) {
-        for i in 0..n {
-            self.xs.push(x0 + i);
-            self.ys.push(y);
-            self.vals.push(v);
-            self.mask.push((mask >> i) & 1);
-        }
     }
 }
 
@@ -84,19 +51,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn push_and_push_block_layout() {
+    fn push_appends_in_order() {
         let mut fb = FragmentBuffer::new();
         assert!(fb.is_empty());
         fb.push(3, 4, [9, 0, 0, 0]);
-        // Block of 5 columns at (10..15, 7), coverage bits 0b10110.
-        fb.push_block(10, 7, 5, 0b10110, [1, 2, 3, 4]);
-        assert_eq!(fb.len(), 6);
-        assert_eq!(fb.live(), 4);
-        assert_eq!(fb.xs, vec![3, 10, 11, 12, 13, 14]);
-        assert_eq!(fb.ys, vec![4, 7, 7, 7, 7, 7]);
-        assert_eq!(fb.mask, vec![1, 0, 1, 1, 0, 1]);
-        fb.clear();
-        assert!(fb.is_empty());
-        assert_eq!(fb.live(), 0);
+        fb.push(10, 7, [1, 2, 3, 4]);
+        assert_eq!(fb.len(), 2);
+        assert_eq!(fb.xs, vec![3, 10]);
+        assert_eq!(fb.ys, vec![4, 7]);
+        assert_eq!(fb.vals, vec![[9, 0, 0, 0], [1, 2, 3, 4]]);
     }
 }

@@ -17,10 +17,13 @@
 //! [`rasterize_with`], which passes use, emits the same fragments in the
 //! same order from 8-pixel blocks (default rule) and per-row runs
 //! (conservative triangles), tested with the oracle's exact predicates.
+//! [`triangle_runs`] hands a default-rule triangle's coverage to a draw as
+//! one run per row, clipped to the rows the draw asks for.
 
 use crate::primitive::Primitive;
 use crate::viewport::Viewport;
 use spade_geometry::{BBox, Point, Triangle};
+use std::ops::Range;
 
 /// Width of the batched edge-function kernel: one coverage block is eight
 /// consecutive pixels of a scanline.
@@ -177,16 +180,37 @@ impl TriRowKernel {
     /// the batched form of the linear-scan fallback.
     fn count_row(&self, x0: u32, x1: u32) -> usize {
         let mut total = 0usize;
+        self.row_blocks(x0, x1, |_, m| total += m.count_ones() as usize);
+        total
+    }
+
+    /// The first and the last covered column of the row on `[x0, x1]`, one
+    /// block at a time; `None` when no pixel of it is covered.
+    fn scan_row(&self, x0: u32, x1: u32) -> Option<(u32, u32)> {
+        let mut ends: Option<(u32, u32)> = None;
+        self.row_blocks(x0, x1, |x, m| {
+            if m != 0 {
+                let last = x + 7 - m.leading_zeros();
+                let first = ends.map_or(x + m.trailing_zeros(), |(first, _)| first);
+                ends = Some((first, last));
+            }
+        });
+        ends
+    }
+
+    /// Hand `block(x, mask)` the coverage of each block of up to [`LANES`]
+    /// pixels of the row on `[x0, x1]`, left to right.
+    fn row_blocks(&self, x0: u32, x1: u32, mut block: impl FnMut(u32, u8)) {
         let mut x = x0;
         loop {
             let n = ((x1 - x) as usize + 1).min(LANES);
-            total += self.coverage_mask(x, n).count_ones() as usize;
+            block(x, self.coverage_mask(x, n));
             if n < LANES {
-                return total;
+                return;
             }
             match x.checked_add(LANES as u32) {
                 Some(nx) if nx <= x1 => x = nx,
-                _ => return total,
+                _ => return,
             }
         }
     }
@@ -323,16 +347,14 @@ pub fn rasterize_with(
     }
 }
 
-/// Block-emitting front door for the batched SoA fragment path. Invokes
-/// `block(x, y, n, mask)` for every non-empty coverage block (`n ≤`
-/// [`LANES`] pixels starting at column `x`, bit `i` of `mask` = column
-/// `x + i` covered), row-major / left-to-right — the same pixel order as
-/// [`rasterize`]. Returns `true` when the primitive was rasterized in
-/// block form (default-rule triangles); `false` — without emitting
-/// anything — when it has no block form (points, lines, and conservative
-/// triangles, which run as rows) and the caller must fall back to
-/// [`rasterize_with`].
-pub fn rasterize_blocks(
+/// The block form behind [`rasterize_with`]. Invokes `block(x, y, n, mask)`
+/// for every non-empty coverage block (`n ≤` [`LANES`] pixels starting at
+/// column `x`, bit `i` of `mask` = column `x + i` covered), row-major /
+/// left-to-right — the same pixel order as [`rasterize`]. Returns `true`
+/// when the primitive was rasterized in block form (default-rule
+/// triangles); `false` — without emitting anything — when it has no block
+/// form (points, lines, and conservative triangles, which run as rows).
+fn rasterize_blocks(
     prim: &Primitive,
     vp: &Viewport,
     conservative: bool,
@@ -358,22 +380,32 @@ fn raster_tri_blocks(tri: &Triangle, vp: &Viewport, block: &mut impl FnMut(u32, 
     let mut ev = TriRowKernel::new(tri, vp);
     for y in y0..=y1 {
         ev.begin_row(vp.pixel_center(x0, y).y);
-        let mut x = x0;
-        loop {
-            let n = ((x1 - x) as usize + 1).min(LANES);
-            let m = ev.coverage_mask(x, n);
+        ev.row_blocks(x0, x1, |x, m| {
             if m != 0 {
-                block(x, y, n as u32, m);
+                block(x, y, (x1 - x + 1).min(LANES as u32), m);
             }
-            if n < LANES {
-                break;
-            }
-            match x.checked_add(LANES as u32) {
-                Some(nx) if nx <= x1 => x = nx,
-                _ => break,
-            }
-        }
+        });
     }
+}
+
+/// Default-rule coverage of `tri` on the rows `rows` as runs: `run(y,
+/// first, last)` for each row whose covered pixels are `first..=last`, in
+/// ascending y, so a draw can blend a whole run as one slice. The pixels are
+/// exactly [`rasterize`]'s on those rows. A seeded row's run comes from
+/// `tri_row_runs`; a row without a seed is scanned block by block with the
+/// exact predicate, and its covered pixels form one run by the same
+/// monotonicity argument that lets the seeded rows bisect.
+pub fn triangle_runs(
+    tri: &Triangle,
+    vp: &Viewport,
+    rows: Range<u32>,
+    run: &mut impl FnMut(u32, u32, u32),
+) {
+    tri_row_runs(tri, vp, false, rows, &mut |test, y, x0, x1, seeded| {
+        if let Some((first, last)) = seeded.or_else(|| test.edges.scan_row(x0, x1)) {
+            run(y, first, last);
+        }
+    });
 }
 
 /// Count covered pixels without materializing them (the 2-pass Map
@@ -396,13 +428,19 @@ pub fn coverage_count(prim: &Primitive, vp: &Viewport, conservative: bool) -> us
         Primitive::Triangle { a, b, c, .. } => {
             let mut total = 0usize;
             let tri = Triangle::new(*a, *b, *c);
-            tri_row_runs(&tri, vp, conservative, &mut |test, y, x0, x1, run| {
-                total += match run {
-                    Some((first, last)) => (last - first + 1) as usize,
-                    None if !conservative => test.edges.count_row(x0, x1),
-                    None => (x0..=x1).filter(|&x| test.inside(x, y)).count(),
-                }
-            });
+            tri_row_runs(
+                &tri,
+                vp,
+                conservative,
+                0..vp.height,
+                &mut |test, y, x0, x1, run| {
+                    total += match run {
+                        Some((first, last)) => (last - first + 1) as usize,
+                        None if !conservative => test.edges.count_row(x0, x1),
+                        None => (x0..=x1).filter(|&x| test.inside(x, y)).count(),
+                    }
+                },
+            );
             total
         }
     }
@@ -412,7 +450,7 @@ pub fn coverage_count(prim: &Primitive, vp: &Viewport, conservative: bool) -> us
 /// [`tri_row_runs`]); a row without a seed is scanned pixel by pixel. The
 /// fragments and their order are [`raster_tri_conservative`]'s.
 fn raster_tri_runs(tri: &Triangle, vp: &Viewport, emit: &mut impl FnMut(u32, u32)) {
-    tri_row_runs(tri, vp, true, &mut |test, y, x0, x1, run| {
+    tri_row_runs(tri, vp, true, 0..vp.height, &mut |test, y, x0, x1, run| {
         let (lo, hi) = run.unwrap_or((x0, x1));
         for x in (lo..=hi).filter(|&x| run.is_some() || test.inside(x, y)) {
             emit(x, y);
@@ -448,24 +486,31 @@ impl RowTest<'_> {
 /// multiplication by a row-constant and fp addition are monotone, and
 /// min/max/comparison preserve monotonicity), and a conjunction of monotone
 /// threshold tests is a contiguous run. So per row we probe an analytic hint
-/// and its two neighbours for a covered pixel, then binary-search both ends
-/// of the run with the exact per-pixel predicate. A row with no seed is
-/// left to the caller's scan, which can never be wrong. Rows the default
-/// rule proves empty are skipped.
+/// and its two neighbours for a covered pixel, then find both ends of the
+/// run with the exact per-pixel predicate: under the default rule the
+/// analytic interval's ends are tried first (they are the run's ends up to
+/// rounding), and a binary search settles whatever they do not. A row with
+/// no seed is left to the caller's scan, which can never be wrong. Rows the
+/// default rule proves empty are skipped.
 fn tri_row_runs<'a>(
     tri: &Triangle,
     vp: &'a Viewport,
     conservative: bool,
+    rows: Range<u32>,
     row: &mut impl FnMut(&RowTest<'a>, u32, u32, u32, Option<(u32, u32)>),
 ) {
     let Some((x0, y0, x1, y1)) = vp.pixel_range(&tri.bbox()) else {
         return;
     };
+    let rows = y0.max(rows.start)..(y1 + 1).min(rows.end);
+    if rows.is_empty() {
+        return;
+    }
     let mut test = RowTest {
         edges: TriRowKernel::new(tri, vp),
         boxes: conservative.then(|| (TriBoxTest::new(tri), vp)),
     };
-    for y in y0..=y1 {
+    for y in rows {
         // Row-constant pixel-center y, exactly as `pixel_center` has it.
         let py = vp.pixel_center(x0, y).y;
         test.edges.begin_row(py);
@@ -509,8 +554,63 @@ fn tri_row_runs<'a>(
         let seed = probes
             .into_iter()
             .find(|&s| (x0..=x1).contains(&s) && inside(s));
-        let run = seed.map(|s| (bisect_first(x0, s, &inside), bisect_last(s, x1, &inside)));
+        // Under the default rule: the first column whose center is at or
+        // right of `wlo` (`round` = ceil), or the last at or left of `whi`
+        // (floor), clamped to `[lo, hi]`.
+        let guess = |w: f64, round: fn(f64) -> f64, lo: u32, hi: u32| {
+            let g = round(vp.world_to_pixel_f(Point::new(w, py)).x - 0.5);
+            (!conservative && g.is_finite()).then(|| (g as i64).clamp(lo.into(), hi.into()) as u32)
+        };
+        let run = seed.map(|s| {
+            let first = first_from(x0, s, guess(wlo, f64::ceil, x0, s), &inside);
+            (
+                first,
+                last_from(s, x1, guess(whi, f64::floor, s, x1), &inside),
+            )
+        });
         row(&test, y, x0, x1, run);
+    }
+}
+
+/// Smallest covered x in `[lo, s]` (requires `inside(s)` and a
+/// false-then-true predicate on that range), trying the guess `g ∈ [lo, s]`
+/// and its neighbour before bisecting what is left.
+fn first_from(lo: u32, s: u32, g: Option<u32>, inside: &impl Fn(u32) -> bool) -> u32 {
+    let Some(g) = g else {
+        return bisect_first(lo, s, inside);
+    };
+    if inside(g) {
+        if g == lo || !inside(g - 1) {
+            g
+        } else {
+            bisect_first(lo, g - 1, inside)
+        }
+    } else if inside(g + 1) {
+        // `g < s`, since `inside(s)`.
+        g + 1
+    } else {
+        bisect_first(g + 2, s, inside)
+    }
+}
+
+/// Largest covered x in `[s, hi]` (requires `inside(s)` and a
+/// true-then-false predicate on that range), trying the guess `g ∈ [s, hi]`
+/// and its neighbour before bisecting what is left.
+fn last_from(s: u32, hi: u32, g: Option<u32>, inside: &impl Fn(u32) -> bool) -> u32 {
+    let Some(g) = g else {
+        return bisect_last(s, hi, inside);
+    };
+    if inside(g) {
+        if g == hi || !inside(g + 1) {
+            g
+        } else {
+            bisect_last(g + 1, hi, inside)
+        }
+    } else if inside(g - 1) {
+        // `g > s`, since `inside(s)`.
+        g - 1
+    } else {
+        bisect_last(s, g - 2, inside)
     }
 }
 
@@ -1188,6 +1288,51 @@ mod tests {
                 assert_eq!(want, scalar, "portable vs inside: case={case}");
             }
         }
+    }
+
+    #[test]
+    fn seedless_row_scan_matches_scalar() {
+        // A default-rule row whose probes find no seed is scanned block by
+        // block for its first and last covered column. Such rows are rare
+        // (the analytic hint is exact up to rounding), so the scan is
+        // checked directly: on random rows of random, sliver and zero-area
+        // triangles over ragged row widths, it must name the first and the
+        // last column the scalar `inside` covers, or `None` for an empty row.
+        let vp = Viewport::new(BBox::new(Point::ZERO, Point::new(10.0, 10.0)), 93, 61);
+        let mut seed = 0x5ca7_u64;
+        let mut covered_rows = 0;
+        for case in 0..300u32 {
+            let mut pts = [Point::ZERO; 3];
+            for p in &mut pts {
+                *p = Point::new(lcg(&mut seed) * 12.0 - 1.0, lcg(&mut seed) * 12.0 - 1.0);
+            }
+            match case % 3 {
+                1 => {
+                    pts[1].y = pts[0].y + 0.01;
+                    pts[2].y = pts[0].y + 0.03;
+                }
+                2 => pts[2] = pts[0].lerp(pts[1], 0.625),
+                _ => {}
+            }
+            let mut ev = TriRowKernel::new(&Triangle::new(pts[0], pts[1], pts[2]), &vp);
+            for _ in 0..8 {
+                let y = (lcg(&mut seed) * 61.0) as u32;
+                let x0 = (lcg(&mut seed) * 92.0) as u32;
+                let x1 = x0 + ((lcg(&mut seed) * f64::from(92 - x0)) as u32);
+                ev.begin_row(vp.pixel_center(0, y).y);
+                let inside: Vec<u32> = (x0..=x1).filter(|&x| ev.inside(x)).collect();
+                let want = inside
+                    .first()
+                    .map(|&first| (first, *inside.last().unwrap()));
+                covered_rows += usize::from(want.is_some());
+                assert_eq!(
+                    ev.scan_row(x0, x1),
+                    want,
+                    "case={case} y={y} x0={x0} x1={x1}"
+                );
+            }
+        }
+        assert!(covered_rows > 100, "only {covered_rows} covered rows");
     }
 
     #[test]

@@ -35,10 +35,11 @@ pub trait FragmentShader: Sync {
     fn shade(&self, frag: &Fragment) -> Option<PixelValue>;
 
     /// `true` when this shader writes `frag.attrs` verbatim for every
-    /// fragment. Lets the pipeline push whole batched coverage blocks into
-    /// the SoA fragment buffers without invoking the shader per pixel — the
-    /// rasterizer already knows the value every covered pixel will carry —
-    /// and lets the counting pass count coverage directly.
+    /// fragment. Lets a default-rule draw run band-direct — the rasterizer
+    /// already knows the value every covered pixel will carry, so each
+    /// triangle row's run is blended as one slice without invoking the
+    /// shader per pixel — and lets the counting pass count coverage
+    /// directly.
     fn writes_attrs(&self) -> bool {
         false
     }

@@ -104,20 +104,9 @@ impl Texture {
         self.data.iter().filter(|p| **p != NULL_PIXEL).count()
     }
 
-    /// Iterate `(x, y, value)` over non-null pixels.
-    pub fn iter_non_null(&self) -> impl Iterator<Item = (u32, u32, PixelValue)> + '_ {
-        let w = self.width;
-        self.data.iter().enumerate().filter_map(move |(i, &v)| {
-            if v == NULL_PIXEL {
-                None
-            } else {
-                Some(((i as u32) % w, (i as u32) / w, v))
-            }
-        })
-    }
-
     /// Split the texture rows into disjoint horizontal bands for parallel
-    /// blending. Returns mutable row-slices, one per band.
+    /// blending. Returns mutable row-slices, one per band, each with its
+    /// first row.
     pub fn band_slices(&mut self, bands: usize) -> Vec<(u32, &mut [PixelValue])> {
         let h = self.height as usize;
         let w = self.width as usize;
@@ -174,16 +163,6 @@ mod tests {
         assert_eq!(t.pixels()[5], [9, 0, 0, 0]);
         t.put_linear(0, [7, 0, 0, 0]);
         assert_eq!(t.get(0, 0), [7, 0, 0, 0]);
-    }
-
-    #[test]
-    fn iter_non_null_yields_coords() {
-        let mut t = Texture::new(4, 4);
-        t.put(1, 2, [5, 0, 0, 0]);
-        t.put(3, 0, [6, 0, 0, 0]);
-        let mut got: Vec<_> = t.iter_non_null().collect();
-        got.sort();
-        assert_eq!(got, vec![(1, 2, [5, 0, 0, 0]), (3, 0, [6, 0, 0, 0])]);
     }
 
     #[test]
