@@ -1,8 +1,10 @@
 //! Micro-benchmarks of the software graphics pipeline: rasterization rules,
-//! blending, the parallel scan, and canvas creation.
+//! blending, the parallel scan, and canvas creation (a polygon canvas and
+//! kNN's circle canvas).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use spade_canvas::create::{render_polygons, PreparedPolygon};
+use spade_canvas::distance::distance_canvas_points;
 use spade_geometry::{BBox, Point, Polygon};
 use spade_gpu::{scan, BlendMode, DrawCall, Pipeline, Primitive, Texture, Viewport};
 
@@ -104,6 +106,12 @@ fn bench_canvas_creation(c: &mut Criterion) {
         .collect();
     g.bench_function("64_polygons_512px", |b| {
         b.iter(|| render_polygons(&pipe, vp(512), &polys))
+    });
+    // A kNN select's within-circle: one point at the distance resolution.
+    let (q, r) = (Point::new(0.4, 0.6), 0.05);
+    let circle = Viewport::square_pixels(BBox::new(q, q).inflate(r), 512);
+    g.bench_function("distance_circle_512px", |b| {
+        b.iter(|| distance_canvas_points(&pipe, circle, &[(0, q, r)]))
     });
     g.finish();
 }

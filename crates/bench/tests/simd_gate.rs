@@ -10,13 +10,20 @@
 //! * canvas creation — the interior pass of a 48-vertex constraint canvas
 //!   at 1024², `Pipeline::draw` on one worker (band-direct: one slice blend
 //!   per triangle row) must be at least 3× the oracle's fragments blended
-//!   one by one in primitive order.
+//!   one by one in primitive order;
+//! * kNN's circle — the 512² distance canvas of one point, built by
+//!   `distance_canvas_points` on one worker (one classified draw), must be
+//!   at least 1.75× the scalar two-pass oracle:
+//!   the certain pixels blended with `Replace`, then the uncertain ones
+//!   with `KeepFirst`, each fragment shaded and blended one by one.
 //!
 //! Each gate alternates the two arms run by run and takes the median of the
 //! per-pair speed-ups, so load that shifts during the gate lands on both
 //! arms of a pair alike; release-only — `cargo test --release` runs them
 //! (the CI `release` job).
 
+use spade_canvas::distance::distance_canvas_points;
+use spade_canvas::{FLAG_BOUNDARY, FLAG_INTERIOR};
 use spade_datagen::urban;
 use spade_geometry::{BBox, Point};
 use spade_gpu::{raster, BlendMode, DrawCall, Pipeline, Primitive, Texture, Viewport};
@@ -216,5 +223,64 @@ fn band_draw_speeds_up_constraint_interior() {
         speedup >= 3.0,
         "expected the band draw >= 3x the oracle, got {speedup:.2}x \
          (draw median {t_draw:?}, oracle median {t_oracle:?})"
+    );
+}
+
+/// The two-pass composition of a circle canvas around `q`, radius `r`, as
+/// a scalar oracle: the circle's bounding square (two triangles, half-side
+/// `r` plus half a pixel diagonal) rasterized conservatively by
+/// `raster::rasterize` twice, the certain pixels written with `Replace`,
+/// then the uncertain ones with `KeepFirst`.
+fn circle_two_pass(q: Point, r: f64, vp: &Viewport) -> Texture {
+    let hd = vp.pixel_size().norm() * 0.5;
+    let h = r + hd;
+    let corners = [(-h, -h), (h, -h), (h, h), (-h, h)].map(|(x, y)| q + Point::new(x, y));
+    let square = [
+        Primitive::triangle(corners[0], corners[1], corners[2], [0; 4]),
+        Primitive::triangle(corners[0], corners[2], corners[3], [0; 4]),
+    ];
+    let mut tex = Texture::new(vp.width, vp.height);
+    let passes: [(BlendMode, &dyn Fn(f64) -> Option<[u32; 4]>); 2] = [
+        (BlendMode::Replace, &|d| {
+            (d <= r - hd).then_some([1, 0, FLAG_INTERIOR, 0])
+        }),
+        (BlendMode::KeepFirst, &|d| {
+            (d > r - hd && d <= r + hd).then_some([1, 0, FLAG_BOUNDARY, 1])
+        }),
+    ];
+    for (blend, shade) in passes {
+        for p in &square {
+            raster::rasterize(p, vp, true, &mut |x, y| {
+                if let Some(v) = shade(vp.pixel_center(x, y).dist(q)) {
+                    tex.put(x, y, blend.apply(tex.get(x, y), v));
+                }
+            });
+        }
+    }
+    tex
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "timing-sensitive; run in release")]
+fn classified_draw_speeds_up_knn_circle() {
+    // A kNN select's within-circle: one point, the viewport its circle's
+    // bounding box at the distance resolution.
+    let (q, r) = (Point::new(0.4, 0.6), 0.05);
+    let vp = Viewport::square_pixels(BBox::new(q, q).inflate(r), 512);
+    let pipe = Pipeline::with_workers(1);
+    let canvas = || distance_canvas_points(&pipe, vp, &[(0, q, r)]).texture;
+    let want = circle_two_pass(q, r, &vp);
+    assert!(want.count_non_null() > 150_000);
+    assert_eq!(canvas(), want);
+    let (speedup, t_canvas, t_oracle) = paired_speedup(
+        15,
+        || time(canvas),
+        || time(|| circle_two_pass(q, r, &vp)),
+    );
+    eprintln!("knn circle: canvas {t_canvas:?} oracle {t_oracle:?} speedup {speedup:.2}x");
+    assert!(
+        speedup >= 1.75,
+        "expected the circle canvas >= 1.75x the two-pass oracle, got {speedup:.2}x \
+         (canvas median {t_canvas:?}, oracle median {t_oracle:?})"
     );
 }

@@ -13,7 +13,10 @@
 //!   comparison — this is how SPADE supports accurate distance queries to
 //!   complex geometry that other systems approximate (§4.2).
 //!
-//! Pixels certainly outside are discarded in the fragment shader.
+//! Pixels certainly outside are discarded in the fragment shader. Each set
+//! of primitives is one classified pass ([`BlendMode::Classified`]): a
+//! certain pixel overwrites and an uncertain one fills only a null pixel, so
+//! a pixel any source covers for certain ends up interior.
 
 use crate::boundary::{BoundaryEntry, BoundaryGeom};
 use crate::canvas::{pack, CanvasLayer, CH_VAL, FLAG_BOUNDARY, FLAG_INTERIOR};
@@ -196,40 +199,23 @@ pub fn distance_canvas_polygon(
         ));
     }
 
-    // Pass A: interior-certain pixels of triangles. The pixel box is fully
-    // inside a (convex) triangle iff all four corners are.
-    let shader_a = FnFragment(|frag: &Fragment| {
+    // One classified pass over the triangles: a pixel whose box lies fully
+    // inside a (convex) triangle — all four corners are — is certain, any
+    // other touched pixel uncertain.
+    let shader = FnFragment(|frag: &Fragment| {
         let idx = frag.attrs[CH_VAL] as usize;
-        let t = &tris[idx];
         let bb = vp.pixel_box(frag.x, frag.y);
-        if bb.corners().iter().all(|&c| point_in_triangle(c, t)) {
+        if bb.corners().iter().all(|&c| point_in_triangle(c, &tris[idx])) {
             Some([frag.attrs[0], 0, FLAG_INTERIOR, 0])
-        } else {
-            None
-        }
-    });
-    let call_a = DrawCall {
-        fragment: &shader_a,
-        ..DrawCall::simple(vp, BlendMode::Replace, true)
-    };
-    pipe.draw(&mut layer.texture, &interior_prims, &call_a);
-
-    // Pass B: uncertain triangle pixels (touched but not fully covered).
-    let shader_b = FnFragment(|frag: &Fragment| {
-        let idx = frag.attrs[CH_VAL] as usize;
-        let t = &tris[idx];
-        let bb = vp.pixel_box(frag.x, frag.y);
-        if bb.corners().iter().all(|&c| point_in_triangle(c, t)) {
-            None // already certain
         } else {
             Some([frag.attrs[0], 0, FLAG_BOUNDARY, frag.attrs[CH_VAL] + 1])
         }
     });
-    let call_b = DrawCall {
-        fragment: &shader_b,
-        ..DrawCall::simple(vp, BlendMode::KeepFirst, true)
+    let call = DrawCall {
+        fragment: &shader,
+        ..DrawCall::simple(vp, BlendMode::Classified, true)
     };
-    pipe.draw(&mut layer.texture, &interior_prims, &call_b);
+    pipe.draw(&mut layer.texture, &interior_prims, &call);
 
     // Boundary capsules: within `r` of each polygon edge.
     let edges = poly.polygon.boundary_edges();
@@ -246,7 +232,7 @@ pub fn distance_canvas_polygon(
     }
     let radii = vec![r; edges.len()];
     let gs = CapsuleExpand { pad: r + hd };
-    draw_distance_passes(
+    draw_distance(
         pipe,
         vp,
         &mut layer,
@@ -263,8 +249,7 @@ pub fn distance_canvas_polygon(
 }
 
 /// Shared implementation: expand `prims` through `gs`, classify fragments
-/// by distance to their source, render the interior (Replace) and boundary
-/// (KeepFirst) passes, and record boundary coverage.
+/// by distance to their source in one pass, and record boundary coverage.
 fn render_distance(
     pipe: &Pipeline,
     vp: Viewport,
@@ -279,14 +264,18 @@ fn render_distance(
     for i in 0..sources.len() {
         entry_ids.push(layer.boundary.push(make_entry(i)));
     }
-    draw_distance_passes(pipe, vp, &mut layer, prims, gs, sources, radii, &entry_ids);
+    draw_distance(pipe, vp, &mut layer, prims, gs, sources, radii, &entry_ids);
     record_distance_coverage(&mut layer, &vp, pipe.pool());
     layer
 }
 
-/// The two classified rendering passes shared by all distance canvases.
+/// The classified pass shared by all distance canvases: a pixel certainly
+/// within its source's radius is certain (interior) and overwrites, one
+/// that may be is uncertain (boundary, with its entry) and fills only a
+/// null pixel ([`BlendMode::Classified`]), and one certainly outside is
+/// discarded.
 #[allow(clippy::too_many_arguments)]
-fn draw_distance_passes(
+fn draw_distance(
     pipe: &Pipeline,
     vp: Viewport,
     layer: &mut CanvasLayer,
@@ -297,42 +286,23 @@ fn draw_distance_passes(
     entry_ids: &[u32],
 ) {
     let hd = half_diag(&vp);
-
-    // Pass A: certainly-covered pixels.
-    let shader_a = FnFragment(|frag: &Fragment| {
+    let shader = FnFragment(|frag: &Fragment| {
         let i = frag.attrs[CH_VAL] as usize;
         let d = sources[i].distance(frag.world);
         if d <= radii[i] - hd {
             Some([frag.attrs[0], 0, FLAG_INTERIOR, 0])
-        } else {
-            None
-        }
-    });
-    let call_a = DrawCall {
-        geometry: Some(gs),
-        fragment: &shader_a,
-        ..DrawCall::simple(vp, BlendMode::Replace, true)
-    };
-    pipe.draw(&mut layer.texture, prims, &call_a);
-
-    // Pass B: uncertain pixels, never overwriting certain ones.
-    let shader_b = FnFragment(|frag: &Fragment| {
-        let i = frag.attrs[CH_VAL] as usize;
-        let d = sources[i].distance(frag.world);
-        if d <= radii[i] - hd {
-            None
         } else if d <= radii[i] + hd {
             Some([frag.attrs[0], 0, FLAG_BOUNDARY, entry_ids[i] + 1])
         } else {
             None
         }
     });
-    let call_b = DrawCall {
+    let call = DrawCall {
         geometry: Some(gs),
-        fragment: &shader_b,
-        ..DrawCall::simple(vp, BlendMode::KeepFirst, true)
+        fragment: &shader,
+        ..DrawCall::simple(vp, BlendMode::Classified, true)
     };
-    pipe.draw(&mut layer.texture, prims, &call_b);
+    pipe.draw(&mut layer.texture, prims, &call);
 }
 
 /// Record, at every boundary-classified pixel, all entries whose region

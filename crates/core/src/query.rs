@@ -388,10 +388,10 @@ mod tests {
     /// made (a registered dataset's memo, a cell the cell cache keeps): the
     /// formulas beside DESIGN.md §1's operator table, in terms
     /// of the constraint layers, the Map implementation and the slots
-    /// refined. A polygon canvas and a disk canvas are two passes, a
-    /// polygon's distance canvas four (the distance filter adds one hull
-    /// selection per left slot), a layer index one pass per layer, a Map
-    /// one pass (1-pass) or two (2-pass).
+    /// refined. A polygon canvas is two passes, a disk canvas one (its
+    /// classified draw), a polygon's distance canvas two (the distance
+    /// filter adds one hull selection per left slot), a layer index one
+    /// pass per layer, a Map one pass (1-pass) or two (2-pass).
     /// The join terms come from the walk the class plans (its pairs in
     /// order, the slots each pair loads). `None` for a staged kNN select,
     /// where which of its two runs refine the memory slot is not visible
@@ -419,7 +419,7 @@ mod tests {
                     Some(2 + 2 + filter + map_passes)
                 }
                 // One distance canvas serves both filter and refinement.
-                SelectQuery::WithinDistance(..) => Some(2 + filter + map_passes),
+                SelectQuery::WithinDistance(..) => Some(1 + filter + map_passes),
                 // Two circles, two filtered runs: one counting pass per
                 // slot of the first, one Map per slot of the second.
                 SelectQuery::Knn(..) => {
@@ -428,7 +428,7 @@ mod tests {
                         (_, false) => stats.cells_loaded - maps,
                         (_, true) => return None,
                     };
-                    Some(2 + 2 + 2 * filter + counted + map_passes)
+                    Some(1 + 1 + 2 * filter + counted + map_passes)
                 }
             };
         }
@@ -464,9 +464,9 @@ mod tests {
         let filtered = grid(left) + grid(right) > 0;
         let (end1, end2) = (v1.slots(true).end, v2.slots(true).end);
         // Disk layers of the left slot's points at the given radii, and
-        // their passes: two per canvas per entry, one probe per pair.
+        // their passes: one per canvas per entry, one probe per pair.
         let disks = |d: &dyn Fn(u32) -> u64| {
-            entries.iter().map(|&l| 2 * d(l)).sum::<u64>()
+            entries.iter().map(|&l| d(l)).sum::<u64>()
                 + pairs.iter().map(|p| d(p.0)).sum::<u64>()
         };
         match j {
@@ -499,7 +499,7 @@ mod tests {
                 Some(passes)
             }
             JoinQuery::WithinDistance(r) => {
-                let filter = if filtered { 5 * end1 as u64 } else { 0 };
+                let filter = if filtered { 3 * end1 as u64 } else { 0 };
                 let d = |l: u32| {
                     let pts = load(v1, l).as_points();
                     disk_layers(&pts.iter().map(|&(_, p)| (p, *r)).collect::<Vec<_>>()).len() as u64
@@ -507,7 +507,7 @@ mod tests {
                 Some(filter + disks(&d))
             }
             JoinQuery::Knn(k) => {
-                let filter = if filtered { 5 * end1 as u64 } else { 0 };
+                let filter = if filtered { 3 * end1 as u64 } else { 0 };
                 // Counting: one circle pass per left point per pair.
                 let counting: u64 = pairs.iter().map(|p| load(v1, p.0).len() as u64).sum();
                 // Ranking: the disks at the radii those histograms pick.

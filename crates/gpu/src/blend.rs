@@ -8,14 +8,16 @@
 //! counted points per pixel for its aggregation plan, which this engine
 //! replaces with the join's probe and a count fold (DESIGN.md §2).
 
-use crate::fragments::FragmentBuffer;
 use crate::texture::{PixelValue, NULL_PIXEL};
 
 /// Fixed-function blend modes applied when a fragment lands on a pixel.
 ///
-/// All modes except [`BlendMode::Replace`] are commutative, so parallel
-/// banded blending is order-independent; `Replace` is resolved in primitive
-/// order (last primitive wins), matching GL's ordered semantics.
+/// `Replace`, `KeepFirst` and `Classified` depend on the order fragments
+/// arrive in, and only `Max` is commutative. A draw is deterministic for
+/// every mode because each row band of the target blends its fragments in
+/// primitive order (see [`crate::pipeline`]), which is GL's ordered
+/// semantics: under `Replace` the last primitive wins, under `KeepFirst` the
+/// first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlendMode {
     /// Source overwrites destination (respecting primitive order).
@@ -25,6 +27,14 @@ pub enum BlendMode {
     /// Per-channel maximum. The layer-index construction blends with "keep
     /// the object with the higher identifier" (§5.5 Pass 1).
     Max,
+    /// The distance canvases' classified blend (§4.2): a certain source
+    /// (channel 3, the boundary pointer, is 0) overwrites the destination,
+    /// an uncertain one (channel 3 set) fills only a null pixel. On a fresh
+    /// target one pass of it equals a `Replace` pass of the certain values
+    /// followed by a `KeepFirst` pass of the uncertain ones, as long as no
+    /// certain value is null: the last certain fragment wins, and otherwise
+    /// the first uncertain one does.
+    Classified,
 }
 
 impl BlendMode {
@@ -46,6 +56,13 @@ impl BlendMode {
                 dst[2].max(src[2]),
                 dst[3].max(src[3]),
             ],
+            BlendMode::Classified => {
+                if src[3] == 0 {
+                    BlendMode::Replace.apply(dst, src)
+                } else {
+                    BlendMode::KeepFirst.apply(dst, src)
+                }
+            }
         }
     }
 
@@ -58,37 +75,6 @@ impl BlendMode {
             BlendMode::Replace => dst.fill(src),
             mode => dst.iter_mut().for_each(|d| *d = mode.apply(*d, src)),
         }
-    }
-
-    /// Scatter batched form of [`BlendMode::apply`] over an SoA fragment
-    /// buffer: each fragment blends into `dst[(y − y0)·width + x]`.
-    /// Fragments are applied in buffer order, preserving primitive-ordered
-    /// `Replace`/`KeepFirst` semantics.
-    pub fn blend_soa(self, dst: &mut [PixelValue], y0: u32, width: usize, fb: &FragmentBuffer) {
-        match self {
-            BlendMode::Replace => {
-                scatter(dst, y0, width, fb, |d, s| BlendMode::Replace.apply(d, s))
-            }
-            BlendMode::KeepFirst => {
-                scatter(dst, y0, width, fb, |d, s| BlendMode::KeepFirst.apply(d, s))
-            }
-            BlendMode::Max => scatter(dst, y0, width, fb, |d, s| BlendMode::Max.apply(d, s)),
-        }
-    }
-}
-
-/// Monomorphized SoA scatter loop: no per-fragment mode dispatch.
-#[inline]
-fn scatter(
-    dst: &mut [PixelValue],
-    y0: u32,
-    width: usize,
-    fb: &FragmentBuffer,
-    f: impl Fn(PixelValue, PixelValue) -> PixelValue,
-) {
-    for k in 0..fb.len() {
-        let i = (fb.ys[k] - y0) as usize * width + fb.xs[k] as usize;
-        dst[i] = f(dst[i], fb.vals[k]);
     }
 }
 
@@ -131,7 +117,12 @@ mod tests {
         assert_eq!(BlendMode::Max.apply(a, b), BlendMode::Max.apply(b, a));
     }
 
-    const MODES: [BlendMode; 3] = [BlendMode::Replace, BlendMode::KeepFirst, BlendMode::Max];
+    const MODES: [BlendMode; 4] = [
+        BlendMode::Replace,
+        BlendMode::KeepFirst,
+        BlendMode::Max,
+        BlendMode::Classified,
+    ];
 
     /// u32 edge cases: zero (every channel zero is `NULL_PIXEL`, the "no
     /// data" sentinel), small values, values near the top of the range,
@@ -139,9 +130,9 @@ mod tests {
     const EDGES: [u32; 7] = [0, 1, 2, 7, u32::MAX / 2, u32::MAX - 1, u32::MAX];
 
     /// Exhaustive property test over the u32 edge cases: for every mode and
-    /// every edge pair, the scalar `apply`, the SoA `blend_soa` and the run
-    /// `blend_run` must be bit-identical — including the `u32::MAX` boundary
-    /// and the null-destination modes.
+    /// every edge pair, the scalar `apply` and the run `blend_run` must be
+    /// bit-identical — including the `u32::MAX` boundary and the
+    /// null-destination modes.
     #[test]
     fn batched_blends_bit_identical_to_scalar_over_edge_cases() {
         for mode in MODES {
@@ -152,12 +143,6 @@ mod tests {
                     let s: PixelValue = [b, a, u32::MAX - (a / 2), b.wrapping_add(1)];
                     let want = mode.apply(d, s);
 
-                    let mut fb = FragmentBuffer::new();
-                    fb.push(0, 0, s);
-                    let mut soa_dst = [d];
-                    mode.blend_soa(&mut soa_dst, 0, 1, &fb);
-                    assert_eq!(soa_dst[0], want, "{mode:?} soa d={d:?} s={s:?}");
-
                     let mut run_dst = [d; 3];
                     mode.blend_run(&mut run_dst, s);
                     assert_eq!(run_dst, [want; 3], "{mode:?} run d={d:?} s={s:?}");
@@ -166,18 +151,38 @@ mod tests {
         }
     }
 
-    /// Scatter indexing: fragments land at `(y − y0)·width + x` and apply
-    /// in buffer order (primitive order for `Replace`).
+    /// One `Classified` pass over a fresh target equals a `Replace` pass of
+    /// its certain values (channel 3 zero, never null) followed by a
+    /// `KeepFirst` pass of its uncertain ones, on random fragment sequences
+    /// over a few pixels.
     #[test]
-    fn blend_soa_scatter_indexing_and_order() {
-        let mut fb = FragmentBuffer::new();
-        fb.push(1, 5, [10, 0, 0, 0]);
-        fb.push(2, 6, [20, 0, 0, 0]);
-        fb.push(1, 5, [30, 0, 0, 0]); // later fragment wins under Replace
-        let mut dst = [NULL_PIXEL; 8]; // 4 wide × 2 rows, band starts at y0=5
-        BlendMode::Replace.blend_soa(&mut dst, 5, 4, &fb);
-        assert_eq!(dst[1], [30, 0, 0, 0]);
-        assert_eq!(dst[4 + 2], [20, 0, 0, 0]);
-        assert_eq!(dst.iter().filter(|&&p| p != NULL_PIXEL).count(), 2);
+    fn classified_equals_replace_then_keep_first() {
+        let mut seed = 0xc1a5_u64;
+        let mut next = |n: u64| {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 33) % n
+        };
+        for case in 0..500 {
+            let frags: Vec<(usize, PixelValue)> = (0..next(24))
+                .map(|_| {
+                    let id = 1 + next(5) as u32;
+                    let bound = if next(2) == 0 { 0 } else { 1 + next(4) as u32 };
+                    (next(4) as usize, [id, 0, 1 + next(2) as u32, bound])
+                })
+                .collect();
+            let (mut one, mut two) = ([NULL_PIXEL; 4], [NULL_PIXEL; 4]);
+            for &(px, v) in &frags {
+                one[px] = BlendMode::Classified.apply(one[px], v);
+            }
+            for &(px, v) in frags.iter().filter(|f| f.1[3] == 0) {
+                two[px] = BlendMode::Replace.apply(two[px], v);
+            }
+            for &(px, v) in frags.iter().filter(|f| f.1[3] != 0) {
+                two[px] = BlendMode::KeepFirst.apply(two[px], v);
+            }
+            assert_eq!(one, two, "case={case} {frags:?}");
+        }
     }
 }

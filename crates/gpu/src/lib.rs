@@ -5,7 +5,10 @@
 //! shaders and blending (§2.2) — so that it runs on any GPU. This crate is
 //! the substitution this reproduction makes for OpenGL on physical GPU
 //! hardware (see DESIGN.md): a from-scratch software pipeline with the same
-//! stages and the same semantics, executed data-parallel on a worker pool.
+//! stages and the same semantics, executed data-parallel on a worker pool:
+//! assembly, the geometry stage and clipping by primitive chunk, a draw's
+//! rasterization, shading and blending by row band of its target, each
+//! band over the primitives binned to it in primitive order.
 //!
 //! The important properties carried over from the real pipeline:
 //!
@@ -21,8 +24,9 @@
 //! * **Framebuffer objects** — rendering targets off-screen textures with
 //!   four 32-bit channels per pixel `[r, g, b, a]`, the representation the
 //!   discrete canvas maps its `(v0, v1, v2, vb)` tuples onto (§4.1).
-//! * **Blending** — fixed-function blends (replace, keep-first, max)
-//!   plus programmable blending in the fragment shader.
+//! * **Blending** — fixed-function blends (replace, keep-first, max and
+//!   the distance canvases' classified blend) plus programmable blending in
+//!   the fragment shader.
 //! * **Parallel scan** — result extraction uses a prefix-scan compaction,
 //!   standing in for the CUDA scan of Harris et al. that the paper cites.
 //! * **Device memory accounting** — a configurable budget plus transfer
@@ -33,7 +37,6 @@
 pub mod arena;
 pub mod blend;
 pub mod device;
-pub mod fragments;
 pub mod pipeline;
 pub mod pool;
 pub mod primitive;
@@ -48,7 +51,6 @@ pub mod viewport;
 pub use arena::{ArenaStats, PooledTexture, TexturePool};
 pub use blend::BlendMode;
 pub use device::DeviceMemory;
-pub use fragments::FragmentBuffer;
 pub use pipeline::{DrawCall, Pipeline};
 pub use pool::{PoolStats, WorkerPool};
 pub use primitive::{Assemble, Primitive};

@@ -16,22 +16,20 @@
 //! 5. the fragment shader computes each fragment's output (or discards it),
 //! 6. a draw blends fragments into the target in primitive order.
 //!
-//! A canvas-creation draw — a shader that writes its attributes verbatim
-//! (`writes_attrs`) under the default rule — is *band-direct*, the software
-//! form of a GPU's fixed-function fill: the target is split into row bands,
-//! a few per worker, and each band is one pool task that walks the whole
-//! primitive stream in primitive order, culls by bounding box, and blends
-//! each triangle's covered run on each of its rows as one slice operation
-//! (points and lines blend per pixel, in the band that holds the pixel).
-//! Every other draw — shaded passes, which may discard or compute a value,
-//! and conservative ones — is two-phase: workers assemble, clip, rasterize
-//! and shade disjoint chunks of the stream into per-band fragment buffers,
-//! then each band is blended from the buffers in chunk order. Either way
-//! every pixel sees its fragments in primitive order, so results are
-//! deterministic for *every* blend mode and any worker count. The counting
-//! and Map passes run the chunked stage alone. The driver is also the one
-//! place a pass is timed, recorded on the calling query's frame
-//! ([`crate::record`]) and traced.
+//! A draw is *band-direct*, the sort-middle form of a parallel rasterizer:
+//! one chunk-parallel pass runs assemble → geometry → clip over the stream
+//! once and bins each visible primitive into the row bands of the target
+//! that its bounding box meets, a few bands per worker, chunk after chunk so
+//! each band's list stays in primitive order. Each band is then one pool
+//! task that rasterizes only its own list on its own rows, under the call's
+//! rule: a triangle's covered run on each row is blended as one slice when
+//! the shader writes its attributes verbatim (`writes_attrs`), and shaded
+//! pixel by pixel otherwise; points and lines are shaded per pixel. Every
+//! pixel sees its fragments in primitive order, so results are deterministic
+//! for *every* blend mode and any worker count. The counting and Map passes
+//! run the chunked stage alone, rasterizing each primitive where it is
+//! assembled. The driver is also the one place a pass is timed, recorded on
+//! the calling query's frame ([`crate::record`]) and traced.
 //!
 //! Every stage runs on a persistent [`WorkerPool`] owned by the pipeline —
 //! launching a pass costs a queue push, not thread spawns — and transient
@@ -39,7 +37,6 @@
 
 use crate::arena::TexturePool;
 use crate::blend::BlendMode;
-use crate::fragments::FragmentBuffer;
 use crate::pool::{self, WorkerPool};
 use crate::primitive::{Assemble, Primitive};
 use crate::raster;
@@ -47,12 +44,12 @@ use crate::record;
 use crate::shader::{Fragment, FragmentShader, GeometryShader, WriteAttrs};
 use crate::texture::{PixelValue, Texture};
 use crate::viewport::Viewport;
-use spade_geometry::Triangle;
+use spade_geometry::{Point, Triangle};
 use std::time::Instant;
 
-/// Row bands per worker of a band-direct draw: enough tasks that a worker
-/// whose bands held little coverage takes more, few enough that walking the
-/// primitive stream once per band stays cheap.
+/// Row bands per worker of a draw: enough tasks that a worker whose bands
+/// held little coverage takes more, few enough that a primitive tall enough
+/// to span many rows is binned, and its row walk set up, in few of them.
 const BANDS_PER_WORKER: usize = 4;
 
 /// The state of one rendering pass.
@@ -120,73 +117,45 @@ impl Pipeline {
     }
 
     /// Execute one rendering pass against `target`, returning how many
-    /// fragments it rasterized (discarded ones included).
+    /// fragments it rasterized (discarded ones included). The stream is
+    /// binned once into the target's row bands ([`Pipeline::stream`]), then
+    /// each band draws its list ([`draw_band`]).
     pub fn draw(&self, target: &mut Texture, prims: &[impl Assemble], call: &DrawCall<'_>) -> u64 {
-        if !call.conservative && call.fragment.writes_attrs() {
-            return self.draw_bands(target, prims, call);
-        }
-        // One SoA fragment buffer per (worker chunk, band), worker-major, so
-        // the blend can walk chunks in primitive order.
-        let vp = call.viewport;
-        let bands = self.workers().clamp(1, vp.height as usize);
-        let rows_per_band = (vp.height as usize).div_ceil(bands) as u32;
-        let band = |y: u32| ((y / rows_per_band) as usize).min(bands - 1);
-        self.pass("gpu.draw", || {
-            let (buffers, counts) = self.stream(
-                prims,
-                call,
-                || {
-                    (0..bands)
-                        .map(|_| FragmentBuffer::new())
-                        .collect::<Vec<_>>()
-                },
-                |out, prim| {
-                    fragments(prim, &vp, call.conservative, |frag| {
-                        if let Some(v) = call.fragment.shade(&frag) {
-                            out[band(frag.y)].push(frag.x, frag.y, v);
-                        }
-                    })
-                },
-            );
-            // Blend bands in parallel; chunks applied in primitive order,
-            // each through the SoA kernel (mode dispatch per buffer, not
-            // per fragment).
-            let width = target.width() as usize;
-            let mut band_slices = target.band_slices(bands);
-            self.pool.for_each_mut(&mut band_slices, |i, (y0, slice)| {
-                for chunk in &buffers {
-                    call.blend.blend_soa(slice, *y0, width, &chunk[i]);
-                }
-            });
-            (counts[2], counts)
-        })
-    }
-
-    /// The band-direct draw of a `writes_attrs` shader under the default
-    /// rule: one pool task per row band of `target`, each walking the whole
-    /// primitive stream in order and blending only the rows it owns — a
-    /// triangle's covered run per row as one slice, a point's or line's
-    /// fragments pixel by pixel. Every band sees the same primitives, so
-    /// the first band's primitive and visible counts are the pass's; the
-    /// fragment count is the bands' sum.
-    fn draw_bands(
-        &self,
-        target: &mut Texture,
-        prims: &[impl Assemble],
-        call: &DrawCall<'_>,
-    ) -> u64 {
         let width = target.width() as usize;
         let mut bands: Vec<_> = (target.band_slices(BANDS_PER_WORKER * self.workers()))
             .into_iter()
-            .map(|(y0, slice)| (y0, slice, [0u64; 3]))
+            .map(|(y0, slice)| (y0, slice, 0u64))
             .collect();
+        // Every band but the last holds the first band's row count.
+        let rows_per_band = bands.get(1).map_or(u32::MAX, |band| band.0);
+        let last = bands.len().saturating_sub(1) as u32;
+        let vp = call.viewport;
         self.pass("gpu.draw", || {
+            let (bins, mut counts) = self.stream(
+                prims,
+                call,
+                || vec![Vec::new(); bands.len()],
+                |bins: &mut Vec<Vec<Primitive>>, prim| {
+                    // The rows of the bbox, a pixel wider on each side: a
+                    // primitive has no fragment on a band they miss.
+                    let bbox = prim.bbox();
+                    let band = |wy: f64, pad: f64| {
+                        let y = (vp.world_to_pixel_f(Point::new(bbox.min.x, wy)).y.floor() + pad)
+                            .clamp(0.0, f64::from(vp.height.saturating_sub(1)));
+                        (y as u32 / rows_per_band).min(last) as usize
+                    };
+                    for list in &mut bins[band(bbox.min.y, -1.0)..=band(bbox.max.y, 1.0)] {
+                        list.push(*prim);
+                    }
+                    0
+                },
+            );
             self.pool
-                .for_each_mut(&mut bands, |_, (y0, slice, counts)| {
-                    *counts = draw_band(prims, call, *y0, width, slice);
+                .for_each_mut(&mut bands, |i, (y0, slice, fragments)| {
+                    let list = bins.iter().flat_map(|chunk| &chunk[i]);
+                    *fragments = draw_band(list, call, *y0, width, slice);
                 });
-            let mut counts = bands.first().map_or([0; 3], |band| band.2);
-            counts[2] = bands.iter().map(|band| band.2[2]).sum();
+            counts[2] = bands.iter().map(|band| band.2).sum();
             (counts[2], counts)
         })
     }
@@ -329,52 +298,59 @@ fn assemble_clip(
     counts
 }
 
-/// One band of a band-direct draw: `band` holds the target's rows from `y0`
-/// on, `width` pixels each. Walks the whole stream (assemble → geometry →
-/// clip), culls each primitive by its bbox against the band's rows, and
-/// blends what is left on those rows in primitive order. Returns the
-/// stream's primitive and visible counts and the band's fragment count.
-fn draw_band(
-    prims: &[impl Assemble],
+/// One band of a draw: `band` holds the target's rows from `y0` on, `width`
+/// pixels each, and `prims` are the primitives binned to it, in primitive
+/// order. Rasterizes each on the band's rows under the call's rule and
+/// blends its fragments: a triangle row's covered run as one slice for a
+/// `writes_attrs` shader and pixel by pixel, shaded, for any other; a
+/// point's or line's fragments pixel by pixel. Returns the band's fragment
+/// count, discarded fragments included.
+fn draw_band<'p>(
+    prims: impl Iterator<Item = &'p Primitive>,
     call: &DrawCall<'_>,
     y0: u32,
     width: usize,
     band: &mut [PixelValue],
-) -> [u64; 3] {
+) -> u64 {
     let vp = call.viewport;
     let rows = y0..y0 + (band.len() / width) as u32;
     let at = |x: u32, y: u32| (y - y0) as usize * width + x as usize;
-    // The band's rows in world y, a pixel wider on each side: a primitive
-    // whose bbox misses them has no fragment on them.
-    let world_y = |y: f64| vp.world.min.y + y * vp.pixel_size().y;
-    let (lo, hi) = (
-        world_y(f64::from(y0) - 1.0),
-        world_y(f64::from(rows.end) + 1.0),
-    );
-    assemble_clip(prims, 0, call, |prim| {
-        let bbox = prim.bbox();
-        if bbox.max.y < lo || bbox.min.y > hi {
-            return 0;
-        }
-        let mut n = 0;
+    let writes_attrs = call.fragment.writes_attrs();
+    let mut n = 0;
+    for prim in prims {
+        let attrs = prim.attrs();
+        let blend = |band: &mut [PixelValue], x: u32, y: u32| {
+            let frag = Fragment {
+                x,
+                y,
+                world: vp.pixel_center(x, y),
+                attrs,
+            };
+            if let Some(v) = call.fragment.shade(&frag) {
+                band[at(x, y)] = call.blend.apply(band[at(x, y)], v);
+            }
+        };
         match *prim {
-            Primitive::Triangle { a, b, c, attrs } => {
+            Primitive::Triangle { a, b, c, .. } => {
                 let tri = Triangle::new(a, b, c);
-                raster::triangle_runs(&tri, &vp, rows.clone(), &mut |y, x0, x1| {
-                    call.blend
-                        .blend_run(&mut band[at(x0, y)..=at(x1, y)], attrs);
+                raster::triangle_runs(&tri, &vp, call.conservative, rows.clone(), &mut |y, x0, x1| {
                     n += u64::from(x1 - x0 + 1);
+                    if writes_attrs {
+                        call.blend.blend_run(&mut band[at(x0, y)..=at(x1, y)], attrs);
+                    } else {
+                        (x0..=x1).for_each(|x| blend(band, x, y));
+                    }
                 });
             }
-            _ => raster::rasterize_with(prim, &vp, false, &mut |x, y| {
+            _ => raster::rasterize_with(prim, &vp, call.conservative, &mut |x, y| {
                 if rows.contains(&y) {
-                    band[at(x, y)] = call.blend.apply(band[at(x, y)], prim.attrs());
                     n += 1;
+                    blend(band, x, y);
                 }
             }),
         }
-        n
-    })
+    }
+    n
 }
 
 /// Rasterize `prim` and hand each of its fragments to `shade`; returns how
@@ -569,9 +545,9 @@ mod tests {
 
     #[test]
     fn draw_returns_fragment_count() {
-        // Under both rules, `WriteAttrs`' draw (band-direct under the
-        // default rule, per fragment for conservative triangles) returns the
-        // counting pass's count and the oracle rasterizer's.
+        // Under both rules, `WriteAttrs`' draw (each triangle row's run
+        // blended as one slice) returns the counting pass's count and the
+        // oracle rasterizer's.
         let pl = Pipeline::with_workers(4);
         let prims = scattered_triangles(20);
         for conservative in [false, true] {
@@ -610,8 +586,8 @@ mod tests {
 
     #[test]
     fn band_draw_matches_per_fragment_path() {
-        // `WriteAttrs` on default-rule triangles takes the band-direct
-        // draw; a closure shader writing the same attrs cannot claim
+        // `WriteAttrs` on default-rule triangles blends each row's run as
+        // one slice; a closure shader writing the same attrs cannot claim
         // `writes_attrs` and is shaded per fragment. Both must produce
         // bit-identical textures for every blend mode at several worker
         // counts.
@@ -670,8 +646,8 @@ mod tests {
     }
 
     #[test]
-    fn discarding_shader_bypasses_block_path() {
-        // A shader that can discard must not take the band-direct draw;
+    fn discarding_shader_matches_scalar_oracle() {
+        // A shader that can discard is shaded pixel by pixel in its band;
         // its texture must equal the scalar oracle's: every fragment of the
         // scalar rasterizer, shaded, written in primitive order.
         let discard = |f: &Fragment| {
@@ -719,27 +695,33 @@ mod tests {
         ((*seed >> 11) as f64) / ((1u64 << 53) as f64)
     }
 
-    /// The scalar oracle of a draw: every primitive (expanded by `gs`)
-    /// through `raster::rasterize`, each fragment blended with `apply` in
-    /// primitive order. Returns the texture and the fragment count.
-    fn oracle(
-        prims: &[Primitive],
-        vp: &Viewport,
-        gs: Option<&dyn GeometryShader>,
-        blend: BlendMode,
-    ) -> (Texture, u64) {
+    /// The scalar oracle of a draw: every primitive (expanded by the call's
+    /// geometry shader) through `raster::rasterize` under the call's rule,
+    /// each fragment shaded and blended with `apply` in primitive order.
+    /// Returns the texture and the fragment count, discarded ones included.
+    fn oracle(prims: &[Primitive], call: &DrawCall<'_>) -> (Texture, u64) {
+        let vp = call.viewport;
         let mut tex = Texture::new(vp.width, vp.height);
         let mut n = 0;
+        let mut expanded = Vec::new();
         for prim in prims {
-            let mut expanded = Vec::new();
-            match gs {
+            expanded.clear();
+            match call.geometry {
                 Some(gs) => gs.expand(prim, &mut expanded),
                 None => expanded.push(*prim),
             }
             for p in &expanded {
-                raster::rasterize(p, vp, false, &mut |x, y| {
-                    tex.put(x, y, blend.apply(tex.get(x, y), p.attrs()));
+                raster::rasterize(p, &vp, call.conservative, &mut |x, y| {
                     n += 1;
+                    let frag = Fragment {
+                        x,
+                        y,
+                        world: vp.pixel_center(x, y),
+                        attrs: p.attrs(),
+                    };
+                    if let Some(v) = call.fragment.shade(&frag) {
+                        tex.put(x, y, call.blend.apply(tex.get(x, y), v));
+                    }
                 });
             }
         }
@@ -798,15 +780,36 @@ mod tests {
 
     #[test]
     fn band_draw_matches_scalar_oracle() {
-        // The band-direct draw must write the oracle's texture and return
-        // its fragment count for every blend mode, at worker counts and
-        // heights that split triangles across bands unevenly (one row per
+        // The draw must write the oracle's texture and return its fragment
+        // count for every blend mode, under both rules, at worker counts and
+        // heights that split primitives across bands unevenly (one row per
         // band at height 7 and eight workers), for triangles, points, lines
-        // and a geometry shader's expansion. (Rows whose probes find no
-        // seed are too rare to reach from here; `raster`'s
-        // `seedless_row_scan_matches_scalar` checks their scan.)
+        // and a geometry shader's expansion, with a shader that writes its
+        // attributes (run blends), one that discards and one that computes
+        // its value from the fragment's world position (both shaded pixel by
+        // pixel). The computed value is certain (channel 3 zero) on half of
+        // each unit row, so `Classified` sees both kinds. (Default-rule rows
+        // whose probes find no seed are too rare to reach from here;
+        // `raster`'s `seedless_row_scan_matches_scalar` checks their scan.)
         let world = BBox::new(Point::ZERO, Point::new(10.0, 10.0));
         let pipes: Vec<Pipeline> = [1, 2, 3, 8].map(Pipeline::with_workers).into();
+        let discard =
+            FnFragment(|f: &Fragment| (!(f.x + 2 * f.y).is_multiple_of(3)).then_some(f.attrs));
+        let from_world = FnFragment(|f: &Fragment| {
+            let bound = if f.world.y.fract() < 0.5 { 0 } else { f.attrs[1] + 1 };
+            Some([f.attrs[0], f.attrs[1], (f.world.x * 3.0) as u32, bound])
+        });
+        let shaders: [(&str, &dyn FragmentShader); 3] = [
+            ("attrs", &WriteAttrs),
+            ("discard", &discard),
+            ("world", &from_world),
+        ];
+        let modes = [
+            BlendMode::Replace,
+            BlendMode::KeepFirst,
+            BlendMode::Max,
+            BlendMode::Classified,
+        ];
         let mut seed = 0xba4d_u64;
         for height in [7, 100] {
             let vp = Viewport::new(world, 64, height);
@@ -824,19 +827,28 @@ mod tests {
                 ("lines", &lines, None),
                 ("squares", &points, Some(&Square)),
             ];
-            for (name, prims, gs) in inputs {
-                for blend in [BlendMode::Replace, BlendMode::KeepFirst, BlendMode::Max] {
-                    let (want, count) = oracle(prims, &vp, gs, blend);
-                    assert!(want.count_non_null() > 0, "{name} height={height}");
+            for ((name, prims, geometry), conservative) in
+                (inputs.into_iter()).flat_map(|input| [(input, false), (input, true)])
+            {
+                for ((shader, fragment), blend) in
+                    (shaders.into_iter()).flat_map(|s| modes.map(|blend| (s, blend)))
+                {
+                    let call = DrawCall {
+                        viewport: vp,
+                        geometry,
+                        fragment,
+                        blend,
+                        conservative,
+                    };
+                    let (want, count) = oracle(prims, &call);
+                    let at = format!(
+                        "{name} conservative={conservative} {shader} {blend:?} height={height}"
+                    );
+                    assert!(want.count_non_null() > 0, "{at}");
                     for pl in &pipes {
-                        let call = DrawCall {
-                            geometry: gs,
-                            ..DrawCall::simple(vp, blend, false)
-                        };
                         let mut got = Texture::new(vp.width, vp.height);
                         let drawn = pl.draw(&mut got, prims, &call);
-                        let at =
-                            format!("{name} {blend:?} height={height} workers={}", pl.workers());
+                        let at = format!("{at} workers={}", pl.workers());
                         assert_eq!(got, want, "{at}");
                         assert_eq!(drawn, count, "{at}");
                     }

@@ -14,11 +14,11 @@
 //! (§2.2).
 //!
 //! [`rasterize`] tests every pixel of the bounding box and is the oracle;
-//! [`rasterize_with`], which passes use, emits the same fragments in the
-//! same order from 8-pixel blocks (default rule) and per-row runs
-//! (conservative triangles), tested with the oracle's exact predicates.
-//! [`triangle_runs`] hands a default-rule triangle's coverage to a draw as
-//! one run per row, clipped to the rows the draw asks for.
+//! [`rasterize_with`], which the counting and Map passes use, emits the same
+//! fragments in the same order from 8-pixel blocks (default rule) and
+//! per-row runs (conservative triangles), tested with the oracle's exact
+//! predicates. [`triangle_runs`] hands a triangle's coverage under either
+//! rule to a draw as runs of each row, clipped to the rows the draw asks for.
 
 use crate::primitive::Primitive;
 use crate::viewport::Viewport;
@@ -388,22 +388,34 @@ fn raster_tri_blocks(tri: &Triangle, vp: &Viewport, block: &mut impl FnMut(u32, 
     }
 }
 
-/// Default-rule coverage of `tri` on the rows `rows` as runs: `run(y,
-/// first, last)` for each row whose covered pixels are `first..=last`, in
-/// ascending y, so a draw can blend a whole run as one slice. The pixels are
-/// exactly [`rasterize`]'s on those rows. A seeded row's run comes from
-/// `tri_row_runs`; a row without a seed is scanned block by block with the
-/// exact predicate, and its covered pixels form one run by the same
-/// monotonicity argument that lets the seeded rows bisect.
+/// The coverage of `tri` under one rule on the rows `rows` as runs: `run(y,
+/// first, last)` for covered pixels `first..=last`, in ascending y and then
+/// x, so a draw can blend a whole run as one slice. The pixels are exactly
+/// [`rasterize`]'s on those rows. A seeded row's run comes from
+/// `tri_row_runs`; a row without a seed is scanned with the exact predicate:
+/// block by block under the default rule, whose covered pixels form one run
+/// by the same monotonicity argument that lets the seeded rows bisect, and
+/// pixel by pixel under the conservative rule, one run per covered pixel.
 pub fn triangle_runs(
     tri: &Triangle,
     vp: &Viewport,
+    conservative: bool,
     rows: Range<u32>,
     run: &mut impl FnMut(u32, u32, u32),
 ) {
-    tri_row_runs(tri, vp, false, rows, &mut |test, y, x0, x1, seeded| {
-        if let Some((first, last)) = seeded.or_else(|| test.edges.scan_row(x0, x1)) {
-            run(y, first, last);
+    tri_row_runs(tri, vp, conservative, rows, &mut |test, y, x0, x1, seeded| {
+        match seeded {
+            Some((first, last)) => run(y, first, last),
+            None if conservative => {
+                for x in (x0..=x1).filter(|&x| test.inside(x, y)) {
+                    run(y, x, x);
+                }
+            }
+            None => {
+                if let Some((first, last)) = test.edges.scan_row(x0, x1) {
+                    run(y, first, last);
+                }
+            }
         }
     });
 }
@@ -446,15 +458,12 @@ pub fn coverage_count(prim: &Primitive, vp: &Viewport, conservative: bool) -> us
     }
 }
 
-/// Conservative triangle rasterization as one covered run per row (see
-/// [`tri_row_runs`]); a row without a seed is scanned pixel by pixel. The
-/// fragments and their order are [`raster_tri_conservative`]'s.
+/// Conservative triangle rasterization as the covered runs of each row
+/// ([`triangle_runs`]). The fragments and their order are
+/// [`raster_tri_conservative`]'s.
 fn raster_tri_runs(tri: &Triangle, vp: &Viewport, emit: &mut impl FnMut(u32, u32)) {
-    tri_row_runs(tri, vp, true, 0..vp.height, &mut |test, y, x0, x1, run| {
-        let (lo, hi) = run.unwrap_or((x0, x1));
-        for x in (lo..=hi).filter(|&x| run.is_some() || test.inside(x, y)) {
-            emit(x, y);
-        }
+    triangle_runs(tri, vp, true, 0..vp.height, &mut |y, first, last| {
+        (first..=last).for_each(|x| emit(x, y))
     });
 }
 

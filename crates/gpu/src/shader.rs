@@ -35,11 +35,11 @@ pub trait FragmentShader: Sync {
     fn shade(&self, frag: &Fragment) -> Option<PixelValue>;
 
     /// `true` when this shader writes `frag.attrs` verbatim for every
-    /// fragment. Lets a default-rule draw run band-direct — the rasterizer
-    /// already knows the value every covered pixel will carry, so each
-    /// triangle row's run is blended as one slice without invoking the
+    /// fragment. Decides only how a draw fills a triangle row's covered
+    /// run — the rasterizer already knows the value every pixel of it will
+    /// carry, so the run is blended as one slice without invoking the
     /// shader per pixel — and lets the counting pass count coverage
-    /// directly.
+    /// directly. Every draw is band-direct either way.
     fn writes_attrs(&self) -> bool {
         false
     }
