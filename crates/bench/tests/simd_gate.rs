@@ -272,11 +272,8 @@ fn classified_draw_speeds_up_knn_circle() {
     let want = circle_two_pass(q, r, &vp);
     assert!(want.count_non_null() > 150_000);
     assert_eq!(canvas(), want);
-    let (speedup, t_canvas, t_oracle) = paired_speedup(
-        15,
-        || time(canvas),
-        || time(|| circle_two_pass(q, r, &vp)),
-    );
+    let (speedup, t_canvas, t_oracle) =
+        paired_speedup(15, || time(canvas), || time(|| circle_two_pass(q, r, &vp)));
     eprintln!("knn circle: canvas {t_canvas:?} oracle {t_oracle:?} speedup {speedup:.2}x");
     assert!(
         speedup >= 1.75,

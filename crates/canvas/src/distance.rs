@@ -205,7 +205,11 @@ pub fn distance_canvas_polygon(
     let shader = FnFragment(|frag: &Fragment| {
         let idx = frag.attrs[CH_VAL] as usize;
         let bb = vp.pixel_box(frag.x, frag.y);
-        if bb.corners().iter().all(|&c| point_in_triangle(c, &tris[idx])) {
+        if bb
+            .corners()
+            .iter()
+            .all(|&c| point_in_triangle(c, &tris[idx]))
+        {
             Some([frag.attrs[0], 0, FLAG_INTERIOR, 0])
         } else {
             Some([frag.attrs[0], 0, FLAG_BOUNDARY, frag.attrs[CH_VAL] + 1])

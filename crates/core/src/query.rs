@@ -466,8 +466,7 @@ mod tests {
         // Disk layers of the left slot's points at the given radii, and
         // their passes: one per canvas per entry, one probe per pair.
         let disks = |d: &dyn Fn(u32) -> u64| {
-            entries.iter().map(|&l| d(l)).sum::<u64>()
-                + pairs.iter().map(|p| d(p.0)).sum::<u64>()
+            entries.iter().map(|&l| d(l)).sum::<u64>() + pairs.iter().map(|p| d(p.0)).sum::<u64>()
         };
         match j {
             JoinQuery::Intersects | JoinQuery::CountPoints => {

@@ -333,14 +333,21 @@ fn draw_band<'p>(
         match *prim {
             Primitive::Triangle { a, b, c, .. } => {
                 let tri = Triangle::new(a, b, c);
-                raster::triangle_runs(&tri, &vp, call.conservative, rows.clone(), &mut |y, x0, x1| {
-                    n += u64::from(x1 - x0 + 1);
-                    if writes_attrs {
-                        call.blend.blend_run(&mut band[at(x0, y)..=at(x1, y)], attrs);
-                    } else {
-                        (x0..=x1).for_each(|x| blend(band, x, y));
-                    }
-                });
+                raster::triangle_runs(
+                    &tri,
+                    &vp,
+                    call.conservative,
+                    rows.clone(),
+                    &mut |y, x0, x1| {
+                        n += u64::from(x1 - x0 + 1);
+                        if writes_attrs {
+                            call.blend
+                                .blend_run(&mut band[at(x0, y)..=at(x1, y)], attrs);
+                        } else {
+                            (x0..=x1).for_each(|x| blend(band, x, y));
+                        }
+                    },
+                );
             }
             _ => raster::rasterize_with(prim, &vp, call.conservative, &mut |x, y| {
                 if rows.contains(&y) {
@@ -796,7 +803,11 @@ mod tests {
         let discard =
             FnFragment(|f: &Fragment| (!(f.x + 2 * f.y).is_multiple_of(3)).then_some(f.attrs));
         let from_world = FnFragment(|f: &Fragment| {
-            let bound = if f.world.y.fract() < 0.5 { 0 } else { f.attrs[1] + 1 };
+            let bound = if f.world.y.fract() < 0.5 {
+                0
+            } else {
+                f.attrs[1] + 1
+            };
             Some([f.attrs[0], f.attrs[1], (f.world.x * 3.0) as u32, bound])
         });
         let shaders: [(&str, &dyn FragmentShader); 3] = [

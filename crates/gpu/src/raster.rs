@@ -403,8 +403,12 @@ pub fn triangle_runs(
     rows: Range<u32>,
     run: &mut impl FnMut(u32, u32, u32),
 ) {
-    tri_row_runs(tri, vp, conservative, rows, &mut |test, y, x0, x1, seeded| {
-        match seeded {
+    tri_row_runs(
+        tri,
+        vp,
+        conservative,
+        rows,
+        &mut |test, y, x0, x1, seeded| match seeded {
             Some((first, last)) => run(y, first, last),
             None if conservative => {
                 for x in (x0..=x1).filter(|&x| test.inside(x, y)) {
@@ -416,8 +420,8 @@ pub fn triangle_runs(
                     run(y, first, last);
                 }
             }
-        }
-    });
+        },
+    );
 }
 
 /// Count covered pixels without materializing them (the 2-pass Map
