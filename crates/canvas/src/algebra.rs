@@ -71,14 +71,9 @@ pub fn map_1pass(
     call: &DrawCall<'_>,
     n_max: usize,
 ) -> Result<MapResult, MapOverflow> {
-    let chunks = pipe.map(
-        prims,
-        call,
-        || (),
-        |_, frag, out| {
-            out.extend(call.fragment.shade(frag));
-        },
-    );
+    let chunks = pipe.map(prims, call, Vec::new, |out, frag| {
+        out.extend(call.fragment.shade(frag));
+    });
     let produced = chunks.iter().map(Vec::len).sum();
     if produced > n_max {
         return Err(MapOverflow { n_max, produced });
@@ -143,7 +138,9 @@ pub fn map_emit(
 /// [`map_emit`] with per-worker-chunk scratch state — the equivalent of
 /// shader workgroup-local memory. Used to deduplicate emissions (a
 /// candidate already known to match can skip further exact tests) and to
-/// reuse scratch buffers across fragments.
+/// reuse scratch buffers across fragments. Each chunk's values travel in
+/// its [`Pipeline::map`] state next to `S`, and the chunks' lists
+/// concatenate in chunk order.
 pub fn map_emit_stateful<S>(
     pipe: &Pipeline,
     prims: &[impl Assemble],
@@ -156,9 +153,14 @@ where
     S: Send,
 {
     let call = DrawCall::simple(viewport, BlendMode::Replace, conservative);
-    let chunks = pipe.map(prims, &call, init, emit);
+    let chunks = pipe.map(
+        prims,
+        &call,
+        || (init(), Vec::new()),
+        |(state, out), frag| emit(state, frag, out),
+    );
     MapResult {
-        values: chunks.into_iter().flatten().collect(),
+        values: chunks.into_iter().flat_map(|(_, out)| out).collect(),
         passes: 1,
     }
 }

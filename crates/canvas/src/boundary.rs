@@ -104,7 +104,7 @@ fn point_triangle_distance(p: Point, t: &Triangle) -> f64 {
 
 /// The boundary index: an entry table plus the overflow lists for pixels
 /// written by more than one entry.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub struct BoundaryIndex {
     entries: Vec<BoundaryEntry>,
     overflow: HashMap<(u32, u32), Vec<u32>>,

@@ -71,7 +71,7 @@ pub fn pixel_bound(v: PixelValue) -> Option<u32> {
 
 /// One primitive-class layer of a canvas: the texture plus the boundary
 /// index its `vb` pointers reference.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct CanvasLayer {
     pub texture: Texture,
     pub boundary: BoundaryIndex,

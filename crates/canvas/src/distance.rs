@@ -24,6 +24,8 @@ use crate::create::PreparedPolygon;
 use spade_geometry::distance::point_segment_distance;
 use spade_geometry::predicates::point_in_triangle;
 use spade_geometry::{Point, Segment};
+use spade_gpu::pipeline::BANDS_PER_WORKER;
+use spade_gpu::pool::chunk_ranges;
 use spade_gpu::{
     BlendMode, DrawCall, FnFragment, Fragment, GeometryShader, Pipeline, Primitive, Viewport,
 };
@@ -311,13 +313,18 @@ fn draw_distance(
 
 /// Record, at every boundary-classified pixel, all entries whose region
 /// could cover it, so union tests are exact across overlapping constraints.
+/// The work splits by row band of the canvas, each band scanning every
+/// entry's reach on its own rows, so one entry's reach — a kNN canvas's one
+/// circle — spreads over every worker. Each pixel's entry list is sorted
+/// and deduplicated when the table is finalized, so the order bands record
+/// in leaves no trace.
 fn record_distance_coverage(layer: &mut CanvasLayer, vp: &Viewport, pool: &spade_gpu::WorkerPool) {
     let texture = &layer.texture;
-    let entries = layer.boundary.entries().to_vec();
+    let entries = layer.boundary.entries();
     let hd = half_diag(vp);
-    let hits: Vec<Vec<((u32, u32), u32)>> = pool.parallel_map_chunks(&entries, |base, chunk| {
-        let mut out = Vec::new();
-        for (k, e) in chunk.iter().enumerate() {
+    // Each entry's reach in pixels, with its triangle's box test built once.
+    let reaches: Vec<_> = (entries.iter().enumerate())
+        .filter_map(|(k, e)| {
             let reach = match &e.geom {
                 BoundaryGeom::PointDist { center, r } => {
                     spade_geometry::BBox::new(*center, *center).inflate(r + hd)
@@ -327,14 +334,20 @@ fn record_distance_coverage(layer: &mut CanvasLayer, vp: &Viewport, pool: &spade
                 BoundaryGeom::Segment(s) => s.bbox().inflate(hd),
                 BoundaryGeom::Point(p) => spade_geometry::BBox::new(*p, *p).inflate(hd),
             };
-            let Some((x0, y0, x1, y1)) = vp.pixel_range(&reach) else {
-                continue;
-            };
             let tri_test = match &e.geom {
                 BoundaryGeom::Triangle(t) => Some(spade_gpu::raster::TriBoxTest::new(t)),
                 _ => None,
             };
-            for y in y0..=y1 {
+            Some((k as u32, &e.geom, vp.pixel_range(&reach)?, tri_test))
+        })
+        .collect();
+    let bands = chunk_ranges(vp.height as usize, pool.workers() * BANDS_PER_WORKER);
+    let hits: Vec<Vec<((u32, u32), u32)>> = pool.parallel_tasks(bands.len(), |b| {
+        let rows = bands[b].start as u32..bands[b].end as u32;
+        let mut out = Vec::new();
+        for (k, geom, rect, tri_test) in &reaches {
+            let (x0, y0, x1, y1) = *rect;
+            for y in y0.max(rows.start)..=y1.min(rows.end - 1) {
                 for x in x0..=x1 {
                     let px = texture.get(x, y);
                     if px[crate::canvas::CH_FLAG] & FLAG_BOUNDARY == 0 {
@@ -342,7 +355,7 @@ fn record_distance_coverage(layer: &mut CanvasLayer, vp: &Viewport, pool: &spade
                     }
                     // Could any point of this pixel satisfy the entry?
                     let center = vp.pixel_center(x, y);
-                    let possible = match &e.geom {
+                    let possible = match geom {
                         BoundaryGeom::PointDist { center: c, r } => center.dist(*c) <= r + hd,
                         BoundaryGeom::SegmentDist { seg, r } => {
                             point_segment_distance(center, *seg) <= r + hd
@@ -353,7 +366,7 @@ fn record_distance_coverage(layer: &mut CanvasLayer, vp: &Viewport, pool: &spade
                         _ => true,
                     };
                     if possible {
-                        out.push(((x, y), (base + k) as u32));
+                        out.push(((x, y), *k));
                     }
                 }
             }
@@ -498,6 +511,38 @@ mod tests {
         let layer = distance_canvas_segments(&pipe, vp, &[(0, seg)], 10.0);
         assert!(canvas_says(&layer, &vp, Point::new(55.0, 50.0)));
         assert!(!canvas_says(&layer, &vp, Point::new(65.0, 50.0)));
+    }
+
+    /// The coverage recording splits by row band, so its output must not
+    /// depend on the worker count: texture and overflow table of one
+    /// circle, many overlapping circles and a capsule are equal at 1, 2, 3
+    /// and 8 workers.
+    #[test]
+    fn coverage_is_the_same_at_any_worker_count() {
+        let vp = vp100();
+        let many: Vec<(u32, Point, f64)> = (0..40u32)
+            .map(|i| {
+                let c = Point::new(10.3 + (i * 7 % 80) as f64, 9.6 + (i * 13 % 80) as f64);
+                (i, c, 6.0 + (i % 5) as f64)
+            })
+            .collect();
+        let seg = Segment::new(Point::new(20.0, 20.0), Point::new(80.0, 40.0));
+        let build = |workers| {
+            let pipe = Pipeline::with_workers(workers);
+            [
+                distance_canvas_points(&pipe, vp, &[(0, Point::new(50.3, 49.7), 30.0)]),
+                distance_canvas_points(&pipe, vp, &many),
+                distance_canvas_segments(&pipe, vp, &[(0, seg)], 8.0),
+            ]
+        };
+        let one = build(1);
+        assert!(
+            one[1].boundary.overflow_pixels() > 0,
+            "overlaps fill the table"
+        );
+        for workers in [2, 3, 8] {
+            assert!(build(workers) == one, "{workers} workers");
+        }
     }
 
     #[test]

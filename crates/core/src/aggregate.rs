@@ -2,10 +2,15 @@
 //!
 //! Counts the objects of a point data set per polygon as a join followed by
 //! a count (the algebra's definition of aggregation): every cell pair runs
-//! the layered join's point probe (`Constraint::match_point_into` per point
-//! fragment, boundary pixels decided by the boundary index) and folds its
-//! `(polygon id, point id)` pairs into per-polygon totals, so a count is
-//! the join's pair count per polygon by construction. The paper's
+//! the layered join's point pass (`Constraint::match_point_into` per point
+//! fragment, boundary pixels decided by the boundary index), and the pass
+//! itself folds each layer's hits into one count per polygon of the layer,
+//! per worker chunk. No pair is materialized: a polygon part lives in
+//! exactly one layer and the probe names an id at most once per point, so
+//! an id's count in its layer is its number of distinct points, the join's
+//! pair count for it. A multipolygon whose parts sit in several layers (or
+//! a point list whose ids do not strictly ascend, so may repeat) counts the
+//! join's deduplicated pairs instead, never a per-layer sum. The paper's
 //! point-optimized plan — an additive blend into a count texture, then a
 //! dissect of the whole constraint canvas — is a GPU cost argument: on this
 //! software pipeline the texture and the sweep cost more than the probe
@@ -14,7 +19,7 @@
 use crate::ctx::QueryCtx;
 use crate::dataset::DatasetKind;
 use crate::engine::Spade;
-use crate::join::{hull_pairs, join_cells_layered, PairWalk, Resident};
+use crate::join::{fold_points, hull_pairs, join_points, layer_ids, PairWalk, Resident};
 use crate::query::Source;
 use crate::stats::QueryOutput;
 use std::collections::{BTreeMap, BTreeSet};
@@ -23,29 +28,45 @@ use std::collections::{BTreeMap, BTreeSet};
 pub type Counts = Vec<(u32, u64)>;
 
 /// Refine one (polygon cell, point cell) pair: add to `totals` the number
-/// of `points` inside each polygon of `polys` — the layered join's pairs
-/// folded per polygon id (an empty polygon reports 0).
+/// of `points` inside each polygon of `polys` (an empty polygon reports
+/// 0). The point pass counts into one `u64` per polygon of each layer and
+/// chunk ([`fold_points`]); each count reaches `totals` once per polygon,
+/// not once per pair. A slot pair where an id has buckets in several
+/// layers, or whose point ids do not strictly ascend, counts the bucketed
+/// join's pairs ([`join_points`]) instead, which are deduplicated.
 pub(crate) fn count_cells(
     spade: &Spade,
     polys: &Resident,
     points: &Resident,
     totals: &mut BTreeMap<u32, u64>,
 ) {
-    if let Resident::Polys(slot) = polys {
-        for p in &slot.set.polygons {
-            totals.entry(p.id).or_insert(0);
-        }
+    let Resident::Polys(slot) = polys else {
+        unreachable!("the aggregation executor requires a polygon side")
+    };
+    let points = points.points();
+    let mut ids = layer_ids(&slot.set).concat();
+    ids.sort_unstable();
+    let split = ids.windows(2).any(|w| w[0] == w[1]);
+    for &id in &ids {
+        totals.entry(id).or_insert(0);
     }
-    for (id, _) in join_cells_layered(spade, polys, points) {
-        *totals.entry(id).or_insert(0) += 1;
+    if !split && points.windows(2).all(|w| w[0].0 < w[1].0) {
+        let counts = fold_points(spade, slot, points, 0u64, |n, _| *n += 1, |a, b| *a += b);
+        for (id, n) in counts {
+            *totals.entry(id).or_insert(0) += n;
+        }
+        return;
+    }
+    for run in join_points(spade, slot, points).chunk_by(|a, b| a.0 == b.0) {
+        *totals.entry(run[0].0).or_insert(0) += run.len() as u64;
     }
 }
 
 /// Aggregation (§5.3 "Other queries are also executed using a similar
 /// strategy"): the join's `PairWalk` over (polygon slot, point slot)
-/// pairs, each refined by the layered join and folded by counting its
-/// pairs per polygon — each polygon and each point lives in exactly one
-/// slot, so partials add without double counting. Result: `(polygon id,
+/// pairs, each refined by the layered join's point pass counting its hits
+/// per polygon in the pass ([`count_cells`]) — each polygon and each point
+/// lives in exactly one slot, so partials add without double counting. Result: `(polygon id,
 /// point count)` in polygon-id order. A polygon slot the walk paired with
 /// nothing still reports its ids at 0: the scope that owns the deltas
 /// streams those slots once more, unrefined, so a coordinator merging

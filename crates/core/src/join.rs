@@ -26,12 +26,33 @@ use spade_canvas::algebra;
 use spade_canvas::create::PreparedPolygon;
 use spade_geometry::Point;
 use spade_gpu::device::Charge;
-use spade_gpu::Primitive;
+use spade_gpu::{BlendMode, DrawCall, Primitive};
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// A join result: `(left id, right id)` pairs.
 pub type Pairs = Vec<(u32, u32)>;
+
+/// The non-empty layers of the polygon side, in layer order: one
+/// constraint canvas each.
+fn layers(polys: &PreparedPolygonSet) -> impl Iterator<Item = &[PreparedPolygon]> {
+    (0..polys.layers.len())
+        .map(|layer| polys.layer_polygons(layer))
+        .filter(|layer| !layer.is_empty())
+}
+
+/// The sorted distinct polygon ids of each non-empty layer of the polygon
+/// side: the ids a point probe of that layer's canvas buckets its hits by.
+pub(crate) fn layer_ids(polys: &PreparedPolygonSet) -> Vec<Vec<u32>> {
+    layers(polys)
+        .map(|layer| {
+            let mut ids: Vec<u32> = layer.iter().map(|p| p.id).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            ids
+        })
+        .collect()
+}
 
 /// One constraint canvas per non-empty layer of the polygon side (§5.2).
 fn layer_constraints(
@@ -39,15 +60,16 @@ fn layer_constraints(
     polys: &PreparedPolygonSet,
     resolution: u32,
 ) -> Vec<Constraint> {
-    (0..polys.layers.len())
-        .map(|layer| polys.layer_polygons(layer))
-        .filter(|layer| !layer.is_empty())
+    layers(polys)
         .map(|layer| Constraint::from_polygons_res(spade, layer, resolution))
         .collect()
 }
 
-/// One selection per layer canvas of the polygon side: `scan` probes one
-/// layer's constraint canvas and returns `(polygon id, probe id)` pairs.
+/// One selection per layer canvas of the polygon side, for a line or
+/// polygon probe side: `scan` probes one layer's constraint canvas and
+/// returns `(polygon id, probe id)` pairs, which are then sorted and
+/// deduplicated. A point probe side folds its hits per polygon in the pass
+/// instead ([`join_points`]).
 fn join_by_layer(canvases: &[Constraint], scan: impl Fn(&Constraint) -> Pairs) -> Pairs {
     let mut pairs: Pairs = canvases.iter().flat_map(scan).collect();
     pairs.sort_unstable();
@@ -55,10 +77,96 @@ fn join_by_layer(canvases: &[Constraint], scan: impl Fn(&Constraint) -> Pairs) -
     pairs
 }
 
+/// The point probe of every layer canvas of `polys`, folded per polygon in
+/// the pass: one bucket per polygon id of each layer, `(id, bucket)` in id
+/// order, a multipolygon whose parts sit in several layers holding one
+/// bucket per such layer, in layer order. Within a layer an id's bucket is
+/// found by binary search over the layer's sorted distinct ids, and a
+/// point at list position `i` matching it folds in by `hit(bucket, i)`.
+/// The pass's chunks are contiguous runs of `points`, merged by
+/// `merge(into, chunk)` in chunk order, so a bucket that appends positions
+/// holds them ascending; and `match_point_into` names an id at most once
+/// per point, so it holds each once.
+pub(crate) fn fold_points<B: Clone + Send + Sync>(
+    spade: &Spade,
+    polys: &PolygonSlot,
+    points: &[(u32, Point)],
+    empty: B,
+    hit: impl Fn(&mut B, u32) + Sync,
+    merge: impl Fn(&mut B, B),
+) -> Vec<(u32, B)> {
+    let mut out = Vec::new();
+    for (canvas, ids) in polys.canvases(spade).iter().zip(layer_ids(&polys.set)) {
+        let call = DrawCall::simple(canvas.viewport, BlendMode::Replace, false);
+        let chunks = spade.pipeline.map(
+            points,
+            &call,
+            || (Vec::new(), vec![empty.clone(); ids.len()]),
+            |(scratch, buckets), frag| {
+                let i = frag.attrs[1];
+                canvas.match_point_into(points[i as usize].1, scratch);
+                for id in scratch.iter() {
+                    let b = ids
+                        .binary_search(id)
+                        .expect("a layer canvas holds its own ids");
+                    hit(&mut buckets[b], i);
+                }
+            },
+        );
+        let mut buckets = vec![empty.clone(); ids.len()];
+        for (_, chunk) in chunks {
+            for (into, bucket) in buckets.iter_mut().zip(chunk) {
+                merge(into, bucket);
+            }
+        }
+        out.extend(ids.into_iter().zip(buckets));
+    }
+    out.sort_by_key(|&(id, _)| id);
+    out
+}
+
+/// Polygon ⋈ point refinement of one slot pair: sorted, deduplicated
+/// `(polygon id, point id)` pairs with no comparison sort of the pair list.
+/// [`fold_points`] buckets each layer's hits by polygon in ascending
+/// position order; concatenated in id order, the buckets are the sorted
+/// pair list whenever point ids ascend with positions (as
+/// `Dataset::from_points`, a grid block and a staged delta number them). An
+/// id's run of point ids that does not strictly ascend — a point list in
+/// any other order, or a multipolygon's buckets from several layers — is
+/// sorted and deduplicated alone.
+pub(crate) fn join_points(spade: &Spade, polys: &PolygonSlot, points: &[(u32, Point)]) -> Pairs {
+    let buckets = fold_points(
+        spade,
+        polys,
+        points,
+        Vec::new(),
+        |b, i| b.push(i),
+        |into, b| into.extend(b),
+    );
+    let mut pairs = Pairs::with_capacity(buckets.iter().map(|(_, b)| b.len()).sum());
+    let mut run = Vec::new();
+    for group in buckets.chunk_by(|a, b| a.0 == b.0) {
+        run.clear();
+        run.extend(
+            group
+                .iter()
+                .flat_map(|(_, b)| b)
+                .map(|&i| points[i as usize].0),
+        );
+        if !run.is_sorted_by(|a, b| a < b) {
+            run.sort_unstable();
+            run.dedup();
+        }
+        pairs.extend(run.iter().map(|&p| (group[0].0, p)));
+    }
+    pairs
+}
+
 /// The fused point-vs-constraint pass over the point list itself, emitting
-/// `(constraint id, point position)` pairs — a caller wanting ids looks
-/// them up in `points`; n_max = number of points (§5.4: a point intersects
-/// at most one polygon per layer).
+/// `(constraint id, point position)` pairs in pass order, unsorted — a
+/// caller wanting ids looks them up in `points`. The distance and kNN
+/// joins use it: their constraint ids are left points, too many for a
+/// bucket per id ([`fold_points`] is the polygon join's form).
 pub(crate) fn scan_points_for_pairs(
     spade: &Spade,
     constraint: &Constraint,
@@ -253,17 +361,19 @@ impl Resident {
         }
     }
 
-    /// One fused pass of this cell, as the probe side, over a constraint
-    /// canvas: `(constraint id, probe id)` pairs.
-    fn probe(&self, spade: &Spade, constraint: &Constraint) -> Pairs {
+    /// This slot, as the probe side, joined with the layer canvases of
+    /// `polys`, one fused pass per layer: sorted `(polygon id, probe id)`
+    /// pairs.
+    fn join_layers(&self, spade: &Spade, polys: &PolygonSlot) -> Pairs {
+        let canvases = polys.canvases(spade);
         match self {
-            Resident::Points(pts) => (scan_points_for_pairs(spade, constraint, pts).into_iter())
-                .map(|(cid, i)| (cid, pts[i as usize].0))
-                .collect(),
-            Resident::Lines(prims, geoms) => {
-                scan_candidates_for_pairs(spade, constraint, prims, geoms)
-            }
-            Resident::Polys(slot) => scan_polygons_for_pairs(spade, constraint, &slot.set.polygons),
+            Resident::Points(pts) => join_points(spade, polys, pts),
+            Resident::Lines(prims, geoms) => join_by_layer(canvases, |c| {
+                scan_candidates_for_pairs(spade, c, prims, geoms)
+            }),
+            Resident::Polys(slot) => join_by_layer(canvases, |c| {
+                scan_polygons_for_pairs(spade, c, &slot.set.polygons)
+            }),
         }
     }
 }
@@ -272,15 +382,12 @@ impl Resident {
 /// layer canvases — of two polygon sides, the one with fewer layers (§5.2
 /// scenario 2); sorted `(left id, right id)` pairs.
 pub(crate) fn join_cells_layered(spade: &Spade, left: &Resident, right: &Resident) -> Pairs {
-    let by_layer = |polys: &PolygonSlot, probes: &Resident| {
-        join_by_layer(polys.canvases(spade), |c| probes.probe(spade, c))
-    };
     match (left, right) {
         (Resident::Polys(l), Resident::Polys(r)) if l.set.layers.len() > r.set.layers.len() => {
-            flip(by_layer(r, left))
+            flip(left.join_layers(spade, r))
         }
-        (Resident::Polys(polys), probes) => by_layer(polys, probes),
-        (probes, Resident::Polys(polys)) => flip(by_layer(polys, probes)),
+        (Resident::Polys(polys), probes) => probes.join_layers(spade, polys),
+        (probes, Resident::Polys(polys)) => flip(probes.join_layers(spade, polys)),
         _ => unreachable!("the join and aggregation executors require a polygon side"),
     }
 }
@@ -520,8 +627,9 @@ mod tests {
     use crate::config::EngineConfig;
     use crate::dataset::IndexedDataset;
     use spade_geometry::predicates::{point_in_polygon, polygons_intersect};
-    use spade_geometry::{BBox, Polygon};
+    use spade_geometry::{BBox, Geometry, MultiPolygon, Polygon};
     use spade_index::GridIndex;
+    use std::collections::BTreeMap;
     use std::sync::Arc;
 
     fn engine() -> Spade {
@@ -1198,5 +1306,290 @@ mod tests {
         let d2 = Dataset::from_polygons("b", b);
         let out = join_memory(&s, &d1, &d2);
         assert_eq!(out.result, vec![(0, 0)]);
+    }
+
+    // The bucketed point fold against the sort-and-dedup path it replaced.
+
+    /// The sort-and-dedup path the fold replaced, kept as its oracle: each
+    /// layer's `(polygon id, point position)` hits in pass order, mapped to
+    /// point ids, then the whole list sorted and deduplicated.
+    fn sorted_pairs_oracle(s: &Spade, slot: &PolygonSlot, pts: &[(u32, Point)]) -> Pairs {
+        join_by_layer(slot.canvases(s), |c| {
+            (scan_points_for_pairs(s, c, pts).into_iter())
+                .map(|(id, i)| (id, pts[i as usize].0))
+                .collect()
+        })
+    }
+
+    /// The oracle's pairs counted one increment per pair, every polygon id
+    /// of the slot present.
+    fn counted_oracle(slot: &PolygonSlot, pairs: &Pairs) -> BTreeMap<u32, u64> {
+        let mut totals: BTreeMap<u32, u64> = slot.set.polygons.iter().map(|p| (p.id, 0)).collect();
+        for (id, _) in pairs {
+            *totals.get_mut(id).expect("a polygon of the slot") += 1;
+        }
+        totals
+    }
+
+    /// Check the bucketed join, both ways round, and the bucketed count
+    /// against the oracle on every slot pair a full-scope walk of `polys` ⋈
+    /// `points` refines. Returns each refined point slot's ids in list
+    /// order.
+    fn assert_folds_match_oracle(
+        s: &Spade,
+        polys: Source<'_>,
+        points: Source<'_>,
+    ) -> Vec<Vec<u32>> {
+        let ctx = QueryCtx::default();
+        let walk = PairWalk::plan(polys, points, &ctx, |l, r| hull_pairs(s, l, r)).unwrap();
+        let mut slots = Vec::new();
+        let refine = |left: &Resident, right: &Resident, _| {
+            let (Resident::Polys(slot), Resident::Points(pts)) = (left, right) else {
+                panic!("a polygon slot and a point slot");
+            };
+            let want = sorted_pairs_oracle(s, slot, pts);
+            assert_eq!(join_cells_layered(s, left, right), want);
+            assert_eq!(join_cells_layered(s, right, left), flip(want.clone()));
+            let mut totals = BTreeMap::new();
+            crate::aggregate::count_cells(s, left, right, &mut totals);
+            assert_eq!(totals, counted_oracle(slot, &want));
+            slots.push(pts.iter().map(|p| p.0).collect());
+        };
+        walk.run(s, &ctx, refine).unwrap();
+        slots
+    }
+
+    /// A multipolygon (id 3) of two squares sharing the edge x = 150, apart
+    /// from every other polygon of the case but a square (id 200) inside its
+    /// second part. The layer index keeps the higher id where objects
+    /// overlap, so the first part lands in the first layer and the second
+    /// in a later one: the id has a bucket in each.
+    fn split_multipolygon() -> [(u32, Geometry); 2] {
+        let square = |x: f64, y: f64, side: f64| {
+            Polygon::rect(BBox::new(Point::new(x, y), Point::new(x + side, y + side)))
+        };
+        let parts = vec![square(130.0, 0.0, 20.0), square(150.0, 0.0, 20.0)];
+        [
+            (3, Geometry::MultiPolygon(MultiPolygon::new(parts))),
+            (200, Geometry::Polygon(square(155.0, 5.0, 10.0))),
+        ]
+    }
+
+    /// Points on the multipolygon's shared edge (in both parts), on its
+    /// parts' other edges, and on every rectangle's corners and edge
+    /// midpoints, where only the boundary index decides.
+    fn fold_boundary_points(rects: &[(f64, f64, f64, f64)]) -> Vec<Point> {
+        let shared = [
+            (150.0, 0.0),
+            (150.0, 10.0),
+            (150.0, 20.0),
+            (140.0, 20.0),
+            (160.0, 5.0),
+        ];
+        let mut pts: Vec<Point> = shared.map(|(x, y)| Point::new(x, y)).into();
+        for &(x, y, w, h) in rects {
+            for (u, v) in [
+                (0.0, 0.0),
+                (1.0, 0.0),
+                (0.0, 1.0),
+                (1.0, 1.0),
+                (0.5, 0.0),
+                (0.0, 0.5),
+            ] {
+                pts.push(Point::new(x + u * w, y + v * h));
+            }
+        }
+        pts
+    }
+
+    /// `n` point ids in list order: ascending with position, descending,
+    /// or a seeded shuffle.
+    fn point_ids(n: usize, order: usize, seed: u64) -> Vec<u32> {
+        let mut ids: Vec<u32> = (0..n as u32).collect();
+        match order {
+            0 => {}
+            1 => ids.reverse(),
+            _ => {
+                let mut r = seed | 1;
+                for i in (1..n).rev() {
+                    r = r
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    ids.swap(i, (r >> 33) as usize % (i + 1));
+                }
+            }
+        }
+        ids
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        /// The bucketed join and count equal the sort-and-dedup path over
+        /// random rectangle sets (one to a few layers), point ids
+        /// ascending, descending and shuffled against position, with and
+        /// without a multipolygon split over two layers, in memory, on a
+        /// grid, with a staged insert and delete, and after compaction.
+        #[test]
+        fn bucketed_folds_equal_the_sort_and_dedup_path(
+            rects in proptest::collection::vec(
+                (0.0f64..80.0, 0.0f64..80.0, 4.0f64..40.0, 4.0f64..40.0), 1..10),
+            generic in proptest::collection::vec((0.0f64..170.0, 0.0f64..100.0), 0..200),
+            order in 0..3usize,
+            multi in 0..2usize,
+            seed in 0..u64::MAX,
+        ) {
+            let s = roomy();
+            let mut polygons: Vec<(u32, Geometry)> = (rects.iter().zip(0u32..))
+                .map(|(&(x, y, w, h), i)| {
+                    let rect = Polygon::rect(BBox::new(Point::new(x, y), Point::new(x + w, y + h)));
+                    (100 - 7 * i, Geometry::Polygon(rect))
+                })
+                .collect();
+            let multi = multi == 1;
+            if multi {
+                polygons.extend(split_multipolygon());
+            }
+            let polys = Dataset::from_objects("polys", DatasetKind::Polygons, polygons);
+            let mut pts: Vec<Point> = generic.iter().map(|&(x, y)| Point::new(x, y)).collect();
+            pts.extend(fold_boundary_points(&rects));
+            let objects: Vec<(u32, Geometry)> = (point_ids(pts.len(), order, seed).into_iter())
+                .zip(pts.iter().map(|&p| Geometry::Point(p)))
+                .collect();
+            let points = Dataset::from_objects("pts", DatasetKind::Points, objects.clone());
+
+            if multi {
+                let slot = Resident::of(&s, &polys);
+                let Resident::Polys(slot) = &*slot else { unreachable!() };
+                let layers = layer_ids(&slot.set);
+                let holding = layers.iter().filter(|ids| ids.contains(&3)).count();
+                proptest::prop_assert_eq!(holding, 2, "the multipolygon spans two layers");
+            }
+            let (polys_mem, points_mem) = (Arc::new(polys.clone()), Arc::new(points.clone()));
+            assert_folds_match_oracle(&s, (&polys_mem).into(), (&points_mem).into());
+
+            let (i1, i2) = (indexed(&polys, 30.0), indexed(&points, 30.0));
+            assert_folds_match_oracle(&s, (&i1).into(), (&i2).into());
+            // A staged insert (a new id and a moved one) and a delete on
+            // each side, then the same folded into a new generation.
+            let (last, first) = (objects[objects.len() - 1].0, objects[0].0);
+            i2.insert(u32::MAX - 1, Geometry::Point(Point::new(35.0, 35.0)));
+            i2.insert(last, Geometry::Point(Point::new(30.0, 25.0)));
+            i2.delete(first);
+            i1.delete(100);
+            if multi {
+                let [(id, multipolygon), _] = split_multipolygon();
+                i1.insert(id, multipolygon);
+            }
+            assert_folds_match_oracle(&s, (&i1).into(), (&i2).into());
+            for side in [&i1, &i2] {
+                side.compact(s.config.max_cell_bytes).unwrap();
+            }
+            assert_folds_match_oracle(&s, (&i1).into(), (&i2).into());
+        }
+    }
+
+    /// Where the join needs no sort: point ids ascend with positions in
+    /// every point slot of a `Dataset::from_points` set — a block after
+    /// `GridIndex::build`, a cell masked by a staged delete, the staged
+    /// delta itself, a block after compaction and the parts of a split
+    /// cell.
+    #[test]
+    fn point_ids_ascend_in_every_slot_of_a_from_points_set() {
+        let s = roomy();
+        let polys = Dataset::from_polygons("polys", polygon_field());
+        let pts = Dataset::from_points("pts", scatter(1500, 100.0, 7));
+        let (i1, i2) = (indexed(&polys, 40.0), indexed(&pts, 40.0));
+        let ascend = |slots: Vec<Vec<u32>>| {
+            assert!(!slots.is_empty());
+            for ids in slots {
+                assert!(ids.is_sorted_by(|a, b| a < b), "{ids:?}");
+            }
+        };
+        ascend(assert_folds_match_oracle(&s, (&i1).into(), (&i2).into()));
+        // Inserts staged out of id order, a replace and a delete.
+        i2.insert(9000, Geometry::Point(Point::new(50.0, 50.0)));
+        i2.insert(8000, Geometry::Point(Point::new(20.0, 70.0)));
+        i2.insert(10, Geometry::Point(Point::new(60.0, 10.0)));
+        i2.delete(700);
+        ascend(assert_folds_match_oracle(&s, (&i1).into(), (&i2).into()));
+        // A budget below any rewritten cell's bytes splits every one.
+        let report = i2.compact(4096).unwrap().expect("a delta to fold");
+        assert!(report.cells_split > 0, "{report:?}");
+        ascend(assert_folds_match_oracle(&s, (&i1).into(), (&i2).into()));
+    }
+
+    /// The sorting branch: ids that descend with position leave a raw
+    /// bucket unsorted, and the join sorts that bucket alone.
+    #[test]
+    fn a_bucket_whose_ids_descend_is_sorted_alone() {
+        let s = roomy();
+        let polys = Dataset::from_polygons("polys", polygon_field());
+        let pts = scatter(400, 100.0, 11);
+        let objects = (point_ids(pts.len(), 1, 0).into_iter())
+            .zip(pts.iter().map(|&p| Geometry::Point(p)))
+            .collect();
+        let points = Dataset::from_objects("pts", DatasetKind::Points, objects);
+        let (polys, points) = (Resident::of(&s, &polys), Resident::of(&s, &points));
+        let (Resident::Polys(slot), Resident::Points(pts)) = (&*polys, &*points) else {
+            unreachable!()
+        };
+        let buckets = fold_points(
+            &s,
+            slot,
+            pts,
+            Vec::new(),
+            |b, i| b.push(i),
+            |a, b| a.extend(b),
+        );
+        let raw = |b: &Vec<u32>| b.iter().map(|&i| pts[i as usize].0).collect::<Vec<_>>();
+        assert!(buckets.iter().any(|(_, b)| !raw(b).is_sorted()));
+        let pairs = join_points(&s, slot, pts);
+        assert!(pairs.is_sorted_by(|a, b| a < b));
+        assert_eq!(pairs, sorted_pairs_oracle(&s, slot, pts));
+    }
+
+    /// The no-sort branch: over a `Dataset::from_points` slot every bucket
+    /// already holds strictly ascending point ids, so the join is the
+    /// buckets' concatenation — at one worker and at three, whose chunks
+    /// must concatenate in chunk order.
+    #[test]
+    fn a_from_points_slot_needs_no_sort() {
+        let polys = Dataset::from_polygons("polys", polygon_field());
+        let points = Dataset::from_points("pts", scatter(400, 100.0, 11));
+        let mut joins = Vec::new();
+        for workers in [1, 3] {
+            let s = Spade::new(EngineConfig {
+                workers,
+                ..EngineConfig::test_small()
+            });
+            let (polys, points) = (Resident::of(&s, &polys), Resident::of(&s, &points));
+            let (Resident::Polys(slot), Resident::Points(pts)) = (&*polys, &*points) else {
+                unreachable!()
+            };
+            let buckets = fold_points(
+                &s,
+                slot,
+                pts,
+                Vec::new(),
+                |b, i| b.push(i),
+                |a, b| a.extend(b),
+            );
+            assert!(
+                buckets.windows(2).all(|w| w[0].0 < w[1].0),
+                "one bucket per id"
+            );
+            let mut concatenated = Pairs::new();
+            for (id, b) in &buckets {
+                let ids: Vec<u32> = b.iter().map(|&i| pts[i as usize].0).collect();
+                assert!(ids.is_sorted_by(|a, b| a < b), "{workers} workers");
+                concatenated.extend(ids.into_iter().map(|p| (*id, p)));
+            }
+            assert!(!concatenated.is_empty());
+            assert_eq!(join_points(&s, slot, pts), concatenated);
+            assert_eq!(concatenated, sorted_pairs_oracle(&s, slot, pts));
+            joins.push(concatenated);
+        }
+        assert_eq!(joins[0], joins[1]);
     }
 }

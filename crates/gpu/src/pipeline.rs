@@ -4,8 +4,8 @@
 //! A [`DrawCall`] bundles the programmable stages and fixed-function state
 //! of one rendering pass, mirroring a GL pipeline state object. [`Pipeline`]
 //! executes passes of three kinds — a draw into a target [`Texture`], the
-//! counting pass, and a Map pass that emits values instead of blending
-//! (§5.1) — and every one runs through the same stages:
+//! counting pass, and a Map pass that folds fragments into per-chunk state
+//! instead of blending (§5.1) — and every one runs through the same stages:
 //!
 //! 1. each input element assembles into its primitive ([`Assemble`]), in
 //!    world space (in parallel),
@@ -50,7 +50,7 @@ use std::time::Instant;
 /// Row bands per worker of a draw: enough tasks that a worker whose bands
 /// held little coverage takes more, few enough that a primitive tall enough
 /// to span many rows is binned, and its row walk set up, in few of them.
-const BANDS_PER_WORKER: usize = 4;
+pub const BANDS_PER_WORKER: usize = 4;
 
 /// The state of one rendering pass.
 pub struct DrawCall<'a> {
@@ -190,30 +190,26 @@ impl Pipeline {
     }
 
     /// Run a Map pass (§5.1): rasterize `prims` as [`Pipeline::draw`] does,
-    /// but instead of blending, hand every fragment to `emit`, which may
-    /// append any number of values to its worker chunk's output and keeps
-    /// per-chunk scratch state from `init` (the equivalent of shader
-    /// workgroup-local memory). Returns each chunk's values in primitive
-    /// order, so their concatenation is in deterministic (primitive,
-    /// fragment, emission) order.
+    /// but instead of blending, hand every fragment to `emit` with its
+    /// worker chunk's state from `init` (the equivalent of shader
+    /// workgroup-local memory), which folds it in: appends values to a
+    /// list, buckets it, counts it. Returns the chunk states in chunk order.
+    /// The chunks are contiguous runs of `prims` and each sees its
+    /// fragments in (primitive, fragment) order, so folding the states in
+    /// the order returned is deterministic at any worker count, and a state
+    /// that appends per key holds each key's entries in primitive order.
     pub fn map<S: Send>(
         &self,
         prims: &[impl Assemble],
         call: &DrawCall<'_>,
         init: impl Fn() -> S + Sync,
-        emit: impl Fn(&mut S, &Fragment, &mut Vec<PixelValue>) + Sync,
-    ) -> Vec<Vec<PixelValue>> {
+        emit: impl Fn(&mut S, &Fragment) + Sync,
+    ) -> Vec<S> {
         let vp = call.viewport;
         self.pass("gpu.map", || {
-            let (chunks, counts) = self.stream(
-                prims,
-                call,
-                || (init(), Vec::new()),
-                |(state, out), prim| {
-                    fragments(prim, &vp, call.conservative, |frag| emit(state, &frag, out))
-                },
-            );
-            (chunks.into_iter().map(|(_, out)| out).collect(), counts)
+            self.stream(prims, call, init, |state, prim| {
+                fragments(prim, &vp, call.conservative, |frag| emit(state, &frag))
+            })
         })
     }
 

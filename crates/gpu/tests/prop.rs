@@ -79,10 +79,8 @@ fn run_passes(pipe: &Pipeline, prims: &[impl Assemble], call: &DrawCall<'_>) -> 
         max: draw(BlendMode::Max),
         count: framed(|| pipe.count_pass(prims, call)),
         map: framed(|| {
-            let emit = |_: &mut (), frag: &Fragment, out: &mut Vec<_>| {
-                out.extend(call.fragment.shade(frag))
-            };
-            pipe.map(prims, call, || (), emit).concat()
+            let emit = |out: &mut Vec<_>, frag: &Fragment| out.extend(call.fragment.shade(frag));
+            pipe.map(prims, call, Vec::new, emit).concat()
         }),
     }
 }
