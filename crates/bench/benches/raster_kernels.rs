@@ -1,7 +1,9 @@
 //! Microbenchmarks for the batched (lane-parallel) kernels in isolation:
-//! coverage counting, rasterization under both rules, the band-direct draw
-//! of a constraint canvas's interior, point-containment scans, and the
-//! storage filter kernel, the last five against their scalar forms. The
+//! coverage counting, rasterization under both rules (the conservative one
+//! on boundary slivers and on the cell-hull filter's fans of large hulls),
+//! the band-direct draw of a constraint canvas's interior,
+//! point-containment scans, and the storage filter kernel, most against
+//! their scalar forms. The
 //! raster kernels' and the draw's speed-ups are gated by
 //! `tests/simd_gate.rs`; these isolate where the time goes when a kernel
 //! regresses.
@@ -15,6 +17,7 @@ use spade_storage::exec::{scan_with, CmpOp, Expr};
 use spade_storage::table::{Schema, Table};
 use spade_storage::value::Value;
 use spade_storage::DataType;
+use std::f64::consts::TAU;
 
 fn lcg(seed: &mut u64) -> f64 {
     *seed = seed
@@ -140,22 +143,53 @@ fn bench_conservative(c: &mut Criterion) {
     let vp = vp();
     let mut g = c.benchmark_group("conservative");
     for (name, runs) in [("oracle", false), ("runs", true)] {
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                let mut acc = 0u64;
-                let mut emit = |x: u32, y: u32| acc = acc.wrapping_add(u64::from(x) ^ u64::from(y));
-                for p in &prims {
-                    if runs {
-                        raster::rasterize_with(p, &vp, true, &mut emit);
-                    } else {
-                        raster::rasterize(p, &vp, true, &mut emit);
-                    }
-                }
-                acc
-            })
-        });
+        g.bench_function(name, |b| b.iter(|| conservative(&prims, &vp, runs)));
     }
+    // The cell-hull filter's draw: fans of convex hulls 10–1000× the
+    // viewport, whose boundaries cross it, so many rows of a fan
+    // triangle's bounding box lie wholly beside the viewport's coverage.
+    let hulls = hull_fans();
+    g.bench_function("hull_fans_small_viewport", |b| {
+        b.iter(|| conservative(&hulls, &vp, true))
+    });
     g.finish();
+}
+
+/// Every conservative fragment of `prims`, through the row runs or the
+/// per-pixel oracle, folded into a checksum.
+fn conservative(prims: &[Primitive], vp: &Viewport, runs: bool) -> u64 {
+    let mut acc = 0u64;
+    let mut emit = |x: u32, y: u32| acc = acc.wrapping_add(u64::from(x) ^ u64::from(y));
+    for p in prims {
+        if runs {
+            raster::rasterize_with(p, vp, true, &mut emit);
+        } else {
+            raster::rasterize(p, vp, true, &mut emit);
+        }
+    }
+    acc
+}
+
+/// The triangulated convex hulls of 12 grid cells, each 10–1000× the unit
+/// viewport across, with the boundary passing within a viewport of it.
+fn hull_fans() -> Vec<Primitive> {
+    let mut seed = 0x4a11_u64;
+    let mut lcg = move || lcg(&mut seed);
+    let mut prims = Vec::new();
+    for i in 0..12 {
+        let r = 10f64.powf(1.0 + 2.0 * lcg());
+        let a = lcg() * TAU;
+        let c = Point::new(0.5, 0.5) - Point::new(a.cos(), a.sin()) * (r + 2.0 * lcg() - 0.5);
+        let verts = (0..24)
+            .map(|j| {
+                let b = (f64::from(j) + 0.8 * lcg()) / 24.0 * TAU;
+                c + Point::new(b.cos(), b.sin()) * r
+            })
+            .collect();
+        let fan = Polygon::new(verts).triangulate().into_iter();
+        prims.extend(fan.map(|t| Primitive::triangle(t.a, t.b, t.c, [i + 1, 0, 0, 0])));
+    }
+    prims
 }
 
 fn bench_containment(c: &mut Criterion) {

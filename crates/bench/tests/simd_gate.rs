@@ -7,6 +7,12 @@
 //! * conservative rule — on 2,000 thin diagonal slivers at 512², the
 //!   boundary coverage of layer construction, the per-row run form must be
 //!   at least 2× the oracle, which tests every pixel of each bounding box;
+//! * conservative rows beside the viewport — the cell-hull filter's draw,
+//!   fans of convex hulls 10–1000× a 512² viewport whose boundaries cross
+//!   it, so many rows of a triangle's bounding box hold no pixel of it: the
+//!   run form must be at least 12× the oracle (about 37× measured on two
+//!   cores; scanning a row beside the viewport pixel by pixel brings it
+//!   under 3×);
 //! * canvas creation — the interior pass of a 48-vertex constraint canvas
 //!   at 1024², `Pipeline::draw` on one worker (band-direct: one slice blend
 //!   per triangle row) must be at least 3× the oracle's fragments blended
@@ -25,8 +31,9 @@
 use spade_canvas::distance::distance_canvas_points;
 use spade_canvas::{FLAG_BOUNDARY, FLAG_INTERIOR};
 use spade_datagen::urban;
-use spade_geometry::{BBox, Point};
+use spade_geometry::{BBox, Point, Polygon};
 use spade_gpu::{raster, BlendMode, DrawCall, Pipeline, Primitive, Texture, Viewport};
+use std::f64::consts::TAU;
 use std::time::{Duration, Instant};
 
 /// Wall time of one execution of `f`.
@@ -114,6 +121,32 @@ fn slivers() -> Vec<Primitive> {
         .collect()
 }
 
+/// The triangulated convex hulls of 12 grid cells, each 10–1000× the unit
+/// viewport across, with the boundary passing within a viewport of it: the
+/// cell-hull filter's draw over a small query's canvas. Fan triangles this
+/// long cross the viewport's bounding rows on slants, so many of their rows
+/// there cover no pixel of it, the covered interval lying wholly left or
+/// right of the viewport.
+fn hull_fans() -> Vec<Primitive> {
+    let mut seed = 0x4a11_u64;
+    let mut lcg = move || lcg(&mut seed);
+    let mut prims = Vec::new();
+    for i in 0..12 {
+        let r = 10f64.powf(1.0 + 2.0 * lcg());
+        let a = lcg() * TAU;
+        let c = Point::new(0.5, 0.5) - Point::new(a.cos(), a.sin()) * (r + 2.0 * lcg() - 0.5);
+        let verts = (0..24)
+            .map(|j| {
+                let b = (f64::from(j) + 0.8 * lcg()) / 24.0 * TAU;
+                c + Point::new(b.cos(), b.sin()) * r
+            })
+            .collect();
+        let fan = Polygon::new(verts).triangulate().into_iter();
+        prims.extend(fan.map(|t| Primitive::triangle(t.a, t.b, t.c, [i + 1, 0, 0, 0])));
+    }
+    prims
+}
+
 /// The interior pass of a 48-vertex constraint's canvas at 1024², the
 /// viewport its bounding box (a selection's canvas): the constraint's
 /// triangles, as `render_polygons` draws them.
@@ -187,6 +220,26 @@ fn conservative_runs_speed_up_sliver_coverage() {
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "timing-sensitive; run in release")]
+fn row_runs_skip_rows_outside_the_viewport() {
+    let prims = hull_fans();
+    let want = render(&prims, 512, true, false);
+    assert!(want.count_non_null() > 0);
+    assert_eq!(render(&prims, 512, true, true), want);
+    let (speedup, t_runs, t_oracle) = paired_speedup(
+        7,
+        || time(|| render(&prims, 512, true, true)),
+        || time(|| render(&prims, 512, true, false)),
+    );
+    eprintln!("hull fans: runs {t_runs:?} oracle {t_oracle:?} speedup {speedup:.2}x");
+    assert!(
+        speedup >= 12.0,
+        "expected conservative runs >= 12x the oracle on hull fans, got {speedup:.2}x \
+         (runs median {t_runs:?}, oracle median {t_oracle:?})"
+    );
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "timing-sensitive; run in release")]
 fn band_draw_speeds_up_constraint_interior() {
     let (prims, vp) = constraint_interior();
     let pipe = Pipeline::with_workers(1);
@@ -226,6 +279,9 @@ fn band_draw_speeds_up_constraint_interior() {
     );
 }
 
+/// A pass's value for a pixel at distance `d` from the circle's centre.
+type Shade<'a> = dyn Fn(f64) -> Option<[u32; 4]> + 'a;
+
 /// The two-pass composition of a circle canvas around `q`, radius `r`, as
 /// a scalar oracle: the circle's bounding square (two triangles, half-side
 /// `r` plus half a pixel diagonal) rasterized conservatively by
@@ -240,7 +296,7 @@ fn circle_two_pass(q: Point, r: f64, vp: &Viewport) -> Texture {
         Primitive::triangle(corners[0], corners[2], corners[3], [0; 4]),
     ];
     let mut tex = Texture::new(vp.width, vp.height);
-    let passes: [(BlendMode, &dyn Fn(f64) -> Option<[u32; 4]>); 2] = [
+    let passes: [(BlendMode, &Shade<'_>); 2] = [
         (BlendMode::Replace, &|d| {
             (d <= r - hd).then_some([1, 0, FLAG_INTERIOR, 0])
         }),

@@ -65,7 +65,7 @@ pub(crate) fn count_cells(
 /// Aggregation (§5.3 "Other queries are also executed using a similar
 /// strategy"): the join's `PairWalk` over (polygon slot, point slot)
 /// pairs, each refined by the layered join's point pass counting its hits
-/// per polygon in the pass ([`count_cells`]) — each polygon and each point
+/// per polygon in the pass (`count_cells`) — each polygon and each point
 /// lives in exactly one slot, so partials add without double counting. Result: `(polygon id,
 /// point count)` in polygon-id order. A polygon slot the walk paired with
 /// nothing still reports its ids at 0: the scope that owns the deltas

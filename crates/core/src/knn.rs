@@ -35,50 +35,53 @@ fn circle(spade: &Spade, q: Point, r: f64, resolution: u32) -> Constraint {
     build_distance_constraint(spade, &DistanceConstraint::Point(q), r, resolution)
 }
 
+/// The circle radii `r_i = r_max / α^i` for `i < circles`, descending:
+/// the buckets `count_circles` fills and the radii `radius_for` picks from,
+/// computed once per query (or per left slot of a join).
+pub(crate) fn circle_radii(r_max: f64, circles: usize) -> Vec<f64> {
+    (0..circles)
+        .map(|i| r_max / KNN_ALPHA.powi(i as i32))
+        .collect()
+}
+
 /// The circle-aggregation kernel over one cell: each point emits the index
-/// of the smallest circle `r_i = r_max / α^i` containing it, into `hist`.
-/// One rendering pass regardless of the number of circles (§5.2).
+/// of the smallest circle of `radii` (from `circle_radii`) containing it,
+/// into `hist`. One rendering pass regardless of the number of circles
+/// (§5.2).
 pub(crate) fn count_circles(
     spade: &Spade,
     pts: &[(u32, Point)],
     q: Point,
-    r_max: f64,
+    radii: &[f64],
     hist: &mut [u64],
 ) {
-    let circles = hist.len();
-    let vp = spade.viewport_for(&BBox::new(q, q).inflate(r_max));
+    let vp = spade.viewport_for(&BBox::new(q, q).inflate(radii[0]));
     let emitted = algebra::map_emit(&spade.pipeline, pts, vp, false, |frag, out| {
-        let p = pts[frag.attrs[1] as usize].1;
-        let d = p.dist(q);
-        if d > r_max {
-            return;
+        let d = pts[frag.attrs[1] as usize].1.dist(q);
+        // The radii descend, so the circles holding the point, by the exact
+        // test's own comparison `d ≤ r_i`, are a prefix of them; the
+        // smallest is the prefix's last.
+        let held = radii.partition_point(|&r| d <= r);
+        if held > 0 {
+            out.push([held as u32 - 1, 0, 0, 0]);
         }
-        // Smallest circle containing the point: the largest i with
-        // d ≤ r_max / α^i, i.e. i = ⌊log_α(r_max / d)⌋.
-        let bucket = if d <= 0.0 {
-            circles - 1
-        } else {
-            (((r_max / d).ln() / KNN_ALPHA.ln()).floor() as i64).clamp(0, circles as i64 - 1)
-                as usize
-        };
-        out.push([bucket as u32, 0, 0, 0]);
     });
     for v in emitted.values {
         hist[v[0] as usize] += 1;
     }
 }
 
-/// The smallest `r_i` whose circle holds at least `k` points:
+/// The smallest radius whose circle holds at least `k` points:
 /// agg(circle i) = points within r_i = Σ_{j ≥ i} hist[j].
-pub(crate) fn radius_for(hist: &[u64], r_max: f64, k: usize) -> f64 {
+pub(crate) fn radius_for(hist: &[u64], radii: &[f64], k: usize) -> f64 {
     let mut cum = 0u64;
     for i in (0..hist.len()).rev() {
         cum += hist[i];
         if cum >= k as u64 {
-            return r_max / KNN_ALPHA.powi(i as i32);
+            return radii[i];
         }
     }
-    r_max // fewer than k points in total: take everything
+    radii[0] // fewer than k points in total: take everything
 }
 
 /// The distance-selection kernel over one cell: `(id, exact distance)` of
@@ -176,11 +179,12 @@ pub fn knn_select_indexed<'a>(
         let r_max = count_bound(&walk.view, walk.slots(), &[q], k);
         // The bound's circle only gates cell loads: a coarse canvas.
         let bound = circle(spade, q, r_max, spade.config.filter_resolution());
-        let mut hist = vec![0u64; spade.config.knn_circles()];
+        let radii = circle_radii(r_max, spade.config.knn_circles());
+        let mut hist = vec![0u64; radii.len()];
         stream += walk.run(spade, ctx, &bound, &bound, |cell| {
-            count_circles(spade, &cell.as_points(), q, r_max, &mut hist)
+            count_circles(spade, &cell.as_points(), q, &radii, &mut hist)
         })?;
-        let radius = radius_for(&hist, r_max, k);
+        let radius = radius_for(&hist, &radii, k);
         let within = circle(spade, q, radius, spade.config.distance_resolution());
         stream += walk.run(spade, ctx, &within, &within, |cell| {
             push_within(spade, &cell.as_points(), &within, q, &mut result)
@@ -279,11 +283,12 @@ pub fn knn_join_indexed<'a>(
             count_bound(v2, paired.map(|p| p.1), &hull.exterior.points, k)
         };
         let mut radii: Vec<Vec<f64>> = vec![Vec::new(); memory_slot + 1];
-        // The left slot being counted: its bound and histograms.
-        let mut live: Option<(usize, f64, Vec<Vec<u64>>)> = None;
-        let collapse = |live: Option<(usize, f64, Vec<Vec<u64>>)>, radii: &mut [Vec<f64>]| {
-            if let Some((slot, r_max, hists)) = live {
-                radii[slot] = (hists.iter().map(|h| radius_for(h, r_max, k))).collect();
+        // The left slot being counted: its circles' radii and histograms.
+        type Live = Option<(usize, Vec<f64>, Vec<Vec<u64>>)>;
+        let mut live: Live = None;
+        let collapse = |live: Live, radii: &mut [Vec<f64>]| {
+            if let Some((slot, rings, hists)) = live {
+                radii[slot] = (hists.iter().map(|h| radius_for(h, &rings, k))).collect();
             }
         };
         let circles = spade.config.knn_circles();
@@ -291,11 +296,12 @@ pub fn knn_join_indexed<'a>(
             let (left, l) = (left.points(), slot(l));
             if live.as_ref().map(|live| live.0) != Some(l) {
                 collapse(live.take(), &mut radii);
-                live = Some((l, r_max(l), vec![vec![0; circles]; left.len()]));
+                let hists = vec![vec![0; circles]; left.len()];
+                live = Some((l, circle_radii(r_max(l), circles), hists));
             }
-            let (_, r_max, hists) = live.as_mut().expect("set above");
+            let (_, rings, hists) = live.as_mut().expect("set above");
             for (&(_, p), hist) in left.iter().zip(hists) {
-                count_circles(spade, right.points(), p, *r_max, hist);
+                count_circles(spade, right.points(), p, rings, hist);
             }
         });
         stream += counting?;
@@ -405,6 +411,39 @@ mod tests {
     }
 
     #[test]
+    fn a_point_at_a_radius_counts_in_its_circle() {
+        // A point exactly at `r_i` is within circle `i` by the exact test, so
+        // circle `i` is the smallest holding it; one at the next `f64` above
+        // is not, so it lands in circle `i - 1`, or in none past `r_max`.
+        let s = engine();
+        let (q, r_max) = (Point::new(0.0, 0.0), 3.7);
+        let radii = circle_radii(r_max, s.config.knn_circles());
+        assert!(radii.len() > 8 && radii.windows(2).all(|w| w[1] < w[0]));
+        let bucket_of = |d: f64| {
+            let mut hist = vec![0u64; radii.len()];
+            count_circles(&s, &[(0, Point::new(d, 0.0))], q, &radii, &mut hist);
+            let held: Vec<usize> = (0..hist.len()).filter(|&i| hist[i] > 0).collect();
+            assert!(
+                held.len() <= 1 && hist.iter().sum::<u64>() <= 1,
+                "d={d}: {hist:?}"
+            );
+            held.first().copied()
+        };
+        for (i, &r) in radii.iter().enumerate() {
+            assert_eq!(bucket_of(r), Some(i), "at r_{i}");
+            assert_eq!(bucket_of(r.next_up()), i.checked_sub(1), "just past r_{i}");
+        }
+        assert_eq!(bucket_of(0.0), Some(radii.len() - 1));
+        // `radius_for` answers from the same radii.
+        let mut hist = vec![0u64; radii.len()];
+        hist[4] = 2;
+        hist[7] = 1;
+        assert_eq!(radius_for(&hist, &radii, 1), radii[7]);
+        assert_eq!(radius_for(&hist, &radii, 3), radii[4]);
+        assert_eq!(radius_for(&hist, &radii, 4), r_max);
+    }
+
+    #[test]
     fn knn_select_k_larger_than_data() {
         let s = engine();
         let pts = scatter(10, 50.0, 67);
@@ -510,12 +549,13 @@ mod tests {
     ) -> spade_storage::Result<Vec<(u32, f64)>> {
         let r_max = count_bound(&walk.view, walk.slots(), &[q], k);
         let bound = circle(s, q, r_max, s.config.filter_resolution());
-        let mut hist = vec![0u64; s.config.knn_circles()];
+        let radii = circle_radii(r_max, s.config.knn_circles());
+        let mut hist = vec![0u64; radii.len()];
         walk.run(s, ctx, &bound, &bound, |cell| {
-            count_circles(s, &cell.as_points(), q, r_max, &mut hist)
+            count_circles(s, &cell.as_points(), q, &radii, &mut hist)
         })?;
         between();
-        let radius = radius_for(&hist, r_max, k);
+        let radius = radius_for(&hist, &radii, k);
         let within = circle(s, q, radius, s.config.distance_resolution());
         let mut got = Vec::new();
         walk.run(s, ctx, &within, &within, |cell| {

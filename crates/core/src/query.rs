@@ -406,7 +406,7 @@ mod tests {
         use crate::dataset::PreparedPolygonSet;
         use crate::distance::{disk_layers, hulls_within};
         use crate::join::{hull_pairs, PairWalk};
-        use crate::knn::{count_bound, count_circles, radius_for};
+        use crate::knn::{circle_radii, count_bound, count_circles, radius_for};
         let grid = |src: Source<'_>| src.read_view().grid.num_cells() as u64;
         if let Q::Select(q) = q {
             let map = stats.plan.map.expect("every select class maps");
@@ -515,13 +515,14 @@ mod tests {
                         (pairs.iter().filter(|p| p.0 == l)).map(|p| p.1).collect();
                     let hull = v1.hull(l);
                     let r_max = count_bound(v2, paired.iter().copied(), &hull.exterior.points, *k);
+                    let radii = circle_radii(r_max, s.config.knn_circles());
                     let disks: Vec<(Point, f64)> = (load(v1, l).as_points().iter())
                         .map(|&(_, p)| {
-                            let mut hist = vec![0; s.config.knn_circles()];
+                            let mut hist = vec![0; radii.len()];
                             for &r in &paired {
-                                count_circles(s, &load(v2, r).as_points(), p, r_max, &mut hist);
+                                count_circles(s, &load(v2, r).as_points(), p, &radii, &mut hist);
                             }
-                            (p, radius_for(&hist, r_max, *k))
+                            (p, radius_for(&hist, &radii, *k))
                         })
                         .collect();
                     disk_layers(&disks).len() as u64

@@ -118,8 +118,8 @@ impl Pipeline {
 
     /// Execute one rendering pass against `target`, returning how many
     /// fragments it rasterized (discarded ones included). The stream is
-    /// binned once into the target's row bands ([`Pipeline::stream`]), then
-    /// each band draws its list ([`draw_band`]).
+    /// binned once into the target's row bands (`Pipeline::stream`), then
+    /// each band draws its list (`draw_band`).
     pub fn draw(&self, target: &mut Texture, prims: &[impl Assemble], call: &DrawCall<'_>) -> u64 {
         let width = target.width() as usize;
         let mut bands: Vec<_> = (target.band_slices(BANDS_PER_WORKER * self.workers()))
@@ -791,9 +791,9 @@ mod tests {
         // attributes (run blends), one that discards and one that computes
         // its value from the fragment's world position (both shaded pixel by
         // pixel). The computed value is certain (channel 3 zero) on half of
-        // each unit row, so `Classified` sees both kinds. (Default-rule rows
-        // whose probes find no seed are too rare to reach from here;
-        // `raster`'s `seedless_row_scan_matches_scalar` checks their scan.)
+        // each unit row, so `Classified` sees both kinds. (Triangles far
+        // larger than the viewport, whose rows can lie wholly beside it, are
+        // `raster`'s `bisected_runs_match_scalar_oracle`.)
         let world = BBox::new(Point::ZERO, Point::new(10.0, 10.0));
         let pipes: Vec<Pipeline> = [1, 2, 3, 8].map(Pipeline::with_workers).into();
         let discard =

@@ -176,26 +176,56 @@ impl TriRowKernel {
         m & lane_mask(n)
     }
 
-    /// Popcount of the row's coverage on `[x0, x1]`, one block at a time —
-    /// the batched form of the linear-scan fallback.
-    fn count_row(&self, x0: u32, x1: u32) -> usize {
-        let mut total = 0usize;
-        self.row_blocks(x0, x1, |_, m| total += m.count_ones() as usize);
-        total
+    /// One of the two monotone halves of [`inside`] along the row: with
+    /// `rising`, the edges whose value rises with x (`dy < 0`: false, then
+    /// true), otherwise those whose value falls (`dy > 0`: true, then
+    /// false). An edge with `dy == ±0` (or NaN) is a row constant and sits
+    /// in both. `inside(x)` is `half(x, true) && half(x, false)`, tested
+    /// with the same operations.
+    ///
+    /// [`inside`]: TriRowKernel::inside
+    #[inline]
+    fn half(&self, x: u32, rising: bool) -> bool {
+        let px = self.minx + (x as f64 + 0.5) * self.psx;
+        (0..3).all(|k| {
+            let other = if rising {
+                self.dy[k] > 0.0
+            } else {
+                self.dy[k] < 0.0
+            };
+            other || self.t[k] - self.dy[k] * (px - self.ux[k]) >= 0.0
+        })
     }
 
-    /// The first and the last covered column of the row on `[x0, x1]`, one
-    /// block at a time; `None` when no pixel of it is covered.
-    fn scan_row(&self, x0: u32, x1: u32) -> Option<(u32, u32)> {
-        let mut ends: Option<(u32, u32)> = None;
-        self.row_blocks(x0, x1, |x, m| {
-            if m != 0 {
-                let last = x + 7 - m.leading_zeros();
-                let first = ends.map_or(x + m.trailing_zeros(), |(first, _)| first);
-                ends = Some((first, last));
+    /// Guesses at the first and the last covered column of the row whose
+    /// pixel-center y is `py` under the default rule, clamped to `[x0, x1]`;
+    /// `None` when the row is provably empty.
+    ///
+    /// The three half-plane constraints `e = (v-u)×(p-u) ≥ 0` are rewritten
+    /// as `s·px ≤ t` with `s = v.y-u.y` and `t = (v.x-u.x)·(py-u.y) +
+    /// s·u.x`, and the guesses are the first column whose center is at or
+    /// right of the largest lower bound (`ceil`) and the last at or left of
+    /// the smallest upper bound (`floor`). Approximate — they only seed the
+    /// exact search — except the `s == 0` case: there the per-pixel edge
+    /// value is exactly the row constant `(v.x-u.x)·(py-u.y)` (the px term is
+    /// ±0), so `t < 0` proves the whole row uncovered.
+    fn analytic_run(&self, vp: &Viewport, py: f64, x0: u32, x1: u32) -> Option<[Option<u32>; 2]> {
+        let (mut wlo, mut whi) = (f64::NEG_INFINITY, f64::INFINITY);
+        for (s, t) in (0..3).map(|i| (self.dy[i], self.t[i] + self.dy[i] * self.ux[i])) {
+            if s > 0.0 {
+                whi = whi.min(t / s);
+            } else if s < 0.0 {
+                wlo = wlo.max(t / s);
+            } else if t < 0.0 {
+                return None;
             }
-        });
-        ends
+        }
+        let column = |w: f64, round: fn(f64) -> f64| {
+            let g = round(vp.world_to_pixel_f(Point::new(w, py)).x - 0.5);
+            g.is_finite()
+                .then(|| (g as i64).clamp(x0.into(), x1.into()) as u32)
+        };
+        Some([column(wlo, f64::ceil), column(whi, f64::floor)])
     }
 
     /// Hand `block(x, mask)` the coverage of each block of up to [`LANES`]
@@ -324,7 +354,7 @@ pub fn rasterize(
 /// [`rasterize`] through the batched kernels, the form every pass uses:
 /// default-rule triangles run through the 8-wide block kernel (each mask
 /// decoded in ascending-bit order); conservative triangles emit each row's
-/// covered run `first..=last` in ascending x (see `tri_row_runs`);
+/// covered run `first..=last` in ascending x (see [`triangle_runs`]);
 /// points and lines take the scalar path. The fragment sequence, order
 /// included, is [`rasterize`]'s, which stays the oracle.
 pub fn rasterize_with(
@@ -391,11 +421,24 @@ fn raster_tri_blocks(tri: &Triangle, vp: &Viewport, block: &mut impl FnMut(u32, 
 /// The coverage of `tri` under one rule on the rows `rows` as runs: `run(y,
 /// first, last)` for covered pixels `first..=last`, in ascending y and then
 /// x, so a draw can blend a whole run as one slice. The pixels are exactly
-/// [`rasterize`]'s on those rows. A seeded row's run comes from
-/// `tri_row_runs`; a row without a seed is scanned with the exact predicate:
-/// block by block under the default rule, whose covered pixels form one run
-/// by the same monotonicity argument that lets the seeded rows bisect, and
-/// pixel by pixel under the conservative rule, one run per covered pixel.
+/// [`rasterize`]'s on those rows.
+///
+/// Within one row the rule's per-pixel predicate splits into two
+/// conjunctions of comparisons, each monotone in x even under floating
+/// point: one that holds from some column on (false, then true) and one
+/// that holds up to some column (true, then false); a comparison that does
+/// not depend on x sits in both (`TriRowKernel::half`,
+/// [`TriBoxTest::half`]). So a row's covered pixels are the run from
+/// `first`, the smallest column of the triangle's pixel range where the
+/// first half holds, to `last`, the largest where the second does, or
+/// nothing when `first > last`. Each end is searched with its exact half
+/// from a guess, outward in doubling steps and then by bisection
+/// (`first_from`, `last_from`): a guess `d` columns off costs about
+/// 2·log₂(d) tests and no guess about log₂(w), whether the run lies inside
+/// the viewport or wholly beside it. Under the default rule the guesses are
+/// the analytic interval's ends, the run's ends up to rounding, and a row an
+/// edge parallel to it excludes is skipped; under the conservative rule
+/// they are the previous row's run.
 pub fn triangle_runs(
     tri: &Triangle,
     vp: &Viewport,
@@ -403,36 +446,66 @@ pub fn triangle_runs(
     rows: Range<u32>,
     run: &mut impl FnMut(u32, u32, u32),
 ) {
-    tri_row_runs(
-        tri,
-        vp,
-        conservative,
-        rows,
-        &mut |test, y, x0, x1, seeded| match seeded {
-            Some((first, last)) => run(y, first, last),
-            None if conservative => {
-                for x in (x0..=x1).filter(|&x| test.inside(x, y)) {
-                    run(y, x, x);
-                }
-            }
-            None => {
-                if let Some((first, last)) = test.edges.scan_row(x0, x1) {
+    let Some((x0, y0, x1, y1)) = vp.pixel_range(&tri.bbox()) else {
+        return;
+    };
+    let rows = y0.max(rows.start)..(y1 + 1).min(rows.end);
+    if conservative {
+        let boxes = TriBoxTest::new(tri);
+        // The guesses: the run of the row before.
+        let mut guess = [None; 2];
+        for y in rows {
+            let half = |x: u32, rising: bool| boxes.half(&vp.pixel_box(x, y), rising);
+            guess = match row_run(x0, x1, guess, half) {
+                Some((first, last)) => {
                     run(y, first, last);
+                    [Some(first), Some(last)]
                 }
+                None => [None; 2],
+            };
+        }
+    } else {
+        let mut edges = TriRowKernel::new(tri, vp);
+        for y in rows {
+            // Row-constant pixel-center y, exactly as `pixel_center` has it.
+            let py = vp.pixel_center(x0, y).y;
+            edges.begin_row(py);
+            let Some(guess) = edges.analytic_run(vp, py, x0, x1) else {
+                continue;
+            };
+            if let Some((first, last)) = row_run(x0, x1, guess, |x, rising| edges.half(x, rising)) {
+                run(y, first, last);
             }
-        },
-    );
+        }
+    }
+}
+
+/// A row's run `first..=last` on `[x0, x1]` from the two monotone halves
+/// of its predicate, `half(x, true)` (false, then true) and `half(x,
+/// false)` (true, then false), each end searched from its guess; `None`
+/// when the row is empty.
+#[inline]
+fn row_run(
+    x0: u32,
+    x1: u32,
+    guess: [Option<u32>; 2],
+    half: impl Fn(u32, bool) -> bool,
+) -> Option<(u32, u32)> {
+    let first = first_from(x0, x1, guess[0], &|x| half(x, true))?;
+    let last = last_from(first, x1, guess[1].map(|g| g.max(first)), &|x| {
+        half(x, false)
+    })?;
+    Some((first, last))
 }
 
 /// Count covered pixels without materializing them (the 2-pass Map
 /// operator's counting pass).
 ///
 /// Points are O(1) and triangles add up the per-row covered runs of
-/// `tri_row_runs` instead of enumerating every pixel of the bounding box;
-/// when a default-rule row has no seed, its linear rescan runs as block
-/// popcounts. The counts are guaranteed identical to [`rasterize`]'s
-/// emission count because every pixel that decides the count is tested with
-/// the exact same floating-point predicate the enumerating rasterizer uses.
+/// [`triangle_runs`] instead of enumerating every pixel of the bounding
+/// box. The counts are guaranteed identical to [`rasterize`]'s emission
+/// count because every pixel that decides the count is tested with the
+/// exact same floating-point predicate the enumerating rasterizer uses.
 pub fn coverage_count(prim: &Primitive, vp: &Viewport, conservative: bool) -> usize {
     match prim {
         Primitive::Point { p, .. } => usize::from(vp.world_to_pixel(*p).is_some()),
@@ -444,18 +517,12 @@ pub fn coverage_count(prim: &Primitive, vp: &Viewport, conservative: bool) -> us
         Primitive::Triangle { a, b, c, .. } => {
             let mut total = 0usize;
             let tri = Triangle::new(*a, *b, *c);
-            tri_row_runs(
+            triangle_runs(
                 &tri,
                 vp,
                 conservative,
                 0..vp.height,
-                &mut |test, y, x0, x1, run| {
-                    total += match run {
-                        Some((first, last)) => (last - first + 1) as usize,
-                        None if !conservative => test.edges.count_row(x0, x1),
-                        None => (x0..=x1).filter(|&x| test.inside(x, y)).count(),
-                    }
-                },
+                &mut |_, first, last| total += (last - first + 1) as usize,
             );
             total
         }
@@ -471,190 +538,60 @@ fn raster_tri_runs(tri: &Triangle, vp: &Viewport, emit: &mut impl FnMut(u32, u32
     });
 }
 
-/// A triangle's exact per-pixel predicate under one rule: pixel centers of
-/// the row `edges` was last aimed at, or, with `boxes` (the conservative
-/// rule), pixel boxes through the hoisted overlap test.
-struct RowTest<'a> {
-    edges: TriRowKernel,
-    boxes: Option<(TriBoxTest, &'a Viewport)>,
-}
-
-impl RowTest<'_> {
-    #[inline]
-    fn inside(&self, x: u32, y: u32) -> bool {
-        match &self.boxes {
-            Some((t, vp)) => t.overlaps(&vp.pixel_box(x, y)),
-            None => self.edges.inside(x),
-        }
-    }
-}
-
-/// Walk the rows of a triangle's pixel range under one coverage rule and
-/// hand each to `row(test, y, x0, x1, run)`: `run` is the row's covered run
-/// `first..=last`, or `None` when the row must be scanned with `test`.
-///
-/// Within one row, each coverage rule is an *interval* in x: every
-/// individual comparison in the per-pixel predicate is monotone in x even
-/// under floating point (pixel coordinates are monotone in x, fp
-/// multiplication by a row-constant and fp addition are monotone, and
-/// min/max/comparison preserve monotonicity), and a conjunction of monotone
-/// threshold tests is a contiguous run. So per row we probe an analytic hint
-/// and its two neighbours for a covered pixel, then find both ends of the
-/// run with the exact per-pixel predicate: under the default rule the
-/// analytic interval's ends are tried first (they are the run's ends up to
-/// rounding), and a binary search settles whatever they do not. A row with
-/// no seed is left to the caller's scan, which can never be wrong. Rows the
-/// default rule proves empty are skipped.
-fn tri_row_runs<'a>(
-    tri: &Triangle,
-    vp: &'a Viewport,
-    conservative: bool,
-    rows: Range<u32>,
-    row: &mut impl FnMut(&RowTest<'a>, u32, u32, u32, Option<(u32, u32)>),
-) {
-    let Some((x0, y0, x1, y1)) = vp.pixel_range(&tri.bbox()) else {
-        return;
+/// The smallest x in `[lo, hi]` where `holds` (false, then true on that
+/// range) is true, or `None` when it holds nowhere there. From a guess `g ∈
+/// [lo, hi]` the search steps outward in doubling steps until `holds`
+/// flips, then bisects the last step, so a guess `d` columns off costs about
+/// 2·log₂(d) tests (two when it or its neighbour is the answer); without a
+/// guess the whole range is bisected.
+fn first_from(lo: u32, hi: u32, g: Option<u32>, holds: &impl Fn(u32) -> bool) -> Option<u32> {
+    let Some(mut g) = g else {
+        return holds(hi).then(|| bisect_first(lo, hi, holds));
     };
-    let rows = y0.max(rows.start)..(y1 + 1).min(rows.end);
-    if rows.is_empty() {
-        return;
-    }
-    let mut test = RowTest {
-        edges: TriRowKernel::new(tri, vp),
-        boxes: conservative.then(|| (TriBoxTest::new(tri), vp)),
-    };
-    for y in rows {
-        // Row-constant pixel-center y, exactly as `pixel_center` has it.
-        let py = vp.pixel_center(x0, y).y;
-        test.edges.begin_row(py);
-        // Analytic row interval in world-x from the three half-plane
-        // constraints e = (v-u)×(p-u) ≥ 0 (the kernel's CCW edges),
-        // rewritten as s·px ≤ t with s = v.y-u.y and t = (v.x-u.x)·(py-u.y)
-        // + s·u.x. Approximate — it only seeds the exact search below —
-        // except the s == 0 case: there the per-pixel edge value is exactly
-        // the row constant (v.x-u.x)·(py-u.y) (the px term is ±0), so t < 0
-        // proves the whole row uncovered under the default rule.
-        let mut wlo = f64::NEG_INFINITY;
-        let mut whi = f64::INFINITY;
-        let mut row_empty = false;
-        let k = &test.edges;
-        for (s, t) in (0..3).map(|i| (k.dy[i], k.t[i] + k.dy[i] * k.ux[i])) {
-            if s > 0.0 {
-                whi = whi.min(t / s);
-            } else if s < 0.0 {
-                wlo = wlo.max(t / s);
-            } else if t < 0.0 {
-                row_empty = true;
+    let mut step = 1u32;
+    if holds(g) {
+        // The answer is in `[lo, g]`.
+        while g > lo {
+            let x = g.saturating_sub(step).max(lo);
+            if !holds(x) {
+                return Some(bisect_first(x + 1, g, holds));
             }
+            (g, step) = (x, step.saturating_mul(2));
         }
-        if row_empty && !conservative {
-            continue;
-        }
-        let wmid = match (wlo.is_finite(), whi.is_finite()) {
-            (true, true) => 0.5 * (wlo + whi),
-            (true, false) => wlo,
-            (false, true) => whi,
-            (false, false) => vp.pixel_center((x0 + x1) / 2, y).x,
-        };
-        let hx = vp.world_to_pixel_f(Point::new(wmid, py)).x;
-        let h = if hx.is_finite() {
-            (hx.floor() as i64).clamp(x0 as i64, x1 as i64) as u32
-        } else {
-            (x0 + x1) / 2
-        };
-        let inside = |x: u32| test.inside(x, y);
-        let probes = [h, h.wrapping_sub(1), h + 1];
-        let seed = probes
-            .into_iter()
-            .find(|&s| (x0..=x1).contains(&s) && inside(s));
-        // Under the default rule: the first column whose center is at or
-        // right of `wlo` (`round` = ceil), or the last at or left of `whi`
-        // (floor), clamped to `[lo, hi]`.
-        let guess = |w: f64, round: fn(f64) -> f64, lo: u32, hi: u32| {
-            let g = round(vp.world_to_pixel_f(Point::new(w, py)).x - 0.5);
-            (!conservative && g.is_finite()).then(|| (g as i64).clamp(lo.into(), hi.into()) as u32)
-        };
-        let run = seed.map(|s| {
-            let first = first_from(x0, s, guess(wlo, f64::ceil, x0, s), &inside);
-            (
-                first,
-                last_from(s, x1, guess(whi, f64::floor, s, x1), &inside),
-            )
-        });
-        row(&test, y, x0, x1, run);
-    }
-}
-
-/// Smallest covered x in `[lo, s]` (requires `inside(s)` and a
-/// false-then-true predicate on that range), trying the guess `g ∈ [lo, s]`
-/// and its neighbour before bisecting what is left.
-fn first_from(lo: u32, s: u32, g: Option<u32>, inside: &impl Fn(u32) -> bool) -> u32 {
-    let Some(g) = g else {
-        return bisect_first(lo, s, inside);
-    };
-    if inside(g) {
-        if g == lo || !inside(g - 1) {
-            g
-        } else {
-            bisect_first(lo, g - 1, inside)
-        }
-    } else if inside(g + 1) {
-        // `g < s`, since `inside(s)`.
-        g + 1
+        Some(lo)
     } else {
-        bisect_first(g + 2, s, inside)
-    }
-}
-
-/// Largest covered x in `[s, hi]` (requires `inside(s)` and a
-/// true-then-false predicate on that range), trying the guess `g ∈ [s, hi]`
-/// and its neighbour before bisecting what is left.
-fn last_from(s: u32, hi: u32, g: Option<u32>, inside: &impl Fn(u32) -> bool) -> u32 {
-    let Some(g) = g else {
-        return bisect_last(s, hi, inside);
-    };
-    if inside(g) {
-        if g == hi || !inside(g + 1) {
-            g
-        } else {
-            bisect_last(g + 1, hi, inside)
+        // The answer, if any, is in `(g, hi]`.
+        while g < hi {
+            let x = g.saturating_add(step).min(hi);
+            if holds(x) {
+                return Some(bisect_first(g + 1, x, holds));
+            }
+            (g, step) = (x, step.saturating_mul(2));
         }
-    } else if inside(g - 1) {
-        // `g > s`, since `inside(s)`.
-        g - 1
-    } else {
-        bisect_last(s, g - 2, inside)
+        None
     }
 }
 
-/// Smallest covered x in `[lo, s]`; requires `inside(s)` and a
+/// The largest x in `[lo, hi]` where `holds` (true, then false on that
+/// range) is true, or `None`: [`first_from`] on the range mirrored.
+fn last_from(lo: u32, hi: u32, g: Option<u32>, holds: &impl Fn(u32) -> bool) -> Option<u32> {
+    let mirror = |x: u32| lo + (hi - x);
+    first_from(lo, hi, g.map(mirror), &|x| holds(mirror(x))).map(mirror)
+}
+
+/// Smallest x in `[lo, s]` where `holds`; requires `holds(s)` and a
 /// false-then-true predicate on that range.
-fn bisect_first(lo: u32, s: u32, inside: &impl Fn(u32) -> bool) -> u32 {
+fn bisect_first(lo: u32, s: u32, holds: &impl Fn(u32) -> bool) -> u32 {
     let (mut lo, mut hi) = (lo, s);
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if inside(mid) {
+        if holds(mid) {
             hi = mid;
         } else {
             lo = mid + 1;
         }
     }
     hi
-}
-
-/// Largest covered x in `[s, hi]`; requires `inside(s)` and a
-/// true-then-false predicate on that range.
-fn bisect_last(s: u32, hi: u32, inside: &impl Fn(u32) -> bool) -> u32 {
-    let (mut lo, mut hi) = (s, hi);
-    while lo < hi {
-        let mid = lo + (hi - lo).div_ceil(2);
-        if inside(mid) {
-            lo = mid;
-        } else {
-            hi = mid - 1;
-        }
-    }
-    lo
 }
 
 /// Liang–Barsky segment clipping against a box. Returns the clipped
@@ -890,6 +827,45 @@ impl TriBoxTest {
             }
         }
         true
+    }
+
+    /// One of the two monotone halves of [`overlaps`] along a row of pixel
+    /// boxes, whose `min.x` and `max.x` do not decrease with the column:
+    /// with `rising`, the tests that turn true as `b` moves right, otherwise
+    /// those that turn false. On the bbox, `tri.min.x ≤ b.max.x` rises and
+    /// `b.min.x ≤ tri.max.x` falls. On an edge normal `n`, every corner
+    /// projection is `c.x·n.x` plus a row constant, so both `bmin` and
+    /// `bmax` rise with the column when `n.x > 0` and fall when `n.x < 0`:
+    /// `bmax ≥ tmin` and `bmin ≤ tmax` go to opposite halves by the sign of
+    /// `n.x`. The y tests and an axis with `n.x == ±0` do not depend on the
+    /// column and sit in both. `overlaps(b)` is `half(b, true) && half(b,
+    /// false)`: the same operations and comparisons (`project_range`'s
+    /// min/max never yield NaN, so `bmax ≥ tmin` is `!(bmax < tmin)`).
+    ///
+    /// [`overlaps`]: TriBoxTest::overlaps
+    #[inline]
+    pub fn half(&self, b: &BBox, rising: bool) -> bool {
+        let t = &self.bbox;
+        let x = if rising {
+            t.min.x <= b.max.x
+        } else {
+            b.min.x <= t.max.x
+        };
+        if !(x && !t.is_empty() && !b.is_empty() && t.min.y <= b.max.y && b.min.y <= t.max.y) {
+            return false;
+        }
+        let corners = b.corners();
+        self.axes.iter().all(|&(n, (tmin, tmax))| {
+            let (bmin, bmax) = project_range(&corners, n);
+            let (above_min, below_max) = (bmax >= tmin, bmin <= tmax);
+            match (n.x > 0.0, n.x < 0.0) {
+                (true, _) if rising => above_min,
+                (true, _) => below_max,
+                (_, true) if rising => below_max,
+                (_, true) => above_min,
+                _ => above_min && below_max,
+            }
+        })
     }
 }
 
@@ -1303,49 +1279,154 @@ mod tests {
         }
     }
 
-    #[test]
-    fn seedless_row_scan_matches_scalar() {
-        // A default-rule row whose probes find no seed is scanned block by
-        // block for its first and last covered column. Such rows are rare
-        // (the analytic hint is exact up to rounding), so the scan is
-        // checked directly: on random rows of random, sliver and zero-area
-        // triangles over ragged row widths, it must name the first and the
-        // last column the scalar `inside` covers, or `None` for an empty row.
-        let vp = Viewport::new(BBox::new(Point::ZERO, Point::new(10.0, 10.0)), 93, 61);
-        let mut seed = 0x5ca7_u64;
-        let mut covered_rows = 0;
-        for case in 0..300u32 {
-            let mut pts = [Point::ZERO; 3];
-            for p in &mut pts {
-                *p = Point::new(lcg(&mut seed) * 12.0 - 1.0, lcg(&mut seed) * 12.0 - 1.0);
+    /// The x extent of `pts`' triangle on the horizontal line at `y`, or
+    /// `None` when the line misses it.
+    fn section(pts: &[Point; 3], y: f64) -> Option<(f64, f64)> {
+        let mut xs = Vec::new();
+        for i in 0..3 {
+            let (u, v) = (pts[i], pts[(i + 1) % 3]);
+            if u.y == y {
+                xs.push(u.x);
             }
-            match case % 3 {
-                1 => {
-                    pts[1].y = pts[0].y + 0.01;
-                    pts[2].y = pts[0].y + 0.03;
-                }
-                2 => pts[2] = pts[0].lerp(pts[1], 0.625),
-                _ => {}
-            }
-            let mut ev = TriRowKernel::new(&Triangle::new(pts[0], pts[1], pts[2]), &vp);
-            for _ in 0..8 {
-                let y = (lcg(&mut seed) * 61.0) as u32;
-                let x0 = (lcg(&mut seed) * 92.0) as u32;
-                let x1 = x0 + ((lcg(&mut seed) * f64::from(92 - x0)) as u32);
-                ev.begin_row(vp.pixel_center(0, y).y);
-                let inside: Vec<u32> = (x0..=x1).filter(|&x| ev.inside(x)).collect();
-                let want = inside
-                    .first()
-                    .map(|&first| (first, *inside.last().unwrap()));
-                covered_rows += usize::from(want.is_some());
-                assert_eq!(
-                    ev.scan_row(x0, x1),
-                    want,
-                    "case={case} y={y} x0={x0} x1={x1}"
-                );
+            if (u.y < y) != (v.y < y) && u.y != y && v.y != y {
+                xs.push(u.x + (v.x - u.x) * ((y - u.y) / (v.y - u.y)));
             }
         }
-        assert!(covered_rows > 100, "only {covered_rows} covered rows");
+        let lo = xs.iter().copied().reduce(f64::min)?;
+        Some((lo, xs.into_iter().fold(lo, f64::max)))
+    }
+
+    #[test]
+    fn bisected_runs_match_scalar_oracle() {
+        // Every row's run is bisected from the two monotone halves of the
+        // rule's predicate, so the runs must be the oracle's fragments,
+        // order included, and each half must really be monotone along the
+        // row with its conjunction the oracle's test. Triangles reach
+        // 10–10⁶× the viewport (so many rows' intervals lie wholly left or
+        // right of it), with slivers, zero-area triangles, horizontal edges
+        // (`dy == 0`, a normal with `n.x` of −0, and of +0 when one vertex
+        // sits at y = −0.0) and vertical ones; the rows asked for are random
+        // band ranges, at heights 7, 61 and 256.
+        let mut seed = 0x5ca7_u64;
+        let mut beside = [0usize; 2];
+        for h in [7u32, 61, 256] {
+            let vp = Viewport::new(
+                BBox::new(Point::new(-0.7, -1.3), Point::new(2.3, 1.1)),
+                h * 3 / 2 + 1,
+                h,
+            );
+            let (lo, w, ht) = (vp.world.min, vp.world.width(), vp.world.height());
+            for case in 0..120u32 {
+                let scale = 10f64.powf(1.0 + 5.0 * lcg(&mut seed));
+                // One vertex near the viewport, two far out.
+                let near = Point::new(
+                    lo.x + (lcg(&mut seed) * 3.0 - 1.0) * w,
+                    lo.y + (lcg(&mut seed) * 3.0 - 1.0) * ht,
+                );
+                let mut far = || {
+                    let a = lcg(&mut seed) * std::f64::consts::TAU;
+                    near + Point::new(w * a.cos(), ht * a.sin()) * scale
+                };
+                let mut pts = [near, far(), far()];
+                match case % 6 {
+                    // Sliver: the far vertices a fraction of a pixel apart.
+                    1 => {
+                        pts[2] =
+                            pts[1] + Point::new(0.3, 0.7) * (vp.pixel_size().y * lcg(&mut seed))
+                    }
+                    // Zero-area.
+                    2 => pts[2] = pts[0].lerp(pts[1], 0.375),
+                    // A horizontal edge through the viewport, on y = ±0.
+                    3 => {
+                        pts[0].y = -0.0;
+                        pts[1].y = 0.0;
+                    }
+                    // A horizontal and a vertical edge.
+                    4 => {
+                        pts[1].y = pts[0].y;
+                        pts[2].x = pts[0].x;
+                    }
+                    _ => {}
+                }
+                let t = Primitive::triangle(pts[0], pts[1], pts[2], [0; 4]);
+                let tri = Triangle::new(pts[0], pts[1], pts[2]);
+                let at = |what: &str| format!("{what}: h={h} case={case} pts={pts:?}");
+                for cons in [false, true] {
+                    let mut oracle = Vec::new();
+                    rasterize(&t, &vp, cons, &mut |x, y| oracle.push((x, y)));
+                    assert_eq!(
+                        coverage_count(&t, &vp, cons),
+                        oracle.len(),
+                        "{}",
+                        at("count")
+                    );
+                    let (a, b) = (
+                        (lcg(&mut seed) * f64::from(h + 1)) as u32,
+                        (lcg(&mut seed) * f64::from(h + 1)) as u32,
+                    );
+                    let rows = a.min(b)..a.max(b) + 1;
+                    let mut runs = Vec::new();
+                    triangle_runs(&tri, &vp, cons, rows.clone(), &mut |y, first, last| {
+                        runs.extend((first..=last).map(|x| (x, y)))
+                    });
+                    oracle.retain(|&(_, y)| rows.contains(&y));
+                    assert_eq!(
+                        runs,
+                        oracle,
+                        "{}",
+                        at(&format!("runs cons={cons} rows={rows:?}"))
+                    );
+                    // Each half is monotone along every row of the pixel
+                    // range, and their conjunction is the oracle's test.
+                    let Some((x0, y0, x1, y1)) = vp.pixel_range(&tri.bbox()) else {
+                        continue;
+                    };
+                    let (mut edges, boxes) = (TriRowKernel::new(&tri, &vp), TriBoxTest::new(&tri));
+                    for y in y0..=y1 {
+                        edges.begin_row(vp.pixel_center(x0, y).y);
+                        let halves: Vec<[bool; 2]> = (x0..=x1)
+                            .map(|x| {
+                                [true, false].map(|rising| match cons {
+                                    true => boxes.half(&vp.pixel_box(x, y), rising),
+                                    false => edges.half(x, rising),
+                                })
+                            })
+                            .collect();
+                        for (x, h) in (x0..).zip(&halves) {
+                            let want = if cons {
+                                boxes.overlaps(&vp.pixel_box(x, y))
+                            } else {
+                                edges.inside(x)
+                            };
+                            assert_eq!(
+                                h[0] && h[1],
+                                want,
+                                "{}",
+                                at(&format!("conjunction x={x} y={y}"))
+                            );
+                        }
+                        for pair in halves.windows(2) {
+                            assert!(
+                                pair[1][0] >= pair[0][0] && pair[1][1] <= pair[0][1],
+                                "{}",
+                                at(&format!("monotone y={y}"))
+                            );
+                        }
+                        // A covered interval wholly beside the viewport.
+                        if !cons && !halves.iter().any(|h| h[0] && h[1]) {
+                            if let Some((l, r)) = section(&pts, vp.pixel_center(x0, y).y) {
+                                beside[0] += usize::from(r < vp.world.min.x);
+                                beside[1] += usize::from(l > vp.world.max.x);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            beside.iter().all(|&n| n > 100),
+            "rows beside the viewport (left, right): {beside:?}"
+        );
     }
 
     #[test]
