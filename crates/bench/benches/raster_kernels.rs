@@ -49,16 +49,10 @@ fn triangles(n: usize) -> Vec<Primitive> {
 
 fn bench_coverage(c: &mut Criterion) {
     let prims = triangles(64);
-    let vp = vp();
+    let pipe = Pipeline::with_workers(1);
+    let call = DrawCall::simple(vp(), BlendMode::Replace, false);
     let mut g = c.benchmark_group("coverage_count");
-    g.bench_function("batched", |b| {
-        b.iter(|| -> usize {
-            prims
-                .iter()
-                .map(|p| raster::coverage_count(p, &vp, false))
-                .sum()
-        })
-    });
+    g.bench_function("count_pass", |b| b.iter(|| pipe.count_pass(&prims, &call)));
     g.finish();
 }
 

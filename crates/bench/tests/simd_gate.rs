@@ -18,10 +18,13 @@
 //!   per triangle row) must be at least 3× the oracle's fragments blended
 //!   one by one in primitive order;
 //! * kNN's circle — the 512² distance canvas of one point, built by
-//!   `distance_canvas_points` on one worker (one classified draw), must be
-//!   at least 1.75× the scalar two-pass oracle:
-//!   the certain pixels blended with `Replace`, then the uncertain ones
-//!   with `KeepFirst`, each fragment shaded and blended one by one.
+//!   `distance_canvas_points` on one worker (one classified draw, each
+//!   circle row shaded as its uncertain, certain and uncertain runs), must
+//!   be at least 10× the scalar two-pass oracle: the certain pixels
+//!   blended with `Replace`, then the uncertain ones with `KeepFirst`, each
+//!   fragment shaded and blended one by one (about 15× measured on two
+//!   cores; the same shader without its circle run form, shading each
+//!   pixel, reads about 6.4×).
 //!
 //! Each gate alternates the two arms run by run and takes the median of the
 //! per-pair speed-ups, so load that shifts during the gate lands on both
@@ -332,8 +335,8 @@ fn classified_draw_speeds_up_knn_circle() {
         paired_speedup(15, || time(canvas), || time(|| circle_two_pass(q, r, &vp)));
     eprintln!("knn circle: canvas {t_canvas:?} oracle {t_oracle:?} speedup {speedup:.2}x");
     assert!(
-        speedup >= 1.75,
-        "expected the circle canvas >= 1.75x the two-pass oracle, got {speedup:.2}x \
+        speedup >= 10.0,
+        "expected the circle canvas >= 10x the two-pass oracle, got {speedup:.2}x \
          (canvas median {t_canvas:?}, oracle median {t_oracle:?})"
     );
 }

@@ -115,9 +115,10 @@ pub fn map_2pass(pipe: &Pipeline, prims: &[impl Assemble], call: &DrawCall<'_>) 
 
 /// Multi-emitting Map: like the Map operator but the per-fragment shader
 /// may emit any number of values (join pair extraction emits one pair per
-/// matching constraint object at an overflow pixel). On hardware this is a
-/// geometry-shader / append-buffer pattern; values come back in
-/// deterministic (primitive, fragment, emission) order.
+/// matching constraint object at an overflow pixel). On hardware this is an
+/// append-buffer pattern (a shader appending to a storage buffer); here it
+/// is a [`Pipeline::map`] whose chunk state carries the list, so values come
+/// back in deterministic (primitive, fragment, emission) order.
 pub fn map_emit(
     pipe: &Pipeline,
     prims: &[impl Assemble],

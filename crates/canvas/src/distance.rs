@@ -3,8 +3,10 @@
 //! A distance constraint "within `r` of geometry G" is rendered as a
 //! polygonal canvas: a *circle* when G is a point, a *rounded rectangle*
 //! (capsule) when G is a segment, and the polygon interior plus boundary
-//! capsules when G is a polygon (Fig. 2). Geometry shaders generate the
-//! covering primitives; the fragment shader classifies each pixel:
+//! capsules when G is a polygon (Fig. 2). Each source is drawn as the
+//! triangles covering it — a point's square, a segment's oriented quad, a
+//! polygon's own triangles, built here where the paper's geometry shader
+//! expands them — and one shader (`Classify`) classifies each pixel:
 //!
 //! * **interior** when the whole pixel is certainly within distance `r`
 //!   (`d(center, G) ≤ r − half_diag`),
@@ -13,10 +15,14 @@
 //!   comparison — this is how SPADE supports accurate distance queries to
 //!   complex geometry that other systems approximate (§4.2).
 //!
-//! Pixels certainly outside are discarded in the fragment shader. Each set
-//! of primitives is one classified pass ([`BlendMode::Classified`]): a
-//! certain pixel overwrites and an uncertain one fills only a null pixel, so
-//! a pixel any source covers for certain ends up interior.
+//! Pixels certainly outside are discarded. A circle's row is classified as
+//! runs: its uncertain, certain and uncertain parts are each one interval,
+//! found by searching the two monotone halves of the row on either side of
+//! the centre column with the exact per-pixel predicate (DESIGN.md, "Circle
+//! rows"). Capsules and interior triangles are classified pixel by pixel.
+//! Each set of primitives is one classified pass ([`BlendMode::Classified`]):
+//! a certain pixel overwrites and an uncertain one fills only a null pixel,
+//! so a pixel any source covers for certain ends up interior.
 
 use crate::boundary::{BoundaryEntry, BoundaryGeom};
 use crate::canvas::{pack, CanvasLayer, CH_VAL, FLAG_BOUNDARY, FLAG_INTERIOR};
@@ -26,77 +32,47 @@ use spade_geometry::predicates::point_in_triangle;
 use spade_geometry::{Point, Segment};
 use spade_gpu::pipeline::BANDS_PER_WORKER;
 use spade_gpu::pool::chunk_ranges;
+use spade_gpu::raster::{first_from, last_from};
+use spade_gpu::shader::{shade_pixels, Run};
 use spade_gpu::{
-    BlendMode, DrawCall, FnFragment, Fragment, GeometryShader, Pipeline, Primitive, Viewport,
+    BlendMode, DrawCall, Fragment, FragmentShader, Pipeline, PixelValue, Primitive, Viewport,
 };
 
-/// The source primitive a distance fragment measures against.
-#[derive(Debug, Clone, Copy)]
-enum DistSource {
-    Point(Point),
-    Segment(Segment),
+/// The two triangles of a square with half-extent `half` centered on `p`
+/// (§4.2 step 1 of circle generation).
+fn square(p: Point, half: f64, attrs: [u32; 4]) -> [Primitive; 2] {
+    let h = half;
+    let c0 = Point::new(p.x - h, p.y - h);
+    let c1 = Point::new(p.x + h, p.y - h);
+    let c2 = Point::new(p.x + h, p.y + h);
+    let c3 = Point::new(p.x - h, p.y + h);
+    [
+        Primitive::triangle(c0, c1, c2, attrs),
+        Primitive::triangle(c0, c2, c3, attrs),
+    ]
 }
 
-impl DistSource {
-    fn distance(&self, p: Point) -> f64 {
-        match self {
-            DistSource::Point(c) => p.dist(*c),
-            DistSource::Segment(s) => point_segment_distance(p, *s),
-        }
-    }
-}
-
-/// Geometry shader: expand a point into the two triangles of a square with
-/// half-extent `half` centered on it (§4.2 step 1 of circle generation).
-struct SquareExpand {
-    half: f64,
-}
-
-impl GeometryShader for SquareExpand {
-    fn expand(&self, prim: &Primitive, out: &mut Vec<Primitive>) {
-        if let Primitive::Point { p, attrs } = prim {
-            let h = self.half;
-            let c0 = Point::new(p.x - h, p.y - h);
-            let c1 = Point::new(p.x + h, p.y - h);
-            let c2 = Point::new(p.x + h, p.y + h);
-            let c3 = Point::new(p.x - h, p.y + h);
-            out.push(Primitive::triangle(c0, c1, c2, *attrs));
-            out.push(Primitive::triangle(c0, c2, c3, *attrs));
-        }
-    }
-}
-
-/// Geometry shader: expand a segment into an oriented quad covering its
-/// capsule of radius `pad` (the rounded-rectangle generator of Fig. 2(b);
-/// the quad covers the semicircular caps, the fragment shader carves the
-/// exact shape).
-struct CapsuleExpand {
-    pad: f64,
-}
-
-impl GeometryShader for CapsuleExpand {
-    fn expand(&self, prim: &Primitive, out: &mut Vec<Primitive>) {
-        if let Primitive::Line { a, b, attrs } = prim {
-            let d = *b - *a;
-            let (u, len) = match d.normalized() {
-                Some(u) => (u, d.norm()),
-                None => {
-                    // Degenerate segment: fall back to a square around `a`.
-                    SquareExpand { half: self.pad }.expand(&Primitive::point(*a, *attrs), out);
-                    return;
-                }
-            };
-            let n = u.perp();
-            let he = len * 0.5 + self.pad; // half extent along the axis
-            let mid = (*a + *b) * 0.5;
-            let c0 = mid - u * he - n * self.pad;
-            let c1 = mid + u * he - n * self.pad;
-            let c2 = mid + u * he + n * self.pad;
-            let c3 = mid - u * he + n * self.pad;
-            out.push(Primitive::triangle(c0, c1, c2, *attrs));
-            out.push(Primitive::triangle(c0, c2, c3, *attrs));
-        }
-    }
+/// The two triangles of an oriented quad covering the capsule of radius
+/// `pad` around `seg` (the rounded-rectangle generator of Fig. 2(b); the
+/// quad covers the semicircular caps, the shader carves the exact shape). A
+/// zero-length segment gets the square around its point.
+fn capsule(seg: Segment, pad: f64, attrs: [u32; 4]) -> [Primitive; 2] {
+    let (a, b) = (seg.a, seg.b);
+    let d = b - a;
+    let Some(u) = d.normalized() else {
+        return square(a, pad, attrs);
+    };
+    let n = u.perp();
+    let he = d.norm() * 0.5 + pad; // half extent along the axis
+    let mid = (a + b) * 0.5;
+    let c0 = mid - u * he - n * pad;
+    let c1 = mid + u * he - n * pad;
+    let c2 = mid + u * he + n * pad;
+    let c3 = mid - u * he + n * pad;
+    [
+        Primitive::triangle(c0, c1, c2, attrs),
+        Primitive::triangle(c0, c2, c3, attrs),
+    ]
 }
 
 /// Half of a pixel's diagonal — the certainty margin of the classification.
@@ -114,28 +90,18 @@ pub fn distance_canvas_points(
     constraints: &[(u32, Point, f64)],
 ) -> CanvasLayer {
     let max_r = constraints.iter().map(|c| c.2).fold(0.0, f64::max);
-    let sources: Vec<DistSource> = constraints
+    let entries = constraints
         .iter()
-        .map(|&(_, c, _)| DistSource::Point(c))
-        .collect();
-    let radii: Vec<f64> = constraints.iter().map(|c| c.2).collect();
-    let prims: Vec<Primitive> = constraints
-        .iter()
-        .enumerate()
-        .map(|(i, &(id, c, _))| Primitive::point(c, pack(id, i as u32, 0, 0)))
-        .collect();
-    // The square expansion must cover the largest radius; the fragment
-    // shader applies each object's own radius.
-    let gs = SquareExpand {
-        half: max_r + half_diag(&vp),
-    };
-    render_distance(pipe, vp, &prims, &gs, &sources, &radii, |i| BoundaryEntry {
-        object: constraints[i].0,
-        geom: BoundaryGeom::PointDist {
-            center: constraints[i].1,
-            r: constraints[i].2,
-        },
-    })
+        .map(|&(object, center, r)| BoundaryEntry {
+            object,
+            geom: BoundaryGeom::PointDist { center, r },
+        });
+    let mut layer = CanvasLayer::new(vp.width, vp.height);
+    // The squares must cover the largest radius; the shader applies each
+    // object's own radius.
+    draw_classified(pipe, vp, &mut layer, entries, max_r + half_diag(&vp));
+    record_distance_coverage(&mut layer, &vp, pipe.pool());
+    layer
 }
 
 /// Build a distance canvas around segment constraints (rounded rectangles,
@@ -146,32 +112,20 @@ pub fn distance_canvas_segments(
     segments: &[(u32, Segment)],
     r: f64,
 ) -> CanvasLayer {
-    let sources: Vec<DistSource> = segments
-        .iter()
-        .map(|&(_, s)| DistSource::Segment(s))
-        .collect();
-    let radii = vec![r; segments.len()];
-    let prims: Vec<Primitive> = segments
-        .iter()
-        .enumerate()
-        .map(|(i, &(id, s))| Primitive::line(s.a, s.b, pack(id, i as u32, 0, 0)))
-        .collect();
-    let gs = CapsuleExpand {
-        pad: r + half_diag(&vp),
-    };
-    render_distance(pipe, vp, &prims, &gs, &sources, &radii, |i| BoundaryEntry {
-        object: segments[i].0,
-        geom: BoundaryGeom::SegmentDist {
-            seg: segments[i].1,
-            r,
-        },
-    })
+    let entries = segments.iter().map(|&(object, seg)| BoundaryEntry {
+        object,
+        geom: BoundaryGeom::SegmentDist { seg, r },
+    });
+    let mut layer = CanvasLayer::new(vp.width, vp.height);
+    draw_classified(pipe, vp, &mut layer, entries, r + half_diag(&vp));
+    record_distance_coverage(&mut layer, &vp, pipe.pool());
+    layer
 }
 
 /// Build a distance canvas around a polygon constraint: the polygon interior
 /// plus a buffer of width `r` around its boundary (Fig. 2(c)). Drawn as the
-/// triangulated interior followed by boundary-edge capsules, re-using the
-/// same geometry shader as segments (§4.2).
+/// triangulated interior followed by boundary-edge capsules, the same
+/// quads as segments (§4.2).
 pub fn distance_canvas_polygon(
     pipe: &Pipeline,
     vp: Viewport,
@@ -179,136 +133,184 @@ pub fn distance_canvas_polygon(
     r: f64,
 ) -> CanvasLayer {
     let mut layer = CanvasLayer::new(vp.width, vp.height);
-    let hd = half_diag(&vp);
-
+    let entry = |geom| BoundaryEntry {
+        object: poly.id,
+        geom,
+    };
     // Interior triangles: a pixel whose box lies fully inside a triangle is
     // certainly within the constraint; every touched pixel is at least a
-    // boundary pixel testing point-in-triangle (distance 0 ≤ r).
-    let tris = &poly.triangles;
-    let mut interior_prims = Vec::with_capacity(tris.len());
-    for t in tris {
-        // Interior-triangle entries are pushed first, in order, so the
-        // entry index equals the triangle index.
-        let entry = layer.boundary.push(BoundaryEntry {
-            object: poly.id,
-            geom: BoundaryGeom::Triangle(*t),
-        });
-        interior_prims.push(Primitive::triangle(
-            t.a,
-            t.b,
-            t.c,
-            pack(poly.id, entry, 0, 0),
-        ));
-    }
-
-    // One classified pass over the triangles: a pixel whose box lies fully
-    // inside a (convex) triangle — all four corners are — is certain, any
-    // other touched pixel uncertain.
-    let shader = FnFragment(|frag: &Fragment| {
-        let idx = frag.attrs[CH_VAL] as usize;
-        let bb = vp.pixel_box(frag.x, frag.y);
-        if bb
-            .corners()
-            .iter()
-            .all(|&c| point_in_triangle(c, &tris[idx]))
-        {
-            Some([frag.attrs[0], 0, FLAG_INTERIOR, 0])
-        } else {
-            Some([frag.attrs[0], 0, FLAG_BOUNDARY, frag.attrs[CH_VAL] + 1])
-        }
-    });
-    let call = DrawCall {
-        fragment: &shader,
-        ..DrawCall::simple(vp, BlendMode::Classified, true)
-    };
-    pipe.draw(&mut layer.texture, &interior_prims, &call);
-
+    // boundary pixel testing point-in-triangle (distance 0 ≤ r). Their
+    // entries come first, in order, so the entry index equals the triangle
+    // index.
+    let interior = poly
+        .triangles
+        .iter()
+        .map(|&t| entry(BoundaryGeom::Triangle(t)));
+    draw_classified(pipe, vp, &mut layer, interior, 0.0);
     // Boundary capsules: within `r` of each polygon edge.
-    let edges = poly.polygon.boundary_edges();
-    let mut capsule_prims = Vec::with_capacity(edges.len());
-    let mut sources = Vec::with_capacity(edges.len());
-    let mut entry_ids = Vec::with_capacity(edges.len());
-    for (i, &seg) in (0..).zip(&edges) {
-        entry_ids.push(layer.boundary.push(BoundaryEntry {
-            object: poly.id,
-            geom: BoundaryGeom::SegmentDist { seg, r },
-        }));
-        sources.push(DistSource::Segment(seg));
-        capsule_prims.push(Primitive::line(seg.a, seg.b, pack(poly.id, i, 0, 0)));
-    }
-    let radii = vec![r; edges.len()];
-    let gs = CapsuleExpand { pad: r + hd };
-    draw_distance(
-        pipe,
-        vp,
-        &mut layer,
-        &capsule_prims,
-        &gs,
-        &sources,
-        &radii,
-        &entry_ids,
-    );
-
+    let edges = (poly.polygon.boundary_edges().into_iter())
+        .map(|seg| entry(BoundaryGeom::SegmentDist { seg, r }));
+    draw_classified(pipe, vp, &mut layer, edges, r + half_diag(&vp));
     // Record full coverage at boundary pixels for exact union tests.
     record_distance_coverage(&mut layer, &vp, pipe.pool());
     layer
 }
 
-/// Shared implementation: expand `prims` through `gs`, classify fragments
-/// by distance to their source in one pass, and record boundary coverage.
-fn render_distance(
-    pipe: &Pipeline,
-    vp: Viewport,
-    prims: &[Primitive],
-    gs: &dyn GeometryShader,
-    sources: &[DistSource],
-    radii: &[f64],
-    make_entry: impl Fn(usize) -> BoundaryEntry,
-) -> CanvasLayer {
-    let mut layer = CanvasLayer::new(vp.width, vp.height);
-    let mut entry_ids = Vec::with_capacity(sources.len());
-    for i in 0..sources.len() {
-        entry_ids.push(layer.boundary.push(make_entry(i)));
-    }
-    draw_distance(pipe, vp, &mut layer, prims, gs, sources, radii, &entry_ids);
-    record_distance_coverage(&mut layer, &vp, pipe.pool());
-    layer
-}
-
-/// The classified pass shared by all distance canvases: a pixel certainly
-/// within its source's radius is certain (interior) and overwrites, one
-/// that may be is uncertain (boundary, with its entry) and fills only a
-/// null pixel ([`BlendMode::Classified`]), and one certainly outside is
-/// discarded.
-#[allow(clippy::too_many_arguments)]
-fn draw_distance(
+/// The classified pass shared by all distance canvases: pushes `entries`
+/// onto `layer`'s boundary table and draws the triangles covering them
+/// ([`push_entries`]) conservatively under [`Classify`] and
+/// [`BlendMode::Classified`].
+fn draw_classified(
     pipe: &Pipeline,
     vp: Viewport,
     layer: &mut CanvasLayer,
-    prims: &[Primitive],
-    gs: &dyn GeometryShader,
-    sources: &[DistSource],
-    radii: &[f64],
-    entry_ids: &[u32],
+    entries: impl IntoIterator<Item = BoundaryEntry>,
+    pad: f64,
 ) {
-    let hd = half_diag(&vp);
-    let shader = FnFragment(|frag: &Fragment| {
-        let i = frag.attrs[CH_VAL] as usize;
-        let d = sources[i].distance(frag.world);
-        if d <= radii[i] - hd {
-            Some([frag.attrs[0], 0, FLAG_INTERIOR, 0])
-        } else if d <= radii[i] + hd {
-            Some([frag.attrs[0], 0, FLAG_BOUNDARY, entry_ids[i] + 1])
-        } else {
-            None
+    let prims = push_entries(layer, entries, pad);
+    let shader = Classify::new(vp, layer.boundary.entries());
+    pipe.draw(&mut layer.texture, &prims, &shader.call());
+}
+
+/// Push each entry onto `layer`'s boundary table and return the triangles
+/// covering its geometry, each carrying the entry's index: a point's square
+/// and a segment's quad of half-extent `pad`, a triangle itself.
+fn push_entries(
+    layer: &mut CanvasLayer,
+    entries: impl IntoIterator<Item = BoundaryEntry>,
+    pad: f64,
+) -> Vec<Primitive> {
+    let mut prims = Vec::new();
+    for e in entries {
+        let (object, geom) = (e.object, e.geom.clone());
+        let attrs = pack(object, layer.boundary.push(e), 0, 0);
+        match geom {
+            BoundaryGeom::PointDist { center, .. } => prims.extend(square(center, pad, attrs)),
+            BoundaryGeom::SegmentDist { seg, .. } => prims.extend(capsule(seg, pad, attrs)),
+            BoundaryGeom::Triangle(t) => prims.push(Primitive::triangle(t.a, t.b, t.c, attrs)),
+            BoundaryGeom::Point(_) | BoundaryGeom::Segment(_) => {
+                unreachable!("a distance canvas draws distance and triangle entries")
+            }
         }
-    });
-    let call = DrawCall {
-        geometry: Some(gs),
-        fragment: &shader,
-        ..DrawCall::simple(vp, BlendMode::Classified, true)
-    };
-    pipe.draw(&mut layer.texture, prims, &call);
+    }
+    prims
+}
+
+/// The distance canvases' shader: a fragment of the primitive carrying
+/// entry `e` (channel [`CH_VAL`]) is certain (interior) when its pixel lies
+/// certainly within `e`'s geometry and uncertain (boundary, pointing at `e`)
+/// when it may, and is discarded when it certainly lies outside. Distance
+/// entries decide by the pixel centre's distance to their source against
+/// `r ∓ hd`; an interior triangle is certain where all four pixel corners
+/// lie in it and uncertain on every other pixel it touches.
+struct Classify<'a> {
+    vp: Viewport,
+    /// Half a pixel's diagonal.
+    hd: f64,
+    entries: &'a [BoundaryEntry],
+}
+
+impl<'a> Classify<'a> {
+    fn new(vp: Viewport, entries: &'a [BoundaryEntry]) -> Self {
+        let hd = half_diag(&vp);
+        Classify { vp, hd, entries }
+    }
+
+    /// The conservative classified draw of this shader.
+    fn call(&self) -> DrawCall<'_> {
+        DrawCall {
+            fragment: self,
+            ..DrawCall::simple(self.vp, BlendMode::Classified, true)
+        }
+    }
+
+    /// The certain and the uncertain value of a fragment with `attrs`.
+    fn values(attrs: [u32; 4]) -> [PixelValue; 2] {
+        [
+            [attrs[0], 0, FLAG_INTERIOR, 0],
+            [attrs[0], 0, FLAG_BOUNDARY, attrs[CH_VAL] + 1],
+        ]
+    }
+}
+
+impl FragmentShader for Classify<'_> {
+    /// Inlined into the per-pixel form (`shade_pixels`), which calls it for
+    /// every pixel of a capsule or an interior triangle.
+    #[inline]
+    fn shade(&self, frag: &Fragment) -> Option<PixelValue> {
+        let (x, y) = (frag.x, frag.y);
+        let within = |d: f64, r: f64| {
+            if d <= r - self.hd {
+                Some(true)
+            } else {
+                (d <= r + self.hd).then_some(false)
+            }
+        };
+        let certain = match &self.entries[frag.attrs[CH_VAL] as usize].geom {
+            BoundaryGeom::PointDist { center, r } => {
+                within(self.vp.pixel_center(x, y).dist(*center), *r)?
+            }
+            BoundaryGeom::SegmentDist { seg, r } => {
+                within(point_segment_distance(self.vp.pixel_center(x, y), *seg), *r)?
+            }
+            BoundaryGeom::Triangle(t) => {
+                (self.vp.pixel_box(x, y).corners().iter()).all(|&c| point_in_triangle(c, t))
+            }
+            BoundaryGeom::Point(_) | BoundaryGeom::Segment(_) => unreachable!("drawn by no canvas"),
+        };
+        Some(Self::values(frag.attrs)[usize::from(!certain)])
+    }
+
+    /// A circle's rows as at most three sub-runs each — uncertain,
+    /// certain, uncertain — found with the exact predicate of [`shade`];
+    /// every other entry's pixel by pixel.
+    ///
+    /// [`shade`]: Classify::shade
+    fn shade_runs(&self, attrs: [u32; 4], runs: &[Run], out: &mut Vec<(Run, PixelValue)>) {
+        let BoundaryGeom::PointDist { center: c, r } = self.entries[attrs[CH_VAL] as usize].geom
+        else {
+            return runs
+                .iter()
+                .for_each(|&run| shade_pixels(self, attrs, run, out));
+        };
+        let [certain, uncertain] = Self::values(attrs);
+        for &(y, x0, x1) in runs {
+            let dist = |x: u32| self.vp.pixel_center(x, y).dist(c);
+            // The first column whose centre is at or right of the circle's.
+            let split = first_from(x0, x1, None, &|x| self.vp.pixel_center(x, y).x >= c.x)
+                .unwrap_or(x1 + 1);
+            let Some((a, b)) = circle_run((x0, x1), split, |x| dist(x) <= r + self.hd) else {
+                continue;
+            };
+            let Some((ca, cb)) = circle_run((a, b), split, |x| dist(x) <= r - self.hd) else {
+                out.push(((y, a, b), uncertain));
+                continue;
+            };
+            if ca > a {
+                out.push(((y, a, ca - 1), uncertain));
+            }
+            out.push(((y, ca, cb), certain));
+            if cb < b {
+                out.push(((y, cb + 1, b), uncertain));
+            }
+        }
+    }
+}
+
+/// The columns of `x0..=x1` where `holds`, when `holds` rises (false, then
+/// true) on the columns left of `split` and falls (true, then false) from
+/// `split` on: the part left of the split ends at `split − 1` and the part
+/// from it starts at `split`, so together they are one interval, or `None`.
+fn circle_run((x0, x1): (u32, u32), split: u32, holds: impl Fn(u32) -> bool) -> Option<(u32, u32)> {
+    let s = split.clamp(x0, x1 + 1);
+    let left = (s > x0)
+        .then(|| first_from(x0, s - 1, None, &holds))
+        .flatten();
+    let right = (s <= x1).then(|| last_from(s, x1, None, &holds)).flatten();
+    match (left, right) {
+        (None, None) => None,
+        (first, last) => Some((first.unwrap_or(s), last.unwrap_or_else(|| s - 1))),
+    }
 }
 
 /// Record, at every boundary-classified pixel, all entries whose region
@@ -386,6 +388,7 @@ mod tests {
     use super::*;
     use crate::canvas::{classify, pixel_bound, PixelClass};
     use spade_geometry::{BBox, Polygon};
+    use spade_gpu::raster;
 
     fn vp100() -> Viewport {
         Viewport::new(BBox::new(Point::ZERO, Point::new(100.0, 100.0)), 100, 100)
@@ -562,6 +565,212 @@ mod tests {
                 in_circles(p, &centers, r),
                 "mismatch at {p:?}"
             );
+        }
+    }
+
+    /// A canvas kind built on a given pipeline.
+    type Build<'a> = Box<dyn Fn(&Pipeline) -> CanvasLayer + 'a>;
+
+    fn lcg(seed: &mut u64) -> f64 {
+        *seed = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((*seed >> 11) as f64) / ((1u64 << 53) as f64)
+    }
+
+    /// A canvas built by the per-fragment oracle: for each pass, its entries
+    /// pushed and every fragment of its primitives under `raster::rasterize`
+    /// shaded with `Classify::shade` and blended in primitive order, then
+    /// the coverage recorded. Each pass's `count_pass` under the draw's own
+    /// call must equal the oracle's count of kept fragments on every
+    /// pipeline.
+    fn oracle(
+        pipes: &[Pipeline],
+        vp: Viewport,
+        passes: Vec<(Vec<BoundaryEntry>, f64)>,
+    ) -> CanvasLayer {
+        let mut layer = CanvasLayer::new(vp.width, vp.height);
+        for (pass, (entries, pad)) in passes.into_iter().enumerate() {
+            let prims = push_entries(&mut layer, entries, pad);
+            let shader = Classify::new(vp, layer.boundary.entries());
+            let texture = &mut layer.texture;
+            let mut kept = 0;
+            for prim in &prims {
+                raster::rasterize(prim, &vp, true, &mut |x, y| {
+                    let attrs = prim.attrs();
+                    if let Some(v) = shader.shade(&Fragment { x, y, attrs }) {
+                        kept += 1;
+                        texture.put(x, y, BlendMode::Classified.apply(texture.get(x, y), v));
+                    }
+                });
+            }
+            for pipe in pipes {
+                let counted = pipe.count_pass(&prims, &shader.call());
+                assert_eq!(counted, kept, "pass {pass} workers={}", pipe.workers());
+            }
+        }
+        record_distance_coverage(&mut layer, &vp, pipes[0].pool());
+        layer
+    }
+
+    /// Every distance canvas kind equals the per-fragment oracle — texture,
+    /// boundary table and counting pass — at 1, 2, 3 and 8 workers: circle
+    /// sets of mixed radii with a third of the centres exactly on a pixel
+    /// centre, circles whose outer or inner radius is tangent to a row
+    /// through the centre column, circles larger than the viewport and
+    /// beside it; zero-length, horizontal, vertical and slanted capsules;
+    /// polygon buffers whose triangulation holds slivers.
+    #[test]
+    fn classified_canvases_match_per_fragment_oracle() {
+        let pipes: Vec<Pipeline> = [1, 2, 3, 8].map(Pipeline::with_workers).into();
+        let mut seed = 0xd157_u64;
+        let vps = [
+            Viewport::new(
+                BBox::new(Point::new(-3.1, 2.7), Point::new(61.3, 50.2)),
+                97,
+                71,
+            ),
+            Viewport::new(BBox::new(Point::ZERO, Point::new(64.0, 64.0)), 64, 64),
+        ];
+        for vp in vps {
+            let (w, h) = (vp.world.width(), vp.world.height());
+            let hd = half_diag(&vp);
+            let mut circles: Vec<(u32, Point, f64)> = (0..90u32)
+                .map(|i| {
+                    let c = match i % 3 {
+                        0 => vp.pixel_center(
+                            (lcg(&mut seed) * f64::from(vp.width)) as u32,
+                            (lcg(&mut seed) * f64::from(vp.height)) as u32,
+                        ),
+                        _ => Point::new(
+                            vp.world.min.x + (lcg(&mut seed) * 1.2 - 0.1) * w,
+                            vp.world.min.y + (lcg(&mut seed) * 1.2 - 0.1) * h,
+                        ),
+                    };
+                    let r = vp.pixel_size().x * (0.2 + 12.0 * lcg(&mut seed).powi(2));
+                    (i, c, r)
+                })
+                .collect();
+            // Rows tangent to the outer and the inner radius, through a
+            // centre on a pixel centre, so the row's one candidate pixel
+            // sits on the centre column.
+            for k in 1..6u32 {
+                let c = vp.pixel_center(20 + 3 * k, 30);
+                let dy = vp.pixel_center(0, 30 + k).y - c.y;
+                circles.push((100 + k, c, dy - hd));
+                circles.push((110 + k, c, dy + hd));
+            }
+            // Wider and taller than the viewport, and beside it.
+            let large = [
+                (
+                    0,
+                    vp.pixel_center(vp.width / 2, vp.height / 2),
+                    0.6 * w.max(h),
+                ),
+                (1, Point::new(vp.world.max.x + 2.0, 20.0), 3.5),
+                (2, Point::new(vp.world.min.x - 9.0, 30.0), 3.0),
+            ];
+            let segments: Vec<(u32, Segment)> = [
+                ((10.0, 10.0), (10.0, 10.0)),
+                (
+                    vp.pixel_center(5, 40).into(),
+                    vp.pixel_center(50, 40).into(),
+                ),
+                ((30.5, 4.0), (30.5, 45.0)),
+                ((2.0, 48.0), (55.0, 21.0)),
+            ]
+            .into_iter()
+            .zip(0..)
+            .map(|(((ax, ay), (bx, by)), id)| {
+                (id, Segment::new(Point::new(ax, ay), Point::new(bx, by)))
+            })
+            .collect();
+            // A polygon with a long spike and near-collinear vertices, so
+            // its triangulation holds slivers thinner than a pixel.
+            let spiky = Polygon::new(vec![
+                Point::new(5.0, 8.0),
+                Point::new(40.0, 8.3),
+                Point::new(58.0, 8.31),
+                Point::new(40.0, 8.5),
+                Point::new(30.0, 30.0),
+                Point::new(29.9, 45.0),
+                Point::new(29.8, 30.2),
+                Point::new(8.0, 25.0),
+            ]);
+            let poly = PreparedPolygon::prepare(7, &spiky);
+            let pad = |r: f64| r + hd;
+            let max_r = circles.iter().map(|c| c.2).fold(0.0, f64::max);
+            let point_entries = |circles: &[(u32, Point, f64)]| {
+                (circles.iter())
+                    .map(|&(object, center, r)| BoundaryEntry {
+                        object,
+                        geom: BoundaryGeom::PointDist { center, r },
+                    })
+                    .collect::<Vec<_>>()
+            };
+            let segment_entries = |r: f64, segs: &[(u32, Segment)]| {
+                (segs.iter())
+                    .map(|&(object, seg)| BoundaryEntry {
+                        object,
+                        geom: BoundaryGeom::SegmentDist { seg, r },
+                    })
+                    .collect::<Vec<_>>()
+            };
+            let edges: Vec<(u32, Segment)> = poly
+                .polygon
+                .boundary_edges()
+                .into_iter()
+                .map(|s| (7, s))
+                .collect();
+            let interior = (poly.triangles.iter())
+                .map(|&t| BoundaryEntry {
+                    object: 7,
+                    geom: BoundaryGeom::Triangle(t),
+                })
+                .collect();
+            let cases: Vec<(&str, CanvasLayer, Build<'_>)> = vec![
+                (
+                    "circles",
+                    oracle(&pipes, vp, vec![(point_entries(&circles), pad(max_r))]),
+                    Box::new(|pipe| distance_canvas_points(pipe, vp, &circles)),
+                ),
+                (
+                    "large circles",
+                    oracle(&pipes, vp, vec![(point_entries(&large), pad(large[0].2))]),
+                    Box::new(|pipe| distance_canvas_points(pipe, vp, &large)),
+                ),
+                (
+                    "capsules",
+                    oracle(
+                        &pipes,
+                        vp,
+                        vec![(segment_entries(2.7, &segments), pad(2.7))],
+                    ),
+                    Box::new(|pipe| distance_canvas_segments(pipe, vp, &segments, 2.7)),
+                ),
+                (
+                    "polygon",
+                    oracle(
+                        &pipes,
+                        vp,
+                        vec![(interior, 0.0), (segment_entries(1.3, &edges), pad(1.3))],
+                    ),
+                    Box::new(|pipe| distance_canvas_polygon(pipe, vp, &poly, 1.3)),
+                ),
+            ];
+            for (name, want, build) in &cases {
+                let classes = (want.texture.pixels().iter()).fold([0; 3], |mut n, &v| {
+                    n[classify(v) as usize] += 1;
+                    n
+                });
+                assert!(classes.iter().all(|&n| n > 0), "{name}: {classes:?}");
+                for pipe in &pipes {
+                    let got = build(pipe);
+                    let at = format!("{name} {vp:?} workers={}", pipe.workers());
+                    assert!(got.texture == want.texture, "texture: {at}");
+                    assert!(got.boundary == want.boundary, "boundary table: {at}");
+                }
+            }
         }
     }
 }

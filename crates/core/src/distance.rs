@@ -1,8 +1,9 @@
 //! Distance-based selections and joins (§4.2, §5.2).
 //!
 //! Distance queries differ from spatial selections/joins only in how the
-//! constraint canvas is created: geometry shaders generate circles around
-//! points, capsules around segments and buffers around polygons, and the
+//! constraint canvas is created: it covers circles around points, capsules
+//! around segments and buffers around polygons (`spade_canvas::distance`
+//! builds their covering triangles and classifies their pixels), and the
 //! boundary index stores the source primitive plus the distance so the
 //! exact test is a distance comparison. This is what lets SPADE answer
 //! *accurate* distance queries against complex geometry, which systems

@@ -4,20 +4,24 @@
 //! shaders, optional geometry shaders, clipping, rasterization, fragment
 //! shaders and blending (§2.2) — so that it runs on any GPU. This crate is
 //! the substitution this reproduction makes for OpenGL on physical GPU
-//! hardware (see DESIGN.md): a from-scratch software pipeline with the same
-//! stages and the same semantics, executed data-parallel on a worker pool:
-//! assembly, the geometry stage and clipping by primitive chunk, a draw's
+//! hardware (see DESIGN.md): a from-scratch software pipeline with the
+//! stages SPADE's passes use and the same semantics, executed data-parallel
+//! on a worker pool: assembly and clipping by primitive chunk, a draw's
 //! rasterization, shading and blending by row band of its target, each
 //! band over the primitives binned to it in primitive order.
 //!
 //! The important properties carried over from the real pipeline:
 //!
-//! * **Stage structure** — draw calls run primitive assembly → geometry
-//!   shader → clipping → rasterization → fragment shader → blend, the
-//!   stages of §2.2 that SPADE's passes use; every SPADE operator is
-//!   expressed as one or more passes. There is no vertex stage: data are
-//!   projected into the query's coordinate system at load, so the paper's
-//!   vertex transform is the viewport's world-to-pixel mapping.
+//! * **Stage structure** — draw calls run primitive assembly → clipping →
+//!   rasterization → fragment shader → blend, the stages of §2.2 that
+//!   SPADE's passes use; every SPADE operator is expressed as one or more
+//!   passes. There is no vertex stage: data are projected into the query's
+//!   coordinate system at load, so the paper's vertex transform is the
+//!   viewport's world-to-pixel mapping. There is no geometry stage either:
+//!   the squares and capsules the paper's geometry shader expands a
+//!   distance constraint into (§4.2) are built as triangles before the
+//!   draw. The fragment shader shades a primitive's covered row runs at
+//!   once, so a distance canvas classifies runs, not pixels.
 //! * **Conservative rasterization** — §4.2 relies on the hardware feature
 //!   that draws *every* pixel touched by a primitive; [`raster`] implements
 //!   both the default (center-sample) and conservative rules.
@@ -55,6 +59,6 @@ pub use pipeline::{DrawCall, Pipeline};
 pub use pool::{PoolStats, WorkerPool};
 pub use primitive::{Assemble, Primitive};
 pub use record::FrameTotals;
-pub use shader::{FnFragment, Fragment, FragmentShader, GeometryShader, WriteAttrs};
+pub use shader::{FnFragment, Fragment, FragmentShader, WriteAttrs};
 pub use texture::{PixelValue, Texture, NULL_PIXEL};
 pub use viewport::Viewport;

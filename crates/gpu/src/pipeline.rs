@@ -1,7 +1,7 @@
-//! The pass driver: assemble → geometry → clip → rasterize → fragment →
-//! blend, executed data-parallel.
+//! The pass driver: assemble → clip → rasterize → fragment → blend,
+//! executed data-parallel.
 //!
-//! A [`DrawCall`] bundles the programmable stages and fixed-function state
+//! A [`DrawCall`] bundles the programmable stage and fixed-function state
 //! of one rendering pass, mirroring a GL pipeline state object. [`Pipeline`]
 //! executes passes of three kinds — a draw into a target [`Texture`], the
 //! counting pass, and a Map pass that folds fragments into per-chunk state
@@ -9,27 +9,32 @@
 //!
 //! 1. each input element assembles into its primitive ([`Assemble`]), in
 //!    world space (in parallel),
-//! 2. the geometry shader optionally expands primitives,
-//! 3. clipping drops primitives whose bounds miss the viewport,
-//! 4. the rasterizer enumerates covered pixels (default or conservative)
+//! 2. clipping drops primitives whose bounds miss the viewport,
+//! 3. the rasterizer enumerates covered pixels (default or conservative)
 //!    through the batched kernels,
-//! 5. the fragment shader computes each fragment's output (or discards it),
-//! 6. a draw blends fragments into the target in primitive order.
+//! 4. the fragment shader computes each fragment's output (or discards it),
+//! 5. a draw blends fragments into the target in primitive order.
+//!
+//! There is no geometry stage: the one source a canvas expands (a distance
+//! constraint's square or capsule, §4.2) is built as its triangles before
+//! the draw.
 //!
 //! A draw is *band-direct*, the sort-middle form of a parallel rasterizer:
-//! one chunk-parallel pass runs assemble → geometry → clip over the stream
-//! once and bins each visible primitive into the row bands of the target
-//! that its bounding box meets, a few bands per worker, chunk after chunk so
-//! each band's list stays in primitive order. Each band is then one pool
-//! task that rasterizes only its own list on its own rows, under the call's
-//! rule: a triangle's covered run on each row is blended as one slice when
-//! the shader writes its attributes verbatim (`writes_attrs`), and shaded
-//! pixel by pixel otherwise; points and lines are shaded per pixel. Every
-//! pixel sees its fragments in primitive order, so results are deterministic
-//! for *every* blend mode and any worker count. The counting and Map passes
-//! run the chunked stage alone, rasterizing each primitive where it is
-//! assembled. The driver is also the one place a pass is timed, recorded on
-//! the calling query's frame ([`crate::record`]) and traced.
+//! one chunk-parallel pass runs assemble → clip over the stream once and
+//! bins each visible primitive into the row bands of the target that its
+//! bounding box meets, a few bands per worker, chunk after chunk so each
+//! band's list stays in primitive order. Each band is then one pool task
+//! that rasterizes only its own list on its own rows, under the call's
+//! rule, as row runs: a triangle's covered run on each row, a point's or
+//! line's fragment as a run of one pixel. The shader shades a primitive's
+//! runs in one call ([`FragmentShader::shade_runs`]) and each sub-run it
+//! keeps is blended as one slice. Every pixel sees its fragments in
+//! primitive order, so results are deterministic for *every* blend mode and
+//! any worker count. The counting pass shades the same runs without a
+//! target, and it and the Map pass run the chunked stage alone, rasterizing
+//! each primitive where it is assembled; the Map hands each fragment to its
+//! fold. The driver is also the one place a pass is timed, recorded on the
+//! calling query's frame ([`crate::record`]) and traced.
 //!
 //! Every stage runs on a persistent [`WorkerPool`] owned by the pipeline —
 //! launching a pass costs a queue push, not thread spawns — and transient
@@ -41,10 +46,11 @@ use crate::pool::{self, WorkerPool};
 use crate::primitive::{Assemble, Primitive};
 use crate::raster;
 use crate::record;
-use crate::shader::{Fragment, FragmentShader, GeometryShader, WriteAttrs};
+use crate::shader::{Fragment, FragmentShader, Run, WriteAttrs};
 use crate::texture::{PixelValue, Texture};
 use crate::viewport::Viewport;
 use spade_geometry::{Point, Triangle};
+use std::ops::Range;
 use std::time::Instant;
 
 /// Row bands per worker of a draw: enough tasks that a worker whose bands
@@ -55,7 +61,6 @@ pub const BANDS_PER_WORKER: usize = 4;
 /// The state of one rendering pass.
 pub struct DrawCall<'a> {
     pub viewport: Viewport,
-    pub geometry: Option<&'a dyn GeometryShader>,
     pub fragment: &'a dyn FragmentShader,
     pub blend: BlendMode,
     /// Use conservative rasterization (§4.2) for this pass.
@@ -63,12 +68,11 @@ pub struct DrawCall<'a> {
 }
 
 impl<'a> DrawCall<'a> {
-    /// A minimal pass: no geometry shader, fragment shader that writes the
-    /// primitive attributes (canvas creation).
+    /// A minimal pass: the fragment shader writes the primitive attributes
+    /// (canvas creation).
     pub fn simple(viewport: Viewport, blend: BlendMode, conservative: bool) -> DrawCall<'static> {
         DrawCall {
             viewport,
-            geometry: None,
             fragment: &WriteAttrs,
             blend,
             conservative,
@@ -162,30 +166,22 @@ impl Pipeline {
 
     /// Run a pass that only counts shaded (non-discarded) fragments without
     /// writing any pixels — the "simulated Map" first step of the 2-pass Map
-    /// implementation (§5.1).
+    /// implementation (§5.1). It shades the runs a draw would (`shade`) and
+    /// counts the pixels of the sub-runs the shader keeps.
     pub fn count_pass(&self, prims: &[impl Assemble], call: &DrawCall<'_>) -> u64 {
-        let vp = call.viewport;
-        // Shaders that write their attrs for every fragment (`WriteAttrs`)
-        // let the counting pass count coverage directly — the rasterizer's
-        // scanline fast path — instead of enumerating every pixel.
-        let coverage = call.fragment.writes_attrs();
+        let rows = 0..call.viewport.height;
         self.pass("gpu.count_pass", || {
             let (counts, totals) = self.stream(
                 prims,
                 call,
-                || 0u64,
-                |n, prim| {
-                    if coverage {
-                        let covered = raster::coverage_count(prim, &vp, call.conservative) as u64;
-                        *n += covered;
-                        return covered;
-                    }
-                    fragments(prim, &vp, call.conservative, |frag| {
-                        *n += u64::from(call.fragment.shade(&frag).is_some());
-                    })
+                || (0u64, Vec::new(), Vec::new()),
+                |(n, runs, kept), prim| {
+                    let covered = shade(prim, call, rows.clone(), runs, kept);
+                    *n += pixels(kept.iter().map(|(run, _)| run));
+                    covered
                 },
             );
-            (counts.into_iter().sum(), totals)
+            (counts.into_iter().map(|(n, ..)| n).sum(), totals)
         })
     }
 
@@ -208,7 +204,12 @@ impl Pipeline {
         let vp = call.viewport;
         self.pass("gpu.map", || {
             self.stream(prims, call, init, |state, prim| {
-                fragments(prim, &vp, call.conservative, |frag| emit(state, &frag))
+                let (attrs, mut n) = (prim.attrs(), 0);
+                raster::rasterize_with(prim, &vp, call.conservative, &mut |x, y| {
+                    n += 1;
+                    emit(state, &Fragment { x, y, attrs });
+                });
+                n
             })
         })
     }
@@ -232,7 +233,7 @@ impl Pipeline {
     }
 
     /// The chunked stage: every worker chunk of the input stream runs the
-    /// fused assemble → geometry → clip stage — no primitive list is
+    /// fused assemble → clip stage — no primitive list is
     /// materialized — and hands each visible primitive to `raster` with the
     /// chunk's state; `raster` rasterizes and shades it and returns its
     /// fragment count. Returns the chunk states in primitive order and the
@@ -260,12 +261,12 @@ impl Pipeline {
     }
 }
 
-/// The fused assemble → geometry → clip stage over `items`, the part of a
-/// pass's input list that starts at index `first`: every visible primitive
-/// goes to `raster`, which returns its fragment count. Returns the
-/// primitives after expansion, the visible ones and their fragments. The
-/// assembly contract of every pass: `prims[i]` assembles as
-/// `prims[i].assemble(i)`, `i` counted over the whole list.
+/// The fused assemble → clip stage over `items`, the part of a pass's input
+/// list that starts at index `first`: every visible primitive goes to
+/// `raster`, which returns its fragment count. Returns the primitives, the
+/// visible ones and their fragments. The assembly contract of every pass:
+/// `prims[i]` assembles as `prims[i].assemble(i)`, `i` counted over the
+/// whole list.
 fn assemble_clip(
     items: &[impl Assemble],
     first: usize,
@@ -273,22 +274,12 @@ fn assemble_clip(
     mut raster: impl FnMut(&Primitive) -> u64,
 ) -> [u64; 3] {
     let world = call.viewport.world;
-    let mut counts = [0u64; 3];
-    let mut expand_buf = Vec::new();
+    let mut counts = [items.len() as u64, 0, 0];
     for (index, item) in (first as u32..).zip(items) {
         let prim = item.assemble(index);
-        let expanded: &[Primitive] = match call.geometry {
-            Some(gs) => {
-                expand_buf.clear();
-                gs.expand(&prim, &mut expand_buf);
-                &expand_buf
-            }
-            None => std::slice::from_ref(&prim),
-        };
-        counts[0] += expanded.len() as u64;
-        for prim in expanded.iter().filter(|p| p.bbox().intersects(&world)) {
+        if prim.bbox().intersects(&world) {
             counts[1] += 1;
-            counts[2] += raster(prim);
+            counts[2] += raster(&prim);
         }
     }
     counts
@@ -296,11 +287,9 @@ fn assemble_clip(
 
 /// One band of a draw: `band` holds the target's rows from `y0` on, `width`
 /// pixels each, and `prims` are the primitives binned to it, in primitive
-/// order. Rasterizes each on the band's rows under the call's rule and
-/// blends its fragments: a triangle row's covered run as one slice for a
-/// `writes_attrs` shader and pixel by pixel, shaded, for any other; a
-/// point's or line's fragments pixel by pixel. Returns the band's fragment
-/// count, discarded fragments included.
+/// order. Each is rasterized on the band's rows and shaded (`shade`), and
+/// each sub-run its shader keeps is blended as one slice. Returns the band's
+/// fragment count, discarded fragments included.
 fn draw_band<'p>(
     prims: impl Iterator<Item = &'p Primitive>,
     call: &DrawCall<'_>,
@@ -308,74 +297,54 @@ fn draw_band<'p>(
     width: usize,
     band: &mut [PixelValue],
 ) -> u64 {
-    let vp = call.viewport;
     let rows = y0..y0 + (band.len() / width) as u32;
     let at = |x: u32, y: u32| (y - y0) as usize * width + x as usize;
-    let writes_attrs = call.fragment.writes_attrs();
-    let mut n = 0;
+    let (mut n, mut runs, mut kept) = (0, Vec::new(), Vec::new());
     for prim in prims {
-        let attrs = prim.attrs();
-        let blend = |band: &mut [PixelValue], x: u32, y: u32| {
-            let frag = Fragment {
-                x,
-                y,
-                world: vp.pixel_center(x, y),
-                attrs,
-            };
-            if let Some(v) = call.fragment.shade(&frag) {
-                band[at(x, y)] = call.blend.apply(band[at(x, y)], v);
-            }
-        };
-        match *prim {
-            Primitive::Triangle { a, b, c, .. } => {
-                let tri = Triangle::new(a, b, c);
-                raster::triangle_runs(
-                    &tri,
-                    &vp,
-                    call.conservative,
-                    rows.clone(),
-                    &mut |y, x0, x1| {
-                        n += u64::from(x1 - x0 + 1);
-                        if writes_attrs {
-                            call.blend
-                                .blend_run(&mut band[at(x0, y)..=at(x1, y)], attrs);
-                        } else {
-                            (x0..=x1).for_each(|x| blend(band, x, y));
-                        }
-                    },
-                );
-            }
-            _ => raster::rasterize_with(prim, &vp, call.conservative, &mut |x, y| {
-                if rows.contains(&y) {
-                    n += 1;
-                    blend(band, x, y);
-                }
-            }),
+        n += shade(prim, call, rows.clone(), &mut runs, &mut kept);
+        for &((y, x0, x1), v) in &kept {
+            call.blend.blend_run(&mut band[at(x0, y)..=at(x1, y)], v);
         }
     }
     n
 }
 
-/// Rasterize `prim` and hand each of its fragments to `shade`; returns how
-/// many there were.
-fn fragments(
+/// Rasterize `prim` on the rows `rows` under the call's rule as row runs
+/// into `runs` — each triangle row's covered run
+/// ([`raster::triangle_runs`]), each point or line fragment as a run of one
+/// pixel, in rasterization order — and have the call's shader shade them
+/// all at once: `kept` then holds the sub-runs it keeps, with their values.
+/// Returns how many pixels the runs cover.
+fn shade(
     prim: &Primitive,
-    vp: &Viewport,
-    conservative: bool,
-    mut shade: impl FnMut(Fragment),
+    call: &DrawCall<'_>,
+    rows: Range<u32>,
+    runs: &mut Vec<Run>,
+    kept: &mut Vec<(Run, PixelValue)>,
 ) -> u64 {
-    let attrs = prim.attrs();
-    let mut n = 0;
-    raster::rasterize_with(prim, vp, conservative, &mut |x, y| {
-        n += 1;
-        shade(Fragment {
-            x,
-            y,
-            world: vp.pixel_center(x, y),
-            attrs,
-        });
-    });
-    n
+    let (vp, conservative) = (&call.viewport, call.conservative);
+    runs.clear();
+    match *prim {
+        Primitive::Triangle { a, b, c, .. } => {
+            let tri = Triangle::new(a, b, c);
+            raster::triangle_runs(&tri, vp, conservative, rows, &mut |y, x0, x1| {
+                runs.push((y, x0, x1))
+            });
+        }
+        _ => raster::rasterize_with(prim, vp, conservative, &mut |x, y| {
+            if rows.contains(&y) {
+                runs.push((y, x, x));
+            }
+        }),
+    }
+    kept.clear();
+    call.fragment.shade_runs(prim.attrs(), runs, kept);
+    pixels(runs.iter())
+}
+
+/// How many pixels `runs` hold.
+fn pixels<'r>(runs: impl Iterator<Item = &'r Run>) -> u64 {
+    runs.map(|&(_, x0, x1)| u64::from(x1 - x0 + 1)).sum()
 }
 
 #[cfg(test)]
@@ -499,32 +468,15 @@ mod tests {
 
     #[test]
     fn geometry_shader_expansion() {
-        // A geometry shader that turns one point into a plus-shape of
-        // 5 points.
-        struct Plus;
-        impl GeometryShader for Plus {
-            fn expand(&self, prim: &Primitive, out: &mut Vec<Primitive>) {
-                if let Primitive::Point { p, attrs } = prim {
-                    out.push(Primitive::point(*p, *attrs));
-                    for d in [
-                        Point::new(1.0, 0.0),
-                        Point::new(-1.0, 0.0),
-                        Point::new(0.0, 1.0),
-                        Point::new(0.0, -1.0),
-                    ] {
-                        out.push(Primitive::point(*p + d, *attrs));
-                    }
-                }
-            }
-        }
+        // A point expanded into a plus-shape of 5 points before the draw —
+        // the expansion a geometry shader made — draws all five.
+        let p = Point::new(5.5, 5.5);
+        let prims: Vec<Primitive> = [(0.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
+            .map(|(dx, dy)| Primitive::point(p + Point::new(dx, dy), [9, 0, 0, 0]))
+            .into();
         let pl = Pipeline::with_workers(2);
         let mut tex = Texture::new(10, 10);
-        let gs = Plus;
-        let prims = vec![Primitive::point(Point::new(5.5, 5.5), [9, 0, 0, 0])];
-        let call = DrawCall {
-            geometry: Some(&gs),
-            ..DrawCall::simple(vp10(), BlendMode::Replace, false)
-        };
+        let call = DrawCall::simple(vp10(), BlendMode::Replace, false);
         pl.draw(&mut tex, &prims, &call);
         assert_eq!(tex.count_non_null(), 5);
     }
@@ -589,9 +541,9 @@ mod tests {
 
     #[test]
     fn band_draw_matches_per_fragment_path() {
-        // `WriteAttrs` on default-rule triangles blends each row's run as
-        // one slice; a closure shader writing the same attrs cannot claim
-        // `writes_attrs` and is shaded per fragment. Both must produce
+        // `WriteAttrs` on default-rule triangles keeps each row's run whole;
+        // a closure shader writing the same attrs takes the provided run
+        // form and is shaded per fragment. Both must produce
         // bit-identical textures for every blend mode at several worker
         // counts.
         let vp = Viewport::new(BBox::new(Point::ZERO, Point::new(10.0, 10.0)), 64, 64);
@@ -617,9 +569,9 @@ mod tests {
 
     #[test]
     fn simd_count_pass_matches_scalar() {
-        // The counting pass — coverage counted through the batched kernel
-        // for `WriteAttrs`, fragments shaded one by one
-        // otherwise — equals the oracle rasterizer's emission count, summed.
+        // The counting pass — each row run counted whole for `WriteAttrs`,
+        // its fragments shaded one by one otherwise — equals the oracle
+        // rasterizer's emission count, summed.
         let prims: Vec<Primitive> = (0..20)
             .map(|i| {
                 let x = (i as f64 * 0.53) % 8.0;
@@ -678,7 +630,6 @@ mod tests {
                 let f = Fragment {
                     x,
                     y,
-                    world: vp.pixel_center(x, y),
                     attrs: prim.attrs(),
                 };
                 match discard(&f) {
@@ -698,52 +649,46 @@ mod tests {
         ((*seed >> 11) as f64) / ((1u64 << 53) as f64)
     }
 
-    /// The scalar oracle of a draw: every primitive (expanded by the call's
-    /// geometry shader) through `raster::rasterize` under the call's rule,
-    /// each fragment shaded and blended with `apply` in primitive order.
-    /// Returns the texture and the fragment count, discarded ones included.
+    /// The scalar oracle of a draw: every primitive through
+    /// `raster::rasterize` under the call's rule, each fragment shaded and
+    /// blended with `apply` in primitive order. Returns the texture and the
+    /// fragment count, discarded ones included.
     fn oracle(prims: &[Primitive], call: &DrawCall<'_>) -> (Texture, u64) {
         let vp = call.viewport;
         let mut tex = Texture::new(vp.width, vp.height);
         let mut n = 0;
-        let mut expanded = Vec::new();
-        for prim in prims {
-            expanded.clear();
-            match call.geometry {
-                Some(gs) => gs.expand(prim, &mut expanded),
-                None => expanded.push(*prim),
-            }
-            for p in &expanded {
-                raster::rasterize(p, &vp, call.conservative, &mut |x, y| {
-                    n += 1;
-                    let frag = Fragment {
-                        x,
-                        y,
-                        world: vp.pixel_center(x, y),
-                        attrs: p.attrs(),
-                    };
-                    if let Some(v) = call.fragment.shade(&frag) {
-                        tex.put(x, y, call.blend.apply(tex.get(x, y), v));
-                    }
-                });
-            }
+        for p in prims {
+            raster::rasterize(p, &vp, call.conservative, &mut |x, y| {
+                n += 1;
+                let frag = Fragment {
+                    x,
+                    y,
+                    attrs: p.attrs(),
+                };
+                if let Some(v) = call.fragment.shade(&frag) {
+                    tex.put(x, y, call.blend.apply(tex.get(x, y), v));
+                }
+            });
         }
         (tex, n)
     }
 
-    /// A geometry shader that turns a point into the two triangles of a
-    /// 1.5-unit square around it, as the distance canvases' square
-    /// expansion does.
-    struct Square;
-    impl GeometryShader for Square {
-        fn expand(&self, prim: &Primitive, out: &mut Vec<Primitive>) {
-            if let Primitive::Point { p, attrs } = *prim {
+    /// Each point as the two triangles of a 1.5-unit square around it, as
+    /// the distance canvases build their squares.
+    fn squares(points: &[Primitive]) -> Vec<Primitive> {
+        (points.iter())
+            .flat_map(|prim| {
+                let &Primitive::Point { p, attrs } = prim else {
+                    unreachable!("points only")
+                };
                 let (lo, hi) = (p - Point::new(0.75, 0.75), p + Point::new(0.75, 0.75));
                 let (lr, ul) = (Point::new(hi.x, lo.y), Point::new(lo.x, hi.y));
-                out.push(Primitive::triangle(lo, lr, hi, attrs));
-                out.push(Primitive::triangle(lo, hi, ul, attrs));
-            }
-        }
+                [
+                    Primitive::triangle(lo, lr, hi, attrs),
+                    Primitive::triangle(lo, hi, ul, attrs),
+                ]
+            })
+            .collect()
     }
 
     /// Random triangles over and around a 10×10 world: slivers thinner than
@@ -787,30 +732,29 @@ mod tests {
         // count for every blend mode, under both rules, at worker counts and
         // heights that split primitives across bands unevenly (one row per
         // band at height 7 and eight workers), for triangles, points, lines
-        // and a geometry shader's expansion, with a shader that writes its
-        // attributes (run blends), one that discards and one that computes
-        // its value from the fragment's world position (both shaded pixel by
-        // pixel). The computed value is certain (channel 3 zero) on half of
-        // each unit row, so `Classified` sees both kinds. (Triangles far
-        // larger than the viewport, whose rows can lie wholly beside it, are
-        // `raster`'s `bisected_runs_match_scalar_oracle`.)
+        // and squares built as two triangles per point, with a shader that
+        // writes its attributes (runs kept whole), one that discards and
+        // one that computes its value from the fragment's world position
+        // (both shaded pixel by pixel). The computed value is certain
+        // (channel 3 zero) on half of each unit row, so `Classified` sees
+        // both kinds. (Triangles far larger than the viewport, whose rows can
+        // lie wholly beside it, are `raster`'s
+        // `bisected_runs_match_scalar_oracle`.)
         let world = BBox::new(Point::ZERO, Point::new(10.0, 10.0));
         let pipes: Vec<Pipeline> = [1, 2, 3, 8].map(Pipeline::with_workers).into();
         let discard =
             FnFragment(|f: &Fragment| (!(f.x + 2 * f.y).is_multiple_of(3)).then_some(f.attrs));
-        let from_world = FnFragment(|f: &Fragment| {
-            let bound = if f.world.y.fract() < 0.5 {
-                0
-            } else {
-                f.attrs[1] + 1
-            };
-            Some([f.attrs[0], f.attrs[1], (f.world.x * 3.0) as u32, bound])
-        });
-        let shaders: [(&str, &dyn FragmentShader); 3] = [
-            ("attrs", &WriteAttrs),
-            ("discard", &discard),
-            ("world", &from_world),
-        ];
+        let from_world = |vp: Viewport| {
+            FnFragment(move |f: &Fragment| {
+                let world = vp.pixel_center(f.x, f.y);
+                let bound = if world.y.fract() < 0.5 {
+                    0
+                } else {
+                    f.attrs[1] + 1
+                };
+                Some([f.attrs[0], f.attrs[1], (world.x * 3.0) as u32, bound])
+            })
+        };
         let modes = [
             BlendMode::Replace,
             BlendMode::KeepFirst,
@@ -820,6 +764,12 @@ mod tests {
         let mut seed = 0xba4d_u64;
         for height in [7, 100] {
             let vp = Viewport::new(world, 64, height);
+            let from_world = from_world(vp);
+            let shaders: [(&str, &dyn FragmentShader); 3] = [
+                ("attrs", &WriteAttrs),
+                ("discard", &discard),
+                ("world", &from_world),
+            ];
             let tris = random_triangles(&vp, &mut seed);
             let mut pt = || Point::new(lcg(&mut seed) * 12.0 - 1.0, lcg(&mut seed) * 12.0 - 1.0);
             let points: Vec<Primitive> = (0..80u32)
@@ -828,13 +778,14 @@ mod tests {
             let lines: Vec<Primitive> = (0..30u32)
                 .map(|i| Primitive::line(pt(), pt(), [1 + i % 4, i, 0, 1]))
                 .collect();
-            let inputs: [(&str, &[Primitive], Option<&dyn GeometryShader>); 4] = [
-                ("triangles", &tris, None),
-                ("points", &points, None),
-                ("lines", &lines, None),
-                ("squares", &points, Some(&Square)),
+            let squares = squares(&points);
+            let inputs: [(&str, &[Primitive]); 4] = [
+                ("triangles", &tris),
+                ("points", &points),
+                ("lines", &lines),
+                ("squares", &squares),
             ];
-            for ((name, prims, geometry), conservative) in
+            for ((name, prims), conservative) in
                 (inputs.into_iter()).flat_map(|input| [(input, false), (input, true)])
             {
                 for ((shader, fragment), blend) in
@@ -842,7 +793,6 @@ mod tests {
                 {
                     let call = DrawCall {
                         viewport: vp,
-                        geometry,
                         fragment,
                         blend,
                         conservative,

@@ -14,11 +14,12 @@
 //! (§2.2).
 //!
 //! [`rasterize`] tests every pixel of the bounding box and is the oracle;
-//! [`rasterize_with`], which the counting and Map passes use, emits the same
-//! fragments in the same order from 8-pixel blocks (default rule) and
-//! per-row runs (conservative triangles), tested with the oracle's exact
-//! predicates. [`triangle_runs`] hands a triangle's coverage under either
-//! rule to a draw as runs of each row, clipped to the rows the draw asks for.
+//! [`rasterize_with`], which the Map pass uses, emits the same fragments in
+//! the same order from 8-pixel blocks (default rule) and per-row runs
+//! (conservative triangles), tested with the oracle's exact predicates.
+//! [`triangle_runs`] hands a triangle's coverage under either rule to a
+//! draw or a counting pass as runs of each row, clipped to the rows asked
+//! for.
 
 use crate::primitive::Primitive;
 use crate::viewport::Viewport;
@@ -498,37 +499,6 @@ fn row_run(
     Some((first, last))
 }
 
-/// Count covered pixels without materializing them (the 2-pass Map
-/// operator's counting pass).
-///
-/// Points are O(1) and triangles add up the per-row covered runs of
-/// [`triangle_runs`] instead of enumerating every pixel of the bounding
-/// box. The counts are guaranteed identical to [`rasterize`]'s emission
-/// count because every pixel that decides the count is tested with the
-/// exact same floating-point predicate the enumerating rasterizer uses.
-pub fn coverage_count(prim: &Primitive, vp: &Viewport, conservative: bool) -> usize {
-    match prim {
-        Primitive::Point { p, .. } => usize::from(vp.world_to_pixel(*p).is_some()),
-        Primitive::Line { .. } => {
-            let mut n = 0usize;
-            rasterize(prim, vp, conservative, &mut |_, _| n += 1);
-            n
-        }
-        Primitive::Triangle { a, b, c, .. } => {
-            let mut total = 0usize;
-            let tri = Triangle::new(*a, *b, *c);
-            triangle_runs(
-                &tri,
-                vp,
-                conservative,
-                0..vp.height,
-                &mut |_, first, last| total += (last - first + 1) as usize,
-            );
-            total
-        }
-    }
-}
-
 /// Conservative triangle rasterization as the covered runs of each row
 /// ([`triangle_runs`]). The fragments and their order are
 /// [`raster_tri_conservative`]'s.
@@ -543,8 +513,10 @@ fn raster_tri_runs(tri: &Triangle, vp: &Viewport, emit: &mut impl FnMut(u32, u32
 /// [lo, hi]` the search steps outward in doubling steps until `holds`
 /// flips, then bisects the last step, so a guess `d` columns off costs about
 /// 2·log₂(d) tests (two when it or its neighbour is the answer); without a
-/// guess the whole range is bisected.
-fn first_from(lo: u32, hi: u32, g: Option<u32>, holds: &impl Fn(u32) -> bool) -> Option<u32> {
+/// guess the whole range is bisected. The search for one end of a row run
+/// whose predicate is monotone along the row: [`triangle_runs`]' halves,
+/// and the distance canvases' circle rows.
+pub fn first_from(lo: u32, hi: u32, g: Option<u32>, holds: &impl Fn(u32) -> bool) -> Option<u32> {
     let Some(mut g) = g else {
         return holds(hi).then(|| bisect_first(lo, hi, holds));
     };
@@ -574,7 +546,7 @@ fn first_from(lo: u32, hi: u32, g: Option<u32>, holds: &impl Fn(u32) -> bool) ->
 
 /// The largest x in `[lo, hi]` where `holds` (true, then false on that
 /// range) is true, or `None`: [`first_from`] on the range mirrored.
-fn last_from(lo: u32, hi: u32, g: Option<u32>, holds: &impl Fn(u32) -> bool) -> Option<u32> {
+pub fn last_from(lo: u32, hi: u32, g: Option<u32>, holds: &impl Fn(u32) -> bool) -> Option<u32> {
     let mirror = |x: u32| lo + (hi - x);
     first_from(lo, hi, g.map(mirror), &|x| holds(mirror(x))).map(mirror)
 }
@@ -883,6 +855,7 @@ fn project_range(pts: &[Point], axis: Point) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BlendMode, DrawCall, Pipeline};
     use std::collections::BTreeSet;
 
     fn vp10() -> Viewport {
@@ -1061,6 +1034,23 @@ mod tests {
         ));
     }
 
+    /// A triangle's fragment count as the counting pass takes it: its
+    /// `triangle_runs` over every row, summed.
+    fn run_count(prim: &Primitive, vp: &Viewport, cons: bool) -> usize {
+        let &Primitive::Triangle { a, b, c, .. } = prim else {
+            unreachable!("triangles only")
+        };
+        let mut n = 0;
+        triangle_runs(
+            &Triangle::new(a, b, c),
+            vp,
+            cons,
+            0..vp.height,
+            &mut |_, first, last| n += (last - first + 1) as usize,
+        );
+        n
+    }
+
     fn lcg(seed: &mut u64) -> f64 {
         *seed = seed
             .wrapping_mul(6364136223846793005)
@@ -1096,7 +1086,7 @@ mod tests {
     }
 
     #[test]
-    fn coverage_count_matches_enumeration_randomized() {
+    fn run_count_matches_enumeration_randomized() {
         // The scanline fast path must agree with pixel enumeration exactly,
         // for both rules, across random triangles including slivers,
         // degenerates, pixel-grid-aligned shapes and shapes spilling outside
@@ -1133,7 +1123,7 @@ mod tests {
                     let mut n = 0usize;
                     rasterize(&t, vp, cons, &mut |_, _| n += 1);
                     assert_eq!(
-                        coverage_count(&t, vp, cons),
+                        run_count(&t, vp, cons),
                         n,
                         "case={case} cons={cons} pts={pts:?}"
                     );
@@ -1198,7 +1188,7 @@ mod tests {
                     rasterize_with(&t, vp, true, &mut |x, y| runs.push((x, y)));
                     let at = format!("n={n} vp={:?} case={case} pts={pts:?}", vp.world);
                     assert_eq!(runs, oracle, "{at}");
-                    assert_eq!(coverage_count(&t, vp, true), oracle.len(), "{at}");
+                    assert_eq!(run_count(&t, vp, true), oracle.len(), "{at}");
                 }
             }
         }
@@ -1236,7 +1226,7 @@ mod tests {
                 rasterize_with(&t, vp, false, &mut |x, y| batched.push((x, y)));
                 assert_eq!(batched, scalar, "case={case} pts={pts:?}");
                 assert_eq!(
-                    coverage_count(&t, vp, false),
+                    run_count(&t, vp, false),
                     scalar.len(),
                     "case={case} pts={pts:?}"
                 );
@@ -1354,12 +1344,7 @@ mod tests {
                 for cons in [false, true] {
                     let mut oracle = Vec::new();
                     rasterize(&t, &vp, cons, &mut |x, y| oracle.push((x, y)));
-                    assert_eq!(
-                        coverage_count(&t, &vp, cons),
-                        oracle.len(),
-                        "{}",
-                        at("count")
-                    );
+                    assert_eq!(run_count(&t, &vp, cons), oracle.len(), "{}", at("count"));
                     let (a, b) = (
                         (lcg(&mut seed) * f64::from(h + 1)) as u32,
                         (lcg(&mut seed) * f64::from(h + 1)) as u32,
@@ -1508,13 +1493,13 @@ mod tests {
             for vp in &vps {
                 let mut n = 0usize;
                 rasterize(&t, vp, false, &mut |_, _| n += 1);
-                assert_eq!(coverage_count(&t, vp, false), n, "case={case} pts={pts:?}");
+                assert_eq!(run_count(&t, vp, false), n, "case={case} pts={pts:?}");
             }
         }
     }
 
     #[test]
-    fn coverage_count_axis_aligned_rect_halves() {
+    fn run_count_axis_aligned_rect_halves() {
         // Axis-aligned rectangles reach the rasterizer as right-triangle
         // pairs; the scanline path must count both halves exactly,
         // including edges landing on pixel boundaries.
@@ -1526,32 +1511,37 @@ mod tests {
             for t in [&t1, &t2] {
                 let mut n = 0usize;
                 rasterize(t, &vp, cons, &mut |_, _| n += 1);
-                assert_eq!(coverage_count(t, &vp, cons), n, "cons={cons}");
+                assert_eq!(run_count(t, &vp, cons), n, "cons={cons}");
             }
         }
     }
 
     #[test]
-    fn coverage_count_point_and_line() {
+    fn count_pass_counts_point_and_line() {
         let vp = vp10();
+        let pl = Pipeline::with_workers(2);
+        let count = |prim: Primitive, cons: bool| {
+            let call = DrawCall::simple(vp, BlendMode::Replace, cons);
+            pl.count_pass(&[prim], &call) as usize
+        };
         assert_eq!(
-            coverage_count(&Primitive::point(Point::new(2.5, 3.5), [0; 4]), &vp, false),
+            count(Primitive::point(Point::new(2.5, 3.5), [0; 4]), false),
             1
         );
         assert_eq!(
-            coverage_count(&Primitive::point(Point::new(12.0, 3.0), [0; 4]), &vp, true),
+            count(Primitive::point(Point::new(12.0, 3.0), [0; 4]), true),
             0
         );
         let l = Primitive::line(Point::new(0.5, 0.5), Point::new(9.5, 9.5), [0; 4]);
         for cons in [false, true] {
             let mut n = 0usize;
             rasterize(&l, &vp, cons, &mut |_, _| n += 1);
-            assert_eq!(coverage_count(&l, &vp, cons), n);
+            assert_eq!(count(l, cons), n);
         }
     }
 
     #[test]
-    fn coverage_count_matches_rasterize() {
+    fn run_count_matches_rasterize() {
         let vp = vp10();
         let t = Primitive::triangle(
             Point::new(1.0, 1.0),
@@ -1559,10 +1549,7 @@ mod tests {
             Point::new(4.0, 8.0),
             [0; 4],
         );
-        assert_eq!(
-            coverage_count(&t, &vp, false),
-            collect(&t, &vp, false).len()
-        );
-        assert_eq!(coverage_count(&t, &vp, true), collect(&t, &vp, true).len());
+        assert_eq!(run_count(&t, &vp, false), collect(&t, &vp, false).len());
+        assert_eq!(run_count(&t, &vp, true), collect(&t, &vp, true).len());
     }
 }

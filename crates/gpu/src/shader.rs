@@ -1,52 +1,81 @@
-//! Programmable shader stages.
+//! The programmable fragment stage.
 //!
-//! The two customizable stages of the pipeline (§2.2) that SPADE's passes
-//! use (data are projected at load, so no pass transforms its vertices):
+//! The one customizable stage of the pipeline (§2.2) that SPADE's passes
+//! use (data are projected at load, so no pass transforms its vertices, and
+//! a source a canvas expands — a distance constraint's square or capsule,
+//! §4.2 — is built as triangles before its draw):
 //!
-//! * [`GeometryShader`] — optional primitive expansion: SPADE uses it to
-//!   turn distance constraints into squares and capsules (§4.2);
 //! * [`FragmentShader`] — per-fragment logic: canvas writes, mask tests,
-//!   programmable blending, fragment discard (§5.1).
+//!   programmable blending, fragment discard (§5.1). A draw hands it a
+//!   primitive's covered row runs at once ([`FragmentShader::shade_runs`]),
+//!   so a shader that knows its value along a run classifies the run
+//!   instead of its pixels.
 
-use crate::primitive::Primitive;
 use crate::texture::PixelValue;
-use spade_geometry::Point;
 
-/// A fragment handed to the fragment shader: the pixel being shaded, the
-/// world position of its center, and the primitive's flat attributes.
+/// A fragment handed to the fragment shader: the pixel being shaded and
+/// the primitive's flat attributes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fragment {
     pub x: u32,
     pub y: u32,
-    /// World-space center of the pixel.
-    pub world: Point,
     /// Flat (per-primitive) attributes, e.g. object id / boundary pointer.
     pub attrs: [u32; 4],
 }
 
-/// The optional primitive-expansion stage.
-pub trait GeometryShader: Sync {
-    /// Emit zero or more primitives for one input primitive.
-    fn expand(&self, prim: &Primitive, out: &mut Vec<Primitive>);
-}
+/// A covered run of one row: `(y, x0, x1)`, the pixels `x0..=x1` of row `y`.
+pub type Run = (u32, u32, u32);
 
-/// The per-fragment stage. Returning `None` discards the fragment.
+/// The fragment stage. Returning `None` from [`shade`] discards the
+/// fragment.
+///
+/// [`shade`]: FragmentShader::shade
 pub trait FragmentShader: Sync {
     fn shade(&self, frag: &Fragment) -> Option<PixelValue>;
 
-    /// `true` when this shader writes `frag.attrs` verbatim for every
-    /// fragment. Decides only how a draw fills a triangle row's covered
-    /// run — the rasterizer already knows the value every pixel of it will
-    /// carry, so the run is blended as one slice without invoking the
-    /// shader per pixel — and lets the counting pass count coverage
-    /// directly. Every draw is band-direct either way.
-    fn writes_attrs(&self) -> bool {
-        false
+    /// Shade `runs`, the covered row runs of one primitive carrying `attrs`,
+    /// appending to `out` each sub-run that keeps a value, with that value:
+    /// every pixel at most once, every pixel of a sub-run taking the value
+    /// `shade` gives it. The provided form shades pixel by pixel
+    /// ([`shade_pixels`]); a shader that can find where its value changes
+    /// along a row overrides it to shade only there. One call per primitive,
+    /// not per row: a draw of many small triangles pays one dynamic call for
+    /// each, and the blending stays in the caller.
+    fn shade_runs(&self, attrs: [u32; 4], runs: &[Run], out: &mut Vec<(Run, PixelValue)>) {
+        for &run in runs {
+            shade_pixels(self, attrs, run, out);
+        }
+    }
+}
+
+/// The provided [`FragmentShader::shade_runs`] of one run: every pixel of
+/// it shaded, each stretch of equal kept values appended as one sub-run. An
+/// override with no run form for some primitive hands its runs here.
+pub fn shade_pixels<S: FragmentShader + ?Sized>(
+    shader: &S,
+    attrs: [u32; 4],
+    (y, x0, x1): Run,
+    out: &mut Vec<(Run, PixelValue)>,
+) {
+    // The stretch being gathered: its first column and its value.
+    let mut open: Option<(u32, PixelValue)> = None;
+    for x in x0..=x1 {
+        let v = shader.shade(&Fragment { x, y, attrs });
+        if open.map(|(_, w)| w) != v {
+            if let Some((start, w)) = open {
+                out.push(((y, start, x - 1), w));
+            }
+            open = v.map(|v| (x, v));
+        }
+    }
+    if let Some((start, w)) = open {
+        out.push(((y, start, x1), w));
     }
 }
 
 /// A fragment shader that writes the primitive attributes unchanged — the
-/// canvas-creation shader (object id into the texture, §4.2).
+/// canvas-creation shader (object id into the texture, §4.2). A run is one
+/// value, so it is kept whole.
 pub struct WriteAttrs;
 
 impl FragmentShader for WriteAttrs {
@@ -54,8 +83,8 @@ impl FragmentShader for WriteAttrs {
         Some(frag.attrs)
     }
 
-    fn writes_attrs(&self) -> bool {
-        true
+    fn shade_runs(&self, attrs: [u32; 4], runs: &[Run], out: &mut Vec<(Run, PixelValue)>) {
+        out.extend(runs.iter().map(|&run| (run, attrs)));
     }
 }
 
@@ -77,15 +106,26 @@ where
 mod tests {
     use super::*;
 
+    /// The sub-runs a shader keeps of runs on row 0.
+    fn runs(sh: &dyn FragmentShader, runs: &[(u32, u32)], attrs: [u32; 4]) -> Vec<(u32, u32)> {
+        let runs: Vec<Run> = runs.iter().map(|&(x0, x1)| (0, x0, x1)).collect();
+        let mut out = Vec::new();
+        sh.shade_runs(attrs, &runs, &mut out);
+        out.iter().map(|&((_, x0, x1), _)| (x0, x1)).collect()
+    }
+
     #[test]
     fn write_attrs_fragment() {
         let frag = Fragment {
             x: 1,
             y: 2,
-            world: Point::ZERO,
             attrs: [9, 8, 7, 6],
         };
         assert_eq!(WriteAttrs.shade(&frag), Some([9, 8, 7, 6]));
+        assert_eq!(
+            runs(&WriteAttrs, &[(3, 9), (12, 12)], [9, 8, 7, 6]),
+            [(3, 9), (12, 12)]
+        );
     }
 
     #[test]
@@ -100,7 +140,6 @@ mod tests {
         let keep = Fragment {
             x: 0,
             y: 0,
-            world: Point::ZERO,
             attrs: [6, 0, 0, 0],
         };
         let drop = Fragment {
@@ -109,5 +148,13 @@ mod tests {
         };
         assert!(sh.shade(&keep).is_some());
         assert!(sh.shade(&drop).is_none());
+        // The provided run form: each stretch of equal kept values once.
+        assert_eq!(runs(&sh, &[(2, 4)], keep.attrs), [(2, 4)]);
+        assert!(runs(&sh, &[(2, 4)], drop.attrs).is_empty());
+        let stripes = FnFragment(|f: &Fragment| (f.x % 5 != 2).then_some([f.x / 5, 0, 0, 0]));
+        assert_eq!(
+            runs(&stripes, &[(1, 13)], [0; 4]),
+            [(1, 1), (3, 4), (5, 6), (8, 9), (10, 11), (13, 13)]
+        );
     }
 }

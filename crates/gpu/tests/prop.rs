@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use spade_geometry::{BBox, Point};
 use spade_gpu::raster::{self, triangle_overlaps_box};
-use spade_gpu::shader::{Fragment, FragmentShader, GeometryShader};
+use spade_gpu::shader::{Fragment, FragmentShader};
 use spade_gpu::{
     record, Assemble, BlendMode, DrawCall, FnFragment, Pipeline, PixelValue, Primitive, Texture,
     Viewport,
@@ -34,17 +34,14 @@ prop_compose! {
     }
 }
 
-/// A geometry shader that turns each point into a plus of five points.
-struct Plus;
-
-impl GeometryShader for Plus {
-    fn expand(&self, prim: &Primitive, out: &mut Vec<Primitive>) {
-        if let Primitive::Point { p, attrs } = *prim {
-            for (dx, dy) in [(0.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)] {
-                out.push(Primitive::point(p + Point::new(dx, dy), attrs));
-            }
-        }
-    }
+/// Each point as a plus of five points, in list order.
+fn plus(points: &[(u32, Point)]) -> Vec<(u32, Point)> {
+    (points.iter())
+        .flat_map(|&(id, p)| {
+            [(0.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
+                .map(|(dx, dy)| (id, p + Point::new(dx, dy)))
+        })
+        .collect()
 }
 
 /// What one input stream produces through each pass kind, each pass with
@@ -182,31 +179,29 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// A point list drawn as it is equals the hand-built primitive list
-    /// carrying `[id, i, 0, 0]`, through every pass kind, with and without
-    /// a geometry shader, at one worker and at three — where a stream
-    /// index counted per chunk instead of over the whole list shows in the
-    /// attributes every shader here writes or discards on.
+    /// carrying `[id, i, 0, 0]`, through every pass kind, for the points and
+    /// for each expanded into a plus of five, at one worker and at three —
+    /// where a stream index counted per chunk instead of over the whole list
+    /// shows in the attributes every shader here writes or discards on.
     #[test]
     fn point_list_pass_equals_hand_built_primitives(
         points in prop::collection::vec((0u32..1_000_000, coord(), coord()), 4..200),
     ) {
         let points: Vec<(u32, Point)> =
             points.into_iter().map(|(id, x, y)| (id, Point::new(x, y))).collect();
-        let prims: Vec<Primitive> = (0u32..)
-            .zip(&points)
-            .map(|(i, &(id, p))| Primitive::point(p, [id, i, 0, 0]))
-            .collect();
         let discard = FnFragment(|f: &Fragment| {
             (!f.attrs[1].is_multiple_of(3)).then_some(f.attrs)
         });
-        let plus = Plus;
         for workers in [1, 3] {
             let pipe = Pipeline::with_workers(workers);
-            for geometry in [None, Some(&plus as &dyn GeometryShader)] {
+            for points in [points.clone(), plus(&points)] {
+                let prims: Vec<Primitive> = (0u32..)
+                    .zip(&points)
+                    .map(|(i, &(id, p))| Primitive::point(p, [id, i, 0, 0]))
+                    .collect();
                 for fragment in [None, Some(&discard as &dyn FragmentShader)] {
                     let simple = DrawCall::simple(vp(), BlendMode::Replace, false);
                     let call = DrawCall {
-                        geometry,
                         fragment: fragment.unwrap_or(simple.fragment),
                         ..simple
                     };
